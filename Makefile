@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
+.PHONY: build test race vet lint cover bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ lint:
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
 
+# bench/ is a Go module of its own (it imports stpq/internal/...), so
+# `go build ./...` and `go test ./...` at the root neither compile nor test
+# it. This runs its tests — all seven workloads at 2 % scale against the
+# oracle, about 8 s — and is what catches a change to an API the benchmark
+# calls.
+bench-check:
+	$(GO) test -C bench ./...
+
 # A single small benchmark data point, one iteration: catches bit-rot in the
 # benchmark harness without the cost of a full sweep.
 bench-smoke:
@@ -62,10 +70,10 @@ bench-compare:
 	fi
 
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard and
-# the buffer-pool hit path must stay allocation-free, steady-state top-k
-# queries must stay under their documented budgets (internal/core), and the
-# unsampled event-log record path must stay within one allocation per query
-# (internal/obs).
+# the buffer-pool hit paths (raw page and decoded node) must stay
+# allocation-free, steady-state top-k queries must stay under their
+# documented budgets (internal/core), and the unsampled event-log record
+# path must stay within one allocation per query (internal/obs).
 alloc-regression:
 	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/storage/ ./internal/core/ ./internal/obs/
 
@@ -326,4 +334,4 @@ approx-smoke:
 	echo "approx-smoke: fast tier beats exact p99 at >=0.8 recall, counters visible" && \
 	kill -INT $$pid && wait $$pid
 
-check: build vet test race
+check: build vet test race bench-check

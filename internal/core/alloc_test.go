@@ -9,20 +9,25 @@ import (
 
 // Steady-state allocation regression tests (the scratch-pooling
 // contract): after warm-up, a repeated top-k query must stay under a
-// fixed allocation budget. The budgets are generous on purpose — they
-// catch order-of-magnitude regressions (losing the scratch pool, the
-// typed heaps reverting to container/heap boxing), not exact counts,
-// which vary with query geometry.
+// fixed allocation budget. The budgets are about 1.5× the measured counts:
+// they catch a lost scratch pool, typed heaps reverting to container/heap
+// boxing, or a read path that decodes or copies nodes per visit again,
+// without pinning exact counts, which vary with query geometry.
 //
-// The remaining STDS allocations are page decodes: Tree.Node re-decodes
-// the buffer-pool page on every visit, because caching decoded nodes
-// above the pool would stop Get() from counting page accesses and break
-// the paper's I/O accounting (see DESIGN.md §10). Measured on this
-// fixed world: ~8.3k allocs/op for STDS (decode-dominated), ~340 for
-// STPS (scratch-pooled stream rebuild).
+// Page reads allocate nothing here: the pools hold every page of this
+// world, so each Tree.Node returns the node already decoded in the page's
+// frame. Nor does the combination stream: its pair grids, index vectors
+// and heaps are recycled with the scratch. What is left is per-query by
+// nature — the root aggregate each descent seeds its heap with (one
+// keyword set per RootEntry) and the result slices; STDS runs one descent
+// per object-tree leaf, STPS one per feature set. Measured on this fixed
+// world: ~600 allocs/op for STDS, 14 for STPS. Under the race detector
+// sync.Pool drops a share of the scratches put back and a rebuilt scratch
+// grows all its buffers anew (31 to 48 allocs/op measured for STPS), which
+// STDS's margin covers and STPS's cannot: its test is skipped there.
 const (
-	stdsAllocBudget = 12000
-	stpsAllocBudget = 1000
+	stdsAllocBudget = 900
+	stpsAllocBudget = 24
 )
 
 func steadyStateAllocs(t *testing.T, run func()) float64 {
@@ -51,6 +56,9 @@ func TestAllocsSteadyStateSTDS(t *testing.T) {
 }
 
 func TestAllocsSteadyStateSTPS(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops scratches at random under the race detector")
+	}
 	w := buildWorld(t, 903, 400, 200, 2, 16, index.SRT, Options{})
 	rng := rand.New(rand.NewSource(904))
 	q := w.randQuery(rng, 2, RangeScore)

@@ -44,7 +44,10 @@ type combinationStream struct {
 	// grids accelerate eager generation: one spatial hash per feature
 	// set over the retrieved (concrete) features, with cell size 2r, so
 	// valid partners of a new feature are found without scanning D_j.
-	grids []*pairGrid
+	// gridStore keeps the grids of earlier queries for reuse; grids is nil
+	// when the stream does not use them.
+	grids     []*pairGrid
+	gridStore []*pairGrid
 
 	d         [][]featureRef // retrieved features per set, scores non-increasing
 	mins      []float64      // score of the last retrieved feature (1 before first access)
@@ -62,6 +65,14 @@ type combinationStream struct {
 	// call overwrites it, so callers must consume a combination before
 	// requesting the next one (all STPS drivers do).
 	refsBuf []featureRef
+
+	// Eager generation's working state, kept between queries so that a
+	// pulled feature costs no allocation: the index vector being extended,
+	// the dimensions assigned so far, and the arena the index vectors of
+	// queued combinations are cut from.
+	vec    []int
+	chosen []int
+	arena  []int
 }
 
 // vecEntry is an index vector into the d arrays with its combination score.
@@ -73,8 +84,9 @@ type vecEntry struct {
 // newCombinationStream builds the stream for a query against the engine's
 // feature indexes. On a pooled session the stream and all its growable
 // state (per-set streams and their heaps, retrieved prefixes, the
-// combination heap, the visited map) are recycled from the query scratch,
-// so steady-state STPS queries rebuild the stream without heap growth.
+// combination heap, the visited map, the pair grids and the index-vector
+// arena) are recycled from the query scratch, so steady-state STPS queries
+// rebuild the stream, and eager generation runs, without allocating.
 func newCombinationStream(e *Engine, q *Query, pairFilter bool, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
 	c := len(e.features)
 	eager := pairFilter
@@ -91,13 +103,17 @@ func newCombinationStream(e *Engine, q *Query, pairFilter bool, stats *Stats, tr
 	cs.reinit(c)
 	cs.q, cs.stats, cs.tr = q, stats, tr
 	cs.pairFilter, cs.pull, cs.eager = pairFilter, e.opts.Pull, eager
+	cs.grids = nil
 	if eager && pairFilter {
-		cs.grids = reuseLen(cs.grids, c)
-		for i := range cs.grids {
-			cs.grids[i] = newPairGrid(2 * q.Radius)
+		cs.gridStore = reuseLen(cs.gridStore, c)
+		for i, g := range cs.gridStore {
+			if g == nil {
+				cs.gridStore[i] = newPairGrid(2 * q.Radius)
+			} else {
+				g.reset(2 * q.Radius)
+			}
 		}
-	} else {
-		cs.grids = nil
+		cs.grids = cs.gridStore
 	}
 	for i := 0; i < c; i++ {
 		if err := cs.streams[i].init(e.features[i], q.keywordsFor(i)); err != nil {
@@ -130,6 +146,9 @@ func (cs *combinationStream) reinit(c int) {
 		cs.exhausted[i] = false
 	}
 	cs.heap = cs.heap[:0]
+	cs.vec = reuseLen(cs.vec, c)
+	cs.chosen = cs.chosen[:0]
+	cs.arena = cs.arena[:0]
 	if cs.visited == nil {
 		cs.visited = make(map[string]bool)
 	} else {
@@ -162,17 +181,34 @@ func reuseNested[T any](buf [][]T, n int) [][]T {
 
 // pairGrid is a spatial hash with cell size equal to the pair-distance
 // limit 2r: any point within 2r of p lies in one of the 3×3 cells around
-// p's cell.
+// p's cell. The members of a cell form a chain through next, in the order
+// they were added, so the grid owns two allocations however many cells it
+// has, and reset keeps both for the next query.
 type pairGrid struct {
 	cell  float64
-	cells map[[2]int32][]int
+	cells map[[2]int32]gridCell
+	// next[idx] is the index added to idx's cell after idx, -1 for the
+	// cell's last.
+	next []int32
 }
 
+// gridCell is the chain of one cell: its first and last index.
+type gridCell struct{ head, tail int32 }
+
 func newPairGrid(cell float64) *pairGrid {
+	g := &pairGrid{cells: make(map[[2]int32]gridCell)}
+	g.reset(cell)
+	return g
+}
+
+// reset empties the grid and sets its cell size.
+func (g *pairGrid) reset(cell float64) {
 	if cell <= 0 {
 		cell = 1
 	}
-	return &pairGrid{cell: cell, cells: make(map[[2]int32][]int)}
+	g.cell = cell
+	clear(g.cells)
+	g.next = g.next[:0]
 }
 
 // key maps a point to its cell.
@@ -180,23 +216,29 @@ func (g *pairGrid) key(p geo.Point) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
 }
 
-// add registers index idx at point p.
-func (g *pairGrid) add(p geo.Point, idx int) {
+// add registers the next index at point p. Indexes are 0, 1, 2, … in the
+// order of the calls: the positions of the concrete features in D_i.
+func (g *pairGrid) add(p geo.Point) {
+	idx := int32(len(g.next))
+	g.next = append(g.next, -1)
 	k := g.key(p)
-	g.cells[k] = append(g.cells[k], idx)
+	c, ok := g.cells[k]
+	if ok {
+		g.next[c.tail] = idx
+		c.tail = idx
+	} else {
+		c = gridCell{head: idx, tail: idx}
+	}
+	g.cells[k] = c
 }
 
-// near returns the indexes whose points can be within the limit of p
-// (a superset; callers re-check exact distances).
-func (g *pairGrid) near(p geo.Point) []int {
-	k := g.key(p)
-	var out []int
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			out = append(out, g.cells[[2]int32{k[0] + dx, k[1] + dy}]...)
-		}
+// first returns the first index of cell k, or -1 for an empty cell; next
+// continues the chain.
+func (g *pairGrid) first(k [2]int32) int32 {
+	if c, ok := g.cells[k]; ok {
+		return c.head
 	}
-	return out
+	return -1
 }
 
 // next returns the valid combination with the highest score not yet
@@ -395,79 +437,95 @@ func (cs *combinationStream) pushVec(vec []int) {
 // combinations rather than |D_1|×…×|D_c|.
 func (cs *combinationStream) generateEager(i int) {
 	newIdx := len(cs.d[i]) - 1
-	newRef := cs.d[i][newIdx]
+	newRef := &cs.d[i][newIdx]
 	if cs.grids != nil && !newRef.virtual {
-		cs.grids[i].add(newRef.entry.Point(), newIdx)
+		cs.grids[i].add(newRef.loc)
 	}
-	c := len(cs.d)
-	vec := make([]int, c)
-	chosen := make([]int, 0, c) // dims already assigned
-	vec[i] = newIdx
-	chosen = append(chosen, i)
+	cs.vec[i] = newIdx
+	cs.chosen = append(cs.chosen[:0], i)
+	cs.extend(i, 0, newRef.score, newRef.loc, !newRef.virtual)
+}
 
-	var anchor *featureRef
-	if !newRef.virtual {
-		anchor = &newRef
+// extend assigns dimensions dim… of cs.vec in every valid way and queues
+// each completed index vector; dimension fixed holds the newest feature
+// and is skipped. anchor is the location of the first concrete member
+// chosen so far, if anchored.
+func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Point, anchored bool) {
+	if dim == len(cs.d) {
+		cs.heap.push(vecEntry{vec: cs.keepVec(), score: score})
+		return
 	}
-
-	var rec func(dim int, score float64, anchor *featureRef)
-	rec = func(dim int, score float64, anchor *featureRef) {
-		if dim == c {
-			v := make([]int, c)
-			copy(v, vec)
-			cs.heap.push(vecEntry{vec: v, score: score})
-			return
-		}
-		if dim == i {
-			rec(dim+1, score, anchor)
-			return
-		}
-		try := func(a int) {
-			ref := cs.d[dim][a]
-			vec[dim] = a
-			chosen = append(chosen, dim)
-			if cs.validAgainstChosen(ref, vec, chosen[:len(chosen)-1]) {
-				next := anchor
-				if next == nil && !ref.virtual {
-					next = &ref
+	if dim == fixed {
+		cs.extend(fixed, dim+1, score, anchor, anchored)
+		return
+	}
+	if anchored && cs.grids != nil {
+		// Cells around the anchor in a fixed order, each in insertion
+		// order: the order combinations are queued in decides ties.
+		g := cs.grids[dim]
+		k := g.key(anchor)
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				for a := g.first([2]int32{k[0] + dx, k[1] + dy}); a >= 0; a = g.next[a] {
+					cs.try(fixed, dim, int(a), score, anchor, anchored)
 				}
-				rec(dim+1, score+ref.score, next)
 			}
-			chosen = chosen[:len(chosen)-1]
 		}
-		if anchor != nil && cs.grids != nil {
-			for _, a := range cs.grids[dim].near(anchor.entry.Point()) {
-				try(a)
-			}
-			// The virtual feature (always the last element, if present)
-			// pairs with anything.
-			if n := len(cs.d[dim]); n > 0 && cs.d[dim][n-1].virtual {
-				try(n - 1)
-			}
-			return
+		// The virtual feature (always the last element, if present)
+		// pairs with anything.
+		if n := len(cs.d[dim]); n > 0 && cs.d[dim][n-1].virtual {
+			cs.try(fixed, dim, n-1, score, anchor, anchored)
 		}
-		for a := 0; a < len(cs.d[dim]); a++ {
-			try(a)
-		}
+		return
 	}
-	rec(0, newRef.score, anchor)
+	for a := 0; a < len(cs.d[dim]); a++ {
+		cs.try(fixed, dim, a, score, anchor, anchored)
+	}
+}
+
+// try puts feature a of set dim into the partial combination and, if it
+// lies within reach of the members chosen so far, extends it further.
+func (cs *combinationStream) try(fixed, dim, a int, score float64, anchor geo.Point, anchored bool) {
+	ref := &cs.d[dim][a]
+	cs.vec[dim] = a
+	if cs.validAgainstChosen(ref, cs.vec, cs.chosen) {
+		if !anchored && !ref.virtual {
+			anchor, anchored = ref.loc, true
+		}
+		cs.chosen = append(cs.chosen, dim)
+		cs.extend(fixed, dim+1, score+ref.score, anchor, anchored)
+		cs.chosen = cs.chosen[:len(cs.chosen)-1]
+	}
+}
+
+// keepVec returns a copy of cs.vec cut from the arena. A full arena is
+// replaced by one twice its size; the vectors already queued keep the old
+// one alive for as long as they are.
+func (cs *combinationStream) keepVec() []int {
+	c := len(cs.vec)
+	if len(cs.arena)+c > cap(cs.arena) {
+		cs.arena = make([]int, 0, max(2*cap(cs.arena), 64*c))
+	}
+	n := len(cs.arena)
+	cs.arena = append(cs.arena, cs.vec...)
+	return cs.arena[n : n+c : n+c]
 }
 
 // validAgainstChosen checks Definition 4's pairwise constraint for ref at
 // its dim against every already-chosen member. The virtual feature is at
 // distance 0 from everything. Always true when the pair filter is off.
-func (cs *combinationStream) validAgainstChosen(ref featureRef, vec []int, chosenDims []int) bool {
+func (cs *combinationStream) validAgainstChosen(ref *featureRef, vec []int, chosenDims []int) bool {
 	if !cs.pairFilter || ref.virtual {
 		return true
 	}
 	limit := 2 * cs.q.Radius
-	p := ref.entry.Point()
+	p := ref.loc
 	for _, j := range chosenDims {
-		other := cs.d[j][vec[j]]
+		other := &cs.d[j][vec[j]]
 		if other.virtual {
 			continue
 		}
-		if p.Dist(other.entry.Point()) > limit {
+		if p.Dist(other.loc) > limit {
 			return false
 		}
 	}
@@ -493,7 +551,7 @@ func (cs *combinationStream) materialize(ve vecEntry) (combination, bool) {
 				if refs[j].virtual {
 					continue
 				}
-				if refs[i].entry.Point().Dist(refs[j].entry.Point()) > limit {
+				if refs[i].loc.Dist(refs[j].loc) > limit {
 					return combination{}, false
 				}
 			}

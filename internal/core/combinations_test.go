@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"stpq/internal/geo"
 	"stpq/internal/index"
 )
 
@@ -71,7 +73,7 @@ func TestCombinationValidity(t *testing.T) {
 				if c.refs[j].virtual {
 					continue
 				}
-				d := c.refs[i].entry.Point().Dist(c.refs[j].entry.Point())
+				d := c.refs[i].loc.Dist(c.refs[j].loc)
 				if d > 2*q.Radius+1e-12 {
 					t.Fatalf("invalid combination: pair distance %v > 2r=%v", d, 2*q.Radius)
 				}
@@ -271,7 +273,7 @@ func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 				if ref.virtual {
 					key += "∅|"
 				} else {
-					key += string(rune(ref.entry.ItemID)) + "|"
+					key += string(rune(ref.id)) + "|"
 				}
 			}
 			if seen[key] {
@@ -349,5 +351,49 @@ func TestCombinationModeDispatch(t *testing.T) {
 	}
 	if CombinationsAuto.String() != "auto" || CombinationsEager.String() != "eager" || CombinationsLazy.String() != "lazy" {
 		t.Error("mode strings")
+	}
+}
+
+// A cell of the pair grid yields its members in the order they were added
+// (the order combinations are queued in decides ties between equal
+// scores), and a reset grid is refilled without allocating.
+func TestPairGridChainsKeepInsertionOrder(t *testing.T) {
+	g := newPairGrid(0.1)
+	rng := rand.New(rand.NewSource(330))
+	fill := func() map[[2]int32][]int32 {
+		want := map[[2]int32][]int32{}
+		for idx := int32(0); idx < 500; idx++ {
+			p := geo.Point{X: rng.Float64(), Y: rng.Float64()}
+			want[g.key(p)] = append(want[g.key(p)], idx)
+			g.add(p)
+		}
+		return want
+	}
+	for round := 0; round < 2; round++ {
+		g.reset(0.1)
+		for k, members := range fill() {
+			var got []int32
+			for a := g.first(k); a >= 0; a = g.next[a] {
+				got = append(got, a)
+			}
+			if !slices.Equal(got, members) {
+				t.Fatalf("round %d cell %v: chain %v, added %v", round, k, got, members)
+			}
+		}
+	}
+	if g.first([2]int32{99, 99}) != -1 {
+		t.Error("an empty cell must report no member")
+	}
+	pts := make([]geo.Point, 500)
+	for i := range pts {
+		pts[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		g.reset(0.1)
+		for _, p := range pts {
+			g.add(p)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset grid allocates %.0f times", allocs)
 	}
 }

@@ -1,16 +1,21 @@
 package core
 
 import (
+	"stpq/internal/geo"
 	"stpq/internal/index"
+	"stpq/internal/kwset"
 	"stpq/internal/rtree"
+	"stpq/internal/storage"
 )
 
 // featureRef is one element of the per-set stream D_i: either a concrete
-// feature object with its preference score s(t), or the virtual feature ∅
-// emitted after the set is exhausted (paper Section 6.1): dist(p,∅) = 0
-// and s(∅) = 0, so a combination may cover fewer than c feature sets.
+// feature object — its id, location and preference score s(t), all the
+// combination stages read of it — or the virtual feature ∅ emitted after
+// the set is exhausted (paper Section 6.1): dist(p,∅) = 0 and s(∅) = 0, so
+// a combination may cover fewer than c feature sets.
 type featureRef struct {
-	entry   rtree.Entry
+	id      int64
+	loc     geo.Point
 	score   float64
 	virtual bool
 }
@@ -62,8 +67,8 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords) error
 		if err != nil {
 			return err
 		}
-		if part.EntryRelevant(root, s.pq) {
-			s.heap.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, s.pq)})
+		if part.EntryRelevant(&root, &s.pq) {
+			s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)))
 		}
 	}
 	return nil
@@ -74,33 +79,36 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords) error
 func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	for s.heap.Len() > 0 {
 		it := s.heap.pop()
-		idx := s.g.Part(it.part)
-		if it.entry.Leaf {
+		idx := s.g.Part(int(it.part))
+		if it.leaf {
 			if it.resolved {
-				return featureRef{entry: it.entry, score: it.bound}, false, nil
+				return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, s.pq)
+			leaf := it.leafEntry()
+			score, relevant, err := idx.ResolveLeaf(&leaf, &s.pq)
 			if err != nil {
 				return featureRef{}, false, err
 			}
 			if !relevant {
 				continue // signature false positive
 			}
-			if s.heap.Len() == 0 || score >= s.heap[0].bound-1e-12 {
-				return featureRef{entry: it.entry, score: score}, false, nil
+			if s.heap.Len() == 0 || score >= s.heap[0].prio-1e-12 {
+				return featureRef{id: it.ref, loc: it.loc, score: score}, false, nil
 			}
-			s.heap.push(boundItem{entry: it.entry, part: it.part, bound: score, resolved: true})
+			it.prio, it.resolved = score, true
+			s.heap.push(it)
 			continue
 		}
-		node, err := idx.Tree().Node(it.entry.Child)
+		node, err := idx.Tree().Node(it.child())
 		if err != nil {
 			return featureRef{}, false, err
 		}
-		for _, c := range node.Entries {
-			if !idx.EntryRelevant(c, s.pq) {
+		for i := range node.Entries {
+			c := &node.Entries[i]
+			if !idx.EntryRelevant(c, &s.pq) {
 				continue
 			}
-			s.heap.push(boundItem{entry: c, part: it.part, bound: idx.EntryBound(c, s.pq)})
+			s.heap.push(candidateOf(c, int(it.part), idx.EntryBound(c, &s.pq)))
 		}
 	}
 	if !s.exhausted {
@@ -110,17 +118,53 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	return featureRef{}, true, nil
 }
 
-// boundItem pairs an entry with its score bound ŝ(e) and the feature-group
-// part it came from; resolved marks leaf entries whose bound is already the
-// exact score.
-type boundItem struct {
-	entry    rtree.Entry
-	part     int
-	bound    float64
+// candidate is what a best-first heap keeps of an index entry. Nodes are
+// shared with every other query and die with their buffer-pool frame, so a
+// queued candidate copies out, by value, the few fields the pop side reads
+// and never points into a node's entry array: an internal entry keeps only
+// its child page; a leaf keeps the item's id and location and — for the
+// deferred ResolveLeaf of signature and approximate mode — its score and
+// keyword set.
+type candidate struct {
+	// prio orders the heap: the score bound ŝ(e) in a boundHeap (largest
+	// first), MINDIST in a distHeap (smallest first).
+	prio float64
+	loc  geo.Point // leaf: item location
+	// ref is the item id of a leaf, the child page of an internal entry.
+	ref   int64
+	score float64   // leaf: non-spatial score t.s
+	kw    kwset.Set // leaf: tree-side keyword set t.W
+	part  int32     // feature-group part the entry came from
+	leaf  bool
+	// resolved marks a leaf whose prio is already its exact score.
 	resolved bool
 }
 
-// boundHeap is a max-heap over bounds.
-type boundHeap []boundItem
+// candidateOf copies what the heaps need of the entry e of the given part.
+func candidateOf(e *rtree.Entry, part int, prio float64) candidate {
+	if !e.Leaf {
+		return candidate{prio: prio, ref: int64(e.Child), part: int32(part)}
+	}
+	return candidate{prio: prio, loc: e.Rect.Min, ref: e.ItemID, score: e.Score, kw: e.Keywords, part: int32(part), leaf: true}
+}
+
+// child returns the child page of an internal candidate.
+func (c *candidate) child() storage.PageID { return storage.PageID(c.ref) }
+
+// leafEntry rebuilds the leaf entry a candidate was taken from, for the
+// index calls that take one.
+func (c *candidate) leafEntry() rtree.Entry {
+	return rtree.Entry{
+		Rect:     geo.RectOf(c.loc),
+		Child:    storage.InvalidPage,
+		Leaf:     true,
+		ItemID:   c.ref,
+		Score:    c.score,
+		Keywords: c.kw,
+	}
+}
+
+// boundHeap is a max-heap of candidates over score bounds.
+type boundHeap []candidate
 
 func (h boundHeap) Len() int { return len(h) }

@@ -7,6 +7,7 @@ import (
 
 	"stpq/internal/index"
 	"stpq/internal/kwset"
+	"stpq/internal/rtree"
 )
 
 // drainStream pulls every feature from a per-set stream.
@@ -45,6 +46,14 @@ func TestFeatureStreamOrderAndCoverage(t *testing.T) {
 		if !last.virtual || last.score != 0 {
 			t.Fatal("stream must end with the virtual feature")
 		}
+		all, err := w.engine.features[0].Part(0).Tree().All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := make(map[int64]rtree.Entry, len(all))
+		for _, e := range all {
+			byID[e.ItemID] = e
+		}
 		prev := math.Inf(1)
 		ids := make(map[int64]bool)
 		for _, r := range refs[:len(refs)-1] {
@@ -55,20 +64,20 @@ func TestFeatureStreamOrderAndCoverage(t *testing.T) {
 				t.Fatalf("scores not non-increasing: %v after %v", r.score, prev)
 			}
 			prev = r.score
-			if ids[r.entry.ItemID] {
-				t.Fatalf("feature %d emitted twice", r.entry.ItemID)
+			if ids[r.id] {
+				t.Fatalf("feature %d emitted twice", r.id)
 			}
-			ids[r.entry.ItemID] = true
-			// Emitted score must equal Definition 1 exactly.
-			if want := index.Score(r.entry, qk); math.Abs(want-r.score) > 1e-12 {
+			ids[r.id] = true
+			// Emitted score and location must equal Definition 1 and the
+			// indexed feature exactly.
+			if want := index.Score(byID[r.id], qk); math.Abs(want-r.score) > 1e-12 {
 				t.Fatalf("score %v, want %v", r.score, want)
+			}
+			if r.loc != byID[r.id].Point() {
+				t.Fatalf("feature %d emitted at %v, indexed at %v", r.id, r.loc, byID[r.id].Point())
 			}
 		}
 		// Coverage: exactly the relevant features.
-		all, err := w.engine.features[0].Part(0).Tree().All()
-		if err != nil {
-			t.Fatal(err)
-		}
 		relevant := 0
 		for _, e := range all {
 			if e.Keywords.Intersects(qk.Set) {
@@ -118,7 +127,7 @@ func TestFeatureStreamMatchesInvertedIndex(t *testing.T) {
 	got := make(map[int64]bool)
 	for _, r := range refs {
 		if !r.virtual {
-			got[r.entry.ItemID] = true
+			got[r.id] = true
 		}
 	}
 	if len(got) == 0 {

@@ -460,12 +460,12 @@ func (e *Engine) PrecomputeVoronoiCells() error {
 			if err != nil {
 				return err
 			}
-			for _, entry := range all {
-				cell, err := e.voronoiCell(i, entry)
+			for j := range all {
+				cell, err := e.voronoiCell(i, all[j].ItemID, all[j].Rect.Min)
 				if err != nil {
 					return err
 				}
-				e.cells.put(cellKey{set: i, id: entry.ItemID}, cell)
+				e.cells.put(cellKey{set: i, id: all[j].ItemID}, cell)
 			}
 		}
 	}
@@ -730,10 +730,10 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if !part.EntryRelevant(root, prepared) {
+			if !part.EntryRelevant(&root, &prepared) {
 				continue
 			}
-			b := part.EntryBound(root, prepared)
+			b := part.EntryBound(&root, &prepared)
 			switch q.Variant {
 			case RangeScore:
 				if geo.RectMinDist(rect, root.Rect) > q.Radius {

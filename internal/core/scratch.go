@@ -45,7 +45,8 @@ type queryScratch struct {
 
 	// Combination stream (one per STPS query): the struct keeps all its
 	// growable state — per-set streams and their heaps, retrieved
-	// prefixes, the combination heap, the visited map — and reinit()
+	// prefixes, the combination heap, the visited map, the eager
+	// generator's pair grids and index-vector arena — and reinit()
 	// recycles it in place.
 	cs combinationStream
 
@@ -82,11 +83,27 @@ func newQueryScratch(root *Engine) *queryScratch {
 // zeroed before the session is handed out.
 func (sc *queryScratch) reset() { sc.acct = storage.Stats{} }
 
+// release empties every pooled heap before the scratch goes back to the
+// pool. A descent usually stops with candidates still queued, and each
+// queued leaf holds the keyword set of a node that may since have been
+// evicted; zeroing them here means an idle scratch pins nothing of the
+// query it served. Everything else the scratch keeps — retrieved feature
+// prefixes, the combination refs buffer, the pair grids and the index
+// vector arena, batch objects — is plain values without pointers.
+func (sc *queryScratch) release() {
+	sc.bound.reset()
+	sc.dist.reset()
+	for _, st := range sc.cs.streams {
+		st.heap.reset()
+	}
+	sc.cs.heap.reset()
+}
+
 // scratchBoundHeap returns the reusable best-first candidate heap, empty.
 // Falls back to a fresh heap on engines without scratch state.
 func (e *Engine) scratchBoundHeap() *boundHeap {
 	if sc := e.scratch; sc != nil {
-		sc.bound = sc.bound[:0]
+		sc.bound.reset()
 		return &sc.bound
 	}
 	return &boundHeap{}
@@ -95,7 +112,7 @@ func (e *Engine) scratchBoundHeap() *boundHeap {
 // scratchDistHeap returns the reusable distance-ascent heap, empty.
 func (e *Engine) scratchDistHeap() *distHeap {
 	if sc := e.scratch; sc != nil {
-		sc.dist = sc.dist[:0]
+		sc.dist.reset()
 		return &sc.dist
 	}
 	return &distHeap{}
@@ -184,5 +201,6 @@ func (e *Engine) releaseSession(s *Engine) {
 	if s == e || s.scratch == nil || e.scratches == nil {
 		return
 	}
+	s.scratch.release()
 	e.scratches.Put(s.scratch)
 }

@@ -125,7 +125,8 @@ func (e *Engine) stdsSingle(q *Query, stats *Stats, tr *obs.Trace) ([]Result, er
 	if err != nil {
 		return nil, err
 	}
-	for _, obj := range objs {
+	for oi := range objs {
+		obj := &objs[oi]
 		stats.ObjectsScored++
 		sum := 0.0
 		complete := true
@@ -179,45 +180,48 @@ func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if part.EntryRelevant(root, prepared) && root.Rect.MinDist(p) <= q.Radius {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared)})
+		if part.EntryRelevant(&root, &prepared) && root.Rect.MinDist(p) <= q.Radius {
+			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)))
 		}
 	}
 	for pq.Len() > 0 {
 		it := pq.pop()
-		idx := g.Part(it.part)
-		if it.entry.Leaf {
-			if it.entry.Point().Dist(p) > q.Radius {
+		idx := g.Part(int(it.part))
+		if it.leaf {
+			if it.loc.Dist(p) > q.Radius {
 				continue
 			}
 			if it.resolved {
-				return it.bound, nil
+				return it.prio, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			leaf := it.leafEntry()
+			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
 			if err != nil {
 				return 0, err
 			}
 			if !relevant {
 				continue
 			}
-			if pq.Len() == 0 || score >= (*pq)[0].bound-1e-12 {
+			if pq.Len() == 0 || score >= (*pq)[0].prio-1e-12 {
 				return score, nil
 			}
-			pq.push(boundItem{entry: it.entry, part: it.part, bound: score, resolved: true})
+			it.prio, it.resolved = score, true
+			pq.push(it)
 			continue
 		}
-		n, err := idx.Tree().Node(it.entry.Child)
+		n, err := idx.Tree().Node(it.child())
 		if err != nil {
 			return 0, err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
 			if child.Rect.MinDist(p) > q.Radius {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared)})
+			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)))
 		}
 	}
 	return 0, nil
@@ -234,10 +238,10 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 		return 0, nil
 	}
 	prepared := g.Prepare(qk)
-	decay := func(en rtree.Entry) float64 {
+	decay := func(en *rtree.Entry) float64 {
 		var d float64
 		if en.Leaf {
-			d = en.Point().Dist(p)
+			d = en.Rect.Min.Dist(p)
 		} else {
 			d = en.Rect.MinDist(p)
 		}
@@ -252,40 +256,43 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 		if err != nil {
 			return 0, err
 		}
-		if part.EntryRelevant(root, prepared) {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared) * decay(root)})
+		if part.EntryRelevant(&root, &prepared) {
+			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)*decay(&root)))
 		}
 	}
 	for pq.Len() > 0 {
 		it := pq.pop()
-		idx := g.Part(it.part)
-		if it.entry.Leaf {
+		idx := g.Part(int(it.part))
+		if it.leaf {
 			if it.resolved {
-				return it.bound, nil
+				return it.prio, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			leaf := it.leafEntry()
+			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
 			if err != nil {
 				return 0, err
 			}
 			if !relevant {
 				continue
 			}
-			exact := score * decay(it.entry)
-			if pq.Len() == 0 || exact >= (*pq)[0].bound-1e-12 {
+			exact := score * decay(&leaf)
+			if pq.Len() == 0 || exact >= (*pq)[0].prio-1e-12 {
 				return exact, nil
 			}
-			pq.push(boundItem{entry: it.entry, part: it.part, bound: exact, resolved: true})
+			it.prio, it.resolved = exact, true
+			pq.push(it)
 			continue
 		}
-		n, err := idx.Tree().Node(it.entry.Child)
+		n, err := idx.Tree().Node(it.child())
 		if err != nil {
 			return 0, err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared) * decay(child)})
+			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)*decay(child)))
 		}
 	}
 	return 0, nil
@@ -306,12 +313,12 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 		score      float64
 		resolveErr error
 	)
-	err := e.groupAscendDistance(g, p, func(part int, en rtree.Entry, _ float64) bool {
+	err := e.groupAscendDistance(g, p, func(part int, en *rtree.Entry, _ float64) bool {
 		// First popped leaf is the nearest neighbor; its score counts
 		// only if it is truly relevant (signature hits are verified).
 		idx := g.Part(part)
-		if idx.EntryRelevant(en, prepared) {
-			s, relevant, err := idx.ResolveLeaf(en, prepared)
+		if idx.EntryRelevant(en, &prepared) {
+			s, relevant, err := idx.ResolveLeaf(en, &prepared)
 			if err != nil {
 				resolveErr = err
 			} else if relevant {
@@ -328,11 +335,13 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 
 // groupAscendDistance streams a feature group's leaf entries in increasing
 // distance from center, merging the group's part trees through one shared
-// min-distance heap (the multi-tree analogue of rtree.AscendDistance). For
+// min-distance heap (the multi-tree analogue of rtree.AscendDistance). fn
+// sees each leaf as an entry rebuilt from its queued candidate, valid for
+// the duration of the call. For
 // the NN variant on a sharded engine this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unvisited subtree of every other part.
-func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en rtree.Entry, d float64) bool) error {
+func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
 	h := e.scratchDistHeap()
 	for pi, part := range g.Parts() {
 		if part.Len() == 0 {
@@ -342,36 +351,31 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		if err != nil {
 			return err
 		}
-		h.push(distItem{entry: root, part: pi, dist: root.Rect.MinDist(center)})
+		h.push(candidateOf(&root, pi, root.Rect.MinDist(center)))
 	}
 	for h.Len() > 0 {
 		it := h.pop()
-		if it.entry.Leaf {
-			if !fn(it.part, it.entry, it.dist) {
+		if it.leaf {
+			leaf := it.leafEntry()
+			if !fn(int(it.part), &leaf, it.prio) {
 				return nil
 			}
 			continue
 		}
-		n, err := g.Part(it.part).Tree().Node(it.entry.Child)
+		n, err := g.Part(int(it.part)).Tree().Node(it.child())
 		if err != nil {
 			return err
 		}
-		for _, c := range n.Entries {
-			h.push(distItem{entry: c, part: it.part, dist: c.Rect.MinDist(center)})
+		for i := range n.Entries {
+			c := &n.Entries[i]
+			h.push(candidateOf(c, int(it.part), c.Rect.MinDist(center)))
 		}
 	}
 	return nil
 }
 
-// distItem pairs an entry with its part of origin and minimum distance.
-type distItem struct {
-	entry rtree.Entry
-	part  int
-	dist  float64
-}
-
-// distHeap is a min-heap by distance.
-type distHeap []distItem
+// distHeap is a min-heap of candidates by distance.
+type distHeap []candidate
 
 func (h distHeap) Len() int { return len(h) }
 

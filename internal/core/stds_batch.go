@@ -20,8 +20,8 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	var walkErr error
 	err := e.objects.Tree().Leaves(func(batch []rtree.Entry) bool {
 		objs := e.scratchBatch(len(batch))
-		for i, en := range batch {
-			objs[i].entry = en
+		for i := range batch {
+			objs[i].id, objs[i].loc = batch[i].ItemID, batch[i].Rect.Min
 			stats.ObjectsScored++
 		}
 		active := objs
@@ -50,7 +50,7 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 			active = kept
 		}
 		for _, o := range active {
-			acc.offer(Result{ID: o.entry.ItemID, Location: o.entry.Point(), Score: o.sum})
+			acc.offer(Result{ID: o.id, Location: o.loc, Score: o.sum})
 		}
 		return true
 	})
@@ -63,9 +63,11 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	return acc.results(), nil
 }
 
-// batchObj tracks one data object through the per-set score computations.
+// batchObj tracks one data object — copied out of the shared leaf node —
+// through the per-set score computations.
 type batchObj struct {
-	entry    rtree.Entry
+	id       int64
+	loc      geo.Point
 	sum      float64
 	resolved bool // score for the current feature set found
 }
@@ -83,12 +85,12 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		o.resolved = false
 	}
 	unresolved := len(batch)
-	withinAny := func(en rtree.Entry) bool {
+	withinAny := func(rect *geo.Rect) bool {
 		for _, o := range batch {
 			if o.resolved {
 				continue
 			}
-			if en.Rect.MinDist(o.entry.Point()) <= q.Radius {
+			if rect.MinDist(o.loc) <= q.Radius {
 				return true
 			}
 		}
@@ -99,7 +101,7 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 			if o.resolved {
 				continue
 			}
-			if o.entry.Point().Dist(fp) <= q.Radius {
+			if o.loc.Dist(fp) <= q.Radius {
 				o.sum += score
 				o.resolved = true
 				unresolved--
@@ -115,48 +117,50 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		if err != nil {
 			return err
 		}
-		if part.EntryRelevant(root, prepared) && withinAny(root) {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared)})
+		if part.EntryRelevant(&root, &prepared) && withinAny(&root.Rect) {
+			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)))
 		}
 	}
 	for pq.Len() > 0 && unresolved > 0 {
 		it := pq.pop()
-		idx := g.Part(it.part)
-		if it.entry.Leaf {
-			fp := it.entry.Point()
+		idx := g.Part(int(it.part))
+		if it.leaf {
 			if it.resolved {
-				assign(fp, it.bound)
+				assign(it.loc, it.prio)
 				continue
 			}
-			if !withinAny(it.entry) {
+			leaf := it.leafEntry()
+			if !withinAny(&leaf.Rect) {
 				continue // no candidate object: skip the verification read
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
 			if err != nil {
 				return err
 			}
 			if !relevant {
 				continue
 			}
-			if pq.Len() == 0 || score >= (*pq)[0].bound-1e-12 {
-				assign(fp, score)
+			if pq.Len() == 0 || score >= (*pq)[0].prio-1e-12 {
+				assign(it.loc, score)
 			} else {
-				pq.push(boundItem{entry: it.entry, part: it.part, bound: score, resolved: true})
+				it.prio, it.resolved = score, true
+				pq.push(it)
 			}
 			continue
 		}
-		n, err := idx.Tree().Node(it.entry.Child)
+		n, err := idx.Tree().Node(it.child())
 		if err != nil {
 			return err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
-			if !withinAny(child) {
+			if !withinAny(&child.Rect) {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared)})
+			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)))
 		}
 	}
 	return nil

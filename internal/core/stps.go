@@ -82,13 +82,13 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 			break
 		}
 		sp = tr.StartPhase("objects.retrieve")
-		err = e.objectsMatchingRangeCombo(comb, q.Radius, func(entry rtree.Entry) bool {
+		err = e.objectsMatchingRangeCombo(comb, q.Radius, func(entry *rtree.Entry) bool {
 			if seen[entry.ItemID] {
 				return true
 			}
 			seen[entry.ItemID] = true
 			stats.ObjectsScored++
-			acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
+			acc.offer(Result{ID: entry.ItemID, Location: entry.Rect.Min, Score: comb.score})
 			return true
 		})
 		sp.End()
@@ -103,16 +103,16 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 // concrete feature of the combination (getDataObjects, Section 6.4).
 // Subtrees are pruned as soon as one feature is farther than r from the
 // node MBR.
-func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(rtree.Entry) bool) error {
+func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(*rtree.Entry) bool) error {
 	anchors := make([]geo.Point, 0, len(comb.refs))
 	for _, ref := range comb.refs {
 		if !ref.virtual {
-			anchors = append(anchors, ref.entry.Point())
+			anchors = append(anchors, ref.loc)
 		}
 	}
-	return e.objects.Tree().SearchFiltered(func(en rtree.Entry) bool {
+	return e.objects.Tree().SearchFiltered(func(en *rtree.Entry) bool {
 		if en.Leaf {
-			p := en.Point()
+			p := en.Rect.Min
 			for _, a := range anchors {
 				if p.Dist(a) > r {
 					return false
@@ -262,7 +262,7 @@ func comboInfluenceBound(comb combination, r float64) float64 {
 			if j == i || rj.virtual {
 				continue
 			}
-			d := ri.entry.Point().Dist(rj.entry.Point())
+			d := ri.loc.Dist(rj.loc)
 			v += rj.score * math.Exp2(-d/(2*r))
 		}
 		if v > best {
@@ -288,15 +288,15 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 	anchors := make([]anchor, 0, len(comb.refs))
 	for _, ref := range comb.refs {
 		if !ref.virtual {
-			anchors = append(anchors, anchor{pt: ref.entry.Point(), s: ref.score})
+			anchors = append(anchors, anchor{pt: ref.loc, s: ref.score})
 		}
 	}
-	prio := func(en rtree.Entry) float64 {
+	prio := func(en *rtree.Entry) float64 {
 		sum := 0.0
 		for _, a := range anchors {
 			var d float64
 			if en.Leaf {
-				d = en.Point().Dist(a.pt)
+				d = en.Rect.Min.Dist(a.pt)
 			} else {
 				d = en.Rect.MinDist(a.pt)
 			}
@@ -309,7 +309,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		return err
 	}
 	pq := e.scratchBoundHeap()
-	pq.push(boundItem{entry: root, bound: prio(root)})
+	pq.push(candidateOf(&root, 0, prio(&root)))
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
 	for pq.Len() > 0 {
@@ -318,23 +318,24 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		if emitted >= q.K && kth > limit {
 			limit = kth
 		}
-		if it.bound < limit {
+		if it.prio < limit {
 			return nil // nothing below can enter the top-k, even by tie-break
 		}
-		if it.entry.Leaf {
-			emit(it.entry.ItemID, it.entry.Point(), it.bound)
+		if it.leaf {
+			emit(it.ref, it.loc, it.prio)
 			emitted++
 			if emitted == q.K {
-				kth = it.bound
+				kth = it.prio
 			}
 			continue
 		}
-		n, err := e.objects.Tree().Node(it.entry.Child)
+		n, err := e.objects.Tree().Node(it.child())
 		if err != nil {
 			return err
 		}
-		for _, c := range n.Entries {
-			pq.push(boundItem{entry: c, bound: prio(c)})
+		for i := range n.Entries {
+			c := &n.Entries[i]
+			pq.push(candidateOf(c, 0, prio(c)))
 		}
 	}
 	return nil
@@ -449,11 +450,11 @@ func comboCellsDisjoint(comb combination, radii map[cellKey]float64) bool {
 		if ref.virtual {
 			continue
 		}
-		r, ok := radii[cellKey{set: i, id: ref.entry.ItemID}]
+		r, ok := radii[cellKey{set: i, id: ref.id}]
 		if !ok {
 			continue
 		}
-		disks = append(disks, disk{pt: ref.entry.Point(), r: r})
+		disks = append(disks, disk{pt: ref.loc, r: r})
 	}
 	for i := 0; i < len(disks); i++ {
 		for j := i + 1; j < len(disks); j++ {
@@ -480,18 +481,18 @@ func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cell
 		if ref.virtual {
 			continue
 		}
-		key := cellKey{set: i, id: ref.entry.ItemID}
+		key := cellKey{set: i, id: ref.id}
 		cell, ok := cache.get(key)
 		if !ok {
 			var err error
-			cell, err = e.voronoiCell(i, ref.entry)
+			cell, err = e.voronoiCell(i, ref.id, ref.loc)
 			if err != nil {
 				return geo.Polygon{}, err
 			}
 			cache.put(key, cell)
 		}
 		if _, ok := radii[key]; !ok {
-			radii[key] = cell.MaxDist(ref.entry.Point())
+			radii[key] = cell.MaxDist(ref.loc)
 		}
 		region = region.IntersectConvex(cell)
 		if region.IsEmpty() {
@@ -507,16 +508,16 @@ func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cell
 // the feature group, so a cell computed on a sharded engine is the cell
 // within the full (global) feature set — Voronoi cells ignore shard
 // borders by construction.
-func (e *Engine) voronoiCell(set int, site rtree.Entry) (geo.Polygon, error) {
-	b := voronoi.NewCellBuilder(site.Point(), geo.UnitSquare())
-	err := e.groupAscendDistance(e.features[set], site.Point(), func(_ int, en rtree.Entry, d float64) bool {
-		if en.ItemID == site.ItemID {
+func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon, error) {
+	b := voronoi.NewCellBuilder(site, geo.UnitSquare())
+	err := e.groupAscendDistance(e.features[set], site, func(_ int, en *rtree.Entry, d float64) bool {
+		if en.ItemID == siteID {
 			return true
 		}
 		if b.Done(d) {
 			return false
 		}
-		b.Clip(en.Point())
+		b.Clip(en.Rect.Min)
 		return true
 	})
 	if err != nil {

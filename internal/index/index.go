@@ -350,17 +350,23 @@ type QueryKeywords struct {
 
 // Score returns the preference score s(t) of a leaf entry under Definition
 // 1: s(t) = (1−λ)·t.s + λ·sim(t.W, W).
-func Score(e rtree.Entry, q QueryKeywords) float64 {
-	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.Sim(e.Keywords, q.Set)
-}
+func Score(e rtree.Entry, q QueryKeywords) float64 { return score(&e, &q) }
 
 // Bound returns the upper bound ŝ(e) of Section 4.2 for an entry: the
 // exact score for leaf entries, and (1−λ)·e.s + λ·NodeBound(e.W, W) for
 // internal entries (|e.W∩W|/|W| under Jaccard). For every feature t under
 // e, Bound(e) ≥ s(t).
-func Bound(e rtree.Entry, q QueryKeywords) float64 {
+func Bound(e rtree.Entry, q QueryKeywords) float64 { return bound(&e, &q) }
+
+// score and bound are Score and Bound on entries read in place: the query
+// algorithms call them once per visited entry of a shared decoded node.
+func score(e *rtree.Entry, q *QueryKeywords) float64 {
+	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.Sim(e.Keywords, q.Set)
+}
+
+func bound(e *rtree.Entry, q *QueryKeywords) float64 {
 	if e.Leaf {
-		return Score(e, q)
+		return score(e, q)
 	}
 	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.NodeBound(e.Keywords, q.Set)
 }

@@ -369,7 +369,7 @@ func TestSignatureBoundDominates(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range n.Entries {
-				b := idx.EntryBound(e, pq)
+				b := idx.EntryBound(&e, &pq)
 				if b > bound+1e-9 {
 					t.Fatalf("child bound %v exceeds parent %v", b, bound)
 				}
@@ -381,11 +381,11 @@ func TestSignatureBoundDominates(t *testing.T) {
 						t.Fatalf("leaf exact score %v exceeds bound %v", s, b)
 					}
 					// Relevance must have no false negatives.
-					if kw.Intersects(q.Set) && !idx.EntryRelevant(e, pq) {
+					if kw.Intersects(q.Set) && !idx.EntryRelevant(&e, &pq) {
 						t.Fatal("signature relevance false negative")
 					}
 					// ResolveLeaf must agree with the direct computation.
-					rs, rel, err := idx.ResolveLeaf(e, pq)
+					rs, rel, err := idx.ResolveLeaf(&e, &pq)
 					if err != nil {
 						t.Fatal(err)
 					}

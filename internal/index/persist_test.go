@@ -56,7 +56,7 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range all[:20] {
-		s, rel, err := reopened.ResolveLeaf(e, pq)
+		s, rel, err := reopened.ResolveLeaf(&e, &pq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +146,8 @@ func TestSignatureStatsIncludeRecordReads(t *testing.T) {
 	treeOnly := idx.Tree().Pool().Stats().LogicalReads
 	resolves := 0
 	for _, e := range all {
-		if idx.EntryRelevant(e, pq) {
-			if _, _, err := idx.ResolveLeaf(e, pq); err != nil {
+		if idx.EntryRelevant(&e, &pq) {
+			if _, _, err := idx.ResolveLeaf(&e, &pq); err != nil {
 				t.Fatal(err)
 			}
 			resolves++

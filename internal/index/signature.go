@@ -72,8 +72,10 @@ func (x *FeatureIndex) Exact() bool { return x.sigBits == 0 }
 
 // EntryRelevant reports whether the subtree below e may contain a feature
 // with positive textual similarity. In signature mode this test is sound
-// but admits false positives.
-func (x *FeatureIndex) EntryRelevant(e rtree.Entry, pq PreparedQuery) bool {
+// but admits false positives. Like EntryBound and ResolveLeaf it reads the
+// entry and the prepared query in place: they are called once per visited
+// entry, and a PreparedQuery alone is over 600 bytes.
+func (x *FeatureIndex) EntryRelevant(e *rtree.Entry, pq *PreparedQuery) bool {
 	if pq.Exact.Set.IsEmpty() {
 		return false
 	}
@@ -86,9 +88,9 @@ func (x *FeatureIndex) EntryRelevant(e rtree.Entry, pq PreparedQuery) bool {
 // λ, because hashed signatures cannot bound the Jaccard similarity (two
 // query keywords colliding onto one bit would make a ratio-based "bound"
 // undercount true matches).
-func (x *FeatureIndex) EntryBound(e rtree.Entry, pq PreparedQuery) float64 {
+func (x *FeatureIndex) EntryBound(e *rtree.Entry, pq *PreparedQuery) float64 {
 	if x.sigBits == 0 {
-		return Bound(e, pq.Exact)
+		return bound(e, &pq.Exact)
 	}
 	lambda := pq.Exact.Lambda
 	if !e.Keywords.Intersects(pq.Tree.Set) {
@@ -104,7 +106,7 @@ func (x *FeatureIndex) EntryBound(e rtree.Entry, pq PreparedQuery) float64 {
 // (pq.Approx non-nil) first run the LSH candidate filter, and in
 // signature mode with SkipVerify score candidates from the MinHash
 // similarity estimate instead of paying the verification read.
-func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float64, relevant bool, err error) {
+func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error) {
 	if pq.Approx != nil {
 		s, rel, err, handled := x.resolveLeafApprox(e, pq)
 		if handled || err != nil {
@@ -115,7 +117,7 @@ func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float
 		if !e.Keywords.Intersects(pq.Exact.Set) {
 			return 0, false, nil
 		}
-		return Score(e, pq.Exact), true, nil
+		return score(e, &pq.Exact), true, nil
 	}
 	exact, err := x.records.get(e.ItemID)
 	if err != nil {
@@ -124,7 +126,7 @@ func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float
 	if !exact.Intersects(pq.Exact.Set) {
 		return 0, false, nil // signature false positive
 	}
-	s := (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*pq.Exact.Sim.Sim(exact, pq.Exact.Set)
+	s = (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*pq.Exact.Sim.Sim(exact, pq.Exact.Set)
 	return s, true, nil
 }
 
@@ -136,7 +138,7 @@ func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float
 // missing this id) or the request keeps verification (SkipVerify off in
 // signature mode). Fallbacks only ever widen the candidate set, so an
 // approximate answer degrades toward exactness, never away from it.
-func (x *FeatureIndex) resolveLeafApprox(e rtree.Entry, pq PreparedQuery) (score float64, relevant bool, err error, handled bool) {
+func (x *FeatureIndex) resolveLeafApprox(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error, handled bool) {
 	sk, err := x.sketchFor()
 	if err != nil {
 		return 0, false, err, true
@@ -161,7 +163,7 @@ func (x *FeatureIndex) resolveLeafApprox(e rtree.Entry, pq PreparedQuery) (score
 		if !e.Keywords.Intersects(pq.Exact.Set) {
 			return 0, false, nil, true
 		}
-		return Score(e, pq.Exact), true, nil, true
+		return score(e, &pq.Exact), true, nil, true
 	}
 	if !a.Params.SkipVerify {
 		return 0, false, nil, false // verify candidates via the record file
@@ -176,7 +178,7 @@ func (x *FeatureIndex) resolveLeafApprox(e rtree.Entry, pq PreparedQuery) (score
 	// the signature-mode entry bound (1−λ)·e.s + λ and shard/cluster
 	// pruning remains admissible.
 	j := approx.EstimateJaccard(&pq.MinSig, &sig)
-	s := (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*estimateSim(pq.Exact.Sim, j, pq.QueryCard, card)
+	s = (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*estimateSim(pq.Exact.Sim, j, pq.QueryCard, card)
 	return s, true, nil, true
 }
 

@@ -144,13 +144,15 @@ func (v *Vocabulary) Decode(s Set) []string {
 // be combined; the result has the larger width.
 type Set struct {
 	bits []uint64
-	w    int // width in bits (number of vocabulary slots)
+	w    int32 // width in bits (number of vocabulary slots)
 	// card caches the cardinality as Count()+1; 0 means unknown. Sets built
-	// through NewSet/Add/Remove keep it current, so Count() on query
-	// keyword sets is O(1) in the per-node-visit similarity kernels; sets
-	// decoded from raw bits leave it unknown and Count() falls back to a
-	// popcount pass.
-	card int
+	// through NewSet/Add/Remove/FromBits/FromBitsOwned keep it current, so
+	// Count() is O(1) in the per-node-visit similarity kernels; only the
+	// bulk operations (Union, UnionInPlace, Intersect) leave it unknown and
+	// Count() falls back to a popcount pass. Width and cardinality are
+	// 32-bit so that a Set is 32 bytes: it sits in every decoded R-tree
+	// entry a buffer pool keeps resident.
+	card int32
 }
 
 // NewSet returns an empty set able to hold keyword ids in [0, width).
@@ -158,7 +160,7 @@ func NewSet(width int) Set {
 	if width < 0 {
 		width = 0
 	}
-	return Set{bits: make([]uint64, (width+63)/64), w: width, card: 1}
+	return Set{bits: make([]uint64, (width+63)/64), w: int32(width), card: 1}
 }
 
 // SetFromWords is a convenience constructor for tests: it builds a set of
@@ -172,14 +174,14 @@ func SetFromWords(width int, ids ...int) Set {
 }
 
 // Width returns the vocabulary width the set was created with.
-func (s Set) Width() int { return s.w }
+func (s Set) Width() int { return int(s.w) }
 
 // Add inserts the keyword id into the set, growing the set if needed.
 func (s *Set) Add(id int) {
 	if id < 0 {
 		return
 	}
-	if id >= s.w {
+	if id >= int(s.w) {
 		s.grow(id + 1)
 	}
 	mask := uint64(1) << (uint(id) % 64)
@@ -191,7 +193,7 @@ func (s *Set) Add(id int) {
 
 // Remove deletes the keyword id from the set.
 func (s *Set) Remove(id int) {
-	if id < 0 || id >= s.w {
+	if id < 0 || id >= int(s.w) {
 		return
 	}
 	mask := uint64(1) << (uint(id) % 64)
@@ -209,8 +211,8 @@ func (s *Set) grow(width int) {
 		copy(nb, s.bits)
 		s.bits = nb
 	}
-	if width > s.w {
-		s.w = width
+	if int32(width) > s.w {
+		s.w = int32(width)
 	}
 }
 
@@ -223,14 +225,19 @@ func (s Set) Has(id int) bool {
 }
 
 // Count returns the number of keywords in the set. Sets whose cardinality
-// is cached (anything built through NewSet/Add/Remove/Clone) answer in
-// O(1); sets decoded from raw bits fall back to a popcount pass.
+// is cached (anything but the result of a bulk Union/Intersect) answer in
+// O(1); the rest fall back to a popcount pass.
 func (s Set) Count() int {
 	if s.card > 0 {
-		return s.card - 1
+		return int(s.card - 1)
 	}
+	return countBits(s.bits)
+}
+
+// countBits counts the set bits of a word slice.
+func countBits(words []uint64) int {
 	n := 0
-	for _, b := range s.bits {
+	for _, b := range words {
 		n += bits.OnesCount64(b)
 	}
 	return n
@@ -238,6 +245,9 @@ func (s Set) Count() int {
 
 // IsEmpty reports whether the set has no keywords.
 func (s Set) IsEmpty() bool {
+	if s.card > 0 {
+		return s.card == 1
+	}
 	for _, b := range s.bits {
 		if b != 0 {
 			return false
@@ -274,7 +284,7 @@ func (s Set) Union(t Set) Set {
 // update primitive of the SRT-index and IR²-tree.
 func (s *Set) UnionInPlace(t Set) {
 	if t.w > s.w {
-		s.grow(t.w)
+		s.grow(int(t.w))
 	}
 	for i, bb := range t.bits {
 		s.bits[i] |= bb
@@ -288,7 +298,7 @@ func (s Set) Intersect(t Set) Set {
 	if t.w > w {
 		w = t.w
 	}
-	out := NewSet(w)
+	out := NewSet(int(w))
 	n := len(s.bits)
 	if len(t.bits) < n {
 		n = len(t.bits)
@@ -364,10 +374,16 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// IntersectUnionCount returns |s ∩ t| and |s ∪ t| in a single fused pass
-// over the bit words, without allocating. It is the inner loop of the
-// Jaccard similarity kernel: one load pair per word instead of two.
+// IntersectUnionCount returns |s ∩ t| and |s ∪ t| without allocating. It
+// is the inner loop of the Jaccard similarity kernel. When both
+// cardinalities are cached — query sets always, index entries since page
+// decode fills them — the union follows from |s|+|t|−|s∩t| and one popcount
+// per word suffices; otherwise a single fused pass counts both.
 func (s Set) IntersectUnionCount(t Set) (inter, union int) {
+	if s.card > 0 && t.card > 0 {
+		inter = s.IntersectCount(t)
+		return inter, int(s.card-1) + int(t.card-1) - inter
+	}
 	a, b := s.bits, t.bits
 	if len(b) > len(a) {
 		a, b = b, a
@@ -440,7 +456,7 @@ func FromBits(width int, raw []uint64) Set {
 	if width%64 != 0 && len(s.bits) > 0 {
 		s.bits[len(s.bits)-1] &= (1 << uint(width%64)) - 1
 	}
-	s.card = 0 // cardinality unknown for decoded bits
+	s.card = int32(countBits(s.bits)) + 1
 	return s
 }
 
@@ -448,7 +464,9 @@ func FromBits(width int, raw []uint64) Set {
 // raw: the slice is aliased, not copied, and excess bits beyond width are
 // masked off in place. Page decoding uses it with a per-node arena so each
 // entry's keyword set costs zero extra allocations; callers must not reuse
-// raw afterwards.
+// raw afterwards. The cardinality is counted here, once: a decoded node
+// stays in its buffer-pool frame for a whole residency, and every
+// similarity kernel that visits it reads the count instead of recounting.
 func FromBitsOwned(width int, raw []uint64) Set {
 	if width < 0 {
 		width = 0
@@ -460,7 +478,7 @@ func FromBitsOwned(width int, raw []uint64) Set {
 	if width%64 != 0 && len(raw) == words && words > 0 {
 		raw[words-1] &= (1 << uint(width%64)) - 1
 	}
-	return Set{bits: raw, w: width}
+	return Set{bits: raw, w: int32(width), card: int32(countBits(raw)) + 1}
 }
 
 // String renders the set as a sorted id list, for debugging.

@@ -42,13 +42,13 @@ func (t *Tree) Delete(id int64, loc geo.Point) (bool, error) {
 // whether the item was found, whether the node at pid is now empty, and
 // the refreshed aggregate entry for pid.
 func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (found, empty bool, self Entry, err error) {
-	n, err := t.Node(pid)
+	n, err := t.mutableNode(pid)
 	if err != nil {
 		return false, false, Entry{}, err
 	}
 	if d == t.height {
-		for i, e := range n.Entries {
-			if e.ItemID == id && e.Point() == loc {
+		for i := range n.Entries {
+			if e := &n.Entries[i]; e.ItemID == id && e.Rect.Min == loc {
 				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 				if err := t.updateNode(pid, n); err != nil {
 					return false, false, Entry{}, err
@@ -58,7 +58,8 @@ func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (fou
 		}
 		return false, false, Entry{}, nil
 	}
-	for i, e := range n.Entries {
+	for i := range n.Entries {
+		e := &n.Entries[i]
 		if !e.Rect.Contains(loc) {
 			continue
 		}

@@ -36,7 +36,7 @@ func (t *Tree) Insert(it Item) error {
 // It returns the entry for a new sibling if the node split, plus the
 // refreshed aggregate entry describing the (possibly shrunk) node at pid.
 func (t *Tree) insertAt(pid storagePage, d int, e Entry) (split *Entry, self *Entry, err error) {
-	n, err := t.Node(pid)
+	n, err := t.mutableNode(pid)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,7 +116,8 @@ func (t *Tree) finishInsert(pid storagePage, n *Node, prev, inserted Entry) (*En
 func (t *Tree) chooseSubtree(n *Node, e Entry) int {
 	best := 0
 	bestEnl, bestArea := inf, inf
-	for i, c := range n.Entries {
+	for i := range n.Entries {
+		c := &n.Entries[i]
 		area := c.Rect.Area()
 		enl := c.Rect.Union(e.Rect).Area() - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {

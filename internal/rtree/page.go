@@ -63,7 +63,9 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 	return buf[:off], nil
 }
 
-// decodeNode parses a page image into a Node.
+// decodeNode parses a page image into a fresh Node that aliases nothing of
+// data. It has two callers: the buffer pool, once per residency of a page
+// (Tree.DecodePage), and the mutators' private read (mutableNode).
 func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	if len(data) < nodeHeaderSize {
 		return nil, fmt.Errorf("rtree: short page: %d bytes", len(data))
@@ -80,11 +82,12 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	n.Entries = make([]Entry, count)
 	off := nodeHeaderSize
 	words := kwWords(t.cfg.KeywordWidth)
-	// One keyword arena per node instead of one slice per entry: decode is
-	// the hottest allocation site in the whole read path (every page visit
-	// of every query), and entries outlive the pool's page buffer (they are
-	// retained in candidate heaps), so the bits must be copied out — but
-	// one bulk allocation suffices for all entries of the node.
+	// Three allocations per node, each of exactly the size it needs: the
+	// header, the entry array and one keyword arena shared by all entries
+	// (not one slice per entry). The bits are copied out of data: the pool
+	// owns that buffer and WriteThrough overwrites it in place. A pool
+	// smaller than the working set pays this decode on every miss, so it
+	// stays as cheap as the format allows.
 	var arena []uint64
 	if words > 0 && count > 0 {
 		arena = make([]uint64, words*count)

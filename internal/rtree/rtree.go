@@ -5,7 +5,12 @@
 //
 // Every node occupies exactly one fixed-size page behind an LRU buffer
 // pool, so node visits translate one-to-one into the logical/physical page
-// reads the paper measures. Entries optionally carry the augmentation
+// reads the paper measures. A page is decoded once per residency in the
+// pool: the decoded Node lives in the page's buffer-pool frame, Tree.Node
+// hands the same immutable *Node to every reader (each call still counting
+// one logical read), and the search primitives read its entries in place.
+// Only the mutators (Insert, Delete) decode a private copy. Entries
+// optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
 // (e.s) and a keyword summary of all feature objects below (e.W). The SRT
 // and IR² indexes share this node format — they differ only in how leaf
@@ -60,6 +65,9 @@ const DefaultBufferPages = 1024
 // (a data object or feature object); internal entries point at a child
 // node and carry the aggregated MBR, maximum score and keyword summary of
 // the whole subtree.
+//
+// The field order packs Leaf beside Child: an Entry is 88 bytes, and every
+// resident page keeps one per slot in its decoded form.
 type Entry struct {
 	// Rect is the MBR of the subtree; for leaf entries it is the
 	// degenerate rectangle at the item's location.
@@ -67,6 +75,9 @@ type Entry struct {
 	// Child is the page of the child node, or storage.InvalidPage for
 	// leaf entries.
 	Child storage.PageID
+	// Leaf reports whether this entry describes an item rather than a
+	// child node.
+	Leaf bool
 	// ItemID identifies the indexed item (leaf entries only).
 	ItemID int64
 	// Score is the item's non-spatial score t.s, or for internal entries
@@ -76,15 +87,15 @@ type Entry struct {
 	// Keywords is the item's keyword set t.W, or for internal entries the
 	// union summary e.W. Valid when KeywordWidth > 0.
 	Keywords kwset.Set
-	// Leaf reports whether this entry describes an item rather than a
-	// child node.
-	Leaf bool
 }
 
 // Point returns the location of a leaf entry.
 func (e Entry) Point() geo.Point { return e.Rect.Min }
 
-// Node is the decoded form of one page.
+// Node is the decoded form of one page. A *Node returned by Tree.Node is
+// shared with every other reader of the tree and with the buffer pool that
+// caches it: it and everything reachable from it — the Entries array, the
+// keyword bits — must never be written.
 type Node struct {
 	Leaf    bool
 	Entries []Entry
@@ -222,27 +233,60 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // InnerCapacity returns the maximum number of entries in an internal node.
 func (t *Tree) InnerCapacity() int { return t.innerCap }
 
-// Node reads and decodes the node stored at page id. The decode cost is
-// CPU work on every visit, mirroring a real disk-based index. On a
-// WithExclude view, tombstoned leaf entries are dropped from the freshly
-// decoded node before it is returned.
+// Node returns the node stored at page id. Every call is one logical page
+// read — a buffer-pool hit, or a physical read and possibly an eviction —
+// exactly as the paper counts node visits; the decode is paid once per
+// residency of the page in the pool, and the result is shared: callers
+// must treat the node as immutable (see Node). On a WithExclude view a leaf
+// holding tombstoned items is returned as a filtered private copy; the
+// shared node is left untouched.
 func (t *Tree) Node(id storage.PageID) (*Node, error) {
+	v, err := t.pool.GetDecoded(id, t)
+	if err != nil {
+		return nil, err
+	}
+	n := v.(*Node)
+	if len(t.exclude) == 0 || !n.Leaf {
+		return n, nil
+	}
+	return t.withoutExcluded(n), nil
+}
+
+// withoutExcluded returns n itself when none of its items is tombstoned,
+// and otherwise a copy holding only the live entries.
+func (t *Tree) withoutExcluded(n *Node) *Node {
+	var kept []Entry // nil until the first tombstoned item is met
+	for i := range n.Entries {
+		_, dead := t.exclude[n.Entries[i].ItemID]
+		switch {
+		case dead && kept == nil:
+			kept = append(make([]Entry, 0, len(n.Entries)-1), n.Entries[:i]...)
+		case !dead && kept != nil:
+			kept = append(kept, n.Entries[i])
+		}
+	}
+	if kept == nil {
+		return n
+	}
+	return &Node{Leaf: true, Entries: kept}
+}
+
+// DecodePage implements storage.Decoder: the buffer pool calls it the first
+// time a resident page is read through Node.
+func (t *Tree) DecodePage(data []byte) (any, error) {
+	return t.decodeNode(data)
+}
+
+// mutableNode reads the page (one logical read, like Node) and decodes a
+// private copy the caller may modify and write back — the read half of
+// Insert's and Delete's read-modify-write. It never touches the decoded
+// form other readers share; updateNode's write invalidates that.
+func (t *Tree) mutableNode(id storage.PageID) (*Node, error) {
 	data, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.decodeNode(data)
-	if err != nil || len(t.exclude) == 0 || !n.Leaf {
-		return n, err
-	}
-	kept := n.Entries[:0]
-	for _, e := range n.Entries {
-		if _, dead := t.exclude[e.ItemID]; !dead {
-			kept = append(kept, e)
-		}
-	}
-	n.Entries = kept
-	return n, nil
+	return t.decodeNode(data)
 }
 
 // RootEntry returns a synthetic internal entry describing the whole tree:
@@ -258,13 +302,7 @@ func (t *Tree) RootEntry() (Entry, error) {
 		Child:    t.root,
 		Keywords: kwset.NewSet(t.cfg.KeywordWidth),
 	}
-	for _, c := range n.Entries {
-		e.Rect = e.Rect.Union(c.Rect)
-		if c.Score > e.Score {
-			e.Score = c.Score
-		}
-		e.Keywords.UnionInPlace(c.Keywords)
-	}
+	e.absorbAll(n)
 	return e, nil
 }
 
@@ -294,14 +332,21 @@ func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
 		Child:    child,
 		Keywords: kwset.NewSet(t.cfg.KeywordWidth),
 	}
-	for _, c := range n.Entries {
+	e.absorbAll(n)
+	return e
+}
+
+// absorbAll widens e to cover every entry of n: MBR union, maximum score
+// and keyword union.
+func (e *Entry) absorbAll(n *Node) {
+	for i := range n.Entries {
+		c := &n.Entries[i]
 		e.Rect = e.Rect.Union(c.Rect)
 		if c.Score > e.Score {
 			e.Score = c.Score
 		}
 		e.Keywords.UnionInPlace(c.Keywords)
 	}
-	return e
 }
 
 // Item is the caller-facing description of an indexed object, used for
@@ -356,7 +401,8 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 		return 0, fmt.Errorf("rtree: node %d at depth %d leaf=%v height=%d", id, d, n.Leaf, t.height)
 	}
 	items := 0
-	for _, e := range n.Entries {
+	for i := range n.Entries {
+		e := &n.Entries[i]
 		if parent != nil {
 			if !parent.Rect.ContainsRect(e.Rect) {
 				return 0, fmt.Errorf("rtree: node %d entry MBR %v outside parent %v", id, e.Rect, parent.Rect)
@@ -380,8 +426,7 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 		if e.Leaf {
 			return 0, fmt.Errorf("rtree: internal node %d holds leaf entry", id)
 		}
-		e := e
-		sub, err := t.checkNode(e.Child, d+1, &e)
+		sub, err := t.checkNode(e.Child, d+1, e)
 		if err != nil {
 			return 0, err
 		}

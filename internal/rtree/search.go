@@ -9,35 +9,43 @@ import (
 // early. It is the retrieval primitive behind getDataObjects for the range
 // score variant (paper Section 6.4).
 func (t *Tree) RangeSearch(center geo.Point, r float64, fn func(Entry) bool) error {
-	return t.searchNode(t.root, func(e Entry) bool {
+	return t.searchNode(t.root, func(e *Entry) bool {
 		if e.Leaf {
-			return e.Point().Dist(center) <= r
+			return e.Rect.Min.Dist(center) <= r
 		}
 		return e.Rect.MinDist(center) <= r
-	}, fn)
+	}, byValue(fn))
 }
 
 // SearchRect visits every indexed item inside rect.
 func (t *Tree) SearchRect(rect geo.Rect, fn func(Entry) bool) error {
-	return t.searchNode(t.root, func(e Entry) bool {
+	return t.searchNode(t.root, func(e *Entry) bool {
 		if e.Leaf {
-			return rect.Contains(e.Point())
+			return rect.Contains(e.Rect.Min)
 		}
 		return e.Rect.Intersects(rect)
-	}, fn)
+	}, byValue(fn))
 }
 
 // SearchFiltered visits every item whose ancestors all pass the prune
 // predicate. prune receives internal entries (subtree MBR plus
 // aggregates) and leaf entries alike and returns whether the entry can
 // contain qualifying items. fn receives qualifying leaf entries and
-// returns false to stop.
-func (t *Tree) SearchFiltered(prune func(Entry) bool, fn func(Entry) bool) error {
+// returns false to stop. Both see the entries in place: the pointers are
+// into the tree's shared decoded nodes, valid only for the duration of the
+// call, and must not be written through or retained.
+func (t *Tree) SearchFiltered(prune func(*Entry) bool, fn func(*Entry) bool) error {
 	return t.searchNode(t.root, prune, fn)
 }
 
-// searchNode is the shared depth-first traversal.
-func (t *Tree) searchNode(pid storagePage, accept func(Entry) bool, fn func(Entry) bool) error {
+// byValue adapts a result callback that takes its entry by value.
+func byValue(fn func(Entry) bool) func(*Entry) bool {
+	return func(e *Entry) bool { return fn(*e) }
+}
+
+// searchNode is the shared depth-first traversal. It reads the shared
+// decoded nodes in place, one pointer per visited entry.
+func (t *Tree) searchNode(pid storagePage, accept func(*Entry) bool, fn func(*Entry) bool) error {
 	stack := []storagePage{pid}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -46,7 +54,8 @@ func (t *Tree) searchNode(pid storagePage, accept func(Entry) bool, fn func(Entr
 		if err != nil {
 			return err
 		}
-		for _, e := range n.Entries {
+		for i := range n.Entries {
+			e := &n.Entries[i]
 			if !accept(e) {
 				continue
 			}
@@ -99,15 +108,16 @@ func (t *Tree) AscendDistance(center geo.Point, fn func(Entry, float64) bool) er
 		if err != nil {
 			return err
 		}
-		for _, c := range n.Entries {
-			d := c.Rect.MinDist(center)
-			pq.push(distItem{entry: c, dist: d})
+		for i := range n.Entries {
+			c := &n.Entries[i]
+			pq.push(distItem{entry: *c, dist: c.Rect.MinDist(center)})
 		}
 	}
 	return nil
 }
 
-// distItem pairs an entry with its MINDIST priority.
+// distItem pairs an entry — copied out of its node, so a queued item never
+// points into a shared decoded node — with its MINDIST priority.
 type distItem struct {
 	entry Entry
 	dist  float64
@@ -165,8 +175,8 @@ func (q *distQueue) pop() distItem {
 // object scan STDS starts from.
 func (t *Tree) All() ([]Entry, error) {
 	var out []Entry
-	err := t.searchNode(t.root, func(Entry) bool { return true }, func(e Entry) bool {
-		out = append(out, e)
+	err := t.searchNode(t.root, func(*Entry) bool { return true }, func(e *Entry) bool {
+		out = append(out, *e)
 		return true
 	})
 	return out, err
@@ -175,7 +185,8 @@ func (t *Tree) All() ([]Entry, error) {
 // Leaves visits each leaf node's entries as one batch — the unit the
 // batched STDS score computation processes together (paper Section 5,
 // "Performance improvements"). Leaf batches are spatially coherent, which
-// is what makes batching effective.
+// is what makes batching effective. The batch is the shared decoded node's
+// own entry array: read it in place, do not write it or keep it.
 func (t *Tree) Leaves(fn func([]Entry) bool) error {
 	stack := []storagePage{t.root}
 	for len(stack) > 0 {
@@ -191,8 +202,8 @@ func (t *Tree) Leaves(fn func([]Entry) bool) error {
 			}
 			continue
 		}
-		for _, e := range n.Entries {
-			stack = append(stack, e.Child)
+		for i := range n.Entries {
+			stack = append(stack, n.Entries[i].Child)
 		}
 	}
 	return nil
@@ -205,10 +216,10 @@ func (t *Tree) SearchPolygon(pg geo.Polygon, fn func(Entry) bool) error {
 	if pg.IsEmpty() {
 		return nil
 	}
-	return t.searchNode(t.root, func(e Entry) bool {
+	return t.searchNode(t.root, func(e *Entry) bool {
 		if e.Leaf {
-			return pg.Contains(e.Point())
+			return pg.Contains(e.Rect.Min)
 		}
 		return pg.IntersectsRect(e.Rect)
-	}, fn)
+	}, byValue(fn))
 }

@@ -31,6 +31,14 @@ import (
 // eviction counts are shared atomics, and per-query Session accounting is
 // untouched.
 //
+// Each frame also has one slot for the decoded form of its page (see
+// GetDecoded): whoever reads the page through the pool decodes it once per
+// residency instead of once per visit. The slot is part of the frame — it
+// is filled on the first decoded access, dropped when the frame is evicted
+// or the pool is cleared, and emptied by WriteThrough — so there is no
+// second cache with a capacity or an order of its own, and a decoded
+// access takes exactly the counting path of Get.
+//
 // Per-query read accounting uses session handles (see Session): the paper
 // attributes page reads to individual queries, and under concurrency the
 // pool-wide counters interleave, so each query charges its own private
@@ -76,9 +84,13 @@ type PoolMetrics struct {
 	Misses    *obs.Counter
 	Evictions *obs.Counter
 	Writes    *obs.Counter
+	// Decodes counts pages actually decoded by GetDecoded: one per
+	// residency of a page read that way, plus one per WriteThrough of a
+	// resident page that is read again.
+	Decodes *obs.Counter
 }
 
-// NewPoolMetrics registers the four pool counters under
+// NewPoolMetrics registers the five pool counters under
 // stpq_bufferpool_*_total{pool="<name>"}.
 func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 	label := `{pool="` + pool + `"}`
@@ -87,6 +99,7 @@ func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 		Misses:    r.Counter("stpq_bufferpool_misses_total" + label),
 		Evictions: r.Counter("stpq_bufferpool_evictions_total" + label),
 		Writes:    r.Counter("stpq_bufferpool_writes_total" + label),
+		Decodes:   r.Counter("stpq_bufferpool_decodes_total" + label),
 	}
 }
 
@@ -96,6 +109,17 @@ func (b *BufferPool) SetMetrics(m *PoolMetrics) { b.s.metrics.Store(m) }
 type frame struct {
 	id   PageID
 	data []byte
+	// decoded is the decoded form of data, nil until the first GetDecoded
+	// of this residency; guarded by the stripe mutex. Whatever it holds is
+	// shared by every reader and must never be written.
+	decoded any
+}
+
+// Decoder turns a page image into the form its reader works on. The result
+// is cached in the page's frame and handed to every later reader, so it
+// must not alias data and must be treated as immutable.
+type Decoder interface {
+	DecodePage(data []byte) (any, error)
 }
 
 // NewBufferPool wraps disk with an LRU cache of capacity pages behind a
@@ -184,8 +208,50 @@ func (b *BufferPool) Len() int {
 
 // Get returns the contents of the page. The returned slice is owned by the
 // pool and must not be modified or retained across further pool calls;
-// callers decode it into their own node representation immediately.
+// callers decode it into their own representation immediately.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
+	f, _, err := b.fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	return f.data, nil
+}
+
+// GetDecoded returns the decoded form of the page: dec's result on the
+// first decoded access of a residency, the same shared value on every
+// later one. It counts exactly as Get does — one logical read, and one
+// physical read and possibly an eviction on a miss — so the paper's I/O
+// metric cannot tell the two apart. The value is shared between all
+// readers of the pool and must not be modified.
+func (b *BufferPool) GetDecoded(id PageID, dec Decoder) (any, error) {
+	f, v, err := b.fetch(id)
+	if err != nil || v != nil {
+		return v, err
+	}
+	// Decode outside the stripe lock. Two readers that find the slot empty
+	// at once both decode; the first to come back fills the slot and both
+	// return its value, so a residency never has two decoded forms in use.
+	if v, err = dec.DecodePage(f.data); err != nil {
+		return nil, err
+	}
+	if m := b.s.metrics.Load(); m != nil {
+		m.Decodes.Inc()
+	}
+	st := b.s.stripe(id)
+	st.mu.Lock()
+	if f.decoded == nil {
+		f.decoded = v
+	} else {
+		v = f.decoded
+	}
+	st.mu.Unlock()
+	return v, nil
+}
+
+// fetch is the one counting read path: it charges a logical read, finds or
+// loads the page's frame, and returns it with the decoded slot as read
+// under the stripe lock. With a capacity of 0 the frame is not retained.
+func (b *BufferPool) fetch(id PageID) (*frame, any, error) {
 	s := b.s
 	s.logical.Add(1)
 	if b.local != nil {
@@ -195,12 +261,13 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	st.mu.Lock()
 	if el, ok := st.entries[id]; ok {
 		st.lru.MoveToFront(el)
-		data := el.Value.(*frame).data
+		f := el.Value.(*frame)
+		v := f.decoded
 		st.mu.Unlock()
 		if m := s.metrics.Load(); m != nil {
 			m.Hits.Inc()
 		}
-		return data, nil
+		return f, v, nil
 	}
 	// Miss: the disk read happens under the stripe lock, so concurrent
 	// misses on the same page coalesce into one physical read — the
@@ -210,20 +277,22 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	if b.local != nil {
 		b.local.PhysicalReads++
 	}
-	data := make([]byte, s.disk.PageSize())
-	if err := s.disk.ReadPage(id, data); err != nil {
+	f := &frame{id: id, data: make([]byte, s.disk.PageSize())}
+	if err := s.disk.ReadPage(id, f.data); err != nil {
 		st.mu.Unlock()
-		return nil, fmt.Errorf("bufferpool: %w", err)
+		return nil, nil, fmt.Errorf("bufferpool: %w", err)
 	}
-	b.insertLocked(st, id, data)
+	b.insertLocked(st, f)
 	st.mu.Unlock()
 	if m := s.metrics.Load(); m != nil {
 		m.Misses.Inc()
 	}
-	return data, nil
+	return f, nil, nil
 }
 
-// WriteThrough writes the page to disk and refreshes the cached copy.
+// WriteThrough writes the page to disk, refreshes the cached copy and
+// empties the frame's decoded slot, so the next GetDecoded decodes the new
+// bytes.
 func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 	s := b.s
 	s.writes.Add(1)
@@ -245,14 +314,16 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 		for i := len(data); i < len(f.data); i++ {
 			f.data[i] = 0
 		}
+		f.decoded = nil
 		st.lru.MoveToFront(el)
 	}
 	return nil
 }
 
-// insertLocked caches the page in its stripe, evicting the stripe's least
-// recently used page if the stripe is full. Callers hold st.mu.
-func (b *BufferPool) insertLocked(st *poolStripe, id PageID, data []byte) {
+// insertLocked caches the frame in its stripe, evicting the stripe's least
+// recently used frame — page and decoded form together — if the stripe is
+// full. Callers hold st.mu.
+func (b *BufferPool) insertLocked(st *poolStripe, f *frame) {
 	s := b.s
 	if st.capacity == 0 {
 		return
@@ -271,7 +342,7 @@ func (b *BufferPool) insertLocked(st *poolStripe, id PageID, data []byte) {
 			}
 		}
 	}
-	st.entries[id] = st.lru.PushFront(&frame{id: id, data: data})
+	st.entries[f.id] = st.lru.PushFront(f)
 }
 
 // Contains reports whether the page is currently cached (for tests).
@@ -302,7 +373,8 @@ func (b *BufferPool) ResetStats() {
 	b.s.evictions.Store(0)
 }
 
-// Clear drops all cached pages (cold-cache measurements).
+// Clear drops all cached pages and their decoded forms (cold-cache
+// measurements).
 func (b *BufferPool) Clear() {
 	for i := range b.s.stripes {
 		st := &b.s.stripes[i]

@@ -169,14 +169,24 @@ func TestDBMetricsExport(t *testing.T) {
 		t.Errorf("stds query counter = %d, want 1",
 			snap.Counters[`stpq_queries_total{alg="stds",variant="range"}`])
 	}
-	var poolHits int64
+	var poolHits, poolMisses, poolDecodes int64
 	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "stpq_bufferpool_hits_total{") {
+		switch {
+		case strings.HasPrefix(name, "stpq_bufferpool_hits_total{"):
 			poolHits += v
+		case strings.HasPrefix(name, "stpq_bufferpool_misses_total{"):
+			poolMisses += v
+		case strings.HasPrefix(name, "stpq_bufferpool_decodes_total{"):
+			poolDecodes += v
 		}
 	}
 	if poolHits == 0 {
 		t.Error("no buffer-pool hits recorded in metrics")
+	}
+	// Two serial queries on pools that hold every page: each page read was
+	// decoded once, when it missed, and every hit reused that decode.
+	if poolDecodes == 0 || poolDecodes != poolMisses {
+		t.Errorf("buffer-pool decodes = %d, want the %d misses", poolDecodes, poolMisses)
 	}
 	h, ok := snap.Histograms[`stpq_query_seconds{alg="stps",variant="range"}`]
 	if !ok {
