@@ -72,10 +72,13 @@ bench-compare:
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard and
 # the buffer-pool hit paths (raw page and decoded node) must stay
 # allocation-free, steady-state top-k queries must stay under their
-# documented budgets (internal/core), and the unsampled event-log record
-# path must stay within one allocation per query (internal/obs).
+# documented budgets (internal/core), the unsampled event-log record
+# path must stay within one allocation per query (internal/obs), and the
+# query pipeline above the engine — DB.TopK (root) and a Service.Do cache
+# hit (internal/serve) — must not allocate more than it did before it was
+# one pipeline.
 alloc-regression:
-	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/storage/ ./internal/core/ ./internal/obs/
+	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/storage/ ./internal/core/ ./internal/obs/ . ./internal/serve/
 
 # End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
 # wait for /healthz, fire a short stpqload run, then shut down gracefully.

@@ -16,7 +16,6 @@ import (
 	"stpq/internal/core"
 	"stpq/internal/datagen"
 	"stpq/internal/index"
-	"stpq/internal/obs"
 )
 
 // benchScale shrinks the paper's 100K default to keep bench runs short.
@@ -87,12 +86,7 @@ func benchEngine(b *testing.B, key fixtureKey) *core.Engine {
 			b.Fatal(err)
 		}
 	}
-	// Telemetry at the default (unsampled) rate so the benchmarks measure
-	// the event-log hot path every production query pays.
-	e, err := core.NewEngine(oidx, fidxs, core.Options{
-		BatchSTDS: true,
-		Telemetry: obs.NewTelemetry(0, 0, 0, 0),
-	})
+	e, err := core.NewEngine(oidx, fidxs, core.Options{BatchSTDS: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (b *bench) approxExp() {
 				ids[j] = r.ID
 			}
 			oracle[i] = ids
-			exactPer[i] = coreStatsOf(st)
+			exactPer[i] = st
 		}
 		exactRec := newRecord("approx", fmt.Sprintf("  %s exact", w.name), "IR2", "stps", nil, exactPer)
 		recs = append(recs, exactRec)
@@ -84,7 +84,7 @@ func (b *bench) approxExp() {
 					log.Fatal(err)
 				}
 				recallSum += recallAtK(oracle[i], res)
-				per[i] = coreStatsOf(st)
+				per[i] = st
 				cands += st.ApproxCandidates
 				pruned += st.ApproxPruned
 				skipped += st.ApproxSkippedReads
@@ -182,15 +182,4 @@ func recallAtK(oracle []int64, approx []stpq.Result) float64 {
 		}
 	}
 	return float64(hit) / float64(len(oracle))
-}
-
-// coreStatsOf lowers public per-query stats into the Record summary shape.
-func coreStatsOf(st stpq.Stats) core.Stats {
-	return core.Stats{
-		CPUTime: st.CPUTime, IOTime: st.IOTime,
-		LogicalReads: st.LogicalReads, PhysicalReads: st.PhysicalReads,
-		Combinations:   st.Combinations,
-		FeaturesPulled: st.FeaturesPulled,
-		ObjectsScored:  st.ObjectsScored,
-	}
 }

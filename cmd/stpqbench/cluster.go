@@ -167,17 +167,7 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 					log.Fatalf("cluster nodes=%d query %d: %v", len(m.Nodes), i, err)
 				}
 				walls[i] = time.Since(t0)
-				per[i] = core.Stats{
-					CPUTime:        time.Duration(resp.Stats.Sum.CPUNanos),
-					IOTime:         time.Duration(resp.Stats.Sum.IONanos),
-					LogicalReads:   resp.Stats.Sum.LogicalReads,
-					PhysicalReads:  resp.Stats.Sum.PhysicalReads,
-					Combinations:   int(resp.Stats.Sum.Combinations),
-					FeaturesPulled: int(resp.Stats.Sum.FeaturesPulled),
-					ObjectsScored:  int(resp.Stats.Sum.ObjectsScored),
-					ShardFanout:    resp.Stats.Fanout,
-					ShardPruned:    resp.Stats.Pruned,
-				}
+				per[i] = resp.Stats
 			}
 		}()
 	}

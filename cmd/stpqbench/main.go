@@ -51,7 +51,6 @@ type bench struct {
 	seed          int64
 	cost          storage.CostModel
 	buffer        int
-	parallel      int    // -parallel: max workers for the serve experiment
 	jsonPath      string // -json: machine-readable records destination
 
 	curExp   string // experiment currently running (stamps Records)
@@ -68,14 +67,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stpqbench: ")
 	var (
-		exp     = flag.String("exp", "all", "experiment: all | table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | serve | shard | hotpath | ingest | cluster | planner | approx")
+		exp     = flag.String("exp", "all", "experiment: all | table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | cluster | planner | approx")
 		queries = flag.Int("queries", 100, "queries per data point (the paper used 1000)")
 		t3q     = flag.Int("table3queries", 3, "queries per STDS data point (STDS is slow by design)")
 		scale   = flag.Float64("scale", 1.0, "dataset cardinality multiplier")
 		seed    = flag.Int64("seed", 1, "random seed")
 		iocost  = flag.Duration("iocost", 100*time.Microsecond, "modeled cost per physical page read")
 		buffer  = flag.Int("buffer", 256, "buffer pool pages per index")
-		par     = flag.Int("parallel", 0, "max workers for the serve experiment (0 = GOMAXPROCS)")
 		jsonOut = flag.String("json", "", "also write per-datapoint records (quantiles + phase breakdown) to this file")
 	)
 	flag.Parse()
@@ -87,7 +85,6 @@ func main() {
 		seed:          *seed,
 		cost:          storage.CostModel{PerPage: *iocost},
 		buffer:        *buffer,
-		parallel:      *par,
 		jsonPath:      *jsonOut,
 		datasets:      make(map[string]*datagen.Dataset),
 		engines:       make(map[string]*core.Engine),
@@ -106,15 +103,11 @@ func main() {
 		"fig12":   b.fig12,
 		"fig13":   b.fig13,
 		"fig14":   b.fig14,
-		"serve":   b.serve,
-		"shard":   b.shardExp,
-		"hotpath": b.hotpath,
-		"ingest":  b.ingestExp,
 		"cluster": b.clusterExp,
 		"planner": b.plannerExp,
 		"approx":  b.approxExp,
 	}
-	order := []string{"table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "serve", "shard", "hotpath", "ingest", "cluster", "planner", "approx"}
+	order := []string{"table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "cluster", "planner", "approx"}
 
 	start := time.Now()
 	runExp := func(name string) {
@@ -203,13 +196,7 @@ func (b *bench) engine(dsKey string, ds *datagen.Dataset, kind index.Kind) *core
 			log.Fatal(err)
 		}
 	}
-	// Tracing is only paid for when records are collected: the per-phase
-	// breakdown in each Record comes from the query span trees.
-	e, err := core.NewEngine(oidx, fidxs, core.Options{
-		BatchSTDS: true,
-		CostModel: b.cost,
-		Trace:     b.jsonPath != "",
-	})
+	e, err := core.NewEngine(oidx, fidxs, core.Options{BatchSTDS: true, CostModel: b.cost})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,6 +221,9 @@ func (b *bench) run(label, idx, alg string, e *core.Engine, qs []core.Query) cor
 			st  core.Stats
 			err error
 		)
+		// Tracing is only paid for when records are collected: the per-phase
+		// breakdown in each Record comes from the query span trees.
+		q.Trace = b.jsonPath != ""
 		if alg == "stds" {
 			_, st, err = e.STDS(q)
 		} else {

@@ -116,7 +116,7 @@ func loadCellDB(cfg daemonConfig, m cluster.Map) (*stpq.DB, error) {
 		return nil, errors.New("-follow and -wal-dir are mutually exclusive: a follower replays the leader's log, it does not own one")
 	}
 	db := stpq.New(stpq.Config{
-		IndexKind: kind, PoolStripes: cfg.stripes, WALDir: walDir,
+		IndexKind: kind, WALDir: walDir,
 		WALRetainSegments: 4,
 		TraceSampleRate:   cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,
 	})

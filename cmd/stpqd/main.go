@@ -67,7 +67,6 @@ func main() {
 		queue     = flag.Int("queue", 64, "admission queue depth")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		cacheSize = flag.Int("cache", 256, "result cache entries (negative disables)")
-		stripes   = flag.Int("pool-stripes", 0, "buffer-pool lock stripes, rounded down to a power of two (0 or 1 = classic single-lock LRU)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory: enables POST /ingest and replays existing records on startup")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
 		traceRate = flag.Float64("trace-sample", 0, "fraction of queries (0..1) served with a full span tree in their event record")
@@ -75,7 +74,6 @@ func main() {
 		planMode  = flag.String("plan", "auto", "algorithm for requests that don't name one: auto (cost-based planner) | stds | stps")
 		costCap   = flag.Duration("max-inflight-cost", 0, "shed queries whose predicted cost would push the summed in-flight predicted cost over this budget (0 = off)")
 
-		mergePolicy = flag.String("merge-policy", "auto", "-synthetic: how pending writes merge into the base indexes: auto (incremental with degradation fallback) | incremental | rebuild")
 		bgCompact   = flag.Bool("background-compaction", false, "-synthetic: seal full deltas into runs and merge them on a background goroutine instead of stalling Apply")
 		compactRuns = flag.Int("compact-runs", 0, "-synthetic: sealed-run watermark that wakes the background compactor (0 = default)")
 		flushOps    = flag.Int("auto-flush-ops", 0, "-synthetic: delta size that triggers a merge or run seal (0 = default, negative = never)")
@@ -102,7 +100,7 @@ func main() {
 		objects: *objects, features: *features, sets: *sets, vocab: *vocab,
 		seed: *seed, indexKind: *indexKind, sigBits: *sigBits,
 		pageSize: *pageSize, bufPages: *bufPages, shards: *shards, strategy: *strategy,
-		stripes: *stripes, pprofAddr: *pprofAddr, walDir: *walDir,
+		pprofAddr: *pprofAddr, walDir: *walDir,
 		traceRate: *traceRate, slowQuery: *slowQuery,
 		bgCompact: *bgCompact, compactRuns: *compactRuns, flushOps: *flushOps,
 		ckptOps: *ckptOps, ckptBytes: *ckptBytes, ckptDir: *ckptDir,
@@ -124,16 +122,6 @@ func main() {
 		cfg.serve.DefaultAlgorithm = stpq.STPS
 	default:
 		log.Fatalf("unknown -plan %q (want auto, stds or stps)", *planMode)
-	}
-	switch *mergePolicy {
-	case "auto":
-		cfg.mergePolicy = stpq.MergeAuto
-	case "incremental":
-		cfg.mergePolicy = stpq.MergeIncremental
-	case "rebuild":
-		cfg.mergePolicy = stpq.MergeRebuild
-	default:
-		log.Fatalf("unknown -merge-policy %q (want auto, incremental or rebuild)", *mergePolicy)
 	}
 	cfg.cluster = clusterConfig{
 		node: *clusterNode, coordinator: *clusterCoord,
@@ -169,12 +157,10 @@ type daemonConfig struct {
 	sigBits             int
 	pageSize, bufPages  int
 	shards              int
-	stripes             int
 	pprofAddr           string
 	walDir              string
 	traceRate           float64
 	slowQuery           time.Duration
-	mergePolicy         stpq.MergePolicy
 	bgCompact           bool
 	compactRuns         int
 	flushOps            int
@@ -364,11 +350,8 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		if cfg.shards > 1 {
 			return nil, errors.New("-shards applies to -synthetic only (opened DBs take their shard count from the manifest)")
 		}
-		if cfg.stripes > 1 {
-			log.Printf("warning: -pool-stripes applies to -synthetic only; opened DBs use the single-lock pool")
-		}
-		if cfg.mergePolicy != stpq.MergeAuto || cfg.bgCompact || cfg.compactRuns > 0 {
-			log.Printf("warning: -merge-policy/-background-compaction/-compact-runs apply to -synthetic only; opened DBs take them from the manifest")
+		if cfg.bgCompact || cfg.compactRuns > 0 {
+			log.Printf("warning: -background-compaction/-compact-runs apply to -synthetic only; opened DBs take them from the manifest")
 		}
 		log.Printf("opening %s", cfg.open)
 		db, err := stpq.Open(cfg.open)
@@ -413,10 +396,10 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 			IndexKind: kind, SignatureBits: cfg.sigBits,
 			PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
 			ShardCount: cfg.shards, ShardStrategy: strat,
-			PoolStripes: cfg.stripes, WALDir: cfg.walDir,
+			WALDir:          cfg.walDir,
 			TraceSampleRate: cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,
-			MergePolicy: cfg.mergePolicy, BackgroundCompaction: cfg.bgCompact,
-			CompactRuns: cfg.compactRuns, AutoFlushOps: cfg.flushOps,
+			BackgroundCompaction: cfg.bgCompact,
+			CompactRuns:          cfg.compactRuns, AutoFlushOps: cfg.flushOps,
 		})
 		objs, sets := syntheticData(cfg)
 		db.AddObjects(objs)

@@ -13,8 +13,8 @@ package stpq
 //     original pages through the CowDisk base.
 //   - Full rebuild: the net mutations are folded into the raw slices and
 //     the whole engine is re-bulk-loaded — the pre-generational behaviour,
-//     used as the MergeAuto degradation fallback, for vocabulary-growing
-//     batches, and as the MergeRebuild baseline.
+//     used as the degradation fallback and for vocabulary-growing
+//     batches.
 //
 // The background compactor (Config.BackgroundCompaction) runs the same
 // partial merge off the write path: it pins the sealed runs under a read
@@ -44,7 +44,7 @@ type netOps struct {
 	deadFeat []map[int64]struct{}
 	upsFeat  []map[int64]index.Feature
 	// count is the number of net index operations the merge will perform,
-	// feeding the MergeAuto drift accounting.
+	// feeding the drift accounting.
 	count int
 }
 
@@ -241,17 +241,18 @@ func (db *DB) foldExtraIntoRawLocked(extra []Mutation) {
 	}
 }
 
+// mergeDriftRatio is the degradation threshold: a full rebuild replaces the
+// incremental path once the net mutations merged incrementally since the
+// last bulk load exceed this fraction of the live data size.
+const mergeDriftRatio = 0.5
+
 // canPartialMergeLocked decides whether the pending net mutations may be
-// merged incrementally. MergeRebuild never does; MergeIncremental always
-// does (when structurally possible); MergeAuto additionally requires the
-// tree-quality heuristic to pass: bounded cumulative drift, heights within
-// one level of the bulk-loaded baseline, and a bounded overflow-split
-// count. Signature-mode indexes and sharded engines always rebuild.
+// merged incrementally: when structurally possible and the tree-quality
+// heuristic passes — bounded cumulative drift, heights within one level of
+// the bulk-loaded baseline, and a bounded overflow-split count.
+// Signature-mode indexes and sharded engines always rebuild.
 func (db *DB) canPartialMergeLocked(net *netOps) bool {
 	if db.base == nil || db.objLoc == nil || net == nil {
-		return false
-	}
-	if db.cfg.MergePolicy == MergeRebuild {
 		return false
 	}
 	for i := range db.setNames {
@@ -260,18 +261,14 @@ func (db *DB) canPartialMergeLocked(net *netOps) bool {
 			return false
 		}
 	}
-	if db.cfg.MergePolicy == MergeIncremental {
+	if db.forceIncremental {
 		return true
 	}
 	live := len(db.objLoc)
 	for _, m := range db.featLoc {
 		live += len(m)
 	}
-	ratio := db.cfg.MergeDriftRatio
-	if ratio <= 0 {
-		ratio = 0.5
-	}
-	if float64(db.incrOps+net.count) > ratio*float64(live+net.count) {
+	if float64(db.incrOps+net.count) > mergeDriftRatio*float64(live+net.count) {
 		return false
 	}
 	if db.treesDegradedLocked() {
@@ -400,7 +397,7 @@ func sortedIDs[V any](m map[int64]V) []int64 {
 // remainder — plus the active delta — is re-published as an overlay over
 // the new base. Callers hold ingestMu and db.mu.
 func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netOps, compactedRuns int) error {
-	eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions(db.metrics, db.tel))
+	eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
 	if err != nil {
 		return err
 	}
@@ -435,7 +432,7 @@ func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIn
 		db.delta = nil
 		db.engine = eng
 		db.gen++
-		db.inverted = nil
+		db.kwTables = nil
 		return nil
 	}
 	db.runs = append([]*ingest.Run(nil), db.runs[compactedRuns:]...)
@@ -445,7 +442,7 @@ func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIn
 	}
 	db.engine = eng
 	db.gen++
-	db.inverted = nil
+	db.kwTables = nil
 	return nil
 }
 
@@ -511,11 +508,10 @@ func (db *DB) compactOnce() (bool, error) {
 		featLoc[i] = pinLocs(db.featLoc[i], net.deadFeat[i])
 	}
 	gate := db.compactGate
-	chunk, pause := db.cfg.CompactChunkOps, db.cfg.CompactPause
 	db.mu.RUnlock()
 
 	if !partialOK {
-		// Degraded trees (or the MergeRebuild policy): fall back to a
+		// Degraded trees: fall back to a
 		// synchronous full merge under the write locks. Expensive, but it
 		// resets the drift accounting and re-packs every tree.
 		db.ingestMu.Lock()
@@ -534,7 +530,7 @@ func (db *DB) compactOnce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pacer := &ingest.Pacer{ChunkOps: chunk, Pause: pause, Gate: gate}
+	pacer := &ingest.Pacer{Gate: gate}
 	if err := applyNetOps(oidx, fidxs, net, objLoc, featLoc, pacer); err != nil {
 		return false, err
 	}
@@ -584,7 +580,7 @@ func pinLocs(src map[int64]geo.Point, ids map[int64]struct{}) map[int64]geo.Poin
 
 // SetCompactionGate installs a foreground-saturation probe for the
 // background compactor: while it returns true, the compactor backs off at
-// every pacing point (Config.CompactChunkOps / CompactPause). The serving
+// every pacing point. The serving
 // layer wires its admission-queue depth here so compactions yield to
 // queued queries. Pass nil to remove the gate.
 func (db *DB) SetCompactionGate(gate func() bool) {

@@ -5,7 +5,7 @@ package stpq
 // kinds, variants and algorithms; the background compactor must converge
 // to the same answers while queries run; a crash at any point of the
 // pipeline — after a run seal, after a partial merge, mid-checkpoint —
-// must recover oracle-exact from the WAL; and the MergeAuto degradation
+// must recover oracle-exact from the WAL; and the degradation
 // heuristic must actually fall back to full rebuilds under drift.
 
 import (
@@ -34,8 +34,17 @@ func flushStep(t *testing.T, db *DB, shadow *ingestShadow, rng *rand.Rand, n int
 	}
 }
 
+// buildIncrementalDB is buildIngestDB with the tree-quality heuristic off:
+// every structurally possible merge takes the incremental path.
+func buildIncrementalDB(t *testing.T, cfg Config, objs []Object, sets map[string][]Feature) *DB {
+	t.Helper()
+	db := buildIngestDB(t, cfg, objs, sets)
+	db.forceIncremental = true
+	return db
+}
+
 // TestPartialMergeOracleEquivalence is the acceptance gate of the
-// incremental path: with MergeIncremental forced, every Flush batch-applies
+// incremental path: with the incremental merge forced, every Flush batch-applies
 // the net delta into copy-on-write clones of the live trees, and the
 // answers after each merge are byte-identical to a from-scratch rebuild —
 // for both index kinds, all three variants and both algorithms (via
@@ -46,8 +55,8 @@ func TestPartialMergeOracleEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			objs, sets := ingestSeedData(rng, 250, 120)
 			cfg := Config{IndexKind: kind, PageSize: 1024, WALDir: t.TempDir(),
-				AutoFlushOps: -1, MergePolicy: MergeIncremental}
-			db := buildIngestDB(t, cfg, objs, sets)
+				AutoFlushOps: -1}
+			db := buildIncrementalDB(t, cfg, objs, sets)
 			shadow := newIngestShadow(objs, sets)
 			for round := 0; round < 6; round++ {
 				flushStep(t, db, shadow, rng, 15)
@@ -62,7 +71,7 @@ func TestPartialMergeOracleEquivalence(t *testing.T) {
 					m["stpq_ingest_partial_merges_total"], m["stpq_ingest_full_rebuilds_total"])
 			}
 			if m["stpq_ingest_full_rebuilds_total"] != 0 {
-				t.Fatalf("full rebuilds = %d, want 0 under MergeIncremental",
+				t.Fatalf("full rebuilds = %d, want 0 with incremental merges forced",
 					m["stpq_ingest_full_rebuilds_total"])
 			}
 		})
@@ -77,8 +86,8 @@ func TestPartialMergeSurvivesCheckpointCycle(t *testing.T) {
 	objs, sets := ingestSeedData(rng, 200, 100)
 	saveDir := t.TempDir()
 	cfg := Config{PageSize: 1024, WALDir: t.TempDir(),
-		AutoFlushOps: -1, MergePolicy: MergeIncremental}
-	db1 := buildIngestDB(t, cfg, objs, sets)
+		AutoFlushOps: -1}
+	db1 := buildIncrementalDB(t, cfg, objs, sets)
 	shadow := newIngestShadow(objs, sets)
 	for round := 0; round < 3; round++ {
 		flushStep(t, db1, shadow, rng, 12)
@@ -189,8 +198,8 @@ func TestCrashAfterPartialMerge(t *testing.T) {
 	objs, sets := ingestSeedData(rng, 150, 80)
 	walDir := t.TempDir()
 	cfg := Config{PageSize: 1024, WALDir: walDir,
-		AutoFlushOps: -1, MergePolicy: MergeIncremental}
-	db1 := buildIngestDB(t, cfg, objs, sets)
+		AutoFlushOps: -1}
+	db1 := buildIncrementalDB(t, cfg, objs, sets)
 	shadow := newIngestShadow(objs, sets)
 	for round := 0; round < 3; round++ {
 		flushStep(t, db1, shadow, rng, 10)
@@ -328,7 +337,7 @@ func TestCheckpointDoesNotBlockApply(t *testing.T) {
 	assertSameTopK(t, "recovered after concurrent checkpoints", db2, shadow.oracle(t, cfg), rng)
 }
 
-// TestMergeAutoDegradationFallback pins the MergeAuto heuristic from both
+// TestMergeAutoDegradationFallback pins the degradation heuristic from both
 // sides: a small batch merges partially, and a pending set larger than the
 // drift ratio allows forces the full rebuild that re-packs the trees.
 func TestMergeAutoDegradationFallback(t *testing.T) {
@@ -346,7 +355,7 @@ func TestMergeAutoDegradationFallback(t *testing.T) {
 	}
 
 	// ~300 net ops against ~160 live entries is far past the default 0.5
-	// drift ratio; MergeAuto must rebuild instead of merging.
+	// drift ratio; the merge must rebuild instead.
 	muts := randomMutations(rng, shadow, 400)
 	if err := db.Apply(muts); err != nil {
 		t.Fatal(err)
@@ -377,12 +386,12 @@ func TestMergeAutoDegradationFallback(t *testing.T) {
 
 // TestBackpressureStallsWrites: with the compactor wedged shut (gate
 // always saturated, watermark 1 so runs seal constantly), the run count
-// hits MaxRuns and Apply merges synchronously, counting a write stall.
+// hits the cap (4 × CompactRuns) and Apply merges synchronously, counting a write stall.
 func TestBackpressureStallsWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	objs, sets := ingestSeedData(rng, 150, 80)
 	cfg := Config{PageSize: 1024, WALDir: t.TempDir(),
-		AutoFlushOps: 6, BackgroundCompaction: true, CompactRuns: 1, MaxRuns: 2}
+		AutoFlushOps: 6, BackgroundCompaction: true, CompactRuns: 1}
 	db := buildIngestDB(t, cfg, objs, sets)
 	defer db.CloseWAL()
 	// A permanently-saturated gate parks the compactor at its pacing

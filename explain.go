@@ -12,64 +12,20 @@ import (
 	"strings"
 	"time"
 
-	"stpq/internal/core"
 	"stpq/internal/obs"
 	"stpq/internal/plan"
 	"stpq/internal/shard"
 )
 
-// PlanCandidate is one algorithm the planner considered for a query, with
-// the statistical evidence it had at decision time.
-type PlanCandidate struct {
-	Algorithm string `json:"algorithm"`
-	// Samples is the number of recorded executions of the query's shape
-	// under this algorithm; Known reports it reached MinPredictSamples.
-	Samples int64 `json:"samples"`
-	// Cost is the recorded mean total cost (CPU + modeled I/O), zero when
-	// unobserved.
-	Cost  time.Duration `json:"cost_ns"`
-	Known bool          `json:"known"`
-}
-
 // PlanDecision is the cost-based planner's verdict for a query: the
 // algorithm it chose (or annotated, when forced), why, at what predicted
-// cost, and the alternatives it weighed. Explain embeds it, and
-// Snapshot.PlanQuery returns it standalone.
-type PlanDecision struct {
-	Algorithm string `json:"algorithm"`
-	Reason    string `json:"reason"`
-	// Forced reports the caller fixed the algorithm; Fallback the
-	// deterministic cold-start default (Auto below the sample floor).
-	Forced   bool `json:"forced,omitempty"`
-	Fallback bool `json:"fallback,omitempty"`
-	// Cost is the predicted mean total cost of the chosen plan, unknown
-	// (CostKnown false) below the sample floor.
-	Cost      time.Duration `json:"cost_ns,omitempty"`
-	CostKnown bool          `json:"cost_known"`
-	// Fanout is the planner's scatter wave width for sharded execution;
-	// 0 keeps the engine default.
-	Fanout     int             `json:"fanout,omitempty"`
-	Candidates []PlanCandidate `json:"candidates,omitempty"`
-}
-
-// fromPlanDecision lifts the internal decision into the public type.
-func fromPlanDecision(d plan.Decision) PlanDecision {
-	out := PlanDecision{
-		Algorithm: d.Algorithm,
-		Reason:    d.Reason,
-		Forced:    d.Forced,
-		Fallback:  d.Fallback,
-		Cost:      d.Cost,
-		CostKnown: d.CostKnown,
-		Fanout:    d.Fanout,
-	}
-	for _, c := range d.Candidates {
-		out.Candidates = append(out.Candidates, PlanCandidate{
-			Algorithm: c.Algorithm, Samples: c.Samples, Cost: c.Cost, Known: c.Known,
-		})
-	}
-	return out
-}
+// cost, and the alternatives it weighed (PlanCandidate: the recorded sample
+// count and mean total cost of the query's shape under each algorithm).
+// Explain embeds it.
+type (
+	PlanDecision  = plan.Decision
+	PlanCandidate = plan.Candidate
+)
 
 // ExplainShard is one shard's entry in a sharded query plan, in scatter
 // order: the wave it runs in at the current parallelism and the upper
@@ -136,70 +92,46 @@ func (db *DB) Explain(q Query) (*Explain, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := snap.Explain(q)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshots do not retain the config; name the index here.
-	db.mu.RLock()
-	if db.cfg.IndexKind == IR2 {
-		ex.Index = "ir2"
-	} else {
-		ex.Index = "srt"
-	}
-	db.mu.RUnlock()
-	return ex, nil
+	return snap.Explain(q)
 }
 
-// Explain is DB.Explain against a pinned snapshot.
-func (s *Snapshot) Explain(q Query) (*Explain, error) {
-	cq, err := s.toCoreQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	// The planner decision comes first: with Algorithm: Auto the rest of
-	// the explanation (shape, prediction) describes the resolved plan.
-	d := s.decide(q, &cq)
-	alg := d.Algorithm
-	pd := fromPlanDecision(d)
-	key := core.QueryShapeKey(alg, &cq)
+// Explain describes the prepared plan. The planner decision comes first:
+// with Algorithm: Auto the rest of the explanation (shape, prediction)
+// describes the resolved plan.
+func (p *Prepared) Explain() (*Explain, error) {
+	s, pd := p.snap, p.decision()
 	ex := &Explain{
-		Algorithm:   alg,
-		Variant:     cq.Variant.String(),
-		Similarity:  cq.Similarity.String(),
-		K:           q.K,
-		Radius:      q.Radius,
-		KeywordSets: key.Sets,
+		Algorithm:   p.key.Alg,
+		Variant:     p.key.Variant,
+		Index:       "srt",
+		Similarity:  p.key.Sim,
+		K:           p.q.K,
+		Radius:      p.q.Radius,
+		KeywordSets: p.key.Sets,
 		FeatureSets: len(s.names),
+		Shape:       p.Shape(),
 		Plan:        &pd,
 	}
-	if a := cq.Approx; a != nil {
+	if s.db.cfg.IndexKind == IR2 {
+		ex.Index = "ir2"
+	}
+	if a := p.cq.Approx; a != nil {
 		ex.Mode = ModeApprox
 		ex.Recall = a.Params.Recall
 		ex.ApproxBands = a.Params.Bands
 		ex.ApproxRows = a.Params.Rows
 		ex.ApproxVerify = !a.Params.SkipVerify
 	}
-	if s.tel != nil {
-		ex.Shape = s.tel.Shapes.Name(key)
-		if p := s.tel.Shapes.Predict(key); p != nil {
-			stat := fromObsPrediction(*p)
-			ex.Predicted = &stat
-			ex.Samples = p.Samples
-		} else {
-			// Below the sample floor: still report how many we have.
-			for _, row := range s.tel.Shapes.Rows() {
-				if row.Shape == ex.Shape {
-					ex.Samples = row.Samples
-					break
-				}
-			}
-		}
+	shapes := s.db.tel.Shapes
+	if pred := shapes.Predict(p.key); pred != nil {
+		ex.Predicted = pred
+		ex.Samples = pred.Samples
 	} else {
-		ex.Shape = key.String()
+		// Below the sample floor: still report how many we have.
+		_, ex.Samples = shapes.Cost(p.key)
 	}
 	if eng, ok := s.engine.(*shard.Engine); ok {
-		sp, err := eng.Plan(cq)
+		sp, err := eng.Plan(p.cq)
 		if err != nil {
 			return nil, err
 		}
@@ -208,12 +140,8 @@ func (s *Snapshot) Explain(q Query) (*Explain, error) {
 			ex.Parallelism = pd.Fanout
 		}
 		ex.Shards = make([]ExplainShard, len(sp))
-		for i, p := range sp {
-			wave := p.Wave
-			if ex.Parallelism > 0 {
-				wave = i / ex.Parallelism
-			}
-			ex.Shards[i] = ExplainShard{ID: p.ID, Wave: wave, Bound: p.Bound, Objects: p.Objects}
+		for i, sh := range sp {
+			ex.Shards[i] = ExplainShard{ID: sh.ID, Wave: i / ex.Parallelism, Bound: sh.Bound, Objects: sh.Objects}
 		}
 	}
 	return ex, nil

@@ -116,7 +116,7 @@ func (db *DB) Apply(muts []Mutation) error {
 
 // Flush merges every pending generation — sealed runs and the active
 // delta — into the base indexes, publishing a new generation. Under the
-// default MergeAuto policy the merge is incremental: the net mutations
+// default the merge is incremental: the net mutations
 // are batch-applied into copy-on-write clones of the base trees, so only
 // touched subtrees are rewritten. A no-op when nothing is pending. Flush
 // does not trim the WAL — only Checkpoint moves the durable watermark.
@@ -493,13 +493,9 @@ func (db *DB) compactRunsWatermark() int {
 	return 4
 }
 
-// maxRuns resolves Config.MaxRuns, the write-backpressure cap.
-func (db *DB) maxRuns() int {
-	if db.cfg.MaxRuns > 0 {
-		return db.cfg.MaxRuns
-	}
-	return 4 * db.compactRunsWatermark()
-}
+// maxRuns is the write-backpressure cap: when sealing would exceed this
+// many runs, Apply merges synchronously instead.
+func (db *DB) maxRuns() int { return 4 * db.compactRunsWatermark() }
 
 // sealDeltaLocked converts the active delta into an immutable run and
 // wakes the compactor. Sealing is O(feature sets): the run takes over the
@@ -568,7 +564,6 @@ func (db *DB) ensureDeltaLocked() error {
 		VocabWidth:  db.vocab.Size(),
 		PageSize:    db.cfg.PageSize,
 		BufferPages: db.cfg.BufferPages,
-		PoolStripes: db.cfg.PoolStripes,
 	}, len(db.setNames))
 	if err != nil {
 		return err
@@ -605,7 +600,7 @@ func (db *DB) publishOverlayLocked() error {
 		db.metrics.Gauge("stpq_ingest_delta_objects").Set(0)
 		db.metrics.Gauge("stpq_ingest_delta_ops").Set(0)
 		db.gen++
-		db.inverted = nil
+		db.kwTables = nil
 		return nil
 	}
 	deadObj := ingest.UnionDead(layers)
@@ -630,7 +625,7 @@ func (db *DB) publishOverlayLocked() error {
 		}
 		groups[i] = g
 	}
-	eng, err := core.NewEngineWithGroups(objView, groups, db.cfg.coreOptions(db.metrics, db.tel))
+	eng, err := core.NewEngineWithGroups(objView, groups, db.cfg.coreOptions())
 	if err != nil {
 		return err
 	}
@@ -653,7 +648,7 @@ func (db *DB) publishOverlayLocked() error {
 	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(overlay.DeltaObjects()))
 	db.metrics.Gauge("stpq_ingest_delta_ops").Set(float64(pending))
 	db.gen++
-	db.inverted = nil
+	db.kwTables = nil
 	return nil
 }
 

@@ -148,9 +148,9 @@ func TestClusterMatchesSingle(t *testing.T) {
 					}
 					requireSameResults(t, fmt.Sprintf("kind %v cells %d %v %v", kind, cells, variant, alg),
 						resp.Results, want)
-					if resp.Stats.Fanout+resp.Stats.Pruned != cells {
+					if resp.Stats.ShardFanout+resp.Stats.ShardPruned != cells {
 						t.Fatalf("fanout %d + pruned %d != %d cells",
-							resp.Stats.Fanout, resp.Stats.Pruned, cells)
+							resp.Stats.ShardFanout, resp.Stats.ShardPruned, cells)
 					}
 				}
 			}
@@ -158,7 +158,7 @@ func TestClusterMatchesSingle(t *testing.T) {
 	}
 }
 
-func requireSameResults(t *testing.T, label string, got []WireResult, want []stpq.Result) {
+func requireSameResults(t *testing.T, label string, got []stpq.Result, want []stpq.Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
@@ -299,8 +299,8 @@ func TestClusterPlanAndTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.Fanout+resp.Stats.Pruned != 4 {
-		t.Fatalf("fanout %d + pruned %d != 4", resp.Stats.Fanout, resp.Stats.Pruned)
+	if resp.Stats.ShardFanout+resp.Stats.ShardPruned != 4 {
+		t.Fatalf("fanout %d + pruned %d != 4", resp.Stats.ShardFanout, resp.Stats.ShardPruned)
 	}
 }
 
@@ -323,16 +323,16 @@ func TestClusterTracePropagation(t *testing.T) {
 	if resp.RequestID != "req-cluster-trace-test" {
 		t.Fatalf("request id %q not preserved", resp.RequestID)
 	}
-	if len(resp.NodeTraces) != resp.Stats.Fanout {
-		t.Fatalf("%d node traces for fanout %d", len(resp.NodeTraces), resp.Stats.Fanout)
+	if len(resp.NodeTraces) != resp.Stats.ShardFanout {
+		t.Fatalf("%d node traces for fanout %d", len(resp.NodeTraces), resp.Stats.ShardFanout)
 	}
 	// The request ID must appear in the coordinator's own event log.
 	evs := tc.coord.RecentQueries(1)
 	if len(evs) != 1 || evs[0].RequestID != "req-cluster-trace-test" {
 		t.Fatalf("coordinator event log: %+v", evs)
 	}
-	if evs[0].ShardFanout != resp.Stats.Fanout {
-		t.Fatalf("event fanout %d, want %d", evs[0].ShardFanout, resp.Stats.Fanout)
+	if evs[0].ShardFanout != resp.Stats.ShardFanout {
+		t.Fatalf("event fanout %d, want %d", evs[0].ShardFanout, resp.Stats.ShardFanout)
 	}
 }
 

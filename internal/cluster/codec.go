@@ -18,6 +18,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"time"
+
+	"stpq"
 )
 
 // Message types. Requests have the high bit clear; each reply is its
@@ -256,6 +260,68 @@ const (
 	wireModeApprox uint8 = 1
 )
 
+// toWire lowers a public query into its canonical wire form: keyword sets
+// sorted by name so one query has exactly one encoding.
+func toWire(q stpq.Query) WireQuery {
+	wq := WireQuery{
+		K:          q.K,
+		Radius:     q.Radius,
+		Lambda:     q.Lambda,
+		Variant:    uint8(q.Variant),
+		Algorithm:  uint8(q.Algorithm),
+		Similarity: uint8(q.Similarity),
+		RequestID:  q.RequestID,
+		Trace:      q.Trace == stpq.TraceOn,
+		Recall:     q.Recall,
+	}
+	if q.Mode == stpq.ModeApprox {
+		wq.Mode = wireModeApprox
+	}
+	if len(q.Keywords) > 0 {
+		names := make([]string, 0, len(q.Keywords))
+		for name := range q.Keywords {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		wq.Sets = make([]WireKeywords, len(names))
+		for i, name := range names {
+			wq.Sets[i] = WireKeywords{Name: name, Words: q.Keywords[name]}
+		}
+	}
+	return wq
+}
+
+// toQuery raises a wire query into a public query.
+func toQuery(wq WireQuery) stpq.Query {
+	q := stpq.Query{
+		K:          wq.K,
+		Radius:     wq.Radius,
+		Lambda:     wq.Lambda,
+		Variant:    stpq.Variant(wq.Variant),
+		Algorithm:  stpq.Algorithm(wq.Algorithm),
+		Similarity: stpq.Similarity(wq.Similarity),
+		RequestID:  wq.RequestID,
+		Recall:     wq.Recall,
+	}
+	if wq.Mode == wireModeApprox {
+		q.Mode = stpq.ModeApprox
+	}
+	if wq.Trace {
+		q.Trace = stpq.TraceOn
+	} else {
+		// The coordinator owns the sampling decision; nodes must not add
+		// their own sampled traces to unsampled queries.
+		q.Trace = stpq.TraceOff
+	}
+	if len(wq.Sets) > 0 {
+		q.Keywords = make(map[string][]string, len(wq.Sets))
+		for _, s := range wq.Sets {
+			q.Keywords[s.Name] = s.Words
+		}
+	}
+	return q
+}
+
 func encodeQuery(q WireQuery) []byte {
 	var e enc
 	e.u64(uint64(q.K))
@@ -318,34 +384,13 @@ func decodeQuery(p []byte) (WireQuery, error) {
 	return q, d.done()
 }
 
-// WireResult is one ranked object in a query reply.
-type WireResult struct {
-	ID    int64
-	X, Y  float64
-	Score float64
-}
-
-// WireStats is the per-node cost breakdown in a query reply. Durations are
-// nanoseconds.
-type WireStats struct {
-	CPUNanos       int64
-	IONanos        int64
-	LogicalReads   int64
-	PhysicalReads  int64
-	Combinations   int64
-	FeaturesPulled int64
-	ObjectsScored  int64
-	// Approx* carry the node's fast-tier pruning counters (zero on exact
-	// queries), so the coordinator's merged stats keep the attribution.
-	ApproxCandidates   int64
-	ApproxPruned       int64
-	ApproxSkippedReads int64
-}
-
-// QueryReply answers msgQuery.
+// QueryReply answers msgQuery. Of Stats, the wire carries the engine's cost
+// counters (durations as nanoseconds) including the fast tier's pruning
+// counters, so the coordinator's merged stats keep the attribution; the
+// node's own shard fan-out and its span tree (TraceJSON) do not ride in it.
 type QueryReply struct {
-	Results    []WireResult
-	Stats      WireStats
+	Results    []stpq.Result
+	Stats      stpq.Stats
 	Generation uint64
 	Cached     bool
 	// TraceJSON is the node's span tree (marshaled stpq.Span), present only
@@ -362,13 +407,13 @@ func encodeQueryReply(r QueryReply) []byte {
 		e.f64(res.Y)
 		e.f64(res.Score)
 	}
-	e.i64(r.Stats.CPUNanos)
-	e.i64(r.Stats.IONanos)
+	e.i64(int64(r.Stats.CPUTime))
+	e.i64(int64(r.Stats.IOTime))
 	e.i64(r.Stats.LogicalReads)
 	e.i64(r.Stats.PhysicalReads)
-	e.i64(r.Stats.Combinations)
-	e.i64(r.Stats.FeaturesPulled)
-	e.i64(r.Stats.ObjectsScored)
+	e.i64(int64(r.Stats.Combinations))
+	e.i64(int64(r.Stats.FeaturesPulled))
+	e.i64(int64(r.Stats.ObjectsScored))
 	e.i64(r.Stats.ApproxCandidates)
 	e.i64(r.Stats.ApproxPruned)
 	e.i64(r.Stats.ApproxSkippedReads)
@@ -386,21 +431,21 @@ func decodeQueryReply(p []byte) (QueryReply, error) {
 	}
 	var r QueryReply
 	if d.err == nil && n > 0 {
-		r.Results = make([]WireResult, 0, n)
+		r.Results = make([]stpq.Result, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			r.Results = append(r.Results, WireResult{
+			r.Results = append(r.Results, stpq.Result{
 				ID: d.i64(), X: d.f64(), Y: d.f64(), Score: d.f64(),
 			})
 		}
 	}
-	r.Stats = WireStats{
-		CPUNanos:           d.i64(),
-		IONanos:            d.i64(),
+	r.Stats = stpq.Stats{
+		CPUTime:            time.Duration(d.i64()),
+		IOTime:             time.Duration(d.i64()),
 		LogicalReads:       d.i64(),
 		PhysicalReads:      d.i64(),
-		Combinations:       d.i64(),
-		FeaturesPulled:     d.i64(),
-		ObjectsScored:      d.i64(),
+		Combinations:       int(d.i64()),
+		FeaturesPulled:     int(d.i64()),
+		ObjectsScored:      int(d.i64()),
 		ApproxCandidates:   d.i64(),
 		ApproxPruned:       d.i64(),
 		ApproxSkippedReads: d.i64(),

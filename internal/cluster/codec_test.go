@@ -9,6 +9,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"stpq"
 )
 
 func TestQueryRoundTrip(t *testing.T) {
@@ -47,12 +49,12 @@ func TestQueryRoundTrip(t *testing.T) {
 
 func TestReplyRoundTrips(t *testing.T) {
 	qr := QueryReply{
-		Results: []WireResult{
+		Results: []stpq.Result{
 			{ID: 3, X: 0.1, Y: 0.2, Score: 0.95},
 			{ID: -7, X: -1, Y: 2, Score: 0.95},
 		},
-		Stats: WireStats{
-			CPUNanos: 1200, IONanos: 3400, LogicalReads: 56, PhysicalReads: 7,
+		Stats: stpq.Stats{
+			CPUTime: 1200, IOTime: 3400, LogicalReads: 56, PhysicalReads: 7,
 			Combinations: 8, FeaturesPulled: 9, ObjectsScored: 10,
 		},
 		Generation: 4,
@@ -183,8 +185,8 @@ func FuzzDecodeQuery(f *testing.F) {
 
 func FuzzDecodeQueryReply(f *testing.F) {
 	f.Add(encodeQueryReply(QueryReply{
-		Results: []WireResult{{ID: 1, Score: 0.5}},
-		Stats:   WireStats{CPUNanos: 10},
+		Results: []stpq.Result{{ID: 1, Score: 0.5}},
+		Stats:   stpq.Stats{CPUTime: 10},
 	}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,7 +18,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +26,7 @@ import (
 	"stpq"
 	"stpq/internal/obs"
 	"stpq/internal/plan"
+	"stpq/internal/serve"
 )
 
 // CoordinatorConfig tunes the scatter-gather coordinator.
@@ -304,40 +304,9 @@ func callNode[T any](c *Coordinator, h *nodeHandle, rpc func(*Client) (T, error)
 	}
 }
 
-// toWire lowers a public query into its canonical wire form: keyword sets
-// sorted by name so one query has exactly one encoding.
-func toWire(q stpq.Query) WireQuery {
-	wq := WireQuery{
-		K:          q.K,
-		Radius:     q.Radius,
-		Lambda:     q.Lambda,
-		Variant:    uint8(q.Variant),
-		Algorithm:  uint8(q.Algorithm),
-		Similarity: uint8(q.Similarity),
-		RequestID:  q.RequestID,
-		Trace:      q.Trace == stpq.TraceOn,
-		Recall:     q.Recall,
-	}
-	if q.Mode == stpq.ModeApprox {
-		wq.Mode = wireModeApprox
-	}
-	if len(q.Keywords) > 0 {
-		names := make([]string, 0, len(q.Keywords))
-		for name := range q.Keywords {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		wq.Sets = make([]WireKeywords, len(names))
-		for i, name := range names {
-			wq.Sets[i] = WireKeywords{Name: name, Words: q.Keywords[name]}
-		}
-	}
-	return wq
-}
-
 // resultBefore is the engine-wide result total order (score descending,
-// ties by ascending id) on wire results — mirror of core.ResultBefore.
-func resultBefore(a, b WireResult) bool {
+// ties by ascending id) — mirror of core.ResultBefore.
+func resultBefore(a, b stpq.Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
@@ -345,7 +314,7 @@ func resultBefore(a, b WireResult) bool {
 }
 
 // mergeTopK folds one node's sorted results into the merged top-k.
-func mergeTopK(acc, more []WireResult, k int) []WireResult {
+func mergeTopK(acc, more []stpq.Result, k int) []stpq.Result {
 	acc = append(acc, more...)
 	sort.Slice(acc, func(i, j int) bool { return resultBefore(acc[i], acc[j]) })
 	if len(acc) > k {
@@ -354,23 +323,17 @@ func mergeTopK(acc, more []WireResult, k int) []WireResult {
 	return acc
 }
 
-// ClusterStats is the merged cost report of one scatter-gather query.
-type ClusterStats struct {
-	// Wall is the coordinator-side wall time of the whole scatter-gather.
-	Wall time.Duration
-	// Sum aggregates the per-node engine counters of the queried nodes.
-	Sum WireStats
-	// Fanout and Pruned count nodes queried / skipped by early termination.
-	Fanout int
-	Pruned int
-	// Cached reports that every queried node answered from its result cache.
-	Cached bool
-}
-
 // ClusterResponse is the outcome of one coordinated query.
 type ClusterResponse struct {
-	Results    []WireResult
-	Stats      ClusterStats
+	Results []stpq.Result
+	// Stats sums the engine counters of the queried nodes (CPUTime is their
+	// summed CPU, not the wall clock); ShardFanout and ShardPruned count the
+	// nodes queried / skipped by early termination.
+	Stats stpq.Stats
+	// Wall is the coordinator-side wall time of the whole scatter-gather.
+	Wall time.Duration
+	// Cached reports that every queried node answered from its result cache.
+	Cached     bool
 	Generation uint64
 	RequestID  string
 	// NodeTraces maps node id → that node's span tree JSON, present when
@@ -453,17 +416,16 @@ func (c *Coordinator) Do(q stpq.Query) (*ClusterResponse, error) {
 	start := time.Now()
 	c.queries.Inc()
 	if q.RequestID == "" {
-		q.RequestID = newRequestID()
+		q.RequestID = serve.NewRequestID()
 	}
-	wq := toWire(q)
-	resp, err := c.run(q, wq)
+	resp, err := c.run(q, toWire(q))
 	elapsed := time.Since(start)
 	c.recordEvent(q, resp, start, elapsed, err)
 	if err != nil {
 		c.errors.Inc()
 		return nil, err
 	}
-	resp.Stats.Wall = elapsed
+	resp.Wall = elapsed
 	c.latency.Observe(elapsed.Seconds())
 	return resp, nil
 }
@@ -474,7 +436,7 @@ func (c *Coordinator) run(q stpq.Query, wq WireQuery) (*ClusterResponse, error) 
 	if err != nil {
 		return nil, err
 	}
-	resp := &ClusterResponse{RequestID: q.RequestID, Stats: ClusterStats{Cached: true}}
+	resp := &ClusterResponse{RequestID: q.RequestID, Cached: true}
 	if wq.Trace {
 		resp.NodeTraces = make(map[int][]byte)
 	}
@@ -513,17 +475,8 @@ func (c *Coordinator) run(q stpq.Query, wq WireQuery) (*ClusterResponse, error) 
 			}
 			r := &wave[i].reply
 			resp.Results = mergeTopK(resp.Results, r.Results, q.K)
-			resp.Stats.Sum.CPUNanos += r.Stats.CPUNanos
-			resp.Stats.Sum.IONanos += r.Stats.IONanos
-			resp.Stats.Sum.LogicalReads += r.Stats.LogicalReads
-			resp.Stats.Sum.PhysicalReads += r.Stats.PhysicalReads
-			resp.Stats.Sum.Combinations += r.Stats.Combinations
-			resp.Stats.Sum.FeaturesPulled += r.Stats.FeaturesPulled
-			resp.Stats.Sum.ObjectsScored += r.Stats.ObjectsScored
-			resp.Stats.Sum.ApproxCandidates += r.Stats.ApproxCandidates
-			resp.Stats.Sum.ApproxPruned += r.Stats.ApproxPruned
-			resp.Stats.Sum.ApproxSkippedReads += r.Stats.ApproxSkippedReads
-			resp.Stats.Cached = resp.Stats.Cached && r.Cached
+			resp.Stats.Add(r.Stats)
+			resp.Cached = resp.Cached && r.Cached
 			if r.Generation > resp.Generation {
 				resp.Generation = r.Generation
 			}
@@ -534,74 +487,31 @@ func (c *Coordinator) run(q stpq.Query, wq WireQuery) (*ClusterResponse, error) 
 		queried += len(wave)
 		next = end
 	}
-	resp.Stats.Fanout = queried
-	resp.Stats.Pruned = len(cands) - queried
+	resp.Stats.ShardFanout = queried
+	resp.Stats.ShardPruned = len(cands) - queried
 	c.fanout.Add(int64(queried))
-	c.pruned.Add(int64(resp.Stats.Pruned))
+	c.pruned.Add(int64(resp.Stats.ShardPruned))
 	return resp, nil
 }
 
 // recordEvent files the merged query into the coordinator's event log and
 // shape table, keyed by the same canonical shape as single-node events so
-// /debug/queries on the coordinator attributes the remote work.
+// /debug/queries on the coordinator attributes the remote work. Duration is
+// the coordinator's wall clock, not the nodes' summed CPU. Auto queries key
+// under "auto": the coordinator cannot see which algorithm each node's
+// planner resolved, but the merged cluster-level cost of the auto plan is
+// exactly what waveWidth's fan-out decision needs.
 func (c *Coordinator) recordEvent(q stpq.Query, resp *ClusterResponse, start time.Time, elapsed time.Duration, err error) {
-	key := shapeKeyOf(q)
-	ev := obs.QueryEvent{
-		Start:     start,
-		RequestID: q.RequestID,
-		Algorithm: key.Alg,
-		Variant:   key.Variant,
-		K:         q.K,
-		Radius:    q.Radius,
-		Duration:  elapsed,
-		Outcome:   "ok",
+	st := stpq.Stats{CPUTime: elapsed}
+	cached := false
+	if err == nil {
+		st, cached = resp.Stats, resp.Cached
+		st.CPUTime, st.Trace = elapsed, nil
 	}
-	if q.Mode == stpq.ModeApprox {
-		ev.Mode = "approx"
-	}
-	if err != nil {
-		ev.Outcome = "error"
-		ev.Error = err.Error()
-	} else {
-		if q.Mode == stpq.ModeApprox {
-			ev.ApproxCandidates = resp.Stats.Sum.ApproxCandidates
-			ev.ApproxPruned = resp.Stats.Sum.ApproxPruned
-		}
-		ev.IOTime = time.Duration(resp.Stats.Sum.IONanos)
-		ev.LogicalReads = resp.Stats.Sum.LogicalReads
-		ev.PhysicalReads = resp.Stats.Sum.PhysicalReads
-		ev.Combinations = int(resp.Stats.Sum.Combinations)
-		ev.FeaturesPulled = int(resp.Stats.Sum.FeaturesPulled)
-		ev.ObjectsScored = int(resp.Stats.Sum.ObjectsScored)
-		ev.ShardFanout = resp.Stats.Fanout
-		ev.ShardPruned = resp.Stats.Pruned
-		ev.CacheHit = resp.Stats.Cached
-	}
+	key := stpq.QueryShape(q)
+	ev := stpq.NewQueryEvent(q, key, &st, start, err)
+	ev.CacheHit = cached
 	c.tel.Record(ev, key, err == nil)
-}
-
-// shapeKeyOf is the coordinator-side canonical shape of a query — the same
-// key recordEvent files costs under, so waveWidth's lookups always match.
-// Auto queries key under "auto": the coordinator cannot see which algorithm
-// each node's local planner resolved, but the merged cluster-level cost of
-// the auto plan is exactly what its fan-out decision needs.
-func shapeKeyOf(q stpq.Query) obs.ShapeKey {
-	alg, variant, sim := queryEnumNames(q)
-	sets := 0
-	for _, kws := range q.Keywords {
-		if len(kws) > 0 {
-			sets++
-		}
-	}
-	rb := q.Radius
-	if q.Variant == stpq.NearestNeighbor {
-		rb = 0
-	}
-	key := obs.ShapeKey{Alg: alg, Variant: variant, Sim: sim, K: q.K, RBucket: obs.RadiusBucket(rb), Sets: sets}
-	if q.Mode == stpq.ModeApprox {
-		key.Mode = "approx"
-	}
-	return key
 }
 
 // waveWidth is the scatter wave width for one query: the configured
@@ -610,48 +520,10 @@ func shapeKeyOf(q stpq.Query) obs.ShapeKey {
 // work the pruning rule would have skipped. Results are unaffected — the
 // strict-inequality prune is width-independent.
 func (c *Coordinator) waveWidth(q stpq.Query) int {
-	cost, samples := c.tel.Shapes.Cost(shapeKeyOf(q))
+	cost, samples := c.tel.Shapes.Cost(stpq.QueryShape(q))
 	p := plan.Planner{Shapes: c.tel.Shapes}
 	if w := p.FanoutWidth(cost, samples >= obs.MinPredictSamples, len(c.nodes)); w > 0 && w < c.cfg.Parallelism {
 		return w
 	}
 	return c.cfg.Parallelism
-}
-
-// newRequestID mints a request identity in the same format as the serve
-// layer, so cluster request IDs read uniformly in every event log.
-func newRequestID() string {
-	return fmt.Sprintf("req-%016x", rand.Uint64())
-}
-
-// queryEnumNames renders a query's enums with the spelling the engine's
-// own telemetry uses.
-func queryEnumNames(q stpq.Query) (alg, variant, sim string) {
-	switch q.Algorithm {
-	case stpq.STDS:
-		alg = "stds"
-	case stpq.Auto:
-		alg = "auto"
-	default:
-		alg = "stps"
-	}
-	switch q.Variant {
-	case stpq.Influence:
-		variant = "influence"
-	case stpq.NearestNeighbor:
-		variant = "nn"
-	default:
-		variant = "range"
-	}
-	switch q.Similarity {
-	case stpq.DiceSim:
-		sim = "dice"
-	case stpq.CosineSim:
-		sim = "cosine"
-	case stpq.OverlapSim:
-		sim = "overlap"
-	default:
-		sim = "jaccard"
-	}
-	return alg, variant, sim
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"stpq"
+	"stpq/internal/obs"
 	"stpq/internal/serve"
 )
 
@@ -49,34 +50,17 @@ type clusterQueryResponse struct {
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	req, q, ok := serve.DecodeQuery(w, r)
+	if !ok {
 		return
 	}
-	var req serve.QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	q, err := req.Query()
-	if err != nil {
-		httpError(w, statusOf(err), err.Error())
-		return
-	}
-	q.RequestID = r.Header.Get("X-Request-Id")
-	if q.RequestID == "" {
-		q.RequestID = newRequestID()
-	}
-	w.Header().Set("X-Request-Id", q.RequestID)
 	if req.Explain {
 		plan, err := c.Plan(q)
 		if err != nil {
-			httpError(w, statusOf(err), err.Error())
+			serve.HTTPError(w, statusOf(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		serve.WriteJSON(w, http.StatusOK, struct {
 			RequestID   string     `json:"request_id"`
 			Parallelism int        `json:"parallelism"`
 			Plan        []PlanNode `json:"plan"`
@@ -86,40 +70,21 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := c.Do(q)
 	if err != nil {
-		httpError(w, statusOf(err), err.Error())
+		serve.HTTPError(w, statusOf(err), err.Error())
 		return
 	}
-	out := clusterQueryResponse{
-		QueryResponse: serve.QueryResponse{
-			RequestID:  resp.RequestID,
-			Results:    make([]serve.ResultJSON, len(resp.Results)),
-			Cached:     resp.Stats.Cached,
-			Generation: resp.Generation,
-			ElapsedUS:  time.Since(start).Microseconds(),
-			Stats: serve.StatsJSON{
-				CPUMicros:      resp.Stats.Sum.CPUNanos / 1e3,
-				IOMicros:       resp.Stats.Sum.IONanos / 1e3,
-				TotalMicros:    (resp.Stats.Sum.CPUNanos + resp.Stats.Sum.IONanos) / 1e3,
-				LogicalReads:   resp.Stats.Sum.LogicalReads,
-				PhysicalReads:  resp.Stats.Sum.PhysicalReads,
-				Combinations:   int(resp.Stats.Sum.Combinations),
-				FeaturesPulled: int(resp.Stats.Sum.FeaturesPulled),
-				ObjectsScored:  int(resp.Stats.Sum.ObjectsScored),
-				ShardFanout:    resp.Stats.Fanout,
-				ShardPruned:    resp.Stats.Pruned,
-			},
-		},
-	}
-	for i, res := range resp.Results {
-		out.Results[i] = serve.ResultJSON{ID: res.ID, X: res.X, Y: res.Y, Score: res.Score}
-	}
+	out := clusterQueryResponse{QueryResponse: serve.NewQueryResponse(resp.Results, resp.Stats)}
+	out.RequestID = resp.RequestID
+	out.Cached = resp.Cached
+	out.Generation = resp.Generation
+	out.ElapsedUS = time.Since(start).Microseconds()
 	if len(resp.NodeTraces) > 0 {
 		out.NodeTraces = make(map[int]json.RawMessage, len(resp.NodeTraces))
 		for id, data := range resp.NodeTraces {
 			out.NodeTraces[id] = json.RawMessage(data)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // statusOf maps coordinator errors onto HTTP status codes: validation →
@@ -159,7 +124,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if !ok {
-			httpError(w, http.StatusServiceUnavailable,
+			serve.HTTPError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("node %d has no healthy replica", h.id))
 			return
 		}
@@ -183,7 +148,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 			return cl.Info()
 		})
 		if err != nil {
-			httpError(w, statusOf(err), fmt.Sprintf("info from node %d: %v", h.id, err))
+			serve.HTTPError(w, statusOf(err), fmt.Sprintf("info from node %d: %v", h.id, err))
 			return
 		}
 		agg.Objects += info.Objects
@@ -198,78 +163,17 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	agg.UptimeSeconds = c.Uptime().Seconds()
-	writeJSON(w, http.StatusOK, agg)
+	serve.WriteJSON(w, http.StatusOK, agg)
 }
 
-// eventJSON is the coordinator's query event in the same JSON shape as a
-// node's /debug/queries entries.
-type eventJSON struct {
-	Seq            uint64        `json:"seq"`
-	Start          time.Time     `json:"start"`
-	RequestID      string        `json:"request_id,omitempty"`
-	Shape          string        `json:"shape"`
-	Algorithm      string        `json:"algorithm"`
-	Variant        string        `json:"variant"`
-	K              int           `json:"k"`
-	Radius         float64       `json:"radius,omitempty"`
-	Duration       time.Duration `json:"duration_ns"`
-	IOTime         time.Duration `json:"io_ns"`
-	LogicalReads   int64         `json:"logical_reads"`
-	PhysicalReads  int64         `json:"physical_reads"`
-	Combinations   int           `json:"combinations"`
-	FeaturesPulled int           `json:"features_pulled"`
-	ObjectsScored  int           `json:"objects_scored"`
-	ShardFanout    int           `json:"shard_fanout,omitempty"`
-	ShardPruned    int           `json:"shard_pruned,omitempty"`
-	CacheHit       bool          `json:"cache_hit,omitempty"`
-	Outcome        string        `json:"outcome"`
-	Error          string        `json:"error,omitempty"`
-}
-
+// handleDebugQueries serves the coordinator's event log in the JSON shape
+// of a node's /debug/queries.
 func (c *Coordinator) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.URL.Query().Get("n"))
 	if err != nil || n < 0 {
 		n = 0
 	}
-	evs := c.RecentQueries(n)
-	out := make([]eventJSON, len(evs))
-	for i, ev := range evs {
-		out[i] = eventJSON{
-			Seq:            ev.Seq,
-			Start:          ev.Start,
-			RequestID:      ev.RequestID,
-			Shape:          ev.Shape,
-			Algorithm:      ev.Algorithm,
-			Variant:        ev.Variant,
-			K:              ev.K,
-			Radius:         ev.Radius,
-			Duration:       ev.Duration,
-			IOTime:         ev.IOTime,
-			LogicalReads:   ev.LogicalReads,
-			PhysicalReads:  ev.PhysicalReads,
-			Combinations:   ev.Combinations,
-			FeaturesPulled: ev.FeaturesPulled,
-			ObjectsScored:  ev.ObjectsScored,
-			ShardFanout:    ev.ShardFanout,
-			ShardPruned:    ev.ShardPruned,
-			CacheHit:       ev.CacheHit,
-			Outcome:        ev.Outcome,
-			Error:          ev.Error,
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Queries []eventJSON `json:"queries"`
-	}{out})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{msg})
+	serve.WriteJSON(w, http.StatusOK, struct {
+		Queries []obs.QueryEvent `json:"queries"`
+	}{c.RecentQueries(n)})
 }

@@ -28,7 +28,8 @@ type NodeConfig struct {
 	// Service executes queries (its worker pool is the node's concurrency
 	// limit; its cache and request-ID handling apply unchanged).
 	Service *serve.Service
-	// DB answers bound probes, WAL segment fetches and health.
+	// DB answers bound probes (through the same Prepare the Service runs
+	// queries through), WAL segment fetches and health.
 	DB *stpq.DB
 	// QueryDelay, when positive, sleeps before executing every query — the
 	// fault-injection hook the hedging tests use.
@@ -174,37 +175,6 @@ func (n *Node) handle(typ byte, payload []byte) (byte, []byte) {
 	}
 }
 
-// toQuery raises a wire query into a public query.
-func toQuery(wq WireQuery) stpq.Query {
-	q := stpq.Query{
-		K:          wq.K,
-		Radius:     wq.Radius,
-		Lambda:     wq.Lambda,
-		Variant:    stpq.Variant(wq.Variant),
-		Algorithm:  stpq.Algorithm(wq.Algorithm),
-		Similarity: stpq.Similarity(wq.Similarity),
-		RequestID:  wq.RequestID,
-		Recall:     wq.Recall,
-	}
-	if wq.Mode == wireModeApprox {
-		q.Mode = stpq.ModeApprox
-	}
-	if wq.Trace {
-		q.Trace = stpq.TraceOn
-	} else {
-		// The coordinator owns the sampling decision; nodes must not add
-		// their own sampled traces to unsampled queries.
-		q.Trace = stpq.TraceOff
-	}
-	if len(wq.Sets) > 0 {
-		q.Keywords = make(map[string][]string, len(wq.Sets))
-		for _, s := range wq.Sets {
-			q.Keywords[s.Name] = s.Words
-		}
-	}
-	return q
-}
-
 // errReply maps execution errors onto protocol error codes.
 func errReply(err error) (byte, []byte) {
 	code := errInternal
@@ -233,24 +203,10 @@ func (n *Node) handleQuery(payload []byte) (byte, []byte) {
 		return errReply(err)
 	}
 	reply := QueryReply{
-		Results:    make([]WireResult, len(resp.Results)),
+		Results:    resp.Results,
+		Stats:      resp.Stats,
 		Generation: resp.Generation,
 		Cached:     resp.Cached,
-		Stats: WireStats{
-			CPUNanos:           int64(resp.Stats.CPUTime),
-			IONanos:            int64(resp.Stats.IOTime),
-			LogicalReads:       resp.Stats.LogicalReads,
-			PhysicalReads:      resp.Stats.PhysicalReads,
-			Combinations:       int64(resp.Stats.Combinations),
-			FeaturesPulled:     int64(resp.Stats.FeaturesPulled),
-			ObjectsScored:      int64(resp.Stats.ObjectsScored),
-			ApproxCandidates:   resp.Stats.ApproxCandidates,
-			ApproxPruned:       resp.Stats.ApproxPruned,
-			ApproxSkippedReads: resp.Stats.ApproxSkippedReads,
-		},
-	}
-	for i, r := range resp.Results {
-		reply.Results[i] = WireResult{ID: r.ID, X: r.X, Y: r.Y, Score: r.Score}
 	}
 	if wq.Trace && resp.Stats.Trace != nil {
 		if data, err := json.Marshal(resp.Stats.Trace); err == nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stpq/internal/approx"
@@ -50,20 +49,6 @@ func (v Variant) String() string {
 	}
 }
 
-// TraceMode is a query's explicit tracing decision, overriding the engine
-// toggle and the telemetry sampler.
-type TraceMode int
-
-const (
-	// TraceDefault defers to the engine toggle (Options.Trace / SetTrace)
-	// and, failing that, the telemetry sampling policy.
-	TraceDefault TraceMode = iota
-	// TraceOn forces span collection for this query.
-	TraceOn
-	// TraceOff suppresses span collection for this query.
-	TraceOff
-)
-
 // Query is a top-k spatio-textual preference query Q = (k, r, λ, W_1..W_c)
 // (paper Problem 1).
 type Query struct {
@@ -85,8 +70,11 @@ type Query struct {
 	// RequestID is the request-scoped identity the query runs under; it is
 	// stamped onto the span tree and the event record, never onto results.
 	RequestID string
-	// Trace is the query's explicit tracing decision.
-	Trace TraceMode
+	// Trace collects a phase-level span tree into Stats.Trace. The caller
+	// has already taken the tracing decision (explicit mode, engine toggle,
+	// sampler, slow-query threshold); the disabled path costs one nil check
+	// per instrumentation point.
+	Trace bool
 	// Fanout, when positive, caps the sharded engine's scatter wave width
 	// for this query — the planner's cost-based fan-out decision. 0 keeps
 	// the engine default. Results are unaffected at any width: the
@@ -175,14 +163,14 @@ type Stats struct {
 	// approximate tier's work: leaf features checked against the MinHash
 	// sketch, those the LSH band filter rejected, and verification page
 	// reads the skip-verify path avoided. Zero in exact mode. They are
-	// loaded once per logical query from the shared approx request (the
-	// snapshot layer fills them), so per-shard sub-stats leave them zero.
+	// loaded once per logical query from the shared approx request (by the
+	// caller that prepared the query), so per-shard sub-stats leave them zero.
 	ApproxCandidates   int64
 	ApproxPruned       int64
 	ApproxSkippedReads int64
-	// Trace is the query's span tree when tracing is enabled
-	// (Options.Trace), nil otherwise. The root span covers the whole
-	// query; its page-read deltas equal LogicalReads/PhysicalReads.
+	// Trace is the query's span tree when the query asked for one
+	// (Query.Trace), nil otherwise. The root span covers the whole query;
+	// its page-read deltas equal LogicalReads/PhysicalReads.
 	Trace *obs.Span
 }
 
@@ -305,18 +293,6 @@ type Options struct {
 	CacheVoronoiCells bool
 	// CostModel converts physical reads to modeled I/O time.
 	CostModel storage.CostModel
-	// Trace collects a phase-level span tree into Stats.Trace for every
-	// query. The disabled path costs one nil check per instrumentation
-	// point.
-	Trace bool
-	// Metrics, when non-nil, receives aggregate query metrics (latency
-	// and page-read histograms, per-algorithm counters) suitable for
-	// scraping.
-	Metrics *obs.Registry
-	// Telemetry, when non-nil, receives one structured event record per
-	// finished query (the event log, slow-query log and per-shape
-	// statistics) and supplies the trace sampling policy.
-	Telemetry *obs.Telemetry
 }
 
 // withDefaults fills unset options.
@@ -328,7 +304,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine binds the object index and the feature indexes and executes
-// queries with either algorithm. Once built, an Engine is safe for
+// prepared queries with either algorithm, returning their Stats; metrics
+// and event records are the caller's business. Once built, an Engine is safe for
 // concurrent queries: each STDS/STPS call runs in a private session whose
 // page reads are charged to a per-query accumulator, while the underlying
 // buffer pools (shared page caches) are internally synchronized.
@@ -336,9 +313,6 @@ type Engine struct {
 	objects  *index.ObjectIndex
 	features []*index.FeatureGroup
 	opts     Options
-	// trace is the tracing toggle, shared by all sessions so SetTrace
-	// takes effect for queries already in flight elsewhere.
-	trace *atomic.Bool
 	// cells is the cross-query Voronoi cell cache (Options.
 	// CacheVoronoiCells); nil when caching is off.
 	cells *cellCache
@@ -434,8 +408,7 @@ func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGr
 			return nil, fmt.Errorf("core: feature group %d is nil", i)
 		}
 	}
-	e := &Engine{objects: objects, features: features, opts: opts.withDefaults(), trace: &atomic.Bool{}}
-	e.trace.Store(e.opts.Trace)
+	e := &Engine{objects: objects, features: features, opts: opts.withDefaults()}
 	if e.opts.CacheVoronoiCells {
 		e.cells = &cellCache{m: make(map[cellKey]geo.Polygon)}
 	}
@@ -482,9 +455,6 @@ func (e *Engine) NumObjects() int { return e.objects.Len() }
 // (single-part groups on an unsharded engine).
 func (e *Engine) FeatureGroups() []*index.FeatureGroup { return e.features }
 
-// Options returns the engine options.
-func (e *Engine) Options() Options { return e.opts }
-
 // snapshotReads returns the cumulative I/O counters visible to this
 // engine: the private per-query accumulator in a session, or the summed
 // lifetime pool counters on the root engine. Within a session, snapshots
@@ -511,44 +481,12 @@ func (e *Engine) finishStats(st *Stats, before storage.Stats, start time.Time) {
 	st.CPUTime = time.Since(start)
 }
 
-// SetTrace toggles per-query tracing after construction (used by CLIs on
-// opened databases). Safe to call while queries are in flight; queries
-// that already started keep their tracing decision.
-func (e *Engine) SetTrace(on bool) { e.trace.Store(on) }
-
-// TraceDecision resolves whether a query collects a span tree and whether
-// that tree is kept (returned in Stats and stored on the event record) or
-// collected only provisionally for slow-query capture. Precedence: the
-// query's explicit mode, then the engine toggle, then the telemetry
-// sampler; a configured slow-query threshold forces collection of every
-// remaining query so slow ones have complete traces (keep stays false —
-// the trace survives only if the query actually turns out slow).
-func TraceDecision(mode TraceMode, engineOn bool, tel *obs.Telemetry) (collect, keep bool) {
-	switch mode {
-	case TraceOn:
-		return true, true
-	case TraceOff:
-		return false, false
-	}
-	if engineOn {
-		return true, true
-	}
-	if tel.Sample() {
-		return true, true
-	}
-	if tel != nil && tel.SlowThreshold > 0 {
-		return true, false
-	}
-	return false, false
-}
-
 // newTrace opens a span trace for one query, or returns the nil (no-op)
 // tracer when tracing is off. The read source diffs the session's private
 // read accumulator, so span deltas line up exactly with Stats even under
 // concurrent queries.
 func (e *Engine) newTrace(name string, q *Query) *obs.Trace {
-	collect, keep := TraceDecision(q.Trace, e.trace.Load(), e.opts.Telemetry)
-	if !collect {
+	if !q.Trace {
 		return nil
 	}
 	tr := obs.NewTrace(name, func() (int64, int64) {
@@ -556,9 +494,6 @@ func (e *Engine) newTrace(name string, q *Query) *obs.Trace {
 		return s.LogicalReads, s.PhysicalReads
 	})
 	tr.SetRequestID(q.RequestID)
-	if keep {
-		tr.MarkKeep()
-	}
 	return tr
 }
 
@@ -575,131 +510,6 @@ func finishTrace(tr *obs.Trace, stats *Stats) {
 	root.Add("features_pulled", int64(stats.FeaturesPulled))
 	root.Add("objects_scored", int64(stats.ObjectsScored))
 	stats.Trace = root
-}
-
-// observeQuery feeds one finished query into the metrics registry (success
-// only — a failed query must not skew latency histograms) and the event
-// log (always — failures are exactly what the log must surface).
-func (e *Engine) observeQuery(alg string, q *Query, st *Stats, start time.Time, err error) {
-	if err == nil {
-		ObserveQuery(e.opts.Metrics, alg, q, st)
-	}
-	RecordQueryEvent(e.opts.Telemetry, alg, q, st, start, err)
-}
-
-// ObserveQuery feeds one finished query into a metrics registry. It is
-// exported for engine wrappers (the sharded engine) that must observe the
-// merged query exactly once instead of once per sub-engine.
-func ObserveQuery(r *obs.Registry, alg string, q *Query, st *Stats) {
-	if r == nil {
-		return
-	}
-	label := `{alg="` + alg + `",variant="` + q.Variant.String() + `"}`
-	r.Counter("stpq_queries_total" + label).Inc()
-	r.Histogram("stpq_query_seconds"+label, obs.LatencyBuckets).Observe(st.Total().Seconds())
-	r.Histogram("stpq_query_cpu_seconds"+label, obs.LatencyBuckets).Observe(st.CPUTime.Seconds())
-	r.Histogram("stpq_query_physical_reads"+label, obs.ReadBuckets).Observe(float64(st.PhysicalReads))
-	r.Counter("stpq_combinations_total" + label).Add(int64(st.Combinations))
-	r.Counter("stpq_features_pulled_total" + label).Add(int64(st.FeaturesPulled))
-	r.Counter("stpq_objects_scored_total" + label).Add(int64(st.ObjectsScored))
-	if a := q.Approx; a != nil {
-		// Read from the shared request, not st: the unsharded engine
-		// observes before the snapshot layer copies the counters into
-		// Stats, and the shard engine observes the merged query once after
-		// all waves — in both cases the request already holds the full
-		// totals for this logical query.
-		r.Counter("stpq_approx_queries_total" + label).Inc()
-		r.Histogram("stpq_approx_query_seconds"+label, obs.LatencyBuckets).Observe(st.Total().Seconds())
-		r.Counter("stpq_approx_candidates_total" + label).Add(a.Candidates.Load())
-		r.Counter("stpq_approx_pruned_total" + label).Add(a.Pruned.Load())
-		r.Counter("stpq_approx_skipped_reads_total" + label).Add(a.SkippedReads.Load())
-	}
-}
-
-// QueryShapeKey builds the canonical shape key of a query — the join key
-// into the per-shape statistics table (obs.ShapeStats).
-func QueryShapeKey(alg string, q *Query) obs.ShapeKey {
-	sets := 0
-	for _, s := range q.Keywords {
-		if !s.IsEmpty() {
-			sets++
-		}
-	}
-	key := obs.ShapeKey{
-		Alg:     alg,
-		Variant: q.Variant.String(),
-		Sim:     q.Similarity.String(),
-		K:       q.K,
-		RBucket: obs.RadiusBucket(q.Radius),
-		Sets:    sets,
-	}
-	// Approximate executions get their own shape dimension so the planner
-	// never mixes exact and approx cost statistics ("" = exact keeps old
-	// persisted shapes.json records merging onto the exact shapes).
-	if q.Approx != nil {
-		key.Mode = "approx"
-	}
-	return key
-}
-
-// RecordQueryEvent files one finished query into the telemetry bundle. It
-// is exported for engine wrappers (the sharded engine) that must record
-// the merged query exactly once instead of once per sub-engine. The
-// success path is allocation-free once the query's shape has been seen.
-func RecordQueryEvent(tel *obs.Telemetry, alg string, q *Query, st *Stats, start time.Time, err error) {
-	if tel == nil {
-		return
-	}
-	ev := obs.QueryEvent{
-		Start:          start,
-		RequestID:      q.RequestID,
-		Algorithm:      alg,
-		Variant:        q.Variant.String(),
-		K:              q.K,
-		Radius:         q.Radius,
-		Duration:       st.CPUTime,
-		IOTime:         st.IOTime,
-		LogicalReads:   st.LogicalReads,
-		PhysicalReads:  st.PhysicalReads,
-		Combinations:   st.Combinations,
-		FeaturesPulled: st.FeaturesPulled,
-		ObjectsScored:  st.ObjectsScored,
-		ShardFanout:    st.ShardFanout,
-		ShardPruned:    st.ShardPruned,
-		Outcome:        "ok",
-		Trace:          st.Trace,
-	}
-	if a := q.Approx; a != nil {
-		ev.Mode = "approx"
-		ev.ApproxCandidates = a.Candidates.Load()
-		ev.ApproxPruned = a.Pruned.Load()
-	}
-	if err != nil {
-		ev.Outcome = "error"
-		ev.Error = err.Error()
-	}
-	tel.Record(ev, QueryShapeKey(alg, q), err == nil)
-}
-
-// RecordCacheHit files an event for a query answered from a serving-layer
-// result cache: attributable like any other query, but not counted into
-// the shape statistics (no engine execution happened).
-func RecordCacheHit(tel *obs.Telemetry, alg string, q *Query, start time.Time, elapsed time.Duration) {
-	if tel == nil {
-		return
-	}
-	ev := obs.QueryEvent{
-		Start:     start,
-		RequestID: q.RequestID,
-		Algorithm: alg,
-		Variant:   q.Variant.String(),
-		K:         q.K,
-		Radius:    q.Radius,
-		Duration:  elapsed,
-		CacheHit:  true,
-		Outcome:   "ok",
-	}
-	tel.Record(ev, QueryShapeKey(alg, q), false)
 }
 
 // UpperBound returns a sound upper bound on τ(p) for every location p

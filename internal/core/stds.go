@@ -40,7 +40,6 @@ func (e *Engine) STDS(q Query) ([]Result, Stats, error) {
 	}
 	finishTrace(tr, &stats)
 	e.finishStats(&stats, before, start)
-	e.observeQuery("stds", &q, &stats, start, err)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -40,7 +40,6 @@ func (e *Engine) STPS(q Query) ([]Result, Stats, error) {
 	}
 	finishTrace(tr, &stats)
 	e.finishStats(&stats, before, start)
-	e.observeQuery("stps", &q, &stats, start, err)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -79,9 +79,6 @@ type Options struct {
 	PageSize int
 	// BufferPages is the LRU buffer-pool capacity in pages.
 	BufferPages int
-	// PoolStripes is the number of independent LRU shards in each buffer
-	// pool (0 or 1 = classic single-lock pool; see rtree.Config).
-	PoolStripes int
 	// CurveBits is the per-dimension resolution of the bulk-load Hilbert
 	// sort (default 16).
 	CurveBits uint
@@ -139,7 +136,6 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 		KeywordWidth: treeWidth,
 		WithScore:    true,
 		BufferPages:  opts.BufferPages,
-		PoolStripes:  opts.PoolStripes,
 		Disk:         opts.Disk,
 	})
 	if err != nil {
@@ -147,7 +143,7 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	}
 	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts, sigBits: opts.SignatureBits, sketch: approx.NewHolder()}
 	if idx.sigBits > 0 {
-		idx.records = newRecordFile(opts.VocabWidth, opts.PageSize, opts.BufferPages, opts.PoolStripes)
+		idx.records = newRecordFile(opts.VocabWidth, opts.PageSize, opts.BufferPages)
 		for _, f := range features {
 			if err := idx.records.put(f.ID, f.Keywords); err != nil {
 				return nil, err
@@ -388,7 +384,6 @@ func BuildObjectIndex(objects []Object, opts Options) (*ObjectIndex, error) {
 	tree, err := rtree.New(rtree.Config{
 		PageSize:    opts.PageSize,
 		BufferPages: opts.BufferPages,
-		PoolStripes: opts.PoolStripes,
 		Disk:        opts.Disk,
 	})
 	if err != nil {

@@ -257,7 +257,7 @@ type recordFile struct {
 }
 
 // newRecordFile creates an empty record file on a fresh in-memory disk.
-func newRecordFile(width, pageSize, bufferPages, poolStripes int) *recordFile {
+func newRecordFile(width, pageSize, bufferPages int) *recordFile {
 	if pageSize <= 0 {
 		pageSize = storage.DefaultPageSize
 	}
@@ -270,7 +270,7 @@ func newRecordFile(width, pageSize, bufferPages, poolStripes int) *recordFile {
 		perPage = 1
 	}
 	return &recordFile{
-		pool:     storage.NewStripedBufferPool(storage.NewMemDisk(pageSize), bufferPages, poolStripes),
+		pool:     storage.NewBufferPool(storage.NewMemDisk(pageSize), bufferPages),
 		width:    width,
 		recSize:  recSize,
 		perPage:  perPage,

@@ -11,18 +11,19 @@ import (
 	"time"
 )
 
+// Pacing points fall every pacerChunkOps index operations; while the gate
+// is saturated the pacer backs off pacerPause at a time.
+const (
+	pacerChunkOps = 512
+	pacerPause    = 2 * time.Millisecond
+)
+
 // Pacer rate-limits background index work. Apply loops call Tick after
-// every operation; at each ChunkOps boundary the pacer yields the
-// processor and — when the Gate reports foreground saturation — sleeps
-// Pause before continuing, bounding the compactor's page throughput while
-// queries are queueing.
+// every operation; at each pacing point the pacer yields the processor and
+// — when the Gate reports foreground saturation — sleeps before
+// continuing, bounding the compactor's page throughput while queries are
+// queueing.
 type Pacer struct {
-	// ChunkOps is the number of operations between pacing points
-	// (default 512).
-	ChunkOps int
-	// Pause is how long to back off at a pacing point while the gate is
-	// saturated (default 2ms).
-	Pause time.Duration
 	// Gate reports whether the foreground is saturated (e.g. the serve
 	// admission queue is non-empty). Nil means never saturated.
 	Gate func() bool
@@ -37,23 +38,15 @@ func (p *Pacer) Tick() {
 		return
 	}
 	p.ops++
-	chunk := p.ChunkOps
-	if chunk <= 0 {
-		chunk = 512
-	}
-	if p.ops%chunk != 0 {
+	if p.ops%pacerChunkOps != 0 {
 		return
-	}
-	pause := p.Pause
-	if pause <= 0 {
-		pause = 2 * time.Millisecond
 	}
 	// Back off while the foreground is saturated, but never indefinitely:
 	// the compactor must still finish under sustained load, or runs pile
 	// up and write backpressure kicks in.
 	for i := 0; i < 8 && p.Gate != nil && p.Gate(); i++ {
-		time.Sleep(pause)
-		p.stalled += pause
+		time.Sleep(pacerPause)
+		p.stalled += pacerPause
 	}
 	runtime.Gosched()
 }

@@ -133,8 +133,5 @@ func (o *Overlay) NumObjects() int { return o.n }
 // pipeline.
 func (o *Overlay) DeltaObjects() int { return len(o.delta) }
 
-// SetTrace toggles query tracing on the wrapped engine.
-func (o *Overlay) SetTrace(on bool) { o.eng.SetTrace(on) }
-
 // PrecomputeVoronoiCells warms the wrapped engine's Voronoi cache.
 func (o *Overlay) PrecomputeVoronoiCells() error { return o.eng.PrecomputeVoronoiCells() }

@@ -23,55 +23,57 @@ import (
 	"time"
 )
 
-// QueryEvent is one query's structured record in the event log.
+// QueryEvent is one query's structured record in the event log. It
+// marshals to the JSON the /debug/queries endpoints serve.
 type QueryEvent struct {
-	// Seq is the event's position in the log's append order (1-based).
-	Seq uint64
+	// Seq is the event's position in the log's append order (1-based,
+	// monotonically increasing across ring wrap-arounds).
+	Seq uint64 `json:"seq"`
 	// Start is when query execution began.
-	Start time.Time
+	Start time.Time `json:"start"`
 	// RequestID attributes the event to one request (empty for library
 	// callers that did not set one).
-	RequestID string
+	RequestID string `json:"request_id,omitempty"`
 	// Shape is the canonical query shape (ShapeKey.String interned by
 	// ShapeStats), the join key into the per-shape statistics.
-	Shape string
+	Shape string `json:"shape"`
 	// Algorithm is "stds" or "stps"; Variant the score variant name.
-	Algorithm string
-	Variant   string
-	K         int
-	Radius    float64
+	Algorithm string  `json:"algorithm"`
+	Variant   string  `json:"variant"`
+	K         int     `json:"k"`
+	Radius    float64 `json:"radius,omitempty"`
 	// Duration is the measured wall time of query processing; IOTime the
 	// modeled disk time.
-	Duration time.Duration
-	IOTime   time.Duration
-	LogicalReads,
-	PhysicalReads int64
-	Combinations,
-	FeaturesPulled,
-	ObjectsScored int
-	// ShardFanout and ShardPruned count shards queried / skipped by the
-	// scatter-gather (zero on unsharded engines).
-	ShardFanout,
-	ShardPruned int
+	Duration       time.Duration `json:"duration_ns"`
+	IOTime         time.Duration `json:"io_ns"`
+	LogicalReads   int64         `json:"logical_reads"`
+	PhysicalReads  int64         `json:"physical_reads"`
+	Combinations   int           `json:"combinations"`
+	FeaturesPulled int           `json:"features_pulled"`
+	ObjectsScored  int           `json:"objects_scored"`
+	// ShardFanout and ShardPruned count shards (or cluster nodes) queried /
+	// skipped by the scatter-gather (zero on unsharded engines).
+	ShardFanout int `json:"shard_fanout,omitempty"`
+	ShardPruned int `json:"shard_pruned,omitempty"`
 	// Mode is "approx" for fast-tier executions, "" for exact.
 	// ApproxCandidates/ApproxPruned are the tier's sketch checks and LSH
 	// rejections (zero in exact mode).
-	Mode             string
-	ApproxCandidates int64
-	ApproxPruned     int64
+	Mode             string `json:"mode,omitempty"`
+	ApproxCandidates int64  `json:"approx_candidates,omitempty"`
+	ApproxPruned     int64  `json:"approx_pruned,omitempty"`
 	// CacheHit marks events recorded for serve-layer result-cache hits,
 	// which never touch the engine.
-	CacheHit bool
+	CacheHit bool `json:"cache_hit,omitempty"`
 	// Sampled reports that the span tree was kept by the probabilistic
 	// sampler (or explicit request); Slow that the query crossed the
 	// slow-query threshold.
-	Sampled bool
-	Slow    bool
+	Sampled bool `json:"sampled,omitempty"`
+	Slow    bool `json:"slow,omitempty"`
 	// Outcome is "ok" or "error"; Error carries the error text.
-	Outcome string
-	Error   string
+	Outcome string `json:"outcome"`
+	Error   string `json:"error,omitempty"`
 	// Trace is the full span tree, present only when Sampled or Slow.
-	Trace *Span
+	Trace *Span `json:"trace,omitempty"`
 }
 
 // EventLog is a fixed-capacity ring buffer of query events. Record copies

@@ -158,8 +158,7 @@ func TestTelemetryRecordPolicy(t *testing.T) {
 
 	// An explicitly kept trace survives regardless of duration.
 	kept := NewTrace("stps.range", nil)
-	kept.MarkKeep()
-	kept.Finish()
+	kept.Finish().MarkKeep()
 	tel.Record(QueryEvent{Duration: time.Millisecond, Trace: kept.Root(), Outcome: "ok"}, key, true)
 	ev = tel.Events.Recent(1)[0]
 	if !ev.Sampled || ev.Trace == nil {

@@ -64,16 +64,6 @@ func (t *Trace) SetRequestID(id string) {
 	t.root.RequestID = id
 }
 
-// MarkKeep flags the root span as explicitly requested (engine toggle,
-// per-query TraceOn, or a sampling hit) rather than merely collected in
-// case the query turns out slow. Nil-safe.
-func (t *Trace) MarkKeep() {
-	if t == nil {
-		return
-	}
-	t.root.keep = true
-}
-
 // StartPhase opens (or re-enters) the child span with the given name under
 // the currently open span, accumulating duration, entry count and read
 // deltas across re-entries. This keeps the span tree bounded even when
@@ -150,8 +140,9 @@ type Span struct {
 // event records unless the query actually crossed the slow threshold.
 func (s *Span) Kept() bool { return s != nil && s.keep }
 
-// MarkKeep flags the span as explicitly requested. Engine wrappers that
-// assemble root spans by hand (the sharded engine) use it directly.
+// MarkKeep flags a root span as explicitly requested (engine toggle,
+// per-query TraceOn, or a sampling hit) rather than merely collected in
+// case the query turns out slow. Nil-safe.
 func (s *Span) MarkKeep() {
 	if s != nil {
 		s.keep = true

@@ -1,7 +1,7 @@
-// Package plan is the cost-based query planner: it sits between query
-// validation and execution for every entry point (library TopK, the serve
-// worker pool, the sharded scatter-gather and the cluster coordinator) and
-// turns the per-shape statistics of internal/obs into three decisions:
+// Package plan is the cost-based query planner: stpq's Prepare consults it
+// once per query, between validation and execution (the cluster coordinator
+// applies its fan-out rule to coordinator-side statistics), and it turns
+// the per-shape statistics of internal/obs into three decisions:
 //
 //  1. Which algorithm runs a query whose caller did not force one
 //     (Algorithm: Auto): the paper shows neither STDS nor STPS dominates —

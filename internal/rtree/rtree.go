@@ -42,11 +42,6 @@ type Config struct {
 	// BufferPages is the LRU buffer-pool capacity in pages. Defaults to
 	// DefaultBufferPages.
 	BufferPages int
-	// PoolStripes is the number of independent LRU shards in the buffer
-	// pool. 0 or 1 selects the classic single-lock pool (exact global LRU
-	// order, reproducible serial I/O counts); higher values trade global
-	// LRU order for lock-striped concurrency on the read path.
-	PoolStripes int
 	// Disk optionally supplies the backing store; by default an in-memory
 	// disk is created.
 	Disk storage.Disk
@@ -140,7 +135,7 @@ func New(cfg Config) (*Tree, error) {
 	}
 	t := &Tree{
 		cfg:  cfg,
-		pool: storage.NewStripedBufferPool(cfg.Disk, cfg.BufferPages, cfg.PoolStripes),
+		pool: storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
 	}
 	t.leafCap = nodeCapacity(cfg, true)
 	t.innerCap = nodeCapacity(cfg, false)
@@ -479,7 +474,7 @@ func Open(cfg Config, meta Meta) (*Tree, error) {
 	}
 	t := &Tree{
 		cfg:  cfg,
-		pool: storage.NewStripedBufferPool(cfg.Disk, cfg.BufferPages, cfg.PoolStripes),
+		pool: storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
 	}
 	t.leafCap = nodeCapacity(cfg, true)
 	t.innerCap = nodeCapacity(cfg, false)

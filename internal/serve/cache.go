@@ -8,75 +8,15 @@ package serve
 
 import (
 	"container/list"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"stpq"
-	"stpq/internal/kwset"
 	"stpq/internal/obs"
 )
 
-// Fingerprint returns the canonical cache key of a query: two queries
-// have equal fingerprints iff they are semantically identical. Keyword
-// lists are normalized (lower-cased, trimmed), sorted and deduplicated;
-// feature sets with no keywords are dropped (they match nothing either
-// way); floats are rendered exactly.
-func Fingerprint(q stpq.Query) string {
-	var b strings.Builder
-	b.WriteString("v")
-	b.WriteString(strconv.Itoa(int(q.Variant)))
-	b.WriteString("|a")
-	b.WriteString(strconv.Itoa(int(q.Algorithm)))
-	b.WriteString("|s")
-	b.WriteString(strconv.Itoa(int(q.Similarity)))
-	b.WriteString("|k")
-	b.WriteString(strconv.Itoa(q.K))
-	b.WriteString("|r")
-	b.WriteString(strconv.FormatFloat(q.Radius, 'x', -1, 64))
-	b.WriteString("|l")
-	b.WriteString(strconv.FormatFloat(q.Lambda, 'x', -1, 64))
-	if q.Mode == stpq.ModeApprox {
-		// Approx results live in their own cache namespace, keyed by the
-		// recall target: an approx answer must never satisfy an exact
-		// lookup (or one at a different recall), and exact fingerprints
-		// stay byte-identical to what they were before the fast tier.
-		b.WriteString("|m=approx|q")
-		b.WriteString(strconv.FormatFloat(q.Recall, 'x', -1, 64))
-	}
-	names := make([]string, 0, len(q.Keywords))
-	for name, kws := range q.Keywords {
-		if len(kws) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b.WriteString("|")
-		b.WriteString(strconv.Quote(name))
-		b.WriteString("=")
-		kws := make([]string, 0, len(q.Keywords[name]))
-		for _, w := range q.Keywords[name] {
-			if n := kwset.Normalize(w); n != "" {
-				kws = append(kws, n)
-			}
-		}
-		sort.Strings(kws)
-		prev := ""
-		for i, w := range kws {
-			if i > 0 && w == prev {
-				continue
-			}
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(strconv.Quote(w))
-			prev = w
-		}
-	}
-	return b.String()
-}
+// Fingerprint returns the canonical cache key of a query (see
+// stpq.Fingerprint; the service reads it off the prepared query).
+func Fingerprint(q stpq.Query) string { return stpq.Fingerprint(q) }
 
 type cacheEntry struct {
 	key  string

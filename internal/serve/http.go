@@ -168,21 +168,69 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
+// DecodeQuery is the one POST /query request decoder, shared by the
+// single-process service and the cluster coordinator: method check, strict
+// JSON decode, enumeration lowering, and the request identity — an inbound
+// X-Request-Id (proxies, retries) is honored, one is generated otherwise,
+// and it is echoed so the caller can join the response to /debug/queries
+// and the span tree. On failure it has written the error response and
+// reports ok false.
+func DecodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, q stpq.Query, ok bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
+		return req, q, false
 	}
-	var req QueryRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
+		HTTPError(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		return req, q, false
 	}
 	q, err := req.Query()
 	if err != nil {
-		httpError(w, statusOf(err), err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
+		return req, q, false
+	}
+	q.RequestID = r.Header.Get("X-Request-Id")
+	if q.RequestID == "" {
+		q.RequestID = NewRequestID()
+	}
+	w.Header().Set("X-Request-Id", q.RequestID)
+	return req, q, true
+}
+
+// NewQueryResponse renders results and their cost breakdown as the POST
+// /query response body; the caller fills in the envelope (request ID,
+// cached, generation, elapsed).
+func NewQueryResponse(results []stpq.Result, st stpq.Stats) QueryResponse {
+	out := QueryResponse{
+		Results: make([]ResultJSON, len(results)),
+		Stats: StatsJSON{
+			CPUMicros:          st.CPUTime.Microseconds(),
+			IOMicros:           st.IOTime.Microseconds(),
+			TotalMicros:        st.Total().Microseconds(),
+			LogicalReads:       st.LogicalReads,
+			PhysicalReads:      st.PhysicalReads,
+			Combinations:       st.Combinations,
+			FeaturesPulled:     st.FeaturesPulled,
+			ObjectsScored:      st.ObjectsScored,
+			ShardFanout:        st.ShardFanout,
+			ShardPruned:        st.ShardPruned,
+			ApproxCandidates:   st.ApproxCandidates,
+			ApproxPruned:       st.ApproxPruned,
+			ApproxSkippedReads: st.ApproxSkippedReads,
+			Trace:              st.Trace,
+		},
+	}
+	for i, res := range results {
+		out.Results[i] = ResultJSON(res)
+	}
+	return out
+}
+
+func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, q, ok := DecodeQuery(w, r)
+	if !ok {
 		return
 	}
 	// An unspecified algorithm takes the server's default (-plan flag on
@@ -190,21 +238,13 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Algorithm == "" {
 		q.Algorithm = s.cfg.DefaultAlgorithm
 	}
-	// Honor an inbound request ID (proxies, retries), generate one
-	// otherwise, and echo it so the caller can join the response to
-	// /debug/queries and the span tree.
-	q.RequestID = r.Header.Get("X-Request-Id")
-	if q.RequestID == "" {
-		q.RequestID = newRequestID()
-	}
-	w.Header().Set("X-Request-Id", q.RequestID)
 	if req.Explain {
 		ex, err := s.db.Explain(q)
 		if err != nil {
-			httpError(w, statusOf(err), err.Error())
+			HTTPError(w, statusOf(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			RequestID string        `json:"request_id"`
 			Explain   *stpq.Explain `json:"explain"`
 		}{q.RequestID, ex})
@@ -213,36 +253,15 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := s.Do(r.Context(), q)
 	if err != nil {
-		writeJSON(w, statusOf(err), errorResponse{Error: err.Error(), Reason: reasonOf(err)})
+		WriteJSON(w, statusOf(err), errorResponse{Error: err.Error(), Reason: reasonOf(err)})
 		return
 	}
-	out := QueryResponse{
-		RequestID:  resp.RequestID,
-		Results:    make([]ResultJSON, len(resp.Results)),
-		Cached:     resp.Cached,
-		Generation: resp.Generation,
-		ElapsedUS:  time.Since(start).Microseconds(),
-		Stats: StatsJSON{
-			CPUMicros:          resp.Stats.CPUTime.Microseconds(),
-			IOMicros:           resp.Stats.IOTime.Microseconds(),
-			TotalMicros:        resp.Stats.Total().Microseconds(),
-			LogicalReads:       resp.Stats.LogicalReads,
-			PhysicalReads:      resp.Stats.PhysicalReads,
-			Combinations:       resp.Stats.Combinations,
-			FeaturesPulled:     resp.Stats.FeaturesPulled,
-			ObjectsScored:      resp.Stats.ObjectsScored,
-			ShardFanout:        resp.Stats.ShardFanout,
-			ShardPruned:        resp.Stats.ShardPruned,
-			ApproxCandidates:   resp.Stats.ApproxCandidates,
-			ApproxPruned:       resp.Stats.ApproxPruned,
-			ApproxSkippedReads: resp.Stats.ApproxSkippedReads,
-			Trace:              resp.Stats.Trace,
-		},
-	}
-	for i, res := range resp.Results {
-		out.Results[i] = ResultJSON{ID: res.ID, X: res.X, Y: res.Y, Score: res.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
+	out := NewQueryResponse(resp.Results, resp.Stats)
+	out.RequestID = resp.RequestID
+	out.Cached = resp.Cached
+	out.Generation = resp.Generation
+	out.ElapsedUS = time.Since(start).Microseconds()
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // statusOf maps service and validation errors onto HTTP status codes.
@@ -279,7 +298,7 @@ func reasonOf(err error) string {
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Closed() {
-		httpError(w, http.StatusServiceUnavailable, "shutting down")
+		HTTPError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -383,10 +402,10 @@ func (s *Service) InfoSnapshot() (Info, error) {
 func (s *Service) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.InfoSnapshot()
 	if err != nil {
-		httpError(w, statusOf(err), err.Error())
+		HTTPError(w, statusOf(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // debugN parses the ?n= limit of the /debug endpoints (0 = all held).
@@ -400,7 +419,7 @@ func debugN(r *http.Request) int {
 
 // handleDebugQueries serves the recent-query event log, newest first.
 func (s *Service) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Queries []stpq.QueryEvent `json:"queries"`
 	}{s.db.RecentQueries(debugN(r))})
 }
@@ -408,24 +427,26 @@ func (s *Service) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 // handleDebugSlow serves the slow-query log: every entry carries a
 // complete span tree.
 func (s *Service) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Queries []stpq.QueryEvent `json:"queries"`
 	}{s.db.SlowQueries(debugN(r))})
 }
 
 // handleDebugShapes serves the per-shape cost statistics backing EXPLAIN.
 func (s *Service) handleDebugShapes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Shapes []stpq.ShapeStat `json:"shapes"`
 	}{s.db.QueryShapes()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
+// HTTPError writes a JSON error body ({"error": msg}).
+func HTTPError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorResponse{Error: msg})
 }

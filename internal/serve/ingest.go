@@ -98,42 +98,42 @@ type IngestResponse struct {
 
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.Closed() {
-		httpError(w, http.StatusServiceUnavailable, ErrClosed.Error())
+		HTTPError(w, http.StatusServiceUnavailable, ErrClosed.Error())
 		return
 	}
 	var req IngestRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		HTTPError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
 	muts := req.Mutations()
 	if len(muts) == 0 && !req.Flush {
-		httpError(w, http.StatusBadRequest, "empty ingest batch")
+		HTTPError(w, http.StatusBadRequest, "empty ingest batch")
 		return
 	}
 	if err := s.db.Apply(muts); err != nil {
-		httpError(w, ingestStatusOf(err), err.Error())
+		HTTPError(w, ingestStatusOf(err), err.Error())
 		return
 	}
 	s.ingests.Add(int64(len(muts)))
 	if req.Flush {
 		if err := s.db.Flush(); err != nil {
-			httpError(w, ingestStatusOf(err), err.Error())
+			HTTPError(w, ingestStatusOf(err), err.Error())
 			return
 		}
 	}
 	snap, err := s.db.Snapshot()
 	if err != nil {
-		httpError(w, statusOf(err), err.Error())
+		HTTPError(w, statusOf(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestResponse{
+	WriteJSON(w, http.StatusOK, IngestResponse{
 		Applied:    len(muts),
 		Generation: snap.Generation(),
 		Pending:    s.db.PendingOps(),

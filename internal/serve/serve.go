@@ -135,10 +135,10 @@ type Service struct {
 }
 
 type task struct {
-	ctx  context.Context
-	snap *stpq.Snapshot
-	q    stpq.Query
-	fp   string
+	ctx context.Context
+	// p is the prepared query: the cache key, the cost reservation, the
+	// cache-hit event and the worker's execution all read it.
+	p *stpq.Prepared
 	// cost is the predicted cost reserved against the in-flight budget at
 	// admission; the worker releases it when the task leaves the system.
 	cost time.Duration
@@ -224,11 +224,11 @@ func (s *Service) DB() *stpq.DB { return s.db }
 // work backs off.
 func (s *Service) Saturated() bool { return len(s.tasks) > 0 }
 
-// Do validates, admits and executes one query, consulting the result
-// cache first. It returns ErrOverloaded when the queue is full,
-// ErrDeadline when the context (or Config.Timeout) expires before the
-// query completes, ErrClosed after Close, and validation errors wrapping
-// stpq.ErrInvalidQuery.
+// Do prepares (validates, lowers, plans), admits and executes one query,
+// consulting the result cache first. It returns ErrOverloaded when the
+// queue is full, ErrDeadline when the context (or Config.Timeout) expires
+// before the query completes, ErrClosed after Close, and validation errors
+// wrapping stpq.ErrInvalidQuery.
 func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 	if s.Closed() {
 		// Checked up front so a draining service stops answering even
@@ -249,36 +249,35 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	if err := stpq.ValidateQuery(q, snap.FeatureSetNames()); err != nil {
-		return Response{}, err
-	}
 	// Request-scoped identity: honor the caller's ID, generate one
 	// otherwise, and draw the service-level trace sampling decision. The
 	// ID and decision ride the query through shard scatter-gather, core
 	// execution and the ingest overlay, stamping the span tree and the
 	// event record.
 	if q.RequestID == "" {
-		q.RequestID = newRequestID()
+		q.RequestID = NewRequestID()
 	}
 	if q.Trace == stpq.TraceDefault && sampleTrace(s.cfg.TraceSample) {
 		q.Trace = stpq.TraceOn
 	}
-	fp := Fingerprint(q)
+	p, err := snap.Prepare(q)
+	if err != nil {
+		return Response{}, err
+	}
 	// Explicitly traced queries bypass the cache: their span tree must
 	// come from a real execution, not a cached neighbour's.
-	useCache := s.cache != nil && q.Trace != stpq.TraceOn
-	if useCache {
-		if resp, ok := s.cache.get(fp, snap.Generation()); ok {
+	if s.cache != nil && q.Trace != stpq.TraceOn {
+		if resp, ok := s.cache.get(p.Fingerprint(), p.Generation()); ok {
 			s.hits.Inc()
 			elapsed := time.Since(start)
 			s.latency.Observe(elapsed.Seconds())
 			resp.RequestID = q.RequestID
-			snap.RecordCacheHit(q, start, elapsed)
+			p.RecordHit(start, elapsed)
 			return resp, nil
 		}
 		s.misses.Inc()
 	}
-	t := &task{ctx: ctx, snap: snap, q: q, fp: fp, done: make(chan taskResult, 1)}
+	t := &task{ctx: ctx, p: p, done: make(chan taskResult, 1)}
 	if err := s.admitCost(t); err != nil {
 		return Response{}, err
 	}
@@ -315,13 +314,13 @@ func (s *Service) admitCost(t *task) error {
 	if s.cfg.MaxInflightCost <= 0 {
 		return nil
 	}
-	shape, cost, known, err := t.snap.PredictCost(t.q)
-	if err != nil || !known {
-		return nil // validation errors surface from TopK; cold shapes pass
+	cost, known := t.p.Cost()
+	if !known {
+		return nil // cold shapes pass
 	}
 	if in := s.inflightCost.Load(); in > 0 && in+int64(cost) > int64(s.cfg.MaxInflightCost) {
 		s.shed.Inc()
-		s.metrics.Counter(fmt.Sprintf("stpq_serve_shed_total{shape=%q}", shape)).Inc()
+		s.metrics.Counter(fmt.Sprintf("stpq_serve_shed_total{shape=%q}", t.p.Shape())).Inc()
 		return ErrShedExpensive
 	}
 	t.cost = cost
@@ -366,15 +365,16 @@ func (s *Service) worker() {
 			t.done <- taskResult{err: s.deadlineError(t.ctx)}
 			continue
 		}
-		res, st, err := t.snap.TopK(t.q)
+		res, st, err := t.p.Run()
 		s.releaseCost(t)
 		if err != nil {
 			t.done <- taskResult{err: err}
 			continue
 		}
-		resp := Response{Results: res, Stats: st, Generation: t.snap.Generation(), RequestID: t.q.RequestID}
-		if s.cache != nil && t.q.Trace != stpq.TraceOn {
-			s.cache.put(t.fp, t.snap.Generation(), resp)
+		q := t.p.Query()
+		resp := Response{Results: res, Stats: st, Generation: t.p.Generation(), RequestID: q.RequestID}
+		if s.cache != nil && q.Trace != stpq.TraceOn {
+			s.cache.put(t.p.Fingerprint(), t.p.Generation(), resp)
 		}
 		t.done <- taskResult{resp: resp}
 	}
@@ -409,9 +409,10 @@ func (s *Service) Rebuild() error { return s.db.Rebuild() }
 // Uptime reports how long the service has been running.
 func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
 
-// newRequestID generates a service-local request identity for queries that
-// arrived without one.
-func newRequestID() string {
+// NewRequestID mints a request identity for a query that arrived without
+// one; the cluster coordinator uses the same format, so request IDs read
+// uniformly in every event log.
+func NewRequestID() string {
 	return fmt.Sprintf("req-%016x", rand.Uint64())
 }
 

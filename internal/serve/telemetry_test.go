@@ -5,6 +5,7 @@ package serve
 // field, and how tracing interacts with the result cache.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -279,5 +280,59 @@ func TestServiceTraceSampling(t *testing.T) {
 	ev := db.RecentQueries(1)[0]
 	if !ev.Sampled || ev.Trace == nil {
 		t.Errorf("sampled event = %+v", ev)
+	}
+}
+
+// Nearest-neighbour queries ignore the radius, so two that differ only in
+// it are one shape: one /debug/shapes row, counted twice.
+func TestDebugShapesNNIgnoresRadius(t *testing.T) {
+	_, srv := testServer(t)
+	for _, radius := range []string{"0.01", "0.5"} {
+		body := `{"k":5,"radius":` + radius + `,"lambda":0.5,"variant":"nn","keywords":{"restaurants":["kw1"],"cafes":["kw3"]}}`
+		if resp, data := postQuery(t, srv.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("radius %s: status %d: %s", radius, resp.StatusCode, data)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/debug/shapes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var shapes struct {
+		Shapes []stpq.ShapeStat `json:"shapes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&shapes); err != nil {
+		t.Fatal(err)
+	}
+	if len(shapes.Shapes) != 1 || shapes.Shapes[0].Samples != 2 {
+		t.Errorf("/debug/shapes = %+v, want one row of 2 samples", shapes.Shapes)
+	}
+}
+
+// TestAllocsDoCacheHit: Service.Do answering from the result cache —
+// snapshot, Prepare, fingerprint, cache copy, the cache-hit event. The
+// budget is what the same call allocated before Do carried a Prepared,
+// when it validated, fingerprinted and then lowered the query a second time
+// just to label the event.
+func TestAllocsDoCacheHit(t *testing.T) {
+	const budget = 23
+	db := testDB(t, stpq.Config{}, 300, 300)
+	svc, err := New(db, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	q := testQuery(5)
+	q.RequestID = "req-fixed" // minting an ID is not what is measured
+	if _, err := svc.Do(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if resp, err := svc.Do(context.Background(), q); err != nil || !resp.Cached {
+			t.Fatalf("cached %v, err %v", resp.Cached, err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("Service.Do cache-hit allocs/op = %v, budget %d", allocs, budget)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"stpq/internal/core"
 	"stpq/internal/geo"
@@ -86,7 +85,7 @@ func (e *Engine) Save(dir string) error {
 }
 
 // Open loads an engine previously written by Save. opts supplies the
-// runtime knobs (parallelism, core options, metrics); the structural
+// runtime knobs (buffer pages, core options); the structural
 // options (partitioning, index geometry) come from the manifest and page
 // dumps.
 func Open(dir string, opts Options) (*Engine, error) {
@@ -122,31 +121,19 @@ func Open(dir string, opts Options) (*Engine, error) {
 		groups[i] = g
 	}
 
-	coreOpts := opts.Core
-	coreOpts.Metrics = nil // the sharded engine observes the merged query
 	e := &Engine{
 		groups: groups,
 		total:  man.Total,
-		opts:   opts,
 		part:   man.Partition.runtime(),
-		trace:  &atomic.Bool{},
-	}
-	e.trace.Store(coreOpts.Trace)
-	if opts.Metrics != nil {
-		e.fanout = opts.Metrics.Counter("stpq_shard_fanout_total")
-		e.pruned = opts.Metrics.Counter("stpq_shard_pruned_total")
 	}
 	for id, sm := range man.Shards {
 		oidx, err := loadIndex(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", id)), sm.Objects, buffer, index.OpenObjectIndex)
 		if err != nil {
 			return nil, err
 		}
-		sub, err := core.NewEngineWithGroups(oidx, groups, coreOpts)
+		sub, err := core.NewEngineWithGroups(oidx, groups, opts.Core)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Metrics != nil {
-			oidx.AttachMetrics(opts.Metrics, fmt.Sprintf("objects_shard%02d", id))
 		}
 		e.shards = append(e.shards, &subShard{id: id, cell: sm.Cell, eng: sub, rect: sm.Rect, count: sm.Count})
 	}

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stpq/internal/core"
@@ -40,25 +39,11 @@ type Options struct {
 	Shards int
 	// Strategy selects the spatial partitioner (default HilbertRuns).
 	Strategy Strategy
-	// Parallelism bounds the number of shards queried concurrently per
-	// query (default GOMAXPROCS). The gather loop runs wave-synchronous:
-	// early termination is evaluated between waves, so smaller values
-	// prune more aggressively at the cost of less overlap.
-	Parallelism int
 	// Index configures the per-cell object and feature indexes (vocabulary
 	// width, page size, kind, ...), exactly as for an unsharded build.
 	Index index.Options
-	// Core configures the per-shard query engines. Core.Metrics is ignored
-	// — sub-engines never observe queries; the sharded engine observes the
-	// merged query once against Metrics below.
+	// Core configures the per-shard query engines.
 	Core core.Options
-	// Metrics, when non-nil, receives the merged per-query metrics plus
-	// the scatter counters stpq_shard_fanout_total / stpq_shard_pruned_total.
-	Metrics *obs.Registry
-	// Telemetry, when non-nil, receives one event record per merged query.
-	// Core.Telemetry is ignored for the same reason as Core.Metrics: the
-	// sub-engines must not file S events for one query.
-	Telemetry *obs.Telemetry
 }
 
 // subShard is one self-contained sub-engine.
@@ -72,19 +57,15 @@ type subShard struct {
 	count int
 }
 
-// Engine is the sharded query engine. It mirrors the public query surface
-// of core.Engine (STDS, STPS, ExactScore, ...) and is safe for concurrent
-// queries for the same reason: all per-query state lives in sessions.
+// Engine is the sharded query engine. It mirrors the query surface of
+// core.Engine (STDS, STPS, ExactScore, ...) — execute a prepared query,
+// return its Stats — and is safe for concurrent queries for the same
+// reason: all per-query state lives in sessions.
 type Engine struct {
 	shards []*subShard
 	groups []*index.FeatureGroup
 	total  int
-	opts   Options
 	part   partitioning
-	trace  *atomic.Bool
-	// fanout and pruned count shards queried / skipped across all queries.
-	fanout *obs.Counter
-	pruned *obs.Counter
 }
 
 // New partitions the objects and features and builds the sub-engines.
@@ -145,15 +126,7 @@ func New(objects []index.Object, featureSets [][]index.Feature, opts Options) (*
 		groups[i] = g
 	}
 
-	coreOpts := opts.Core
-	coreOpts.Metrics = nil // the sharded engine observes the merged query
-	coreOpts.Telemetry = nil
-	e := &Engine{groups: groups, total: len(objects), opts: opts, part: part, trace: &atomic.Bool{}}
-	e.trace.Store(coreOpts.Trace)
-	if opts.Metrics != nil {
-		e.fanout = opts.Metrics.Counter("stpq_shard_fanout_total")
-		e.pruned = opts.Metrics.Counter("stpq_shard_pruned_total")
-	}
+	e := &Engine{groups: groups, total: len(objects), part: part}
 	for c := 0; c < part.cells; c++ {
 		if len(objCells[c]) == 0 {
 			continue
@@ -162,7 +135,7 @@ func New(objects []index.Object, featureSets [][]index.Feature, opts Options) (*
 		if err != nil {
 			return nil, fmt.Errorf("shard: cell %d objects: %w", c, err)
 		}
-		sub, err := core.NewEngineWithGroups(oidx, groups, coreOpts)
+		sub, err := core.NewEngineWithGroups(oidx, groups, opts.Core)
 		if err != nil {
 			return nil, err
 		}
@@ -170,11 +143,7 @@ func New(objects []index.Object, featureSets [][]index.Feature, opts Options) (*
 		for _, o := range objCells[c] {
 			rect = rect.Extend(o.Location)
 		}
-		id := len(e.shards)
-		if opts.Metrics != nil {
-			oidx.AttachMetrics(opts.Metrics, fmt.Sprintf("objects_shard%02d", id))
-		}
-		e.shards = append(e.shards, &subShard{id: id, cell: c, eng: sub, rect: rect, count: len(objCells[c])})
+		e.shards = append(e.shards, &subShard{id: len(e.shards), cell: c, eng: sub, rect: rect, count: len(objCells[c])})
 	}
 	return e, nil
 }
@@ -190,15 +159,11 @@ func (e *Engine) NumObjects() int { return e.total }
 // one part per non-empty cell).
 func (e *Engine) FeatureGroups() []*index.FeatureGroup { return e.groups }
 
-// Options returns the build options.
-func (e *Engine) Options() Options { return e.opts }
-
-// SetTrace toggles per-query tracing on the sharded engine and every
-// sub-engine.
-func (e *Engine) SetTrace(on bool) {
-	e.trace.Store(on)
+// AttachMetrics registers every sub-engine's object buffer pool under
+// pool="objects_shardNN".
+func (e *Engine) AttachMetrics(r *obs.Registry) {
 	for _, s := range e.shards {
-		s.eng.SetTrace(on)
+		s.eng.Objects().AttachMetrics(r, fmt.Sprintf("objects_shard%02d", s.id))
 	}
 }
 
@@ -232,14 +197,11 @@ func (e *Engine) STPS(q core.Query) ([]core.Result, core.Stats, error) {
 	return e.run("stps", q)
 }
 
-// Parallelism resolves the effective per-query fan-out width (the wave
-// size of the scatter loop).
-func (e *Engine) Parallelism() int {
-	if e.opts.Parallelism > 0 {
-		return e.opts.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Parallelism is the default per-query fan-out width (the wave size of the
+// scatter loop), narrowed per query by core.Query.Fanout. The gather loop
+// runs wave-synchronous: early termination is evaluated between waves, so
+// narrower waves prune more aggressively at the cost of less overlap.
+func (e *Engine) Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // cand is one shard with its per-query upper bound.
 type cand struct {
@@ -359,16 +321,6 @@ func (e *Engine) run(alg string, q core.Query) ([]core.Result, core.Stats, error
 		return nil, core.Stats{}, err
 	}
 
-	// One trace decision for the whole scatter-gather, forced onto the
-	// sub-queries so every shard collects (or skips) spans consistently.
-	collect, keep := core.TraceDecision(q.Trace, e.trace.Load(), e.opts.Telemetry)
-	sq := q
-	if collect {
-		sq.Trace = core.TraceOn
-	} else {
-		sq.Trace = core.TraceOff
-	}
-
 	// The planner may cap the wave width per query (core.Query.Fanout):
 	// narrower waves evaluate the termination rule more often, wider ones
 	// overlap more. The queried set changes, the merged results never do.
@@ -399,19 +351,17 @@ func (e *Engine) run(alg string, q core.Query) ([]core.Result, core.Stats, error
 			go func(out *shardOut) {
 				defer wg.Done()
 				if alg == "stds" {
-					out.res, out.st, out.err = out.sub.eng.STDS(sq)
+					out.res, out.st, out.err = out.sub.eng.STDS(q)
 				} else {
-					out.res, out.st, out.err = out.sub.eng.STPS(sq)
+					out.res, out.st, out.err = out.sub.eng.STPS(q)
 				}
 			}(&wave[i])
 		}
 		wg.Wait()
 		for i := range wave {
 			if wave[i].err != nil {
-				werr := fmt.Errorf("shard %d: %w", wave[i].sub.id, wave[i].err)
 				total.CPUTime = time.Since(start)
-				core.RecordQueryEvent(e.opts.Telemetry, alg, &q, &total, start, werr)
-				return nil, core.Stats{}, werr
+				return nil, total, fmt.Errorf("shard %d: %w", wave[i].sub.id, wave[i].err)
 			}
 			total.Add(wave[i].st)
 			merged = mergeTopK(merged, wave[i].res, q.K)
@@ -427,18 +377,9 @@ func (e *Engine) run(alg string, q core.Query) ([]core.Result, core.Stats, error
 	total.CPUTime = time.Since(start)
 	total.ShardFanout = queried
 	total.ShardPruned = pruned
-	if collect {
+	if q.Trace {
 		total.Trace = e.assembleTrace(alg, &q, &total, gotten, queried, pruned)
-		if keep {
-			total.Trace.MarkKeep()
-		}
 	}
-	if e.fanout != nil {
-		e.fanout.Add(int64(queried))
-		e.pruned.Add(int64(pruned))
-	}
-	core.ObserveQuery(e.opts.Metrics, alg, &q, &total)
-	core.RecordQueryEvent(e.opts.Telemetry, alg, &q, &total, start, nil)
 	return merged, total, nil
 }
 

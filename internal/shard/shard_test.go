@@ -7,7 +7,6 @@ import (
 	"stpq/internal/core"
 	"stpq/internal/datagen"
 	"stpq/internal/index"
-	"stpq/internal/obs"
 )
 
 // testData generates a small clustered world shared by the tests.
@@ -129,9 +128,10 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			if shards == 4 {
 				strategy = FixedGrid
 			}
-			sharded := buildSharded(t, ds, kind, Options{Shards: shards, Strategy: strategy, Parallelism: 2})
+			sharded := buildSharded(t, ds, kind, Options{Shards: shards, Strategy: strategy})
 			for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 				for qi, q := range testQueries(ds, variant, 100+int64(shards)) {
+					q.Fanout = 2 // waves of two, whatever GOMAXPROCS is
 					want, _, err := single.STDS(q)
 					if err != nil {
 						t.Fatal(err)
@@ -190,20 +190,18 @@ func TestUpperBoundIsSound(t *testing.T) {
 	}
 }
 
-// TestShardMetricsAndTrace checks the scatter counters and the merged span
+// TestShardStatsAndTrace checks the scatter counters and the merged span
 // tree.
-func TestShardMetricsAndTrace(t *testing.T) {
+func TestShardStatsAndTrace(t *testing.T) {
 	ds := testData(46)
-	reg := obs.NewRegistry()
-	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4, Metrics: reg})
-	sharded.SetTrace(true)
+	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4})
 	q := testQueries(ds, core.RangeScore, 300)[0]
+	q.Trace = true
 	_, st, err := sharded.STDS(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fan := reg.Counter("stpq_shard_fanout_total").Value()
-	pruned := reg.Counter("stpq_shard_pruned_total").Value()
+	fan, pruned := int64(st.ShardFanout), int64(st.ShardPruned)
 	if fan+pruned != int64(sharded.NumShards()) {
 		t.Fatalf("fanout %d + pruned %d != shards %d", fan, pruned, sharded.NumShards())
 	}
@@ -224,7 +222,7 @@ func TestShardMetricsAndTrace(t *testing.T) {
 			t.Fatalf("shard span %s missing per-shard trace", child.Name)
 		}
 	}
-	sharded.SetTrace(false)
+	q.Trace = false
 	_, st, err = sharded.STDS(q)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -21,15 +20,8 @@ import (
 // happen while an index is being built or mutated, which the layers above
 // already serialize against queries.
 //
-// LRU state is lock-striped: pages are spread over N independent LRU
-// shards keyed by a PageID hash, each with its own mutex, so concurrent
-// readers touching different stripes never contend. NewBufferPool builds a
-// single stripe — byte-for-byte the classic one-mutex pool with one global
-// LRU order — and NewStripedBufferPool opts into N stripes. Striping
-// partitions the LRU order (eviction decisions become stripe-local) but
-// every counter keeps exact pool-wide semantics: logical/physical/write/
-// eviction counts are shared atomics, and per-query Session accounting is
-// untouched.
+// LRU state sits behind one mutex with one global LRU order, so serial I/O
+// counts are reproducible run to run and match the paper's cost model.
 //
 // Each frame also has one slot for the decoded form of its page (see
 // GetDecoded): whoever reads the page through the pool decodes it once per
@@ -55,8 +47,10 @@ type BufferPool struct {
 type poolShared struct {
 	disk     Disk
 	capacity int
-	shift    uint // hash >> shift selects a stripe; 64 for one stripe
-	stripes  []poolStripe
+
+	mu      sync.Mutex // guards lru and entries
+	lru     *list.List // front = most recently used; values are *frame
+	entries map[PageID]*list.Element
 
 	logical   atomic.Int64
 	physical  atomic.Int64
@@ -64,16 +58,6 @@ type poolShared struct {
 	evictions atomic.Int64
 
 	metrics atomic.Pointer[PoolMetrics] // optional aggregate metrics
-}
-
-// poolStripe is one independent LRU shard. The trailing pad keeps hot
-// stripes on separate cache lines so uncontended stripes don't false-share.
-type poolStripe struct {
-	mu       sync.Mutex // guards lru and entries
-	capacity int
-	lru      *list.List // front = most recently used; values are *frame
-	entries  map[PageID]*list.Element
-	_        [40]byte
 }
 
 // PoolMetrics aggregates one buffer pool's counters into a metrics
@@ -110,7 +94,7 @@ type frame struct {
 	id   PageID
 	data []byte
 	// decoded is the decoded form of data, nil until the first GetDecoded
-	// of this residency; guarded by the stripe mutex. Whatever it holds is
+	// of this residency; guarded by the pool mutex. Whatever it holds is
 	// shared by every reader and must never be written.
 	decoded any
 }
@@ -122,59 +106,19 @@ type Decoder interface {
 	DecodePage(data []byte) (any, error)
 }
 
-// NewBufferPool wraps disk with an LRU cache of capacity pages behind a
-// single stripe: one mutex, one global LRU order — the exact semantics of
-// the classic pool, so serial I/O counts are reproducible run to run.
-// A capacity of 0 disables caching entirely (every read is physical),
-// which is useful for measuring worst-case I/O.
+// NewBufferPool wraps disk with an LRU cache of capacity pages. A capacity
+// of 0 disables caching entirely (every read is physical), which is useful
+// for measuring worst-case I/O.
 func NewBufferPool(disk Disk, capacity int) *BufferPool {
-	return NewStripedBufferPool(disk, capacity, 1)
-}
-
-// NewStripedBufferPool wraps disk with an LRU cache of capacity pages
-// spread over stripes independent LRU shards. The stripe count is rounded
-// down to a power of two, clamped to [1, capacity] (so every stripe holds
-// at least one page), and the capacity is distributed across stripes as
-// evenly as possible — the total never differs from capacity.
-func NewStripedBufferPool(disk Disk, capacity, stripes int) *BufferPool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	if capacity > 0 && stripes > capacity {
-		stripes = capacity
-	}
-	if capacity == 0 {
-		stripes = 1
-	}
-	// Round down to a power of two so stripe selection is a shift, not a
-	// modulo.
-	stripes = 1 << (bits.Len(uint(stripes)) - 1)
-	s := &poolShared{
+	return &BufferPool{s: &poolShared{
 		disk:     disk,
 		capacity: capacity,
-		shift:    uint(64 - bits.TrailingZeros(uint(stripes))),
-		stripes:  make([]poolStripe, stripes),
-	}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.capacity = capacity / stripes
-		if i < capacity%stripes {
-			st.capacity++
-		}
-		st.lru = list.New()
-		st.entries = make(map[PageID]*list.Element)
-	}
-	return &BufferPool{s: s}
-}
-
-// stripe selects the LRU shard for a page. Fibonacci hashing spreads the
-// sequential PageIDs an index allocates uniformly over the stripes; with a
-// single stripe the shift is 64 and the expression is constant 0.
-func (s *poolShared) stripe(id PageID) *poolStripe {
-	return &s.stripes[(uint64(id)*0x9E3779B97F4A7C15)>>s.shift]
+		lru:      list.New(),
+		entries:  make(map[PageID]*list.Element),
+	}}
 }
 
 // Session returns a handle onto the same pool (same cache, same lifetime
@@ -188,22 +132,14 @@ func (b *BufferPool) Session(acct *Stats) *BufferPool {
 // Disk returns the underlying disk.
 func (b *BufferPool) Disk() Disk { return b.s.disk }
 
-// Capacity returns the pool capacity in pages, summed over stripes.
+// Capacity returns the pool capacity in pages.
 func (b *BufferPool) Capacity() int { return b.s.capacity }
-
-// Stripes returns the number of independent LRU shards.
-func (b *BufferPool) Stripes() int { return len(b.s.stripes) }
 
 // Len returns the number of cached pages.
 func (b *BufferPool) Len() int {
-	n := 0
-	for i := range b.s.stripes {
-		st := &b.s.stripes[i]
-		st.mu.Lock()
-		n += st.lru.Len()
-		st.mu.Unlock()
-	}
-	return n
+	b.s.mu.Lock()
+	defer b.s.mu.Unlock()
+	return b.s.lru.Len()
 }
 
 // Get returns the contents of the page. The returned slice is owned by the
@@ -228,7 +164,7 @@ func (b *BufferPool) GetDecoded(id PageID, dec Decoder) (any, error) {
 	if err != nil || v != nil {
 		return v, err
 	}
-	// Decode outside the stripe lock. Two readers that find the slot empty
+	// Decode outside the pool lock. Two readers that find the slot empty
 	// at once both decode; the first to come back fills the slot and both
 	// return its value, so a residency never has two decoded forms in use.
 	if v, err = dec.DecodePage(f.data); err != nil {
@@ -237,39 +173,37 @@ func (b *BufferPool) GetDecoded(id PageID, dec Decoder) (any, error) {
 	if m := b.s.metrics.Load(); m != nil {
 		m.Decodes.Inc()
 	}
-	st := b.s.stripe(id)
-	st.mu.Lock()
+	b.s.mu.Lock()
 	if f.decoded == nil {
 		f.decoded = v
 	} else {
 		v = f.decoded
 	}
-	st.mu.Unlock()
+	b.s.mu.Unlock()
 	return v, nil
 }
 
 // fetch is the one counting read path: it charges a logical read, finds or
 // loads the page's frame, and returns it with the decoded slot as read
-// under the stripe lock. With a capacity of 0 the frame is not retained.
+// under the pool lock. With a capacity of 0 the frame is not retained.
 func (b *BufferPool) fetch(id PageID) (*frame, any, error) {
 	s := b.s
 	s.logical.Add(1)
 	if b.local != nil {
 		b.local.LogicalReads++
 	}
-	st := s.stripe(id)
-	st.mu.Lock()
-	if el, ok := st.entries[id]; ok {
-		st.lru.MoveToFront(el)
+	s.mu.Lock()
+	if el, ok := s.entries[id]; ok {
+		s.lru.MoveToFront(el)
 		f := el.Value.(*frame)
 		v := f.decoded
-		st.mu.Unlock()
+		s.mu.Unlock()
 		if m := s.metrics.Load(); m != nil {
 			m.Hits.Inc()
 		}
 		return f, v, nil
 	}
-	// Miss: the disk read happens under the stripe lock, so concurrent
+	// Miss: the disk read happens under the pool lock, so concurrent
 	// misses on the same page coalesce into one physical read — the
 	// behaviour of a real pool with page latches, and what keeps read
 	// accounting comparable between sequential and concurrent runs.
@@ -279,11 +213,11 @@ func (b *BufferPool) fetch(id PageID) (*frame, any, error) {
 	}
 	f := &frame{id: id, data: make([]byte, s.disk.PageSize())}
 	if err := s.disk.ReadPage(id, f.data); err != nil {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("bufferpool: %w", err)
 	}
-	b.insertLocked(st, f)
-	st.mu.Unlock()
+	b.insertLocked(f)
+	s.mu.Unlock()
 	if m := s.metrics.Load(); m != nil {
 		m.Misses.Inc()
 	}
@@ -302,37 +236,35 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 	if m := s.metrics.Load(); m != nil {
 		m.Writes.Inc()
 	}
-	st := s.stripe(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.disk.WritePage(id, data); err != nil {
 		return fmt.Errorf("bufferpool: %w", err)
 	}
-	if el, ok := st.entries[id]; ok {
+	if el, ok := s.entries[id]; ok {
 		f := el.Value.(*frame)
 		copy(f.data, data)
 		for i := len(data); i < len(f.data); i++ {
 			f.data[i] = 0
 		}
 		f.decoded = nil
-		st.lru.MoveToFront(el)
+		s.lru.MoveToFront(el)
 	}
 	return nil
 }
 
-// insertLocked caches the frame in its stripe, evicting the stripe's least
-// recently used frame — page and decoded form together — if the stripe is
-// full. Callers hold st.mu.
-func (b *BufferPool) insertLocked(st *poolStripe, f *frame) {
+// insertLocked caches the frame, evicting the least recently used frame —
+// page and decoded form together — if the pool is full. Callers hold s.mu.
+func (b *BufferPool) insertLocked(f *frame) {
 	s := b.s
-	if st.capacity == 0 {
+	if s.capacity == 0 {
 		return
 	}
-	if st.lru.Len() >= st.capacity {
-		back := st.lru.Back()
+	if s.lru.Len() >= s.capacity {
+		back := s.lru.Back()
 		if back != nil {
-			st.lru.Remove(back)
-			delete(st.entries, back.Value.(*frame).id)
+			s.lru.Remove(back)
+			delete(s.entries, back.Value.(*frame).id)
 			s.evictions.Add(1)
 			if b.local != nil {
 				b.local.Evictions++
@@ -342,15 +274,14 @@ func (b *BufferPool) insertLocked(st *poolStripe, f *frame) {
 			}
 		}
 	}
-	st.entries[f.id] = st.lru.PushFront(f)
+	s.entries[f.id] = s.lru.PushFront(f)
 }
 
 // Contains reports whether the page is currently cached (for tests).
 func (b *BufferPool) Contains(id PageID) bool {
-	st := b.s.stripe(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, ok := st.entries[id]
+	b.s.mu.Lock()
+	defer b.s.mu.Unlock()
+	_, ok := b.s.entries[id]
 	return ok
 }
 
@@ -376,11 +307,8 @@ func (b *BufferPool) ResetStats() {
 // Clear drops all cached pages and their decoded forms (cold-cache
 // measurements).
 func (b *BufferPool) Clear() {
-	for i := range b.s.stripes {
-		st := &b.s.stripes[i]
-		st.mu.Lock()
-		st.lru.Init()
-		st.entries = make(map[PageID]*list.Element)
-		st.mu.Unlock()
-	}
+	b.s.mu.Lock()
+	b.s.lru.Init()
+	b.s.entries = make(map[PageID]*list.Element)
+	b.s.mu.Unlock()
 }

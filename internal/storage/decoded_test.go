@@ -202,7 +202,7 @@ func TestGetDecodedError(t *testing.T) {
 // residency ends up with the same value.
 func TestGetDecodedConcurrent(t *testing.T) {
 	d, ids := decodedDisk(t, 8)
-	p := NewStripedBufferPool(d, 32, 4) // every stripe can hold all eight pages: no evictions
+	p := NewBufferPool(d, 32) // holds all eight pages: no evictions
 	dec := &countingDecoder{}
 	const readers = 8
 	got := make([][]*decodedPage, readers)
@@ -234,7 +234,7 @@ func TestGetDecodedConcurrent(t *testing.T) {
 // The decoded hit path allocates nothing, like the Get hit path.
 func TestAllocsBufferPoolGetDecodedHit(t *testing.T) {
 	d, ids := decodedDisk(t, 1)
-	p := NewStripedBufferPool(d, 8, 4)
+	p := NewBufferPool(d, 8)
 	dec := &countingDecoder{}
 	getDecoded(t, p, ids[0], dec) // prime the frame and its slot
 	var acct Stats

@@ -406,117 +406,10 @@ func TestLoadMemDiskRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestStripedPoolClamping(t *testing.T) {
-	d := NewMemDisk(16)
-	cases := []struct {
-		capacity, stripes int
-		wantStripes       int
-	}{
-		{16, 1, 1},
-		{16, 4, 4},
-		{16, 5, 4},    // rounded down to a power of two
-		{16, 100, 16}, // clamped to capacity
-		{3, 8, 2},     // clamped to capacity, then rounded down
-		{0, 8, 1},     // no cache → no striping
-		{16, 0, 1},
-		{16, -3, 1},
-	}
-	for _, tc := range cases {
-		p := NewStripedBufferPool(d, tc.capacity, tc.stripes)
-		if got := p.Stripes(); got != tc.wantStripes {
-			t.Errorf("capacity=%d stripes=%d: Stripes = %d, want %d",
-				tc.capacity, tc.stripes, got, tc.wantStripes)
-		}
-		if got := p.Capacity(); got != max(tc.capacity, 0) {
-			t.Errorf("capacity=%d stripes=%d: Capacity = %d", tc.capacity, tc.stripes, got)
-		}
-	}
-	if got := NewBufferPool(d, 16).Stripes(); got != 1 {
-		t.Errorf("NewBufferPool Stripes = %d, want 1 (legacy single-lock pool)", got)
-	}
-}
-
-// TestStripedPoolServesSameData drives a striped pool and a single-stripe
-// pool through the same access sequence and checks every read returns
-// identical bytes and the logical read counts agree exactly. (Physical
-// reads may differ once eviction kicks in: eviction decisions are
-// stripe-local by design.)
-func TestStripedPoolServesSameData(t *testing.T) {
-	mk := func() (Disk, []PageID) {
-		d := NewMemDisk(32)
-		ids := make([]PageID, 40)
-		for i := range ids {
-			id, _ := d.Allocate()
-			buf := make([]byte, 32)
-			for j := range buf {
-				buf[j] = byte(int(id)*7 + j)
-			}
-			if err := d.WritePage(id, buf); err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = id
-		}
-		return d, ids
-	}
-	d1, ids := mk()
-	d2, _ := mk()
-	single := NewBufferPool(d1, 8)
-	striped := NewStripedBufferPool(d2, 8, 4)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		id := ids[rng.Intn(len(ids))]
-		a, err := single.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := striped.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("page %d: striped pool returned different bytes", id)
-		}
-	}
-	ss, ps := single.Stats(), striped.Stats()
-	if ss.LogicalReads != ps.LogicalReads {
-		t.Errorf("logical reads: single %d, striped %d", ss.LogicalReads, ps.LogicalReads)
-	}
-	if striped.Len() > striped.Capacity() {
-		t.Errorf("striped Len %d exceeds capacity %d", striped.Len(), striped.Capacity())
-	}
-}
-
-// TestStripedPoolCapacityDistribution checks the per-stripe capacities sum
-// to the pool capacity: fill the pool with distinct pages and verify no
-// stripe overflows and the total cached page count never exceeds capacity.
-func TestStripedPoolCapacityDistribution(t *testing.T) {
-	d := NewMemDisk(16)
-	var ids []PageID
-	for i := 0; i < 64; i++ {
-		id, _ := d.Allocate()
-		ids = append(ids, id)
-	}
-	for _, stripes := range []int{1, 2, 4, 8} {
-		p := NewStripedBufferPool(d, 10, stripes) // 10 pages over up-to-8 stripes
-		for _, id := range ids {
-			if _, err := p.Get(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := p.Len(); got > 10 {
-			t.Errorf("stripes=%d: Len = %d, want <= 10", stripes, got)
-		}
-		st := p.Stats()
-		if st.PhysicalReads+0 == 0 || st.LogicalReads != int64(len(ids)) {
-			t.Errorf("stripes=%d: stats %+v", stripes, st)
-		}
-	}
-}
-
 func TestAllocsBufferPoolGetHit(t *testing.T) {
 	d := NewMemDisk(32)
 	id, _ := d.Allocate()
-	p := NewStripedBufferPool(d, 8, 4)
+	p := NewBufferPool(d, 8)
 	if _, err := p.Get(id); err != nil { // prime the cache
 		t.Fatal(err)
 	}
@@ -535,14 +428,14 @@ func TestAllocsBufferPoolGetHit(t *testing.T) {
 	}
 }
 
-func TestStripedPoolSessionAccounting(t *testing.T) {
+func TestPoolSessionAccounting(t *testing.T) {
 	d := NewMemDisk(16)
 	var ids []PageID
 	for i := 0; i < 8; i++ {
 		id, _ := d.Allocate()
 		ids = append(ids, id)
 	}
-	p := NewStripedBufferPool(d, 4, 4)
+	p := NewBufferPool(d, 4)
 	var acct Stats
 	sess := p.Session(&acct)
 	for _, id := range ids {

@@ -5,11 +5,7 @@ package stpq
 // (DB.Metrics / DB.WriteMetricsPrometheus).
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strings"
-	"time"
 
 	"stpq/internal/obs"
 )
@@ -19,136 +15,24 @@ import (
 // children's), optional counters and child phases. Traces are collected
 // when Config.Tracing is on (or after DB.SetTracing) and returned in
 // Stats.Trace; the root span covers the whole query, so its read deltas
-// equal Stats.LogicalReads/PhysicalReads.
-type Span struct {
-	Name string `json:"name"`
-	// Count is the number of times the phase was entered (STPS re-enters
-	// its phases once per combination).
-	Count         int              `json:"count"`
-	Duration      time.Duration    `json:"duration_ns"`
-	LogicalReads  int64            `json:"logical_reads"`
-	PhysicalReads int64            `json:"physical_reads"`
-	Counters      map[string]int64 `json:"counters,omitempty"`
-	Children      []*Span          `json:"children,omitempty"`
-	// RequestID is set on the root span of a query that ran under a
-	// request-scoped identity (Query.RequestID).
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// fromObsSpan deep-copies an internal span tree into the public type.
-func fromObsSpan(s *obs.Span) *Span {
-	if s == nil {
-		return nil
-	}
-	out := &Span{
-		Name:          s.Name,
-		Count:         s.Count,
-		Duration:      s.Duration,
-		LogicalReads:  s.LogicalReads,
-		PhysicalReads: s.PhysicalReads,
-		RequestID:     s.RequestID,
-	}
-	if len(s.Counters) > 0 {
-		out.Counters = make(map[string]int64, len(s.Counters))
-		for k, v := range s.Counters {
-			out.Counters[k] = v
-		}
-	}
-	for _, c := range s.Children {
-		out.Children = append(out.Children, fromObsSpan(c))
-	}
-	return out
-}
-
-// Walk visits the span and its descendants depth-first.
-func (s *Span) Walk(fn func(depth int, sp *Span)) {
-	if s == nil {
-		return
-	}
-	var rec func(depth int, sp *Span)
-	rec = func(depth int, sp *Span) {
-		fn(depth, sp)
-		for _, c := range sp.Children {
-			rec(depth+1, c)
-		}
-	}
-	rec(0, s)
-}
-
-// String renders the span tree, one line per span.
-func (s *Span) String() string {
-	if s == nil {
-		return "<no trace>"
-	}
-	var b strings.Builder
-	s.Walk(func(depth int, sp *Span) {
-		width := 28 - 2*depth
-		if width < 1 {
-			width = 1 // deep trees stay renderable, if not column-aligned
-		}
-		fmt.Fprintf(&b, "%s%-*s ×%-5d %9s  %d/%d reads",
-			strings.Repeat("  ", depth), width, sp.Name, sp.Count,
-			sp.Duration.Round(time.Microsecond), sp.LogicalReads, sp.PhysicalReads)
-		if len(sp.Counters) > 0 {
-			keys := make([]string, 0, len(sp.Counters))
-			for k := range sp.Counters {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "  %s=%d", k, sp.Counters[k])
-			}
-		}
-		b.WriteByte('\n')
-	})
-	return b.String()
-}
-
-// HistogramSnapshot is the state of one latency or page-read histogram.
-// Bounds are the bucket upper bounds; Counts has one extra trailing element
-// for the +Inf bucket.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-}
+// equal Stats.LogicalReads/PhysicalReads. Walk visits the tree depth-first
+// and String renders it one line per span.
+type Span = obs.Span
 
 // MetricsSnapshot is a point-in-time copy of the DB's metrics: buffer-pool
 // counters per index and per-query latency/page-read histograms per
-// algorithm and variant. It marshals to JSON directly; for Prometheus text
-// format use DB.WriteMetricsPrometheus.
-type MetricsSnapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// fromObsSnapshot copies an internal snapshot into the public type.
-func fromObsSnapshot(s obs.Snapshot) MetricsSnapshot {
-	out := MetricsSnapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for k, v := range s.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, h := range s.Histograms {
-		out.Histograms[k] = HistogramSnapshot{Bounds: h.Bounds, Counts: h.Counts, Count: h.Count, Sum: h.Sum}
-	}
-	return out
-}
+// algorithm and variant (HistogramSnapshot: bucket upper bounds, with one
+// extra trailing count for the +Inf bucket). It marshals to JSON directly;
+// for Prometheus text format use DB.WriteMetricsPrometheus.
+type (
+	MetricsSnapshot   = obs.Snapshot
+	HistogramSnapshot = obs.HistogramSnapshot
+)
 
 // Metrics returns a snapshot of the DB's aggregate metrics. Unlike Stats —
 // which describes one query — these accumulate over the DB's lifetime.
 func (db *DB) Metrics() MetricsSnapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return fromObsSnapshot(db.metrics.Snapshot())
+	return db.metrics.Snapshot()
 }
 
 // WriteMetricsPrometheus writes the current metrics in Prometheus text
@@ -156,26 +40,18 @@ func (db *DB) Metrics() MetricsSnapshot {
 // includes the per-shape query statistics (stpq_shape_*_total) backing
 // DB.Explain's predictions.
 func (db *DB) WriteMetricsPrometheus(w io.Writer) error {
-	db.mu.RLock()
-	snap := db.metrics.Snapshot()
-	tel := db.tel
-	db.mu.RUnlock()
-	if err := snap.WritePrometheus(w); err != nil {
+	if err := db.metrics.Snapshot().WritePrometheus(w); err != nil {
 		return err
 	}
-	if tel != nil {
-		return tel.Shapes.WritePrometheus(w)
-	}
-	return nil
+	return db.tel.Shapes.WritePrometheus(w)
 }
 
-// SetTracing toggles per-query trace collection on a built DB (Config.
-// Tracing sets the initial state; Open restores the saved one).
+// SetTracing toggles per-query trace collection (Config.Tracing sets the
+// initial state; Open restores the saved one). Queries that already started
+// keep their tracing decision.
 func (db *DB) SetTracing(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.engine != nil {
-		db.engine.SetTrace(on)
-	}
-	db.cfg.Tracing = on
+	db.tracing.Store(on)
+	db.cfg.Tracing = on // persisted by Save
 }

@@ -100,7 +100,7 @@ func TestReadInvariantsAndTraceAttribution(t *testing.T) {
 				}
 				// A parent span is open while its children run, so each
 				// span's reads must cover the sum of its children's.
-				root.Walk(func(_ int, sp *Span) {
+				root.Walk(func(_ string, _ int, sp *Span) {
 					var phy, log int64
 					for _, c := range sp.Children {
 						phy += c.PhysicalReads

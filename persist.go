@@ -188,23 +188,20 @@ func openSharded(dir string, man dbManifest) (*DB, error) {
 		db.sets[name] = nil // names registered; raw features not retained
 	}
 	eng, err := shard.Open(dir, shard.Options{
-		Shards:      man.Config.ShardCount,
-		Strategy:    shard.Strategy(man.Config.ShardStrategy),
-		Parallelism: man.Config.ShardParallelism,
+		Shards:   man.Config.ShardCount,
+		Strategy: shard.Strategy(man.Config.ShardStrategy),
 		Index: index.Options{
 			Kind:        index.Kind(man.Config.IndexKind),
 			VocabWidth:  db.vocab.Size(),
 			PageSize:    man.Config.PageSize,
 			BufferPages: man.Config.BufferPages,
-			PoolStripes: man.Config.PoolStripes,
 		},
-		Core:      man.Config.coreOptions(nil, nil),
-		Metrics:   db.metrics,
-		Telemetry: db.tel,
+		Core: man.Config.coreOptions(),
 	})
 	if err != nil {
 		return nil, err
 	}
+	eng.AttachMetrics(db.metrics)
 	if got := len(eng.FeatureGroups()); got != len(man.SetNames) {
 		return nil, fmt.Errorf("stpq: shard manifest has %d feature groups for %d set names", got, len(man.SetNames))
 	}
@@ -408,7 +405,7 @@ func Open(dir string) (*DB, error) {
 	for i, name := range man.SetNames {
 		fidxs[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
-	eng, err := core.NewEngine(oidx, fidxs, man.Config.coreOptions(db.metrics, db.tel))
+	eng, err := core.NewEngine(oidx, fidxs, man.Config.coreOptions())
 	if err != nil {
 		return nil, err
 	}

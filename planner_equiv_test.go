@@ -20,7 +20,6 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 			cfg := Config{IndexKind: kind, PageSize: 1024}
 			if shards > 0 {
 				cfg.ShardCount = shards
-				cfg.ShardParallelism = 2
 			}
 			name := fmt.Sprintf("%v/shards=%d", kind, shards)
 			t.Run(name, func(t *testing.T) {
@@ -117,23 +116,22 @@ func TestAutoPlannerPredictCost(t *testing.T) {
 		Keywords:  map[string][]string{"food": {words[0]}, "cafes": {words[1]}},
 		Algorithm: Auto,
 	}
-	shape, cost, known, err := snap.PredictCost(q)
+	p, err := snap.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if known || cost != 0 {
-		t.Fatalf("cold predict: shape %q cost %v known %v", shape, cost, known)
+	if cost, known := p.Cost(); known || cost != 0 {
+		t.Fatalf("cold predict: shape %q cost %v known %v", p.Shape(), cost, known)
 	}
 	for i := 0; i < MinPredictSamples; i++ {
 		if _, _, err := db.TopK(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	shape, cost, known, err = snap.PredictCost(q)
-	if err != nil {
+	if p, err = snap.Prepare(q); err != nil {
 		t.Fatal(err)
 	}
-	if !known || cost <= 0 || shape == "" {
-		t.Fatalf("warm predict: shape %q cost %v known %v", shape, cost, known)
+	if cost, known := p.Cost(); !known || cost <= 0 || p.Shape() == "" {
+		t.Fatalf("warm predict: shape %q cost %v known %v", p.Shape(), cost, known)
 	}
 }

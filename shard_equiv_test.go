@@ -56,7 +56,7 @@ func TestShardedDBMatchesSingle(t *testing.T) {
 			}
 			sharded := buildShardTestDB(t, Config{
 				IndexKind: kind, PageSize: 1024,
-				ShardCount: shards, ShardStrategy: strategy, ShardParallelism: 2,
+				ShardCount: shards, ShardStrategy: strategy,
 			}, objs, food, cafes)
 			rng := rand.New(rand.NewSource(int64(shards)))
 			for _, variant := range []Variant{Range, Influence, NearestNeighbor} {

@@ -13,15 +13,8 @@ package stpq
 
 import (
 	"fmt"
-	"time"
 
-	"stpq/internal/approx"
-	"stpq/internal/core"
-	"stpq/internal/geo"
-	"stpq/internal/index"
 	"stpq/internal/kwset"
-	"stpq/internal/obs"
-	"stpq/internal/plan"
 	"stpq/internal/shard"
 )
 
@@ -29,11 +22,14 @@ import (
 // for concurrent use: any number of goroutines may call TopK on the same
 // Snapshot, and a Snapshot keeps working after the DB is rebuilt.
 type Snapshot struct {
+	// db supplies what outlives generations and is never reassigned after
+	// New: telemetry, the metrics registry, the tracing toggle, the index
+	// kind.
+	db     *DB
 	engine queryEngine
 	vocab  *kwset.Vocabulary
 	names  []string
 	gen    uint64
-	tel    *obs.Telemetry
 }
 
 // Snapshot returns a handle onto the current indexes. It fails with
@@ -44,7 +40,7 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !db.built {
 		return nil, fmt.Errorf("%w: Snapshot before Build", ErrNotBuilt)
 	}
-	return &Snapshot{engine: db.engine, vocab: db.vocab, names: db.setNames, gen: db.gen, tel: db.tel}, nil
+	return &Snapshot{db: db, engine: db.engine, vocab: db.vocab, names: db.setNames, gen: db.gen}, nil
 }
 
 // Generation returns the build generation the snapshot was taken at: 1
@@ -81,88 +77,16 @@ func (s *Snapshot) NumFeatures() map[string]int {
 	return out
 }
 
-// forcedAlg maps the public algorithm choice to the planner's forced-
-// algorithm string: "" means Auto (the planner decides).
-func forcedAlg(a Algorithm) string {
-	switch a {
-	case STDS:
-		return plan.AlgSTDS
-	case Auto:
-		return ""
-	default:
-		return plan.AlgSTPS
-	}
-}
-
-// planner returns the cost-based planner over this snapshot's per-shape
-// statistics. The zero planner (nil shapes) is valid and always cold.
-func (s *Snapshot) planner() plan.Planner {
-	p := plan.Planner{}
-	if s.tel != nil {
-		p.Shapes = s.tel.Shapes
-	}
-	return p
-}
-
-// resolve turns the query's algorithm choice (possibly Auto) into the
-// concrete algorithm and applies the planner's fan-out decision to the
-// lowered query. The fast path — a forced algorithm on an unsharded
-// engine — bypasses the planner entirely, so existing callers pay nothing.
-func (s *Snapshot) resolve(q Query, cq *core.Query) string {
-	forced := forcedAlg(q.Algorithm)
-	eng, sharded := s.engine.(*shard.Engine)
-	if forced != "" && !sharded {
-		return forced
-	}
-	p := s.planner()
-	alg, cost, known := p.Resolve(core.QueryShapeKey("", cq), forced)
-	if sharded {
-		cq.Fanout = p.FanoutWidth(cost, known, eng.NumShards())
-	}
-	return alg
-}
-
 // TopK runs the query against the snapshot and returns the k best objects
 // with execution statistics. Safe for concurrent use. With Algorithm:
 // Auto, the cost-based planner picks the algorithm from recorded per-shape
 // statistics; results are byte-identical to either forced algorithm.
 func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
-	cq, err := s.toCoreQuery(q)
+	p, err := s.Prepare(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	var (
-		res []core.Result
-		st  core.Stats
-	)
-	if s.resolve(q, &cq) == plan.AlgSTDS {
-		res, st, err = s.engine.STDS(cq)
-	} else {
-		res, st, err = s.engine.STPS(cq)
-	}
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if a := cq.Approx; a != nil {
-		// The request's counters hold the whole logical query's totals
-		// (shard sub-queries alias the same request), loaded exactly once
-		// here.
-		st.ApproxCandidates = a.Candidates.Load()
-		st.ApproxPruned = a.Pruned.Load()
-		st.ApproxSkippedReads = a.SkippedReads.Load()
-	}
-	// A trace collected only provisionally — so a slow-query capture would
-	// be complete — is not part of the answer unless the query actually
-	// crossed the threshold.
-	if st.Trace != nil && !st.Trace.Kept() &&
-		!(s.tel != nil && s.tel.SlowThreshold > 0 && st.CPUTime >= s.tel.SlowThreshold) {
-		st.Trace = nil
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.ID, X: r.Location.X, Y: r.Location.Y, Score: r.Score}
-	}
-	return out, fromCoreStats(st), nil
+	return p.Run()
 }
 
 // UpperBound returns an admissible upper bound on the best score any
@@ -171,114 +95,31 @@ func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 // scatter probe with it, turning the sharded engine's wave-pruning rule
 // into a network protocol.
 func (s *Snapshot) UpperBound(q Query) (float64, error) {
-	cq, err := s.toCoreQuery(q)
+	p, err := s.Prepare(q)
 	if err != nil {
 		return 0, err
 	}
-	return s.engine.UpperBoundAll(cq)
+	return p.UpperBound()
 }
 
 // Score computes the exact spatio-textual preference score of an arbitrary
 // location under the query, by brute force. Intended for debugging and
 // verification, not for production use.
 func (s *Snapshot) Score(q Query, x, y float64) (float64, error) {
-	cq, err := s.toCoreQuery(q)
+	p, err := s.Prepare(q)
 	if err != nil {
 		return 0, err
 	}
-	return s.engine.ExactScore(cq, geo.Point{X: x, Y: y})
+	return p.Score(x, y)
 }
 
-// toCoreQuery validates and lowers a public query against the snapshot.
-func (s *Snapshot) toCoreQuery(q Query) (core.Query, error) {
-	if err := ValidateQuery(q, s.names); err != nil {
-		return core.Query{}, err
-	}
-	kws := make([]kwset.Set, len(s.names))
-	for i, name := range s.names {
-		kws[i] = s.vocab.LookupSet(q.Keywords[name]...)
-	}
-	cq := core.Query{
-		K:          q.K,
-		Radius:     q.Radius,
-		Lambda:     q.Lambda,
-		Keywords:   kws,
-		Variant:    core.Variant(q.Variant),
-		Similarity: index.Similarity(q.Similarity),
-		RequestID:  q.RequestID,
-		Trace:      core.TraceMode(q.Trace),
-	}
-	if q.Mode == ModeApprox {
-		// One request per logical query: shard fan-out and session copies
-		// alias it, so its atomic counters aggregate the whole execution.
-		cq.Approx = approx.NewRequest(q.Recall)
-	}
-	return cq, nil
-}
-
-// RecordCacheHit files an event record for a query answered from a
-// serving-layer result cache under the snapshot's telemetry: the request
-// stays attributable in the event log even though no engine ran.
-func (s *Snapshot) RecordCacheHit(q Query, start time.Time, elapsed time.Duration) {
-	if s.tel == nil {
-		return
-	}
-	cq, err := s.toCoreQuery(q)
-	if err != nil {
-		return
-	}
-	// Auto queries are attributed to the algorithm the planner would pick,
-	// matching how the cached execution was recorded.
-	core.RecordCacheHit(s.tel, s.resolve(q, &cq), &cq, start, elapsed)
-}
-
-// PredictCost resolves the query through the planner and returns the
-// canonical shape label of the resolved plan plus its predicted mean total
-// cost. known is false — and cost zero — while the resolved shape has
-// fewer than MinPredictSamples recorded executions; the serve layer's
-// cost-aware admission then falls back to queue-only admission.
-func (s *Snapshot) PredictCost(q Query) (shape string, cost time.Duration, known bool, err error) {
-	cq, err := s.toCoreQuery(q)
-	if err != nil {
-		return "", 0, false, err
-	}
-	p := s.planner()
-	key := core.QueryShapeKey("", &cq)
-	alg, cost, known := p.Resolve(key, forcedAlg(q.Algorithm))
-	key.Alg = alg
-	if s.tel != nil {
-		shape = s.tel.Shapes.Name(key)
-	} else {
-		shape = key.String()
-	}
-	if !known {
-		cost = 0
-	}
-	return shape, cost, known, nil
-}
-
-// PlanQuery reports the planner's full decision for the query — chosen
-// algorithm, reason, predicted cost, the alternatives considered and the
-// scatter fan-out width — without executing it. DB.Explain embeds the same
-// decision.
-func (s *Snapshot) PlanQuery(q Query) (*PlanDecision, error) {
-	cq, err := s.toCoreQuery(q)
+// Explain is DB.Explain against a pinned snapshot.
+func (s *Snapshot) Explain(q Query) (*Explain, error) {
+	p, err := s.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	d := s.decide(q, &cq)
-	pd := fromPlanDecision(d)
-	return &pd, nil
-}
-
-// decide computes the full planner decision for a validated query.
-func (s *Snapshot) decide(q Query, cq *core.Query) plan.Decision {
-	p := s.planner()
-	d := p.Decide(core.QueryShapeKey("", cq), forcedAlg(q.Algorithm))
-	if eng, ok := s.engine.(*shard.Engine); ok {
-		d.Fanout = p.FanoutWidth(d.Cost, d.CostKnown, eng.NumShards())
-	}
-	return d
+	return p.Explain()
 }
 
 // Rebuild reconstructs the indexes from the raw objects and feature sets —

@@ -33,13 +33,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stpq/internal/core"
 	"stpq/internal/geo"
 	"stpq/internal/index"
 	"stpq/internal/ingest"
-	"stpq/internal/invindex"
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
 	"stpq/internal/shard"
@@ -115,26 +115,6 @@ const (
 	ShardGrid
 )
 
-// MergePolicy selects how the live write path folds pending mutations
-// into the base indexes on Flush, auto-flush and compaction.
-type MergePolicy int
-
-const (
-	// MergeAuto (default) applies the delta incrementally into
-	// copy-on-write clones of the base indexes — merge cost proportional
-	// to the delta, not the base — and falls back to a full rebuild when
-	// the tree-quality heuristic reports degradation (cumulative
-	// incremental drift, overflow-split count, or height growth past the
-	// bulk-loaded baseline).
-	MergeAuto MergePolicy = iota
-	// MergeIncremental always merges incrementally, skipping the
-	// degradation fallback (benchmarks and tests).
-	MergeIncremental
-	// MergeRebuild always re-bulk-loads the whole engine — the pre-
-	// generational behaviour, kept as the benchmark baseline.
-	MergeRebuild
-)
-
 // Algorithm selects the query processing strategy.
 type Algorithm int
 
@@ -163,28 +143,9 @@ type Config struct {
 	// BufferPages is the per-index LRU buffer pool capacity in pages
 	// (default 1024).
 	BufferPages int
-	// PoolStripes splits every buffer pool into this many independently
-	// locked LRU shards (rounded down to a power of two) so concurrent
-	// queries stop contending on one pool mutex. 0 or 1 keeps the
-	// classic single-lock LRU, whose serial eviction order — and thus
-	// physical I/O counts — exactly matches the paper's cost model;
-	// striping keeps logical/physical accounting exact but makes
-	// eviction order depend on the page-to-stripe hash.
-	PoolStripes int
 	// IOCostPerPage converts physical page reads into modeled I/O time
 	// for Stats (default 100µs).
 	IOCostPerPage time.Duration
-	// RoundRobinPulling switches STPS to the simple round-robin pulling
-	// strategy instead of the prioritized strategy of Definition 5.
-	RoundRobinPulling bool
-	// LazyCombinations forces the bounded-memory lattice enumeration of
-	// feature combinations for every variant; by default the range
-	// variant uses the paper's eager materialization (which its validity
-	// filter keeps small) and the other variants use the lazy lattice.
-	LazyCombinations bool
-	// DisableBatchSTDS turns off the batched STDS score computation
-	// ("Performance improvements", Section 5).
-	DisableBatchSTDS bool
 	// CacheVoronoiCells keeps the Voronoi cells computed by
 	// nearest-neighbor queries across queries — the precomputation for
 	// static data the paper suggests in Section 8.5.
@@ -221,9 +182,6 @@ type Config struct {
 	ShardCount int
 	// ShardStrategy selects the partitioner when ShardCount > 1.
 	ShardStrategy ShardStrategy
-	// ShardParallelism bounds how many shards one query fans out to
-	// concurrently (default GOMAXPROCS).
-	ShardParallelism int
 	// WALDir, when non-empty, attaches a write-ahead log in that
 	// directory at Build/Open time, enabling the live write path (Apply,
 	// Flush, Checkpoint) with crash recovery: existing log records past
@@ -247,14 +205,6 @@ type Config struct {
 	// BackgroundCompaction, seals them into a run). 0 means
 	// DefaultAutoFlushOps; negative disables auto-flush (Flush manually).
 	AutoFlushOps int
-	// MergePolicy selects incremental vs full-rebuild merging (default
-	// MergeAuto: incremental with a degradation fallback).
-	MergePolicy MergePolicy
-	// MergeDriftRatio is the degradation threshold of MergeAuto: a full
-	// rebuild replaces the incremental path once the net mutations merged
-	// incrementally since the last bulk load exceed this fraction of the
-	// live data size. 0 means the default 0.5.
-	MergeDriftRatio float64
 	// BackgroundCompaction moves merge work off the write path: reaching
 	// the auto-flush threshold seals the delta into an immutable run
 	// (O(feature sets), not O(delta)) and a compactor goroutine folds
@@ -262,19 +212,10 @@ type Config struct {
 	// short critical section. Requires an attached WAL.
 	BackgroundCompaction bool
 	// CompactRuns is the sealed-run-count watermark that wakes the
-	// compactor (default 4).
+	// compactor (default 4). At four times as many runs Apply merges
+	// synchronously instead of sealing another (write backpressure, counted
+	// by stpq_ingest_write_stalls_total).
 	CompactRuns int
-	// MaxRuns is the write-backpressure cap: when sealing would exceed
-	// this many runs, Apply merges synchronously instead (counted by
-	// stpq_ingest_write_stalls_total). 0 means 4×CompactRuns.
-	MaxRuns int
-	// CompactChunkOps is the number of index operations between the
-	// background compactor's pacing points (default 512).
-	CompactChunkOps int
-	// CompactPause is how long the compactor backs off at a pacing point
-	// while the foreground gate (SetCompactionGate) reports saturation
-	// (default 2ms).
-	CompactPause time.Duration
 }
 
 // Query is a top-k spatio-textual preference query.
@@ -337,42 +278,16 @@ type Result struct {
 }
 
 // Stats reports the cost of one query, following the paper's metric:
-// measured CPU time plus I/O time modeled from physical page reads.
-type Stats struct {
-	CPUTime        time.Duration
-	IOTime         time.Duration
-	LogicalReads   int64
-	PhysicalReads  int64
-	VoronoiCPUTime time.Duration
-	VoronoiReads   int64
-	Combinations   int
-	FeaturesPulled int
-	ObjectsScored  int
-	// ShardFanout and ShardPruned count shards queried / skipped by the
-	// scatter-gather of a sharded DB; zero on unsharded DBs.
-	ShardFanout int
-	ShardPruned int
-	// ApproxCandidates, ApproxPruned and ApproxSkippedReads report the
-	// approximate tier's work on a Mode: ModeApprox query: leaf features
-	// checked against the MinHash sketch, those the LSH band filter
-	// rejected, and verification page reads the skip-verify path avoided.
-	// Zero in exact mode.
-	ApproxCandidates   int64
-	ApproxPruned       int64
-	ApproxSkippedReads int64
-	// Trace is the query's phase breakdown when tracing is enabled
-	// (Config.Tracing, DB.SetTracing, Query.Trace, or a sampling hit),
-	// nil otherwise.
-	Trace *Span
-}
+// measured CPU time plus I/O time modeled from physical page reads. Trace is
+// the query's phase breakdown when tracing is enabled (Config.Tracing,
+// DB.SetTracing, Query.Trace, or a sampling hit), nil otherwise.
+type Stats = core.Stats
 
-// Total returns CPU plus modeled I/O time.
-func (s Stats) Total() time.Duration { return s.CPUTime + s.IOTime }
-
-// queryEngine is the query surface shared by the single engine
-// (core.Engine) and the sharded engine (shard.Engine). Everything above
-// this interface — snapshots, serving, metrics, tracing — works
-// identically for both.
+// queryEngine is what executes a prepared query: the single engine
+// (core.Engine), the sharded engine (shard.Engine) or the ingest overlay
+// (ingest.Overlay). Each runs a lowered core.Query and returns its Stats;
+// everything else — validation, planning, the trace decision, metrics and
+// the event record — is Prepare and Prepared.Run (prepare.go).
 type queryEngine interface {
 	STDS(core.Query) ([]core.Result, core.Stats, error)
 	STPS(core.Query) ([]core.Result, core.Stats, error)
@@ -380,7 +295,6 @@ type queryEngine interface {
 	UpperBoundAll(core.Query) (float64, error)
 	FeatureGroups() []*index.FeatureGroup
 	NumObjects() int
-	SetTrace(bool)
 	PrecomputeVoronoiCells() error
 }
 
@@ -401,7 +315,9 @@ type DB struct {
 	engine   queryEngine
 	metrics  *obs.Registry
 	tel      *obs.Telemetry
-	inverted map[string]*invindex.Index
+	qmetrics queryMetricsTable
+	tracing  atomic.Bool // Config.Tracing / SetTracing, read by Prepare
+	kwTables map[string]*keywordTable
 	built    bool
 	gen      uint64 // build generation: 1 after Build, +1 per Rebuild
 
@@ -421,12 +337,15 @@ type DB struct {
 	// Incremental-merge bookkeeping (see compaction.go). mergeEpoch
 	// invalidates a background compaction whose pinned base was replaced
 	// mid-flight; the drift counters feed the degradation fallback.
-	mergeEpoch    uint64
-	incrOps       int // net ops merged incrementally since the last bulk load
-	incrSplits    int // overflow splits absorbed incrementally since the last bulk load
-	baseHeights   []int
-	lastMergeSecs float64
-	lastStallSecs float64
+	mergeEpoch uint64
+	// forceIncremental skips the tree-quality heuristic so every structurally
+	// possible merge is incremental; only in-package tests set it.
+	forceIncremental bool
+	incrOps          int // net ops merged incrementally since the last bulk load
+	incrSplits       int // overflow splits absorbed incrementally since the last bulk load
+	baseHeights      []int
+	lastMergeSecs    float64
+	lastStallSecs    float64
 
 	// Background compactor plumbing; nil unless Config.BackgroundCompaction.
 	compactC    chan struct{}
@@ -449,7 +368,7 @@ type DB struct {
 
 // New creates an empty DB.
 func New(cfg Config) *DB {
-	return &DB{
+	db := &DB{
 		cfg:     cfg,
 		vocab:   kwset.NewVocabulary(),
 		sets:    make(map[string][]Feature),
@@ -457,6 +376,8 @@ func New(cfg Config) *DB {
 		tel: obs.NewTelemetry(cfg.EventLogEntries, cfg.SlowLogEntries,
 			cfg.TraceSampleRate, cfg.SlowQueryThreshold),
 	}
+	db.tracing.Store(cfg.Tracing)
+	return db
 }
 
 // AddObjects appends data objects. Must be called before Build (or, for
@@ -540,7 +461,6 @@ func (db *DB) buildLocked() error {
 		VocabWidth:    width,
 		PageSize:      db.cfg.PageSize,
 		BufferPages:   db.cfg.BufferPages,
-		PoolStripes:   db.cfg.PoolStripes,
 		SignatureBits: db.cfg.SignatureBits,
 	}
 	objs := make([]index.Object, len(db.objects))
@@ -566,17 +486,15 @@ func (db *DB) buildLocked() error {
 	}
 	if db.cfg.ShardCount > 1 {
 		eng, err := shard.New(objs, featSets, shard.Options{
-			Shards:      db.cfg.ShardCount,
-			Strategy:    shard.Strategy(db.cfg.ShardStrategy),
-			Parallelism: db.cfg.ShardParallelism,
-			Index:       opts,
-			Core:        db.cfg.coreOptions(nil, nil),
-			Metrics:     db.metrics,
-			Telemetry:   db.tel,
+			Shards:   db.cfg.ShardCount,
+			Strategy: shard.Strategy(db.cfg.ShardStrategy),
+			Index:    opts,
+			Core:     db.cfg.coreOptions(),
 		})
 		if err != nil {
 			return fmt.Errorf("stpq: building sharded engine: %w", err)
 		}
+		eng.AttachMetrics(db.metrics)
 		db.engine = eng
 		db.base = nil
 	} else {
@@ -592,7 +510,7 @@ func (db *DB) buildLocked() error {
 			}
 		}
 		oidx.AttachMetrics(db.metrics, "objects")
-		eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions(db.metrics, db.tel))
+		eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
 		if err != nil {
 			return err
 		}
@@ -615,7 +533,7 @@ func (db *DB) buildLocked() error {
 	db.mergeEpoch++
 	db.built = true
 	db.gen++
-	db.inverted = nil // stale after a rebuild; lazily rebuilt by KeywordStats
+	db.kwTables = nil // stale after a rebuild; lazily rebuilt by KeywordStats
 	return nil
 }
 
@@ -657,22 +575,9 @@ func (db *DB) recordBaseShapeLocked() {
 	}
 }
 
-// coreOptions lowers the public config (plus the DB's metrics registry and
-// telemetry bundle) into engine options.
-func (cfg Config) coreOptions(metrics *obs.Registry, tel *obs.Telemetry) core.Options {
-	opts := core.Options{
-		BatchSTDS:         !cfg.DisableBatchSTDS,
-		CacheVoronoiCells: cfg.CacheVoronoiCells,
-		Trace:             cfg.Tracing,
-		Metrics:           metrics,
-		Telemetry:         tel,
-	}
-	if cfg.LazyCombinations {
-		opts.Combinations = core.CombinationsLazy
-	}
-	if cfg.RoundRobinPulling {
-		opts.Pull = core.PullRoundRobin
-	}
+// coreOptions lowers the public config into engine options.
+func (cfg Config) coreOptions() core.Options {
+	opts := core.Options{BatchSTDS: true, CacheVoronoiCells: cfg.CacheVoronoiCells}
 	if cfg.IOCostPerPage > 0 {
 		opts.CostModel = storage.CostModel{PerPage: cfg.IOCostPerPage}
 	}
@@ -708,87 +613,6 @@ func (db *DB) TopK(q Query) ([]Result, Stats, error) {
 	return snap.TopK(q)
 }
 
-// KeywordStat describes one keyword of a feature set.
-type KeywordStat struct {
-	Keyword string
-	// Count is the number of features of the set described by the
-	// keyword.
-	Count int
-	// TopScore is the best non-spatial score among those features.
-	TopScore float64
-}
-
-// KeywordStats returns, for the named feature set, the per-keyword
-// document frequencies and best scores, ordered by descending frequency.
-// It is backed by an inverted index built on first use and helps users
-// gauge the selectivity of candidate query keywords.
-func (db *DB) KeywordStats(featureSet string) ([]KeywordStat, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.built {
-		return nil, fmt.Errorf("%w: KeywordStats before Build", ErrNotBuilt)
-	}
-	pos := -1
-	for i, name := range db.setNames {
-		if name == featureSet {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return nil, fmt.Errorf("%w %q", ErrUnknownFeatureSet, featureSet)
-	}
-	if db.inverted == nil {
-		db.inverted = make(map[string]*invindex.Index)
-	}
-	ix, ok := db.inverted[featureSet]
-	if !ok {
-		// Build from the index itself so opened DBs (which do not retain
-		// the raw feature slices) are covered too.
-		entries, err := db.engine.FeatureGroups()[pos].AllExact()
-		if err != nil {
-			return nil, err
-		}
-		feats := make([]index.Feature, len(entries))
-		for j, e := range entries {
-			feats[j] = index.Feature{ID: e.ItemID, Score: e.Score, Keywords: e.Keywords}
-		}
-		ix = invindex.Build(feats, db.vocab.Size())
-		db.inverted[featureSet] = ix
-	}
-	out := make([]KeywordStat, 0, db.vocab.Size())
-	for id := 0; id < db.vocab.Size(); id++ {
-		if n := ix.DocFrequency(id); n > 0 {
-			out = append(out, KeywordStat{Keyword: db.vocab.Word(id), Count: n, TopScore: ix.TopScore(id)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Keyword < out[j].Keyword
-	})
-	return out, nil
-}
-
-// Selectivity returns the fraction of the named feature set that is
-// textually relevant to the given keywords — a direct predictor of query
-// cost.
-func (db *DB) Selectivity(featureSet string, keywords []string) (float64, error) {
-	if _, err := db.KeywordStats(featureSet); err != nil {
-		return 0, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ix, ok := db.inverted[featureSet]
-	if !ok {
-		// A concurrent Rebuild invalidated the inverted index between the
-		// two critical sections; the caller can simply retry.
-		return 0, fmt.Errorf("stpq: feature set %q was rebuilt concurrently", featureSet)
-	}
-	return ix.Selectivity(db.vocab.LookupSet(keywords...)), nil
-}
-
 // Score computes the exact spatio-textual preference score of an arbitrary
 // location under the query, by brute force. Intended for debugging and
 // verification, not for production use.
@@ -800,23 +624,109 @@ func (db *DB) Score(q Query, x, y float64) (float64, error) {
 	return snap.Score(q, x, y)
 }
 
-// fromCoreStats converts internal stats to the public type.
-func fromCoreStats(st core.Stats) Stats {
-	return Stats{
-		CPUTime:            st.CPUTime,
-		IOTime:             st.IOTime,
-		LogicalReads:       st.LogicalReads,
-		PhysicalReads:      st.PhysicalReads,
-		VoronoiCPUTime:     st.VoronoiCPUTime,
-		VoronoiReads:       st.VoronoiReads,
-		Combinations:       st.Combinations,
-		FeaturesPulled:     st.FeaturesPulled,
-		ObjectsScored:      st.ObjectsScored,
-		ShardFanout:        st.ShardFanout,
-		ShardPruned:        st.ShardPruned,
-		ApproxCandidates:   st.ApproxCandidates,
-		ApproxPruned:       st.ApproxPruned,
-		ApproxSkippedReads: st.ApproxSkippedReads,
-		Trace:              fromObsSpan(st.Trace),
+// KeywordStat describes one keyword of a feature set.
+type KeywordStat struct {
+	Keyword string
+	// Count is the number of features of the set described by the
+	// keyword.
+	Count int
+	// TopScore is the best non-spatial score among those features.
+	TopScore float64
+}
+
+// keywordTable is one feature set's keyword statistics, computed in one
+// pass over the index leaves and cached until the next generation.
+type keywordTable struct {
+	stats []KeywordStat // descending Count, ties by Keyword
+	sets  []kwset.Set   // one per feature, for Selectivity
+}
+
+// keywordTableLocked returns (building on first use) the named feature
+// set's table. It reads the index itself, so opened DBs — which do not
+// retain the raw feature slices — are covered too. Callers hold db.mu.
+func (db *DB) keywordTableLocked(featureSet string) (*keywordTable, error) {
+	if !db.built {
+		return nil, fmt.Errorf("%w: KeywordStats before Build", ErrNotBuilt)
 	}
+	if t, ok := db.kwTables[featureSet]; ok {
+		return t, nil
+	}
+	pos := -1
+	for i, name := range db.setNames {
+		if name == featureSet {
+			pos = i
+			break
+		}
+	}
+	if pos < 0 {
+		return nil, fmt.Errorf("%w %q", ErrUnknownFeatureSet, featureSet)
+	}
+	entries, err := db.engine.FeatureGroups()[pos].AllExact()
+	if err != nil {
+		return nil, err
+	}
+	byID := make([]KeywordStat, db.vocab.Size())
+	t := &keywordTable{sets: make([]kwset.Set, len(entries))}
+	for i, e := range entries {
+		t.sets[i] = e.Keywords
+		e.Keywords.ForEach(func(id int) {
+			if id >= len(byID) {
+				return
+			}
+			byID[id].Count++
+			if e.Score > byID[id].TopScore {
+				byID[id].TopScore = e.Score
+			}
+		})
+	}
+	for id := range byID {
+		if byID[id].Count > 0 {
+			byID[id].Keyword = db.vocab.Word(id)
+			t.stats = append(t.stats, byID[id])
+		}
+	}
+	sort.Slice(t.stats, func(i, j int) bool {
+		if t.stats[i].Count != t.stats[j].Count {
+			return t.stats[i].Count > t.stats[j].Count
+		}
+		return t.stats[i].Keyword < t.stats[j].Keyword
+	})
+	if db.kwTables == nil {
+		db.kwTables = make(map[string]*keywordTable)
+	}
+	db.kwTables[featureSet] = t
+	return t, nil
+}
+
+// KeywordStats returns, for the named feature set, the per-keyword
+// document frequencies and best scores, ordered by descending frequency.
+// It helps users gauge the selectivity of candidate query keywords.
+func (db *DB) KeywordStats(featureSet string) ([]KeywordStat, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, err := db.keywordTableLocked(featureSet)
+	if err != nil {
+		return nil, err
+	}
+	return append([]KeywordStat(nil), t.stats...), nil
+}
+
+// Selectivity returns the fraction of the named feature set that is
+// textually relevant to the given keywords — a direct predictor of query
+// cost.
+func (db *DB) Selectivity(featureSet string, keywords []string) (float64, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, err := db.keywordTableLocked(featureSet)
+	if err != nil || len(t.sets) == 0 {
+		return 0, err
+	}
+	q := db.vocab.LookupSet(keywords...)
+	relevant := 0
+	for _, set := range t.sets {
+		if set.Intersects(q) {
+			relevant++
+		}
+	}
+	return float64(relevant) / float64(len(t.sets)), nil
 }

@@ -320,6 +320,16 @@ func TestKeywordStats(t *testing.T) {
 	if got := byWord["chinese"]; got.Count != 2 || got.TopScore != 0.8 {
 		t.Errorf("chinese stat = %+v", got)
 	}
+	// Equal frequencies order by keyword, and a keyword no restaurant
+	// carries (it is in the vocabulary through the coffeehouses) is absent.
+	for i := 1; i < len(stats); i++ {
+		if stats[i].Count == stats[i-1].Count && stats[i].Keyword <= stats[i-1].Keyword {
+			t.Errorf("tie not broken by keyword: %+v before %+v", stats[i-1], stats[i])
+		}
+	}
+	if got, ok := byWord["espresso"]; ok {
+		t.Errorf("unused keyword listed: %+v", got)
+	}
 	if _, err := db.KeywordStats("bars"); err == nil {
 		t.Error("unknown feature set must fail")
 	}
@@ -341,6 +351,12 @@ func TestSelectivity(t *testing.T) {
 	zero, err := db.Selectivity("restaurants", []string{"sushi-omakase"})
 	if err != nil || zero != 0 {
 		t.Errorf("unknown keyword selectivity = %v, %v", zero, err)
+	}
+	if none, err := db.Selectivity("restaurants", nil); err != nil || none != 0 {
+		t.Errorf("empty keyword list selectivity = %v, %v", none, err)
+	}
+	if _, err := db.Selectivity("bars", []string{"pizza"}); err == nil {
+		t.Error("unknown feature set must fail")
 	}
 }
 
