@@ -25,7 +25,7 @@ package stpq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"stpq/internal/core"
@@ -105,7 +105,7 @@ func (db *DB) pendingLayersLocked() []*ingest.Layer {
 }
 
 // deltaView wraps the live delta as a layer without copying. Only the
-// synchronous merge path uses it; overlay publication snapshots instead.
+// synchronous merge path uses it; publication snapshots instead.
 func deltaView(d *ingest.Delta) *ingest.Layer {
 	l := &ingest.Layer{
 		Objects:     d.Objects,
@@ -289,7 +289,7 @@ func (db *DB) treesDegradedLocked() bool {
 	if len(db.baseHeights) != 1+len(db.setNames) {
 		return true
 	}
-	if db.base.Objects().Tree().Height() > db.baseHeights[0]+1 {
+	if soleObjects(db.base).Tree().Height() > db.baseHeights[0]+1 {
 		return true
 	}
 	for i := range db.setNames {
@@ -304,7 +304,7 @@ func (db *DB) treesDegradedLocked() bool {
 // each clone reads the shared base pages through a copy-on-write disk and
 // writes only its private overlay.
 func beginMerge(base *core.Engine, numSets int) (*index.ObjectIndex, []*index.FeatureIndex, error) {
-	oidx, err := base.Objects().BeginMerge()
+	oidx, err := soleObjects(base).BeginMerge()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -378,13 +378,15 @@ func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netO
 	return nil
 }
 
-// sortedIDs returns a map's keys in ascending order.
+// sortedIDs returns a map's keys in ascending order — the one order every
+// fold and merge applies ids in, so replaying a WAL reproduces the same
+// index input.
 func sortedIDs[V any](m map[int64]V) []int64 {
 	ids := make([]int64, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -394,8 +396,7 @@ func sortedIDs[V any](m map[int64]V) []int64 {
 // the merge epoch. compactedRuns < 0 means a foreground merge that
 // consumed every pending generation; otherwise only the first
 // compactedRuns sealed runs were folded (background compaction) and the
-// remainder — plus the active delta — is re-published as an overlay over
-// the new base. Callers hold ingestMu and db.mu.
+// remainder — plus the active delta — is re-published over the new base. Callers hold ingestMu and db.mu.
 func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netOps, compactedRuns int) error {
 	eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
 	if err != nil {
@@ -438,7 +439,7 @@ func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIn
 	db.runs = append([]*ingest.Run(nil), db.runs[compactedRuns:]...)
 	db.metrics.Gauge("stpq_ingest_runs").Set(float64(len(db.runs)))
 	if db.pendingLocked() {
-		return db.publishOverlayLocked()
+		return db.publishPendingLocked()
 	}
 	db.engine = eng
 	db.gen++

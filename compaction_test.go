@@ -154,6 +154,89 @@ func TestBackgroundCompactionOracleEquivalence(t *testing.T) {
 	}
 }
 
+// TestObjectMutationsAcrossLayers follows data objects through every place
+// a pending object can live — inserted, moved and deleted in the active
+// delta, then the same mutations sealed into a run, then overwritten and
+// deleted again from a newer delta, then folded into the base by a
+// compaction — and compares the whole ranking (k above the object count)
+// with a rebuild at each step, for all three variants and both algorithms.
+// A Snapshot pinned before the compaction swap must keep answering for the
+// state it was taken at; one taken after it, for the new state. Throughout,
+// the pending delta part is not a shard: both shard counters stay 0.
+func TestObjectMutationsAcrossLayers(t *testing.T) {
+	for _, kind := range []IndexKind{SRT, IR2} {
+		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(53))
+			objs, sets := ingestSeedData(rng, 120, 90)
+			// Eight mutations seal the delta into a run; the second run
+			// wakes the compactor.
+			cfg := Config{IndexKind: kind, PageSize: 1024, WALDir: t.TempDir(),
+				AutoFlushOps: 8, BackgroundCompaction: true, CompactRuns: 2}
+			db := buildIngestDB(t, cfg, objs, sets)
+			defer db.CloseWAL()
+			shadow := newIngestShadow(objs, sets)
+			const all = 1 << 10
+			put := func(id int64) Mutation {
+				return Mutation{Op: OpUpsertObject, Object: &Object{ID: id, X: rng.Float64(), Y: rng.Float64()}}
+			}
+			del := func(id int64) Mutation { return Mutation{Op: OpDeleteObject, ID: id} }
+			step := func(tag string, wantRuns int, muts ...Mutation) {
+				t.Helper()
+				if err := db.Apply(muts); err != nil {
+					t.Fatalf("%s: Apply: %v", tag, err)
+				}
+				for _, m := range muts {
+					shadow.apply(m)
+				}
+				if wantRuns >= 0 && db.Runs() != wantRuns {
+					t.Fatalf("%s: %d sealed runs, want %d", tag, db.Runs(), wantRuns)
+				}
+				assertSameRanking(t, tag, db, shadow.oracle(t, cfg), rng, all)
+			}
+			// Active delta: a new object, a base object moved, a base object
+			// deleted.
+			step("in the delta", 0, put(900), put(3), del(4))
+			// Five more seal all eight into a run; the delta is empty again.
+			step("in a sealed run", 1, put(901), put(5), del(6), put(902), del(7))
+			// A newer delta over the run: move what the run inserted, delete
+			// what the run moved, bring back what the run deleted.
+			step("delta over a run", 1, put(900), del(3), put(4), del(901))
+			_, st, err := db.TopK(Query{K: 5, Radius: 0.08, Lambda: 0.5,
+				Keywords: map[string][]string{"food": {ingestWords[0]}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShardFanout != 0 || st.ShardPruned != 0 {
+				t.Fatalf("unsharded DB with a pending delta reports fanout %d, pruned %d", st.ShardFanout, st.ShardPruned)
+			}
+
+			before, beforeLive := mustSnapshot(t, db), len(shadow.objs)
+			beforeOracle := shadow.oracle(t, cfg)
+			// Four more seal the second run and wake the compactor; wait for
+			// its swap.
+			step("second run sealed", -1, put(903), put(8), del(9), del(902))
+			deadline := time.Now().Add(10 * time.Second)
+			for db.Metrics().Counters["stpq_ingest_compactions_total"] == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("no compaction completed; runs=%d", db.Runs())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			step("delta over the compacted base", 0, put(904), put(900), del(8))
+			after, afterLive := mustSnapshot(t, db), len(shadow.objs)
+			afterOracle := shadow.oracle(t, cfg)
+			step("past the second snapshot", 0, del(904), put(10))
+
+			assertSameRanking(t, "snapshot pinned before the swap", before, beforeOracle, rng, all)
+			assertSameRanking(t, "snapshot pinned after the swap", after, afterOracle, rng, all)
+			if before.NumObjects() != beforeLive || after.NumObjects() != afterLive {
+				t.Fatalf("live objects: %d before the swap, %d after; want %d and %d",
+					before.NumObjects(), after.NumObjects(), beforeLive, afterLive)
+			}
+		})
+	}
+}
+
 // TestCrashAfterRunSeal: a crash while sealed runs (and a half-filled
 // delta) are awaiting compaction loses nothing — the WAL replays every
 // batch and the restarted DB matches the oracle.

@@ -1,8 +1,8 @@
 package stpq
 
 // explain.go is the EXPLAIN surface: DB.Explain describes how a query
-// would execute — algorithm, index, shard scatter order with per-shard
-// upper bounds — and predicts its cost from the recorded per-shape
+// would execute — algorithm, index, shard layout with per-shard upper
+// bounds — and predicts its cost from the recorded per-shape
 // statistics (DB.QueryShapes), without running the query. Exposed as
 // `stpq -explain` on the CLI and `"explain": true` on the HTTP query
 // endpoint.
@@ -14,7 +14,6 @@ import (
 
 	"stpq/internal/obs"
 	"stpq/internal/plan"
-	"stpq/internal/shard"
 )
 
 // PlanDecision is the cost-based planner's verdict for a query: the
@@ -27,13 +26,11 @@ type (
 	PlanCandidate = plan.Candidate
 )
 
-// ExplainShard is one shard's entry in a sharded query plan, in scatter
-// order: the wave it runs in at the current parallelism and the upper
-// bound its region admits for the query (the pruning key — the gather
-// stops once the merged k-th score beats every remaining bound).
+// ExplainShard is one shard's entry in the plan of a sharded DB: how many
+// data objects the cell holds and the upper bound its region admits for
+// the query — no object in it can score above that.
 type ExplainShard struct {
 	ID      int     `json:"id"`
-	Wave    int     `json:"wave"`
 	Bound   float64 `json:"bound"`
 	Objects int     `json:"objects"`
 }
@@ -63,10 +60,8 @@ type Explain struct {
 	FeatureSets int `json:"feature_sets"`
 	// Shape is the canonical shape label the prediction is keyed by.
 	Shape string `json:"shape"`
-	// Shards is the scatter plan of a sharded DB (nil when unsharded),
-	// and Parallelism its wave width.
-	Shards      []ExplainShard `json:"shards,omitempty"`
-	Parallelism int            `json:"parallelism,omitempty"`
+	// Shards lists the cells of a sharded DB (nil when unsharded).
+	Shards []ExplainShard `json:"shards,omitempty"`
 	// Predicted is the recorded mean cost of the shape, nil while fewer
 	// than MinPredictSamples executions have been recorded; Samples is the
 	// number of recorded executions either way.
@@ -83,8 +78,8 @@ type Explain struct {
 const MinPredictSamples = obs.MinPredictSamples
 
 // Explain describes how the query would execute against the current
-// indexes without running it: the chosen algorithm and index, the shard
-// scatter order with per-shard upper bounds (sharded DBs), and the
+// indexes without running it: the chosen algorithm and index, the shards
+// with their upper bounds (sharded DBs), and the
 // predicted cost from recorded per-shape statistics once the shape has
 // enough samples.
 func (db *DB) Explain(q Query) (*Explain, error) {
@@ -130,18 +125,14 @@ func (p *Prepared) Explain() (*Explain, error) {
 		// Below the sample floor: still report how many we have.
 		_, ex.Samples = shapes.Cost(p.key)
 	}
-	if eng, ok := s.engine.(*shard.Engine); ok {
-		sp, err := eng.Plan(p.cq)
+	if s.shards != nil {
+		sp, err := s.shards.Plan(p.cq)
 		if err != nil {
 			return nil, err
 		}
-		ex.Parallelism = eng.Parallelism()
-		if pd.Fanout > 0 && pd.Fanout < ex.Parallelism {
-			ex.Parallelism = pd.Fanout
-		}
 		ex.Shards = make([]ExplainShard, len(sp))
 		for i, sh := range sp {
-			ex.Shards[i] = ExplainShard{ID: sh.ID, Wave: i / ex.Parallelism, Bound: sh.Bound, Objects: sh.Objects}
+			ex.Shards[i] = ExplainShard{ID: sh.ID, Bound: sh.Bound, Objects: sh.Objects}
 		}
 	}
 	return ex, nil
@@ -180,14 +171,11 @@ func (e *Explain) String() string {
 					c.Algorithm, c.Samples, MinPredictSamples)
 			}
 		}
-		if p.Fanout > 0 {
-			fmt.Fprintf(&b, "    fan-out: %d shard(s) per wave (cost-based)\n", p.Fanout)
-		}
 	}
 	if len(e.Shards) > 0 {
-		fmt.Fprintf(&b, "  plan: scatter-gather over %d shards, parallelism %d\n", len(e.Shards), e.Parallelism)
+		fmt.Fprintf(&b, "  plan: one engine over %d shards\n", len(e.Shards))
 		for _, sh := range e.Shards {
-			fmt.Fprintf(&b, "    wave %d: shard %02d  bound=%.4f  objects=%d\n", sh.Wave, sh.ID, sh.Bound, sh.Objects)
+			fmt.Fprintf(&b, "    shard %02d  bound=%.4f  objects=%d\n", sh.ID, sh.Bound, sh.Objects)
 		}
 	} else {
 		fmt.Fprintf(&b, "  plan: single engine\n")

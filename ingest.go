@@ -2,7 +2,7 @@ package stpq
 
 // ingest.go is the public live write path: DB.Apply appends a mutation
 // batch to a write-ahead log, applies it to an in-memory delta, and
-// publishes a two-source overlay engine (base + delta) whose answers are
+// publishes an engine over base + delta index parts whose answers are
 // byte-identical to a from-scratch rebuild; DB.Flush merges the delta into
 // a new base generation; DB.Checkpoint makes the merged state durable and
 // trims the log; AttachWAL replays the log after a crash. The heavy
@@ -311,7 +311,7 @@ func (db *DB) attachWALLocked(dir string) (int, error) {
 		return 0, err
 	}
 	if db.pendingLocked() {
-		if err := db.publishOverlayLocked(); err != nil {
+		if err := db.publishPendingLocked(); err != nil {
 			w.Close()
 			return 0, err
 		}
@@ -421,7 +421,7 @@ func (db *DB) setPosLocked(name string) int {
 // applyBatchLocked applies one validated batch to the in-memory state:
 // the fast path routes it into the delta (feature inserts exercising the
 // R-tree insertion path and the Section 4.2 node-update rule) and, when
-// publish is set, swaps in a fresh overlay generation. Batches that grow
+// publish is set, swaps in a fresh base + delta generation. Batches that grow
 // the vocabulary take the full-rebuild merge path (the delta indexes are
 // built at the base vocabulary width). A delta reaching the auto-flush
 // threshold merges synchronously — or, under BackgroundCompaction, is
@@ -475,7 +475,7 @@ func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
 		db.sealDeltaLocked()
 	}
 	if publish {
-		return db.publishOverlayLocked()
+		return db.publishPendingLocked()
 	}
 	return nil
 }
@@ -559,12 +559,7 @@ func (db *DB) ensureDeltaLocked() error {
 	if db.delta != nil {
 		return nil
 	}
-	d, err := ingest.NewDelta(index.Options{
-		Kind:        index.Kind(db.cfg.IndexKind),
-		VocabWidth:  db.vocab.Size(),
-		PageSize:    db.cfg.PageSize,
-		BufferPages: db.cfg.BufferPages,
-	}, len(db.setNames))
+	d, err := ingest.NewDelta(db.deltaIndexOptions(), len(db.setNames))
 	if err != nil {
 		return err
 	}
@@ -572,19 +567,35 @@ func (db *DB) ensureDeltaLocked() error {
 	return nil
 }
 
-// publishOverlayLocked builds and swaps in a new overlay generation over
-// the pending layers — sealed runs plus a snapshot of the active delta.
-// The base object tree is filtered by the union of every layer's
-// tombstones; each feature group stacks tombstone-filtered base parts,
-// then each layer's part filtered by the tombstones of newer layers only
-// (so a layer's own upserts stay visible); layer-resident objects merge at
-// query time. The generation bump invalidates serve-layer result caches
-// exactly like a Rebuild.
-func (db *DB) publishOverlayLocked() error {
+// deltaIndexOptions are the options of every index built over pending
+// mutations: the base indexes' kind, vocabulary width and page geometry, so
+// delta parts compose with the base parts in one engine.
+func (db *DB) deltaIndexOptions() index.Options {
+	return index.Options{
+		Kind:        index.Kind(db.cfg.IndexKind),
+		VocabWidth:  db.vocab.Size(),
+		PageSize:    db.cfg.PageSize,
+		BufferPages: db.cfg.BufferPages,
+	}
+}
+
+// publishPendingLocked builds and swaps in a new engine generation over
+// the base and the pending layers — sealed runs plus a snapshot of the
+// active delta. The base object part is filtered by the union of every
+// layer's tombstones, and the objects the layers upserted are folded into
+// ONE small bulk-loaded part beside it (one per publish, not one per run:
+// every object part costs each combination probe a root read). Each
+// feature group stacks tombstone-filtered base parts, then each layer's
+// part filtered by the tombstones of newer layers only (so a layer's own
+// upserts stay visible). A query over base + delta is therefore one
+// STDS/STPS over more parts, nothing else. The generation bump invalidates
+// serve-layer result caches exactly like a Rebuild.
+func (db *DB) publishPendingLocked() error {
 	layers := make([]*ingest.Layer, 0, len(db.runs)+1)
+	pending := 0
 	for _, r := range db.runs {
-		r := r
 		layers = append(layers, &r.Layer)
+		pending += r.Ops
 	}
 	if db.delta != nil && !db.delta.Empty() {
 		// Snapshot, not a view: the published engine must not share maps
@@ -594,58 +605,54 @@ func (db *DB) publishOverlayLocked() error {
 			return fmt.Errorf("stpq: snapshotting delta: %w", err)
 		}
 		layers = append(layers, snap)
+		pending += db.delta.Ops()
 	}
-	if len(layers) == 0 {
-		db.engine = db.base
-		db.metrics.Gauge("stpq_ingest_delta_objects").Set(0)
-		db.metrics.Gauge("stpq_ingest_delta_ops").Set(0)
-		db.gen++
-		db.kwTables = nil
-		return nil
-	}
-	deadObj := ingest.UnionDead(layers)
-	objView := db.base.Objects().WithExclude(deadObj)
-	groups := make([]*index.FeatureGroup, len(db.setNames))
-	for i := range db.setNames {
-		deadAll := ingest.UnionDeadSet(layers, i)
-		baseParts := db.base.FeatureGroups()[i].Parts()
-		parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
-		for _, p := range baseParts {
-			parts = append(parts, p.WithExclude(deadAll))
-		}
-		for j, l := range layers {
-			if l.Sets[i].Idx == nil {
-				continue
+	eng := db.base
+	deltaObjs := ingest.FoldObjects(layers)
+	if len(layers) > 0 {
+		deadObj := ingest.UnionDead(layers)
+		hidden := 0
+		for id := range deadObj {
+			if _, ok := db.objLoc[id]; ok {
+				hidden++
 			}
-			parts = append(parts, l.Sets[i].Idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
 		}
-		g, err := index.NewFeatureGroup(parts...)
+		objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(deadObj, hidden)}
+		if len(deltaObjs) > 0 {
+			part, err := index.BuildObjectIndex(deltaObjs, db.deltaIndexOptions())
+			if err != nil {
+				return fmt.Errorf("stpq: indexing delta objects: %w", err)
+			}
+			objects = append(objects, part)
+		}
+		groups := make([]*index.FeatureGroup, len(db.setNames))
+		for i := range db.setNames {
+			deadAll := ingest.UnionDeadSet(layers, i)
+			baseParts := db.base.FeatureGroups()[i].Parts()
+			parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
+			for _, p := range baseParts {
+				parts = append(parts, p.WithExclude(deadAll))
+			}
+			for j, l := range layers {
+				if l.Sets[i].Idx == nil {
+					continue
+				}
+				parts = append(parts, l.Sets[i].Idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
+			}
+			g, err := index.NewFeatureGroup(parts...)
+			if err != nil {
+				return err
+			}
+			groups[i] = g
+		}
+		var err error
+		eng, err = core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
 		if err != nil {
 			return err
 		}
-		groups[i] = g
 	}
-	eng, err := core.NewEngineWithGroups(objView, groups, db.cfg.coreOptions())
-	if err != nil {
-		return err
-	}
-	deltaObjs := ingest.FoldObjects(layers)
-	live := len(db.objLoc) + len(deltaObjs)
-	for id := range deadObj {
-		if _, ok := db.objLoc[id]; ok {
-			live--
-		}
-	}
-	overlay := ingest.NewOverlay(eng, deltaObjs, live)
-	db.engine = overlay
-	pending := 0
-	for _, r := range db.runs {
-		pending += r.Ops
-	}
-	if db.delta != nil {
-		pending += db.delta.Ops()
-	}
-	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(overlay.DeltaObjects()))
+	db.engine = eng
+	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(len(deltaObjs)))
 	db.metrics.Gauge("stpq_ingest_delta_ops").Set(float64(pending))
 	db.gen++
 	db.kwTables = nil
@@ -674,12 +681,7 @@ func foldSlice[T any](in []T, dead map[int64]struct{}, ups map[int64]T, idOf fun
 		}
 		out = append(out, v)
 	}
-	ids := make([]int64, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	sortInt64s(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(pending) {
 		out = append(out, pending[id])
 	}
 	return out
@@ -689,7 +691,7 @@ func foldSlice[T any](in []T, dead map[int64]struct{}, ups map[int64]T, idOf fun
 // indexes — the bridge that lets DBs loaded with Open (which drop the raw
 // slices) merge and rebuild.
 func (db *DB) materializeRawLocked() error {
-	objEntries, err := db.base.Objects().Tree().All()
+	objEntries, err := soleObjects(db.base).Tree().All()
 	if err != nil {
 		return fmt.Errorf("stpq: materializing objects: %w", err)
 	}
@@ -713,14 +715,4 @@ func (db *DB) materializeRawLocked() error {
 		db.sets[name] = feats
 	}
 	return nil
-}
-
-// sortInt64s sorts ascending (sort.Slice shim to keep the generic fold
-// free of reflection in the hot path).
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -20,7 +20,7 @@ func (e *Engine) BruteForce(q Query) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	objs, err := e.objects.Tree().All()
+	objs, err := e.allObjects()
 	if err != nil {
 		return nil, err
 	}
@@ -47,22 +47,6 @@ func (e *Engine) ExactScore(q Query, p geo.Point) (float64, error) {
 		return 0, err
 	}
 	return e.exactScoreOf(q, p, feats), nil
-}
-
-// ExactScorer materializes the complete feature sets once and returns a
-// closure scoring arbitrary locations against them — the amortized form
-// of ExactScore for callers that score many points per engine generation
-// (the ingest overlay exact-scores every delta-resident object on every
-// query). The closure is safe for concurrent use: the materialized
-// entries are never mutated.
-func (e *Engine) ExactScorer() (func(q Query, p geo.Point) float64, error) {
-	feats, err := e.allFeatures()
-	if err != nil {
-		return nil, err
-	}
-	return func(q Query, p geo.Point) float64 {
-		return e.exactScoreOf(q, p, feats)
-	}, nil
 }
 
 // allFeatures loads the complete feature sets from the indexes.

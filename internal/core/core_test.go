@@ -389,16 +389,23 @@ func TestQueryValidation(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	w := buildWorld(t, 114, 10, 10, 1, 8, index.SRT, Options{})
-	if _, err := NewEngineWithGroups(nil, w.engine.FeatureGroups(), Options{}); err == nil {
+	objects := w.engine.ObjectParts()
+	if _, err := NewEngineOverParts(nil, 0, w.engine.FeatureGroups(), Options{}); err == nil {
+		t.Error("no object index must fail")
+	}
+	if _, err := NewEngineOverParts([]*index.ObjectIndex{nil}, 0, w.engine.FeatureGroups(), Options{}); err == nil {
 		t.Error("nil object index must fail")
 	}
-	if _, err := NewEngine(w.engine.Objects(), nil, Options{}); err == nil {
+	if _, err := NewEngineOverParts(objects, 2, w.engine.FeatureGroups(), Options{}); err == nil {
+		t.Error("more shard parts than object parts must fail")
+	}
+	if _, err := NewEngine(objects[0], nil, Options{}); err == nil {
 		t.Error("no feature indexes must fail")
 	}
-	if _, err := NewEngine(w.engine.Objects(), []*index.FeatureIndex{nil}, Options{}); err == nil {
+	if _, err := NewEngine(objects[0], []*index.FeatureIndex{nil}, Options{}); err == nil {
 		t.Error("nil feature index must fail")
 	}
-	if _, err := NewEngineWithGroups(w.engine.Objects(), []*index.FeatureGroup{nil}, Options{}); err == nil {
+	if _, err := NewEngineOverParts(objects, 0, []*index.FeatureGroup{nil}, Options{}); err == nil {
 		t.Error("nil feature group must fail")
 	}
 }

@@ -75,19 +75,13 @@ type Query struct {
 	// sampler, slow-query threshold); the disabled path costs one nil check
 	// per instrumentation point.
 	Trace bool
-	// Fanout, when positive, caps the sharded engine's scatter wave width
-	// for this query — the planner's cost-based fan-out decision. 0 keeps
-	// the engine default. Results are unaffected at any width: the
-	// between-wave termination rule prunes only strictly out-scored
-	// shards. Not part of the query shape.
-	Fanout int
 	// Approx, when non-nil, runs the query in the approximate fast tier:
 	// MinHash/LSH candidate pruning (and, in signature mode with
 	// SkipVerify, estimated similarity scoring) replace exact textual
 	// verification. The request carries the lowered LSH parameters and
-	// the shared atomic pruning counters; query copies (shard fan-out,
-	// sessions) alias the same request, so counters aggregate across the
-	// whole logical query. nil = exact mode, the default.
+	// the shared atomic pruning counters; query copies alias the same
+	// request, so counters aggregate across the whole logical query. nil =
+	// exact mode, the default.
 	Approx *approx.Request
 }
 
@@ -155,8 +149,11 @@ type Stats struct {
 	// ObjectsScored counts data objects whose score was computed (STDS)
 	// or retrieved (STPS).
 	ObjectsScored int
-	// ShardFanout and ShardPruned count shards queried / skipped by a
-	// sharded engine's scatter-gather; zero on unsharded engines.
+	// ShardFanout and ShardPruned split a partitioned engine's shard
+	// parts into those the query descended into and those it never read a
+	// page of: no combination's region reached their MBR (range, NN) or
+	// their best possible score stayed below the threshold (influence).
+	// STDS scans every part. Both are zero on unpartitioned engines.
 	ShardFanout int
 	ShardPruned int
 	// ApproxCandidates, ApproxPruned and ApproxSkippedReads report the
@@ -164,7 +161,7 @@ type Stats struct {
 	// sketch, those the LSH band filter rejected, and verification page
 	// reads the skip-verify path avoided. Zero in exact mode. They are
 	// loaded once per logical query from the shared approx request (by the
-	// caller that prepared the query), so per-shard sub-stats leave them zero.
+	// caller that prepared the query).
 	ApproxCandidates   int64
 	ApproxPruned       int64
 	ApproxSkippedReads int64
@@ -303,14 +300,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine binds the object index and the feature indexes and executes
-// prepared queries with either algorithm, returning their Stats; metrics
-// and event records are the caller's business. Once built, an Engine is safe for
-// concurrent queries: each STDS/STPS call runs in a private session whose
-// page reads are charged to a per-query accumulator, while the underlying
-// buffer pools (shared page caches) are internally synchronized.
+// Engine binds the data objects and the feature sets and executes prepared
+// queries with either algorithm, returning their Stats; metrics and event
+// records are the caller's business. Both sides are ordered lists of index
+// parts — one part each for a plain DB, one per cell for a spatially
+// partitioned one, a tombstone-filtered base part plus a small delta part
+// while live mutations are pending. The feature streams, the combination
+// generator and the threshold never look at a data object, so they run once
+// per query whatever the layout; only the object-side steps loop over the
+// object parts. Once built, an Engine is safe for concurrent queries: each
+// STDS/STPS call runs in a private session whose page reads are charged to a
+// per-query accumulator, while the underlying buffer pools (shared page
+// caches) are internally synchronized.
 type Engine struct {
-	objects  *index.ObjectIndex
+	objects []*index.ObjectIndex
+	// rects[i] is the MBR of objects[i], read off its root once at
+	// construction (the parts are immutable under an engine) so that a
+	// probe can skip a part without a page read. Nil on a one-part engine,
+	// which never skips its part and so never warms a page early.
+	rects []geo.Rect
+	// shards is how many leading object parts are cells of a spatial
+	// partition — the parts Stats.ShardFanout/ShardPruned count; 0 when the
+	// objects are not partitioned.
+	shards   int
 	features []*index.FeatureGroup
 	opts     Options
 	// cells is the cross-query Voronoi cell cache (Options.
@@ -320,11 +332,9 @@ type Engine struct {
 	// the root engine.
 	reads *storage.Stats
 	// scratches recycles queryScratch state (session views, candidate
-	// heaps, combination buffers) across queries; set on root engines
-	// built through the constructors, nil on sessions.
+	// heaps, combination buffers) across queries; nil on sessions.
 	scratches *sync.Pool
-	// scratch is the per-query scratch of a pooled session; nil on the
-	// root engine.
+	// scratch is the per-query scratch of a session; nil on the root engine.
 	scratch *queryScratch
 }
 
@@ -347,36 +357,23 @@ func (c *cellCache) put(k cellKey, p geo.Polygon) {
 	c.mu.Unlock()
 }
 
-// session returns a per-query view of the engine: the same immutable index
-// structure and shared page caches, but with every page read charged to a
-// fresh private accumulator. On engines built through the constructors the
-// view comes from the scratch pool (pair with releaseSession); engines
-// assembled literally fall back to a one-shot view. Idempotent on an
-// engine that already is a session.
+// session returns a per-query view of the engine from the scratch pool:
+// the same immutable index structure and shared page caches, but with every
+// page read charged to a fresh private accumulator. Pair with
+// releaseSession. Idempotent on an engine that already is a session.
 func (e *Engine) session() *Engine {
 	if e.reads != nil {
 		return e
 	}
-	if e.scratches != nil {
-		sc := e.scratches.Get().(*queryScratch)
-		sc.reset()
-		return sc.sess
-	}
-	acct := &storage.Stats{}
-	s := *e
-	s.reads = acct
-	s.objects = e.objects.Session(acct)
-	feats := make([]*index.FeatureGroup, len(e.features))
-	for i, f := range e.features {
-		feats[i] = f.Session(acct)
-	}
-	s.features = feats
-	return &s
+	sc := e.scratches.Get().(*queryScratch)
+	sc.reset()
+	return sc.sess
 }
 
-// NewEngine creates an engine over plain feature indexes, each becoming a
-// single-part feature group. All feature indexes must share the engine's
-// vocabulary width; queries carry one keyword set per feature index.
+// NewEngine creates an engine over one object index and plain feature
+// indexes, each becoming a single-part feature group. All feature indexes
+// must share the engine's vocabulary width; queries carry one keyword set
+// per feature index.
 func NewEngine(objects *index.ObjectIndex, features []*index.FeatureIndex, opts Options) (*Engine, error) {
 	if len(features) == 0 {
 		return nil, errors.New("core: at least one feature index required")
@@ -390,15 +387,20 @@ func NewEngine(objects *index.ObjectIndex, features []*index.FeatureIndex, opts 
 	if err != nil {
 		return nil, err
 	}
-	return NewEngineWithGroups(objects, groups, opts)
+	return NewEngineOverParts([]*index.ObjectIndex{objects}, 0, groups, opts)
 }
 
-// NewEngineWithGroups creates an engine whose feature sets are forests of
-// index parts (used by the sharded engine, where each sub-engine pairs its
-// local object index with the globally shared feature groups).
-func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGroup, opts Options) (*Engine, error) {
-	if objects == nil {
-		return nil, errors.New("core: nil object index")
+// NewEngineOverParts creates an engine whose data objects and feature sets
+// are forests of index parts. Every object id lives in exactly one part.
+// The first shards object parts are the cells of a spatial partition (0
+// when there is none); that only decides what Stats.ShardFanout and
+// ShardPruned count.
+func NewEngineOverParts(objects []*index.ObjectIndex, shards int, features []*index.FeatureGroup, opts Options) (*Engine, error) {
+	if len(objects) == 0 {
+		return nil, errors.New("core: at least one object index required")
+	}
+	if shards < 0 || shards > len(objects) {
+		return nil, fmt.Errorf("core: %d shard parts among %d object parts", shards, len(objects))
 	}
 	if len(features) == 0 {
 		return nil, errors.New("core: at least one feature group required")
@@ -408,7 +410,20 @@ func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGr
 			return nil, fmt.Errorf("core: feature group %d is nil", i)
 		}
 	}
-	e := &Engine{objects: objects, features: features, opts: opts.withDefaults()}
+	e := &Engine{objects: objects, shards: shards, features: features, opts: opts.withDefaults()}
+	for i, part := range objects {
+		if part == nil {
+			return nil, fmt.Errorf("core: object index %d is nil", i)
+		}
+		if len(objects) == 1 {
+			break
+		}
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return nil, err
+		}
+		e.rects = append(e.rects, root.Rect)
+	}
 	if e.opts.CacheVoronoiCells {
 		e.cells = &cellCache{m: make(map[cellKey]geo.Polygon)}
 	}
@@ -445,11 +460,17 @@ func (e *Engine) PrecomputeVoronoiCells() error {
 	return nil
 }
 
-// Objects returns the engine's data-object index.
-func (e *Engine) Objects() *index.ObjectIndex { return e.objects }
+// ObjectParts returns the engine's data-object index parts.
+func (e *Engine) ObjectParts() []*index.ObjectIndex { return e.objects }
 
 // NumObjects returns the number of indexed data objects.
-func (e *Engine) NumObjects() int { return e.objects.Len() }
+func (e *Engine) NumObjects() int {
+	n := 0
+	for _, part := range e.objects {
+		n += part.Len()
+	}
+	return n
+}
 
 // FeatureGroups returns the engine's feature sets as groups of index parts
 // (single-part groups on an unsharded engine).
@@ -465,7 +486,9 @@ func (e *Engine) snapshotReads() storage.Stats {
 		return *e.reads
 	}
 	var s storage.Stats
-	s.Add(e.objects.Stats())
+	for _, part := range e.objects {
+		s.Add(part.Stats())
+	}
 	for _, f := range e.features {
 		s.Add(f.Stats())
 	}
@@ -509,6 +532,10 @@ func finishTrace(tr *obs.Trace, stats *Stats) {
 	root.Add("combinations", int64(stats.Combinations))
 	root.Add("features_pulled", int64(stats.FeaturesPulled))
 	root.Add("objects_scored", int64(stats.ObjectsScored))
+	if stats.ShardFanout+stats.ShardPruned > 0 {
+		root.Add("shards_fanout", int64(stats.ShardFanout))
+		root.Add("shards_pruned", int64(stats.ShardPruned))
+	}
 	stats.Trace = root
 }
 
@@ -518,8 +545,7 @@ func finishTrace(tr *obs.Trace, stats *Stats) {
 // than r from rect are skipped entirely (no feature of theirs can be in
 // range of any p ∈ rect), influence bounds decay by 2^(−mindist/r), NN
 // keeps the raw textual bound (the nearest neighbor can be arbitrarily
-// close). The sharded engine uses this per shard MBR to order and prune
-// the scatter phase.
+// close). EXPLAIN evaluates it per shard MBR.
 func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 	if err := q.Validate(len(e.features)); err != nil {
 		return 0, err
@@ -561,19 +587,29 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 	return total, nil
 }
 
-// UpperBoundAll returns UpperBound evaluated over the MBR of the engine's
-// own data objects — the admissible whole-engine bound a cluster node
-// reports to the coordinator's scatter probe. An engine whose object tree
-// is empty bounds at 0: it cannot contribute any result.
+// UpperBoundAll returns the admissible whole-engine bound a cluster node
+// reports to the coordinator's scatter probe: the best UpperBound over the
+// MBRs of the object parts — every object lies inside one of them. An
+// engine without objects bounds at 0: it cannot contribute any result.
 func (e *Engine) UpperBoundAll(q Query) (float64, error) {
-	root, err := e.objects.Tree().RootEntry()
-	if err != nil {
-		return 0, err
+	best := 0.0
+	for _, part := range e.objects {
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return 0, err
+		}
+		if root.Rect.IsEmpty() {
+			continue
+		}
+		b, err := e.UpperBound(q, root.Rect)
+		if err != nil {
+			return 0, err
+		}
+		if b > best {
+			best = b
+		}
 	}
-	if root.Rect.IsEmpty() {
-		return 0, nil
-	}
-	return e.UpperBound(q, root.Rect)
+	return best, nil
 }
 
 // virtualScore is the score of the virtual feature ∅ (paper Section 6.1).

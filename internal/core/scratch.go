@@ -38,6 +38,8 @@ type queryScratch struct {
 	topk  topkAccumulator
 	inf   influenceTopK
 	seen  map[int64]bool
+	// probed[i] records that the query descended into object part i.
+	probed []bool
 
 	// Batched STDS: one batchObj per object-tree leaf entry.
 	batch    []batchObj
@@ -61,6 +63,7 @@ type queryScratch struct {
 func newQueryScratch(root *Engine) *queryScratch {
 	sc := &queryScratch{
 		seen:       make(map[int64]bool),
+		probed:     make([]bool, len(root.objects)),
 		cellsLocal: make(map[cellKey]geo.Polygon),
 		radii:      make(map[cellKey]float64),
 	}
@@ -68,7 +71,10 @@ func newQueryScratch(root *Engine) *queryScratch {
 	s.reads = &sc.acct
 	s.scratches = nil // sessions never pool themselves
 	s.scratch = sc
-	s.objects = root.objects.Session(&sc.acct)
+	s.objects = make([]*index.ObjectIndex, len(root.objects))
+	for i, part := range root.objects {
+		s.objects[i] = part.Session(&sc.acct)
+	}
 	feats := make([]*index.FeatureGroup, len(root.features))
 	for i, f := range root.features {
 		feats[i] = f.Session(&sc.acct)
@@ -79,9 +85,33 @@ func newQueryScratch(root *Engine) *queryScratch {
 }
 
 // reset prepares the scratch for a new query. Buffers are truncated (not
-// freed) at their acquisition points; only the read accumulator must be
-// zeroed before the session is handed out.
-func (sc *queryScratch) reset() { sc.acct = storage.Stats{} }
+// freed) at their acquisition points; only the read accumulator and the
+// part marks must be zeroed before the session is handed out.
+func (sc *queryScratch) reset() {
+	sc.acct = storage.Stats{}
+	clear(sc.probed)
+}
+
+// markProbed records that the running query descends into object part pi.
+// A no-op outside a session.
+func (e *Engine) markProbed(pi int) {
+	if sc := e.scratch; sc != nil {
+		sc.probed[pi] = true
+	}
+}
+
+// countShards files the part marks of a finished query into its stats: of
+// the parts that are cells of a spatial partition, how many the query
+// descended into and how many it never touched.
+func (e *Engine) countShards(stats *Stats) {
+	for _, probed := range e.scratch.probed[:e.shards] {
+		if probed {
+			stats.ShardFanout++
+		} else {
+			stats.ShardPruned++
+		}
+	}
+}
 
 // release empties every pooled heap before the scratch goes back to the
 // pool. A descent usually stops with candidates still queued, and each
@@ -192,13 +222,12 @@ func (e *Engine) scratchCells() (map[cellKey]geo.Polygon, map[cellKey]float64) {
 	return make(map[cellKey]geo.Polygon), make(map[cellKey]float64)
 }
 
-// releaseSession returns a pooled session acquired through session() to
-// the root engine's scratch pool. It is a no-op when s is the engine
-// itself (session() was idempotent) or when s carries no scratch. After
-// release the session must not be used: results and stats must already be
-// copied out.
+// releaseSession returns a session acquired through session() to the root
+// engine's scratch pool. It is a no-op when s is the engine itself
+// (session() was idempotent). After release the session must not be used:
+// results and stats must already be copied out.
 func (e *Engine) releaseSession(s *Engine) {
-	if s == e || s.scratch == nil || e.scratches == nil {
+	if s == e {
 		return
 	}
 	s.scratch.release()

@@ -38,6 +38,7 @@ func (e *Engine) STDS(q Query) ([]Result, Stats, error) {
 	} else {
 		results, err = e.stdsSingle(&q, &stats, tr)
 	}
+	e.countShards(&stats)
 	finishTrace(tr, &stats)
 	e.finishStats(&stats, before, start)
 	if err != nil {
@@ -50,8 +51,9 @@ func (e *Engine) STDS(q Query) ([]Result, Stats, error) {
 // betterResult is the total order on results used everywhere: score
 // descending, ties broken by ascending id. Making membership in the top-k
 // a pure function of the scored object set (instead of scan order) is what
-// lets the sharded engine merge per-shard answers into a byte-identical
-// global answer.
+// makes the answer independent of how the objects are laid out in parts,
+// and lets the cluster coordinator merge per-node answers into a
+// byte-identical global answer.
 func betterResult(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -60,7 +62,7 @@ func betterResult(a, b Result) bool {
 }
 
 // ResultBefore exposes the result total order (score descending, ties by
-// ascending id) to engine wrappers that merge per-engine answers.
+// ascending id) to callers that compare or merge answers.
 func ResultBefore(a, b Result) bool { return betterResult(a, b) }
 
 // topkAccumulator keeps the k best objects under betterResult and the
@@ -119,7 +121,7 @@ func (e *Engine) stdsSingle(q *Query, stats *Stats, tr *obs.Trace) ([]Result, er
 	acc := e.newTopk(q.K)
 	c := len(e.features)
 	sp := tr.StartPhase("objects.scan")
-	objs, err := e.objects.Tree().All()
+	objs, err := e.allObjects()
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -150,6 +152,25 @@ func (e *Engine) stdsSingle(q *Query, stats *Stats, tr *obs.Trace) ([]Result, er
 		}
 	}
 	return acc.results(), nil
+}
+
+// allObjects returns every data object, part after part (the sequential
+// scan STDS starts from).
+func (e *Engine) allObjects() ([]rtree.Entry, error) {
+	var objs []rtree.Entry
+	for pi, part := range e.objects {
+		e.markProbed(pi)
+		all, err := part.Tree().All()
+		if err != nil {
+			return nil, err
+		}
+		if objs == nil {
+			objs = all
+		} else {
+			objs = append(objs, all...)
+		}
+	}
+	return objs, nil
 }
 
 // computeScore is Algorithm 2 for one object: best-first over the feature

@@ -18,7 +18,7 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	acc := e.newTopk(q.K)
 	c := len(e.features)
 	var walkErr error
-	err := e.objects.Tree().Leaves(func(batch []rtree.Entry) bool {
+	scoreLeaf := func(batch []rtree.Entry) bool {
 		objs := e.scratchBatch(len(batch))
 		for i := range batch {
 			objs[i].id, objs[i].loc = batch[i].ItemID, batch[i].Rect.Min
@@ -53,12 +53,15 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 			acc.offer(Result{ID: o.id, Location: o.loc, Score: o.sum})
 		}
 		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	if walkErr != nil {
-		return nil, walkErr
+	for pi, part := range e.objects {
+		e.markProbed(pi)
+		if err := part.Tree().Leaves(scoreLeaf); err != nil {
+			return nil, err
+		}
+		if walkErr != nil {
+			return nil, walkErr
+		}
 	}
 	return acc.results(), nil
 }

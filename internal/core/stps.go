@@ -38,6 +38,7 @@ func (e *Engine) STPS(q Query) ([]Result, Stats, error) {
 	case NearestNeighborScore:
 		results, err = e.stpsNearestNeighbor(&q, &stats, tr)
 	}
+	e.countShards(&stats)
 	finishTrace(tr, &stats)
 	e.finishStats(&stats, before, start)
 	if err != nil {
@@ -98,10 +99,28 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	return acc.results(), nil
 }
 
+// probeParts runs one object probe over the object parts: reach reports
+// whether the probe's region comes within a part's MBR, and every part it
+// rules out is skipped without a page read. A lone part is never skipped —
+// its root page filters the probe itself, which keeps a one-part engine
+// reading exactly the pages a bare object tree does.
+func (e *Engine) probeParts(reach func(geo.Rect) bool, probe func(*rtree.Tree) error) error {
+	for pi, part := range e.objects {
+		if len(e.objects) > 1 && (e.rects[pi].IsEmpty() || !reach(e.rects[pi])) {
+			continue
+		}
+		e.markProbed(pi)
+		if err := probe(part.Tree()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // objectsMatchingRangeCombo visits data objects within distance r of every
 // concrete feature of the combination (getDataObjects, Section 6.4).
-// Subtrees are pruned as soon as one feature is farther than r from the
-// node MBR.
+// Parts and subtrees are pruned as soon as one feature is farther than r
+// from their MBR.
 func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(*rtree.Entry) bool) error {
 	anchors := make([]geo.Point, 0, len(comb.refs))
 	for _, ref := range comb.refs {
@@ -109,23 +128,28 @@ func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(
 			anchors = append(anchors, ref.loc)
 		}
 	}
-	return e.objects.Tree().SearchFiltered(func(en *rtree.Entry) bool {
-		if en.Leaf {
-			p := en.Rect.Min
-			for _, a := range anchors {
-				if p.Dist(a) > r {
-					return false
-				}
-			}
-			return true
-		}
+	inReach := func(rect geo.Rect) bool {
 		for _, a := range anchors {
-			if en.Rect.MinDist(a) > r {
+			if rect.MinDist(a) > r {
 				return false
 			}
 		}
 		return true
-	}, fn)
+	}
+	return e.probeParts(inReach, func(t *rtree.Tree) error {
+		return t.SearchFiltered(func(en *rtree.Entry) bool {
+			if en.Leaf {
+				p := en.Rect.Min
+				for _, a := range anchors {
+					if p.Dist(a) > r {
+						return false
+					}
+				}
+				return true
+			}
+			return inReach(en.Rect)
+		}, fn)
+	})
 }
 
 // stpsInfluence is Algorithm 5. Combinations arrive in non-increasing
@@ -271,10 +295,12 @@ func comboInfluenceBound(comb combination, r float64) float64 {
 	return best
 }
 
-// topKInfluence runs a best-first top-k search on the object R-tree where
-// an object's priority is its influence score under this combination,
-// Σ_i s(t_i)·2^(−dist(p,t_i)/r), and a node's priority (using MINDIST)
-// upper-bounds every object below. The search stops when the max remaining
+// topKInfluence runs a best-first top-k search on the object R-trees — one
+// heap seeded with every part's root — where an object's priority is its
+// influence score under this combination, Σ_i s(t_i)·2^(−dist(p,t_i)/r),
+// and a node's priority (using MINDIST) upper-bounds every object below. A
+// part whose root never reaches the top of the heap is never descended
+// into. The search stops when the max remaining
 // bound falls strictly below the accumulator's (re-read, hence tightening)
 // threshold, or strictly below the k-th score emitted by this search —
 // either way at least k objects with strictly better scores are already
@@ -303,12 +329,14 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		}
 		return sum
 	}
-	root, err := e.objects.Tree().RootEntry()
-	if err != nil {
-		return err
-	}
 	pq := e.scratchBoundHeap()
-	pq.push(candidateOf(&root, 0, prio(&root)))
+	for pi, part := range e.objects {
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return err
+		}
+		pq.push(candidateOf(&root, pi, prio(&root)))
+	}
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
 	for pq.Len() > 0 {
@@ -328,13 +356,14 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 			}
 			continue
 		}
-		n, err := e.objects.Tree().Node(it.child())
+		e.markProbed(int(it.part))
+		n, err := e.objects[it.part].Tree().Node(it.child())
 		if err != nil {
 			return err
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			pq.push(candidateOf(c, 0, prio(c)))
+			pq.push(candidateOf(c, int(it.part), prio(c)))
 		}
 	}
 	return nil
@@ -383,14 +412,16 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 			continue
 		}
 		sp = tr.StartPhase("objects.retrieve")
-		err = e.objects.Tree().SearchPolygon(region, func(entry rtree.Entry) bool {
-			if seen[entry.ItemID] {
+		err = e.probeParts(region.IntersectsRect, func(t *rtree.Tree) error {
+			return t.SearchPolygon(region, func(entry rtree.Entry) bool {
+				if seen[entry.ItemID] {
+					return true
+				}
+				seen[entry.ItemID] = true
+				stats.ObjectsScored++
+				acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
 				return true
-			}
-			seen[entry.ItemID] = true
-			stats.ObjectsScored++
-			acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
-			return true
+			})
 		})
 		sp.End()
 		if err != nil {

@@ -266,7 +266,7 @@ func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
 }
 
 // WithExclude returns a read view of the index that hides the listed
-// feature ids — the tombstone filter of the live-ingest overlay. The
+// feature ids — the tombstone filter of live ingest. The
 // exclusion survives Session (the per-query view copies the tree handle,
 // exclusion set included).
 func (x *FeatureIndex) WithExclude(dead map[int64]struct{}) *FeatureIndex {
@@ -376,6 +376,8 @@ func Relevant(e rtree.Entry, q QueryKeywords) bool {
 // ObjectIndex is the plain R-tree over the data objects O.
 type ObjectIndex struct {
 	tree *rtree.Tree
+	// hidden is how many indexed objects a WithExclude view hides.
+	hidden int
 }
 
 // BuildObjectIndex bulk-loads the data objects in 2-D Hilbert order.
@@ -427,24 +429,26 @@ func (x *ObjectIndex) BeginMerge() (*ObjectIndex, error) {
 }
 
 // WithExclude returns a read view of the index that hides the listed
-// object ids (see FeatureIndex.WithExclude).
-func (x *ObjectIndex) WithExclude(dead map[int64]struct{}) *ObjectIndex {
+// object ids (see FeatureIndex.WithExclude). hidden is how many of them the
+// index actually holds — the caller tracks what it indexed — so that Len
+// keeps counting live objects only.
+func (x *ObjectIndex) WithExclude(dead map[int64]struct{}, hidden int) *ObjectIndex {
 	if len(dead) == 0 {
 		return x
 	}
-	return &ObjectIndex{tree: x.tree.WithExclude(dead)}
+	return &ObjectIndex{tree: x.tree.WithExclude(dead), hidden: hidden}
 }
 
 // Tree exposes the underlying paged R-tree.
 func (x *ObjectIndex) Tree() *rtree.Tree { return x.tree }
 
-// Len returns the number of indexed objects.
-func (x *ObjectIndex) Len() int { return x.tree.Len() }
+// Len returns the number of indexed objects the index shows.
+func (x *ObjectIndex) Len() int { return x.tree.Len() - x.hidden }
 
 // Session returns a read view of the index whose page accesses are
 // additionally charged to acct (see FeatureIndex.Session).
 func (x *ObjectIndex) Session(acct *storage.Stats) *ObjectIndex {
-	return &ObjectIndex{tree: x.tree.WithPool(x.tree.Pool().Session(acct))}
+	return &ObjectIndex{tree: x.tree.WithPool(x.tree.Pool().Session(acct)), hidden: x.hidden}
 }
 
 // Stats returns the accumulated I/O counters.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"stpq/internal/approx"
 	"stpq/internal/rtree"
@@ -92,4 +93,48 @@ func OpenObjectIndex(r io.Reader, meta Meta, bufferPages int) (*ObjectIndex, err
 		return nil, fmt.Errorf("index: open object index: %w", err)
 	}
 	return &ObjectIndex{tree: tree}, nil
+}
+
+// SaveFile dumps one index's pages to a file through its Save method.
+func SaveFile(path string, save func(w io.Writer) (Meta, error)) (Meta, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return Meta{}, fmt.Errorf("index: save %s: %w", path, err)
+	}
+	meta, err := save(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return Meta{}, fmt.Errorf("index: save %s: %w", path, err)
+	}
+	return meta, nil
+}
+
+// OpenFile loads one index dump back through OpenFeatureIndex or
+// OpenObjectIndex.
+func OpenFile[T any](path string, meta Meta, buffer int, open func(r io.Reader, meta Meta, buffer int) (T, error)) (T, error) {
+	var zero T
+	f, err := os.Open(path)
+	if err != nil {
+		return zero, fmt.Errorf("index: open %s: %w", path, err)
+	}
+	defer f.Close()
+	idx, err := open(f, meta, buffer)
+	if err != nil {
+		return zero, fmt.Errorf("index: open %s: %w", path, err)
+	}
+	return idx, nil
+}
+
+// WriteFileAtomic writes data to path via a temp file and rename, so
+// readers (and crash recovery) see either the old contents or the new,
+// never a torn write. Manifests go through it, after the page dumps they
+// point at.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }

@@ -8,15 +8,16 @@ import (
 )
 
 // Delta is the in-memory layer that absorbs mutations between merges. Data
-// objects live in plain maps (queries score them by brute force — the
-// delta is small by construction, bounded by the auto-flush threshold).
-// Feature upserts are additionally routed through a real per-set
-// FeatureIndex via rtree.Insert, so every live feature insert exercises
-// the paper's decode→OR→encode node-update rule on its way in.
+// objects live in plain maps (every publish bulk-loads the pending ones
+// into one small object part — the delta is small by construction, bounded
+// by the auto-flush threshold). Feature upserts are additionally routed
+// through a real per-set FeatureIndex via rtree.Insert, so every live
+// feature insert exercises the paper's decode→OR→encode node-update rule
+// on its way in.
 //
 // Ids referring to the base generation are never mutated in place: the
-// delta records them as tombstones and the overlay hides them, so the base
-// indexes stay immutable and snapshot isolation is free.
+// delta records them as tombstones and the published base parts hide them,
+// so the base indexes stay immutable and snapshot isolation is free.
 type Delta struct {
 	opts index.Options
 
@@ -117,7 +118,7 @@ func (d *Delta) DeleteFeature(i int, id int64) error {
 }
 
 // CloneIndex snapshots the delta feature index of set i for publication:
-// the overlay must hold an immutable copy because the master keeps
+// the published engine must hold an immutable copy because the master keeps
 // mutating under later Applies. The clone shares nothing with the master
 // (page dump round trip), so readers never see a half-applied batch.
 func (d *Delta) CloneIndex(i int) (*index.FeatureIndex, error) {

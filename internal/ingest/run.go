@@ -2,13 +2,18 @@ package ingest
 
 // run.go implements generational runs: when the delta reaches the flush
 // threshold under background compaction, it is sealed into an immutable
-// Run instead of being merged synchronously. Queries overlay base + runs
-// + active delta; the compactor folds runs into the base off the write
+// Run instead of being merged synchronously. Queries run over base + runs
+// + active delta as index parts of one engine; the compactor folds runs into the base off the write
 // path. Runs are volatile by design — durability comes from the WAL, and
 // recovery replays records into fresh runs — so sealing is O(feature
 // sets), not O(delta): the run steals the delta's maps and indexes.
 
-import "stpq/internal/index"
+import (
+	"cmp"
+	"slices"
+
+	"stpq/internal/index"
+)
 
 // LayerSet is one feature set's slice of a layer: the upserted features
 // (and the index over them) plus the tombstones hiding older versions.
@@ -23,8 +28,8 @@ type LayerSet struct {
 }
 
 // Layer is one generation of unmerged mutations — a sealed run or a
-// snapshot of the active delta. Query overlays stack layers oldest to
-// newest: each layer's tombstones hide matching ids in every older layer
+// snapshot of the active delta. A published generation stacks layers
+// oldest to newest: each layer's tombstones hide matching ids in every older layer
 // and in the base.
 type Layer struct {
 	// Objects holds upserted data objects by id.
@@ -36,7 +41,7 @@ type Layer struct {
 }
 
 // Run is a sealed, immutable layer: nothing mutates it after Seal, so
-// overlays and the compactor share it without copying.
+// published generations and the compactor share it without copying.
 type Run struct {
 	Layer
 	// Ops is the number of mutations the run absorbed.
@@ -65,7 +70,7 @@ func (d *Delta) Seal(seq uint64) *Run {
 	return r
 }
 
-// Snapshot captures the active delta as a layer for overlay publication.
+// Snapshot captures the active delta as a layer for publication.
 // The delta keeps mutating under later applies, so the maps are copied
 // and the per-set indexes cloned; the returned layer is immutable.
 func (d *Delta) Snapshot() (*Layer, error) {
@@ -141,17 +146,24 @@ func UnionDeadSet(layers []*Layer, i int) map[int64]struct{} {
 	return out
 }
 
-// FoldObjects folds the layers' object upserts oldest to newest into one
-// map: newer tombstones delete older upserts, newer upserts win.
-func FoldObjects(layers []*Layer) map[int64]index.Object {
-	out := make(map[int64]index.Object)
+// FoldObjects folds the layers' object upserts oldest to newest — newer
+// tombstones delete older upserts, newer upserts win — and returns the
+// survivors in ascending id order: the deterministic bulk-load input of
+// the object part a published generation keeps beside the base.
+func FoldObjects(layers []*Layer) []index.Object {
+	byID := make(map[int64]index.Object)
 	for _, l := range layers {
 		for id := range l.DeadObjects {
-			delete(out, id)
+			delete(byID, id)
 		}
 		for id, o := range l.Objects {
-			out[id] = o
+			byID[id] = o
 		}
 	}
+	out := make([]index.Object, 0, len(byID))
+	for _, o := range byID {
+		out = append(out, o)
+	}
+	slices.SortFunc(out, func(a, b index.Object) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

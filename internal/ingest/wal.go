@@ -1,10 +1,10 @@
 // Package ingest implements the live write path of the library: a
 // checksummed write-ahead log for durability (wal.go), an in-memory delta
 // layer that absorbs upserts and deletes between index rebuilds (delta.go),
-// and a two-source overlay engine that answers queries over base + delta
-// with exactly the ordering semantics of a from-scratch rebuild
-// (overlay.go). The stpq package wires these into DB.Apply/Flush and
-// WAL-aware Open; see DESIGN.md §11 for the format and lifecycle.
+// and the sealed runs and layer folds a published base + delta generation
+// is assembled from (run.go). The stpq package wires these into
+// DB.Apply/Flush and WAL-aware Open; see DESIGN.md §11 for the format and
+// lifecycle.
 package ingest
 
 import (

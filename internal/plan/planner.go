@@ -8,10 +8,10 @@
 //     the winner flips with radius, k and keyword selectivity — so the
 //     planner compares the recorded mean total cost (CPU + modeled I/O) of
 //     the query's shape under both algorithms and picks the cheaper one.
-//  2. How wide a sharded (or clustered) query fans out per wave: a query
-//     whose predicted cost is small finishes fast even serialized, so
-//     running it one shard at a time maximizes the bound-pruning between
-//     waves; an expensive query wants the full width for overlap.
+//  2. How wide a clustered query fans out per wave: a query whose
+//     predicted cost is small finishes fast even serialized, so running it
+//     one node at a time maximizes the bound-pruning between waves; an
+//     expensive query wants the full width for overlap.
 //  3. What a query is predicted to cost — the admission-control input that
 //     lets the serve layer shed the expensive tail under overload instead
 //     of rejecting uniformly at random.
@@ -38,8 +38,8 @@ const (
 )
 
 // DefaultCheapLatency is the predicted-cost threshold below which a
-// sharded query is serialized (wave width 1): at this cost the pruning
-// won by evaluating the termination rule between every shard outweighs
+// clustered query is serialized (wave width 1): at this cost the pruning
+// won by evaluating the termination rule between every node outweighs
 // the lost overlap.
 const DefaultCheapLatency = 5 * time.Millisecond
 
@@ -85,8 +85,6 @@ type Decision struct {
 	// is false (and Cost zero) below the sample floor.
 	Cost      time.Duration `json:"cost_ns,omitempty"`
 	CostKnown bool          `json:"cost_known"`
-	// Fanout is the chosen scatter wave width; 0 keeps the engine default.
-	Fanout int `json:"fanout,omitempty"`
 	// Candidates lists every algorithm considered, chosen first.
 	Candidates []Candidate `json:"candidates,omitempty"`
 }
@@ -196,14 +194,14 @@ func (p *Planner) Decide(key obs.ShapeKey, forced string) Decision {
 	return d
 }
 
-// FanoutWidth decides the scatter wave width for a query over the given
-// number of shards (or cluster nodes): 0 keeps the engine default.
+// FanoutWidth decides the coordinator's scatter wave width for a query
+// over the given number of cluster nodes: 0 keeps the configured width.
 // A warm, cheap prediction serializes the waves (width 1) so the
-// termination rule is evaluated after every shard — maximal pruning at
+// termination rule is evaluated after every node — maximal pruning at
 // negligible latency cost; everything else (expensive or cold) keeps the
-// engine's configured width. Results are identical at any width.
-func (p *Planner) FanoutWidth(cost time.Duration, known bool, shards int) int {
-	if shards <= 1 || !known {
+// configured width. Results are identical at any width.
+func (p *Planner) FanoutWidth(cost time.Duration, known bool, nodes int) int {
+	if nodes <= 1 || !known {
 		return 0
 	}
 	if cost <= p.cheapLatency() {

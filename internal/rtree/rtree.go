@@ -193,8 +193,8 @@ func (t *Tree) WithPool(p *storage.BufferPool) *Tree {
 }
 
 // WithExclude returns a read view of the tree that hides the leaf entries
-// whose item ids appear in dead — the tombstone filter of the live-ingest
-// overlay. Filtering happens in Node, which every search primitive routes
+// whose item ids appear in dead — the tombstone filter of live ingest.
+// Filtering happens in Node, which every search primitive routes
 // through, so RangeSearch, AscendDistance, SearchPolygon, All and Leaves
 // never surface a hidden item. Internal-node aggregates still cover the
 // hidden items; bounds stay sound upper bounds, merely looser. The view

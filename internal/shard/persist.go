@@ -1,9 +1,9 @@
 package shard
 
-// persist.go makes sharded engines durable: Save dumps every sub-engine
-// object index and every feature part as page files plus a JSON manifest
-// carrying the partitioning (Hilbert boundary keys or grid geometry) and
-// per-shard metadata; Open reverses it. The partitioning round-trips
+// persist.go makes sharded layouts durable: Save dumps every object part
+// and every feature part as page files plus a JSON manifest carrying the
+// partitioning (Hilbert boundary keys or grid geometry) and per-shard
+// metadata; Open reverses it. The partitioning round-trips
 // exactly — it is pure data (see partition.go) — so an opened engine
 // assigns any future point to the same cell as the engine that saved it.
 
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -24,7 +23,7 @@ import (
 // directory, distinct from the top-level DB manifest.
 const ManifestName = "shards.json"
 
-// shardMeta describes one persisted sub-engine.
+// shardMeta describes one persisted object part.
 type shardMeta struct {
 	Cell    int        `json:"cell"`
 	Count   int        `json:"count"`
@@ -44,29 +43,31 @@ type manifest struct {
 	Features [][]index.Meta `json:"features"`
 }
 
-// Save writes the engine into dir (created if needed): one page dump per
-// sub-engine object index (objects_shardNN.pages), one per feature part
-// (features_S_partNN.pages), and the shard manifest.
+// Save writes the layout into dir (created if needed): one page dump per
+// object part (objects_shardNN.pages), one per feature part
+// (features_S_partNN.pages), and then — only once every dump is on disk —
+// the shard manifest, renamed into place.
 func (e *Engine) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
 	}
 	man := manifest{
 		Version:   1,
-		Total:     e.total,
+		Total:     e.eng.NumObjects(),
 		Partition: e.part.meta(),
 	}
-	for _, s := range e.shards {
-		meta, err := dumpIndex(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", s.id)), s.eng.Objects().Save)
+	for id, part := range e.eng.ObjectParts() {
+		meta, err := index.SaveFile(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", id)), part.Save)
 		if err != nil {
 			return err
 		}
+		s := e.shards[id]
 		man.Shards = append(man.Shards, shardMeta{Cell: s.cell, Count: s.count, Rect: s.rect, Objects: meta})
 	}
-	for i, g := range e.groups {
+	for i, g := range e.eng.FeatureGroups() {
 		metas := make([]index.Meta, len(g.Parts()))
 		for j, p := range g.Parts() {
-			meta, err := dumpIndex(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), p.Save)
+			meta, err := index.SaveFile(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), p.Save)
 			if err != nil {
 				return err
 			}
@@ -78,16 +79,15 @@ func (e *Engine) Save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+	if err := index.WriteFileAtomic(filepath.Join(dir, ManifestName), data); err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
 	}
 	return nil
 }
 
-// Open loads an engine previously written by Save. opts supplies the
-// runtime knobs (buffer pages, core options); the structural
-// options (partitioning, index geometry) come from the manifest and page
-// dumps.
+// Open loads a layout previously written by Save. opts supplies the
+// runtime knobs (buffer pages, core options); the structural options
+// (partitioning, index geometry) come from the manifest and page dumps.
 func Open(dir string, opts Options) (*Engine, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -109,7 +109,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	for i, metas := range man.Features {
 		parts := make([]*index.FeatureIndex, len(metas))
 		for j, meta := range metas {
-			parts[j], err = loadIndex(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), meta, buffer, index.OpenFeatureIndex)
+			parts[j], err = index.OpenFile(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), meta, buffer, index.OpenFeatureIndex)
 			if err != nil {
 				return nil, err
 			}
@@ -121,52 +121,18 @@ func Open(dir string, opts Options) (*Engine, error) {
 		groups[i] = g
 	}
 
-	e := &Engine{
-		groups: groups,
-		total:  man.Total,
-		part:   man.Partition.runtime(),
-	}
+	e := &Engine{part: man.Partition.runtime()}
+	oparts := make([]*index.ObjectIndex, len(man.Shards))
 	for id, sm := range man.Shards {
-		oidx, err := loadIndex(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", id)), sm.Objects, buffer, index.OpenObjectIndex)
+		oparts[id], err = index.OpenFile(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", id)), sm.Objects, buffer, index.OpenObjectIndex)
 		if err != nil {
 			return nil, err
 		}
-		sub, err := core.NewEngineWithGroups(oidx, groups, opts.Core)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = append(e.shards, &subShard{id: id, cell: sm.Cell, eng: sub, rect: sm.Rect, count: sm.Count})
+		e.shards = append(e.shards, cellShard{cell: sm.Cell, rect: sm.Rect, count: sm.Count})
+	}
+	e.eng, err = core.NewEngineOverParts(oparts, len(oparts), groups, opts.Core)
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-// dumpIndex writes one index's pages to a file.
-func dumpIndex(path string, dump func(w io.Writer) (index.Meta, error)) (index.Meta, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return index.Meta{}, fmt.Errorf("shard: save %s: %w", path, err)
-	}
-	meta, err := dump(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return index.Meta{}, fmt.Errorf("shard: save %s: %w", path, err)
-	}
-	return meta, nil
-}
-
-// loadIndex reads one index dump back.
-func loadIndex[T any](path string, meta index.Meta, buffer int, open func(r io.Reader, meta index.Meta, buffer int) (T, error)) (T, error) {
-	var zero T
-	f, err := os.Open(path)
-	if err != nil {
-		return zero, fmt.Errorf("shard: open %s: %w", path, err)
-	}
-	defer f.Close()
-	idx, err := open(f, meta, buffer)
-	if err != nil {
-		return zero, fmt.Errorf("shard: open %s: %w", path, err)
-	}
-	return idx, nil
 }

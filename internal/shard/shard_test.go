@@ -117,8 +117,8 @@ func TestNewValidation(t *testing.T) {
 
 // TestShardedMatchesUnsharded is the core equivalence guarantee: for both
 // index kinds, all three variants, both algorithms and several shard
-// counts, the sharded engine returns byte-identical results — same scores
-// AND same tie-break order — as the single engine.
+// counts, the engine over shard parts returns byte-identical results —
+// same scores AND same tie-break order — as the single engine.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	ds := testData(44)
 	for _, kind := range []index.Kind{index.IR2, index.SRT} {
@@ -131,7 +131,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			sharded := buildSharded(t, ds, kind, Options{Shards: shards, Strategy: strategy})
 			for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 				for qi, q := range testQueries(ds, variant, 100+int64(shards)) {
-					q.Fanout = 2 // waves of two, whatever GOMAXPROCS is
 					want, _, err := single.STDS(q)
 					if err != nil {
 						t.Fatal(err)
@@ -139,7 +138,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					for _, alg := range []string{"stds", "stps"} {
 						var got []core.Result
 						if alg == "stds" {
-							got, _, err = sharded.STDS(q)
+							got, _, err = sharded.Core().STDS(q)
 						} else {
 							got, _, err = sharded.STPS(q)
 						}
@@ -164,25 +163,29 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestUpperBoundIsSound: no result produced by a shard may exceed the
-// bound the gather phase ordered it by.
+// TestUpperBoundIsSound: no object may score above the bound Plan reports
+// for the shard whose rectangle holds it.
 func TestUpperBoundIsSound(t *testing.T) {
 	ds := testData(45)
 	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4})
 	for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 		for _, q := range testQueries(ds, variant, 200) {
-			for _, sub := range sharded.shards {
-				bound, err := sub.eng.UpperBound(q, sub.rect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, _, err := sub.eng.STDS(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range res {
-					if r.Score > bound+1e-9 {
-						t.Fatalf("%v shard %d: score %v exceeds bound %v", variant, sub.id, r.Score, bound)
+			plan, err := sharded.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.K = len(ds.Objects)
+			res, _, err := sharded.Core().STDS(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != len(ds.Objects) {
+				t.Fatalf("%v: %d of %d objects scored", variant, len(res), len(ds.Objects))
+			}
+			for _, r := range res {
+				for _, sh := range plan {
+					if sh.Rect.Contains(r.Location) && r.Score > sh.Bound+1e-9 {
+						t.Fatalf("%v shard %d: score %v exceeds bound %v", variant, sh.ID, r.Score, sh.Bound)
 					}
 				}
 			}
@@ -190,53 +193,55 @@ func TestUpperBoundIsSound(t *testing.T) {
 	}
 }
 
-// TestShardStatsAndTrace checks the scatter counters and the merged span
-// tree.
+// TestShardStatsAndTrace checks what the shard counters count: STDS scans every
+// part, STPS descends only into the parts a combination's region reaches,
+// and the two counters always add up to the shard count — in the stats and
+// on the root span.
 func TestShardStatsAndTrace(t *testing.T) {
 	ds := testData(46)
 	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4})
-	q := testQueries(ds, core.RangeScore, 300)[0]
-	q.Trace = true
-	_, st, err := sharded.STDS(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan, pruned := int64(st.ShardFanout), int64(st.ShardPruned)
-	if fan+pruned != int64(sharded.NumShards()) {
-		t.Fatalf("fanout %d + pruned %d != shards %d", fan, pruned, sharded.NumShards())
-	}
-	if fan < 1 {
-		t.Fatal("at least one shard must be queried")
-	}
-	if st.Trace == nil {
-		t.Fatal("trace missing with tracing on")
-	}
-	if st.Trace.Counters["shards_fanout"] != fan {
-		t.Fatalf("trace fanout %d, counter %d", st.Trace.Counters["shards_fanout"], fan)
-	}
-	if len(st.Trace.Children) != int(fan) {
-		t.Fatalf("trace has %d shard spans, fanout %d", len(st.Trace.Children), fan)
-	}
-	for _, child := range st.Trace.Children {
-		if len(child.Children) != 1 {
-			t.Fatalf("shard span %s missing per-shard trace", child.Name)
+	shards := sharded.NumShards()
+	pruned := 0
+	for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
+		for _, q := range testQueries(ds, variant, 300) {
+			q.Trace = true
+			_, st, err := sharded.Core().STDS(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShardFanout != shards || st.ShardPruned != 0 {
+				t.Fatalf("%v stds: fanout %d pruned %d over %d shards", variant, st.ShardFanout, st.ShardPruned, shards)
+			}
+			_, st, err = sharded.STPS(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShardFanout < 1 || st.ShardFanout+st.ShardPruned != shards {
+				t.Fatalf("%v stps: fanout %d + pruned %d != shards %d", variant, st.ShardFanout, st.ShardPruned, shards)
+			}
+			pruned += st.ShardPruned
+			if st.Trace == nil {
+				t.Fatal("trace missing with tracing on")
+			}
+			if got := st.Trace.Counters["shards_fanout"]; got != int64(st.ShardFanout) {
+				t.Fatalf("trace fanout %d, stats %d", got, st.ShardFanout)
+			}
+			if got := st.Trace.Counters["shards_pruned"]; got != int64(st.ShardPruned) {
+				t.Fatalf("trace pruned %d, stats %d", got, st.ShardPruned)
+			}
+			q.Trace = false
+			if _, st, err = sharded.STPS(q); err != nil || st.Trace != nil {
+				t.Fatalf("tracing off: trace %v, err %v", st.Trace, err)
+			}
 		}
 	}
-	q.Trace = false
-	_, st, err = sharded.STDS(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Trace != nil {
-		t.Fatal("trace present with tracing off")
-	}
-	if st.CPUTime <= 0 {
-		t.Fatal("missing wall-clock CPU time")
+	if pruned == 0 {
+		t.Fatal("no STPS query skipped a shard; the test shows nothing about pruning")
 	}
 }
 
-// TestExactScoreMatchesEngine: the sharded score oracle must agree with a
-// full single-engine oracle at arbitrary locations.
+// TestExactScoreMatchesEngine: the score oracle over feature parts must
+// agree with a one-part oracle at arbitrary locations.
 func TestExactScoreMatchesEngine(t *testing.T) {
 	ds := testData(47)
 	single := buildUnsharded(t, ds, index.IR2)
@@ -248,7 +253,7 @@ func TestExactScoreMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := sharded.ExactScore(q, o.Location)
+			b, err := sharded.Core().ExactScore(q, o.Location)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"stpq/internal/core"
 	"stpq/internal/index"
-	"stpq/internal/ingest"
 	"stpq/internal/obs"
 	"stpq/internal/shard"
 )
@@ -85,9 +83,12 @@ func (db *DB) loadShapes(dir string) error {
 	return nil
 }
 
-// Save writes the built DB to a directory: one page dump per index plus a
-// JSON manifest. Sharded DBs persist their sub-engines and partitioning
-// alongside. The directory is created if needed. Signature-mode DBs
+// Save writes the built DB to a directory: one page dump per index part
+// plus a JSON manifest; a sharded DB adds its partitioning in a shard
+// manifest. The directory is created if needed. The order makes a failed
+// or interrupted Save harmless to what the directory held before: page
+// dumps first, then the shard manifest, then stpq.json — the file Open
+// starts from — each manifest renamed into place. Signature-mode DBs
 // (Config.SignatureBits > 0) cannot be saved yet, and a DB with unmerged
 // live-ingest mutations must Flush or Checkpoint first.
 //
@@ -102,12 +103,8 @@ func (db *DB) Save(dir string) error {
 	if db.cfg.SignatureBits > 0 {
 		return index.ErrSignaturePersist
 	}
-	eng, ok := db.engine.(*core.Engine)
-	if !ok {
-		if _, overlay := db.engine.(*ingest.Overlay); overlay {
-			return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
-		}
-		return db.saveShardedLocked(dir)
+	if db.pendingLocked() {
+		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("stpq: save: %w", err)
@@ -119,62 +116,36 @@ func (db *DB) Save(dir string) error {
 		SetNames:   db.setNames,
 		AppliedSeq: db.walSeq,
 	}
-	var err error
-	man.Objects, err = saveIndex(filepath.Join(dir, "objects.pages"), eng.Objects().Save)
-	if err != nil {
-		return err
-	}
-	for i, g := range eng.FeatureGroups() {
-		// Unsharded engines always hold single-part groups.
-		meta, err := saveIndex(filepath.Join(dir, fmt.Sprintf("features_%d.pages", i)), g.Part(0).Save)
+	if db.shards != nil {
+		if err := db.shards.Save(dir); err != nil {
+			return err
+		}
+	} else {
+		var err error
+		man.Objects, err = index.SaveFile(filepath.Join(dir, "objects.pages"), soleObjects(db.engine).Save)
 		if err != nil {
 			return err
 		}
-		man.Features = append(man.Features, meta)
+		for i, g := range db.engine.FeatureGroups() {
+			// Unsharded engines always hold single-part groups.
+			meta, err := index.SaveFile(filepath.Join(dir, fmt.Sprintf("features_%d.pages", i)), g.Part(0).Save)
+			if err != nil {
+				return err
+			}
+			man.Features = append(man.Features, meta)
+		}
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
+	if err := index.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
 	return db.SaveShapes(dir)
 }
 
-// saveShardedLocked persists a sharded DB: the top-level manifest carries
-// the config, vocabulary and set names as usual, and the shard package
-// writes the per-shard sub-indexes plus the partitioning metadata
-// alongside it. Callers hold db.mu.
-func (db *DB) saveShardedLocked(dir string) error {
-	eng, ok := db.engine.(*shard.Engine)
-	if !ok {
-		return fmt.Errorf("stpq: cannot save engine of type %T", db.engine)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stpq: save: %w", err)
-	}
-	man := dbManifest{
-		Version:    1,
-		Config:     db.cfg,
-		Vocab:      db.vocab.Words(),
-		SetNames:   db.setNames,
-		AppliedSeq: db.walSeq,
-	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("stpq: save manifest: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		return fmt.Errorf("stpq: save manifest: %w", err)
-	}
-	if err := eng.Save(dir); err != nil {
-		return err
-	}
-	return db.SaveShapes(dir)
-}
-
-// openSharded restores a DB saved by saveShardedLocked.
+// openSharded restores a sharded DB written by Save.
 func openSharded(dir string, man dbManifest) (*DB, error) {
 	if man.Config.WALDir != "" {
 		return nil, errors.New("stpq: sharded DBs do not support a WAL")
@@ -187,7 +158,7 @@ func openSharded(dir string, man dbManifest) (*DB, error) {
 	for _, name := range man.SetNames {
 		db.sets[name] = nil // names registered; raw features not retained
 	}
-	eng, err := shard.Open(dir, shard.Options{
+	sh, err := shard.Open(dir, shard.Options{
 		Shards:   man.Config.ShardCount,
 		Strategy: shard.Strategy(man.Config.ShardStrategy),
 		Index: index.Options{
@@ -201,14 +172,15 @@ func openSharded(dir string, man dbManifest) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.AttachMetrics(db.metrics)
-	if got := len(eng.FeatureGroups()); got != len(man.SetNames) {
-		return nil, fmt.Errorf("stpq: shard manifest has %d feature groups for %d set names", got, len(man.SetNames))
+	sh.AttachMetrics(db.metrics)
+	groups := sh.Core().FeatureGroups()
+	if len(groups) != len(man.SetNames) {
+		return nil, fmt.Errorf("stpq: shard manifest has %d feature groups for %d set names", len(groups), len(man.SetNames))
 	}
 	for i, name := range man.SetNames {
-		eng.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
+		groups[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
-	db.engine = eng
+	db.shards, db.engine = sh, sh.Core()
 	db.built = true
 	db.gen = 1
 	db.walSeq = man.AppliedSeq
@@ -226,17 +198,6 @@ func pageFile(base string, gen uint64) string {
 		return base + ".pages"
 	}
 	return fmt.Sprintf("%s.%016x.pages", base, gen)
-}
-
-// writeFileAtomic writes data to path via a temp file and rename, so
-// readers (and crash recovery) see either the old contents or the new,
-// never a torn write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // ckptPin is the state a Checkpoint captures under the DB locks: the
@@ -259,14 +220,13 @@ func (db *DB) pinCheckpointLocked(seq uint64) (*ckptPin, error) {
 	if db.cfg.SignatureBits > 0 {
 		return nil, index.ErrSignaturePersist
 	}
-	eng, ok := db.engine.(*core.Engine)
-	if !ok {
-		return nil, fmt.Errorf("stpq: checkpoint requires an unsharded, fully merged engine (have %T)", db.engine)
+	if db.engine != db.base {
+		return nil, errors.New("stpq: checkpoint requires an unsharded, fully merged engine")
 	}
 	names := make([]string, len(db.setNames))
 	copy(names, db.setNames)
 	return &ckptPin{
-		eng:      eng,
+		eng:      db.base,
 		cfg:      db.cfg,
 		vocab:    db.vocab.Words(),
 		setNames: names,
@@ -302,7 +262,7 @@ func (p *ckptPin) save(dir string) error {
 	var err error
 	name := pageFile("objects", fileGen)
 	keep[name] = true
-	man.Objects, err = saveIndex(filepath.Join(dir, name), p.eng.Objects().Save)
+	man.Objects, err = index.SaveFile(filepath.Join(dir, name), soleObjects(p.eng).Save)
 	if err != nil {
 		return err
 	}
@@ -310,7 +270,7 @@ func (p *ckptPin) save(dir string) error {
 		// A merged engine always holds single-part groups.
 		name = pageFile(fmt.Sprintf("features_%d", i), fileGen)
 		keep[name] = true
-		meta, err := saveIndex(filepath.Join(dir, name), g.Part(0).Save)
+		meta, err := index.SaveFile(filepath.Join(dir, name), g.Part(0).Save)
 		if err != nil {
 			return err
 		}
@@ -320,7 +280,7 @@ func (p *ckptPin) save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
+	if err := index.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
 	}
 	gcPageFiles(dir, keep)
@@ -340,22 +300,6 @@ func gcPageFiles(dir string, keep map[string]bool) {
 			os.Remove(path)
 		}
 	}
-}
-
-// saveIndex dumps one index's pages to a file.
-func saveIndex(path string, dump func(w io.Writer) (index.Meta, error)) (index.Meta, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return index.Meta{}, fmt.Errorf("stpq: save %s: %w", path, err)
-	}
-	meta, err := dump(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return index.Meta{}, fmt.Errorf("stpq: save %s: %w", path, err)
-	}
-	return meta, nil
 }
 
 // Open loads a DB previously written by Save. The returned DB is ready to
@@ -390,13 +334,13 @@ func Open(dir string) (*DB, error) {
 	}
 	buffer := man.Config.BufferPages
 
-	oidx, err := openIndex(filepath.Join(dir, pageFile("objects", man.FileGen)), man.Objects, buffer, index.OpenObjectIndex)
+	oidx, err := index.OpenFile(filepath.Join(dir, pageFile("objects", man.FileGen)), man.Objects, buffer, index.OpenObjectIndex)
 	if err != nil {
 		return nil, err
 	}
 	fidxs := make([]*index.FeatureIndex, len(man.Features))
 	for i, meta := range man.Features {
-		fidxs[i], err = openIndex(filepath.Join(dir, pageFile(fmt.Sprintf("features_%d", i), man.FileGen)), meta, buffer, index.OpenFeatureIndex)
+		fidxs[i], err = index.OpenFile(filepath.Join(dir, pageFile(fmt.Sprintf("features_%d", i), man.FileGen)), meta, buffer, index.OpenFeatureIndex)
 		if err != nil {
 			return nil, err
 		}
@@ -409,8 +353,7 @@ func Open(dir string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.engine = eng
-	db.base = eng
+	db.engine, db.base = eng, eng
 	db.built = true
 	db.gen = 1
 	db.walSeq = man.AppliedSeq
@@ -424,19 +367,4 @@ func Open(dir string) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// openIndex loads one index dump.
-func openIndex[T any](path string, meta index.Meta, buffer int, open func(r io.Reader, meta index.Meta, buffer int) (T, error)) (T, error) {
-	var zero T
-	f, err := os.Open(path)
-	if err != nil {
-		return zero, fmt.Errorf("stpq: open %s: %w", path, err)
-	}
-	defer f.Close()
-	idx, err := open(f, meta, buffer)
-	if err != nil {
-		return zero, fmt.Errorf("stpq: open %s: %w", path, err)
-	}
-	return idx, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -183,4 +184,92 @@ func TestShapeStatsCorruptFileRejected(t *testing.T) {
 	if _, err := Open(dir); err != nil {
 		t.Fatalf("Open rejected a snapshot without shapes.json: %v", err)
 	}
+}
+
+// sameAnswers fails unless both DBs give bit-equal answers for every
+// variant under both algorithms.
+func sameAnswers(t *testing.T, tag string, got, want *DB) {
+	t.Helper()
+	for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
+		for _, alg := range []Algorithm{STPS, STDS} {
+			q := paperQuery(4, alg)
+			q.Variant = variant
+			w, _, err := want.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := got.TopK(q)
+			if err != nil {
+				t.Fatalf("%s: variant %v alg %v: %v", tag, variant, alg, err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: variant %v alg %v: got %v, want %v", tag, variant, alg, g, w)
+			}
+		}
+	}
+}
+
+// TestSaveShardedKeepsPreviousManifest: a sharded Save that fails at a page
+// dump — a directory squats on the dump's path — must leave the DB the
+// directory held before openable. Dumps go first, then shards.json, then
+// stpq.json, so the manifest Open starts from still describes the old
+// files.
+func TestSaveShardedKeepsPreviousManifest(t *testing.T) {
+	dir := t.TempDir()
+	plain := paperDB(t, Config{})
+	if err := plain.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "objects_shard00.pages"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := paperDB(t, Config{ShardCount: 2}).Save(dir); err == nil {
+		t.Fatal("Save wrote a page dump over a directory")
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatalf("the failed Save broke the saved DB: %v", err)
+	}
+	if n := mustSnapshot(t, reopened).NumShards(); n != 1 {
+		t.Fatalf("reopened DB has %d shards, want the unsharded one saved first", n)
+	}
+	sameAnswers(t, "after a failed sharded Save", reopened, plain)
+}
+
+// TestOpenParentShardedManifest opens a three-shard directory Save wrote at
+// commit c749916 — before the shards became parts of one engine — and gets
+// a fresh build's answers: stpq.json, shards.json and the page dumps are
+// read unchanged.
+func TestOpenParentShardedManifest(t *testing.T) {
+	db, err := Open("testdata/parent-c749916-sharded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mustSnapshot(t, db).NumShards(); n != 3 {
+		t.Fatalf("%d shards, want 3", n)
+	}
+	sameAnswers(t, "parent's sharded save", db, paperDB(t, Config{}))
+	sameAnswers(t, "parent's sharded save", db, paperDB(t, Config{ShardCount: 3}))
+	// Saved again, it reads back the same.
+	dir := t.TempDir()
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "re-saved", again, db)
+	if ex, err := db.Explain(paperQuery(3, STPS)); err != nil || ex.Predicted == nil {
+		t.Errorf("the parent's shape statistics were not imported: %+v, %v", ex, err)
+	}
+}
+
+func mustSnapshot(t *testing.T, db *DB) *Snapshot {
+	t.Helper()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

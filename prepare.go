@@ -5,12 +5,12 @@ package stpq
 // cluster node — goes
 //
 //	Snapshot.Prepare:  validate → lower → shape key → trace decision → plan
-//	Prepared.Run:      execute (engine | shards | overlay) → metrics → event
+//	Prepared.Run:      execute (the one engine) → metrics → event
 //
 // and nothing else validates a public Query, looks its keywords up in the
 // vocabulary, resolves Algorithm: Auto, decides whether spans are collected
-// or files an event record. The engines below execute a lowered core.Query
-// and return Stats; the layers above carry the *Prepared around.
+// or files an event record. The engine below executes a lowered core.Query
+// and returns Stats; the layers above carry the *Prepared around.
 
 import (
 	"sort"
@@ -26,7 +26,6 @@ import (
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
 	"stpq/internal/plan"
-	"stpq/internal/shard"
 )
 
 // ShapeKey identifies a query shape: the coordinates that determine a
@@ -170,8 +169,8 @@ type Prepared struct {
 // Prepare validates q against the snapshot's feature sets, lowers it to the
 // engine's form, takes the trace decision — the query's explicit mode, then
 // the engine toggle, then the sampler, then the slow-query threshold — and
-// asks the planner for the algorithm, its predicted cost and the scatter
-// width. Errors wrap ErrInvalidQuery.
+// asks the planner for the algorithm and its predicted cost. Errors wrap
+// ErrInvalidQuery.
 func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 	if err := ValidateQuery(q, s.names); err != nil {
 		return nil, err
@@ -191,8 +190,8 @@ func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 		RequestID:  q.RequestID,
 	}
 	if q.Mode == ModeApprox {
-		// One request per logical query: shard fan-out and session copies
-		// alias it, so its atomic counters aggregate the whole execution.
+		// One request per logical query: session copies alias it, so its
+		// atomic counters aggregate the whole execution.
 		p.cq.Approx = approx.NewRequest(q.Recall)
 	}
 
@@ -207,9 +206,6 @@ func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 
 	planner := plan.Planner{Shapes: tel.Shapes}
 	p.key.Alg, p.cost, p.costKnown = planner.Resolve(p.key, forcedAlg(q.Algorithm))
-	if eng, ok := s.engine.(*shard.Engine); ok {
-		p.cq.Fanout = planner.FanoutWidth(p.cost, p.costKnown, eng.NumShards())
-	}
 	return p, nil
 }
 
@@ -259,9 +255,8 @@ func (p *Prepared) Run() ([]Result, Stats, error) {
 		res, st, err = p.snap.engine.STPS(p.cq)
 	}
 	if a := p.cq.Approx; a != nil {
-		// The request's counters hold the whole logical query's totals
-		// (shard sub-queries alias the same request), loaded exactly once
-		// here.
+		// The request's counters hold the whole logical query's totals,
+		// loaded exactly once here.
 		st.ApproxCandidates = a.Candidates.Load()
 		st.ApproxPruned = a.Pruned.Load()
 		st.ApproxSkippedReads = a.SkippedReads.Load()
@@ -423,7 +418,5 @@ func (p *Prepared) Score(x, y float64) (float64, error) {
 // only what Prepare resolved.
 func (p *Prepared) decision() PlanDecision {
 	planner := plan.Planner{Shapes: p.snap.db.tel.Shapes}
-	d := planner.Decide(p.key, forcedAlg(p.q.Algorithm))
-	d.Fanout = p.cq.Fanout
-	return d
+	return planner.Decide(p.key, forcedAlg(p.q.Algorithm))
 }

@@ -58,7 +58,7 @@ type cachedNode struct {
 // cachedNodes reads every page of every base tree of the DB.
 func cachedNodes(t *testing.T, db *DB) []cachedNode {
 	t.Helper()
-	trees := []*rtree.Tree{db.base.Objects().Tree()}
+	trees := []*rtree.Tree{soleObjects(db.base).Tree()}
 	for _, g := range db.base.FeatureGroups() {
 		for _, part := range g.Parts() {
 			trees = append(trees, part.Tree())

@@ -14,6 +14,7 @@ package stpq
 import (
 	"fmt"
 
+	"stpq/internal/core"
 	"stpq/internal/kwset"
 	"stpq/internal/shard"
 )
@@ -26,7 +27,8 @@ type Snapshot struct {
 	// New: telemetry, the metrics registry, the tracing toggle, the index
 	// kind.
 	db     *DB
-	engine queryEngine
+	engine *core.Engine
+	shards *shard.Engine // nil when unsharded
 	vocab  *kwset.Vocabulary
 	names  []string
 	gen    uint64
@@ -40,7 +42,7 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !db.built {
 		return nil, fmt.Errorf("%w: Snapshot before Build", ErrNotBuilt)
 	}
-	return &Snapshot{db: db, engine: db.engine, vocab: db.vocab, names: db.setNames, gen: db.gen}, nil
+	return &Snapshot{db: db, engine: db.engine, shards: db.shards, vocab: db.vocab, names: db.setNames, gen: db.gen}, nil
 }
 
 // Generation returns the build generation the snapshot was taken at: 1
@@ -59,11 +61,11 @@ func (s *Snapshot) FeatureSetNames() []string {
 // NumObjects returns the number of indexed data objects.
 func (s *Snapshot) NumObjects() int { return s.engine.NumObjects() }
 
-// NumShards returns the number of sub-engines serving this snapshot (1 on
-// an unsharded DB).
+// NumShards returns the number of spatial cells the snapshot's data
+// objects are laid out in (1 on an unsharded DB).
 func (s *Snapshot) NumShards() int {
-	if e, ok := s.engine.(*shard.Engine); ok {
-		return e.NumShards()
+	if s.shards != nil {
+		return s.shards.NumShards()
 	}
 	return 1
 }
@@ -92,8 +94,8 @@ func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 // UpperBound returns an admissible upper bound on the best score any
 // object of this snapshot can reach under the query: no indexed object
 // scores strictly above it. A cluster node answers the coordinator's
-// scatter probe with it, turning the sharded engine's wave-pruning rule
-// into a network protocol.
+// scatter probe with it; the coordinator orders and prunes its waves by
+// it.
 func (s *Snapshot) UpperBound(q Query) (float64, error) {
 	p, err := s.Prepare(q)
 	if err != nil {

@@ -175,10 +175,12 @@ type Config struct {
 	// SlowLogEntries sizes the slow-query ring (0 = default 128, negative
 	// disables the slow log).
 	SlowLogEntries int
-	// ShardCount > 1 partitions the data spatially into that many
-	// self-contained sub-engines and answers queries by parallel
-	// scatter-gather with per-shard bound pruning. Results are identical
-	// to the single-engine build. 0 or 1 keeps the single engine.
+	// ShardCount > 1 lays the data out in that many spatial cells, each an
+	// index part of its own (page files, buffer pool, metrics) under the one
+	// query engine. It is a data layout, not a parallelism feature: a query
+	// generates its feature combinations once and reads only the cells a
+	// combination's region reaches. Results are identical to the unsharded
+	// build. 0 or 1 keeps one part.
 	ShardCount int
 	// ShardStrategy selects the partitioner when ShardCount > 1.
 	ShardStrategy ShardStrategy
@@ -283,21 +285,6 @@ type Result struct {
 // DB.SetTracing, Query.Trace, or a sampling hit), nil otherwise.
 type Stats = core.Stats
 
-// queryEngine is what executes a prepared query: the single engine
-// (core.Engine), the sharded engine (shard.Engine) or the ingest overlay
-// (ingest.Overlay). Each runs a lowered core.Query and returns its Stats;
-// everything else — validation, planning, the trace decision, metrics and
-// the event record — is Prepare and Prepared.Run (prepare.go).
-type queryEngine interface {
-	STDS(core.Query) ([]core.Result, core.Stats, error)
-	STPS(core.Query) ([]core.Result, core.Stats, error)
-	ExactScore(core.Query, geo.Point) (float64, error)
-	UpperBoundAll(core.Query) (float64, error)
-	FeatureGroups() []*index.FeatureGroup
-	NumObjects() int
-	PrecomputeVoronoiCells() error
-}
-
 // DB is a queryable collection of data objects and named feature sets.
 // Populate it with AddObjects/AddFeatureSet, call Build, then query with
 // TopK. After Build, a DB is safe for concurrent use and queries run in
@@ -312,7 +299,8 @@ type DB struct {
 	objects  []Object
 	setNames []string
 	sets     map[string][]Feature
-	engine   queryEngine
+	engine   *core.Engine
+	shards   *shard.Engine // the spatial layout engine runs over; nil when unsharded
 	metrics  *obs.Registry
 	tel      *obs.Telemetry
 	qmetrics queryMetricsTable
@@ -485,7 +473,7 @@ func (db *DB) buildLocked() error {
 		featSets[i] = feats
 	}
 	if db.cfg.ShardCount > 1 {
-		eng, err := shard.New(objs, featSets, shard.Options{
+		sh, err := shard.New(objs, featSets, shard.Options{
 			Shards:   db.cfg.ShardCount,
 			Strategy: shard.Strategy(db.cfg.ShardStrategy),
 			Index:    opts,
@@ -494,9 +482,8 @@ func (db *DB) buildLocked() error {
 		if err != nil {
 			return fmt.Errorf("stpq: building sharded engine: %w", err)
 		}
-		eng.AttachMetrics(db.metrics)
-		db.engine = eng
-		db.base = nil
+		sh.AttachMetrics(db.metrics)
+		db.shards, db.engine, db.base = sh, sh.Core(), nil
 	} else {
 		oidx, err := index.BuildObjectIndex(objs, opts)
 		if err != nil {
@@ -514,12 +501,11 @@ func (db *DB) buildLocked() error {
 		if err != nil {
 			return err
 		}
-		db.engine = eng
-		db.base = eng
+		db.shards, db.engine, db.base = nil, eng, eng
 	}
 	db.rebuildLocMapsLocked()
-	// Feature pool metrics attach to the groups, which both engine kinds
-	// expose (sharded groups add a _partNN suffix per cell).
+	// Feature pool metrics attach to the groups (sharded groups add a
+	// _partNN suffix per cell).
 	for i, name := range db.setNames {
 		db.engine.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
@@ -540,7 +526,7 @@ func (db *DB) buildLocked() error {
 // rebuildLocMapsLocked derives the id→location maps from the raw slices.
 // Partial merges need them to delete base items (rtree.Delete requires the
 // exact location); they are maintained incrementally at every merge swap
-// so the write path never rescans the base. Sharded engines have no write
+// so the write path never rescans the base. Sharded DBs have no write
 // path and skip them.
 func (db *DB) rebuildLocMapsLocked() {
 	if db.base == nil {
@@ -569,11 +555,15 @@ func (db *DB) recordBaseShapeLocked() {
 		return
 	}
 	db.baseHeights = make([]int, 1+len(db.setNames))
-	db.baseHeights[0] = db.base.Objects().Tree().Height()
+	db.baseHeights[0] = soleObjects(db.base).Tree().Height()
 	for i := range db.setNames {
 		db.baseHeights[1+i] = db.base.FeatureGroups()[i].Part(0).Tree().Height()
 	}
 }
+
+// soleObjects returns the object index of an unsharded, fully merged
+// engine, which holds exactly one object part.
+func soleObjects(eng *core.Engine) *index.ObjectIndex { return eng.ObjectParts()[0] }
 
 // coreOptions lowers the public config into engine options.
 func (cfg Config) coreOptions() core.Options {

@@ -1,9 +1,9 @@
 package stpq
 
 // telemetry_test.go is the end-to-end check of the observability tentpole:
-// request IDs propagating from the public Query through shard
-// scatter-gather, core execution and the ingest overlay into event records
-// and span trees; the slow-query log; EXPLAIN's prediction gating; and the
+// request IDs propagating from the public Query through core execution —
+// over one part, over shards, over base + delta — into event records and
+// span trees; the slow-query log; EXPLAIN's prediction gating; and the
 // WAL/ingest metrics.
 
 import (
@@ -99,8 +99,8 @@ func TestRequestIDPropagationSharded(t *testing.T) {
 	if ev.RequestID != q.RequestID || ev.Trace == nil || ev.Trace.RequestID != q.RequestID {
 		t.Errorf("sharded event = req %q trace %+v", ev.RequestID, ev.Trace)
 	}
-	// The merged event carries the scatter-gather counters: this is the
-	// shard-level view joining the same request ID.
+	// The event carries the shard counters: this is the shard-level view
+	// joining the same request ID.
 	if ev.ShardFanout != st.ShardFanout || ev.ShardPruned != st.ShardPruned {
 		t.Errorf("event fanout/pruned = %d/%d, stats %d/%d",
 			ev.ShardFanout, ev.ShardPruned, st.ShardFanout, st.ShardPruned)
@@ -109,7 +109,7 @@ func TestRequestIDPropagationSharded(t *testing.T) {
 
 func TestRequestIDPropagationThroughOverlay(t *testing.T) {
 	db := paperDB(t, Config{WALDir: t.TempDir()})
-	// Push the DB onto the ingest overlay: queries now run base + delta.
+	// Leave a mutation pending: queries now run over base + delta parts.
 	if err := db.Apply([]Mutation{{
 		Op: OpUpsertObject, Object: &Object{ID: 99, X: 0.6, Y: 0.55},
 	}}); err != nil {
@@ -266,19 +266,30 @@ func TestExplainShardedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Shards) != 2 || ex.Parallelism < 1 {
+	if len(ex.Shards) != 2 {
 		t.Fatalf("sharded plan = %+v", ex)
 	}
-	// Scatter order: bounds non-increasing, waves assigned from the order.
-	for i := 1; i < len(ex.Shards); i++ {
-		if ex.Shards[i].Bound > ex.Shards[i-1].Bound {
-			t.Errorf("scatter order broken at %d: %+v", i, ex.Shards)
+	// Every shard is listed once, with its size and an admissible bound: the
+	// objects add up, and no answer scores above the best bound.
+	objects, best := 0, 0.0
+	for i, sh := range ex.Shards {
+		if sh.ID != i || sh.Objects < 1 {
+			t.Errorf("shard %d listed as %+v", i, sh)
 		}
-		if ex.Shards[i].Wave < ex.Shards[i-1].Wave {
-			t.Errorf("waves out of order at %d: %+v", i, ex.Shards)
-		}
+		objects += sh.Objects
+		best = max(best, sh.Bound)
 	}
-	if s := ex.String(); !strings.Contains(s, "scatter-gather over 2 shards") {
+	if objects != 10 {
+		t.Errorf("shards hold %d objects, want 10: %+v", objects, ex.Shards)
+	}
+	res, _, err := db.TopK(paperQuery(3, STPS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || res[0].Score > best {
+		t.Errorf("top score %v above the best shard bound %v", res, best)
+	}
+	if s := ex.String(); !strings.Contains(s, "one engine over 2 shards") {
 		t.Errorf("sharded render:\n%s", s)
 	}
 }
