@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
+.PHONY: build test race vet lint cover loc bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -37,12 +37,18 @@ lint:
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
 
+# Non-test Go lines outside bench/: the size ROADMAP tracks from one
+# re-anchor to the next.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
 # bench/ is a Go module of its own (it imports stpq/internal/...), so
-# `go build ./...` and `go test ./...` at the root neither compile nor test
-# it. This runs its tests — all seven workloads at 2 % scale against the
-# oracle, about 8 s — and is what catches a change to an API the benchmark
-# calls.
+# `go build ./...`, `go vet ./...` and `go test ./...` at the root neither
+# compile, vet nor test it. This vets it and runs its tests — all seven
+# workloads at 2 % scale against the oracle, about 8 s — and is what catches
+# a change to an API the benchmark calls.
 bench-check:
+	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
 # A single small benchmark data point, one iteration: catches bit-rot in the
@@ -179,11 +185,12 @@ compaction-smoke:
 	kill -INT $$pid && wait $$pid
 
 # Distributed-mode smoke test: partition one synthetic dataset across 3
-# cluster nodes, start a scatter-gather coordinator over them plus a
-# single-process stpqd on the same dataset, and require byte-identical
-# results from both for a spread of query shapes (both algorithms, range
-# and influence variants). A short stpqload run against the coordinator
-# then exercises it under concurrency.
+# cluster nodes, start a scatter-gather coordinator over them, a
+# single-process stpqd on the same dataset and a `-shards 4` stpqd on it
+# too, and require byte-identical results from all three for a spread of
+# query shapes (both algorithms, range and influence variants). A short
+# stpqload run against the coordinator then exercises it under
+# concurrency.
 CLUSTER_MAP := /tmp/stpq-cluster-smoke-map.json
 CLUSTER_DATA := -synthetic -objects 2000 -features 2000
 cluster-smoke:
@@ -200,29 +207,34 @@ cluster-smoke:
 		-rpc 127.0.0.1:19343 -addr 127.0.0.1:18343 & p2=$$!; \
 	/tmp/stpqd-smoke -cluster-coordinator -cluster-map $(CLUSTER_MAP) -addr 127.0.0.1:18340 & pc=$$!; \
 	/tmp/stpqd-smoke $(CLUSTER_DATA) -addr 127.0.0.1:18349 & ps=$$!; \
-	trap 'kill -INT $$p0 $$p1 $$p2 $$pc $$ps 2>/dev/null' EXIT; \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -shards 4 -addr 127.0.0.1:18348 & p4=$$!; \
+	trap 'kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do \
 		if curl -fsS http://127.0.0.1:18340/readyz >/dev/null 2>&1 && \
-		   curl -fsS http://127.0.0.1:18349/healthz >/dev/null 2>&1; then break; fi; \
+		   curl -fsS http://127.0.0.1:18349/healthz >/dev/null 2>&1 && \
+		   curl -fsS http://127.0.0.1:18348/healthz >/dev/null 2>&1; then break; fi; \
 		sleep 0.2; \
 	done; \
 	curl -fsS http://127.0.0.1:18340/readyz >/dev/null && \
 	for q in '{"k":5,"radius":0.05,"keywords":{"set1":["kw1","kw2"],"set2":["kw3"]}}' \
 		'{"k":10,"radius":0.05,"keywords":{"set1":["kw7"],"set2":["kw8","kw9"]},"algorithm":"stds"}' \
 		'{"k":7,"variant":"influence","radius":0.1,"keywords":{"set1":["kw4"],"set2":["kw5"]}}'; do \
-		curl -fsS http://127.0.0.1:18340/query -d "$$q" > /tmp/stpq-cluster-got.json && \
 		curl -fsS http://127.0.0.1:18349/query -d "$$q" > /tmp/stpq-cluster-want.json && \
-		python3 -c 'import json; \
+		for port in 18340 18348; do \
+			curl -fsS http://127.0.0.1:$$port/query -d "$$q" > /tmp/stpq-cluster-got.json && \
+			python3 -c 'import json; \
 got = json.load(open("/tmp/stpq-cluster-got.json"))["results"]; \
 want = json.load(open("/tmp/stpq-cluster-want.json"))["results"]; \
 assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), \
-	"cluster results diverge from single process:\n got %r\nwant %r" % (got, want)' \
-		|| exit 1; \
+	"results diverge from single process:\n got %r\nwant %r" % (got, want)' \
+			|| exit 1; \
+		done; \
 	done; \
-	echo "cluster-smoke: coordinator results byte-identical to single process" && \
+	echo "cluster-smoke: coordinator and -shards 4 results byte-identical to single process" && \
 	/tmp/stpqload-smoke -targets http://127.0.0.1:18340 -c 2 -n 50 -k 5 && \
 	curl -fsS http://127.0.0.1:18340/metrics | grep -q stpq_cluster_queries_total && \
-	kill -INT $$p0 $$p1 $$p2 $$pc $$ps && wait
+	curl -fsS http://127.0.0.1:18348/metrics | grep -q stpq_shard_fanout_total && \
+	kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 && wait
 
 # Planner smoke test, two halves. Correctness: an auto-planning stpqd and a
 # forced-STPS control on the same synthetic seed must return byte-identical

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	stpqd -synthetic -objects 20000 -features 20000 -addr :8080
-//	stpqd -synthetic -shards 4            # sharded scatter-gather engine
+//	stpqd -synthetic -shards 4            # data laid out in 4 spatial shards
 //	stpqd -synthetic -wal-dir data/wal    # live ingest + crash recovery
 //	stpqd -open data/db -workers 8 -queue 128 -timeout 2s
 //
@@ -61,7 +61,7 @@ func main() {
 		sigBits   = flag.Int("signature-bits", 0, "-synthetic with -index ir2: superimposed signature bits per keyword (0 = exact bitmaps)")
 		pageSize  = flag.Int("page-size", 0, "-synthetic: index page size in bytes (0 = library default)")
 		bufPages  = flag.Int("buffer-pages", 0, "-synthetic: buffer pool pages per index (0 = library default)")
-		shards    = flag.Int("shards", 0, "partition -synthetic data into N shards queried scatter-gather (0 or 1 = single engine)")
+		shards    = flag.Int("shards", 0, "lay -synthetic data out in N spatial shards under the one engine (0 or 1 = unsharded)")
 		strategy  = flag.String("shard-strategy", "hilbert", "shard partitioner: hilbert | grid")
 		workers   = flag.Int("workers", 0, "concurrent query executors (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "admission queue depth")

@@ -250,7 +250,7 @@ const mergeDriftRatio = 0.5
 // merged incrementally: when structurally possible and the tree-quality
 // heuristic passes — bounded cumulative drift, heights within one level of
 // the bulk-loaded baseline, and a bounded overflow-split count.
-// Signature-mode indexes and sharded engines always rebuild.
+// Signature-mode indexes always rebuild (sharded DBs have no write path).
 func (db *DB) canPartialMergeLocked(net *netOps) bool {
 	if db.base == nil || db.objLoc == nil || net == nil {
 		return false

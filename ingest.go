@@ -65,7 +65,7 @@ var (
 	// attached.
 	ErrWALAttached = errors.New("stpq: WAL already attached")
 	// ErrIngestUnsupported is returned for DB configurations without a
-	// write path: sharded engines and signature-mode indexes.
+	// write path: sharded DBs and signature-mode indexes.
 	ErrIngestUnsupported = errors.New("stpq: live ingest requires an unsharded, exact-keyword DB")
 	// ErrInvalidMutation wraps every mutation-validation error.
 	ErrInvalidMutation = errors.New("stpq: invalid mutation")
@@ -607,49 +607,45 @@ func (db *DB) publishPendingLocked() error {
 		layers = append(layers, snap)
 		pending += db.delta.Ops()
 	}
-	eng := db.base
+	deadObj := ingest.UnionDead(layers)
+	hidden := 0
+	for id := range deadObj {
+		if _, ok := db.objLoc[id]; ok {
+			hidden++
+		}
+	}
+	objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(deadObj, hidden)}
 	deltaObjs := ingest.FoldObjects(layers)
-	if len(layers) > 0 {
-		deadObj := ingest.UnionDead(layers)
-		hidden := 0
-		for id := range deadObj {
-			if _, ok := db.objLoc[id]; ok {
-				hidden++
-			}
+	if len(deltaObjs) > 0 {
+		part, err := index.BuildObjectIndex(deltaObjs, db.deltaIndexOptions())
+		if err != nil {
+			return fmt.Errorf("stpq: indexing delta objects: %w", err)
 		}
-		objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(deadObj, hidden)}
-		if len(deltaObjs) > 0 {
-			part, err := index.BuildObjectIndex(deltaObjs, db.deltaIndexOptions())
-			if err != nil {
-				return fmt.Errorf("stpq: indexing delta objects: %w", err)
-			}
-			objects = append(objects, part)
+		objects = append(objects, part)
+	}
+	groups := make([]*index.FeatureGroup, len(db.setNames))
+	for i := range db.setNames {
+		deadAll := ingest.UnionDeadSet(layers, i)
+		baseParts := db.base.FeatureGroups()[i].Parts()
+		parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
+		for _, p := range baseParts {
+			parts = append(parts, p.WithExclude(deadAll))
 		}
-		groups := make([]*index.FeatureGroup, len(db.setNames))
-		for i := range db.setNames {
-			deadAll := ingest.UnionDeadSet(layers, i)
-			baseParts := db.base.FeatureGroups()[i].Parts()
-			parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
-			for _, p := range baseParts {
-				parts = append(parts, p.WithExclude(deadAll))
+		for j, l := range layers {
+			if l.Sets[i].Idx == nil {
+				continue
 			}
-			for j, l := range layers {
-				if l.Sets[i].Idx == nil {
-					continue
-				}
-				parts = append(parts, l.Sets[i].Idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
-			}
-			g, err := index.NewFeatureGroup(parts...)
-			if err != nil {
-				return err
-			}
-			groups[i] = g
+			parts = append(parts, l.Sets[i].Idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
 		}
-		var err error
-		eng, err = core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
+		g, err := index.NewFeatureGroup(parts...)
 		if err != nil {
 			return err
 		}
+		groups[i] = g
+	}
+	eng, err := core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
+	if err != nil {
+		return err
 	}
 	db.engine = eng
 	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(len(deltaObjs)))

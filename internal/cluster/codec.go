@@ -1,5 +1,5 @@
-// Package cluster turns the sharded engine's scatter-gather into a
-// network service: a compact length-prefixed RPC protocol (query,
+// Package cluster spreads a spatially partitioned DB over processes and
+// holds the system's one scatter-gather: a compact length-prefixed RPC protocol (query,
 // upper-bound probe, WAL-segment fetch, health, info), a per-shard node
 // server wrapping a serve.Service, a coordinator that fans queries out
 // wave-by-wave sorted by remote upper bound with strict-inequality early
@@ -8,8 +8,8 @@
 // leader's sealed WAL segments through the crash-recovery path.
 //
 // The partition map (map.go) reuses shard.PartitionMeta, the JSON shape of
-// the shards.json manifest, so the same cell function that splits a
-// sharded engine splits a cluster. See DESIGN.md §13.
+// the shards.json manifest, so the same cell function that lays a sharded
+// DB out in parts splits a cluster into nodes. See DESIGN.md §13.
 package cluster
 
 import (

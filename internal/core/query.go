@@ -410,19 +410,21 @@ func NewEngineOverParts(objects []*index.ObjectIndex, shards int, features []*in
 			return nil, fmt.Errorf("core: feature group %d is nil", i)
 		}
 	}
-	e := &Engine{objects: objects, shards: shards, features: features, opts: opts.withDefaults()}
 	for i, part := range objects {
 		if part == nil {
 			return nil, fmt.Errorf("core: object index %d is nil", i)
 		}
-		if len(objects) == 1 {
-			break
+	}
+	e := &Engine{objects: objects, shards: shards, features: features, opts: opts.withDefaults()}
+	if len(objects) > 1 {
+		e.rects = make([]geo.Rect, len(objects))
+		for i, part := range objects {
+			root, err := part.Tree().RootEntry()
+			if err != nil {
+				return nil, err
+			}
+			e.rects[i] = root.Rect
 		}
-		root, err := part.Tree().RootEntry()
-		if err != nil {
-			return nil, err
-		}
-		e.rects = append(e.rects, root.Rect)
 	}
 	if e.opts.CacheVoronoiCells {
 		e.cells = &cellCache{m: make(map[cellKey]geo.Polygon)}

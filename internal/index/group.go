@@ -1,9 +1,10 @@
 package index
 
 // group.go implements FeatureGroup: one logical feature set F_i stored as
-// a forest of FeatureIndex parts. The single-engine case uses one part per
-// group; the sharded engine (internal/shard) slices each feature set
-// spatially into one part per shard cell. Query algorithms that traverse a
+// a forest of FeatureIndex parts. An unsharded DB uses one part per group;
+// a sharded one (internal/shard) slices each feature set spatially into one
+// part per shard cell; pending writes add one part per unmerged layer.
+// Query algorithms that traverse a
 // group seed their priority queues with every part root, which makes the
 // multi-part traversal emit exactly the same feature sequence as a single
 // index over the union — scores and bounds are per-entry properties, and

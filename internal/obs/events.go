@@ -51,8 +51,9 @@ type QueryEvent struct {
 	Combinations   int           `json:"combinations"`
 	FeaturesPulled int           `json:"features_pulled"`
 	ObjectsScored  int           `json:"objects_scored"`
-	// ShardFanout and ShardPruned count shards (or cluster nodes) queried /
-	// skipped by the scatter-gather (zero on unsharded engines).
+	// ShardFanout and ShardPruned count the shard parts the query descended
+	// into / never read — on the coordinator, the cluster nodes queried /
+	// skipped (zero on unsharded engines).
 	ShardFanout int `json:"shard_fanout,omitempty"`
 	ShardPruned int `json:"shard_pruned,omitempty"`
 	// Mode is "approx" for fast-tier executions, "" for exact.

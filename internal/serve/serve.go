@@ -251,9 +251,8 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 	}
 	// Request-scoped identity: honor the caller's ID, generate one
 	// otherwise, and draw the service-level trace sampling decision. The
-	// ID and decision ride the query through shard scatter-gather, core
-	// execution and the ingest overlay, stamping the span tree and the
-	// event record.
+	// ID and decision ride the query through core execution, stamping the
+	// span tree and the event record.
 	if q.RequestID == "" {
 		q.RequestID = NewRequestID()
 	}

@@ -14,7 +14,7 @@ import (
 // into shard cells. Both strategies are pure functions of point location,
 // so objects and the features around them land in the same cell — a
 // locality heuristic only; correctness never depends on co-location
-// because every sub-engine sees the full feature groups.
+// because every traversal of a feature set covers all its parts.
 type Strategy int
 
 const (

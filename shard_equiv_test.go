@@ -52,7 +52,7 @@ func TestShardedDBMatchesSingle(t *testing.T) {
 	objs, food, cafes, words := shardTestData(7)
 	for _, kind := range []IndexKind{SRT, IR2} {
 		single := buildShardTestDB(t, Config{IndexKind: kind, PageSize: 1024}, objs, food, cafes)
-		for _, shards := range []int{2, 4, 7, 8} {
+		for _, shards := range []int{2, 4, 7} {
 			for _, strategy := range []ShardStrategy{ShardHilbert, ShardGrid} {
 				built := buildShardTestDB(t, Config{
 					IndexKind: kind, PageSize: 1024,
