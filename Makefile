@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt must have nothing to rewrite anywhere in the repository, bench/
+# included (gofmt walks directories, not modules).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Coverage profile across every package, with a per-function summary. CI
 # uploads the profile as a build artifact; render it locally with
@@ -349,4 +354,4 @@ approx-smoke:
 	echo "approx-smoke: fast tier beats exact p99 at >=0.8 recall, counters visible" && \
 	kill -INT $$pid && wait $$pid
 
-check: build vet test race bench-check
+check: build vet fmt-check test race bench-check

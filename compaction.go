@@ -1,7 +1,7 @@
 package stpq
 
 // compaction.go implements the generational merge pipeline that replaced
-// the O(N) rebuild-on-flush write path (see DESIGN.md §15). Pending
+// the O(N) rebuild-on-flush write path (see DESIGN.md §11). Pending
 // mutations live in up to three tiers — the mutable delta, sealed
 // immutable runs, and the bulk-loaded base — and mergeLocked folds the
 // first two into the third one of two ways:
@@ -11,10 +11,10 @@ package stpq
 //     so only the touched subtree pages are rewritten and the merge costs
 //     O(delta·log N) instead of O(N). Older snapshots keep reading the
 //     original pages through the CowDisk base.
-//   - Full rebuild: the net mutations are folded into the raw slices and
-//     the whole engine is re-bulk-loaded — the pre-generational behaviour,
-//     used as the degradation fallback and for vocabulary-growing
-//     batches.
+//   - Full rebuild: the logical dataset is read back from the engine over
+//     base + pending layers and the whole engine is re-bulk-loaded — the
+//     degradation fallback, and how the indexes are widened for a batch
+//     with unseen keywords.
 //
 // The background compactor (Config.BackgroundCompaction) runs the same
 // partial merge off the write path: it pins the sealed runs under a read
@@ -34,211 +34,79 @@ import (
 	"stpq/internal/ingest"
 )
 
-// netOps is the net effect of a stack of pending layers: the newest write
-// per id wins, upsert-over-delete and delete-over-upsert folds applied.
-// Features keep their interned keyword sets — partial merges never grow
-// the vocabulary, so no re-interning happens on this path.
-type netOps struct {
-	deadObj  map[int64]struct{}
-	upsObj   map[int64]index.Object
-	deadFeat []map[int64]struct{}
-	upsFeat  []map[int64]index.Feature
-	// count is the number of net index operations the merge will perform,
-	// feeding the drift accounting.
-	count int
-}
-
-// collectNet folds the layers (oldest first) into their net effect.
-func collectNet(layers []*ingest.Layer, numSets int) *netOps {
-	net := &netOps{
-		deadObj:  make(map[int64]struct{}),
-		upsObj:   make(map[int64]index.Object),
-		deadFeat: make([]map[int64]struct{}, numSets),
-		upsFeat:  make([]map[int64]index.Feature, numSets),
-	}
-	for i := 0; i < numSets; i++ {
-		net.deadFeat[i] = make(map[int64]struct{})
-		net.upsFeat[i] = make(map[int64]index.Feature)
-	}
-	for _, l := range layers {
-		// Tombstones first: an upsert records both a tombstone (hiding older
-		// generations) and the new value, so within one layer the upsert must
-		// survive its own tombstone.
-		for id := range l.DeadObjects {
-			net.deadObj[id] = struct{}{}
-			delete(net.upsObj, id)
-		}
-		for id, o := range l.Objects {
-			net.upsObj[id] = o
-		}
-		for i := range l.Sets {
-			for id := range l.Sets[i].Dead {
-				net.deadFeat[i][id] = struct{}{}
-				delete(net.upsFeat[i], id)
-			}
-			for id, f := range l.Sets[i].Feats {
-				net.upsFeat[i][id] = f
-			}
-		}
-	}
-	net.count = len(net.deadObj) + len(net.upsObj)
-	for i := 0; i < numSets; i++ {
-		net.count += len(net.deadFeat[i]) + len(net.upsFeat[i])
-	}
-	return net
-}
-
 // pendingLayersLocked returns the pending generations oldest first: sealed
-// runs, then a view of the active delta. The delta view shares the live
-// maps, so it is only valid while db.mu is held and the delta is dropped
-// by the same critical section (mergeLocked does both).
+// runs, then the active delta. The delta's layer is the live maps and
+// indexes, so the result is only valid while db.mu is held.
 func (db *DB) pendingLayersLocked() []*ingest.Layer {
 	layers := make([]*ingest.Layer, 0, len(db.runs)+1)
 	for _, r := range db.runs {
-		r := r
 		layers = append(layers, &r.Layer)
 	}
 	if db.delta != nil && !db.delta.Empty() {
-		layers = append(layers, deltaView(db.delta))
+		layers = append(layers, &db.delta.Layer)
 	}
 	return layers
 }
 
-// deltaView wraps the live delta as a layer without copying. Only the
-// synchronous merge path uses it; publication snapshots instead.
-func deltaView(d *ingest.Delta) *ingest.Layer {
-	l := &ingest.Layer{
-		Objects:     d.Objects,
-		DeadObjects: d.DeadObjects,
-		Sets:        make([]ingest.LayerSet, len(d.Sets)),
-	}
-	for i, s := range d.Sets {
-		l.Sets[i] = ingest.LayerSet{Feats: s.Feats, Dead: s.Dead}
-	}
-	return l
-}
-
-// mergeLocked folds every pending generation (plus an optional trailing
-// batch that could not go through the delta) into the base and publishes
+// mergeLocked folds every pending generation into the base and publishes
 // the merged engine. forceFull bypasses the incremental path — required
-// when the batch grows the vocabulary or the caller (Rebuild) must fold
-// newly added raw data in. A failed partial merge falls back to the full
-// rebuild: the copy-on-write clones are discarded, so the base is still
-// intact. Callers hold ingestMu and db.mu.
-func (db *DB) mergeLocked(extra []Mutation, forceFull bool) error {
+// when the caller (Rebuild) must fold staged data in, or when words, the
+// keywords a batch is about to bring, must widen the vocabulary first. A
+// failed partial merge falls back to the full rebuild: the copy-on-write
+// clones are discarded, so the base is still intact. Callers hold ingestMu
+// and db.mu.
+func (db *DB) mergeLocked(forceFull bool, words ...string) error {
 	start := time.Now()
-	net := collectNet(db.pendingLayersLocked(), len(db.setNames))
-	full := forceFull || len(extra) > 0 || !db.canPartialMergeLocked(net)
-	var err error
+	layers := db.pendingLayersLocked()
+	net := ingest.CollectNet(layers, len(db.setNames))
+	full := forceFull || !db.canPartialMergeLocked(net)
+	if !full {
+		full = db.partialMergeLocked(net) != nil
+	}
 	if full {
-		err = db.fullMergeLocked(net, extra)
+		if err := db.fullMergeLocked(layers, net, words); err != nil {
+			return err
+		}
+	}
+	db.lastMergeSecs = time.Since(start).Seconds()
+	db.mergeSeconds.Observe(db.lastMergeSecs)
+	db.ingestMerges.Inc()
+	if full {
+		db.fullRebuilds.Inc()
 	} else {
-		if err = db.partialMergeLocked(net); err != nil {
-			full = true
-			err = db.fullMergeLocked(net, nil)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	db.observeMergeLocked(time.Since(start), full)
-	return nil
-}
-
-// observeMergeLocked records one completed foreground merge in the
-// metrics and resets the pending-state gauges.
-func (db *DB) observeMergeLocked(took time.Duration, full bool) {
-	db.lastMergeSecs = took.Seconds()
-	if db.mergeSeconds != nil {
-		db.mergeSeconds.Observe(db.lastMergeSecs)
-	}
-	if db.ingestMerges != nil {
-		db.ingestMerges.Inc()
-	}
-	if full {
-		if db.fullRebuilds != nil {
-			db.fullRebuilds.Inc()
-		}
-	} else if db.partialMerges != nil {
 		db.partialMerges.Inc()
 	}
 	db.metrics.Gauge("stpq_ingest_delta_objects").Set(0)
 	db.metrics.Gauge("stpq_ingest_delta_ops").Set(0)
 	db.metrics.Gauge("stpq_ingest_runs").Set(0)
+	return nil
 }
 
-// fullMergeLocked folds the net mutations (and the trailing batch) into
-// the raw slices and re-bulk-loads the whole engine.
-func (db *DB) fullMergeLocked(net *netOps, extra []Mutation) error {
-	db.foldNetIntoRawLocked(net)
-	db.foldExtraIntoRawLocked(extra)
+// fullMergeLocked re-bulk-loads the whole engine from the logical dataset,
+// read back from the engine that shows it: db.engine when nothing is
+// pending, else the view over base + layers, assembled here and never
+// published (so the generation is bumped once). The oracle suites hold that
+// view byte-identical to a from-scratch build after every batch, which is
+// what makes it a sound copy to rebuild from. words are interned first.
+func (db *DB) fullMergeLocked(layers []*ingest.Layer, net *ingest.Net, words []string) error {
+	view := db.engine
+	if len(layers) > 0 {
+		var err error
+		if view, err = db.pendingEngineLocked(layers, net); err != nil {
+			return err
+		}
+	}
+	objs, featSets, err := readBack(view)
+	if err != nil {
+		return err
+	}
 	// Intern into a clone so snapshots of the previous generation keep a
-	// stable vocabulary (same contract as Rebuild).
+	// stable vocabulary.
 	db.vocab = db.vocab.Clone()
-	db.delta = nil
-	db.runs = nil
-	return db.buildLocked()
-}
-
-// foldNetIntoRawLocked applies the net mutations to the raw object and
-// feature slices, decoding interned keyword sets back to strings. Both
-// merge paths call it so the raw data always mirrors the base indexes —
-// a later Rebuild or full merge starts from the merged state.
-func (db *DB) foldNetIntoRawLocked(net *netOps) {
-	upsObj := make(map[int64]Object, len(net.upsObj))
-	for id, o := range net.upsObj {
-		upsObj[id] = Object{ID: id, X: o.Location.X, Y: o.Location.Y}
+	for _, w := range words {
+		db.vocab.Intern(w)
 	}
-	db.objects = foldSlice(db.objects, net.deadObj, upsObj, func(o Object) int64 { return o.ID })
-	for i, name := range db.setNames {
-		ups := make(map[int64]Feature, len(net.upsFeat[i]))
-		for id, f := range net.upsFeat[i] {
-			ups[id] = Feature{
-				ID: id, X: f.Location.X, Y: f.Location.Y,
-				Score:    f.Score,
-				Keywords: db.vocab.Decode(f.Keywords),
-			}
-		}
-		db.sets[name] = foldSlice(db.sets[name], net.deadFeat[i], ups, func(f Feature) int64 { return f.ID })
-	}
-}
-
-// foldExtraIntoRawLocked applies a trailing mutation batch that never
-// entered the delta (vocabulary-growing batches) on top of the net fold.
-func (db *DB) foldExtraIntoRawLocked(extra []Mutation) {
-	if len(extra) == 0 {
-		return
-	}
-	deadObj := make(map[int64]struct{})
-	upsObj := make(map[int64]Object)
-	deadFeat := make([]map[int64]struct{}, len(db.setNames))
-	upsFeat := make([]map[int64]Feature, len(db.setNames))
-	for i := range db.setNames {
-		deadFeat[i] = make(map[int64]struct{})
-		upsFeat[i] = make(map[int64]Feature)
-	}
-	for _, m := range extra {
-		switch m.Op {
-		case OpUpsertObject:
-			deadObj[m.Object.ID] = struct{}{}
-			upsObj[m.Object.ID] = *m.Object
-		case OpDeleteObject:
-			deadObj[m.ID] = struct{}{}
-			delete(upsObj, m.ID)
-		case OpUpsertFeature:
-			i := db.setPosLocked(m.Set)
-			deadFeat[i][m.Feature.ID] = struct{}{}
-			upsFeat[i][m.Feature.ID] = *m.Feature
-		case OpDeleteFeature:
-			i := db.setPosLocked(m.Set)
-			deadFeat[i][m.ID] = struct{}{}
-			delete(upsFeat[i], m.ID)
-		}
-	}
-	db.objects = foldSlice(db.objects, deadObj, upsObj, func(o Object) int64 { return o.ID })
-	for i, name := range db.setNames {
-		db.sets[name] = foldSlice(db.sets[name], deadFeat[i], upsFeat[i], func(f Feature) int64 { return f.ID })
-	}
+	return db.buildLocked(objs, featSets)
 }
 
 // mergeDriftRatio is the degradation threshold: a full rebuild replaces the
@@ -251,10 +119,7 @@ const mergeDriftRatio = 0.5
 // heuristic passes — bounded cumulative drift, heights within one level of
 // the bulk-loaded baseline, and a bounded overflow-split count.
 // Signature-mode indexes always rebuild (sharded DBs have no write path).
-func (db *DB) canPartialMergeLocked(net *netOps) bool {
-	if db.base == nil || db.objLoc == nil || net == nil {
-		return false
-	}
+func (db *DB) canPartialMergeLocked(net *ingest.Net) bool {
 	for i := range db.setNames {
 		g := db.base.FeatureGroups()[i]
 		if len(g.Parts()) != 1 || !g.Part(0).CanMerge() {
@@ -268,7 +133,7 @@ func (db *DB) canPartialMergeLocked(net *netOps) bool {
 	for _, m := range db.featLoc {
 		live += len(m)
 	}
-	if float64(db.incrOps+net.count) > mergeDriftRatio*float64(live+net.count) {
+	if float64(db.incrOps+net.Count) > mergeDriftRatio*float64(live+net.Count) {
 		return false
 	}
 	if db.treesDegradedLocked() {
@@ -283,12 +148,8 @@ func (db *DB) canPartialMergeLocked(net *netOps) bool {
 
 // treesDegradedLocked reports whether any live tree has grown more than
 // one level past its bulk-loaded baseline — the signal that incremental
-// insertion has noticeably loosened the packing. An unknown baseline
-// counts as degraded (the rebuild re-establishes it).
+// insertion has noticeably loosened the packing.
 func (db *DB) treesDegradedLocked() bool {
-	if len(db.baseHeights) != 1+len(db.setNames) {
-		return true
-	}
 	if soleObjects(db.base).Tree().Height() > db.baseHeights[0]+1 {
 		return true
 	}
@@ -321,7 +182,7 @@ func beginMerge(base *core.Engine, numSets int) (*index.ObjectIndex, []*index.Fe
 // partialMergeLocked merges the net mutations into copy-on-write clones
 // of the base trees and swaps the merged engine in. On error the clones
 // are simply dropped; the base is untouched.
-func (db *DB) partialMergeLocked(net *netOps) error {
+func (db *DB) partialMergeLocked(net *ingest.Net) error {
 	oidx, fidxs, err := beginMerge(db.base, len(db.setNames))
 	if err != nil {
 		return err
@@ -339,9 +200,9 @@ func (db *DB) partialMergeLocked(net *netOps) error {
 // maps were never in the base and have nothing to delete. Every feature
 // insert runs the Section 4.2 decode→OR→encode node-update rule along its
 // insertion path. The pacer, when non-nil, throttles background work.
-func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netOps,
+func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *ingest.Net,
 	objLoc map[int64]geo.Point, featLoc []map[int64]geo.Point, p *ingest.Pacer) error {
-	for _, id := range sortedIDs(net.deadObj) {
+	for _, id := range sortedIDs(net.DeadObj) {
 		loc, ok := objLoc[id]
 		if !ok {
 			continue
@@ -351,14 +212,14 @@ func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netO
 		}
 		p.Tick()
 	}
-	for _, id := range sortedIDs(net.upsObj) {
-		if err := oidx.Insert(net.upsObj[id]); err != nil {
+	for _, id := range sortedIDs(net.UpsObj) {
+		if err := oidx.Insert(net.UpsObj[id]); err != nil {
 			return fmt.Errorf("stpq: merge insert object %d: %w", id, err)
 		}
 		p.Tick()
 	}
 	for i, fx := range fidxs {
-		for _, id := range sortedIDs(net.deadFeat[i]) {
+		for _, id := range sortedIDs(net.DeadFeat[i]) {
 			loc, ok := featLoc[i][id]
 			if !ok {
 				continue
@@ -368,8 +229,8 @@ func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netO
 			}
 			p.Tick()
 		}
-		for _, id := range sortedIDs(net.upsFeat[i]) {
-			if err := fx.Insert(net.upsFeat[i][id]); err != nil {
+		for _, id := range sortedIDs(net.UpsFeat[i]) {
+			if err := fx.Insert(net.UpsFeat[i][id]); err != nil {
 				return fmt.Errorf("stpq: merge insert feature %d of set %d: %w", id, i, err)
 			}
 			p.Tick()
@@ -390,60 +251,48 @@ func sortedIDs[V any](m map[int64]V) []int64 {
 	return ids
 }
 
-// swapMergedLocked publishes merged clone indexes as the new base
-// generation: it assembles the engine, folds the net mutations into the
-// raw slices and location maps, advances the drift accounting and bumps
-// the merge epoch. compactedRuns < 0 means a foreground merge that
-// consumed every pending generation; otherwise only the first
-// compactedRuns sealed runs were folded (background compaction) and the
-// remainder — plus the active delta — is re-published over the new base. Callers hold ingestMu and db.mu.
-func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *netOps, compactedRuns int) error {
+// swapMergedLocked installs merged clone indexes as the new base
+// generation: it assembles the engine, applies the net mutations to the
+// location maps and advances the drift accounting. compactedRuns < 0 means a
+// foreground merge that consumed every pending generation; otherwise only
+// the first compactedRuns sealed runs were folded (background compaction)
+// and the remainder — plus the active delta — is re-published over the new
+// base. Callers hold ingestMu and db.mu.
+func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *ingest.Net, compactedRuns int) error {
 	eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
 	if err != nil {
 		return err
 	}
-	oidx.AttachMetrics(db.metrics, "objects")
-	for i, name := range db.setNames {
-		eng.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
-	}
-	db.foldNetIntoRawLocked(net)
-	for id := range net.deadObj {
+	for id := range net.DeadObj {
 		delete(db.objLoc, id)
 	}
-	for id, o := range net.upsObj {
+	for id, o := range net.UpsObj {
 		db.objLoc[id] = o.Location
 	}
 	for i := range db.setNames {
-		for id := range net.deadFeat[i] {
+		for id := range net.DeadFeat[i] {
 			delete(db.featLoc[i], id)
 		}
-		for id, f := range net.upsFeat[i] {
+		for id, f := range net.UpsFeat[i] {
 			db.featLoc[i][id] = f.Location
 		}
 	}
-	db.base = eng
-	db.incrOps += net.count
+	db.incrOps += net.Count
 	db.incrSplits += oidx.Tree().Splits()
 	for _, fx := range fidxs {
 		db.incrSplits += fx.Tree().Splits()
 	}
-	db.mergeEpoch++
+	db.installBaseLocked(eng, nil)
 	if compactedRuns < 0 {
-		db.runs = nil
-		db.delta = nil
-		db.engine = eng
-		db.gen++
-		db.kwTables = nil
-		return nil
+		db.runs, db.delta = nil, nil
+	} else {
+		db.runs = append([]*ingest.Run(nil), db.runs[compactedRuns:]...)
+		db.metrics.Gauge("stpq_ingest_runs").Set(float64(len(db.runs)))
 	}
-	db.runs = append([]*ingest.Run(nil), db.runs[compactedRuns:]...)
-	db.metrics.Gauge("stpq_ingest_runs").Set(float64(len(db.runs)))
 	if db.pendingLocked() {
 		return db.publishPendingLocked()
 	}
-	db.engine = eng
-	db.gen++
-	db.kwTables = nil
+	db.publishLocked(eng)
 	return nil
 }
 
@@ -497,16 +346,12 @@ func (db *DB) compactOnce() (bool, error) {
 	epoch := db.mergeEpoch
 	base := db.base
 	nruns := len(db.runs)
-	layers := make([]*ingest.Layer, nruns)
-	for i, r := range db.runs[:nruns] {
-		layers[i] = &r.Layer
-	}
-	net := collectNet(layers, len(db.setNames))
+	net := ingest.CollectNet(db.pendingLayersLocked()[:nruns], len(db.setNames))
 	partialOK := db.canPartialMergeLocked(net)
-	objLoc := pinLocs(db.objLoc, net.deadObj)
+	objLoc := pinLocs(db.objLoc, net.DeadObj)
 	featLoc := make([]map[int64]geo.Point, len(db.featLoc))
 	for i := range db.featLoc {
-		featLoc[i] = pinLocs(db.featLoc[i], net.deadFeat[i])
+		featLoc[i] = pinLocs(db.featLoc[i], net.DeadFeat[i])
 	}
 	gate := db.compactGate
 	db.mu.RUnlock()
@@ -519,7 +364,7 @@ func (db *DB) compactOnce() (bool, error) {
 		db.mu.Lock()
 		var err error
 		if db.pendingLocked() {
-			err = db.mergeLocked(nil, true)
+			err = db.mergeLocked(true)
 		}
 		db.mu.Unlock()
 		db.ingestMu.Unlock()
@@ -544,9 +389,7 @@ func (db *DB) compactOnce() (bool, error) {
 	if db.mergeEpoch != epoch {
 		// A foreground merge (Flush, Checkpoint, backpressure or vocabulary
 		// growth) consumed these runs already; the clones are garbage.
-		if db.compactsLost != nil {
-			db.compactsLost.Inc()
-		}
+		db.compactsLost.Inc()
 		return true, nil
 	}
 	if err := db.swapMergedLocked(oidx, fidxs, net, nruns); err != nil {
@@ -554,15 +397,9 @@ func (db *DB) compactOnce() (bool, error) {
 	}
 	db.lastMergeSecs = time.Since(start).Seconds()
 	db.lastStallSecs = time.Since(swapStart).Seconds()
-	if db.mergeSeconds != nil {
-		db.mergeSeconds.Observe(db.lastMergeSecs)
-	}
-	if db.compactions != nil {
-		db.compactions.Inc()
-	}
-	if db.partialMerges != nil {
-		db.partialMerges.Inc()
-	}
+	db.mergeSeconds.Observe(db.lastMergeSecs)
+	db.compactions.Inc()
+	db.partialMerges.Inc()
 	db.metrics.Gauge("stpq_ingest_write_stall_seconds").Set(db.lastStallSecs)
 	return len(db.runs) >= db.compactRunsWatermark(), nil
 }
@@ -624,27 +461,16 @@ func (db *DB) IngestStatus() IngestStatus {
 	st := IngestStatus{
 		WALAttached:          db.wal != nil,
 		WALSeq:               db.walSeq,
+		PendingOps:           db.pendingOpsLocked(),
 		Runs:                 len(db.runs),
 		BackgroundCompaction: db.compactDone != nil,
 		LastMergeSeconds:     db.lastMergeSecs,
 		LastStallSeconds:     db.lastStallSecs,
 	}
-	for _, r := range db.runs {
-		st.PendingOps += r.Ops
-	}
-	if db.delta != nil {
-		st.PendingOps += db.delta.Ops()
-	}
-	if db.partialMerges != nil {
+	if db.mergeSeconds != nil { // a mutation has arrived: the series exist
 		st.PartialMerges = db.partialMerges.Value()
-	}
-	if db.fullRebuilds != nil {
 		st.FullRebuilds = db.fullRebuilds.Value()
-	}
-	if db.compactions != nil {
 		st.Compactions = db.compactions.Value()
-	}
-	if db.writeStalls != nil {
 		st.WriteStalls = db.writeStalls.Value()
 	}
 	return st

@@ -100,8 +100,8 @@ func TestPartialMergeSurvivesCheckpointCycle(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	assertSameTopK(t, "reopened after partial merges", db2, shadow.oracle(t, cfg), rng)
-	// The reopened DB merges incrementally too (raw slices and location
-	// maps are rebuilt from the indexes on WAL attach).
+	// The reopened DB merges incrementally too (the location maps are
+	// derived from the index leaves at its first mutation).
 	flushStep(t, db2, shadow, rng, 10)
 	assertSameTopK(t, "merged after reopen", db2, shadow.oracle(t, cfg), rng)
 	if m := db2.Metrics().Counters; m["stpq_ingest_partial_merges_total"] == 0 {

@@ -305,17 +305,47 @@ func TestRebuildDuringQueries(t *testing.T) {
 	}
 }
 
-func TestRebuildOpenedDBFails(t *testing.T) {
-	dir := t.TempDir()
-	src := concDB(t, Config{}, 50, 50)
-	if err := src.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Rebuild(); err == nil {
-		t.Error("Rebuild on an opened DB (no raw data) must fail")
+// TestRebuildOpenedDB: the indexes are the data, so a DB loaded with Open —
+// of either layout — rebuilds like one built in this process. Staged
+// objects and a staged feature with a keyword the saved vocabulary lacks are
+// folded in, and nothing of the loaded base is lost.
+func TestRebuildOpenedDB(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(71))
+			objs, sets := ingestSeedData(rng, 50, 50)
+			cfg := Config{PageSize: 1024, ShardCount: shards}
+			dir := t.TempDir()
+			if err := buildIngestDB(t, cfg, objs, sets).Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := newIngestShadow(objs, sets)
+			o := Object{ID: 900, X: 0.5, Y: 0.5}
+			f := Feature{ID: 901, X: 0.51, Y: 0.5, Score: 0.9, Keywords: []string{"szechuan", "pizza"}}
+			db.AddObjects([]Object{o}).AddFeatureSet("food", []Feature{f})
+			shadow.apply(Mutation{Op: OpUpsertObject, Object: &o})
+			shadow.apply(Mutation{Op: OpUpsertFeature, Set: "food", Feature: &f})
+			if err := db.Rebuild(); err != nil {
+				t.Fatalf("Rebuild on an opened DB: %v", err)
+			}
+			assertSameRanking(t, "rebuilt", db, shadow.oracle(t, cfg), rng, 1<<10)
+			snap := mustSnapshot(t, db)
+			if snap.NumObjects() != 51 || snap.NumFeatures()["food"] != 51 || snap.NumFeatures()["cafes"] != 50 {
+				t.Fatalf("rebuilt DB holds %d objects, %v features; want 51, 51 food, 50 cafes",
+					snap.NumObjects(), snap.NumFeatures())
+			}
+			if snap.Generation() != 2 {
+				t.Errorf("generation = %d, want 2 after one rebuild", snap.Generation())
+			}
+			res, _, err := db.TopK(Query{K: 1, Radius: 0.05, Lambda: 0.5,
+				Keywords: map[string][]string{"food": {"szechuan"}}})
+			if err != nil || len(res) == 0 || res[0].Score == 0 {
+				t.Fatalf("staged keyword not queryable after Rebuild: %v, %v", res, err)
+			}
+		})
 	}
 }

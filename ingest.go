@@ -6,7 +6,7 @@ package stpq
 // byte-identical to a from-scratch rebuild; DB.Flush merges the delta into
 // a new base generation; DB.Checkpoint makes the merged state durable and
 // trims the log; AttachWAL replays the log after a crash. The heavy
-// lifting lives in internal/ingest; see DESIGN.md §11.
+// lifting lives in internal/ingest; see DESIGN.md §11 "Write path".
 
 import (
 	"encoding/json"
@@ -76,8 +76,10 @@ var (
 // atomically publishes a new engine generation serving base + delta.
 // Batches are applied atomically with respect to queries: a snapshot sees
 // either none or all of a batch. When the delta reaches the auto-flush
-// threshold, or a mutation introduces a keyword outside the indexed
-// vocabulary, Apply additionally merges delta into base (see Flush).
+// threshold Apply additionally merges delta into base (see Flush); when a
+// mutation introduces a keyword outside the indexed vocabulary it first
+// rebuilds the base at the wider vocabulary, pending mutations folded in,
+// and the batch then enters the delta like any other.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -131,7 +133,7 @@ func (db *DB) Flush() error {
 	if !db.pendingLocked() {
 		return nil
 	}
-	return db.mergeLocked(nil, false)
+	return db.mergeLocked(false)
 }
 
 // pendingLocked reports whether any unmerged mutations exist (sealed runs
@@ -145,6 +147,11 @@ func (db *DB) pendingLocked() bool {
 func (db *DB) PendingOps() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.pendingOpsLocked()
+}
+
+// pendingOpsLocked counts the mutations in the sealed runs and the delta.
+func (db *DB) pendingOpsLocked() int {
 	n := 0
 	for _, r := range db.runs {
 		n += r.Ops
@@ -181,7 +188,9 @@ func (db *DB) WALSeq() uint64 {
 // writes while the snapshot streams out. The save itself is atomic — page
 // dumps land under generation-stamped names and the manifest is renamed
 // into place last — so a crash mid-checkpoint leaves the previous
-// checkpoint fully intact.
+// checkpoint fully intact, and durable before the log is touched: every
+// dump and the manifest are fsynced, then the directory, and only then are
+// the segments the checkpoint covers unlinked.
 func (db *DB) Checkpoint(dir string) error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -199,7 +208,7 @@ func (db *DB) Checkpoint(dir string) error {
 		return ErrNoWAL
 	}
 	if db.pendingLocked() {
-		if err := db.mergeLocked(nil, false); err != nil {
+		if err := db.mergeLocked(false); err != nil {
 			db.mu.Unlock()
 			db.ingestMu.Unlock()
 			return err
@@ -208,13 +217,12 @@ func (db *DB) Checkpoint(dir string) error {
 	prevApplied := db.appliedSeq
 	db.appliedSeq = db.walSeq
 	seq := db.walSeq
-	pin, err := db.pinCheckpointLocked(seq)
+	// A checkpoint before any WAL append still gets a stamped (and
+	// therefore atomically replaceable) file generation.
+	pin := db.pinLocked(max(seq, 1))
 	db.mu.Unlock()
 	db.ingestMu.Unlock()
-	if err == nil {
-		err = pin.save(dir)
-	}
-	if err != nil {
+	if err := pin.save(dir); err != nil {
 		db.mu.Lock()
 		if db.appliedSeq == seq {
 			db.appliedSeq = prevApplied
@@ -252,28 +260,6 @@ func (db *DB) attachWALLocked(dir string) (int, error) {
 	if err := db.ingestableLocked(); err != nil {
 		return 0, err
 	}
-	if len(db.objects) == 0 {
-		// Opened DBs do not retain the raw slices; rebuild them from the
-		// indexes so merges (which fold into raw) work.
-		if err := db.materializeRawLocked(); err != nil {
-			return 0, err
-		}
-		db.rebuildLocMapsLocked()
-	}
-	if db.baseHeights == nil {
-		// Opened DBs skipped buildLocked; their reopened bulk-loaded trees
-		// are the degradation baseline.
-		db.recordBaseShapeLocked()
-	}
-	db.ingestApplied = db.metrics.Counter("stpq_ingest_applied_total")
-	db.ingestReplayed = db.metrics.Counter("stpq_ingest_replayed_total")
-	db.ingestMerges = db.metrics.Counter("stpq_ingest_merges_total")
-	db.partialMerges = db.metrics.Counter("stpq_ingest_partial_merges_total")
-	db.fullRebuilds = db.metrics.Counter("stpq_ingest_full_rebuilds_total")
-	db.compactions = db.metrics.Counter("stpq_ingest_compactions_total")
-	db.compactsLost = db.metrics.Counter("stpq_ingest_compactions_abandoned_total")
-	db.writeStalls = db.metrics.Counter("stpq_ingest_write_stalls_total")
-	db.mergeSeconds = db.metrics.Histogram("stpq_ingest_merge_seconds", obs.LatencyBuckets)
 	fsync := db.metrics.Histogram("stpq_ingest_wal_fsync_seconds", obs.LatencyBuckets)
 	appends := db.metrics.Counter("stpq_wal_appends_total")
 	walBytes := db.metrics.Counter("stpq_wal_bytes_total")
@@ -320,7 +306,7 @@ func (db *DB) attachWALLocked(dir string) (int, error) {
 		db.walSeq = next - 1
 	}
 	db.wal = w
-	db.ingestReplayed.Add(int64(replayed))
+	db.metrics.Counter("stpq_ingest_replayed_total").Add(int64(replayed))
 	if db.cfg.BackgroundCompaction && db.compactDone == nil {
 		db.compactC = make(chan struct{}, 1)
 		db.compactStop = make(chan struct{})
@@ -418,19 +404,25 @@ func (db *DB) setPosLocked(name string) int {
 	return -1
 }
 
-// applyBatchLocked applies one validated batch to the in-memory state:
-// the fast path routes it into the delta (feature inserts exercising the
-// R-tree insertion path and the Section 4.2 node-update rule) and, when
-// publish is set, swaps in a fresh base + delta generation. Batches that grow
-// the vocabulary take the full-rebuild merge path (the delta indexes are
-// built at the base vocabulary width). A delta reaching the auto-flush
-// threshold merges synchronously — or, under BackgroundCompaction, is
-// sealed into an immutable run for the compactor, keeping the write
-// stall at O(feature sets). Replay passes publish=false and publishes
-// once at the end.
+// applyBatchLocked applies one validated batch to the in-memory state —
+// the one door every mutation comes through, whether from Apply, WAL replay
+// or a leader's shipped log: it routes the batch into the delta (feature
+// inserts exercising the R-tree insertion path and the Section 4.2
+// node-update rule) and, when publish is set, swaps in a fresh base + delta
+// generation. The delta indexes have the base's vocabulary width, so a
+// batch with unseen keywords first widens every index with one rebuild that
+// interns them. A delta reaching the auto-flush threshold merges
+// synchronously — or, under BackgroundCompaction, is sealed into an
+// immutable run for the compactor, keeping the write stall at O(1). Replay
+// passes publish=false and publishes once at the end.
 func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
-	if db.batchGrowsVocabLocked(muts) {
-		return db.mergeLocked(muts, true)
+	if err := db.ensureWriteStateLocked(nil, nil); err != nil {
+		return err
+	}
+	if words := db.unseenWordsLocked(muts); len(words) > 0 {
+		if err := db.mergeLocked(true, words...); err != nil {
+			return err
+		}
 	}
 	if err := db.ensureDeltaLocked(); err != nil {
 		return err
@@ -461,16 +453,14 @@ func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
 	}
 	if t := db.autoFlushThreshold(); t > 0 && db.delta.Ops() >= t {
 		if !db.backgroundOnLocked() {
-			return db.mergeLocked(nil, false)
+			return db.mergeLocked(false)
 		}
 		if len(db.runs) >= db.maxRuns() {
 			// Backpressure: the compactor is behind; merge synchronously
 			// rather than grow runs without bound. This is the write
 			// stall the metric counts.
-			if db.writeStalls != nil {
-				db.writeStalls.Inc()
-			}
-			return db.mergeLocked(nil, false)
+			db.writeStalls.Inc()
+			return db.mergeLocked(false)
 		}
 		db.sealDeltaLocked()
 	}
@@ -498,8 +488,8 @@ func (db *DB) compactRunsWatermark() int {
 func (db *DB) maxRuns() int { return 4 * db.compactRunsWatermark() }
 
 // sealDeltaLocked converts the active delta into an immutable run and
-// wakes the compactor. Sealing is O(feature sets): the run takes over the
-// delta's maps and indexes.
+// wakes the compactor. Sealing is O(1): the run takes over the delta's maps
+// and indexes.
 func (db *DB) sealDeltaLocked() {
 	db.runs = append(db.runs, db.delta.Seal(db.walSeq))
 	db.delta = nil
@@ -533,25 +523,23 @@ func (db *DB) autoFlushThreshold() int {
 	return db.cfg.AutoFlushOps
 }
 
-// batchGrowsVocabLocked reports whether any upserted feature carries a
-// keyword outside the indexed vocabulary. The delta indexes are built at
-// the base vocabulary width, so such a batch must merge instead (the
-// rebuild re-interns and widens every index).
-func (db *DB) batchGrowsVocabLocked(muts []Mutation) bool {
+// unseenWordsLocked returns the keywords of the batch's upserted features
+// that lie outside the indexed vocabulary.
+func (db *DB) unseenWordsLocked(muts []Mutation) []string {
+	var words []string
 	for _, m := range muts {
 		if m.Op != OpUpsertFeature || m.Feature == nil {
 			continue
 		}
 		for _, w := range m.Feature.Keywords {
-			if kwset.Normalize(w) == "" {
-				continue // never indexable; Build drops it too
-			}
-			if db.vocab.Lookup(w) < 0 {
-				return true
+			// A word that normalizes to nothing is never indexable; Build
+			// drops it too.
+			if kwset.Normalize(w) != "" && db.vocab.Lookup(w) < 0 {
+				words = append(words, w)
 			}
 		}
 	}
-	return false
+	return words
 }
 
 // ensureDeltaLocked creates the delta layer on first use after a build.
@@ -579,136 +567,122 @@ func (db *DB) deltaIndexOptions() index.Options {
 	}
 }
 
-// publishPendingLocked builds and swaps in a new engine generation over
-// the base and the pending layers — sealed runs plus a snapshot of the
-// active delta. The base object part is filtered by the union of every
-// layer's tombstones, and the objects the layers upserted are folded into
-// ONE small bulk-loaded part beside it (one per publish, not one per run:
-// every object part costs each combination probe a root read). Each
-// feature group stacks tombstone-filtered base parts, then each layer's
-// part filtered by the tombstones of newer layers only (so a layer's own
-// upserts stay visible). A query over base + delta is therefore one
-// STDS/STPS over more parts, nothing else. The generation bump invalidates
-// serve-layer result caches exactly like a Rebuild.
+// publishPendingLocked swaps in a new engine generation over the base and
+// the pending layers.
 func (db *DB) publishPendingLocked() error {
-	layers := make([]*ingest.Layer, 0, len(db.runs)+1)
-	pending := 0
-	for _, r := range db.runs {
-		layers = append(layers, &r.Layer)
-		pending += r.Ops
+	layers := db.pendingLayersLocked()
+	net := ingest.CollectNet(layers, len(db.setNames))
+	eng, err := db.pendingEngineLocked(layers, net)
+	if err != nil {
+		return err
 	}
-	if db.delta != nil && !db.delta.Empty() {
-		// Snapshot, not a view: the published engine must not share maps
-		// with the delta, which keeps mutating under later Applies.
-		snap, err := db.delta.Snapshot()
-		if err != nil {
-			return fmt.Errorf("stpq: snapshotting delta: %w", err)
-		}
-		layers = append(layers, snap)
-		pending += db.delta.Ops()
-	}
-	deadObj := ingest.UnionDead(layers)
+	db.publishLocked(eng)
+	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(len(net.UpsObj)))
+	db.metrics.Gauge("stpq_ingest_delta_ops").Set(float64(db.pendingOpsLocked()))
+	return nil
+}
+
+// pendingEngineLocked assembles, without publishing it, the engine that
+// shows the logical dataset: the base and the pending layers (sealed runs,
+// then the live delta; net is their net effect). The base object part is
+// filtered by every layer's tombstones, and the objects the layers upserted
+// are folded into ONE small bulk-loaded part beside it (one per publish,
+// not one per run: every object part costs each combination probe a root
+// read). Each feature group stacks tombstone-filtered base parts, then each
+// layer's part filtered by the tombstones of newer layers only (so a
+// layer's own upserts stay visible). A query over base + delta is therefore
+// one STDS/STPS over more parts, nothing else. Nothing of the live delta
+// reaches the engine: net's maps are its own and the delta's indexes are
+// cloned.
+func (db *DB) pendingEngineLocked(layers []*ingest.Layer, net *ingest.Net) (*core.Engine, error) {
 	hidden := 0
-	for id := range deadObj {
+	for id := range net.DeadObj {
 		if _, ok := db.objLoc[id]; ok {
 			hidden++
 		}
 	}
-	objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(deadObj, hidden)}
-	deltaObjs := ingest.FoldObjects(layers)
-	if len(deltaObjs) > 0 {
-		part, err := index.BuildObjectIndex(deltaObjs, db.deltaIndexOptions())
+	objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(net.DeadObj, hidden)}
+	if len(net.UpsObj) > 0 {
+		ups := make([]index.Object, 0, len(net.UpsObj))
+		for _, id := range sortedIDs(net.UpsObj) {
+			ups = append(ups, net.UpsObj[id])
+		}
+		part, err := index.BuildObjectIndex(ups, db.deltaIndexOptions())
 		if err != nil {
-			return fmt.Errorf("stpq: indexing delta objects: %w", err)
+			return nil, fmt.Errorf("stpq: indexing delta objects: %w", err)
 		}
 		objects = append(objects, part)
 	}
 	groups := make([]*index.FeatureGroup, len(db.setNames))
 	for i := range db.setNames {
-		deadAll := ingest.UnionDeadSet(layers, i)
 		baseParts := db.base.FeatureGroups()[i].Parts()
 		parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
 		for _, p := range baseParts {
-			parts = append(parts, p.WithExclude(deadAll))
+			parts = append(parts, p.WithExclude(net.DeadFeat[i]))
 		}
 		for j, l := range layers {
-			if l.Sets[i].Idx == nil {
+			if len(l.Sets[i].Feats) == 0 {
 				continue
 			}
-			parts = append(parts, l.Sets[i].Idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
+			idx := l.Sets[i].Idx
+			if db.delta != nil && l == &db.delta.Layer {
+				var err error
+				if idx, err = db.delta.CloneIndex(i); err != nil {
+					return nil, fmt.Errorf("stpq: snapshotting delta: %w", err)
+				}
+			}
+			parts = append(parts, idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
 		}
 		g, err := index.NewFeatureGroup(parts...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		groups[i] = g
 	}
-	eng, err := core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
-	if err != nil {
-		return err
-	}
-	db.engine = eng
-	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(len(deltaObjs)))
-	db.metrics.Gauge("stpq_ingest_delta_ops").Set(float64(pending))
-	db.gen++
-	db.kwTables = nil
-	return nil
+	return core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
 }
 
-// foldSlice rebuilds a raw slice under tombstones and upserts: survivors
-// keep their original order, overwritten ids are replaced in place, and
-// new ids are appended in ascending id order — a deterministic fold, so
-// replaying the same WAL reproduces the same bulk-load input.
-func foldSlice[T any](in []T, dead map[int64]struct{}, ups map[int64]T, idOf func(T) int64) []T {
-	out := make([]T, 0, len(in)+len(ups))
-	pending := make(map[int64]T, len(ups))
-	for id, v := range ups {
-		pending[id] = v
+// ensureWriteStateLocked derives, the first time a mutation arrives, what
+// the write path keeps beside the base indexes: where every base id lives
+// (partial merges delete by location, and a publish counts the base objects
+// its tombstones hide), the base trees' heights as the degradation baseline
+// of the incremental-merge heuristic, and the write-path metric series.
+// buildLocked passes the dataset it just bulk-loaded; any other DB — opened
+// from disk, or built long before its first write — walks the base leaves
+// once. Merge swaps keep the maps current, so the write path never rescans
+// the base.
+func (db *DB) ensureWriteStateLocked(objs []index.Object, featSets [][]index.Feature) error {
+	if db.objLoc != nil {
+		return nil
 	}
-	for _, v := range in {
-		id := idOf(v)
-		if up, ok := pending[id]; ok {
-			out = append(out, up)
-			delete(pending, id)
-			continue
+	if objs == nil {
+		var err error
+		if objs, featSets, err = readBack(db.base); err != nil {
+			return err
 		}
-		if _, ok := dead[id]; ok {
-			continue
+	}
+	db.objLoc = make(map[int64]geo.Point, len(objs))
+	for _, o := range objs {
+		db.objLoc[o.ID] = o.Location
+	}
+	db.featLoc = make([]map[int64]geo.Point, len(featSets))
+	db.baseHeights = []int{soleObjects(db.base).Tree().Height()}
+	for i, feats := range featSets {
+		db.featLoc[i] = make(map[int64]geo.Point, len(feats))
+		for _, f := range feats {
+			db.featLoc[i][f.ID] = f.Location
 		}
-		out = append(out, v)
+		db.baseHeights = append(db.baseHeights, db.base.FeatureGroups()[i].Part(0).Tree().Height())
 	}
-	for _, id := range sortedIDs(pending) {
-		out = append(out, pending[id])
-	}
-	return out
-}
-
-// materializeRawLocked reconstructs db.objects and db.sets from the base
-// indexes — the bridge that lets DBs loaded with Open (which drop the raw
-// slices) merge and rebuild.
-func (db *DB) materializeRawLocked() error {
-	objEntries, err := soleObjects(db.base).Tree().All()
-	if err != nil {
-		return fmt.Errorf("stpq: materializing objects: %w", err)
-	}
-	db.objects = make([]Object, len(objEntries))
-	for i, e := range objEntries {
-		db.objects[i] = Object{ID: e.ItemID, X: e.Point().X, Y: e.Point().Y}
-	}
-	for i, name := range db.setNames {
-		entries, err := db.base.FeatureGroups()[i].AllExact()
-		if err != nil {
-			return fmt.Errorf("stpq: materializing feature set %q: %w", name, err)
-		}
-		feats := make([]Feature, len(entries))
-		for j, e := range entries {
-			feats[j] = Feature{
-				ID: e.ItemID, X: e.Point().X, Y: e.Point().Y,
-				Score:    e.Score,
-				Keywords: db.vocab.Decode(e.Keywords),
-			}
-		}
-		db.sets[name] = feats
+	if db.mergeSeconds == nil {
+		db.ingestApplied = db.metrics.Counter("stpq_ingest_applied_total")
+		db.ingestMerges = db.metrics.Counter("stpq_ingest_merges_total")
+		db.partialMerges = db.metrics.Counter("stpq_ingest_partial_merges_total")
+		db.fullRebuilds = db.metrics.Counter("stpq_ingest_full_rebuilds_total")
+		db.compactions = db.metrics.Counter("stpq_ingest_compactions_total")
+		db.compactsLost = db.metrics.Counter("stpq_ingest_compactions_abandoned_total")
+		db.writeStalls = db.metrics.Counter("stpq_ingest_write_stalls_total")
+		db.mergeSeconds = db.metrics.Histogram("stpq_ingest_merge_seconds", obs.LatencyBuckets)
 	}
 	return nil
 }

@@ -304,19 +304,21 @@ func TestApplyAutoFlushMerges(t *testing.T) {
 
 // TestApplyNewKeywordForcesMerge: a feature with a keyword outside the
 // indexed vocabulary cannot be absorbed by the fixed-width delta; Apply
-// must merge instead, and the new keyword must be queryable.
+// must first widen the indexes with one merge, and the new keyword must be
+// queryable.
 func TestApplyNewKeywordForcesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	objs, sets := ingestSeedData(rng, 100, 60)
 	cfg := Config{PageSize: 1024, WALDir: t.TempDir(), AutoFlushOps: -1}
 	db := buildIngestDB(t, cfg, objs, sets)
+	shadow := newIngestShadow(objs, sets)
 	f := Feature{ID: 9001, X: 0.5, Y: 0.5, Score: 0.95, Keywords: []string{"szechuan"}}
-	if err := db.Apply([]Mutation{{Op: OpUpsertFeature, Set: "food", Feature: &f}}); err != nil {
+	mut := Mutation{Op: OpUpsertFeature, Set: "food", Feature: &f}
+	if err := db.Apply([]Mutation{mut}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if db.PendingOps() != 0 {
-		t.Fatalf("vocab-growing Apply left %d pending ops; want merged", db.PendingOps())
-	}
+	shadow.apply(mut)
+	assertSameTopK(t, "after the vocab-growing Apply", db, shadow.oracle(t, cfg), rng)
 	if m := db.Metrics().Counters["stpq_ingest_merges_total"]; m != 1 {
 		t.Fatalf("merges = %d, want 1", m)
 	}
@@ -363,8 +365,8 @@ func TestWALReplayAfterCrash(t *testing.T) {
 
 // TestCheckpointTrimsAndRecovers: Checkpoint persists the merged state and
 // drops sealed WAL segments; Open auto-attaches, replays only the records
-// after the checkpoint, and further Applies work on the opened DB (which
-// reconstructs its raw slices from the indexes).
+// after the checkpoint, and further Applies work on the opened DB (whose
+// index pages are all the data it needs).
 func TestCheckpointTrimsAndRecovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	objs, sets := ingestSeedData(rng, 150, 80)
@@ -406,8 +408,8 @@ func TestCheckpointTrimsAndRecovers(t *testing.T) {
 	rngQ := rand.New(rand.NewSource(5))
 	assertSameTopK(t, "after checkpoint recovery", db2, shadow.oracle(t, cfg), rngQ)
 
-	// The opened DB must accept further writes (raw data was materialized
-	// from the indexes) and still track the oracle across a merge.
+	// The opened DB must accept further writes and still track the oracle
+	// across a merge.
 	muts := randomMutations(rng, shadow, 10)
 	if err := db2.Apply(muts); err != nil {
 		t.Fatalf("Apply on opened DB: %v", err)

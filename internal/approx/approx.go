@@ -123,7 +123,7 @@ const minCandidateSim = 0.1
 // Rows = 1 for high targets (gentlest filter), 2 below 0.6 (steeper
 // acceptance curve, more pruning), then the smallest band count with
 // 1 − (1 − s₀^Rows)^Bands ≥ ρ at s₀ = minCandidateSim, clamped to the
-// signature length. See DESIGN.md §16 for the resulting table.
+// signature length. See DESIGN.md §15 for the resulting table.
 func ParamsForRecall(recall float64) Params {
 	if recall <= 0 || recall > 1 || math.IsNaN(recall) {
 		recall = DefaultRecall

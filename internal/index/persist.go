@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"stpq/internal/approx"
 	"stpq/internal/rtree"
@@ -95,13 +96,19 @@ func OpenObjectIndex(r io.Reader, meta Meta, bufferPages int) (*ObjectIndex, err
 	return &ObjectIndex{tree: tree}, nil
 }
 
-// SaveFile dumps one index's pages to a file through its Save method.
+// SaveFile dumps one index's pages to a file through its Save method and
+// syncs the file: a manifest that names it may be renamed into place (and
+// log segments it supersedes unlinked) as soon as this returns. The
+// directory entry becomes durable with the manifest's (WriteFileAtomic).
 func SaveFile(path string, save func(w io.Writer) (Meta, error)) (Meta, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return Meta{}, fmt.Errorf("index: save %s: %w", path, err)
 	}
 	meta, err := save(f)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -127,14 +134,29 @@ func OpenFile[T any](path string, meta Meta, buffer int, open func(r io.Reader, 
 	return idx, nil
 }
 
-// WriteFileAtomic writes data to path via a temp file and rename, so
-// readers (and crash recovery) see either the old contents or the new,
-// never a torn write. Manifests go through it, after the page dumps they
-// point at.
+// WriteFileAtomic writes data to path via a synced temp file, a rename and
+// a sync of the directory, so readers (and crash recovery) see either the
+// old contents or the new, never a torn write, and what the caller does
+// next — trimming a log, say — cannot outlive the file it relies on.
+// Manifests go through it, after the page dumps they point at.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return storage.SyncDir(filepath.Dir(path))
 }

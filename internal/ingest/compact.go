@@ -28,8 +28,7 @@ type Pacer struct {
 	// admission queue is non-empty). Nil means never saturated.
 	Gate func() bool
 
-	ops     int
-	stalled time.Duration
+	ops int
 }
 
 // Tick records one completed operation and paces at chunk boundaries.
@@ -46,16 +45,6 @@ func (p *Pacer) Tick() {
 	// up and write backpressure kicks in.
 	for i := 0; i < 8 && p.Gate != nil && p.Gate(); i++ {
 		time.Sleep(pacerPause)
-		p.stalled += pacerPause
 	}
 	runtime.Gosched()
-}
-
-// Stalled returns the cumulative time the pacer slept waiting for the
-// foreground gate.
-func (p *Pacer) Stalled() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.stalled
 }

@@ -21,43 +21,31 @@ import (
 type Delta struct {
 	opts index.Options
 
-	// Objects holds upserted data objects, keyed by id.
-	Objects map[int64]index.Object
-	// DeadObjects tombstones base object ids (deletes and upsert-overwrites).
-	DeadObjects map[int64]struct{}
-	// Sets holds one delta side per feature set, in set order.
-	Sets []*DeltaSet
+	// Layer is the delta's content, mutated in place by every apply: its
+	// maps and per-set indexes are live, so it may only be read under the
+	// lock that serializes writers, and nothing published may keep them
+	// (CloneIndex copies an index out).
+	Layer
 
 	ops int
-}
-
-// DeltaSet is the delta of one feature set.
-type DeltaSet struct {
-	idx *index.FeatureIndex
-	// Feats holds the current delta features by id (the index itself has
-	// no point lookup; deletes and clones need the locations).
-	Feats map[int64]index.Feature
-	// Dead tombstones base feature ids.
-	Dead map[int64]struct{}
 }
 
 // NewDelta creates an empty delta whose feature indexes are built with the
 // given options — the same kind and vocabulary width as the base indexes,
 // so delta parts compose with tombstoned base parts into one FeatureGroup.
 func NewDelta(opts index.Options, numSets int) (*Delta, error) {
-	d := &Delta{
-		opts:        opts,
+	d := &Delta{opts: opts, Layer: Layer{
 		Objects:     make(map[int64]index.Object),
 		DeadObjects: make(map[int64]struct{}),
-		Sets:        make([]*DeltaSet, numSets),
-	}
+		Sets:        make([]LayerSet, numSets),
+	}}
 	for i := range d.Sets {
 		idx, err := index.BuildFeatureIndex(nil, opts)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: delta set %d: %w", i, err)
 		}
-		d.Sets[i] = &DeltaSet{
-			idx:   idx,
+		d.Sets[i] = LayerSet{
+			Idx:   idx,
 			Feats: make(map[int64]index.Feature),
 			Dead:  make(map[int64]struct{}),
 		}
@@ -88,13 +76,13 @@ func (d *Delta) DeleteObject(id int64) {
 
 // UpsertFeature records a feature insert or overwrite in set i.
 func (d *Delta) UpsertFeature(i int, f index.Feature) error {
-	s := d.Sets[i]
+	s := &d.Sets[i]
 	if old, ok := s.Feats[f.ID]; ok {
-		if _, err := s.idx.Delete(old.ID, old.Location); err != nil {
+		if _, err := s.Idx.Delete(old.ID, old.Location); err != nil {
 			return err
 		}
 	}
-	if err := s.idx.Insert(f); err != nil {
+	if err := s.Idx.Insert(f); err != nil {
 		return err
 	}
 	s.Dead[f.ID] = struct{}{}
@@ -105,9 +93,9 @@ func (d *Delta) UpsertFeature(i int, f index.Feature) error {
 
 // DeleteFeature records a feature delete in set i.
 func (d *Delta) DeleteFeature(i int, id int64) error {
-	s := d.Sets[i]
+	s := &d.Sets[i]
 	if old, ok := s.Feats[id]; ok {
-		if _, err := s.idx.Delete(old.ID, old.Location); err != nil {
+		if _, err := s.Idx.Delete(old.ID, old.Location); err != nil {
 			return err
 		}
 		delete(s.Feats, id)
@@ -123,9 +111,19 @@ func (d *Delta) DeleteFeature(i int, id int64) error {
 // (page dump round trip), so readers never see a half-applied batch.
 func (d *Delta) CloneIndex(i int) (*index.FeatureIndex, error) {
 	var buf bytes.Buffer
-	meta, err := d.Sets[i].idx.Save(&buf)
+	meta, err := d.Sets[i].Idx.Save(&buf)
 	if err != nil {
 		return nil, err
 	}
 	return index.OpenFeatureIndex(&buf, meta, d.opts.BufferPages)
+}
+
+// Seal converts the delta into an immutable run covering WAL records
+// through seq. The run takes ownership of the delta's maps and per-set
+// indexes — the delta must not be used afterwards (the caller drops it),
+// which is what makes sealing O(1) instead of O(delta).
+func (d *Delta) Seal(seq uint64) *Run {
+	r := &Run{Layer: d.Layer, Ops: d.ops, Seq: seq}
+	d.Layer = Layer{}
+	return r
 }

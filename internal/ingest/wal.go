@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"stpq/internal/storage"
 )
 
 // WAL format. Each segment file wal-<firstseq:016x>.seg holds a run of
@@ -194,7 +196,7 @@ func (w *WAL) openSegment(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := storage.SyncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -203,16 +205,6 @@ func (w *WAL) openSegment(seq uint64) error {
 	w.size = 0
 	w.segFirst = append(w.segFirst, seq)
 	return nil
-}
-
-// syncDir fsyncs a directory so renames/creates inside it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Append writes one record and returns its sequence number once the record
@@ -471,7 +463,7 @@ func (w *WAL) DropThrough(through uint64) error {
 		}
 	}
 	w.segFirst = kept
-	return syncDir(w.dir)
+	return storage.SyncDir(w.dir)
 }
 
 // Close flushes pending group commits and closes the active segment.

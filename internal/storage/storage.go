@@ -171,6 +171,19 @@ func (d *FileDisk) NumPages() int { return d.n }
 // Close implements Disk.
 func (d *FileDisk) Close() error { return d.f.Close() }
 
+// SyncDir fsyncs a directory so the creates, renames and unlinks inside it
+// are durable. Whatever writes files that recovery starts from — WAL
+// segments, page dumps, manifests — calls it after the files themselves are
+// synced.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 // Stats accumulates page-access counters. Logical reads are buffer-pool
 // requests; physical reads are pool misses that went to the Disk — the
 // quantity the paper plots as I/O cost. Evictions count pages dropped by

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"stpq/internal/core"
 	"stpq/internal/index"
@@ -58,7 +60,9 @@ func (db *DB) SaveShapes(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stpq: save shapes: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, shapesName), data, 0o644); err != nil {
+	// Atomically: loadShapes rejects a torn file, so a crash mid-write must
+	// leave the previous one.
+	if err := index.WriteFileAtomic(filepath.Join(dir, shapesName), data); err != nil {
 		return fmt.Errorf("stpq: save shapes: %w", err)
 	}
 	return nil
@@ -88,9 +92,9 @@ func (db *DB) loadShapes(dir string) error {
 // manifest. The directory is created if needed. The order makes a failed
 // or interrupted Save harmless to what the directory held before: page
 // dumps first, then the shard manifest, then stpq.json — the file Open
-// starts from — each manifest renamed into place. Signature-mode DBs
-// (Config.SignatureBits > 0) cannot be saved yet, and a DB with unmerged
-// live-ingest mutations must Flush or Checkpoint first.
+// starts from — each file synced and each manifest renamed into place.
+// Signature-mode DBs (Config.SignatureBits > 0) cannot be saved yet, and a
+// DB with unmerged live-ingest mutations must Flush or Checkpoint first.
 //
 // Together with Open, Save makes index construction a one-off cost: a
 // 100K-feature SRT-index reopens in milliseconds.
@@ -106,29 +110,88 @@ func (db *DB) Save(dir string) error {
 	if db.pendingLocked() {
 		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
 	}
+	// File generation 0: the unstamped page-dump names.
+	if err := db.pinLocked(0).save(dir); err != nil {
+		return err
+	}
+	return db.SaveShapes(dir)
+}
+
+// pageFile returns the page-dump file name for an index under a file
+// generation (0 = the unstamped name written by Save).
+func pageFile(base string, gen uint64) string {
+	if gen == 0 {
+		return base + ".pages"
+	}
+	return fmt.Sprintf("%s.%016x.pages", base, gen)
+}
+
+// savePin is a fully merged generation captured under the DB locks — the
+// engine, whose pages are immutable by construction (later partial merges
+// write only copy-on-write overlays over them), plus what the manifest
+// needs — so that save can stream it to disk with no DB locks held.
+type savePin struct {
+	eng      *core.Engine
+	shards   *shard.Engine
+	cfg      Config
+	vocab    []string
+	setNames []string
+	seq      uint64
+	fileGen  uint64
+}
+
+// pinLocked captures the current generation for a save under file
+// generation fileGen. Callers hold db.mu and have merged every pending
+// generation, so db.engine is the base.
+func (db *DB) pinLocked(fileGen uint64) *savePin {
+	return &savePin{
+		eng:      db.engine,
+		shards:   db.shards,
+		cfg:      db.cfg,
+		vocab:    db.vocab.Words(),
+		setNames: slices.Clone(db.setNames),
+		seq:      db.walSeq,
+		fileGen:  fileGen,
+	}
+}
+
+// save is the one writer of the on-disk layout. It writes the pinned
+// generation to dir atomically: page dumps land first (under names stamped
+// with the file generation, when there is one), the manifest is renamed
+// into place last, and stamped page files no manifest references any more
+// are garbage collected afterwards. A crash at any point leaves the
+// directory opening to a consistent state (the previous one until the
+// manifest rename, this one after).
+func (p *savePin) save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("stpq: save: %w", err)
 	}
 	man := dbManifest{
 		Version:    1,
-		Config:     db.cfg,
-		Vocab:      db.vocab.Words(),
-		SetNames:   db.setNames,
-		AppliedSeq: db.walSeq,
+		Config:     p.cfg,
+		Vocab:      p.vocab,
+		SetNames:   p.setNames,
+		AppliedSeq: p.seq,
+		FileGen:    p.fileGen,
 	}
-	if db.shards != nil {
-		if err := db.shards.Save(dir); err != nil {
+	keep := map[string]bool{}
+	dump := func(base string, save func(io.Writer) (index.Meta, error)) (index.Meta, error) {
+		name := pageFile(base, p.fileGen)
+		keep[name] = true
+		return index.SaveFile(filepath.Join(dir, name), save)
+	}
+	var err error
+	if p.shards != nil {
+		if err = p.shards.Save(dir); err != nil {
 			return err
 		}
 	} else {
-		var err error
-		man.Objects, err = index.SaveFile(filepath.Join(dir, "objects.pages"), soleObjects(db.engine).Save)
-		if err != nil {
+		if man.Objects, err = dump("objects", soleObjects(p.eng).Save); err != nil {
 			return err
 		}
-		for i, g := range db.engine.FeatureGroups() {
-			// Unsharded engines always hold single-part groups.
-			meta, err := index.SaveFile(filepath.Join(dir, fmt.Sprintf("features_%d.pages", i)), g.Part(0).Save)
+		for i, g := range p.eng.FeatureGroups() {
+			// A merged unsharded engine holds single-part groups.
+			meta, err := dump(fmt.Sprintf("features_%d", i), g.Part(0).Save)
 			if err != nil {
 				return err
 			}
@@ -142,148 +205,9 @@ func (db *DB) Save(dir string) error {
 	if err := index.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
-	return db.SaveShapes(dir)
-}
-
-// openSharded restores a sharded DB written by Save.
-func openSharded(dir string, man dbManifest) (*DB, error) {
-	if man.Config.WALDir != "" {
-		return nil, errors.New("stpq: sharded DBs do not support a WAL")
+	if p.fileGen != 0 {
+		gcPageFiles(dir, keep)
 	}
-	db := New(man.Config)
-	for _, w := range man.Vocab {
-		db.vocab.Intern(w)
-	}
-	db.setNames = man.SetNames
-	for _, name := range man.SetNames {
-		db.sets[name] = nil // names registered; raw features not retained
-	}
-	sh, err := shard.Open(dir, shard.Options{
-		Shards:   man.Config.ShardCount,
-		Strategy: shard.Strategy(man.Config.ShardStrategy),
-		Index: index.Options{
-			Kind:        index.Kind(man.Config.IndexKind),
-			VocabWidth:  db.vocab.Size(),
-			PageSize:    man.Config.PageSize,
-			BufferPages: man.Config.BufferPages,
-		},
-		Core: man.Config.coreOptions(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	sh.AttachMetrics(db.metrics)
-	groups := sh.Core().FeatureGroups()
-	if len(groups) != len(man.SetNames) {
-		return nil, fmt.Errorf("stpq: shard manifest has %d feature groups for %d set names", len(groups), len(man.SetNames))
-	}
-	for i, name := range man.SetNames {
-		groups[i].AttachMetrics(db.metrics, poolLabel(name))
-	}
-	db.shards, db.engine = sh, sh.Core()
-	db.built = true
-	db.gen = 1
-	db.walSeq = man.AppliedSeq
-	db.appliedSeq = man.AppliedSeq
-	if err := db.loadShapes(dir); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// pageFile returns the page-dump file name for an index under a file
-// generation (0 = the legacy unstamped name written by Save).
-func pageFile(base string, gen uint64) string {
-	if gen == 0 {
-		return base + ".pages"
-	}
-	return fmt.Sprintf("%s.%016x.pages", base, gen)
-}
-
-// ckptPin is the state a Checkpoint captures under the DB locks: the
-// merged engine (whose pages are immutable by construction — later
-// partial merges write only copy-on-write overlays over them) plus the
-// metadata the manifest needs. save then streams it to disk with no DB
-// locks held.
-type ckptPin struct {
-	eng      *core.Engine
-	cfg      Config
-	vocab    []string
-	setNames []string
-	seq      uint64
-}
-
-// pinCheckpointLocked captures the current merged generation for a
-// lock-free checkpoint save. Callers hold ingestMu and db.mu and have
-// already merged every pending generation, so db.engine is the base.
-func (db *DB) pinCheckpointLocked(seq uint64) (*ckptPin, error) {
-	if db.cfg.SignatureBits > 0 {
-		return nil, index.ErrSignaturePersist
-	}
-	if db.engine != db.base {
-		return nil, errors.New("stpq: checkpoint requires an unsharded, fully merged engine")
-	}
-	names := make([]string, len(db.setNames))
-	copy(names, db.setNames)
-	return &ckptPin{
-		eng:      db.base,
-		cfg:      db.cfg,
-		vocab:    db.vocab.Words(),
-		setNames: names,
-		seq:      seq,
-	}, nil
-}
-
-// save writes the pinned generation to dir atomically: page dumps land
-// under names stamped with the WAL sequence, the manifest is renamed into
-// place last, and page files no manifest references any more are garbage
-// collected afterwards. A crash at any point leaves the directory opening
-// to a consistent checkpoint (the previous one until the manifest rename,
-// this one after).
-func (p *ckptPin) save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stpq: checkpoint: %w", err)
-	}
-	fileGen := p.seq
-	if fileGen == 0 {
-		// A checkpoint before any WAL append still gets a stamped (and
-		// therefore atomically replaceable) file generation.
-		fileGen = 1
-	}
-	man := dbManifest{
-		Version:    1,
-		Config:     p.cfg,
-		Vocab:      p.vocab,
-		SetNames:   p.setNames,
-		AppliedSeq: p.seq,
-		FileGen:    fileGen,
-	}
-	keep := map[string]bool{}
-	var err error
-	name := pageFile("objects", fileGen)
-	keep[name] = true
-	man.Objects, err = index.SaveFile(filepath.Join(dir, name), soleObjects(p.eng).Save)
-	if err != nil {
-		return err
-	}
-	for i, g := range p.eng.FeatureGroups() {
-		// A merged engine always holds single-part groups.
-		name = pageFile(fmt.Sprintf("features_%d", i), fileGen)
-		keep[name] = true
-		meta, err := index.SaveFile(filepath.Join(dir, name), g.Part(0).Save)
-		if err != nil {
-			return err
-		}
-		man.Features = append(man.Features, meta)
-	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
-	}
-	if err := index.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
-		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
-	}
-	gcPageFiles(dir, keep)
 	return nil
 }
 
@@ -302,9 +226,11 @@ func gcPageFiles(dir string, keep map[string]bool) {
 	}
 }
 
-// Open loads a DB previously written by Save. The returned DB is ready to
-// query; it does not retain the raw object/feature slices, so
-// AddObjects/AddFeatureSet/Build must not be called on it.
+// Open loads a DB previously written by Save or Checkpoint, of either
+// layout. The returned DB is ready to query, and is a DB like any other:
+// the index pages it loaded are the data, so it can take writes (attach a
+// WAL, or follow a leader through ApplyReplicated), merge them and Rebuild.
+// Only Build must not be called on it again.
 func Open(dir string) (*DB, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -317,45 +243,57 @@ func Open(dir string) (*DB, error) {
 	if man.Version != 1 {
 		return nil, fmt.Errorf("stpq: unsupported manifest version %d", man.Version)
 	}
-	if man.Config.ShardCount > 1 {
-		return openSharded(dir, man)
-	}
-	if len(man.Features) != len(man.SetNames) {
-		return nil, fmt.Errorf("stpq: manifest has %d feature metas for %d set names",
-			len(man.Features), len(man.SetNames))
-	}
 	db := New(man.Config)
 	for _, w := range man.Vocab {
 		db.vocab.Intern(w)
 	}
 	db.setNames = man.SetNames
-	for _, name := range man.SetNames {
-		db.sets[name] = nil // names registered; raw features not retained
-	}
 	buffer := man.Config.BufferPages
-
-	oidx, err := index.OpenFile(filepath.Join(dir, pageFile("objects", man.FileGen)), man.Objects, buffer, index.OpenObjectIndex)
-	if err != nil {
-		return nil, err
-	}
-	fidxs := make([]*index.FeatureIndex, len(man.Features))
-	for i, meta := range man.Features {
-		fidxs[i], err = index.OpenFile(filepath.Join(dir, pageFile(fmt.Sprintf("features_%d", i), man.FileGen)), meta, buffer, index.OpenFeatureIndex)
+	var (
+		eng *core.Engine
+		sh  *shard.Engine
+	)
+	if man.Config.ShardCount > 1 {
+		sh, err = shard.Open(dir, shard.Options{
+			Shards:   man.Config.ShardCount,
+			Strategy: shard.Strategy(man.Config.ShardStrategy),
+			Index: index.Options{
+				Kind:        index.Kind(man.Config.IndexKind),
+				VocabWidth:  db.vocab.Size(),
+				PageSize:    man.Config.PageSize,
+				BufferPages: buffer,
+			},
+			Core: man.Config.coreOptions(),
+		})
 		if err != nil {
 			return nil, err
 		}
+		eng = sh.Core()
+	} else {
+		if len(man.Features) != len(man.SetNames) {
+			return nil, fmt.Errorf("stpq: manifest has %d feature metas for %d set names",
+				len(man.Features), len(man.SetNames))
+		}
+		oidx, err := index.OpenFile(filepath.Join(dir, pageFile("objects", man.FileGen)), man.Objects, buffer, index.OpenObjectIndex)
+		if err != nil {
+			return nil, err
+		}
+		fidxs := make([]*index.FeatureIndex, len(man.Features))
+		for i, meta := range man.Features {
+			fidxs[i], err = index.OpenFile(filepath.Join(dir, pageFile(fmt.Sprintf("features_%d", i), man.FileGen)), meta, buffer, index.OpenFeatureIndex)
+			if err != nil {
+				return nil, err
+			}
+		}
+		if eng, err = core.NewEngine(oidx, fidxs, man.Config.coreOptions()); err != nil {
+			return nil, err
+		}
 	}
-	oidx.AttachMetrics(db.metrics, "objects")
-	for i, name := range man.SetNames {
-		fidxs[i].AttachMetrics(db.metrics, poolLabel(name))
+	if n := len(eng.FeatureGroups()); n != len(man.SetNames) {
+		return nil, fmt.Errorf("stpq: saved engine has %d feature groups for %d set names", n, len(man.SetNames))
 	}
-	eng, err := core.NewEngine(oidx, fidxs, man.Config.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	db.engine, db.base = eng, eng
-	db.built = true
-	db.gen = 1
+	db.installBaseLocked(eng, sh)
+	db.publishLocked(eng)
 	db.walSeq = man.AppliedSeq
 	db.appliedSeq = man.AppliedSeq
 	if err := db.loadShapes(dir); err != nil {

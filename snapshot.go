@@ -124,11 +124,13 @@ func (s *Snapshot) Explain(q Query) (*Explain, error) {
 	return p.Explain()
 }
 
-// Rebuild reconstructs the indexes from the raw objects and feature sets —
-// including any added with AddObjects/AddFeatureSet since the last build —
-// and atomically swaps them in. Queries already in flight finish against
-// the previous snapshot; new snapshots observe an incremented Generation.
-// DBs loaded with Open do not retain the raw data and cannot be rebuilt.
+// Rebuild re-bulk-loads the indexes from the dataset the current engine
+// shows — pending live-ingest mutations included — plus any objects and
+// features added with AddObjects/AddFeatureSet since the last build, and
+// atomically swaps them in. Queries already in flight finish against the
+// previous snapshot; new snapshots observe an incremented Generation. It
+// works on any built DB, however it came to be: the indexes are the data, so
+// one loaded with Open rebuilds like one built in this process.
 func (db *DB) Rebuild() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -137,19 +139,10 @@ func (db *DB) Rebuild() error {
 	if !db.built {
 		return fmt.Errorf("%w: Rebuild before Build", ErrNotBuilt)
 	}
-	if len(db.objects) == 0 {
-		return fmt.Errorf("stpq: Rebuild requires the raw data, which DBs loaded with Open do not retain")
-	}
 	if db.pendingLocked() {
-		// Fold pending live-ingest mutations (sealed runs and the active
-		// delta) into the raw data so the rebuild does not lose them. The
-		// merge is forced down the full-rebuild path because raw data may
-		// have been added since the last build; mergeLocked clones the
-		// vocabulary and runs buildLocked itself.
-		return db.mergeLocked(nil, true)
+		// Forced down the full path, since data may have been staged; counted
+		// as a merge like any other that consumes pending generations.
+		return db.mergeLocked(true)
 	}
-	// Intern into a clone so queries on the previous snapshot keep a
-	// stable vocabulary; buildLocked swaps db.engine and bumps db.gen.
-	db.vocab = db.vocab.Clone()
-	return db.buildLocked()
+	return db.fullMergeLocked(nil, nil, nil)
 }

@@ -30,6 +30,7 @@ package stpq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -187,8 +188,12 @@ type Config struct {
 	// WALDir, when non-empty, attaches a write-ahead log in that
 	// directory at Build/Open time, enabling the live write path (Apply,
 	// Flush, Checkpoint) with crash recovery: existing log records past
-	// the last checkpoint are replayed before the first query. Requires
-	// an unsharded, exact-keyword configuration.
+	// the last checkpoint are replayed before the first query. A saved
+	// directory carries it in its manifest, so Open re-attaches the log the
+	// DB was checkpointed from; a DB built or opened without one attaches
+	// later with AttachWAL or follows a leader through ApplyReplicated — the
+	// write path needs nothing but the indexes. Requires an unsharded,
+	// exact-keyword configuration.
 	WALDir string
 	// WALGroupCommit batches WAL fsyncs: an Apply is acknowledged when
 	// its record hits disk, but the sync may be shared with neighbours
@@ -291,11 +296,16 @@ type Stats = core.Stats
 // parallel: each query charges its page reads to a private accumulator, so
 // Stats keep the paper's exact per-query attribution even under load. Use
 // Snapshot for a pinned view, and Rebuild to swap in fresh indexes without
-// disturbing in-flight queries.
+// disturbing in-flight queries. The index pages are the only copy of the
+// data a built DB keeps: what AddObjects/AddFeatureSet hand in is staged
+// until the next bulk load and then released.
 type DB struct {
-	mu       sync.RWMutex
-	cfg      Config
-	vocab    *kwset.Vocabulary
+	mu    sync.RWMutex
+	cfg   Config
+	vocab *kwset.Vocabulary
+	// objects and sets stage what AddObjects/AddFeatureSet handed in until
+	// the next bulk load consumes and releases it; the copy of record of
+	// everything built is the base indexes.
 	objects  []Object
 	setNames []string
 	sets     map[string][]Feature
@@ -312,11 +322,14 @@ type DB struct {
 	// Live ingest state (see ingest.go, compaction.go). ingestMu
 	// serializes writers and orders WAL appends; it is acquired before
 	// db.mu and never held during queries, so fsyncs do not block readers.
-	ingestMu   sync.Mutex
-	wal        *ingest.WAL
-	delta      *ingest.Delta // nil when no unmerged mutations
-	runs       []*ingest.Run // sealed generations awaiting compaction, oldest first
-	base       *core.Engine  // the unsharded base engine, nil when sharded
+	ingestMu sync.Mutex
+	wal      *ingest.WAL
+	delta    *ingest.Delta // nil when no unmerged mutations
+	runs     []*ingest.Run // sealed generations awaiting compaction, oldest first
+	base     *core.Engine  // the unsharded base engine, nil when sharded
+	// Derived from the base indexes by ensureWriteStateLocked: where each
+	// base id lives (rtree.Delete is location-keyed), kept current by every
+	// merge swap. nil until the first mutation.
 	objLoc     map[int64]geo.Point
 	featLoc    []map[int64]geo.Point
 	walSeq     uint64 // last WAL seq applied in memory
@@ -343,15 +356,15 @@ type DB struct {
 
 	ckptMu sync.Mutex // serializes Checkpoint's lock-free disk phase
 
-	ingestApplied  *obs.Counter
-	ingestReplayed *obs.Counter
-	ingestMerges   *obs.Counter
-	partialMerges  *obs.Counter
-	fullRebuilds   *obs.Counter
-	compactions    *obs.Counter
-	compactsLost   *obs.Counter
-	writeStalls    *obs.Counter
-	mergeSeconds   *obs.Histogram
+	// Write-path series, registered with the rest of the write state.
+	ingestApplied *obs.Counter
+	ingestMerges  *obs.Counter
+	partialMerges *obs.Counter
+	fullRebuilds  *obs.Counter
+	compactions   *obs.Counter
+	compactsLost  *obs.Counter
+	writeStalls   *obs.Counter
+	mergeSeconds  *obs.Histogram
 }
 
 // New creates an empty DB.
@@ -383,7 +396,7 @@ func (db *DB) AddObjects(objs []Object) *DB {
 func (db *DB) AddFeatureSet(name string, feats []Feature) *DB {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.sets[name]; !ok {
+	if db.setPosLocked(name) < 0 {
 		db.setNames = append(db.setNames, name)
 	}
 	db.sets[name] = append(db.sets[name], feats...)
@@ -402,7 +415,8 @@ func (db *DB) FeatureSetNames() []string {
 
 // Build constructs the indexes. It must be called exactly once, after the
 // initial data has been added and before the first query; to re-index
-// after adding more data, use Rebuild.
+// after adding more data, use Rebuild. The added data is consumed: once the
+// indexes hold it the DB keeps no other copy.
 func (db *DB) Build() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -411,7 +425,7 @@ func (db *DB) Build() error {
 	if db.built {
 		return errors.New("stpq: Build called twice")
 	}
-	if err := db.buildLocked(); err != nil {
+	if err := db.buildLocked(nil, nil); err != nil {
 		return err
 	}
 	if db.cfg.WALDir != "" {
@@ -423,10 +437,13 @@ func (db *DB) Build() error {
 	return nil
 }
 
-// buildLocked validates the raw data, constructs the indexes and engine
-// against db.vocab, and publishes them. Callers hold db.mu.
-func (db *DB) buildLocked() error {
-	if len(db.objects) == 0 {
+// buildLocked bulk-loads a base generation and installs it. The dataset is
+// what the caller read back from the engine being replaced (nothing on the
+// first Build) plus whatever AddObjects/AddFeatureSet staged since, which is
+// validated, interned into db.vocab, consumed and released. Callers hold
+// db.mu.
+func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error {
+	if len(objs)+len(db.objects) == 0 {
 		return errors.New("stpq: no data objects added")
 	}
 	if len(db.setNames) == 0 {
@@ -451,29 +468,36 @@ func (db *DB) buildLocked() error {
 		BufferPages:   db.cfg.BufferPages,
 		SignatureBits: db.cfg.SignatureBits,
 	}
-	objs := make([]index.Object, len(db.objects))
-	for i, o := range db.objects {
-		objs[i] = index.Object{ID: o.ID, Location: geo.Point{X: o.X, Y: o.Y}}
+	objs = slices.Grow(objs, len(db.objects))
+	for _, o := range db.objects {
+		objs = append(objs, index.Object{ID: o.ID, Location: geo.Point{X: o.X, Y: o.Y}})
 	}
-	featSets := make([][]index.Feature, len(db.setNames))
+	for len(featSets) < len(db.setNames) {
+		featSets = append(featSets, nil)
+	}
 	for i, name := range db.setNames {
 		raw := db.sets[name]
-		feats := make([]index.Feature, len(raw))
-		for j, f := range raw {
+		feats := slices.Grow(featSets[i], len(raw))
+		for _, f := range raw {
 			if f.Score < 0 || f.Score > 1 {
 				return fmt.Errorf("stpq: feature %d of %q has score %v outside [0,1]", f.ID, name, f.Score)
 			}
-			feats[j] = index.Feature{
+			feats = append(feats, index.Feature{
 				ID:       f.ID,
 				Location: geo.Point{X: f.X, Y: f.Y},
 				Score:    f.Score,
 				Keywords: db.vocab.SetOf(f.Keywords...),
-			}
+			})
 		}
 		featSets[i] = feats
 	}
+	var (
+		eng *core.Engine
+		sh  *shard.Engine
+		err error
+	)
 	if db.cfg.ShardCount > 1 {
-		sh, err := shard.New(objs, featSets, shard.Options{
+		sh, err = shard.New(objs, featSets, shard.Options{
 			Shards:   db.cfg.ShardCount,
 			Strategy: shard.Strategy(db.cfg.ShardStrategy),
 			Index:    opts,
@@ -482,8 +506,7 @@ func (db *DB) buildLocked() error {
 		if err != nil {
 			return fmt.Errorf("stpq: building sharded engine: %w", err)
 		}
-		sh.AttachMetrics(db.metrics)
-		db.shards, db.engine, db.base = sh, sh.Core(), nil
+		eng = sh.Core()
 	} else {
 		oidx, err := index.BuildObjectIndex(objs, opts)
 		if err != nil {
@@ -496,69 +519,88 @@ func (db *DB) buildLocked() error {
 				return fmt.Errorf("stpq: building feature index %q: %w", name, err)
 			}
 		}
-		oidx.AttachMetrics(db.metrics, "objects")
-		eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
-		if err != nil {
+		if eng, err = core.NewEngine(oidx, fidxs, db.cfg.coreOptions()); err != nil {
 			return err
 		}
-		db.shards, db.engine, db.base = nil, eng, eng
 	}
-	db.rebuildLocMapsLocked()
-	// Feature pool metrics attach to the groups (sharded groups add a
-	// _partNN suffix per cell).
-	for i, name := range db.setNames {
-		db.engine.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
+	db.objects = nil
+	clear(db.sets)
+	// A bulk load swallows every pending layer and resets the incremental-
+	// merge drift accounting: the trees are freshly packed.
+	db.delta, db.runs = nil, nil
+	db.incrOps, db.incrSplits = 0, 0
+	db.installBaseLocked(eng, sh)
+	db.publishLocked(eng)
+	// What the write path derived from the replaced base is stale. A DB that
+	// takes writes re-derives it now, while the dataset is at hand as
+	// slices; any other waits for its first mutation and walks the leaves.
+	wasWritable := db.objLoc != nil
+	db.objLoc, db.featLoc, db.baseHeights = nil, nil, nil
+	if db.base != nil && (wasWritable || db.cfg.WALDir != "") {
+		return db.ensureWriteStateLocked(objs, featSets)
 	}
-	// A bulk load resets the incremental-merge drift accounting: the trees
-	// are freshly packed, and their heights become the degradation
-	// baseline for subsequent partial merges.
-	db.runs = nil
-	db.incrOps = 0
-	db.incrSplits = 0
-	db.recordBaseShapeLocked()
-	db.mergeEpoch++
-	db.built = true
-	db.gen++
-	db.kwTables = nil // stale after a rebuild; lazily rebuilt by KeywordStats
 	return nil
 }
 
-// rebuildLocMapsLocked derives the id→location maps from the raw slices.
-// Partial merges need them to delete base items (rtree.Delete requires the
-// exact location); they are maintained incrementally at every merge swap
-// so the write path never rescans the base. Sharded DBs have no write
-// path and skip them.
-func (db *DB) rebuildLocMapsLocked() {
-	if db.base == nil {
-		db.objLoc, db.featLoc = nil, nil
-		return
+// installBaseLocked makes eng (the core of sh on a sharded DB) the base
+// generation every later merge starts from: its buffer pools report to the
+// registry, and a background compaction pinned to the replaced base is
+// invalidated. Callers publish it, or a view over it, next.
+func (db *DB) installBaseLocked(eng *core.Engine, sh *shard.Engine) {
+	if sh != nil {
+		sh.AttachMetrics(db.metrics)
+		db.base = nil
+	} else {
+		soleObjects(eng).AttachMetrics(db.metrics, "objects")
+		db.base = eng
 	}
-	db.objLoc = make(map[int64]geo.Point, len(db.objects))
-	for _, o := range db.objects {
-		db.objLoc[o.ID] = geo.Point{X: o.X, Y: o.Y}
-	}
-	db.featLoc = make([]map[int64]geo.Point, len(db.setNames))
+	// Feature pool metrics attach to the groups (sharded groups add a
+	// _partNN suffix per cell).
 	for i, name := range db.setNames {
-		m := make(map[int64]geo.Point, len(db.sets[name]))
-		for _, f := range db.sets[name] {
-			m[f.ID] = geo.Point{X: f.X, Y: f.Y}
-		}
-		db.featLoc[i] = m
+		eng.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
+	db.shards = sh
+	db.mergeEpoch++
+	db.built = true
 }
 
-// recordBaseShapeLocked captures the base trees' heights as the
-// degradation baseline for the incremental-merge quality heuristic.
-func (db *DB) recordBaseShapeLocked() {
-	if db.base == nil {
-		db.baseHeights = nil
-		return
+// publishLocked makes eng what new snapshots query. The generation bump
+// invalidates serve-layer result caches.
+func (db *DB) publishLocked(eng *core.Engine) {
+	db.engine = eng
+	db.gen++
+	db.kwTables = nil // stale after a swap; lazily rebuilt by KeywordStats
+}
+
+// readBack returns the dataset an engine shows — every object part and
+// every feature group, through their tombstone filters — as bulk-load
+// input. The engine is the copy of record: a full merge reads the one it is
+// about to replace, and the write state of an opened DB is derived from it.
+// The keyword sets alias decoded pages; read them, do not keep them.
+func readBack(eng *core.Engine) ([]index.Object, [][]index.Feature, error) {
+	objs := make([]index.Object, 0, eng.NumObjects())
+	for _, part := range eng.ObjectParts() {
+		entries, err := part.Tree().All()
+		if err != nil {
+			return nil, nil, fmt.Errorf("stpq: reading objects back: %w", err)
+		}
+		for _, e := range entries {
+			objs = append(objs, index.Object{ID: e.ItemID, Location: e.Point()})
+		}
 	}
-	db.baseHeights = make([]int, 1+len(db.setNames))
-	db.baseHeights[0] = soleObjects(db.base).Tree().Height()
-	for i := range db.setNames {
-		db.baseHeights[1+i] = db.base.FeatureGroups()[i].Part(0).Tree().Height()
+	featSets := make([][]index.Feature, len(eng.FeatureGroups()))
+	for i, g := range eng.FeatureGroups() {
+		entries, err := g.AllExact()
+		if err != nil {
+			return nil, nil, fmt.Errorf("stpq: reading feature set %d back: %w", i, err)
+		}
+		feats := make([]index.Feature, len(entries))
+		for j, e := range entries {
+			feats[j] = index.Feature{ID: e.ItemID, Location: e.Point(), Score: e.Score, Keywords: e.Keywords}
+		}
+		featSets[i] = feats
 	}
+	return objs, featSets, nil
 }
 
 // soleObjects returns the object index of an unsharded, fully merged
@@ -632,8 +674,7 @@ type keywordTable struct {
 }
 
 // keywordTableLocked returns (building on first use) the named feature
-// set's table. It reads the index itself, so opened DBs — which do not
-// retain the raw feature slices — are covered too. Callers hold db.mu.
+// set's table from the index leaves. Callers hold db.mu.
 func (db *DB) keywordTableLocked(featureSet string) (*keywordTable, error) {
 	if !db.built {
 		return nil, fmt.Errorf("%w: KeywordStats before Build", ErrNotBuilt)
