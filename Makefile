@@ -56,10 +56,11 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# A single small benchmark data point, one iteration: catches bit-rot in the
-# benchmark harness without the cost of a full sweep.
+# One small data point each of the range and the influence variant, one
+# iteration: catches bit-rot in the benchmark harness, and runs both of
+# STPS's eager combination streams, without the cost of a full sweep.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkFig7/a_features=10000' -benchtime 1x .
+	$(GO) test -run NONE -bench 'BenchmarkFig(7|10)/a_features=10000' -benchtime 1x .
 
 # Before/after benchmark comparison for perf work. Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change

@@ -22,12 +22,14 @@ type combination struct {
 //
 //	τ = max over non-exhausted j of (max_1 + … + min_j + … + max_c).
 //
-// Combinations are enumerated over the retrieved prefixes D_i. The default
-// implementation is a lazy lattice walk (a rank-join style frontier): pop
-// the best index vector, push its c successors — which emits exactly the
-// same sequence as the paper's eager materialization (Algorithm 4 line 9,
-// selected by Options.Combinations; the range variant uses it by
-// default) with bounded memory.
+// Combinations are enumerated over the retrieved prefixes D_i, in one of
+// two ways (Options.Combinations). Eager generation is the paper's
+// Algorithm 4 line 9: a pulled feature queues its combinations at once,
+// except those the variant's rule discards — Definition 4's 2r filter for
+// range, the floor rule of extendBounded for influence. The lazy lattice
+// walk (a rank-join style frontier: pop the best index vector, push its c
+// successors) emits the same sequence and is what the NN variant, which
+// has no rule to discard by, uses.
 type combinationStream struct {
 	q       *Query
 	streams []*featureStream
@@ -35,11 +37,14 @@ type combinationStream struct {
 	tr      *obs.Trace // nil when tracing is off
 
 	// pairFilter enables the validity constraint dist(t_i,t_j) ≤ 2r of
-	// Definition 4 (range variant only; influence and NN variants use the
-	// unfiltered stream, Sections 7.1–7.2).
+	// Definition 4 (range variant only).
 	pairFilter bool
 	pull       PullStrategy
 	eager      bool
+	// floor is the score the consumer passed to the running next() call: no
+	// object scoring strictly less can enter its top-k (−∞ while it cannot
+	// say, and always for range and NN).
+	floor float64
 
 	// grids accelerate eager generation: one spatial hash per feature
 	// set over the retrieved (concrete) features, with cell size 2r, so
@@ -68,11 +73,13 @@ type combinationStream struct {
 
 	// Eager generation's working state, kept between queries so that a
 	// pulled feature costs no allocation: the index vector being extended,
-	// the dimensions assigned so far, and the arena the index vectors of
-	// queued combinations are cut from.
-	vec    []int
-	chosen []int
-	arena  []int
+	// the dimensions assigned so far (and, under the floor rule, the
+	// members assigned to them), and the arena the index vectors of queued
+	// combinations are cut from.
+	vec     []int
+	chosen  []int
+	partial []featureRef
+	arena   []int
 }
 
 // vecEntry is an index vector into the d arrays with its combination score.
@@ -87,9 +94,10 @@ type vecEntry struct {
 // combination heap, the visited map, the pair grids and the index-vector
 // arena) are recycled from the query scratch, so steady-state STPS queries
 // rebuild the stream, and eager generation runs, without allocating.
-func newCombinationStream(e *Engine, q *Query, pairFilter bool, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
+func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
 	c := len(e.features)
-	eager := pairFilter
+	pairFilter := q.Variant == RangeScore
+	eager := q.Variant != NearestNeighborScore
 	switch e.opts.Combinations {
 	case CombinationsEager:
 		eager = true
@@ -242,8 +250,11 @@ func (g *pairGrid) first(k [2]int32) int32 {
 }
 
 // next returns the valid combination with the highest score not yet
-// emitted, or ok=false when the combination space is exhausted.
-func (cs *combinationStream) next() (combination, bool, error) {
+// emitted, or ok=false when the combination space is exhausted — or when
+// nothing left in it, queued or unseen, scores floor or more: the consumer
+// would stop at whatever came next, so no feature is pulled to find it.
+func (cs *combinationStream) next(floor float64) (combination, bool, error) {
+	cs.floor = floor
 	for {
 		if cs.heap.Len() > 0 {
 			top := cs.heap[0]
@@ -261,6 +272,9 @@ func (cs *combinationStream) next() (combination, bool, error) {
 			}
 		}
 		if cs.allExhausted() {
+			return combination{}, false, nil
+		}
+		if floor > negInf && cs.threshold() < floor && (cs.heap.Len() == 0 || cs.heap[0].score < floor) {
 			return combination{}, false, nil
 		}
 		if err := cs.pullNext(); err != nil {
@@ -443,6 +457,7 @@ func (cs *combinationStream) generateEager(i int) {
 	}
 	cs.vec[i] = newIdx
 	cs.chosen = append(cs.chosen[:0], i)
+	cs.partial = append(cs.partial[:0], *newRef)
 	cs.extend(i, 0, newRef.score, newRef.loc, !newRef.virtual)
 }
 
@@ -478,9 +493,70 @@ func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Po
 		}
 		return
 	}
+	if cs.floor > negInf {
+		cs.extendBounded(fixed, dim, score)
+		return
+	}
 	for a := 0; a < len(cs.d[dim]); a++ {
 		cs.try(fixed, dim, a, score, anchor, anchored)
 	}
+}
+
+// extendBounded is extend's loop under the influence variant's rule: a
+// partial combination is extended only while influenceBound of its members
+// plus the top score of every set still to be assigned reaches the floor —
+// no location collects more than that from any completion of it. D_dim is
+// score-descending, so the scan stops at the first partner whose whole
+// score, on top of the bound so far, falls short, and partners beyond
+// pairReach of the pulled feature are passed over before their bound is
+// computed. The floor only rises: what is discarded here the consumer
+// would have skipped when it arrived.
+func (cs *combinationStream) extendBounded(fixed, dim int, score float64) {
+	rest := 0.0
+	for j := dim + 1; j < len(cs.d); j++ {
+		if j != fixed {
+			rest += cs.maxs[j]
+		}
+	}
+	u := &cs.partial[0]
+	reach := pairReach(u, cs.maxs[dim], cs.floor-(score-u.score+rest), cs.q.Radius)
+	sofar := influenceBound(cs.partial, cs.q.Radius)
+	for a := range cs.d[dim] {
+		ref := &cs.d[dim][a]
+		if sofar+ref.score+rest < cs.floor {
+			break
+		}
+		if !ref.virtual && u.loc.Dist2(ref.loc) > reach {
+			continue
+		}
+		cs.vec[dim] = a
+		cs.partial = append(cs.partial, *ref)
+		if influenceBound(cs.partial, cs.q.Radius)+rest >= cs.floor {
+			cs.extend(fixed, dim+1, score+ref.score, geo.Point{}, false)
+		}
+		cs.partial = cs.partial[:len(cs.partial)-1]
+	}
+}
+
+// pairReach returns the squared distance from u within which a feature
+// scoring at most top can lie if the two are to collect floor between them:
+// the pair bound of influenceBound, max(s_u,s_v) + min(s_u,s_v)·D_uv, rises
+// with s_v, so it needs D_uv ≥ (floor − max(s_u,top)) / min(s_u,top). One
+// logarithm per pulled feature in place of one exponential per partner; the
+// margin keeps its rounding on the side of the exact test that follows.
+func pairReach(u *featureRef, top, floor, r float64) float64 {
+	if u.virtual {
+		return math.Inf(1)
+	}
+	need := (floor - max(u.score, top)) / min(u.score, top)
+	if !(need > 0) { // also NaN, from 0/0: no cutoff
+		return math.Inf(1)
+	}
+	if need > 1 {
+		return -1
+	}
+	d := -r * math.Log2(need) * (1 + 1e-9)
+	return d * d
 }
 
 // try puts feature a of set dim into the partial combination and, if it

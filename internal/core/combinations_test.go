@@ -11,17 +11,18 @@ import (
 	"stpq/internal/index"
 )
 
-// drainCombinations pulls up to limit combinations from a fresh stream.
-func drainCombinations(t *testing.T, w *testWorld, q Query, pairFilter bool, limit int) []combination {
+// drainCombinations pulls up to limit combinations from a fresh stream,
+// never telling it a floor.
+func drainCombinations(t *testing.T, w *testWorld, q Query, limit int) []combination {
 	t.Helper()
 	var stats Stats
-	cs, err := newCombinationStream(w.engine, &q, pairFilter, &stats, nil)
+	cs, err := newCombinationStream(w.engine, &q, &stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []combination
 	for len(out) < limit {
-		comb, ok, err := cs.next()
+		comb, ok, err := cs.next(negInf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestCombinationOrderMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for trial := 0; trial < 5; trial++ {
 		q := w.randQuery(rng, 2, RangeScore)
-		combos := drainCombinations(t, w, q, true, 200)
+		combos := drainCombinations(t, w, q, 200)
 		for i := 1; i < len(combos); i++ {
 			if combos[i].score > combos[i-1].score+1e-9 {
 				t.Fatalf("trial %d: combination %d score %v exceeds previous %v",
@@ -63,7 +64,7 @@ func TestCombinationValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	q := w.randQuery(rng, 3, RangeScore)
 	q.Radius = 0.05
-	combos := drainCombinations(t, w, q, true, 300)
+	combos := drainCombinations(t, w, q, 300)
 	for _, c := range combos {
 		for i := 0; i < len(c.refs); i++ {
 			if c.refs[i].virtual {
@@ -87,7 +88,7 @@ func TestCombinationScoreIsSum(t *testing.T) {
 	w := buildWorld(t, 304, 50, 100, 2, 16, index.SRT, Options{})
 	rng := rand.New(rand.NewSource(305))
 	q := w.randQuery(rng, 2, RangeScore)
-	combos := drainCombinations(t, w, q, true, 100)
+	combos := drainCombinations(t, w, q, 100)
 	for _, c := range combos {
 		sum := 0.0
 		for _, ref := range c.refs {
@@ -107,7 +108,7 @@ func TestFirstCombinationIsGlobalBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	for trial := 0; trial < 5; trial++ {
 		q := w.randQuery(rng, 2, RangeScore)
-		combos := drainCombinations(t, w, q, true, 1)
+		combos := drainCombinations(t, w, q, 1)
 		if len(combos) == 0 {
 			t.Fatal("no combinations")
 		}
@@ -170,8 +171,8 @@ func TestLazyEagerSameSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(309))
 	for trial := 0; trial < 4; trial++ {
 		q := wL.randQuery(rng, 2, RangeScore)
-		a := drainCombinations(t, wL, q, true, 150)
-		b := drainCombinations(t, wE, q, true, 150)
+		a := drainCombinations(t, wL, q, 150)
+		b := drainCombinations(t, wE, q, 150)
 		if len(a) != len(b) {
 			t.Fatalf("lazy emitted %d, eager %d", len(a), len(b))
 		}
@@ -183,13 +184,13 @@ func TestLazyEagerSameSequence(t *testing.T) {
 	}
 }
 
-// Without the pair filter (influence/NN variants) the stream must cover
+// Without the pair filter — the influence variant's eager stream while it
+// is told no floor, the NN variant's lazy lattice — the stream must cover
 // the full cross product (plus virtual slots) before exhausting.
 func TestUnfilteredStreamCountsCrossProduct(t *testing.T) {
 	w := buildWorld(t, 310, 20, 30, 2, 8, index.SRT, Options{})
 	rng := rand.New(rand.NewSource(311))
 	q := w.randQuery(rng, 2, InfluenceScore)
-	combos := drainCombinations(t, w, q, false, 1<<20)
 	// Count relevant features per set.
 	relevant := func(set int) int {
 		all, err := w.engine.features[set].Part(0).Tree().All()
@@ -206,8 +207,10 @@ func TestUnfilteredStreamCountsCrossProduct(t *testing.T) {
 		return n
 	}
 	want := (relevant(0) + 1) * (relevant(1) + 1) // +1 for ∅
-	if len(combos) != want {
-		t.Fatalf("emitted %d combinations, want %d", len(combos), want)
+	for _, q.Variant = range []Variant{InfluenceScore, NearestNeighborScore} {
+		if combos := drainCombinations(t, w, q, 1<<20); len(combos) != want {
+			t.Fatalf("%v: emitted %d combinations, want %d", q.Variant, len(combos), want)
+		}
 	}
 }
 
@@ -217,7 +220,7 @@ func TestVirtualFeatureEmitted(t *testing.T) {
 	w := buildWorld(t, 312, 20, 10, 2, 8, index.SRT, Options{})
 	rng := rand.New(rand.NewSource(313))
 	q := w.randQuery(rng, 2, RangeScore)
-	combos := drainCombinations(t, w, q, true, 1<<20)
+	combos := drainCombinations(t, w, q, 1<<20)
 	sawVirtual := false
 	sawAllVirtual := false
 	for _, c := range combos {
@@ -248,16 +251,17 @@ func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		w := buildWorld(t, seed, 10, 15, 2, 8, index.SRT, Options{})
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
-		q := w.randQuery(rng, 2, InfluenceScore)
+		// Eager (influence) on even seeds, the lazy lattice (NN) on odd.
+		q := w.randQuery(rng, 2, []Variant{InfluenceScore, NearestNeighborScore}[seed&1])
 		var stats Stats
-		cs, err := newCombinationStream(w.engine, &q, false, &stats, nil)
+		cs, err := newCombinationStream(w.engine, &q, &stats, nil)
 		if err != nil {
 			return false
 		}
 		seen := make(map[string]bool)
 		prev := math.Inf(1)
 		for {
-			comb, ok, err := cs.next()
+			comb, ok, err := cs.next(negInf)
 			if err != nil {
 				return false
 			}
@@ -313,41 +317,37 @@ func TestPrioritizedPullsNoMoreThanRoundRobin(t *testing.T) {
 	}
 }
 
-// The range variant defaults to eager enumeration, influence/NN to lazy;
-// explicit options override. (Guards the CombinationsAuto dispatch.)
+// Range and influence default to eager generation — range over its pair
+// grids, influence (the unfiltered stream that can be told a floor)
+// without — and NN to the lazy lattice; explicit options override.
+// (Guards the CombinationsAuto dispatch.)
 func TestCombinationModeDispatch(t *testing.T) {
-	w := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, Options{})
-	var stats Stats
-	q := w.randQuery(rand.New(rand.NewSource(321)), 2, RangeScore)
-	cs, err := newCombinationStream(w.engine, &q, true, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
+	stream := func(opts Options, variant Variant) *combinationStream {
+		t.Helper()
+		w := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, opts)
+		q := w.randQuery(rand.New(rand.NewSource(321)), 2, variant)
+		cs, err := newCombinationStream(w.engine, &q, new(Stats), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
 	}
-	if !cs.eager || cs.grids == nil {
+	if cs := stream(Options{}, RangeScore); !cs.eager || cs.grids == nil || !cs.pairFilter {
 		t.Error("range variant should default to grid-accelerated eager")
 	}
-	cs, err = newCombinationStream(w.engine, &q, false, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
+	if cs := stream(Options{}, InfluenceScore); !cs.eager || cs.grids != nil || cs.pairFilter {
+		t.Error("influence variant should default to unfiltered eager without grids")
 	}
-	if cs.eager {
-		t.Error("unfiltered stream should default to lazy")
+	if cs := stream(Options{}, NearestNeighborScore); cs.eager || cs.pairFilter {
+		t.Error("NN variant should default to the unfiltered lazy lattice")
 	}
-	wLazy := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, Options{Combinations: CombinationsLazy})
-	cs, err = newCombinationStream(wLazy.engine, &q, true, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.eager {
-		t.Error("explicit lazy must override the range default")
-	}
-	wEager := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, Options{Combinations: CombinationsEager})
-	cs, err = newCombinationStream(wEager.engine, &q, false, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cs.eager {
-		t.Error("explicit eager must override the unfiltered default")
+	for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
+		if stream(Options{Combinations: CombinationsLazy}, variant).eager {
+			t.Errorf("explicit lazy must override the %v default", variant)
+		}
+		if !stream(Options{Combinations: CombinationsEager}, variant).eager {
+			t.Errorf("explicit eager must override the %v default", variant)
+		}
 	}
 	if CombinationsAuto.String() != "auto" || CombinationsEager.String() != "eager" || CombinationsLazy.String() != "lazy" {
 		t.Error("mode strings")

@@ -238,24 +238,28 @@ func (p PullStrategy) String() string {
 }
 
 // CombinationMode selects how STPS enumerates feature combinations.
-// Both modes emit the same combinations in the same score order; they
-// differ in which part of the combination space they keep materialized.
+// Both modes emit the same valid combinations in the same score order;
+// they differ in when a combination is materialized, and so in what can be
+// discarded before it is.
 type CombinationMode int
 
 const (
 	// CombinationsAuto (default) picks per variant: eager for the range
-	// score — whose validity filter (Definition 4) discards most of the
-	// space at generation — and lazy for the influence and NN variants,
+	// and influence scores, whose rules discard most of the space at
+	// generation — Definition 4's 2r filter, and the geometric influence
+	// bound against the running k-th score — and lazy for the NN variant,
 	// where every combination is valid and eager materialization would
 	// hold the whole cross product.
 	CombinationsAuto CombinationMode = iota
 	// CombinationsEager is the paper's literal Algorithm 4 line 9: every
-	// pulled feature immediately materializes all its valid combinations
-	// (accelerated by a spatial grid over retrieved features).
+	// pulled feature immediately materializes the combinations its
+	// variant's rule lets through (range: found through a spatial grid
+	// over the retrieved features).
 	CombinationsEager
 	// CombinationsLazy walks the combination lattice rank-join style:
 	// pop the best index vector, push its successors. Memory stays
-	// proportional to the emitted frontier.
+	// proportional to the emitted frontier, and every combination above
+	// the stopping score is emitted: the rules apply only afterwards.
 	CombinationsLazy
 )
 

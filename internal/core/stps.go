@@ -62,7 +62,7 @@ func sortResults(rs []Result) {
 // k-th result — combinations tying it can still contribute objects that
 // win the id tie-break.
 func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
-	cs, err := newCombinationStream(e, q, true, stats, tr)
+	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	acc := e.newTopk(q.K)
 	for {
 		sp := tr.StartPhase("combos.generate")
-		comb, ok, err := cs.next()
+		comb, ok, err := cs.next(negInf)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -155,16 +155,18 @@ func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(
 // stpsInfluence is Algorithm 5. Combinations arrive in non-increasing
 // s(C), which upper-bounds the influence score of any object under any
 // unseen combination (the score at distance 0), so the loop stops once
-// s(C) no longer exceeds the current k-th object score.
+// s(C) no longer exceeds the current k-th object score τ. The stream is
+// told τ, and queues no combination whose influenceBound is already
+// below it (extendBounded).
 func (e *Engine) stpsInfluence(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
-	cs, err := newCombinationStream(e, q, false, stats, tr)
+	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
 		return nil, err
 	}
 	acc := e.newInfluenceTopK(q.K)
 	for {
 		sp := tr.StartPhase("combos.generate")
-		comb, ok, err := cs.next()
+		comb, ok, err := cs.next(acc.threshold())
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -178,18 +180,16 @@ func (e *Engine) stpsInfluence(q *Query, stats *Stats, tr *obs.Trace) ([]Result,
 		// Geometric refinement: s(C) assumes an object at distance 0 from
 		// every feature; when the features are far apart no object can
 		// collect their full scores simultaneously. Skip the object
-		// search when even the geometric bound cannot beat τ. (Exact: the
-		// bound dominates Σ s_i·2^(−dist(p,t_i)/r) for every p.) Strict:
-		// an object tying τ can still win the id tie-break.
-		if acc.full() && comboInfluenceBound(comb, q.Radius) < acc.threshold() {
+		// search when even the geometric bound cannot beat τ — the test
+		// the stream made when it queued the combination, against the τ
+		// of now. (Exact: the bound dominates Σ s_i·2^(−dist(p,t_i)/r)
+		// for every p.) Strict: an object tying τ can still win the id
+		// tie-break.
+		if influenceBound(comb.refs, q.Radius) < acc.threshold() {
 			continue
 		}
 		sp = tr.StartPhase("objects.retrieve")
-		err = e.topKInfluence(comb, q, acc, func(id int64, loc geo.Point, score float64) {
-			if acc.offer(id, loc, score) {
-				stats.ObjectsScored++
-			}
-		})
+		err = e.topKInfluence(comb, q, acc, stats)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -265,34 +265,64 @@ func (a *influenceTopK) results() []Result {
 	return out
 }
 
-// comboInfluenceBound upper-bounds the influence score any location p can
-// achieve under the combination: writing u_j = 2^(−dist(p,t_j)/r) and
-// letting i be p's nearest feature (u_i maximal), the triangle inequality
-// gives u_i·u_j ≤ 2^(−d_ij/r), hence u_j ≤ 2^(−d_ij/(2r)), so
+// influenceBound upper-bounds the influence score Σ_j s_j·u_j, with
+// u_j = 2^(−dist(p,t_j)/r), that any location p can achieve under the
+// concrete members of refs. The triangle inequality gives u_i·u_j ≤ D_ij =
+// 2^(−d_ij/r), and s_i·u_i + s_j·u_j is convex along that hyperbola, so it
+// peaks at an end of it — p on the better feature of the pair:
 //
-//	Σ_j s_j·u_j ≤ s_i + Σ_{j≠i} s_j·2^(−d_ij/(2r)).
+//	s_i·u_i + s_j·u_j ≤ max(s_i,s_j) + min(s_i,s_j)·D_ij.
 //
-// Maximizing over the (unknown) nearest feature i yields a sound bound
-// that collapses for feature pairs much farther apart than r.
-func comboInfluenceBound(comb combination, r float64) float64 {
-	best := 0.0
-	for i, ri := range comb.refs {
+// Every member is in n−1 pairs, so the pairs' sum bounds (n−1) times the
+// score: exact for n = 2. From three members on the nearest-feature bound
+// can be the lower one — with i the feature nearest p (u_i maximal),
+// u_j ≤ √D_ij, so Σ_j s_j·u_j ≤ s_i + Σ_{j≠i} s_j·√D_ij for the worst i —
+// and the result is the smaller of the two.
+func influenceBound(refs []featureRef, r float64) float64 {
+	n, pairs, nearest := 0, 0.0, 0.0
+	for i := range refs {
+		ri := &refs[i]
 		if ri.virtual {
 			continue
 		}
+		n++
 		v := ri.score
-		for j, rj := range comb.refs {
+		for j := range refs {
+			rj := &refs[j]
 			if j == i || rj.virtual {
 				continue
 			}
-			d := ri.loc.Dist(rj.loc)
-			v += rj.score * math.Exp2(-d/(2*r))
+			d := math.Exp2(-ri.loc.Dist(rj.loc) / r)
+			v += rj.score * math.Sqrt(d)
+			if j > i {
+				pairs += max(ri.score, rj.score) + min(ri.score, rj.score)*d
+			}
 		}
-		if v > best {
-			best = v
-		}
+		nearest = max(nearest, v)
 	}
-	return best
+	if n < 2 {
+		return nearest
+	}
+	return min(pairs/float64(n-1), nearest)
+}
+
+// influenceAt is the influence score of a leaf entry under the concrete
+// members of refs, or (using MINDIST) an upper bound on that of every
+// object below a node.
+func influenceAt(refs []featureRef, r float64, en *rtree.Entry) float64 {
+	sum := 0.0
+	for i := range refs {
+		ref := &refs[i]
+		if ref.virtual {
+			continue
+		}
+		d := en.Rect.MinDist(ref.loc)
+		if en.Leaf {
+			d = en.Rect.Min.Dist(ref.loc)
+		}
+		sum += ref.score * math.Exp2(-d/r)
+	}
+	return sum
 }
 
 // topKInfluence runs a best-first top-k search on the object R-trees — one
@@ -305,37 +335,16 @@ func comboInfluenceBound(comb combination, r float64) float64 {
 // threshold, or strictly below the k-th score emitted by this search —
 // either way at least k objects with strictly better scores are already
 // known, so nothing below can enter the top-k even via the id tie-break.
-func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, emit func(int64, geo.Point, float64)) error {
-	type anchor struct {
-		pt geo.Point
-		s  float64
-	}
-	anchors := make([]anchor, 0, len(comb.refs))
-	for _, ref := range comb.refs {
-		if !ref.virtual {
-			anchors = append(anchors, anchor{pt: ref.loc, s: ref.score})
-		}
-	}
-	prio := func(en *rtree.Entry) float64 {
-		sum := 0.0
-		for _, a := range anchors {
-			var d float64
-			if en.Leaf {
-				d = en.Rect.Min.Dist(a.pt)
-			} else {
-				d = en.Rect.MinDist(a.pt)
-			}
-			sum += a.s * math.Exp2(-d/q.Radius)
-		}
-		return sum
-	}
+// An entry already below that limit when its node is expanded is not
+// queued: the limit only rises, so popping it could only end the search.
+func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, stats *Stats) error {
 	pq := e.scratchBoundHeap()
 	for pi, part := range e.objects {
 		root, err := part.Tree().RootEntry()
 		if err != nil {
 			return err
 		}
-		pq.push(candidateOf(&root, pi, prio(&root)))
+		pq.push(candidateOf(&root, pi, influenceAt(comb.refs, q.Radius, &root)))
 	}
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
@@ -349,7 +358,9 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 			return nil // nothing below can enter the top-k, even by tie-break
 		}
 		if it.leaf {
-			emit(it.ref, it.loc, it.prio)
+			if acc.offer(it.ref, it.loc, it.prio) {
+				stats.ObjectsScored++
+			}
 			emitted++
 			if emitted == q.K {
 				kth = it.prio
@@ -363,7 +374,9 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			pq.push(candidateOf(c, int(it.part), prio(c)))
+			if prio := influenceAt(comb.refs, q.Radius, c); prio >= limit {
+				pq.push(candidateOf(c, int(it.part), prio))
+			}
 		}
 	}
 	return nil
@@ -375,7 +388,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 // combination's score. Cells are built incrementally and the combination
 // is discarded as soon as the intersection becomes empty.
 func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
-	cs, err := newCombinationStream(e, q, false, stats, tr)
+	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +401,7 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 	cells := &queryCells{shared: e.cells, local: local}
 	for {
 		sp := tr.StartPhase("combos.generate")
-		comb, ok, err := cs.next()
+		comb, ok, err := cs.next(negInf)
 		sp.End()
 		if err != nil {
 			return nil, err
