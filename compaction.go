@@ -35,8 +35,8 @@ import (
 )
 
 // pendingLayersLocked returns the pending generations oldest first: sealed
-// runs, then the active delta. The delta's layer is the live maps and
-// indexes, so the result is only valid while db.mu is held.
+// runs, then the active delta. The delta's layer is the live maps, so the
+// result is only valid while db.mu is held.
 func (db *DB) pendingLayersLocked() []*ingest.Layer {
 	layers := make([]*ingest.Layer, 0, len(db.runs)+1)
 	for _, r := range db.runs {
@@ -57,14 +57,13 @@ func (db *DB) pendingLayersLocked() []*ingest.Layer {
 // and db.mu.
 func (db *DB) mergeLocked(forceFull bool, words ...string) error {
 	start := time.Now()
-	layers := db.pendingLayersLocked()
-	net := ingest.CollectNet(layers, len(db.setNames))
+	net := ingest.CollectNet(db.pendingLayersLocked(), len(db.setNames))
 	full := forceFull || !db.canPartialMergeLocked(net)
 	if !full {
 		full = db.partialMergeLocked(net) != nil
 	}
 	if full {
-		if err := db.fullMergeLocked(layers, net, words); err != nil {
+		if err := db.fullMergeLocked(net, words); err != nil {
 			return err
 		}
 	}
@@ -88,11 +87,11 @@ func (db *DB) mergeLocked(forceFull bool, words ...string) error {
 // published (so the generation is bumped once). The oracle suites hold that
 // view byte-identical to a from-scratch build after every batch, which is
 // what makes it a sound copy to rebuild from. words are interned first.
-func (db *DB) fullMergeLocked(layers []*ingest.Layer, net *ingest.Net, words []string) error {
+func (db *DB) fullMergeLocked(net *ingest.Net, words []string) error {
 	view := db.engine
-	if len(layers) > 0 {
+	if db.pendingLocked() {
 		var err error
-		if view, err = db.pendingEngineLocked(layers, net); err != nil {
+		if view, err = db.pendingEngineLocked(net); err != nil {
 			return err
 		}
 	}
@@ -249,6 +248,16 @@ func sortedIDs[V any](m map[int64]V) []int64 {
 	}
 	slices.Sort(ids)
 	return ids
+}
+
+// sortedValues returns a map's values in ascending key order: the bulk-load
+// input of a pending part.
+func sortedValues[V any](m map[int64]V) []V {
+	out := make([]V, 0, len(m))
+	for _, id := range sortedIDs(m) {
+		out = append(out, m[id])
+	}
+	return out
 }
 
 // swapMergedLocked installs merged clone indexes as the new base

@@ -237,6 +237,51 @@ func TestObjectMutationsAcrossLayers(t *testing.T) {
 	}
 }
 
+// TestPendingLayersPublishOnePart: however many layers are pending — here
+// three sealed runs under a live delta — a published generation holds their
+// net upserts in one part per side beside the base part, because every part
+// costs each feature stream and each combination probe a root read.
+func TestPendingLayersPublishOnePart(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	objs, sets := ingestSeedData(rng, 60, 40)
+	cfg := Config{PageSize: 1024, WALDir: t.TempDir(),
+		AutoFlushOps: 8, BackgroundCompaction: true, CompactRuns: 1 << 20}
+	db := buildIngestDB(t, cfg, objs, sets)
+	defer db.CloseWAL()
+	shadow := newIngestShadow(objs, sets)
+	// Three batches of eight seal a run each; the fourth stays in the delta.
+	// Every batch upserts an object and a feature of each set.
+	for _, n := range []int{8, 8, 8, 3} {
+		id := int64(1000 + db.PendingOps())
+		muts := []Mutation{
+			{Op: OpUpsertObject, Object: &Object{ID: id, X: rng.Float64(), Y: rng.Float64()}},
+			{Op: OpUpsertFeature, Set: "food", Feature: &Feature{ID: id, X: rng.Float64(), Y: rng.Float64(), Score: 0.5, Keywords: ingestWords[:1]}},
+			{Op: OpUpsertFeature, Set: "cafes", Feature: &Feature{ID: id, X: rng.Float64(), Y: rng.Float64(), Score: 0.5, Keywords: ingestWords[1:2]}},
+		}
+		muts = append(muts, randomMutations(rng, shadow, n-len(muts))...)
+		if err := db.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range muts {
+			shadow.apply(m)
+		}
+	}
+	if db.Runs() != 3 || db.PendingOps() != 27 {
+		t.Fatalf("%d sealed runs, %d pending ops; want 3 runs under a live delta of 3", db.Runs(), db.PendingOps())
+	}
+	eng := mustSnapshot(t, db).engine
+	if n := len(eng.ObjectParts()); n != 2 {
+		t.Errorf("%d object parts published, want the base and one pending part", n)
+	}
+	for i, g := range eng.FeatureGroups() {
+		if n, base := len(g.Parts()), len(db.base.FeatureGroups()[i].Parts()); n != base+1 {
+			t.Errorf("feature set %d: %d parts published over %d base parts, want one pending part", i, n, base)
+		}
+	}
+	assertSameCounts(t, "three runs under a delta", db, shadow)
+	assertSameTopK(t, "three runs under a delta", db, shadow.oracle(t, cfg), rng)
+}
+
 // TestCrashAfterRunSeal: a crash while sealed runs (and a half-filled
 // delta) are awaiting compaction loses nothing — the WAL replays every
 // batch and the restarted DB matches the oracle.

@@ -406,15 +406,14 @@ func (db *DB) setPosLocked(name string) int {
 
 // applyBatchLocked applies one validated batch to the in-memory state —
 // the one door every mutation comes through, whether from Apply, WAL replay
-// or a leader's shipped log: it routes the batch into the delta (feature
-// inserts exercising the R-tree insertion path and the Section 4.2
-// node-update rule) and, when publish is set, swaps in a fresh base + delta
-// generation. The delta indexes have the base's vocabulary width, so a
-// batch with unseen keywords first widens every index with one rebuild that
-// interns them. A delta reaching the auto-flush threshold merges
-// synchronously — or, under BackgroundCompaction, is sealed into an
-// immutable run for the compactor, keeping the write stall at O(1). Replay
-// passes publish=false and publishes once at the end.
+// or a leader's shipped log: it routes the batch into the delta and, when
+// publish is set, swaps in a fresh base + delta generation. The pending
+// parts have the base's vocabulary width, so a batch with unseen keywords
+// first widens every index with one rebuild that interns them. A delta
+// reaching the auto-flush threshold merges synchronously — or, under
+// BackgroundCompaction, is sealed into an immutable run for the compactor,
+// keeping the write stall at O(1). Replay passes publish=false and
+// publishes once at the end.
 func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
 	if err := db.ensureWriteStateLocked(nil, nil); err != nil {
 		return err
@@ -424,8 +423,8 @@ func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
 			return err
 		}
 	}
-	if err := db.ensureDeltaLocked(); err != nil {
-		return err
+	if db.delta == nil {
+		db.delta = ingest.NewDelta(len(db.setNames))
 	}
 	for _, m := range muts {
 		switch m.Op {
@@ -436,19 +435,14 @@ func (db *DB) applyBatchLocked(muts []Mutation, publish bool) error {
 			db.delta.DeleteObject(m.ID)
 		case OpUpsertFeature:
 			f := *m.Feature
-			err := db.delta.UpsertFeature(db.setPosLocked(m.Set), index.Feature{
+			db.delta.UpsertFeature(db.setPosLocked(m.Set), index.Feature{
 				ID:       f.ID,
 				Location: geo.Point{X: f.X, Y: f.Y},
 				Score:    f.Score,
 				Keywords: db.vocab.LookupSet(f.Keywords...),
 			})
-			if err != nil {
-				return err
-			}
 		case OpDeleteFeature:
-			if err := db.delta.DeleteFeature(db.setPosLocked(m.Set), m.ID); err != nil {
-				return err
-			}
+			db.delta.DeleteFeature(db.setPosLocked(m.Set), m.ID)
 		}
 	}
 	if t := db.autoFlushThreshold(); t > 0 && db.delta.Ops() >= t {
@@ -488,10 +482,9 @@ func (db *DB) compactRunsWatermark() int {
 func (db *DB) maxRuns() int { return 4 * db.compactRunsWatermark() }
 
 // sealDeltaLocked converts the active delta into an immutable run and
-// wakes the compactor. Sealing is O(1): the run takes over the delta's maps
-// and indexes.
+// wakes the compactor. Sealing is O(1): the run takes over the delta's maps.
 func (db *DB) sealDeltaLocked() {
-	db.runs = append(db.runs, db.delta.Seal(db.walSeq))
+	db.runs = append(db.runs, db.delta.Seal())
 	db.delta = nil
 	db.metrics.Gauge("stpq_ingest_runs").Set(float64(len(db.runs)))
 	if len(db.runs) >= db.compactRunsWatermark() {
@@ -542,19 +535,6 @@ func (db *DB) unseenWordsLocked(muts []Mutation) []string {
 	return words
 }
 
-// ensureDeltaLocked creates the delta layer on first use after a build.
-func (db *DB) ensureDeltaLocked() error {
-	if db.delta != nil {
-		return nil
-	}
-	d, err := ingest.NewDelta(db.deltaIndexOptions(), len(db.setNames))
-	if err != nil {
-		return err
-	}
-	db.delta = d
-	return nil
-}
-
 // deltaIndexOptions are the options of every index built over pending
 // mutations: the base indexes' kind, vocabulary width and page geometry, so
 // delta parts compose with the base parts in one engine.
@@ -570,9 +550,8 @@ func (db *DB) deltaIndexOptions() index.Options {
 // publishPendingLocked swaps in a new engine generation over the base and
 // the pending layers.
 func (db *DB) publishPendingLocked() error {
-	layers := db.pendingLayersLocked()
-	net := ingest.CollectNet(layers, len(db.setNames))
-	eng, err := db.pendingEngineLocked(layers, net)
+	net := ingest.CollectNet(db.pendingLayersLocked(), len(db.setNames))
+	eng, err := db.pendingEngineLocked(net)
 	if err != nil {
 		return err
 	}
@@ -583,31 +562,19 @@ func (db *DB) publishPendingLocked() error {
 }
 
 // pendingEngineLocked assembles, without publishing it, the engine that
-// shows the logical dataset: the base and the pending layers (sealed runs,
-// then the live delta; net is their net effect). The base object part is
-// filtered by every layer's tombstones, and the objects the layers upserted
-// are folded into ONE small bulk-loaded part beside it (one per publish,
-// not one per run: every object part costs each combination probe a root
-// read). Each feature group stacks tombstone-filtered base parts, then each
-// layer's part filtered by the tombstones of newer layers only (so a
-// layer's own upserts stay visible). A query over base + delta is therefore
-// one STDS/STPS over more parts, nothing else. Nothing of the live delta
-// reaches the engine: net's maps are its own and the delta's indexes are
-// cloned.
-func (db *DB) pendingEngineLocked(layers []*ingest.Layer, net *ingest.Net) (*core.Engine, error) {
-	hidden := 0
-	for id := range net.DeadObj {
-		if _, ok := db.objLoc[id]; ok {
-			hidden++
-		}
-	}
-	objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(net.DeadObj, hidden)}
+// shows the logical dataset: the base and net, the net effect of the
+// pending layers (sealed runs, then the live delta). On the object side and
+// in every feature set alike, the base part is filtered by net's tombstones
+// and what the layers upserted is folded into ONE small bulk-loaded part
+// beside it (one per publish, not one per run: every object part costs each
+// combination probe a root read, every feature part each stream one). A
+// query over base + delta is therefore one STDS/STPS over more parts,
+// nothing else. Nothing of the live delta reaches the engine: net's maps
+// are its own.
+func (db *DB) pendingEngineLocked(net *ingest.Net) (*core.Engine, error) {
+	objects := []*index.ObjectIndex{soleObjects(db.base).WithExclude(net.DeadObj, hiddenIn(net.DeadObj, db.objLoc))}
 	if len(net.UpsObj) > 0 {
-		ups := make([]index.Object, 0, len(net.UpsObj))
-		for _, id := range sortedIDs(net.UpsObj) {
-			ups = append(ups, net.UpsObj[id])
-		}
-		part, err := index.BuildObjectIndex(ups, db.deltaIndexOptions())
+		part, err := index.BuildObjectIndex(sortedValues(net.UpsObj), db.deltaIndexOptions())
 		if err != nil {
 			return nil, fmt.Errorf("stpq: indexing delta objects: %w", err)
 		}
@@ -615,31 +582,34 @@ func (db *DB) pendingEngineLocked(layers []*ingest.Layer, net *ingest.Net) (*cor
 	}
 	groups := make([]*index.FeatureGroup, len(db.setNames))
 	for i := range db.setNames {
-		baseParts := db.base.FeatureGroups()[i].Parts()
-		parts := make([]*index.FeatureIndex, 0, len(baseParts)+len(layers))
-		for _, p := range baseParts {
-			parts = append(parts, p.WithExclude(net.DeadFeat[i]))
-		}
-		for j, l := range layers {
-			if len(l.Sets[i].Feats) == 0 {
-				continue
+		base := db.base.FeatureGroups()[i].Part(0)
+		parts := []*index.FeatureIndex{base.WithExclude(net.DeadFeat[i], hiddenIn(net.DeadFeat[i], db.featLoc[i]))}
+		if len(net.UpsFeat[i]) > 0 {
+			part, err := index.BuildFeatureIndex(sortedValues(net.UpsFeat[i]), db.deltaIndexOptions())
+			if err != nil {
+				return nil, fmt.Errorf("stpq: indexing delta features of set %d: %w", i, err)
 			}
-			idx := l.Sets[i].Idx
-			if db.delta != nil && l == &db.delta.Layer {
-				var err error
-				if idx, err = db.delta.CloneIndex(i); err != nil {
-					return nil, fmt.Errorf("stpq: snapshotting delta: %w", err)
-				}
-			}
-			parts = append(parts, idx.WithExclude(ingest.UnionDeadSet(layers[j+1:], i)))
+			parts = append(parts, part)
 		}
-		g, err := index.NewFeatureGroup(parts...)
-		if err != nil {
+		var err error
+		if groups[i], err = index.NewFeatureGroup(parts...); err != nil {
 			return nil, err
 		}
-		groups[i] = g
 	}
 	return core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
+}
+
+// hiddenIn counts the tombstones that hide an id the base holds (loc is
+// where every base id lives), so that a filtered base part keeps counting
+// live entries only.
+func hiddenIn(dead map[int64]struct{}, loc map[int64]geo.Point) int {
+	n := 0
+	for id := range dead {
+		if _, ok := loc[id]; ok {
+			n++
+		}
+	}
+	return n
 }
 
 // ensureWriteStateLocked derives, the first time a mutation arrives, what

@@ -196,8 +196,8 @@ type sketchEntry struct {
 }
 
 // Sketch maps feature ids to their MinHash sketches for one index part.
-// Reads and maintenance writes are internally synchronized, so live
-// delta indexes can keep inserting while pinned snapshots query.
+// Reads and maintenance writes are internally synchronized, so an index
+// can keep inserting while pinned snapshots query.
 type Sketch struct {
 	mu sync.RWMutex
 	m  map[int64]sketchEntry

@@ -124,7 +124,7 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*co
 		cs.grids = cs.gridStore
 	}
 	for i := 0; i < c; i++ {
-		if err := cs.streams[i].init(e.features[i], q.keywordsFor(i)); err != nil {
+		if err := cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{}); err != nil {
 			return nil, err
 		}
 		cs.mins[i] = 1 // upper bound on any unseen feature score

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"stpq/internal/geo"
 	"stpq/internal/index"
 	"stpq/internal/kwset"
@@ -20,11 +22,14 @@ type featureRef struct {
 	virtual bool
 }
 
-// featureStream retrieves the feature objects of one feature set in
-// non-increasing preference score s(t), using best-first traversal ordered
-// by the bound ŝ(e) (Algorithm 4 lines 3–7). Subtrees that cannot contain
-// a relevant feature (empty keyword intersection with W_i) are pruned. As
-// the final element the stream yields the virtual feature ∅.
+// featureStream is the one best-first-by-score traversal of a feature
+// group. Unlensed it retrieves the feature objects of one feature set in
+// non-increasing preference score s(t), ordered by the bound ŝ(e)
+// (Algorithm 4 lines 3–7): subtrees that cannot contain a relevant feature
+// (empty keyword intersection with W_i) are pruned, and as the final
+// element the stream yields the virtual feature ∅. Seen through a lens the
+// same walk is Algorithm 2: the first emission is τ_i(p), and ∅ scores the
+// 0 of an object no relevant feature reaches.
 //
 // In signature mode (hashed keyword summaries) a popped leaf's exact score
 // is only a bound: the stream resolves it against the feature record —
@@ -33,27 +38,93 @@ type featureRef struct {
 type featureStream struct {
 	g         *index.FeatureGroup
 	pq        index.PreparedQuery
+	lens      lens
 	heap      boundHeap
 	exhausted bool
 }
 
-// newFeatureStream seeds the stream with every part root of the group; the
-// shared bound heap merges the part trees into one globally non-increasing
-// score stream. A query with no keywords for this set makes every feature
-// irrelevant, so the stream yields only ∅.
-func newFeatureStream(g *index.FeatureGroup, q index.QueryKeywords) (*featureStream, error) {
-	s := &featureStream{}
-	if err := s.init(g, q); err != nil {
-		return nil, err
+// lensKind names the spatial predicate or weight a lens applies.
+type lensKind uint8
+
+const (
+	lensNone      lensKind = iota // STPS: every relevant feature
+	lensRange                     // range STDS: features within r of p
+	lensInfluence                 // influence STDS: scores decay by 2^(−dist(p,t)/r)
+	lensBatch                     // batched STDS: features within r of an unresolved batch object
+)
+
+// lens is what distinguishes the STDS score computations (Section 5, and
+// Section 7.1 for the decay) from STPS's feature retrieval. It is a plain
+// value copied into the stream — not closures — so a stream per object
+// allocates nothing, and the unlensed path pays one branch per entry.
+//
+// The distance primitives are deliberate: Rect.MinDist wherever an entry is
+// pushed and for the batch on both sides, the exact Point.Dist only where
+// range STDS accepts a popped leaf and in the decay of a leaf. They differ
+// in the last bit and in cost.
+type lens struct {
+	kind lensKind
+	p    geo.Point
+	r    float64
+	// batch is read live: the caller marks objects resolved between pulls.
+	batch []*batchObj
+}
+
+// admit is consulted where an entry is pushed: whether anything below e can
+// pass the lens, and the weight of e's bound.
+func (l *lens) admit(e *rtree.Entry) (weight float64, ok bool) {
+	switch l.kind {
+	case lensRange:
+		return 1, e.Rect.MinDist(l.p) <= l.r
+	case lensInfluence:
+		if e.Leaf {
+			return l.decay(e.Rect.Min), true
+		}
+		return math.Exp2(-e.Rect.MinDist(l.p) / l.r), true
+	default: // lensBatch
+		return 1, l.nearUnresolved(&e.Rect)
 	}
-	return s, nil
+}
+
+// accept is consulted where an unresolved leaf is popped, before its
+// verification read: whether the feature passes the lens, and the weight of
+// its exact score.
+func (l *lens) accept(loc geo.Point) (weight float64, ok bool) {
+	switch l.kind {
+	case lensRange:
+		return 1, loc.Dist(l.p) <= l.r
+	case lensInfluence:
+		return l.decay(loc), true
+	default: // lensBatch
+		rect := geo.RectOf(loc)
+		return 1, l.nearUnresolved(&rect)
+	}
+}
+
+// decay is the influence weight 2^(−dist(p,t)/r) of a feature at loc.
+func (l *lens) decay(loc geo.Point) float64 { return math.Exp2(-loc.Dist(l.p) / l.r) }
+
+// nearUnresolved reports whether rect is within range of a batch object
+// that still lacks its score for the current feature set.
+func (l *lens) nearUnresolved(rect *geo.Rect) bool {
+	for _, o := range l.batch {
+		if !o.resolved && rect.MinDist(o.loc) <= l.r {
+			return true
+		}
+	}
+	return false
 }
 
 // init (re)initializes the stream in place, keeping the heap's backing
-// array so pooled streams reach steady state without allocating.
-func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords) error {
+// array so pooled streams reach steady state without allocating. It seeds
+// the stream with every part root of the group; the shared bound heap
+// merges the part trees into one globally non-increasing score stream. A
+// query with no keywords for this set makes every feature irrelevant, so
+// the stream yields only ∅.
+func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l lens) error {
 	s.g = g
 	s.pq = g.Prepare(q)
+	s.lens = l
 	s.heap = s.heap[:0]
 	s.exhausted = false
 	if g.Len() == 0 || q.Set.IsEmpty() {
@@ -67,15 +138,24 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords) error
 		if err != nil {
 			return err
 		}
-		if part.EntryRelevant(&root, &s.pq) {
-			s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)))
+		if !part.EntryRelevant(&root, &s.pq) {
+			continue
 		}
+		w := 1.0
+		if s.lens.kind != lensNone {
+			var ok bool
+			if w, ok = s.lens.admit(&root); !ok {
+				continue
+			}
+		}
+		s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)*w))
 	}
 	return nil
 }
 
-// next returns the feature with the highest remaining score, or the
-// virtual feature once, then reports done=true.
+// next returns the feature with the highest remaining score — under the
+// influence lens, the highest decayed score, which is what ref.score then
+// holds — or the virtual feature once, then reports done=true.
 func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	for s.heap.Len() > 0 {
 		it := s.heap.pop()
@@ -83,6 +163,13 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 		if it.leaf {
 			if it.resolved {
 				return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
+			}
+			w := 1.0
+			if s.lens.kind != lensNone {
+				var ok bool
+				if w, ok = s.lens.accept(it.loc); !ok {
+					continue
+				}
 			}
 			leaf := it.leafEntry()
 			score, relevant, err := idx.ResolveLeaf(&leaf, &s.pq)
@@ -92,6 +179,7 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			if !relevant {
 				continue // signature false positive
 			}
+			score *= w
 			if s.heap.Len() == 0 || score >= s.heap[0].prio-1e-12 {
 				return featureRef{id: it.ref, loc: it.loc, score: score}, false, nil
 			}
@@ -108,7 +196,14 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			if !idx.EntryRelevant(c, &s.pq) {
 				continue
 			}
-			s.heap.push(candidateOf(c, int(it.part), idx.EntryBound(c, &s.pq)))
+			w := 1.0
+			if s.lens.kind != lensNone {
+				var ok bool
+				if w, ok = s.lens.admit(c); !ok {
+					continue
+				}
+			}
+			s.heap.push(candidateOf(c, int(it.part), idx.EntryBound(c, &s.pq)*w))
 		}
 	}
 	if !s.exhausted {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,15 @@ import (
 	"stpq/internal/kwset"
 	"stpq/internal/rtree"
 )
+
+// newFeatureStream returns an unlensed stream over the group.
+func newFeatureStream(g *index.FeatureGroup, q index.QueryKeywords) (*featureStream, error) {
+	s := &featureStream{}
+	if err := s.init(g, q, lens{}); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // drainStream pulls every feature from a per-set stream.
 func drainStream(t *testing.T, s *featureStream) []featureRef {
@@ -142,4 +152,108 @@ func TestFeatureStreamMatchesInvertedIndex(t *testing.T) {
 			t.Fatalf("stream and direct relevance disagree for %d", e.ItemID)
 		}
 	}
+}
+
+// Seen through a lens the stream is Algorithm 2: for both index kinds,
+// exact and hashed keywords, and a group of one part or three, the first
+// emission under the range and the influence lens (computeScore) is the
+// brute-force τ_i(p), and the batch lens (batchRangeScores) gives every
+// object of an object-tree leaf the score the range lens gives it alone.
+func TestLensedStreamIsComputeScore(t *testing.T) {
+	const vocabW = 16
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for _, sigBits := range []int{0, 8} {
+			for _, nparts := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%v/sig=%d/parts=%d", kind, sigBits, nparts), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(601))
+					w := lensWorld(t, rng, vocabW, nparts, index.Options{
+						Kind: kind, VocabWidth: vocabW, PageSize: 1024, SignatureBits: sigBits})
+					feats, err := w.engine.allFeatures()
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := w.engine.session()
+					defer w.engine.releaseSession(e)
+					for trial := 0; trial < 4; trial++ {
+						q := w.randQuery(rng, 1, RangeScore)
+						for _, q.Variant = range []Variant{RangeScore, InfluenceScore} {
+							for i := 0; i < 25; i++ {
+								p := randPoint(rng)
+								got, err := e.computeScore(0, &q, p)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if want := e.exactScoreOf(q, p, feats); math.Abs(got-want) > 1e-12 {
+									t.Fatalf("%v lens at %v: first emission %v, brute force %v", q.Variant, p, got, want)
+								}
+							}
+						}
+						q.Variant = RangeScore
+						err := e.objects[0].Tree().Leaves(func(leaf []rtree.Entry) bool {
+							batch := e.scratchBatch(len(leaf))
+							for i := range leaf {
+								batch[i].id, batch[i].loc = leaf[i].ItemID, leaf[i].Rect.Min
+							}
+							if err := e.batchRangeScores(0, &q, batch); err != nil {
+								t.Fatal(err)
+							}
+							for _, o := range batch {
+								// The batch's pulls are over before the scratch
+								// stream is re-initialized for one object.
+								alone, err := e.computeScore(0, &q, o.loc)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if o.sum != alone {
+									t.Fatalf("object %d: batch lens %v, range lens %v", o.id, o.sum, alone)
+								}
+							}
+							return true
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// lensWorld builds an engine over 150 objects and one feature set of 300
+// features dealt round-robin into nparts index parts.
+func lensWorld(t *testing.T, rng *rand.Rand, vocabW, nparts int, opts index.Options) *testWorld {
+	t.Helper()
+	objs := make([]index.Object, 150)
+	for i := range objs {
+		objs[i] = index.Object{ID: int64(i), Location: randPoint(rng)}
+	}
+	oidx, err := index.BuildObjectIndex(objs, index.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := make([][]index.Feature, nparts)
+	for i := 0; i < 300; i++ {
+		kw := kwset.NewSet(vocabW)
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			kw.Add(rng.Intn(vocabW))
+		}
+		feats[i%nparts] = append(feats[i%nparts], index.Feature{
+			ID: int64(i), Location: randPoint(rng), Score: rng.Float64(), Keywords: kw})
+	}
+	parts := make([]*index.FeatureIndex, nparts)
+	for i := range parts {
+		if parts[i], err = index.BuildFeatureIndex(feats[i], opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := index.NewFeatureGroup(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineOverParts([]*index.ObjectIndex{oidx}, 0, []*index.FeatureGroup{g}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testWorld{engine: eng, vocabW: vocabW}
 }

@@ -282,7 +282,8 @@ type Options struct {
 	// BatchSTDS enables the batched score computation of Section 5
 	// ("Performance improvements"): objects are processed one object-tree
 	// leaf at a time, sharing feature-index traversals. Applies to the
-	// range variant; default on.
+	// range variant. The zero value is off — the single-object form the
+	// ablation measures; every constructor outside tests passes true.
 	BatchSTDS bool
 	// Combinations selects how STPS enumerates feature combinations.
 	Combinations CombinationMode

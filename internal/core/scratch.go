@@ -17,9 +17,11 @@ import (
 //
 // Single-user invariants (all hold because a query runs on one goroutine
 // and the kernels never nest):
-//   - bound is used by exactly one best-first descent at a time
-//     (computeScore, computeInfluenceScore, batchRangeScores and
-//     topKInfluence never overlap within a query);
+//   - stds is the one lensed feature stream of an STDS query: computeScore
+//     and batchRangeScores re-init it per object (or batch) and feature
+//     set, and are done with it before the next init;
+//   - bound is used by one topKInfluence search over the object trees at
+//     a time;
 //   - dist is used by one groupAscendDistance walk at a time
 //     (computeNNScore and voronoiCell never overlap);
 //   - topk/inf back the single accumulator of the query;
@@ -33,6 +35,7 @@ type queryScratch struct {
 	// acct is re-zeroed.
 	sess *Engine
 
+	stds  featureStream
 	bound boundHeap
 	dist  distHeap
 	topk  topkAccumulator
@@ -121,6 +124,7 @@ func (e *Engine) countShards(stats *Stats) {
 // prefixes, the combination refs buffer, the pair grids and the index
 // vector arena, batch objects — is plain values without pointers.
 func (sc *queryScratch) release() {
+	sc.stds.heap.reset()
 	sc.bound.reset()
 	sc.dist.reset()
 	for _, st := range sc.cs.streams {

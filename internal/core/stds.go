@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"stpq/internal/geo"
@@ -173,149 +172,29 @@ func (e *Engine) allObjects() ([]rtree.Entry, error) {
 	return objs, nil
 }
 
-// computeScore is Algorithm 2 for one object: best-first over the feature
-// index ordered by ŝ(e), expanding only entries within range and with
-// positive textual similarity; the first in-range feature popped has the
-// maximum preference score. The influence and NN variants reuse the same
-// traversal with the modified priorities of Section 7.
+// computeScore is Algorithm 2 for one object: the group's feature stream
+// seen through the lens of p. Best-first by ŝ(e), expanding only entries
+// within range and with positive textual similarity, the first in-range
+// feature it emits has the maximum preference score. The influence variant
+// (Definition 6) is the same walk under a lens that drops the range
+// predicate and weights every bound and score by 2^(−dist/r) — with MINDIST
+// for a node, so the first emission still dominates all bounds left in the
+// heap. ∅ scores 0: no relevant feature is in reach. NN orders by distance,
+// not score, and has its own walk.
 func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
+	l := lens{kind: lensRange, p: p, r: q.Radius}
 	switch q.Variant {
 	case InfluenceScore:
-		return e.computeInfluenceScore(set, q, p)
+		l.kind = lensInfluence
 	case NearestNeighborScore:
 		return e.computeNNScore(set, q, p)
 	}
-	g := e.features[set]
-	qk := q.keywordsFor(set)
-	if g.Len() == 0 || qk.Set.IsEmpty() {
-		return 0, nil
+	s := &e.scratch.stds
+	if err := s.init(e.features[set], q.keywordsFor(set), l); err != nil {
+		return 0, err
 	}
-	prepared := g.Prepare(qk)
-	pq := e.scratchBoundHeap()
-	for pi, part := range g.Parts() {
-		if part.Len() == 0 {
-			continue
-		}
-		root, err := part.Tree().RootEntry()
-		if err != nil {
-			return 0, err
-		}
-		if part.EntryRelevant(&root, &prepared) && root.Rect.MinDist(p) <= q.Radius {
-			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)))
-		}
-	}
-	for pq.Len() > 0 {
-		it := pq.pop()
-		idx := g.Part(int(it.part))
-		if it.leaf {
-			if it.loc.Dist(p) > q.Radius {
-				continue
-			}
-			if it.resolved {
-				return it.prio, nil
-			}
-			leaf := it.leafEntry()
-			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
-			if err != nil {
-				return 0, err
-			}
-			if !relevant {
-				continue
-			}
-			if pq.Len() == 0 || score >= (*pq)[0].prio-1e-12 {
-				return score, nil
-			}
-			it.prio, it.resolved = score, true
-			pq.push(it)
-			continue
-		}
-		n, err := idx.Tree().Node(it.child())
-		if err != nil {
-			return 0, err
-		}
-		for i := range n.Entries {
-			child := &n.Entries[i]
-			if !idx.EntryRelevant(child, &prepared) {
-				continue
-			}
-			if child.Rect.MinDist(p) > q.Radius {
-				continue
-			}
-			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)))
-		}
-	}
-	return 0, nil
-}
-
-// computeInfluenceScore adapts Algorithm 2 to Definition 6: priorities are
-// ŝ(e)·2^(−mindist(p,e)/r), the range predicate is dropped, and the first
-// feature popped is exact because its priority dominates all bounds left
-// in the heap.
-func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, error) {
-	g := e.features[set]
-	qk := q.keywordsFor(set)
-	if g.Len() == 0 || qk.Set.IsEmpty() {
-		return 0, nil
-	}
-	prepared := g.Prepare(qk)
-	decay := func(en *rtree.Entry) float64 {
-		var d float64
-		if en.Leaf {
-			d = en.Rect.Min.Dist(p)
-		} else {
-			d = en.Rect.MinDist(p)
-		}
-		return math.Exp2(-d / q.Radius)
-	}
-	pq := e.scratchBoundHeap()
-	for pi, part := range g.Parts() {
-		if part.Len() == 0 {
-			continue
-		}
-		root, err := part.Tree().RootEntry()
-		if err != nil {
-			return 0, err
-		}
-		if part.EntryRelevant(&root, &prepared) {
-			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)*decay(&root)))
-		}
-	}
-	for pq.Len() > 0 {
-		it := pq.pop()
-		idx := g.Part(int(it.part))
-		if it.leaf {
-			if it.resolved {
-				return it.prio, nil
-			}
-			leaf := it.leafEntry()
-			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
-			if err != nil {
-				return 0, err
-			}
-			if !relevant {
-				continue
-			}
-			exact := score * decay(&leaf)
-			if pq.Len() == 0 || exact >= (*pq)[0].prio-1e-12 {
-				return exact, nil
-			}
-			it.prio, it.resolved = exact, true
-			pq.push(it)
-			continue
-		}
-		n, err := idx.Tree().Node(it.child())
-		if err != nil {
-			return 0, err
-		}
-		for i := range n.Entries {
-			child := &n.Entries[i]
-			if !idx.EntryRelevant(child, &prepared) {
-				continue
-			}
-			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)*decay(child)))
-		}
-	}
-	return 0, nil
+	ref, _, err := s.next()
+	return ref.score, err
 }
 
 // computeNNScore adapts Algorithm 2 to Definition 7: entries are

@@ -76,94 +76,28 @@ type batchObj struct {
 }
 
 // batchRangeScores runs the batched Algorithm 2 for one feature set,
-// adding each object's τ_i(p) to its running sum.
+// adding each object's τ_i(p) to its running sum: the feature stream under
+// the batch lens emits, best first, the features in range of an object
+// still unresolved, and each one resolves every such object it reaches.
 func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
-	g := e.features[set]
-	qk := q.keywordsFor(set)
-	if g.Len() == 0 || qk.Set.IsEmpty() {
-		return nil // every τ_i is 0
-	}
-	prepared := g.Prepare(qk)
 	for _, o := range batch {
 		o.resolved = false
 	}
-	unresolved := len(batch)
-	withinAny := func(rect *geo.Rect) bool {
-		for _, o := range batch {
-			if o.resolved {
-				continue
-			}
-			if rect.MinDist(o.loc) <= q.Radius {
-				return true
-			}
-		}
-		return false
+	s := &e.scratch.stds
+	if err := s.init(e.features[set], q.keywordsFor(set), lens{kind: lensBatch, r: q.Radius, batch: batch}); err != nil {
+		return err
 	}
-	assign := func(fp geo.Point, score float64) {
+	for unresolved := len(batch); unresolved > 0; {
+		ref, _, err := s.next()
+		if err != nil || ref.virtual {
+			return err // ∅: every object left scores 0
+		}
 		for _, o := range batch {
-			if o.resolved {
-				continue
-			}
-			if o.loc.Dist(fp) <= q.Radius {
-				o.sum += score
+			if !o.resolved && o.loc.Dist(ref.loc) <= q.Radius {
+				o.sum += ref.score
 				o.resolved = true
 				unresolved--
 			}
-		}
-	}
-	pq := e.scratchBoundHeap()
-	for pi, part := range g.Parts() {
-		if part.Len() == 0 {
-			continue
-		}
-		root, err := part.Tree().RootEntry()
-		if err != nil {
-			return err
-		}
-		if part.EntryRelevant(&root, &prepared) && withinAny(&root.Rect) {
-			pq.push(candidateOf(&root, pi, part.EntryBound(&root, &prepared)))
-		}
-	}
-	for pq.Len() > 0 && unresolved > 0 {
-		it := pq.pop()
-		idx := g.Part(int(it.part))
-		if it.leaf {
-			if it.resolved {
-				assign(it.loc, it.prio)
-				continue
-			}
-			leaf := it.leafEntry()
-			if !withinAny(&leaf.Rect) {
-				continue // no candidate object: skip the verification read
-			}
-			score, relevant, err := idx.ResolveLeaf(&leaf, &prepared)
-			if err != nil {
-				return err
-			}
-			if !relevant {
-				continue
-			}
-			if pq.Len() == 0 || score >= (*pq)[0].prio-1e-12 {
-				assign(it.loc, score)
-			} else {
-				it.prio, it.resolved = score, true
-				pq.push(it)
-			}
-			continue
-		}
-		n, err := idx.Tree().Node(it.child())
-		if err != nil {
-			return err
-		}
-		for i := range n.Entries {
-			child := &n.Entries[i]
-			if !idx.EntryRelevant(child, &prepared) {
-				continue
-			}
-			if !withinAny(&child.Rect) {
-				continue
-			}
-			pq.push(candidateOf(child, int(it.part), idx.EntryBound(child, &prepared)))
 		}
 	}
 	return nil

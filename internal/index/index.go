@@ -118,6 +118,8 @@ type FeatureIndex struct {
 	// copies) and materialized lazily on the first approximate query.
 	// Mutating clones (BeginMerge) take a fresh holder.
 	sketch *approx.Holder
+	// hidden is how many indexed features a WithExclude view hides.
+	hidden int
 }
 
 // BuildFeatureIndex bulk-loads the features into a fresh index of the
@@ -266,15 +268,18 @@ func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
 }
 
 // WithExclude returns a read view of the index that hides the listed
-// feature ids — the tombstone filter of live ingest. The
-// exclusion survives Session (the per-query view copies the tree handle,
-// exclusion set included).
-func (x *FeatureIndex) WithExclude(dead map[int64]struct{}) *FeatureIndex {
+// feature ids — the tombstone filter of live ingest. hidden is how many of
+// them the index actually holds — the caller tracks what it indexed — so
+// that Len keeps counting live features only. The exclusion survives
+// Session (the per-query view copies the tree handle, exclusion set
+// included).
+func (x *FeatureIndex) WithExclude(dead map[int64]struct{}, hidden int) *FeatureIndex {
 	if len(dead) == 0 {
 		return x
 	}
 	c := *x
 	c.tree = x.tree.WithExclude(dead)
+	c.hidden = hidden
 	return &c
 }
 
@@ -284,8 +289,8 @@ func (x *FeatureIndex) Tree() *rtree.Tree { return x.tree }
 // Kind returns the index construction kind.
 func (x *FeatureIndex) Kind() Kind { return x.kind }
 
-// Len returns the number of indexed features.
-func (x *FeatureIndex) Len() int { return x.tree.Len() }
+// Len returns the number of indexed features the index shows.
+func (x *FeatureIndex) Len() int { return x.tree.Len() - x.hidden }
 
 // Session returns a read view of the index whose page accesses are
 // additionally charged to acct — the per-query accounting handle that

@@ -1,56 +1,39 @@
 package ingest
 
-import (
-	"bytes"
-	"fmt"
+import "stpq/internal/index"
 
-	"stpq/internal/index"
-)
-
-// Delta is the in-memory layer that absorbs mutations between merges. Data
-// objects live in plain maps (every publish bulk-loads the pending ones
-// into one small object part — the delta is small by construction, bounded
-// by the auto-flush threshold). Feature upserts are additionally routed
-// through a real per-set FeatureIndex via rtree.Insert, so every live
-// feature insert exercises the paper's decode→OR→encode node-update rule
-// on its way in.
+// Delta is the in-memory layer that absorbs mutations between merges:
+// plain maps of the upserted objects and features and of the ids they
+// tombstone. Every publish bulk-loads the pending upserts into one small
+// index part per side (the delta is small by construction, bounded by the
+// auto-flush threshold), so the delta itself holds no index.
 //
 // Ids referring to the base generation are never mutated in place: the
 // delta records them as tombstones and the published base parts hide them,
 // so the base indexes stay immutable and snapshot isolation is free.
 type Delta struct {
-	opts index.Options
-
 	// Layer is the delta's content, mutated in place by every apply: its
-	// maps and per-set indexes are live, so it may only be read under the
-	// lock that serializes writers, and nothing published may keep them
-	// (CloneIndex copies an index out).
+	// maps are live, so it may only be read under the lock that serializes
+	// writers, and nothing published may keep them.
 	Layer
 
 	ops int
 }
 
-// NewDelta creates an empty delta whose feature indexes are built with the
-// given options — the same kind and vocabulary width as the base indexes,
-// so delta parts compose with tombstoned base parts into one FeatureGroup.
-func NewDelta(opts index.Options, numSets int) (*Delta, error) {
-	d := &Delta{opts: opts, Layer: Layer{
+// NewDelta creates an empty delta over numSets feature sets.
+func NewDelta(numSets int) *Delta {
+	d := &Delta{Layer: Layer{
 		Objects:     make(map[int64]index.Object),
 		DeadObjects: make(map[int64]struct{}),
 		Sets:        make([]LayerSet, numSets),
 	}}
 	for i := range d.Sets {
-		idx, err := index.BuildFeatureIndex(nil, opts)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: delta set %d: %w", i, err)
-		}
 		d.Sets[i] = LayerSet{
-			Idx:   idx,
 			Feats: make(map[int64]index.Feature),
 			Dead:  make(map[int64]struct{}),
 		}
 	}
-	return d, nil
+	return d
 }
 
 // Ops returns the number of mutations applied since the delta was created
@@ -75,55 +58,24 @@ func (d *Delta) DeleteObject(id int64) {
 }
 
 // UpsertFeature records a feature insert or overwrite in set i.
-func (d *Delta) UpsertFeature(i int, f index.Feature) error {
-	s := &d.Sets[i]
-	if old, ok := s.Feats[f.ID]; ok {
-		if _, err := s.Idx.Delete(old.ID, old.Location); err != nil {
-			return err
-		}
-	}
-	if err := s.Idx.Insert(f); err != nil {
-		return err
-	}
-	s.Dead[f.ID] = struct{}{}
-	s.Feats[f.ID] = f
+func (d *Delta) UpsertFeature(i int, f index.Feature) {
+	d.Sets[i].Dead[f.ID] = struct{}{}
+	d.Sets[i].Feats[f.ID] = f
 	d.ops++
-	return nil
 }
 
 // DeleteFeature records a feature delete in set i.
-func (d *Delta) DeleteFeature(i int, id int64) error {
-	s := &d.Sets[i]
-	if old, ok := s.Feats[id]; ok {
-		if _, err := s.Idx.Delete(old.ID, old.Location); err != nil {
-			return err
-		}
-		delete(s.Feats, id)
-	}
-	s.Dead[id] = struct{}{}
+func (d *Delta) DeleteFeature(i int, id int64) {
+	d.Sets[i].Dead[id] = struct{}{}
+	delete(d.Sets[i].Feats, id)
 	d.ops++
-	return nil
 }
 
-// CloneIndex snapshots the delta feature index of set i for publication:
-// the published engine must hold an immutable copy because the master keeps
-// mutating under later Applies. The clone shares nothing with the master
-// (page dump round trip), so readers never see a half-applied batch.
-func (d *Delta) CloneIndex(i int) (*index.FeatureIndex, error) {
-	var buf bytes.Buffer
-	meta, err := d.Sets[i].Idx.Save(&buf)
-	if err != nil {
-		return nil, err
-	}
-	return index.OpenFeatureIndex(&buf, meta, d.opts.BufferPages)
-}
-
-// Seal converts the delta into an immutable run covering WAL records
-// through seq. The run takes ownership of the delta's maps and per-set
-// indexes — the delta must not be used afterwards (the caller drops it),
-// which is what makes sealing O(1) instead of O(delta).
-func (d *Delta) Seal(seq uint64) *Run {
-	r := &Run{Layer: d.Layer, Ops: d.ops, Seq: seq}
+// Seal converts the delta into an immutable run. The run takes ownership
+// of the delta's maps — the delta must not be used afterwards (the caller
+// drops it), which is what makes sealing O(1) instead of O(delta).
+func (d *Delta) Seal() *Run {
+	r := &Run{Layer: d.Layer, Ops: d.ops}
 	d.Layer = Layer{}
 	return r
 }

@@ -2,20 +2,17 @@ package ingest
 
 // run.go implements generational runs: when the delta reaches the flush
 // threshold under background compaction, it is sealed into an immutable
-// Run instead of being merged synchronously. Queries run over base + runs
-// + active delta as index parts of one engine; the compactor folds runs
-// into the base off the write path. Runs are volatile by design —
+// Run instead of being merged synchronously. Queries run over the base and
+// the net effect of runs + active delta (see Net) as index parts of one
+// engine; the compactor folds runs into the base off the write path. Runs are volatile by design —
 // durability comes from the WAL, and recovery replays records into fresh
-// runs — so sealing is O(1): the run steals the delta's maps and indexes.
+// runs — so sealing is O(1): the run steals the delta's maps.
 
 import "stpq/internal/index"
 
 // LayerSet is one feature set's slice of a layer: the upserted features
-// (and the index over them) plus the tombstones hiding older versions.
+// plus the tombstones hiding older versions.
 type LayerSet struct {
-	// Idx indexes the layer's upserted features (exactly Feats).
-	// Immutable in a run, live in the active delta.
-	Idx *index.FeatureIndex
 	// Feats holds the upserted features by id.
 	Feats map[int64]index.Feature
 	// Dead tombstones feature ids of older generations.
@@ -23,8 +20,8 @@ type LayerSet struct {
 }
 
 // Layer is one generation of unmerged mutations — a sealed run or the
-// active delta. A published generation stacks layers oldest to newest: each
-// layer's tombstones hide matching ids in every older layer and in the base.
+// active delta. Layers fold oldest to newest (CollectNet): each layer's
+// tombstones hide matching ids in every older layer and in the base.
 type Layer struct {
 	// Objects holds upserted data objects by id.
 	Objects map[int64]index.Object
@@ -40,26 +37,12 @@ type Run struct {
 	Layer
 	// Ops is the number of mutations the run absorbed.
 	Ops int
-	// Seq is the WAL sequence number the run is current through.
-	Seq uint64
-}
-
-// UnionDeadSet returns the union of the layers' tombstones for feature
-// set i.
-func UnionDeadSet(layers []*Layer, i int) map[int64]struct{} {
-	out := make(map[int64]struct{})
-	for _, l := range layers {
-		for id := range l.Sets[i].Dead {
-			out[id] = struct{}{}
-		}
-	}
-	return out
 }
 
 // Net is the net effect of a stack of pending layers: the newest write
 // per id wins, upsert-over-delete and delete-over-upsert folds applied.
 // It is the one interpretation of pending layers: a published generation
-// hides Dead* in the base and shows UpsObj beside it, a merge deletes Dead*
+// hides Dead* in the base and shows Ups* beside it, a merge deletes Dead*
 // from the base and inserts Ups*. Its maps are its own, never a layer's.
 type Net struct {
 	DeadObj  map[int64]struct{}

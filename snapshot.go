@@ -144,5 +144,5 @@ func (db *DB) Rebuild() error {
 		// as a merge like any other that consumes pending generations.
 		return db.mergeLocked(true)
 	}
-	return db.fullMergeLocked(nil, nil, nil)
+	return db.fullMergeLocked(nil, nil)
 }

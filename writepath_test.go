@@ -31,6 +31,34 @@ func assertSameCounts(t *testing.T, tag string, db *DB, shadow *ingestShadow) {
 	}
 }
 
+// TestCountsWhilePending: a base entry that a pending write overwrites or
+// deletes is hidden in the base part, so it is counted once (in the pending
+// part) or not at all — on the feature side as on the object side.
+func TestCountsWhilePending(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	objs, sets := ingestSeedData(rng, 20, 20)
+	db := buildIngestDB(t, Config{PageSize: 1024, AutoFlushOps: -1, WALDir: t.TempDir()}, objs, sets)
+	defer db.CloseWAL()
+	shadow := newIngestShadow(objs, sets)
+	muts := []Mutation{
+		{Op: OpUpsertFeature, Set: "food", Feature: &Feature{ID: 15, X: 0.5, Y: 0.5, Score: 0.5, Keywords: ingestWords[:1]}},
+		{Op: OpDeleteFeature, Set: "food", ID: 16},
+		{Op: OpUpsertObject, Object: &Object{ID: 3, X: 0.5, Y: 0.5}},
+		{Op: OpDeleteObject, ID: 4},
+	}
+	if err := db.Apply(muts); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range muts {
+		shadow.apply(m)
+	}
+	assertSameCounts(t, "while pending", db, shadow)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameCounts(t, "after Flush", db, shadow)
+}
+
 // TestOpenedFollowerMergeKeepsBase: a follower seeded from a saved directory
 // has no WAL of its own, and its first merge must fold the shipped records
 // into the base it opened — not replace that base with them.
@@ -184,6 +212,7 @@ func TestWritePathCompositions(t *testing.T) {
 						for _, m := range muts {
 							shadow.apply(m)
 						}
+						assertSameCounts(t, tag+", pending", db, shadow)
 					}
 					check := func(tag string) {
 						t.Helper()
