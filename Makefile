@@ -56,14 +56,15 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# One small data point each of the range and the influence variant, one
-# iteration: catches bit-rot in the benchmark harness, and runs both of
-# STPS's eager combination streams, without the cost of a full sweep. No
+# One small data point each of the range, the influence and the NN variant,
+# one iteration: catches bit-rot in the benchmark harness, and runs both of
+# STPS's eager combination streams, the lazy lattice and the Voronoi cell
+# builder (Figure 13, both index kinds), without the cost of a full sweep. No
 # BENCHMARK.json workload runs STDS, so Table 3 (batched STDS on both index
 # kinds) and the batch ablation (batched and single-object STDS) ride along:
 # every lens of the one feature stream is run here.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkFig(7|10)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS' -benchtime 1x .
+	$(GO) test -run NONE -bench 'BenchmarkFig(7|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS' -benchtime 1x .
 
 # Before/after benchmark comparison for perf work. Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change

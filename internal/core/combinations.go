@@ -62,7 +62,6 @@ type combinationStream struct {
 	rr        int    // round-robin cursor
 
 	heap    comboHeap
-	visited map[string]bool
 	pending [][]vecEntry // lazy successors waiting for d[i] to grow
 	seeded  bool
 
@@ -71,11 +70,11 @@ type combinationStream struct {
 	// requesting the next one (all STPS drivers do).
 	refsBuf []featureRef
 
-	// Eager generation's working state, kept between queries so that a
-	// pulled feature costs no allocation: the index vector being extended,
-	// the dimensions assigned so far (and, under the floor rule, the
-	// members assigned to them), and the arena the index vectors of queued
-	// combinations are cut from.
+	// Generation's working state, kept between queries so that neither a
+	// pulled feature nor a lattice step costs an allocation: the index
+	// vector being built and the arena the queued ones are cut from (both
+	// ways of generating), the dimensions assigned so far and, under the
+	// floor rule, the members assigned to them (eager only).
 	vec     []int
 	chosen  []int
 	partial []featureRef
@@ -91,9 +90,9 @@ type vecEntry struct {
 // newCombinationStream builds the stream for a query against the engine's
 // feature indexes. On a pooled session the stream and all its growable
 // state (per-set streams and their heaps, retrieved prefixes, the
-// combination heap, the visited map, the pair grids and the index-vector
-// arena) are recycled from the query scratch, so steady-state STPS queries
-// rebuild the stream, and eager generation runs, without allocating.
+// combination heap, the pair grids and the index-vector arena) are recycled
+// from the query scratch, so steady-state STPS queries rebuild the stream,
+// and both ways of generating combinations run, without allocating.
 func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
 	c := len(e.features)
 	pairFilter := q.Variant == RangeScore
@@ -135,7 +134,7 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*co
 
 // reinit resets the stream's per-query state in place, keeping every
 // backing allocation (stream structs with their heaps, inner d/pending
-// slices, the heap array, the visited map) for reuse.
+// slices, the heap array) for reuse.
 func (cs *combinationStream) reinit(c int) {
 	cs.streams = reuseLen(cs.streams, c)
 	for i := range cs.streams {
@@ -157,11 +156,6 @@ func (cs *combinationStream) reinit(c int) {
 	cs.vec = reuseLen(cs.vec, c)
 	cs.chosen = cs.chosen[:0]
 	cs.arena = cs.arena[:0]
-	if cs.visited == nil {
-		cs.visited = make(map[string]bool)
-	} else {
-		clear(cs.visited)
-	}
 	cs.rr = 0
 	cs.seeded = false
 }
@@ -398,8 +392,8 @@ func (cs *combinationStream) seedOrFlush(i int) {
 			}
 		}
 		cs.seeded = true
-		origin := make([]int, len(cs.d))
-		cs.pushVec(origin)
+		clear(cs.vec)
+		cs.pushVec(cs.keepVec())
 		return
 	}
 	waiting := cs.pending[i]
@@ -409,32 +403,33 @@ func (cs *combinationStream) seedOrFlush(i int) {
 	}
 }
 
-// pushSuccessors pushes the c successor vectors of vec (one index advanced
-// per dimension), deferring those that point past the retrieved prefix.
+// pushSuccessors pushes the successors of vec it is the canonical parent
+// of, deferring those that point past the retrieved prefix. A vector's
+// canonical parent decrements its lowest non-zero coordinate, so vec
+// advances dimension i only up to its own lowest non-zero index: every
+// vector is generated exactly once, with no record of the ones seen, and by
+// a parent that scores no less — all the frontier needs, since the first
+// unemitted vector on the canonical path from the origin to any unemitted
+// vector is then queued (or pending, and the vector with it).
 func (cs *combinationStream) pushSuccessors(vec []int) {
 	for i := range vec {
-		succ := make([]int, len(vec))
-		copy(succ, vec)
-		succ[i]++
-		if cs.visited[vecKey(succ)] {
-			continue
-		}
-		if succ[i] >= len(cs.d[i]) {
-			if cs.exhausted[i] {
-				continue // no further elements will ever arrive
+		if vec[i]+1 < len(cs.d[i]) || !cs.exhausted[i] {
+			copy(cs.vec, vec)
+			cs.vec[i]++
+			if succ := cs.keepVec(); succ[i] < len(cs.d[i]) {
+				cs.pushVec(succ)
+			} else {
+				cs.pending[i] = append(cs.pending[i], vecEntry{vec: succ})
 			}
-			cs.visited[vecKey(succ)] = true
-			cs.pending[i] = append(cs.pending[i], vecEntry{vec: succ})
-			continue
 		}
-		cs.pushVec(succ)
+		if vec[i] != 0 {
+			break
+		}
 	}
 }
 
-// pushVec scores and pushes an index vector, marking it visited.
+// pushVec scores and pushes an index vector.
 func (cs *combinationStream) pushVec(vec []int) {
-	key := vecKey(vec)
-	cs.visited[key] = true
 	score := 0.0
 	for i, a := range vec {
 		score += cs.d[i][a].score
@@ -634,19 +629,6 @@ func (cs *combinationStream) materialize(ve vecEntry) (combination, bool) {
 		}
 	}
 	return combination{refs: refs, score: ve.score}, true
-}
-
-// vecKey encodes an index vector as a map key.
-func vecKey(vec []int) string {
-	buf := make([]byte, 0, len(vec)*4)
-	for _, v := range vec {
-		for v >= 0x80 {
-			buf = append(buf, byte(v)|0x80)
-			v >>= 7
-		}
-		buf = append(buf, byte(v))
-	}
-	return string(buf)
 }
 
 // comboHeap is a max-heap of index vectors by combination score.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -395,5 +397,124 @@ func TestPairGridChainsKeepInsertionOrder(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("refilling a reset grid allocates %.0f times", allocs)
+	}
+}
+
+// latticeSet is one synthetic feature set of the lattice test: the scores
+// its stream yields (in any order here; the stream's heap sorts them) and
+// whether it ends in ∅ as a real stream does, or just runs dry.
+type latticeSet struct {
+	scores  []float64
+	virtual bool
+}
+
+// The lazy lattice generates every index vector from its canonical parent
+// alone, with no record of what it has seen: over sets of unequal length,
+// with and without a final ∅, and with scores that tie, it must still emit
+// each vector exactly once, in non-increasing score — the very sequence of
+// scores the sorted cross product gives, hence the same multiset down to
+// any stopping score — under either pulling strategy, and on the range
+// variant forced lazy only the combinations its pair filter lets through.
+func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
+	eighths := func(n ...int) []float64 {
+		out := make([]float64, len(n))
+		for i, v := range n {
+			out[i] = float64(v) / 8
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		sets []latticeSet
+	}{
+		{"c=2 unequal", []latticeSet{{eighths(8, 7, 5, 3, 2), true}, {eighths(6, 1), true}}},
+		{"c=2 tied", []latticeSet{{eighths(4, 4, 4, 2, 2), true}, {eighths(4, 4, 2), true}}},
+		{"c=2 no ∅", []latticeSet{{eighths(7, 3, 3), false}, {eighths(8, 5, 5, 1), false}}},
+		{"c=3 one runs dry", []latticeSet{{eighths(8, 6, 6, 2), true}, {eighths(5, 5), false}, {eighths(7, 4, 1), true}}},
+		{"c=3 only ∅", []latticeSet{{eighths(3, 2, 1), true}, {nil, true}, {eighths(8, 8), true}}},
+		{"c=4 mixed", []latticeSet{{eighths(8, 4, 4), true}, {eighths(6, 2), false}, {eighths(5), true}, {eighths(7, 7, 3), true}}},
+		{"c=4 all tied", []latticeSet{{eighths(4, 4), true}, {eighths(4, 4), true}, {eighths(4, 4), false}, {eighths(4, 4), true}}},
+	}
+	for _, tc := range cases {
+		for _, pull := range []PullStrategy{PullPrioritized, PullRoundRobin} {
+			for _, variant := range []Variant{NearestNeighborScore, RangeScore} {
+				t.Run(fmt.Sprintf("%s/%v/%v", tc.name, pull, variant), func(t *testing.T) {
+					c := len(tc.sets)
+					w := buildWorld(t, 340, 5, 5, c, 8, index.SRT, Options{Pull: pull, Combinations: CombinationsLazy})
+					rng := rand.New(rand.NewSource(341))
+					q := w.randQuery(rng, c, variant)
+					q.Radius = 0.15
+					cs, err := newCombinationStream(w.engine, &q, new(Stats), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Replace what each per-set stream would retrieve by the
+					// table's features, queued as leaves already resolved.
+					sets := make([][]featureRef, c)
+					for i, set := range tc.sets {
+						st := cs.streams[i]
+						st.heap.reset()
+						for j, s := range set.scores {
+							ref := featureRef{id: int64(j), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, score: s}
+							sets[i] = append(sets[i], ref)
+							st.heap.push(candidate{prio: s, ref: ref.id, loc: ref.loc, leaf: true, resolved: true})
+						}
+						st.exhausted = !set.virtual
+						if set.virtual {
+							sets[i] = append(sets[i], featureRef{id: -1, virtual: true})
+						}
+					}
+					var want []float64
+					var cross func(i int, members []featureRef, score float64)
+					cross = func(i int, members []featureRef, score float64) {
+						if i == c {
+							want = append(want, score)
+							return
+						}
+						for _, ref := range sets[i] {
+							valid := true
+							for _, m := range members {
+								if variant == RangeScore && !ref.virtual && !m.virtual && ref.loc.Dist(m.loc) > 2*q.Radius {
+									valid = false
+								}
+							}
+							if valid {
+								cross(i+1, append(members, ref), score+ref.score)
+							}
+						}
+					}
+					cross(0, nil, 0)
+					slices.SortFunc(want, func(a, b float64) int { return cmp.Compare(b, a) })
+
+					seen := map[string]bool{}
+					var got []float64
+					for {
+						comb, ok, err := cs.next(negInf)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						key := ""
+						for _, ref := range comb.refs {
+							id := ref.id
+							if ref.virtual {
+								id = -1
+							}
+							key += fmt.Sprint(id, "|")
+						}
+						if seen[key] {
+							t.Fatalf("vector %s emitted twice", key)
+						}
+						seen[key] = true
+						got = append(got, comb.score)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("emitted scores %v,\nsorted cross product %v", got, want)
+					}
+				})
+			}
+		}
 	}
 }

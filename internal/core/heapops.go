@@ -98,6 +98,9 @@ func (h *distHeap) push(it candidate) { heapPush((*[]candidate)(h), it, distBefo
 func (h *distHeap) pop() candidate    { return heapPop((*[]candidate)(h), distBefore) }
 func (h *distHeap) reset()            { *h = resetHeap(*h) }
 
+// voronoiCell's node heap: min-heap on squared MINDIST.
+func nodeBefore(a, b *nodeRef) bool { return a.dist2 < b.dist2 }
+
 // resetHeap empties a pooled heap, keeping its backing array but zeroing
 // the items a descent left queued. heapPop zeroes every slot it vacates, so
 // afterwards the whole array is zero: an idle scratch keeps no keyword

@@ -4,6 +4,7 @@ import (
 	"stpq/internal/geo"
 	"stpq/internal/index"
 	"stpq/internal/storage"
+	"stpq/internal/voronoi"
 )
 
 // queryScratch is the per-query reusable state of one engine session:
@@ -13,7 +14,7 @@ import (
 // recycled through the root engine's sync.Pool so a steady stream of
 // queries reaches steady-state zero heap growth: after warm-up, repeated
 // queries allocate only what genuinely varies per query (results slices,
-// Voronoi polygons).
+// the copy of each Voronoi cell the cell caches keep).
 //
 // Single-user invariants (all hold because a query runs on one goroutine
 // and the kernels never nest):
@@ -22,8 +23,13 @@ import (
 //     set, and are done with it before the next init;
 //   - bound is used by one topKInfluence search over the object trees at
 //     a time;
-//   - dist is used by one groupAscendDistance walk at a time
-//     (computeNNScore and voronoiCell never overlap);
+//   - dist is computeNNScore's alone: one groupAscendDistance walk per
+//     object and feature set, over before the next begins;
+//   - cell belongs to the NN variant of STPS: voronoiCell is done with the
+//     builder and the node heap when it returns the cell's copy, and
+//     comboRegion, which calls it between two cuts of the region, keeps the
+//     region in buffers of its own and is over before the next combination
+//     (the region it returned is consumed by then);
 //   - topk/inf back the single accumulator of the query;
 //   - the combination-stream buffers belong to the single stream a
 //     STPS query drives.
@@ -50,14 +56,24 @@ type queryScratch struct {
 
 	// Combination stream (one per STPS query): the struct keeps all its
 	// growable state — per-set streams and their heaps, retrieved
-	// prefixes, the combination heap, the visited map, the eager
-	// generator's pair grids and index-vector arena — and reinit()
-	// recycles it in place.
+	// prefixes, the combination heap, the eager generator's pair grids,
+	// the index-vector arena — and reinit() recycles it in place.
 	cs combinationStream
 
-	// NN variant: per-query Voronoi cell view and cell radii.
+	// NN variant: per-query Voronoi cell view and cell radii, and what
+	// building a cell and intersecting cells works in.
 	cellsLocal map[cellKey]geo.Polygon
 	radii      map[cellKey]float64
+	cell       cellWork
+}
+
+// cellWork is the working state of the NN variant of STPS: the builder and
+// node heap of the cell under construction (voronoiCell), and the two
+// buffers a combination's region is cut between (comboRegion).
+type cellWork struct {
+	builder       voronoi.CellBuilder
+	nodes         []nodeRef
+	region, spare []geo.Point
 }
 
 // newQueryScratch builds a scratch (and its session view) for the root
@@ -224,6 +240,14 @@ func (e *Engine) scratchCells() (map[cellKey]geo.Polygon, map[cellKey]float64) {
 		return sc.cellsLocal, sc.radii
 	}
 	return make(map[cellKey]geo.Polygon), make(map[cellKey]float64)
+}
+
+// scratchCellWork returns the NN variant's reusable cell-building state.
+func (e *Engine) scratchCellWork() *cellWork {
+	if sc := e.scratch; sc != nil {
+		return &sc.cell
+	}
+	return &cellWork{}
 }
 
 // releaseSession returns a session acquired through session() to the root

@@ -239,7 +239,7 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // the duration of the call. For
 // the NN variant on a sharded engine this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
-// the mindist of every unvisited subtree of every other part.
+// the mindist of every unread subtree of every other part.
 func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
 	h := e.scratchDistHeap()
 	for pi, part := range g.Parts() {

@@ -8,7 +8,7 @@ import (
 	"stpq/internal/geo"
 	"stpq/internal/obs"
 	"stpq/internal/rtree"
-	"stpq/internal/voronoi"
+	"stpq/internal/storage"
 )
 
 // STPS executes the Spatio-Textual Preference Search algorithm (paper
@@ -484,24 +484,19 @@ func (qc *queryCells) put(k cellKey, cell geo.Polygon) {
 // the radius sum have disjoint cells. Radii are looked up from the cell
 // cache; unknown cells (not yet computed) do not reject.
 func comboCellsDisjoint(comb combination, radii map[cellKey]float64) bool {
-	type disk struct {
-		pt geo.Point
-		r  float64
-	}
-	disks := make([]disk, 0, len(comb.refs))
-	for i, ref := range comb.refs {
-		if ref.virtual {
+	for i := range comb.refs {
+		a := &comb.refs[i]
+		if a.virtual {
 			continue
 		}
-		r, ok := radii[cellKey{set: i, id: ref.id}]
-		if !ok {
-			continue
-		}
-		disks = append(disks, disk{pt: ref.loc, r: r})
-	}
-	for i := 0; i < len(disks); i++ {
-		for j := i + 1; j < len(disks); j++ {
-			if disks[i].pt.Dist(disks[j].pt) > disks[i].r+disks[j].r {
+		ra, ok := radii[cellKey{set: i, id: a.id}]
+		for j := i + 1; ok && j < len(comb.refs); j++ {
+			b := &comb.refs[j]
+			if b.virtual {
+				continue
+			}
+			rb, ok := radii[cellKey{set: j, id: b.id}]
+			if ok && a.loc.Dist2(b.loc) > (ra+rb)*(ra+rb) {
 				return true
 			}
 		}
@@ -511,15 +506,17 @@ func comboCellsDisjoint(comb combination, radii map[cellKey]float64) bool {
 
 // comboRegion intersects the Voronoi cells of the combination's concrete
 // features, attributing the construction cost to the Voronoi counters
-// (the striped bars of Figures 13–14).
+// (the striped bars of Figures 13–14). The region is cut between the two
+// scratch region buffers and is valid until the next call.
 func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cellKey]float64, stats *Stats) (geo.Polygon, error) {
-	region := geo.UnitSquare()
 	vorStart := time.Now()
 	vorBefore := e.snapshotReads()
 	defer func() {
 		stats.VoronoiCPUTime += time.Since(vorStart)
 		stats.VoronoiReads += e.snapshotReads().Sub(vorBefore).PhysicalReads
 	}()
+	w := e.scratchCellWork()
+	w.region = append(w.region[:0], geo.UnitSquare().Vertices...)
 	for i, ref := range comb.refs {
 		if ref.virtual {
 			continue
@@ -537,34 +534,64 @@ func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cell
 		if _, ok := radii[key]; !ok {
 			radii[key] = cell.MaxDist(ref.loc)
 		}
-		region = region.IntersectConvex(cell)
-		if region.IsEmpty() {
+		if geo.CutConvex(&w.region, &w.spare, cell); len(w.region) < 3 {
 			return geo.Polygon{}, nil
 		}
 	}
-	return region, nil
+	return geo.Polygon{Vertices: w.region}, nil
+}
+
+// nodeRef is a queued node of a feature group's trees: its page, its part
+// and the squared MINDIST of its MBR from the site.
+type nodeRef struct {
+	dist2 float64
+	page  storage.PageID
+	part  int32
 }
 
 // voronoiCell computes the exact Voronoi cell of a feature within its
-// feature set by streaming neighbors in increasing distance until the
-// 2·maxdist stopping rule fires. The distance ascent merges all parts of
-// the feature group, so a cell computed on a sharded engine is the cell
-// within the full (global) feature set — Voronoi cells ignore shard
-// borders by construction.
+// feature set. Only nodes are queued, nearest first by MINDIST and across
+// all parts of the group — so a cell computed on a sharded engine is the
+// cell within the full (global) feature set — and a popped leaf's features
+// are clipped where they lie, in stored order: the builder passes over each
+// one too far to cut the cell (the 2·maxdist rule, which holds per neighbor
+// because the cell only shrinks). A child at or beyond the reach is not
+// queued, and the walk ends once the nearest queued node is: every feature
+// has then been clipped or proven unable to cut. The pages read are among
+// those a sweep over features in increasing distance reads: nodes pop in
+// the same order, and by the time one is considered every feature the sweep
+// would have clipped by then lies in a node already popped or ruled out, so
+// the reach here is never the larger.
 func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon, error) {
-	b := voronoi.NewCellBuilder(site, geo.UnitSquare())
-	err := e.groupAscendDistance(e.features[set], site, func(_ int, en *rtree.Entry, d float64) bool {
-		if en.ItemID == siteID {
-			return true
+	g := e.features[set]
+	w := e.scratchCellWork()
+	b, h := &w.builder, &w.nodes
+	b.Reset(site, geo.UnitSquare())
+	*h = (*h)[:0]
+	for pi, part := range g.Parts() {
+		if part.Len() > 0 {
+			heapPush(h, nodeRef{page: part.Tree().Root(), part: int32(pi)}, nodeBefore)
 		}
-		if b.Done(d) {
-			return false
+	}
+	for len(*h) > 0 {
+		it := heapPop(h, nodeBefore)
+		if it.dist2 >= b.Reach2() {
+			break
 		}
-		b.Clip(en.Rect.Min)
-		return true
-	})
-	if err != nil {
-		return geo.Polygon{}, err
+		n, err := g.Part(int(it.part)).Tree().Node(it.page)
+		if err != nil {
+			return geo.Polygon{}, err
+		}
+		for i := range n.Entries {
+			en := &n.Entries[i]
+			if en.Leaf {
+				if en.ItemID != siteID {
+					b.Clip(en.Rect.Min)
+				}
+			} else if d2 := en.Rect.MinDist2(site); d2 < b.Reach2() {
+				heapPush(h, nodeRef{dist2: d2, page: en.Child, part: it.part}, nodeBefore)
+			}
+		}
 	}
 	return b.Cell(), nil
 }

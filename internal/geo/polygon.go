@@ -52,31 +52,43 @@ func NewBox(r Rect) Polygon {
 // IsEmpty reports whether the polygon has no interior (fewer than 3 vertices).
 func (pg Polygon) IsEmpty() bool { return len(pg.Vertices) < 3 }
 
-// Clip returns the intersection of pg with the half-plane h, using the
-// Sutherland–Hodgman algorithm specialized to a single clip edge. The result
-// is again convex. Clipping an empty polygon yields an empty polygon.
+// Clip returns the intersection of pg with the half-plane h. The result is
+// again convex. Clipping an empty polygon yields an empty polygon.
 func (pg Polygon) Clip(h HalfPlane) Polygon {
 	n := len(pg.Vertices)
 	if n == 0 {
 		return Polygon{}
 	}
-	out := make([]Point, 0, n+1)
-	prev := pg.Vertices[n-1]
-	prevIn := h.Contains(prev)
-	for _, cur := range pg.Vertices {
-		curIn := h.Contains(cur)
-		if curIn != prevIn {
-			out = append(out, h.segIntersect(prev, cur))
-		}
-		if curIn {
-			out = append(out, cur)
-		}
-		prev, prevIn = cur, curIn
-	}
+	out := ClipAppend(make([]Point, 0, n+1), pg.Vertices, h)
 	if len(out) < 3 {
 		return Polygon{}
 	}
 	return Polygon{Vertices: out}
+}
+
+// ClipAppend appends to dst the vertices of the convex polygon src cut by the
+// half-plane h — the Sutherland–Hodgman algorithm specialized to a single
+// clip edge — and returns the extended slice; fewer than three appended
+// vertices mean the intersection is empty. dst must not share memory with
+// src. It is the one clip kernel: callers that cut a polygon many times
+// alternate between two buffers and allocate nothing.
+func ClipAppend(dst, src []Point, h HalfPlane) []Point {
+	if len(src) == 0 {
+		return dst
+	}
+	prev := src[len(src)-1]
+	prevIn := h.Contains(prev)
+	for _, cur := range src {
+		curIn := h.Contains(cur)
+		if curIn != prevIn {
+			dst = append(dst, h.segIntersect(prev, cur))
+		}
+		if curIn {
+			dst = append(dst, cur)
+		}
+		prev, prevIn = cur, curIn
+	}
+	return dst
 }
 
 // segIntersect returns the point where segment ab crosses the boundary line
@@ -193,23 +205,31 @@ func EdgeHalfPlane(a, b Point) HalfPlane {
 }
 
 // IntersectConvex returns the intersection of two convex polygons (both
-// with counter-clockwise vertices) by clipping pg against every edge
-// half-plane of other. It is used to intersect Voronoi cells across
-// feature sets (paper Section 7.2).
+// with counter-clockwise vertices).
 func (pg Polygon) IntersectConvex(other Polygon) Polygon {
-	if pg.IsEmpty() || other.IsEmpty() {
+	cur, spare := append([]Point(nil), pg.Vertices...), []Point(nil)
+	if CutConvex(&cur, &spare, other); len(cur) < 3 {
 		return Polygon{}
 	}
-	out := pg
-	n := len(other.Vertices)
-	for i := 0; i < n; i++ {
-		a, b := other.Vertices[i], other.Vertices[(i+1)%n]
-		out = out.Clip(EdgeHalfPlane(a, b))
-		if out.IsEmpty() {
-			return Polygon{}
-		}
+	return Polygon{Vertices: cur}
+}
+
+// CutConvex replaces the convex polygon in *cur by its intersection with the
+// convex polygon other, clipping it against every edge half-plane of other;
+// fewer than three vertices left mean the intersection is empty. Each cut
+// writes into *spare and the two swap, so both keep their capacity for a
+// caller that intersects many polygons. It is used to intersect Voronoi
+// cells across feature sets (paper Section 7.2).
+func CutConvex(cur, spare *[]Point, other Polygon) {
+	if other.IsEmpty() {
+		*cur = (*cur)[:0]
 	}
-	return out
+	n := len(other.Vertices)
+	for i := 0; i < n && len(*cur) >= 3; i++ {
+		h := EdgeHalfPlane(other.Vertices[i], other.Vertices[(i+1)%n])
+		*spare = ClipAppend((*spare)[:0], *cur, h)
+		*cur, *spare = *spare, *cur
+	}
 }
 
 // segmentsIntersect reports whether segments ab and cd intersect.

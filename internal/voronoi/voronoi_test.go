@@ -205,3 +205,76 @@ func TestTwoSitesPartition(t *testing.T) {
 		t.Errorf("cells do not partition the square: total %v", got)
 	}
 }
+
+// randomSites draws n sites; the first is the one whose cell is built.
+func randomSites(rng *rand.Rand, n int) []geo.Point {
+	sites := make([]geo.Point, n)
+	for i := range sites {
+		sites[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	return sites
+}
+
+// The per-neighbor rule needs no order: a builder fed every neighbor,
+// shuffled, ends with the cell the distance-sorted sweep gives — the same
+// area, and a vertex for every vertex — while passing over (not clipping
+// by) the neighbors beyond its reach.
+func TestShuffledNeighborsGiveTheSortedCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 100; trial++ {
+		sites := randomSites(rng, 10+rng.Intn(200))
+		site := sites[0]
+		want := ComputeCell(site, geo.UnitSquare(), sortedStream(site, sites))
+		b := NewCellBuilder(site, geo.UnitSquare())
+		for _, i := range rng.Perm(len(sites)) {
+			b.Clip(sites[i])
+		}
+		got := b.Cell()
+		if d := got.Area() - want.Area(); d > 1e-12 || d < -1e-12 {
+			t.Fatalf("trial %d: shuffled area %v, sorted %v", trial, got.Area(), want.Area())
+		}
+		for _, v := range want.Vertices {
+			if !got.Contains(v) && !nearEdge(got, v) {
+				t.Fatalf("trial %d: vertex %v of the sorted cell is outside the shuffled one", trial, v)
+			}
+		}
+		if len(sites) > 100 && b.Clips() >= len(sites)-1 {
+			t.Errorf("trial %d: %d clips for %d neighbors: none was passed over", trial, b.Clips(), len(sites)-1)
+		}
+	}
+}
+
+// A builder that is Reset builds the cell a fresh one does, vertex for
+// vertex — nothing of the previous site is left in its buffers — and the
+// polygon Cell handed out before is a copy the next cell does not write to.
+func TestBuilderReuseNeitherLeaksNorAliases(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	reused := NewCellBuilder(geo.Point{}, geo.UnitSquare())
+	var kept, keptCopy geo.Polygon
+	for trial := 0; trial < 50; trial++ {
+		sites := randomSites(rng, 5+rng.Intn(60))
+		fresh := NewCellBuilder(sites[0], geo.UnitSquare())
+		reused.Reset(sites[0], geo.UnitSquare())
+		for _, s := range sites[1:] {
+			fresh.Clip(s)
+			reused.Clip(s)
+		}
+		got, want := reused.Cell(), fresh.Cell()
+		if len(got.Vertices) != len(want.Vertices) || reused.Clips() != fresh.Clips() {
+			t.Fatalf("trial %d: reused builder %d vertices, %d clips; fresh %d, %d",
+				trial, len(got.Vertices), reused.Clips(), len(want.Vertices), fresh.Clips())
+		}
+		for i := range want.Vertices {
+			if got.Vertices[i] != want.Vertices[i] {
+				t.Fatalf("trial %d: vertex %d is %v, a fresh builder's %v", trial, i, got.Vertices[i], want.Vertices[i])
+			}
+		}
+		for i := range kept.Vertices {
+			if kept.Vertices[i] != keptCopy.Vertices[i] {
+				t.Fatalf("trial %d: building the next cell moved vertex %d of the previous one", trial, i)
+			}
+		}
+		kept = got
+		keptCopy = geo.Polygon{Vertices: append([]geo.Point(nil), got.Vertices...)}
+	}
+}
