@@ -32,6 +32,9 @@ type fixtureKey struct {
 	objects, features, sets, vocab int
 	kind                           index.Kind
 	real                           bool
+	// bufferPages is the capacity of each index's pool; 0 means the 256
+	// pages every benchmark but the cold ones runs behind.
+	bufferPages int
 }
 
 var (
@@ -47,7 +50,7 @@ func benchDataset(b *testing.B, key fixtureKey) *datagen.Dataset {
 	datasetMu.Lock()
 	defer datasetMu.Unlock()
 	dk := key
-	dk.kind = 0
+	dk.kind, dk.bufferPages = 0, 0
 	if ds, ok := datasets[dk]; ok {
 		return ds
 	}
@@ -76,6 +79,9 @@ func benchEngine(b *testing.B, key fixtureKey) *core.Engine {
 	}
 	ds := benchDataset(b, key)
 	opts := index.Options{Kind: key.kind, VocabWidth: ds.VocabWidth, BufferPages: 256}
+	if key.bufferPages > 0 {
+		opts.BufferPages = key.bufferPages
+	}
 	oidx, err := index.BuildObjectIndex(ds.Objects, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -198,6 +204,23 @@ func BenchmarkFig7(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkFig7Cold is Figure 7's smallest world behind 32-page pools — a
+// few percent of each index — so nearly every page read is a miss and an
+// eviction: the path BENCHMARK.json's range-cold workload measures, which
+// the 256-page fixtures of the other benchmarks hardly touch.
+func BenchmarkFig7Cold(b *testing.B) {
+	b.Run("a_features=10000", func(b *testing.B) {
+		forKinds(b, func(b *testing.B, kind index.Kind) {
+			key := synKey(kind)
+			key.features = 10_000
+			key.bufferPages = 32
+			e := benchEngine(b, key)
+			qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
+			runQueries(b, e, "stps", qs)
+		})
+	})
 }
 
 // BenchmarkFig8 sweeps the query parameters of Figure 8 on the real

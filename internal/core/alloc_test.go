@@ -97,3 +97,64 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 		t.Fatalf("steady-state STPS %v allocates %.1f objects per query, budget %.0f", variant, avg, budget)
 	}
 }
+
+// The miss path: a range STPS whose feature trees sit behind 32-page pools
+// pays for a physical read of a feature page with the frame, its image and
+// the LRU list element, and with nothing else — the stream scans the image
+// where it lies instead of decoding 9.5 KB of node beside it (which made a
+// miss about 6 objects). The budget is 4 per physical read, the fourth
+// being room for the query's fixed allocations and the root aggregates.
+// The streams' keyword arenas have reached their size after the warm-up
+// and do not grow again. The object tree keeps every page resident, so all
+// the misses are the feature stream's.
+func TestAllocsColdFeaturePull(t *testing.T) {
+	w := buildWorldBehind(t, 907, 2000, 1600, 2, 24, index.SRT, Options{}, 32)
+	eng, rng := w.engine, rand.New(rand.NewSource(908))
+	// A cycle of queries whose pages together overflow the pools, so that
+	// each finds most of what it reads evicted by the others.
+	queries := make([]Query, 8)
+	for i := range queries {
+		queries[i] = w.randQuery(rng, 2, RangeScore)
+		queries[i].K = 10
+	}
+	// One session for every run: its scratch is inspected below, and it
+	// does not pass through the sync.Pool the race detector thins out.
+	sess := eng.session()
+	defer eng.releaseSession(sess)
+	next := 0
+	run := func() {
+		if _, _, err := sess.STPS(queries[next%len(queries)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	physical := func() (n int64) {
+		for _, g := range eng.features {
+			n += g.Stats().PhysicalReads
+		}
+		return n
+	}
+	arenas := func() (n int) {
+		for _, st := range sess.scratch.cs.streams {
+			n += cap(st.arena)
+		}
+		return n
+	}
+	for i := 0; i < 2*len(queries); i++ {
+		run()
+	}
+	const runs = 39 // with AllocsPerRun's own warm-up call, five whole cycles
+	before, arena := physical(), arenas()
+	allocs := testing.AllocsPerRun(runs, run)
+	misses := float64(physical()-before) / (runs + 1)
+	t.Logf("cold range STPS: %.1f allocs, %.1f feature-page misses per query, arenas %d words", allocs, misses, arena)
+	if misses < 30 {
+		t.Fatalf("%.1f physical reads per query: the pools do not miss, the test shows nothing", misses)
+	}
+	if allocs > 4*misses {
+		t.Fatalf("cold range STPS allocates %.1f objects for %.1f feature-page misses, budget 4 per miss", allocs, misses)
+	}
+	if arena == 0 || arenas() != arena {
+		t.Fatalf("stream arenas went from %d to %d words in steady state", arena, arenas())
+	}
+}

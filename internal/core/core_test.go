@@ -19,6 +19,13 @@ type testWorld struct {
 // buildWorld creates an engine over random clustered data.
 func buildWorld(t testing.TB, seed int64, numObjects, numFeatures, c, vocabW int, kind index.Kind, opts Options) *testWorld {
 	t.Helper()
+	return buildWorldBehind(t, seed, numObjects, numFeatures, c, vocabW, kind, opts, 0)
+}
+
+// buildWorldBehind is buildWorld with the feature indexes behind pools of
+// featurePages pages (0: the default, which holds every page).
+func buildWorldBehind(t testing.TB, seed int64, numObjects, numFeatures, c, vocabW int, kind index.Kind, opts Options, featurePages int) *testWorld {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	objs := make([]index.Object, numObjects)
 	for i := range objs {
@@ -44,7 +51,7 @@ func buildWorld(t testing.TB, seed int64, numObjects, numFeatures, c, vocabW int
 			}
 		}
 		fidxs[s], err = index.BuildFeatureIndex(feats, index.Options{
-			Kind: kind, VocabWidth: vocabW, PageSize: 1024,
+			Kind: kind, VocabWidth: vocabW, PageSize: 1024, BufferPages: featurePages,
 		})
 		if err != nil {
 			t.Fatal(err)

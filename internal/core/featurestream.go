@@ -41,6 +41,7 @@ type featureStream struct {
 	lens      lens
 	heap      boundHeap
 	exhausted bool
+	arena     []uint64 // keyword words of the queued leaves, copied out of their pages
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -126,6 +127,7 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 	s.pq = g.Prepare(q)
 	s.lens = l
 	s.heap = s.heap[:0]
+	s.arena = s.arena[:0]
 	s.exhausted = false
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return nil
@@ -187,23 +189,29 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			s.heap.push(it)
 			continue
 		}
-		node, err := idx.Tree().Node(it.child())
+		// Filter, then pick: most slots of a node are rejected on their
+		// keyword words where the page lies; the rest are decoded into c.
+		page, err := idx.Tree().View(it.child())
 		if err != nil {
 			return featureRef{}, false, err
 		}
-		for i := range node.Entries {
-			c := &node.Entries[i]
-			if !idx.EntryRelevant(c, &s.pq) {
-				continue
+		words := s.pq.RelevantSet().WordsBits()
+		var c rtree.Entry
+		for i := page.NextIntersecting(0, words); i < page.Len(); i = page.NextIntersecting(i+1, words) {
+			mark := len(s.arena)
+			if !page.Entry(i, &c, &s.arena) {
+				continue // tombstoned
 			}
-			w := 1.0
+			w, ok := 1.0, true
 			if s.lens.kind != lensNone {
-				var ok bool
-				if w, ok = s.lens.admit(c); !ok {
-					continue
-				}
+				w, ok = s.lens.admit(&c)
 			}
-			s.heap.push(candidateOf(c, int(it.part), idx.EntryBound(c, &s.pq)*w))
+			if ok {
+				s.heap.push(candidateOf(&c, int(it.part), idx.EntryBound(&c, &s.pq)*w))
+			}
+			if !ok || !c.Leaf {
+				s.arena = s.arena[:mark] // only a queued leaf keeps its keyword words
+			}
 		}
 	}
 	if !s.exhausted {
@@ -216,10 +224,10 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 // candidate is what a best-first heap keeps of an index entry. Nodes are
 // shared with every other query and die with their buffer-pool frame, so a
 // queued candidate copies out, by value, the few fields the pop side reads
-// and never points into a node's entry array: an internal entry keeps only
-// its child page; a leaf keeps the item's id and location and — for the
-// deferred ResolveLeaf of signature and approximate mode — its score and
-// keyword set.
+// and never points into a node's entry array or a page image: an internal
+// entry keeps only its child page; a leaf keeps the item's id and location
+// and — for the deferred ResolveLeaf of signature and approximate mode —
+// its score and keyword set (a feature stream's lie in the stream's arena).
 type candidate struct {
 	// prio orders the heap: the score bound ŝ(e) in a boundHeap (largest
 	// first), MINDIST in a distHeap (smallest first).

@@ -257,3 +257,65 @@ func lensWorld(t *testing.T, rng *rand.Rand, vocabW, nparts int, opts index.Opti
 	}
 	return &testWorld{engine: eng, vocabW: vocabW}
 }
+
+// TestExcludeHiddenFromEveryReader, the stream's case: over a part behind
+// WithExclude the stream emits exactly the live relevant features — under
+// SRT and IR² — and reading past the tombstones leaves the canonical
+// part's cached nodes as they were.
+func TestExcludeHiddenFromEveryReader(t *testing.T) {
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		t.Run(kind.String(), func(t *testing.T) {
+			w := buildWorld(t, 520, 10, 600, 1, 16, kind, Options{})
+			part := w.engine.features[0].Part(0)
+			all, err := part.Tree().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := map[int64]struct{}{}
+			for i := 0; i < len(all); i += 3 {
+				dead[all[i].ItemID] = struct{}{}
+			}
+			g, err := index.NewFeatureGroup(part.WithExclude(dead, len(dead)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(521))
+			for trial := 0; trial < 5; trial++ {
+				q := w.randQuery(rng, 1, RangeScore)
+				qk := index.QueryKeywords{Set: q.Keywords[0], Lambda: q.Lambda}
+				s, err := newFeatureStream(g, qk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[int64]bool{}
+				for _, r := range drainStream(t, s) {
+					if !r.virtual {
+						got[r.id] = true
+					}
+				}
+				want := 0
+				for _, e := range all {
+					_, isDead := dead[e.ItemID]
+					switch live := e.Keywords.Intersects(qk.Set) && !isDead; {
+					case live && !got[e.ItemID]:
+						t.Fatalf("live relevant feature %d missing from the stream", e.ItemID)
+					case live:
+						want++
+					case got[e.ItemID]:
+						t.Fatalf("feature %d emitted (tombstoned: %v)", e.ItemID, isDead)
+					}
+				}
+				if want == 0 || len(got) != want {
+					t.Fatalf("stream emitted %d features, want %d", len(got), want)
+				}
+			}
+			after, err := part.Tree().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after) != len(all) {
+				t.Fatalf("the canonical part shows %d of %d features after the filtered reads", len(after), len(all))
+			}
+		})
+	}
+}

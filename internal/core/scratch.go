@@ -20,7 +20,8 @@ import (
 // and the kernels never nest):
 //   - stds is the one lensed feature stream of an STDS query: computeScore
 //     and batchRangeScores re-init it per object (or batch) and feature
-//     set, and are done with it before the next init;
+//     set, and are done with it before the next init, which discards
+//     the queued candidates together with the keyword arena they alias;
 //   - bound is used by one topKInfluence search over the object trees at
 //     a time;
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
@@ -138,7 +139,8 @@ func (e *Engine) countShards(stats *Stats) {
 // evicted; zeroing them here means an idle scratch pins nothing of the
 // query it served. Everything else the scratch keeps — retrieved feature
 // prefixes, the combination refs buffer, the pair grids and the index
-// vector arena, batch objects — is plain values without pointers.
+// vector arena, the feature streams' keyword arenas (uint64s copied out of
+// the page images), batch objects — is plain values without pointers.
 func (sc *queryScratch) release() {
 	sc.stds.heap.reset()
 	sc.bound.reset()

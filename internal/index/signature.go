@@ -76,10 +76,18 @@ func (x *FeatureIndex) Exact() bool { return x.sigBits == 0 }
 // entry and the prepared query in place: they are called once per visited
 // entry, and a PreparedQuery alone is over 600 bytes.
 func (x *FeatureIndex) EntryRelevant(e *rtree.Entry, pq *PreparedQuery) bool {
+	return e.Keywords.Intersects(pq.RelevantSet())
+}
+
+// RelevantSet is the one statement of the relevance rule, for EntryRelevant
+// and for the feature stream, which scans page images for its words before
+// it decodes an entry: an entry must meet the tree-side set — the hashed
+// signature in signature mode — and an empty exact set meets nothing.
+func (pq *PreparedQuery) RelevantSet() kwset.Set {
 	if pq.Exact.Set.IsEmpty() {
-		return false
+		return kwset.Set{}
 	}
-	return e.Keywords.Intersects(pq.Tree.Set)
+	return pq.Tree.Set
 }
 
 // EntryBound returns an upper bound on s(t) for every feature t at or

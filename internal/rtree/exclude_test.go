@@ -134,3 +134,104 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 		t.Errorf("root score = %v, want %v", root.Score, wantScore)
 	}
 }
+
+// A dead id is surfaced by no reader of a WithExclude view — the decoded
+// node, the page view the feature stream scans, and the traversals built on
+// either — and hiding it copies or writes nothing the canonical tree shares:
+// every cached node is the same pointer with the same entries afterwards.
+func TestExcludeHiddenFromEveryReader(t *testing.T) {
+	tr, items := bulkTree(t, 400)
+	ids := pageIDs(t, tr)
+	shared := make(map[storagePage]*Node, len(ids))
+	lens := make(map[storagePage]int, len(ids))
+	for _, id := range ids {
+		n, err := tr.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[id], lens[id] = n, len(n.Entries)
+	}
+	dead := map[int64]struct{}{}
+	for i := 0; i < len(items); i += 3 {
+		dead[items[i].ID] = struct{}{}
+	}
+	view := tr.WithExclude(dead)
+	center := geo.Point{X: 0.5, Y: 0.5}
+
+	readers := map[string]func(see func(Entry)) error{
+		"Node": func(see func(Entry)) error {
+			for _, id := range ids {
+				n, err := view.Node(id)
+				if err != nil {
+					return err
+				}
+				for i := range n.Entries {
+					if n.Leaf {
+						see(n.Entries[i])
+					}
+				}
+			}
+			return nil
+		},
+		"View": func(see func(Entry)) error {
+			var arena []uint64
+			for _, id := range ids {
+				v, err := view.View(id)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < v.Len() && v.Leaf(); i++ {
+					var e Entry
+					if v.Entry(i, &e, &arena) {
+						see(e)
+					}
+				}
+			}
+			return nil
+		},
+		"RangeSearch": func(see func(Entry)) error {
+			return view.RangeSearch(center, 2, func(e Entry) bool { see(e); return true })
+		},
+		"AscendDistance": func(see func(Entry)) error {
+			return view.AscendDistance(center, func(e Entry, _ float64) bool { see(e); return true })
+		},
+		"Leaves": func(see func(Entry)) error {
+			return view.Leaves(func(es []Entry) bool {
+				for _, e := range es {
+					see(e)
+				}
+				return true
+			})
+		},
+		"All": func(see func(Entry)) error {
+			all, err := view.All()
+			for _, e := range all {
+				see(e)
+			}
+			return err
+		},
+	}
+	for name, read := range readers {
+		seen := map[int64]bool{}
+		if err := read(func(e Entry) { seen[e.ItemID] = true }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for id := range dead {
+			if seen[id] {
+				t.Errorf("%s: tombstoned item %d surfaced", name, id)
+			}
+		}
+		if len(seen) != len(items)-len(dead) {
+			t.Errorf("%s: saw %d items, want %d", name, len(seen), len(items)-len(dead))
+		}
+	}
+	for _, id := range ids {
+		n, err := tr.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != shared[id] || len(n.Entries) != lens[id] {
+			t.Fatalf("page %d: the canonical node changed under the view's readers", id)
+		}
+	}
+}

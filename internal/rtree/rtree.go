@@ -9,8 +9,9 @@
 // pool: the decoded Node lives in the page's buffer-pool frame, Tree.Node
 // hands the same immutable *Node to every reader (each call still counting
 // one logical read), and the search primitives read its entries in place.
-// Only the mutators (Insert, Delete) decode a private copy. Entries
-// optionally carry the augmentation
+// Only the mutators (Insert, Delete) decode a private copy; a reader that
+// filters a node by keywords before it picks from it scans the page image
+// instead (PageView). Entries optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
 // (e.s) and a keyword summary of all feature objects below (e.W). The SRT
 // and IR² indexes share this node format — they differ only in how leaf
@@ -158,17 +159,21 @@ func New(cfg Config) (*Tree, error) {
 
 // nodeCapacity computes how many entries of the given kind fit in a page.
 func nodeCapacity(cfg Config, leaf bool) int {
-	var entry int
+	_, stride := slotLayout(cfg, leaf)
+	return (cfg.PageSize - nodeHeaderSize) / stride
+}
+
+// slotLayout returns where a slot's keyword words start — after the id or
+// child, the point or rectangle and the score — and the slot's width.
+func slotLayout(cfg Config, leaf bool) (kwOff, stride int) {
+	kwOff = 4 + 32 // child + rect
 	if leaf {
-		entry = 8 + 16 // itemID + point
-	} else {
-		entry = 4 + 32 // child + rect
+		kwOff = 8 + 16 // itemID + point
 	}
 	if cfg.WithScore {
-		entry += 8
+		kwOff += 8
 	}
-	entry += 8 * kwWords(cfg.KeywordWidth)
-	return (cfg.PageSize - nodeHeaderSize) / entry
+	return kwOff, kwOff + 8*kwWords(cfg.KeywordWidth)
 }
 
 // kwWords returns the number of 64-bit words needed for a keyword width.
@@ -194,9 +199,11 @@ func (t *Tree) WithPool(p *storage.BufferPool) *Tree {
 
 // WithExclude returns a read view of the tree that hides the leaf entries
 // whose item ids appear in dead — the tombstone filter of live ingest.
-// Filtering happens in Node, which every search primitive routes
-// through, so RangeSearch, AscendDistance, SearchPolygon, All and Leaves
-// never surface a hidden item. Internal-node aggregates still cover the
+// Filtering happens in the two ways a page is read: Node, which
+// RangeSearch, AscendDistance, SearchPolygon, All and Leaves route through,
+// hands out a filtered copy of a leaf that holds a hidden item; a PageView,
+// which the feature stream scans, skips a hidden slot when it is asked to
+// decode it and copies nothing. Internal-node aggregates still cover the
 // hidden items; bounds stay sound upper bounds, merely looser. The view
 // aliases the tree's structure and must not be mutated; Len keeps
 // reporting the unfiltered item count.

@@ -1,0 +1,167 @@
+package rtree
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"stpq/internal/geo"
+	"stpq/internal/kwset"
+	"stpq/internal/storage"
+)
+
+// PageView reads one node where it lies in its buffer-pool frame, without
+// decoding it. A page is a fixed-width slot array, so a loop that filters
+// by keywords and then picks — the feature stream, which rejects most slots
+// of a node on their keyword words alone — scans the words in the image and
+// decodes only the slots that survive. Loops that need every slot's
+// rectangle, or hand entries out by value, read the shared decoded node
+// (Tree.Node) instead.
+//
+// A view is a value holding the frame's image and no lock, valid however
+// long it is kept: the pool never writes an image while queries read it and
+// never reuses a frame (see BufferPool.Get), so an evicted page's bytes live
+// until the last view of them is dropped. Nothing a view hands out aliases
+// the image — Entry copies the keyword words. The methods take a pointer
+// only so that a call per slot does not copy the view.
+type PageView struct {
+	data          []byte // header and count slots, nothing beyond
+	t             *Tree
+	kwOff, stride int // see slotLayout
+	count, words  int
+	// lastMask clears the bits beyond the keyword width in a slot's last
+	// word, as decodeNode does.
+	lastMask uint64
+	leaf     bool
+}
+
+// View returns the node at page id as a view of its image: counted exactly
+// as Node is — a logical read, on a miss a physical read and possibly an
+// eviction — and not decoded. Entry hides what WithExclude tombstoned.
+func (t *Tree) View(id storage.PageID) (PageView, error) {
+	data, err := t.pool.Get(id)
+	if err != nil {
+		return PageView{}, err
+	}
+	return t.viewOf(data)
+}
+
+// viewOf validates a page image once — header, count against the capacity
+// and against the bytes present — so the accessors index unchecked.
+func (t *Tree) viewOf(data []byte) (PageView, error) {
+	if len(data) < nodeHeaderSize {
+		return PageView{}, fmt.Errorf("rtree: short page: %d bytes", len(data))
+	}
+	v := PageView{
+		t:        t,
+		leaf:     data[0]&1 == 1,
+		count:    int(binary.LittleEndian.Uint16(data[1:3])),
+		words:    kwWords(t.cfg.KeywordWidth),
+		lastMask: math.MaxUint64,
+	}
+	v.kwOff, v.stride = slotLayout(t.cfg, v.leaf)
+	capacity := t.innerCap
+	if v.leaf {
+		capacity = t.leafCap
+	}
+	if v.count > capacity {
+		return PageView{}, fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d", v.count, capacity)
+	}
+	end := nodeHeaderSize + v.count*v.stride
+	if end > len(data) {
+		return PageView{}, fmt.Errorf("rtree: short page: %d entries need %d bytes, have %d", v.count, end, len(data))
+	}
+	v.data = data[:end]
+	if r := t.cfg.KeywordWidth % 64; r != 0 {
+		v.lastMask = 1<<uint(r) - 1
+	}
+	return v, nil
+}
+
+// Len returns the number of slots in the node.
+func (v *PageView) Len() int { return v.count }
+
+// Leaf reports whether the node is a leaf.
+func (v *PageView) Leaf() bool { return v.leaf }
+
+// NextIntersecting returns the first slot at or after i whose keyword words
+// share a bit with q, or Len() when there is none. It agrees slot by slot
+// with Set.Intersects on the decoded entry: words are compared up to the
+// narrower of the two sets, so an empty q meets nothing.
+func (v *PageView) NextIntersecting(i int, q []uint64) int {
+	n := min(v.words, len(q))
+	if n == 0 {
+		return v.count
+	}
+	// Masking the tree's last word on the query side: once, not per slot.
+	last := q[n-1]
+	if n == v.words {
+		last &= v.lastMask
+	}
+	off := nodeHeaderSize + i*v.stride + v.kwOff
+	switch n {
+	case 1:
+		for ; i < v.count; i, off = i+1, off+v.stride {
+			if binary.LittleEndian.Uint64(v.data[off:])&last != 0 {
+				return i
+			}
+		}
+	case 2:
+		q0 := q[0]
+		for ; i < v.count; i, off = i+1, off+v.stride {
+			w := v.data[off : off+16]
+			if binary.LittleEndian.Uint64(w)&q0|binary.LittleEndian.Uint64(w[8:])&last != 0 {
+				return i
+			}
+		}
+	default:
+		for ; i < v.count; i, off = i+1, off+v.stride {
+			w := v.data[off : off+8*n]
+			hit := binary.LittleEndian.Uint64(w[8*(n-1):]) & last
+			for j := 0; j < n-1; j++ {
+				hit |= binary.LittleEndian.Uint64(w[8*j:]) & q[j]
+			}
+			if hit != 0 {
+				return i
+			}
+		}
+	}
+	return v.count
+}
+
+// Entry decodes slot i into e, field for field what decodeNode makes of it,
+// and reports whether the slot is visible: a leaf slot tombstoned by
+// WithExclude returns false. The keyword words are copied onto the end of
+// *arena and e.Keywords aliases that copy; a caller that does not keep the
+// entry cuts the arena back to its length before the call.
+func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
+	p := v.data[nodeHeaderSize+i*v.stride:][:v.stride]
+	*e = Entry{Child: storage.InvalidPage, Leaf: v.leaf}
+	if v.leaf {
+		e.ItemID = int64(binary.LittleEndian.Uint64(p))
+		if _, dead := v.t.exclude[e.ItemID]; dead {
+			return false
+		}
+		e.Rect = geo.RectOf(geo.Point{X: floatAt(p, 8), Y: floatAt(p, 16)})
+	} else {
+		e.Child = storage.PageID(binary.LittleEndian.Uint32(p))
+		e.Rect = geo.Rect{
+			Min: geo.Point{X: floatAt(p, 4), Y: floatAt(p, 12)},
+			Max: geo.Point{X: floatAt(p, 20), Y: floatAt(p, 28)},
+		}
+	}
+	if v.t.cfg.WithScore {
+		e.Score = floatAt(p, v.kwOff-8)
+	}
+	if v.words > 0 {
+		at := len(*arena)
+		for w := v.kwOff; w < v.stride; w += 8 {
+			*arena = append(*arena, binary.LittleEndian.Uint64(p[w:]))
+		}
+		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:len(*arena):len(*arena)])
+	}
+	return true
+}
+
+// floatAt reads the float64 stored at off.
+func floatAt(p []byte, off int) float64 { f, _ := getFloat(p, off); return f }

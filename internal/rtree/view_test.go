@@ -1,0 +1,295 @@
+package rtree
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"stpq/internal/kwset"
+	"stpq/internal/storage"
+)
+
+// viewConfigs spans the page layouts the indexes use: the object tree (no
+// augmentation), exact keyword widths below, at and across word boundaries
+// (SRT and IR² over a vocabulary), the signature widths, each with and
+// without the score slot and on both page sizes.
+func viewConfigs() []Config {
+	var out []Config
+	for _, page := range []int{1024, 4096} {
+		for _, width := range []int{0, 16, 64, 128, 200} {
+			for _, score := range []bool{false, true} {
+				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: score})
+			}
+		}
+	}
+	return out
+}
+
+// grownTree builds a tree over n random items, bulk-loaded or grown by
+// Insert and thinned by Delete. A few items carry keyword sets wider than
+// the tree's, whose excess bits decodeNode masks off.
+func grownTree(t *testing.T, cfg Config, n int, bulk bool) *Tree {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(31 + cfg.KeywordWidth + cfg.PageSize)))
+	tr := newTestTree(t, cfg)
+	items := randomItems(rng, n, cfg.KeywordWidth)
+	if w := cfg.KeywordWidth; w > 0 {
+		for i := 0; i < n; i += 17 {
+			items[i].Keywords.Add(w + rng.Intn(40))
+		}
+	}
+	if bulk {
+		if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, it := range items {
+		if err := tr.Insert(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, it := range items[:n/4] {
+		if found, err := tr.Delete(it.ID, it.Location); err != nil || !found {
+			t.Fatalf("delete %d: found=%v err=%v", it.ID, found, err)
+		}
+	}
+	return tr
+}
+
+// Every slot of every page reads through the view exactly as decodeNode
+// decodes it — cached cardinality included — and the keyword scan agrees
+// with Set.Intersects on the decoded entries from every starting slot.
+func TestPageViewMatchesDecodedNode(t *testing.T) {
+	for _, cfg := range viewConfigs() {
+		for _, bulk := range []bool{true, false} {
+			name := fmt.Sprintf("page=%d/width=%d/score=%v/bulk=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore, bulk)
+			t.Run(name, func(t *testing.T) {
+				tr := grownTree(t, cfg, 700, bulk)
+				if tr.Height() < 2 {
+					t.Fatal("single-node tree: no internal slots compared")
+				}
+				rng := rand.New(rand.NewSource(5))
+				var arena []uint64
+				for _, id := range pageIDs(t, tr) {
+					data, err := tr.Pool().Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := tr.decodeNode(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v, err := tr.View(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v.Leaf() != want.Leaf || v.Len() != len(want.Entries) {
+						t.Fatalf("page %d: view leaf=%v len=%d, node leaf=%v len=%d", id, v.Leaf(), v.Len(), want.Leaf, len(want.Entries))
+					}
+					for i := range want.Entries {
+						var got Entry
+						if !v.Entry(i, &got, &arena) {
+							t.Fatalf("page %d slot %d hidden on a tree without tombstones", id, i)
+						}
+						if !reflect.DeepEqual(got, want.Entries[i]) {
+							t.Fatalf("page %d slot %d: view %+v, decodeNode %+v", id, i, got, want.Entries[i])
+						}
+					}
+					for _, q := range querySets(rng, cfg.KeywordWidth) {
+						checkScan(t, v, want, q)
+					}
+				}
+			})
+		}
+	}
+}
+
+// querySets returns random query sets narrower than, as wide as and wider
+// than a tree of the given keyword width, sparse and dense, and the empty
+// set.
+func querySets(rng *rand.Rand, width int) []kwset.Set {
+	out := []kwset.Set{{}, kwset.NewSet(width)}
+	for _, w := range []int{width / 3, width, width + 1, width + 100} {
+		for _, n := range []int{1, 2, 12} {
+			q := kwset.NewSet(w)
+			for j := 0; j < n && w > 0; j++ {
+				q.Add(rng.Intn(w))
+			}
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// checkScan compares NextIntersecting from every starting slot with a scan
+// of the decoded node by Set.Intersects.
+func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
+	t.Helper()
+	next := len(n.Entries) // first intersecting slot at or after i, filled backwards
+	for i := len(n.Entries); i >= 0; i-- {
+		if i < len(n.Entries) && n.Entries[i].Keywords.Intersects(q) {
+			next = i
+		}
+		if got := v.NextIntersecting(i, q.WordsBits()); got != next {
+			t.Fatalf("NextIntersecting(%d, %v) = %d, Set.Intersects says %d", i, q, got, next)
+		}
+	}
+}
+
+// Arbitrary bytes are a page the view rejects or reads within bounds: a
+// count above the capacity and a page cut short are errors, never panics.
+func FuzzPageView(f *testing.F) {
+	cfgs := []Config{
+		{PageSize: 1024},
+		{PageSize: 1024, KeywordWidth: 64, WithScore: true},
+		{PageSize: 1024, KeywordWidth: 200, WithScore: true},
+	}
+	trees := make([]*Tree, len(cfgs))
+	for i, cfg := range cfgs {
+		tr, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := tr.BulkLoad(randomItems(rand.New(rand.NewSource(3)), 200, cfg.KeywordWidth), hilbert2DKey); err != nil {
+			f.Fatal(err)
+		}
+		trees[i] = tr
+		root, err := tr.Pool().Get(tr.Root())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), append([]byte(nil), root...))
+		f.Add(uint8(i), append([]byte(nil), root[:len(root)/3]...))
+		over := append([]byte(nil), root...)
+		binary.LittleEndian.PutUint16(over[1:3], 0xffff)
+		f.Add(uint8(i), over)
+	}
+	f.Add(uint8(0), []byte{1})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		tr := trees[int(which)%len(trees)]
+		v, err := tr.viewOf(data)
+		if err != nil {
+			return
+		}
+		capacity := tr.InnerCapacity()
+		if v.Leaf() {
+			capacity = tr.LeafCapacity()
+		}
+		if v.Len() > capacity {
+			t.Fatalf("view accepted %d slots, capacity %d", v.Len(), capacity)
+		}
+		q := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		var arena []uint64
+		var e Entry
+		for n := 0; n <= len(q); n++ {
+			for i := v.NextIntersecting(0, q[:n]); i < v.Len(); i = v.NextIntersecting(i+1, q[:n]) {
+				v.Entry(i, &e, &arena)
+			}
+		}
+		for i := 0; i < v.Len(); i++ {
+			v.Entry(i, &e, &arena)
+		}
+	})
+}
+
+// A view outlives its page's residency: readers that walk views on a
+// two-page pool, while other goroutines miss and evict beside them, see the
+// bytes they fetched. And a view counts as a node does: the same page
+// sequence read either way charges the same reads.
+func TestViewSurvivesEviction(t *testing.T) {
+	cfg := Config{PageSize: 1024, KeywordWidth: 64, WithScore: true, BufferPages: 2}
+	tr := grownTree(t, cfg, 900, true)
+	ids := pageIDs(t, tr)
+	// What every page holds, read once through a pool of its own.
+	want := make(map[storage.PageID]*Node, len(ids))
+	ref := tr.WithPool(storage.NewBufferPool(tr.Config().Disk, len(ids)))
+	for _, id := range ids {
+		n, err := ref.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = n
+	}
+
+	const readers, churners, rounds = 4, 2, 30
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var arena []uint64
+			held := make([]PageView, 0, 8)
+			heldIDs := make([]storage.PageID, 0, 8)
+			for r := 0; r < rounds; r++ {
+				// Fetch several views — more than the pool holds, so all but
+				// the last two are of evicted frames — then read them all.
+				held, heldIDs = held[:0], heldIDs[:0]
+				for j := 0; j < 8; j++ {
+					id := ids[rng.Intn(len(ids))]
+					v, err := tr.View(id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					held, heldIDs = append(held, v), append(heldIDs, id)
+				}
+				for j, v := range held {
+					n := want[heldIDs[j]]
+					if v.Len() != len(n.Entries) || v.Leaf() != n.Leaf {
+						t.Errorf("page %d: held view has %d slots, page holds %d", heldIDs[j], v.Len(), len(n.Entries))
+						return
+					}
+					for i := range n.Entries {
+						var e Entry
+						arena = arena[:0]
+						if !v.Entry(i, &e, &arena) || !reflect.DeepEqual(e, n.Entries[i]) {
+							t.Errorf("page %d slot %d: held view reads %+v, page holds %+v", heldIDs[j], i, e, n.Entries[i])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for r := 0; r < rounds*8; r++ {
+				if _, err := tr.Node(ids[rng.Intn(len(ids))]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	rng := rand.New(rand.NewSource(9))
+	seq := make([]storage.PageID, 200)
+	for i := range seq {
+		seq[i] = ids[rng.Intn(len(ids))]
+	}
+	count := func(read func(*Tree, storage.PageID) error) storage.Stats {
+		tr.Pool().Clear()
+		var acct storage.Stats
+		sess := tr.WithPool(tr.Pool().Session(&acct))
+		for _, id := range seq {
+			if err := read(sess, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acct
+	}
+	byNode := count(func(tr *Tree, id storage.PageID) error { _, err := tr.Node(id); return err })
+	byView := count(func(tr *Tree, id storage.PageID) error { _, err := tr.View(id); return err })
+	if byNode != byView || byView.PhysicalReads == 0 || byView.Evictions == 0 {
+		t.Fatalf("the same page sequence charged %+v through Node and %+v through View", byNode, byView)
+	}
+}

@@ -70,7 +70,8 @@ type PoolMetrics struct {
 	Writes    *obs.Counter
 	// Decodes counts pages actually decoded by GetDecoded: one per
 	// residency of a page read that way, plus one per WriteThrough of a
-	// resident page that is read again.
+	// resident page that is read again. Not one per miss: the feature
+	// stream reads page images through Get and decodes nothing.
 	Decodes *obs.Counter
 }
 
@@ -142,9 +143,15 @@ func (b *BufferPool) Len() int {
 	return b.s.lru.Len()
 }
 
-// Get returns the contents of the page. The returned slice is owned by the
-// pool and must not be modified or retained across further pool calls;
-// callers decode it into their own representation immediately.
+// Get returns the contents of the page: the frame's image, which must not
+// be modified and may be kept and read for as long as the caller likes
+// (rtree.PageView does, outside the pool lock). The image is immutable
+// until a WriteThrough of that page, which never happens on a pool that
+// serves queries — writes go to a tree under construction or to a merge
+// clone, which owns its pool. And frames are never recycled: an evicted
+// frame is dropped, not reused for the next miss, so a reader keeps the
+// bytes it fetched until it lets go. Reusing frames would save a miss its
+// allocation and would need readers to pin what they hold.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	f, _, err := b.fetch(id)
 	if err != nil {

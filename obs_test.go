@@ -151,6 +151,41 @@ func TestSetTracingToggles(t *testing.T) {
 	}
 }
 
+// The feature stream scans page images in place, so on the feature pools a
+// miss is no longer a decode: a range STPS over cold multi-level trees
+// misses on every page it reads and decodes only each part's root, once
+// per residency, for the aggregate RootEntry seeds its heap with.
+func TestFeaturePoolsMissWithoutDecoding(t *testing.T) {
+	for _, kind := range []IndexKind{SRT, IR2} {
+		db := randomObsDB(t, Config{IndexKind: kind, PageSize: 512})
+		featurePools := func(metric string) (sum int64, pools int) {
+			for name, v := range db.Metrics().Counters {
+				if strings.HasPrefix(name, "stpq_bufferpool_"+metric+"_total{") && !strings.Contains(name, `pool="objects"`) {
+					sum, pools = sum+v, pools+1
+				}
+			}
+			return sum, pools
+		}
+		misses0, _ := featurePools("misses")
+		decodes0, _ := featurePools("decodes")
+		if _, _, err := db.TopK(obsQuery(STPS, Range)); err != nil {
+			t.Fatal(err)
+		}
+		misses, pools := featurePools("misses")
+		decodes, _ := featurePools("decodes")
+		misses, decodes = misses-misses0, decodes-decodes0
+		if pools != 2 {
+			t.Fatalf("%v: %d feature pools in the metrics, want 2", kind, pools)
+		}
+		if misses <= int64(pools) {
+			t.Fatalf("%v: %d feature-pool misses: the trees are not multi-level or the pools not cold", kind, misses)
+		}
+		if decodes > int64(pools) {
+			t.Errorf("%v: %d decodes on %d feature pools for %d misses, want at most the part roots", kind, decodes, pools, misses)
+		}
+	}
+}
+
 // DB metrics must survive a JSON round trip unchanged and emit parseable
 // Prometheus text.
 func TestDBMetricsExport(t *testing.T) {
