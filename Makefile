@@ -57,9 +57,10 @@ bench-check:
 	$(GO) test -C bench ./...
 
 # One small data point each of the range, the influence and the NN variant,
-# one iteration: catches bit-rot in the benchmark harness, and runs both of
-# STPS's eager combination streams, the lazy lattice and the Voronoi cell
-# builder (Figure 13, both index kinds), without the cost of a full sweep. No
+# one iteration: catches bit-rot in the benchmark harness, and runs STPS's
+# eager combination generation under each variant's rule (2r, the floor,
+# cells that can meet) and the Voronoi cell builder (Figure 13, both index
+# kinds, a fresh engine per query), without the cost of a full sweep. No
 # BENCHMARK.json workload runs STDS, so Table 3 (batched STDS on both index
 # kinds) and the batch ablation (batched and single-object STDS) ride along:
 # every lens of the one feature stream is run here. Figure 7's point runs a

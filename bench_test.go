@@ -129,6 +129,27 @@ func runQueries(b *testing.B, e *core.Engine, alg string, qs []core.Query) {
 	}
 }
 
+// runFresh is runQueries for STPS with a fresh core.Engine over e's indexes
+// for every query. NewEngineOverParts only wraps the indexes — the buffer
+// pools live in them — so what differs from one engine across queries is
+// that each query builds the Voronoi cells it needs, as the paper's NN STPS
+// does, and finds none an earlier query built: the case where no query
+// repeats another's features.
+func runFresh(b *testing.B, e *core.Engine, qs []core.Query) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh, err := core.NewEngineOverParts(e.ObjectParts(), 0, e.FeatureGroups(), core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := fresh.STPS(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // qc builds a query config with the default bench parameters.
 func qc(variant core.Variant) datagen.QueryConfig {
 	return datagen.QueryConfig{K: 10, Radius: 0.01, Lambda: 0.5, NumKeywords: 3, Variant: variant, Seed: 2}
@@ -384,7 +405,8 @@ func BenchmarkFig12(b *testing.B) {
 }
 
 // BenchmarkFig13 is the nearest-neighbor variant's scalability (Voronoi
-// costs included in the measured time).
+// costs included in the measured time: every query runs on a fresh engine,
+// see runFresh).
 func BenchmarkFig13(b *testing.B) {
 	for _, f := range []int{10_000, 40_000} {
 		f := f
@@ -394,7 +416,7 @@ func BenchmarkFig13(b *testing.B) {
 				key.features = f
 				e := benchEngine(b, key)
 				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.NearestNeighborScore))
-				runQueries(b, e, "stps", qs)
+				runFresh(b, e, qs)
 			})
 		})
 	}
@@ -406,13 +428,14 @@ func BenchmarkFig13(b *testing.B) {
 				key.objects = o
 				e := benchEngine(b, key)
 				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.NearestNeighborScore))
-				runQueries(b, e, "stps", qs)
+				runFresh(b, e, qs)
 			})
 		})
 	}
 }
 
-// BenchmarkFig14 is the nearest-neighbor variant while varying k.
+// BenchmarkFig14 is the nearest-neighbor variant while varying k, a fresh
+// engine per query as in BenchmarkFig13.
 func BenchmarkFig14(b *testing.B) {
 	for _, k := range []int{5, 10, 40} {
 		k := k
@@ -423,7 +446,7 @@ func BenchmarkFig14(b *testing.B) {
 				cfg.K = k
 				e := benchEngine(b, key)
 				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
+				runFresh(b, e, qs)
 			})
 		})
 		b.Run(fmt.Sprintf("b_synthetic_k=%d", k), func(b *testing.B) {
@@ -433,7 +456,7 @@ func BenchmarkFig14(b *testing.B) {
 				cfg.K = k
 				e := benchEngine(b, key)
 				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
+				runFresh(b, e, qs)
 			})
 		})
 	}
@@ -560,48 +583,31 @@ func withQKw(c datagen.QueryConfig, n int) datagen.QueryConfig {
 	return c
 }
 
-// BenchmarkAblationVoronoiCache measures the NN variant with and without
-// the cross-query Voronoi cell cache (the paper's Section 8.5 suggestion
-// for static data).
+// BenchmarkAblationVoronoiCache measures the NN variant with a fresh engine
+// per query — every query builds the cells it needs, as the paper's figures
+// do — against one engine across queries, whose cell store keeps every cell
+// an earlier query built (the paper's Section 8.5 suggestion for static
+// data: "pre-computed in a special structure").
 func BenchmarkAblationVoronoiCache(b *testing.B) {
 	key := synKey(index.SRT)
 	key.objects, key.features = 10_000, 10_000
 	ds := benchDataset(b, key)
-	for _, cache := range []bool{false, true} {
-		cache := cache
-		name := "cold"
-		if cache {
-			name = "cached"
+	e := benchEngine(b, key)
+	qs := ds.GenQueries(benchQueries, qc(core.NearestNeighborScore))
+	b.Run("fresh-engine", func(b *testing.B) { runFresh(b, e, qs) })
+	b.Run("one-engine", func(b *testing.B) {
+		e, err := core.NewEngineOverParts(e.ObjectParts(), 0, e.FeatureGroups(), core.Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			opts := index.Options{Kind: index.SRT, VocabWidth: ds.VocabWidth, BufferPages: 256}
-			oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-			if err != nil {
+		// One untimed pass fills the store, as a precomputed structure would.
+		for _, q := range qs {
+			if _, _, err := e.STPS(q); err != nil {
 				b.Fatal(err)
 			}
-			fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-			for i, fs := range ds.FeatureSets {
-				if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := core.NewEngine(oidx, fidxs, core.Options{CacheVoronoiCells: cache})
-			if err != nil {
-				b.Fatal(err)
-			}
-			qs := ds.GenQueries(benchQueries, qc(core.NearestNeighborScore))
-			if cache {
-				// Warm the cache with one pass, as a precomputed
-				// structure would.
-				for _, q := range qs {
-					if _, _, err := e.STPS(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			runQueries(b, e, "stps", qs)
-		})
-	}
+		}
+		runQueries(b, e, "stps", qs)
+	})
 }
 
 // BenchmarkAblationSignature compares exact keyword bitmaps against

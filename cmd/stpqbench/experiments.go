@@ -269,7 +269,8 @@ func (b *bench) fig12() {
 }
 
 // fig13 reproduces Figure 13: the NN variant's scalability with the
-// Voronoi construction cost isolated (the striped bars).
+// Voronoi construction cost isolated (the striped bars). Like fig14 it runs
+// every NN query on a fresh engine (bench.run), so each builds its cells.
 func (b *bench) fig13() {
 	b.fig13a()
 	b.fig13b()
@@ -279,7 +280,7 @@ func (b *bench) fig13() {
 func (b *bench) fig13a() {
 	nq := b.queries
 	if nq > 2 {
-		nq = 2 // NN queries run for seconds each (Voronoi + combination churn)
+		nq = 2 // NN queries model seconds of I/O each: the cells' page reads
 	}
 	header(fmt.Sprintf("Figure 13(a): STPS nearest-neighbor score, synthetic (avg of %d queries)", nq))
 	qc := b.defaultQC(core.NearestNeighborScore)

@@ -196,12 +196,17 @@ func (b *bench) engine(dsKey string, ds *datagen.Dataset, kind index.Kind) *core
 			log.Fatal(err)
 		}
 	}
-	e, err := core.NewEngine(oidx, fidxs, core.Options{BatchSTDS: true, CostModel: b.cost})
+	e, err := core.NewEngine(oidx, fidxs, b.options())
 	if err != nil {
 		log.Fatal(err)
 	}
 	b.engines[key] = e
 	return e
+}
+
+// options are the engine options of every engine the harness builds.
+func (b *bench) options() core.Options {
+	return core.Options{BatchSTDS: true, CostModel: b.cost}
 }
 
 // dsKeyOf reconstructs the dataset cache key for engine caching.
@@ -224,9 +229,19 @@ func (b *bench) run(label, idx, alg string, e *core.Engine, qs []core.Query) cor
 		// Tracing is only paid for when records are collected: the per-phase
 		// breakdown in each Record comes from the query span trees.
 		q.Trace = b.jsonPath != ""
-		if alg == "stds" {
+		switch {
+		case alg == "stds":
 			_, st, err = e.STDS(q)
-		} else {
+		case q.Variant == core.NearestNeighborScore:
+			// A fresh engine over the same indexes (and pools) per NN query:
+			// each builds the Voronoi cells it needs, as Figures 13–14
+			// measure, rather than finding an earlier query's in the
+			// engine's cell store.
+			var fresh *core.Engine
+			if fresh, err = core.NewEngineOverParts(e.ObjectParts(), 0, e.FeatureGroups(), b.options()); err == nil {
+				_, st, err = fresh.STPS(q)
+			}
+		default:
 			_, st, err = e.STPS(q)
 		}
 		if err != nil {

@@ -10,6 +10,7 @@ package stpq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -587,4 +588,126 @@ func TestCheckpointFileGenNames(t *testing.T) {
 	if !found {
 		t.Fatalf("checkpoint page dumps %v missing %q", pages, want)
 	}
+}
+
+// assertNNMatchesBruteForce runs the NN query q twice on db's current
+// generation — the second run finds every cell the first built in the
+// engine's store — and holds both answers to brute force over that
+// generation: the score at every rank, and every reported score the exact
+// score of its object. It returns the exact scores of objs.
+func assertNNMatchesBruteForce(t *testing.T, tag string, db *DB, q Query, objs ...Object) []float64 {
+	t.Helper()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := snap.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteForce(t, snap, q)
+	for run := 0; run < 2; run++ {
+		got, _, err := snap.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameScores(got, want) {
+			for i := range got {
+				if i == len(want) || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+					t.Fatalf("%s, run %d: %d results, brute force %d; first difference at rank %d", tag, run, len(got), len(want), i)
+				}
+			}
+		}
+		for _, r := range got {
+			if exact, err := p.Score(r.X, r.Y); err != nil || math.Abs(exact-r.Score) > 1e-9 {
+				t.Fatalf("%s, run %d: object %d reported %v, exact %v (%v)", tag, run, r.ID, r.Score, exact, err)
+			}
+		}
+	}
+	scores := make([]float64, len(objs))
+	for i, o := range objs {
+		if scores[i], err = p.Score(o.X, o.Y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scores
+}
+
+// TestNNCellsFollowPublish: a feature next to an object is its nearest
+// neighbour, and one the query finds irrelevant, so the object scores
+// nothing for that set; deleting it grows the cells around it back, and
+// the object scores its old neighbour again. The writes delete such a
+// feature next to one object and then insert one next to another, and
+// every NN answer must equal brute force over the generation it runs on —
+// through a publish of pending writes, a Flush and a background compaction
+// swap — although each generation's queries ran on a store the previous
+// generation's queries had filled. A store shared across generations would
+// hand the new one cells cut around the deleted feature, or not yet cut
+// around the inserted one, and both objects would score wrong.
+func TestNNCellsFollowPublish(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	objs, sets := ingestSeedData(rng, 150, 80)
+	o1, o2 := objs[0], objs[1]
+	irrelevant := []string{ingestWords[len(ingestWords)-1]}
+	f1 := Feature{ID: 9001, X: o1.X + 1e-4, Y: o1.Y, Score: 0.5, Keywords: irrelevant}
+	f2 := Feature{ID: 9002, X: o2.X + 1e-4, Y: o2.Y, Score: 0.5, Keywords: irrelevant}
+	sets["food"] = append(append([]Feature(nil), sets["food"]...), f1)
+	writes := [][]Mutation{
+		{{Op: OpDeleteFeature, Set: "food", ID: f1.ID}},
+		{{Op: OpUpsertFeature, Set: "food", Feature: &f2}},
+	}
+	q := Query{K: len(objs), Lambda: 0.5, Variant: NearestNeighbor, Keywords: map[string][]string{
+		"food": ingestWords[:len(ingestWords)-1], "cafes": ingestWords[3:5],
+	}}
+	check := func(t *testing.T, tag string, db *DB) []float64 {
+		return assertNNMatchesBruteForce(t, tag, db, q, o1, o2)
+	}
+	// write applies write i, lets merge run, checks the generation that
+	// serves the result and that the write moved object i's score.
+	write := func(t *testing.T, db *DB, i int, before []float64, merge func() error) {
+		if err := db.Apply(writes[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := merge(); err != nil {
+			t.Fatal(err)
+		}
+		if after := check(t, fmt.Sprintf("write %d", i), db); after[i] == before[i] {
+			t.Fatalf("write %d left object %d's score at %v: the test shows nothing", i, objs[i].ID, after[i])
+		}
+	}
+	none := func() error { return nil }
+
+	t.Run("publish-flush", func(t *testing.T) {
+		db := buildIngestDB(t, Config{PageSize: 1024, WALDir: t.TempDir(), AutoFlushOps: -1}, objs, sets)
+		defer db.CloseWAL()
+		before := check(t, "built", db)
+		for i := range writes {
+			write(t, db, i, before, none) // published as pending writes
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, fmt.Sprintf("write %d flushed", i), db)
+		}
+	})
+
+	t.Run("compaction-swap", func(t *testing.T) {
+		db := buildIngestDB(t, Config{PageSize: 1024, WALDir: t.TempDir(),
+			AutoFlushOps: 1, BackgroundCompaction: true, CompactRuns: 1}, objs, sets)
+		defer db.CloseWAL()
+		before := check(t, "built", db)
+		for i := range writes {
+			// The write seals a run and wakes the compactor; the check runs
+			// once its merged engine is swapped in.
+			write(t, db, i, before, func() error {
+				deadline := time.Now().Add(10 * time.Second)
+				for db.Metrics().Counters["stpq_ingest_compactions_total"] <= int64(i) {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("write %d: no background compaction completed", i)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return nil
+			})
+		}
+	})
 }

@@ -8,6 +8,7 @@ package stpq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -348,4 +349,79 @@ func TestRebuildOpenedDB(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bruteForce answers q on the snapshot's generation by scoring every object
+// against every feature (core.Engine.BruteForce), in the public form.
+func bruteForce(t testing.TB, snap *Snapshot, q Query) []Result {
+	t.Helper()
+	p, err := snap.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := snap.engine.BruteForce(p.cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result{ID: r.ID, X: r.Location.X, Y: r.Location.Y, Score: r.Score}
+	}
+	return out
+}
+
+// sameScores reports whether two rankings have the same score at every
+// rank. Objects tying to the last bits may be ranked either way, so ids are
+// not compared.
+func sameScores(got, want []Result) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// Six goroutines run NN STPS on one sharded DB whose engine has served no
+// NN query yet, so they build, look up and race to store the same Voronoi
+// cells in the engine's one store; every answer must match brute force.
+// (The core package runs the same race on SRT and IR² engines.)
+func TestConcurrentNNSharded(t *testing.T) {
+	objs, food, cafes, words := shardTestData(11)
+	db := buildShardTestDB(t, Config{PageSize: 1024, ShardCount: 4}, objs, food, cafes)
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]Query, 8)
+	want := make([][]Result, len(qs))
+	for i := range qs {
+		qs[i] = Query{K: 5 + 3*i, Lambda: 0.5, Variant: NearestNeighbor, Keywords: map[string][]string{
+			"food": {words[i%len(words)], words[(i+5)%len(words)]}, "cafes": {words[(3*i+1)%len(words)]},
+		}}
+		want[i] = bruteForce(t, snap, qs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := range qs {
+				i := (g + r) % len(qs)
+				got, _, err := db.TopK(qs[i])
+				if err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, i, err)
+					return
+				}
+				if !sameScores(got, want[i]) {
+					t.Errorf("goroutine %d query %d:\n got %v\nwant %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -17,19 +17,19 @@ import (
 // Page reads allocate nothing here: the pools hold every page of this
 // world, so each Tree.Node returns the node already decoded in the page's
 // frame. Nor does the combination stream: its pair grids, index vectors
-// and heaps are recycled with the scratch. What is left is per-query by
-// nature — the root aggregate each descent seeds its heap with (one
-// keyword set per RootEntry) and the result slices; STDS runs one descent
-// per object-tree leaf, STPS one per feature set. Measured on this fixed
-// world: ~600 allocs/op for STDS, 14 for STPS (85 for its NN variant, which
-// has a budget of its own below). Under the race detector
-// sync.Pool drops a share of the scratches put back and a rebuilt scratch
-// grows all its buffers anew (31 to 48 allocs/op measured for STPS), which
-// STDS's margin covers and STPS's cannot: its test is skipped there.
+// and heaps are recycled with the scratch, and the Voronoi cells of the NN
+// variant live in the engine's store from the warm-up on. What is left is
+// per-query by nature — the root aggregate each descent seeds its heap
+// with (one keyword set per RootEntry) and the result slices; STDS runs
+// one descent per object-tree leaf, STPS one per feature set. Measured on
+// this fixed world: ~600 allocs/op for STDS, 14 for STPS. Under the race
+// detector sync.Pool drops a share of the scratches put back and a rebuilt
+// scratch grows all its buffers anew (31 to 48 allocs/op measured for
+// STPS), which STDS's margin covers and STPS's cannot: its test is skipped
+// there.
 const (
-	stdsAllocBudget   = 900
-	stpsAllocBudget   = 24
-	stpsNNAllocBudget = 128
+	stdsAllocBudget = 900
+	stpsAllocBudget = 24
 )
 
 func steadyStateAllocs(t *testing.T, run func()) float64 {
@@ -69,14 +69,15 @@ func TestAllocsSteadyStateSTPSInfluence(t *testing.T) {
 	steadyStateSTPS(t, InfluenceScore, stpsAllocBudget)
 }
 
-// The NN variant walks the lazy lattice, whose index vectors are cut from
-// the stream's arena, and builds its Voronoi cells in the scratch: what it
-// still allocates is the copy of each cell the per-query cache keeps (65
-// cells for this query), the object probes of the few non-empty regions
-// and the result slices. Measured: 85; the visited-map lattice and a
-// polygon allocated per clip made it 6,155.
+// The NN variant generates eagerly under the cells rule and reads its
+// Voronoi cells from the engine's store, which the warm-up filled: in
+// steady state it builds no cell, so it is held to the range variant's
+// budget too. What it allocates is the object probes of the few non-empty
+// regions and the result slices. Measured: 20; 85 while every query kept a
+// copy of each cell it touched, 6,155 with the visited-map lattice and a
+// polygon allocated per clip.
 func TestAllocsSteadyStateSTPSNearestNeighbor(t *testing.T) {
-	steadyStateSTPS(t, NearestNeighborScore, stpsNNAllocBudget)
+	steadyStateSTPS(t, NearestNeighborScore, stpsAllocBudget)
 }
 
 func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {

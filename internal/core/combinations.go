@@ -24,23 +24,24 @@ type combination struct {
 //
 // Combinations are enumerated over the retrieved prefixes D_i, in one of
 // two ways (Options.Combinations). Eager generation is the paper's
-// Algorithm 4 line 9: a pulled feature queues its combinations at once,
-// except those the variant's rule discards — Definition 4's 2r filter for
-// range, the floor rule of extendBounded for influence. The lazy lattice
-// walk (a rank-join style frontier: pop the best index vector, push its c
-// successors) emits the same sequence and is what the NN variant, which
-// has no rule to discard by, uses.
+// Algorithm 4 line 9 and every variant's default: a pulled feature queues
+// its combinations at once, except those the variant's rule discards —
+// Definition 4's 2r filter for range, the cells rule for NN, the floor rule
+// of extendBounded for influence. The lazy lattice walk (a rank-join style
+// frontier: pop the best index vector, push its c successors) emits the
+// same sequence, applying the pairwise rules as it pops; it is the
+// reference eager is tested against.
 type combinationStream struct {
 	q       *Query
+	e       *Engine // the session the query runs in: the cells rule reads its store
 	streams []*featureStream
 	stats   *Stats
 	tr      *obs.Trace // nil when tracing is off
 
-	// pairFilter enables the validity constraint dist(t_i,t_j) ≤ 2r of
-	// Definition 4 (range variant only).
-	pairFilter bool
-	pull       PullStrategy
-	eager      bool
+	// rule is the pairwise validity rule of the variant.
+	rule  comboRule
+	pull  PullStrategy
+	eager bool
 	// floor is the score the consumer passed to the running next() call: no
 	// object scoring strictly less can enter its top-k (−∞ while it cannot
 	// say, and always for range and NN).
@@ -54,9 +55,12 @@ type combinationStream struct {
 	grids     []*pairGrid
 	gridStore []*pairGrid
 
-	d         [][]featureRef // retrieved features per set, scores non-increasing
-	mins      []float64      // score of the last retrieved feature (1 before first access)
-	maxs      []float64      // score of the first retrieved feature (1 before first access)
+	d [][]featureRef // retrieved features per set, scores non-increasing
+	// reach[i][a] is the reach of the Voronoi cell of d[i][a] (0 for ∅),
+	// filled under the cells rule only.
+	reach     [][]float64
+	mins      []float64 // score of the last retrieved feature (1 before first access)
+	maxs      []float64 // score of the first retrieved feature (1 before first access)
 	started   []bool
 	exhausted []bool // stream fully consumed (∅ already appended to d)
 	rr        int    // round-robin cursor
@@ -87,6 +91,32 @@ type vecEntry struct {
 	score float64
 }
 
+// comboRule is the pairwise rule a variant's valid combinations obey.
+type comboRule uint8
+
+const (
+	ruleNone  comboRule = iota // influence: any members (its floor rule is extendBounded's)
+	rulePairs                  // range: members pairwise within 2r (Definition 4)
+	ruleCells                  // NN: the members' Voronoi cells can meet pairwise
+)
+
+// ruleOf returns the pairwise rule of a variant over c feature sets. One
+// set makes no pairs, so it has no rule: an NN query over one set builds a
+// cell only when a combination's region needs it, not for every feature
+// it pulls.
+func ruleOf(v Variant, c int) comboRule {
+	if c < 2 {
+		return ruleNone
+	}
+	switch v {
+	case RangeScore:
+		return rulePairs
+	case NearestNeighborScore:
+		return ruleCells
+	}
+	return ruleNone
+}
+
 // newCombinationStream builds the stream for a query against the engine's
 // feature indexes. On a pooled session the stream and all its growable
 // state (per-set streams and their heaps, retrieved prefixes, the
@@ -95,23 +125,15 @@ type vecEntry struct {
 // and both ways of generating combinations run, without allocating.
 func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
 	c := len(e.features)
-	pairFilter := q.Variant == RangeScore
-	eager := q.Variant != NearestNeighborScore
-	switch e.opts.Combinations {
-	case CombinationsEager:
-		eager = true
-	case CombinationsLazy:
-		eager = false
-	}
 	cs := &combinationStream{}
 	if sc := e.scratch; sc != nil {
 		cs = &sc.cs
 	}
 	cs.reinit(c)
-	cs.q, cs.stats, cs.tr = q, stats, tr
-	cs.pairFilter, cs.pull, cs.eager = pairFilter, e.opts.Pull, eager
+	cs.q, cs.e, cs.stats, cs.tr = q, e, stats, tr
+	cs.rule, cs.pull, cs.eager = ruleOf(q.Variant, c), e.opts.Pull, e.opts.Combinations != CombinationsLazy
 	cs.grids = nil
-	if eager && pairFilter {
+	if cs.eager && cs.rule == rulePairs {
 		cs.gridStore = reuseLen(cs.gridStore, c)
 		for i, g := range cs.gridStore {
 			if g == nil {
@@ -143,6 +165,7 @@ func (cs *combinationStream) reinit(c int) {
 		}
 	}
 	cs.d = reuseNested(cs.d, c)
+	cs.reach = reuseNested(cs.reach, c)
 	cs.pending = reuseNested(cs.pending, c)
 	cs.mins = reuseLen(cs.mins, c)
 	cs.maxs = reuseLen(cs.maxs, c)
@@ -364,6 +387,19 @@ func (cs *combinationStream) pullNext() error {
 	}
 	cs.stats.FeaturesPulled++
 	cs.d[i] = append(cs.d[i], ref)
+	if cs.rule == ruleCells {
+		// The cell decides which combinations the feature can be in, so it
+		// is looked up (or built) now, once per pulled feature.
+		reach := 0.0
+		if !ref.virtual {
+			c, err := cs.e.cellOf(i, &cs.d[i][len(cs.d[i])-1], cs.stats, cs.tr)
+			if err != nil {
+				return err
+			}
+			reach = c.reach
+		}
+		cs.reach[i] = append(cs.reach[i], reach)
+	}
 	if !cs.started[i] {
 		cs.started[i] = true
 		cs.maxs[i] = ref.score
@@ -559,7 +595,7 @@ func pairReach(u *featureRef, top, floor, r float64) float64 {
 func (cs *combinationStream) try(fixed, dim, a int, score float64, anchor geo.Point, anchored bool) {
 	ref := &cs.d[dim][a]
 	cs.vec[dim] = a
-	if cs.validAgainstChosen(ref, cs.vec, cs.chosen) {
+	if cs.validAgainstChosen(dim, a) {
 		if !anchored && !ref.virtual {
 			anchor, anchored = ref.loc, true
 		}
@@ -582,21 +618,29 @@ func (cs *combinationStream) keepVec() []int {
 	return cs.arena[n : n+c : n+c]
 }
 
-// validAgainstChosen checks Definition 4's pairwise constraint for ref at
-// its dim against every already-chosen member. The virtual feature is at
-// distance 0 from everything. Always true when the pair filter is off.
-func (cs *combinationStream) validAgainstChosen(ref *featureRef, vec []int, chosenDims []int) bool {
-	if !cs.pairFilter || ref.virtual {
+// validAgainstChosen checks the variant's pairwise rule for member a of
+// set dim against the member cs.vec[j] of every chosen set j. The virtual
+// feature obeys it with everything: it is at distance 0 from every point,
+// and its cell is the whole space.
+func (cs *combinationStream) validAgainstChosen(dim, a int) bool {
+	u := &cs.d[dim][a]
+	if cs.rule == ruleNone || u.virtual {
 		return true
 	}
-	limit := 2 * cs.q.Radius
-	p := ref.loc
-	for _, j := range chosenDims {
-		other := &cs.d[j][vec[j]]
-		if other.virtual {
+	for _, j := range cs.chosen {
+		b := cs.vec[j]
+		v := &cs.d[j][b]
+		if v.virtual {
 			continue
 		}
-		if p.Dist(other.loc) > limit {
+		if cs.rule == rulePairs {
+			if u.loc.Dist(v.loc) > 2*cs.q.Radius {
+				return false
+			}
+		} else if r := cs.reach[dim][a] + cs.reach[j][b]; u.loc.Dist2(v.loc) > r*r {
+			// Each cell lies in the disc of its reach around its site: sites
+			// farther apart than the two reaches have disjoint cells, so no
+			// object has both as its nearest features.
 			return false
 		}
 	}
@@ -604,30 +648,25 @@ func (cs *combinationStream) validAgainstChosen(ref *featureRef, vec []int, chos
 }
 
 // materialize converts an index vector into a combination, applying the
-// validity filter (lazy mode checks it at emission; eager mode filtered at
-// generation).
+// pairwise rule in lazy mode (eager mode applied it at generation). The
+// lattice step is over by then, so the check may use the generator's
+// vec and chosen.
 func (cs *combinationStream) materialize(ve vecEntry) (combination, bool) {
+	if !cs.eager && cs.rule != ruleNone {
+		copy(cs.vec, ve.vec)
+		cs.chosen = cs.chosen[:0]
+		for i, a := range ve.vec {
+			if !cs.validAgainstChosen(i, a) {
+				return combination{}, false
+			}
+			cs.chosen = append(cs.chosen, i)
+		}
+	}
 	refs := cs.refsBuf[:0]
 	for i, a := range ve.vec {
 		refs = append(refs, cs.d[i][a])
 	}
 	cs.refsBuf = refs
-	if cs.pairFilter && !cs.eager {
-		limit := 2 * cs.q.Radius
-		for i := 0; i < len(refs); i++ {
-			if refs[i].virtual {
-				continue
-			}
-			for j := i + 1; j < len(refs); j++ {
-				if refs[j].virtual {
-					continue
-				}
-				if refs[i].loc.Dist(refs[j].loc) > limit {
-					return combination{}, false
-				}
-			}
-		}
-	}
 	return combination{refs: refs, score: ve.score}, true
 }
 

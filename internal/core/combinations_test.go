@@ -186,32 +186,32 @@ func TestLazyEagerSameSequence(t *testing.T) {
 	}
 }
 
-// Without the pair filter — the influence variant's eager stream while it
-// is told no floor, the NN variant's lazy lattice — the stream must cover
-// the full cross product (plus virtual slots) before exhausting.
+// Without a pairwise rule — the influence variant's stream while it is told
+// no floor, generated eagerly or by the lazy lattice — the stream must
+// cover the full cross product (plus virtual slots) before exhausting.
 func TestUnfilteredStreamCountsCrossProduct(t *testing.T) {
-	w := buildWorld(t, 310, 20, 30, 2, 8, index.SRT, Options{})
-	rng := rand.New(rand.NewSource(311))
-	q := w.randQuery(rng, 2, InfluenceScore)
-	// Count relevant features per set.
-	relevant := func(set int) int {
-		all, err := w.engine.features[set].Part(0).Tree().All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qk := q.keywordsFor(set)
-		n := 0
-		for _, e := range all {
-			if e.Keywords.Intersects(qk.Set) {
-				n++
+	for _, mode := range []CombinationMode{CombinationsEager, CombinationsLazy} {
+		w := buildWorld(t, 310, 20, 30, 2, 8, index.SRT, Options{Combinations: mode})
+		rng := rand.New(rand.NewSource(311))
+		q := w.randQuery(rng, 2, InfluenceScore)
+		// Count relevant features per set.
+		relevant := func(set int) int {
+			all, err := w.engine.features[set].Part(0).Tree().All()
+			if err != nil {
+				t.Fatal(err)
 			}
+			qk := q.keywordsFor(set)
+			n := 0
+			for _, e := range all {
+				if e.Keywords.Intersects(qk.Set) {
+					n++
+				}
+			}
+			return n
 		}
-		return n
-	}
-	want := (relevant(0) + 1) * (relevant(1) + 1) // +1 for ∅
-	for _, q.Variant = range []Variant{InfluenceScore, NearestNeighborScore} {
+		want := (relevant(0) + 1) * (relevant(1) + 1) // +1 for ∅
 		if combos := drainCombinations(t, w, q, 1<<20); len(combos) != want {
-			t.Fatalf("%v: emitted %d combinations, want %d", q.Variant, len(combos), want)
+			t.Fatalf("%v: emitted %d combinations, want %d", mode, len(combos), want)
 		}
 	}
 }
@@ -251,10 +251,11 @@ func TestVirtualFeatureEmitted(t *testing.T) {
 // unfiltered combination exactly once in non-increasing order.
 func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		w := buildWorld(t, seed, 10, 15, 2, 8, index.SRT, Options{})
+		// Eager generation on even seeds, the lazy lattice on odd.
+		mode := []CombinationMode{CombinationsEager, CombinationsLazy}[seed&1]
+		w := buildWorld(t, seed, 10, 15, 2, 8, index.SRT, Options{Combinations: mode})
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
-		// Eager (influence) on even seeds, the lazy lattice (NN) on odd.
-		q := w.randQuery(rng, 2, []Variant{InfluenceScore, NearestNeighborScore}[seed&1])
+		q := w.randQuery(rng, 2, InfluenceScore)
 		var stats Stats
 		cs, err := newCombinationStream(w.engine, &q, &stats, nil)
 		if err != nil {
@@ -319,10 +320,10 @@ func TestPrioritizedPullsNoMoreThanRoundRobin(t *testing.T) {
 	}
 }
 
-// Range and influence default to eager generation — range over its pair
-// grids, influence (the unfiltered stream that can be told a floor)
-// without — and NN to the lazy lattice; explicit options override.
-// (Guards the CombinationsAuto dispatch.)
+// Every variant defaults to eager generation under its own rule — range
+// over its pair grids, influence (the stream that can be told a floor)
+// without a pairwise rule, NN under the cells rule; one set makes no
+// pairs and has no rule; and only the lazy reference is chosen by option.
 func TestCombinationModeDispatch(t *testing.T) {
 	stream := func(opts Options, variant Variant) *combinationStream {
 		t.Helper()
@@ -334,24 +335,24 @@ func TestCombinationModeDispatch(t *testing.T) {
 		}
 		return cs
 	}
-	if cs := stream(Options{}, RangeScore); !cs.eager || cs.grids == nil || !cs.pairFilter {
-		t.Error("range variant should default to grid-accelerated eager")
+	if cs := stream(Options{}, RangeScore); !cs.eager || cs.grids == nil || cs.rule != rulePairs {
+		t.Error("range variant should default to grid-accelerated eager under the 2r rule")
 	}
-	if cs := stream(Options{}, InfluenceScore); !cs.eager || cs.grids != nil || cs.pairFilter {
-		t.Error("influence variant should default to unfiltered eager without grids")
+	if cs := stream(Options{}, InfluenceScore); !cs.eager || cs.grids != nil || cs.rule != ruleNone {
+		t.Error("influence variant should default to eager without grids or a pairwise rule")
 	}
-	if cs := stream(Options{}, NearestNeighborScore); cs.eager || cs.pairFilter {
-		t.Error("NN variant should default to the unfiltered lazy lattice")
+	if cs := stream(Options{}, NearestNeighborScore); !cs.eager || cs.grids != nil || cs.rule != ruleCells {
+		t.Error("NN variant should default to eager under the cells rule")
 	}
 	for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
-		if stream(Options{Combinations: CombinationsLazy}, variant).eager {
-			t.Errorf("explicit lazy must override the %v default", variant)
+		if cs := stream(Options{Combinations: CombinationsLazy}, variant); cs.eager || cs.rule != ruleOf(variant, 2) {
+			t.Errorf("explicit lazy must override the %v default and keep its rule", variant)
 		}
-		if !stream(Options{Combinations: CombinationsEager}, variant).eager {
-			t.Errorf("explicit eager must override the %v default", variant)
+		if ruleOf(variant, 1) != ruleNone {
+			t.Errorf("%v over one feature set has a pairwise rule", variant)
 		}
 	}
-	if CombinationsAuto.String() != "auto" || CombinationsEager.String() != "eager" || CombinationsLazy.String() != "lazy" {
+	if CombinationsEager.String() != "eager" || CombinationsLazy.String() != "lazy" {
 		t.Error("mode strings")
 	}
 }
@@ -413,8 +414,9 @@ type latticeSet struct {
 // with and without a final ∅, and with scores that tie, it must still emit
 // each vector exactly once, in non-increasing score — the very sequence of
 // scores the sorted cross product gives, hence the same multiset down to
-// any stopping score — under either pulling strategy, and on the range
-// variant forced lazy only the combinations its pair filter lets through.
+// any stopping score — under either pulling strategy, and forced lazy on
+// the range and NN variants only the combinations their pairwise rule (2r,
+// cells that can meet) lets through.
 func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 	eighths := func(n ...int) []float64 {
 		out := make([]float64, len(n))
@@ -464,6 +466,15 @@ func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 							sets[i] = append(sets[i], featureRef{id: -1, virtual: true})
 						}
 					}
+					// Under the cells rule a feature's cell reach decides its
+					// partners; the stream finds the same cells in the store.
+					reach := func(set int, ref featureRef) float64 {
+						c, err := w.engine.cellOf(set, &ref, new(Stats), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return c.reach
+					}
 					var want []float64
 					var cross func(i int, members []featureRef, score float64)
 					cross = func(i int, members []featureRef, score float64) {
@@ -473,9 +484,16 @@ func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 						}
 						for _, ref := range sets[i] {
 							valid := true
-							for _, m := range members {
-								if variant == RangeScore && !ref.virtual && !m.virtual && ref.loc.Dist(m.loc) > 2*q.Radius {
-									valid = false
+							for j, m := range members {
+								if ref.virtual || m.virtual {
+									continue
+								}
+								switch variant {
+								case RangeScore:
+									valid = valid && ref.loc.Dist(m.loc) <= 2*q.Radius
+								case NearestNeighborScore:
+									r := reach(i, ref) + reach(j, m)
+									valid = valid && ref.loc.Dist2(m.loc) <= r*r
 								}
 							}
 							if valid {

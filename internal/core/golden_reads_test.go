@@ -37,19 +37,28 @@ import (
 // root once more to aggregate it (one logical read per cell built, always a
 // hit). Every component is at or below its old value; the stds rows, whose
 // computeNNScore keeps the feature-ordered walk, did not move.
+//
+// They were re-recorded again when NN combinations became eager under the
+// cells rule and each cell was kept in a store per engine (from
+// 5254/2413/2317 4109/1867/1867 6526/2953/2953 and 2652/984/888
+// 2109/724/724 3240/1147/1147). The first query of a row reads up to 0.6 %
+// more: eager generation builds the cell of every concrete feature it pulls,
+// including the last few whose combinations the lazy walk never reached.
+// The second and third read less, because the three queries share one
+// engine and find the cells the earlier ones built in its store.
 var goldenReads = map[string]string{
 	"SRT/stds/range":            "1816/358/262 1647/309/309 2195/511/511",
 	"SRT/stds/influence":        "50196/359/263 39766/384/384 64272/944/944",
 	"SRT/stds/nearest-neighbor": "33907/236/140 27541/211/211 30094/212/212",
 	"SRT/stps/range":            "71/69/3 95/50/36 106/91/89",
 	"SRT/stps/influence":        "246/115/30 154/107/103 238/136/133",
-	"SRT/stps/nearest-neighbor": "5254/2413/2317 4109/1867/1867 6526/2953/2953",
+	"SRT/stps/nearest-neighbor": "5278/2429/2333 3664/1663/1663 5348/2434/2434",
 	"IR2/stds/range":            "1764/247/151 1157/179/179 1545/206/206",
 	"IR2/stds/influence":        "40264/222/126 28918/218/218 48720/270/270",
 	"IR2/stds/nearest-neighbor": "15663/204/108 12778/182/182 13872/183/183",
 	"IR2/stps/range":            "136/134/60 140/130/124 124/114/112",
 	"IR2/stps/influence":        "278/147/61 164/127/124 240/136/133",
-	"IR2/stps/nearest-neighbor": "2652/984/888 2109/724/724 3240/1147/1147",
+	"IR2/stps/nearest-neighbor": "2667/989/893 1886/649/649 2695/954/954",
 }
 
 func TestReadCountsGolden(t *testing.T) {

@@ -244,35 +244,27 @@ func (p PullStrategy) String() string {
 type CombinationMode int
 
 const (
-	// CombinationsAuto (default) picks per variant: eager for the range
-	// and influence scores, whose rules discard most of the space at
-	// generation — Definition 4's 2r filter, and the geometric influence
-	// bound against the running k-th score — and lazy for the NN variant,
-	// where every combination is valid and eager materialization would
-	// hold the whole cross product.
-	CombinationsAuto CombinationMode = iota
-	// CombinationsEager is the paper's literal Algorithm 4 line 9: every
-	// pulled feature immediately materializes the combinations its
-	// variant's rule lets through (range: found through a spatial grid
-	// over the retrieved features).
-	CombinationsEager
+	// CombinationsEager (default) is the paper's literal Algorithm 4 line
+	// 9: every pulled feature immediately materializes the combinations its
+	// variant's rule lets through — Definition 4's 2r filter for range
+	// (partners found through a spatial grid over the retrieved features),
+	// the geometric influence bound against the running k-th score, and for
+	// NN that the Voronoi cells of two members can meet.
+	CombinationsEager CombinationMode = iota
 	// CombinationsLazy walks the combination lattice rank-join style:
 	// pop the best index vector, push its successors. Memory stays
 	// proportional to the emitted frontier, and every combination above
-	// the stopping score is emitted: the rules apply only afterwards.
+	// the stopping score is popped: the rules apply only afterwards. It is
+	// the reference the tests and the ablation compare eager against.
 	CombinationsLazy
 )
 
 // String implements fmt.Stringer.
 func (m CombinationMode) String() string {
-	switch m {
-	case CombinationsEager:
-		return "eager"
-	case CombinationsLazy:
+	if m == CombinationsLazy {
 		return "lazy"
-	default:
-		return "auto"
 	}
+	return "eager"
 }
 
 // Options tunes algorithm behaviour without affecting results.
@@ -287,12 +279,6 @@ type Options struct {
 	BatchSTDS bool
 	// Combinations selects how STPS enumerates feature combinations.
 	Combinations CombinationMode
-	// CacheVoronoiCells keeps Voronoi cells computed by the NN variant
-	// across queries — the precomputation the paper suggests for static
-	// data ("for static data the Voronoi cells can be pre-computed in a
-	// special structure", Section 8.5). Cells can also be fully
-	// precomputed up front with Engine.PrecomputeVoronoiCells.
-	CacheVoronoiCells bool
 	// CostModel converts physical reads to modeled I/O time.
 	CostModel storage.CostModel
 }
@@ -316,7 +302,8 @@ func (o Options) withDefaults() Options {
 // object parts. Once built, an Engine is safe for concurrent queries: each
 // STDS/STPS call runs in a private session whose page reads are charged to a
 // per-query accumulator, while the underlying buffer pools (shared page
-// caches) are internally synchronized.
+// caches) and the NN variant's Voronoi cell store are internally
+// synchronized.
 type Engine struct {
 	objects []*index.ObjectIndex
 	// rects[i] is the MBR of objects[i], read off its root once at
@@ -330,9 +317,9 @@ type Engine struct {
 	shards   int
 	features []*index.FeatureGroup
 	opts     Options
-	// cells is the cross-query Voronoi cell cache (Options.
-	// CacheVoronoiCells); nil when caching is off.
-	cells *cellCache
+	// cells is the NN variant's Voronoi cell store, shared by the root
+	// engine and every session of it (stps.go).
+	cells *cellStore
 	// reads is the per-query read accumulator of a session engine; nil on
 	// the root engine.
 	reads *storage.Stats
@@ -341,25 +328,6 @@ type Engine struct {
 	scratches *sync.Pool
 	// scratch is the per-query scratch of a session; nil on the root engine.
 	scratch *queryScratch
-}
-
-// cellCache is the lock-protected cross-query Voronoi cell cache.
-type cellCache struct {
-	mu sync.RWMutex
-	m  map[cellKey]geo.Polygon
-}
-
-func (c *cellCache) get(k cellKey) (geo.Polygon, bool) {
-	c.mu.RLock()
-	p, ok := c.m[k]
-	c.mu.RUnlock()
-	return p, ok
-}
-
-func (c *cellCache) put(k cellKey, p geo.Polygon) {
-	c.mu.Lock()
-	c.m[k] = p
-	c.mu.Unlock()
 }
 
 // session returns a per-query view of the engine from the scratch pool:
@@ -431,40 +399,9 @@ func NewEngineOverParts(objects []*index.ObjectIndex, shards int, features []*in
 			e.rects[i] = root.Rect
 		}
 	}
-	if e.opts.CacheVoronoiCells {
-		e.cells = &cellCache{m: make(map[cellKey]geo.Polygon)}
-	}
+	e.cells = &cellStore{}
 	e.scratches = &sync.Pool{New: func() interface{} { return newQueryScratch(e) }}
 	return e, nil
-}
-
-// PrecomputeVoronoiCells computes and caches the Voronoi cell of every
-// feature object up front (requires Options.CacheVoronoiCells). The
-// one-off cost removes the per-query Voronoi construction that dominates
-// the NN variant (Figures 13–14).
-func (e *Engine) PrecomputeVoronoiCells() error {
-	if e.cells == nil {
-		return errors.New("core: PrecomputeVoronoiCells requires Options.CacheVoronoiCells")
-	}
-	for i, g := range e.features {
-		for _, part := range g.Parts() {
-			if part.Len() == 0 {
-				continue
-			}
-			all, err := part.Tree().All()
-			if err != nil {
-				return err
-			}
-			for j := range all {
-				cell, err := e.voronoiCell(i, all[j].ItemID, all[j].Rect.Min)
-				if err != nil {
-					return err
-				}
-				e.cells.put(cellKey{set: i, id: all[j].ItemID}, cell)
-			}
-		}
-	}
-	return nil
 }
 
 // ObjectParts returns the engine's data-object index parts.

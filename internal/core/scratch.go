@@ -14,7 +14,8 @@ import (
 // recycled through the root engine's sync.Pool so a steady stream of
 // queries reaches steady-state zero heap growth: after warm-up, repeated
 // queries allocate only what genuinely varies per query (results slices,
-// the copy of each Voronoi cell the cell caches keep).
+// and the copy of each Voronoi cell an NN query adds to the engine's
+// store — none once the store holds the cells its queries touch).
 //
 // Single-user invariants (all hold because a query runs on one goroutine
 // and the kernels never nest):
@@ -27,10 +28,10 @@ import (
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
 //     object and feature set, over before the next begins;
 //   - cell belongs to the NN variant of STPS: voronoiCell is done with the
-//     builder and the node heap when it returns the cell's copy, and
-//     comboRegion, which calls it between two cuts of the region, keeps the
-//     region in buffers of its own and is over before the next combination
-//     (the region it returned is consumed by then);
+//     builder and the node heap when it returns the cell's copy for the
+//     store, which happens when a feature is pulled, never inside
+//     comboRegion, whose region buffers are consumed before the next
+//     combination;
 //   - topk/inf back the single accumulator of the query;
 //   - the combination-stream buffers belong to the single stream a
 //     STPS query drives.
@@ -61,11 +62,9 @@ type queryScratch struct {
 	// the index-vector arena — and reinit() recycles it in place.
 	cs combinationStream
 
-	// NN variant: per-query Voronoi cell view and cell radii, and what
-	// building a cell and intersecting cells works in.
-	cellsLocal map[cellKey]geo.Polygon
-	radii      map[cellKey]float64
-	cell       cellWork
+	// NN variant: what building a cell and intersecting cells works in
+	// (the cells themselves live in the engine's store).
+	cell cellWork
 }
 
 // cellWork is the working state of the NN variant of STPS: the builder and
@@ -82,10 +81,8 @@ type cellWork struct {
 // scratches.
 func newQueryScratch(root *Engine) *queryScratch {
 	sc := &queryScratch{
-		seen:       make(map[int64]bool),
-		probed:     make([]bool, len(root.objects)),
-		cellsLocal: make(map[cellKey]geo.Polygon),
-		radii:      make(map[cellKey]float64),
+		seen:   make(map[int64]bool),
+		probed: make([]bool, len(root.objects)),
 	}
 	s := *root
 	s.reads = &sc.acct
@@ -231,17 +228,6 @@ func (e *Engine) scratchBatch(n int) []*batchObj {
 	}
 	sc.batchPtr = objs
 	return objs
-}
-
-// scratchCells returns the NN variant's per-query cell map and radii map,
-// cleared.
-func (e *Engine) scratchCells() (map[cellKey]geo.Polygon, map[cellKey]float64) {
-	if sc := e.scratch; sc != nil {
-		clear(sc.cellsLocal)
-		clear(sc.radii)
-		return sc.cellsLocal, sc.radii
-	}
-	return make(map[cellKey]geo.Polygon), make(map[cellKey]float64)
 }
 
 // scratchCellWork returns the NN variant's reusable cell-building state.

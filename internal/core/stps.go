@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"stpq/internal/geo"
@@ -385,8 +386,9 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 // stpsNearestNeighbor processes the NN variant (Section 7.2): for each
 // combination, the qualifying region is the intersection of the Voronoi
 // cells of its feature objects; data objects inside it have exactly the
-// combination's score. Cells are built incrementally and the combination
-// is discarded as soon as the intersection becomes empty.
+// combination's score. The stream only emits combinations whose cells can
+// meet (the cells rule, combinations.go); one whose cells still do not
+// intersect is discarded when the region comes out empty.
 func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
 	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
@@ -394,11 +396,6 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 	}
 	seen := e.scratchSeen()
 	acc := e.newTopk(q.K)
-	// Per-query cell view: always writes a private map (single-goroutine),
-	// falling back to — and populating — the shared cross-query cache when
-	// Options.CacheVoronoiCells is on.
-	local, radii := e.scratchCells()
-	cells := &queryCells{shared: e.cells, local: local}
 	for {
 		sp := tr.StartPhase("combos.generate")
 		comb, ok, err := cs.next(negInf)
@@ -412,30 +409,21 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 		if acc.full() && comb.score < acc.threshold() {
 			break
 		}
-		if comboCellsDisjoint(comb, radii) {
-			continue
-		}
-		sp = tr.StartPhase("voronoi.build")
-		region, err := e.comboRegion(comb, cells, radii, stats)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		if region.IsEmpty() {
-			continue
-		}
 		sp = tr.StartPhase("objects.retrieve")
-		err = e.probeParts(region.IntersectsRect, func(t *rtree.Tree) error {
-			return t.SearchPolygon(region, func(entry rtree.Entry) bool {
-				if seen[entry.ItemID] {
+		region, err := e.comboRegion(comb, stats, tr)
+		if err == nil && !region.IsEmpty() {
+			err = e.probeParts(region.IntersectsRect, func(t *rtree.Tree) error {
+				return t.SearchPolygon(region, func(entry rtree.Entry) bool {
+					if seen[entry.ItemID] {
+						return true
+					}
+					seen[entry.ItemID] = true
+					stats.ObjectsScored++
+					acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
 					return true
-				}
-				seen[entry.ItemID] = true
-				stats.ObjectsScored++
-				acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
-				return true
+				})
 			})
-		})
+		}
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -444,97 +432,93 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 	return acc.results(), nil
 }
 
-// cellKey identifies a cached Voronoi cell.
+// cellKey identifies the Voronoi cell of one feature of one set.
 type cellKey struct {
 	set int
 	id  int64
 }
 
-// queryCells is one query's view of the Voronoi cells: a private map the
-// query fills freely plus the optional shared cross-query cache, consulted
-// and populated under its lock.
-type queryCells struct {
-	shared *cellCache
-	local  map[cellKey]geo.Polygon
+// storedCell is a feature's Voronoi cell within its whole set and the
+// cell's reach, its largest distance from the site: the cell lies in the
+// disc of that radius around the site.
+type storedCell struct {
+	cell  geo.Polygon
+	reach float64
 }
 
-func (qc *queryCells) get(k cellKey) (geo.Polygon, bool) {
-	if cell, ok := qc.local[k]; ok {
-		return cell, true
-	}
-	if qc.shared != nil {
-		if cell, ok := qc.shared.get(k); ok {
-			qc.local[k] = cell
-			return cell, true
-		}
-	}
-	return geo.Polygon{}, false
+// cellStore keeps every Voronoi cell an NN query of one engine has built,
+// for every later query of that engine — the "special structure" Section
+// 8.5 suggests for static data. The data an engine serves never changes:
+// every publish, Flush, compaction swap, Rebuild and Open builds a new engine,
+// with an empty store, so a cell cannot outlive the feature set it was cut
+// from and nothing is ever invalidated. For the same reason the store
+// holds at most one cell per feature of its generation and needs no
+// capacity. The map is made at the first put, so an engine that serves no
+// NN query pays a pointer for it. Safe for concurrent queries.
+type cellStore struct {
+	mu sync.RWMutex
+	m  map[cellKey]storedCell
 }
 
-func (qc *queryCells) put(k cellKey, cell geo.Polygon) {
-	qc.local[k] = cell
-	if qc.shared != nil {
-		qc.shared.put(k, cell)
-	}
+// get returns the stored cell of k; a hit allocates nothing.
+func (s *cellStore) get(k cellKey) (storedCell, bool) {
+	s.mu.RLock()
+	c, ok := s.m[k]
+	s.mu.RUnlock()
+	return c, ok
 }
 
-// comboCellsDisjoint quick-rejects a combination when two of its features'
-// Voronoi cells cannot intersect: every cell lies inside the circle of
-// radius maxDist(site, cell) around its site, so sites farther apart than
-// the radius sum have disjoint cells. Radii are looked up from the cell
-// cache; unknown cells (not yet computed) do not reject.
-func comboCellsDisjoint(comb combination, radii map[cellKey]float64) bool {
-	for i := range comb.refs {
-		a := &comb.refs[i]
-		if a.virtual {
-			continue
-		}
-		ra, ok := radii[cellKey{set: i, id: a.id}]
-		for j := i + 1; ok && j < len(comb.refs); j++ {
-			b := &comb.refs[j]
-			if b.virtual {
-				continue
-			}
-			rb, ok := radii[cellKey{set: j, id: b.id}]
-			if ok && a.loc.Dist2(b.loc) > (ra+rb)*(ra+rb) {
-				return true
-			}
-		}
+// put stores c under k and returns what the store holds for k: the first
+// put wins, so a cell two queries built at once is the same for both.
+func (s *cellStore) put(k cellKey, c storedCell) storedCell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.m[k]; ok {
+		return old
 	}
-	return false
+	if s.m == nil {
+		s.m = make(map[cellKey]storedCell)
+	}
+	s.m[k] = c
+	return c
+}
+
+// cellOf returns the stored cell of a concrete feature of set, building
+// and storing it on a miss. A build is charged to the Voronoi counters (the
+// striped bars of Figures 13–14) and runs under the voronoi.build span.
+func (e *Engine) cellOf(set int, ref *featureRef, stats *Stats, tr *obs.Trace) (storedCell, error) {
+	k := cellKey{set: set, id: ref.id}
+	if c, ok := e.cells.get(k); ok {
+		return c, nil
+	}
+	sp := tr.StartPhase("voronoi.build")
+	start, before := time.Now(), e.snapshotReads()
+	cell, err := e.voronoiCell(set, ref.id, ref.loc)
+	stats.VoronoiCPUTime += time.Since(start)
+	stats.VoronoiReads += e.snapshotReads().Sub(before).PhysicalReads
+	sp.End()
+	if err != nil {
+		return storedCell{}, err
+	}
+	return e.cells.put(k, storedCell{cell: cell, reach: cell.MaxDist(ref.loc)}), nil
 }
 
 // comboRegion intersects the Voronoi cells of the combination's concrete
-// features, attributing the construction cost to the Voronoi counters
-// (the striped bars of Figures 13–14). The region is cut between the two
-// scratch region buffers and is valid until the next call.
-func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cellKey]float64, stats *Stats) (geo.Polygon, error) {
-	vorStart := time.Now()
-	vorBefore := e.snapshotReads()
-	defer func() {
-		stats.VoronoiCPUTime += time.Since(vorStart)
-		stats.VoronoiReads += e.snapshotReads().Sub(vorBefore).PhysicalReads
-	}()
+// features, read from the store. The region is cut between the two scratch
+// region buffers and is valid until the next call.
+func (e *Engine) comboRegion(comb combination, stats *Stats, tr *obs.Trace) (geo.Polygon, error) {
 	w := e.scratchCellWork()
 	w.region = append(w.region[:0], geo.UnitSquare().Vertices...)
-	for i, ref := range comb.refs {
+	for i := range comb.refs {
+		ref := &comb.refs[i]
 		if ref.virtual {
 			continue
 		}
-		key := cellKey{set: i, id: ref.id}
-		cell, ok := cache.get(key)
-		if !ok {
-			var err error
-			cell, err = e.voronoiCell(i, ref.id, ref.loc)
-			if err != nil {
-				return geo.Polygon{}, err
-			}
-			cache.put(key, cell)
+		c, err := e.cellOf(i, ref, stats, tr)
+		if err != nil {
+			return geo.Polygon{}, err
 		}
-		if _, ok := radii[key]; !ok {
-			radii[key] = cell.MaxDist(ref.loc)
-		}
-		if geo.CutConvex(&w.region, &w.spare, cell); len(w.region) < 3 {
+		if geo.CutConvex(&w.region, &w.spare, c.cell); len(w.region) < 3 {
 			return geo.Polygon{}, nil
 		}
 	}

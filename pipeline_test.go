@@ -3,9 +3,12 @@ package stpq
 // pipeline_test.go pins the one query pipeline (prepare.go) from the
 // library side: what DB.TopK allocates above the engine, the single shape
 // key, one event per query whichever handle it arrives by, and that a DB
-// saved by the commit before ten Config fields were removed still opens.
+// saved before eleven of its Config fields were removed still opens.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -122,45 +125,67 @@ func TestOneEventPerQuery(t *testing.T) {
 // TestOpenParentManifest opens a directory Save wrote at commit 8b49ca3 —
 // the whole 30-field Config as JSON, the ten since-removed keys present and
 // set, and a shapes.json whose NN row still carries a radius bucket — and
-// gets the same answers as a fresh build.
+// gets the same answers as a fresh build. A copy whose manifest turns on
+// CacheVoronoiCells, the eleventh key removed since (every engine keeps its
+// cells now), opens and answers the same.
 func TestOpenParentManifest(t *testing.T) {
-	db, err := Open("testdata/parent-8b49ca3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := paperDB(t, Config{})
-	for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
-		q := paperQuery(4, STPS)
-		q.Variant = variant
-		want, _, err := fresh.TopK(q)
+	const parent = "testdata/parent-8b49ca3"
+	cached := t.TempDir()
+	for _, name := range []string{"features_0.pages", "features_1.pages", "objects.pages", "shapes.json", "stpq.json"} {
+		data, err := os.ReadFile(filepath.Join(parent, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := db.TopK(q)
+		if name == "stpq.json" {
+			on := bytes.Replace(data, []byte(`"CacheVoronoiCells": false`), []byte(`"CacheVoronoiCells": true`), 1)
+			if bytes.Equal(on, data) {
+				t.Fatal("the parent manifest has no CacheVoronoiCells key to turn on")
+			}
+			data = on
+		}
+		if err := os.WriteFile(filepath.Join(cached, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := paperDB(t, Config{})
+	for _, dir := range []string{parent, cached} {
+		db, err := Open(dir)
 		if err != nil {
-			t.Fatalf("variant %v: %v", variant, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("variant %v: got %v, want %v", variant, got, want)
+		for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
+			q := paperQuery(4, STPS)
+			q.Variant = variant
+			want, _, err := fresh.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := db.TopK(q)
+			if err != nil {
+				t.Fatalf("%s, variant %v: %v", dir, variant, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, variant %v: got %v, want %v", dir, variant, got, want)
+			}
 		}
-	}
-	if got := db.cfg.BufferPages; got != 64 {
-		t.Errorf("surviving Config field BufferPages = %d, want 64", got)
-	}
-	// The statistics the parent recorded are there before any query of this
-	// process has added to them: its range shape predicts at once.
-	ex, err := db.Explain(paperQuery(3, STPS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Predicted == nil || ex.Predicted.Samples < 3 {
-		t.Errorf("imported range shape does not predict: %+v", ex.Predicted)
-	}
-	imported := false
-	for _, row := range db.QueryShapes() {
-		imported = imported || row.Shape == "stds|nearest-neighbor|jaccard|k=2|r~0.354|sets=2"
-	}
-	if !imported {
-		t.Errorf("the parent's NN row was not imported: %+v", db.QueryShapes())
+		if got := db.cfg.BufferPages; got != 64 {
+			t.Errorf("%s: surviving Config field BufferPages = %d, want 64", dir, got)
+		}
+		// The statistics the parent recorded are there before any query of
+		// this process has added to them: its range shape predicts at once.
+		ex, err := db.Explain(paperQuery(3, STPS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Predicted == nil || ex.Predicted.Samples < 3 {
+			t.Errorf("%s: imported range shape does not predict: %+v", dir, ex.Predicted)
+		}
+		imported := false
+		for _, row := range db.QueryShapes() {
+			imported = imported || row.Shape == "stds|nearest-neighbor|jaccard|k=2|r~0.354|sets=2"
+		}
+		if !imported {
+			t.Errorf("%s: the parent's NN row was not imported: %+v", dir, db.QueryShapes())
+		}
 	}
 }

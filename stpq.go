@@ -147,10 +147,6 @@ type Config struct {
 	// IOCostPerPage converts physical page reads into modeled I/O time
 	// for Stats (default 100µs).
 	IOCostPerPage time.Duration
-	// CacheVoronoiCells keeps the Voronoi cells computed by
-	// nearest-neighbor queries across queries — the precomputation for
-	// static data the paper suggests in Section 8.5.
-	CacheVoronoiCells bool
 	// SignatureBits stores hashed keyword signatures of this width in
 	// feature indexes instead of exact bitmaps (classic IR²-tree
 	// signature files with verification reads against a record file).
@@ -609,7 +605,7 @@ func soleObjects(eng *core.Engine) *index.ObjectIndex { return eng.ObjectParts()
 
 // coreOptions lowers the public config into engine options.
 func (cfg Config) coreOptions() core.Options {
-	opts := core.Options{BatchSTDS: true, CacheVoronoiCells: cfg.CacheVoronoiCells}
+	opts := core.Options{BatchSTDS: true}
 	if cfg.IOCostPerPage > 0 {
 		opts.CostModel = storage.CostModel{PerPage: cfg.IOCostPerPage}
 	}
