@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,20 @@ bench-compare:
 # one pipeline.
 alloc-regression:
 	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/storage/ ./internal/core/ ./internal/obs/ . ./internal/serve/
+
+# Every fuzz target of the root module run past its seed corpus, for
+# FUZZTIME each. `go test -fuzz` takes one package and one target per run,
+# so the targets are listed package by package (`go test -list`) and run
+# one after another. A failing input is written under the package's
+# testdata/fuzz/, where it becomes a seed-corpus regression case.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for name in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$name in $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
 # wait for /healthz, fire a short stpqload run, then shut down gracefully.

@@ -1,0 +1,325 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"stpq/internal/geo"
+	"stpq/internal/index"
+	"stpq/internal/rtree"
+)
+
+// exactPrice is the influence price of en under the concrete members of
+// refs, spelled out: the distance to a leaf's object or a node's MBR, and
+// one exponential per member. influenceAt over decayTerms must equal it to
+// the bit.
+func exactPrice(refs []featureRef, r float64, en *rtree.Entry) float64 {
+	sum := 0.0
+	for _, ref := range refs {
+		if ref.virtual {
+			continue
+		}
+		d := en.Rect.MinDist(ref.loc)
+		if en.Leaf {
+			d = en.Rect.Min.Dist(ref.loc)
+		}
+		sum += ref.score * math.Exp2(-d/r)
+	}
+	return sum
+}
+
+// checkCeil prices en both ways and fails if the exact price differs from
+// exactPrice or exceeds the ceiling. A NaN price (never below a limit, so
+// never queued) passes.
+func checkCeil(t *testing.T, refs []featureRef, r float64, en *rtree.Entry, label string) {
+	t.Helper()
+	ts := decayTerms(refs, r, en, nil)
+	exact, ceil := influenceAt(ts), influenceCeil(ts)
+	if want := exactPrice(refs, r, en); exact != want && !(math.IsNaN(exact) && math.IsNaN(want)) {
+		t.Fatalf("%s: influenceAt %v, the spelled-out price %v\nrefs %+v\nentry %+v", label, exact, want, refs, *en)
+	}
+	if exact > ceil {
+		t.Fatalf("%s: ceiling %v below the exact price %v\nrefs %+v\nentry %+v", label, ceil, exact, refs, *en)
+	}
+}
+
+// decayCeil dominates math.Exp2(−x) at 0, at every table boundary and four
+// ulps either side of it, at the end of the table and past it, at +Inf
+// and at 10⁵ random x, and is a finite power for NaN. Below the table's
+// end it is also within one step, 2^(1/16), of the power it bounds, and
+// past it no higher than the last entry: a ceiling of 1 would dominate
+// too, and reject nothing.
+func TestDecayCeilDominates(t *testing.T) {
+	last := decayTable[len(decayTable)-1]
+	check := func(x float64) {
+		t.Helper()
+		got, exact := decayCeil(x), math.Exp2(-x)
+		if got < exact {
+			t.Fatalf("decayCeil(%v) = %v, below math.Exp2(-x) = %v", x, got, exact)
+		}
+		limit := last
+		if x < decaySpan {
+			limit = exact * math.Exp2(1.0/decaySteps) * (1 + 1e-11)
+		}
+		if got > limit {
+			t.Fatalf("decayCeil(%v) = %v, looser than %v (math.Exp2(-x) = %v)", x, got, limit, exact)
+		}
+	}
+	check(0)
+	for i := 0; i <= len(decayTable); i++ {
+		b := float64(i) / decaySteps
+		lo, hi := b, b
+		check(b)
+		for k := 0; k < 4; k++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			if lo >= 0 {
+				check(lo)
+			}
+			check(hi)
+		}
+	}
+	for _, x := range []float64{decaySpan, 64.5, 65, 100, 1075, 1e6, math.MaxFloat64, math.Inf(1)} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(2601))
+	for n := 0; n < 100_000; n++ {
+		if n%2 == 0 {
+			check(72 * rng.Float64())
+		} else {
+			check(math.Exp2(60*rng.Float64() - 50)) // 1e-15 … 1e3
+		}
+	}
+	if got := decayCeil(math.NaN()); got != last {
+		t.Fatalf("decayCeil(NaN) = %v, want the last entry %v", got, last)
+	}
+}
+
+// randCeilCase draws a combination of c members, virtual ones among them,
+// and an entry — a leaf or a node — for it, at a radius from 1e-5 (every
+// exponent past the table's end) to 10 (every exponent near 0).
+func randCeilCase(rng *rand.Rand, c int) ([]featureRef, float64, rtree.Entry) {
+	refs := make([]featureRef, c)
+	for i := range refs {
+		if rng.Intn(5) == 0 {
+			refs[i] = featureRef{virtual: true, score: virtualScore}
+			continue
+		}
+		refs[i] = featureRef{id: int64(i), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, score: rng.Float64()}
+	}
+	r := math.Exp2(20*rng.Float64() - 16.6)
+	p := geo.Point{X: rng.Float64(), Y: rng.Float64()}
+	if rng.Intn(2) == 0 {
+		return refs, r, rtree.Entry{Rect: geo.RectOf(p), Leaf: true}
+	}
+	q := geo.Point{X: p.X + 0.2*rng.Float64(), Y: p.Y + 0.2*rng.Float64()}
+	return refs, r, rtree.Entry{Rect: geo.Rect{Min: p, Max: q}}
+}
+
+// The summed ceiling dominates the exact price, which is the spelled-out
+// price to the bit, for random combinations of two to four members over
+// leaf and node entries.
+func TestInfluenceCeilDominatesPrice(t *testing.T) {
+	rng := rand.New(rand.NewSource(2602))
+	for trial := 0; trial < 30_000; trial++ {
+		c := 2 + trial%3
+		refs, r, en := randCeilCase(rng, c)
+		checkCeil(t, refs, r, &en, fmt.Sprintf("trial %d (c=%d, r=%v, leaf=%v)", trial, c, r, en.Leaf))
+	}
+}
+
+// FuzzInfluenceCeil checks the same property for three members, any of
+// them virtual (bits of virt), over an entry spanning w×h from (x, y): a
+// leaf takes the corner. Non-finite and negative inputs are outside what a
+// query can produce and are skipped.
+func FuzzInfluenceCeil(f *testing.F) {
+	f.Add(0.01, 0.5, 0.5, 0.0, 0.0, true, 0.4, 0.5, 0.9, 0.6, 0.5, 0.3, 0.5, 0.7, 0.1, uint8(0))
+	f.Add(0.05, 0.1, 0.1, 0.2, 0.3, false, 0.9, 0.9, 1.0, 0.0, 0.0, 0.5, 0.15, 0.2, 0.7, uint8(2))
+	f.Add(1e-5, 0.0, 0.0, 0.0, 0.0, true, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 0.25, 0.75, 1.0, uint8(4))
+	f.Add(100.0, 0.3, 0.3, 0.01, 0.01, false, 0.3, 0.3, 0.8, 0.31, 0.29, 0.2, 0.9, 0.1, 0.6, uint8(1))
+	f.Add(0.01, 0.5, 0.5, 0.0, 0.0, true, 0.5, 0.5, 1.0, 0.5, 0.64, 1.0, 0.5, 0.5, 0.0, uint8(0))
+	f.Fuzz(func(t *testing.T, r, x, y, w, h float64, leaf bool,
+		x0, y0, s0, x1, y1, s1, x2, y2, s2 float64, virt uint8) {
+		for _, v := range []float64{r, x, y, w, h, x0, y0, s0, x1, y1, s1, x2, y2, s2} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite input")
+			}
+		}
+		if r <= 0 || w < 0 || h < 0 || s0 < 0 || s1 < 0 || s2 < 0 {
+			t.Skip("outside a query's domain")
+		}
+		refs := []featureRef{
+			{id: 0, loc: geo.Point{X: x0, Y: y0}, score: s0},
+			{id: 1, loc: geo.Point{X: x1, Y: y1}, score: s1},
+			{id: 2, loc: geo.Point{X: x2, Y: y2}, score: s2},
+		}
+		for i := range refs {
+			if virt&(1<<i) != 0 {
+				refs[i] = featureRef{virtual: true, score: virtualScore}
+			}
+		}
+		en := rtree.Entry{Rect: geo.Rect{Min: geo.Point{X: x, Y: y}, Max: geo.Point{X: x + w, Y: y + h}}, Leaf: leaf}
+		if leaf {
+			en.Rect = geo.RectOf(en.Rect.Min)
+		}
+		checkCeil(t, refs, r, &en, "fuzz")
+	})
+}
+
+// topKInfluenceExact is topKInfluence without the ceiling pre-test: every
+// child of an expanded node is priced exactly. It is the reference search
+// the pre-test must not change.
+func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTopK, stats *Stats) error {
+	pq := e.scratchBoundHeap()
+	for pi, part := range e.objects {
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return err
+		}
+		pq.push(candidateOf(&root, pi, exactPrice(comb.refs, q.Radius, &root)))
+	}
+	emitted := 0
+	kth := negInf
+	for pq.Len() > 0 {
+		it := pq.pop()
+		limit := acc.threshold()
+		if emitted >= q.K && kth > limit {
+			limit = kth
+		}
+		if it.prio < limit {
+			return nil
+		}
+		if it.leaf {
+			if acc.offer(it.ref, it.loc, it.prio) {
+				stats.ObjectsScored++
+			}
+			emitted++
+			if emitted == q.K {
+				kth = it.prio
+			}
+			continue
+		}
+		e.markProbed(int(it.part))
+		n, err := e.objects[it.part].Tree().Node(it.child())
+		if err != nil {
+			return err
+		}
+		for i := range n.Entries {
+			c := &n.Entries[i]
+			if prio := exactPrice(comb.refs, q.Radius, c); prio >= limit {
+				pq.push(candidateOf(c, int(it.part), prio))
+			}
+		}
+	}
+	return nil
+}
+
+// influenceLockstep runs q's influence STPS (stpsInfluence's loop) with
+// two accumulators: every combination the stream emits is searched by
+// topKInfluence into one and by topKInfluenceExact into the other, and
+// after each pair of searches the two must hold the same scores and top
+// list, having read as many pages and scored as many objects. It returns
+// the answer and the number of searches.
+func influenceLockstep(t *testing.T, e *Engine, q Query, label string) ([]Result, int) {
+	t.Helper()
+	if err := q.Validate(len(e.features)); err != nil {
+		t.Fatal(err)
+	}
+	s := e.session()
+	defer e.releaseSession(s)
+	var stats, stExact Stats
+	cs, err := newCombinationStream(s, &q, &stats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, ref := newInfluenceTopK(q.K), newInfluenceTopK(q.K)
+	searches := 0
+	for {
+		comb, ok, err := cs.next(acc.threshold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || acc.full() && comb.score < acc.threshold() {
+			break
+		}
+		if influenceBound(comb.refs, q.Radius) < acc.threshold() {
+			continue
+		}
+		before := s.snapshotReads()
+		if err := s.topKInfluence(comb, &q, acc, &stats); err != nil {
+			t.Fatal(err)
+		}
+		mid := s.snapshotReads()
+		if err := s.topKInfluenceExact(comb, &q, ref, &stExact); err != nil {
+			t.Fatal(err)
+		}
+		after := s.snapshotReads()
+		searches++
+		got, want := mid.Sub(before).LogicalReads, after.Sub(mid).LogicalReads
+		if got != want || stats.ObjectsScored != stExact.ObjectsScored {
+			t.Fatalf("%s, search %d: read %d pages and scored %d objects, the exact search %d and %d",
+				label, searches, got, stats.ObjectsScored, want, stExact.ObjectsScored)
+		}
+		if !slices.Equal(acc.top, ref.top) || len(acc.best) != len(ref.best) {
+			t.Fatalf("%s, search %d: top lists differ\nceiling %v\nexact   %v", label, searches, acc.top, ref.top)
+		}
+		for id, v := range ref.best {
+			if acc.best[id] != v {
+				t.Fatalf("%s, search %d: object %d scored %v, the exact search %v", label, searches, id, acc.best[id], v)
+			}
+		}
+	}
+	return acc.results(), searches
+}
+
+// The ceiling pre-test leaves the influence search as it was: searched in
+// lockstep with the exact-price reference, every combination's search
+// reads the same pages, scores the same objects and leaves the same top-k,
+// on both index kinds, at c = 2 and 3, over one and four object parts, at
+// the workload-like radii of randQuery and at radii that push most
+// exponents past the table's end (0.003, where x > 64 from a distance of
+// 0.19 on) or every one toward 0 (10). The answer is STPS's and the
+// oracle's, to the bit.
+func TestInfluenceCeilSearchUnchanged(t *testing.T) {
+	queries, searches := 0, 0
+	for _, c := range []int{2, 3} {
+		for _, kind := range []index.Kind{index.SRT, index.IR2} {
+			w := buildWorld(t, int64(2610+c), 300, 220-40*c, c, 16, kind, Options{})
+			for _, strips := range []int{1, 4} {
+				e := partsEngine(t, w, strips, Options{})
+				rng := rand.New(rand.NewSource(int64(2620 + c)))
+				for trial := 0; trial < 6; trial++ {
+					q := w.randQuery(rng, c, InfluenceScore)
+					switch {
+					case trial%3 == 1 && c == 2:
+						// At c = 3 a radius this short enumerates nearly
+						// every combination (EXPERIMENTS.md note 1).
+						q.Radius = 0.003
+					case trial%3 == 2:
+						q.Radius = 10
+					}
+					label := fmt.Sprintf("c=%d %v parts=%d trial %d r=%v", c, kind, strips, trial, q.Radius)
+					got, n := influenceLockstep(t, e, q, label)
+					searches += n
+					stps, _, err := e.STPS(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := e.BruteForce(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, stps) || !slices.Equal(got, want) {
+						t.Fatalf("%s: answers differ\nlockstep %v\nSTPS     %v\noracle   %v", label, got, stps, want)
+					}
+					queries++
+				}
+			}
+		}
+	}
+	if queries < 48 || searches < queries {
+		t.Fatalf("only %d queries and %d searches compared", queries, searches)
+	}
+}

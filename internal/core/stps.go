@@ -307,23 +307,80 @@ func influenceBound(refs []featureRef, r float64) float64 {
 	return min(pairs/float64(n-1), nearest)
 }
 
-// influenceAt is the influence score of a leaf entry under the concrete
-// members of refs, or (using MINDIST) an upper bound on that of every
-// object below a node.
-func influenceAt(refs []featureRef, r float64, en *rtree.Entry) float64 {
-	sum := 0.0
+// decayTerm is one concrete member's share of an entry's influence price,
+// s·2^(−x): the member's score and its decay exponent x = dist/r.
+type decayTerm struct{ score, x float64 }
+
+// decayTerms prices en against the concrete members of refs, in refs
+// order, into ts: x is the distance to the object of a leaf, or the
+// MINDIST to the MBR of a node, over r. Each distance is computed once and
+// serves both influenceCeil and influenceAt.
+func decayTerms(refs []featureRef, r float64, en *rtree.Entry, ts []decayTerm) []decayTerm {
+	ts = ts[:0]
 	for i := range refs {
 		ref := &refs[i]
 		if ref.virtual {
 			continue
 		}
-		d := en.Rect.MinDist(ref.loc)
+		var d float64
 		if en.Leaf {
 			d = en.Rect.Min.Dist(ref.loc)
+		} else {
+			d = en.Rect.MinDist(ref.loc)
 		}
-		sum += ref.score * math.Exp2(-d/r)
+		ts = append(ts, decayTerm{score: ref.score, x: d / r})
+	}
+	return ts
+}
+
+// influenceAt is the influence score Σ s·2^(−x) of a leaf entry priced by
+// decayTerms, or (MINDIST) an upper bound on that of every object below a
+// node.
+func influenceAt(ts []decayTerm) float64 {
+	sum := 0.0
+	for _, t := range ts {
+		sum += t.score * math.Exp2(-t.x)
 	}
 	return sum
+}
+
+// influenceCeil is influenceAt with every 2^(−x) read from decayCeil: the
+// terms are summed in the same order and rounding is monotone, so it is
+// never below influenceAt(ts), and no exponential is computed.
+func influenceCeil(ts []decayTerm) float64 {
+	sum := 0.0
+	for _, t := range ts {
+		sum += t.score * decayCeil(t.x)
+	}
+	return sum
+}
+
+// The decay table samples 2^(−x) at decaySteps points per unit of x over
+// [0, decaySpan). Its last entry, about 6e-20, is the ceiling for every x
+// beyond: far below any limit the search compares it with.
+const (
+	decaySteps = 16
+	decaySpan  = 64
+)
+
+// decayTable[i] is 2^(−i/decaySteps), raised by a relative 1e-12 that
+// covers math.Exp2's own error (under an ulp). Built once, at package init.
+var decayTable = func() (t [decaySteps * decaySpan]float64) {
+	for i := range t {
+		t[i] = math.Exp2(-float64(i)/decaySteps) * (1 + 1e-12)
+	}
+	return t
+}()
+
+// decayCeil returns a ceiling on math.Exp2(−x) for every x ≥ 0: the table
+// entry at i = ⌊x·decaySteps⌋, whose power −i/decaySteps is at least −x
+// (the product by a power of two is exact). Beyond the table, +Inf and NaN
+// read the last entry, still above 2^(−x).
+func decayCeil(x float64) float64 {
+	if !(x < decaySpan) {
+		return decayTable[len(decayTable)-1]
+	}
+	return decayTable[int(x*decaySteps)]
 }
 
 // topKInfluence runs a best-first top-k search on the object R-trees — one
@@ -338,14 +395,22 @@ func influenceAt(refs []featureRef, r float64, en *rtree.Entry) float64 {
 // known, so nothing below can enter the top-k even via the id tie-break.
 // An entry already below that limit when its node is expanded is not
 // queued: the limit only rises, so popping it could only end the search.
+// Its tabled ceiling (influenceCeil) is tested first, and only an entry
+// that clears it pays its exact price's exponentials. The ceiling
+// dominates the price, so it rejects only entries the price would, and a
+// queued entry carries its exact price: the pops, page reads and answers
+// are those of the exact test alone.
 func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, stats *Stats) error {
+	var buf [8]decayTerm // c ≤ 8 members price without allocating
+	ts := buf[:0]
 	pq := e.scratchBoundHeap()
 	for pi, part := range e.objects {
 		root, err := part.Tree().RootEntry()
 		if err != nil {
 			return err
 		}
-		pq.push(candidateOf(&root, pi, influenceAt(comb.refs, q.Radius, &root)))
+		ts = decayTerms(comb.refs, q.Radius, &root, ts)
+		pq.push(candidateOf(&root, pi, influenceAt(ts)))
 	}
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
@@ -375,7 +440,11 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			if prio := influenceAt(comb.refs, q.Radius, c); prio >= limit {
+			ts = decayTerms(comb.refs, q.Radius, c, ts)
+			if influenceCeil(ts) < limit {
+				continue
+			}
+			if prio := influenceAt(ts); prio >= limit {
 				pq.push(candidateOf(c, int(it.part), prio))
 			}
 		}
