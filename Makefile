@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke serve-smoke ingest-smoke compaction-smoke cluster-smoke plan-smoke approx-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -114,7 +114,9 @@ fuzz-smoke:
 	done
 
 # End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
-# wait for /healthz, fire a short stpqload run, then shut down gracefully.
+# wait for /healthz, check that a query naming no algorithm and the same
+# query naming "stps" share one result-cache entry, fire a short stpqload
+# run, then shut down gracefully.
 SMOKE_ADDR ?= 127.0.0.1:18321
 serve-smoke:
 	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
@@ -127,6 +129,10 @@ serve-smoke:
 		sleep 0.2; \
 	done; \
 	curl -fsS http://$(SMOKE_ADDR)/healthz && \
+	curl -fsS http://$(SMOKE_ADDR)/query -d '{"k":4,"radius":0.05,"keywords":{"set1":["kw5"],"set2":["kw6"]}}' >/dev/null && \
+	curl -fsS http://$(SMOKE_ADDR)/query -d '{"k":4,"radius":0.05,"keywords":{"set1":["kw5"],"set2":["kw6"]},"algorithm":"stps"}' \
+		| grep -q '"cached":true' && \
+	echo "serve-smoke: an omitted algorithm is stps (one result-cache slot)" && \
 	/tmp/stpqload-smoke -addr http://$(SMOKE_ADDR) -c 2 -n 50 -k 5 && \
 	curl -fsS http://$(SMOKE_ADDR)/metrics | grep -q stpq_serve_queries_total && \
 	kill -INT $$pid && wait $$pid
@@ -263,62 +269,29 @@ assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), \
 	curl -fsS http://127.0.0.1:18348/metrics | grep -q stpq_shard_fanout_total && \
 	kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 && wait
 
-# Planner smoke test, two halves. Correctness: an auto-planning stpqd and a
-# forced-STPS control on the same synthetic seed must return byte-identical
-# results — cold (first request) and after the shape statistics warm past
-# the prediction floor — for defaulted, forced-stds and influence queries.
-# Admission: a third daemon with a deliberately tiny -max-inflight-cost is
-# warmed single-file (no overlap, nothing shed), then hammered by a
-# concurrent closed loop; the predicted-cost shed must show up both in the
-# daemon's /metrics (rejected + per-shape counters) and in stpqload's
-# non-2xx breakdown as "HTTP 429 (shed-expensive-cost)".
-PLAN_AUTO_ADDR ?= 127.0.0.1:18351
-PLAN_CTRL_ADDR ?= 127.0.0.1:18352
-PLAN_SHED_ADDR ?= 127.0.0.1:18353
-PLAN_DATA := -synthetic -objects 2000 -features 2000
-plan-smoke:
+# Cost-aware admission smoke test: a daemon with a deliberately tiny
+# -max-inflight-cost (result cache off, so shapes warm) is warmed
+# single-file (no overlap, nothing shed), then hammered by a concurrent
+# closed loop; the predicted-cost shed must show up both in the daemon's
+# /metrics (rejected + per-shape counters) and in stpqload's non-2xx
+# breakdown as "HTTP 429 (shed-expensive-cost)".
+ADMISSION_ADDR ?= 127.0.0.1:18353
+admission-smoke:
 	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
 	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
-	/tmp/stpqd-smoke $(PLAN_DATA) -plan auto -addr $(PLAN_AUTO_ADDR) & pa=$$!; \
-	/tmp/stpqd-smoke $(PLAN_DATA) -plan stps -addr $(PLAN_CTRL_ADDR) & pb=$$!; \
-	trap 'kill -INT $$pa $$pb 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		if curl -fsS http://$(PLAN_AUTO_ADDR)/healthz >/dev/null 2>&1 && \
-		   curl -fsS http://$(PLAN_CTRL_ADDR)/healthz >/dev/null 2>&1; then break; fi; \
-		sleep 0.2; \
-	done; \
-	for q in '{"k":5,"radius":0.05,"keywords":{"set1":["kw1","kw2"],"set2":["kw3"]}}' \
-		'{"k":10,"radius":0.05,"keywords":{"set1":["kw7"],"set2":["kw8","kw9"]},"algorithm":"stds"}' \
-		'{"k":7,"variant":"influence","radius":0.1,"keywords":{"set1":["kw4"],"set2":["kw5"]}}'; do \
-		for pass in cold warm1 warm2 warm3 warm4 warm5; do \
-			curl -fsS http://$(PLAN_AUTO_ADDR)/query -d "$$q" > /tmp/stpq-plan-got.json || exit 1; \
-			curl -fsS http://$(PLAN_CTRL_ADDR)/query -d "$$q" > /tmp/stpq-plan-want.json || exit 1; \
-			python3 -c 'import json; \
-	got = json.load(open("/tmp/stpq-plan-got.json"))["results"]; \
-	want = json.load(open("/tmp/stpq-plan-want.json"))["results"]; \
-	assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), \
-		"auto plan diverges from forced control:\n got %r\nwant %r" % (got, want)' \
-			|| exit 1; \
-		done; \
-	done; \
-	curl -fsS http://$(PLAN_AUTO_ADDR)/query \
-		-d '{"k":5,"radius":0.05,"keywords":{"set1":["kw1","kw2"],"set2":["kw3"]},"algorithm":"auto","explain":true}' \
-		| grep -q '"plan"' || exit 1; \
-	echo "plan-smoke: auto results byte-identical to forced control, cold and warm"; \
-	kill -INT $$pa $$pb && wait $$pa $$pb 2>/dev/null; \
-	/tmp/stpqd-smoke $(PLAN_DATA) -plan auto -cache -1 -max-inflight-cost 1ns -addr $(PLAN_SHED_ADDR) & ps=$$!; \
+	/tmp/stpqd-smoke -synthetic -objects 2000 -features 2000 -cache -1 -max-inflight-cost 1ns -addr $(ADMISSION_ADDR) & ps=$$!; \
 	trap 'kill -INT $$ps 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
-		if curl -fsS http://$(PLAN_SHED_ADDR)/healthz >/dev/null 2>&1; then break; fi; \
+		if curl -fsS http://$(ADMISSION_ADDR)/healthz >/dev/null 2>&1; then break; fi; \
 		sleep 0.2; \
 	done; \
-	/tmp/stpqload-smoke -addr http://$(PLAN_SHED_ADDR) -algorithm auto -c 1 -n 10 -k 5 >/dev/null && \
-	/tmp/stpqload-smoke -addr http://$(PLAN_SHED_ADDR) -algorithm auto -c 8 -n 400 -k 5 \
-		| tee /tmp/stpq-plan-shed.txt && \
-	grep -q 'HTTP 429 (shed-expensive-cost)' /tmp/stpq-plan-shed.txt && \
-	curl -fsS http://$(PLAN_SHED_ADDR)/metrics | grep -E 'stpq_serve_rejected_total\{reason="expensive"\} [1-9]' && \
-	curl -fsS http://$(PLAN_SHED_ADDR)/metrics | grep -q 'stpq_serve_shed_total{shape=' && \
-	echo "plan-smoke: cost-based shed visible in /metrics and the stpqload breakdown" && \
+	/tmp/stpqload-smoke -addr http://$(ADMISSION_ADDR) -c 1 -n 10 -k 5 >/dev/null && \
+	/tmp/stpqload-smoke -addr http://$(ADMISSION_ADDR) -c 8 -n 400 -k 5 \
+		| tee /tmp/stpq-admission-shed.txt && \
+	grep -q 'HTTP 429 (shed-expensive-cost)' /tmp/stpq-admission-shed.txt && \
+	curl -fsS http://$(ADMISSION_ADDR)/metrics | grep -E 'stpq_serve_rejected_total\{reason="expensive"\} [1-9]' && \
+	curl -fsS http://$(ADMISSION_ADDR)/metrics | grep -q 'stpq_serve_shed_total{shape=' && \
+	echo "admission-smoke: cost-based shed visible in /metrics and the stpqload breakdown" && \
 	kill -INT $$ps && wait $$ps
 
 # Approximate fast-tier smoke test: serve a signature-file IR² index whose

@@ -4,9 +4,11 @@ package stpq
 // API: approx mode at the top of the recall range must reproduce exact
 // results on the paper's worked example, skip-verify mode must recover
 // most of the exact top-k on random data while recording its pruning
-// work in Stats, and Explain must surface the chosen LSH parameters.
+// work in Stats, Explain must surface the chosen LSH parameters, and an
+// index with exact keyword bitmaps must refuse approx mode.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -157,7 +159,7 @@ func TestExactModeUnchanged(t *testing.T) {
 }
 
 func TestApproxRejectedInvalid(t *testing.T) {
-	db := paperDB(t, Config{})
+	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
 	q := paperQuery(3, STPS)
 	q.Mode = "fuzzy"
 	if _, _, err := db.TopK(q); err == nil {
@@ -170,8 +172,33 @@ func TestApproxRejectedInvalid(t *testing.T) {
 	}
 }
 
+// Approx mode pays only where it skips verification reads, so only a
+// signature index takes it: on exact bitmaps TopK and Explain reject it as
+// an invalid query that names the setting to change.
+func TestApproxNeedsSignatureIndex(t *testing.T) {
+	q := paperQuery(3, STPS)
+	q.Mode = ModeApprox
+	for _, kind := range []IndexKind{SRT, IR2} {
+		db := paperDB(t, Config{IndexKind: kind})
+		_, _, err := db.TopK(q)
+		if !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("index %v: TopK err %v, want ErrInvalidQuery", kind, err)
+		}
+		if !strings.Contains(err.Error(), "SignatureBits") {
+			t.Errorf("index %v: error %q does not name SignatureBits", kind, err)
+		}
+		if _, err := db.Explain(q); !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("index %v: Explain err %v, want ErrInvalidQuery", kind, err)
+		}
+	}
+	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
+	if res, _, err := db.TopK(q); err != nil || len(res) == 0 {
+		t.Fatalf("signature index: %d results, err %v", len(res), err)
+	}
+}
+
 func TestExplainShowsApproxParams(t *testing.T) {
-	db := paperDB(t, Config{})
+	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
 	q := paperQuery(3, STPS)
 	ex, err := db.Explain(q)
 	if err != nil {

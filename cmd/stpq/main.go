@@ -46,15 +46,13 @@ func main() {
 		r           = flag.Float64("r", 0.01, "query radius (normalized)")
 		lambda      = flag.Float64("lambda", 0.5, "smoothing parameter λ")
 		variant     = flag.String("variant", "range", "score variant: range | influence | nn")
-		alg         = flag.String("alg", "stps", "algorithm: stps | stds | auto (cost-based planner)")
+		alg         = flag.String("alg", "stps", "algorithm: stps | stds")
 		indexKind   = flag.String("index", "srt", "feature index: srt | ir2")
 		sim         = flag.String("sim", "jaccard", "textual similarity: jaccard | dice | cosine | overlap")
 		saveDir     = flag.String("save", "", "after building, save the indexes to this directory")
 		openDir     = flag.String("open", "", "open a saved database instead of loading CSVs")
 		trace       = flag.Bool("trace", false, "collect and print the query's span tree (phase timings and page reads)")
 		explain     = flag.Bool("explain", false, "print the query plan (algorithm, shard order, predicted cost) before executing")
-		mode        = flag.String("mode", "exact", "execution tier: exact | approx (MinHash/LSH fast tier)")
-		recall      = flag.Float64("recall", 0, "approx-mode recall target in (0,1]; 0 uses the default")
 	)
 	flag.Var(&featFiles, "features", "feature set CSV (repeatable)")
 	flag.Var(&kwArgs, "kw", "query keywords for the matching -features flag, ';' separated (repeatable)")
@@ -124,8 +122,6 @@ func main() {
 	case "stps":
 	case "stds":
 		q.Algorithm = stpq.STDS
-	case "auto":
-		q.Algorithm = stpq.Auto
 	default:
 		log.Fatalf("unknown -alg %q", *alg)
 	}
@@ -139,14 +135,6 @@ func main() {
 		q.Similarity = stpq.OverlapSim
 	default:
 		log.Fatalf("unknown -sim %q", *sim)
-	}
-	switch *mode {
-	case "exact":
-	case "approx":
-		q.Mode = stpq.ModeApprox
-		q.Recall = *recall
-	default:
-		log.Fatalf("unknown -mode %q", *mode)
 	}
 
 	db.SetTracing(*trace)
@@ -168,10 +156,6 @@ func main() {
 	}
 	fmt.Printf("\ncost: %v CPU + %v modeled I/O (%d logical / %d physical page reads)\n",
 		stats.CPUTime, stats.IOTime, stats.LogicalReads, stats.PhysicalReads)
-	if q.Mode == stpq.ModeApprox {
-		fmt.Printf("approx: %d candidates tested, %d pruned by LSH, %d verification reads skipped\n",
-			stats.ApproxCandidates, stats.ApproxPruned, stats.ApproxSkippedReads)
-	}
 	if *trace {
 		fmt.Printf("\ntrace:\n%s", stats.Trace)
 	}

@@ -4,17 +4,14 @@ package main
 // execution: the same random workload runs once in exact mode (the oracle)
 // and once per recall setting in approx mode, and each approx pass reports
 // its measured recall@k — the mean fraction of the exact top-k the approx
-// answer recovers — next to its latency. Two workloads are swept:
+// answer recovers — next to its latency. The index is IR² with an 8-bit
+// signature file (sig8), where exact execution pays a verification record
+// read per surviving candidate; skip-verify approx settings (recall ≤ 0.95)
+// answer from the MinHash estimate instead, eliminating those reads. Only
+// signature indexes accept approx queries: on exact bitmaps there are no
+// reads to skip.
 //
-//   - sig8: an IR² index with an 8-bit signature file, where exact
-//     execution pays a verification record read per surviving candidate.
-//     Skip-verify approx settings (recall ≤ 0.95) answer from the MinHash
-//     estimate instead, eliminating those reads — the latency headline.
-//   - bitmap: exact keyword bitmaps, where the fast tier is pure CPU
-//     pruning in front of an already-exact leaf test.
-//
-// Like the planner and cluster sweeps, records always land in
-// BENCH_approx.json.
+// Like the cluster sweep, records always land in BENCH_approx.json.
 
 import (
 	"fmt"
@@ -37,77 +34,67 @@ func (b *bench) approxExp() {
 	header("approx: MinHash/LSH fast tier vs exact, recall@k per setting (IR2)")
 	ds := b.synthetic(b.scaled(defObjects), b.scaled(defFeatures), defSets, defVocab)
 
-	workloads := []struct {
-		name string
-		cfg  stpq.Config
-	}{
-		// Small buffer pool so the signature workload's verification reads
-		// stay physical: the record file is much larger than 64 pages.
-		{"sig8", stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024, BufferPages: 64}},
-		{"bitmap", stpq.Config{IndexKind: stpq.IR2, PageSize: 1024, BufferPages: 64}},
+	// Small buffer pool so the verification reads stay physical: the record
+	// file is much larger than 64 pages.
+	const name = "sig8"
+	db, setNames := b.approxDB(ds, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024, BufferPages: 64})
+	qs := b.approxQueries(setNames, b.queries)
+
+	// Exact pass: the oracle top-k per query, and the baseline cost row.
+	oracle := make([][]int64, len(qs))
+	exactPer := make([]core.Stats, len(qs))
+	for i, q := range qs {
+		res, st, err := db.TopK(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ids := make([]int64, len(res))
+		for j, r := range res {
+			ids[j] = r.ID
+		}
+		oracle[i] = ids
+		exactPer[i] = st
 	}
+	exactRec := newRecord("approx", fmt.Sprintf("  %s exact", name), "IR2", "stps", nil, exactPer)
+	recs := []Record{exactRec}
+	line(fmt.Sprintf("  %s exact", name),
+		fmt.Sprintf("mean %8.2fms  p99 %8.2fms", exactRec.TotalMS.Mean, exactRec.TotalMS.P99))
 
-	var recs []Record
-	for _, w := range workloads {
-		db, setNames := b.approxDB(ds, w.cfg)
-		qs := b.approxQueries(setNames, b.queries)
-
-		// Exact pass: the oracle top-k per query, and the baseline cost row.
-		oracle := make([][]int64, len(qs))
-		exactPer := make([]core.Stats, len(qs))
+	for _, recall := range approxRecalls {
+		per := make([]core.Stats, len(qs))
+		var recallSum float64
+		var cands, pruned, skipped int64
 		for i, q := range qs {
+			q.Mode = stpq.ModeApprox
+			q.Recall = recall
 			res, st, err := db.TopK(q)
 			if err != nil {
 				log.Fatal(err)
 			}
-			ids := make([]int64, len(res))
-			for j, r := range res {
-				ids[j] = r.ID
-			}
-			oracle[i] = ids
-			exactPer[i] = st
+			recallSum += recallAtK(oracle[i], res)
+			per[i] = st
+			cands += st.ApproxCandidates
+			pruned += st.ApproxPruned
+			skipped += st.ApproxSkippedReads
 		}
-		exactRec := newRecord("approx", fmt.Sprintf("  %s exact", w.name), "IR2", "stps", nil, exactPer)
-		recs = append(recs, exactRec)
-		line(fmt.Sprintf("  %s exact", w.name),
-			fmt.Sprintf("mean %8.2fms  p99 %8.2fms", exactRec.TotalMS.Mean, exactRec.TotalMS.P99))
-
-		for _, recall := range approxRecalls {
-			per := make([]core.Stats, len(qs))
-			var recallSum float64
-			var cands, pruned, skipped int64
-			for i, q := range qs {
-				q.Mode = stpq.ModeApprox
-				q.Recall = recall
-				res, st, err := db.TopK(q)
-				if err != nil {
-					log.Fatal(err)
-				}
-				recallSum += recallAtK(oracle[i], res)
-				per[i] = st
-				cands += st.ApproxCandidates
-				pruned += st.ApproxPruned
-				skipped += st.ApproxSkippedReads
-			}
-			meanRecall := recallSum / float64(len(qs))
-			label := fmt.Sprintf("  %s approx r=%.2f", w.name, recall)
-			rec := newRecord("approx", label, "IR2", "stps", nil, per)
-			rec.Counters = map[string]int64{
-				"recall_target_milli": int64(recall * 1000),
-				"recall_at_k_milli":   int64(meanRecall * 1000),
-				"candidates":          cands,
-				"pruned":              pruned,
-				"skipped_reads":       skipped,
-			}
-			recs = append(recs, rec)
-			speedup := 0.0
-			if rec.TotalMS.Mean > 0 {
-				speedup = exactRec.TotalMS.Mean / rec.TotalMS.Mean
-			}
-			line(label, fmt.Sprintf(
-				"recall@k %.3f  mean %8.2fms (%.1fx)  pruned %d/%d  skipped reads %d",
-				meanRecall, rec.TotalMS.Mean, speedup, pruned, cands, skipped))
+		meanRecall := recallSum / float64(len(qs))
+		label := fmt.Sprintf("  %s approx r=%.2f", name, recall)
+		rec := newRecord("approx", label, "IR2", "stps", nil, per)
+		rec.Counters = map[string]int64{
+			"recall_target_milli": int64(recall * 1000),
+			"recall_at_k_milli":   int64(meanRecall * 1000),
+			"candidates":          cands,
+			"pruned":              pruned,
+			"skipped_reads":       skipped,
 		}
+		recs = append(recs, rec)
+		speedup := 0.0
+		if rec.TotalMS.Mean > 0 {
+			speedup = exactRec.TotalMS.Mean / rec.TotalMS.Mean
+		}
+		line(label, fmt.Sprintf(
+			"recall@k %.3f  mean %8.2fms (%.1fx)  pruned %d/%d  skipped reads %d",
+			meanRecall, rec.TotalMS.Mean, speedup, pruned, cands, skipped))
 	}
 
 	if err := writeRecords(approxBenchFile, recs); err != nil {

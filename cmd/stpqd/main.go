@@ -71,7 +71,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
 		traceRate = flag.Float64("trace-sample", 0, "fraction of queries (0..1) served with a full span tree in their event record")
 		slowQuery = flag.Duration("slow-query", 0, "queries at least this slow land in /debug/slow with a complete trace (0 = off)")
-		planMode  = flag.String("plan", "auto", "algorithm for requests that don't name one: auto (cost-based planner) | stds | stps")
 		costCap   = flag.Duration("max-inflight-cost", 0, "shed queries whose predicted cost would push the summed in-flight predicted cost over this budget (0 = off)")
 
 		bgCompact   = flag.Bool("background-compaction", false, "-synthetic: seal full deltas into runs and merge them on a background goroutine instead of stalling Apply")
@@ -112,16 +111,6 @@ func main() {
 			TraceSample:     *traceRate,
 			MaxInflightCost: *costCap,
 		},
-	}
-	switch *planMode {
-	case "auto":
-		cfg.serve.DefaultAlgorithm = stpq.Auto
-	case "stds":
-		cfg.serve.DefaultAlgorithm = stpq.STDS
-	case "stps":
-		cfg.serve.DefaultAlgorithm = stpq.STPS
-	default:
-		log.Fatalf("unknown -plan %q (want auto, stds or stps)", *planMode)
 	}
 	cfg.cluster = clusterConfig{
 		node: *clusterNode, coordinator: *clusterCoord,
@@ -250,8 +239,9 @@ func run(cfg daemonConfig) error {
 	case r := <-svcc:
 		log.Printf("result cache hit fraction: %.1f%%", 100*r.svc.CacheHitFraction())
 		r.svc.Close() // stop admission, drain queue and in-flight queries
-		// Persist the per-shape cost statistics next to an opened DB so the
-		// planner restarts warm instead of re-learning every shape.
+		// Persist the per-shape cost statistics next to an opened DB so
+		// admission and EXPLAIN restart warm instead of re-learning every
+		// shape.
 		if cfg.open != "" {
 			if err := r.db.SaveShapes(cfg.open); err != nil {
 				log.Printf("warning: saving shape statistics: %v", err)

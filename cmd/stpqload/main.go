@@ -50,7 +50,7 @@ func main() {
 		radius   = flag.Float64("radius", 0.1, "query radius")
 		lambda   = flag.Float64("lambda", 0.5, "query lambda")
 		variant  = flag.String("variant", "range", "variant: range | influence | nn")
-		alg      = flag.String("algorithm", "stps", "algorithm: stps | stds | auto (empty = server default)")
+		alg      = flag.String("algorithm", "stps", "algorithm: stps | stds (empty = stps)")
 		kwPerSet = flag.Int("keywords", 2, "query keywords per feature set")
 		seed     = flag.Int64("seed", 1, "random seed for query generation")
 		warmup   = flag.Int("warmup", 0, "warmup requests sent before measuring; excluded from reported percentiles")

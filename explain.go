@@ -13,17 +13,6 @@ import (
 	"time"
 
 	"stpq/internal/obs"
-	"stpq/internal/plan"
-)
-
-// PlanDecision is the cost-based planner's verdict for a query: the
-// algorithm it chose (or annotated, when forced), why, at what predicted
-// cost, and the alternatives it weighed (PlanCandidate: the recorded sample
-// count and mean total cost of the query's shape under each algorithm).
-// Explain embeds it.
-type (
-	PlanDecision  = plan.Decision
-	PlanCandidate = plan.Candidate
 )
 
 // ExplainShard is one shard's entry in the plan of a sharded DB: how many
@@ -67,10 +56,6 @@ type Explain struct {
 	// number of recorded executions either way.
 	Predicted *ShapeStat `json:"predicted,omitempty"`
 	Samples   int64      `json:"samples"`
-	// Plan is the cost-based planner's decision: for Algorithm: Auto the
-	// choice it made and why, for forced algorithms the annotation of what
-	// it would have done.
-	Plan *PlanDecision `json:"plan,omitempty"`
 }
 
 // MinPredictSamples is how many recorded executions a query shape needs
@@ -78,7 +63,7 @@ type Explain struct {
 const MinPredictSamples = obs.MinPredictSamples
 
 // Explain describes how the query would execute against the current
-// indexes without running it: the chosen algorithm and index, the shards
+// indexes without running it: the algorithm and index, the shards
 // with their upper bounds (sharded DBs), and the
 // predicted cost from recorded per-shape statistics once the shape has
 // enough samples.
@@ -90,11 +75,9 @@ func (db *DB) Explain(q Query) (*Explain, error) {
 	return snap.Explain(q)
 }
 
-// Explain describes the prepared plan. The planner decision comes first:
-// with Algorithm: Auto the rest of the explanation (shape, prediction)
-// describes the resolved plan.
+// Explain describes the prepared plan.
 func (p *Prepared) Explain() (*Explain, error) {
-	s, pd := p.snap, p.decision()
+	s := p.snap
 	ex := &Explain{
 		Algorithm:   p.key.Alg,
 		Variant:     p.key.Variant,
@@ -105,7 +88,6 @@ func (p *Prepared) Explain() (*Explain, error) {
 		KeywordSets: p.key.Sets,
 		FeatureSets: len(s.names),
 		Shape:       p.Shape(),
-		Plan:        &pd,
 	}
 	if s.db.cfg.IndexKind == IR2 {
 		ex.Index = "ir2"
@@ -160,18 +142,6 @@ func (e *Explain) String() string {
 			e.Recall, e.ApproxBands, e.ApproxRows, verify)
 	}
 	fmt.Fprintf(&b, "  shape: %s\n", e.Shape)
-	if p := e.Plan; p != nil {
-		fmt.Fprintf(&b, "  planner: %s — %s\n", p.Algorithm, p.Reason)
-		for _, c := range p.Candidates {
-			if c.Known {
-				fmt.Fprintf(&b, "    candidate %s: predicted %s (%d samples)\n",
-					c.Algorithm, c.Cost.Round(time.Microsecond), c.Samples)
-			} else {
-				fmt.Fprintf(&b, "    candidate %s: cold (%d of %d samples)\n",
-					c.Algorithm, c.Samples, MinPredictSamples)
-			}
-		}
-	}
 	if len(e.Shards) > 0 {
 		fmt.Fprintf(&b, "  plan: one engine over %d shards\n", len(e.Shards))
 		for _, sh := range e.Shards {

@@ -196,8 +196,7 @@ type sketchEntry struct {
 }
 
 // Sketch maps feature ids to their MinHash sketches for one index part.
-// Reads and maintenance writes are internally synchronized, so an index
-// can keep inserting while pinned snapshots query.
+// Reads and writes are internally synchronized.
 type Sketch struct {
 	mu sync.RWMutex
 	m  map[int64]sketchEntry
@@ -214,15 +213,6 @@ func (s *Sketch) Put(id int64, set kwset.Set) {
 	s.mu.Unlock()
 }
 
-// Delete drops a feature's sketch. Missing ids are a no-op: lookups for
-// unsketched features fall back to the exact path, so staleness in either
-// direction is safe.
-func (s *Sketch) Delete(id int64) {
-	s.mu.Lock()
-	delete(s.m, id)
-	s.mu.Unlock()
-}
-
 // Get returns a copy of the feature's signature and its keyword
 // cardinality, reporting whether the feature is sketched.
 func (s *Sketch) Get(id int64) (Signature, int, bool) {
@@ -232,19 +222,10 @@ func (s *Sketch) Get(id int64) (Signature, int, bool) {
 	return e.sig, int(e.card), ok
 }
 
-// Len returns the number of sketched features.
-func (s *Sketch) Len() int {
-	s.mu.RLock()
-	n := len(s.m)
-	s.mu.RUnlock()
-	return n
-}
-
 // Holder is the shared, lazily-built sketch slot of one index
 // generation. Index views (per-query sessions, tombstone filters) are
 // shallow struct copies sharing the holder pointer, so the sketch is
-// built at most once per generation; mutating clones (incremental-merge
-// targets) take a fresh holder instead.
+// built at most once per generation.
 type Holder struct {
 	mu     sync.Mutex
 	built  atomic.Bool
@@ -254,14 +235,6 @@ type Holder struct {
 
 // NewHolder returns an empty holder (sketch built on first Get).
 func NewHolder() *Holder { return &Holder{} }
-
-// NewBuiltHolder returns a holder around an already-built sketch (bulk
-// load, where exact keyword sets are in memory anyway).
-func NewBuiltHolder(s *Sketch) *Holder {
-	h := &Holder{sketch: s}
-	h.built.Store(true)
-	return h
-}
 
 // Get returns the sketch, building it with the supplied closure on first
 // use. The build result — error included — is sticky.
@@ -276,15 +249,4 @@ func (h *Holder) Get(build func() (*Sketch, error)) (*Sketch, error) {
 		h.built.Store(true)
 	}
 	return h.sketch, h.err
-}
-
-// Peek returns the sketch if it has been built, else nil. The
-// maintenance path (Insert/Delete) updates only materialized sketches;
-// an unbuilt one absorbs the mutation when it is later built from the
-// index contents.
-func (h *Holder) Peek() *Sketch {
-	if h.built.Load() {
-		return h.sketch
-	}
-	return nil
 }

@@ -25,7 +25,6 @@ import (
 
 	"stpq"
 	"stpq/internal/obs"
-	"stpq/internal/plan"
 	"stpq/internal/serve"
 )
 
@@ -497,10 +496,8 @@ func (c *Coordinator) run(q stpq.Query, wq WireQuery) (*ClusterResponse, error) 
 // recordEvent files the merged query into the coordinator's event log and
 // shape table, keyed by the same canonical shape as single-node events so
 // /debug/queries on the coordinator attributes the remote work. Duration is
-// the coordinator's wall clock, not the nodes' summed CPU. Auto queries key
-// under "auto": the coordinator cannot see which algorithm each node's
-// planner resolved, but the merged cluster-level cost of the auto plan is
-// exactly what waveWidth's fan-out decision needs.
+// the coordinator's wall clock, not the nodes' summed CPU: the merged
+// cluster-level cost waveWidth reads.
 func (c *Coordinator) recordEvent(q stpq.Query, resp *ClusterResponse, start time.Time, elapsed time.Duration, err error) {
 	st := stpq.Stats{CPUTime: elapsed}
 	cached := false
@@ -514,16 +511,21 @@ func (c *Coordinator) recordEvent(q stpq.Query, resp *ClusterResponse, start tim
 	c.tel.Record(ev, key, err == nil)
 }
 
+// cheapLatency is the recorded mean cost at or below which a query's waves
+// are serialized: at this cost the pruning won by evaluating the
+// termination rule after every node outweighs the lost overlap.
+const cheapLatency = 5 * time.Millisecond
+
 // waveWidth is the scatter wave width for one query: the configured
 // parallelism, narrowed to one node per wave once the recorded per-shape
-// cost shows the query is cheap enough that a wide scatter mostly does
-// work the pruning rule would have skipped. Results are unaffected — the
-// strict-inequality prune is width-independent.
+// cost (warm: at least MinPredictSamples executions) shows the query is
+// cheap enough that a wide scatter mostly does work the pruning rule would
+// have skipped. Results are unaffected — the strict-inequality prune is
+// width-independent.
 func (c *Coordinator) waveWidth(q stpq.Query) int {
 	cost, samples := c.tel.Shapes.Cost(stpq.QueryShape(q))
-	p := plan.Planner{Shapes: c.tel.Shapes}
-	if w := p.FanoutWidth(cost, samples >= obs.MinPredictSamples, len(c.nodes)); w > 0 && w < c.cfg.Parallelism {
-		return w
+	if len(c.nodes) > 1 && samples >= obs.MinPredictSamples && cost <= cheapLatency {
+		return 1
 	}
 	return c.cfg.Parallelism
 }

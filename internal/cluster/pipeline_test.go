@@ -14,8 +14,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"stpq"
+	"stpq/internal/obs"
 	"stpq/internal/serve"
 	"stpq/internal/shard"
 )
@@ -211,36 +213,84 @@ func TestOneEventPerServedQuery(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAndNodesAgreeOnShape: for every variant, exact and approx,
-// the coordinator's event for a request and the events of the nodes that
-// served it carry the same shape label — one definition (stpq.QueryShape),
-// not one per process.
+// TestCoordinatorAndNodesAgreeOnShape: for every algorithm, variant and
+// mode, the coordinator's event for a request and the events of the nodes
+// that served it carry the same shape label — one definition
+// (stpq.QueryShape), not one per process.
 func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 	coord, dbs := startCells(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2)
-	for _, variant := range []stpq.Variant{stpq.Range, stpq.Influence, stpq.NearestNeighbor} {
-		for _, mode := range []string{stpq.ModeExact, stpq.ModeApprox} {
-			q := stpq.Query{K: 6, Radius: 0.07, Lambda: 0.5, Variant: variant, Mode: mode,
-				Keywords: map[string][]string{"food": {"pizza", "unheard-of"}, "cafes": nil}}
-			q.RequestID = "req-" + stpq.QueryShape(q).String()
-			if _, err := coord.Do(q); err != nil {
-				t.Fatalf("%v %s: %v", variant, mode, err)
-			}
-			ev := coord.RecentQueries(1)[0]
-			if ev.RequestID != q.RequestID || ev.Shape == "" {
-				t.Fatalf("%v %s: coordinator event %+v", variant, mode, ev)
-			}
-			seen := 0
-			for i, cell := range dbs {
-				for _, nev := range eventsOf(cell, q.RequestID) {
-					seen++
-					if nev.Shape != ev.Shape {
-						t.Errorf("%v %s: node %d says %q, coordinator says %q", variant, mode, i, nev.Shape, ev.Shape)
+	for _, alg := range []stpq.Algorithm{stpq.STPS, stpq.STDS} {
+		for _, variant := range []stpq.Variant{stpq.Range, stpq.Influence, stpq.NearestNeighbor} {
+			for _, mode := range []string{stpq.ModeExact, stpq.ModeApprox} {
+				q := stpq.Query{K: 6, Radius: 0.07, Lambda: 0.5, Variant: variant, Algorithm: alg, Mode: mode,
+					Keywords: map[string][]string{"food": {"pizza", "unheard-of"}, "cafes": nil}}
+				q.RequestID = "req-" + stpq.QueryShape(q).String()
+				if _, err := coord.Do(q); err != nil {
+					t.Fatalf("%v %v %s: %v", alg, variant, mode, err)
+				}
+				ev := coord.RecentQueries(1)[0]
+				if ev.RequestID != q.RequestID || ev.Shape == "" {
+					t.Fatalf("%v %v %s: coordinator event %+v", alg, variant, mode, ev)
+				}
+				seen := 0
+				for i, cell := range dbs {
+					for _, nev := range eventsOf(cell, q.RequestID) {
+						seen++
+						if nev.Shape != ev.Shape {
+							t.Errorf("%v %v %s: node %d says %q, coordinator says %q", alg, variant, mode, i, nev.Shape, ev.Shape)
+						}
 					}
 				}
+				if seen == 0 {
+					t.Errorf("%v %v %s: no node recorded the request", alg, variant, mode)
+				}
 			}
-			if seen == 0 {
-				t.Errorf("%v %s: no node recorded the request", variant, mode)
-			}
+		}
+	}
+}
+
+// TestCoordinatorRejectsApproxOnExactNodes: nodes over exact-bitmap indexes
+// refuse approx mode, and the coordinator passes the refusal on as a 400.
+func TestCoordinatorRejectsApproxOnExactNodes(t *testing.T) {
+	coord, _ := startCells(t, stpq.Config{PageSize: 1024}, 2)
+	body := `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza"],"cafes":["tea"]}}`
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewBufferString(body)))
+	if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("SignatureBits")) {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestWaveWidth: a warm shape whose recorded cost is at most cheapLatency
+// runs one node per wave; a cold or expensive one, or a single node, keeps
+// the configured width.
+func TestWaveWidth(t *testing.T) {
+	q := stpq.Query{K: 5, Radius: 0.1, Lambda: 0.5, Keywords: map[string][]string{"food": {"pizza"}}}
+	cases := []struct {
+		name       string
+		nodes, par int
+		samples    int
+		cost       time.Duration
+		want       int
+	}{
+		{"one node", 1, 1, obs.MinPredictSamples, time.Millisecond, 1},
+		{"cold", 4, 4, obs.MinPredictSamples - 1, time.Millisecond, 4},
+		{"cheap warm", 4, 4, obs.MinPredictSamples, time.Millisecond, 1},
+		{"boundary is cheap", 4, 4, obs.MinPredictSamples, cheapLatency, 1},
+		{"expensive warm", 4, 4, obs.MinPredictSamples, cheapLatency + time.Microsecond, 4},
+		{"parallelism 1", 4, 1, obs.MinPredictSamples, time.Hour, 1},
+	}
+	for _, c := range cases {
+		coord := &Coordinator{
+			cfg:   CoordinatorConfig{Parallelism: c.par},
+			nodes: make([]*nodeHandle, c.nodes),
+			tel:   obs.NewTelemetry(-1, -1, 0, 0),
+		}
+		for i := 0; i < c.samples; i++ {
+			coord.tel.Shapes.Observe(stpq.QueryShape(q), c.cost, 0, 0, 0, 0)
+		}
+		if got := coord.waveWidth(q); got != c.want {
+			t.Errorf("%s: waveWidth = %d, want %d", c.name, got, c.want)
 		}
 	}
 }

@@ -115,8 +115,9 @@ type FeatureIndex struct {
 	records *recordFile // exact keywords, signature mode only
 	// sketch is the approximate tier's MinHash sketch slot, shared by all
 	// read views of one index generation (Session/WithExclude are shallow
-	// copies) and materialized lazily on the first approximate query.
-	// Mutating clones (BeginMerge) take a fresh holder.
+	// copies) and materialized lazily on the first approximate query. Only
+	// a signature index has one: signature indexes are never saved, merged
+	// or written to, so the sketch never goes stale.
 	sketch *approx.Holder
 	// hidden is how many indexed features a WithExclude view hides.
 	hidden int
@@ -143,8 +144,9 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts, sigBits: opts.SignatureBits, sketch: approx.NewHolder()}
+	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts, sigBits: opts.SignatureBits}
 	if idx.sigBits > 0 {
+		idx.sketch = approx.NewHolder()
 		idx.records = newRecordFile(opts.VocabWidth, opts.PageSize, opts.BufferPages)
 		for _, f := range features {
 			if err := idx.records.put(f.ID, f.Keywords); err != nil {
@@ -212,11 +214,6 @@ func (x *FeatureIndex) Insert(f Feature) error {
 			return err
 		}
 	}
-	if x.sketch != nil {
-		if sk := x.sketch.Peek(); sk != nil {
-			sk.Put(f.ID, f.Keywords)
-		}
-	}
 	return x.tree.Insert(rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: x.treeKeywords(f.Keywords)})
 }
 
@@ -225,11 +222,6 @@ func (x *FeatureIndex) Insert(f Feature) error {
 // is left behind: records are only consulted for ids surfaced from the
 // tree, so a stale record is unreachable.
 func (x *FeatureIndex) Delete(id int64, loc geo.Point) (bool, error) {
-	if x.sketch != nil {
-		if sk := x.sketch.Peek(); sk != nil {
-			sk.Delete(id)
-		}
-	}
 	return x.tree.Delete(id, loc)
 }
 
@@ -261,9 +253,6 @@ func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
 	c := *x
 	c.tree = tree
 	c.opts.Disk = cfg.Disk
-	// The clone mutates independently of the original; it must not share
-	// the original's sketch (pinned snapshots keep reading it).
-	c.sketch = approx.NewHolder()
 	return &c, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"stpq/internal/approx"
 	"stpq/internal/rtree"
 	"stpq/internal/storage"
 )
@@ -64,10 +63,9 @@ func OpenFeatureIndex(r io.Reader, meta Meta, bufferPages int) (*FeatureIndex, e
 		return nil, fmt.Errorf("index: open feature index: %w", err)
 	}
 	return &FeatureIndex{
-		tree:   tree,
-		kind:   meta.Kind,
-		opts:   Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages},
-		sketch: approx.NewHolder(),
+		tree: tree,
+		kind: meta.Kind,
+		opts: Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages},
 	}, nil
 }
 

@@ -111,8 +111,8 @@ func (x *FeatureIndex) EntryBound(e *rtree.Entry, pq *PreparedQuery) float64 {
 // whether the feature is relevant. In exact mode (the default) both are
 // exact; in signature mode this reads the feature's record page (the
 // verification I/O of a signature index). Approximate queries
-// (pq.Approx non-nil) first run the LSH candidate filter, and in
-// signature mode with SkipVerify score candidates from the MinHash
+// (pq.Approx non-nil) on a signature index first run the LSH candidate
+// filter, and with SkipVerify score candidates from the MinHash
 // similarity estimate instead of paying the verification read.
 func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error) {
 	if pq.Approx != nil {
@@ -141,11 +141,11 @@ func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (s float64
 // resolveLeafApprox is the fast-tier leaf resolution: check the feature's
 // MinHash signature against the query's under the request's banded-LSH
 // parameters, pruning non-candidates without touching exact keywords.
-// handled=false falls back to the exact path — either the sketch is
-// unavailable (unbuilt holder on a literal index, stale merge clone
-// missing this id) or the request keeps verification (SkipVerify off in
-// signature mode). Fallbacks only ever widen the candidate set, so an
-// approximate answer degrades toward exactness, never away from it.
+// handled=false falls back to the exact path — either there is no sketch
+// (an exact index, or a feature inserted after the sketch was built) or
+// the request keeps verification (SkipVerify off). Fallbacks only ever
+// widen the candidate set, so an approximate answer degrades toward
+// exactness, never away from it.
 func (x *FeatureIndex) resolveLeafApprox(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error, handled bool) {
 	sk, err := x.sketchFor()
 	if err != nil {
@@ -163,15 +163,6 @@ func (x *FeatureIndex) resolveLeafApprox(e *rtree.Entry, pq *PreparedQuery) (s f
 	if !a.Params.Candidate(&pq.MinSig, &sig) {
 		a.Pruned.Add(1)
 		return 0, false, nil, true
-	}
-	if x.sigBits == 0 {
-		// Exact keyword bitmaps are already in the tree entry: candidates
-		// score exactly for free, so approximation here is pure candidate
-		// pruning (CPU, no I/O at stake).
-		if !e.Keywords.Intersects(pq.Exact.Set) {
-			return 0, false, nil, true
-		}
-		return score(e, &pq.Exact), true, nil, true
 	}
 	if !a.Params.SkipVerify {
 		return 0, false, nil, false // verify candidates via the record file
@@ -226,10 +217,9 @@ func estimateSim(sim Similarity, j float64, qCard, fCard int) float64 {
 }
 
 // sketchFor returns the index's MinHash sketch, building it from the
-// exact keyword sets on first use (one AllExact pass; in signature mode
-// that pays the record-file reads once per index generation). A nil
-// holder (an index assembled literally) yields a nil sketch and the
-// caller falls back to exact resolution.
+// exact keyword sets on first use (one AllExact pass, which pays the
+// record-file reads once per index generation). An exact index has no
+// holder: a nil sketch, and the caller falls back to exact resolution.
 func (x *FeatureIndex) sketchFor() (*approx.Sketch, error) {
 	if x.sketch == nil {
 		return nil, nil
@@ -245,12 +235,6 @@ func (x *FeatureIndex) sketchFor() (*approx.Sketch, error) {
 		}
 		return s, nil
 	})
-}
-
-// Sketched reports whether the approximate tier's sketch for this index
-// has been materialized (tests and /info).
-func (x *FeatureIndex) Sketched() bool {
-	return x.sketch != nil && x.sketch.Peek() != nil
 }
 
 // recordFile stores each feature's exact keyword set in fixed-size

@@ -4,8 +4,8 @@ package obs
 // every finished query leaves one fixed-size structured record in a ring
 // buffer (cheap fields always, the full span tree only when sampled,
 // explicitly requested, or slower than the slow-query threshold), and
-// feeds a per-shape aggregate — the cost table EXPLAIN predictions and the
-// future cost-based planner read from.
+// feeds a per-shape aggregate — the cost table EXPLAIN predictions,
+// cost-aware admission and the cluster coordinator's wave width read from.
 //
 // The unsampled hot path is allocation-free in steady state: events are
 // value types copied into a preallocated ring, and shape aggregation is an
@@ -317,7 +317,7 @@ func (s *ShapeStats) Predict(k ShapeKey) *ShapePrediction {
 
 // Cost returns the recorded mean total cost of the shape — wall time plus
 // modeled I/O time, the paper's cost metric — and its sample count, both
-// zero for an unobserved shape. It is allocation-free, so planners can
+// zero for an unobserved shape. It is allocation-free, so admission can
 // consult it on the query hot path. Callers apply their own sample floor
 // (MinPredictSamples) to decide whether the mean is trustworthy. Nil-safe.
 func (s *ShapeStats) Cost(k ShapeKey) (mean time.Duration, samples int64) {
@@ -339,7 +339,7 @@ func (s *ShapeStats) Cost(k ShapeKey) (mean time.Duration, samples int64) {
 
 // ShapeRecord is the serialized form of one shape's raw totals — what
 // Export writes and Import reads, so per-shape statistics survive process
-// restarts and the planner is warm from boot.
+// restarts and predictions are warm from boot.
 type ShapeRecord struct {
 	Key           ShapeKey `json:"key"`
 	Samples       int64    `json:"samples"`

@@ -39,7 +39,7 @@ type QueryRequest struct {
 	Lambda     float64             `json:"lambda"`
 	Keywords   map[string][]string `json:"keywords"`
 	Variant    string              `json:"variant,omitempty"`    // range | influence | nn
-	Algorithm  string              `json:"algorithm,omitempty"`  // stps | stds | auto
+	Algorithm  string              `json:"algorithm,omitempty"`  // stps | stds
 	Similarity string              `json:"similarity,omitempty"` // jaccard | dice | cosine | overlap
 	// Mode selects the execution tier: "exact" (default) or "approx", the
 	// MinHash/LSH fast tier. Recall sets the approx tier's recall target in
@@ -73,8 +73,6 @@ func (r QueryRequest) Query() (stpq.Query, error) {
 		q.Algorithm = stpq.STPS
 	case "stds":
 		q.Algorithm = stpq.STDS
-	case "auto":
-		q.Algorithm = stpq.Auto
 	default:
 		return q, fmt.Errorf("%w: unknown algorithm %q", stpq.ErrInvalidQuery, r.Algorithm)
 	}
@@ -232,11 +230,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, q, ok := DecodeQuery(w, r)
 	if !ok {
 		return
-	}
-	// An unspecified algorithm takes the server's default (-plan flag on
-	// stpqd); an explicit "stps"/"stds"/"auto" always wins.
-	if req.Algorithm == "" {
-		q.Algorithm = s.cfg.DefaultAlgorithm
 	}
 	if req.Explain {
 		ex, err := s.db.Explain(q)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,6 +100,8 @@ func TestHTTPQueryErrors(t *testing.T) {
 		{`{"k":5,"radius":0.1,"keywords":{"nope":["kw1"]}}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"variant":"bogus"}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"algorithm":"bogus"}`, http.StatusBadRequest},
+		{`{"k":5,"radius":0.1,"algorithm":"auto"}`, http.StatusBadRequest},
+		{`{"k":5,"radius":0.1,"mode":"approx"}`, http.StatusBadRequest}, // exact index
 		{`{"k":5,"radius":0.1,"similarity":"bogus"}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"bogus_field":1}`, http.StatusBadRequest},
 	}
@@ -113,6 +116,10 @@ func TestHTTPQueryErrors(t *testing.T) {
 		}
 	}
 
+	if _, data := postQuery(t, srv.URL, `{"k":5,"radius":0.1,"algorithm":"auto"}`); !strings.Contains(string(data), `unknown algorithm \"auto\"`) {
+		t.Errorf("algorithm auto: error %s does not name the algorithm", data)
+	}
+
 	// GET on /query is not allowed.
 	resp, err := http.Get(srv.URL + "/query")
 	if err != nil {
@@ -121,6 +128,26 @@ func TestHTTPQueryErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPOmittedAlgorithmIsSTPS: a request that names no algorithm runs
+// STPS and shares its result-cache slot with one that names "stps".
+func TestHTTPOmittedAlgorithmIsSTPS(t *testing.T) {
+	_, srv := testServer(t)
+	body := `{"k":5,"radius":0.1,"lambda":0.5,"keywords":{"restaurants":["kw1"],"cafes":["kw3"]}%s}`
+	for i, alg := range []string{"", `,"algorithm":"stps"`} {
+		resp, data := postQuery(t, srv.URL, fmt.Sprintf(body, alg))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var out QueryResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cached != (i == 1) {
+			t.Errorf("request %d (algorithm %q): cached %v", i, alg, out.Cached)
+		}
 	}
 }
 

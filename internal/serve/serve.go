@@ -62,11 +62,7 @@ type Config struct {
 	// span tree into its response and event record. Sampled queries bypass
 	// the result cache so the trace reflects a real execution.
 	TraceSample float64
-	// DefaultAlgorithm is applied to HTTP queries that do not spell an
-	// algorithm (stpqd -plan). The zero value keeps STPS, the historical
-	// default; stpq.Auto hands the choice to the cost-based planner.
-	DefaultAlgorithm stpq.Algorithm
-	// MaxInflightCost, when positive, caps the summed planner-predicted
+	// MaxInflightCost, when positive, caps the summed predicted
 	// cost of admitted-but-unfinished queries: a query whose shape is warm
 	// (≥ MinPredictSamples executions) and whose predicted cost would push
 	// the in-flight sum over the cap is shed with ErrShedExpensive — the
@@ -303,8 +299,8 @@ func (s *Service) deadlineError(ctx context.Context) error {
 	return ErrDeadline
 }
 
-// admitCost applies cost-aware admission: the planner-predicted cost of
-// the query's shape is checked against — and, when admitted, reserved from
+// admitCost applies cost-aware admission: the recorded mean cost of the
+// query's shape is checked against — and, when admitted, reserved from
 // — the in-flight cost budget. Queries whose shape is cold predict no cost
 // and always pass (deterministic fallback to queue-only admission), and a
 // warm query is never shed against an idle budget, so an over-cap query

@@ -38,14 +38,14 @@ type dbManifest struct {
 const manifestName = "stpq.json"
 
 // shapesName is the serialized per-shape cost statistics alongside a saved
-// DB: the planner's and EXPLAIN's memory, reloaded on Open so predictions
+// DB: admission's and EXPLAIN's memory, reloaded on Open so predictions
 // are warm from boot instead of cold for the first MinPredictSamples
 // queries of every shape.
 const shapesName = "shapes.json"
 
 // SaveShapes writes the DB's per-shape cost statistics to dir (created if
 // needed). Save and Checkpoint call it automatically; cmd/stpqd also calls
-// it on graceful shutdown so a restart keeps the planner warm. Safe to
+// it on graceful shutdown so a restart keeps predictions warm. Safe to
 // call concurrently with queries — the statistics table is lock-protected
 // and never replaced after New.
 func (db *DB) SaveShapes(dir string) error {
@@ -70,7 +70,7 @@ func (db *DB) SaveShapes(dir string) error {
 
 // loadShapes merges a saved shape-statistics file into the DB's table. A
 // missing file is not an error (older snapshots have none); a corrupt one
-// is — silently dropping the planner's memory would be invisible.
+// is — silently dropping the recorded costs would be invisible.
 func (db *DB) loadShapes(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, shapesName))
 	if err != nil {

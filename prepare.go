@@ -4,15 +4,16 @@ package stpq
 // Snapshot.TopK/Score/UpperBound/Explain, the serve worker pool and the
 // cluster node — goes
 //
-//	Snapshot.Prepare:  validate → lower → shape key → trace decision → plan
+//	Snapshot.Prepare:  validate → lower → shape key → trace decision
 //	Prepared.Run:      execute (the one engine) → metrics → event
 //
 // and nothing else validates a public Query, looks its keywords up in the
-// vocabulary, resolves Algorithm: Auto, decides whether spans are collected
-// or files an event record. The engine below executes a lowered core.Query
-// and returns Stats; the layers above carry the *Prepared around.
+// vocabulary, decides whether spans are collected or files an event
+// record. The engine below executes a lowered core.Query and returns Stats;
+// the layers above carry the *Prepared around.
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +26,6 @@ import (
 	"stpq/internal/index"
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
-	"stpq/internal/plan"
 )
 
 // ShapeKey identifies a query shape: the coordinates that determine a
@@ -33,39 +33,25 @@ import (
 // labels every event record.
 type ShapeKey = obs.ShapeKey
 
-// forcedAlg maps the public algorithm choice to the planner's forced-
-// algorithm string: "" means Auto (the planner decides).
-func forcedAlg(a Algorithm) string {
-	switch a {
-	case STDS:
-		return plan.AlgSTDS
-	case Auto:
-		return ""
-	default:
-		return plan.AlgSTPS
-	}
-}
-
 // QueryShape is the one definition of a query's canonical shape key. The
 // radius is bucketed, except for nearest-neighbour queries, which ignore
 // it; Sets counts the keyword lists that hold at least one keyword after
-// normalization. Alg is the requested algorithm ("auto" for Auto — Prepare
-// replaces it with the planner's choice; the cluster coordinator, which
-// cannot see what each node resolved, keeps it).
+// normalization. Alg spells the algorithm that runs ("stps" or "stds"), so
+// the cluster coordinator and its nodes key a query alike.
 func QueryShape(q Query) ShapeKey {
 	radius := q.Radius
 	if q.Variant == NearestNeighbor {
 		radius = 0 // buckets as "no radius"
 	}
 	key := ShapeKey{
-		Alg:     forcedAlg(q.Algorithm),
+		Alg:     "stps",
 		Variant: core.Variant(q.Variant).String(),
 		Sim:     index.Similarity(q.Similarity).String(),
 		K:       q.K,
 		RBucket: obs.RadiusBucket(radius),
 	}
-	if key.Alg == "" {
-		key.Alg = "auto"
+	if q.Algorithm == STDS {
+		key.Alg = "stds"
 	}
 	for _, words := range q.Keywords {
 		for _, w := range words {
@@ -145,9 +131,9 @@ func Fingerprint(q Query) string {
 	return b.String()
 }
 
-// Prepared is a query that has been validated, lowered against one
-// snapshot's vocabulary and planned. It is good for one execution (Run) or
-// one of the read-only probes (UpperBound, Score, Explain); the serving
+// Prepared is a query that has been validated and lowered against one
+// snapshot's vocabulary. It is good for one execution (Run) or one of the
+// read-only probes (UpperBound, Score, Explain); the serving
 // layer carries it from admission to the worker so the cache key, the cost
 // reservation, the cache-hit event and the execution all read one value.
 // One goroutine uses it at a time.
@@ -155,10 +141,7 @@ type Prepared struct {
 	snap *Snapshot
 	q    Query
 	cq   core.Query
-	// key is the query's shape with Alg resolved to the algorithm that runs.
-	key       ShapeKey
-	cost      time.Duration
-	costKnown bool
+	key  ShapeKey
 	// keep reports that the span tree was asked for (Query.Trace, the engine
 	// toggle or a sampling hit); a tree collected only so a slow query would
 	// have one is dropped again unless the query turns out slow.
@@ -168,12 +151,15 @@ type Prepared struct {
 
 // Prepare validates q against the snapshot's feature sets, lowers it to the
 // engine's form, takes the trace decision — the query's explicit mode, then
-// the engine toggle, then the sampler, then the slow-query threshold — and
-// asks the planner for the algorithm and its predicted cost. Errors wrap
-// ErrInvalidQuery.
+// the engine toggle, then the sampler, then the slow-query threshold.
+// Errors wrap ErrInvalidQuery. Mode: approx needs a signature index: on
+// exact bitmaps the tier has no verification reads to skip.
 func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 	if err := ValidateQuery(q, s.names); err != nil {
 		return nil, err
+	}
+	if q.Mode == ModeApprox && s.db.cfg.SignatureBits == 0 {
+		return nil, fmt.Errorf("%w: mode %q needs a signature index (Config.SignatureBits > 0)", ErrInvalidQuery, ModeApprox)
 	}
 	p := &Prepared{snap: s, q: q, key: QueryShape(q)}
 	kws := make([]kwset.Set, len(s.names))
@@ -203,9 +189,6 @@ func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 	case tel.SlowThreshold > 0:
 		p.cq.Trace = true
 	}
-
-	planner := plan.Planner{Shapes: tel.Shapes}
-	p.key.Alg, p.cost, p.costKnown = planner.Resolve(p.key, forcedAlg(q.Algorithm))
 	return p, nil
 }
 
@@ -225,19 +208,20 @@ func (p *Prepared) Fingerprint() string {
 	return p.fp
 }
 
-// Shape returns the canonical shape label of the resolved plan — the key
-// its cost statistics are recorded under.
+// Shape returns the query's canonical shape label — the key its cost
+// statistics are recorded under.
 func (p *Prepared) Shape() string { return p.snap.db.tel.Shapes.Name(p.key) }
 
-// Cost returns the planner's predicted mean total cost of the resolved
-// plan. known is false — and cost zero — while the shape has fewer than
-// MinPredictSamples recorded executions; cost-aware admission then falls
-// back to queue-only admission.
+// Cost returns the recorded mean total cost of the query's shape. known is
+// false — and cost zero — while the shape has fewer than MinPredictSamples
+// recorded executions; cost-aware admission then falls back to queue-only
+// admission.
 func (p *Prepared) Cost() (cost time.Duration, known bool) {
-	if !p.costKnown {
+	mean, n := p.snap.db.tel.Shapes.Cost(p.key)
+	if n < obs.MinPredictSamples {
 		return 0, false
 	}
-	return p.cost, true
+	return mean, true
 }
 
 // Run executes the query and records it: per-algorithm metrics on success,
@@ -249,7 +233,7 @@ func (p *Prepared) Run() ([]Result, Stats, error) {
 		err error
 	)
 	start := time.Now()
-	if p.key.Alg == plan.AlgSTDS {
+	if p.q.Algorithm == STDS {
 		res, st, err = p.snap.engine.STDS(p.cq)
 	} else {
 		res, st, err = p.snap.engine.STPS(p.cq)
@@ -356,7 +340,7 @@ func (t *queryMetricsTable) observe(r *obs.Registry, p *Prepared, st *Stats) {
 	if p.cq.Approx != nil {
 		isApprox = 1
 	}
-	if p.key.Alg == plan.AlgSTDS {
+	if p.q.Algorithm == STDS {
 		isSTDS = 1
 	}
 	slot := &t[isApprox][isSTDS][p.cq.Variant]
@@ -411,12 +395,4 @@ func (p *Prepared) UpperBound() (float64, error) {
 // by brute force.
 func (p *Prepared) Score(x, y float64) (float64, error) {
 	return p.snap.engine.ExactScore(p.cq, geo.Point{X: x, Y: y})
-}
-
-// decision is the planner's verdict with its full audit trail — every
-// candidate considered and the reason — for EXPLAIN; the hot path keeps
-// only what Prepare resolved.
-func (p *Prepared) decision() PlanDecision {
-	planner := plan.Planner{Shapes: p.snap.db.tel.Shapes}
-	return planner.Decide(p.key, forcedAlg(p.q.Algorithm))
 }

@@ -80,9 +80,7 @@ func (s *Snapshot) NumFeatures() map[string]int {
 }
 
 // TopK runs the query against the snapshot and returns the k best objects
-// with execution statistics. Safe for concurrent use. With Algorithm:
-// Auto, the cost-based planner picks the algorithm from recorded per-shape
-// statistics; results are byte-identical to either forced algorithm.
+// with execution statistics. Safe for concurrent use.
 func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 	p, err := s.Prepare(q)
 	if err != nil {

@@ -127,12 +127,6 @@ const (
 	// STDS (Spatio-Textual Data Scan) scores every data object; the
 	// paper's baseline.
 	STDS
-	// Auto delegates the choice to the cost-based planner: the recorded
-	// per-shape statistics decide STDS vs. STPS per query, falling back
-	// deterministically to STPS while the query's shape has fewer than
-	// MinPredictSamples recorded executions under either algorithm.
-	// Results are identical to both forced algorithms.
-	Auto
 )
 
 // Config tunes storage and algorithm behaviour.
@@ -150,7 +144,8 @@ type Config struct {
 	// SignatureBits stores hashed keyword signatures of this width in
 	// feature indexes instead of exact bitmaps (classic IR²-tree
 	// signature files with verification reads against a record file).
-	// 0 keeps exact bitmaps. Results are identical either way.
+	// 0 keeps exact bitmaps. Results are identical either way; only a
+	// signature index accepts Mode: approx queries.
 	SignatureBits int
 	// Tracing collects a span tree (Stats.Trace) for every query: named
 	// phases with wall time and page-read deltas. Off by default; the
@@ -253,7 +248,10 @@ type Query struct {
 	// Mode selects the execution tier: "" or ModeExact runs the exact
 	// engine (the default — results pinned by the oracle suites), and
 	// ModeApprox runs the approximate fast tier, where MinHash/LSH
-	// candidate pruning trades up to 1−Recall of recall for latency.
+	// candidate pruning trades up to 1−Recall of recall for skipped
+	// verification reads. It needs a signature index (Config.SignatureBits
+	// > 0): on exact bitmaps there are no reads to skip, and Prepare
+	// rejects it.
 	Mode string
 	// Recall is the approximate tier's recall target in (0,1] — the
 	// probability that a minimally relevant feature survives the LSH

@@ -33,7 +33,7 @@ func ValidateQuery(q Query, featureSets []string) error {
 	if q.Variant < Range || q.Variant > NearestNeighbor {
 		return fmt.Errorf("%w: unknown variant %d", ErrInvalidQuery, int(q.Variant))
 	}
-	if q.Algorithm < STPS || q.Algorithm > Auto {
+	if q.Algorithm < STPS || q.Algorithm > STDS {
 		return fmt.Errorf("%w: unknown algorithm %d", ErrInvalidQuery, int(q.Algorithm))
 	}
 	if q.Similarity < JaccardSim || q.Similarity > OverlapSim {

@@ -2,8 +2,7 @@ package stpq
 
 // validate_test.go pins ValidateQuery's sentinel behavior table-driven: each
 // rejected query must wrap the exact sentinel error so callers can branch
-// with errors.Is, and every enum — including the planner's Auto — must
-// accept exactly its defined range.
+// with errors.Is, and every enum must accept exactly its defined range.
 
 import (
 	"errors"
@@ -29,7 +28,6 @@ func TestValidateQueryTable(t *testing.T) {
 	}{
 		{"valid default", valid, nil},
 		{"valid stds", mod(func(q *Query) { q.Algorithm = STDS }), nil},
-		{"valid auto", mod(func(q *Query) { q.Algorithm = Auto }), nil},
 		{"valid nn zero radius", mod(func(q *Query) { q.Variant = NearestNeighbor; q.Radius = 0 }), nil},
 		{"valid overlap sim", mod(func(q *Query) { q.Similarity = OverlapSim }), nil},
 		{"valid exact mode", mod(func(q *Query) { q.Mode = ModeExact }), nil},
@@ -41,7 +39,7 @@ func TestValidateQueryTable(t *testing.T) {
 		{"variant below range", mod(func(q *Query) { q.Variant = Variant(-1) }), ErrInvalidQuery},
 		{"variant past nn", mod(func(q *Query) { q.Variant = NearestNeighbor + 1 }), ErrInvalidQuery},
 		{"algorithm below stps", mod(func(q *Query) { q.Algorithm = Algorithm(-1) }), ErrInvalidQuery},
-		{"algorithm past auto", mod(func(q *Query) { q.Algorithm = Auto + 1 }), ErrInvalidQuery},
+		{"algorithm past stds", mod(func(q *Query) { q.Algorithm = STDS + 1 }), ErrInvalidQuery},
 		{"algorithm 9", mod(func(q *Query) { q.Algorithm = Algorithm(9) }), ErrInvalidQuery},
 		{"similarity past overlap", mod(func(q *Query) { q.Similarity = OverlapSim + 1 }), ErrInvalidQuery},
 		{"negative radius", mod(func(q *Query) { q.Radius = -0.1 }), ErrInvalidQuery},
