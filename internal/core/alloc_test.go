@@ -100,14 +100,17 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 }
 
 // The miss path: a range STPS whose feature trees sit behind 32-page pools
-// pays for a physical read of a feature page with the frame, its image and
-// the LRU list element, and with nothing else — the stream scans the image
-// where it lies instead of decoding 9.5 KB of node beside it (which made a
-// miss about 6 objects). The budget is 4 per physical read, the fourth
-// being room for the query's fixed allocations and the root aggregates.
-// The streams' keyword arenas have reached their size after the warm-up
-// and do not grow again. The object tree keeps every page resident, so all
-// the misses are the feature stream's.
+// allocates nothing per physical read of a feature page. The stream scans
+// the image where it lies instead of decoding 9.5 KB of node beside it
+// (about 6 objects per miss), and releases each view once its slots are
+// read, so the next miss reuses the evicted frame, list element and image
+// (3 objects per miss while frames were never recycled). What is left does
+// not scale with the misses: the query's fixed allocations and the root
+// aggregates, some of them decoded again when a root was evicted. The
+// budget is 0.5 objects per miss, fixed part included (measured: 20 at 49
+// misses; 169 without recycling). The streams' keyword arenas have reached
+// their size after the warm-up and do not grow again. The object tree keeps
+// every page resident, so all the misses are the feature stream's.
 func TestAllocsColdFeaturePull(t *testing.T) {
 	w := buildWorldBehind(t, 907, 2000, 1600, 2, 24, index.SRT, Options{}, 32)
 	eng, rng := w.engine, rand.New(rand.NewSource(908))
@@ -152,8 +155,8 @@ func TestAllocsColdFeaturePull(t *testing.T) {
 	if misses < 30 {
 		t.Fatalf("%.1f physical reads per query: the pools do not miss, the test shows nothing", misses)
 	}
-	if allocs > 4*misses {
-		t.Fatalf("cold range STPS allocates %.1f objects for %.1f feature-page misses, budget 4 per miss", allocs, misses)
+	if allocs > misses/2 {
+		t.Fatalf("cold range STPS allocates %.1f objects for %.1f feature-page misses, budget 0.5 per miss", allocs, misses)
 	}
 	if arena == 0 || arenas() != arena {
 		t.Fatalf("stream arenas went from %d to %d words in steady state", arena, arenas())

@@ -213,6 +213,7 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 				s.arena = s.arena[:mark] // only a queued leaf keeps its keyword words
 			}
 		}
+		page.Release() // a candidate holds copies, nothing of the image
 	}
 	if !s.exhausted {
 		s.exhausted = true

@@ -283,12 +283,13 @@ func (r *recordFile) put(id int64, exact kwset.Set) error {
 			return err
 		}
 	}
-	buf, err := r.pool.Get(storage.PageID(page))
+	pin, err := r.pool.Pin(storage.PageID(page))
 	if err != nil {
 		return err
 	}
 	img := make([]byte, disk.PageSize())
-	copy(img, buf)
+	copy(img, pin.Data())
+	pin.Unpin()
 	off := (ord % r.perPage) * r.recSize
 	words := exact.WordsBits()
 	for w := 0; w < r.recSize/8; w++ {
@@ -312,15 +313,16 @@ func (r *recordFile) get(id int64) (kwset.Set, error) {
 	if !ok {
 		return kwset.Set{}, fmt.Errorf("index: feature id %d not in record file", id)
 	}
-	buf, err := r.pool.Get(storage.PageID(ord / r.perPage))
+	pin, err := r.pool.Pin(storage.PageID(ord / r.perPage))
 	if err != nil {
 		return kwset.Set{}, err
 	}
-	off := (ord % r.perPage) * r.recSize
+	buf, off := pin.Data(), (ord%r.perPage)*r.recSize
 	raw := make([]uint64, r.recSize/8)
 	for w := range raw {
 		raw[w] = binary.LittleEndian.Uint64(buf[off+8*w:])
 	}
+	pin.Unpin()
 	// raw is freshly allocated here, so the set can take ownership.
 	return kwset.FromBitsOwned(r.width, raw), nil
 }

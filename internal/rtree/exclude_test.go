@@ -186,6 +186,7 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 						see(e)
 					}
 				}
+				v.Release()
 			}
 			return nil
 		},

@@ -18,14 +18,17 @@ import (
 // rectangle, or hand entries out by value, read the shared decoded node
 // (Tree.Node) instead.
 //
-// A view is a value holding the frame's image and no lock, valid however
-// long it is kept: the pool never writes an image while queries read it and
-// never reuses a frame (see BufferPool.Get), so an evicted page's bytes live
-// until the last view of them is dropped. Nothing a view hands out aliases
-// the image — Entry copies the keyword words. The methods take a pointer
-// only so that a call per slot does not copy the view.
+// A view is a value holding a pin on the frame (storage.Pinned) and no
+// lock. Until Release the frame is not recycled, so the view reads the
+// bytes it fetched however often the page is evicted meanwhile; after
+// Release the pool may read another page into them, and the view must not
+// be used. Nothing a view hands out aliases the image — Entry copies the
+// keyword words — so what it handed out stays valid after Release. The
+// methods take a pointer only so that a call per slot does not copy the
+// view.
 type PageView struct {
 	data          []byte // header and count slots, nothing beyond
+	pin           storage.Pinned
 	t             *Tree
 	kwOff, stride int // see slotLayout
 	count, words  int
@@ -37,14 +40,25 @@ type PageView struct {
 
 // View returns the node at page id as a view of its image: counted exactly
 // as Node is — a logical read, on a miss a physical read and possibly an
-// eviction — and not decoded. Entry hides what WithExclude tombstoned.
+// eviction — and not decoded. Entry hides what WithExclude tombstoned. The
+// caller Releases the view when done with it.
 func (t *Tree) View(id storage.PageID) (PageView, error) {
-	data, err := t.pool.Get(id)
+	p, err := t.pool.Pin(id)
 	if err != nil {
 		return PageView{}, err
 	}
-	return t.viewOf(data)
+	v, err := t.viewOf(p.Data())
+	if err != nil {
+		p.Unpin()
+		return PageView{}, err
+	}
+	v.pin = p
+	return v, nil
 }
+
+// Release unpins the view's frame, which the pool may then recycle for
+// another page. It must be called exactly once per View.
+func (v *PageView) Release() { v.pin.Unpin() }
 
 // viewOf validates a page image once — header, count against the capacity
 // and against the bytes present — so the accessors index unchecked.

@@ -71,9 +71,12 @@ func (d *CowDisk) ReadPage(id PageID, buf []byte) error {
 		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, n)
 	}
 	if pg, ok := d.overlay[id]; ok {
-		copy(buf, pg)
+		err := checkReadBuf(id, buf, len(pg))
+		if err == nil {
+			copy(buf, pg)
+		}
 		d.mu.RUnlock()
-		return nil
+		return err
 	}
 	d.mu.RUnlock()
 	return d.base.ReadPage(id, buf)

@@ -38,7 +38,7 @@ type Disk interface {
 	// Allocate reserves a fresh zeroed page and returns its id.
 	Allocate() (PageID, error)
 	// ReadPage copies the page contents into buf, which must be at least
-	// PageSize bytes long.
+	// PageSize bytes long; a shorter buf is an error naming both lengths.
 	ReadPage(id PageID, buf []byte) error
 	// WritePage stores buf (at most PageSize bytes) as the page contents.
 	WritePage(id PageID, buf []byte) error
@@ -78,7 +78,19 @@ func (d *MemDisk) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= len(d.pages) {
 		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, len(d.pages))
 	}
+	if err := checkReadBuf(id, buf, d.pageSize); err != nil {
+		return err
+	}
 	copy(buf, d.pages[id])
+	return nil
+}
+
+// checkReadBuf rejects a read buffer shorter than a page, so that every
+// Disk fails a short read alike instead of copying a prefix or panicking.
+func checkReadBuf(id PageID, buf []byte, pageSize int) error {
+	if len(buf) < pageSize {
+		return fmt.Errorf("storage: read page %d: buffer of %d bytes, page of %d", id, len(buf), pageSize)
+	}
 	return nil
 }
 
@@ -141,6 +153,9 @@ func (d *FileDisk) Allocate() (PageID, error) {
 func (d *FileDisk) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= d.n {
 		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, d.n)
+	}
+	if err := checkReadBuf(id, buf, d.pageSize); err != nil {
+		return err
 	}
 	_, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +111,60 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 	if err := d.ReadPage(99, buf); !errors.Is(err, ErrPageBounds) {
 		t.Errorf("bounds: %v", err)
+	}
+}
+
+// A read buffer shorter than a page is an error naming both lengths on
+// every disk: not a panic, and not a silently copied prefix.
+func TestDiskShortReadBuffer(t *testing.T) {
+	const pageSize = 64
+	// written returns d holding one page of sevens, and that page's id.
+	written := func(t *testing.T, d Disk) (Disk, PageID) {
+		t.Helper()
+		id, err := d.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WritePage(id, bytes.Repeat([]byte{7}, pageSize)); err != nil {
+			t.Fatal(err)
+		}
+		return d, id
+	}
+	disks := map[string]func(t *testing.T) (Disk, PageID){
+		"MemDisk": func(t *testing.T) (Disk, PageID) { return written(t, NewMemDisk(pageSize)) },
+		"FileDisk": func(t *testing.T) (Disk, PageID) {
+			d, err := NewFileDisk(filepath.Join(t.TempDir(), "disk.bin"), pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return written(t, d)
+		},
+		"CowDisk/overlay": func(t *testing.T) (Disk, PageID) { return written(t, NewCowDisk(NewMemDisk(pageSize))) },
+		"CowDisk/base": func(t *testing.T) (Disk, PageID) {
+			base, id := written(t, NewMemDisk(pageSize))
+			return NewCowDisk(base), id
+		},
+	}
+	for name, open := range disks {
+		t.Run(name, func(t *testing.T) {
+			d, id := open(t)
+			// A short slice with room behind it: FileDisk used to re-slice
+			// it to a page, MemDisk to copy len(buf) bytes.
+			buf := make([]byte, pageSize/2, pageSize)
+			err := d.ReadPage(id, buf)
+			if err == nil {
+				t.Fatalf("a %d-byte buffer for a %d-byte page read without error", len(buf), pageSize)
+			}
+			for _, n := range []string{"32", "64"} {
+				if !strings.Contains(err.Error(), n) {
+					t.Errorf("error %q does not name the length %s", err, n)
+				}
+			}
+			if bytes.ContainsRune(buf[:cap(buf)], 7) {
+				t.Errorf("a failed read copied bytes: %v", buf[:cap(buf)])
+			}
+		})
 	}
 }
 
@@ -330,6 +385,8 @@ func TestBufferPoolMetrics(t *testing.T) {
 		`stpq_bufferpool_misses_total{pool="objects"}`:    3,
 		`stpq_bufferpool_evictions_total{pool="objects"}`: 1,
 		`stpq_bufferpool_writes_total{pool="objects"}`:    1,
+		// Get never releases its pin, so the evicted frame keeps its image.
+		`stpq_bufferpool_recycled_total{pool="objects"}`: 0,
 	}
 	for name, want := range checks {
 		if got := snap.Counters[name]; got != want {

@@ -186,6 +186,53 @@ func TestFeaturePoolsMissWithoutDecoding(t *testing.T) {
 	}
 }
 
+// Every reader of a page releases what it pins, so once a pool is full its
+// misses read into the images of frames evicted before them: over a cycle
+// of cold queries — both algorithms, every variant, object, feature and
+// signature record pools — at least 90 % of the misses recycle. A reader
+// that kept its pins would leave its evicted frames held and the ratio
+// falling.
+func TestColdQueriesRecycleFrames(t *testing.T) {
+	for _, cfg := range []Config{
+		{IndexKind: SRT},
+		{IndexKind: IR2},
+		{IndexKind: IR2, SignatureBits: 8},
+	} {
+		cfg.PageSize, cfg.BufferPages = 512, 4
+		name := fmt.Sprintf("kind=%d/signature=%d", cfg.IndexKind, cfg.SignatureBits)
+		db := randomObsDB(t, cfg)
+		total := func(metric string) (n int64) {
+			for series, v := range db.Metrics().Counters {
+				if strings.HasPrefix(series, "stpq_bufferpool_"+metric+"_total{") {
+					n += v
+				}
+			}
+			return n
+		}
+		cycle := func() {
+			for _, alg := range []Algorithm{STPS, STDS} {
+				for _, v := range []Variant{Range, Influence, NearestNeighbor} {
+					if _, _, err := db.TopK(obsQuery(alg, v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		cycle() // fills the pools
+		misses0, recycled0 := total("misses"), total("recycled")
+		cycle()
+		cycle()
+		misses, recycled := total("misses")-misses0, total("recycled")-recycled0
+		t.Logf("%s: %d of %d misses recycled", name, recycled, misses)
+		if misses < 100 {
+			t.Fatalf("%s: %d misses in two cycles: the pools are not cold, the test shows nothing", name, misses)
+		}
+		if recycled*10 < misses*9 {
+			t.Errorf("%s: %d of %d misses recycled a frame, want at least 90 %%", name, recycled, misses)
+		}
+	}
+}
+
 // DB metrics must survive a JSON round trip unchanged and emit parseable
 // Prometheus text.
 func TestDBMetricsExport(t *testing.T) {
