@@ -226,56 +226,84 @@ compaction-smoke:
 	echo "compaction-smoke: recovered from checkpoint + WAL tail after SIGKILL" && \
 	kill -INT $$pid && wait $$pid
 
-# Distributed-mode smoke test: partition one synthetic dataset across 3
-# cluster nodes, start a scatter-gather coordinator over them, a
-# single-process stpqd on the same dataset and a `-shards 4` stpqd on it
-# too, and require byte-identical results from all three for a spread of
-# query shapes (both algorithms, range and influence variants). A short
-# stpqload run against the coordinator then exercises it under
-# concurrency.
-CLUSTER_MAP := /tmp/stpq-cluster-smoke-map.json
+# Replicated-cluster smoke test: one WAL-backed leader and two followers
+# replaying its log, each a whole-DB replica serving cluster RPC, a
+# coordinator routing over the three, a single-process stpqd on the same
+# dataset and a `-shards 4` stpqd on it too. The coordinator's and the
+# sharded daemon's answers must be byte-identical to the single process's
+# for a spread of query shapes (both algorithms, range and influence
+# variants); after a short stpqload run through the coordinator every
+# replica must have served queries; and a write POSTed to the leader must
+# reach both followers' own /query answers within 10 s.
+CLUSTER_WAL := /tmp/stpq-cluster-smoke-wal
 CLUSTER_DATA := -synthetic -objects 2000 -features 2000
+define CLUSTER_SMOKE_PY
+import json, sys, time, urllib.request
+def get(port, path):
+    return urllib.request.urlopen("http://127.0.0.1:%d%s" % (port, path)).read().decode()
+def query(port, body):
+    req = urllib.request.Request("http://127.0.0.1:%d/query" % port, json.dumps(body).encode(), {"Content-Type": "application/json"})
+    return json.dumps(json.load(urllib.request.urlopen(req))["results"], sort_keys=True)
+leader, followers = 18341, (18342, 18343)
+if sys.argv[1] == "identity":
+    for q in ({"k": 5, "radius": 0.05, "keywords": {"set1": ["kw1", "kw2"], "set2": ["kw3"]}},
+              {"k": 10, "radius": 0.05, "keywords": {"set1": ["kw7"], "set2": ["kw8", "kw9"]}, "algorithm": "stds"},
+              {"k": 7, "variant": "influence", "radius": 0.1, "keywords": {"set1": ["kw4"], "set2": ["kw5"]}}):
+        want = query(18349, q)
+        for port in (18340, 18348):
+            got = query(port, q)
+            assert got == want, "port %d diverges from single process: got %s, want %s" % (port, got, want)
+    print("cluster-smoke: coordinator and -shards 4 results byte-identical to single process")
+    sys.exit(0)
+for port in (leader,) + followers:
+    served = [l for l in get(port, "/metrics").splitlines() if l.startswith("stpq_serve_queries_total ")]
+    assert served and float(served[0].split()[1]) > 0, "replica on :%d served no queries: %r" % (port, served)
+print("cluster-smoke: every replica served queries through the coordinator")
+q = {"k": 5, "radius": 0.005, "lambda": 0.5, "keywords": {"set1": ["kw1"]}}
+before = query(leader, q)
+req = urllib.request.Request("http://127.0.0.1:%d/ingest" % leader,
+    json.dumps({"objects": [{"id": 900001, "x": 0.5, "y": 0.5}],
+                "features": {"set1": [{"id": 900002, "x": 0.5, "y": 0.5, "score": 1.0, "keywords": ["kw1"]}]}}).encode(),
+    {"Content-Type": "application/json"})
+urllib.request.urlopen(req).read()
+want = query(leader, q)
+assert want != before, "the write did not move the leader's answer: %s" % want
+deadline = time.time() + 10
+for port in followers:
+    while query(port, q) != want:
+        assert time.time() < deadline, "follower :%d did not catch up with the leader in 10 s" % port
+        time.sleep(0.2)
+print("cluster-smoke: both followers answer like the leader after a write")
+endef
+export CLUSTER_SMOKE_PY
 cluster-smoke:
 	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
 	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
-	rm -f $(CLUSTER_MAP)
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -write-cluster-map $(CLUSTER_MAP) \
-		-cluster-leaders 127.0.0.1:19341,127.0.0.1:19342,127.0.0.1:19343
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -cluster-node -node-id 0 -cluster-map $(CLUSTER_MAP) \
+	rm -rf $(CLUSTER_WAL)
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -wal-dir $(CLUSTER_WAL) \
 		-rpc 127.0.0.1:19341 -addr 127.0.0.1:18341 & p0=$$!; \
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -cluster-node -node-id 1 -cluster-map $(CLUSTER_MAP) \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:19341 \
 		-rpc 127.0.0.1:19342 -addr 127.0.0.1:18342 & p1=$$!; \
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -cluster-node -node-id 2 -cluster-map $(CLUSTER_MAP) \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:19341 \
 		-rpc 127.0.0.1:19343 -addr 127.0.0.1:18343 & p2=$$!; \
-	/tmp/stpqd-smoke -cluster-coordinator -cluster-map $(CLUSTER_MAP) -addr 127.0.0.1:18340 & pc=$$!; \
+	/tmp/stpqd-smoke -replicas 127.0.0.1:19341,127.0.0.1:19342,127.0.0.1:19343 -addr 127.0.0.1:18340 & pc=$$!; \
 	/tmp/stpqd-smoke $(CLUSTER_DATA) -addr 127.0.0.1:18349 & ps=$$!; \
 	/tmp/stpqd-smoke $(CLUSTER_DATA) -shards 4 -addr 127.0.0.1:18348 & p4=$$!; \
 	trap 'kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do \
-		if curl -fsS http://127.0.0.1:18340/readyz >/dev/null 2>&1 && \
-		   curl -fsS http://127.0.0.1:18349/healthz >/dev/null 2>&1 && \
-		   curl -fsS http://127.0.0.1:18348/healthz >/dev/null 2>&1; then break; fi; \
+		ready=1; \
+		for port in 18341 18342 18343 18340 18349 18348; do \
+			curl -fsS http://127.0.0.1:$$port/readyz >/dev/null 2>&1 || ready=0; \
+		done; \
+		if [ $$ready = 1 ]; then break; fi; \
 		sleep 0.2; \
 	done; \
 	curl -fsS http://127.0.0.1:18340/readyz >/dev/null && \
-	for q in '{"k":5,"radius":0.05,"keywords":{"set1":["kw1","kw2"],"set2":["kw3"]}}' \
-		'{"k":10,"radius":0.05,"keywords":{"set1":["kw7"],"set2":["kw8","kw9"]},"algorithm":"stds"}' \
-		'{"k":7,"variant":"influence","radius":0.1,"keywords":{"set1":["kw4"],"set2":["kw5"]}}'; do \
-		curl -fsS http://127.0.0.1:18349/query -d "$$q" > /tmp/stpq-cluster-want.json && \
-		for port in 18340 18348; do \
-			curl -fsS http://127.0.0.1:$$port/query -d "$$q" > /tmp/stpq-cluster-got.json && \
-			python3 -c 'import json; \
-got = json.load(open("/tmp/stpq-cluster-got.json"))["results"]; \
-want = json.load(open("/tmp/stpq-cluster-want.json"))["results"]; \
-assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), \
-	"results diverge from single process:\n got %r\nwant %r" % (got, want)' \
-			|| exit 1; \
-		done; \
-	done; \
-	echo "cluster-smoke: coordinator and -shards 4 results byte-identical to single process" && \
+	echo "$$CLUSTER_SMOKE_PY" | python3 - identity && \
 	/tmp/stpqload-smoke -targets http://127.0.0.1:18340 -c 2 -n 50 -k 5 && \
 	curl -fsS http://127.0.0.1:18340/metrics | grep -q stpq_cluster_queries_total && \
 	curl -fsS http://127.0.0.1:18348/metrics | grep -q stpq_shard_fanout_total && \
+	echo "$$CLUSTER_SMOKE_PY" | python3 - replication && \
 	kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 && wait
 
 # Cost-aware admission smoke test: a daemon with a deliberately tiny

@@ -1,15 +1,16 @@
 package main
 
-// cluster.go benchmarks distributed scatter-gather: the synthetic dataset
-// partitioned across N in-process cluster nodes on loopback TCP, queried
-// through a coordinator by a closed-loop concurrent workload. N = 1 is a
-// one-node cluster (the full RPC + coordination overhead, no fan-out win),
-// the baseline the node-count sweep is read against. Per-query engine
-// counters come back over the wire, so the records carry the same cost
-// breakdown as the in-process experiments plus scatter QPS, latency
-// quantiles and fanout/pruned totals.
+// cluster.go benchmarks query routing: N in-process replicas of the whole
+// synthetic dataset on loopback TCP, queried through a coordinator by a
+// closed-loop concurrent workload. Each query runs on one replica, so the
+// sweep measures what routing costs (RPC, coordinator, spreading load over
+// the replicas), not scatter-gather. N = 1 is the baseline the node-count
+// sweep is read against. Per-query engine counters come back over the
+// wire, so the records carry the same cost breakdown as the in-process
+// experiments plus QPS, latency quantiles and the queries each replica
+// served.
 //
-// Like the shard sweep, the records always land in BENCH_cluster.json.
+// The records always land in BENCH_cluster.json.
 
 import (
 	"fmt"
@@ -22,7 +23,6 @@ import (
 	"stpq/internal/cluster"
 	"stpq/internal/core"
 	"stpq/internal/serve"
-	"stpq/internal/shard"
 )
 
 // clusterBenchFile is where the node-count sweep always saves its records.
@@ -32,11 +32,11 @@ const clusterBenchFile = "BENCH_cluster.json"
 const clusterWorkers = 8
 
 func (b *bench) clusterExp() {
-	header("cluster sweep: coordinator scatter-gather vs node count (STPS, SRT)")
+	header("cluster sweep: coordinator routing vs replica count (STPS, SRT)")
 	ds := b.synthetic(b.scaled(defObjects), b.scaled(defFeatures), defSets, defVocab)
 
-	// Lower the dataset into the public types once; every node count
-	// re-partitions the same objects.
+	// Lower the dataset into the public types once; every replica of every
+	// node count loads all of it.
 	objs := make([]stpq.Object, len(ds.Objects))
 	for i, o := range ds.Objects {
 		objs[i] = stpq.Object{ID: o.ID, X: o.Location.X, Y: o.Location.Y}
@@ -88,30 +88,25 @@ func (b *bench) clusterExp() {
 	}
 }
 
-// clusterPoint measures one node count: start the nodes, scatter the
+// clusterPoint measures one node count: start the replicas, route the
 // workload through a coordinator with clusterWorkers in flight, record
-// QPS, latency quantiles and the summed engine counters.
+// QPS, latency quantiles, the per-query engine counters and how many
+// queries each replica served.
 func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 	name  string
 	feats []stpq.Feature
 }, queries []stpq.Query, nodes int) Record {
-	leaders := make([]string, nodes)
-	for i := range leaders {
-		leaders[i] = "pending"
-	}
-	m, err := cluster.BuildMap(objs, leaders, shard.HilbertRuns)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var cleanup []func()
 	defer func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
 		}
 	}()
-	for i := 0; i < nodes; i++ {
+	replicas := make([]*cluster.Node, nodes)
+	addrs := make([]string, nodes)
+	for i := range replicas {
 		db := stpq.New(stpq.Config{PageSize: 4096})
-		db.AddObjects(m.PartitionObjects(objs, i))
+		db.AddObjects(objs)
 		for _, s := range sets {
 			db.AddFeatureSet(s.name, s.feats)
 		}
@@ -123,16 +118,16 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 			log.Fatal(err)
 		}
 		cleanup = append(cleanup, svc.Close)
-		n := cluster.NewNode(cluster.NodeConfig{NodeID: i, Service: svc, DB: db})
-		addr, err := n.Start("127.0.0.1:0")
+		replicas[i] = cluster.NewNode(cluster.NodeConfig{Service: svc, DB: db})
+		addr, err := replicas[i].Start("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		cleanup = append(cleanup, n.Close)
-		m.Nodes[i].Leader = addr.String()
+		cleanup = append(cleanup, replicas[i].Close)
+		addrs[i] = addr.String()
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Map: m, HealthInterval: -1,
+		Replicas: addrs, HealthInterval: -1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -164,7 +159,7 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 				t0 := time.Now()
 				resp, err := coord.Do(queries[i])
 				if err != nil {
-					log.Fatalf("cluster nodes=%d query %d: %v", len(m.Nodes), i, err)
+					log.Fatalf("cluster nodes=%d query %d: %v", nodes, i, err)
 				}
 				walls[i] = time.Since(t0)
 				per[i] = resp.Stats
@@ -178,15 +173,15 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 	rec := newRecord("cluster", label, "SRT", "stps", nil, per)
 	rec.Variant = "range"
 	rec.QPS = float64(len(queries)) / elapsed.Seconds()
-	fanout := coord.Metrics().Counter("stpq_cluster_fanout_total").Value()
-	pruned := coord.Metrics().Counter("stpq_cluster_pruned_total").Value()
-	rec.Counters = map[string]int64{
-		"stpq_cluster_fanout_total": fanout,
-		"stpq_cluster_pruned_total": pruned,
+	// With health probes off, every RPC a replica served was a query.
+	rec.Counters = make(map[string]int64, nodes)
+	served := make([]int64, nodes)
+	for i, n := range replicas {
+		served[i] = n.Served()
+		rec.Counters[fmt.Sprintf("replica%d_queries", i)] = served[i]
 	}
-	line(label, fmt.Sprintf("%.0f queries/s  p50 %s p99 %s  fanout %.2f pruned %.2f /query",
-		rec.QPS, wallQuantile(walls, 0.50), wallQuantile(walls, 0.99),
-		float64(fanout)/float64(len(queries)), float64(pruned)/float64(len(queries))))
+	line(label, fmt.Sprintf("%.0f queries/s  p50 %s p99 %s  queries per replica %v",
+		rec.QPS, wallQuantile(walls, 0.50), wallQuantile(walls, 0.99), served))
 	return rec
 }
 

@@ -1,27 +1,24 @@
 package main
 
-// cluster.go is stpqd's distributed mode — three roles of the same binary:
+// cluster.go gives stpqd its cluster roles. Every node is the ordinary
+// daemon over the whole DB; -rpc adds the cluster protocol beside its HTTP
+// API:
 //
-//	stpqd -synthetic -write-cluster-map map.json \
-//	      -cluster-leaders 127.0.0.1:9090,127.0.0.1:9091,127.0.0.1:9092
-//	    partitions the dataset, writes the map, exits.
+//	stpqd -synthetic -wal-dir wal -rpc 127.0.0.1:9090 -addr :8081
+//	    a leader: takes writes on /ingest and seals its WAL every
+//	    -wal-rotate so followers can fetch the segments.
 //
-//	stpqd -synthetic -cluster-node -node-id 0 -cluster-map map.json -rpc :9090
-//	    serves cell 0 over the cluster RPC protocol (plus the usual HTTP
-//	    endpoints on -addr for debugging). With -wal-dir it is the cell's
-//	    leader and rotates its WAL every -wal-rotate so followers can pull
-//	    sealed segments; with -follow <leader> it is a read replica fed by
-//	    WAL log shipping.
+//	stpqd -synthetic -follow 127.0.0.1:9090 -rpc 127.0.0.1:9091 -addr :8082
+//	    a follower: replays the leader's sealed WAL segments as they appear.
 //
-//	stpqd -cluster-coordinator -cluster-map map.json -addr :8080
-//	    serves the single-process HTTP query API, answered by scatter-
-//	    gather over the cluster with retries, failover and optional
+//	stpqd -replicas 127.0.0.1:9090,127.0.0.1:9091 -addr :8080
+//	    the coordinator: the single-process HTTP query API, each query
+//	    answered by one replica, with retries, failover and optional
 //	    hedging (-hedge-after).
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -32,50 +29,7 @@ import (
 	"stpq"
 	"stpq/internal/cluster"
 	"stpq/internal/serve"
-	"stpq/internal/shard"
 )
-
-// clusterConfig carries the parsed cluster flags.
-type clusterConfig struct {
-	node, coordinator bool
-	mapPath           string
-	nodeID            int
-	rpcAddr           string
-	follow            string
-	walRotate         time.Duration
-	writeMap          string
-	leaders           string
-	hedgeAfter        time.Duration
-	retryMax          int
-	parallelism       int
-}
-
-// runWriteClusterMap partitions the synthetic dataset across the given
-// leader endpoints and writes the partition map.
-func runWriteClusterMap(cfg daemonConfig) error {
-	if !cfg.synthetic {
-		return errors.New("-write-cluster-map needs -synthetic (the map partitions a generated dataset)")
-	}
-	if cfg.cluster.leaders == "" {
-		return errors.New("-write-cluster-map needs -cluster-leaders host:port,host:port,...")
-	}
-	leaders := splitEndpoints(cfg.cluster.leaders)
-	strat := shard.HilbertRuns
-	if cfg.strategy == "grid" {
-		strat = shard.FixedGrid
-	}
-	objs, _ := syntheticData(cfg)
-	m, err := cluster.BuildMap(objs, leaders, strat)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(cfg.cluster.writeMap); err != nil {
-		return err
-	}
-	log.Printf("wrote %s: %d cells (%s) over %d objects", cfg.cluster.writeMap,
-		m.Partition.Cells, strat, len(objs))
-	return nil
-}
 
 // splitEndpoints parses a comma-separated endpoint list.
 func splitEndpoints(s string) []string {
@@ -88,177 +42,76 @@ func splitEndpoints(s string) []string {
 	return out
 }
 
-// loadCellDB builds this node's DB: the cell's objects under the map's
-// partition, every feature set in full (feature replication is what makes
-// per-node scores exact global scores).
-func loadCellDB(cfg daemonConfig, m cluster.Map) (*stpq.DB, error) {
-	if cfg.open != "" {
-		// An opened DB is already the cell's slice (saved by an earlier
-		// cluster node); serve it as-is.
-		return stpq.Open(cfg.open)
-	}
-	if !cfg.synthetic {
-		return nil, errors.New("cluster node needs a dataset: pass -open <dir> or -synthetic")
-	}
-	kind := stpq.SRT
-	switch cfg.indexKind {
-	case "srt":
-	case "ir2":
-		kind = stpq.IR2
-	default:
-		return nil, fmt.Errorf("unknown -index %q", cfg.indexKind)
-	}
-	if cfg.shards > 1 {
-		return nil, errors.New("-shards does not apply to -cluster-node (the cluster map is the partition)")
-	}
-	walDir := cfg.walDir
-	if cfg.cluster.follow != "" && walDir != "" {
-		return nil, errors.New("-follow and -wal-dir are mutually exclusive: a follower replays the leader's log, it does not own one")
-	}
-	db := stpq.New(stpq.Config{
-		IndexKind: kind, WALDir: walDir,
-		WALRetainSegments: 4,
-		TraceSampleRate:   cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,
-	})
-	objs, sets := syntheticData(cfg)
-	cell := m.PartitionObjects(objs, cfg.cluster.nodeID)
-	log.Printf("cell %d: %d of %d objects", cfg.cluster.nodeID, len(cell), len(objs))
-	db.AddObjects(cell)
-	for _, s := range sets {
-		db.AddFeatureSet(s.name, s.feats)
-	}
-	if err := db.Build(); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// runClusterNode serves one partition cell: cluster RPC on -rpc, the usual
-// HTTP endpoints on -addr, WAL rotation when leading, log-shipping
-// replication when following.
-func runClusterNode(cfg daemonConfig) error {
-	if cfg.cluster.mapPath == "" {
-		return errors.New("-cluster-node needs -cluster-map")
-	}
-	m, err := cluster.LoadMap(cfg.cluster.mapPath)
-	if err != nil {
-		return err
-	}
-	if cfg.cluster.nodeID < 0 || cfg.cluster.nodeID >= len(m.Nodes) {
-		return fmt.Errorf("-node-id %d out of range: map has %d cells", cfg.cluster.nodeID, len(m.Nodes))
-	}
-	if cfg.pprofAddr != "" {
-		startPprof(cfg.pprofAddr)
-	}
-	db, err := loadCellDB(cfg, m)
-	if err != nil {
-		return err
-	}
-	svc, err := serve.New(db, cfg.serve)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-
-	node := cluster.NewNode(cluster.NodeConfig{
-		NodeID:  cfg.cluster.nodeID,
-		Service: svc,
-		DB:      db,
-		Logf:    log.Printf,
-	})
-	addr, err := node.Start(cfg.cluster.rpcAddr)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	log.Printf("cluster node %d: RPC on %s", cfg.cluster.nodeID, addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	// Leader: seal the active WAL segment periodically so followers always
-	// have recent history to fetch.
-	if cfg.walDir != "" && cfg.cluster.walRotate > 0 {
-		go func() {
-			ticker := time.NewTicker(cfg.cluster.walRotate)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if err := db.WALRotate(); err != nil && !errors.Is(err, stpq.ErrNoWAL) {
-						log.Printf("WAL rotate: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	// Follower: pull sealed segments from the leader and replay them.
-	if cfg.cluster.follow != "" {
-		src := cluster.NewClient(cfg.cluster.follow, 0)
-		defer src.Close()
-		rep, err := cluster.StartReplica(cluster.ReplicaConfig{
-			DB: db, Source: src, Logf: log.Printf,
-		})
-		if err != nil {
-			return err
+// startClusterRoles starts what -rpc and -follow ask of a daemon whose
+// service is up: the cluster RPC listener, WAL rotation on a node that has
+// a log to ship, and the follower's replication loop. Rotation ends with
+// ctx; the returned stop ends the rest, the listener first.
+func startClusterRoles(ctx context.Context, cfg daemonConfig, db *stpq.DB, svc *serve.Service) (func(), error) {
+	var stops []func()
+	stop := func() {
+		for _, f := range stops {
+			f()
 		}
-		defer rep.Close()
-		log.Printf("following %s (applied seq %d)", cfg.cluster.follow, rep.AppliedSeq())
 	}
-
-	// The regular HTTP endpoints stay up on -addr for health probes,
-	// metrics and debugging.
-	srv := &http.Server{Addr: cfg.addr, Handler: svc.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("HTTP on %s", cfg.addr)
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	if cfg.rpcAddr != "" {
+		node := cluster.NewNode(cluster.NodeConfig{Service: svc, DB: db, Logf: log.Printf})
+		addr, err := node.Start(cfg.rpcAddr)
+		if err != nil {
+			return nil, err
+		}
+		stops = append(stops, node.Close)
+		log.Printf("cluster RPC on %s", addr)
+		if cfg.walRotate > 0 {
+			go rotateWAL(ctx, db, cfg.walRotate)
+		}
 	}
-	log.Printf("shutting down cluster node %d", cfg.cluster.nodeID)
-	node.Close()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
+	if cfg.follow != "" {
+		src := cluster.NewClient(cfg.follow, 0)
+		rep, err := cluster.StartReplica(cluster.ReplicaConfig{DB: db, Source: src, Logf: log.Printf})
+		if err != nil {
+			src.Close()
+			stop()
+			return nil, err
+		}
+		stops = append(stops, rep.Close, src.Close)
+		log.Printf("following %s (applied seq %d)", cfg.follow, rep.AppliedSeq())
 	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Printf("bye")
-	return nil
+	return stop, nil
 }
 
-// runCoordinator serves scatter-gather queries over the cluster.
+// rotateWAL seals the active WAL segment every period so followers always
+// have recent history to fetch. A DB without a log has nothing to seal.
+func rotateWAL(ctx context.Context, db *stpq.DB, period time.Duration) {
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			if err := db.WALRotate(); err != nil && !errors.Is(err, stpq.ErrNoWAL) {
+				log.Printf("WAL rotate: %v", err)
+			}
+		}
+	}
+}
+
+// runCoordinator routes queries to the -replicas endpoints.
 func runCoordinator(cfg daemonConfig) error {
-	if cfg.cluster.mapPath == "" {
-		return errors.New("-cluster-coordinator needs -cluster-map")
-	}
-	m, err := cluster.LoadMap(cfg.cluster.mapPath)
-	if err != nil {
-		return err
-	}
 	if cfg.pprofAddr != "" {
 		startPprof(cfg.pprofAddr)
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Map:         m,
-		Parallelism: cfg.cluster.parallelism,
-		RPCTimeout:  cfg.serve.Timeout,
-		RetryMax:    cfg.cluster.retryMax,
-		HedgeAfter:  cfg.cluster.hedgeAfter,
+		Replicas:   cfg.replicas,
+		RPCTimeout: cfg.serve.Timeout,
+		RetryMax:   cfg.retryMax,
+		HedgeAfter: cfg.hedgeAfter,
 	})
 	if err != nil {
 		return err
 	}
 	defer coord.Close()
-	log.Printf("coordinator over %d nodes (map %s)", len(m.Nodes), cfg.cluster.mapPath)
+	log.Printf("coordinator over %d replicas", len(cfg.replicas))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

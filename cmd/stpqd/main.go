@@ -8,6 +8,7 @@
 //	stpqd -synthetic -shards 4            # data laid out in 4 spatial shards
 //	stpqd -synthetic -wal-dir data/wal    # live ingest + crash recovery
 //	stpqd -open data/db -workers 8 -queue 128 -timeout 2s
+//	stpqd -synthetic -wal-dir wal -rpc :9090   # a cluster replica (cluster.go)
 //
 // Endpoints:
 //
@@ -34,6 +35,7 @@ import (
 	"log"
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -pprof listener
+	"os"
 	"os/signal"
 	"runtime"
 	"sync/atomic"
@@ -48,87 +50,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stpqd: ")
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		open      = flag.String("open", "", "directory of a DB written by stpq save")
-		synthetic = flag.Bool("synthetic", false, "serve a generated synthetic dataset")
-		objects   = flag.Int("objects", 20_000, "synthetic data objects")
-		features  = flag.Int("features", 20_000, "synthetic feature objects per set")
-		sets      = flag.Int("sets", 2, "synthetic feature sets")
-		vocab     = flag.Int("vocab", 256, "synthetic vocabulary size")
-		seed      = flag.Int64("seed", 1, "synthetic random seed")
-		indexKind = flag.String("index", "srt", "feature index for -synthetic: srt | ir2")
-		sigBits   = flag.Int("signature-bits", 0, "-synthetic with -index ir2: superimposed signature bits per keyword (0 = exact bitmaps)")
-		pageSize  = flag.Int("page-size", 0, "-synthetic: index page size in bytes (0 = library default)")
-		bufPages  = flag.Int("buffer-pages", 0, "-synthetic: buffer pool pages per index (0 = library default)")
-		shards    = flag.Int("shards", 0, "lay -synthetic data out in N spatial shards under the one engine (0 or 1 = unsharded)")
-		strategy  = flag.String("shard-strategy", "hilbert", "shard partitioner: hilbert | grid")
-		workers   = flag.Int("workers", 0, "concurrent query executors (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth")
-		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
-		cacheSize = flag.Int("cache", 256, "result cache entries (negative disables)")
-		walDir    = flag.String("wal-dir", "", "write-ahead log directory: enables POST /ingest and replays existing records on startup")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
-		traceRate = flag.Float64("trace-sample", 0, "fraction of queries (0..1) served with a full span tree in their event record")
-		slowQuery = flag.Duration("slow-query", 0, "queries at least this slow land in /debug/slow with a complete trace (0 = off)")
-		costCap   = flag.Duration("max-inflight-cost", 0, "shed queries whose predicted cost would push the summed in-flight predicted cost over this budget (0 = off)")
-
-		bgCompact   = flag.Bool("background-compaction", false, "-synthetic: seal full deltas into runs and merge them on a background goroutine instead of stalling Apply")
-		compactRuns = flag.Int("compact-runs", 0, "-synthetic: sealed-run watermark that wakes the background compactor (0 = default)")
-		flushOps    = flag.Int("auto-flush-ops", 0, "-synthetic: delta size that triggers a merge or run seal (0 = default, negative = never)")
-		ckptOps     = flag.Int64("checkpoint-every-ops", 0, "checkpoint automatically after this many applied mutations (0 = off; needs a WAL)")
-		ckptBytes   = flag.Int64("checkpoint-every-bytes", 0, "checkpoint automatically after this many appended WAL bytes (0 = off; needs a WAL)")
-		ckptDir     = flag.String("checkpoint-dir", "", "directory auto-checkpoints are written to (default: the -open directory)")
-
-		clusterNode  = flag.Bool("cluster-node", false, "serve one partition cell over the cluster RPC protocol (needs -cluster-map and -node-id)")
-		clusterCoord = flag.Bool("cluster-coordinator", false, "serve scatter-gather queries over the cluster in -cluster-map")
-		clusterMap   = flag.String("cluster-map", "", "partition map file (see -write-cluster-map)")
-		nodeID       = flag.Int("node-id", 0, "this node's cell id in the partition map")
-		rpcAddr      = flag.String("rpc", ":9090", "cluster RPC listen address (-cluster-node)")
-		follow       = flag.String("follow", "", "run as a read replica pulling WAL segments from this leader RPC endpoint")
-		walRotate    = flag.Duration("wal-rotate", time.Second, "leader WAL rotation period so followers can fetch sealed segments (0 = never)")
-		writeMap     = flag.String("write-cluster-map", "", "partition the -synthetic dataset, write the map to this file, and exit (needs -cluster-leaders)")
-		leaders      = flag.String("cluster-leaders", "", "comma-separated leader RPC endpoints, one per cell, for -write-cluster-map")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: duplicate a node call on the next replica after this delay (0 = off)")
-		retryMax     = flag.Int("retry-max", 2, "coordinator: extra attempts per node call after a retryable failure")
-		parallelism  = flag.Int("parallelism", 0, "coordinator: scatter wave width (0 = all nodes at once)")
-	)
-	flag.Parse()
-	cfg := daemonConfig{
-		addr: *addr, open: *open, synthetic: *synthetic,
-		objects: *objects, features: *features, sets: *sets, vocab: *vocab,
-		seed: *seed, indexKind: *indexKind, sigBits: *sigBits,
-		pageSize: *pageSize, bufPages: *bufPages, shards: *shards, strategy: *strategy,
-		pprofAddr: *pprofAddr, walDir: *walDir,
-		traceRate: *traceRate, slowQuery: *slowQuery,
-		bgCompact: *bgCompact, compactRuns: *compactRuns, flushOps: *flushOps,
-		ckptOps: *ckptOps, ckptBytes: *ckptBytes, ckptDir: *ckptDir,
-		serve: serve.Config{
-			Workers:         *workers,
-			QueueDepth:      *queue,
-			Timeout:         *timeout,
-			CacheEntries:    *cacheSize,
-			TraceSample:     *traceRate,
-			MaxInflightCost: *costCap,
-		},
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	cfg.cluster = clusterConfig{
-		node: *clusterNode, coordinator: *clusterCoord,
-		mapPath: *clusterMap, nodeID: *nodeID, rpcAddr: *rpcAddr,
-		follow: *follow, walRotate: *walRotate,
-		writeMap: *writeMap, leaders: *leaders,
-		hedgeAfter: *hedgeAfter, retryMax: *retryMax, parallelism: *parallelism,
-	}
-	var err error
-	switch {
-	case cfg.cluster.writeMap != "":
-		err = runWriteClusterMap(cfg)
-	case cfg.cluster.node:
-		err = runClusterNode(cfg)
-	case cfg.cluster.coordinator:
-		err = runCoordinator(cfg)
-	default:
-		err = run(cfg)
+	if err == nil {
+		if len(cfg.replicas) > 0 {
+			err = runCoordinator(cfg)
+		} else {
+			err = run(cfg)
+		}
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -156,7 +87,80 @@ type daemonConfig struct {
 	ckptOps, ckptBytes  int64
 	ckptDir             string
 	serve               serve.Config
-	cluster             clusterConfig
+
+	// Cluster roles: a daemon with rpcAddr serves the cluster RPC protocol,
+	// one with follow replays that leader's WAL, and a non-empty replicas
+	// list makes the process the coordinator instead of a daemon.
+	rpcAddr    string
+	follow     string
+	walRotate  time.Duration
+	replicas   []string
+	hedgeAfter time.Duration
+	retryMax   int
+}
+
+// parseFlags parses the command line on its own FlagSet and rejects the
+// flag combinations no mode accepts.
+func parseFlags(args []string) (daemonConfig, error) {
+	var cfg daemonConfig
+	fs := flag.NewFlagSet("stpqd", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.open, "open", "", "directory of a DB written by stpq save")
+	fs.BoolVar(&cfg.synthetic, "synthetic", false, "serve a generated synthetic dataset")
+	fs.IntVar(&cfg.objects, "objects", 20_000, "synthetic data objects")
+	fs.IntVar(&cfg.features, "features", 20_000, "synthetic feature objects per set")
+	fs.IntVar(&cfg.sets, "sets", 2, "synthetic feature sets")
+	fs.IntVar(&cfg.vocab, "vocab", 256, "synthetic vocabulary size")
+	fs.Int64Var(&cfg.seed, "seed", 1, "synthetic random seed")
+	fs.StringVar(&cfg.indexKind, "index", "srt", "feature index for -synthetic: srt | ir2")
+	fs.IntVar(&cfg.sigBits, "signature-bits", 0, "-synthetic with -index ir2: superimposed signature bits per keyword (0 = exact bitmaps)")
+	fs.IntVar(&cfg.pageSize, "page-size", 0, "-synthetic: index page size in bytes (0 = library default)")
+	fs.IntVar(&cfg.bufPages, "buffer-pages", 0, "-synthetic: buffer pool pages per index (0 = library default)")
+	fs.IntVar(&cfg.shards, "shards", 0, "lay -synthetic data out in N spatial shards under the one engine (0 or 1 = unsharded)")
+	fs.StringVar(&cfg.strategy, "shard-strategy", "hilbert", "shard partitioner: hilbert | grid")
+	fs.IntVar(&cfg.serve.Workers, "workers", 0, "concurrent query executors (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.serve.QueueDepth, "queue", 64, "admission queue depth")
+	fs.DurationVar(&cfg.serve.Timeout, "timeout", 0, "per-query deadline (0 = none)")
+	fs.IntVar(&cfg.serve.CacheEntries, "cache", 256, "result cache entries (negative disables)")
+	fs.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory: enables POST /ingest and replays existing records on startup")
+	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
+	fs.Float64Var(&cfg.traceRate, "trace-sample", 0, "fraction of queries (0..1) served with a full span tree in their event record")
+	fs.DurationVar(&cfg.slowQuery, "slow-query", 0, "queries at least this slow land in /debug/slow with a complete trace (0 = off)")
+	fs.DurationVar(&cfg.serve.MaxInflightCost, "max-inflight-cost", 0, "shed queries whose predicted cost would push the summed in-flight predicted cost over this budget (0 = off)")
+
+	fs.BoolVar(&cfg.bgCompact, "background-compaction", false, "-synthetic: seal full deltas into runs and merge them on a background goroutine instead of stalling Apply")
+	fs.IntVar(&cfg.compactRuns, "compact-runs", 0, "-synthetic: sealed-run watermark that wakes the background compactor (0 = default)")
+	fs.IntVar(&cfg.flushOps, "auto-flush-ops", 0, "-synthetic: delta size that triggers a merge or run seal (0 = default, negative = never)")
+	fs.Int64Var(&cfg.ckptOps, "checkpoint-every-ops", 0, "checkpoint automatically after this many applied mutations (0 = off; needs a WAL)")
+	fs.Int64Var(&cfg.ckptBytes, "checkpoint-every-bytes", 0, "checkpoint automatically after this many appended WAL bytes (0 = off; needs a WAL)")
+	fs.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "directory auto-checkpoints are written to (default: the -open directory)")
+
+	fs.StringVar(&cfg.rpcAddr, "rpc", "", "also serve the cluster RPC protocol on this address, as a replica a coordinator routes to (empty = off)")
+	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica pulling WAL segments from this leader RPC endpoint")
+	fs.DurationVar(&cfg.walRotate, "wal-rotate", time.Second, "with -rpc: WAL rotation period so followers can fetch sealed segments (0 = never)")
+	replicas := fs.String("replicas", "", "run the coordinator over these comma-separated replica RPC endpoints instead of serving a DB")
+	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 0, "coordinator: duplicate a replica call on the next replica after this delay (0 = off)")
+	fs.IntVar(&cfg.retryMax, "retry-max", 2, "coordinator: extra attempts per query after a retryable failure")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	cfg.serve.TraceSample = cfg.traceRate
+	cfg.replicas = splitEndpoints(*replicas)
+	coordinator := false
+	fs.Visit(func(f *flag.Flag) { coordinator = coordinator || f.Name == "replicas" })
+	switch {
+	case cfg.open != "" && cfg.synthetic:
+		return cfg, errors.New("use either -open or -synthetic, not both")
+	case cfg.open != "" && cfg.shards > 1:
+		return cfg, errors.New("-shards applies to -synthetic only (opened DBs take their shard count from the manifest)")
+	case cfg.follow != "" && cfg.walDir != "":
+		return cfg, errors.New("-follow and -wal-dir are mutually exclusive: a follower replays the leader's log, it does not own one")
+	case coordinator && cfg.rpcAddr != "":
+		return cfg, errors.New("-replicas runs the coordinator, which serves no cluster RPC: drop -rpc")
+	case coordinator && len(cfg.replicas) == 0:
+		return cfg, errors.New("-replicas needs at least one host:port endpoint")
+	}
+	return cfg, nil
 }
 
 // checkpointDir resolves where auto-checkpoints land: -checkpoint-dir if
@@ -196,8 +200,9 @@ func run(cfg daemonConfig) error {
 	log.Printf("listening on %s (healthz 503 until the index is built)", cfg.addr)
 
 	type running struct {
-		svc *serve.Service
-		db  *stpq.DB
+		svc       *serve.Service
+		db        *stpq.DB
+		stopRoles func()
 	}
 	buildErrc := make(chan error, 1)
 	svcc := make(chan running, 1)
@@ -218,10 +223,16 @@ func run(cfg daemonConfig) error {
 		if autoCkpt {
 			go autoCheckpoint(ctx, db, cfg.checkpointDir(), cfg.ckptOps, cfg.ckptBytes)
 		}
+		stopRoles, err := startClusterRoles(ctx, cfg, db, svc)
+		if err != nil {
+			svc.Close()
+			buildErrc <- err
+			return
+		}
 		ready := svc.Handler()
 		handler.Store(&ready)
 		log.Printf("index ready: serving queries")
-		svcc <- running{svc, db}
+		svcc <- running{svc, db, stopRoles}
 	}()
 
 	select {
@@ -238,6 +249,7 @@ func run(cfg daemonConfig) error {
 	select {
 	case r := <-svcc:
 		log.Printf("result cache hit fraction: %.1f%%", 100*r.svc.CacheHitFraction())
+		r.stopRoles()
 		r.svc.Close() // stop admission, drain queue and in-flight queries
 		// Persist the per-shape cost statistics next to an opened DB so
 		// admission and EXPLAIN restart warm instead of re-learning every
@@ -334,12 +346,7 @@ func buildingHandler() http.Handler {
 // loadDB opens a persisted DB or builds a synthetic one.
 func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 	switch {
-	case cfg.open != "" && cfg.synthetic:
-		return nil, errors.New("use either -open or -synthetic, not both")
 	case cfg.open != "":
-		if cfg.shards > 1 {
-			return nil, errors.New("-shards applies to -synthetic only (opened DBs take their shard count from the manifest)")
-		}
 		if cfg.bgCompact || cfg.compactRuns > 0 {
 			log.Printf("warning: -background-compaction/-compact-runs apply to -synthetic only; opened DBs take them from the manifest")
 		}
@@ -380,13 +387,19 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		default:
 			return nil, fmt.Errorf("unknown -shard-strategy %q", cfg.strategy)
 		}
+		// A node serving cluster RPC keeps its newest sealed WAL segments
+		// across a checkpoint, so a lagging follower can still fetch them.
+		retain := 0
+		if cfg.rpcAddr != "" {
+			retain = 4
+		}
 		log.Printf("building synthetic dataset: %d objects, %d×%d features, vocab %d, shards %d",
 			cfg.objects, cfg.sets, cfg.features, cfg.vocab, cfg.shards)
 		db := stpq.New(stpq.Config{
 			IndexKind: kind, SignatureBits: cfg.sigBits,
 			PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
 			ShardCount: cfg.shards, ShardStrategy: strat,
-			WALDir:          cfg.walDir,
+			WALDir: cfg.walDir, WALRetainSegments: retain,
 			TraceSampleRate: cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,
 			BackgroundCompaction: cfg.bgCompact,
 			CompactRuns:          cfg.compactRuns, AutoFlushOps: cfg.flushOps,
@@ -418,7 +431,7 @@ type featureSet struct {
 
 // syntheticData generates the deterministic synthetic dataset: same seed →
 // same objects, features and keyword spellings in every process, which is
-// what lets cluster nodes slice one logical dataset locally.
+// what lets a follower start from its leader's base and replay its log.
 func syntheticData(cfg daemonConfig) ([]stpq.Object, []featureSet) {
 	ds := datagen.Synthetic(datagen.SyntheticConfig{
 		Objects: cfg.objects, FeaturesPerSet: cfg.features, FeatureSets: cfg.sets,

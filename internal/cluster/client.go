@@ -119,15 +119,6 @@ func (c *Client) Query(q WireQuery) (QueryReply, error) {
 	return decodeQueryReply(reply)
 }
 
-// Bound probes the node's admissible upper bound for the query.
-func (c *Client) Bound(q WireQuery) (BoundReply, error) {
-	reply, err := c.call(msgBound, encodeQuery(q))
-	if err != nil {
-		return BoundReply{}, err
-	}
-	return decodeBoundReply(reply)
-}
-
 // Segment fetches the oldest sealed WAL segment with records ≥ from.
 func (c *Client) Segment(from uint64) (SegmentReply, error) {
 	reply, err := c.call(msgSegment, encodeSegmentRequest(SegmentRequest{From: from}))

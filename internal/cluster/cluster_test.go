@@ -1,21 +1,23 @@
 package cluster
 
 // cluster_test.go drives the full distributed path over real TCP on
-// 127.0.0.1: partition a dataset across in-process nodes, scatter-gather
-// through a coordinator, and require byte-identical results versus the
-// single-process engine; then break things — kill leaders, delay nodes
-// past the hedge threshold, tear WAL segments — and require the
-// coordinator and replicas to recover without a single wrong answer.
+// 127.0.0.1: whole-DB replicas as in-process nodes, a coordinator routing
+// each query to one of them, and byte-identical answers (and identical
+// page reads) versus the single-process engine; then break things — kill
+// replicas, delay them past the hedge threshold, tear WAL segments — and
+// require the coordinator and the followers to recover without a single
+// wrong answer.
 
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"stpq"
 	"stpq/internal/serve"
-	"stpq/internal/shard"
 )
 
 // testData builds deterministic random objects and two feature sets.
@@ -40,8 +42,8 @@ func testData(seed int64) ([]stpq.Object, []stpq.Feature, []stpq.Feature, []stri
 	return objs, mk(350), mk(300), words
 }
 
-// buildCell builds one node's DB: the cell's objects, every feature set.
-func buildCell(t *testing.T, cfg stpq.Config, objs []stpq.Object, food, cafes []stpq.Feature) *stpq.DB {
+// buildDB builds one DB over the objects and both feature sets.
+func buildDB(t *testing.T, cfg stpq.Config, objs []stpq.Object, food, cafes []stpq.Feature) *stpq.DB {
 	t.Helper()
 	db := stpq.New(cfg)
 	db.AddObjects(objs)
@@ -53,23 +55,15 @@ func buildCell(t *testing.T, cfg stpq.Config, objs []stpq.Object, food, cafes []
 	return db
 }
 
-// testCluster is a running local cluster: one node per cell, optionally a
-// follower per cell serving the same data.
-type testCluster struct {
-	m     Map
-	nodes []*Node // leaders, indexed by cell; followers appended after
-	coord *Coordinator
-}
-
 // startNode builds a service around db and serves it on a loopback port.
-func startNode(t *testing.T, id int, db *stpq.DB, delay time.Duration) (*Node, string) {
+func startNode(t *testing.T, db *stpq.DB, delay time.Duration) (*Node, string) {
 	t.Helper()
 	svc, err := serve.New(db, serve.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	n := NewNode(NodeConfig{NodeID: id, Service: svc, DB: db, QueryDelay: delay})
+	n := NewNode(NodeConfig{Service: svc, DB: db, QueryDelay: delay})
 	addr, err := n.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -78,36 +72,32 @@ func startNode(t *testing.T, id int, db *stpq.DB, delay time.Duration) (*Node, s
 	return n, addr.String()
 }
 
-// startCluster partitions the dataset across cells nodes (with a follower
-// per cell when withFollowers) and starts a coordinator over them.
-func startCluster(t *testing.T, kind stpq.IndexKind, cells int, withFollowers bool,
-	coordCfg CoordinatorConfig) *testCluster {
+// testCluster is a running local cluster: whole-DB replicas of testData(7)
+// and a coordinator over them.
+type testCluster struct {
+	nodes []*Node
+	dbs   []*stpq.DB
+	coord *Coordinator
+}
+
+// startCluster starts replicas nodes over cfg and a coordinator over
+// them; delays[i], when given, slows every query on replica i.
+func startCluster(t *testing.T, cfg stpq.Config, replicas int, coordCfg CoordinatorConfig,
+	delays ...time.Duration) *testCluster {
 	t.Helper()
 	objs, food, cafes, _ := testData(7)
-	leaders := make([]string, cells)
-	for i := range leaders {
-		leaders[i] = "pending"
-	}
-	m, err := BuildMap(objs, leaders, shard.HilbertRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := &testCluster{m: m}
-	cfg := stpq.Config{IndexKind: kind, PageSize: 1024}
-	for i := 0; i < cells; i++ {
-		cellObjs := m.PartitionObjects(objs, i)
-		db := buildCell(t, cfg, cellObjs, food, cafes)
-		n, addr := startNode(t, i, db, 0)
-		tc.nodes = append(tc.nodes, n)
-		tc.m.Nodes[i].Leader = addr
-		if withFollowers {
-			fdb := buildCell(t, cfg, cellObjs, food, cafes)
-			fn, faddr := startNode(t, i, fdb, 0)
-			tc.nodes = append(tc.nodes, fn)
-			tc.m.Nodes[i].Followers = []string{faddr}
+	tc := &testCluster{}
+	for i := 0; i < replicas; i++ {
+		var delay time.Duration
+		if i < len(delays) {
+			delay = delays[i]
 		}
+		db := buildDB(t, cfg, objs, food, cafes)
+		n, addr := startNode(t, db, delay)
+		tc.nodes = append(tc.nodes, n)
+		tc.dbs = append(tc.dbs, db)
+		coordCfg.Replicas = append(coordCfg.Replicas, addr)
 	}
-	coordCfg.Map = tc.m
 	coord, err := NewCoordinator(coordCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,40 +107,49 @@ func startCluster(t *testing.T, kind stpq.IndexKind, cells int, withFollowers bo
 	return tc
 }
 
+// randomQuery draws a query over testData's vocabulary.
+func randomQuery(rng *rand.Rand, words []string, variant stpq.Variant, alg stpq.Algorithm) stpq.Query {
+	return stpq.Query{
+		K: 8, Radius: 0.06, Lambda: 0.5,
+		Keywords: map[string][]string{
+			"food":  {words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
+			"cafes": {words[rng.Intn(len(words))]},
+		},
+		Variant: variant, Algorithm: alg,
+	}
+}
+
 // TestClusterMatchesSingle is the distributed equivalence matrix: both
-// index kinds, all three variants, both algorithms, 2 and 4 nodes — the
-// coordinator's merged top-k must be byte-identical (ids, scores, order)
-// to the single-process engine over the whole dataset.
+// index kinds, all three variants, both algorithms, 2 and 4 replicas — the
+// coordinator's answer must be byte-identical (ids, scores, order) to the
+// single-process engine over the same data, and cost the same page reads:
+// one replica ran the query, as the single DB did.
 func TestClusterMatchesSingle(t *testing.T) {
 	objs, food, cafes, words := testData(7)
 	for _, kind := range []stpq.IndexKind{stpq.SRT, stpq.IR2} {
-		single := buildCell(t, stpq.Config{IndexKind: kind, PageSize: 1024}, objs, food, cafes)
-		for _, cells := range []int{2, 4} {
-			tc := startCluster(t, kind, cells, false, CoordinatorConfig{HealthInterval: -1})
-			rng := rand.New(rand.NewSource(int64(cells)))
+		cfg := stpq.Config{IndexKind: kind, PageSize: 1024}
+		for _, replicas := range []int{2, 4} {
+			// A fresh single DB per cluster: an NN query's page reads depend
+			// on which Voronoi cells its engine already holds, and every DB
+			// here runs at most one STPS NN query.
+			single := buildDB(t, cfg, objs, food, cafes)
+			tc := startCluster(t, cfg, replicas, CoordinatorConfig{HealthInterval: -1})
+			rng := rand.New(rand.NewSource(int64(replicas)))
 			for _, variant := range []stpq.Variant{stpq.Range, stpq.Influence, stpq.NearestNeighbor} {
 				for _, alg := range []stpq.Algorithm{stpq.STPS, stpq.STDS} {
-					q := stpq.Query{
-						K: 8, Radius: 0.06, Lambda: 0.5,
-						Keywords: map[string][]string{
-							"food":  {words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
-							"cafes": {words[rng.Intn(len(words))]},
-						},
-						Variant: variant, Algorithm: alg,
-					}
-					want, _, err := single.TopK(q)
+					label := fmt.Sprintf("kind %v replicas %d %v %v", kind, replicas, variant, alg)
+					q := randomQuery(rng, words, variant, alg)
+					want, st, err := single.TopK(q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					resp, err := tc.coord.Do(q)
 					if err != nil {
-						t.Fatalf("kind %v cells %d %v %v: %v", kind, cells, variant, alg, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					requireSameResults(t, fmt.Sprintf("kind %v cells %d %v %v", kind, cells, variant, alg),
-						resp.Results, want)
-					if resp.Stats.ShardFanout+resp.Stats.ShardPruned != cells {
-						t.Fatalf("fanout %d + pruned %d != %d cells",
-							resp.Stats.ShardFanout, resp.Stats.ShardPruned, cells)
+					requireSameResults(t, label, resp.Results, want)
+					if resp.Stats.LogicalReads != st.LogicalReads {
+						t.Fatalf("%s: %d logical reads, single DB %d", label, resp.Stats.LogicalReads, st.LogicalReads)
 					}
 				}
 			}
@@ -171,12 +170,73 @@ func requireSameResults(t *testing.T, label string, got []stpq.Result, want []st
 	}
 }
 
-// TestClusterFailover kills every leader mid-run; the coordinator must
-// finish every query through the followers with zero wrong answers.
+// TestClusterSpreadsQueries: 40 queries over 4 replicas reach every
+// replica, and every answer is byte-identical to the single DB's.
+func TestClusterSpreadsQueries(t *testing.T) {
+	objs, food, cafes, words := testData(7)
+	cfg := stpq.Config{PageSize: 1024}
+	single := buildDB(t, cfg, objs, food, cafes)
+	tc := startCluster(t, cfg, 4, CoordinatorConfig{HealthInterval: -1})
+	before := make([]int64, len(tc.nodes))
+	for i, n := range tc.nodes {
+		before[i] = n.Served()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		q := randomQuery(rng, words, stpq.Variant(i%3), stpq.STPS)
+		want, _, err := single.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tc.coord.Do(q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		requireSameResults(t, fmt.Sprintf("query %d", i), resp.Results, want)
+	}
+	for i, n := range tc.nodes {
+		if n.Served() == before[i] {
+			t.Errorf("replica %d served none of 40 queries", i)
+		}
+	}
+}
+
+// TestReplicaOrder: healthy replicas first, then the highest applied
+// watermark, then a rotation that moves on by one replica per call.
+func TestReplicaOrder(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorConfig{
+		Replicas:       []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	firsts := map[*endpoint]bool{}
+	for i := 0; i < len(c.eps); i++ {
+		firsts[c.ordered()[0]] = true
+	}
+	if len(firsts) != len(c.eps) {
+		t.Fatalf("equal replicas: %d of %d lead a call in %d calls", len(firsts), len(c.eps), len(c.eps))
+	}
+	c.eps[0].healthy.Store(false)
+	c.eps[2].appliedSeq.Store(5)
+	for i := 0; i < len(c.eps); i++ {
+		got := c.ordered()
+		if got[0] != c.eps[2] || got[1] != c.eps[1] || got[2] != c.eps[0] {
+			t.Fatalf("call %d: order %v, want freshest, then healthy, then unhealthy", i,
+				[]string{got[0].client.Addr(), got[1].client.Addr(), got[2].client.Addr()})
+		}
+	}
+}
+
+// TestClusterFailover kills one of two replicas; the coordinator must
+// answer every following query through the other with zero wrong answers.
 func TestClusterFailover(t *testing.T) {
 	objs, food, cafes, words := testData(7)
-	single := buildCell(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	tc := startCluster(t, stpq.SRT, 2, true, CoordinatorConfig{
+	cfg := stpq.Config{PageSize: 1024}
+	single := buildDB(t, cfg, objs, food, cafes)
+	tc := startCluster(t, cfg, 2, CoordinatorConfig{
 		HealthInterval: -1,
 		RetryMax:       3,
 		RetryBackoff:   time.Millisecond,
@@ -189,59 +249,38 @@ func TestClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm run with all leaders alive.
 	resp, err := tc.coord.Do(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "pre-failover", resp.Results, want)
-	// Kill both leaders (nodes[0], nodes[2] — follower interleaved after
-	// each leader by startCluster).
 	tc.nodes[0].Close()
-	tc.nodes[2].Close()
-	resp, err = tc.coord.Do(q)
-	if err != nil {
-		t.Fatalf("query after leader kill: %v", err)
+	// Round-robin starts one of two consecutive calls at the dead replica.
+	for i := 0; i < 2; i++ {
+		resp, err = tc.coord.Do(q)
+		if err != nil {
+			t.Fatalf("query %d after replica kill: %v", i, err)
+		}
+		requireSameResults(t, "post-failover", resp.Results, want)
 	}
-	requireSameResults(t, "post-failover", resp.Results, want)
 	if tc.coord.retries.Value() == 0 {
-		t.Fatal("leader kill produced no retries")
+		t.Fatal("replica kill produced no retries")
 	}
 }
 
-// TestClusterHedging delays the leaders far past the hedge threshold; the
-// hedged attempts on the followers must answer first, correctly.
+// TestClusterHedging slows one of two replicas far past the hedge
+// threshold; a call that starts there must be answered by the hedged
+// attempt on the fast replica, correctly.
 func TestClusterHedging(t *testing.T) {
 	objs, food, cafes, words := testData(7)
-	single := buildCell(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	const delay = 400 * time.Millisecond
-	// Hand-build the cluster so the leaders are slow and followers fast.
-	leaders := make([]string, 2)
-	for i := range leaders {
-		leaders[i] = "pending"
-	}
-	m, err := BuildMap(objs, leaders, shard.HilbertRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := stpq.Config{PageSize: 1024}
-	for i := 0; i < 2; i++ {
-		cellObjs := m.PartitionObjects(objs, i)
-		_, addr := startNode(t, i, buildCell(t, cfg, cellObjs, food, cafes), delay)
-		m.Nodes[i].Leader = addr
-		_, faddr := startNode(t, i, buildCell(t, cfg, cellObjs, food, cafes), 0)
-		m.Nodes[i].Followers = []string{faddr}
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Map:            m,
+	single := buildDB(t, cfg, objs, food, cafes)
+	const delay = 400 * time.Millisecond
+	tc := startCluster(t, cfg, 2, CoordinatorConfig{
 		HealthInterval: -1,
 		HedgeAfter:     20 * time.Millisecond,
 		RetryBackoff:   time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	}, delay, 0)
 	q := stpq.Query{
 		K: 8, Radius: 0.06, Lambda: 0.5,
 		Keywords: map[string][]string{"food": {words[0], words[1]}, "cafes": {words[2]}},
@@ -250,89 +289,78 @@ func TestClusterHedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	resp, err := coord.Do(q)
-	if err != nil {
-		t.Fatal(err)
+	// Round-robin starts one of two consecutive calls at the slow replica.
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		resp, err := tc.coord.Do(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, "hedged", resp.Results, want)
+		if elapsed := time.Since(start); elapsed >= delay {
+			t.Fatalf("query %d took %v (slow replica delayed %v)", i, elapsed, delay)
+		}
 	}
-	elapsed := time.Since(start)
-	requireSameResults(t, "hedged", resp.Results, want)
-	if coord.hedges.Value() == 0 {
-		t.Fatal("slow leaders produced no hedges")
-	}
-	// Bound probes also hedge, so the whole query should finish well under
-	// the two sequential leader delays a hedge-less coordinator would eat.
-	if elapsed >= 2*delay {
-		t.Fatalf("hedged query took %v (leaders delayed %v each)", elapsed, delay)
+	if tc.coord.hedges.Value() == 0 {
+		t.Fatal("the slow replica produced no hedges")
 	}
 }
 
-// TestClusterPlanAndTermination checks the scatter order (bound
-// descending) and that Parallelism 1 actually prunes trailing nodes via
-// the strict-inequality rule.
-func TestClusterPlanAndTermination(t *testing.T) {
-	_, _, _, words := testData(7)
-	tc := startCluster(t, stpq.SRT, 4, false, CoordinatorConfig{
-		HealthInterval: -1,
-		Parallelism:    1,
-	})
-	q := stpq.Query{
-		K: 3, Radius: 0.06, Lambda: 0.5,
-		Keywords: map[string][]string{"food": {words[0], words[1]}},
-	}
-	plan, err := tc.coord.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan) != 4 {
-		t.Fatalf("plan has %d nodes, want 4", len(plan))
-	}
-	for i := 1; i < len(plan); i++ {
-		if plan[i].Bound > plan[i-1].Bound {
-			t.Fatalf("plan not sorted by bound: %v", plan)
-		}
-		if plan[i].Wave != i {
-			t.Fatalf("parallelism 1: node %d in wave %d, want %d", i, plan[i].Wave, i)
-		}
-	}
-	resp, err := tc.coord.Do(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats.ShardFanout+resp.Stats.ShardPruned != 4 {
-		t.Fatalf("fanout %d + pruned %d != 4", resp.Stats.ShardFanout, resp.Stats.ShardPruned)
-	}
-}
-
-// TestClusterTracePropagation runs a traced query and expects every
-// queried node's span tree back, keyed by node id, with the request ID
-// visible in the nodes' event logs.
+// TestClusterTracePropagation runs a traced query and expects the
+// answering replica's span tree back in Stats.Trace, stamped with the
+// request ID, which the coordinator's event log also carries.
 func TestClusterTracePropagation(t *testing.T) {
 	_, _, _, words := testData(7)
-	tc := startCluster(t, stpq.SRT, 2, false, CoordinatorConfig{HealthInterval: -1})
+	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
+	const id = "req-cluster-trace-test"
 	q := stpq.Query{
 		K: 8, Radius: 0.06, Lambda: 0.5,
 		Keywords:  map[string][]string{"food": {words[0], words[1]}},
 		Trace:     stpq.TraceOn,
-		RequestID: "req-cluster-trace-test",
+		RequestID: id,
 	}
 	resp, err := tc.coord.Do(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.RequestID != "req-cluster-trace-test" {
+	if resp.RequestID != id {
 		t.Fatalf("request id %q not preserved", resp.RequestID)
 	}
-	if len(resp.NodeTraces) != resp.Stats.ShardFanout {
-		t.Fatalf("%d node traces for fanout %d", len(resp.NodeTraces), resp.Stats.ShardFanout)
+	if resp.Stats.Trace == nil || resp.Stats.Trace.RequestID != id {
+		t.Fatalf("span tree %+v: want the replica's, stamped %q", resp.Stats.Trace, id)
 	}
-	// The request ID must appear in the coordinator's own event log.
+	if resp.Stats.Trace.LogicalReads != resp.Stats.LogicalReads {
+		t.Fatalf("span tree reads %d, stats %d", resp.Stats.Trace.LogicalReads, resp.Stats.LogicalReads)
+	}
 	evs := tc.coord.RecentQueries(1)
-	if len(evs) != 1 || evs[0].RequestID != "req-cluster-trace-test" {
+	if len(evs) != 1 || evs[0].RequestID != id {
 		t.Fatalf("coordinator event log: %+v", evs)
 	}
-	if evs[0].ShardFanout != resp.Stats.ShardFanout {
-		t.Fatalf("event fanout %d, want %d", evs[0].ShardFanout, resp.Stats.ShardFanout)
+}
+
+// TestNodeRejectsRetiredFrame: the upper-bound probe's message type 0x02
+// is gone, and a node answers it with an invalid-request error frame.
+func TestNodeRejectsRetiredFrame(t *testing.T) {
+	objs, food, cafes, _ := testData(7)
+	_, addr := startNode(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), 0)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, 0x02, encodeQuery(WireQuery{K: 5})); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != msgError {
+		t.Fatalf("reply type 0x%02x, want the error frame", typ)
+	}
+	rpc, ok := decodeError(payload).(*RPCError)
+	if !ok || rpc.Code != errInvalid || !strings.Contains(rpc.Msg, "unknown message type 0x02") {
+		t.Fatalf("reply %v, want an invalid-request error naming the unknown type", decodeError(payload))
 	}
 }
 
@@ -342,9 +370,9 @@ func TestClusterTracePropagation(t *testing.T) {
 func TestReplicaFollowsLeader(t *testing.T) {
 	objs, food, cafes, words := testData(9)
 	dir := t.TempDir()
-	leader := buildCell(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
-	follower := buildCell(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	_, addr := startNode(t, 0, leader, 0)
+	leader := buildDB(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
+	follower := buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
+	_, addr := startNode(t, leader, 0)
 	cl := NewClient(addr, time.Second)
 	defer cl.Close()
 
@@ -435,9 +463,9 @@ func (s tornSource) Segment(from uint64) (SegmentReply, error) {
 func TestReplicaTornSegment(t *testing.T) {
 	objs, food, cafes, words := testData(9)
 	dir := t.TempDir()
-	leader := buildCell(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
-	follower := buildCell(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	_, addr := startNode(t, 0, leader, 0)
+	leader := buildDB(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
+	follower := buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
+	_, addr := startNode(t, leader, 0)
 	cl := NewClient(addr, time.Second)
 	defer cl.Close()
 	f := stpq.Feature{ID: 2000, X: 0.15, Y: 0.2, Score: 0.9, Keywords: []string{words[0]}}

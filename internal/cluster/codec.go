@@ -1,15 +1,10 @@
-// Package cluster spreads a spatially partitioned DB over processes and
-// holds the system's one scatter-gather: a compact length-prefixed RPC protocol (query,
-// upper-bound probe, WAL-segment fetch, health, info), a per-shard node
-// server wrapping a serve.Service, a coordinator that fans queries out
-// wave-by-wave sorted by remote upper bound with strict-inequality early
-// termination — preserving byte-identical tie-break order versus the
-// single-process engine — and a log-shipping follower that replays the
-// leader's sealed WAL segments through the crash-recovery path.
-//
-// The partition map (map.go) reuses shard.PartitionMeta, the JSON shape of
-// the shards.json manifest, so the same cell function that lays a sharded
-// DB out in parts splits a cluster into nodes. See DESIGN.md §13.
+// Package cluster serves one DB from several processes, each a whole-DB
+// replica: a compact length-prefixed RPC protocol (query, WAL-segment
+// fetch, health, info), a node server wrapping a serve.Service, a
+// coordinator that routes each query to one replica with retries, failover
+// and hedging, and a log-shipping follower that replays the leader's
+// sealed WAL segments through the crash-recovery path, which is what keeps
+// every replica's answers identical to the leader's. See DESIGN.md §13.
 package cluster
 
 import (
@@ -25,10 +20,10 @@ import (
 )
 
 // Message types. Requests have the high bit clear; each reply is its
-// request type with the high bit set; errors answer any request.
+// request type with the high bit set; errors answer any request. 0x02 was
+// the retired upper-bound probe: a node answers it as an unknown type.
 const (
 	msgQuery   byte = 0x01
-	msgBound   byte = 0x02
 	msgSegment byte = 0x03
 	msgHealth  byte = 0x04
 	msgInfo    byte = 0x05
@@ -234,10 +229,10 @@ type WireKeywords struct {
 	Words []string
 }
 
-// WireQuery is the query and bound-probe request payload: the full public
-// query surface plus the request identity and trace flag, so
-// /debug/queries on every node attributes remote work to the originating
-// request (enum values are the stpq constants).
+// WireQuery is the query request payload: the full public query surface
+// plus the request identity and trace flag, so /debug/queries on the
+// answering node attributes the work to the originating request (enum
+// values are the stpq constants).
 type WireQuery struct {
 	K          int
 	Radius     float64
@@ -384,10 +379,10 @@ func decodeQuery(p []byte) (WireQuery, error) {
 	return q, d.done()
 }
 
-// QueryReply answers msgQuery. Of Stats, the wire carries the engine's cost
-// counters (durations as nanoseconds) including the fast tier's pruning
-// counters, so the coordinator's merged stats keep the attribution; the
-// node's own shard fan-out and its span tree (TraceJSON) do not ride in it.
+// QueryReply answers msgQuery. Of Stats, the wire carries every cost
+// counter (durations as nanoseconds), the shard counters and the fast
+// tier's pruning counters, so the coordinator hands the node's stats on
+// unchanged; the span tree rides beside them as TraceJSON.
 type QueryReply struct {
 	Results    []stpq.Result
 	Stats      stpq.Stats
@@ -414,6 +409,8 @@ func encodeQueryReply(r QueryReply) []byte {
 	e.i64(int64(r.Stats.Combinations))
 	e.i64(int64(r.Stats.FeaturesPulled))
 	e.i64(int64(r.Stats.ObjectsScored))
+	e.i64(int64(r.Stats.ShardFanout))
+	e.i64(int64(r.Stats.ShardPruned))
 	e.i64(r.Stats.ApproxCandidates)
 	e.i64(r.Stats.ApproxPruned)
 	e.i64(r.Stats.ApproxSkippedReads)
@@ -446,6 +443,8 @@ func decodeQueryReply(p []byte) (QueryReply, error) {
 		Combinations:       int(d.i64()),
 		FeaturesPulled:     int(d.i64()),
 		ObjectsScored:      int(d.i64()),
+		ShardFanout:        int(d.i64()),
+		ShardPruned:        int(d.i64()),
 		ApproxCandidates:   d.i64(),
 		ApproxPruned:       d.i64(),
 		ApproxSkippedReads: d.i64(),
@@ -456,28 +455,6 @@ func decodeQueryReply(p []byte) (QueryReply, error) {
 	if len(r.TraceJSON) == 0 {
 		r.TraceJSON = nil
 	}
-	return r, d.done()
-}
-
-// BoundReply answers msgBound: an admissible upper bound on the node's
-// best possible score for the probed query, plus freshness markers.
-type BoundReply struct {
-	Bound      float64
-	AppliedSeq uint64
-	Generation uint64
-}
-
-func encodeBoundReply(r BoundReply) []byte {
-	var e enc
-	e.f64(r.Bound)
-	e.u64(r.AppliedSeq)
-	e.u64(r.Generation)
-	return e.b
-}
-
-func decodeBoundReply(p []byte) (BoundReply, error) {
-	d := dec{b: p}
-	r := BoundReply{Bound: d.f64(), AppliedSeq: d.u64(), Generation: d.u64()}
 	return r, d.done()
 }
 
@@ -525,7 +502,6 @@ func decodeSegmentReply(p []byte) (SegmentReply, error) {
 // HealthReply answers msgHealth: liveness plus the replication watermark
 // the coordinator's lag-aware routing reads.
 type HealthReply struct {
-	NodeID     int
 	AppliedSeq uint64
 	Objects    int
 	Generation uint64
@@ -533,7 +509,6 @@ type HealthReply struct {
 
 func encodeHealthReply(r HealthReply) []byte {
 	var e enc
-	e.i64(int64(r.NodeID))
 	e.u64(r.AppliedSeq)
 	e.u64(uint64(r.Objects))
 	e.u64(r.Generation)
@@ -542,12 +517,7 @@ func encodeHealthReply(r HealthReply) []byte {
 
 func decodeHealthReply(p []byte) (HealthReply, error) {
 	d := dec{b: p}
-	r := HealthReply{
-		NodeID:     int(d.i64()),
-		AppliedSeq: d.u64(),
-		Objects:    int(d.u64()),
-		Generation: d.u64(),
-	}
+	r := HealthReply{AppliedSeq: d.u64(), Objects: int(d.u64()), Generation: d.u64()}
 	return r, d.done()
 }
 

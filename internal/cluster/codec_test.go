@@ -56,6 +56,8 @@ func TestReplyRoundTrips(t *testing.T) {
 		Stats: stpq.Stats{
 			CPUTime: 1200, IOTime: 3400, LogicalReads: 56, PhysicalReads: 7,
 			Combinations: 8, FeaturesPulled: 9, ObjectsScored: 10,
+			ShardFanout: 3, ShardPruned: 1,
+			ApproxCandidates: 11, ApproxPruned: 12, ApproxSkippedReads: 13,
 		},
 		Generation: 4,
 		Cached:     true,
@@ -67,15 +69,6 @@ func TestReplyRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotQR, qr) {
 		t.Fatalf("query reply:\n got %+v\nwant %+v", gotQR, qr)
-	}
-
-	br := BoundReply{Bound: 0.75, AppliedSeq: 42, Generation: 3}
-	gotBR, err := decodeBoundReply(encodeBoundReply(br))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBR != br {
-		t.Fatalf("bound reply: got %+v want %+v", gotBR, br)
 	}
 
 	sreq := SegmentRequest{From: 17}
@@ -96,7 +89,7 @@ func TestReplyRoundTrips(t *testing.T) {
 		t.Fatalf("segment reply: got %+v want %+v", gotSR, sr)
 	}
 
-	hr := HealthReply{NodeID: 2, AppliedSeq: 10, Objects: 1234, Generation: 5}
+	hr := HealthReply{AppliedSeq: 10, Objects: 1234, Generation: 5}
 	gotHR, err := decodeHealthReply(encodeHealthReply(hr))
 	if err != nil {
 		t.Fatal(err)

@@ -4,21 +4,20 @@ package cluster
 // single stpqd's API so clients, load generators and dashboards point at
 // a coordinator unchanged:
 //
-//	POST /query    serve.QueryRequest in, serve.QueryResponse out (plus
-//	               node_traces when tracing); explain=true returns the
-//	               scatter plan (per-node bounds and wave assignment)
+//	POST /query    serve.QueryRequest in, the answering replica's
+//	               serve.QueryResponse out (explain is a replica's own
+//	               /query's business: 400 here)
 //	GET  /healthz  liveness
-//	GET  /readyz   readiness: 503 until every node answers health probes
-//	GET  /metrics  coordinator scatter-gather metrics (Prometheus text)
-//	GET  /info     aggregate dataset shape (objects summed across nodes)
+//	GET  /readyz   readiness: 503 while no replica passes health probes
+//	GET  /metrics  coordinator routing metrics (Prometheus text)
+//	GET  /info     one replica's dataset shape (every replica holds it all)
 //	GET  /debug/queries  coordinator query event log (?n= limits)
 //
 // X-Request-Id is honored inbound, stamped outbound, and propagated over
-// the cluster RPC to every node the query touches, so a node's
-// /debug/queries attributes its shard of the work to the same request.
+// the cluster RPC to the replica that answers, so its /debug/queries
+// attributes the work to the same request.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -42,29 +41,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// clusterQueryResponse is serve's response plus the per-node span trees
-// of a traced scatter-gather.
-type clusterQueryResponse struct {
-	serve.QueryResponse
-	NodeTraces map[int]json.RawMessage `json:"node_traces,omitempty"`
-}
-
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, q, ok := serve.DecodeQuery(w, r)
 	if !ok {
 		return
 	}
 	if req.Explain {
-		plan, err := c.Plan(q)
-		if err != nil {
-			serve.HTTPError(w, statusOf(err), err.Error())
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, struct {
-			RequestID   string     `json:"request_id"`
-			Parallelism int        `json:"parallelism"`
-			Plan        []PlanNode `json:"plan"`
-		}{q.RequestID, c.cfg.Parallelism, plan})
+		serve.HTTPError(w, http.StatusBadRequest, "explain is answered by a replica's own /query, not the coordinator")
 		return
 	}
 	start := time.Now()
@@ -73,22 +56,16 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		serve.HTTPError(w, statusOf(err), err.Error())
 		return
 	}
-	out := clusterQueryResponse{QueryResponse: serve.NewQueryResponse(resp.Results, resp.Stats)}
+	out := serve.NewQueryResponse(resp.Results, resp.Stats)
 	out.RequestID = resp.RequestID
 	out.Cached = resp.Cached
 	out.Generation = resp.Generation
 	out.ElapsedUS = time.Since(start).Microseconds()
-	if len(resp.NodeTraces) > 0 {
-		out.NodeTraces = make(map[int]json.RawMessage, len(resp.NodeTraces))
-		for id, data := range resp.NodeTraces {
-			out.NodeTraces[id] = json.RawMessage(data)
-		}
-	}
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // statusOf maps coordinator errors onto HTTP status codes: validation →
-// 400, node overload → 429, everything else (node down, gap, transport)
+// 400, replica overload → 429, everything else (replica down, transport)
 // → 502 since the failure is downstream of the coordinator.
 func statusOf(err error) int {
 	var rpc *RPCError
@@ -112,25 +89,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReadyz answers 200 only when every partition cell has at least
-// one replica passing health probes.
+// handleReadyz answers 200 while at least one replica passes health
+// probes.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	for _, h := range c.nodes {
-		ok := false
-		for _, ep := range h.eps {
-			if ep.healthy.Load() {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			serve.HTTPError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("node %d has no healthy replica", h.id))
+	for _, ep := range c.eps {
+		if ep.healthy.Load() {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprintln(w, "ok")
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	serve.HTTPError(w, http.StatusServiceUnavailable, "no healthy replica")
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -138,32 +107,16 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = c.metrics.Snapshot().WritePrometheus(w)
 }
 
-// handleInfo aggregates the nodes' /info payloads: objects sum across
-// cells; feature sets and keywords come from any one node (features are
-// replicated in full everywhere); generation is the cluster maximum.
+// handleInfo serves one replica's /info payload with the coordinator's
+// uptime: every replica holds the whole dataset.
 func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
-	agg := serve.Info{Shards: len(c.nodes)}
-	for i, h := range c.nodes {
-		info, err := callNode(c, h, func(cl *Client) (serve.Info, error) {
-			return cl.Info()
-		})
-		if err != nil {
-			serve.HTTPError(w, statusOf(err), fmt.Sprintf("info from node %d: %v", h.id, err))
-			return
-		}
-		agg.Objects += info.Objects
-		if info.Generation > agg.Generation {
-			agg.Generation = info.Generation
-		}
-		if i == 0 {
-			agg.FeatureSets = info.FeatureSets
-			agg.Keywords = info.Keywords
-			agg.Revision = info.Revision
-			agg.GoVersion = info.GoVersion
-		}
+	info, err := callNode(c, func(cl *Client) (serve.Info, error) { return cl.Info() })
+	if err != nil {
+		serve.HTTPError(w, statusOf(err), "info: "+err.Error())
+		return
 	}
-	agg.UptimeSeconds = c.Uptime().Seconds()
-	serve.WriteJSON(w, http.StatusOK, agg)
+	info.UptimeSeconds = c.Uptime().Seconds()
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleDebugQueries serves the coordinator's event log in the JSON shape

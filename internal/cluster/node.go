@@ -1,11 +1,12 @@
 package cluster
 
-// node.go is the per-shard RPC server: stpqd in -cluster-node mode wraps
-// its serve.Service (worker pool, admission control, result cache) and its
-// DB in a Node and serves the cluster protocol over TCP. One goroutine per
-// connection, strict request/response (no pipelining): the protocol's
-// concurrency comes from the coordinator opening one connection per
-// in-flight call, and the node's from the serve worker pool behind Do.
+// node.go is the replica's RPC server: stpqd with -rpc wraps its
+// serve.Service (worker pool, admission control, result cache) and its DB
+// in a Node and serves the cluster protocol over TCP beside its HTTP API.
+// One goroutine per connection, strict request/response (no pipelining):
+// the protocol's concurrency comes from the coordinator opening one
+// connection per in-flight call, and the node's from the serve worker pool
+// behind Do.
 
 import (
 	"context"
@@ -23,13 +24,10 @@ import (
 
 // NodeConfig configures a cluster node server.
 type NodeConfig struct {
-	// NodeID is the node's cell id in the partition map.
-	NodeID int
 	// Service executes queries (its worker pool is the node's concurrency
 	// limit; its cache and request-ID handling apply unchanged).
 	Service *serve.Service
-	// DB answers bound probes (through the same Prepare the Service runs
-	// queries through), WAL segment fetches and health.
+	// DB answers WAL segment fetches and health.
 	DB *stpq.DB
 	// QueryDelay, when positive, sleeps before executing every query — the
 	// fault-injection hook the hedging tests use.
@@ -61,7 +59,7 @@ func NewNode(cfg NodeConfig) *Node {
 func (n *Node) Start(addr string) (net.Addr, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: node %d listen: %w", n.cfg.NodeID, err)
+		return nil, fmt.Errorf("cluster: node listen: %w", err)
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -86,7 +84,8 @@ func (n *Node) Addr() net.Addr {
 	return n.lis.Addr()
 }
 
-// Served returns the number of RPC requests handled (tests).
+// Served returns the number of RPC requests handled (tests and the
+// cluster sweep's per-replica query counts).
 func (n *Node) Served() int64 { return n.served.Load() }
 
 // Close stops the listener, closes every live connection and waits for
@@ -151,7 +150,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		n.served.Add(1)
 		replyType, reply := n.handle(typ, payload)
 		if err := writeFrame(conn, replyType, reply); err != nil {
-			n.logf("cluster: node %d: write reply: %v", n.cfg.NodeID, err)
+			n.logf("cluster: node: write reply to %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 	}
@@ -162,8 +161,6 @@ func (n *Node) handle(typ byte, payload []byte) (byte, []byte) {
 	switch typ {
 	case msgQuery:
 		return n.handleQuery(payload)
-	case msgBound:
-		return n.handleBound(payload)
 	case msgSegment:
 		return n.handleSegment(payload)
 	case msgHealth:
@@ -216,26 +213,6 @@ func (n *Node) handleQuery(payload []byte) (byte, []byte) {
 	return msgQuery | replyBit, encodeQueryReply(reply)
 }
 
-func (n *Node) handleBound(payload []byte) (byte, []byte) {
-	wq, err := decodeQuery(payload)
-	if err != nil {
-		return errReply(err)
-	}
-	snap, err := n.cfg.DB.Snapshot()
-	if err != nil {
-		return errReply(err)
-	}
-	b, err := snap.UpperBound(toQuery(wq))
-	if err != nil {
-		return errReply(err)
-	}
-	return msgBound | replyBit, encodeBoundReply(BoundReply{
-		Bound:      b,
-		AppliedSeq: n.cfg.DB.WALSeq(),
-		Generation: snap.Generation(),
-	})
-}
-
 func (n *Node) handleSegment(payload []byte) (byte, []byte) {
 	req, err := decodeSegmentRequest(payload)
 	if err != nil {
@@ -254,7 +231,6 @@ func (n *Node) handleHealth() (byte, []byte) {
 		return errReply(err)
 	}
 	return msgHealth | replyBit, encodeHealthReply(HealthReply{
-		NodeID:     n.cfg.NodeID,
 		AppliedSeq: n.cfg.DB.WALSeq(),
 		Objects:    snap.NumObjects(),
 		Generation: snap.Generation(),

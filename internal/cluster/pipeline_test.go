@@ -14,12 +14,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"stpq"
-	"stpq/internal/obs"
 	"stpq/internal/serve"
-	"stpq/internal/shard"
 )
 
 // nonSemanticFields are the fields of stpq.Query that may not move the
@@ -127,28 +124,6 @@ func TestQueryFieldThreading(t *testing.T) {
 	}
 }
 
-// startCells is startCluster keeping each node's DB, so a test can read
-// the nodes' own event logs beside the coordinator's.
-func startCells(t *testing.T, cfg stpq.Config, cells int) (*Coordinator, []*stpq.DB) {
-	t.Helper()
-	objs, food, cafes, _ := testData(7)
-	m, err := BuildMap(objs, make([]string, cells), shard.HilbertRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbs := make([]*stpq.DB, cells)
-	for i := range dbs {
-		dbs[i] = buildCell(t, cfg, m.PartitionObjects(objs, i), food, cafes)
-		_, m.Nodes[i].Leader = startNode(t, i, dbs[i], 0)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{Map: m, HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	return coord, dbs
-}
-
 // eventsOf returns db's events for one request, newest first.
 func eventsOf(db *stpq.DB, requestID string) []stpq.QueryEvent {
 	var out []stpq.QueryEvent
@@ -161,16 +136,16 @@ func eventsOf(db *stpq.DB, requestID string) []stpq.QueryEvent {
 }
 
 // TestOneEventPerServedQuery: Service.Do records one event for a miss and
-// one (marked cache_hit) for the hit that follows; a cluster node records
-// one for the query the coordinator sends it and none for the bound probe
-// before it — each with the request's ID and shape.
+// one (marked cache_hit) for the hit that follows; through the coordinator
+// exactly one replica records exactly one event — each with the request's
+// ID and shape.
 func TestOneEventPerServedQuery(t *testing.T) {
 	objs, food, cafes, _ := testData(7)
 	q := stpq.Query{K: 5, Radius: 0.1, Lambda: 0.5, RequestID: "req-served",
 		Keywords: map[string][]string{"food": {"pizza"}, "cafes": {"tea"}}}
 	shape := stpq.QueryShape(q).String()
 
-	db := buildCell(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
+	db := buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
 	svc, err := serve.New(db, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,35 +165,36 @@ func TestOneEventPerServedQuery(t *testing.T) {
 		}
 	}
 
-	coord, dbs := startCells(t, stpq.Config{PageSize: 1024}, 2)
-	resp, err := coord.Do(q)
-	if err != nil {
+	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
+	if _, err := tc.coord.Do(q); err != nil {
 		t.Fatal(err)
 	}
-	queried := 0
-	for i, cell := range dbs {
-		evs := eventsOf(cell, q.RequestID)
+	recorded := 0
+	for i, replica := range tc.dbs {
+		evs := eventsOf(replica, q.RequestID)
 		if len(evs) > 1 {
-			t.Errorf("node %d recorded %d events for one request", i, len(evs))
+			t.Errorf("replica %d recorded %d events for one request", i, len(evs))
 		}
 		for _, ev := range evs {
-			queried++
+			recorded++
 			if ev.Shape != shape {
-				t.Errorf("node %d event shape %q, want %q", i, ev.Shape, shape)
+				t.Errorf("replica %d event shape %q, want %q", i, ev.Shape, shape)
 			}
 		}
 	}
-	if queried != resp.Stats.ShardFanout {
-		t.Errorf("%d node events for a fan-out of %d", queried, resp.Stats.ShardFanout)
+	if recorded != 1 {
+		t.Errorf("%d replicas recorded the request, want exactly one", recorded)
 	}
 }
 
 // TestCoordinatorAndNodesAgreeOnShape: for every algorithm, variant and
-// mode, the coordinator's event for a request and the events of the nodes
-// that served it carry the same shape label — one definition
+// mode, the coordinator's event for a request and the event of the
+// replica that served it carry the same shape label — one definition
 // (stpq.QueryShape), not one per process.
 func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
-	coord, dbs := startCells(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2)
+	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2,
+		CoordinatorConfig{HealthInterval: -1})
+	coord := tc.coord
 	for _, alg := range []stpq.Algorithm{stpq.STPS, stpq.STDS} {
 		for _, variant := range []stpq.Variant{stpq.Range, stpq.Influence, stpq.NearestNeighbor} {
 			for _, mode := range []string{stpq.ModeExact, stpq.ModeApprox} {
@@ -233,16 +209,16 @@ func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 					t.Fatalf("%v %v %s: coordinator event %+v", alg, variant, mode, ev)
 				}
 				seen := 0
-				for i, cell := range dbs {
-					for _, nev := range eventsOf(cell, q.RequestID) {
+				for i, replica := range tc.dbs {
+					for _, nev := range eventsOf(replica, q.RequestID) {
 						seen++
 						if nev.Shape != ev.Shape {
-							t.Errorf("%v %v %s: node %d says %q, coordinator says %q", alg, variant, mode, i, nev.Shape, ev.Shape)
+							t.Errorf("%v %v %s: replica %d says %q, coordinator says %q", alg, variant, mode, i, nev.Shape, ev.Shape)
 						}
 					}
 				}
-				if seen == 0 {
-					t.Errorf("%v %v %s: no node recorded the request", alg, variant, mode)
+				if seen != 1 {
+					t.Errorf("%v %v %s: %d replica events for the request, want one", alg, variant, mode, seen)
 				}
 			}
 		}
@@ -252,56 +228,47 @@ func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 // TestCoordinatorRejectsApproxOnExactNodes: nodes over exact-bitmap indexes
 // refuse approx mode, and the coordinator passes the refusal on as a 400.
 func TestCoordinatorRejectsApproxOnExactNodes(t *testing.T) {
-	coord, _ := startCells(t, stpq.Config{PageSize: 1024}, 2)
-	body := `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza"],"cafes":["tea"]}}`
-	rec := httptest.NewRecorder()
-	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewBufferString(body)))
+	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
+	rec := postQuery(tc.coord, approxBody)
 	if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("SignatureBits")) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 }
 
-// TestWaveWidth: a warm shape whose recorded cost is at most cheapLatency
-// runs one node per wave; a cold or expensive one, or a single node, keeps
-// the configured width.
-func TestWaveWidth(t *testing.T) {
-	q := stpq.Query{K: 5, Radius: 0.1, Lambda: 0.5, Keywords: map[string][]string{"food": {"pizza"}}}
-	cases := []struct {
-		name       string
-		nodes, par int
-		samples    int
-		cost       time.Duration
-		want       int
-	}{
-		{"one node", 1, 1, obs.MinPredictSamples, time.Millisecond, 1},
-		{"cold", 4, 4, obs.MinPredictSamples - 1, time.Millisecond, 4},
-		{"cheap warm", 4, 4, obs.MinPredictSamples, time.Millisecond, 1},
-		{"boundary is cheap", 4, 4, obs.MinPredictSamples, cheapLatency, 1},
-		{"expensive warm", 4, 4, obs.MinPredictSamples, cheapLatency + time.Microsecond, 4},
-		{"parallelism 1", 4, 1, obs.MinPredictSamples, time.Hour, 1},
+// approxBody is an approx-mode query, which exact-index replicas refuse.
+const approxBody = `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza"],"cafes":["tea"]}}`
+
+// postQuery serves one POST /query body through the coordinator's mux.
+func postQuery(c *Coordinator, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewBufferString(body)))
+	return rec
+}
+
+// TestInvalidQueryKeepsReplicasHealthy: a client's bad query is answered
+// with 400 and says nothing about the replica that refused it, so the
+// coordinator stays ready — with health probes off, nothing would ever
+// mark a wrongly demoted replica healthy again.
+func TestInvalidQueryKeepsReplicasHealthy(t *testing.T) {
+	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
+	for i := 0; i < 2; i++ { // round-robin: both replicas refuse one
+		if rec := postQuery(tc.coord, approxBody); rec.Code != http.StatusBadRequest {
+			t.Fatalf("approx query %d: status %d: %s", i, rec.Code, rec.Body)
+		}
 	}
-	for _, c := range cases {
-		coord := &Coordinator{
-			cfg:   CoordinatorConfig{Parallelism: c.par},
-			nodes: make([]*nodeHandle, c.nodes),
-			tel:   obs.NewTelemetry(-1, -1, 0, 0),
-		}
-		for i := 0; i < c.samples; i++ {
-			coord.tel.Shapes.Observe(stpq.QueryShape(q), c.cost, 0, 0, 0, 0)
-		}
-		if got := coord.waveWidth(q); got != c.want {
-			t.Errorf("%s: waveWidth = %d, want %d", c.name, got, c.want)
-		}
+	rec := httptest.NewRecorder()
+	tc.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/readyz after a client's bad query: status %d: %s", rec.Code, rec.Body)
 	}
 }
 
-// TestCoordinatorReportsApproxStats: the approx counters the coordinator
-// sums from its nodes reach the client in the /query response.
+// TestCoordinatorReportsApproxStats: the approx counters of the replica
+// that answered reach the client in the coordinator's /query response.
 func TestCoordinatorReportsApproxStats(t *testing.T) {
-	coord, _ := startCells(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2)
-	body := `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza","sushi"],"cafes":["tea"]}}`
-	rec := httptest.NewRecorder()
-	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewBufferString(body)))
+	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2,
+		CoordinatorConfig{HealthInterval: -1})
+	rec := postQuery(tc.coord, `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza","sushi"],"cafes":["tea"]}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}

@@ -25,8 +25,8 @@ type SegmentSource interface {
 
 // ReplicaConfig configures a log-shipping follower.
 type ReplicaConfig struct {
-	// DB is the follower's database (built from the same cell's objects,
-	// no WAL of its own — the leader's log is the log of record).
+	// DB is the follower's database (built from the same dataset as the
+	// leader's, no WAL of its own — the leader's log is the log of record).
 	DB *stpq.DB
 	// Source serves sealed segments (normally a *Client on the leader).
 	Source SegmentSource

@@ -531,31 +531,6 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 	return total, nil
 }
 
-// UpperBoundAll returns the admissible whole-engine bound a cluster node
-// reports to the coordinator's scatter probe: the best UpperBound over the
-// MBRs of the object parts — every object lies inside one of them. An
-// engine without objects bounds at 0: it cannot contribute any result.
-func (e *Engine) UpperBoundAll(q Query) (float64, error) {
-	best := 0.0
-	for _, part := range e.objects {
-		root, err := part.Tree().RootEntry()
-		if err != nil {
-			return 0, err
-		}
-		if root.Rect.IsEmpty() {
-			continue
-		}
-		b, err := e.UpperBound(q, root.Rect)
-		if err != nil {
-			return 0, err
-		}
-		if b > best {
-			best = b
-		}
-	}
-	return best, nil
-}
-
 // virtualScore is the score of the virtual feature ∅ (paper Section 6.1).
 const virtualScore = 0.0
 

@@ -1,8 +1,8 @@
 package stpq
 
 // prepare.go is the one query pipeline. Every entry point — DB.TopK,
-// Snapshot.TopK/Score/UpperBound/Explain, the serve worker pool and the
-// cluster node — goes
+// Snapshot.TopK/Score/Explain, the serve worker pool and the cluster
+// node — goes
 //
 //	Snapshot.Prepare:  validate → lower → shape key → trace decision
 //	Prepared.Run:      execute (the one engine) → metrics → event
@@ -133,7 +133,7 @@ func Fingerprint(q Query) string {
 
 // Prepared is a query that has been validated and lowered against one
 // snapshot's vocabulary. It is good for one execution (Run) or one of the
-// read-only probes (UpperBound, Score, Explain); the serving
+// read-only probes (Score, Explain); the serving
 // layer carries it from admission to the worker so the cache key, the cost
 // reservation, the cache-hit event and the execution all read one value.
 // One goroutine uses it at a time.
@@ -383,12 +383,6 @@ func (t *queryMetricsTable) observe(r *obs.Registry, p *Prepared, st *Stats) {
 		r.Counter("stpq_shard_fanout_total").Add(int64(st.ShardFanout))
 		r.Counter("stpq_shard_pruned_total").Add(int64(st.ShardPruned))
 	}
-}
-
-// UpperBound returns an admissible upper bound on the best score any object
-// of the snapshot can reach under the query.
-func (p *Prepared) UpperBound() (float64, error) {
-	return p.snap.engine.UpperBoundAll(p.cq)
 }
 
 // Score computes the exact score of an arbitrary location under the query,

@@ -89,19 +89,6 @@ func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 	return p.Run()
 }
 
-// UpperBound returns an admissible upper bound on the best score any
-// object of this snapshot can reach under the query: no indexed object
-// scores strictly above it. A cluster node answers the coordinator's
-// scatter probe with it; the coordinator orders and prunes its waves by
-// it.
-func (s *Snapshot) UpperBound(q Query) (float64, error) {
-	p, err := s.Prepare(q)
-	if err != nil {
-		return 0, err
-	}
-	return p.UpperBound()
-}
-
 // Score computes the exact spatio-textual preference score of an arbitrary
 // location under the query, by brute force. Intended for debugging and
 // verification, not for production use.
