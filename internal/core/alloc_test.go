@@ -107,8 +107,9 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // (3 objects per miss while frames were never recycled). What is left does
 // not scale with the misses: the query's fixed allocations and the root
 // aggregates, some of them decoded again when a root was evicted. The
-// budget is 0.5 objects per miss, fixed part included (measured: 20 at 49
-// misses; 169 without recycling). The streams' keyword arenas have reached
+// budget is 0.5 objects per miss, fixed part included (measured: 20 at 44.5
+// misses; 20 at 49 before the stream was told the k-th score, 169 there
+// without recycling). The streams' keyword arenas have reached
 // their size after the warm-up and do not grow again. The object tree keeps
 // every page resident, so all the misses are the feature stream's.
 func TestAllocsColdFeaturePull(t *testing.T) {

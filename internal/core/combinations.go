@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"stpq/internal/geo"
 	"stpq/internal/obs"
@@ -42,9 +43,12 @@ type combinationStream struct {
 	rule  comboRule
 	pull  PullStrategy
 	eager bool
+	// bounded marks the influence variant's stream, the one whose eager
+	// generation applies the floor rule of extendBounded.
+	bounded bool
 	// floor is the score the consumer passed to the running next() call: no
 	// object scoring strictly less can enter its top-k (−∞ while it cannot
-	// say, and always for range and NN).
+	// say).
 	floor float64
 
 	// grids accelerate eager generation: one spatial hash per feature
@@ -132,6 +136,7 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*co
 	cs.reinit(c)
 	cs.q, cs.e, cs.stats, cs.tr = q, e, stats, tr
 	cs.rule, cs.pull, cs.eager = ruleOf(q.Variant, c), e.opts.Pull, e.opts.Combinations != CombinationsLazy
+	cs.bounded = q.Variant == InfluenceScore
 	cs.grids = nil
 	if cs.eager && cs.rule == rulePairs {
 		cs.gridStore = reuseLen(cs.gridStore, c)
@@ -206,22 +211,38 @@ func reuseNested[T any](buf [][]T, n int) [][]T {
 
 // pairGrid is a spatial hash with cell size equal to the pair-distance
 // limit 2r: any point within 2r of p lies in one of the 3×3 cells around
-// p's cell. The members of a cell form a chain through next, in the order
-// they were added, so the grid owns two allocations however many cells it
-// has, and reset keeps both for the next query.
+// p's cell. The occupied cells sit in a flat open-addressed table — packed
+// cell key, multiplicative hash, linear probing — and the members of a
+// cell form a chain through next, in the order they were added, so the
+// grid owns two allocations however many cells it has (the table is
+// replaced only when it grows), and reset keeps both for the next query.
 type pairGrid struct {
-	cell  float64
-	cells map[[2]int32]gridCell
+	cell float64
+	// slots has a power-of-two length and is kept at most half full; used
+	// counts its occupied slots.
+	slots []gridSlot
+	used  int
+	shift uint // 64 − log2(len(slots)): the hash keeps the top bits
 	// next[idx] is the index added to idx's cell after idx, -1 for the
 	// cell's last.
 	next []int32
 }
 
-// gridCell is the chain of one cell: its first and last index.
-type gridCell struct{ head, tail int32 }
+// gridSlot is one occupied cell of the table: its packed key and its
+// chain's first and last index. The first is stored plus one, so that the
+// zero slot — what clear leaves — is empty.
+type gridSlot struct {
+	key   uint64
+	head1 int32
+	tail  int32
+}
+
+// minGridSlots is the table a new grid starts with.
+const minGridSlots = 64
 
 func newPairGrid(cell float64) *pairGrid {
-	g := &pairGrid{cells: make(map[[2]int32]gridCell)}
+	g := &pairGrid{}
+	g.resize(minGridSlots)
 	g.reset(cell)
 	return g
 }
@@ -232,13 +253,43 @@ func (g *pairGrid) reset(cell float64) {
 		cell = 1
 	}
 	g.cell = cell
-	clear(g.cells)
+	clear(g.slots)
+	g.used = 0
 	g.next = g.next[:0]
 }
 
-// key maps a point to its cell.
+// key maps a point to its cell. A cell index is taken modulo 2³² — through
+// int64, which holds any index the coordinates of a query can give — so the
+// ±1 of a neighbourhood wraps with it, and a cell past 2³¹ still has its
+// neighbours around it.
 func (g *pairGrid) key(p geo.Point) [2]int32 {
-	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
+	return [2]int32{int32(int64(math.Floor(p.X / g.cell))), int32(int64(math.Floor(p.Y / g.cell)))}
+}
+
+// pack makes one table key of a cell.
+func pack(k [2]int32) uint64 { return uint64(uint32(k[0]))<<32 | uint64(uint32(k[1])) }
+
+// find returns the slot of key, or the empty slot where it belongs.
+func (g *pairGrid) find(key uint64) *gridSlot {
+	mask := len(g.slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> g.shift); ; i = (i + 1) & mask {
+		if s := &g.slots[i]; s.head1 == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+// resize replaces the table by an empty one of n slots, a power of two, and
+// moves the occupied slots of the old one into it.
+func (g *pairGrid) resize(n int) {
+	old := g.slots
+	g.slots = make([]gridSlot, n)
+	g.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.head1 != 0 {
+			*g.find(s.key) = s
+		}
+	}
 }
 
 // add registers the next index at point p. Indexes are 0, 1, 2, … in the
@@ -246,24 +297,23 @@ func (g *pairGrid) key(p geo.Point) [2]int32 {
 func (g *pairGrid) add(p geo.Point) {
 	idx := int32(len(g.next))
 	g.next = append(g.next, -1)
-	k := g.key(p)
-	c, ok := g.cells[k]
-	if ok {
-		g.next[c.tail] = idx
-		c.tail = idx
-	} else {
-		c = gridCell{head: idx, tail: idx}
+	key := pack(g.key(p))
+	s := g.find(key)
+	if s.head1 != 0 {
+		g.next[s.tail] = idx
+		s.tail = idx
+		return
 	}
-	g.cells[k] = c
+	*s = gridSlot{key: key, head1: idx + 1, tail: idx}
+	if g.used++; 2*g.used > len(g.slots) {
+		g.resize(2 * len(g.slots))
+	}
 }
 
 // first returns the first index of cell k, or -1 for an empty cell; next
 // continues the chain.
 func (g *pairGrid) first(k [2]int32) int32 {
-	if c, ok := g.cells[k]; ok {
-		return c.head
-	}
-	return -1
+	return g.find(pack(k)).head1 - 1
 }
 
 // next returns the valid combination with the highest score not yet
@@ -291,7 +341,9 @@ func (cs *combinationStream) next(floor float64) (combination, bool, error) {
 		if cs.allExhausted() {
 			return combination{}, false, nil
 		}
-		if floor > negInf && cs.threshold() < floor && (cs.heap.Len() == 0 || cs.heap[0].score < floor) {
+		// τ is rounded as the emission test above allows for: an unseen
+		// combination may tie the floor while τ comes out just below it.
+		if floor > negInf && cs.threshold() < floor-1e-12 && (cs.heap.Len() == 0 || cs.heap[0].score < floor) {
 			return combination{}, false, nil
 		}
 		if err := cs.pullNext(); err != nil {
@@ -464,7 +516,9 @@ func (cs *combinationStream) pushSuccessors(vec []int) {
 	}
 }
 
-// pushVec scores and pushes an index vector.
+// pushVec scores and pushes an index vector. The score sums the members in
+// set order, as BruteForce sums an object's τ_i, so both ways of generating
+// and the oracle agree to the bit however many sets there are.
 func (cs *combinationStream) pushVec(vec []int) {
 	score := 0.0
 	for i, a := range vec {
@@ -494,11 +548,12 @@ func (cs *combinationStream) generateEager(i int) {
 
 // extend assigns dimensions dim… of cs.vec in every valid way and queues
 // each completed index vector; dimension fixed holds the newest feature
-// and is skipped. anchor is the location of the first concrete member
-// chosen so far, if anchored.
+// and is skipped. score is the sum of the members chosen so far, for the
+// floor rule; anchor is the location of the first concrete member chosen
+// so far, if anchored.
 func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Point, anchored bool) {
 	if dim == len(cs.d) {
-		cs.heap.push(vecEntry{vec: cs.keepVec(), score: score})
+		cs.pushVec(cs.keepVec())
 		return
 	}
 	if dim == fixed {
@@ -524,7 +579,7 @@ func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Po
 		}
 		return
 	}
-	if cs.floor > negInf {
+	if cs.bounded && cs.floor > negInf {
 		cs.extendBounded(fixed, dim, score)
 		return
 	}

@@ -8,9 +8,11 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"stpq/internal/geo"
 	"stpq/internal/index"
+	"stpq/internal/rtree"
 )
 
 // drainCombinations pulls up to limit combinations from a fresh stream,
@@ -320,6 +322,146 @@ func TestPrioritizedPullsNoMoreThanRoundRobin(t *testing.T) {
 	}
 }
 
+// Told the k-th score, the range and NN consumers stop the stream once
+// nothing queued or unseen reaches it, instead of letting it pull on to the
+// combination the loop stops at. Over both index kinds, one to three
+// feature sets so small that streams run dry and pull ∅, each query is
+// driven by the consumer's loop twice — never telling the stream a floor,
+// and telling it the k-th score — beside the engine's own STPS: the three
+// answers must be BruteForce's to the bit, the floor may only save pulls
+// and must save some, and the engine must pull what the floored loop does.
+// Every combination either loop takes must obey the variant's pairwise
+// rule. Once the top-k is full its k-th score is that of the combination
+// just taken, so the floored stream pulls on only for combinations that tie
+// it; every other query scores by Jaccard alone (λ = 1), where they do. A
+// range or NN stream that took the floor for the influence variant's
+// (extendBounded's) rule would then queue combinations that break the
+// pairwise rule and drop tying ones its influence bound puts below the
+// floor, with the objects that win the id tie-break; so would a stream
+// that stopped once the rounded τ fell below the floor by an ulp.
+func TestFloorPullsNoMore(t *testing.T) {
+	sawLess, sawVirtual := false, false
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for c := 1; c <= 3; c++ {
+			w := buildWorld(t, 350+int64(c), 150, 25, c, 8, kind, Options{})
+			rng := rand.New(rand.NewSource(360 + int64(c)))
+			for _, variant := range []Variant{RangeScore, NearestNeighborScore} {
+				for trial := 0; trial < 16; trial++ {
+					q := w.randQuery(rng, c, variant)
+					if trial%2 == 1 {
+						q.Lambda = 1 // Jaccard scores alone: combinations tie
+					}
+					label := fmt.Sprintf("%v c=%d %v trial %d", kind, c, variant, trial)
+					want, err := w.engine.BruteForce(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					open, openPulled, _ := floorDrive(t, w.engine, q, false)
+					told, toldPulled, virtual := floorDrive(t, w.engine, q, true)
+					got, st, err := w.engine.STPS(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, rs := range map[string][]Result{"no floor": open, "floor": told, "STPS": got} {
+						if !slices.Equal(rs, want) {
+							t.Fatalf("%s: %s answers %v, brute force %v", label, name, rs, want)
+						}
+					}
+					if st.FeaturesPulled != toldPulled {
+						t.Fatalf("%s: STPS pulled %d features, the floored loop %d", label, st.FeaturesPulled, toldPulled)
+					}
+					if toldPulled > openPulled {
+						t.Fatalf("%s: told the k-th score the stream pulled %d features, %d without", label, toldPulled, openPulled)
+					}
+					sawLess = sawLess || toldPulled < openPulled
+					sawVirtual = sawVirtual || virtual
+				}
+			}
+		}
+	}
+	if !sawLess {
+		t.Error("the floor saved no pull on any query")
+	}
+	if !sawVirtual {
+		t.Error("no floored stream pulled ∅: the feature sets are too large to show it")
+	}
+}
+
+// floorDrive runs the consumer loop of stpsRange or stpsNearestNeighbor on
+// a fresh stream, passing it the k-th score if told, else −∞. It returns
+// the answer, the features pulled and whether a set ran dry (pulled ∅).
+func floorDrive(t *testing.T, root *Engine, q Query, told bool) ([]Result, int, bool) {
+	t.Helper()
+	e := root.session()
+	defer root.releaseSession(e)
+	var stats Stats
+	cs, err := newCombinationStream(e, &q, &stats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	acc := newTopkAccumulator(q.K)
+	for {
+		floor := negInf
+		if told {
+			floor = acc.threshold()
+		}
+		comb, ok, err := cs.next(floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || acc.full() && comb.score < acc.threshold() {
+			break
+		}
+		for i, u := range comb.refs {
+			for j, v := range comb.refs[:i] {
+				if u.virtual || v.virtual {
+					continue
+				}
+				if q.Variant == RangeScore {
+					if u.loc.Dist(v.loc) > 2*q.Radius {
+						t.Fatalf("range combination %v: members %d and %d farther apart than 2r", comb.refs, j, i)
+					}
+				} else if r := cellReach(t, e, i, u) + cellReach(t, e, j, v); u.loc.Dist2(v.loc) > r*r {
+					t.Fatalf("NN combination %v: the cells of members %d and %d cannot meet", comb.refs, j, i)
+				}
+			}
+		}
+		score := comb.score
+		visit := func(en *rtree.Entry) bool {
+			if !seen[en.ItemID] {
+				seen[en.ItemID] = true
+				acc.offer(Result{ID: en.ItemID, Location: en.Point(), Score: score})
+			}
+			return true
+		}
+		if q.Variant == RangeScore {
+			err = e.objectsMatchingRangeCombo(comb, q.Radius, visit)
+		} else {
+			var region geo.Polygon
+			if region, err = e.comboRegion(comb, &stats, nil); err == nil && !region.IsEmpty() {
+				err = e.probeParts(region.IntersectsRect, func(tr *rtree.Tree) error {
+					return tr.SearchPolygon(region, func(en rtree.Entry) bool { return visit(&en) })
+				})
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acc.results(), stats.FeaturesPulled, slices.Contains(cs.exhausted, true)
+}
+
+// cellReach returns the reach of the Voronoi cell of a feature of set.
+func cellReach(t *testing.T, e *Engine, set int, ref featureRef) float64 {
+	t.Helper()
+	c, err := e.cellOf(set, &ref, new(Stats), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.reach
+}
+
 // Every variant defaults to eager generation under its own rule — range
 // over its pair grids, influence (the stream that can be told a floor)
 // without a pairwise rule, NN under the cells rule; one set makes no
@@ -401,6 +543,72 @@ func TestPairGridChainsKeepInsertionOrder(t *testing.T) {
 	}
 }
 
+// FuzzPairGrid holds the flat grid to a map of slices keyed by the same
+// cells: every 3×3 neighbourhood yields the same indices in the same order,
+// over a fresh grid and over one reset after it grew, for cell sizes down
+// to 1e-9 and coordinates whose cell index passes 2³¹. Each neighbourhood
+// must also hold every point within half a cell of its centre point. The
+// candidate of the best-first heaps is checked here too: it must stay
+// within six words, what the heaps were sized for.
+func FuzzPairGrid(f *testing.F) {
+	if size := unsafe.Sizeof(candidate{}); size > 48 {
+		f.Fatalf("candidate is %d bytes, more than 48", size)
+	}
+	f.Add(int64(1), uint16(300), 0.1, 0.0)
+	f.Add(int64(2), uint16(500), 1e-9, 0.5)
+	f.Add(int64(3), uint16(400), 1e-9, 2.147483648) // cell index 2³¹
+	f.Add(int64(4), uint16(400), 1e-9, -3.0)
+	f.Add(int64(5), uint16(1000), 1e-3, 0.0) // hundreds of cells: the table grows
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, cell, offset float64) {
+		if !(cell >= 1e-9 && cell <= 1e3 && math.Abs(offset) <= 1e3) {
+			t.Skip()
+		}
+		n %= 1024
+		rng := rand.New(rand.NewSource(seed))
+		g := newPairGrid(cell)
+		for round := 0; round < 2; round++ {
+			g.reset(cell)
+			pts := make([]geo.Point, n)
+			want := map[[2]int32][]int32{}
+			for i := range pts {
+				// Most points a few cells around the offset, where cells
+				// share neighbourhoods; some anywhere near it.
+				spread := 20 * cell
+				if rng.Intn(4) == 0 {
+					spread = 1
+				}
+				p := geo.Point{X: offset + spread*(2*rng.Float64()-1), Y: offset + spread*(2*rng.Float64()-1)}
+				pts[i] = p
+				want[g.key(p)] = append(want[g.key(p)], int32(i))
+				g.add(p)
+			}
+			for i, p := range pts {
+				k := g.key(p)
+				var got, exp []int32
+				for dx := int32(-1); dx <= 1; dx++ {
+					for dy := int32(-1); dy <= 1; dy++ {
+						nk := [2]int32{k[0] + dx, k[1] + dy}
+						for a := g.first(nk); a >= 0; a = g.next[a] {
+							got = append(got, a)
+						}
+						exp = append(exp, want[nk]...)
+					}
+				}
+				if !slices.Equal(got, exp) {
+					t.Fatalf("round %d: neighbourhood of point %d at %v: grid %v, map %v", round, i, p, got, exp)
+				}
+				if i < 32 {
+					for j, q := range pts {
+						if p.Dist(q) <= cell/2 && !slices.Contains(got, int32(j)) {
+							t.Fatalf("round %d: point %d at %v is within half a cell of point %d at %v, not in its neighbourhood", round, j, q, i, p)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // latticeSet is one synthetic feature set of the lattice test: the scores
 // its stream yields (in any order here; the stream's heap sorts them) and
 // whether it ends in ∅ as a real stream does, or just runs dry.
@@ -459,7 +667,7 @@ func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 						for j, s := range set.scores {
 							ref := featureRef{id: int64(j), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, score: s}
 							sets[i] = append(sets[i], ref)
-							st.heap.push(candidate{prio: s, ref: ref.id, loc: ref.loc, leaf: true, resolved: true})
+							st.heap.push(candidate{prio: s, ref: ref.id, loc: ref.loc, slot: slotFinal})
 						}
 						st.exhausted = !set.virtual
 						if set.virtual {

@@ -31,17 +31,26 @@ type featureRef struct {
 // same walk is Algorithm 2: the first emission is τ_i(p), and ∅ scores the
 // 0 of an object no relevant feature reaches.
 //
-// In signature mode (hashed keyword summaries) a popped leaf's exact score
-// is only a bound: the stream resolves it against the feature record —
-// paying the verification page read — and re-enqueues it with its exact
-// score, preserving the global non-increasing order.
+// On an exact index a leaf's bound is its exact score, so unless the batch
+// lens must test it against its live batch when it is popped, a leaf is
+// queued final and popped as it is. In signature mode (hashed keyword
+// summaries, the only mode approximate queries run in) a popped leaf's
+// score is only a bound: the stream resolves it against the feature record — paying the
+// verification page read — and re-enqueues it with its exact score,
+// preserving the global non-increasing order.
 type featureStream struct {
 	g         *index.FeatureGroup
 	pq        index.PreparedQuery
 	lens      lens
 	heap      boundHeap
 	exhausted bool
-	arena     []uint64 // keyword words of the queued leaves, copied out of their pages
+	// final: every leaf is queued with its exact, lensed score. An exact
+	// index has no sketch, so an approximate request resolves exactly there.
+	final bool
+	// rests holds the score and keyword set of each queued leaf that is not
+	// final, and arena those sets' words, copied out of their pages.
+	rests []leafRest
+	arena []uint64
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -61,8 +70,8 @@ const (
 //
 // The distance primitives are deliberate: Rect.MinDist wherever an entry is
 // pushed and for the batch on both sides, the exact Point.Dist only where
-// range STDS accepts a popped leaf and in the decay of a leaf. They differ
-// in the last bit and in cost.
+// range STDS accepts a leaf — beside MinDist when it is queued final — and
+// in the decay of a leaf. They differ in the last bit and in cost.
 type lens struct {
 	kind lensKind
 	p    geo.Point
@@ -88,8 +97,8 @@ func (l *lens) admit(e *rtree.Entry) (weight float64, ok bool) {
 }
 
 // accept is consulted where an unresolved leaf is popped, before its
-// verification read: whether the feature passes the lens, and the weight of
-// its exact score.
+// verification read, or where a final one is queued: whether the feature
+// passes the lens, and the weight of its exact score.
 func (l *lens) accept(loc geo.Point) (weight float64, ok bool) {
 	switch l.kind {
 	case lensRange:
@@ -126,9 +135,11 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 	s.g = g
 	s.pq = g.Prepare(q)
 	s.lens = l
-	s.heap = s.heap[:0]
+	s.heap = s.heap[:0] // candidates hold no pointers: nothing to zero
+	s.release()
 	s.arena = s.arena[:0]
 	s.exhausted = false
+	s.final = g.Part(0).Exact() && l.kind != lensBatch
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return nil
 	}
@@ -150,10 +161,14 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 				continue
 			}
 		}
-		s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)*w))
+		s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)*w, nil))
 	}
 	return nil
 }
+
+// release empties the side slice, zeroing the keyword sets its leaves held,
+// so that an idle stream pins no arena and no page.
+func (s *featureStream) release() { s.rests = resetHeap(s.rests) }
 
 // next returns the feature with the highest remaining score — under the
 // influence lens, the highest decayed score, which is what ref.score then
@@ -162,8 +177,8 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	for s.heap.Len() > 0 {
 		it := s.heap.pop()
 		idx := s.g.Part(int(it.part))
-		if it.leaf {
-			if it.resolved {
+		if it.isLeaf() {
+			if it.slot == slotFinal {
 				return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
 			}
 			w := 1.0
@@ -173,7 +188,7 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 					continue
 				}
 			}
-			leaf := it.leafEntry()
+			leaf := it.leafEntry(s.rests)
 			score, relevant, err := idx.ResolveLeaf(&leaf, &s.pq)
 			if err != nil {
 				return featureRef{}, false, err
@@ -185,7 +200,7 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			if s.heap.Len() == 0 || score >= s.heap[0].prio-1e-12 {
 				return featureRef{id: it.ref, loc: it.loc, score: score}, false, nil
 			}
-			it.prio, it.resolved = score, true
+			it.prio, it.slot = score, slotFinal
 			s.heap.push(it)
 			continue
 		}
@@ -196,6 +211,10 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			return featureRef{}, false, err
 		}
 		words := s.pq.RelevantSet().WordsBits()
+		rests := &s.rests
+		if s.final {
+			rests = nil
+		}
 		var c rtree.Entry
 		for i := page.NextIntersecting(0, words); i < page.Len(); i = page.NextIntersecting(i+1, words) {
 			mark := len(s.arena)
@@ -205,12 +224,15 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			w, ok := 1.0, true
 			if s.lens.kind != lensNone {
 				w, ok = s.lens.admit(&c)
+				if ok && c.Leaf && s.final && s.lens.kind == lensRange {
+					_, ok = s.lens.accept(c.Rect.Min)
+				}
 			}
 			if ok {
-				s.heap.push(candidateOf(&c, int(it.part), idx.EntryBound(&c, &s.pq)*w))
+				s.heap.push(candidateOf(&c, int(it.part), idx.EntryBound(&c, &s.pq)*w, rests))
 			}
-			if !ok || !c.Leaf {
-				s.arena = s.arena[:mark] // only a queued leaf keeps its keyword words
+			if !ok || !c.Leaf || s.final {
+				s.arena = s.arena[:mark] // only a leaf in rests keeps its keyword words
 			}
 		}
 		page.Release() // a candidate holds copies, nothing of the image
@@ -225,46 +247,69 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 // candidate is what a best-first heap keeps of an index entry. Nodes are
 // shared with every other query and die with their buffer-pool frame, so a
 // queued candidate copies out, by value, the few fields the pop side reads
-// and never points into a node's entry array or a page image: an internal
-// entry keeps only its child page; a leaf keeps the item's id and location
-// and — for the deferred ResolveLeaf of signature and approximate mode —
-// its score and keyword set (a feature stream's lie in the stream's arena).
+// and holds no pointer at all: an internal entry keeps only its child page;
+// a leaf keeps the item's id and location. A leaf whose prio is its exact
+// score is final. Any other leaf — one the deferred ResolveLeaf of
+// signature or approximate mode, or of the batch lens, will score, or one
+// groupAscendDistance hands on whole — keeps its score and keyword set in a
+// side slice owned by the heap's user, at index slot: the heaps move
+// candidates on every push and pop, so a candidate is kept to five words.
 type candidate struct {
 	// prio orders the heap: the score bound ŝ(e) in a boundHeap (largest
 	// first), MINDIST in a distHeap (smallest first).
 	prio float64
 	loc  geo.Point // leaf: item location
 	// ref is the item id of a leaf, the child page of an internal entry.
-	ref   int64
-	score float64   // leaf: non-spatial score t.s
-	kw    kwset.Set // leaf: tree-side keyword set t.W
-	part  int32     // feature-group part the entry came from
-	leaf  bool
-	// resolved marks a leaf whose prio is already its exact score.
-	resolved bool
+	ref  int64
+	part int32 // feature-group part the entry came from
+	// slot is slotNode, slotFinal, or the leaf's index in the side slice.
+	slot int32
+}
+
+const (
+	slotNode  int32 = -1 // an internal entry
+	slotFinal int32 = -2 // a leaf whose prio is its exact score
+)
+
+// leafRest is what a leaf candidate that is not final keeps beside it.
+type leafRest struct {
+	score float64   // non-spatial score t.s
+	kw    kwset.Set // tree-side keyword set t.W
 }
 
 // candidateOf copies what the heaps need of the entry e of the given part.
-func candidateOf(e *rtree.Entry, part int, prio float64) candidate {
+// A leaf is final when rests is nil; otherwise its score and keyword set
+// are appended to *rests.
+func candidateOf(e *rtree.Entry, part int, prio float64, rests *[]leafRest) candidate {
 	if !e.Leaf {
-		return candidate{prio: prio, ref: int64(e.Child), part: int32(part)}
+		return candidate{prio: prio, ref: int64(e.Child), part: int32(part), slot: slotNode}
 	}
-	return candidate{prio: prio, loc: e.Rect.Min, ref: e.ItemID, score: e.Score, kw: e.Keywords, part: int32(part), leaf: true}
+	c := candidate{prio: prio, loc: e.Rect.Min, ref: e.ItemID, part: int32(part), slot: slotFinal}
+	if rests != nil {
+		c.slot = int32(len(*rests))
+		*rests = append(*rests, leafRest{score: e.Score, kw: e.Keywords})
+	}
+	return c
 }
+
+// isLeaf reports whether the candidate is a leaf entry.
+func (c *candidate) isLeaf() bool { return c.slot != slotNode }
 
 // child returns the child page of an internal candidate.
 func (c *candidate) child() storage.PageID { return storage.PageID(c.ref) }
 
-// leafEntry rebuilds the leaf entry a candidate was taken from, for the
-// index calls that take one.
-func (c *candidate) leafEntry() rtree.Entry {
+// leafEntry rebuilds the leaf entry a candidate that is not final was taken
+// from, for the index calls that take one; rests is the side slice it was
+// queued with.
+func (c *candidate) leafEntry(rests []leafRest) rtree.Entry {
+	r := &rests[c.slot]
 	return rtree.Entry{
 		Rect:     geo.RectOf(c.loc),
 		Child:    storage.InvalidPage,
 		Leaf:     true,
 		ItemID:   c.ref,
-		Score:    c.score,
-		Keywords: c.kw,
+		Score:    r.score,
+		Keywords: r.kw,
 	}
 }
 

@@ -11,7 +11,7 @@ package core
 // before(a, b) reports whether a has strictly higher priority than b
 // (must be popped first); it must be passed a non-capturing function so
 // the call itself does not allocate. It takes pointers into the heap's own
-// array: a candidate is 80 bytes, and a comparison by value would copy two
+// array: a candidate is 40 bytes, and a comparison by value would copy two
 // of them.
 
 func heapPush[T any](h *[]T, it T, before func(a, b *T) bool) {
@@ -101,8 +101,9 @@ func (h *distHeap) reset()            { *h = resetHeap(*h) }
 // voronoiCell's node heap: min-heap on squared MINDIST.
 func nodeBefore(a, b *nodeRef) bool { return a.dist2 < b.dist2 }
 
-// resetHeap empties a pooled heap, keeping its backing array but zeroing
-// the items a descent left queued. heapPop zeroes every slot it vacates, so
+// resetHeap empties a pooled heap or side slice, keeping its backing array
+// but zeroing the items a descent left in it. heapPop zeroes every slot it
+// vacates, and a side slice only grows by append between resets, so
 // afterwards the whole array is zero: an idle scratch keeps no keyword
 // arena of an evicted node, and no other query garbage, alive.
 func resetHeap[T any](h []T) []T {

@@ -178,7 +178,7 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 		if err != nil {
 			return err
 		}
-		pq.push(candidateOf(&root, pi, exactPrice(comb.refs, q.Radius, &root)))
+		pq.push(candidateOf(&root, pi, exactPrice(comb.refs, q.Radius, &root), nil))
 	}
 	emitted := 0
 	kth := negInf
@@ -191,7 +191,7 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 		if it.prio < limit {
 			return nil
 		}
-		if it.leaf {
+		if it.isLeaf() {
 			if acc.offer(it.ref, it.loc, it.prio) {
 				stats.ObjectsScored++
 			}
@@ -209,7 +209,7 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 		for i := range n.Entries {
 			c := &n.Entries[i]
 			if prio := exactPrice(comb.refs, q.Radius, c); prio >= limit {
-				pq.push(candidateOf(c, int(it.part), prio))
+				pq.push(candidateOf(c, int(it.part), prio, nil))
 			}
 		}
 	}

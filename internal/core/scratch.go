@@ -22,7 +22,8 @@ import (
 //   - stds is the one lensed feature stream of an STDS query: computeScore
 //     and batchRangeScores re-init it per object (or batch) and feature
 //     set, and are done with it before the next init, which discards
-//     the queued candidates together with the keyword arena they alias;
+//     the queued candidates together with the side slots and keyword
+//     arena they use;
 //   - bound is used by one topKInfluence search over the object trees at
 //     a time;
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
@@ -46,9 +47,12 @@ type queryScratch struct {
 	stds  featureStream
 	bound boundHeap
 	dist  distHeap
-	topk  topkAccumulator
-	inf   influenceTopK
-	seen  map[int64]bool
+	// distRests is dist's side slice: the score and keyword set of each leaf
+	// queued in it.
+	distRests []leafRest
+	topk      topkAccumulator
+	inf       influenceTopK
+	seen      map[int64]bool
 	// probed[i] records that the query descended into object part i.
 	probed []bool
 
@@ -130,20 +134,21 @@ func (e *Engine) countShards(stats *Stats) {
 	}
 }
 
-// release empties every pooled heap before the scratch goes back to the
-// pool. A descent usually stops with candidates still queued, and each
-// queued leaf holds the keyword set of a node that may since have been
-// evicted; zeroing them here means an idle scratch pins nothing of the
-// query it served. Everything else the scratch keeps — retrieved feature
-// prefixes, the combination refs buffer, the pair grids and the index
-// vector arena, the feature streams' keyword arenas (uint64s copied out of
-// the page images), batch objects — is plain values without pointers.
+// release empties every side slice and the combination heap before the
+// scratch goes back to the pool. A descent usually stops with candidates
+// still queued, and each queued leaf that is not final holds, in its side
+// slot, the keyword set of a node that may since have been evicted; zeroing
+// the slots here means an idle scratch pins nothing of the query it served.
+// The candidates themselves hold no pointer, and everything else the
+// scratch keeps — retrieved feature prefixes, the combination refs buffer,
+// the pair grids and the index vector arena, the feature streams' keyword
+// arenas (uint64s copied out of the page images), batch objects — is plain
+// values without pointers.
 func (sc *queryScratch) release() {
-	sc.stds.heap.reset()
-	sc.bound.reset()
-	sc.dist.reset()
+	sc.stds.release()
+	sc.distRests = resetHeap(sc.distRests)
 	for _, st := range sc.cs.streams {
-		st.heap.reset()
+		st.release()
 	}
 	sc.cs.heap.reset()
 }
@@ -158,13 +163,15 @@ func (e *Engine) scratchBoundHeap() *boundHeap {
 	return &boundHeap{}
 }
 
-// scratchDistHeap returns the reusable distance-ascent heap, empty.
-func (e *Engine) scratchDistHeap() *distHeap {
+// scratchDistHeap returns the reusable distance-ascent heap and its side
+// slice, both empty.
+func (e *Engine) scratchDistHeap() (*distHeap, *[]leafRest) {
 	if sc := e.scratch; sc != nil {
 		sc.dist.reset()
-		return &sc.dist
+		sc.distRests = resetHeap(sc.distRests)
+		return &sc.dist, &sc.distRests
 	}
-	return &distHeap{}
+	return &distHeap{}, &[]leafRest{}
 }
 
 // newTopk returns the query's top-k accumulator, reusing the scratch

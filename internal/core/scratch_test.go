@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,49 +10,97 @@ import (
 )
 
 // A released scratch must hold nothing of the query it served: descents
-// stop with candidates still queued, and a queued leaf carries the keyword
-// set of a node that may be evicted before the scratch is used again.
+// stop with candidates still queued, and a queued leaf that is not final
+// keeps, in its side slot, the keyword set of a node that may be evicted
+// before the scratch is used again. The candidates themselves hold no
+// pointer; the side slices must come back zeroed to their capacity. Exact
+// and 8-bit signature trees between them use every side slice: the batch
+// lens and groupAscendDistance on both, the STPS streams on signatures.
 func TestReleasedScratchPinsNothing(t *testing.T) {
-	w := buildWorld(t, 905, 400, 200, 2, 16, index.SRT, Options{BatchSTDS: true})
-	rng := rand.New(rand.NewSource(906))
-	for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
-		q := w.randQuery(rng, 2, variant)
-		sess := w.engine.session()
-		sc := sess.scratch
-		if sc == nil {
-			t.Fatal("engine built by NewEngine has no scratch pool")
+	if p := pointerPath(reflect.TypeOf(candidate{})); p != "" {
+		t.Fatalf("candidate holds a pointer at %s: a queued one can pin what it points to", p)
+	}
+	used := map[string]bool{}
+	for _, sigBits := range []int{0, 8} {
+		var w *testWorld
+		if sigBits == 0 {
+			w = buildWorld(t, 905, 400, 200, 2, 16, index.SRT, Options{BatchSTDS: true})
+		} else {
+			w = buildSigWorld(t, 905, 400, 200, 2, 16, sigBits, index.SRT)
 		}
-		// Queries run on a session do not release it, so the scratch can be
-		// inspected on both sides of the release.
-		if _, _, err := sess.STPS(q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sess.STDS(q); err != nil {
-			t.Fatal(err)
-		}
-		queued := len(sc.bound) + len(sc.dist) + len(sc.cs.heap)
-		for _, st := range sc.cs.streams {
-			queued += len(st.heap)
-		}
-		if queued == 0 {
-			t.Fatalf("%v: no candidate left queued; the test shows nothing", variant)
-		}
-		w.engine.releaseSession(sess)
-		heaps := [][]candidate{sc.bound, sc.dist}
-		for _, st := range sc.cs.streams {
-			heaps = append(heaps, st.heap)
-		}
-		for hi, h := range heaps {
-			for i, c := range h[:cap(h)] {
-				if !reflect.ValueOf(c).IsZero() {
-					t.Fatalf("%v: heap %d slot %d of a released scratch still holds %+v", variant, hi, i, c)
+		rng := rand.New(rand.NewSource(906))
+		for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
+			q := w.randQuery(rng, 2, variant)
+			sess := w.engine.session()
+			sc := sess.scratch
+			if sc == nil {
+				t.Fatal("engine built by NewEngine has no scratch pool")
+			}
+			// Queries run on a session do not release it, so the scratch can
+			// be inspected on both sides of the release.
+			if _, _, err := sess.STPS(q); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sess.STDS(q); err != nil {
+				t.Fatal(err)
+			}
+			queued := len(sc.bound) + len(sc.dist) + len(sc.cs.heap)
+			for _, st := range sc.cs.streams {
+				queued += len(st.heap)
+			}
+			if queued == 0 {
+				t.Fatalf("sig=%d %v: no candidate left queued; the test shows nothing", sigBits, variant)
+			}
+			// The slices taken here share their arrays with the scratch's.
+			sides := map[string][]leafRest{"stds": sc.stds.rests, "dist": sc.distRests}
+			for i, st := range sc.cs.streams {
+				sides[fmt.Sprint("stream ", i)] = st.rests
+			}
+			for name, r := range sides {
+				used[name] = used[name] || len(r) > 0
+			}
+			w.engine.releaseSession(sess)
+			for name, r := range sides {
+				for i, lr := range r[:cap(r)] {
+					if !reflect.ValueOf(lr).IsZero() {
+						t.Fatalf("sig=%d %v: %s side slot %d of a released scratch still holds %+v", sigBits, variant, name, i, lr)
+					}
+				}
+			}
+			for i, ve := range sc.cs.heap[:cap(sc.cs.heap)] {
+				if ve.vec != nil {
+					t.Fatalf("sig=%d %v: combination heap slot %d of a released scratch still holds a vector", sigBits, variant, i)
 				}
 			}
 		}
-		for i, ve := range sc.cs.heap[:cap(sc.cs.heap)] {
-			if ve.vec != nil {
-				t.Fatalf("%v: combination heap slot %d of a released scratch still holds a vector", variant, i)
-			}
+	}
+	for _, name := range []string{"stds", "dist", "stream 0", "stream 1"} {
+		if !used[name] {
+			t.Errorf("no query left a leaf in the %s side slice; the test shows nothing there", name)
 		}
 	}
+}
+
+// pointerPath returns the path to the first field of t that holds a
+// pointer, or "" if none does.
+func pointerPath(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type); p != "" {
+				return t.Field(i).Name + "." + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		if p := pointerPath(t.Elem()); p != "" {
+			return "[]." + p
+		}
+		return ""
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return t.Kind().String()
 }

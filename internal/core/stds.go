@@ -235,13 +235,13 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // groupAscendDistance streams a feature group's leaf entries in increasing
 // distance from center, merging the group's part trees through one shared
 // min-distance heap (the multi-tree analogue of rtree.AscendDistance). fn
-// sees each leaf as an entry rebuilt from its queued candidate, valid for
-// the duration of the call. For
+// sees each leaf as an entry rebuilt from its queued candidate and side
+// slot, valid for the duration of the call. For
 // the NN variant on a sharded engine this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unread subtree of every other part.
 func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
-	h := e.scratchDistHeap()
+	h, rests := e.scratchDistHeap()
 	for pi, part := range g.Parts() {
 		if part.Len() == 0 {
 			continue
@@ -250,12 +250,12 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		if err != nil {
 			return err
 		}
-		h.push(candidateOf(&root, pi, root.Rect.MinDist(center)))
+		h.push(candidateOf(&root, pi, root.Rect.MinDist(center), rests))
 	}
 	for h.Len() > 0 {
 		it := h.pop()
-		if it.leaf {
-			leaf := it.leafEntry()
+		if it.isLeaf() {
+			leaf := it.leafEntry(*rests)
 			if !fn(int(it.part), &leaf, it.prio) {
 				return nil
 			}
@@ -267,7 +267,7 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			h.push(candidateOf(c, int(it.part), c.Rect.MinDist(center)))
+			h.push(candidateOf(c, int(it.part), c.Rect.MinDist(center), rests))
 		}
 	}
 	return nil

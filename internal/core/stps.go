@@ -61,7 +61,10 @@ func sortResults(rs []Result) {
 // (Lemma 1). Objects are collected through the tie-aware accumulator and
 // the loop stops only once the combination score drops strictly below the
 // k-th result — combinations tying it can still contribute objects that
-// win the id tie-break.
+// win the id tie-break. The stream is told that k-th score, so once
+// nothing it has queued or can still find reaches it, it stops pulling
+// features instead of searching for the combination the loop would stop
+// at.
 func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
 	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
@@ -71,7 +74,7 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	acc := e.newTopk(q.K)
 	for {
 		sp := tr.StartPhase("combos.generate")
-		comb, ok, err := cs.next(negInf)
+		comb, ok, err := cs.next(acc.threshold())
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -410,7 +413,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 			return err
 		}
 		ts = decayTerms(comb.refs, q.Radius, &root, ts)
-		pq.push(candidateOf(&root, pi, influenceAt(ts)))
+		pq.push(candidateOf(&root, pi, influenceAt(ts), nil))
 	}
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
@@ -423,7 +426,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 		if it.prio < limit {
 			return nil // nothing below can enter the top-k, even by tie-break
 		}
-		if it.leaf {
+		if it.isLeaf() {
 			if acc.offer(it.ref, it.loc, it.prio) {
 				stats.ObjectsScored++
 			}
@@ -445,7 +448,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 				continue
 			}
 			if prio := influenceAt(ts); prio >= limit {
-				pq.push(candidateOf(c, int(it.part), prio))
+				pq.push(candidateOf(c, int(it.part), prio, nil))
 			}
 		}
 	}
@@ -457,7 +460,9 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 // cells of its feature objects; data objects inside it have exactly the
 // combination's score. The stream only emits combinations whose cells can
 // meet (the cells rule, combinations.go); one whose cells still do not
-// intersect is discarded when the region comes out empty.
+// intersect is discarded when the region comes out empty. As in the range
+// variant the stream is told the k-th score and stops pulling — and
+// building the cells of what it pulls — once nothing left can reach it.
 func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]Result, error) {
 	cs, err := newCombinationStream(e, q, stats, tr)
 	if err != nil {
@@ -467,7 +472,7 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 	acc := e.newTopk(q.K)
 	for {
 		sp := tr.StartPhase("combos.generate")
-		comb, ok, err := cs.next(negInf)
+		comb, ok, err := cs.next(acc.threshold())
 		sp.End()
 		if err != nil {
 			return nil, err
