@@ -66,10 +66,15 @@ bench-check:
 # every lens of the one feature stream is run here. Figure 7's point runs a
 # second time behind 32-page pools (BenchmarkFig7Cold), so the miss path —
 # a page view of a frame just read, an eviction beside it — runs once too.
+# Figure 13 builds every cell it needs, so cell building dominates it; the
+# warm-store NN query (BenchmarkAblationVoronoiCache/one-engine: one engine
+# whose cell store an untimed pass filled) runs the cells rule's reach grid
+# and the polygon search on their own.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS' -benchtime 1x .
+	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine' -benchtime 1x .
 
-# Before/after benchmark comparison for perf work. Run once on the base
+# Before/after benchmark comparison for perf work: Figure 7 (range, warm
+# and cold pools) and the warm-store NN query. Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -77,7 +82,7 @@ bench-smoke:
 BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
-	$(GO) test -run NONE -bench 'BenchmarkFig7' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkFig7|BenchmarkAblationVoronoiCache/one-engine' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \

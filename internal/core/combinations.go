@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"stpq/internal/geo"
 	"stpq/internal/obs"
@@ -51,18 +52,22 @@ type combinationStream struct {
 	// say).
 	floor float64
 
-	// grids accelerate eager generation: one spatial hash per feature
-	// set over the retrieved (concrete) features, with cell size 2r, so
-	// valid partners of a new feature are found without scanning D_j.
-	// gridStore keeps the grids of earlier queries for reuse; grids is nil
-	// when the stream does not use them.
+	// grids accelerate eager generation under a pairwise rule: one spatial
+	// hash per feature set over the retrieved (concrete) features, so valid
+	// partners of a new feature are found without scanning D_j. Under the
+	// 2r rule the cells are 2r; under the cells rule a set's cells are
+	// twice the reach of its first site. gridStore keeps the grids of
+	// earlier queries for reuse; grids is nil when the stream does not use
+	// them.
 	grids     []*pairGrid
 	gridStore []*pairGrid
 
 	d [][]featureRef // retrieved features per set, scores non-increasing
 	// reach[i][a] is the reach of the Voronoi cell of d[i][a] (0 for ∅),
-	// filled under the cells rule only.
+	// and maxReach[i] the largest of reach[i]; both filled under the cells
+	// rule only.
 	reach     [][]float64
+	maxReach  []float64
 	mins      []float64 // score of the last retrieved feature (1 before first access)
 	maxs      []float64 // score of the first retrieved feature (1 before first access)
 	started   []bool
@@ -87,6 +92,9 @@ type combinationStream struct {
 	chosen  []int
 	partial []featureRef
 	arena   []int
+	// near holds the cells rule's partner candidates, one run per
+	// recursion depth above the last (extendNear).
+	near []int32
 }
 
 // vecEntry is an index vector into the d arrays with its combination score.
@@ -138,7 +146,9 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*co
 	cs.rule, cs.pull, cs.eager = ruleOf(q.Variant, c), e.opts.Pull, e.opts.Combinations != CombinationsLazy
 	cs.bounded = q.Variant == InfluenceScore
 	cs.grids = nil
-	if cs.eager && cs.rule == rulePairs {
+	if cs.eager && cs.rule != ruleNone {
+		// The cells rule re-sizes a set's grid at its first site
+		// (generateEager).
 		cs.gridStore = reuseLen(cs.gridStore, c)
 		for i, g := range cs.gridStore {
 			if g == nil {
@@ -171,6 +181,8 @@ func (cs *combinationStream) reinit(c int) {
 	}
 	cs.d = reuseNested(cs.d, c)
 	cs.reach = reuseNested(cs.reach, c)
+	cs.maxReach = reuseLen(cs.maxReach, c)
+	clear(cs.maxReach)
 	cs.pending = reuseNested(cs.pending, c)
 	cs.mins = reuseLen(cs.mins, c)
 	cs.maxs = reuseLen(cs.maxs, c)
@@ -209,13 +221,16 @@ func reuseNested[T any](buf [][]T, n int) [][]T {
 	return buf
 }
 
-// pairGrid is a spatial hash with cell size equal to the pair-distance
-// limit 2r: any point within 2r of p lies in one of the 3×3 cells around
-// p's cell. The occupied cells sit in a flat open-addressed table — packed
-// cell key, multiplicative hash, linear probing — and the members of a
-// cell form a chain through next, in the order they were added, so the
-// grid owns two allocations however many cells it has (the table is
-// replaced only when it grows), and reset keeps both for the next query.
+// pairGrid is a spatial hash of square cells. Under the 2r rule the cell
+// size is the pair-distance limit 2r: any point within 2r of p lies in one
+// of the 3×3 cells around p's cell. Under the cells rule it is sized by
+// the data, and a partner is looked for in the cells covering a square
+// around the anchor (extendNear). The occupied cells sit in a flat
+// open-addressed table — packed cell key, multiplicative hash, linear
+// probing — and the members of a cell form a chain through next, in the
+// order they were added, so the grid owns two allocations however many
+// cells it has (the table is replaced only when it grows), and reset keeps
+// both for the next query.
 type pairGrid struct {
 	cell float64
 	// slots has a power-of-two length and is kept at most half full; used
@@ -451,6 +466,7 @@ func (cs *combinationStream) pullNext() error {
 			reach = c.reach
 		}
 		cs.reach[i] = append(cs.reach[i], reach)
+		cs.maxReach[i] = max(cs.maxReach[i], reach)
 	}
 	if !cs.started[i] {
 		cs.started[i] = true
@@ -531,13 +547,19 @@ func (cs *combinationStream) pushVec(vec []int) {
 // combinations that include the newest feature of set i, discarding
 // invalid ones immediately. Once a concrete feature is part of the
 // partial combination, candidates for the remaining sets come from the
-// spatial grid around it (every member of a valid combination lies within
-// 2r of every other), so generation cost tracks the number of valid
-// combinations rather than |D_1|×…×|D_c|.
+// spatial grid around it — every member of a valid combination lies within
+// 2r of every other, or under the cells rule within the two reaches — so
+// generation cost tracks the number of valid combinations rather than
+// |D_1|×…×|D_c|.
 func (cs *combinationStream) generateEager(i int) {
 	newIdx := len(cs.d[i]) - 1
 	newRef := &cs.d[i][newIdx]
 	if cs.grids != nil && !newRef.virtual {
+		if cs.rule == ruleCells && newIdx == 0 {
+			// The set's first site sizes its cells: the data, not a
+			// setting, says how far apart its sites are.
+			cs.grids[i].reset(2 * cs.reach[i][0])
+		}
 		cs.grids[i].add(newRef.loc)
 	}
 	cs.vec[i] = newIdx
@@ -560,7 +582,10 @@ func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Po
 		cs.extend(fixed, dim+1, score, anchor, anchored)
 		return
 	}
-	if anchored && cs.grids != nil {
+	if anchored && cs.grids != nil && cs.rule == ruleCells && cs.extendNear(fixed, dim, score, anchor) {
+		return
+	}
+	if anchored && cs.grids != nil && cs.rule == rulePairs {
 		// Cells around the anchor in a fixed order, each in insertion
 		// order: the order combinations are queued in decides ties.
 		g := cs.grids[dim]
@@ -586,6 +611,54 @@ func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Po
 	for a := 0; a < len(cs.d[dim]); a++ {
 		cs.try(fixed, dim, a, score, anchor, anchored)
 	}
+}
+
+// extendNear is extend's loop under the cells rule once a concrete anchor
+// is chosen. Only a member of D_dim within reach + maxReach[dim] of the
+// anchor can pass the rule against it, where reach is the anchor's: that of
+// the first concrete member chosen. So the candidates are the grid's
+// members in the cells covering that square, tried in ascending index and
+// ∅ last: the order the linear scan reaches the valid ones in, so the
+// combinations are queued — and ties broken — as it would queue them. It
+// reports false, having tried nothing, when the square spans more cells
+// than D_dim has members: the scan is then the cheaper way. The square is
+// widened by a relative 1e-9 so that rounding cannot put a valid partner's
+// cell outside it.
+func (cs *combinationStream) extendNear(fixed, dim int, score float64, anchor geo.Point) bool {
+	reach := 0.0
+	for _, j := range cs.chosen {
+		if b := cs.vec[j]; !cs.d[j][b].virtual {
+			reach = cs.reach[j][b]
+			break
+		}
+	}
+	g, n := cs.grids[dim], len(cs.d[dim])
+	w := reach + cs.maxReach[dim]
+	w += 1e-9 * (w + math.Abs(anchor.X) + math.Abs(anchor.Y))
+	x0, x1 := math.Floor((anchor.X-w)/g.cell), math.Floor((anchor.X+w)/g.cell)
+	y0, y1 := math.Floor((anchor.Y-w)/g.cell), math.Floor((anchor.Y+w)/g.cell)
+	if (x1-x0+1)*(y1-y0+1) > float64(n) {
+		return false
+	}
+	base := len(cs.near)
+	for x := int64(x0); x <= int64(x1); x++ {
+		for y := int64(y0); y <= int64(y1); y++ {
+			for a := g.first([2]int32{int32(x), int32(y)}); a >= 0; a = g.next[a] {
+				cs.near = append(cs.near, a)
+			}
+		}
+	}
+	end := len(cs.near)
+	slices.Sort(cs.near[base:end])
+	// Deeper levels append their runs past end and cut them off again.
+	for k := base; k < end; k++ {
+		cs.try(fixed, dim, int(cs.near[k]), score, anchor, true)
+	}
+	cs.near = cs.near[:base]
+	if n > 0 && cs.d[dim][n-1].virtual {
+		cs.try(fixed, dim, n-1, score, anchor, true)
+	}
+	return true
 }
 
 // extendBounded is extend's loop under the influence variant's rule: a

@@ -12,6 +12,7 @@ import (
 
 	"stpq/internal/geo"
 	"stpq/internal/index"
+	"stpq/internal/kwset"
 	"stpq/internal/rtree"
 )
 
@@ -19,10 +20,20 @@ import (
 // never telling it a floor.
 func drainCombinations(t *testing.T, w *testWorld, q Query, limit int) []combination {
 	t.Helper()
+	return drainCombos(t, w, q, limit, false)
+}
+
+// drainCombos is drainCombinations, on a stream without its partner grids
+// if scan: eager generation then scans every D_j linearly for partners.
+func drainCombos(t *testing.T, w *testWorld, q Query, limit int, scan bool) []combination {
+	t.Helper()
 	var stats Stats
 	cs, err := newCombinationStream(w.engine, &q, &stats, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if scan {
+		cs.grids = nil
 	}
 	var out []combination
 	for len(out) < limit {
@@ -168,24 +179,100 @@ func bruteBestComboScore(t *testing.T, w *testWorld, q Query) float64 {
 }
 
 // Lazy and eager modes must emit the same score sequence (the lazy lattice
-// is an implementation detail, not a semantic change).
+// is an implementation detail, not a semantic change). Under the cells rule
+// eager generation finds partners through the reach grid, which must queue
+// what the linear scan of D_j queues, in the scan's order: over both index
+// kinds at c = 2 and 3 the two emit the same index vectors with the same
+// scores, ties included — every other query scores by Jaccard alone
+// (λ = 1), where combinations tie and the heap pops them in the order they
+// were queued. The sets differ in size, so their reaches differ too.
 func TestLazyEagerSameSequence(t *testing.T) {
+	sameScores := func(label string, a, b []combination) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: lazy emitted %d, eager %d", label, len(a), len(b))
+		}
+		for i := range a {
+			if math.Abs(a[i].score-b[i].score) > 1e-9 {
+				t.Fatalf("%s: position %d: lazy %v eager %v", label, i, a[i].score, b[i].score)
+			}
+		}
+	}
 	wL := buildWorld(t, 308, 50, 100, 2, 16, index.SRT, Options{Combinations: CombinationsLazy})
 	wE := buildWorld(t, 308, 50, 100, 2, 16, index.SRT, Options{Combinations: CombinationsEager})
 	rng := rand.New(rand.NewSource(309))
 	for trial := 0; trial < 4; trial++ {
 		q := wL.randQuery(rng, 2, RangeScore)
-		a := drainCombinations(t, wL, q, 150)
-		b := drainCombinations(t, wE, q, 150)
-		if len(a) != len(b) {
-			t.Fatalf("lazy emitted %d, eager %d", len(a), len(b))
+		sameScores("range", drainCombinations(t, wL, q, 150), drainCombinations(t, wE, q, 150))
+	}
+	vectors := func(cs []combination) [][]int64 {
+		out := make([][]int64, len(cs))
+		for i, comb := range cs {
+			for _, ref := range comb.refs {
+				id := ref.id
+				if ref.virtual {
+					id = -1
+				}
+				out[i] = append(out[i], id)
+			}
 		}
-		for i := range a {
-			if math.Abs(a[i].score-b[i].score) > 1e-9 {
-				t.Fatalf("position %d: lazy %v eager %v", i, a[i].score, b[i].score)
+		return out
+	}
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for c := 2; c <= 3; c++ {
+			wL := buildUnevenWorld(t, 316+int64(c), c, kind, Options{Combinations: CombinationsLazy})
+			wE := buildUnevenWorld(t, 316+int64(c), c, kind, Options{Combinations: CombinationsEager})
+			rng := rand.New(rand.NewSource(326 + int64(c)))
+			for trial := 0; trial < 8; trial++ {
+				q := wE.randQuery(rng, c, NearestNeighborScore)
+				if trial%2 == 1 {
+					q.Lambda = 1
+				}
+				label := fmt.Sprintf("NN %v c=%d trial %d", kind, c, trial)
+				grid := drainCombinations(t, wE, q, 300)
+				sameScores(label, drainCombinations(t, wL, q, 300), grid)
+				scan := drainCombos(t, wE, q, 300, true)
+				if !slices.EqualFunc(grid, scan, func(a, b combination) bool { return a.score == b.score }) ||
+					!slices.EqualFunc(vectors(grid), vectors(scan), slices.Equal) {
+					t.Fatalf("%s: the reach grid emitted\n%v,\nthe linear scan\n%v", label, vectors(grid), vectors(scan))
+				}
 			}
 		}
 	}
+}
+
+// buildUnevenWorld is buildWorld over c feature sets of 40, 160, 80, …
+// features: sets of unlike density, whose Voronoi cells differ in reach.
+func buildUnevenWorld(t *testing.T, seed int64, c int, kind index.Kind, opts Options) *testWorld {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]index.Object, 60)
+	for i := range objs {
+		objs[i] = index.Object{ID: int64(i), Location: randPoint(rng)}
+	}
+	oidx, err := index.BuildObjectIndex(objs, index.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fidxs := make([]*index.FeatureIndex, c)
+	for s := range fidxs {
+		feats := make([]index.Feature, []int{40, 160, 80}[s%3])
+		for i := range feats {
+			kw := kwset.NewSet(8)
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				kw.Add(rng.Intn(8))
+			}
+			feats[i] = index.Feature{ID: int64(i), Location: randPoint(rng), Score: rng.Float64(), Keywords: kw}
+		}
+		if fidxs[s], err = index.BuildFeatureIndex(feats, index.Options{Kind: kind, VocabWidth: 8, PageSize: 1024}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := NewEngine(oidx, fidxs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testWorld{engine: eng, vocabW: 8}
 }
 
 // Without a pairwise rule — the influence variant's stream while it is told
@@ -483,8 +570,8 @@ func TestCombinationModeDispatch(t *testing.T) {
 	if cs := stream(Options{}, InfluenceScore); !cs.eager || cs.grids != nil || cs.rule != ruleNone {
 		t.Error("influence variant should default to eager without grids or a pairwise rule")
 	}
-	if cs := stream(Options{}, NearestNeighborScore); !cs.eager || cs.grids != nil || cs.rule != ruleCells {
-		t.Error("NN variant should default to eager under the cells rule")
+	if cs := stream(Options{}, NearestNeighborScore); !cs.eager || cs.grids == nil || cs.rule != ruleCells {
+		t.Error("NN variant should default to grid-accelerated eager under the cells rule")
 	}
 	for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
 		if cs := stream(Options{Combinations: CombinationsLazy}, variant); cs.eager || cs.rule != ruleOf(variant, 2) {

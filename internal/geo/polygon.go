@@ -102,18 +102,24 @@ func (h HalfPlane) segIntersect(a, b Point) Point {
 	return Point{a.X + t*(b.X-a.X), a.Y + t*(b.Y-a.Y)}
 }
 
+// sepEps is how far outside one edge's line every corner of a rectangle
+// must lie for IntersectsRect to reject it on that edge alone: far above
+// hpEps and the rounding of a clipped polygon's vertices, so a rejected
+// rectangle is one the full test would reject too.
+const sepEps = 1e-9
+
 // Contains reports whether p lies inside the convex polygon (boundary
 // inclusive). Vertices must be in counter-clockwise order.
 func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
+	if len(pg.Vertices) < 3 {
 		return false
 	}
-	for i := 0; i < n; i++ {
-		a, b := pg.Vertices[i], pg.Vertices[(i+1)%n]
+	a := pg.Vertices[len(pg.Vertices)-1]
+	for _, b := range pg.Vertices {
 		if b.Sub(a).Cross(p.Sub(a)) < -hpEps {
 			return false
 		}
+		a = b
 	}
 	return true
 }
@@ -158,34 +164,50 @@ func (pg Polygon) Area() float64 {
 }
 
 // IntersectsRect reports whether the convex polygon and the rectangle share
-// at least one point. It applies the separating-axis test over the four
-// rectangle edges and the polygon edges.
+// at least one point: a polygon vertex inside r, a corner of r inside the
+// polygon (Contains, with its hpEps), or a polygon edge meeting an edge of
+// r. Before those tests it rejects r when one polygon edge a→b has all four
+// corners c strictly outside it, (b−a)×(c−a) < −sepEps — the expression
+// Contains tests, with a margin far above its own. That cannot turn a true
+// into a false: each corner then fails Contains on that edge, and every
+// vertex and edge point of a convex polygon (one cut by ClipAppend is
+// convex up to rounding) lies on or inside the edge's line, while every
+// point of r lies more than sepEps outside it, so no vertex lies in r and
+// no edges meet.
 func (pg Polygon) IntersectsRect(r Rect) bool {
 	if pg.IsEmpty() {
 		return false
 	}
-	// Quick accept: any polygon vertex inside r, or any rect corner inside pg.
+	corners := [4]Point{r.Min, {r.Max.X, r.Min.Y}, r.Max, {r.Min.X, r.Max.Y}}
+	a := pg.Vertices[len(pg.Vertices)-1]
+	for _, b := range pg.Vertices {
+		e := b.Sub(a)
+		if e.Cross(corners[0].Sub(a)) < -sepEps && e.Cross(corners[1].Sub(a)) < -sepEps &&
+			e.Cross(corners[2].Sub(a)) < -sepEps && e.Cross(corners[3].Sub(a)) < -sepEps {
+			return false
+		}
+		a = b
+	}
 	for _, v := range pg.Vertices {
 		if r.Contains(v) {
 			return true
 		}
 	}
-	corners := [4]Point{r.Min, {r.Max.X, r.Min.Y}, r.Max, {r.Min.X, r.Max.Y}}
 	for _, c := range corners {
 		if pg.Contains(c) {
 			return true
 		}
 	}
-	// Edge-edge intersection.
-	n := len(pg.Vertices)
-	for i := 0; i < n; i++ {
-		a, b := pg.Vertices[i], pg.Vertices[(i+1)%n]
-		for j := 0; j < 4; j++ {
-			c, d := corners[j], corners[(j+1)%4]
+	a = pg.Vertices[len(pg.Vertices)-1]
+	for _, b := range pg.Vertices {
+		c := corners[3]
+		for _, d := range corners {
 			if segmentsIntersect(a, b, c, d) {
 				return true
 			}
+			c = d
 		}
+		a = b
 	}
 	return false
 }

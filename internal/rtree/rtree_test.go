@@ -391,25 +391,38 @@ func TestSearchPolygonMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := newTestTree(t, Config{PageSize: 512})
 	items := randomItems(rng, 900, 0)
+	// The sliver the NN search cuts from two neighbouring Voronoi cells:
+	// zero area along their shared bisector, with items placed on it.
+	a, b := geo.Point{X: 0.3, Y: 0.35}, geo.Point{X: 0.62, Y: 0.71}
+	sliver, spare := geo.UnitSquare().Clip(geo.Bisector(a, b)).Vertices, []geo.Point(nil)
+	geo.CutConvex(&sliver, &spare, geo.UnitSquare().Clip(geo.Bisector(b, a)))
+	mid, dir := a.Mid(b), geo.Point{X: a.Y - b.Y, Y: b.X - a.X}
+	for i := 0; i < 100; i++ {
+		items = append(items, Item{ID: int64(len(items)), Location: mid.Add(dir.Scale(float64(i-50) / 60))})
+	}
 	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
 		t.Fatal(err)
 	}
-	// A convex pentagon around the center.
-	pg := geo.Polygon{Vertices: []geo.Point{
-		{X: 0.3, Y: 0.2}, {X: 0.7, Y: 0.25}, {X: 0.8, Y: 0.6}, {X: 0.5, Y: 0.85}, {X: 0.2, Y: 0.55},
-	}}
-	want := 0
-	for _, it := range items {
-		if pg.Contains(it.Location) {
-			want++
+	for _, pg := range []geo.Polygon{
+		// A convex pentagon around the center.
+		{Vertices: []geo.Point{
+			{X: 0.3, Y: 0.2}, {X: 0.7, Y: 0.25}, {X: 0.8, Y: 0.6}, {X: 0.5, Y: 0.85}, {X: 0.2, Y: 0.55},
+		}},
+		{Vertices: sliver},
+	} {
+		want := 0
+		for _, it := range items {
+			if pg.Contains(it.Location) {
+				want++
+			}
 		}
-	}
-	got := 0
-	if err := tr.SearchPolygon(pg, func(Entry) bool { got++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("got %d, want %d", got, want)
+		got := 0
+		if err := tr.SearchPolygon(pg, func(Entry) bool { got++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if got != want || want == 0 {
+			t.Fatalf("polygon %v: got %d, want %d (nonzero)", pg.Vertices, got, want)
+		}
 	}
 	// Empty polygon visits nothing.
 	if err := tr.SearchPolygon(geo.Polygon{}, func(Entry) bool {
