@@ -73,8 +73,10 @@ bench-check:
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine' -benchtime 1x .
 
-# Before/after benchmark comparison for perf work: Figure 7 (range, warm
-# and cold pools) and the warm-store NN query. Run once on the base
+# Before/after benchmark comparison for perf work: Figure 7's range sweep,
+# its 10 K point behind 32-page pools (the miss path), Figure 10's 10 K
+# influence point — the candidate heap runs under all three — and the
+# warm-store NN query. Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -82,7 +84,7 @@ bench-smoke:
 BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
-	$(GO) test -run NONE -bench 'BenchmarkFig7|BenchmarkAblationVoronoiCache/one-engine' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \

@@ -750,7 +750,7 @@ func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 					sets := make([][]featureRef, c)
 					for i, set := range tc.sets {
 						st := cs.streams[i]
-						st.heap.reset()
+						st.heap = st.heap[:0]
 						for j, s := range set.scores {
 							ref := featureRef{id: int64(j), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, score: s}
 							sets[i] = append(sets[i], ref)

@@ -255,8 +255,8 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 // side slice owned by the heap's user, at index slot: the heaps move
 // candidates on every push and pop, so a candidate is kept to five words.
 type candidate struct {
-	// prio orders the heap: the score bound ŝ(e) in a boundHeap (largest
-	// first), MINDIST in a distHeap (smallest first).
+	// prio orders the heap, largest first: the score bound ŝ(e), or
+	// −MINDIST in groupAscendDistance's heap.
 	prio float64
 	loc  geo.Point // leaf: item location
 	// ref is the item id of a leaf, the child page of an internal entry.
@@ -313,7 +313,7 @@ func (c *candidate) leafEntry(rests []leafRest) rtree.Entry {
 	}
 }
 
-// boundHeap is a max-heap of candidates over score bounds.
+// boundHeap is a max-heap of candidates on prio (heapops.go).
 type boundHeap []candidate
 
 func (h boundHeap) Len() int { return len(h) }

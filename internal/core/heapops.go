@@ -1,18 +1,18 @@
 package core
 
-// Typed binary-heap primitives for the hot-path priority queues. The
+// Typed binary-heap primitives for the priority queues. The
 // container/heap interface boxes every pushed and popped element into an
 // interface value, which costs one heap allocation per operation for the
-// multi-word items used here (candidate, vecEntry, Result); on
-// a deep best-first descent those allocations dominate the profile. The
-// generic siftUp/siftDown below operate on the concrete slices directly,
-// so push/pop are allocation-free.
+// multi-word items used here (candidate, vecEntry, Result); on a deep
+// best-first descent those allocations dominate the profile. boundHeap,
+// the hot one, is written out: under GC-shape stenciling the helpers'
+// func-value comparator is not inlined, an indirect call per sift step.
 //
 // before(a, b) reports whether a has strictly higher priority than b
 // (must be popped first); it must be passed a non-capturing function so
 // the call itself does not allocate. It takes pointers into the heap's own
-// array: a candidate is 40 bytes, and a comparison by value would copy two
-// of them.
+// array: the items are several words each, and a comparison by value would
+// copy two of them.
 
 func heapPush[T any](h *[]T, it T, before func(a, b *T) bool) {
 	s := append(*h, it)
@@ -84,28 +84,72 @@ func heapFixTop[T any](h *[]T, before func(a, b *T) bool) {
 	}
 }
 
-// boundHeap: max-heap on the score bound ŝ(e).
-func boundBefore(a, b *candidate) bool { return a.prio > b.prio }
+// push sifts it up through a moving hole, comparing as heapPush does.
+func (h *boundHeap) push(it candidate) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(it.prio > s[p].prio) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = it
+	*h = s
+}
 
-func (h *boundHeap) push(it candidate) { heapPush((*[]candidate)(h), it, boundBefore) }
-func (h *boundHeap) pop() candidate    { return heapPop((*[]candidate)(h), boundBefore) }
-func (h *boundHeap) reset()            { *h = resetHeap(*h) }
+// pop removes the root bottom-up (Floyd): the hole sinks along the larger
+// child, chosen without a branch (UCOMISD, SETHI under -gcflags=-S); the
+// last item climbs back while its parent is not strictly greater. heapPop
+// stops above the first child not strictly greater, so climbing over ties
+// leaves its arrangement. The vacated slot keeps no pointer to zero.
+func (h *boundHeap) pop() candidate {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	i := 0
+	for r := 2; r < n; r = 2*i + 2 {
+		m := r - 1 + b2i(s[r].prio > s[r-1].prio)
+		s[i] = s[m]
+		i = m
+	}
+	if l := 2*i + 1; l < n { // a lone last child
+		s[i] = s[l]
+		i = l
+	}
+	last := s[n]
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].prio > last.prio {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = last
+	*h = s[:n]
+	return top
+}
 
-// distHeap: min-heap on MINDIST.
-func distBefore(a, b *candidate) bool { return a.prio < b.prio }
-
-func (h *distHeap) push(it candidate) { heapPush((*[]candidate)(h), it, distBefore) }
-func (h *distHeap) pop() candidate    { return heapPop((*[]candidate)(h), distBefore) }
-func (h *distHeap) reset()            { *h = resetHeap(*h) }
+// b2i is 1 for true and 0 for false; the compiler lowers it to a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // voronoiCell's node heap: min-heap on squared MINDIST.
 func nodeBefore(a, b *nodeRef) bool { return a.dist2 < b.dist2 }
 
-// resetHeap empties a pooled heap or side slice, keeping its backing array
-// but zeroing the items a descent left in it. heapPop zeroes every slot it
-// vacates, and a side slice only grows by append between resets, so
-// afterwards the whole array is zero: an idle scratch keeps no keyword
-// arena of an evicted node, and no other query garbage, alive.
+// resetHeap empties a generic heap or a side slice, keeping its backing
+// array but zeroing the items a descent left in it. heapPop zeroes every
+// slot it vacates, and a side slice only grows by append between resets,
+// so afterwards the whole array is zero: an idle scratch keeps no keyword
+// arena of an evicted node, and no other query garbage, alive. A boundHeap
+// is only truncated: a candidate holds no pointer.
 func resetHeap[T any](h []T) []T {
 	clear(h)
 	return h[:0]

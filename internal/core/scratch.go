@@ -46,9 +46,9 @@ type queryScratch struct {
 
 	stds  featureStream
 	bound boundHeap
-	dist  distHeap
-	// distRests is dist's side slice: the score and keyword set of each leaf
-	// queued in it.
+	// dist is groupAscendDistance's heap (on −MINDIST), and distRests its
+	// side slice: the score and keyword set of each leaf queued in it.
+	dist      boundHeap
 	distRests []leafRest
 	topk      topkAccumulator
 	inf       influenceTopK
@@ -157,7 +157,7 @@ func (sc *queryScratch) release() {
 // Falls back to a fresh heap on engines without scratch state.
 func (e *Engine) scratchBoundHeap() *boundHeap {
 	if sc := e.scratch; sc != nil {
-		sc.bound.reset()
+		sc.bound = sc.bound[:0]
 		return &sc.bound
 	}
 	return &boundHeap{}
@@ -165,13 +165,13 @@ func (e *Engine) scratchBoundHeap() *boundHeap {
 
 // scratchDistHeap returns the reusable distance-ascent heap and its side
 // slice, both empty.
-func (e *Engine) scratchDistHeap() (*distHeap, *[]leafRest) {
+func (e *Engine) scratchDistHeap() (*boundHeap, *[]leafRest) {
 	if sc := e.scratch; sc != nil {
-		sc.dist.reset()
+		sc.dist = sc.dist[:0]
 		sc.distRests = resetHeap(sc.distRests)
 		return &sc.dist, &sc.distRests
 	}
-	return &distHeap{}, &[]leafRest{}
+	return &boundHeap{}, &[]leafRest{}
 }
 
 // newTopk returns the query's top-k accumulator, reusing the scratch

@@ -234,7 +234,8 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 
 // groupAscendDistance streams a feature group's leaf entries in increasing
 // distance from center, merging the group's part trees through one shared
-// min-distance heap (the multi-tree analogue of rtree.AscendDistance). fn
+// boundHeap on −MINDIST, the multi-tree analogue of rtree.AscendDistance
+// (negation is exact, and −a > −b exactly when a < b, zeros included). fn
 // sees each leaf as an entry rebuilt from its queued candidate and side
 // slot, valid for the duration of the call. For
 // the NN variant on a sharded engine this is the cross-border rule: a part's
@@ -250,13 +251,13 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		if err != nil {
 			return err
 		}
-		h.push(candidateOf(&root, pi, root.Rect.MinDist(center), rests))
+		h.push(candidateOf(&root, pi, -root.Rect.MinDist(center), rests))
 	}
 	for h.Len() > 0 {
 		it := h.pop()
 		if it.isLeaf() {
 			leaf := it.leafEntry(*rests)
-			if !fn(int(it.part), &leaf, it.prio) {
+			if !fn(int(it.part), &leaf, -it.prio) {
 				return nil
 			}
 			continue
@@ -267,16 +268,11 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			h.push(candidateOf(c, int(it.part), c.Rect.MinDist(center), rests))
+			h.push(candidateOf(c, int(it.part), -c.Rect.MinDist(center), rests))
 		}
 	}
 	return nil
 }
-
-// distHeap is a min-heap of candidates by distance.
-type distHeap []candidate
-
-func (h distHeap) Len() int { return len(h) }
 
 // pointArg aliases geo.Point to keep the compute-score signatures compact.
 type pointArg = geo.Point
