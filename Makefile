@@ -69,14 +69,16 @@ bench-check:
 # Figure 13 builds every cell it needs, so cell building dominates it; the
 # warm-store NN query (BenchmarkAblationVoronoiCache/one-engine: one engine
 # whose cell store an untimed pass filled) runs the cells rule's reach grid
-# and the polygon search on their own.
+# and the polygon search on their own. BenchmarkBuild runs DB.Build once per
+# index kind: the interning pass and the concurrent bulk loads.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine' -benchtime 1x .
+	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 1x .
 
 # Before/after benchmark comparison for perf work: Figure 7's range sweep,
 # its 10 K point behind 32-page pools (the miss path), Figure 10's 10 K
-# influence point — the candidate heap runs under all three — and the
-# warm-store NN query. Run once on the base
+# influence point — the candidate heap runs under all three — the
+# warm-store NN query, and DB.Build of Figure 7's default data point (the
+# set-up every workload pays before its first query). Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -84,7 +86,7 @@ bench-smoke:
 BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
-	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \
@@ -100,12 +102,14 @@ bench-compare:
 # recycles an evicted frame must stay allocation-free, a cold range query
 # must not allocate per miss, steady-state top-k queries must stay under their
 # documented budgets (internal/core), the unsampled event-log record
-# path must stay within one allocation per query (internal/obs), and the
+# path must stay within one allocation per query (internal/obs), the
 # query pipeline above the engine — DB.TopK (root) and a Service.Do cache
 # hit (internal/serve) — must not allocate more than it did before it was
-# one pipeline.
+# one pipeline, and DB.Build (root, TestAllocsBuild) must stay within its
+# bytes per indexed item, whose 2-D and 4-D Hilbert keys allocate nothing
+# (internal/hilbert).
 alloc-regression:
-	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/storage/ ./internal/core/ ./internal/obs/ . ./internal/serve/
+	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/hilbert/ ./internal/storage/ ./internal/core/ ./internal/obs/ . ./internal/serve/
 
 # Every fuzz target of the root module run past its seed corpus, for
 # FUZZTIME each. `go test -fuzz` takes one package and one target per run,

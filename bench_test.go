@@ -244,6 +244,24 @@ func BenchmarkFig7Cold(b *testing.B) {
 	})
 }
 
+// BenchmarkBuild is DB.Build of Figure 7's default data point: the
+// interning pass, then the object tree and both feature trees bulk-loaded
+// at once. Adding the data to a fresh DB is not timed.
+func BenchmarkBuild(b *testing.B) {
+	objs, sets := fig7World()
+	forKinds(b, func(b *testing.B, kind index.Kind) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := stageWorld(Config{IndexKind: IndexKind(kind)}, objs, sets)
+			b.StartTimer()
+			if err := db.Build(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkFig8 sweeps the query parameters of Figure 8 on the real
 // surrogate (range score).
 func BenchmarkFig8(b *testing.B) {

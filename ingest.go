@@ -371,14 +371,17 @@ func (db *DB) validateMutationsLocked(muts []Mutation) error {
 			if m.Object == nil {
 				return fmt.Errorf("%w: mutation %d: upsert_object without object", ErrInvalidMutation, i)
 			}
+			if err := checkItem(m.Object.X, m.Object.Y, 0); err != nil {
+				return fmt.Errorf("%w: mutation %d: object %d: %v", ErrInvalidMutation, i, m.Object.ID, err)
+			}
 		case OpDeleteObject:
 			// ID-only; nothing to check.
 		case OpUpsertFeature:
 			if m.Feature == nil {
 				return fmt.Errorf("%w: mutation %d: upsert_feature without feature", ErrInvalidMutation, i)
 			}
-			if m.Feature.Score < 0 || m.Feature.Score > 1 {
-				return fmt.Errorf("%w: mutation %d: feature score %v outside [0,1]", ErrInvalidMutation, i, m.Feature.Score)
+			if err := checkItem(m.Feature.X, m.Feature.Y, m.Feature.Score); err != nil {
+				return fmt.Errorf("%w: mutation %d: feature %d: %v", ErrInvalidMutation, i, m.Feature.ID, err)
 			}
 			if db.setPosLocked(m.Set) < 0 {
 				return fmt.Errorf("%w: mutation %d: unknown feature set %q", ErrInvalidMutation, i, m.Set)

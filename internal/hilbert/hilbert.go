@@ -22,14 +22,17 @@ package hilbert
 // [0, 2^bits)). n*bits must be at most 64. The mapping is a bijection
 // between coordinate space and [0, 2^(n*bits)).
 func Encode(coords []uint32, bits uint) uint64 {
-	n := len(coords)
-	x := make([]uint32, n)
-	copy(x, coords)
+	return encodeInPlace(append([]uint32(nil), coords...), bits)
+}
+
+// encodeInPlace is Encode over coordinates it may overwrite. It keeps no
+// reference to x, so Encode2D's and Encode4D's slices stay on the stack.
+func encodeInPlace(x []uint32, bits uint) uint64 {
 	axesToTranspose(x, bits)
 	// Interleave: bit (bits-1) of x[0] is the most significant index bit.
 	var h uint64
 	for b := int(bits) - 1; b >= 0; b-- {
-		for i := 0; i < n; i++ {
+		for i := range x {
 			h = (h << 1) | uint64((x[i]>>uint(b))&1)
 		}
 	}
@@ -55,23 +58,22 @@ func Decode(h uint64, coords []uint32, bits uint) {
 }
 
 // axesToTranspose converts coordinates into the "transposed" Hilbert index
-// in place (Skilling, "Programming the Hilbert curve", AIP 2004).
+// in place (Skilling, "Programming the Hilbert curve", AIP 2004), without
+// his branch per bit: bit k of x[i] becomes the mask m, which selects between
+// flipping the low bits of x[0] (t = 0) and exchanging them with x[i]'s.
 func axesToTranspose(x []uint32, bits uint) {
 	n := len(x)
 	if n == 0 || bits == 0 {
 		return
 	}
 	// Inverse undo.
-	for q := uint32(1) << (bits - 1); q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
+	for k := bits - 1; k > 0; k-- {
+		p := uint32(1)<<k - 1
+		for i := range x {
+			m := -(x[i] >> k & 1)
+			t := (x[0] ^ x[i]) & p &^ m
+			x[0] ^= p&m | t
+			x[i] ^= t
 		}
 	}
 	// Gray encode.
@@ -79,10 +81,8 @@ func axesToTranspose(x []uint32, bits uint) {
 		x[i] ^= x[i-1]
 	}
 	var t uint32
-	for q := uint32(1) << (bits - 1); q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
+	for k := bits - 1; k > 0; k-- {
+		t ^= (uint32(1)<<k - 1) & -(x[n-1] >> k & 1)
 	}
 	for i := 0; i < n; i++ {
 		x[i] ^= t
@@ -119,11 +119,11 @@ func transposeToAxes(x []uint32, bits uint) {
 // Encode2D returns the Hilbert index of (x, y) on the 2-D curve of order
 // `bits`; it is the sort key of the classic Hilbert-packed R-tree.
 func Encode2D(x, y uint32, bits uint) uint64 {
-	return Encode([]uint32{x, y}, bits)
+	return encodeInPlace([]uint32{x, y}, bits)
 }
 
 // Encode4D returns the Hilbert index of a point of the mapped 4-D space
 // {x, y, score, keywordHilbert} used by the SRT-index bulk loader.
 func Encode4D(x, y, s, kw uint32, bits uint) uint64 {
-	return Encode([]uint32{x, y, s, kw}, bits)
+	return encodeInPlace([]uint32{x, y, s, kw}, bits)
 }

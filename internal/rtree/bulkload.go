@@ -1,9 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrNotEmpty is returned when bulk loading into a non-empty tree.
@@ -26,35 +27,36 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	if len(items) == 0 {
 		return nil
 	}
-	// Sort by key via an index permutation so each key is computed once.
-	keys := make([]uint64, len(items))
+	// Sort (key, position) pairs so each key is computed once; ties break
+	// on position, which is the order a stable sort by key gives.
+	type keyed struct {
+		key uint64
+		pos int
+	}
+	order := make([]keyed, len(items))
 	for i, it := range items {
-		keys[i] = key(it)
+		order[i] = keyed{key(it), i}
 	}
-	idx := make([]int, len(items))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sorted := make([]Item, len(items))
-	for i, j := range idx {
-		sorted[i] = items[j]
-	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 
 	leafFill := fill(t.leafCap, t.cfg.FillFactor)
 	innerFill := fill(t.innerCap, t.cfg.FillFactor)
 
-	// Level 0: pack leaf nodes.
-	level := make([]Entry, 0, (len(sorted)+leafFill-1)/leafFill)
+	// Level 0: pack leaf nodes straight from items through one entry
+	// buffer; writeNode copies what it keeps into the page image.
+	level := make([]Entry, 0, (len(order)+leafFill-1)/leafFill)
 	var lastPage = t.root
-	for start := 0; start < len(sorted); start += leafFill {
-		end := start + leafFill
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		n := &Node{Leaf: true}
-		for _, it := range sorted[start:end] {
-			n.Entries = append(n.Entries, t.entryOf(it))
+	n := &Node{Leaf: true, Entries: make([]Entry, 0, leafFill)}
+	for start := 0; start < len(order); start += leafFill {
+		end := min(start+leafFill, len(order))
+		n.Entries = n.Entries[:0]
+		for _, o := range order[start:end] {
+			n.Entries = append(n.Entries, t.entryOf(items[o.pos]))
 		}
 		pid, err := t.writeNode(n)
 		if err != nil {
@@ -90,7 +92,7 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 		t.root = lastPage
 	}
 	t.height = height
-	t.size = len(sorted)
+	t.size = len(items)
 	return nil
 }
 

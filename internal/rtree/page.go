@@ -14,7 +14,9 @@ import (
 // 1 reserved byte.
 const nodeHeaderSize = 4
 
-// encodeNode serializes a node into a page-sized buffer.
+// encodeNode serializes a node into the tree's page buffer and returns the
+// bytes used, valid until the next encodeNode: a Disk copies what WritePage
+// is given, so a bulk load writes every page through one buffer.
 func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 	capacity := t.innerCap
 	if n.Leaf {
@@ -23,7 +25,11 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 	if len(n.Entries) > capacity {
 		return nil, fmt.Errorf("rtree: node overflow: %d entries, capacity %d", len(n.Entries), capacity)
 	}
-	buf := make([]byte, t.cfg.PageSize)
+	if t.encBuf == nil {
+		t.encBuf = make([]byte, t.cfg.PageSize)
+	}
+	buf := t.encBuf
+	clear(buf)
 	if n.Leaf {
 		buf[0] = 1
 	}

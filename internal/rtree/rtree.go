@@ -116,6 +116,8 @@ type Tree struct {
 	// exclude hides the listed item ids from every read path (see
 	// WithExclude); nil on the canonical tree.
 	exclude map[int64]struct{}
+	// encBuf is encodeNode's page buffer, allocated at the first write.
+	encBuf []byte
 }
 
 // ErrEmptyTree is returned by operations that need at least one item.

@@ -40,7 +40,8 @@ type Disk interface {
 	// ReadPage copies the page contents into buf, which must be at least
 	// PageSize bytes long; a shorter buf is an error naming both lengths.
 	ReadPage(id PageID, buf []byte) error
-	// WritePage stores buf (at most PageSize bytes) as the page contents.
+	// WritePage stores a copy of buf (at most PageSize bytes) as the page
+	// contents; the caller may reuse buf.
 	WritePage(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int

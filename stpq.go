@@ -443,9 +443,18 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 	if len(db.setNames) == 0 {
 		return errors.New("stpq: no feature sets added")
 	}
-	// Pass 1: intern every keyword so the vocabulary width is final.
+	// Pass 1, serial: validate, and intern every keyword — interning assigns
+	// the ids, so the vocabulary must be final before any tree is built.
+	for _, o := range db.objects {
+		if err := checkItem(o.X, o.Y, 0); err != nil {
+			return fmt.Errorf("stpq: object %d: %w", o.ID, err)
+		}
+	}
 	for _, name := range db.setNames {
 		for _, f := range db.sets[name] {
+			if err := checkItem(f.X, f.Y, f.Score); err != nil {
+				return fmt.Errorf("stpq: feature %d of %q: %w", f.ID, name, err)
+			}
 			for _, w := range f.Keywords {
 				db.vocab.Intern(w)
 			}
@@ -462,35 +471,57 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 		BufferPages:   db.cfg.BufferPages,
 		SignatureBits: db.cfg.SignatureBits,
 	}
-	objs = slices.Grow(objs, len(db.objects))
-	for _, o := range db.objects {
-		objs = append(objs, index.Object{ID: o.ID, Location: geo.Point{X: o.X, Y: o.Y}})
-	}
 	for len(featSets) < len(db.setNames) {
 		featSets = append(featSets, nil)
 	}
-	for i, name := range db.setNames {
-		raw := db.sets[name]
-		feats := slices.Grow(featSets[i], len(raw))
-		for _, f := range raw {
-			if f.Score < 0 || f.Score > 1 {
-				return fmt.Errorf("stpq: feature %d of %q has score %v outside [0,1]", f.ID, name, f.Score)
-			}
-			feats = append(feats, index.Feature{
-				ID:       f.ID,
-				Location: geo.Point{X: f.X, Y: f.Y},
-				Score:    f.Score,
-				Keywords: db.vocab.SetOf(f.Keywords...),
-			})
+	// One goroutine per tree converts its share of the staged data (LookupSet
+	// only reads the vocabulary) and bulk-loads it into a disk and pool of its
+	// own, so page ids and images do not depend on scheduling. A sharded DB
+	// converts the same way, then partitions serially.
+	sharded := db.cfg.ShardCount > 1
+	var (
+		oidx  *index.ObjectIndex
+		fidxs = make([]*index.FeatureIndex, len(db.setNames))
+		errs  = make([]error, 1+len(db.setNames))
+		wg    sync.WaitGroup
+	)
+	wg.Add(len(errs))
+	go func() {
+		defer wg.Done()
+		objs = slices.Grow(objs, len(db.objects))
+		for _, o := range db.objects {
+			objs = append(objs, index.Object{ID: o.ID, Location: geo.Point{X: o.X, Y: o.Y}})
 		}
-		featSets[i] = feats
+		if !sharded {
+			oidx, errs[0] = index.BuildObjectIndex(objs, opts)
+		}
+	}()
+	for i, name := range db.setNames {
+		go func() {
+			defer wg.Done()
+			raw := db.sets[name]
+			feats := slices.Grow(featSets[i], len(raw))
+			for _, f := range raw {
+				feats = append(feats, index.Feature{
+					ID:       f.ID,
+					Location: geo.Point{X: f.X, Y: f.Y},
+					Score:    f.Score,
+					Keywords: db.vocab.LookupSet(f.Keywords...),
+				})
+			}
+			featSets[i] = feats
+			if !sharded {
+				fidxs[i], errs[1+i] = index.BuildFeatureIndex(feats, opts)
+			}
+		}()
 	}
+	wg.Wait()
 	var (
 		eng *core.Engine
 		sh  *shard.Engine
 		err error
 	)
-	if db.cfg.ShardCount > 1 {
+	if sharded {
 		sh, err = shard.New(objs, featSets, shard.Options{
 			Shards:   db.cfg.ShardCount,
 			Strategy: shard.Strategy(db.cfg.ShardStrategy),
@@ -502,15 +533,13 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 		}
 		eng = sh.Core()
 	} else {
-		oidx, err := index.BuildObjectIndex(objs, opts)
-		if err != nil {
-			return fmt.Errorf("stpq: building object index: %w", err)
+		// Reported in the order a serial build meets them.
+		if errs[0] != nil {
+			return fmt.Errorf("stpq: building object index: %w", errs[0])
 		}
-		fidxs := make([]*index.FeatureIndex, len(db.setNames))
 		for i, name := range db.setNames {
-			fidxs[i], err = index.BuildFeatureIndex(featSets[i], opts)
-			if err != nil {
-				return fmt.Errorf("stpq: building feature index %q: %w", name, err)
+			if errs[1+i] != nil {
+				return fmt.Errorf("stpq: building feature index %q: %w", name, errs[1+i])
 			}
 		}
 		if eng, err = core.NewEngine(oidx, fidxs, db.cfg.coreOptions()); err != nil {

@@ -3,11 +3,13 @@ package stpq
 // validate.go centralizes query validation: one function, shared by the
 // library entry points (DB.TopK, DB.Score) and the HTTP query handler of
 // internal/serve, returning errors that wrap ErrInvalidQuery so callers
-// can map every rejection to a 400 with errors.Is.
+// can map every rejection to a 400 with errors.Is. checkItem is its
+// counterpart for the data Build and Apply index.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrInvalidQuery is the sentinel wrapped by every query-validation error.
@@ -91,4 +93,17 @@ func variantName(v Variant) string {
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
+}
+
+// checkItem rejects an object or feature Build or Apply would index wrongly:
+// a NaN or infinite coordinate, or a score outside [0,1] or NaN (written so
+// that NaN, false under every comparison, fails). Objects pass score 0.
+func checkItem(x, y, score float64) error {
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+		return fmt.Errorf("location (%v, %v) is not finite", x, y)
+	}
+	if !(score >= 0 && score <= 1) {
+		return fmt.Errorf("score %v outside [0,1]", score)
+	}
+	return nil
 }
