@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -361,6 +362,42 @@ func TestNodeRejectsRetiredFrame(t *testing.T) {
 	rpc, ok := decodeError(payload).(*RPCError)
 	if !ok || rpc.Code != errInvalid || !strings.Contains(rpc.Msg, "unknown message type 0x02") {
 		t.Fatalf("reply %v, want an invalid-request error naming the unknown type", decodeError(payload))
+	}
+}
+
+// TestNodeRejectsNaNQuery: the wire codec carries raw float64 bits, so a
+// frame can spell a NaN λ or radius, which JSON cannot. The node must refuse
+// it as invalid rather than run it: a NaN λ never lets a query stop, and the
+// node runs queries without a deadline.
+func TestNodeRejectsNaNQuery(t *testing.T) {
+	objs, food, cafes, _ := testData(7)
+	_, addr := startNode(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), 0)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	sets := []WireKeywords{{Name: "cafes", Words: []string{"tea"}}, {Name: "food", Words: []string{"pizza"}}}
+	for _, wq := range []WireQuery{
+		{K: 5, Radius: 0.1, Lambda: math.NaN(), Sets: sets},
+		{K: 5, Radius: math.NaN(), Lambda: 0.5, Sets: sets},
+	} {
+		if err := writeFrame(conn, msgQuery, encodeQuery(wq)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("λ %v radius %v: %v", wq.Lambda, wq.Radius, err)
+		}
+		if typ != msgError {
+			t.Fatalf("λ %v radius %v: reply type 0x%02x, want the error frame", wq.Lambda, wq.Radius, typ)
+		}
+		if rpc, ok := decodeError(payload).(*RPCError); !ok || rpc.Code != errInvalid {
+			t.Fatalf("λ %v radius %v: reply %v, want an invalid-request error", wq.Lambda, wq.Radius, decodeError(payload))
+		}
 	}
 }
 

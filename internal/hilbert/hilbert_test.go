@@ -227,6 +227,35 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAutomatonTables: the derived automata have the documented number of
+// states, every state's row maps the 2ⁿ columns onto the 2ⁿ digits one to
+// one (each level of the curve is a bijection), and every entry names a
+// state of the table.
+func TestAutomatonTables(t *testing.T) {
+	for _, tc := range []struct {
+		n, states int
+		table     []uint16
+	}{{2, 8, automaton2}, {4, 384, automaton4}} {
+		digits := 1 << tc.n
+		if len(tc.table) != tc.states*digits {
+			t.Fatalf("n = %d: %d entries, want %d states × %d", tc.n, len(tc.table), tc.states, digits)
+		}
+		for s := 0; s < tc.states; s++ {
+			seen := make([]bool, digits)
+			for _, e := range tc.table[s*digits : (s+1)*digits] {
+				out, next := int(e)&(digits-1), int(e)>>tc.n
+				if seen[out] {
+					t.Fatalf("n = %d: state %d outputs digit %d twice", tc.n, s, out)
+				}
+				seen[out] = true
+				if next >= tc.states {
+					t.Fatalf("n = %d: state %d steps to state %d of %d", tc.n, s, next, tc.states)
+				}
+			}
+		}
+	}
+}
+
 // TestAllocsEncode: a 2-D or 4-D key allocates nothing.
 func TestAllocsEncode(t *testing.T) {
 	var sink uint64
@@ -237,4 +266,37 @@ func TestAllocsEncode(t *testing.T) {
 		t.Errorf("Encode2D + Encode4D allocate %v times per call", allocs)
 	}
 	_ = sink
+}
+
+// benchPoints are random order-16 coordinates, four per point.
+func benchPoints() []uint32 {
+	rng := rand.New(rand.NewSource(1))
+	p := make([]uint32, 4096)
+	for i := range p {
+		p[i] = rng.Uint32() & 0xffff
+	}
+	return p
+}
+
+// keySink keeps the benchmarked keys live.
+var keySink uint64
+
+// BenchmarkEncode2D: the object tree's and the IR²-tree's bulk-load key.
+func BenchmarkEncode2D(b *testing.B) {
+	p := benchPoints()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i * 4 & (len(p) - 1)
+		keySink += Encode2D(p[j], p[j+1], 16)
+	}
+}
+
+// BenchmarkEncode4D: the SRT-index's bulk-load key.
+func BenchmarkEncode4D(b *testing.B) {
+	p := benchPoints()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i * 4 & (len(p) - 1)
+		keySink += Encode4D(p[j], p[j+1], p[j+2], p[j+3], 16)
+	}
 }

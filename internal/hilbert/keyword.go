@@ -61,24 +61,6 @@ func (v Value) Cmp(u Value) int {
 	return 0
 }
 
-// Scaled returns the top `outBits` bits of the value as a uint32 (outBits ≤
-// 32). It is the coordinate the SRT bulk loader feeds into the 4-D spatial
-// Hilbert sort: nearby Hilbert values, which denote similar keyword sets,
-// map to nearby grid cells.
-func (v Value) Scaled(outBits uint) uint32 {
-	if outBits == 0 || outBits > 32 {
-		panic("hilbert: Scaled outBits must be in [1,32]")
-	}
-	var out uint32
-	for k := 0; k < int(outBits); k++ {
-		out <<= 1
-		if v.Bit(v.w - 1 - k) {
-			out |= 1
-		}
-	}
-	return out
-}
-
 // String renders the value in hexadecimal for debugging.
 func (v Value) String() string {
 	s := ""
@@ -111,6 +93,37 @@ func EncodeKeywords(set kwset.Set, width int) Value {
 		}
 	})
 	return grayToBinary(g)
+}
+
+// KeywordCoord returns the top `bits` bits (1 to 32) of EncodeKeywords(set,
+// width), low bits 0 if width < bits: the SRT bulk loader's keyword
+// coordinate, so similar keyword sets map to nearby grid cells. Bit j of the
+// rank is has(0) XOR the parity of the ids in [j+1, width), so one window of
+// the bitmap holds the answer and no Value is built.
+func KeywordCoord(set kwset.Set, width int, bits uint) uint32 {
+	if bits == 0 || bits > 32 {
+		panic("hilbert: KeywordCoord bits must be in [1,32]")
+	}
+	base := max(width-int(bits), 0)
+	span := uint(width - base)
+	words, i, off := set.WordsBits(), base/64, uint(base%64)
+	var x uint64 // bit p: id base+p
+	if i < len(words) {
+		x = words[i] >> off
+	}
+	if i+1 < len(words) {
+		x |= words[i+1] << (64 - off)
+	}
+	// Suffix parity: bit p of s is the parity of x's bits p..span−1.
+	s := x & (1<<span - 1)
+	for sh := uint(1); sh < 32; sh <<= 1 {
+		s ^= s >> sh
+	}
+	r := s >> 1 // bit p: the parity of ids in [base+p+1, width)
+	if set.Has(0) {
+		r = ^r
+	}
+	return uint32((r & (1<<span - 1)) << (bits - span))
 }
 
 // DecodeKeywords is the inverse of EncodeKeywords: it recovers the keyword

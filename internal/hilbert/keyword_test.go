@@ -190,30 +190,83 @@ func TestValueCmp(t *testing.T) {
 	}
 }
 
-// Scaled must preserve order: if u < v then Scaled(u) ≤ Scaled(v).
+// The scaled keyword coordinate must preserve order: if H(a) < H(b) then
+// KeywordCoord(a) ≤ KeywordCoord(b).
 func TestScaledMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const w = 128
-		a := EncodeKeywords(randSet(rng, w), w)
-		b := EncodeKeywords(randSet(rng, w), w)
-		if a.Cmp(b) > 0 {
+		a, b := randSet(rng, w), randSet(rng, w)
+		if EncodeKeywords(a, w).Cmp(EncodeKeywords(b, w)) > 0 {
 			a, b = b, a
 		}
-		return a.Scaled(16) <= b.Scaled(16)
+		return KeywordCoord(a, w, 16) <= KeywordCoord(b, w, 16)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
+// scaled is the keyword coordinate as the SRT key once computed it: the top
+// outBits bits of the Value, read bit by bit (missing bits read 0). It is
+// the reference KeywordCoord is held to.
+func scaled(v Value, outBits uint) uint32 {
+	var out uint32
+	for k := 0; k < int(outBits); k++ {
+		out <<= 1
+		if v.Bit(v.w - 1 - k) {
+			out |= 1
+		}
+	}
+	return out
+}
+
+// TestKeywordCoordMatchesScaled: the SRT key's keyword coordinate, read
+// straight from the set, is the top bits of EncodeKeywords(set, w) at every
+// width from 1 to 300 — below bits, across word boundaries, not multiples
+// of 64 — for empty, full, sparse and dense sets, and for sets wider than w
+// (ids ≥ w are ignored).
+func TestKeywordCoordMatchesScaled(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for w := 1; w <= 300; w++ {
+		sets := []kwset.Set{{}, kwset.NewSet(w)}
+		full := kwset.NewSet(w)
+		for id := 0; id < w; id++ {
+			full.Add(id)
+		}
+		sets = append(sets, full)
+		for trial := 0; trial < 20; trial++ {
+			width := w
+			if trial%5 == 4 {
+				width = w + 1 + rng.Intn(70)
+			}
+			s := kwset.NewSet(width)
+			density := rng.Float64()
+			for id := 0; id < width; id++ {
+				if rng.Float64() < density {
+					s.Add(id)
+				}
+			}
+			sets = append(sets, s)
+		}
+		for _, s := range sets {
+			for _, bits := range []uint{1, 8, 16, 32} {
+				want := scaled(EncodeKeywords(s, w), bits)
+				if got := KeywordCoord(s, w, bits); got != want {
+					t.Fatalf("w = %d, bits = %d, set %v: KeywordCoord %#x, Scaled %#x", w, bits, s, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScaledPanicsOnBadBits(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for outBits=0")
+			t.Error("expected panic for bits=0")
 		}
 	}()
-	NewValue(8).Scaled(0)
+	KeywordCoord(kwset.NewSet(8), 8, 0)
 }
 
 func TestValueBitOutOfRange(t *testing.T) {

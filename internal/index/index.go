@@ -185,12 +185,11 @@ func (x *FeatureIndex) sortKey() rtree.SortKey {
 			w = x.sigBits
 		}
 		return func(it rtree.Item) uint64 {
-			h := hilbert.EncodeKeywords(it.Keywords, w)
 			return hilbert.Encode4D(
 				geo.Quantize(it.Location.X, bits),
 				geo.Quantize(it.Location.Y, bits),
 				geo.Quantize(it.Score, bits),
-				h.Scaled(bits),
+				hilbert.KeywordCoord(it.Keywords, w, bits),
 				bits,
 			)
 		}

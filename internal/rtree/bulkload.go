@@ -1,10 +1,8 @@
 package rtree
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrNotEmpty is returned when bulk loading into a non-empty tree.
@@ -27,22 +25,14 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	if len(items) == 0 {
 		return nil
 	}
-	// Sort (key, position) pairs so each key is computed once; ties break
-	// on position, which is the order a stable sort by key gives.
-	type keyed struct {
-		key uint64
-		pos int
-	}
+	// Sort (key, position) pairs so each key is computed once. The radix
+	// sort is stable and the pairs start in position order, so ties keep
+	// it: the order a stable sort of the items by key gives.
 	order := make([]keyed, len(items))
 	for i, it := range items {
 		order[i] = keyed{key(it), i}
 	}
-	slices.SortFunc(order, func(a, b keyed) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	order = radixSort(order, make([]keyed, len(order)))
 
 	leafFill := fill(t.leafCap, t.cfg.FillFactor)
 	innerFill := fill(t.innerCap, t.cfg.FillFactor)
@@ -94,6 +84,41 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	t.height = height
 	t.size = len(items)
 	return nil
+}
+
+// keyed is an item's sort key and its position in the input.
+type keyed struct {
+	key uint64
+	pos int
+}
+
+// radixSort sorts a by key, stably, over 8-bit digits least significant
+// first, with buf (as long as a) as scratch; it returns the one holding the
+// result. A digit every key shares is skipped (an order-16 2-D key: 4 of 8).
+func radixSort(a, buf []keyed) []keyed {
+	var counts [8][256]int
+	for _, e := range a {
+		for d := range counts {
+			counts[d][byte(e.key>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(a[0].key>>(8*d))] == len(a) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, e := range a {
+			b := byte(e.key >> (8 * d))
+			buf[c[b]] = e
+			c[b]++
+		}
+		a, buf = buf, a
+	}
+	return a
 }
 
 // fill converts a capacity and fill factor into a per-node packing count.

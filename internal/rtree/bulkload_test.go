@@ -91,9 +91,8 @@ func (t *Tree) referenceBulkLoad(items []Item, key SortKey) error {
 // the 4-D Hilbert index of {x, y, score, Ĥ(keywords)} at order 16.
 func srtKey(width int) SortKey {
 	return func(it Item) uint64 {
-		h := hilbert.EncodeKeywords(it.Keywords, width)
 		return hilbert.Encode4D(geo.Quantize(it.Location.X, 16), geo.Quantize(it.Location.Y, 16),
-			geo.Quantize(it.Score, 16), h.Scaled(16), 16)
+			geo.Quantize(it.Score, 16), hilbert.KeywordCoord(it.Keywords, width, 16), 16)
 	}
 }
 
@@ -120,7 +119,11 @@ func clumpedItems(rng *rand.Rand, n, w int) []Item {
 // TestBulkLoadPagesMatchReference: BulkLoad writes the very pages the
 // pre-change loader wrote — same page ids, same images, same root, height
 // and size — for the three trees a DB builds (SRT and IR² feature trees, the
-// object tree), on random inputs and on inputs whose keys mostly tie.
+// object tree), on random inputs and on inputs whose keys mostly tie. The
+// last two keys drive the radix sort's skipped passes: every key equal
+// (all eight skipped, the input order is the answer), and keys that differ
+// only in their top byte (seven skipped, long runs of ties). The 2-D keys of
+// order 16 skip four.
 func TestBulkLoadPagesMatchReference(t *testing.T) {
 	const w = 70
 	trees := []struct {
@@ -132,6 +135,8 @@ func TestBulkLoadPagesMatchReference(t *testing.T) {
 		{"ir2", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, hilbert2DKey},
 		{"objects", Config{PageSize: 1024}, hilbert2DKey},
 		{"srt-fill", Config{PageSize: 1024, KeywordWidth: w, WithScore: true, FillFactor: 0.7}, srtKey(w)},
+		{"equal-keys", Config{PageSize: 1024}, func(Item) uint64 { return 0x0123456789abcdef }},
+		{"top-byte", Config{PageSize: 1024}, func(it Item) uint64 { return uint64(it.ID*2654435761%5)<<56 | 0xabcdef }},
 	}
 	for _, tc := range trees {
 		width := tc.cfg.KeywordWidth

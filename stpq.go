@@ -444,19 +444,26 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 		return errors.New("stpq: no feature sets added")
 	}
 	// Pass 1, serial: validate, and intern every keyword — interning assigns
-	// the ids, so the vocabulary must be final before any tree is built.
+	// the ids, so the vocabulary must be final before any tree is built. The
+	// ids are kept, one per keyword (−1 for an empty one), for the goroutines.
 	for _, o := range db.objects {
 		if err := checkItem(o.X, o.Y, 0); err != nil {
 			return fmt.Errorf("stpq: object %d: %w", o.ID, err)
 		}
 	}
-	for _, name := range db.setNames {
+	kwIDs := make([][]int32, len(db.setNames))
+	for i, name := range db.setNames {
+		n := 0
+		for _, f := range db.sets[name] {
+			n += len(f.Keywords)
+		}
+		kwIDs[i] = make([]int32, 0, n)
 		for _, f := range db.sets[name] {
 			if err := checkItem(f.X, f.Y, f.Score); err != nil {
 				return fmt.Errorf("stpq: feature %d of %q: %w", f.ID, name, err)
 			}
 			for _, w := range f.Keywords {
-				db.vocab.Intern(w)
+				kwIDs[i] = append(kwIDs[i], int32(db.vocab.Intern(w)))
 			}
 		}
 	}
@@ -474,10 +481,10 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 	for len(featSets) < len(db.setNames) {
 		featSets = append(featSets, nil)
 	}
-	// One goroutine per tree converts its share of the staged data (LookupSet
-	// only reads the vocabulary) and bulk-loads it into a disk and pool of its
-	// own, so page ids and images do not depend on scheduling. A sharded DB
-	// converts the same way, then partitions serially.
+	// One goroutine per tree converts its share of the staged data (keyword
+	// sets from one arena per set and the kept ids) and bulk-loads it into a
+	// disk and pool of its own, so page ids and images do not depend on
+	// scheduling. A sharded DB converts the same way, then partitions serially.
 	sharded := db.cfg.ShardCount > 1
 	var (
 		oidx  *index.ObjectIndex
@@ -499,14 +506,23 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 	for i, name := range db.setNames {
 		go func() {
 			defer wg.Done()
-			raw := db.sets[name]
+			raw, ids := db.sets[name], kwIDs[i]
 			feats := slices.Grow(featSets[i], len(raw))
-			for _, f := range raw {
+			words := (width + 63) / 64
+			arena := make([]uint64, len(raw)*words)
+			for j, f := range raw {
+				kw := arena[j*words : (j+1)*words : (j+1)*words]
+				for _, id := range ids[:len(f.Keywords)] {
+					if id >= 0 {
+						kw[id/64] |= 1 << (id % 64)
+					}
+				}
+				ids = ids[len(f.Keywords):]
 				feats = append(feats, index.Feature{
 					ID:       f.ID,
 					Location: geo.Point{X: f.X, Y: f.Y},
 					Score:    f.Score,
-					Keywords: db.vocab.LookupSet(f.Keywords...),
+					Keywords: kwset.FromBitsOwned(width, kw),
 				})
 			}
 			featSets[i] = feats

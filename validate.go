@@ -41,13 +41,14 @@ func ValidateQuery(q Query, featureSets []string) error {
 	if q.Similarity < JaccardSim || q.Similarity > OverlapSim {
 		return fmt.Errorf("%w: unknown similarity %d", ErrInvalidQuery, int(q.Similarity))
 	}
-	if q.Radius < 0 {
+	// Written so that NaN fails: a NaN λ or radius gives a hang or a wrong answer.
+	if !(q.Radius >= 0) {
 		return fmt.Errorf("%w: radius must not be negative, got %v", ErrInvalidQuery, q.Radius)
 	}
 	if q.Variant != NearestNeighbor && q.Radius == 0 {
 		return fmt.Errorf("%w: radius must be positive for the %s variant", ErrInvalidQuery, variantName(q.Variant))
 	}
-	if q.Lambda < 0 || q.Lambda > 1 {
+	if !(q.Lambda >= 0 && q.Lambda <= 1) {
 		return fmt.Errorf("%w: lambda %v outside [0,1]", ErrInvalidQuery, q.Lambda)
 	}
 	switch q.Mode {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestValidateQueryTable(t *testing.T) {
@@ -46,6 +47,9 @@ func TestValidateQueryTable(t *testing.T) {
 		{"zero radius non-nn", mod(func(q *Query) { q.Radius = 0 }), ErrInvalidQuery},
 		{"lambda below 0", mod(func(q *Query) { q.Lambda = -0.1 }), ErrInvalidQuery},
 		{"lambda above 1", mod(func(q *Query) { q.Lambda = 1.1 }), ErrInvalidQuery},
+		{"lambda NaN", mod(func(q *Query) { q.Lambda = math.NaN() }), ErrInvalidQuery},
+		{"radius NaN", mod(func(q *Query) { q.Radius = math.NaN() }), ErrInvalidQuery},
+		{"nn radius NaN", mod(func(q *Query) { q.Variant = NearestNeighbor; q.Radius = math.NaN() }), ErrInvalidQuery},
 		{"mode typo", mod(func(q *Query) { q.Mode = "aprox" }), ErrInvalidQuery},
 		{"mode uppercase", mod(func(q *Query) { q.Mode = "Approx" }), ErrInvalidQuery},
 		{"recall without approx", mod(func(q *Query) { q.Recall = 0.9 }), ErrInvalidQuery},
@@ -71,5 +75,34 @@ func TestValidateQueryTable(t *testing.T) {
 				t.Fatalf("ValidateQuery: got %v, want sentinel %v", err, c.want)
 			}
 		})
+	}
+}
+
+// TestTopKRejectsNaN: a NaN λ or radius is refused before the engine runs.
+// Every comparison with NaN is false, so the range tests once let both
+// through: a NaN λ never let a query stop (range, influence and NN alike),
+// and a NaN radius answered a range query with the first k objects at one
+// score.
+func TestTopKRejectsNaN(t *testing.T) {
+	db := concDB(t, Config{}, 1000, 1000)
+	nan := math.NaN()
+	for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
+		for _, q := range []Query{{K: 5, Radius: 0.1, Lambda: nan}, {K: 5, Radius: nan, Lambda: 0.5}} {
+			q.Variant = variant
+			q.Keywords = map[string][]string{"restaurants": {"kw1"}, "cafes": {"kw2"}}
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := db.TopK(q)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInvalidQuery) {
+					t.Errorf("%s λ %v radius %v: err = %v, want ErrInvalidQuery", variantName(variant), q.Lambda, q.Radius, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s λ %v radius %v: TopK has not returned after 10 s", variantName(variant), q.Lambda, q.Radius)
+			}
+		}
 	}
 }
