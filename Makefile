@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pin-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke approx-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke approx-smoke check
 
 build:
 	$(GO) build ./...
@@ -104,8 +104,8 @@ bench-compare:
 	fi
 
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard and
-# the buffer-pool hit paths (raw page and decoded node) and a miss that
-# recycles an evicted frame must stay allocation-free, a cold range query
+# the buffer-pool hit paths (raw page and decoded node) and a miss on a
+# full pool must stay allocation-free, a cold range query
 # must not allocate per miss, steady-state top-k queries must stay under their
 # documented budgets (internal/core), the unsampled event-log record
 # path must stay within one allocation per query (internal/obs), the
@@ -131,13 +131,12 @@ fuzz-smoke:
 		done; \
 	done
 
-# The buffer pool's pin protocol under the race detector, twenty times
-# over: readers that pin pages (directly, or as rtree views) while others
-# miss, evict and recycle the frames released beside them must read the
-# bytes they pinned, leave no pin behind, and never see an image Get
-# returned overwritten; FuzzBufferPoolPins replays its seed corpus.
-pin-soak:
-	$(GO) test -race -count 20 -run 'Pin|Recycl|ViewSurvivesEviction' ./internal/storage ./internal/rtree
+# The buffer pool's concurrent readers under the race detector, twenty
+# times over: readers that hold page images (directly, or as rtree views)
+# or decoded forms while others miss, evict and clear beside them must read
+# their pages' bytes, and every read must be counted once.
+pool-soak:
+	$(GO) test -race -count 20 -run 'Concurrent|Recycling|ViewSurvivesEviction' ./internal/storage ./internal/rtree
 
 # End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
 # wait for /healthz, check that a query naming no algorithm and the same

@@ -235,7 +235,6 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 				s.arena = s.arena[:mark] // only a leaf in rests keeps its keyword words
 			}
 		}
-		page.Release() // a candidate holds copies, nothing of the image
 	}
 	if !s.exhausted {
 		s.exhausted = true

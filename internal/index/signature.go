@@ -283,13 +283,12 @@ func (r *recordFile) put(id int64, exact kwset.Set) error {
 			return err
 		}
 	}
-	pin, err := r.pool.Pin(storage.PageID(page))
+	cur, err := r.pool.Get(storage.PageID(page))
 	if err != nil {
 		return err
 	}
 	img := make([]byte, disk.PageSize())
-	copy(img, pin.Data())
-	pin.Unpin()
+	copy(img, cur) // cur is the disk's own image: it must not be modified
 	off := (ord % r.perPage) * r.recSize
 	words := exact.WordsBits()
 	for w := 0; w < r.recSize/8; w++ {
@@ -313,16 +312,15 @@ func (r *recordFile) get(id int64) (kwset.Set, error) {
 	if !ok {
 		return kwset.Set{}, fmt.Errorf("index: feature id %d not in record file", id)
 	}
-	pin, err := r.pool.Pin(storage.PageID(ord / r.perPage))
+	buf, err := r.pool.Get(storage.PageID(ord / r.perPage))
 	if err != nil {
 		return kwset.Set{}, err
 	}
-	buf, off := pin.Data(), (ord%r.perPage)*r.recSize
+	off := (ord % r.perPage) * r.recSize
 	raw := make([]uint64, r.recSize/8)
 	for w := range raw {
 		raw[w] = binary.LittleEndian.Uint64(buf[off+8*w:])
 	}
-	pin.Unpin()
 	// raw is freshly allocated here, so the set can take ownership.
 	return kwset.FromBitsOwned(r.width, raw), nil
 }

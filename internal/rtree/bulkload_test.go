@@ -172,12 +172,13 @@ func assertSamePages(t *testing.T, got, want *Tree) {
 	if gd.NumPages() != wd.NumPages() {
 		t.Fatalf("%d pages, reference %d", gd.NumPages(), wd.NumPages())
 	}
-	gb, wb := make([]byte, gd.PageSize()), make([]byte, wd.PageSize())
 	for id := 0; id < gd.NumPages(); id++ {
-		if err := gd.ReadPage(storage.PageID(id), gb); err != nil {
+		gb, err := gd.ReadPage(storage.PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wd.ReadPage(storage.PageID(id), wb); err != nil {
+		wb, err := wd.ReadPage(storage.PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gb, wb) {

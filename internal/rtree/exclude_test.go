@@ -186,7 +186,6 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 						see(e)
 					}
 				}
-				v.Release()
 			}
 			return nil
 		},

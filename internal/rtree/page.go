@@ -90,8 +90,8 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	words := kwWords(t.cfg.KeywordWidth)
 	// Three allocations per node, each of exactly the size it needs: the
 	// header, the entry array and one keyword arena shared by all entries
-	// (not one slice per entry). The bits are copied out of data: the pool
-	// owns that buffer and WriteThrough overwrites it in place. A pool
+	// (not one slice per entry). The bits are copied out of data: it is the
+	// disk's image, which a write to the page rewrites in place. A pool
 	// smaller than the working set pays this decode on every miss, so it
 	// stays as cheap as the format allows.
 	var arena []uint64

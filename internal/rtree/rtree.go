@@ -11,7 +11,7 @@
 // one logical read), and the search primitives read its entries in place.
 // Only the mutators (Insert, Delete) decode a private copy; a reader that
 // filters a node by keywords before it picks from it scans the page image
-// instead (PageView), pinned in its frame until it Releases the view.
+// instead (PageView).
 // Entries optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
 // (e.s) and a keyword summary of all feature objects below (e.W). The SRT
@@ -287,12 +287,11 @@ func (t *Tree) DecodePage(data []byte) (any, error) {
 // Insert's and Delete's read-modify-write. It never touches the decoded
 // form other readers share; updateNode's write invalidates that.
 func (t *Tree) mutableNode(id storage.PageID) (*Node, error) {
-	p, err := t.pool.Pin(id)
+	data, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	defer p.Unpin()
-	return t.decodeNode(p.Data())
+	return t.decodeNode(data)
 }
 
 // RootEntry returns a synthetic internal entry describing the whole tree:

@@ -530,38 +530,6 @@ func TestBulkLoadPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestFileDiskBackedTree(t *testing.T) {
-	path := t.TempDir() + "/tree.pages"
-	disk, err := storage.NewFileDisk(path, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	tr, err := New(Config{PageSize: 512, Disk: disk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(16))
-	items := randomItems(rng, 500, 0)
-	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	_ = tr.RangeSearch(geo.Point{X: 0.5, Y: 0.5}, 0.3, func(Entry) bool { got++; return true })
-	want := 0
-	for _, it := range items {
-		if it.Location.Dist(geo.Point{X: 0.5, Y: 0.5}) <= 0.3 {
-			want++
-		}
-	}
-	if got != want {
-		t.Fatalf("file-backed search got %d, want %d", got, want)
-	}
-}
-
 func TestMetaOpenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: 16, WithScore: true})

@@ -10,7 +10,7 @@ import (
 	"stpq/internal/storage"
 )
 
-// PageView reads one node where it lies in its buffer-pool frame, without
+// PageView reads one node where it lies, in its page's image, without
 // decoding it. A page is a fixed-width slot array, so a loop that filters
 // by keywords and then picks — the feature stream, which rejects most slots
 // of a node on their keyword words alone — scans the words in the image and
@@ -18,17 +18,14 @@ import (
 // rectangle, or hand entries out by value, read the shared decoded node
 // (Tree.Node) instead.
 //
-// A view is a value holding a pin on the frame (storage.Pinned) and no
-// lock. Until Release the frame is not recycled, so the view reads the
-// bytes it fetched however often the page is evicted meanwhile; after
-// Release the pool may read another page into them, and the view must not
-// be used. Nothing a view hands out aliases the image — Entry copies the
-// keyword words — so what it handed out stays valid after Release. The
-// methods take a pointer only so that a call per slot does not copy the
-// view.
+// A view is a value holding the page's image (storage.BufferPool.Get) and
+// no lock, so it reads the bytes it fetched however often the page is
+// evicted meanwhile. Nothing a view hands out aliases the image — Entry
+// copies the keyword words, because a write to the page on a tree being
+// built or merged rewrites the image in place. The methods take a pointer
+// only so that a call per slot does not copy the view.
 type PageView struct {
 	data          []byte // header and count slots, nothing beyond
-	pin           storage.Pinned
 	t             *Tree
 	kwOff, stride int // see slotLayout
 	count, words  int
@@ -40,25 +37,14 @@ type PageView struct {
 
 // View returns the node at page id as a view of its image: counted exactly
 // as Node is — a logical read, on a miss a physical read and possibly an
-// eviction — and not decoded. Entry hides what WithExclude tombstoned. The
-// caller Releases the view when done with it.
+// eviction — and not decoded. Entry hides what WithExclude tombstoned.
 func (t *Tree) View(id storage.PageID) (PageView, error) {
-	p, err := t.pool.Pin(id)
+	data, err := t.pool.Get(id)
 	if err != nil {
 		return PageView{}, err
 	}
-	v, err := t.viewOf(p.Data())
-	if err != nil {
-		p.Unpin()
-		return PageView{}, err
-	}
-	v.pin = p
-	return v, nil
+	return t.viewOf(data)
 }
-
-// Release unpins the view's frame, which the pool may then recycle for
-// another page. It must be called exactly once per View.
-func (v *PageView) Release() { v.pin.Unpin() }
 
 // viewOf validates a page image once — header, count against the capacity
 // and against the bytes present — so the accessors index unchecked.

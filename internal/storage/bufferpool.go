@@ -14,7 +14,7 @@ import (
 //
 // The pool is intentionally simple: pages are read-mostly once an index is
 // built, so there is no dirty-page write-back path — WriteThrough stores
-// pages synchronously. The read paths (Pin, Get, GetDecoded) are safe for
+// pages synchronously. The read paths (Get, GetDecoded) are safe for
 // concurrent use and the lifetime counters are atomics, so any number of
 // query goroutines may share one pool. Writes (WriteThrough) must not race
 // reads — they only happen while an index is being built or mutated, which
@@ -23,13 +23,12 @@ import (
 // LRU state sits behind one mutex with one global LRU order, so serial I/O
 // counts are reproducible run to run and match the paper's cost model.
 //
-// A reader holds a page by pinning its frame (Pin, Unpin). Eviction follows
-// the LRU order whether or not the victim is pinned; what a pin decides is
-// what becomes of the victim's memory. An evicted frame no one holds lends
-// its frame and LRU list element to the incoming page and its image to a
-// free list that the next miss reads into, so a miss in steady state
-// allocates nothing. A held one keeps its image until its last Unpin, which
-// then hands the image to the free list.
+// A frame holds the disk's own image of its page (Disk.ReadPage), not a
+// copy: a miss is a lookup and LRU bookkeeping, and an eviction drops the
+// reference. The pool bounds what the I/O model treats as resident, not
+// the memory the pages take. Nothing writes an image that a query reads: a
+// page is written only on a tree no query reads yet or on a merge clone's
+// CowDisk overlay, and always through the disk, never through a frame.
 //
 // Each frame also has one slot for the decoded form of its page (see
 // GetDecoded): whoever reads the page through the pool decodes it once per
@@ -56,12 +55,9 @@ type poolShared struct {
 	disk     Disk
 	capacity int
 
-	mu      sync.Mutex // guards lru, entries, free and the frames' decoded slots
+	mu      sync.Mutex // guards lru, entries and the frames
 	lru     *list.List // front = most recently used; values are *frame
 	entries map[PageID]*list.Element
-	// free holds the images of evicted frames that no one holds any more,
-	// at most capacity of them; a miss reads into one before it allocates.
-	free [][]byte
 
 	logical   atomic.Int64
 	physical  atomic.Int64
@@ -82,16 +78,11 @@ type PoolMetrics struct {
 	// Decodes counts pages actually decoded by GetDecoded: one per
 	// residency of a page read that way, plus one per WriteThrough of a
 	// resident page that is read again. Not one per miss: the feature
-	// stream reads page images through Pin and decodes nothing.
+	// stream reads page images through Get and decodes nothing.
 	Decodes *obs.Counter
-	// Recycled counts the misses that read into the image of an evicted
-	// frame instead of a new one. Once a pool is full and its readers
-	// release what they pin, nearly every miss recycles; a ratio to Misses
-	// that falls is a pin someone takes and never releases.
-	Recycled *obs.Counter
 }
 
-// NewPoolMetrics registers the six pool counters under
+// NewPoolMetrics registers the five pool counters under
 // stpq_bufferpool_*_total{pool="<name>"}.
 func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 	label := `{pool="` + pool + `"}`
@@ -101,54 +92,24 @@ func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 		Evictions: r.Counter("stpq_bufferpool_evictions_total" + label),
 		Writes:    r.Counter("stpq_bufferpool_writes_total" + label),
 		Decodes:   r.Counter("stpq_bufferpool_decodes_total" + label),
-		Recycled:  r.Counter("stpq_bufferpool_recycled_total" + label),
 	}
 }
 
 // SetMetrics attaches (or, with nil, detaches) aggregate metrics.
 func (b *BufferPool) SetMetrics(m *PoolMetrics) { b.s.metrics.Store(m) }
 
-// evictedBit is set in a frame's pins once the frame has left the LRU; the
-// bits below it count the holds on the frame. Only resident frames are
-// pinned (under the pool lock), so once the bit is set the count can only
-// fall, and the one atomic operation that leaves pins at exactly
-// evictedBit — the eviction of an unheld frame, or the last Unpin of an
-// evicted one — decides who recycles the frame's memory.
-const evictedBit = 1 << 30
-
+// frame is one resident page. An evicted frame and its list element take
+// the next page that misses, so the fields are only read under the pool
+// lock.
 type frame struct {
-	s    *poolShared
-	id   PageID
+	id PageID
+	// data is the disk's image of the page; see Disk.ReadPage.
 	data []byte
 	// decoded is the decoded form of data, nil until the first GetDecoded
-	// of this residency; guarded by the pool mutex. Whatever it holds is
-	// shared by every reader and must never be written.
+	// of this residency. Whatever it holds is shared by every reader and
+	// must never be written.
 	decoded any
-	pins    atomic.Int32 // holds, plus evictedBit (see there)
 }
-
-// unpin drops one hold on the frame. The last hold on an evicted frame
-// hands its image to the free list.
-func (f *frame) unpin() {
-	if f.pins.Add(-1) == evictedBit {
-		f.s.mu.Lock()
-		f.s.putLocked(f.data)
-		f.s.mu.Unlock()
-	}
-}
-
-// Pinned is a page image held in its buffer-pool frame. Until Unpin the
-// frame is not recycled, so Data stays the page's image however often the
-// page is evicted meanwhile; after Unpin the image may be handed to another
-// page, and nothing may keep referring into it. The value is one word, and
-// its copies share the one pin.
-type Pinned struct{ f *frame }
-
-// Data returns the page image. It must not be modified.
-func (p Pinned) Data() []byte { return p.f.data }
-
-// Unpin releases the pin. It must be called exactly once per Pin.
-func (p Pinned) Unpin() { p.f.unpin() }
 
 // Decoder turns a page image into the form its reader works on. The result
 // is cached in the page's frame and handed to every later reader, so it
@@ -193,33 +154,14 @@ func (b *BufferPool) Len() int {
 	return b.s.lru.Len()
 }
 
-// Pin returns the page's image held in its frame, counted as every read
-// is: a logical read, and on a miss a physical read and possibly an
-// eviction. The caller reads Data outside the pool lock for as long as it
-// holds the pin, and Unpins when done. No image is written while queries
-// read it: WriteThrough happens only on a tree under construction or on a
-// merge clone, which owns its pools.
-func (b *BufferPool) Pin(id PageID) (Pinned, error) {
-	f, _, err := b.fetch(id, false)
-	if err != nil {
-		return Pinned{}, err
-	}
-	return Pinned{f}, nil
-}
-
-// Get returns the contents of the page: the frame's image, which must not
+// Get returns the contents of the page: the disk's image, which must not
 // be modified and may be kept and read for as long as the caller likes.
-// Get is a Pin that is never released, so the frame it returns is never
-// recycled — not even once it is evicted — and the image changes only by a
-// WriteThrough of its page. The price is that an evicted image becomes
-// garbage for the collector instead of the buffer of a later miss; a
-// reader that can say when it is done uses Pin.
+// It is counted as every read is: a logical read, and on a miss a physical
+// read and possibly an eviction. Only a write to the page changes the
+// image (see Disk.ReadPage), and a reader does not hold one across a write.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
-	p, err := b.Pin(id)
-	if err != nil {
-		return nil, err
-	}
-	return p.Data(), nil
+	data, _, err := b.fetch(id)
+	return data, err
 }
 
 // GetDecoded returns the decoded form of the page: dec's result on the
@@ -227,42 +169,41 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 // later one. It counts exactly as Get does — one logical read, and one
 // physical read and possibly an eviction on a miss — so the paper's I/O
 // metric cannot tell the two apart. The value is shared between all
-// readers of the pool and must not be modified. It aliases nothing of the
-// image, so the frame is pinned only across the decode.
+// readers of the pool and must not be modified.
 func (b *BufferPool) GetDecoded(id PageID, dec Decoder) (any, error) {
-	f, v, err := b.fetch(id, true)
+	data, v, err := b.fetch(id)
 	if err != nil || v != nil {
 		return v, err
 	}
 	// Decode outside the pool lock. Two readers that find the slot empty
 	// at once both decode; the first to come back fills the slot and both
 	// return its value, so a residency never has two decoded forms in use.
-	v, err = dec.DecodePage(f.data)
+	v, err = dec.DecodePage(data)
 	if err != nil {
-		f.unpin()
 		return nil, err
 	}
 	if m := b.s.metrics.Load(); m != nil {
 		m.Decodes.Inc()
 	}
-	b.s.mu.Lock()
-	if f.decoded == nil {
-		f.decoded = v
-	} else {
-		v = f.decoded
+	s := b.s
+	s.mu.Lock()
+	// The page may have been evicted meanwhile: then there is no slot to
+	// fill, and its next residency decodes again.
+	if el, ok := s.entries[id]; ok {
+		if f := el.Value.(*frame); f.decoded == nil {
+			f.decoded = v
+		} else {
+			v = f.decoded
+		}
 	}
-	b.s.mu.Unlock()
-	f.unpin()
+	s.mu.Unlock()
 	return v, nil
 }
 
 // fetch is the one counting read path: it charges a logical read, finds or
-// loads the page's frame and returns it pinned, with the decoded slot as
-// read under the pool lock. The pin is taken under that lock too, so only
-// a resident frame gains one. A decoded read whose slot is filled pins
-// nothing: its value needs no image. With a capacity of 0 the frame is not
-// retained; it is evicted from the start, so its Unpin frees it.
-func (b *BufferPool) fetch(id PageID, decoded bool) (*frame, any, error) {
+// loads the page's frame, and returns its image with the decoded slot as
+// read under the pool lock. With a capacity of 0 nothing is retained.
+func (b *BufferPool) fetch(id PageID) ([]byte, any, error) {
 	s := b.s
 	s.logical.Add(1)
 	if b.local != nil {
@@ -272,15 +213,12 @@ func (b *BufferPool) fetch(id PageID, decoded bool) (*frame, any, error) {
 	if el, ok := s.entries[id]; ok {
 		s.lru.MoveToFront(el)
 		f := el.Value.(*frame)
-		v := f.decoded
-		if !decoded || v == nil {
-			f.pins.Add(1)
-		}
+		data, v := f.data, f.decoded
 		s.mu.Unlock()
 		if m := s.metrics.Load(); m != nil {
 			m.Hits.Inc()
 		}
-		return f, v, nil
+		return data, v, nil
 	}
 	// Miss: the disk read happens under the pool lock, so concurrent
 	// misses on the same page coalesce into one physical read — the
@@ -290,47 +228,25 @@ func (b *BufferPool) fetch(id PageID, decoded bool) (*frame, any, error) {
 	if b.local != nil {
 		b.local.PhysicalReads++
 	}
-	buf, recycled := s.takeLocked()
-	if err := s.disk.ReadPage(id, buf); err != nil {
-		s.putLocked(buf)
+	data, err := s.disk.ReadPage(id)
+	if err != nil {
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("bufferpool: %w", err)
 	}
-	f := b.insertLocked(id, buf)
+	b.insertLocked(id, data)
 	s.mu.Unlock()
 	if m := s.metrics.Load(); m != nil {
 		m.Misses.Inc()
-		if recycled {
-			m.Recycled.Inc()
-		}
 	}
-	return f, nil, nil
+	return data, nil, nil
 }
 
-// takeLocked returns a buffer for a miss to read into: a free image when
-// there is one (recycled), else a new one. Callers hold s.mu.
-func (s *poolShared) takeLocked() (buf []byte, recycled bool) {
-	n := len(s.free)
-	if n == 0 {
-		return make([]byte, s.disk.PageSize()), false
-	}
-	buf = s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
-	return buf, true
-}
-
-// putLocked keeps an image no frame uses for a later miss, unless capacity
-// images are kept already. Callers hold s.mu.
-func (s *poolShared) putLocked(buf []byte) {
-	if len(s.free) < s.capacity {
-		s.free = append(s.free, buf)
-	}
-}
-
-// WriteThrough writes the page to disk, refreshes the cached copy and
-// empties the frame's decoded slot, so the next GetDecoded decodes the new
-// bytes.
+// WriteThrough writes the page to disk and, if the page is resident, points
+// its frame at the disk's image of it again and empties the decoded slot,
+// so the next read returns the new bytes and the next GetDecoded decodes
+// them. The frame re-reads rather than copying into its image: on a
+// CowDisk the first write of a base page lands in a new overlay image,
+// while the frame's image is still the base's, which the live tree reads.
 func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 	s := b.s
 	s.writes.Add(1)
@@ -346,35 +262,31 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 		return fmt.Errorf("bufferpool: %w", err)
 	}
 	if el, ok := s.entries[id]; ok {
-		f := el.Value.(*frame)
-		copy(f.data, data)
-		for i := len(data); i < len(f.data); i++ {
-			f.data[i] = 0
+		img, err := s.disk.ReadPage(id)
+		if err != nil {
+			return fmt.Errorf("bufferpool: %w", err)
 		}
-		f.decoded = nil
+		f := el.Value.(*frame)
+		f.data, f.decoded = img, nil
 		s.lru.MoveToFront(el)
 	}
 	return nil
 }
 
-// insertLocked caches buf as the image of page id and returns its frame
-// pinned, evicting the least recently used frame — page and decoded form
-// together — if the pool is full. A victim no one holds lends the new page
-// its frame and list element and gives its image to the free list; a held
-// one leaves both behind and keeps its image until its last Unpin. Callers
-// hold s.mu.
-func (b *BufferPool) insertLocked(id PageID, buf []byte) *frame {
+// insertLocked makes data the resident image of page id, evicting the least
+// recently used frame — page and decoded form together — if the pool is
+// full. The victim's frame and list element take the new page, so a miss on
+// a full pool allocates nothing. Callers hold s.mu.
+func (b *BufferPool) insertLocked(id PageID, data []byte) {
 	s := b.s
 	if s.capacity == 0 {
-		f := &frame{s: s, id: id, data: buf}
-		f.pins.Store(evictedBit + 1)
-		return f
+		return
 	}
 	var el *list.Element
 	if s.lru.Len() >= s.capacity {
 		el = s.lru.Back()
-		victim := el.Value.(*frame)
-		delete(s.entries, victim.id)
+		delete(s.entries, el.Value.(*frame).id)
+		s.lru.MoveToFront(el)
 		s.evictions.Add(1)
 		if b.local != nil {
 			b.local.Evictions++
@@ -382,22 +294,11 @@ func (b *BufferPool) insertLocked(id PageID, buf []byte) *frame {
 		if m := s.metrics.Load(); m != nil {
 			m.Evictions.Inc()
 		}
-		if victim.pins.Add(evictedBit) == evictedBit {
-			s.putLocked(victim.data)
-			s.lru.MoveToFront(el)
-		} else {
-			s.lru.Remove(el)
-			el = nil
-		}
+	} else {
+		el = s.lru.PushFront(&frame{})
 	}
-	if el == nil {
-		el = s.lru.PushFront(&frame{s: s})
-	}
-	f := el.Value.(*frame)
-	f.id, f.data, f.decoded = id, buf, nil
-	f.pins.Store(1) // no one else can reach f: it is new, or was unheld
+	*el.Value.(*frame) = frame{id: id, data: data}
 	s.entries[id] = el
-	return f
 }
 
 // Contains reports whether the page is currently cached (for tests).
@@ -428,17 +329,10 @@ func (b *BufferPool) ResetStats() {
 }
 
 // Clear drops all cached pages and their decoded forms (cold-cache
-// measurements). Every frame is evicted as the LRU would evict it: the
-// images no one holds go to the free list, the held ones at their last
-// Unpin.
+// measurements).
 func (b *BufferPool) Clear() {
 	s := b.s
 	s.mu.Lock()
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		if f := el.Value.(*frame); f.pins.Add(evictedBit) == evictedBit {
-			s.putLocked(f.data)
-		}
-	}
 	s.lru.Init()
 	clear(s.entries)
 	s.mu.Unlock()

@@ -62,27 +62,26 @@ func (d *CowDisk) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// ReadPage implements Disk.
-func (d *CowDisk) ReadPage(id PageID, buf []byte) error {
+// ReadPage implements Disk: the overlay's image of a page written through
+// this view, else the base's.
+func (d *CowDisk) ReadPage(id PageID) ([]byte, error) {
 	d.mu.RLock()
-	if int(id) >= d.n {
-		n := d.n
-		d.mu.RUnlock()
-		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, n)
-	}
-	if pg, ok := d.overlay[id]; ok {
-		err := checkReadBuf(id, buf, len(pg))
-		if err == nil {
-			copy(buf, pg)
-		}
-		d.mu.RUnlock()
-		return err
-	}
+	pg, ok := d.overlay[id]
+	n := d.n
 	d.mu.RUnlock()
-	return d.base.ReadPage(id, buf)
+	if int(id) >= n {
+		return nil, fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, n)
+	}
+	if ok {
+		return pg, nil
+	}
+	return d.base.ReadPage(id)
 }
 
-// WritePage implements Disk.
+// WritePage implements Disk. The first write of a base page gives it an
+// image of its own in the overlay; the base's image is never written, and a
+// reader holding it keeps the old bytes. Later writes rewrite the overlay
+// image in place.
 func (d *CowDisk) WritePage(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -121,7 +120,3 @@ func (d *CowDisk) OverlayPages() int {
 	d.mu.RUnlock()
 	return n
 }
-
-// Close implements Disk. The base is shared with older generations and
-// is not closed.
-func (d *CowDisk) Close() error { return nil }

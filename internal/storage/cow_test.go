@@ -26,14 +26,14 @@ func TestCowDiskIsolation(t *testing.T) {
 	if err := cow.WritePage(1, bytes.Repeat([]byte{0xAA}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
-	if err := base.ReadPage(1, buf); err != nil {
+	buf, err := base.ReadPage(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 2 {
 		t.Fatalf("base page 1 mutated: %x", buf[0])
 	}
-	if err := cow.ReadPage(1, buf); err != nil {
+	if buf, err = cow.ReadPage(1); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xAA {
@@ -41,7 +41,7 @@ func TestCowDiskIsolation(t *testing.T) {
 	}
 
 	// Untouched pages fall through.
-	if err := cow.ReadPage(2, buf); err != nil {
+	if buf, err = cow.ReadPage(2); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 3 {
@@ -62,7 +62,7 @@ func TestCowDiskIsolation(t *testing.T) {
 	if err := cow.WritePage(4, []byte{0xBB}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cow.ReadPage(4, buf); err != nil {
+	if buf, err = cow.ReadPage(4); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xBB || buf[1] != 0 {
@@ -73,7 +73,7 @@ func TestCowDiskIsolation(t *testing.T) {
 	}
 
 	// Bounds are enforced.
-	if err := cow.ReadPage(99, buf); err == nil {
+	if _, err := cow.ReadPage(99); err == nil {
 		t.Fatal("read past end succeeded")
 	}
 	if err := cow.WritePage(99, buf); err == nil {
@@ -101,8 +101,8 @@ func TestCowDiskChainFlattening(t *testing.T) {
 	if gen2.NumPages() != 2 {
 		t.Fatalf("gen2 NumPages = %d, want 2", gen2.NumPages())
 	}
-	buf := make([]byte, 32)
-	if err := gen2.ReadPage(0, buf); err != nil {
+	buf, err := gen2.ReadPage(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 2 {
@@ -113,7 +113,7 @@ func TestCowDiskChainFlattening(t *testing.T) {
 	if err := gen2.WritePage(0, []byte{3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := gen1.ReadPage(0, buf); err != nil {
+	if buf, err = gen1.ReadPage(0); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 2 {
@@ -144,9 +144,9 @@ func TestCowDiskDumpRoundTrip(t *testing.T) {
 		t.Fatalf("round trip pages = %d, want 4", mem.NumPages())
 	}
 	want := []byte{10, 0xEE, 12, 0xFF}
-	pg := make([]byte, 32)
 	for i, w := range want {
-		if err := mem.ReadPage(PageID(i), pg); err != nil {
+		pg, err := mem.ReadPage(PageID(i))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if pg[0] != w {

@@ -22,12 +22,12 @@ func DumpDisk(d Disk, w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("storage: dump header: %w", err)
 	}
-	buf := make([]byte, d.PageSize())
 	for i := 0; i < d.NumPages(); i++ {
-		if err := d.ReadPage(PageID(i), buf); err != nil {
+		img, err := d.ReadPage(PageID(i))
+		if err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(img); err != nil {
 			return fmt.Errorf("storage: dump page %d: %w", i, err)
 		}
 	}

@@ -1,13 +1,15 @@
 // Package storage simulates the disk layer underneath the stpq indexes:
-// fixed-size pages, an in-memory or file-backed page store, and an LRU
-// buffer pool with I/O accounting.
+// fixed-size pages, an in-memory page store with a copy-on-write view for
+// merges, and an LRU buffer pool with I/O accounting.
 //
 // The paper evaluates disk-resident indexes and reports query cost broken
 // down into I/O time (dark bars) and CPU time (white bars). We reproduce
 // the page-access counts exactly — every index node occupies one page and
 // every node visit is a logical page read that either hits the buffer pool
 // or costs a physical read — and convert physical reads to modeled I/O
-// time with a configurable per-page cost (see CostModel).
+// time with a configurable per-page cost (see CostModel). The pages
+// themselves live in memory, so a physical read copies nothing: the pool
+// keeps a reference to the disk's own image of the page.
 package storage
 
 import (
@@ -37,16 +39,16 @@ type Disk interface {
 	PageSize() int
 	// Allocate reserves a fresh zeroed page and returns its id.
 	Allocate() (PageID, error)
-	// ReadPage copies the page contents into buf, which must be at least
-	// PageSize bytes long; a shorter buf is an error naming both lengths.
-	ReadPage(id PageID, buf []byte) error
+	// ReadPage returns the disk's stored image of the page, PageSize
+	// bytes, without copying it. The caller must not modify it. Only a
+	// WritePage of that page changes what it reads, and writes happen only
+	// on a tree no query reads yet or on a merge clone's CowDisk overlay.
+	ReadPage(id PageID) ([]byte, error)
 	// WritePage stores a copy of buf (at most PageSize bytes) as the page
 	// contents; the caller may reuse buf.
 	WritePage(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// Close releases any underlying resources.
-	Close() error
 }
 
 // MemDisk is an in-memory Disk. It is the default backing store for
@@ -75,27 +77,15 @@ func (d *MemDisk) Allocate() (PageID, error) {
 }
 
 // ReadPage implements Disk.
-func (d *MemDisk) ReadPage(id PageID, buf []byte) error {
+func (d *MemDisk) ReadPage(id PageID) ([]byte, error) {
 	if int(id) >= len(d.pages) {
-		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, len(d.pages))
+		return nil, fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, len(d.pages))
 	}
-	if err := checkReadBuf(id, buf, d.pageSize); err != nil {
-		return err
-	}
-	copy(buf, d.pages[id])
-	return nil
+	return d.pages[id], nil
 }
 
-// checkReadBuf rejects a read buffer shorter than a page, so that every
-// Disk fails a short read alike instead of copying a prefix or panicking.
-func checkReadBuf(id PageID, buf []byte, pageSize int) error {
-	if len(buf) < pageSize {
-		return fmt.Errorf("storage: read page %d: buffer of %d bytes, page of %d", id, len(buf), pageSize)
-	}
-	return nil
-}
-
-// WritePage implements Disk.
+// WritePage implements Disk. It writes the stored image in place, so a
+// reader holding the image sees the new bytes.
 func (d *MemDisk) WritePage(id PageID, buf []byte) error {
 	if int(id) >= len(d.pages) {
 		return fmt.Errorf("%w: write %d of %d", ErrPageBounds, id, len(d.pages))
@@ -113,79 +103,6 @@ func (d *MemDisk) WritePage(id PageID, buf []byte) error {
 
 // NumPages implements Disk.
 func (d *MemDisk) NumPages() int { return len(d.pages) }
-
-// Close implements Disk.
-func (d *MemDisk) Close() error { return nil }
-
-// FileDisk is a Disk backed by a single file, for runs whose indexes
-// exceed memory or that want OS-level I/O behaviour.
-type FileDisk struct {
-	pageSize int
-	f        *os.File
-	n        int
-}
-
-// NewFileDisk creates (truncating) a file-backed disk at path.
-func NewFileDisk(path string, pageSize int) (*FileDisk, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	return &FileDisk{pageSize: pageSize, f: f}, nil
-}
-
-// PageSize implements Disk.
-func (d *FileDisk) PageSize() int { return d.pageSize }
-
-// Allocate implements Disk.
-func (d *FileDisk) Allocate() (PageID, error) {
-	id := PageID(d.n)
-	d.n++
-	if err := d.f.Truncate(int64(d.n) * int64(d.pageSize)); err != nil {
-		return InvalidPage, fmt.Errorf("storage: allocate: %w", err)
-	}
-	return id, nil
-}
-
-// ReadPage implements Disk.
-func (d *FileDisk) ReadPage(id PageID, buf []byte) error {
-	if int(id) >= d.n {
-		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, d.n)
-	}
-	if err := checkReadBuf(id, buf, d.pageSize); err != nil {
-		return err
-	}
-	_, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
-	if err != nil {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// WritePage implements Disk.
-func (d *FileDisk) WritePage(id PageID, buf []byte) error {
-	if int(id) >= d.n {
-		return fmt.Errorf("%w: write %d of %d", ErrPageBounds, id, d.n)
-	}
-	if len(buf) > d.pageSize {
-		return fmt.Errorf("storage: page overflow: %d > %d", len(buf), d.pageSize)
-	}
-	page := make([]byte, d.pageSize)
-	copy(page, buf)
-	if _, err := d.f.WriteAt(page, int64(id)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// NumPages implements Disk.
-func (d *FileDisk) NumPages() int { return d.n }
-
-// Close implements Disk.
-func (d *FileDisk) Close() error { return d.f.Close() }
 
 // SyncDir fsyncs a directory so the creates, renames and unlinks inside it
 // are durable. Whatever writes files that recovery starts from — WAL

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +20,12 @@ func TestMemDiskRoundTrip(t *testing.T) {
 	if err := d.WritePage(id, want); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
-	if err := d.ReadPage(id, buf); err != nil {
+	buf, err := d.ReadPage(id)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(buf) != 64 {
+		t.Fatalf("image of %d bytes, page of 64", len(buf))
 	}
 	if !bytes.Equal(buf[:len(want)], want) {
 		t.Errorf("read back %q", buf[:len(want)])
@@ -46,8 +47,8 @@ func TestMemDiskShorterRewriteZeroesTail(t *testing.T) {
 	if err := d.WritePage(id, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 32)
-	if err := d.ReadPage(id, buf); err != nil {
+	buf, err := d.ReadPage(id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 1 || buf[1] != 2 || buf[2] != 0 || buf[31] != 0 {
@@ -55,12 +56,74 @@ func TestMemDiskShorterRewriteZeroesTail(t *testing.T) {
 	}
 }
 
+// No disk hands out a short image: a page rewritten with fewer bytes than
+// a page reads back whole, what was written followed by zeros, whether it
+// is read from a MemDisk, from the base under a CowDisk or from the
+// overlay a CowDisk write gave it.
+func TestDiskShortReadBuffer(t *testing.T) {
+	const pageSize, half = 64, 32
+	sevens, nines := bytes.Repeat([]byte{7}, pageSize), bytes.Repeat([]byte{9}, half)
+	// written returns d's first page, written with wholeImg and then rewritten
+	// with shortImg.
+	written := func(t *testing.T, d Disk, wholeImg, shortImg []byte) PageID {
+		t.Helper()
+		id, err := d.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, img := range [][]byte{wholeImg, shortImg} {
+			if err := d.WritePage(id, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return id
+	}
+	disks := map[string]func(t *testing.T) (Disk, PageID){
+		"MemDisk": func(t *testing.T) (Disk, PageID) {
+			d := NewMemDisk(pageSize)
+			return d, written(t, d, sevens, nines)
+		},
+		"CowDisk/base": func(t *testing.T) (Disk, PageID) {
+			base := NewMemDisk(pageSize)
+			id := written(t, base, sevens, nines)
+			return NewCowDisk(base), id
+		},
+		"CowDisk/overlay": func(t *testing.T) (Disk, PageID) {
+			base := NewMemDisk(pageSize)
+			id := written(t, base, sevens, sevens)
+			d := NewCowDisk(base)
+			if err := d.WritePage(id, nines); err != nil {
+				t.Fatal(err)
+			}
+			if img, _ := base.ReadPage(id); !bytes.Equal(img, sevens) {
+				t.Fatalf("the overlay write reached the base: %v", img)
+			}
+			return d, id
+		},
+	}
+	for name, open := range disks {
+		t.Run(name, func(t *testing.T) {
+			d, id := open(t)
+			img, err := d.ReadPage(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(img) != pageSize {
+				t.Fatalf("a %d-byte image of a %d-byte page", len(img), pageSize)
+			}
+			if !bytes.Equal(img[:half], nines) || !bytes.Equal(img[half:], make([]byte, pageSize-half)) {
+				t.Errorf("image %v, want %d nines then zeros", img, half)
+			}
+		})
+	}
+}
+
 func TestMemDiskBounds(t *testing.T) {
 	d := NewMemDisk(32)
-	buf := make([]byte, 32)
-	if err := d.ReadPage(5, buf); !errors.Is(err, ErrPageBounds) {
+	if _, err := d.ReadPage(5); !errors.Is(err, ErrPageBounds) {
 		t.Errorf("read: got %v, want ErrPageBounds", err)
 	}
+	buf := make([]byte, 32)
 	if err := d.WritePage(0, buf); !errors.Is(err, ErrPageBounds) {
 		t.Errorf("write: got %v, want ErrPageBounds", err)
 	}
@@ -76,95 +139,6 @@ func TestMemDiskDefaultPageSize(t *testing.T) {
 	}
 	if got := NewMemDisk(-7).PageSize(); got != DefaultPageSize {
 		t.Errorf("negative page size = %d", got)
-	}
-}
-
-func TestFileDiskRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "disk.bin")
-	d, err := NewFileDisk(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	var ids []PageID
-	for i := 0; i < 10; i++ {
-		id, err := d.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		if err := d.WritePage(id, []byte{byte(i), byte(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.NumPages() != 10 {
-		t.Errorf("NumPages = %d", d.NumPages())
-	}
-	buf := make([]byte, 128)
-	for i, id := range ids {
-		if err := d.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte(i) || buf[1] != byte(i+1) {
-			t.Errorf("page %d: got %v", id, buf[:2])
-		}
-	}
-	if err := d.ReadPage(99, buf); !errors.Is(err, ErrPageBounds) {
-		t.Errorf("bounds: %v", err)
-	}
-}
-
-// A read buffer shorter than a page is an error naming both lengths on
-// every disk: not a panic, and not a silently copied prefix.
-func TestDiskShortReadBuffer(t *testing.T) {
-	const pageSize = 64
-	// written returns d holding one page of sevens, and that page's id.
-	written := func(t *testing.T, d Disk) (Disk, PageID) {
-		t.Helper()
-		id, err := d.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WritePage(id, bytes.Repeat([]byte{7}, pageSize)); err != nil {
-			t.Fatal(err)
-		}
-		return d, id
-	}
-	disks := map[string]func(t *testing.T) (Disk, PageID){
-		"MemDisk": func(t *testing.T) (Disk, PageID) { return written(t, NewMemDisk(pageSize)) },
-		"FileDisk": func(t *testing.T) (Disk, PageID) {
-			d, err := NewFileDisk(filepath.Join(t.TempDir(), "disk.bin"), pageSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return written(t, d)
-		},
-		"CowDisk/overlay": func(t *testing.T) (Disk, PageID) { return written(t, NewCowDisk(NewMemDisk(pageSize))) },
-		"CowDisk/base": func(t *testing.T) (Disk, PageID) {
-			base, id := written(t, NewMemDisk(pageSize))
-			return NewCowDisk(base), id
-		},
-	}
-	for name, open := range disks {
-		t.Run(name, func(t *testing.T) {
-			d, id := open(t)
-			// A short slice with room behind it: FileDisk used to re-slice
-			// it to a page, MemDisk to copy len(buf) bytes.
-			buf := make([]byte, pageSize/2, pageSize)
-			err := d.ReadPage(id, buf)
-			if err == nil {
-				t.Fatalf("a %d-byte buffer for a %d-byte page read without error", len(buf), pageSize)
-			}
-			for _, n := range []string{"32", "64"} {
-				if !strings.Contains(err.Error(), n) {
-					t.Errorf("error %q does not name the length %s", err, n)
-				}
-			}
-			if bytes.ContainsRune(buf[:cap(buf)], 7) {
-				t.Errorf("a failed read copied bytes: %v", buf[:cap(buf)])
-			}
-		})
 	}
 }
 
@@ -242,9 +216,7 @@ func TestBufferPoolWriteThrough(t *testing.T) {
 		t.Error("cached copy not refreshed")
 	}
 	// And the disk itself.
-	buf := make([]byte, 16)
-	_ = d.ReadPage(id, buf)
-	if buf[0] != 7 {
+	if buf, _ := d.ReadPage(id); buf[0] != 7 {
 		t.Error("disk copy not written")
 	}
 	if p.Stats().Writes != 1 {
@@ -385,8 +357,6 @@ func TestBufferPoolMetrics(t *testing.T) {
 		`stpq_bufferpool_misses_total{pool="objects"}`:    3,
 		`stpq_bufferpool_evictions_total{pool="objects"}`: 1,
 		`stpq_bufferpool_writes_total{pool="objects"}`:    1,
-		// Get never releases its pin, so the evicted frame keeps its image.
-		`stpq_bufferpool_recycled_total{pool="objects"}`: 0,
 	}
 	for name, want := range checks {
 		if got := snap.Counters[name]; got != want {
@@ -433,10 +403,9 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if got.PageSize() != 64 || got.NumPages() != 17 {
 		t.Fatalf("shape: %d pages of %d bytes", got.NumPages(), got.PageSize())
 	}
-	a, b := make([]byte, 64), make([]byte, 64)
 	for i := 0; i < 17; i++ {
-		_ = d.ReadPage(PageID(i), a)
-		_ = got.ReadPage(PageID(i), b)
+		a, _ := d.ReadPage(PageID(i))
+		b, _ := got.ReadPage(PageID(i))
 		if !bytes.Equal(a, b) {
 			t.Fatalf("page %d differs", i)
 		}

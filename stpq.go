@@ -136,7 +136,9 @@ type Config struct {
 	// PageSize is the simulated disk page size in bytes (default 4096).
 	PageSize int
 	// BufferPages is the per-index LRU buffer pool capacity in pages
-	// (default 1024).
+	// (default 1024): how many pages the I/O model treats as resident, so
+	// what a read counts as a hit or a miss. It does not bound memory; the
+	// pages live in memory either way, and a frame holds the disk's image.
 	BufferPages int
 	// IOCostPerPage converts physical page reads into modeled I/O time
 	// for Stats (default 100µs).
