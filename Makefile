@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke approx-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke check
 
 build:
 	$(GO) build ./...
@@ -346,60 +346,5 @@ admission-smoke:
 	curl -fsS http://$(ADMISSION_ADDR)/metrics | grep -q 'stpq_serve_shed_total{shape=' && \
 	echo "admission-smoke: cost-based shed visible in /metrics and the stpqload breakdown" && \
 	kill -INT $$ps && wait $$ps
-
-# Approximate fast-tier smoke test: serve a signature-file IR² index whose
-# record file dwarfs a deliberately small buffer pool, then fire the same
-# workload in exact and approx (recall 0.9) mode side by side. The approx
-# answers must recover at least 80% of the exact top-k while their reported
-# cost p99 beats the exact p99 (skip-verify answers from MinHash estimates
-# instead of paying record verification reads), a mixed stpqload run must
-# report the per-mode latency split, and the approx counters must show up
-# in /metrics and as a mode=approx dimension in /debug/shapes.
-APPROX_ADDR ?= 127.0.0.1:18361
-define APPROX_SMOKE_PY
-import json, urllib.request
-base = "http://$(APPROX_ADDR)"
-def q(body):
-    req = urllib.request.Request(base + "/query", json.dumps(body).encode(), {"Content-Type": "application/json"})
-    return json.load(urllib.request.urlopen(req))
-q({"k": 5, "radius": 0.01, "mode": "approx", "keywords": {"set1": ["kw0"], "set2": ["kw1"]}})  # build the sketch off the clock
-exact_us, approx_us, recalls = [], [], []
-for i in range(20):
-    kw = {"set1": ["kw%d" % (i % 64), "kw%d" % ((i * 7 + 1) % 64)], "set2": ["kw%d" % ((i * 3 + 2) % 64)]}
-    body = {"k": 10, "radius": 0.01, "keywords": kw}
-    e = q(body)
-    a = q(dict(body, mode="approx", recall=0.9))
-    assert a["stats"].get("approx_candidates", 0) > 0, "approx stats missing from the response"
-    exact_us.append(e["stats"]["total_us"])
-    approx_us.append(a["stats"]["total_us"])
-    want = set(r["id"] for r in e["results"])
-    if want:
-        recalls.append(sum(1 for r in a["results"] if r["id"] in want) / len(want))
-p99 = lambda v: sorted(v)[int(0.99 * (len(v) - 1))]
-rec = sum(recalls) / len(recalls)
-print("approx-smoke: recall@10 %.3f, exact p99 %dus, approx p99 %dus" % (rec, p99(exact_us), p99(approx_us)))
-assert rec >= 0.8, "recall %.3f below the 0.8 floor" % rec
-assert p99(approx_us) < p99(exact_us), "approx p99 not below exact p99"
-endef
-export APPROX_SMOKE_PY
-approx-smoke:
-	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
-	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
-	/tmp/stpqd-smoke -synthetic -objects 3000 -features 12000 -index ir2 -signature-bits 8 \
-		-page-size 1024 -buffer-pages 64 -cache -1 -addr $(APPROX_ADDR) & \
-	pid=$$!; \
-	trap 'kill -INT $$pid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		if curl -fsS http://$(APPROX_ADDR)/healthz >/dev/null 2>&1; then break; fi; \
-		sleep 0.2; \
-	done; \
-	curl -fsS http://$(APPROX_ADDR)/healthz >/dev/null && \
-	echo "$$APPROX_SMOKE_PY" | python3 - && \
-	/tmp/stpqload-smoke -addr http://$(APPROX_ADDR) -c 4 -n 80 -k 5 -radius 0.01 -approx-frac 0.5 -recall 0.9 && \
-	curl -fsS http://$(APPROX_ADDR)/metrics | grep -E 'stpq_approx_queries_total\{[^}]*\} [1-9]' && \
-	curl -fsS http://$(APPROX_ADDR)/metrics | grep -E 'stpq_serve_approx_queries_total [1-9]' && \
-	curl -fsS http://$(APPROX_ADDR)/debug/shapes | grep -q 'mode=approx' && \
-	echo "approx-smoke: fast tier beats exact p99 at >=0.8 recall, counters visible" && \
-	kill -INT $$pid && wait $$pid
 
 check: build vet fmt-check test race bench-check

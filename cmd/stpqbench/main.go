@@ -67,7 +67,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stpqbench: ")
 	var (
-		exp     = flag.String("exp", "all", "experiment: all | table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | cluster | approx")
+		exp     = flag.String("exp", "all", "experiment: all | table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | cluster")
 		queries = flag.Int("queries", 100, "queries per data point (the paper used 1000)")
 		t3q     = flag.Int("table3queries", 3, "queries per STDS data point (STDS is slow by design)")
 		scale   = flag.Float64("scale", 1.0, "dataset cardinality multiplier")
@@ -104,9 +104,8 @@ func main() {
 		"fig13":   b.fig13,
 		"fig14":   b.fig14,
 		"cluster": b.clusterExp,
-		"approx":  b.approxExp,
 	}
-	order := []string{"table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "cluster", "approx"}
+	order := []string{"table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "cluster"}
 
 	start := time.Now()
 	runExp := func(name string) {

@@ -55,15 +55,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for query generation")
 		warmup   = flag.Int("warmup", 0, "warmup requests sent before measuring; excluded from reported percentiles")
 		wfrac    = flag.Float64("write-frac", 0, "fraction of requests sent as POST /ingest mutation batches (0 = read-only)")
-		afrac    = flag.Float64("approx-frac", 0, "fraction of queries sent in approx mode (0 = all exact)")
-		recall   = flag.Float64("recall", 0, "recall target of approx-mode queries in (0,1] (0 = server default)")
 	)
 	flag.Parse()
 	if *wfrac < 0 || *wfrac > 1 {
 		log.Fatalf("-write-frac %v outside [0,1]", *wfrac)
-	}
-	if *afrac < 0 || *afrac > 1 {
-		log.Fatalf("-approx-frac %v outside [0,1]", *afrac)
 	}
 	addrs := []string{*addr}
 	if *targets != "" {
@@ -78,18 +73,16 @@ func main() {
 		}
 	}
 	if err := run(addrs, *workers, *duration, *count, *k, *radius, *lambda,
-		*variant, *alg, *kwPerSet, *seed, *warmup, *wfrac, *afrac, *recall); err != nil {
+		*variant, *alg, *kwPerSet, *seed, *warmup, *wfrac); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// sample aggregates one worker's observations. Exact and approx query
-// latencies are kept apart so the report can show the per-mode split.
+// sample aggregates one worker's observations.
 type sample struct {
-	latencies  []time.Duration // exact-mode queries
-	approxLats []time.Duration // approx-mode queries
-	writeLats  []time.Duration
-	cached     int
+	latencies []time.Duration
+	writeLats []time.Duration
+	cached    int
 	// errs counts failures by class: "HTTP <status> (<reason>)" using the
 	// server's machine-readable rejection reason when present — so the
 	// report tells queue-full 429s apart from cost-shed 429s — plain
@@ -99,7 +92,7 @@ type sample struct {
 
 func run(addrs []string, workers int, duration time.Duration, count, k int,
 	radius, lambda float64, variant, alg string, kwPerSet int, seed int64, warmup int,
-	writeFrac, approxFrac, recall float64) error {
+	writeFrac float64) error {
 	for i, a := range addrs {
 		addrs[i] = strings.TrimSuffix(a, "/")
 	}
@@ -153,16 +146,11 @@ func run(addrs []string, workers int, duration time.Duration, count, k int,
 		return m
 	}
 	newReq := func(rng *rand.Rand) serve.QueryRequest {
-		req := serve.QueryRequest{
+		return serve.QueryRequest{
 			K: k, Radius: radius, Lambda: lambda,
 			Variant: variant, Algorithm: alg,
 			Keywords: randomKeywords(rng, names, info.Keywords, kwPerSet),
 		}
-		if approxFrac > 0 && rng.Float64() < approxFrac {
-			req.Mode = "approx"
-			req.Recall = recall
-		}
-		return req
 	}
 	// shoot sends one request, flipping a biased coin between the read and
 	// write paths; warmup and the measured loop share the same mix.
@@ -299,11 +287,7 @@ func fire(addr string, req serve.QueryRequest, s *sample) {
 		s.errs["transport"]++
 		return
 	}
-	if req.Mode == "approx" {
-		s.approxLats = append(s.approxLats, time.Since(t0))
-	} else {
-		s.latencies = append(s.latencies, time.Since(t0))
-	}
+	s.latencies = append(s.latencies, time.Since(t0))
 	if out.Cached {
 		s.cached++
 	}
@@ -354,12 +338,11 @@ func fetchInfo(addr string) (serve.Info, error) {
 
 // report merges worker samples and prints the summary.
 func report(samples []*sample, elapsed time.Duration) {
-	var exact, approx, writes []time.Duration
+	var all, writes []time.Duration
 	cached, errTotal := 0, 0
 	errs := make(map[string]int)
 	for _, s := range samples {
-		exact = append(exact, s.latencies...)
-		approx = append(approx, s.approxLats...)
+		all = append(all, s.latencies...)
 		writes = append(writes, s.writeLats...)
 		cached += s.cached
 		for class, n := range s.errs {
@@ -367,7 +350,6 @@ func report(samples []*sample, elapsed time.Duration) {
 			errTotal += n
 		}
 	}
-	all := append(append([]time.Duration{}, exact...), approx...)
 	n := len(all)
 	fmt.Printf("queries     %d ok, %d failed in %s\n", n, errTotal, elapsed.Round(time.Millisecond))
 	if n > 0 {
@@ -377,17 +359,6 @@ func report(samples []*sample, elapsed time.Duration) {
 		fmt.Printf("latency     p50 %s  p90 %s  p99 %s  max %s\n",
 			quantile(all, 0.50), quantile(all, 0.90), quantile(all, 0.99), all[n-1])
 		fmt.Printf("cache hits  %d (%.1f%%)\n", cached, 100*float64(cached)/float64(n))
-	}
-	// Per-mode split, shown only when the workload actually mixed modes.
-	if len(approx) > 0 {
-		sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
-		sort.Slice(approx, func(i, j int) bool { return approx[i] < approx[j] })
-		if e := len(exact); e > 0 {
-			fmt.Printf("exact       %d queries  p50 %s  p90 %s  p99 %s\n",
-				e, quantile(exact, 0.50), quantile(exact, 0.90), quantile(exact, 0.99))
-		}
-		fmt.Printf("approx      %d queries  p50 %s  p90 %s  p99 %s\n",
-			len(approx), quantile(approx, 0.50), quantile(approx, 0.90), quantile(approx, 0.99))
 	}
 	if w := len(writes); w > 0 {
 		sort.Slice(writes, func(i, j int) bool { return writes[i] < writes[j] })

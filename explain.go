@@ -36,13 +36,6 @@ type Explain struct {
 	Similarity string  `json:"similarity"`
 	K          int     `json:"k"`
 	Radius     float64 `json:"radius,omitempty"`
-	// Mode is "approx" for fast-tier queries (omitted for exact), and
-	// Recall its effective recall target with the lowered LSH parameters.
-	Mode         string  `json:"mode,omitempty"`
-	Recall       float64 `json:"recall,omitempty"`
-	ApproxBands  int     `json:"approx_bands,omitempty"`
-	ApproxRows   int     `json:"approx_rows,omitempty"`
-	ApproxVerify bool    `json:"approx_verify,omitempty"`
 	// KeywordSets counts the non-empty query keyword sets out of the DB's
 	// feature sets.
 	KeywordSets int `json:"keyword_sets"`
@@ -92,13 +85,6 @@ func (p *Prepared) Explain() (*Explain, error) {
 	if s.db.cfg.IndexKind == IR2 {
 		ex.Index = "ir2"
 	}
-	if a := p.cq.Approx; a != nil {
-		ex.Mode = ModeApprox
-		ex.Recall = a.Params.Recall
-		ex.ApproxBands = a.Params.Bands
-		ex.ApproxRows = a.Params.Rows
-		ex.ApproxVerify = !a.Params.SkipVerify
-	}
 	shapes := s.db.tel.Shapes
 	if pred := shapes.Predict(p.key); pred != nil {
 		ex.Predicted = pred
@@ -133,14 +119,6 @@ func (e *Explain) String() string {
 		fmt.Fprintf(&b, " radius=%g", e.Radius)
 	}
 	fmt.Fprintf(&b, " keyword sets: %d/%d non-empty\n", e.KeywordSets, e.FeatureSets)
-	if e.Mode == ModeApprox {
-		verify := "skip-verify"
-		if e.ApproxVerify {
-			verify = "verify"
-		}
-		fmt.Fprintf(&b, "  mode: approx (recall target %g, %d band(s) x %d row(s), %s)\n",
-			e.Recall, e.ApproxBands, e.ApproxRows, verify)
-	}
 	fmt.Fprintf(&b, "  shape: %s\n", e.Shape)
 	if len(e.Shards) > 0 {
 		fmt.Fprintf(&b, "  plan: one engine over %d shards\n", len(e.Shards))

@@ -257,7 +257,7 @@ func (db *DB) attachWALLocked(dir string) (int, error) {
 	if db.wal != nil {
 		return 0, ErrWALAttached
 	}
-	if err := db.ingestableLocked(); err != nil {
+	if err := db.cfg.ingestable(); err != nil {
 		return 0, err
 	}
 	fsync := db.metrics.Histogram("stpq_ingest_wal_fsync_seconds", obs.LatencyBuckets)
@@ -346,13 +346,13 @@ func (db *DB) CloseWAL() error {
 	return err
 }
 
-// ingestableLocked rejects configurations without a write path.
-func (db *DB) ingestableLocked() error {
-	if db.base == nil {
-		return fmt.Errorf("%w (ShardCount %d)", ErrIngestUnsupported, db.cfg.ShardCount)
+// ingestable rejects configurations without a write path.
+func (c Config) ingestable() error {
+	if c.ShardCount > 1 {
+		return fmt.Errorf("%w (ShardCount %d)", ErrIngestUnsupported, c.ShardCount)
 	}
-	if db.cfg.SignatureBits > 0 {
-		return fmt.Errorf("%w (SignatureBits %d)", ErrIngestUnsupported, db.cfg.SignatureBits)
+	if c.SignatureBits > 0 {
+		return fmt.Errorf("%w (SignatureBits %d)", ErrIngestUnsupported, c.SignatureBits)
 	}
 	return nil
 }
@@ -362,7 +362,7 @@ func (db *DB) validateMutationsLocked(muts []Mutation) error {
 	if !db.built {
 		return fmt.Errorf("%w: Apply before Build", ErrNotBuilt)
 	}
-	if err := db.ingestableLocked(); err != nil {
+	if err := db.cfg.ingestable(); err != nil {
 		return err
 	}
 	for i, m := range muts {

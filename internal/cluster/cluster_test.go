@@ -339,8 +339,11 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsRetiredFrame: the upper-bound probe's message type 0x02
-// is gone, and a node answers it with an invalid-request error frame.
+// TestNodeRejectsRetiredFrame: retired message types are answered with a
+// non-retryable invalid-request error frame naming the unknown type — the
+// upper-bound probe's 0x02, and 0x01, the query layout that carried a mode
+// and a recall target, so a peer of the old version fails fast instead of
+// having its query misparsed.
 func TestNodeRejectsRetiredFrame(t *testing.T) {
 	objs, food, cafes, _ := testData(7)
 	_, addr := startNode(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), 0)
@@ -349,19 +352,27 @@ func TestNodeRejectsRetiredFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, 0x02, encodeQuery(WireQuery{K: 5})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != msgError {
-		t.Fatalf("reply type 0x%02x, want the error frame", typ)
-	}
-	rpc, ok := decodeError(payload).(*RPCError)
-	if !ok || rpc.Code != errInvalid || !strings.Contains(rpc.Msg, "unknown message type 0x02") {
-		t.Fatalf("reply %v, want an invalid-request error naming the unknown type", decodeError(payload))
+	for _, c := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{0x02, encodeQuery(WireQuery{K: 5})},
+		{0x01, oldLayoutQuery()},
+	} {
+		if err := writeFrame(conn, c.typ, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != msgError {
+			t.Fatalf("0x%02x: reply type 0x%02x, want the error frame", c.typ, typ)
+		}
+		rpc, ok := decodeError(payload).(*RPCError)
+		if !ok || rpc.Retryable() || !strings.Contains(rpc.Msg, fmt.Sprintf("unknown message type 0x%02x", c.typ)) {
+			t.Fatalf("0x%02x: reply %v, want an invalid-request error naming the unknown type", c.typ, decodeError(payload))
+		}
 	}
 }
 

@@ -20,13 +20,16 @@ import (
 )
 
 // Message types. Requests have the high bit clear; each reply is its
-// request type with the high bit set; errors answer any request. 0x02 was
-// the retired upper-bound probe: a node answers it as an unknown type.
+// request type with the high bit set; errors answer any request. Retired
+// types are never reused, and a node answers them as unknown types, so a
+// peer of another version fails fast instead of misparsing: 0x01 was the
+// query layout that carried an execution mode and a recall target, 0x02
+// the upper-bound probe.
 const (
-	msgQuery   byte = 0x01
 	msgSegment byte = 0x03
 	msgHealth  byte = 0x04
 	msgInfo    byte = 0x05
+	msgQuery   byte = 0x06
 
 	replyBit byte = 0x80
 	msgError byte = 0xff
@@ -242,18 +245,8 @@ type WireQuery struct {
 	Similarity uint8
 	RequestID  string
 	Trace      bool
-	// Mode is 0 for exact, 1 for the approx fast tier; Recall is the approx
-	// recall target (0 takes the node's default).
-	Mode   uint8
-	Recall float64
-	Sets   []WireKeywords
+	Sets       []WireKeywords
 }
-
-// Wire values of WireQuery.Mode.
-const (
-	wireModeExact  uint8 = 0
-	wireModeApprox uint8 = 1
-)
 
 // toWire lowers a public query into its canonical wire form: keyword sets
 // sorted by name so one query has exactly one encoding.
@@ -267,10 +260,6 @@ func toWire(q stpq.Query) WireQuery {
 		Similarity: uint8(q.Similarity),
 		RequestID:  q.RequestID,
 		Trace:      q.Trace == stpq.TraceOn,
-		Recall:     q.Recall,
-	}
-	if q.Mode == stpq.ModeApprox {
-		wq.Mode = wireModeApprox
 	}
 	if len(q.Keywords) > 0 {
 		names := make([]string, 0, len(q.Keywords))
@@ -296,10 +285,6 @@ func toQuery(wq WireQuery) stpq.Query {
 		Algorithm:  stpq.Algorithm(wq.Algorithm),
 		Similarity: stpq.Similarity(wq.Similarity),
 		RequestID:  wq.RequestID,
-		Recall:     wq.Recall,
-	}
-	if wq.Mode == wireModeApprox {
-		q.Mode = stpq.ModeApprox
 	}
 	if wq.Trace {
 		q.Trace = stpq.TraceOn
@@ -327,8 +312,6 @@ func encodeQuery(q WireQuery) []byte {
 	e.u8(q.Similarity)
 	e.str(q.RequestID)
 	e.bool(q.Trace)
-	e.u8(q.Mode)
-	e.f64(q.Recall)
 	e.u64(uint64(len(q.Sets)))
 	for _, s := range q.Sets {
 		e.str(s.Name)
@@ -351,8 +334,6 @@ func decodeQuery(p []byte) (WireQuery, error) {
 		Similarity: d.u8(),
 		RequestID:  d.str(),
 		Trace:      d.bool(),
-		Mode:       d.u8(),
-		Recall:     d.f64(),
 	}
 	n := d.u64()
 	if n > uint64(len(p)) { // each set costs at least one byte on the wire
@@ -380,9 +361,9 @@ func decodeQuery(p []byte) (WireQuery, error) {
 }
 
 // QueryReply answers msgQuery. Of Stats, the wire carries every cost
-// counter (durations as nanoseconds), the shard counters and the fast
-// tier's pruning counters, so the coordinator hands the node's stats on
-// unchanged; the span tree rides beside them as TraceJSON.
+// counter (durations as nanoseconds) and the shard counters, so the
+// coordinator hands the node's stats on unchanged; the span tree rides
+// beside them as TraceJSON.
 type QueryReply struct {
 	Results    []stpq.Result
 	Stats      stpq.Stats
@@ -411,9 +392,6 @@ func encodeQueryReply(r QueryReply) []byte {
 	e.i64(int64(r.Stats.ObjectsScored))
 	e.i64(int64(r.Stats.ShardFanout))
 	e.i64(int64(r.Stats.ShardPruned))
-	e.i64(r.Stats.ApproxCandidates)
-	e.i64(r.Stats.ApproxPruned)
-	e.i64(r.Stats.ApproxSkippedReads)
 	e.u64(r.Generation)
 	e.bool(r.Cached)
 	e.bytes(r.TraceJSON)
@@ -436,18 +414,15 @@ func decodeQueryReply(p []byte) (QueryReply, error) {
 		}
 	}
 	r.Stats = stpq.Stats{
-		CPUTime:            time.Duration(d.i64()),
-		IOTime:             time.Duration(d.i64()),
-		LogicalReads:       d.i64(),
-		PhysicalReads:      d.i64(),
-		Combinations:       int(d.i64()),
-		FeaturesPulled:     int(d.i64()),
-		ObjectsScored:      int(d.i64()),
-		ShardFanout:        int(d.i64()),
-		ShardPruned:        int(d.i64()),
-		ApproxCandidates:   d.i64(),
-		ApproxPruned:       d.i64(),
-		ApproxSkippedReads: d.i64(),
+		CPUTime:        time.Duration(d.i64()),
+		IOTime:         time.Duration(d.i64()),
+		LogicalReads:   d.i64(),
+		PhysicalReads:  d.i64(),
+		Combinations:   int(d.i64()),
+		FeaturesPulled: int(d.i64()),
+		ObjectsScored:  int(d.i64()),
+		ShardFanout:    int(d.i64()),
+		ShardPruned:    int(d.i64()),
 	}
 	r.Generation = d.u64()
 	r.Cached = d.bool()

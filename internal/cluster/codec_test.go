@@ -23,8 +23,6 @@ func TestQueryRoundTrip(t *testing.T) {
 		Similarity: 3,
 		RequestID:  "req-0123456789abcdef",
 		Trace:      true,
-		Mode:       wireModeApprox,
-		Recall:     0.9,
 		Sets: []WireKeywords{
 			{Name: "cafes", Words: []string{"espresso", "latte"}},
 			{Name: "food", Words: []string{"pizza"}},
@@ -57,7 +55,6 @@ func TestReplyRoundTrips(t *testing.T) {
 			CPUTime: 1200, IOTime: 3400, LogicalReads: 56, PhysicalReads: 7,
 			Combinations: 8, FeaturesPulled: 9, ObjectsScored: 10,
 			ShardFanout: 3, ShardPruned: 1,
-			ApproxCandidates: 11, ApproxPruned: 12, ApproxSkippedReads: 13,
 		},
 		Generation: 4,
 		Cached:     true,
@@ -150,8 +147,31 @@ func TestDecodeQueryTruncated(t *testing.T) {
 	}
 }
 
+// oldLayoutQuery hand-builds a query payload in the retired type-0x01
+// layout, which carried an execution mode byte and a recall target between
+// the trace flag and the keyword sets.
+func oldLayoutQuery() []byte {
+	var e enc
+	e.u64(5)     // k
+	e.f64(0.1)   // radius
+	e.f64(0.5)   // lambda
+	e.u8(0)      // variant
+	e.u8(0)      // algorithm
+	e.u8(0)      // similarity
+	e.str("old") // request id
+	e.bool(false)
+	e.u8(1)     // mode: approx
+	e.f64(0.75) // recall
+	e.u64(1)
+	e.str("food")
+	e.u64(1)
+	e.str("pizza")
+	return e.b
+}
+
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add(encodeQuery(WireQuery{K: 8, Radius: 0.06}))
+	f.Add(oldLayoutQuery())
 	f.Add(encodeQuery(WireQuery{
 		K: 3, RequestID: "req-x", Trace: true,
 		Sets: []WireKeywords{{Name: "a", Words: []string{"b"}}},

@@ -36,8 +36,6 @@ func fullQuery() stpq.Query {
 		Similarity: stpq.CosineSim,
 		RequestID:  "req-tripwire",
 		Trace:      stpq.TraceOn,
-		Mode:       stpq.ModeApprox,
-		Recall:     0.75,
 	}
 }
 
@@ -51,10 +49,6 @@ func perturbed(t *testing.T, q stpq.Query, field string) stpq.Query {
 	case reflect.Float64:
 		f.SetFloat(f.Float() / 2)
 	case reflect.String:
-		if field == "Mode" { // an enumeration on the wire: flip it
-			f.SetString("")
-			break
-		}
 		f.SetString(f.String() + "x")
 	case reflect.Map:
 		f.Set(reflect.ValueOf(map[string][]string{"food": {"ramen"}}))
@@ -100,7 +94,7 @@ func TestQueryFieldThreading(t *testing.T) {
 		K: 7, Radius: 0.125, Lambda: 0.25,
 		Keywords: map[string][]string{"food": {"pizza"}},
 		Variant:  "influence", Algorithm: "stds", Similarity: "cosine",
-		Mode: "approx", Recall: 0.75, Trace: true, Explain: true,
+		Trace: true, Explain: true,
 	}
 	for rv, i := reflect.ValueOf(req), 0; i < rv.NumField(); i++ {
 		if rv.Field(i).IsZero() {
@@ -187,56 +181,45 @@ func TestOneEventPerServedQuery(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAndNodesAgreeOnShape: for every algorithm, variant and
-// mode, the coordinator's event for a request and the event of the
-// replica that served it carry the same shape label — one definition
-// (stpq.QueryShape), not one per process.
+// TestCoordinatorAndNodesAgreeOnShape: for every algorithm and variant,
+// the coordinator's event for a request and the event of the replica that
+// served it carry the same shape label — one definition (stpq.QueryShape),
+// not one per process.
 func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2,
 		CoordinatorConfig{HealthInterval: -1})
 	coord := tc.coord
 	for _, alg := range []stpq.Algorithm{stpq.STPS, stpq.STDS} {
 		for _, variant := range []stpq.Variant{stpq.Range, stpq.Influence, stpq.NearestNeighbor} {
-			for _, mode := range []string{stpq.ModeExact, stpq.ModeApprox} {
-				q := stpq.Query{K: 6, Radius: 0.07, Lambda: 0.5, Variant: variant, Algorithm: alg, Mode: mode,
-					Keywords: map[string][]string{"food": {"pizza", "unheard-of"}, "cafes": nil}}
-				q.RequestID = "req-" + stpq.QueryShape(q).String()
-				if _, err := coord.Do(q); err != nil {
-					t.Fatalf("%v %v %s: %v", alg, variant, mode, err)
-				}
-				ev := coord.RecentQueries(1)[0]
-				if ev.RequestID != q.RequestID || ev.Shape == "" {
-					t.Fatalf("%v %v %s: coordinator event %+v", alg, variant, mode, ev)
-				}
-				seen := 0
-				for i, replica := range tc.dbs {
-					for _, nev := range eventsOf(replica, q.RequestID) {
-						seen++
-						if nev.Shape != ev.Shape {
-							t.Errorf("%v %v %s: replica %d says %q, coordinator says %q", alg, variant, mode, i, nev.Shape, ev.Shape)
-						}
+			q := stpq.Query{K: 6, Radius: 0.07, Lambda: 0.5, Variant: variant, Algorithm: alg,
+				Keywords: map[string][]string{"food": {"pizza", "unheard-of"}, "cafes": nil}}
+			q.RequestID = "req-" + stpq.QueryShape(q).String()
+			if _, err := coord.Do(q); err != nil {
+				t.Fatalf("%v %v: %v", alg, variant, err)
+			}
+			ev := coord.RecentQueries(1)[0]
+			if ev.RequestID != q.RequestID || ev.Shape == "" {
+				t.Fatalf("%v %v: coordinator event %+v", alg, variant, ev)
+			}
+			seen := 0
+			for i, replica := range tc.dbs {
+				for _, nev := range eventsOf(replica, q.RequestID) {
+					seen++
+					if nev.Shape != ev.Shape {
+						t.Errorf("%v %v: replica %d says %q, coordinator says %q", alg, variant, i, nev.Shape, ev.Shape)
 					}
 				}
-				if seen != 1 {
-					t.Errorf("%v %v %s: %d replica events for the request, want one", alg, variant, mode, seen)
-				}
+			}
+			if seen != 1 {
+				t.Errorf("%v %v: %d replica events for the request, want one", alg, variant, seen)
 			}
 		}
 	}
 }
 
-// TestCoordinatorRejectsApproxOnExactNodes: nodes over exact-bitmap indexes
-// refuse approx mode, and the coordinator passes the refusal on as a 400.
-func TestCoordinatorRejectsApproxOnExactNodes(t *testing.T) {
-	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
-	rec := postQuery(tc.coord, approxBody)
-	if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("SignatureBits")) {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-}
-
-// approxBody is an approx-mode query, which exact-index replicas refuse.
-const approxBody = `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza"],"cafes":["tea"]}}`
+// invalidBody parses at the coordinator, which does not validate queries,
+// and every replica refuses it: λ lies outside [0,1].
+const invalidBody = `{"k":5,"radius":0.1,"lambda":3,"keywords":{"food":["pizza"],"cafes":["tea"]}}`
 
 // postQuery serves one POST /query body through the coordinator's mux.
 func postQuery(c *Coordinator, body string) *httptest.ResponseRecorder {
@@ -252,32 +235,13 @@ func postQuery(c *Coordinator, body string) *httptest.ResponseRecorder {
 func TestInvalidQueryKeepsReplicasHealthy(t *testing.T) {
 	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
 	for i := 0; i < 2; i++ { // round-robin: both replicas refuse one
-		if rec := postQuery(tc.coord, approxBody); rec.Code != http.StatusBadRequest {
-			t.Fatalf("approx query %d: status %d: %s", i, rec.Code, rec.Body)
+		if rec := postQuery(tc.coord, invalidBody); rec.Code != http.StatusBadRequest {
+			t.Fatalf("invalid query %d: status %d: %s", i, rec.Code, rec.Body)
 		}
 	}
 	rec := httptest.NewRecorder()
 	tc.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after a client's bad query: status %d: %s", rec.Code, rec.Body)
-	}
-}
-
-// TestCoordinatorReportsApproxStats: the approx counters of the replica
-// that answered reach the client in the coordinator's /query response.
-func TestCoordinatorReportsApproxStats(t *testing.T) {
-	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2,
-		CoordinatorConfig{HealthInterval: -1})
-	rec := postQuery(tc.coord, `{"k":5,"radius":0.1,"lambda":0.5,"mode":"approx","keywords":{"food":["pizza","sushi"],"cafes":["tea"]}}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	var out serve.QueryResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.ApproxCandidates <= 0 {
-		t.Errorf("approx query through the coordinator reports approx_candidates = %d: %s",
-			out.Stats.ApproxCandidates, rec.Body)
 	}
 }

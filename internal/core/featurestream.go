@@ -34,18 +34,17 @@ type featureRef struct {
 // On an exact index a leaf's bound is its exact score, so unless the batch
 // lens must test it against its live batch when it is popped, a leaf is
 // queued final and popped as it is. In signature mode (hashed keyword
-// summaries, the only mode approximate queries run in) a popped leaf's
-// score is only a bound: the stream resolves it against the feature record — paying the
-// verification page read — and re-enqueues it with its exact score,
-// preserving the global non-increasing order.
+// summaries) a popped leaf's score is only a bound: the stream resolves it
+// against the feature record — paying the verification page read — and
+// re-enqueues it with its exact score, preserving the global
+// non-increasing order.
 type featureStream struct {
 	g         *index.FeatureGroup
 	pq        index.PreparedQuery
 	lens      lens
 	heap      boundHeap
 	exhausted bool
-	// final: every leaf is queued with its exact, lensed score. An exact
-	// index has no sketch, so an approximate request resolves exactly there.
+	// final: every leaf is queued with its exact, lensed score.
 	final bool
 	// rests holds the score and keyword set of each queued leaf that is not
 	// final, and arena those sets' words, copied out of their pages.
@@ -248,11 +247,11 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 // queued candidate copies out, by value, the few fields the pop side reads
 // and holds no pointer at all: an internal entry keeps only its child page;
 // a leaf keeps the item's id and location. A leaf whose prio is its exact
-// score is final. Any other leaf — one the deferred ResolveLeaf of
-// signature or approximate mode, or of the batch lens, will score, or one
-// groupAscendDistance hands on whole — keeps its score and keyword set in a
-// side slice owned by the heap's user, at index slot: the heaps move
-// candidates on every push and pop, so a candidate is kept to five words.
+// score is final. Any other leaf — one the deferred ResolveLeaf of signature
+// mode, or of the batch lens, will score, or one groupAscendDistance hands
+// on whole — keeps its score and keyword set in a side slice owned by the
+// heap's user, at index slot: the heaps move candidates on every push and
+// pop, so a candidate is kept to five words.
 type candidate struct {
 	// prio orders the heap, largest first: the score bound ŝ(e), or
 	// −MINDIST in groupAscendDistance's heap.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"stpq/internal/approx"
 	"stpq/internal/geo"
 	"stpq/internal/index"
 	"stpq/internal/kwset"
@@ -75,14 +74,6 @@ type Query struct {
 	// sampler, slow-query threshold); the disabled path costs one nil check
 	// per instrumentation point.
 	Trace bool
-	// Approx, when non-nil, runs the query in the approximate fast tier:
-	// MinHash/LSH candidate pruning (and, in signature mode with
-	// SkipVerify, estimated similarity scoring) replace exact textual
-	// verification. The request carries the lowered LSH parameters and
-	// the shared atomic pruning counters; query copies alias the same
-	// request, so counters aggregate across the whole logical query. nil =
-	// exact mode, the default.
-	Approx *approx.Request
 }
 
 // Validate checks query parameters against the engine shape.
@@ -105,15 +96,7 @@ func (q *Query) Validate(numFeatureSets int) error {
 
 // keywordsFor returns the per-set query keywords bundle.
 func (q *Query) keywordsFor(i int) index.QueryKeywords {
-	return index.QueryKeywords{Set: q.Keywords[i], Lambda: q.Lambda, Sim: q.Similarity, Approx: q.Approx}
-}
-
-// Mode returns the query's execution-mode label: "exact" or "approx".
-func (q *Query) Mode() string {
-	if q.Approx != nil {
-		return "approx"
-	}
-	return "exact"
+	return index.QueryKeywords{Set: q.Keywords[i], Lambda: q.Lambda, Sim: q.Similarity}
 }
 
 // Result is one data object of the top-k answer.
@@ -156,15 +139,6 @@ type Stats struct {
 	// STDS scans every part. Both are zero on unpartitioned engines.
 	ShardFanout int
 	ShardPruned int
-	// ApproxCandidates, ApproxPruned and ApproxSkippedReads report the
-	// approximate tier's work: leaf features checked against the MinHash
-	// sketch, those the LSH band filter rejected, and verification page
-	// reads the skip-verify path avoided. Zero in exact mode. They are
-	// loaded once per logical query from the shared approx request (by the
-	// caller that prepared the query).
-	ApproxCandidates   int64
-	ApproxPruned       int64
-	ApproxSkippedReads int64
 	// Trace is the query's span tree when the query asked for one
 	// (Query.Trace), nil otherwise. The root span covers the whole query;
 	// its page-read deltas equal LogicalReads/PhysicalReads.
@@ -187,9 +161,6 @@ func (s *Stats) Add(other Stats) {
 	s.ObjectsScored += other.ObjectsScored
 	s.ShardFanout += other.ShardFanout
 	s.ShardPruned += other.ShardPruned
-	s.ApproxCandidates += other.ApproxCandidates
-	s.ApproxPruned += other.ApproxPruned
-	s.ApproxSkippedReads += other.ApproxSkippedReads
 }
 
 // Scale divides all counters by n, yielding per-query averages.
@@ -199,20 +170,17 @@ func (s Stats) Scale(n int) Stats {
 	}
 	d := time.Duration(n)
 	return Stats{
-		CPUTime:            s.CPUTime / d,
-		IOTime:             s.IOTime / d,
-		LogicalReads:       s.LogicalReads / int64(n),
-		PhysicalReads:      s.PhysicalReads / int64(n),
-		VoronoiCPUTime:     s.VoronoiCPUTime / d,
-		VoronoiReads:       s.VoronoiReads / int64(n),
-		Combinations:       s.Combinations / n,
-		FeaturesPulled:     s.FeaturesPulled / n,
-		ObjectsScored:      s.ObjectsScored / n,
-		ShardFanout:        s.ShardFanout / n,
-		ShardPruned:        s.ShardPruned / n,
-		ApproxCandidates:   s.ApproxCandidates / int64(n),
-		ApproxPruned:       s.ApproxPruned / int64(n),
-		ApproxSkippedReads: s.ApproxSkippedReads / int64(n),
+		CPUTime:        s.CPUTime / d,
+		IOTime:         s.IOTime / d,
+		LogicalReads:   s.LogicalReads / int64(n),
+		PhysicalReads:  s.PhysicalReads / int64(n),
+		VoronoiCPUTime: s.VoronoiCPUTime / d,
+		VoronoiReads:   s.VoronoiReads / int64(n),
+		Combinations:   s.Combinations / n,
+		FeaturesPulled: s.FeaturesPulled / n,
+		ObjectsScored:  s.ObjectsScored / n,
+		ShardFanout:    s.ShardFanout / n,
+		ShardPruned:    s.ShardPruned / n,
 	}
 }
 

@@ -23,7 +23,6 @@ package index
 import (
 	"fmt"
 
-	"stpq/internal/approx"
 	"stpq/internal/geo"
 	"stpq/internal/hilbert"
 	"stpq/internal/kwset"
@@ -113,12 +112,6 @@ type FeatureIndex struct {
 	opts    Options
 	sigBits int
 	records *recordFile // exact keywords, signature mode only
-	// sketch is the approximate tier's MinHash sketch slot, shared by all
-	// read views of one index generation (Session/WithExclude are shallow
-	// copies) and materialized lazily on the first approximate query. Only
-	// a signature index has one: signature indexes are never saved, merged
-	// or written to, so the sketch never goes stale.
-	sketch *approx.Holder
 	// hidden is how many indexed features a WithExclude view hides.
 	hidden int
 }
@@ -146,7 +139,6 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	}
 	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts, sigBits: opts.SignatureBits}
 	if idx.sigBits > 0 {
-		idx.sketch = approx.NewHolder()
 		idx.records = newRecordFile(opts.VocabWidth, opts.PageSize, opts.BufferPages)
 		for _, f := range features {
 			if err := idx.records.put(f.ID, f.Keywords); err != nil {
@@ -331,10 +323,6 @@ type QueryKeywords struct {
 	Set    kwset.Set
 	Lambda float64
 	Sim    Similarity
-	// Approx, when non-nil, runs leaf resolution through the approximate
-	// fast tier (MinHash/LSH candidate pruning; see internal/approx). The
-	// request is shared by every view executing one logical query.
-	Approx *approx.Request
 }
 
 // Score returns the preference score s(t) of a leaf entry under Definition

@@ -3,9 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
-	"stpq/internal/approx"
 	"stpq/internal/kwset"
 	"stpq/internal/rtree"
 	"stpq/internal/storage"
@@ -34,19 +32,10 @@ func hashSet(exact kwset.Set, bits int) kwset.Set {
 
 // PreparedQuery carries a query's textual part in both forms: the exact
 // keyword set (for final score computation) and the tree-side set — the
-// hashed signature in signature mode, the exact set otherwise. For
-// approximate queries it additionally carries the query's MinHash
-// signature and cardinality (the LSH side of the prepared query).
+// hashed signature in signature mode, the exact set otherwise.
 type PreparedQuery struct {
 	Exact QueryKeywords
 	Tree  QueryKeywords
-	// Approx aliases Exact.Approx for the fast-tier leaf resolution;
-	// MinSig and QueryCard are the lowered query-set sketch. MinSig is
-	// part-independent (package-level hash seeds), so one prepared query
-	// serves every part of a group and every shard identically.
-	Approx    *approx.Request
-	MinSig    approx.Signature
-	QueryCard int
 }
 
 // Prepare lowers query keywords for this index.
@@ -57,11 +46,6 @@ func (x *FeatureIndex) Prepare(q QueryKeywords) PreparedQuery {
 		if q.Set.IsEmpty() {
 			pq.Tree.Set = kwset.NewSet(x.sigBits)
 		}
-	}
-	if q.Approx != nil {
-		pq.Approx = q.Approx
-		pq.MinSig = approx.SignatureOf(q.Set)
-		pq.QueryCard = q.Set.Count()
 	}
 	return pq
 }
@@ -74,7 +58,7 @@ func (x *FeatureIndex) Exact() bool { return x.sigBits == 0 }
 // with positive textual similarity. In signature mode this test is sound
 // but admits false positives. Like EntryBound and ResolveLeaf it reads the
 // entry and the prepared query in place: they are called once per visited
-// entry, and a PreparedQuery alone is over 600 bytes.
+// entry, and a PreparedQuery alone is 96 bytes.
 func (x *FeatureIndex) EntryRelevant(e *rtree.Entry, pq *PreparedQuery) bool {
 	return e.Keywords.Intersects(pq.RelevantSet())
 }
@@ -110,17 +94,8 @@ func (x *FeatureIndex) EntryBound(e *rtree.Entry, pq *PreparedQuery) float64 {
 // ResolveLeaf returns the preference score s(t) of a leaf entry and
 // whether the feature is relevant. In exact mode (the default) both are
 // exact; in signature mode this reads the feature's record page (the
-// verification I/O of a signature index). Approximate queries
-// (pq.Approx non-nil) on a signature index first run the LSH candidate
-// filter, and with SkipVerify score candidates from the MinHash
-// similarity estimate instead of paying the verification read.
+// verification I/O of a signature index).
 func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error) {
-	if pq.Approx != nil {
-		s, rel, err, handled := x.resolveLeafApprox(e, pq)
-		if handled || err != nil {
-			return s, rel, err
-		}
-	}
 	if x.sigBits == 0 {
 		if !e.Keywords.Intersects(pq.Exact.Set) {
 			return 0, false, nil
@@ -136,105 +111,6 @@ func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (s float64
 	}
 	s = (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*pq.Exact.Sim.Sim(exact, pq.Exact.Set)
 	return s, true, nil
-}
-
-// resolveLeafApprox is the fast-tier leaf resolution: check the feature's
-// MinHash signature against the query's under the request's banded-LSH
-// parameters, pruning non-candidates without touching exact keywords.
-// handled=false falls back to the exact path — either there is no sketch
-// (an exact index, or a feature inserted after the sketch was built) or
-// the request keeps verification (SkipVerify off). Fallbacks only ever
-// widen the candidate set, so an approximate answer degrades toward
-// exactness, never away from it.
-func (x *FeatureIndex) resolveLeafApprox(e *rtree.Entry, pq *PreparedQuery) (s float64, relevant bool, err error, handled bool) {
-	sk, err := x.sketchFor()
-	if err != nil {
-		return 0, false, err, true
-	}
-	if sk == nil {
-		return 0, false, nil, false
-	}
-	sig, card, ok := sk.Get(e.ItemID)
-	if !ok {
-		return 0, false, nil, false
-	}
-	a := pq.Approx
-	a.Candidates.Add(1)
-	if !a.Params.Candidate(&pq.MinSig, &sig) {
-		a.Pruned.Add(1)
-		return 0, false, nil, true
-	}
-	if !a.Params.SkipVerify {
-		return 0, false, nil, false // verify candidates via the record file
-	}
-	a.SkippedReads.Add(1)
-	if card == 0 || pq.QueryCard == 0 {
-		return 0, false, nil, true
-	}
-	// A band agreed, so at least Rows positions match and the Jaccard
-	// estimate is positive — the feature counts as relevant with an
-	// estimated similarity. The estimate is ≤ 1, so the score stays under
-	// the signature-mode entry bound (1−λ)·e.s + λ and shard/cluster
-	// pruning remains admissible.
-	j := approx.EstimateJaccard(&pq.MinSig, &sig)
-	s = (1-pq.Exact.Lambda)*e.Score + pq.Exact.Lambda*estimateSim(pq.Exact.Sim, j, pq.QueryCard, card)
-	return s, true, nil, true
-}
-
-// estimateSim converts a MinHash Jaccard estimate to the query's
-// similarity measure using the two set cardinalities: the intersection
-// size follows from |A∩B| = J/(1+J)·(|A|+|B|). The implied intersection
-// is snapped to the nearest achievable integer first — keyword sets are
-// small, so the true intersection is a small integer and rounding removes
-// most of the estimation noise (the estimate only errs when its error
-// crosses a rounding boundary). Results are capped at 1.
-func estimateSim(sim Similarity, j float64, qCard, fCard int) float64 {
-	inter := math.Round(j / (1 + j) * float64(qCard+fCard))
-	if m := math.Min(float64(qCard), float64(fCard)); inter > m {
-		inter = m
-	}
-	if inter < 0 {
-		inter = 0
-	}
-	var s float64
-	switch sim {
-	case Dice:
-		s = 2 * inter / float64(qCard+fCard)
-	case Cosine:
-		s = inter / math.Sqrt(float64(qCard)*float64(fCard))
-	case Overlap:
-		s = inter / math.Min(float64(qCard), float64(fCard))
-	default: // Jaccard
-		s = inter / (float64(qCard+fCard) - inter)
-	}
-	if s > 1 {
-		s = 1
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s
-}
-
-// sketchFor returns the index's MinHash sketch, building it from the
-// exact keyword sets on first use (one AllExact pass, which pays the
-// record-file reads once per index generation). An exact index has no
-// holder: a nil sketch, and the caller falls back to exact resolution.
-func (x *FeatureIndex) sketchFor() (*approx.Sketch, error) {
-	if x.sketch == nil {
-		return nil, nil
-	}
-	return x.sketch.Get(func() (*approx.Sketch, error) {
-		all, err := x.AllExact()
-		if err != nil {
-			return nil, err
-		}
-		s := approx.NewSketch()
-		for _, e := range all {
-			s.Put(e.ItemID, e.Keywords)
-		}
-		return s, nil
-	})
 }
 
 // recordFile stores each feature's exact keyword set in fixed-size

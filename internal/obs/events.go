@@ -56,12 +56,6 @@ type QueryEvent struct {
 	// skipped (zero on unsharded engines).
 	ShardFanout int `json:"shard_fanout,omitempty"`
 	ShardPruned int `json:"shard_pruned,omitempty"`
-	// Mode is "approx" for fast-tier executions, "" for exact.
-	// ApproxCandidates/ApproxPruned are the tier's sketch checks and LSH
-	// rejections (zero in exact mode).
-	Mode             string `json:"mode,omitempty"`
-	ApproxCandidates int64  `json:"approx_candidates,omitempty"`
-	ApproxPruned     int64  `json:"approx_pruned,omitempty"`
 	// CacheHit marks events recorded for serve-layer result-cache hits,
 	// which never touch the engine.
 	CacheHit bool `json:"cache_hit,omitempty"`
@@ -155,11 +149,6 @@ type ShapeKey struct {
 	RBucket int
 	// Sets counts the non-empty query keyword sets.
 	Sets int
-	// Mode is the execution mode dimension: "" for exact (the zero value,
-	// so shapes.json files exported before the approximate tier existed
-	// decode onto the exact shapes instead of polluting approx
-	// predictions), "approx" for the approximate fast tier.
-	Mode string `json:"Mode,omitempty"`
 }
 
 // noRadius is the RBucket sentinel for radius-free queries (NN variant).
@@ -190,14 +179,8 @@ func (k ShapeKey) String() string {
 			r = "r#" + strconv.Itoa(k.RBucket)
 		}
 	}
-	label := k.Alg + "|" + k.Variant + "|" + k.Sim +
+	return k.Alg + "|" + k.Variant + "|" + k.Sim +
 		"|k=" + strconv.Itoa(k.K) + "|" + r + "|sets=" + strconv.Itoa(k.Sets)
-	// Exact shapes keep their historical label (no mode segment), so
-	// dashboards and persisted statistics stay byte-stable.
-	if k.Mode != "" {
-		label += "|mode=" + k.Mode
-	}
-	return label
 }
 
 // shapeAgg accumulates per-shape totals. Fields are atomics so the hot

@@ -122,29 +122,20 @@ func TestShapeStatsExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShapeKeyModeDimension pins the fast tier's shape dimension and its
-// backward compatibility: approx executions get their own statistics row,
-// and a shapes.json written before the Mode field existed decodes to the
-// exact key — old planner memory merges cleanly instead of forking.
+// TestShapeKeyModeDimension pins that the shape key has no execution-mode
+// dimension: its JSON is byte-identical to the format every shapes.json
+// has been written in, and a saved record lands on the live key's
+// statistics instead of forking them.
 func TestShapeKeyModeDimension(t *testing.T) {
 	exact := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.01), Sets: 2}
-	approx := exact
-	approx.Mode = "approx"
-	if exact == approx || exact.String() == approx.String() {
-		t.Fatalf("mode dimension collapsed: %q vs %q", exact.String(), approx.String())
-	}
-
-	// The exact key serializes without a Mode field at all, so its JSON is
-	// byte-identical to the pre-Mode format.
 	data, err := json.Marshal(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != `{"Alg":"stps","Variant":"range","Sim":"jaccard","K":10,"RBucket":-13,"Sets":2}` {
-		t.Fatalf("exact key JSON changed shape: %s", data)
+		t.Fatalf("key JSON changed shape: %s", data)
 	}
 
-	// An old record (no Mode) must land on the exact key's statistics.
 	st := NewShapeStats()
 	st.Observe(exact, time.Millisecond, 0, 10, 2, 5)
 	var old ShapeRecord
@@ -153,17 +144,6 @@ func TestShapeKeyModeDimension(t *testing.T) {
 	}
 	st.Import([]ShapeRecord{old})
 	if _, n := st.Cost(exact); n != 4 {
-		t.Fatalf("old record did not merge into the exact key: %d samples", n)
-	}
-	if _, n := st.Cost(approx); n != 0 {
-		t.Fatalf("old record leaked into the approx key: %d samples", n)
-	}
-
-	// And the approx key itself round-trips through Export/Import.
-	st.Observe(approx, 2*time.Millisecond, 0, 10, 2, 5)
-	dst := NewShapeStats()
-	dst.Import(st.Export())
-	if _, n := dst.Cost(approx); n != 1 {
-		t.Fatalf("approx key lost in round trip: %d samples", n)
+		t.Fatalf("saved record did not merge into the live key: %d samples", n)
 	}
 }

@@ -41,38 +41,6 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
-// Approx queries live in their own cache namespace: the mode and the
-// recall target both segment fingerprints, while exact queries keep the
-// byte-stable keys they had before the fast tier existed.
-func TestFingerprintApproxNamespace(t *testing.T) {
-	base := stpq.Query{
-		K: 5, Radius: 0.1, Lambda: 0.5,
-		Keywords: map[string][]string{"a": {"x", "y"}},
-	}
-	exact := Fingerprint(base)
-	explicit := base
-	explicit.Mode = stpq.ModeExact
-	if got := Fingerprint(explicit); got != exact {
-		t.Errorf("explicit exact mode changed the fingerprint: %q vs %q", got, exact)
-	}
-	approx := base
-	approx.Mode = stpq.ModeApprox
-	approx.Recall = 0.9
-	afp := Fingerprint(approx)
-	if afp == exact {
-		t.Error("approx query shares the exact cache namespace")
-	}
-	other := approx
-	other.Recall = 0.95
-	if Fingerprint(other) == afp {
-		t.Error("different recall targets share a cache entry")
-	}
-	again := approx
-	if Fingerprint(again) != afp {
-		t.Error("approx fingerprint not stable")
-	}
-}
-
 func TestFingerprintSetNameEscaping(t *testing.T) {
 	// Pathological set names must not collide via separator injection.
 	a := stpq.Query{K: 1, Radius: 0.1,

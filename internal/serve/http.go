@@ -41,11 +41,6 @@ type QueryRequest struct {
 	Variant    string              `json:"variant,omitempty"`    // range | influence | nn
 	Algorithm  string              `json:"algorithm,omitempty"`  // stps | stds
 	Similarity string              `json:"similarity,omitempty"` // jaccard | dice | cosine | overlap
-	// Mode selects the execution tier: "exact" (default) or "approx", the
-	// MinHash/LSH fast tier. Recall sets the approx tier's recall target in
-	// (0,1]; 0 takes the library default.
-	Mode   string  `json:"mode,omitempty"` // exact | approx
-	Recall float64 `json:"recall,omitempty"`
 	// Trace forces full span collection for this query (bypassing the
 	// result cache); the span tree comes back in stats.trace.
 	Trace bool `json:"trace,omitempty"`
@@ -88,13 +83,6 @@ func (r QueryRequest) Query() (stpq.Query, error) {
 	default:
 		return q, fmt.Errorf("%w: unknown similarity %q", stpq.ErrInvalidQuery, r.Similarity)
 	}
-	switch r.Mode {
-	case "", stpq.ModeExact, stpq.ModeApprox:
-		q.Mode = r.Mode
-	default:
-		return q, fmt.Errorf("%w: unknown mode %q", stpq.ErrInvalidQuery, r.Mode)
-	}
-	q.Recall = r.Recall
 	if r.Trace {
 		q.Trace = stpq.TraceOn
 	}
@@ -111,24 +99,17 @@ type ResultJSON struct {
 
 // StatsJSON is the per-query cost breakdown in a QueryResponse.
 type StatsJSON struct {
-	CPUMicros      int64 `json:"cpu_us"`
-	IOMicros       int64 `json:"io_us"`
-	TotalMicros    int64 `json:"total_us"`
-	LogicalReads   int64 `json:"logical_reads"`
-	PhysicalReads  int64 `json:"physical_reads"`
-	Combinations   int   `json:"combinations,omitempty"`
-	FeaturesPulled int   `json:"features_pulled,omitempty"`
-	ObjectsScored  int   `json:"objects_scored,omitempty"`
-	ShardFanout    int   `json:"shard_fanout,omitempty"`
-	ShardPruned    int   `json:"shard_pruned,omitempty"`
-	// Approx* report the fast tier's pruning work (approx-mode queries
-	// only): leaf candidates tested against the query signature, candidates
-	// pruned by the LSH band test, and record-file verification reads
-	// skipped by signature-estimate scoring.
-	ApproxCandidates   int64      `json:"approx_candidates,omitempty"`
-	ApproxPruned       int64      `json:"approx_pruned,omitempty"`
-	ApproxSkippedReads int64      `json:"approx_skipped_reads,omitempty"`
-	Trace              *stpq.Span `json:"trace,omitempty"`
+	CPUMicros      int64      `json:"cpu_us"`
+	IOMicros       int64      `json:"io_us"`
+	TotalMicros    int64      `json:"total_us"`
+	LogicalReads   int64      `json:"logical_reads"`
+	PhysicalReads  int64      `json:"physical_reads"`
+	Combinations   int        `json:"combinations,omitempty"`
+	FeaturesPulled int        `json:"features_pulled,omitempty"`
+	ObjectsScored  int        `json:"objects_scored,omitempty"`
+	ShardFanout    int        `json:"shard_fanout,omitempty"`
+	ShardPruned    int        `json:"shard_pruned,omitempty"`
+	Trace          *stpq.Span `json:"trace,omitempty"`
 }
 
 // QueryResponse is the JSON body answering POST /query.
@@ -204,20 +185,17 @@ func NewQueryResponse(results []stpq.Result, st stpq.Stats) QueryResponse {
 	out := QueryResponse{
 		Results: make([]ResultJSON, len(results)),
 		Stats: StatsJSON{
-			CPUMicros:          st.CPUTime.Microseconds(),
-			IOMicros:           st.IOTime.Microseconds(),
-			TotalMicros:        st.Total().Microseconds(),
-			LogicalReads:       st.LogicalReads,
-			PhysicalReads:      st.PhysicalReads,
-			Combinations:       st.Combinations,
-			FeaturesPulled:     st.FeaturesPulled,
-			ObjectsScored:      st.ObjectsScored,
-			ShardFanout:        st.ShardFanout,
-			ShardPruned:        st.ShardPruned,
-			ApproxCandidates:   st.ApproxCandidates,
-			ApproxPruned:       st.ApproxPruned,
-			ApproxSkippedReads: st.ApproxSkippedReads,
-			Trace:              st.Trace,
+			CPUMicros:      st.CPUTime.Microseconds(),
+			IOMicros:       st.IOTime.Microseconds(),
+			TotalMicros:    st.Total().Microseconds(),
+			LogicalReads:   st.LogicalReads,
+			PhysicalReads:  st.PhysicalReads,
+			Combinations:   st.Combinations,
+			FeaturesPulled: st.FeaturesPulled,
+			ObjectsScored:  st.ObjectsScored,
+			ShardFanout:    st.ShardFanout,
+			ShardPruned:    st.ShardPruned,
+			Trace:          st.Trace,
 		},
 	}
 	for i, res := range results {

@@ -101,7 +101,6 @@ func TestHTTPQueryErrors(t *testing.T) {
 		{`{"k":5,"radius":0.1,"variant":"bogus"}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"algorithm":"bogus"}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"algorithm":"auto"}`, http.StatusBadRequest},
-		{`{"k":5,"radius":0.1,"mode":"approx"}`, http.StatusBadRequest}, // exact index
 		{`{"k":5,"radius":0.1,"similarity":"bogus"}`, http.StatusBadRequest},
 		{`{"k":5,"radius":0.1,"bogus_field":1}`, http.StatusBadRequest},
 	}
@@ -128,6 +127,41 @@ func TestHTTPQueryErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPRejectsRemovedModeFields: "mode" and "recall" are not request
+// fields. A client that still sends them gets a 400 naming the field, even
+// from a signature index, and the query never reaches the engine.
+func TestHTTPRejectsRemovedModeFields(t *testing.T) {
+	db := testDB(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8}, 200, 200)
+	svc, err := New(db, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { srv.Close(); svc.Close() })
+	body := `{"k":5,"radius":0.1,"lambda":0.5,"keywords":{"restaurants":["kw1"],"cafes":["kw3"]}%s}`
+	if resp, data := postQuery(t, srv.URL, fmt.Sprintf(body, "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain query: status %d: %s", resp.StatusCode, data)
+	}
+	for _, c := range []struct{ name, field string }{
+		{"mode", `"mode":"approx"`},
+		{"recall", `"recall":0.9`},
+	} {
+		resp, data := postQuery(t, srv.URL, fmt.Sprintf(body, ","+c.field))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.field, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), `unknown field \"`+c.name+`\"`) {
+			t.Errorf("%s: error %s does not name the field", c.field, data)
+		}
+	}
+	if n := len(db.RecentQueries(10)); n != 1 {
+		t.Errorf("%d query events, want only the plain query's", n)
+	}
+	if n := svc.Metrics().Counter("stpq_serve_queries_total").Value(); n != 1 {
+		t.Errorf("stpq_serve_queries_total = %d, want 1", n)
 	}
 }
 

@@ -122,7 +122,6 @@ type Service struct {
 	hits     *obs.Counter // stpq_serve_cache_hits_total
 	misses   *obs.Counter // stpq_serve_cache_misses_total
 	queries  *obs.Counter
-	approx   *obs.Counter // stpq_serve_approx_queries_total
 	ingests  *obs.Counter // stpq_serve_ingested_total (mutations via /ingest)
 	overload *obs.Counter
 	shed     *obs.Counter // stpq_serve_rejected_total{reason="expensive"}
@@ -174,7 +173,6 @@ func newUnstarted(db *stpq.DB, cfg Config) (*Service, error) {
 		hits:     reg.Counter("stpq_serve_cache_hits_total"),
 		misses:   reg.Counter("stpq_serve_cache_misses_total"),
 		queries:  reg.Counter("stpq_serve_queries_total"),
-		approx:   reg.Counter("stpq_serve_approx_queries_total"),
 		ingests:  reg.Counter("stpq_serve_ingested_total"),
 		overload: reg.Counter("stpq_serve_rejected_total{reason=\"overload\"}"),
 		shed:     reg.Counter("stpq_serve_rejected_total{reason=\"expensive\"}"),
@@ -232,9 +230,6 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 		return Response{}, ErrClosed
 	}
 	s.queries.Inc()
-	if q.Mode == stpq.ModeApprox {
-		s.approx.Inc()
-	}
 	start := time.Now()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -101,32 +101,11 @@ func TestServeRejectsInvalidQuery(t *testing.T) {
 		{K: 5, Radius: 0.1, Lambda: 2},
 		{K: 5, Radius: 0.1, Keywords: map[string][]string{"nope": {"kw1"}}},
 		{K: 5, Radius: 0.1, Algorithm: stpq.STDS + 1},
-		{K: 5, Radius: 0.1, Mode: stpq.ModeApprox}, // exact index
 	}
 	for i, q := range cases {
 		if _, err := svc.Do(context.Background(), q); !errors.Is(err, stpq.ErrInvalidQuery) {
 			t.Errorf("case %d: err = %v, want ErrInvalidQuery", i, err)
 		}
-	}
-}
-
-// TestServeApproxOnSignatureIndex: the approx query an exact index
-// rejects is answered by a signature index.
-func TestServeApproxOnSignatureIndex(t *testing.T) {
-	db := testDB(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8}, 50, 50)
-	svc, err := New(db, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	q := testQuery(5)
-	q.Mode = stpq.ModeApprox
-	resp, err := svc.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) == 0 || resp.Stats.ApproxCandidates == 0 {
-		t.Errorf("%d results, %d approx candidates", len(resp.Results), resp.Stats.ApproxCandidates)
 	}
 }
 

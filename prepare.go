@@ -13,14 +13,12 @@ package stpq
 // the layers above carry the *Prepared around.
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"stpq/internal/approx"
 	"stpq/internal/core"
 	"stpq/internal/geo"
 	"stpq/internal/index"
@@ -61,11 +59,6 @@ func QueryShape(q Query) ShapeKey {
 			}
 		}
 	}
-	// Exact keeps the zero mode so shapes.json files written before the
-	// approximate tier existed import onto the exact shapes.
-	if q.Mode == ModeApprox {
-		key.Mode = ModeApprox
-	}
 	return key
 }
 
@@ -90,14 +83,6 @@ func Fingerprint(q Query) string {
 	b.WriteString(strconv.FormatFloat(q.Radius, 'x', -1, 64))
 	b.WriteString("|l")
 	b.WriteString(strconv.FormatFloat(q.Lambda, 'x', -1, 64))
-	if q.Mode == ModeApprox {
-		// Approx results live in their own cache namespace, keyed by the
-		// recall target: an approx answer must never satisfy an exact
-		// lookup (or one at a different recall), and exact fingerprints
-		// stay byte-identical to what they were before the fast tier.
-		b.WriteString("|m=approx|q")
-		b.WriteString(strconv.FormatFloat(q.Recall, 'x', -1, 64))
-	}
 	names := make([]string, 0, len(q.Keywords))
 	for name, kws := range q.Keywords {
 		if len(kws) > 0 {
@@ -152,14 +137,10 @@ type Prepared struct {
 // Prepare validates q against the snapshot's feature sets, lowers it to the
 // engine's form, takes the trace decision — the query's explicit mode, then
 // the engine toggle, then the sampler, then the slow-query threshold.
-// Errors wrap ErrInvalidQuery. Mode: approx needs a signature index: on
-// exact bitmaps the tier has no verification reads to skip.
+// Errors wrap ErrInvalidQuery.
 func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 	if err := ValidateQuery(q, s.names); err != nil {
 		return nil, err
-	}
-	if q.Mode == ModeApprox && s.db.cfg.SignatureBits == 0 {
-		return nil, fmt.Errorf("%w: mode %q needs a signature index (Config.SignatureBits > 0)", ErrInvalidQuery, ModeApprox)
 	}
 	p := &Prepared{snap: s, q: q, key: QueryShape(q)}
 	kws := make([]kwset.Set, len(s.names))
@@ -174,11 +155,6 @@ func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 		Variant:    core.Variant(q.Variant),
 		Similarity: index.Similarity(q.Similarity),
 		RequestID:  q.RequestID,
-	}
-	if q.Mode == ModeApprox {
-		// One request per logical query: session copies alias it, so its
-		// atomic counters aggregate the whole execution.
-		p.cq.Approx = approx.NewRequest(q.Recall)
 	}
 
 	tel := s.db.tel
@@ -238,13 +214,6 @@ func (p *Prepared) Run() ([]Result, Stats, error) {
 	} else {
 		res, st, err = p.snap.engine.STPS(p.cq)
 	}
-	if a := p.cq.Approx; a != nil {
-		// The request's counters hold the whole logical query's totals,
-		// loaded exactly once here.
-		st.ApproxCandidates = a.Candidates.Load()
-		st.ApproxPruned = a.Pruned.Load()
-		st.ApproxSkippedReads = a.SkippedReads.Load()
-	}
 	if p.keep {
 		st.Trace.MarkKeep()
 	}
@@ -292,26 +261,23 @@ func (p *Prepared) record(start time.Time, st *Stats, err error, cacheHit bool) 
 // free.
 func NewQueryEvent(q Query, key ShapeKey, st *Stats, start time.Time, err error) QueryEvent {
 	ev := QueryEvent{
-		Start:            start,
-		RequestID:        q.RequestID,
-		Algorithm:        key.Alg,
-		Variant:          key.Variant,
-		K:                q.K,
-		Radius:           q.Radius,
-		Duration:         st.CPUTime,
-		IOTime:           st.IOTime,
-		LogicalReads:     st.LogicalReads,
-		PhysicalReads:    st.PhysicalReads,
-		Combinations:     st.Combinations,
-		FeaturesPulled:   st.FeaturesPulled,
-		ObjectsScored:    st.ObjectsScored,
-		ShardFanout:      st.ShardFanout,
-		ShardPruned:      st.ShardPruned,
-		Mode:             key.Mode,
-		ApproxCandidates: st.ApproxCandidates,
-		ApproxPruned:     st.ApproxPruned,
-		Outcome:          "ok",
-		Trace:            st.Trace,
+		Start:          start,
+		RequestID:      q.RequestID,
+		Algorithm:      key.Alg,
+		Variant:        key.Variant,
+		K:              q.K,
+		Radius:         q.Radius,
+		Duration:       st.CPUTime,
+		IOTime:         st.IOTime,
+		LogicalReads:   st.LogicalReads,
+		PhysicalReads:  st.PhysicalReads,
+		Combinations:   st.Combinations,
+		FeaturesPulled: st.FeaturesPulled,
+		ObjectsScored:  st.ObjectsScored,
+		ShardFanout:    st.ShardFanout,
+		ShardPruned:    st.ShardPruned,
+		Outcome:        "ok",
+		Trace:          st.Trace,
 	}
 	if err != nil {
 		ev.Outcome = "error"
@@ -321,29 +287,23 @@ func NewQueryEvent(q Query, key ShapeKey, st *Stats, start time.Time, err error)
 }
 
 // queryMetrics are the registry series one finished query feeds, resolved
-// once per (mode, algorithm, variant) instead of by name on every query.
+// once per (algorithm, variant) instead of by name on every query.
 type queryMetrics struct {
 	queries, combinations, featuresPulled, objectsScored *obs.Counter
 	seconds, cpuSeconds, physicalReads                   *obs.Histogram
-	// Approximate tier only.
-	approxQueries, approxCandidates, approxPruned, approxSkippedReads *obs.Counter
-	approxSeconds                                                     *obs.Histogram
 }
 
-// queryMetricsTable caches queryMetrics by [approx][stds][variant]. Two
-// queries racing to fill a slot register the same named series, so either
-// pointer is right.
-type queryMetricsTable [2][2][3]atomic.Pointer[queryMetrics]
+// queryMetricsTable caches queryMetrics by [stds][variant]. Two queries
+// racing to fill a slot register the same named series, so either pointer
+// is right.
+type queryMetricsTable [2][3]atomic.Pointer[queryMetrics]
 
 func (t *queryMetricsTable) observe(r *obs.Registry, p *Prepared, st *Stats) {
-	isApprox, isSTDS := 0, 0
-	if p.cq.Approx != nil {
-		isApprox = 1
-	}
+	isSTDS := 0
 	if p.q.Algorithm == STDS {
 		isSTDS = 1
 	}
-	slot := &t[isApprox][isSTDS][p.cq.Variant]
+	slot := &t[isSTDS][p.cq.Variant]
 	m := slot.Load()
 	if m == nil {
 		label := `{alg="` + p.key.Alg + `",variant="` + p.key.Variant + `"}`
@@ -356,13 +316,6 @@ func (t *queryMetricsTable) observe(r *obs.Registry, p *Prepared, st *Stats) {
 			featuresPulled: r.Counter("stpq_features_pulled_total" + label),
 			objectsScored:  r.Counter("stpq_objects_scored_total" + label),
 		}
-		if isApprox == 1 {
-			m.approxQueries = r.Counter("stpq_approx_queries_total" + label)
-			m.approxSeconds = r.Histogram("stpq_approx_query_seconds"+label, obs.LatencyBuckets)
-			m.approxCandidates = r.Counter("stpq_approx_candidates_total" + label)
-			m.approxPruned = r.Counter("stpq_approx_pruned_total" + label)
-			m.approxSkippedReads = r.Counter("stpq_approx_skipped_reads_total" + label)
-		}
 		slot.Store(m)
 	}
 	m.queries.Inc()
@@ -372,13 +325,6 @@ func (t *queryMetricsTable) observe(r *obs.Registry, p *Prepared, st *Stats) {
 	m.combinations.Add(int64(st.Combinations))
 	m.featuresPulled.Add(int64(st.FeaturesPulled))
 	m.objectsScored.Add(int64(st.ObjectsScored))
-	if isApprox == 1 {
-		m.approxQueries.Inc()
-		m.approxSeconds.Observe(st.Total().Seconds())
-		m.approxCandidates.Add(st.ApproxCandidates)
-		m.approxPruned.Add(st.ApproxPruned)
-		m.approxSkippedReads.Add(st.ApproxSkippedReads)
-	}
 	if st.ShardFanout+st.ShardPruned > 0 {
 		r.Counter("stpq_shard_fanout_total").Add(int64(st.ShardFanout))
 		r.Counter("stpq_shard_pruned_total").Add(int64(st.ShardPruned))

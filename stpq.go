@@ -146,8 +146,7 @@ type Config struct {
 	// SignatureBits stores hashed keyword signatures of this width in
 	// feature indexes instead of exact bitmaps (classic IR²-tree
 	// signature files with verification reads against a record file).
-	// 0 keeps exact bitmaps. Results are identical either way; only a
-	// signature index accepts Mode: approx queries.
+	// 0 keeps exact bitmaps. Results are identical either way.
 	SignatureBits int
 	// Tracing collects a span tree (Stats.Trace) for every query: named
 	// phases with wall time and page-read deltas. Off by default; the
@@ -247,31 +246,7 @@ type Query struct {
 	// Trace is the query's explicit tracing decision, overriding the
 	// engine toggle and the sampler (default TraceDefault).
 	Trace TraceMode
-	// Mode selects the execution tier: "" or ModeExact runs the exact
-	// engine (the default — results pinned by the oracle suites), and
-	// ModeApprox runs the approximate fast tier, where MinHash/LSH
-	// candidate pruning trades up to 1−Recall of recall for skipped
-	// verification reads. It needs a signature index (Config.SignatureBits
-	// > 0): on exact bitmaps there are no reads to skip, and Prepare
-	// rejects it.
-	Mode string
-	// Recall is the approximate tier's recall target in (0,1] — the
-	// probability that a minimally relevant feature survives the LSH
-	// candidate filter. 0 means the default (approx.DefaultRecall, 0.9).
-	// Only valid with Mode == ModeApprox. Higher targets keep more
-	// candidates (and, above 0.95, exact verification); lower targets
-	// prune harder and answer faster.
-	Recall float64
 }
-
-// Execution-mode names accepted by Query.Mode.
-const (
-	// ModeExact is the exact engine (the default; "" means the same).
-	ModeExact = "exact"
-	// ModeApprox is the approximate fast tier: MinHash/LSH textual
-	// candidate pruning under the query's Recall target.
-	ModeApprox = "approx"
-)
 
 // Result is one ranked data object.
 type Result struct {
@@ -412,7 +387,9 @@ func (db *DB) FeatureSetNames() []string {
 // Build constructs the indexes. It must be called exactly once, after the
 // initial data has been added and before the first query; to re-index
 // after adding more data, use Rebuild. The added data is consumed: once the
-// indexes hold it the DB keeps no other copy.
+// indexes hold it the DB keeps no other copy. A Config.WALDir on a DB
+// without a write path is refused with ErrIngestUnsupported before anything
+// is built, so the staged data stays in place.
 func (db *DB) Build() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -420,6 +397,11 @@ func (db *DB) Build() error {
 	defer db.mu.Unlock()
 	if db.built {
 		return errors.New("stpq: Build called twice")
+	}
+	if db.cfg.WALDir != "" {
+		if err := db.cfg.ingestable(); err != nil {
+			return err
+		}
 	}
 	if err := db.buildLocked(nil, nil); err != nil {
 		return err

@@ -51,21 +51,6 @@ func ValidateQuery(q Query, featureSets []string) error {
 	if !(q.Lambda >= 0 && q.Lambda <= 1) {
 		return fmt.Errorf("%w: lambda %v outside [0,1]", ErrInvalidQuery, q.Lambda)
 	}
-	switch q.Mode {
-	case "", ModeExact, ModeApprox:
-	default:
-		return fmt.Errorf("%w: unknown mode %q (want %q or %q)", ErrInvalidQuery, q.Mode, ModeExact, ModeApprox)
-	}
-	if q.Recall != 0 {
-		if q.Mode != ModeApprox {
-			return fmt.Errorf("%w: recall is only valid with mode %q", ErrInvalidQuery, ModeApprox)
-		}
-		// The positive-range test also rejects NaN (every comparison with
-		// NaN is false).
-		if !(q.Recall > 0 && q.Recall <= 1) {
-			return fmt.Errorf("%w: recall %v outside (0,1]", ErrInvalidQuery, q.Recall)
-		}
-	}
 	for name := range q.Keywords {
 		known := false
 		for _, n := range featureSets {

@@ -31,10 +31,6 @@ func TestValidateQueryTable(t *testing.T) {
 		{"valid stds", mod(func(q *Query) { q.Algorithm = STDS }), nil},
 		{"valid nn zero radius", mod(func(q *Query) { q.Variant = NearestNeighbor; q.Radius = 0 }), nil},
 		{"valid overlap sim", mod(func(q *Query) { q.Similarity = OverlapSim }), nil},
-		{"valid exact mode", mod(func(q *Query) { q.Mode = ModeExact }), nil},
-		{"valid approx mode", mod(func(q *Query) { q.Mode = ModeApprox }), nil},
-		{"valid approx recall", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = 0.9 }), nil},
-		{"valid approx recall 1", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = 1 }), nil},
 		{"zero k", mod(func(q *Query) { q.K = 0 }), ErrInvalidQuery},
 		{"negative k", mod(func(q *Query) { q.K = -1 }), ErrInvalidQuery},
 		{"variant below range", mod(func(q *Query) { q.Variant = Variant(-1) }), ErrInvalidQuery},
@@ -50,14 +46,6 @@ func TestValidateQueryTable(t *testing.T) {
 		{"lambda NaN", mod(func(q *Query) { q.Lambda = math.NaN() }), ErrInvalidQuery},
 		{"radius NaN", mod(func(q *Query) { q.Radius = math.NaN() }), ErrInvalidQuery},
 		{"nn radius NaN", mod(func(q *Query) { q.Variant = NearestNeighbor; q.Radius = math.NaN() }), ErrInvalidQuery},
-		{"mode typo", mod(func(q *Query) { q.Mode = "aprox" }), ErrInvalidQuery},
-		{"mode uppercase", mod(func(q *Query) { q.Mode = "Approx" }), ErrInvalidQuery},
-		{"recall without approx", mod(func(q *Query) { q.Recall = 0.9 }), ErrInvalidQuery},
-		{"recall on exact mode", mod(func(q *Query) { q.Mode = ModeExact; q.Recall = 0.9 }), ErrInvalidQuery},
-		{"recall zero is default", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = 0 }), nil},
-		{"recall negative", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = -0.5 }), ErrInvalidQuery},
-		{"recall above 1", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = 1.1 }), ErrInvalidQuery},
-		{"recall NaN", mod(func(q *Query) { q.Mode = ModeApprox; q.Recall = math.NaN() }), ErrInvalidQuery},
 		{"unknown feature set", mod(func(q *Query) {
 			q.Keywords = map[string][]string{"bars": {"beer"}}
 		}), ErrUnknownFeatureSet},
