@@ -103,11 +103,12 @@ bench-compare:
 		echo "bench-compare: benchstat not installed, wrote raw output to $(BENCH_OUT)"; \
 	fi
 
-# The zero-alloc / allocation-budget regression tests: kwset.Jaccard and
-# the buffer-pool hit paths (raw page and decoded node) and a miss on a
-# full pool must stay allocation-free, a cold range query
-# must not allocate per miss, steady-state top-k queries must stay under their
-# documented budgets (internal/core), the unsampled event-log record
+# The zero-alloc / allocation-budget regression tests: kwset.Jaccard, the
+# buffer-pool hit path and a miss on a full pool must stay allocation-free,
+# a warm R-tree search over page views must not allocate per node
+# (internal/rtree), a cold range query must not allocate per miss,
+# steady-state top-k queries must stay under their documented budgets
+# (internal/core), the unsampled event-log record
 # path must stay within one allocation per query (internal/obs), the
 # query pipeline above the engine — DB.TopK (root) and a Service.Do cache
 # hit (internal/serve) — must not allocate more than it did before it was
@@ -115,7 +116,7 @@ bench-compare:
 # bytes and allocations per indexed item, whose 2-D and 4-D Hilbert keys
 # allocate nothing (internal/hilbert).
 alloc-regression:
-	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/hilbert/ ./internal/storage/ ./internal/core/ ./internal/obs/ . ./internal/serve/
+	$(GO) test -run 'TestAllocs' -v ./internal/kwset/ ./internal/hilbert/ ./internal/storage/ ./internal/rtree/ ./internal/core/ ./internal/obs/ . ./internal/serve/
 
 # Every fuzz target of the root module run past its seed corpus, for
 # FUZZTIME each. `go test -fuzz` takes one package and one target per run,
@@ -133,10 +134,10 @@ fuzz-smoke:
 
 # The buffer pool's concurrent readers under the race detector, twenty
 # times over: readers that hold page images (directly, or as rtree views)
-# or decoded forms while others miss, evict and clear beside them must read
-# their pages' bytes, and every read must be counted once.
+# while others miss, evict and clear beside them must read their pages'
+# bytes, and every read must be counted once.
 pool-soak:
-	$(GO) test -race -count 20 -run 'Concurrent|Recycling|ViewSurvivesEviction' ./internal/storage ./internal/rtree
+	$(GO) test -race -count 20 -run 'Recycling|ViewSurvivesEviction' ./internal/storage ./internal/rtree
 
 # End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
 # wait for /healthz, check that a query naming no algorithm and the same

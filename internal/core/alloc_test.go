@@ -15,14 +15,16 @@ import (
 // without pinning exact counts, which vary with query geometry.
 //
 // Page reads allocate nothing here: the pools hold every page of this
-// world, so each Tree.Node returns the node already decoded in the page's
-// frame. Nor does the combination stream: its pair grids, index vectors
+// world, every loop scans the page image where it lies, and an R-tree
+// search keeps its stack and current entry on the goroutine's stack. Nor
+// does the combination stream: its pair grids, index vectors
 // and heaps are recycled with the scratch, and the Voronoi cells of the NN
 // variant live in the engine's store from the warm-up on. What is left is
 // per-query by nature — the root aggregate each descent seeds its heap
 // with (one keyword set per RootEntry) and the result slices; STDS runs
 // one descent per object-tree leaf, STPS one per feature set. Measured on
-// this fixed world: ~600 allocs/op for STDS, 14 for STPS. Under the race
+// this fixed world: ~600 allocs/op for STDS, 14 for STPS (13 for the NN
+// variant, 20 while each object probe allocated its search stack). Under the race
 // detector sync.Pool drops a share of the scratches put back and a rebuilt
 // scratch grows all its buffers anew (31 to 48 allocs/op measured for
 // STPS), which STDS's margin covers and STPS's cannot: its test is skipped
@@ -72,9 +74,9 @@ func TestAllocsSteadyStateSTPSInfluence(t *testing.T) {
 // The NN variant generates eagerly under the cells rule and reads its
 // Voronoi cells from the engine's store, which the warm-up filled: in
 // steady state it builds no cell, so it is held to the range variant's
-// budget too. What it allocates is the object probes of the few non-empty
-// regions and the result slices. Measured: 20; 85 while every query kept a
-// copy of each cell it touched, 6,155 with the visited-map lattice and a
+// budget too. What it allocates is the result slices. Measured: 13; 20
+// while each object probe of a non-empty region allocated its search
+// stack, 85 while every query kept a copy of each cell it touched, 6,155 with the visited-map lattice and a
 // polygon allocated per clip.
 func TestAllocsSteadyStateSTPSNearestNeighbor(t *testing.T) {
 	steadyStateSTPS(t, NearestNeighborScore, stpsAllocBudget)
@@ -107,9 +109,10 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // (3 objects per miss while frames were never recycled). What is left does
 // not scale with the misses: the query's fixed allocations and the root
 // aggregates, some of them decoded again when a root was evicted. The
-// budget is 0.5 objects per miss, fixed part included (measured: 20 at 44.5
-// misses; 20 at 49 before the stream was told the k-th score, 169 there
-// without recycling). The streams' keyword arenas have reached
+// budget is 0.5 objects per miss, fixed part included (measured: 14 at 44.5
+// misses, 20 while the object probes allocated their search stacks; 20 at
+// 49 before the stream was told the k-th score, 169 there without
+// recycling). The streams' keyword arenas have reached
 // their size after the warm-up and do not grow again. The object tree keeps
 // every page resident, so all the misses are the feature stream's.
 func TestAllocsColdFeaturePull(t *testing.T) {

@@ -515,7 +515,7 @@ func floorDrive(t *testing.T, root *Engine, q Query, told bool) ([]Result, int, 
 			}
 		}
 		score := comb.score
-		visit := func(en *rtree.Entry) bool {
+		visit := func(en rtree.Entry) bool {
 			if !seen[en.ItemID] {
 				seen[en.ItemID] = true
 				acc.offer(Result{ID: en.ItemID, Location: en.Point(), Score: score})
@@ -528,7 +528,7 @@ func floorDrive(t *testing.T, root *Engine, q Query, told bool) ([]Result, int, 
 			var region geo.Polygon
 			if region, err = e.comboRegion(comb, &stats, nil); err == nil && !region.IsEmpty() {
 				err = e.probeParts(region.IntersectsRect, func(tr *rtree.Tree) error {
-					return tr.SearchPolygon(region, func(en rtree.Entry) bool { return visit(&en) })
+					return tr.SearchPolygon(region, visit)
 				})
 			}
 		}

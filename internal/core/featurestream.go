@@ -242,10 +242,9 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	return featureRef{}, true, nil
 }
 
-// candidate is what a best-first heap keeps of an index entry. Nodes are
-// shared with every other query and die with their buffer-pool frame, so a
-// queued candidate copies out, by value, the few fields the pop side reads
-// and holds no pointer at all: an internal entry keeps only its child page;
+// candidate is what a best-first heap keeps of an index entry. A queued
+// candidate copies out, by value, the few fields the pop side reads and
+// holds no pointer at all: an internal entry keeps only its child page;
 // a leaf keeps the item's id and location. A leaf whose prio is its exact
 // score is final. Any other leaf — one the deferred ResolveLeaf of signature
 // mode, or of the batch lens, will score, or one groupAscendDistance hands
@@ -288,6 +287,16 @@ func candidateOf(e *rtree.Entry, part int, prio float64, rests *[]leafRest) cand
 		*rests = append(*rests, leafRest{score: e.Score, kw: e.Keywords})
 	}
 	return c
+}
+
+// slotCandidate is candidateOf for slot i of v, whose rectangle is rect: an
+// internal slot keeps its child page, a leaf its item id and location,
+// final.
+func slotCandidate(v *rtree.PageView, i int, rect *geo.Rect, part int, prio float64) candidate {
+	if !v.Leaf() {
+		return candidate{prio: prio, ref: int64(v.Child(i)), part: int32(part), slot: slotNode}
+	}
+	return candidate{prio: prio, loc: rect.Min, ref: v.ItemID(i), part: int32(part), slot: slotFinal}
 }
 
 // isLeaf reports whether the candidate is a leaf entry.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stpq/internal/index"
@@ -189,10 +190,10 @@ func TestLensedStreamIsComputeScore(t *testing.T) {
 							}
 						}
 						q.Variant = RangeScore
-						err := e.objects[0].Tree().Leaves(func(leaf []rtree.Entry) bool {
-							batch := e.scratchBatch(len(leaf))
-							for i := range leaf {
-								batch[i].id, batch[i].loc = leaf[i].ItemID, leaf[i].Rect.Min
+						err := e.objects[0].Tree().Leaves(func(leaf *rtree.PageView) bool {
+							batch := e.scratchBatch(leaf.Len())
+							for i := range batch {
+								batch[i].id, batch[i].loc = leaf.ItemID(i), leaf.Point(i)
 							}
 							if err := e.batchRangeScores(0, &q, batch); err != nil {
 								t.Fatal(err)
@@ -258,12 +259,42 @@ func lensWorld(t *testing.T, rng *rand.Rand, vocabW, nparts int, opts index.Opti
 	return &testWorld{engine: eng, vocabW: vocabW}
 }
 
-// TestExcludeHiddenFromEveryReader, the stream's case: over a part behind
-// WithExclude the stream emits exactly the live relevant features — under
-// SRT and IR² — and reading past the tombstones leaves the canonical
-// part's cached nodes as they were.
+// TestExcludeHiddenFromEveryReader, the engine's case. The stream: over a
+// part behind WithExclude it emits exactly the live relevant features —
+// under SRT and IR² — and reading past the tombstones leaves the canonical
+// part whole. The loops that read object and feature pages through their
+// views — topKInfluence, voronoiCell, groupAscendDistance, the range and
+// polygon object probes and batched STDS's leaves — answer every variant
+// under both algorithms over object and feature parts behind WithExclude
+// exactly as the brute force over an engine built from the live items
+// alone does.
 func TestExcludeHiddenFromEveryReader(t *testing.T) {
 	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		t.Run(kind.String()+"/loops", func(t *testing.T) {
+			w := buildWorld(t, 530, 300, 240, 2, 16, kind, Options{})
+			hidden, live := excludeWorlds(t, w, kind)
+			rng := rand.New(rand.NewSource(531))
+			for _, v := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
+				for trial := 0; trial < 6; trial++ {
+					q := w.randQuery(rng, 2, v)
+					want, err := live.BruteForce(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, run := range map[string]func(Query) ([]Result, Stats, error){
+						"STPS": hidden[0].STPS, "STDS": hidden[0].STDS, "batched STDS": hidden[1].STDS,
+					} {
+						got, _, err := run(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s %v trial %d: over tombstones %v\nlive items alone %v", name, v, trial, got, want)
+						}
+					}
+				}
+			}
+		})
 		t.Run(kind.String(), func(t *testing.T) {
 			w := buildWorld(t, 520, 10, 600, 1, 16, kind, Options{})
 			part := w.engine.features[0].Part(0)
@@ -318,4 +349,63 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 			}
 		})
 	}
+}
+
+// excludeWorlds hides every fourth object and every fifth feature of each
+// set of w behind WithExclude, and returns two engines over the hidden
+// parts — unbatched and batched STDS — and one built from the live items
+// alone.
+func excludeWorlds(t *testing.T, w *testWorld, kind index.Kind) (hidden [2]*Engine, live *Engine) {
+	t.Helper()
+	objs, err := w.engine.allObjects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadObj := map[int64]struct{}{}
+	var liveObjs []index.Object
+	for i, e := range objs {
+		if i%4 == 0 {
+			deadObj[e.ItemID] = struct{}{}
+		} else {
+			liveObjs = append(liveObjs, index.Object{ID: e.ItemID, Location: e.Point()})
+		}
+	}
+	groups := make([]*index.FeatureGroup, len(w.engine.features))
+	liveFeats := make([]*index.FeatureIndex, len(w.engine.features))
+	for set, g := range w.engine.features {
+		part := g.Part(0)
+		all, err := part.Tree().All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := map[int64]struct{}{}
+		var feats []index.Feature
+		for i, e := range all {
+			if i%5 == 0 {
+				dead[e.ItemID] = struct{}{}
+			} else {
+				feats = append(feats, index.Feature{ID: e.ItemID, Location: e.Point(), Score: e.Score, Keywords: e.Keywords})
+			}
+		}
+		if groups[set], err = index.NewFeatureGroup(part.WithExclude(dead, len(dead))); err != nil {
+			t.Fatal(err)
+		}
+		if liveFeats[set], err = index.BuildFeatureIndex(feats, index.Options{Kind: kind, VocabWidth: w.vocabW, PageSize: 1024}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objPart := []*index.ObjectIndex{w.engine.objects[0].WithExclude(deadObj, len(deadObj))}
+	for i, opts := range []Options{{}, {BatchSTDS: true}} {
+		if hidden[i], err = NewEngineOverParts(objPart, 0, groups, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveObjIdx, err := index.BuildObjectIndex(liveObjs, index.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, err = NewEngine(liveObjIdx, liveFeats, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return hidden, live
 }

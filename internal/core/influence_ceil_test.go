@@ -12,19 +12,19 @@ import (
 	"stpq/internal/rtree"
 )
 
-// exactPrice is the influence price of en under the concrete members of
-// refs, spelled out: the distance to a leaf's object or a node's MBR, and
-// one exponential per member. influenceAt over decayTerms must equal it to
-// the bit.
-func exactPrice(refs []featureRef, r float64, en *rtree.Entry) float64 {
+// exactPrice is the influence price of a slot with rectangle rect under
+// the concrete members of refs, spelled out: the distance to a leaf's
+// object or a node's MBR, and one exponential per member. influenceAt over
+// decayTerms must equal it to the bit.
+func exactPrice(refs []featureRef, r float64, rect geo.Rect, leaf bool) float64 {
 	sum := 0.0
 	for _, ref := range refs {
 		if ref.virtual {
 			continue
 		}
-		d := en.Rect.MinDist(ref.loc)
-		if en.Leaf {
-			d = en.Rect.Min.Dist(ref.loc)
+		d := rect.MinDist(ref.loc)
+		if leaf {
+			d = rect.Min.Dist(ref.loc)
 		}
 		sum += ref.score * math.Exp2(-d/r)
 	}
@@ -36,9 +36,9 @@ func exactPrice(refs []featureRef, r float64, en *rtree.Entry) float64 {
 // never queued) passes.
 func checkCeil(t *testing.T, refs []featureRef, r float64, en *rtree.Entry, label string) {
 	t.Helper()
-	ts := decayTerms(refs, r, en, nil)
+	ts := decayTerms(refs, r, &en.Rect, en.Leaf, nil)
 	exact, ceil := influenceAt(ts), influenceCeil(ts)
-	if want := exactPrice(refs, r, en); exact != want && !(math.IsNaN(exact) && math.IsNaN(want)) {
+	if want := exactPrice(refs, r, en.Rect, en.Leaf); exact != want && !(math.IsNaN(exact) && math.IsNaN(want)) {
 		t.Fatalf("%s: influenceAt %v, the spelled-out price %v\nrefs %+v\nentry %+v", label, exact, want, refs, *en)
 	}
 	if exact > ceil {
@@ -178,7 +178,7 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 		if err != nil {
 			return err
 		}
-		pq.push(candidateOf(&root, pi, exactPrice(comb.refs, q.Radius, &root), nil))
+		pq.push(candidateOf(&root, pi, exactPrice(comb.refs, q.Radius, root.Rect, false), nil))
 	}
 	emitted := 0
 	kth := negInf
@@ -202,14 +202,17 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 			continue
 		}
 		e.markProbed(int(it.part))
-		n, err := e.objects[it.part].Tree().Node(it.child())
+		v, err := e.objects[it.part].Tree().View(it.child())
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			c := &n.Entries[i]
-			if prio := exactPrice(comb.refs, q.Radius, c); prio >= limit {
-				pq.push(candidateOf(c, int(it.part), prio, nil))
+		for i := 0; i < v.Len(); i++ {
+			if !v.Visible(i) {
+				continue
+			}
+			rect := v.Rect(i)
+			if prio := exactPrice(comb.refs, q.Radius, rect, v.Leaf()); prio >= limit {
+				pq.push(slotCandidate(&v, i, &rect, int(it.part), prio))
 			}
 		}
 	}

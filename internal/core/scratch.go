@@ -46,10 +46,12 @@ type queryScratch struct {
 
 	stds  featureStream
 	bound boundHeap
-	// dist is groupAscendDistance's heap (on −MINDIST), and distRests its
-	// side slice: the score and keyword set of each leaf queued in it.
+	// dist is groupAscendDistance's heap (on −MINDIST), distRests its side
+	// slice — the score and keyword set of each leaf queued in it — and
+	// distArena those sets' words, copied out of their pages.
 	dist      boundHeap
 	distRests []leafRest
+	distArena []uint64
 	topk      topkAccumulator
 	inf       influenceTopK
 	seen      map[int64]bool
@@ -141,8 +143,9 @@ func (e *Engine) countShards(stats *Stats) {
 // the slots here means an idle scratch pins nothing of the query it served.
 // The candidates themselves hold no pointer, and everything else the
 // scratch keeps — retrieved feature prefixes, the combination refs buffer,
-// the pair grids and the index vector arena, the feature streams' keyword
-// arenas (uint64s copied out of the page images), batch objects — is plain
+// the pair grids and the index vector arena, the keyword arenas of the
+// feature streams and the distance heap (uint64s copied out of the page
+// images), batch objects — is plain
 // values without pointers.
 func (sc *queryScratch) release() {
 	sc.stds.release()
@@ -163,15 +166,16 @@ func (e *Engine) scratchBoundHeap() *boundHeap {
 	return &boundHeap{}
 }
 
-// scratchDistHeap returns the reusable distance-ascent heap and its side
-// slice, both empty.
-func (e *Engine) scratchDistHeap() (*boundHeap, *[]leafRest) {
+// scratchDistHeap returns the reusable distance-ascent heap, its side
+// slice and keyword arena, all empty.
+func (e *Engine) scratchDistHeap() (*boundHeap, *[]leafRest, *[]uint64) {
 	if sc := e.scratch; sc != nil {
 		sc.dist = sc.dist[:0]
 		sc.distRests = resetHeap(sc.distRests)
-		return &sc.dist, &sc.distRests
+		sc.distArena = sc.distArena[:0]
+		return &sc.dist, &sc.distRests, &sc.distArena
 	}
-	return &boundHeap{}, &[]leafRest{}
+	return &boundHeap{}, &[]leafRest{}, &[]uint64{}
 }
 
 // newTopk returns the query's top-k accumulator, reusing the scratch

@@ -242,7 +242,7 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unread subtree of every other part.
 func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
-	h, rests := e.scratchDistHeap()
+	h, rests, arena := e.scratchDistHeap()
 	for pi, part := range g.Parts() {
 		if part.Len() == 0 {
 			continue
@@ -253,6 +253,7 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		}
 		h.push(candidateOf(&root, pi, -root.Rect.MinDist(center), rests))
 	}
+	var c rtree.Entry
 	for h.Len() > 0 {
 		it := h.pop()
 		if it.isLeaf() {
@@ -262,13 +263,19 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 			}
 			continue
 		}
-		n, err := g.Part(int(it.part)).Tree().Node(it.child())
+		v, err := g.Part(int(it.part)).Tree().View(it.child())
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			c := &n.Entries[i]
-			h.push(candidateOf(c, int(it.part), -c.Rect.MinDist(center), rests))
+		for i := 0; i < v.Len(); i++ {
+			if !v.Leaf() {
+				rect := v.Rect(i)
+				h.push(slotCandidate(&v, i, &rect, int(it.part), -rect.MinDist(center)))
+			} else if v.Entry(i, &c, arena) {
+				// A queued leaf keeps its words on the arena until the walk
+				// ends.
+				h.push(candidateOf(&c, int(it.part), -c.Rect.MinDist(center), rests))
+			}
 		}
 	}
 	return nil

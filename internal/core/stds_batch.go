@@ -18,13 +18,16 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	acc := e.newTopk(q.K)
 	c := len(e.features)
 	var walkErr error
-	scoreLeaf := func(batch []rtree.Entry) bool {
-		objs := e.scratchBatch(len(batch))
-		for i := range batch {
-			objs[i].id, objs[i].loc = batch[i].ItemID, batch[i].Rect.Min
-			stats.ObjectsScored++
+	scoreLeaf := func(leaf *rtree.PageView) bool {
+		objs := e.scratchBatch(leaf.Len())
+		active := objs[:0]
+		for i, o := range objs {
+			if leaf.Visible(i) {
+				o.id, o.loc = leaf.ItemID(i), leaf.Point(i)
+				active = append(active, o)
+				stats.ObjectsScored++
+			}
 		}
-		active := objs
 		for set := 0; set < c && len(active) > 0; set++ {
 			sp := tr.StartPhase("index.descend")
 			err := e.batchRangeScores(set, q, active)
@@ -66,7 +69,7 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	return acc.results(), nil
 }
 
-// batchObj tracks one data object — copied out of the shared leaf node —
+// batchObj tracks one data object — copied out of its leaf page —
 // through the per-set score computations.
 type batchObj struct {
 	id       int64

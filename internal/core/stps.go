@@ -86,7 +86,7 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 			break
 		}
 		sp = tr.StartPhase("objects.retrieve")
-		err = e.objectsMatchingRangeCombo(comb, q.Radius, func(entry *rtree.Entry) bool {
+		err = e.objectsMatchingRangeCombo(comb, q.Radius, func(entry rtree.Entry) bool {
 			if seen[entry.ItemID] {
 				return true
 			}
@@ -125,7 +125,7 @@ func (e *Engine) probeParts(reach func(geo.Rect) bool, probe func(*rtree.Tree) e
 // concrete feature of the combination (getDataObjects, Section 6.4).
 // Parts and subtrees are pruned as soon as one feature is farther than r
 // from their MBR.
-func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(*rtree.Entry) bool) error {
+func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(rtree.Entry) bool) error {
 	anchors := make([]geo.Point, 0, len(comb.refs))
 	for _, ref := range comb.refs {
 		if !ref.virtual {
@@ -141,17 +141,16 @@ func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(
 		return true
 	}
 	return e.probeParts(inReach, func(t *rtree.Tree) error {
-		return t.SearchFiltered(func(en *rtree.Entry) bool {
-			if en.Leaf {
-				p := en.Rect.Min
+		return t.SearchFiltered(func(rect geo.Rect, leaf bool) bool {
+			if leaf {
 				for _, a := range anchors {
-					if p.Dist(a) > r {
+					if rect.Min.Dist(a) > r {
 						return false
 					}
 				}
 				return true
 			}
-			return inReach(en.Rect)
+			return inReach(rect)
 		}, fn)
 	})
 }
@@ -318,7 +317,7 @@ type decayTerm struct{ score, x float64 }
 // order, into ts: x is the distance to the object of a leaf, or the
 // MINDIST to the MBR of a node, over r. Each distance is computed once and
 // serves both influenceCeil and influenceAt.
-func decayTerms(refs []featureRef, r float64, en *rtree.Entry, ts []decayTerm) []decayTerm {
+func decayTerms(refs []featureRef, r float64, rect *geo.Rect, leaf bool, ts []decayTerm) []decayTerm {
 	ts = ts[:0]
 	for i := range refs {
 		ref := &refs[i]
@@ -326,10 +325,10 @@ func decayTerms(refs []featureRef, r float64, en *rtree.Entry, ts []decayTerm) [
 			continue
 		}
 		var d float64
-		if en.Leaf {
-			d = en.Rect.Min.Dist(ref.loc)
+		if leaf {
+			d = rect.Min.Dist(ref.loc)
 		} else {
-			d = en.Rect.MinDist(ref.loc)
+			d = rect.MinDist(ref.loc)
 		}
 		ts = append(ts, decayTerm{score: ref.score, x: d / r})
 	}
@@ -412,7 +411,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 		if err != nil {
 			return err
 		}
-		ts = decayTerms(comb.refs, q.Radius, &root, ts)
+		ts = decayTerms(comb.refs, q.Radius, &root.Rect, false, ts)
 		pq.push(candidateOf(&root, pi, influenceAt(ts), nil))
 	}
 	emitted := 0
@@ -437,18 +436,27 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 			continue
 		}
 		e.markProbed(int(it.part))
-		n, err := e.objects[it.part].Tree().Node(it.child())
+		v, err := e.objects[it.part].Tree().View(it.child())
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			c := &n.Entries[i]
-			ts = decayTerms(comb.refs, q.Radius, c, ts)
+		leaf := v.Leaf()
+		for i := 0; i < v.Len(); i++ {
+			if !v.Visible(i) {
+				continue
+			}
+			var rect geo.Rect
+			if leaf { // Point is inlined, Rect is a call: most slots are leaves'
+				rect = geo.RectOf(v.Point(i))
+			} else {
+				rect = v.Rect(i)
+			}
+			ts = decayTerms(comb.refs, q.Radius, &rect, leaf, ts)
 			if influenceCeil(ts) < limit {
 				continue
 			}
 			if prio := influenceAt(ts); prio >= limit {
-				pq.push(candidateOf(c, int(it.part), prio, nil))
+				pq.push(slotCandidate(&v, i, &rect, int(it.part), prio))
 			}
 		}
 	}
@@ -636,18 +644,17 @@ func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon
 		if it.dist2 >= b.Reach2() {
 			break
 		}
-		n, err := g.Part(int(it.part)).Tree().Node(it.page)
+		v, err := g.Part(int(it.part)).Tree().View(it.page)
 		if err != nil {
 			return geo.Polygon{}, err
 		}
-		for i := range n.Entries {
-			en := &n.Entries[i]
-			if en.Leaf {
-				if en.ItemID != siteID {
-					b.Clip(en.Rect.Min)
+		for i := 0; i < v.Len(); i++ {
+			if v.Leaf() {
+				if v.Visible(i) && v.ItemID(i) != siteID {
+					b.Clip(v.Point(i))
 				}
-			} else if d2 := en.Rect.MinDist2(site); d2 < b.Reach2() {
-				heapPush(h, nodeRef{dist2: d2, page: en.Child, part: it.part}, nodeBefore)
+			} else if d2 := v.Rect(i).MinDist2(site); d2 < b.Reach2() {
+				heapPush(h, nodeRef{dist2: d2, page: v.Child(i), part: it.part}, nodeBefore)
 			}
 		}
 	}

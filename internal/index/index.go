@@ -336,7 +336,7 @@ func Score(e rtree.Entry, q QueryKeywords) float64 { return score(&e, &q) }
 func Bound(e rtree.Entry, q QueryKeywords) float64 { return bound(&e, &q) }
 
 // score and bound are Score and Bound on entries read in place: the query
-// algorithms call them once per visited entry of a shared decoded node.
+// algorithms call them once per decoded slot of a visited node.
 func score(e *rtree.Entry, q *QueryKeywords) float64 {
 	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.Sim(e.Keywords, q.Set)
 }

@@ -150,8 +150,8 @@ type Set struct {
 	// Count() is O(1) in the per-node-visit similarity kernels; only the
 	// bulk operations (Union, UnionInPlace, Intersect) leave it unknown and
 	// Count() falls back to a popcount pass. Width and cardinality are
-	// 32-bit so that a Set is 32 bytes: it sits in every decoded R-tree
-	// entry a buffer pool keeps resident.
+	// 32-bit so that a Set is 32 bytes: it sits in every R-tree entry a
+	// reader decodes or a heap keeps.
 	card int32
 }
 
@@ -462,11 +462,11 @@ func FromBits(width int, raw []uint64) Set {
 
 // FromBitsOwned constructs a set of the given width that takes ownership of
 // raw: the slice is aliased, not copied, and excess bits beyond width are
-// masked off in place. Page decoding uses it with a per-node arena so each
+// masked off in place. Page decoding uses it with a caller's arena so each
 // entry's keyword set costs zero extra allocations; callers must not reuse
-// raw afterwards. The cardinality is counted here, once: a decoded node
-// stays in its buffer-pool frame for a whole residency, and every
-// similarity kernel that visits it reads the count instead of recounting.
+// raw afterwards. The cardinality is counted here, once, and every
+// similarity kernel that reads the entry reads the count instead of
+// recounting.
 func FromBitsOwned(width int, raw []uint64) Set {
 	if width < 0 {
 		width = 0

@@ -25,14 +25,14 @@ func (t *Tree) Delete(id int64, loc geo.Point) (bool, error) {
 	t.size--
 	// Collapse a root with a single child to keep the height tight.
 	for t.height > 1 {
-		n, err := t.Node(t.root)
+		v, err := t.View(t.root)
 		if err != nil {
 			return false, err
 		}
-		if len(n.Entries) != 1 || n.Leaf {
+		if v.Len() != 1 || v.Leaf() {
 			break
 		}
-		t.root = n.Entries[0].Child
+		t.root = v.Child(0)
 		t.height--
 	}
 	return true, nil
@@ -42,7 +42,7 @@ func (t *Tree) Delete(id int64, loc geo.Point) (bool, error) {
 // whether the item was found, whether the node at pid is now empty, and
 // the refreshed aggregate entry for pid.
 func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (found, empty bool, self Entry, err error) {
-	n, err := t.mutableNode(pid)
+	n, err := t.Node(pid)
 	if err != nil {
 		return false, false, Entry{}, err
 	}

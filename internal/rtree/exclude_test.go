@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -35,11 +36,7 @@ func TestWithExcludeHidesItems(t *testing.T) {
 		}
 		return seen
 	}
-	everything := geo.Rect{Min: geo.Point{X: -1, Y: -1}, Max: geo.Point{X: 2, Y: 2}}
 	checks := map[string]map[int64]bool{
-		"SearchRect": collect(func(fn func(Entry) bool) error {
-			return view.SearchRect(everything, fn)
-		}),
 		"RangeSearch": collect(func(fn func(Entry) bool) error {
 			return view.RangeSearch(geo.Point{X: 0.5, Y: 0.5}, 2, fn)
 		}),
@@ -49,9 +46,9 @@ func TestWithExcludeHidesItems(t *testing.T) {
 			})
 		}),
 		"Leaves": collect(func(fn func(Entry) bool) error {
-			return view.Leaves(func(es []Entry) bool {
-				for _, e := range es {
-					if !fn(e) {
+			return view.Leaves(func(leaf *PageView) bool {
+				for i := 0; i < leaf.Len(); i++ {
+					if leaf.Visible(i) && !fn(Entry{ItemID: leaf.ItemID(i)}) {
 						return false
 					}
 				}
@@ -81,7 +78,7 @@ func TestWithExcludeHidesItems(t *testing.T) {
 
 	// The canonical tree still sees everything.
 	base := collect(func(fn func(Entry) bool) error {
-		return tr.SearchRect(everything, fn)
+		return tr.RangeSearch(geo.Point{X: 0.5, Y: 0.5}, 2, fn)
 	})
 	if len(base) != len(items) {
 		t.Fatalf("canonical tree saw %d items, want %d", len(base), len(items))
@@ -135,21 +132,21 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-// A dead id is surfaced by no reader of a WithExclude view — the decoded
-// node, the page view the feature stream scans, and the traversals built on
-// either — and hiding it copies or writes nothing the canonical tree shares:
-// every cached node is the same pointer with the same entries afterwards.
+// A dead id is surfaced by no reader of a WithExclude view — the page
+// view's accessors and Entry, the private decode of Tree.Node, and every
+// traversal built on them — and hiding it writes nothing: every page image
+// of the canonical tree holds the same bytes afterwards. internal/core's
+// test of the same name holds the engine's own loops over views to it.
 func TestExcludeHiddenFromEveryReader(t *testing.T) {
 	tr, items := bulkTree(t, 400)
 	ids := pageIDs(t, tr)
-	shared := make(map[storagePage]*Node, len(ids))
-	lens := make(map[storagePage]int, len(ids))
+	images := make(map[storagePage][]byte, len(ids))
 	for _, id := range ids {
-		n, err := tr.Node(id)
+		data, err := tr.Pool().Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared[id], lens[id] = n, len(n.Entries)
+		images[id] = append([]byte(nil), data...)
 	}
 	dead := map[int64]struct{}{}
 	for i := 0; i < len(items); i += 3 {
@@ -157,6 +154,19 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 	}
 	view := tr.WithExclude(dead)
 	center := geo.Point{X: 0.5, Y: 0.5}
+	everywhere := func(geo.Rect, bool) bool { return true }
+	leafSlots := func(see func(v *PageView, i int)) error {
+		for _, id := range ids {
+			v, err := view.View(id)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < v.Len() && v.Leaf(); i++ {
+				see(&v, i)
+			}
+		}
+		return nil
+	}
 
 	readers := map[string]func(see func(Entry)) error{
 		"Node": func(see func(Entry)) error {
@@ -173,32 +183,40 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 			}
 			return nil
 		},
-		"View": func(see func(Entry)) error {
+		"View.Entry": func(see func(Entry)) error {
 			var arena []uint64
-			for _, id := range ids {
-				v, err := view.View(id)
-				if err != nil {
-					return err
+			return leafSlots(func(v *PageView, i int) {
+				var e Entry
+				if v.Entry(i, &e, &arena) {
+					see(e)
 				}
-				for i := 0; i < v.Len() && v.Leaf(); i++ {
-					var e Entry
-					if v.Entry(i, &e, &arena) {
-						see(e)
-					}
+			})
+		},
+		"View.Visible": func(see func(Entry)) error {
+			return leafSlots(func(v *PageView, i int) {
+				if v.Visible(i) {
+					see(Entry{ItemID: v.ItemID(i)})
 				}
-			}
-			return nil
+			})
 		},
 		"RangeSearch": func(see func(Entry)) error {
 			return view.RangeSearch(center, 2, func(e Entry) bool { see(e); return true })
+		},
+		"SearchFiltered": func(see func(Entry)) error {
+			return view.SearchFiltered(everywhere, func(e Entry) bool { see(e); return true })
+		},
+		"SearchPolygon": func(see func(Entry)) error {
+			return view.SearchPolygon(geo.UnitSquare(), func(e Entry) bool { see(e); return true })
 		},
 		"AscendDistance": func(see func(Entry)) error {
 			return view.AscendDistance(center, func(e Entry, _ float64) bool { see(e); return true })
 		},
 		"Leaves": func(see func(Entry)) error {
-			return view.Leaves(func(es []Entry) bool {
-				for _, e := range es {
-					see(e)
+			return view.Leaves(func(leaf *PageView) bool {
+				for i := 0; i < leaf.Len(); i++ {
+					if leaf.Visible(i) {
+						see(Entry{ItemID: leaf.ItemID(i)})
+					}
 				}
 				return true
 			})
@@ -226,12 +244,12 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		n, err := tr.Node(id)
+		data, err := tr.Pool().Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != shared[id] || len(n.Entries) != lens[id] {
-			t.Fatalf("page %d: the canonical node changed under the view's readers", id)
+		if !bytes.Equal(data, images[id]) {
+			t.Fatalf("page %d: the canonical image changed under the view's readers", id)
 		}
 	}
 }

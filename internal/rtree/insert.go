@@ -36,7 +36,7 @@ func (t *Tree) Insert(it Item) error {
 // It returns the entry for a new sibling if the node split, plus the
 // refreshed aggregate entry describing the (possibly shrunk) node at pid.
 func (t *Tree) insertAt(pid storagePage, d int, e Entry) (split *Entry, self *Entry, err error) {
-	n, err := t.mutableNode(pid)
+	n, err := t.Node(pid)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,10 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"stpq/internal/geo"
-	"stpq/internal/kwset"
-	"stpq/internal/storage"
 )
 
 // nodeHeaderSize is the per-node page header: 1 flag byte, 2 count bytes,
@@ -70,67 +66,25 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 }
 
 // decodeNode parses a page image into a fresh Node that aliases nothing of
-// data. It has two callers: the buffer pool, once per residency of a page
-// (Tree.DecodePage), and the mutators' private read (mutableNode).
+// data: Entry over every visible slot, so the slot format is read in one
+// place (PageView). Two allocations besides the header, each of exactly
+// the size it needs: the entry array and one keyword arena shared by all
+// entries. The bits are copied out of data: it is the disk's image, which
+// a write to the page rewrites in place.
 func (t *Tree) decodeNode(data []byte) (*Node, error) {
-	if len(data) < nodeHeaderSize {
-		return nil, fmt.Errorf("rtree: short page: %d bytes", len(data))
+	v, err := t.viewOf(data)
+	if err != nil {
+		return nil, err
 	}
-	n := &Node{Leaf: data[0]&1 == 1}
-	count := int(binary.LittleEndian.Uint16(data[1:3]))
-	capacity := t.innerCap
-	if n.Leaf {
-		capacity = t.leafCap
-	}
-	if count > capacity {
-		return nil, fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d", count, capacity)
-	}
-	n.Entries = make([]Entry, count)
-	off := nodeHeaderSize
-	words := kwWords(t.cfg.KeywordWidth)
-	// Three allocations per node, each of exactly the size it needs: the
-	// header, the entry array and one keyword arena shared by all entries
-	// (not one slice per entry). The bits are copied out of data: it is the
-	// disk's image, which a write to the page rewrites in place. A pool
-	// smaller than the working set pays this decode on every miss, so it
-	// stays as cheap as the format allows.
-	var arena []uint64
-	if words > 0 && count > 0 {
-		arena = make([]uint64, words*count)
-	}
-	for i := 0; i < count; i++ {
-		e := &n.Entries[i]
-		if n.Leaf {
-			e.Leaf = true
-			e.Child = storage.InvalidPage
-			e.ItemID = int64(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-			var x, y float64
-			x, off = getFloat(data, off)
-			y, off = getFloat(data, off)
-			e.Rect = geo.RectOf(geo.Point{X: x, Y: y})
-		} else {
-			e.Child = storage.PageID(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			var x1, y1, x2, y2 float64
-			x1, off = getFloat(data, off)
-			y1, off = getFloat(data, off)
-			x2, off = getFloat(data, off)
-			y2, off = getFloat(data, off)
-			e.Rect = geo.Rect{Min: geo.Point{X: x1, Y: y1}, Max: geo.Point{X: x2, Y: y2}}
-		}
-		if t.cfg.WithScore {
-			e.Score, off = getFloat(data, off)
-		}
-		if words > 0 {
-			raw := arena[i*words : (i+1)*words : (i+1)*words]
-			for w := 0; w < words; w++ {
-				raw[w] = binary.LittleEndian.Uint64(data[off:])
-				off += 8
-			}
-			e.Keywords = kwset.FromBitsOwned(t.cfg.KeywordWidth, raw)
+	n := &Node{Leaf: v.leaf, Entries: make([]Entry, v.count)}
+	arena := make([]uint64, 0, v.words*v.count)
+	kept := 0
+	for i := range n.Entries {
+		if v.Entry(i, &n.Entries[kept], &arena) {
+			kept++
 		}
 	}
+	n.Entries = n.Entries[:kept]
 	return n, nil
 }
 
@@ -138,9 +92,4 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 func putFloat(buf []byte, off int, v float64) int {
 	binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 	return off + 8
-}
-
-// getFloat reads a float64 at off and returns it with the next offset.
-func getFloat(buf []byte, off int) (float64, int) {
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
 }

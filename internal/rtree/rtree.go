@@ -5,14 +5,10 @@
 //
 // Every node occupies exactly one fixed-size page behind an LRU buffer
 // pool, so node visits translate one-to-one into the logical/physical page
-// reads the paper measures. A page is decoded once per residency in the
-// pool: the decoded Node lives in the page's buffer-pool frame, Tree.Node
-// hands the same immutable *Node to every reader (each call still counting
-// one logical read), and the search primitives read its entries in place.
-// Only the mutators (Insert, Delete) decode a private copy; a reader that
-// filters a node by keywords before it picks from it scans the page image
-// instead (PageView).
-// Entries optionally carry the augmentation
+// reads the paper measures. Every reader scans the page image where it lies
+// (PageView), one counted read per node visit, and decodes only the slots
+// it needs; only the mutators (Insert, Delete) decode a private copy of a
+// whole node (Tree.Node). Entries optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
 // (e.s) and a keyword summary of all feature objects below (e.W). The SRT
 // and IR² indexes share this node format — they differ only in how leaf
@@ -63,8 +59,7 @@ const DefaultBufferPages = 1024
 // node and carry the aggregated MBR, maximum score and keyword summary of
 // the whole subtree.
 //
-// The field order packs Leaf beside Child: an Entry is 88 bytes, and every
-// resident page keeps one per slot in its decoded form.
+// The field order packs Leaf beside Child: an Entry is 88 bytes.
 type Entry struct {
 	// Rect is the MBR of the subtree; for leaf entries it is the
 	// degenerate rectangle at the item's location.
@@ -89,10 +84,7 @@ type Entry struct {
 // Point returns the location of a leaf entry.
 func (e Entry) Point() geo.Point { return e.Rect.Min }
 
-// Node is the decoded form of one page. A *Node returned by Tree.Node is
-// shared with every other reader of the tree and with the buffer pool that
-// caches it: it and everything reachable from it — the Entries array, the
-// keyword bits — must never be written.
+// Node is the decoded form of one page, private to whoever decoded it.
 type Node struct {
 	Leaf    bool
 	Entries []Entry
@@ -202,14 +194,11 @@ func (t *Tree) WithPool(p *storage.BufferPool) *Tree {
 
 // WithExclude returns a read view of the tree that hides the leaf entries
 // whose item ids appear in dead — the tombstone filter of live ingest.
-// Filtering happens in the two ways a page is read: Node, which
-// RangeSearch, AscendDistance, SearchPolygon, All and Leaves route through,
-// hands out a filtered copy of a leaf that holds a hidden item; a PageView,
-// which the feature stream scans, skips a hidden slot when it is asked to
-// decode it and copies nothing. Internal-node aggregates still cover the
-// hidden items; bounds stay sound upper bounds, merely looser. The view
-// aliases the tree's structure and must not be mutated; Len keeps
-// reporting the unfiltered item count.
+// Every reader goes through a PageView, whose Visible and Entry report a
+// hidden slot as absent, so nothing is filtered or copied. Internal-node
+// aggregates still cover the hidden items; bounds stay sound upper bounds,
+// merely looser. The view aliases the tree's structure and must not be
+// mutated; Len keeps reporting the unfiltered item count.
 func (t *Tree) WithExclude(dead map[int64]struct{}) *Tree {
 	if len(dead) == 0 {
 		return t
@@ -232,61 +221,11 @@ func (t *Tree) Len() int { return t.size }
 // since the tree was built or opened.
 func (t *Tree) Splits() int { return t.splits }
 
-// LeafCapacity returns the maximum number of entries in a leaf node.
-func (t *Tree) LeafCapacity() int { return t.leafCap }
-
-// InnerCapacity returns the maximum number of entries in an internal node.
-func (t *Tree) InnerCapacity() int { return t.innerCap }
-
-// Node returns the node stored at page id. Every call is one logical page
-// read — a buffer-pool hit, or a physical read and possibly an eviction —
-// exactly as the paper counts node visits; the decode is paid once per
-// residency of the page in the pool, and the result is shared: callers
-// must treat the node as immutable (see Node). On a WithExclude view a leaf
-// holding tombstoned items is returned as a filtered private copy; the
-// shared node is left untouched.
+// Node reads the page at id — one logical read, counted as a View is — and
+// decodes it into a private Node the caller may modify and write back: the
+// read half of Insert's and Delete's read-modify-write. Readers scan the
+// image instead (View).
 func (t *Tree) Node(id storage.PageID) (*Node, error) {
-	v, err := t.pool.GetDecoded(id, t)
-	if err != nil {
-		return nil, err
-	}
-	n := v.(*Node)
-	if len(t.exclude) == 0 || !n.Leaf {
-		return n, nil
-	}
-	return t.withoutExcluded(n), nil
-}
-
-// withoutExcluded returns n itself when none of its items is tombstoned,
-// and otherwise a copy holding only the live entries.
-func (t *Tree) withoutExcluded(n *Node) *Node {
-	var kept []Entry // nil until the first tombstoned item is met
-	for i := range n.Entries {
-		_, dead := t.exclude[n.Entries[i].ItemID]
-		switch {
-		case dead && kept == nil:
-			kept = append(make([]Entry, 0, len(n.Entries)-1), n.Entries[:i]...)
-		case !dead && kept != nil:
-			kept = append(kept, n.Entries[i])
-		}
-	}
-	if kept == nil {
-		return n
-	}
-	return &Node{Leaf: true, Entries: kept}
-}
-
-// DecodePage implements storage.Decoder: the buffer pool calls it the first
-// time a resident page is read through Node.
-func (t *Tree) DecodePage(data []byte) (any, error) {
-	return t.decodeNode(data)
-}
-
-// mutableNode reads the page (one logical read, like Node) and decodes a
-// private copy the caller may modify and write back — the read half of
-// Insert's and Delete's read-modify-write. It never touches the decoded
-// form other readers share; updateNode's write invalidates that.
-func (t *Tree) mutableNode(id storage.PageID) (*Node, error) {
 	data, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
@@ -298,16 +237,24 @@ func (t *Tree) mutableNode(id storage.PageID) (*Node, error) {
 // its MBR, maximum score and keyword summary. Search algorithms seed their
 // priority queues with it.
 func (t *Tree) RootEntry() (Entry, error) {
-	n, err := t.Node(t.root)
+	v, err := t.View(t.root)
 	if err != nil {
 		return Entry{}, err
 	}
+	// One allocation: the summary's words, then room for one slot's.
+	buf := make([]uint64, 2*v.words)
 	e := Entry{
 		Rect:     geo.EmptyRect(),
 		Child:    t.root,
-		Keywords: kwset.NewSet(t.cfg.KeywordWidth),
+		Keywords: kwset.FromBitsOwned(t.cfg.KeywordWidth, buf[:v.words:v.words]),
 	}
-	e.absorbAll(n)
+	var c Entry
+	for i := 0; i < v.Len(); i++ {
+		slot := buf[v.words:v.words]
+		if v.Entry(i, &c, &slot) {
+			e.absorb(&c)
+		}
+	}
 	return e, nil
 }
 
@@ -341,17 +288,20 @@ func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
 	return e
 }
 
-// absorbAll widens e to cover every entry of n: MBR union, maximum score
-// and keyword union.
+// absorbAll widens e to cover every entry of n.
 func (e *Entry) absorbAll(n *Node) {
 	for i := range n.Entries {
-		c := &n.Entries[i]
-		e.Rect = e.Rect.Union(c.Rect)
-		if c.Score > e.Score {
-			e.Score = c.Score
-		}
-		e.Keywords.UnionInPlace(c.Keywords)
+		e.absorb(&n.Entries[i])
 	}
+}
+
+// absorb widens e to cover c: MBR union, maximum score and keyword union.
+func (e *Entry) absorb(c *Entry) {
+	e.Rect = e.Rect.Union(c.Rect)
+	if c.Score > e.Score {
+		e.Score = c.Score
+	}
+	e.Keywords.UnionInPlace(c.Keywords)
 }
 
 // Item is the caller-facing description of an indexed object, used for
@@ -398,16 +348,21 @@ func (t *Tree) CheckInvariants() error {
 // checkNode verifies the node at id (depth from root = d) against the
 // parent entry, returning the number of items in the subtree.
 func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
-	n, err := t.Node(id)
+	v, err := t.View(id)
 	if err != nil {
 		return 0, err
 	}
-	if n.Leaf != (d == t.height) {
-		return 0, fmt.Errorf("rtree: node %d at depth %d leaf=%v height=%d", id, d, n.Leaf, t.height)
+	if v.Leaf() != (d == t.height) {
+		return 0, fmt.Errorf("rtree: node %d at depth %d leaf=%v height=%d", id, d, v.Leaf(), t.height)
 	}
 	items := 0
-	for i := range n.Entries {
-		e := &n.Entries[i]
+	var arena []uint64
+	for i := 0; i < v.Len(); i++ {
+		var e Entry
+		arena = arena[:0]
+		if !v.Entry(i, &e, &arena) {
+			continue
+		}
 		if parent != nil {
 			if !parent.Rect.ContainsRect(e.Rect) {
 				return 0, fmt.Errorf("rtree: node %d entry MBR %v outside parent %v", id, e.Rect, parent.Rect)
@@ -421,17 +376,11 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 				}
 			}
 		}
-		if n.Leaf {
-			if !e.Leaf {
-				return 0, fmt.Errorf("rtree: leaf node %d holds non-leaf entry", id)
-			}
+		if e.Leaf {
 			items++
 			continue
 		}
-		if e.Leaf {
-			return 0, fmt.Errorf("rtree: internal node %d holds leaf entry", id)
-		}
-		sub, err := t.checkNode(e.Child, d+1, e)
+		sub, err := t.checkNode(e.Child, d+1, &e)
 		if err != nil {
 			return 0, err
 		}
@@ -439,14 +388,6 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 	}
 	return items, nil
 }
-
-// epsilon for floating-point score comparisons within the tree.
-const scoreEps = 1e-12
-
-// almostLE reports a ≤ b up to floating-point jitter.
-func almostLE(a, b float64) bool { return a <= b+scoreEps }
-
-var _ = almostLE // referenced by tests
 
 // infinity shorthand.
 var inf = math.Inf(1)

@@ -3,7 +3,6 @@ package rtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -50,14 +49,14 @@ func newTestTree(t *testing.T, cfg Config) *Tree {
 
 func TestNewCapacities(t *testing.T) {
 	tr := newTestTree(t, Config{PageSize: 4096, KeywordWidth: 128, WithScore: true})
-	if tr.LeafCapacity() < 10 || tr.InnerCapacity() < 10 {
-		t.Errorf("capacities too small: leaf=%d inner=%d", tr.LeafCapacity(), tr.InnerCapacity())
+	if tr.leafCap < 10 || tr.innerCap < 10 {
+		t.Errorf("capacities too small: leaf=%d inner=%d", tr.leafCap, tr.innerCap)
 	}
 	// A larger vocabulary must reduce fan-out (paper Fig. 7(d) reasoning).
 	tr2 := newTestTree(t, Config{PageSize: 4096, KeywordWidth: 256, WithScore: true})
-	if tr2.LeafCapacity() >= tr.LeafCapacity() {
+	if tr2.leafCap >= tr.leafCap {
 		t.Errorf("capacity should drop with keyword width: %d vs %d",
-			tr2.LeafCapacity(), tr.LeafCapacity())
+			tr2.leafCap, tr.leafCap)
 	}
 }
 
@@ -132,7 +131,7 @@ func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 func TestEncodeNodeOverflow(t *testing.T) {
 	tr := newTestTree(t, Config{PageSize: 256})
 	n := &Node{Leaf: true}
-	for i := 0; i <= tr.LeafCapacity(); i++ {
+	for i := 0; i <= tr.leafCap; i++ {
 		n.Entries = append(n.Entries, Entry{Leaf: true})
 	}
 	if _, err := tr.encodeNode(n); err == nil {
@@ -255,80 +254,6 @@ func TestRangeSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSearchRectMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr := newTestTree(t, Config{PageSize: 512})
-	items := randomItems(rng, 1000, 0)
-	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		a := geo.Point{X: rng.Float64(), Y: rng.Float64()}
-		b := geo.Point{X: rng.Float64(), Y: rng.Float64()}
-		rect := geo.RectOf(a).Extend(b)
-		want := 0
-		for _, it := range items {
-			if rect.Contains(it.Location) {
-				want++
-			}
-		}
-		got := 0
-		if err := tr.SearchRect(rect, func(Entry) bool { got++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := newTestTree(t, Config{PageSize: 512})
-	items := randomItems(rng, 800, 0)
-	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		center := geo.Point{X: rng.Float64(), Y: rng.Float64()}
-		k := 1 + rng.Intn(20)
-		got, err := tr.KNearest(center, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dists := make([]float64, len(items))
-		for i, it := range items {
-			dists[i] = it.Location.Dist(center)
-		}
-		sort.Float64s(dists)
-		if len(got) != k {
-			t.Fatalf("got %d results, want %d", len(got), k)
-		}
-		for i, e := range got {
-			if math.Abs(e.Point().Dist(center)-dists[i]) > 1e-12 {
-				t.Fatalf("trial %d: rank %d dist %v, want %v", trial, i,
-					e.Point().Dist(center), dists[i])
-			}
-		}
-	}
-}
-
-func TestKNearestEdgeCases(t *testing.T) {
-	tr := newTestTree(t, Config{PageSize: 512})
-	got, err := tr.KNearest(geo.Point{X: 0.5, Y: 0.5}, 5)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty tree: %v, %d", err, len(got))
-	}
-	if got, _ := tr.KNearest(geo.Point{}, 0); got != nil {
-		t.Error("k=0 must return nil")
-	}
-	_ = tr.Insert(Item{ID: 1, Location: geo.Point{X: 0.3, Y: 0.3}})
-	got, err = tr.KNearest(geo.Point{X: 0, Y: 0}, 10)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("k>size: %v, %d", err, len(got))
-	}
-}
-
 func TestAscendDistanceMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr := newTestTree(t, Config{PageSize: 512})
@@ -366,13 +291,13 @@ func TestLeavesCoverAllItems(t *testing.T) {
 	}
 	seen := make(map[int64]bool)
 	batches := 0
-	err := tr.Leaves(func(batch []Entry) bool {
+	err := tr.Leaves(func(leaf *PageView) bool {
 		batches++
-		if len(batch) == 0 {
-			t.Fatal("empty batch")
+		if !leaf.Leaf() || leaf.Len() == 0 {
+			t.Fatal("empty or internal batch")
 		}
-		for _, e := range batch {
-			seen[e.ItemID] = true
+		for i := 0; i < leaf.Len(); i++ {
+			seen[leaf.ItemID(i)] = true
 		}
 		return true
 	})

@@ -9,86 +9,65 @@ import (
 // early. It is the retrieval primitive behind getDataObjects for the range
 // score variant (paper Section 6.4).
 func (t *Tree) RangeSearch(center geo.Point, r float64, fn func(Entry) bool) error {
-	return t.searchNode(t.root, func(e *Entry) bool {
-		if e.Leaf {
-			return e.Rect.Min.Dist(center) <= r
+	return t.searchNode(func(rect geo.Rect, leaf bool) bool {
+		if leaf {
+			return rect.Min.Dist(center) <= r
 		}
-		return e.Rect.MinDist(center) <= r
-	}, byValue(fn))
-}
-
-// SearchRect visits every indexed item inside rect.
-func (t *Tree) SearchRect(rect geo.Rect, fn func(Entry) bool) error {
-	return t.searchNode(t.root, func(e *Entry) bool {
-		if e.Leaf {
-			return rect.Contains(e.Rect.Min)
-		}
-		return e.Rect.Intersects(rect)
-	}, byValue(fn))
+		return rect.MinDist(center) <= r
+	}, fn)
 }
 
 // SearchFiltered visits every item whose ancestors all pass the prune
-// predicate. prune receives internal entries (subtree MBR plus
-// aggregates) and leaf entries alike and returns whether the entry can
+// predicate. prune receives the rectangle of internal and leaf slots alike
+// — a leaf's is its item's location — and returns whether the slot can
 // contain qualifying items. fn receives qualifying leaf entries and
-// returns false to stop. Both see the entries in place: the pointers are
-// into the tree's shared decoded nodes, valid only for the duration of the
-// call, and must not be written through or retained.
-func (t *Tree) SearchFiltered(prune func(*Entry) bool, fn func(*Entry) bool) error {
-	return t.searchNode(t.root, prune, fn)
+// returns false to stop; it may keep the entries, whose keyword words are
+// their own.
+func (t *Tree) SearchFiltered(prune func(rect geo.Rect, leaf bool) bool, fn func(Entry) bool) error {
+	return t.searchNode(prune, fn)
 }
 
-// byValue adapts a result callback that takes its entry by value.
-func byValue(fn func(Entry) bool) func(*Entry) bool {
-	return func(e *Entry) bool { return fn(*e) }
-}
-
-// searchNode is the shared depth-first traversal. It reads the shared
-// decoded nodes in place, one pointer per visited entry.
-func (t *Tree) searchNode(pid storagePage, accept func(*Entry) bool, fn func(*Entry) bool) error {
-	stack := []storagePage{pid}
+// searchNode is the shared depth-first traversal over page views. accept
+// sees each slot's rectangle; only the accepted visible leaf slots are
+// decoded, and handed to fn. The arena their keyword words are copied onto
+// is only ever appended to, so every entry owns its words and a caller may
+// keep the entries it is handed.
+func (t *Tree) searchNode(accept func(rect geo.Rect, leaf bool) bool, fn func(Entry) bool) error {
+	var buf [64]storagePage // up to 64 queued pages, a search allocates nothing
+	stack := append(buf[:0], t.root)
+	var (
+		e     Entry
+		arena []uint64
+	)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.Node(id)
+		v, err := t.View(id)
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			e := &n.Entries[i]
-			if !accept(e) {
+		for i := 0; i < v.Len(); i++ {
+			if !v.leaf {
+				if accept(v.Rect(i), false) {
+					stack = append(stack, v.Child(i))
+				}
 				continue
 			}
-			if e.Leaf {
-				if !fn(e) {
-					return nil
-				}
-			} else {
-				stack = append(stack, e.Child)
+			if !accept(geo.RectOf(v.Point(i)), true) {
+				continue
+			}
+			if v.Entry(i, &e, &arena) && !fn(e) {
+				return nil
 			}
 		}
 	}
 	return nil
 }
 
-// KNearest returns the k items nearest to center in increasing distance
-// order (best-first search with a priority queue of MINDIST bounds).
-func (t *Tree) KNearest(center geo.Point, k int) ([]Entry, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	out := make([]Entry, 0, k)
-	err := t.AscendDistance(center, func(e Entry, _ float64) bool {
-		out = append(out, e)
-		return len(out) < k
-	})
-	return out, err
-}
-
 // AscendDistance streams indexed items in increasing distance from center.
-// fn receives each item and its distance and returns false to stop. This
-// is the incremental nearest-neighbor primitive used by the NN score
-// variant and the Voronoi construction.
+// fn receives each item and its distance and returns false to stop; it may
+// keep the entries, whose keyword words are their own. This is the
+// incremental nearest-neighbor primitive.
 func (t *Tree) AscendDistance(center geo.Point, fn func(Entry, float64) bool) error {
 	root, err := t.RootEntry()
 	if err != nil {
@@ -96,6 +75,7 @@ func (t *Tree) AscendDistance(center geo.Point, fn func(Entry, float64) bool) er
 	}
 	pq := &distQueue{}
 	pq.push(distItem{entry: root, dist: root.Rect.MinDist(center)})
+	var arena []uint64 // only appended to: queued leaves own their words
 	for pq.Len() > 0 {
 		it := pq.pop()
 		if it.entry.Leaf {
@@ -104,20 +84,25 @@ func (t *Tree) AscendDistance(center geo.Point, fn func(Entry, float64) bool) er
 			}
 			continue
 		}
-		n, err := t.Node(it.entry.Child)
+		v, err := t.View(it.entry.Child)
 		if err != nil {
 			return err
 		}
-		for i := range n.Entries {
-			c := &n.Entries[i]
-			pq.push(distItem{entry: *c, dist: c.Rect.MinDist(center)})
+		for i := 0; i < v.Len(); i++ {
+			var c Entry
+			if !v.leaf {
+				// An internal entry is only ever popped to be expanded.
+				c = Entry{Rect: v.Rect(i), Child: v.Child(i)}
+			} else if !v.Entry(i, &c, &arena) {
+				continue
+			}
+			pq.push(distItem{entry: c, dist: c.Rect.MinDist(center)})
 		}
 	}
 	return nil
 }
 
-// distItem pairs an entry — copied out of its node, so a queued item never
-// points into a shared decoded node — with its MINDIST priority.
+// distItem pairs an entry with its MINDIST priority.
 type distItem struct {
 	entry Entry
 	dist  float64
@@ -171,39 +156,40 @@ func (q *distQueue) pop() distItem {
 	return top
 }
 
-// All returns every indexed item (leaf-order scan). It is the sequential
-// object scan STDS starts from.
+// All returns every indexed item (leaf-order scan), each entry owning its
+// keyword words. It is the sequential object scan STDS starts from.
 func (t *Tree) All() ([]Entry, error) {
 	var out []Entry
-	err := t.searchNode(t.root, func(*Entry) bool { return true }, func(e *Entry) bool {
-		out = append(out, *e)
+	err := t.searchNode(func(geo.Rect, bool) bool { return true }, func(e Entry) bool {
+		out = append(out, e)
 		return true
 	})
 	return out, err
 }
 
-// Leaves visits each leaf node's entries as one batch — the unit the
-// batched STDS score computation processes together (paper Section 5,
-// "Performance improvements"). Leaf batches are spatially coherent, which
-// is what makes batching effective. The batch is the shared decoded node's
-// own entry array: read it in place, do not write it or keep it.
-func (t *Tree) Leaves(fn func([]Entry) bool) error {
+// Leaves visits each leaf node as one batch — the unit the batched STDS
+// score computation processes together (paper Section 5, "Performance
+// improvements"). Leaf batches are spatially coherent, which is what makes
+// batching effective. The batch is the leaf's page view, read in place.
+// On a WithExclude tree fn must skip every slot where !leaf.Visible(i);
+// a leaf it is handed may have no visible slot at all.
+func (t *Tree) Leaves(fn func(*PageView) bool) error {
 	stack := []storagePage{t.root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.Node(id)
+		v, err := t.View(id)
 		if err != nil {
 			return err
 		}
-		if n.Leaf {
-			if len(n.Entries) > 0 && !fn(n.Entries) {
-				return nil
+		if !v.leaf {
+			for i := 0; i < v.Len(); i++ {
+				stack = append(stack, v.Child(i))
 			}
 			continue
 		}
-		for i := range n.Entries {
-			stack = append(stack, n.Entries[i].Child)
+		if v.Len() > 0 && !fn(&v) {
+			return nil
 		}
 	}
 	return nil
@@ -216,10 +202,10 @@ func (t *Tree) SearchPolygon(pg geo.Polygon, fn func(Entry) bool) error {
 	if pg.IsEmpty() {
 		return nil
 	}
-	return t.searchNode(t.root, func(e *Entry) bool {
-		if e.Leaf {
-			return pg.Contains(e.Rect.Min)
+	return t.searchNode(func(rect geo.Rect, leaf bool) bool {
+		if leaf {
+			return pg.Contains(rect.Min)
 		}
-		return pg.IntersectsRect(e.Rect)
-	}, byValue(fn))
+		return pg.IntersectsRect(rect)
+	}, fn)
 }

@@ -11,12 +11,15 @@ import (
 )
 
 // PageView reads one node where it lies, in its page's image, without
-// decoding it. A page is a fixed-width slot array, so a loop that filters
-// by keywords and then picks — the feature stream, which rejects most slots
-// of a node on their keyword words alone — scans the words in the image and
-// decodes only the slots that survive. Loops that need every slot's
-// rectangle, or hand entries out by value, read the shared decoded node
-// (Tree.Node) instead.
+// decoding it. It is the one way a page is read: a page is a fixed-width
+// slot array, so every loop reads the slots it needs at the slot stride.
+// A loop that only walks the geometry reads a slot's rectangle or
+// location, child page, item id and visibility (Rect, Point, Child,
+// ItemID, Visible); a loop that filters by keywords and then picks — the
+// feature stream, which rejects most slots of a node on their keyword
+// words alone — scans the words in the image (NextIntersecting); and a
+// loop that needs a score or keyword set decodes the slot (Entry).
+// decodeNode, the mutators' private copy, is Entry over every slot.
 //
 // A view is a value holding the page's image (storage.BufferPool.Get) and
 // no lock, so it reads the bytes it fetched however often the page is
@@ -25,8 +28,11 @@ import (
 // built or merged rewrites the image in place. The methods take a pointer
 // only so that a call per slot does not copy the view.
 type PageView struct {
-	data          []byte // header and count slots, nothing beyond
-	t             *Tree
+	data []byte // header and count slots, nothing beyond
+	t    *Tree
+	// hidden is the tree's WithExclude set on a leaf that may hold
+	// tombstoned items, nil otherwise.
+	hidden        map[int64]struct{}
 	kwOff, stride int // see slotLayout
 	count, words  int
 	// lastMask clears the bits beyond the keyword width in a slot's last
@@ -35,9 +41,10 @@ type PageView struct {
 	leaf     bool
 }
 
-// View returns the node at page id as a view of its image: counted exactly
-// as Node is — a logical read, on a miss a physical read and possibly an
-// eviction — and not decoded. Entry hides what WithExclude tombstoned.
+// View returns the node at page id as a view of its image: one logical
+// read, on a miss a physical read and possibly an eviction, exactly as the
+// paper counts a node visit — and nothing decoded. Visible and Entry hide
+// what WithExclude tombstoned.
 func (t *Tree) View(id storage.PageID) (PageView, error) {
 	data, err := t.pool.Get(id)
 	if err != nil {
@@ -72,6 +79,9 @@ func (t *Tree) viewOf(data []byte) (PageView, error) {
 		return PageView{}, fmt.Errorf("rtree: short page: %d entries need %d bytes, have %d", v.count, end, len(data))
 	}
 	v.data = data[:end]
+	if v.leaf && len(t.exclude) > 0 {
+		v.hidden = t.exclude
+	}
 	if r := t.cfg.KeywordWidth % 64; r != 0 {
 		v.lastMask = 1<<uint(r) - 1
 	}
@@ -129,26 +139,76 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 	return v.count
 }
 
-// Entry decodes slot i into e, field for field what decodeNode makes of it,
-// and reports whether the slot is visible: a leaf slot tombstoned by
-// WithExclude returns false. The keyword words are copied onto the end of
-// *arena and e.Keywords aliases that copy; a caller that does not keep the
-// entry cuts the arena back to its length before the call.
+// slot returns the node's bytes from the start of slot i on; viewOf made
+// sure the slot's stride of them is there.
+func (v *PageView) slot(i int) []byte { return v.data[nodeHeaderSize+i*v.stride:] }
+
+// Rect returns slot i's rectangle: a child's MBR, or the degenerate
+// rectangle at a leaf item's location.
+func (v *PageView) Rect(i int) geo.Rect {
+	if !v.leaf {
+		return mbrOf(v.slot(i))
+	}
+	return geo.RectOf(v.Point(i))
+}
+
+// Point returns the location of leaf slot i. Unlike Rect it is inlined,
+// so a loop over a leaf's slots pays no call per slot.
+func (v *PageView) Point(i int) geo.Point { return pointOf(v.slot(i)) }
+
+// pointOf reads the location of the leaf slot p, and mbrOf the MBR of the
+// internal slot p. Each slices the bytes it reads once, so the reads
+// themselves need no bounds check.
+func pointOf(p []byte) geo.Point {
+	c := p[8:24]
+	return geo.Point{X: floatAt(c, 0), Y: floatAt(c, 8)}
+}
+
+func mbrOf(p []byte) geo.Rect {
+	c := p[4:36]
+	return geo.Rect{
+		Min: geo.Point{X: floatAt(c, 0), Y: floatAt(c, 8)},
+		Max: geo.Point{X: floatAt(c, 16), Y: floatAt(c, 24)},
+	}
+}
+
+// Child returns the child page of internal slot i.
+func (v *PageView) Child(i int) storage.PageID {
+	return storage.PageID(binary.LittleEndian.Uint32(v.slot(i)))
+}
+
+// ItemID returns the item id of leaf slot i.
+func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
+
+// Visible reports whether slot i is seen through the tree: false only for
+// a leaf slot whose item WithExclude tombstoned.
+func (v *PageView) Visible(i int) bool {
+	if v.hidden == nil {
+		return true
+	}
+	_, dead := v.hidden[v.ItemID(i)]
+	return !dead
+}
+
+// Entry decodes slot i into e and reports whether the slot is visible: a
+// leaf slot tombstoned by WithExclude returns false and decodes nothing.
+// The keyword words are copied onto the end of *arena and e.Keywords
+// aliases that copy, so e stays valid for as long as that part of the
+// arena is not written again: a caller that hands e out to be kept leaves
+// the arena alone, one that does not cuts it back to its length before the
+// call.
 func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
-	p := v.data[nodeHeaderSize+i*v.stride:][:v.stride]
+	if !v.Visible(i) {
+		return false
+	}
+	p := v.slot(i)
 	*e = Entry{Child: storage.InvalidPage, Leaf: v.leaf}
 	if v.leaf {
 		e.ItemID = int64(binary.LittleEndian.Uint64(p))
-		if _, dead := v.t.exclude[e.ItemID]; dead {
-			return false
-		}
-		e.Rect = geo.RectOf(geo.Point{X: floatAt(p, 8), Y: floatAt(p, 16)})
+		e.Rect = geo.RectOf(pointOf(p))
 	} else {
 		e.Child = storage.PageID(binary.LittleEndian.Uint32(p))
-		e.Rect = geo.Rect{
-			Min: geo.Point{X: floatAt(p, 4), Y: floatAt(p, 12)},
-			Max: geo.Point{X: floatAt(p, 20), Y: floatAt(p, 28)},
-		}
+		e.Rect = mbrOf(p)
 	}
 	if v.t.cfg.WithScore {
 		e.Score = floatAt(p, v.kwOff-8)
@@ -164,4 +224,6 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 }
 
 // floatAt reads the float64 stored at off.
-func floatAt(p []byte, off int) float64 { f, _ := getFloat(p, off); return f }
+func floatAt(p []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
+}

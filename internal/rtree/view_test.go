@@ -3,11 +3,13 @@ package rtree
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"stpq/internal/geo"
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
 	"stpq/internal/storage"
@@ -61,9 +63,55 @@ func grownTree(t *testing.T, cfg Config, n int, bulk bool) *Tree {
 	return tr
 }
 
-// Every slot of every page reads through the view exactly as decodeNode
-// decodes it — cached cardinality included — and the keyword scan agrees
-// with Set.Intersects on the decoded entries from every starting slot.
+// refDecode is a byte-by-byte reading of the page format written by
+// encodeNode, independent of PageView: the reference the view's accessors,
+// Entry and decodeNode are held to.
+func refDecode(tr *Tree, data []byte) *Node {
+	n := &Node{Leaf: data[0]&1 == 1}
+	count := int(binary.LittleEndian.Uint16(data[1:3]))
+	off := nodeHeaderSize
+	for i := 0; i < count; i++ {
+		e := Entry{Leaf: n.Leaf, Child: storage.InvalidPage}
+		if n.Leaf {
+			e.ItemID = int64(binary.LittleEndian.Uint64(data[off:]))
+			var x, y float64
+			x, off = getFloat(data, off+8)
+			y, off = getFloat(data, off)
+			e.Rect = geo.RectOf(geo.Point{X: x, Y: y})
+		} else {
+			e.Child = storage.PageID(binary.LittleEndian.Uint32(data[off:]))
+			var c [4]float64
+			off += 4
+			for j := range c {
+				c[j], off = getFloat(data, off)
+			}
+			e.Rect = geo.Rect{Min: geo.Point{X: c[0], Y: c[1]}, Max: geo.Point{X: c[2], Y: c[3]}}
+		}
+		if tr.cfg.WithScore {
+			e.Score, off = getFloat(data, off)
+		}
+		if words := kwWords(tr.cfg.KeywordWidth); words > 0 {
+			raw := make([]uint64, words)
+			for w := range raw {
+				raw[w] = binary.LittleEndian.Uint64(data[off:])
+				off += 8
+			}
+			e.Keywords = kwset.FromBitsOwned(tr.cfg.KeywordWidth, raw)
+		}
+		n.Entries = append(n.Entries, e)
+	}
+	return n
+}
+
+// getFloat reads a float64 at off and returns it with the next offset.
+func getFloat(buf []byte, off int) (float64, int) {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
+}
+
+// Every slot of every page reads through the view exactly as the reference
+// decode reads it — Entry with its cached cardinality, decodeNode, and each
+// of Rect, Point, Child, ItemID and Visible — and the keyword scan agrees with
+// Set.Intersects on the decoded entries from every starting slot.
 func TestPageViewMatchesDecodedNode(t *testing.T) {
 	for _, cfg := range viewConfigs() {
 		for _, bulk := range []bool{true, false} {
@@ -80,9 +128,9 @@ func TestPageViewMatchesDecodedNode(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := tr.decodeNode(data)
-					if err != nil {
-						t.Fatal(err)
+					want := refDecode(tr, data)
+					if got, err := tr.decodeNode(data); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("page %d: decodeNode %+v, %v; reference %+v", id, got, err, want)
 					}
 					v, err := tr.View(id)
 					if err != nil {
@@ -97,7 +145,10 @@ func TestPageViewMatchesDecodedNode(t *testing.T) {
 							t.Fatalf("page %d slot %d hidden on a tree without tombstones", id, i)
 						}
 						if !reflect.DeepEqual(got, want.Entries[i]) {
-							t.Fatalf("page %d slot %d: view %+v, decodeNode %+v", id, i, got, want.Entries[i])
+							t.Fatalf("page %d slot %d: view %+v, reference %+v", id, i, got, want.Entries[i])
+						}
+						if err := checkAccessors(&v, i, &got, true); err != nil {
+							t.Fatalf("page %d: %v", id, err)
 						}
 					}
 					for _, q := range querySets(rng, cfg.KeywordWidth) {
@@ -141,8 +192,34 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 	}
 }
 
+// checkAccessors compares the slot accessors of slot i with e, what Entry
+// made of the slot, and with visible, what it reported.
+func checkAccessors(v *PageView, i int, e *Entry, visible bool) error {
+	if v.Visible(i) != visible {
+		return fmt.Errorf("slot %d: Visible %v, Entry %v", i, v.Visible(i), visible)
+	}
+	if !visible {
+		return nil
+	}
+	if r := v.Rect(i); !samePoint(r.Min, e.Rect.Min) || !samePoint(r.Max, e.Rect.Max) {
+		return fmt.Errorf("slot %d: Rect %v, Entry %v", i, r, e.Rect)
+	}
+	if v.Leaf() && (v.ItemID(i) != e.ItemID || !samePoint(v.Point(i), e.Point())) || !v.Leaf() && v.Child(i) != e.Child {
+		return fmt.Errorf("slot %d: ItemID %d Point %v Child %d, Entry %+v", i, v.ItemID(i), v.Point(i), v.Child(i), *e)
+	}
+	return nil
+}
+
+// samePoint compares coordinates bit for bit, so that a NaN read from
+// arbitrary bytes equals itself.
+func samePoint(a, b geo.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
 // Arbitrary bytes are a page the view rejects or reads within bounds: a
-// count above the capacity and a page cut short are errors, never panics.
+// count above the capacity and a page cut short are errors, never panics;
+// and every accessor agrees with Entry on every slot, on a tree that hides
+// the even item ids too.
 func FuzzPageView(f *testing.F) {
 	cfgs := []Config{
 		{PageSize: 1024},
@@ -170,15 +247,35 @@ func FuzzPageView(f *testing.F) {
 		f.Add(uint8(i), over)
 	}
 	f.Add(uint8(0), []byte{1})
+	even := map[int64]struct{}{}
+	for id := int64(0); id < 200; id += 2 {
+		even[id] = struct{}{}
+	}
+	trees = append(trees, trees[1].WithExclude(even))
+	for i, tr := range trees {
+		leaf := tr.Root()
+		for n := tr.Height(); n > 1; n-- {
+			v, err := tr.View(leaf)
+			if err != nil {
+				f.Fatal(err)
+			}
+			leaf = v.Child(0)
+		}
+		page, err := tr.Pool().Get(leaf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), append([]byte(nil), page...))
+	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		tr := trees[int(which)%len(trees)]
 		v, err := tr.viewOf(data)
 		if err != nil {
 			return
 		}
-		capacity := tr.InnerCapacity()
+		capacity := tr.innerCap
 		if v.Leaf() {
-			capacity = tr.LeafCapacity()
+			capacity = tr.leafCap
 		}
 		if v.Len() > capacity {
 			t.Fatalf("view accepted %d slots, capacity %d", v.Len(), capacity)
@@ -192,7 +289,9 @@ func FuzzPageView(f *testing.F) {
 			}
 		}
 		for i := 0; i < v.Len(); i++ {
-			v.Entry(i, &e, &arena)
+			if err := checkAccessors(&v, i, &e, v.Entry(i, &e, &arena)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -302,5 +401,108 @@ func TestViewSurvivesEviction(t *testing.T) {
 	byView := count(func(tr *Tree, id storage.PageID) error { _, err := tr.View(id); return err })
 	if byNode != byView || byView.PhysicalReads == 0 || byView.Evictions == 0 {
 		t.Fatalf("the same page sequence charged %+v through Node and %+v through View", byNode, byView)
+	}
+}
+
+// Entries a reader hands out to be kept — All's, and AscendDistance's,
+// RangeSearch's, SearchFiltered's and SearchPolygon's callbacks' — own
+// their keyword words:
+// after further reads of every kind, through a two-page pool that evicts on
+// almost every one of them, each kept entry still carries its own item's
+// keyword set. A reader that cut back or shared the arena its entries'
+// words are copied onto would hand out entries whose words the next slot,
+// or the next search, overwrites.
+func TestKeptEntriesOwnTheirKeywords(t *testing.T) {
+	cfg := Config{PageSize: 1024, KeywordWidth: 128, WithScore: true, BufferPages: 2}
+	rng := rand.New(rand.NewSource(41))
+	tr := newTestTree(t, cfg)
+	items := randomItems(rng, 900, cfg.KeywordWidth)
+	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64]kwset.Set, len(items))
+	for _, it := range items {
+		want[it.ID] = it.Keywords
+	}
+	center := geo.Point{X: 0.5, Y: 0.5}
+	read := func() map[string][]Entry {
+		kept := map[string][]Entry{}
+		all, err := tr.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept["All"] = all
+		keep := func(name string) func(Entry) bool {
+			return func(e Entry) bool { kept[name] = append(kept[name], e); return true }
+		}
+		if err := tr.RangeSearch(center, 0.3, keep("RangeSearch")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.SearchPolygon(geo.UnitSquare(), keep("SearchPolygon")); err != nil {
+			t.Fatal(err)
+		}
+		near := func(rect geo.Rect, _ bool) bool { return rect.MinDist(center) <= 0.3 }
+		if err := tr.SearchFiltered(near, keep("SearchFiltered")); err != nil {
+			t.Fatal(err)
+		}
+		ascend := keep("AscendDistance")
+		if err := tr.AscendDistance(center, func(e Entry, _ float64) bool { return ascend(e) }); err != nil {
+			t.Fatal(err)
+		}
+		return kept
+	}
+	kept := read()
+	tr.Pool().ResetStats()
+	read() // further reads of every kind, evicting what the first ones read
+	if tr.Pool().Stats().Evictions == 0 {
+		t.Fatal("the further reads evicted nothing: the test shows nothing")
+	}
+	for name, entries := range kept {
+		if len(entries) < 100 {
+			t.Fatalf("%s kept only %d entries", name, len(entries))
+		}
+		for _, e := range entries {
+			if !e.Keywords.Equal(want[e.ItemID]) {
+				t.Fatalf("%s: kept entry %d carries %v, its item %v", name, e.ItemID, e.Keywords, want[e.ItemID])
+			}
+		}
+	}
+}
+
+// A warm search over the views allocates nothing per node: searching the
+// whole object tree (no keyword words) costs no more allocations than
+// searching a corner of it, however many more pages it reads.
+func TestAllocsViewSearchPerNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	tr := newTestTree(t, Config{PageSize: 512})
+	if err := tr.BulkLoad(randomItems(rng, 3000, 0), hilbert2DKey); err != nil {
+		t.Fatal(err)
+	}
+	corner := geo.Polygon{Vertices: []geo.Point{{X: 0, Y: 0}, {X: 0.02, Y: 0}, {X: 0, Y: 0.02}}}
+	searches := map[string][2]func(){
+		"RangeSearch": {
+			func() { _ = tr.RangeSearch(geo.Point{}, 0.02, func(Entry) bool { return true }) },
+			func() { _ = tr.RangeSearch(geo.Point{}, 2, func(Entry) bool { return true }) },
+		},
+		"SearchPolygon": {
+			func() { _ = tr.SearchPolygon(corner, func(Entry) bool { return true }) },
+			func() { _ = tr.SearchPolygon(geo.UnitSquare(), func(Entry) bool { return true }) },
+		},
+	}
+	for name, pair := range searches {
+		reads := func(search func()) int64 {
+			before := tr.Pool().Stats().LogicalReads
+			search()
+			return tr.Pool().Stats().LogicalReads - before
+		}
+		small, large := reads(pair[0]), reads(pair[1])
+		if large < 20*small {
+			t.Fatalf("%s: %d pages against %d: the searches do not differ in size", name, large, small)
+		}
+		a, b := testing.AllocsPerRun(50, pair[0]), testing.AllocsPerRun(50, pair[1])
+		t.Logf("%s: %v allocs over %d pages, %v over %d", name, a, small, b, large)
+		if b > a {
+			t.Errorf("%s: %v allocs over %d pages, %v over %d: a search allocates per node", name, a, small, b, large)
+		}
 	}
 }

@@ -275,16 +275,22 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 		s.releaseCost(t)
 		return Response{}, err
 	}
+	var r taskResult
 	select {
-	case r := <-t.done:
-		if r.err == nil {
-			s.latency.Observe(time.Since(start).Seconds())
-		}
-		return r.resp, r.err
+	case r = <-t.done:
 	case <-ctx.Done():
-		s.deadline.Inc()
-		return Response{}, s.deadlineError(ctx)
+		r.err = s.deadlineError(ctx)
 	}
+	// Counted from the error, not from the arm: an expired task the worker
+	// already answered arrives through done, and a cancelled context is
+	// not a deadline.
+	switch {
+	case r.err == nil:
+		s.latency.Observe(time.Since(start).Seconds())
+	case errors.Is(r.err, ErrDeadline):
+		s.deadline.Inc()
+	}
+	return r.resp, r.err
 }
 
 func (s *Service) deadlineError(ctx context.Context) error {

@@ -209,6 +209,27 @@ func TestServeDeadline(t *testing.T) {
 	}
 }
 
+// A client that cancels is not a deadline: Do returns context.Canceled and
+// the deadline counter stays at 0, whichever arm of the wait answers.
+func TestServeCancelNotCountedAsDeadline(t *testing.T) {
+	db := testDB(t, stpq.Config{}, 200, 200)
+	svc, err := New(db, Config{Workers: 1, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := svc.Do(ctx, testQuery(3)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	}
+	if got := svc.metrics.Counter("stpq_serve_rejected_total{reason=\"deadline\"}").Value(); got != 0 {
+		t.Errorf("deadline counter = %d after cancelled requests, want 0", got)
+	}
+}
+
 func TestServeConfigTimeout(t *testing.T) {
 	db := testDB(t, stpq.Config{}, 200, 200)
 	svc, err := New(db, Config{Workers: 1, Timeout: time.Nanosecond, CacheEntries: -1})

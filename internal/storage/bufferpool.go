@@ -14,8 +14,7 @@ import (
 //
 // The pool is intentionally simple: pages are read-mostly once an index is
 // built, so there is no dirty-page write-back path — WriteThrough stores
-// pages synchronously. The read paths (Get, GetDecoded) are safe for
-// concurrent use and the lifetime counters are atomics, so any number of
+// pages synchronously. The read path (Get) is safe for concurrent use and the lifetime counters are atomics, so any number of
 // query goroutines may share one pool. Writes (WriteThrough) must not race
 // reads — they only happen while an index is being built or mutated, which
 // the layers above already serialize against queries.
@@ -29,14 +28,8 @@ import (
 // the memory the pages take. Nothing writes an image that a query reads: a
 // page is written only on a tree no query reads yet or on a merge clone's
 // CowDisk overlay, and always through the disk, never through a frame.
-//
-// Each frame also has one slot for the decoded form of its page (see
-// GetDecoded): whoever reads the page through the pool decodes it once per
-// residency instead of once per visit. The slot is part of the frame — it
-// is filled on the first decoded access, dropped when the frame is evicted
-// or the pool is cleared, and emptied by WriteThrough — so there is no
-// second cache with a capacity or an order of its own, and a decoded
-// access takes exactly the counting path of Get.
+// Readers scan the image in place (rtree.PageView); the pool keeps nothing
+// else per page.
 //
 // Per-query read accounting uses session handles (see Session): the paper
 // attributes page reads to individual queries, and under concurrency the
@@ -75,14 +68,9 @@ type PoolMetrics struct {
 	Misses    *obs.Counter
 	Evictions *obs.Counter
 	Writes    *obs.Counter
-	// Decodes counts pages actually decoded by GetDecoded: one per
-	// residency of a page read that way, plus one per WriteThrough of a
-	// resident page that is read again. Not one per miss: the feature
-	// stream reads page images through Get and decodes nothing.
-	Decodes *obs.Counter
 }
 
-// NewPoolMetrics registers the five pool counters under
+// NewPoolMetrics registers the four pool counters under
 // stpq_bufferpool_*_total{pool="<name>"}.
 func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 	label := `{pool="` + pool + `"}`
@@ -91,7 +79,6 @@ func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 		Misses:    r.Counter("stpq_bufferpool_misses_total" + label),
 		Evictions: r.Counter("stpq_bufferpool_evictions_total" + label),
 		Writes:    r.Counter("stpq_bufferpool_writes_total" + label),
-		Decodes:   r.Counter("stpq_bufferpool_decodes_total" + label),
 	}
 }
 
@@ -105,17 +92,6 @@ type frame struct {
 	id PageID
 	// data is the disk's image of the page; see Disk.ReadPage.
 	data []byte
-	// decoded is the decoded form of data, nil until the first GetDecoded
-	// of this residency. Whatever it holds is shared by every reader and
-	// must never be written.
-	decoded any
-}
-
-// Decoder turns a page image into the form its reader works on. The result
-// is cached in the page's frame and handed to every later reader, so it
-// must not alias data and must be treated as immutable.
-type Decoder interface {
-	DecodePage(data []byte) (any, error)
 }
 
 // NewBufferPool wraps disk with an LRU cache of capacity pages. A capacity
@@ -156,54 +132,11 @@ func (b *BufferPool) Len() int {
 
 // Get returns the contents of the page: the disk's image, which must not
 // be modified and may be kept and read for as long as the caller likes.
-// It is counted as every read is: a logical read, and on a miss a physical
-// read and possibly an eviction. Only a write to the page changes the
-// image (see Disk.ReadPage), and a reader does not hold one across a write.
+// It is the one counting read path: a logical read, and on a miss a
+// physical read and possibly an eviction. Only a write to the page changes
+// the image (see Disk.ReadPage), and a reader does not hold one across a
+// write. With a capacity of 0 nothing is retained.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
-	data, _, err := b.fetch(id)
-	return data, err
-}
-
-// GetDecoded returns the decoded form of the page: dec's result on the
-// first decoded access of a residency, the same shared value on every
-// later one. It counts exactly as Get does — one logical read, and one
-// physical read and possibly an eviction on a miss — so the paper's I/O
-// metric cannot tell the two apart. The value is shared between all
-// readers of the pool and must not be modified.
-func (b *BufferPool) GetDecoded(id PageID, dec Decoder) (any, error) {
-	data, v, err := b.fetch(id)
-	if err != nil || v != nil {
-		return v, err
-	}
-	// Decode outside the pool lock. Two readers that find the slot empty
-	// at once both decode; the first to come back fills the slot and both
-	// return its value, so a residency never has two decoded forms in use.
-	v, err = dec.DecodePage(data)
-	if err != nil {
-		return nil, err
-	}
-	if m := b.s.metrics.Load(); m != nil {
-		m.Decodes.Inc()
-	}
-	s := b.s
-	s.mu.Lock()
-	// The page may have been evicted meanwhile: then there is no slot to
-	// fill, and its next residency decodes again.
-	if el, ok := s.entries[id]; ok {
-		if f := el.Value.(*frame); f.decoded == nil {
-			f.decoded = v
-		} else {
-			v = f.decoded
-		}
-	}
-	s.mu.Unlock()
-	return v, nil
-}
-
-// fetch is the one counting read path: it charges a logical read, finds or
-// loads the page's frame, and returns its image with the decoded slot as
-// read under the pool lock. With a capacity of 0 nothing is retained.
-func (b *BufferPool) fetch(id PageID) ([]byte, any, error) {
 	s := b.s
 	s.logical.Add(1)
 	if b.local != nil {
@@ -212,13 +145,12 @@ func (b *BufferPool) fetch(id PageID) ([]byte, any, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {
 		s.lru.MoveToFront(el)
-		f := el.Value.(*frame)
-		data, v := f.data, f.decoded
+		data := el.Value.(*frame).data
 		s.mu.Unlock()
 		if m := s.metrics.Load(); m != nil {
 			m.Hits.Inc()
 		}
-		return data, v, nil
+		return data, nil
 	}
 	// Miss: the disk read happens under the pool lock, so concurrent
 	// misses on the same page coalesce into one physical read — the
@@ -231,20 +163,19 @@ func (b *BufferPool) fetch(id PageID) ([]byte, any, error) {
 	data, err := s.disk.ReadPage(id)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("bufferpool: %w", err)
+		return nil, fmt.Errorf("bufferpool: %w", err)
 	}
 	b.insertLocked(id, data)
 	s.mu.Unlock()
 	if m := s.metrics.Load(); m != nil {
 		m.Misses.Inc()
 	}
-	return data, nil, nil
+	return data, nil
 }
 
 // WriteThrough writes the page to disk and, if the page is resident, points
-// its frame at the disk's image of it again and empties the decoded slot,
-// so the next read returns the new bytes and the next GetDecoded decodes
-// them. The frame re-reads rather than copying into its image: on a
+// its frame at the disk's image of it again, so the next read returns the
+// new bytes. The frame re-reads rather than copying into its image: on a
 // CowDisk the first write of a base page lands in a new overlay image,
 // while the frame's image is still the base's, which the live tree reads.
 func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
@@ -266,17 +197,16 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("bufferpool: %w", err)
 		}
-		f := el.Value.(*frame)
-		f.data, f.decoded = img, nil
+		el.Value.(*frame).data = img
 		s.lru.MoveToFront(el)
 	}
 	return nil
 }
 
 // insertLocked makes data the resident image of page id, evicting the least
-// recently used frame — page and decoded form together — if the pool is
-// full. The victim's frame and list element take the new page, so a miss on
-// a full pool allocates nothing. Callers hold s.mu.
+// recently used frame if the pool is full. The victim's frame and list
+// element take the new page, so a miss on a full pool allocates nothing.
+// Callers hold s.mu.
 func (b *BufferPool) insertLocked(id PageID, data []byte) {
 	s := b.s
 	if s.capacity == 0 {
@@ -328,8 +258,7 @@ func (b *BufferPool) ResetStats() {
 	b.s.evictions.Store(0)
 }
 
-// Clear drops all cached pages and their decoded forms (cold-cache
-// measurements).
+// Clear drops all cached pages (cold-cache measurements).
 func (b *BufferPool) Clear() {
 	s := b.s
 	s.mu.Lock()

@@ -50,24 +50,6 @@ func checkImage(id PageID, ver uint32, img []byte) error {
 	return nil
 }
 
-// pageVersion is what idDecoder makes of a checked page.
-type pageVersion struct {
-	id  PageID
-	ver uint32
-}
-
-// idDecoder decodes a checked page into its id and version, failing on a
-// page whose checksum does not hold.
-type idDecoder struct{}
-
-func (idDecoder) DecodePage(data []byte) (any, error) {
-	pv := pageVersion{PageID(binary.LittleEndian.Uint32(data)), binary.LittleEndian.Uint32(data[4:])}
-	if err := checkImage(pv.id, pv.ver, data); err != nil {
-		return nil, err
-	}
-	return pv, nil
-}
-
 // lruModel is the reference the pool's counts are held to: a plain LRU of
 // page ids with no frames or images.
 type lruModel struct {
@@ -117,8 +99,7 @@ type gotImage struct {
 
 // checkPool holds the pool to the model: the same counts and the same
 // resident pages in the same order, each frame holding the disk's own
-// image of its page and a decoded slot, if filled, of the page's current
-// version; and every image Get ever returned still the page's current
+// image of its page; and every image Get ever returned still the page's current
 // content, since a write rewrites the disk's image in place.
 func checkPool(p *BufferPool, d *MemDisk, m *lruModel, ver []uint32, got []gotImage) error {
 	if st := p.Stats(); st != m.st {
@@ -144,14 +125,11 @@ func checkPool(p *BufferPool, d *MemDisk, m *lruModel, ver []uint32, got []gotIm
 		if &f.data[0] != &d.pages[f.id][0] {
 			return fmt.Errorf("page %d: the frame's image is not the disk's", f.id)
 		}
-		if f.decoded != nil && f.decoded != (pageVersion{f.id, ver[f.id]}) {
-			return fmt.Errorf("page %d: decoded slot holds %+v, page is at version %d", f.id, f.decoded, ver[f.id])
-		}
 	}
 	return nil
 }
 
-// Random sequences of Get, GetDecoded, WriteThrough and Clear over pools of
+// Random sequences of Get, WriteThrough and Clear over pools of
 // up to four pages: after every step the pool counts what a plain LRU
 // counts and holds what it holds (checkPool). The target keeps the name it
 // had when the pool pinned frames, so its seed corpus and the inputs a fuzz
@@ -177,7 +155,7 @@ func FuzzBufferPoolPins(f *testing.F) {
 			id := PageID(int(ops[i+1]) % pages)
 			var step string
 			switch op := ops[i] % 8; {
-			case op < 3:
+			case op < 5:
 				step = fmt.Sprintf("Get(%d)", id)
 				img, err := p.Get(id)
 				if err != nil {
@@ -185,16 +163,6 @@ func FuzzBufferPoolPins(f *testing.F) {
 				}
 				m.read(id)
 				got = append(got, gotImage{id, img})
-			case op < 5:
-				step = fmt.Sprintf("GetDecoded(%d)", id)
-				v, err := p.GetDecoded(id, idDecoder{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.read(id)
-				if want := (pageVersion{id, ver[id]}); v != want {
-					t.Fatalf("GetDecoded(%d) = %+v, want %+v", id, v, want)
-				}
 			case op < 7:
 				step = fmt.Sprintf("WriteThrough(%d)", id)
 				ver[id]++
@@ -283,7 +251,7 @@ func TestMissReturnsDiskImage(t *testing.T) {
 // A pool over a merge clone's CowDisk starts out holding the base's images.
 // Writing a page through it lands in the clone's overlay: the base's image,
 // and what a pool over the base reads, keep the old bytes, while the
-// clone's reads, raw and decoded, see the new ones.
+// clone's reads see the new ones.
 func TestCowCloneWriteLeavesBase(t *testing.T) {
 	const pages, x = 4, PageID(2)
 	base := checkedDisk(t, pages)
@@ -299,9 +267,6 @@ func TestCowCloneWriteLeavesBase(t *testing.T) {
 	}
 	if &img[0] != &baseImg[0] {
 		t.Fatal("an unwritten clone page is not the base's image")
-	}
-	if v, err := clone.GetDecoded(x, idDecoder{}); err != nil || v != (pageVersion{x, 0}) {
-		t.Fatalf("clone GetDecoded before the write = %+v, %v", v, err)
 	}
 	if err := clone.WriteThrough(x, checkedPage(x, 1)); err != nil {
 		t.Fatal(err)
@@ -319,17 +284,14 @@ func TestCowCloneWriteLeavesBase(t *testing.T) {
 	if got, err := clone.Get(x); err != nil || checkImage(x, 1, got) != nil {
 		t.Errorf("clone Get after its write = %x, %v", got, err)
 	}
-	if v, err := clone.GetDecoded(x, idDecoder{}); err != nil || v != (pageVersion{x, 1}) {
-		t.Errorf("clone GetDecoded after its write = %+v, %v", v, err)
-	}
 	if st := basePool.Stats(); st.Writes != 0 || st.PhysicalReads != 1 {
 		t.Errorf("base pool counted %+v, want one physical read and no write", st)
 	}
 }
 
-// Readers that Get and GetDecoded pages, and keep the images a while, on a
-// pool far smaller than the pages they read, while one of them also Clears
-// it: every image and decoded form is its page's, every read is counted
+// Readers that Get pages, and keep the images a while, on a pool far
+// smaller than the pages they read, while one of them also Clears it:
+// every image is its page's, every read is counted
 // once as a hit or a miss, and the pool never holds more than its capacity.
 // The readers hold images where they once held pins, while the misses
 // beside them recycle every evicted frame.
@@ -352,12 +314,6 @@ func TestPinConcurrentRecycling(t *testing.T) {
 				case r == 0 && g == 0:
 					p.Clear()
 					continue
-				case r < 4:
-					v, err := p.GetDecoded(id, idDecoder{})
-					if err != nil || v != (pageVersion{id, 0}) {
-						t.Errorf("GetDecoded(%d) = %+v, %v", id, v, err)
-						return
-					}
 				default:
 					img, err := p.Get(id)
 					if err != nil {

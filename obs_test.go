@@ -152,48 +152,14 @@ func TestSetTracingToggles(t *testing.T) {
 	}
 }
 
-// The feature stream scans page images in place, so on the feature pools a
-// miss is no longer a decode: a range STPS over cold multi-level trees
-// misses on every page it reads and decodes only each part's root, once
-// per residency, for the aggregate RootEntry seeds its heap with.
-func TestFeaturePoolsMissWithoutDecoding(t *testing.T) {
-	for _, kind := range []IndexKind{SRT, IR2} {
-		db := randomObsDB(t, Config{IndexKind: kind, PageSize: 512})
-		featurePools := func(metric string) (sum int64, pools int) {
-			for name, v := range db.Metrics().Counters {
-				if strings.HasPrefix(name, "stpq_bufferpool_"+metric+"_total{") && !strings.Contains(name, `pool="objects"`) {
-					sum, pools = sum+v, pools+1
-				}
-			}
-			return sum, pools
-		}
-		misses0, _ := featurePools("misses")
-		decodes0, _ := featurePools("decodes")
-		if _, _, err := db.TopK(obsQuery(STPS, Range)); err != nil {
-			t.Fatal(err)
-		}
-		misses, pools := featurePools("misses")
-		decodes, _ := featurePools("decodes")
-		misses, decodes = misses-misses0, decodes-decodes0
-		if pools != 2 {
-			t.Fatalf("%v: %d feature pools in the metrics, want 2", kind, pools)
-		}
-		if misses <= int64(pools) {
-			t.Fatalf("%v: %d feature-pool misses: the trees are not multi-level or the pools not cold", kind, misses)
-		}
-		if decodes > int64(pools) {
-			t.Errorf("%v: %d decodes on %d feature pools for %d misses, want at most the part roots", kind, decodes, pools, misses)
-		}
-	}
-}
-
-// A pool frame holds the disk's own image of its page, so a miss copies
-// nothing: over a cycle of cold queries — both algorithms, every variant,
-// object, feature and signature record pools of four pages each — the
-// queries allocate less than one page image per miss, although every
-// object-pool miss still decodes its page (about 250–410 B per miss of a
-// 512 B page; a miss that copied its page would add one more). The victim's
-// frame takes each missed page; no image is recycled, none is allocated.
+// A pool frame holds the disk's own image of its page and readers scan it
+// in place, so a miss copies and decodes nothing: over a cycle of cold
+// queries — both algorithms, every variant, object, feature and signature
+// record pools of four pages each — the queries allocate less than a
+// quarter of a page image per miss (30–62 B of a 512 B page measured; about
+// 250–410 B while every object-pool miss decoded its page, and a miss that
+// copied its page would add one more). The victim's frame takes each missed
+// page; no image is recycled, none is allocated.
 func TestColdQueriesRecycleFrames(t *testing.T) {
 	for _, cfg := range []Config{
 		{IndexKind: SRT},
@@ -233,8 +199,8 @@ func TestColdQueriesRecycleFrames(t *testing.T) {
 		if n < 100 {
 			t.Fatalf("%s: %d misses in two cycles: the pools are not cold, the test shows nothing", name, n)
 		}
-		if perMiss >= float64(cfg.PageSize) {
-			t.Errorf("%s: %.0f B allocated per miss, want less than a %d B page", name, perMiss, cfg.PageSize)
+		if perMiss >= float64(cfg.PageSize)/4 {
+			t.Errorf("%s: %.0f B allocated per miss, want less than a quarter of a %d B page", name, perMiss, cfg.PageSize)
 		}
 	}
 }
@@ -257,24 +223,17 @@ func TestDBMetricsExport(t *testing.T) {
 		t.Errorf("stds query counter = %d, want 1",
 			snap.Counters[`stpq_queries_total{alg="stds",variant="range"}`])
 	}
-	var poolHits, poolMisses, poolDecodes int64
+	var poolHits, poolMisses int64
 	for name, v := range snap.Counters {
 		switch {
 		case strings.HasPrefix(name, "stpq_bufferpool_hits_total{"):
 			poolHits += v
 		case strings.HasPrefix(name, "stpq_bufferpool_misses_total{"):
 			poolMisses += v
-		case strings.HasPrefix(name, "stpq_bufferpool_decodes_total{"):
-			poolDecodes += v
 		}
 	}
-	if poolHits == 0 {
-		t.Error("no buffer-pool hits recorded in metrics")
-	}
-	// Two serial queries on pools that hold every page: each page read was
-	// decoded once, when it missed, and every hit reused that decode.
-	if poolDecodes == 0 || poolDecodes != poolMisses {
-		t.Errorf("buffer-pool decodes = %d, want the %d misses", poolDecodes, poolMisses)
+	if poolHits == 0 || poolMisses == 0 {
+		t.Errorf("buffer-pool hits %d, misses %d: want both recorded in metrics", poolHits, poolMisses)
 	}
 	h, ok := snap.Histograms[`stpq_query_seconds{alg="stps",variant="range"}`]
 	if !ok {

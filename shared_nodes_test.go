@@ -1,13 +1,11 @@
 package stpq
 
-// shared_nodes_test.go checks the contract the decoded-node slots of the
-// buffer pools rest on: the *rtree.Node a pool hands to every reader is
-// never written, whatever runs against the DB.
+// shared_nodes_test.go checks the contract every reader rests on: the
+// page images the buffer pools hand out, which all readers scan in place,
+// are never written, whatever runs against the DB.
 
 import (
-	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,47 +14,15 @@ import (
 	"stpq/internal/storage"
 )
 
-// nodeDigest hashes everything reachable from a decoded node.
-func nodeDigest(n *rtree.Node) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	word(uint64(len(n.Entries)))
-	if n.Leaf {
-		word(1)
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		for _, f := range []float64{e.Rect.Min.X, e.Rect.Min.Y, e.Rect.Max.X, e.Rect.Max.Y, e.Score} {
-			word(math.Float64bits(f))
-		}
-		word(uint64(e.Child))
-		word(uint64(e.ItemID))
-		if e.Leaf {
-			word(1)
-		}
-		word(uint64(e.Keywords.Width()))
-		word(uint64(e.Keywords.Count()))
-		for _, w := range e.Keywords.WordsBits() {
-			word(w)
-		}
-	}
-	return h.Sum64()
-}
-
-// cachedNode is one resident node as a checker saw it.
-type cachedNode struct {
+// cachedPage is one resident page as a checker saw it.
+type cachedPage struct {
 	tree   *rtree.Tree
 	page   storage.PageID
-	node   *rtree.Node
 	digest uint64
 }
 
-// cachedNodes reads every page of every base tree of the DB.
-func cachedNodes(t *testing.T, db *DB) []cachedNode {
+// cachedPages reads every page of every base tree of the DB.
+func cachedPages(t *testing.T, db *DB) []cachedPage {
 	t.Helper()
 	trees := []*rtree.Tree{soleObjects(db.base).Tree()}
 	for _, g := range db.base.FeatureGroups() {
@@ -64,20 +30,23 @@ func cachedNodes(t *testing.T, db *DB) []cachedNode {
 			trees = append(trees, part.Tree())
 		}
 	}
-	var out []cachedNode
+	var out []cachedPage
 	for _, tr := range trees {
 		pages := []storage.PageID{tr.Root()}
 		for i := 0; i < len(pages); i++ {
-			n, err := tr.Node(pages[i])
+			data, err := tr.Pool().Get(pages[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, cachedNode{tr, pages[i], n, nodeDigest(n)})
-			if n.Leaf {
-				continue
+			h := fnv.New64a()
+			h.Write(data)
+			out = append(out, cachedPage{tr, pages[i], h.Sum64()})
+			v, err := tr.View(pages[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range n.Entries {
-				pages = append(pages, n.Entries[j].Child)
+			for j := 0; j < v.Len() && !v.Leaf(); j++ {
+				pages = append(pages, v.Child(j))
 			}
 		}
 	}
@@ -86,11 +55,10 @@ func cachedNodes(t *testing.T, db *DB) []cachedNode {
 
 // TestSharedNodesNeverWritten runs goroutines × queries — both algorithms,
 // all three variants, through an ingest overlay whose tombstones make the
-// base trees filter their leaves — against one DB whose pools hold every
-// page, hashing every cached node before and after. The pools never evict
-// here, so afterwards each page must still hand out the very same node
-// with the very same content. Under -race a write to a shared node would
-// also be reported as racing the other goroutines' reads.
+// base trees hide some of their leaf slots — against one DB, hashing every
+// page image before and after: each must hold the very same bytes. Under
+// -race a write to a shared page would also be reported as racing the
+// other goroutines' reads.
 func TestSharedNodesNeverWritten(t *testing.T) {
 	for _, kind := range []IndexKind{SRT, IR2} {
 		db := concDB(t, Config{IndexKind: kind, WALDir: t.TempDir(), AutoFlushOps: -1}, 600, 600)
@@ -103,7 +71,7 @@ func TestSharedNodesNeverWritten(t *testing.T) {
 		if err := db.Apply(muts); err != nil {
 			t.Fatal(err)
 		}
-		before := cachedNodes(t, db)
+		before := cachedPages(t, db)
 
 		var qs []Query
 		for _, alg := range []Algorithm{STPS, STDS} {
@@ -141,17 +109,14 @@ func TestSharedNodesNeverWritten(t *testing.T) {
 		}
 		wg.Wait()
 
-		after := cachedNodes(t, db)
+		after := cachedPages(t, db)
 		if len(after) != len(before) {
 			t.Fatalf("kind %d: %d pages before, %d after", kind, len(before), len(after))
 		}
 		for i, b := range before {
 			a := after[i]
-			if a.page != b.page || a.node != b.node {
-				t.Fatalf("kind %d: page %d was decoded again although its pool never evicts", kind, b.page)
-			}
-			if a.digest != b.digest {
-				t.Fatalf("kind %d: the shared node of page %d was written", kind, b.page)
+			if a.tree != b.tree || a.page != b.page || a.digest != b.digest {
+				t.Fatalf("kind %d: the shared image of page %d was written", kind, b.page)
 			}
 		}
 		if err := db.CloseWAL(); err != nil {

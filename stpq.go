@@ -599,7 +599,7 @@ func (db *DB) publishLocked(eng *core.Engine) {
 // every feature group, through their tombstone filters — as bulk-load
 // input. The engine is the copy of record: a full merge reads the one it is
 // about to replace, and the write state of an opened DB is derived from it.
-// The keyword sets alias decoded pages; read them, do not keep them.
+// Every keyword set owns its words (Tree.All).
 func readBack(eng *core.Engine) ([]index.Object, [][]index.Feature, error) {
 	objs := make([]index.Object, 0, eng.NumObjects())
 	for _, part := range eng.ObjectParts() {
