@@ -628,41 +628,6 @@ func BenchmarkAblationVoronoiCache(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSignature compares exact keyword bitmaps against
-// hashed signature files with record-verification I/O (classic IR²-tree
-// signatures).
-func BenchmarkAblationSignature(b *testing.B) {
-	key := synKey(index.IR2)
-	key.objects, key.features = 10_000, 10_000
-	ds := benchDataset(b, key)
-	for _, sigBits := range []int{0, 32, 8} {
-		sigBits := sigBits
-		name := "exact"
-		if sigBits > 0 {
-			name = fmt.Sprintf("sig%d", sigBits)
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := index.Options{Kind: index.IR2, VocabWidth: ds.VocabWidth, BufferPages: 256, SignatureBits: sigBits}
-			oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-			for i, fs := range ds.FeatureSets {
-				if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := core.NewEngine(oidx, fidxs, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, "stps", qs)
-		})
-	}
-}
-
 // BenchmarkConcurrentTopK measures parallel query throughput — the
 // serving scenario of internal/serve — with one goroutine per CPU
 // (GOMAXPROCS) hammering the same engine through session views. Compare

@@ -117,32 +117,26 @@ func TestApplyRejectsInvalidItems(t *testing.T) {
 }
 
 // TestBuildRefusesWALWithoutWritePath: a WALDir on a DB that cannot take
-// writes (signature index, or sharded) fails Build with
-// ErrIngestUnsupported before anything is built. The staged objects and
-// sets stay in place, so every later Build fails the same way instead of
-// with "no data objects added".
+// writes (a sharded one) fails Build with ErrIngestUnsupported before
+// anything is built. The staged objects and sets stay in place, so every
+// later Build fails the same way instead of with "no data objects added".
 func TestBuildRefusesWALWithoutWritePath(t *testing.T) {
 	objs, sets := syntheticWorld(datagen.SyntheticConfig{
 		Objects: 200, FeaturesPerSet: 200, FeatureSets: 2, Vocab: 16, Clusters: 20, Seed: 3,
 	})
-	for _, cfg := range []Config{
-		{SignatureBits: 8, WALDir: t.TempDir()},
-		{ShardCount: 2, WALDir: t.TempDir()},
-	} {
-		db := stageWorld(cfg, objs, sets)
-		for attempt := 1; attempt <= 2; attempt++ {
-			if err := db.Build(); !errors.Is(err, ErrIngestUnsupported) {
-				t.Fatalf("%+v: Build #%d: %v, want ErrIngestUnsupported", cfg, attempt, err)
-			}
+	db := stageWorld(Config{ShardCount: 2, WALDir: t.TempDir()}, objs, sets)
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := db.Build(); !errors.Is(err, ErrIngestUnsupported) {
+			t.Fatalf("Build #%d: %v, want ErrIngestUnsupported", attempt, err)
 		}
-		if db.built || len(db.objects) != len(objs) || len(db.sets) != len(sets) {
-			t.Fatalf("%+v: built %v, %d objects and %d sets staged after the refusal",
-				cfg, db.built, len(db.objects), len(db.sets))
-		}
-		for i, feats := range sets {
-			if name := fmt.Sprintf("set%d", i+1); len(db.sets[name]) != len(feats) {
-				t.Errorf("%+v: %s holds %d features, want %d", cfg, name, len(db.sets[name]), len(feats))
-			}
+	}
+	if db.built || len(db.objects) != len(objs) || len(db.sets) != len(sets) {
+		t.Fatalf("built %v, %d objects and %d sets staged after the refusal",
+			db.built, len(db.objects), len(db.sets))
+	}
+	for i, feats := range sets {
+		if name := fmt.Sprintf("set%d", i+1); len(db.sets[name]) != len(feats) {
+			t.Errorf("%s holds %d features, want %d", name, len(db.sets[name]), len(feats))
 		}
 	}
 }

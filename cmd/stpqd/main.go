@@ -74,7 +74,6 @@ type daemonConfig struct {
 	sets, vocab         int
 	seed                int64
 	indexKind, strategy string
-	sigBits             int
 	pageSize, bufPages  int
 	shards              int
 	pprofAddr           string
@@ -113,7 +112,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.IntVar(&cfg.vocab, "vocab", 256, "synthetic vocabulary size")
 	fs.Int64Var(&cfg.seed, "seed", 1, "synthetic random seed")
 	fs.StringVar(&cfg.indexKind, "index", "srt", "feature index for -synthetic: srt | ir2")
-	fs.IntVar(&cfg.sigBits, "signature-bits", 0, "-synthetic with -index ir2: superimposed signature bits per keyword (0 = exact bitmaps)")
 	fs.IntVar(&cfg.pageSize, "page-size", 0, "-synthetic: index page size in bytes (0 = library default)")
 	fs.IntVar(&cfg.bufPages, "buffer-pages", 0, "-synthetic: buffer pool pages per index (0 = library default)")
 	fs.IntVar(&cfg.shards, "shards", 0, "lay -synthetic data out in N spatial shards under the one engine (0 or 1 = unsharded)")
@@ -396,8 +394,7 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		log.Printf("building synthetic dataset: %d objects, %d×%d features, vocab %d, shards %d",
 			cfg.objects, cfg.sets, cfg.features, cfg.vocab, cfg.shards)
 		db := stpq.New(stpq.Config{
-			IndexKind: kind, SignatureBits: cfg.sigBits,
-			PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
+			IndexKind: kind, PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
 			ShardCount: cfg.shards, ShardStrategy: strat,
 			WALDir: cfg.walDir, WALRetainSegments: retain,
 			TraceSampleRate: cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,

@@ -54,6 +54,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "empty replicas", args: []string{"-replicas", ""}, wantErr: "at least one host:port"},
 		{name: "one dataset", args: []string{"-open", "db", "-synthetic"}, wantErr: "either -open or -synthetic"},
 		{name: "retired flag", args: []string{"-cluster-node"}, wantErr: "not defined"},
+		{name: "signature files are gone", args: []string{"-synthetic", "-signature-bits", "8"}, wantErr: "not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

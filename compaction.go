@@ -117,11 +117,10 @@ const mergeDriftRatio = 0.5
 // merged incrementally: when structurally possible and the tree-quality
 // heuristic passes — bounded cumulative drift, heights within one level of
 // the bulk-loaded baseline, and a bounded overflow-split count.
-// Signature-mode indexes always rebuild (sharded DBs have no write path).
 func (db *DB) canPartialMergeLocked(net *ingest.Net) bool {
 	for i := range db.setNames {
 		g := db.base.FeatureGroups()[i]
-		if len(g.Parts()) != 1 || !g.Part(0).CanMerge() {
+		if len(g.Parts()) != 1 {
 			return false
 		}
 	}

@@ -65,8 +65,8 @@ var (
 	// attached.
 	ErrWALAttached = errors.New("stpq: WAL already attached")
 	// ErrIngestUnsupported is returned for DB configurations without a
-	// write path: sharded DBs and signature-mode indexes.
-	ErrIngestUnsupported = errors.New("stpq: live ingest requires an unsharded, exact-keyword DB")
+	// write path: sharded DBs.
+	ErrIngestUnsupported = errors.New("stpq: live ingest requires an unsharded DB")
 	// ErrInvalidMutation wraps every mutation-validation error.
 	ErrInvalidMutation = errors.New("stpq: invalid mutation")
 )
@@ -350,9 +350,6 @@ func (db *DB) CloseWAL() error {
 func (c Config) ingestable() error {
 	if c.ShardCount > 1 {
 		return fmt.Errorf("%w (ShardCount %d)", ErrIngestUnsupported, c.ShardCount)
-	}
-	if c.SignatureBits > 0 {
-		return fmt.Errorf("%w (SignatureBits %d)", ErrIngestUnsupported, c.SignatureBits)
 	}
 	return nil
 }

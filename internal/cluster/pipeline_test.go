@@ -186,7 +186,7 @@ func TestOneEventPerServedQuery(t *testing.T) {
 // served it carry the same shape label — one definition (stpq.QueryShape),
 // not one per process.
 func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
-	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8, PageSize: 1024}, 2,
+	tc := startCluster(t, stpq.Config{IndexKind: stpq.IR2, PageSize: 1024}, 2,
 		CoordinatorConfig{HealthInterval: -1})
 	coord := tc.coord
 	for _, alg := range []stpq.Algorithm{stpq.STPS, stpq.STDS} {

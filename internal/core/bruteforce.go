@@ -53,7 +53,7 @@ func (e *Engine) ExactScore(q Query, p geo.Point) (float64, error) {
 func (e *Engine) allFeatures() ([][]rtree.Entry, error) {
 	feats := make([][]rtree.Entry, len(e.features))
 	for i, f := range e.features {
-		all, err := f.AllExact()
+		all, err := f.All()
 		if err != nil {
 			return nil, err
 		}

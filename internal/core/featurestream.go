@@ -31,24 +31,17 @@ type featureRef struct {
 // same walk is Algorithm 2: the first emission is τ_i(p), and ∅ scores the
 // 0 of an object no relevant feature reaches.
 //
-// On an exact index a leaf's bound is its exact score, so unless the batch
-// lens must test it against its live batch when it is popped, a leaf is
-// queued final and popped as it is. In signature mode (hashed keyword
-// summaries) a popped leaf's score is only a bound: the stream resolves it
-// against the feature record — paying the verification page read — and
-// re-enqueues it with its exact score, preserving the global
-// non-increasing order.
+// A leaf's bound is its exact score, so every leaf is queued with its
+// exact, lensed score and popped as it is; only the batch lens tests a
+// popped leaf again, against its live batch.
 type featureStream struct {
 	g         *index.FeatureGroup
-	pq        index.PreparedQuery
+	q         index.QueryKeywords
 	lens      lens
 	heap      boundHeap
 	exhausted bool
-	// final: every leaf is queued with its exact, lensed score.
-	final bool
-	// rests holds the score and keyword set of each queued leaf that is not
-	// final, and arena those sets' words, copied out of their pages.
-	rests []leafRest
+	// arena holds the keyword words of the entry being scored, copied out
+	// of its page.
 	arena []uint64
 }
 
@@ -69,8 +62,8 @@ const (
 //
 // The distance primitives are deliberate: Rect.MinDist wherever an entry is
 // pushed and for the batch on both sides, the exact Point.Dist only where
-// range STDS accepts a leaf — beside MinDist when it is queued final — and
-// in the decay of a leaf. They differ in the last bit and in cost.
+// range STDS admits a leaf — beside MinDist — and in the decay of a leaf.
+// They differ in the last bit and in cost.
 type lens struct {
 	kind lensKind
 	p    geo.Point
@@ -80,11 +73,16 @@ type lens struct {
 }
 
 // admit is consulted where an entry is pushed: whether anything below e can
-// pass the lens, and the weight of e's bound.
+// pass the lens, and the weight of e's bound. A leaf of the range lens is
+// held to the exact distance here too, so it is queued final.
 func (l *lens) admit(e *rtree.Entry) (weight float64, ok bool) {
 	switch l.kind {
 	case lensRange:
-		return 1, e.Rect.MinDist(l.p) <= l.r
+		ok = e.Rect.MinDist(l.p) <= l.r
+		if ok && e.Leaf {
+			ok = e.Rect.Min.Dist(l.p) <= l.r
+		}
+		return 1, ok
 	case lensInfluence:
 		if e.Leaf {
 			return l.decay(e.Rect.Min), true
@@ -92,21 +90,6 @@ func (l *lens) admit(e *rtree.Entry) (weight float64, ok bool) {
 		return math.Exp2(-e.Rect.MinDist(l.p) / l.r), true
 	default: // lensBatch
 		return 1, l.nearUnresolved(&e.Rect)
-	}
-}
-
-// accept is consulted where an unresolved leaf is popped, before its
-// verification read, or where a final one is queued: whether the feature
-// passes the lens, and the weight of its exact score.
-func (l *lens) accept(loc geo.Point) (weight float64, ok bool) {
-	switch l.kind {
-	case lensRange:
-		return 1, loc.Dist(l.p) <= l.r
-	case lensInfluence:
-		return l.decay(loc), true
-	default: // lensBatch
-		rect := geo.RectOf(loc)
-		return 1, l.nearUnresolved(&rect)
 	}
 }
 
@@ -132,13 +115,10 @@ func (l *lens) nearUnresolved(rect *geo.Rect) bool {
 // the stream yields only ∅.
 func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l lens) error {
 	s.g = g
-	s.pq = g.Prepare(q)
+	s.q = q
 	s.lens = l
 	s.heap = s.heap[:0] // candidates hold no pointers: nothing to zero
-	s.release()
-	s.arena = s.arena[:0]
 	s.exhausted = false
-	s.final = g.Part(0).Exact() && l.kind != lensBatch
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return nil
 	}
@@ -150,7 +130,7 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 		if err != nil {
 			return err
 		}
-		if !part.EntryRelevant(&root, &s.pq) {
+		if !s.q.Relevant(&root) {
 			continue
 		}
 		w := 1.0
@@ -160,14 +140,10 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 				continue
 			}
 		}
-		s.heap.push(candidateOf(&root, pi, part.EntryBound(&root, &s.pq)*w, nil))
+		s.heap.push(candidateOf(&root, pi, s.q.Bound(&root)*w, nil))
 	}
 	return nil
 }
-
-// release empties the side slice, zeroing the keyword sets its leaves held,
-// so that an idle stream pins no arena and no page.
-func (s *featureStream) release() { s.rests = resetHeap(s.rests) }
 
 // next returns the feature with the highest remaining score — under the
 // influence lens, the highest decayed score, which is what ref.score then
@@ -175,63 +151,35 @@ func (s *featureStream) release() { s.rests = resetHeap(s.rests) }
 func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	for s.heap.Len() > 0 {
 		it := s.heap.pop()
-		idx := s.g.Part(int(it.part))
 		if it.isLeaf() {
-			if it.slot == slotFinal {
-				return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
-			}
-			w := 1.0
-			if s.lens.kind != lensNone {
-				var ok bool
-				if w, ok = s.lens.accept(it.loc); !ok {
+			if s.lens.kind == lensBatch {
+				// The batch resolves objects between pulls: a leaf admitted
+				// when it was queued may be in range of none now.
+				if rect := geo.RectOf(it.loc); !s.lens.nearUnresolved(&rect) {
 					continue
 				}
 			}
-			leaf := it.leafEntry(s.rests)
-			score, relevant, err := idx.ResolveLeaf(&leaf, &s.pq)
-			if err != nil {
-				return featureRef{}, false, err
-			}
-			if !relevant {
-				continue // signature false positive
-			}
-			score *= w
-			if s.heap.Len() == 0 || score >= s.heap[0].prio-1e-12 {
-				return featureRef{id: it.ref, loc: it.loc, score: score}, false, nil
-			}
-			it.prio, it.slot = score, slotFinal
-			s.heap.push(it)
-			continue
+			return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
 		}
 		// Filter, then pick: most slots of a node are rejected on their
 		// keyword words where the page lies; the rest are decoded into c.
-		page, err := idx.Tree().View(it.child())
+		page, err := s.g.Part(int(it.part)).Tree().View(it.child())
 		if err != nil {
 			return featureRef{}, false, err
 		}
-		words := s.pq.RelevantSet().WordsBits()
-		rests := &s.rests
-		if s.final {
-			rests = nil
-		}
+		words := s.q.Set.WordsBits()
 		var c rtree.Entry
 		for i := page.NextIntersecting(0, words); i < page.Len(); i = page.NextIntersecting(i+1, words) {
-			mark := len(s.arena)
+			s.arena = s.arena[:0]
 			if !page.Entry(i, &c, &s.arena) {
 				continue // tombstoned
 			}
 			w, ok := 1.0, true
 			if s.lens.kind != lensNone {
 				w, ok = s.lens.admit(&c)
-				if ok && c.Leaf && s.final && s.lens.kind == lensRange {
-					_, ok = s.lens.accept(c.Rect.Min)
-				}
 			}
 			if ok {
-				s.heap.push(candidateOf(&c, int(it.part), idx.EntryBound(&c, &s.pq)*w, rests))
-			}
-			if !ok || !c.Leaf || s.final {
-				s.arena = s.arena[:mark] // only a leaf in rests keeps its keyword words
+				s.heap.push(candidateOf(&c, int(it.part), s.q.Bound(&c)*w, nil))
 			}
 		}
 	}
@@ -246,11 +194,10 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 // candidate copies out, by value, the few fields the pop side reads and
 // holds no pointer at all: an internal entry keeps only its child page;
 // a leaf keeps the item's id and location. A leaf whose prio is its exact
-// score is final. Any other leaf — one the deferred ResolveLeaf of signature
-// mode, or of the batch lens, will score, or one groupAscendDistance hands
-// on whole — keeps its score and keyword set in a side slice owned by the
-// heap's user, at index slot: the heaps move candidates on every push and
-// pop, so a candidate is kept to five words.
+// score is final. A leaf groupAscendDistance hands on whole keeps its score
+// and keyword set in a side slice owned by the heap's user, at index slot:
+// the heaps move candidates on every push and pop, so a candidate is kept to
+// five words.
 type candidate struct {
 	// prio orders the heap, largest first: the score bound ŝ(e), or
 	// −MINDIST in groupAscendDistance's heap.
@@ -271,7 +218,7 @@ const (
 // leafRest is what a leaf candidate that is not final keeps beside it.
 type leafRest struct {
 	score float64   // non-spatial score t.s
-	kw    kwset.Set // tree-side keyword set t.W
+	kw    kwset.Set // keyword set t.W
 }
 
 // candidateOf copies what the heaps need of the entry e of the given part.
@@ -306,8 +253,7 @@ func (c *candidate) isLeaf() bool { return c.slot != slotNode }
 func (c *candidate) child() storage.PageID { return storage.PageID(c.ref) }
 
 // leafEntry rebuilds the leaf entry a candidate that is not final was taken
-// from, for the index calls that take one; rests is the side slice it was
-// queued with.
+// from; rests is the side slice it was queued with.
 func (c *candidate) leafEntry(rests []leafRest) rtree.Entry {
 	r := &rests[c.slot]
 	return rtree.Entry{

@@ -55,14 +55,6 @@ import (
 // reaches that score the stream stops pulling, where it used to pull on to
 // the combination that ended the loop. Every component is at or below its
 // old value, and the stds and stps/influence rows did not move.
-//
-// The sig8 rows run the same world with 8-bit signatures in the feature
-// trees, the path on which a leaf is still resolved when it is popped. They
-// were recorded at commit 4ee0351, before the change above; since, only
-// their stps/range and stps/nearest-neighbor rows moved, each component
-// down (from 335/65/5 790/89/69 1683/136/134, 7207/3067/2971 5474/2036/2036
-// 7923/3030/3030, 417/147/73 827/144/138 1687/140/138 and 3696/1003/907
-// 3108/659/659 4494/960/960).
 var goldenReads = map[string]string{
 	"SRT/stds/range":            "1816/358/262 1647/309/309 2195/511/511",
 	"SRT/stds/influence":        "50196/359/263 39766/384/384 64272/944/944",
@@ -76,51 +68,31 @@ var goldenReads = map[string]string{
 	"IR2/stps/range":            "136/134/60 138/128/122 124/113/111",
 	"IR2/stps/influence":        "278/147/61 164/127/124 240/136/133",
 	"IR2/stps/nearest-neighbor": "2667/989/893 1874/647/647 2695/954/954",
-
-	"SRT/sig8/stds/range":            "4079/187/91 5789/683/683 11456/901/901",
-	"SRT/sig8/stds/influence":        "81326/325/229 110143/2433/2433 234910/5695/5695",
-	"SRT/sig8/stds/nearest-neighbor": "40944/251/155 33639/223/223 36733/226/226",
-	"SRT/sig8/stps/range":            "335/65/5 604/81/63 1652/106/102",
-	"SRT/sig8/stps/influence":        "854/109/33 1163/117/104 2039/141/138",
-	"SRT/sig8/stps/nearest-neighbor": "7207/3067/2971 5446/2024/2024 7923/3030/3030",
-	"IR2/sig8/stds/range":            "4317/288/192 5000/186/186 10356/206/206",
-	"IR2/sig8/stds/influence":        "73637/272/176 91231/249/249 203588/299/299",
-	"IR2/sig8/stds/nearest-neighbor": "16768/204/108 13886/182/182 15422/183/183",
-	"IR2/sig8/stps/range":            "417/147/73 648/143/137 1656/140/138",
-	"IR2/sig8/stps/influence":        "905/160/74 1173/141/138 2039/141/138",
-	"IR2/sig8/stps/nearest-neighbor": "3696/1003/907 3096/657/657 4494/960/960",
 }
 
 func TestReadCountsGolden(t *testing.T) {
-	for _, sigBits := range []int{0, 8} {
-		for _, kind := range []index.Kind{index.SRT, index.IR2} {
-			for _, alg := range []string{"stds", "stps"} {
-				for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
-					name := kind.String() + "/" + alg + "/" + variant.String()
-					if sigBits > 0 {
-						name = fmt.Sprintf("%s/sig%d/%s/%v", kind, sigBits, alg, variant)
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for _, alg := range []string{"stds", "stps"} {
+			for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
+				name := kind.String() + "/" + alg + "/" + variant.String()
+				t.Run(name, func(t *testing.T) {
+					got := readCounts(t, kind, alg, variant)
+					if want := goldenReads[name]; got != want {
+						t.Fatalf("per-query L/P/E = %q, want %q", got, want)
 					}
-					t.Run(name, func(t *testing.T) {
-						got := readCounts(t, kind, sigBits, alg, variant)
-						if want := goldenReads[name]; got != want {
-							t.Fatalf("per-query L/P/E = %q, want %q", got, want)
-						}
-					})
-				}
+				})
 			}
 		}
 	}
 }
 
 // readCounts builds a fixed world whose indexes sit behind 32-page pools,
-// runs three fixed queries and renders each one's page counts. With
-// sigBits > 0 the feature trees hold hashed signatures of that width and
-// the reads include the record pages that verify them.
-func readCounts(t *testing.T, kind index.Kind, sigBits int, alg string, variant Variant) string {
+// runs three fixed queries and renders each one's page counts.
+func readCounts(t *testing.T, kind index.Kind, alg string, variant Variant) string {
 	t.Helper()
 	const vocabW = 24
 	rng := rand.New(rand.NewSource(4242))
-	opts := index.Options{Kind: kind, VocabWidth: vocabW, PageSize: 1024, BufferPages: 32, SignatureBits: sigBits}
+	opts := index.Options{Kind: kind, VocabWidth: vocabW, PageSize: 1024, BufferPages: 32}
 	objs := make([]index.Object, 2000)
 	for i := range objs {
 		objs[i] = index.Object{ID: int64(i), Location: randPoint(rng)}

@@ -468,7 +468,6 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 		if g.Len() == 0 || qk.Set.IsEmpty() {
 			continue
 		}
-		prepared := g.Prepare(qk)
 		best := 0.0
 		for _, part := range g.Parts() {
 			if part.Len() == 0 {
@@ -478,10 +477,10 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if !part.EntryRelevant(&root, &prepared) {
+			if !qk.Relevant(&root) {
 				continue
 			}
-			b := part.EntryBound(&root, &prepared)
+			b := qk.Bound(&root)
 			switch q.Variant {
 			case RangeScore:
 				if geo.RectMinDist(rect, root.Rect) > q.Radius {

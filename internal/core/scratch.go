@@ -22,8 +22,7 @@ import (
 //   - stds is the one lensed feature stream of an STDS query: computeScore
 //     and batchRangeScores re-init it per object (or batch) and feature
 //     set, and are done with it before the next init, which discards
-//     the queued candidates together with the side slots and keyword
-//     arena they use;
+//     the queued candidates;
 //   - bound is used by one topKInfluence search over the object trees at
 //     a time;
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
@@ -136,23 +135,18 @@ func (e *Engine) countShards(stats *Stats) {
 	}
 }
 
-// release empties every side slice and the combination heap before the
-// scratch goes back to the pool. A descent usually stops with candidates
-// still queued, and each queued leaf that is not final holds, in its side
-// slot, the keyword set of a node that may since have been evicted; zeroing
-// the slots here means an idle scratch pins nothing of the query it served.
-// The candidates themselves hold no pointer, and everything else the
-// scratch keeps — retrieved feature prefixes, the combination refs buffer,
-// the pair grids and the index vector arena, the keyword arenas of the
-// feature streams and the distance heap (uint64s copied out of the page
-// images), batch objects — is plain
-// values without pointers.
+// release empties the distance heap's side slice and the combination heap
+// before the scratch goes back to the pool. A descent usually stops with
+// candidates still queued, and each leaf queued in groupAscendDistance's
+// heap holds, in its side slot, a keyword set; zeroing the slots here means
+// an idle scratch pins nothing of the query it served. The candidates
+// themselves hold no pointer, and everything else the scratch keeps —
+// retrieved feature prefixes, the combination refs buffer, the pair grids
+// and the index vector arena, the keyword arenas of the feature streams and
+// the distance heap (uint64s copied out of the page images), batch
+// objects — is plain values without pointers.
 func (sc *queryScratch) release() {
-	sc.stds.release()
 	sc.distRests = resetHeap(sc.distRests)
-	for _, st := range sc.cs.streams {
-		st.release()
-	}
 	sc.cs.heap.reset()
 }
 

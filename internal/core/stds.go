@@ -207,28 +207,15 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 	if g.Len() == 0 || qk.Set.IsEmpty() {
 		return 0, nil
 	}
-	prepared := g.Prepare(qk)
-	var (
-		score      float64
-		resolveErr error
-	)
-	err := e.groupAscendDistance(g, p, func(part int, en *rtree.Entry, _ float64) bool {
-		// First popped leaf is the nearest neighbor; its score counts
-		// only if it is truly relevant (signature hits are verified).
-		idx := g.Part(part)
-		if idx.EntryRelevant(en, &prepared) {
-			s, relevant, err := idx.ResolveLeaf(en, &prepared)
-			if err != nil {
-				resolveErr = err
-			} else if relevant {
-				score = s
-			}
+	var score float64
+	err := e.groupAscendDistance(g, p, func(en *rtree.Entry, _ float64) bool {
+		// The first popped leaf is the nearest neighbor; its score counts
+		// only if it is relevant.
+		if qk.Relevant(en) {
+			score = qk.Score(en)
 		}
 		return false
 	})
-	if err == nil {
-		err = resolveErr
-	}
 	return score, err
 }
 
@@ -241,7 +228,7 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // the NN variant on a sharded engine this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unread subtree of every other part.
-func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
+func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(en *rtree.Entry, d float64) bool) error {
 	h, rests, arena := e.scratchDistHeap()
 	for pi, part := range g.Parts() {
 		if part.Len() == 0 {
@@ -258,7 +245,7 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		it := h.pop()
 		if it.isLeaf() {
 			leaf := it.leafEntry(*rests)
-			if !fn(int(it.part), &leaf, -it.prio) {
+			if !fn(&leaf, -it.prio) {
 				return nil
 			}
 			continue

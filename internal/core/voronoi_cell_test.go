@@ -19,7 +19,7 @@ import (
 // distance until the first one at or beyond 2·maxDist.
 func classicCell(e *Engine, siteID int64, site geo.Point) (geo.Polygon, error) {
 	b := voronoi.NewCellBuilder(site, geo.UnitSquare())
-	err := e.groupAscendDistance(e.features[0], site, func(_ int, en *rtree.Entry, d float64) bool {
+	err := e.groupAscendDistance(e.features[0], site, func(en *rtree.Entry, d float64) bool {
 		if en.ItemID == siteID {
 			return true
 		}

@@ -19,8 +19,7 @@ import (
 )
 
 // FeatureGroup is one logical feature set as an ordered forest of parts.
-// All parts share construction options (kind, vocabulary width, signature
-// bits), so a query prepared against one part is valid for every part.
+// All parts share their construction kind.
 type FeatureGroup struct {
 	parts []*FeatureIndex
 }
@@ -34,8 +33,8 @@ func NewFeatureGroup(parts ...*FeatureIndex) (*FeatureGroup, error) {
 		if p == nil {
 			return nil, fmt.Errorf("index: feature group part %d is nil", i)
 		}
-		if p.kind != parts[0].kind || p.sigBits != parts[0].sigBits {
-			return nil, fmt.Errorf("index: feature group part %d differs in kind or signature width", i)
+		if p.kind != parts[0].kind {
+			return nil, fmt.Errorf("index: feature group part %d differs in kind", i)
 		}
 	}
 	return &FeatureGroup{parts: parts}, nil
@@ -73,18 +72,11 @@ func (g *FeatureGroup) Len() int {
 	return n
 }
 
-// Prepare lowers the query keywords once for the whole group (all parts
-// share the signature configuration, so one prepared query serves all).
-func (g *FeatureGroup) Prepare(q QueryKeywords) PreparedQuery {
-	return g.parts[0].Prepare(q)
-}
-
-// AllExact returns every feature of the group with exact keywords,
-// concatenated in part order.
-func (g *FeatureGroup) AllExact() ([]rtree.Entry, error) {
+// All returns every feature of the group, concatenated in part order.
+func (g *FeatureGroup) All() ([]rtree.Entry, error) {
 	var out []rtree.Entry
 	for _, p := range g.parts {
-		all, err := p.AllExact()
+		all, err := p.All()
 		if err != nil {
 			return nil, err
 		}

@@ -81,12 +81,6 @@ type Options struct {
 	// CurveBits is the per-dimension resolution of the bulk-load Hilbert
 	// sort (default 16).
 	CurveBits uint
-	// SignatureBits stores hashed keyword signatures of this width in the
-	// tree instead of exact keyword bitmaps (classic IR²-tree signature
-	// files). 0 keeps exact bitmaps. Signature mode verifies candidate
-	// features against a paged record file, adding the false-positive
-	// I/O a real signature index pays; results are unchanged.
-	SignatureBits int
 	// Disk optionally supplies a backing store (default in-memory).
 	Disk storage.Disk
 }
@@ -103,15 +97,12 @@ func (o Options) withDefaults() Options {
 }
 
 // FeatureIndex is a spatio-textual index over one feature set F_i. The
-// query algorithms traverse it through Tree, lower queries with Prepare,
-// compute bounds with EntryBound, prune with EntryRelevant and obtain
-// exact feature scores with ResolveLeaf.
+// query algorithms traverse it through Tree and score, bound and prune its
+// entries with the QueryKeywords methods.
 type FeatureIndex struct {
-	tree    *rtree.Tree
-	kind    Kind
-	opts    Options
-	sigBits int
-	records *recordFile // exact keywords, signature mode only
+	tree *rtree.Tree
+	kind Kind
+	opts Options
 	// hidden is how many indexed features a WithExclude view hides.
 	hidden int
 }
@@ -123,13 +114,9 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if opts.VocabWidth <= 0 {
 		return nil, fmt.Errorf("index: VocabWidth must be positive")
 	}
-	treeWidth := opts.VocabWidth
-	if opts.SignatureBits > 0 {
-		treeWidth = opts.SignatureBits
-	}
 	tree, err := rtree.New(rtree.Config{
 		PageSize:     opts.PageSize,
-		KeywordWidth: treeWidth,
+		KeywordWidth: opts.VocabWidth,
 		WithScore:    true,
 		BufferPages:  opts.BufferPages,
 		Disk:         opts.Disk,
@@ -137,18 +124,10 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts, sigBits: opts.SignatureBits}
-	if idx.sigBits > 0 {
-		idx.records = newRecordFile(opts.VocabWidth, opts.PageSize, opts.BufferPages)
-		for _, f := range features {
-			if err := idx.records.put(f.ID, f.Keywords); err != nil {
-				return nil, err
-			}
-		}
-	}
+	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts}
 	items := make([]rtree.Item, len(features))
 	for i, f := range features {
-		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: idx.treeKeywords(f.Keywords)}
+		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords}
 	}
 	if err := tree.BulkLoad(items, idx.sortKey()); err != nil {
 		return nil, err
@@ -156,26 +135,12 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	return idx, nil
 }
 
-// treeKeywords lowers a feature's exact keyword set to its tree-side form
-// (hashed signature in signature mode).
-func (x *FeatureIndex) treeKeywords(exact kwset.Set) kwset.Set {
-	if x.sigBits == 0 {
-		return exact
-	}
-	return hashSet(exact, x.sigBits)
-}
-
 // sortKey returns the bulk-load ordering for the index kind.
 func (x *FeatureIndex) sortKey() rtree.SortKey {
 	bits := x.opts.CurveBits
 	switch x.kind {
 	case SRT:
-		// In signature mode the item keywords are already hashed; the
-		// Hilbert keyword dimension then clusters by signature.
 		w := x.opts.VocabWidth
-		if x.sigBits > 0 {
-			w = x.sigBits
-		}
 		return func(it rtree.Item) uint64 {
 			return hilbert.Encode4D(
 				geo.Quantize(it.Location.X, bits),
@@ -200,29 +165,14 @@ func (x *FeatureIndex) sortKey() rtree.SortKey {
 // insertion path absorb the feature's score and keywords (the node-update
 // rule of Section 4.2).
 func (x *FeatureIndex) Insert(f Feature) error {
-	if x.sigBits > 0 {
-		if err := x.records.put(f.ID, f.Keywords); err != nil {
-			return err
-		}
-	}
-	return x.tree.Insert(rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: x.treeKeywords(f.Keywords)})
+	return x.tree.Insert(rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords})
 }
 
 // Delete removes the feature with the given id at the given location,
-// reporting whether it was found. In signature mode the record-file entry
-// is left behind: records are only consulted for ids surfaced from the
-// tree, so a stale record is unreachable.
+// reporting whether it was found.
 func (x *FeatureIndex) Delete(id int64, loc geo.Point) (bool, error) {
 	return x.tree.Delete(id, loc)
 }
-
-// ErrSignatureMerge is returned by BeginMerge for signature-mode indexes:
-// the record file is shared mutable state, so incremental merges cannot
-// preserve snapshot isolation and callers must fall back to a rebuild.
-var ErrSignatureMerge = fmt.Errorf("index: signature-mode indexes do not support incremental merge")
-
-// CanMerge reports whether BeginMerge is supported for this index.
-func (x *FeatureIndex) CanMerge() bool { return x.sigBits == 0 }
 
 // BeginMerge returns a mutable copy-on-write clone of the index for an
 // incremental merge. The clone reads the same pages through a
@@ -232,9 +182,6 @@ func (x *FeatureIndex) CanMerge() bool { return x.sigBits == 0 }
 // a fully independent index once returned; publishing it and dropping
 // the original completes the merge.
 func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
-	if x.sigBits > 0 {
-		return nil, ErrSignatureMerge
-	}
 	cfg := x.tree.Config()
 	cfg.Disk = storage.NewCowDisk(cfg.Disk)
 	tree, err := rtree.Open(cfg, x.tree.Meta())
@@ -269,6 +216,10 @@ func (x *FeatureIndex) Tree() *rtree.Tree { return x.tree }
 // Kind returns the index construction kind.
 func (x *FeatureIndex) Kind() Kind { return x.kind }
 
+// All returns every indexed feature the index shows, with its keyword set.
+// It backs the brute-force correctness oracle.
+func (x *FeatureIndex) All() ([]rtree.Entry, error) { return x.tree.All() }
+
 // Len returns the number of indexed features the index shows.
 func (x *FeatureIndex) Len() int { return x.tree.Len() - x.hidden }
 
@@ -280,40 +231,19 @@ func (x *FeatureIndex) Len() int { return x.tree.Len() - x.hidden }
 func (x *FeatureIndex) Session(acct *storage.Stats) *FeatureIndex {
 	c := *x
 	c.tree = x.tree.WithPool(x.tree.Pool().Session(acct))
-	if x.records != nil {
-		rc := *x.records
-		rc.pool = x.records.pool.Session(acct)
-		c.records = &rc
-	}
 	return &c
 }
 
-// Stats returns the accumulated I/O counters of the index's buffer pool,
-// including record-file verification reads in signature mode.
-func (x *FeatureIndex) Stats() storage.Stats {
-	s := x.tree.Pool().Stats()
-	if x.records != nil {
-		s.Add(x.records.stats())
-	}
-	return s
-}
+// Stats returns the accumulated I/O counters of the index's buffer pool.
+func (x *FeatureIndex) Stats() storage.Stats { return x.tree.Pool().Stats() }
 
 // ResetStats zeroes the I/O counters.
-func (x *FeatureIndex) ResetStats() {
-	x.tree.Pool().ResetStats()
-	if x.records != nil {
-		x.records.pool.ResetStats()
-	}
-}
+func (x *FeatureIndex) ResetStats() { x.tree.Pool().ResetStats() }
 
-// AttachMetrics aggregates the index's buffer-pool counters (and, in
-// signature mode, the record file's) into the registry under the given
-// pool name.
+// AttachMetrics aggregates the index's buffer-pool counters into the
+// registry under the given pool name.
 func (x *FeatureIndex) AttachMetrics(r *obs.Registry, pool string) {
 	x.tree.Pool().SetMetrics(storage.NewPoolMetrics(r, pool))
-	if x.records != nil {
-		x.records.pool.SetMetrics(storage.NewPoolMetrics(r, pool+"_records"))
-	}
 }
 
 // QueryKeywords is the per-feature-set textual part of a query: the
@@ -327,30 +257,32 @@ type QueryKeywords struct {
 
 // Score returns the preference score s(t) of a leaf entry under Definition
 // 1: s(t) = (1−λ)·t.s + λ·sim(t.W, W).
-func Score(e rtree.Entry, q QueryKeywords) float64 { return score(&e, &q) }
+func Score(e rtree.Entry, q QueryKeywords) float64 { return q.Score(&e) }
 
 // Bound returns the upper bound ŝ(e) of Section 4.2 for an entry: the
 // exact score for leaf entries, and (1−λ)·e.s + λ·NodeBound(e.W, W) for
 // internal entries (|e.W∩W|/|W| under Jaccard). For every feature t under
 // e, Bound(e) ≥ s(t).
-func Bound(e rtree.Entry, q QueryKeywords) float64 { return bound(&e, &q) }
+func Bound(e rtree.Entry, q QueryKeywords) float64 { return q.Bound(&e) }
 
-// score and bound are Score and Bound on entries read in place: the query
-// algorithms call them once per decoded slot of a visited node.
-func score(e *rtree.Entry, q *QueryKeywords) float64 {
+// Score is the package-level Score read in place: the query algorithms
+// call Score, Bound and Relevant once per decoded slot of a visited node.
+func (q *QueryKeywords) Score(e *rtree.Entry) float64 {
 	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.Sim(e.Keywords, q.Set)
 }
 
-func bound(e *rtree.Entry, q *QueryKeywords) float64 {
+// Bound is the package-level Bound read in place. For a leaf it is Score,
+// bit for bit.
+func (q *QueryKeywords) Bound(e *rtree.Entry) float64 {
 	if e.Leaf {
-		return score(e, q)
+		return q.Score(e)
 	}
 	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.NodeBound(e.Keywords, q.Set)
 }
 
 // Relevant reports whether the entry can contain a feature with positive
 // textual similarity to W — the sim(t, W) > 0 pruning test.
-func Relevant(e rtree.Entry, q QueryKeywords) bool {
+func (q *QueryKeywords) Relevant(e *rtree.Entry) bool {
 	return e.Keywords.Intersects(q.Set)
 }
 

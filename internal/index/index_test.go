@@ -233,7 +233,7 @@ func TestRelevantConservative(t *testing.T) {
 				nd, _ := idx.Tree().Node(pid)
 				for _, c := range nd.Entries {
 					if c.Leaf {
-						if Relevant(c, q) {
+						if q.Relevant(&c) {
 							hasRelevantLeaf = true
 						}
 					} else {
@@ -242,7 +242,7 @@ func TestRelevantConservative(t *testing.T) {
 				}
 			}
 			scan(e.Child)
-			if hasRelevantLeaf && !Relevant(e, q) {
+			if hasRelevantLeaf && !q.Relevant(&e) {
 				t.Fatal("internal entry pruned a relevant descendant")
 			}
 			walk(e.Child)
@@ -343,72 +343,11 @@ func TestStatsPlumbing(t *testing.T) {
 	}
 }
 
-// Signature-mode bounds must still dominate every descendant's exact
-// score (the ŝ(e) ≥ s(t) contract survives hashing).
-func TestSignatureBoundDominates(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	features := randomFeatures(rng, 800, 48)
-	idx, err := BuildFeatureIndex(features, Options{Kind: IR2, VocabWidth: 48, PageSize: 512, SignatureBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Exact() {
-		t.Fatal("index should be in signature mode")
-	}
-	exact := make(map[int64]kwset.Set, len(features))
-	for _, f := range features {
-		exact[f.ID] = f.Keywords
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := QueryKeywords{Set: kwset.SetFromWords(48, rng.Intn(48), rng.Intn(48)), Lambda: rng.Float64()}
-		pq := idx.Prepare(q)
-		var walk func(pid storage.PageID, bound float64)
-		walk = func(pid storage.PageID, bound float64) {
-			n, err := idx.Tree().Node(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range n.Entries {
-				b := idx.EntryBound(&e, &pq)
-				if b > bound+1e-9 {
-					t.Fatalf("child bound %v exceeds parent %v", b, bound)
-				}
-				if e.Leaf {
-					// Exact score must respect the bound.
-					kw := exact[e.ItemID]
-					s := (1-q.Lambda)*e.Score + q.Lambda*kw.Jaccard(q.Set)
-					if s > b+1e-9 {
-						t.Fatalf("leaf exact score %v exceeds bound %v", s, b)
-					}
-					// Relevance must have no false negatives.
-					if kw.Intersects(q.Set) && !idx.EntryRelevant(&e, &pq) {
-						t.Fatal("signature relevance false negative")
-					}
-					// ResolveLeaf must agree with the direct computation.
-					rs, rel, err := idx.ResolveLeaf(&e, &pq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rel != kw.Intersects(q.Set) {
-						t.Fatal("ResolveLeaf relevance mismatch")
-					}
-					if rel && math.Abs(rs-s) > 1e-12 {
-						t.Fatalf("ResolveLeaf score %v, want %v", rs, s)
-					}
-				} else {
-					walk(e.Child, b)
-				}
-			}
-		}
-		walk(idx.Tree().Root(), math.Inf(1))
-	}
-}
-
-// AllExact must return the original keyword sets in signature mode.
-func TestAllExactRecoversKeywords(t *testing.T) {
+// All must return every feature with its own keyword set.
+func TestAllRecoversKeywords(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	features := randomFeatures(rng, 300, 24)
-	idx, err := BuildFeatureIndex(features, Options{Kind: SRT, VocabWidth: 24, PageSize: 512, SignatureBits: 6})
+	idx, err := BuildFeatureIndex(features, Options{Kind: SRT, VocabWidth: 24, PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,12 +355,12 @@ func TestAllExactRecoversKeywords(t *testing.T) {
 	for _, f := range features {
 		want[f.ID] = f.Keywords
 	}
-	all, err := idx.AllExact()
+	all, err := idx.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != len(features) {
-		t.Fatalf("AllExact returned %d", len(all))
+		t.Fatalf("All returned %d", len(all))
 	}
 	for _, e := range all {
 		if !e.Keywords.Equal(want[e.ItemID]) {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,9 +11,7 @@ import (
 )
 
 // Persistence: a built index is saved as its page dump plus a small Meta
-// record. Signature-mode indexes are not yet persistable (their record
-// file and ordinal directory would need a second dump) and report an
-// error.
+// record.
 
 // Meta is the out-of-page state of a feature or object index.
 type Meta struct {
@@ -25,14 +22,8 @@ type Meta struct {
 	WithScore  bool       `json:"withScore"`
 }
 
-// ErrSignaturePersist reports that signature-mode indexes cannot be saved.
-var ErrSignaturePersist = errors.New("index: signature-mode indexes cannot be persisted")
-
 // Save writes the index's pages to w and returns its Meta.
 func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
-	if x.sigBits > 0 {
-		return Meta{}, ErrSignaturePersist
-	}
 	if err := storage.DumpDisk(x.tree.Config().Disk, w); err != nil {
 		return Meta{}, err
 	}

@@ -49,35 +49,23 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if math.Abs(Bound(a, q)-Bound(b, q)) > 1e-12 {
 		t.Fatal("root bounds differ after reopen")
 	}
-	// Reopened index keeps serving exact resolution.
-	pq := reopened.Prepare(q)
-	all, err := reopened.AllExact()
+	// The reopened index keeps every feature's keywords and score.
+	want := make(map[int64]Feature, len(features))
+	for _, f := range features {
+		want[f.ID] = f
+	}
+	all, err := reopened.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range all[:20] {
-		s, rel, err := reopened.ResolveLeaf(&e, &pq)
-		if err != nil {
-			t.Fatal(err)
+		f := want[e.ItemID]
+		if !e.Keywords.Equal(f.Keywords) || e.Score != f.Score {
+			t.Fatalf("feature %d changed after reopen", e.ItemID)
 		}
-		if rel != e.Keywords.Intersects(q.Set) {
-			t.Fatal("relevance mismatch after reopen")
-		}
-		if rel && math.Abs(s-Score(e, q)) > 1e-12 {
+		if s := (1-q.Lambda)*f.Score + q.Lambda*f.Keywords.Jaccard(q.Set); math.Abs(q.Score(&e)-s) > 1e-12 {
 			t.Fatal("score mismatch after reopen")
 		}
-	}
-}
-
-func TestSignatureIndexCannotPersist(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	idx, err := BuildFeatureIndex(randomFeatures(rng, 50, 16), Options{Kind: IR2, VocabWidth: 16, PageSize: 512, SignatureBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := idx.Save(&buf); err != ErrSignaturePersist {
-		t.Fatalf("got %v, want ErrSignaturePersist", err)
 	}
 }
 
@@ -124,39 +112,5 @@ func TestOpenFeatureIndexRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenObjectIndex(bytes.NewReader(nil), Meta{}, 4); err == nil {
 		t.Fatal("expected error on empty dump")
-	}
-}
-
-func TestSignatureStatsIncludeRecordReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	idx, err := BuildFeatureIndex(randomFeatures(rng, 400, 32), Options{Kind: IR2, VocabWidth: 32, PageSize: 512, SignatureBits: 8, BufferPages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.ResetStats()
-	if s := idx.Stats(); s.LogicalReads != 0 {
-		t.Fatal("reset did not clear record pool stats")
-	}
-	q := QueryKeywords{Set: kwset.SetFromWords(32, 1, 2, 3), Lambda: 0.5}
-	pq := idx.Prepare(q)
-	all, err := idx.Tree().All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	treeOnly := idx.Tree().Pool().Stats().LogicalReads
-	resolves := 0
-	for _, e := range all {
-		if idx.EntryRelevant(&e, &pq) {
-			if _, _, err := idx.ResolveLeaf(&e, &pq); err != nil {
-				t.Fatal(err)
-			}
-			resolves++
-		}
-	}
-	if resolves == 0 {
-		t.Skip("no relevant features in this draw")
-	}
-	if got := idx.Stats().LogicalReads; got <= treeOnly {
-		t.Fatalf("record reads missing from Stats: %d <= %d", got, treeOnly)
 	}
 }

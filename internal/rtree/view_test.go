@@ -17,8 +17,8 @@ import (
 
 // viewConfigs spans the page layouts the indexes use: the object tree (no
 // augmentation), exact keyword widths below, at and across word boundaries
-// (SRT and IR² over a vocabulary), the signature widths, each with and
-// without the score slot and on both page sizes.
+// (SRT and IR² over a vocabulary), each with and without the score slot
+// and on both page sizes.
 func viewConfigs() []Config {
 	var out []Config
 	for _, page := range []int{1024, 4096} {

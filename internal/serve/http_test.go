@@ -131,10 +131,10 @@ func TestHTTPQueryErrors(t *testing.T) {
 }
 
 // TestHTTPRejectsRemovedModeFields: "mode" and "recall" are not request
-// fields. A client that still sends them gets a 400 naming the field, even
-// from a signature index, and the query never reaches the engine.
+// fields. A client that still sends them gets a 400 naming the field, and
+// the query never reaches the engine.
 func TestHTTPRejectsRemovedModeFields(t *testing.T) {
-	db := testDB(t, stpq.Config{IndexKind: stpq.IR2, SignatureBits: 8}, 200, 200)
+	db := testDB(t, stpq.Config{IndexKind: stpq.IR2}, 200, 200)
 	svc, err := New(db, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

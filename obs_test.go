@@ -154,20 +154,16 @@ func TestSetTracingToggles(t *testing.T) {
 
 // A pool frame holds the disk's own image of its page and readers scan it
 // in place, so a miss copies and decodes nothing: over a cycle of cold
-// queries — both algorithms, every variant, object, feature and signature
-// record pools of four pages each — the queries allocate less than a
-// quarter of a page image per miss (30–62 B of a 512 B page measured; about
-// 250–410 B while every object-pool miss decoded its page, and a miss that
+// queries — both algorithms, every variant, object and feature pools of
+// four pages each — the queries allocate less than a quarter of a page
+// image per miss (30–52 B of a 512 B page measured; about 250–410 B while
+// every object-pool miss decoded its page, and a miss that
 // copied its page would add one more). The victim's frame takes each missed
 // page; no image is recycled, none is allocated.
 func TestColdQueriesRecycleFrames(t *testing.T) {
-	for _, cfg := range []Config{
-		{IndexKind: SRT},
-		{IndexKind: IR2},
-		{IndexKind: IR2, SignatureBits: 8},
-	} {
+	for _, cfg := range []Config{{IndexKind: SRT}, {IndexKind: IR2}} {
 		cfg.PageSize, cfg.BufferPages = 512, 4
-		name := fmt.Sprintf("kind=%d/signature=%d", cfg.IndexKind, cfg.SignatureBits)
+		name := fmt.Sprintf("kind=%d", cfg.IndexKind)
 		db := randomObsDB(t, cfg)
 		misses := func() (n int64) {
 			for series, v := range db.Metrics().Counters {

@@ -93,8 +93,7 @@ func (db *DB) loadShapes(dir string) error {
 // or interrupted Save harmless to what the directory held before: page
 // dumps first, then the shard manifest, then stpq.json — the file Open
 // starts from — each file synced and each manifest renamed into place.
-// Signature-mode DBs (Config.SignatureBits > 0) cannot be saved yet, and a
-// DB with unmerged live-ingest mutations must Flush or Checkpoint first.
+// A DB with unmerged live-ingest mutations must Flush or Checkpoint first.
 //
 // Together with Open, Save makes index construction a one-off cost: a
 // 100K-feature SRT-index reopens in milliseconds.
@@ -103,9 +102,6 @@ func (db *DB) Save(dir string) error {
 	defer db.mu.RUnlock()
 	if !db.built {
 		return errors.New("stpq: Save before Build")
-	}
-	if db.cfg.SignatureBits > 0 {
-		return index.ErrSignaturePersist
 	}
 	if db.pendingLocked() {
 		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")

@@ -77,10 +77,6 @@ func TestSaveValidation(t *testing.T) {
 	if err := New(Config{}).Save(t.TempDir()); err == nil {
 		t.Error("Save before Build must fail")
 	}
-	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
-	if err := db.Save(t.TempDir()); err == nil {
-		t.Error("signature-mode Save must fail")
-	}
 }
 
 func TestOpenValidation(t *testing.T) {

@@ -127,7 +127,8 @@ func TestOneEventPerQuery(t *testing.T) {
 // set, and a shapes.json whose NN row still carries a radius bucket — and
 // gets the same answers as a fresh build. A copy whose manifest turns on
 // CacheVoronoiCells, the eleventh key removed since (every engine keeps its
-// cells now), opens and answers the same.
+// cells now), opens and answers the same. SignatureBits, the twelfth, is
+// there at 0 and ignored like the rest.
 func TestOpenParentManifest(t *testing.T) {
 	const parent = "testdata/parent-8b49ca3"
 	cached := t.TempDir()

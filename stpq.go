@@ -143,11 +143,6 @@ type Config struct {
 	// IOCostPerPage converts physical page reads into modeled I/O time
 	// for Stats (default 100µs).
 	IOCostPerPage time.Duration
-	// SignatureBits stores hashed keyword signatures of this width in
-	// feature indexes instead of exact bitmaps (classic IR²-tree
-	// signature files with verification reads against a record file).
-	// 0 keeps exact bitmaps. Results are identical either way.
-	SignatureBits int
 	// Tracing collects a span tree (Stats.Trace) for every query: named
 	// phases with wall time and page-read deltas. Off by default; the
 	// disabled path costs one nil check per instrumentation point. Can be
@@ -456,11 +451,10 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 		return errors.New("stpq: feature sets contain no keywords")
 	}
 	opts := index.Options{
-		Kind:          index.Kind(db.cfg.IndexKind),
-		VocabWidth:    width,
-		PageSize:      db.cfg.PageSize,
-		BufferPages:   db.cfg.BufferPages,
-		SignatureBits: db.cfg.SignatureBits,
+		Kind:        index.Kind(db.cfg.IndexKind),
+		VocabWidth:  width,
+		PageSize:    db.cfg.PageSize,
+		BufferPages: db.cfg.BufferPages,
 	}
 	for len(featSets) < len(db.setNames) {
 		featSets = append(featSets, nil)
@@ -613,7 +607,7 @@ func readBack(eng *core.Engine) ([]index.Object, [][]index.Feature, error) {
 	}
 	featSets := make([][]index.Feature, len(eng.FeatureGroups()))
 	for i, g := range eng.FeatureGroups() {
-		entries, err := g.AllExact()
+		entries, err := g.All()
 		if err != nil {
 			return nil, nil, fmt.Errorf("stpq: reading feature set %d back: %w", i, err)
 		}
@@ -715,7 +709,7 @@ func (db *DB) keywordTableLocked(featureSet string) (*keywordTable, error) {
 	if pos < 0 {
 		return nil, fmt.Errorf("%w %q", ErrUnknownFeatureSet, featureSet)
 	}
-	entries, err := db.engine.FeatureGroups()[pos].AllExact()
+	entries, err := db.engine.FeatureGroups()[pos].All()
 	if err != nil {
 		return nil, err
 	}

@@ -398,22 +398,3 @@ func TestConcurrentTopK(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Signature-file mode through the public API must reproduce the paper's
-// worked example exactly.
-func TestSignatureModePaperExample(t *testing.T) {
-	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
-	res, _, err := db.TopK(paperQuery(3, STPS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.9 + (0.5*0.9 + 0.5*(2.0/3.0))
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	for _, r := range res {
-		if math.Abs(r.Score-want) > 1e-9 {
-			t.Errorf("hotel %d score %v, want %v", r.ID, r.Score, want)
-		}
-	}
-}
