@@ -244,8 +244,9 @@ compaction-smoke:
 	kill -INT $$pid && wait $$pid
 
 # Replicated-cluster smoke test: one WAL-backed leader and two followers
-# replaying its log, each a whole-DB replica serving cluster RPC, a
-# coordinator routing over the three, a single-process stpqd on the same
+# replaying its log (fetched from the leader's GET /wal/segments), each a
+# whole-DB replica serving its ordinary HTTP API, a coordinator forwarding
+# /query to one of the three, a single-process stpqd on the same
 # dataset and a `-shards 4` stpqd on it too. The coordinator's and the
 # sharded daemon's answers must be byte-identical to the single process's
 # for a spread of query shapes (both algorithms, range and influence
@@ -297,13 +298,10 @@ cluster-smoke:
 	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
 	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
 	rm -rf $(CLUSTER_WAL)
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -wal-dir $(CLUSTER_WAL) \
-		-rpc 127.0.0.1:19341 -addr 127.0.0.1:18341 & p0=$$!; \
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:19341 \
-		-rpc 127.0.0.1:19342 -addr 127.0.0.1:18342 & p1=$$!; \
-	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:19341 \
-		-rpc 127.0.0.1:19343 -addr 127.0.0.1:18343 & p2=$$!; \
-	/tmp/stpqd-smoke -replicas 127.0.0.1:19341,127.0.0.1:19342,127.0.0.1:19343 -addr 127.0.0.1:18340 & pc=$$!; \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -wal-dir $(CLUSTER_WAL) -addr 127.0.0.1:18341 & p0=$$!; \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:18341 -addr 127.0.0.1:18342 & p1=$$!; \
+	/tmp/stpqd-smoke $(CLUSTER_DATA) -follow 127.0.0.1:18341 -addr 127.0.0.1:18343 & p2=$$!; \
+	/tmp/stpqd-smoke -replicas 127.0.0.1:18341,127.0.0.1:18342,127.0.0.1:18343 -addr 127.0.0.1:18340 & pc=$$!; \
 	/tmp/stpqd-smoke $(CLUSTER_DATA) -addr 127.0.0.1:18349 & ps=$$!; \
 	/tmp/stpqd-smoke $(CLUSTER_DATA) -shards 4 -addr 127.0.0.1:18348 & p4=$$!; \
 	trap 'kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 2>/dev/null' EXIT; \

@@ -1,21 +1,29 @@
 package main
 
-// cluster.go benchmarks query routing: N in-process replicas of the whole
-// synthetic dataset on loopback TCP, queried through a coordinator by a
-// closed-loop concurrent workload. Each query runs on one replica, so the
-// sweep measures what routing costs (RPC, coordinator, spreading load over
-// the replicas), not scatter-gather. N = 1 is the baseline the node-count
-// sweep is read against. Per-query engine counters come back over the
-// wire, so the records carry the same cost breakdown as the in-process
-// experiments plus QPS, latency quantiles and the queries each replica
-// served.
+// cluster.go benchmarks query routing as a client sees it: N in-process
+// replicas of the whole synthetic dataset, each its stpqd handler on a
+// loopback HTTP listener, queried through a coordinator's HTTP front by a
+// closed-loop concurrent workload of pre-marshalled POST /query bodies.
+// Each query runs on one replica, so the sweep measures what routing costs
+// (the extra HTTP hop, the coordinator, spreading load over the replicas),
+// not scatter-gather. N = 1 is the baseline the node-count sweep is read
+// against. Per-query engine counters come back in each response's stats,
+// so the records carry the same cost breakdown as the in-process
+// experiments plus QPS, the client's wall-clock quantiles and the queries
+// each replica served.
 //
 // The records always land in BENCH_cluster.json.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,9 +65,9 @@ func (b *bench) clusterExp() {
 		sets[i].feats = feats
 	}
 
-	// A fixed query workload shared by every node count.
+	// A fixed query workload shared by every node count, marshalled once.
 	rng := rand.New(rand.NewSource(b.seed))
-	queries := make([]stpq.Query, b.queries)
+	queries := make([][]byte, b.queries)
 	for i := range queries {
 		kw := make(map[string][]string, len(sets))
 		for _, s := range sets {
@@ -69,9 +77,13 @@ func (b *bench) clusterExp() {
 			}
 			kw[s.name] = words
 		}
-		queries[i] = stpq.Query{
+		body, err := json.Marshal(serve.QueryRequest{
 			K: defK, Radius: defRadius, Lambda: defLambda, Keywords: kw,
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
+		queries[i] = body
 	}
 
 	var recs []Record
@@ -89,20 +101,20 @@ func (b *bench) clusterExp() {
 }
 
 // clusterPoint measures one node count: start the replicas, route the
-// workload through a coordinator with clusterWorkers in flight, record
-// QPS, latency quantiles, the per-query engine counters and how many
-// queries each replica served.
+// workload through a coordinator's HTTP front with clusterWorkers
+// connections in flight, record QPS, the client's latency quantiles, the
+// per-query engine counters and how many queries each replica served.
 func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 	name  string
 	feats []stpq.Feature
-}, queries []stpq.Query, nodes int) Record {
+}, queries [][]byte, nodes int) Record {
 	var cleanup []func()
 	defer func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
 		}
 	}()
-	replicas := make([]*cluster.Node, nodes)
+	replicas := make([]*serve.Service, nodes)
 	addrs := make([]string, nodes)
 	for i := range replicas {
 		db := stpq.New(stpq.Config{PageSize: 4096})
@@ -118,13 +130,10 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 			log.Fatal(err)
 		}
 		cleanup = append(cleanup, svc.Close)
-		replicas[i] = cluster.NewNode(cluster.NodeConfig{Service: svc, DB: db})
-		addr, err := replicas[i].Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		cleanup = append(cleanup, replicas[i].Close)
-		addrs[i] = addr.String()
+		srv := httptest.NewServer(svc.Handler())
+		cleanup = append(cleanup, srv.Close)
+		replicas[i] = svc
+		addrs[i] = srv.Listener.Addr().String()
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Replicas: addrs, HealthInterval: -1,
@@ -133,9 +142,11 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 		log.Fatal(err)
 	}
 	cleanup = append(cleanup, coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	cleanup = append(cleanup, front.Close)
 
-	// Closed loop: clusterWorkers goroutines draw queries from one shared
-	// index until the workload drains.
+	// Closed loop: clusterWorkers clients, one keep-alive connection each,
+	// draw queries from one shared index until the workload drains.
 	per := make([]core.Stats, len(queries))
 	walls := make([]time.Duration, len(queries))
 	var (
@@ -145,6 +156,8 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 	)
 	start := time.Now()
 	for w := 0; w < clusterWorkers; w++ {
+		client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+		cleanup = append(cleanup, client.CloseIdleConnections)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -157,12 +170,12 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 					return
 				}
 				t0 := time.Now()
-				resp, err := coord.Do(queries[i])
+				st, err := postQuery(client, front.URL+"/query", queries[i])
 				if err != nil {
 					log.Fatalf("cluster nodes=%d query %d: %v", nodes, i, err)
 				}
 				walls[i] = time.Since(t0)
-				per[i] = resp.Stats
+				per[i] = st
 			}
 		}()
 	}
@@ -173,27 +186,58 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 	rec := newRecord("cluster", label, "SRT", "stps", nil, per)
 	rec.Variant = "range"
 	rec.QPS = float64(len(queries)) / elapsed.Seconds()
-	// With health probes off, every RPC a replica served was a query.
-	rec.Counters = make(map[string]int64, nodes)
+	rec.Counters = make(map[string]int64, nodes+3)
+	for _, q := range []struct {
+		name string
+		q    float64
+	}{{"client_p50_us", 0.50}, {"client_p95_us", 0.95}, {"client_p99_us", 0.99}} {
+		rec.Counters[q.name] = wallQuantile(walls, q.q).Microseconds()
+	}
 	served := make([]int64, nodes)
-	for i, n := range replicas {
-		served[i] = n.Served()
+	for i, svc := range replicas {
+		served[i] = svc.Metrics().Counter("stpq_serve_queries_total").Value()
 		rec.Counters[fmt.Sprintf("replica%d_queries", i)] = served[i]
 	}
-	line(label, fmt.Sprintf("%.0f queries/s  p50 %s p99 %s  queries per replica %v",
-		rec.QPS, wallQuantile(walls, 0.50), wallQuantile(walls, 0.99), served))
+	line(label, fmt.Sprintf("%.0f queries/s  p50 %s p95 %s p99 %s  queries per replica %v",
+		rec.QPS, wallQuantile(walls, 0.50), wallQuantile(walls, 0.95), wallQuantile(walls, 0.99), served))
 	return rec
+}
+
+// postQuery sends one /query body and returns the answering replica's
+// engine counters from the response's stats.
+func postQuery(client *http.Client, url string, body []byte) (core.Stats, error) {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return core.Stats{}, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return core.Stats{}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return core.Stats{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
+	}
+	var out serve.QueryResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		return core.Stats{}, err
+	}
+	st := out.Stats
+	return core.Stats{
+		CPUTime:        time.Duration(st.CPUMicros) * time.Microsecond,
+		IOTime:         time.Duration(st.IOMicros) * time.Microsecond,
+		LogicalReads:   st.LogicalReads,
+		PhysicalReads:  st.PhysicalReads,
+		Combinations:   st.Combinations,
+		FeaturesPulled: st.FeaturesPulled,
+		ObjectsScored:  st.ObjectsScored,
+	}, nil
 }
 
 // wallQuantile returns the q-th quantile of unsorted wall latencies.
 func wallQuantile(walls []time.Duration, q float64) time.Duration {
-	sorted := make([]time.Duration, len(walls))
-	copy(sorted, walls)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(walls)
+	slices.Sort(sorted)
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -1,20 +1,20 @@
 package main
 
 // cluster.go gives stpqd its cluster roles. Every node is the ordinary
-// daemon over the whole DB; -rpc adds the cluster protocol beside its HTTP
-// API:
+// daemon over the whole DB, and every role speaks its HTTP API on -addr:
 //
-//	stpqd -synthetic -wal-dir wal -rpc 127.0.0.1:9090 -addr :8081
+//	stpqd -synthetic -wal-dir wal -addr 127.0.0.1:8081
 //	    a leader: takes writes on /ingest and seals its WAL every
-//	    -wal-rotate so followers can fetch the segments.
+//	    -wal-rotate, so followers can fetch the segments from its
+//	    GET /wal/segments.
 //
-//	stpqd -synthetic -follow 127.0.0.1:9090 -rpc 127.0.0.1:9091 -addr :8082
+//	stpqd -synthetic -follow 127.0.0.1:8081 -addr 127.0.0.1:8082
 //	    a follower: replays the leader's sealed WAL segments as they appear.
 //
-//	stpqd -replicas 127.0.0.1:9090,127.0.0.1:9091 -addr :8080
-//	    the coordinator: the single-process HTTP query API, each query
-//	    answered by one replica, with retries, failover and optional
-//	    hedging (-hedge-after).
+//	stpqd -replicas 127.0.0.1:8081,127.0.0.1:8082 -addr :8080
+//	    the coordinator: the single-process HTTP query API, each /query
+//	    forwarded to one replica's /query, with retries, failover and
+//	    optional hedging (-hedge-after).
 
 import (
 	"context"
@@ -28,7 +28,6 @@ import (
 
 	"stpq"
 	"stpq/internal/cluster"
-	"stpq/internal/serve"
 )
 
 // splitEndpoints parses a comma-separated endpoint list.
@@ -42,41 +41,25 @@ func splitEndpoints(s string) []string {
 	return out
 }
 
-// startClusterRoles starts what -rpc and -follow ask of a daemon whose
-// service is up: the cluster RPC listener, WAL rotation on a node that has
-// a log to ship, and the follower's replication loop. Rotation ends with
-// ctx; the returned stop ends the rest, the listener first.
-func startClusterRoles(ctx context.Context, cfg daemonConfig, db *stpq.DB, svc *serve.Service) (func(), error) {
-	var stops []func()
-	stop := func() {
-		for _, f := range stops {
-			f()
-		}
+// startClusterRoles starts what a daemon's role asks of it once its
+// service is up: WAL rotation on a leader (any DB with a log to ship) and
+// the follower's replication loop. Rotation ends with ctx; the returned
+// stop ends the replication loop.
+func startClusterRoles(ctx context.Context, cfg daemonConfig, db *stpq.DB) (func(), error) {
+	if cfg.walRotate > 0 && db.IngestStatus().WALAttached {
+		go rotateWAL(ctx, db, cfg.walRotate)
 	}
-	if cfg.rpcAddr != "" {
-		node := cluster.NewNode(cluster.NodeConfig{Service: svc, DB: db, Logf: log.Printf})
-		addr, err := node.Start(cfg.rpcAddr)
-		if err != nil {
-			return nil, err
-		}
-		stops = append(stops, node.Close)
-		log.Printf("cluster RPC on %s", addr)
-		if cfg.walRotate > 0 {
-			go rotateWAL(ctx, db, cfg.walRotate)
-		}
+	if cfg.follow == "" {
+		return func() {}, nil
 	}
-	if cfg.follow != "" {
-		src := cluster.NewClient(cfg.follow, 0)
-		rep, err := cluster.StartReplica(cluster.ReplicaConfig{DB: db, Source: src, Logf: log.Printf})
-		if err != nil {
-			src.Close()
-			stop()
-			return nil, err
-		}
-		stops = append(stops, rep.Close, src.Close)
-		log.Printf("following %s (applied seq %d)", cfg.follow, rep.AppliedSeq())
+	src := cluster.NewLeader(cfg.follow, 0)
+	rep, err := cluster.StartReplica(cluster.ReplicaConfig{DB: db, Source: src, Logf: log.Printf})
+	if err != nil {
+		src.Close()
+		return nil, err
 	}
-	return stop, nil
+	log.Printf("following %s (applied seq %d)", cfg.follow, rep.AppliedSeq())
+	return func() { rep.Close(); src.Close() }, nil
 }
 
 // rotateWAL seals the active WAL segment every period so followers always
@@ -103,7 +86,7 @@ func runCoordinator(cfg daemonConfig) error {
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Replicas:   cfg.replicas,
-		RPCTimeout: cfg.serve.Timeout,
+		Timeout:    cfg.serve.Timeout,
 		RetryMax:   cfg.retryMax,
 		HedgeAfter: cfg.hedgeAfter,
 	})

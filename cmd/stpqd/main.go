@@ -8,7 +8,7 @@
 //	stpqd -synthetic -shards 4            # data laid out in 4 spatial shards
 //	stpqd -synthetic -wal-dir data/wal    # live ingest + crash recovery
 //	stpqd -open data/db -workers 8 -queue 128 -timeout 2s
-//	stpqd -synthetic -wal-dir wal -rpc :9090   # a cluster replica (cluster.go)
+//	stpqd -synthetic -follow leader:8080       # a cluster follower (cluster.go)
 //
 // Endpoints:
 //
@@ -17,7 +17,9 @@
 //	GET  /healthz  liveness; 503 until the index build completes
 //	GET  /readyz   alias of /healthz
 //	GET  /metrics  Prometheus text format
-//	GET  /info     dataset shape (used by stpqload)
+//	GET  /info     dataset shape (used by stpqload); ingest.walSeq is the
+//	               replication watermark a coordinator routes by
+//	GET  /wal/segments?from=N  a sealed WAL segment, for followers
 //
 // The listener comes up immediately; while the index is still building
 // every endpoint answers 503, so orchestrators can probe /healthz (or
@@ -87,10 +89,10 @@ type daemonConfig struct {
 	ckptDir             string
 	serve               serve.Config
 
-	// Cluster roles: a daemon with rpcAddr serves the cluster RPC protocol,
-	// one with follow replays that leader's WAL, and a non-empty replicas
-	// list makes the process the coordinator instead of a daemon.
-	rpcAddr    string
+	// Cluster roles: a daemon with walDir is a leader that seals a WAL
+	// segment every walRotate, one with follow replays that leader's WAL,
+	// and a non-empty replicas list makes the process the coordinator
+	// instead of a daemon.
 	follow     string
 	walRotate  time.Duration
 	replicas   []string
@@ -133,10 +135,9 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.Int64Var(&cfg.ckptBytes, "checkpoint-every-bytes", 0, "checkpoint automatically after this many appended WAL bytes (0 = off; needs a WAL)")
 	fs.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "directory auto-checkpoints are written to (default: the -open directory)")
 
-	fs.StringVar(&cfg.rpcAddr, "rpc", "", "also serve the cluster RPC protocol on this address, as a replica a coordinator routes to (empty = off)")
-	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica pulling WAL segments from this leader RPC endpoint")
-	fs.DurationVar(&cfg.walRotate, "wal-rotate", time.Second, "with -rpc: WAL rotation period so followers can fetch sealed segments (0 = never)")
-	replicas := fs.String("replicas", "", "run the coordinator over these comma-separated replica RPC endpoints instead of serving a DB")
+	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica replaying the WAL segments the leader at this host:port (its -addr) serves on GET /wal/segments")
+	fs.DurationVar(&cfg.walRotate, "wal-rotate", time.Second, "with a WAL: seal the active segment this often so followers can fetch it from /wal/segments (0 = never)")
+	replicas := fs.String("replicas", "", "run the coordinator over these comma-separated replica host:port addresses (each replica's -addr) instead of serving a DB")
 	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 0, "coordinator: duplicate a replica call on the next replica after this delay (0 = off)")
 	fs.IntVar(&cfg.retryMax, "retry-max", 2, "coordinator: extra attempts per query after a retryable failure")
 	if err := fs.Parse(args); err != nil {
@@ -153,8 +154,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 		return cfg, errors.New("-shards applies to -synthetic only (opened DBs take their shard count from the manifest)")
 	case cfg.follow != "" && cfg.walDir != "":
 		return cfg, errors.New("-follow and -wal-dir are mutually exclusive: a follower replays the leader's log, it does not own one")
-	case coordinator && cfg.rpcAddr != "":
-		return cfg, errors.New("-replicas runs the coordinator, which serves no cluster RPC: drop -rpc")
 	case coordinator && len(cfg.replicas) == 0:
 		return cfg, errors.New("-replicas needs at least one host:port endpoint")
 	}
@@ -221,7 +220,7 @@ func run(cfg daemonConfig) error {
 		if autoCkpt {
 			go autoCheckpoint(ctx, db, cfg.checkpointDir(), cfg.ckptOps, cfg.ckptBytes)
 		}
-		stopRoles, err := startClusterRoles(ctx, cfg, db, svc)
+		stopRoles, err := startClusterRoles(ctx, cfg, db)
 		if err != nil {
 			svc.Close()
 			buildErrc <- err
@@ -385,10 +384,10 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		default:
 			return nil, fmt.Errorf("unknown -shard-strategy %q", cfg.strategy)
 		}
-		// A node serving cluster RPC keeps its newest sealed WAL segments
-		// across a checkpoint, so a lagging follower can still fetch them.
+		// A leader keeps its newest sealed WAL segments across a
+		// checkpoint, so a lagging follower can still fetch them.
 		retain := 0
-		if cfg.rpcAddr != "" {
+		if cfg.walDir != "" {
 			retain = 4
 		}
 		log.Printf("building synthetic dataset: %d objects, %d×%d features, vocab %d, shards %d",

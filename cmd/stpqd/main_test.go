@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseFlags pins which role a command line selects — daemon, cluster
@@ -17,20 +18,20 @@ func TestParseFlags(t *testing.T) {
 		check   func(t *testing.T, cfg daemonConfig)
 	}{
 		{name: "daemon", args: []string{"-synthetic"}, check: func(t *testing.T, cfg daemonConfig) {
-			if cfg.rpcAddr != "" || cfg.follow != "" || cfg.replicas != nil {
-				t.Errorf("plain daemon has cluster roles: rpc %q follow %q replicas %v", cfg.rpcAddr, cfg.follow, cfg.replicas)
+			if cfg.walDir != "" || cfg.follow != "" || cfg.replicas != nil {
+				t.Errorf("plain daemon has cluster roles: wal %q follow %q replicas %v", cfg.walDir, cfg.follow, cfg.replicas)
 			}
 			if cfg.addr != ":8080" || cfg.objects != 20_000 || cfg.serve.QueueDepth != 64 || cfg.serve.CacheEntries != 256 {
 				t.Errorf("defaults: %+v", cfg)
 			}
 		}},
-		{name: "leader", args: []string{"-synthetic", "-wal-dir", "wal", "-rpc", "127.0.0.1:9090"}, check: func(t *testing.T, cfg daemonConfig) {
-			if cfg.rpcAddr != "127.0.0.1:9090" || cfg.walDir != "wal" || cfg.replicas != nil {
+		{name: "leader", args: []string{"-synthetic", "-wal-dir", "wal"}, check: func(t *testing.T, cfg daemonConfig) {
+			if cfg.walDir != "wal" || cfg.walRotate != time.Second || cfg.follow != "" || cfg.replicas != nil {
 				t.Errorf("leader: %+v", cfg)
 			}
 		}},
-		{name: "follower", args: []string{"-open", "db", "-follow", "127.0.0.1:9090", "-rpc", ":9091"}, check: func(t *testing.T, cfg daemonConfig) {
-			if cfg.follow != "127.0.0.1:9090" || cfg.rpcAddr != ":9091" || cfg.open != "db" {
+		{name: "follower", args: []string{"-open", "db", "-follow", "127.0.0.1:8081", "-addr", ":8082"}, check: func(t *testing.T, cfg daemonConfig) {
+			if cfg.follow != "127.0.0.1:8081" || cfg.addr != ":8082" || cfg.open != "db" {
 				t.Errorf("follower: %+v", cfg)
 			}
 		}},
@@ -48,13 +49,13 @@ func TestParseFlags(t *testing.T) {
 			}
 		}},
 		{name: "follower owns no log", args: []string{"-synthetic", "-follow", "h:1", "-wal-dir", "wal"}, wantErr: "-follow and -wal-dir"},
-		{name: "coordinator serves no RPC", args: []string{"-replicas", "h:1", "-rpc", ":9090"}, wantErr: "drop -rpc"},
 		{name: "opened DB keeps its shards", args: []string{"-open", "db", "-shards", "4"}, wantErr: "-shards applies to -synthetic only"},
 		{name: "replicas without an endpoint", args: []string{"-replicas", " , "}, wantErr: "at least one host:port"},
 		{name: "empty replicas", args: []string{"-replicas", ""}, wantErr: "at least one host:port"},
 		{name: "one dataset", args: []string{"-open", "db", "-synthetic"}, wantErr: "either -open or -synthetic"},
 		{name: "retired flag", args: []string{"-cluster-node"}, wantErr: "not defined"},
 		{name: "signature files are gone", args: []string{"-synthetic", "-signature-bits", "8"}, wantErr: "not defined"},
+		{name: "cluster RPC folds into -addr", args: []string{"-synthetic", "-rpc", ":9090"}, wantErr: "not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,18 +1,20 @@
 package cluster
 
-// cluster_test.go drives the full distributed path over real TCP on
-// 127.0.0.1: whole-DB replicas as in-process nodes, a coordinator routing
-// each query to one of them, and byte-identical answers (and identical
-// page reads) versus the single-process engine; then break things — kill
-// replicas, delay them past the hedge threshold, tear WAL segments — and
-// require the coordinator and the followers to recover without a single
-// wrong answer.
+// cluster_test.go drives the full distributed path over real HTTP on
+// 127.0.0.1: whole-DB replicas serving their ordinary stpqd handler, a
+// coordinator routing each query to one of them, and byte-identical
+// answers (and identical page reads) versus the single-process engine;
+// then break things — kill replicas, delay them past the hedge threshold,
+// overload them, tear WAL segments — and require the coordinator and the
+// followers to recover without a single wrong answer.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
-	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -56,48 +58,72 @@ func buildDB(t *testing.T, cfg stpq.Config, objs []stpq.Object, food, cafes []st
 	return db
 }
 
-// startNode builds a service around db and serves it on a loopback port.
-func startNode(t *testing.T, db *stpq.DB, delay time.Duration) (*Node, string) {
+// replica is one whole-DB node: its service behind its own HTTP listener.
+type replica struct {
+	svc *serve.Service
+	srv *httptest.Server
+}
+
+// addr is the replica's "host:port", as stpqd's -replicas and -follow take it.
+func (r replica) addr() string { return r.srv.Listener.Addr().String() }
+
+// served counts the queries the replica's service ran.
+func (r replica) served() int64 {
+	return r.svc.Metrics().Counter("stpq_serve_queries_total").Value()
+}
+
+// startReplica builds a service around db and serves its handler on a
+// loopback port; wrap, when non-nil, wraps that handler (fault injection).
+func startReplica(t *testing.T, db *stpq.DB, wrap func(http.Handler) http.Handler) replica {
 	t.Helper()
 	svc, err := serve.New(db, serve.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { svc.Close() })
-	n := NewNode(NodeConfig{Service: svc, DB: db, QueryDelay: delay})
-	addr, err := n.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	h := svc.Handler()
+	if wrap != nil {
+		h = wrap(h)
 	}
-	t.Cleanup(n.Close)
-	return n, addr.String()
+	srv := httptest.NewServer(h)
+	t.Cleanup(func() { srv.Close(); svc.Close() })
+	return replica{svc, srv}
+}
+
+// delayed slows every request by d before the replica sees it.
+func delayed(d time.Duration) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(d)
+			h.ServeHTTP(w, r)
+		})
+	}
 }
 
 // testCluster is a running local cluster: whole-DB replicas of testData(7)
 // and a coordinator over them.
 type testCluster struct {
-	nodes []*Node
-	dbs   []*stpq.DB
-	coord *Coordinator
+	replicas []replica
+	dbs      []*stpq.DB
+	coord    *Coordinator
 }
 
-// startCluster starts replicas nodes over cfg and a coordinator over
-// them; delays[i], when given, slows every query on replica i.
-func startCluster(t *testing.T, cfg stpq.Config, replicas int, coordCfg CoordinatorConfig,
-	delays ...time.Duration) *testCluster {
+// startCluster starts n replicas over cfg and a coordinator over them;
+// wraps[i], when given and non-nil, wraps replica i's handler.
+func startCluster(t *testing.T, cfg stpq.Config, n int, coordCfg CoordinatorConfig,
+	wraps ...func(http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	objs, food, cafes, _ := testData(7)
 	tc := &testCluster{}
-	for i := 0; i < replicas; i++ {
-		var delay time.Duration
-		if i < len(delays) {
-			delay = delays[i]
+	for i := 0; i < n; i++ {
+		var wrap func(http.Handler) http.Handler
+		if i < len(wraps) {
+			wrap = wraps[i]
 		}
 		db := buildDB(t, cfg, objs, food, cafes)
-		n, addr := startNode(t, db, delay)
-		tc.nodes = append(tc.nodes, n)
+		r := startReplica(t, db, wrap)
+		tc.replicas = append(tc.replicas, r)
 		tc.dbs = append(tc.dbs, db)
-		coordCfg.Replicas = append(coordCfg.Replicas, addr)
+		coordCfg.Replicas = append(coordCfg.Replicas, r.addr())
 	}
 	coord, err := NewCoordinator(coordCfg)
 	if err != nil {
@@ -106,6 +132,47 @@ func startCluster(t *testing.T, cfg stpq.Config, replicas int, coordCfg Coordina
 	t.Cleanup(coord.Close)
 	tc.coord = coord
 	return tc
+}
+
+// requestBody spells q as a POST /query body.
+func requestBody(t *testing.T, q stpq.Query) []byte {
+	t.Helper()
+	body, err := json.Marshal(serve.QueryRequest{
+		K: q.K, Radius: q.Radius, Lambda: q.Lambda, Keywords: q.Keywords,
+		Variant:    [...]string{"range", "influence", "nn"}[q.Variant],
+		Algorithm:  [...]string{"stps", "stds"}[q.Algorithm],
+		Similarity: [...]string{"jaccard", "dice", "cosine", "overlap"}[q.Similarity],
+		Trace:      q.Trace == stpq.TraceOn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// post serves one POST /query body through the coordinator's handler.
+func (c *Coordinator) post(body []byte, requestID string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+	if requestID != "" {
+		req.Header.Set("X-Request-Id", requestID)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// query runs q through the coordinator's /query and decodes the answer.
+func (tc *testCluster) query(t *testing.T, q stpq.Query) serve.QueryResponse {
+	t.Helper()
+	rec := tc.coord.post(requestBody(t, q), q.RequestID)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("coordinator /query: status %d: %s", rec.Code, rec.Body)
+	}
+	var out serve.QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // randomQuery draws a query over testData's vocabulary.
@@ -144,10 +211,7 @@ func TestClusterMatchesSingle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					resp, err := tc.coord.Do(q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
+					resp := tc.query(t, q)
 					requireSameResults(t, label, resp.Results, want)
 					if resp.Stats.LogicalReads != st.LogicalReads {
 						t.Fatalf("%s: %d logical reads, single DB %d", label, resp.Stats.LogicalReads, st.LogicalReads)
@@ -158,15 +222,14 @@ func TestClusterMatchesSingle(t *testing.T) {
 	}
 }
 
-func requireSameResults(t *testing.T, label string, got []stpq.Result, want []stpq.Result) {
+func requireSameResults(t *testing.T, label string, got []serve.ResultJSON, want []stpq.Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("%s rank %d: got (%d, %v) want (%d, %v)",
-				label, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+		if stpq.Result(got[i]) != want[i] {
+			t.Fatalf("%s rank %d: got %+v want %+v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -178,10 +241,6 @@ func TestClusterSpreadsQueries(t *testing.T) {
 	cfg := stpq.Config{PageSize: 1024}
 	single := buildDB(t, cfg, objs, food, cafes)
 	tc := startCluster(t, cfg, 4, CoordinatorConfig{HealthInterval: -1})
-	before := make([]int64, len(tc.nodes))
-	for i, n := range tc.nodes {
-		before[i] = n.Served()
-	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
 		q := randomQuery(rng, words, stpq.Variant(i%3), stpq.STPS)
@@ -189,14 +248,10 @@ func TestClusterSpreadsQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := tc.coord.Do(q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		requireSameResults(t, fmt.Sprintf("query %d", i), resp.Results, want)
+		requireSameResults(t, fmt.Sprintf("query %d", i), tc.query(t, q).Results, want)
 	}
-	for i, n := range tc.nodes {
-		if n.Served() == before[i] {
+	for i, r := range tc.replicas {
+		if r.served() == 0 {
 			t.Errorf("replica %d served none of 40 queries", i)
 		}
 	}
@@ -226,8 +281,36 @@ func TestReplicaOrder(t *testing.T) {
 		got := c.ordered()
 		if got[0] != c.eps[2] || got[1] != c.eps[1] || got[2] != c.eps[0] {
 			t.Fatalf("call %d: order %v, want freshest, then healthy, then unhealthy", i,
-				[]string{got[0].client.Addr(), got[1].client.Addr(), got[2].client.Addr()})
+				[]string{got[0].base, got[1].base, got[2].base})
 		}
+	}
+}
+
+// TestHealthProbeReadsInfo: the probe is GET /info — a replica that
+// answers 200 is healthy at its ingest.walSeq, one that does not answer is
+// unhealthy.
+func TestHealthProbeReadsInfo(t *testing.T) {
+	objs, food, cafes, _ := testData(9)
+	leader := buildDB(t, stpq.Config{PageSize: 1024, WALDir: t.TempDir()}, objs, food, cafes)
+	o := stpq.Object{ID: 5000, X: 0.5, Y: 0.5}
+	if err := leader.Apply([]stpq.Mutation{{Op: stpq.OpUpsertObject, Object: &o}}); err != nil {
+		t.Fatal(err)
+	}
+	live := startReplica(t, leader, nil)
+	dead := startReplica(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), nil)
+	dead.srv.Close()
+	c, err := NewCoordinator(CoordinatorConfig{Replicas: []string{live.addr(), dead.addr()}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.probeHealth()
+	if !c.eps[0].healthy.Load() || c.eps[0].appliedSeq.Load() != leader.WALSeq() || leader.WALSeq() == 0 {
+		t.Fatalf("live replica: healthy %v at seq %d, want healthy at %d",
+			c.eps[0].healthy.Load(), c.eps[0].appliedSeq.Load(), leader.WALSeq())
+	}
+	if c.eps[1].healthy.Load() {
+		t.Fatal("a replica that does not answer passed the probe")
 	}
 }
 
@@ -250,22 +333,39 @@ func TestClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tc.coord.Do(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "pre-failover", resp.Results, want)
-	tc.nodes[0].Close()
+	requireSameResults(t, "pre-failover", tc.query(t, q).Results, want)
+	tc.replicas[0].srv.Close()
 	// Round-robin starts one of two consecutive calls at the dead replica.
 	for i := 0; i < 2; i++ {
-		resp, err = tc.coord.Do(q)
-		if err != nil {
-			t.Fatalf("query %d after replica kill: %v", i, err)
-		}
-		requireSameResults(t, "post-failover", resp.Results, want)
+		requireSameResults(t, "post-failover", tc.query(t, q).Results, want)
 	}
 	if tc.coord.retries.Value() == 0 {
 		t.Fatal("replica kill produced no retries")
+	}
+}
+
+// TestOverloadedReplicaRetried: a replica answering 429 is retried on the
+// next one, and the client sees the answer, not the overload.
+func TestOverloadedReplicaRetried(t *testing.T) {
+	objs, food, cafes, words := testData(7)
+	cfg := stpq.Config{PageSize: 1024}
+	single := buildDB(t, cfg, objs, food, cafes)
+	overloaded := func(http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			serve.HTTPError(w, http.StatusTooManyRequests, "queue full")
+		})
+	}
+	tc := startCluster(t, cfg, 2, CoordinatorConfig{HealthInterval: -1, RetryBackoff: time.Millisecond}, overloaded)
+	q := stpq.Query{K: 8, Radius: 0.06, Lambda: 0.5, Keywords: map[string][]string{"food": {words[0]}}}
+	want, _, err := single.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		requireSameResults(t, "overloaded replica", tc.query(t, q).Results, want)
+	}
+	if tc.coord.retries.Value() == 0 {
+		t.Fatal("the overloaded replica produced no retries")
 	}
 }
 
@@ -281,7 +381,7 @@ func TestClusterHedging(t *testing.T) {
 		HealthInterval: -1,
 		HedgeAfter:     20 * time.Millisecond,
 		RetryBackoff:   time.Millisecond,
-	}, delay, 0)
+	}, delayed(delay))
 	q := stpq.Query{
 		K: 8, Radius: 0.06, Lambda: 0.5,
 		Keywords: map[string][]string{"food": {words[0], words[1]}, "cafes": {words[2]}},
@@ -293,11 +393,7 @@ func TestClusterHedging(t *testing.T) {
 	// Round-robin starts one of two consecutive calls at the slow replica.
 	for i := 0; i < 2; i++ {
 		start := time.Now()
-		resp, err := tc.coord.Do(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, "hedged", resp.Results, want)
+		requireSameResults(t, "hedged", tc.query(t, q).Results, want)
 		if elapsed := time.Since(start); elapsed >= delay {
 			t.Fatalf("query %d took %v (slow replica delayed %v)", i, elapsed, delay)
 		}
@@ -308,22 +404,18 @@ func TestClusterHedging(t *testing.T) {
 }
 
 // TestClusterTracePropagation runs a traced query and expects the
-// answering replica's span tree back in Stats.Trace, stamped with the
+// answering replica's span tree back in stats.trace, stamped with the
 // request ID, which the coordinator's event log also carries.
 func TestClusterTracePropagation(t *testing.T) {
 	_, _, _, words := testData(7)
 	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
 	const id = "req-cluster-trace-test"
-	q := stpq.Query{
+	resp := tc.query(t, stpq.Query{
 		K: 8, Radius: 0.06, Lambda: 0.5,
 		Keywords:  map[string][]string{"food": {words[0], words[1]}},
 		Trace:     stpq.TraceOn,
 		RequestID: id,
-	}
-	resp, err := tc.coord.Do(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if resp.RequestID != id {
 		t.Fatalf("request id %q not preserved", resp.RequestID)
 	}
@@ -339,89 +431,37 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsRetiredFrame: retired message types are answered with a
-// non-retryable invalid-request error frame naming the unknown type — the
-// upper-bound probe's 0x02, and 0x01, the query layout that carried a mode
-// and a recall target, so a peer of the old version fails fast instead of
-// having its query misparsed.
-func TestNodeRejectsRetiredFrame(t *testing.T) {
-	objs, food, cafes, _ := testData(7)
-	_, addr := startNode(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), 0)
-	conn, err := net.Dial("tcp", addr)
+// TestOversizedBodyRefused: a /query body past serve.MaxQueryBytes is
+// refused with 413, by a replica and by the coordinator alike, and the
+// coordinator never forwards it.
+func TestOversizedBodyRefused(t *testing.T) {
+	tc := startCluster(t, stpq.Config{PageSize: 1024}, 1, CoordinatorConfig{HealthInterval: -1})
+	body := []byte(`{"k":5,"radius":0.1,"lambda":0.5,"keywords":{"food":["` + strings.Repeat("a", 2<<20) + `"]}}`)
+	resp, err := http.Post(tc.replicas[0].srv.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	for _, c := range []struct {
-		typ     byte
-		payload []byte
-	}{
-		{0x02, encodeQuery(WireQuery{K: 5})},
-		{0x01, oldLayoutQuery()},
-	} {
-		if err := writeFrame(conn, c.typ, c.payload); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != msgError {
-			t.Fatalf("0x%02x: reply type 0x%02x, want the error frame", c.typ, typ)
-		}
-		rpc, ok := decodeError(payload).(*RPCError)
-		if !ok || rpc.Retryable() || !strings.Contains(rpc.Msg, fmt.Sprintf("unknown message type 0x%02x", c.typ)) {
-			t.Fatalf("0x%02x: reply %v, want an invalid-request error naming the unknown type", c.typ, decodeError(payload))
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("replica: status %d, want 413", resp.StatusCode)
 	}
-}
-
-// TestNodeRejectsNaNQuery: the wire codec carries raw float64 bits, so a
-// frame can spell a NaN λ or radius, which JSON cannot. The node must refuse
-// it as invalid rather than run it: a NaN λ never lets a query stop, and the
-// node runs queries without a deadline.
-func TestNodeRejectsNaNQuery(t *testing.T) {
-	objs, food, cafes, _ := testData(7)
-	_, addr := startNode(t, buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes), 0)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	if rec := tc.coord.post(body, ""); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("coordinator: status %d, want 413: %s", rec.Code, rec.Body)
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	sets := []WireKeywords{{Name: "cafes", Words: []string{"tea"}}, {Name: "food", Words: []string{"pizza"}}}
-	for _, wq := range []WireQuery{
-		{K: 5, Radius: 0.1, Lambda: math.NaN(), Sets: sets},
-		{K: 5, Radius: math.NaN(), Lambda: 0.5, Sets: sets},
-	} {
-		if err := writeFrame(conn, msgQuery, encodeQuery(wq)); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("λ %v radius %v: %v", wq.Lambda, wq.Radius, err)
-		}
-		if typ != msgError {
-			t.Fatalf("λ %v radius %v: reply type 0x%02x, want the error frame", wq.Lambda, wq.Radius, typ)
-		}
-		if rpc, ok := decodeError(payload).(*RPCError); !ok || rpc.Code != errInvalid {
-			t.Fatalf("λ %v radius %v: reply %v, want an invalid-request error", wq.Lambda, wq.Radius, decodeError(payload))
-		}
+	if n := tc.replicas[0].served(); n != 0 {
+		t.Fatalf("the replica ran %d queries", n)
 	}
 }
 
 // TestReplicaFollowsLeader ships WAL segments from a live leader to a
-// follower over the real RPC path and expects the follower to converge to
+// follower over GET /wal/segments and expects the follower to converge to
 // the leader's state.
 func TestReplicaFollowsLeader(t *testing.T) {
 	objs, food, cafes, words := testData(9)
 	dir := t.TempDir()
 	leader := buildDB(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
 	follower := buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	_, addr := startNode(t, leader, 0)
-	cl := NewClient(addr, time.Second)
+	cl := NewLeader(startReplica(t, leader, nil).addr(), time.Second)
 	defer cl.Close()
 
 	// Mutate the leader: move objects, add features.
@@ -513,8 +553,7 @@ func TestReplicaTornSegment(t *testing.T) {
 	dir := t.TempDir()
 	leader := buildDB(t, stpq.Config{PageSize: 1024, WALDir: dir}, objs, food, cafes)
 	follower := buildDB(t, stpq.Config{PageSize: 1024}, objs, food, cafes)
-	_, addr := startNode(t, leader, 0)
-	cl := NewClient(addr, time.Second)
+	cl := NewLeader(startReplica(t, leader, nil).addr(), time.Second)
 	defer cl.Close()
 	f := stpq.Feature{ID: 2000, X: 0.15, Y: 0.2, Score: 0.9, Keywords: []string{words[0]}}
 	if err := leader.Apply([]stpq.Mutation{{Op: stpq.OpUpsertFeature, Set: "food", Feature: &f}}); err != nil {

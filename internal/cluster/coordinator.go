@@ -1,37 +1,51 @@
+// Package cluster serves one DB from several stpqd processes, each a
+// whole-DB replica speaking the daemon's ordinary HTTP API: a coordinator
+// that forwards each POST /query body to one replica's /query, with
+// retries, failover and hedging, and a log-shipping follower that fetches
+// the leader's sealed WAL segments from GET /wal/segments and replays them
+// through the crash-recovery path, which is what keeps every replica's
+// answers identical to the leader's. See DESIGN.md §13.
 package cluster
 
 // coordinator.go is the router. Every node holds the whole DB (a leader
 // with its WAL, followers replaying it), so any one replica's answer is
 // the answer: the coordinator sends each query to one replica — healthy
 // first, then the highest applied replication watermark, then round-robin
-// among equals — and returns that replica's results, stats, generation,
-// cached flag and span tree as they are. Nothing is merged.
+// among equals — and relays that replica's status and body as they are.
+// Nothing is merged or re-encoded.
 //
 // A call retries with exponential backoff on the next replica in that
 // order, and hedges: when a replica has not answered within HedgeAfter, a
 // duplicate attempt launches on the next one and the first answer wins.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"stpq"
 	"stpq/internal/obs"
 	"stpq/internal/serve"
 )
 
+// DefaultTimeout bounds one attempt on a replica, request through reply
+// body, when the caller does not configure one.
+const DefaultTimeout = 10 * time.Second
+
 // CoordinatorConfig tunes the router.
 type CoordinatorConfig struct {
-	// Replicas are the RPC endpoints ("host:port") of the nodes, each of
-	// which holds the whole DB (required, at least one).
+	// Replicas are the HTTP addresses ("host:port", each replica's stpqd
+	// -addr) of the nodes, each of which holds the whole DB (required, at
+	// least one).
 	Replicas []string
-	// RPCTimeout bounds each RPC end-to-end (default DefaultRPCTimeout).
-	RPCTimeout time.Duration
+	// Timeout bounds each attempt on a replica (default DefaultTimeout).
+	Timeout time.Duration
 	// RetryMax is the number of extra attempts per call after the first
 	// fails with a retryable error (default 2).
 	RetryMax int
@@ -50,8 +64,8 @@ type CoordinatorConfig struct {
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = DefaultRPCTimeout
+	if c.Timeout <= 0 {
+		c.Timeout = DefaultTimeout
 	}
 	if c.RetryMax < 0 {
 		c.RetryMax = 0
@@ -69,7 +83,7 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 
 // endpoint is one replica with its routing state.
 type endpoint struct {
-	client     *Client
+	base       string
 	appliedSeq atomic.Uint64
 	healthy    atomic.Bool
 }
@@ -78,6 +92,7 @@ type endpoint struct {
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	eps     []*endpoint
+	client  *http.Client  // keep-alive connections to every replica
 	next    atomic.Uint64 // round-robin offset
 	started time.Time
 
@@ -95,7 +110,7 @@ type Coordinator struct {
 	closeOnce  sync.Once
 }
 
-// NewCoordinator builds one client per replica and starts the background
+// NewCoordinator sets up the replicas' endpoints and starts the background
 // health prober.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Replicas) == 0 {
@@ -104,7 +119,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	c := &Coordinator{
-		cfg:        cfg,
+		cfg: cfg,
+		client: &http.Client{
+			Timeout: cfg.Timeout,
+			Transport: &http.Transport{
+				MaxIdleConnsPerHost: 64,
+				IdleConnTimeout:     90 * time.Second,
+				DisableCompression:  true, // replicas answer plain JSON
+			},
+		},
 		started:    time.Now(),
 		metrics:    reg,
 		tel:        obs.NewTelemetry(cfg.EventLogEntries, -1, 0, 0),
@@ -118,7 +141,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		healthDone: make(chan struct{}),
 	}
 	for _, addr := range cfg.Replicas {
-		ep := &endpoint{client: NewClient(addr, cfg.RPCTimeout)}
+		ep := &endpoint{base: "http://" + addr}
 		ep.healthy.Store(true)
 		c.eps = append(c.eps, ep)
 	}
@@ -130,14 +153,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the health prober and drops every pooled connection.
+// Close stops the health prober and drops every idle connection.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stopHealth)
 		<-c.healthDone
-		for _, ep := range c.eps {
-			ep.client.Close()
-		}
+		c.client.CloseIdleConnections()
 	})
 }
 
@@ -168,19 +189,22 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
+// probeHealth reads every replica's GET /info: a 200 is healthy, and its
+// ingest.walSeq is the replica's replication watermark.
 func (c *Coordinator) probeHealth() {
 	var wg sync.WaitGroup
 	for _, ep := range c.eps {
 		wg.Add(1)
 		go func(ep *endpoint) {
 			defer wg.Done()
-			hr, err := ep.client.Health()
-			if err != nil {
+			rep := c.send(context.Background(), ep, http.MethodGet, "/info", nil, "")
+			var info serve.Info
+			if rep.err != nil || rep.status != http.StatusOK || json.Unmarshal(rep.body, &info) != nil {
 				ep.healthy.Store(false)
 				return
 			}
 			ep.healthy.Store(true)
-			ep.appliedSeq.Store(hr.AppliedSeq)
+			ep.appliedSeq.Store(info.Ingest.WALSeq)
 		}(ep)
 	}
 	wg.Wait()
@@ -207,34 +231,83 @@ func (c *Coordinator) ordered() []*endpoint {
 	return out
 }
 
-// callNode runs one RPC against one replica with failover, retries and
-// hedging. The first successful reply wins; non-retryable errors (the
-// request itself is invalid) fail immediately and leave the replica's
-// health alone; retryable failures mark the replica unhealthy and burn the
-// retry budget with exponential backoff, rotating through the replica
-// preference order.
-func callNode[T any](c *Coordinator, rpc func(*Client) (T, error)) (T, error) {
-	var zero T
-	eps := c.ordered()
-	type attempt struct {
-		val T
-		err error
+// reply is one replica's answer as it came over the wire, or the transport
+// error that stopped it.
+type reply struct {
+	status int
+	ctype  string
+	body   []byte
+	err    error
+}
+
+// retryable reports whether another attempt, on this replica later or on
+// another, may go better: a transport failure, an overloaded replica (429)
+// or a failure on the replica's side (5xx). Any other 4xx is the client's
+// request, which every replica refuses alike.
+func (r reply) retryable() bool {
+	return r.err != nil || r.status == http.StatusTooManyRequests || r.status >= 500
+}
+
+// send makes one request to one replica and reads its whole reply.
+func (c *Coordinator) send(ctx context.Context, ep *endpoint, method, path string, body []byte, requestID string) reply {
+	req, err := http.NewRequestWithContext(ctx, method, ep.base+path, bytes.NewReader(body))
+	if err != nil {
+		return reply{err: err}
 	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if requestID != "" {
+		req.Header.Set("X-Request-Id", requestID)
+	}
+	resp, err := c.client.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		var data bytes.Buffer
+		if resp.ContentLength > 0 {
+			data.Grow(int(resp.ContentLength))
+		}
+		if _, err = data.ReadFrom(resp.Body); err == nil {
+			return reply{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: data.Bytes()}
+		}
+	}
+	return reply{err: fmt.Errorf("cluster: replica %s: %w", ep.base, err)}
+}
+
+// route runs one request with failover, retries and hedging. The first
+// reply that is not retryable wins: an answer, or a client error, which is
+// relayed at once and leaves the replica's health alone. A retryable
+// failure marks its replica unhealthy and burns the retry budget with
+// exponential backoff, rotating through the replica preference order; once
+// the budget is spent the last failure is the call's reply.
+func (c *Coordinator) route(ctx context.Context, send func(context.Context, *endpoint) reply) reply {
+	// Cancelled on return: attempts still in flight lose the race.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	eps := c.ordered()
 	// Buffered for every launch this call can make, so abandoned attempts
 	// never block their goroutines.
-	results := make(chan attempt, c.cfg.RetryMax+4)
+	results := make(chan reply, c.cfg.RetryMax+2)
 	launched := 0
 	launch := func() {
 		ep := eps[launched%len(eps)]
 		launched++
-		go func() {
-			v, err := rpc(ep.client)
-			if err != nil && retryable(err) {
+		attempt := func() {
+			rep := send(ctx, ep)
+			// An attempt the call or its client abandoned says nothing
+			// about the replica.
+			if rep.retryable() && ctx.Err() == nil {
 				ep.healthy.Store(false)
-				err = fmt.Errorf("cluster: replica %s: %w", ep.client.Addr(), err)
 			}
-			results <- attempt{v, err}
-		}()
+			results <- rep
+		}
+		// Only a hedge races an attempt; without one, the attempt runs on
+		// the caller's goroutine and saves a hand-off per query.
+		if c.cfg.HedgeAfter > 0 {
+			go attempt()
+		} else {
+			attempt()
+		}
 	}
 	launch()
 	outstanding := 1
@@ -249,13 +322,10 @@ func callNode[T any](c *Coordinator, rpc func(*Client) (T, error)) (T, error) {
 	retriesUsed := 0
 	for {
 		select {
-		case a := <-results:
+		case rep := <-results:
 			outstanding--
-			if a.err == nil {
-				return a.val, nil
-			}
-			if !retryable(a.err) {
-				return zero, a.err
+			if !rep.retryable() {
+				return rep
 			}
 			c.nodeErrors.Inc()
 			if retry == nil && retriesUsed < c.cfg.RetryMax {
@@ -264,7 +334,7 @@ func callNode[T any](c *Coordinator, rpc func(*Client) (T, error)) (T, error) {
 				retry = time.After(backoff)
 				backoff *= 2
 			} else if outstanding == 0 && retry == nil {
-				return zero, a.err
+				return rep
 			}
 		case <-retry:
 			retry = nil
@@ -277,62 +347,4 @@ func callNode[T any](c *Coordinator, rpc func(*Client) (T, error)) (T, error) {
 			outstanding++
 		}
 	}
-}
-
-// Do executes one query on one replica and returns its answer as the
-// replica gave it; Stats.Trace carries the replica's span tree when the
-// query asked for tracing.
-func (c *Coordinator) Do(q stpq.Query) (serve.Response, error) {
-	start := time.Now()
-	c.queries.Inc()
-	if q.RequestID == "" {
-		q.RequestID = serve.NewRequestID()
-	}
-	resp, err := c.run(q)
-	elapsed := time.Since(start)
-	c.recordEvent(q, resp, start, elapsed, err)
-	if err != nil {
-		c.errors.Inc()
-		return serve.Response{}, err
-	}
-	c.latency.Observe(elapsed.Seconds())
-	return resp, nil
-}
-
-func (c *Coordinator) run(q stpq.Query) (serve.Response, error) {
-	wq := toWire(q)
-	reply, err := callNode(c, func(cl *Client) (QueryReply, error) { return cl.Query(wq) })
-	if err != nil {
-		return serve.Response{}, err
-	}
-	resp := serve.Response{
-		Results:    reply.Results,
-		Stats:      reply.Stats,
-		Cached:     reply.Cached,
-		Generation: reply.Generation,
-		RequestID:  q.RequestID,
-	}
-	if reply.TraceJSON != nil {
-		resp.Stats.Trace = new(stpq.Span)
-		if err := json.Unmarshal(reply.TraceJSON, resp.Stats.Trace); err != nil {
-			return serve.Response{}, fmt.Errorf("cluster: replica span tree: %w", err)
-		}
-	}
-	return resp, nil
-}
-
-// recordEvent files the query into the coordinator's event log and shape
-// table, keyed by the same canonical shape as the replicas' events so
-// /debug/queries on the coordinator lines up with theirs. Duration is the
-// coordinator's wall clock, RPC included.
-func (c *Coordinator) recordEvent(q stpq.Query, resp serve.Response, start time.Time, elapsed time.Duration, err error) {
-	st := stpq.Stats{CPUTime: elapsed}
-	if err == nil {
-		st = resp.Stats
-		st.CPUTime, st.Trace = elapsed, nil
-	}
-	key := stpq.QueryShape(q)
-	ev := stpq.NewQueryEvent(q, key, &st, start, err)
-	ev.CacheHit = resp.Cached
-	c.tel.Record(ev, key, err == nil)
 }

@@ -1,24 +1,24 @@
 package cluster
 
-// http.go is the coordinator's HTTP front end — wire-compatible with a
-// single stpqd's API so clients, load generators and dashboards point at
-// a coordinator unchanged:
+// http.go is the coordinator's HTTP front end — the single stpqd's API, so
+// clients, load generators and dashboards point at a coordinator
+// unchanged:
 //
-//	POST /query    serve.QueryRequest in, the answering replica's
-//	               serve.QueryResponse out (explain is a replica's own
-//	               /query's business: 400 here)
+//	POST /query    forwarded as read to one replica's /query; the
+//	               replica's status and body come back unchanged
 //	GET  /healthz  liveness
 //	GET  /readyz   readiness: 503 while no replica passes health probes
 //	GET  /metrics  coordinator routing metrics (Prometheus text)
 //	GET  /info     one replica's dataset shape (every replica holds it all)
 //	GET  /debug/queries  coordinator query event log (?n= limits)
 //
-// X-Request-Id is honored inbound, stamped outbound, and propagated over
-// the cluster RPC to the replica that answers, so its /debug/queries
-// attributes the work to the same request.
+// X-Request-Id is honored inbound, generated when absent, and sent on to
+// the replica that answers, so its /debug/queries attributes the work to
+// the same request.
 
 import (
-	"errors"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -41,47 +41,55 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// handleQuery parses the client's body only for its own event log (the
+// request ID and the query's shape), and forwards the very bytes it read.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := serve.DecodeQuery(w, r)
+	body, req, q, ok := serve.DecodeQuery(w, r)
 	if !ok {
 		return
 	}
-	if req.Explain {
-		serve.HTTPError(w, http.StatusBadRequest, "explain is answered by a replica's own /query, not the coordinator")
-		return
-	}
 	start := time.Now()
-	resp, err := c.Do(q)
-	if err != nil {
-		serve.HTTPError(w, statusOf(err), err.Error())
-		return
+	c.queries.Inc()
+	rep := c.route(r.Context(), func(ctx context.Context, ep *endpoint) reply {
+		return c.send(ctx, ep, http.MethodPost, "/query", body, q.RequestID)
+	})
+	elapsed := time.Since(start)
+	err := rep.err
+	if err == nil && rep.status != http.StatusOK {
+		err = fmt.Errorf("cluster: replica answered HTTP %d", rep.status)
 	}
-	out := serve.NewQueryResponse(resp.Results, resp.Stats)
-	out.RequestID = resp.RequestID
-	out.Cached = resp.Cached
-	out.Generation = resp.Generation
-	out.ElapsedUS = time.Since(start).Microseconds()
-	serve.WriteJSON(w, http.StatusOK, out)
+	if err != nil {
+		c.errors.Inc()
+	} else {
+		c.latency.Observe(elapsed.Seconds())
+	}
+	if !req.Explain {
+		c.recordEvent(q, start, elapsed, err)
+	}
+	relay(w, rep)
 }
 
-// statusOf maps coordinator errors onto HTTP status codes: validation →
-// 400, replica overload → 429, everything else (replica down, transport)
-// → 502 since the failure is downstream of the coordinator.
-func statusOf(err error) int {
-	var rpc *RPCError
-	if errors.As(err, &rpc) {
-		switch rpc.Code {
-		case errInvalid:
-			return http.StatusBadRequest
-		case errOverloaded:
-			return http.StatusTooManyRequests
-		}
-		return http.StatusBadGateway
+// relay writes a replica's reply as it came, or 502 when no replica
+// answered at all: the failure is downstream of the coordinator.
+func relay(w http.ResponseWriter, rep reply) {
+	if rep.err != nil {
+		serve.HTTPError(w, http.StatusBadGateway, rep.err.Error())
+		return
 	}
-	if errors.Is(err, stpq.ErrInvalidQuery) {
-		return http.StatusBadRequest
-	}
-	return http.StatusBadGateway
+	w.Header().Set("Content-Type", rep.ctype)
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body)
+}
+
+// recordEvent files the query into the coordinator's event log and shape
+// table, keyed by the same canonical shape as the replicas' events so
+// /debug/queries on the coordinator lines up with theirs. Duration is the
+// coordinator's wall clock, forwarding included; the engine's counters are
+// in the answering replica's event under the same request ID.
+func (c *Coordinator) recordEvent(q stpq.Query, start time.Time, elapsed time.Duration, err error) {
+	key := stpq.QueryShape(q)
+	ev := stpq.NewQueryEvent(q, key, &stpq.Stats{CPUTime: elapsed}, start, err)
+	c.tel.Record(ev, key, err == nil)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -110,9 +118,12 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleInfo serves one replica's /info payload with the coordinator's
 // uptime: every replica holds the whole dataset.
 func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
-	info, err := callNode(c, func(cl *Client) (serve.Info, error) { return cl.Info() })
-	if err != nil {
-		serve.HTTPError(w, statusOf(err), "info: "+err.Error())
+	rep := c.route(r.Context(), func(ctx context.Context, ep *endpoint) reply {
+		return c.send(ctx, ep, http.MethodGet, "/info", nil, "")
+	})
+	var info serve.Info
+	if rep.err != nil || rep.status != http.StatusOK || json.Unmarshal(rep.body, &info) != nil {
+		relay(w, rep)
 		return
 	}
 	info.UptimeSeconds = c.Uptime().Seconds()

@@ -1,10 +1,11 @@
 package cluster
 
 // pipeline_test.go keeps the query pipeline single from the outermost
-// layer, where every codec and every event log is in reach: a field of
-// stpq.Query that one of the codecs forgets fails the tripwire, a served
-// request leaves exactly one event on the node that ran it, and the
-// coordinator's record of a request agrees with the nodes' records of it.
+// layer, where the one query codec and every event log are in reach: a
+// field of stpq.Query that POST /query cannot set fails the tripwire, a
+// served request leaves exactly one event on the replica that ran it, and
+// the coordinator's record of a request agrees with the replicas' records
+// of it.
 
 import (
 	"bytes"
@@ -73,17 +74,6 @@ func TestQueryFieldThreading(t *testing.T) {
 		if moved := serve.Fingerprint(q) != serve.Fingerprint(base); moved == nonSemanticFields[name] {
 			t.Errorf("%s: fingerprint moved = %v, non-semantic = %v", name, moved, nonSemanticFields[name])
 		}
-
-		// The wire codec. Trace travels as a flag the coordinator owns, so
-		// only On comes back as sent.
-		q.Trace = stpq.TraceOn
-		wq, err := decodeQuery(encodeQuery(toWire(q)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back := toQuery(wq); !reflect.DeepEqual(back, q) {
-			t.Errorf("%s lost on the wire:\n sent %+v\n got  %+v", name, q, back)
-		}
 	}
 
 	// The JSON codec: a request with every field set decodes to a query
@@ -107,7 +97,7 @@ func TestQueryFieldThreading(t *testing.T) {
 	}
 	hr := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
 	hr.Header.Set("X-Request-Id", "req-tripwire")
-	_, q, ok := serve.DecodeQuery(httptest.NewRecorder(), hr)
+	_, _, q, ok := serve.DecodeQuery(httptest.NewRecorder(), hr)
 	if !ok {
 		t.Fatal("DecodeQuery rejected the full request")
 	}
@@ -160,9 +150,7 @@ func TestOneEventPerServedQuery(t *testing.T) {
 	}
 
 	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
-	if _, err := tc.coord.Do(q); err != nil {
-		t.Fatal(err)
-	}
+	tc.query(t, q)
 	recorded := 0
 	for i, replica := range tc.dbs {
 		evs := eventsOf(replica, q.RequestID)
@@ -194,9 +182,7 @@ func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 			q := stpq.Query{K: 6, Radius: 0.07, Lambda: 0.5, Variant: variant, Algorithm: alg,
 				Keywords: map[string][]string{"food": {"pizza", "unheard-of"}, "cafes": nil}}
 			q.RequestID = "req-" + stpq.QueryShape(q).String()
-			if _, err := coord.Do(q); err != nil {
-				t.Fatalf("%v %v: %v", alg, variant, err)
-			}
+			tc.query(t, q)
 			ev := coord.RecentQueries(1)[0]
 			if ev.RequestID != q.RequestID || ev.Shape == "" {
 				t.Fatalf("%v %v: coordinator event %+v", alg, variant, ev)
@@ -221,13 +207,6 @@ func TestCoordinatorAndNodesAgreeOnShape(t *testing.T) {
 // and every replica refuses it: λ lies outside [0,1].
 const invalidBody = `{"k":5,"radius":0.1,"lambda":3,"keywords":{"food":["pizza"],"cafes":["tea"]}}`
 
-// postQuery serves one POST /query body through the coordinator's mux.
-func postQuery(c *Coordinator, body string) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewBufferString(body)))
-	return rec
-}
-
 // TestInvalidQueryKeepsReplicasHealthy: a client's bad query is answered
 // with 400 and says nothing about the replica that refused it, so the
 // coordinator stays ready — with health probes off, nothing would ever
@@ -235,7 +214,7 @@ func postQuery(c *Coordinator, body string) *httptest.ResponseRecorder {
 func TestInvalidQueryKeepsReplicasHealthy(t *testing.T) {
 	tc := startCluster(t, stpq.Config{PageSize: 1024}, 2, CoordinatorConfig{HealthInterval: -1})
 	for i := 0; i < 2; i++ { // round-robin: both replicas refuse one
-		if rec := postQuery(tc.coord, invalidBody); rec.Code != http.StatusBadRequest {
+		if rec := tc.coord.post([]byte(invalidBody), ""); rec.Code != http.StatusBadRequest {
 			t.Fatalf("invalid query %d: status %d: %s", i, rec.Code, rec.Body)
 		}
 	}

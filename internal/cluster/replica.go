@@ -1,15 +1,19 @@
 package cluster
 
 // replica.go is the follower side of WAL log shipping. A replica pulls
-// sealed WAL segments from its leader, verifies them strictly (a torn
-// segment over the network is an error, not a clean shutdown), and
-// replays each record through the DB's crash-recovery apply path. The
-// applied sequence is the replication watermark the coordinator reads
-// for lag-aware routing.
+// sealed WAL segments from its leader's GET /wal/segments, verifies them
+// strictly (a torn segment over the network is an error, not a clean
+// shutdown), and replays each record through the DB's crash-recovery
+// apply path. The applied sequence is the replication watermark the
+// coordinator reads from each replica's /info for lag-aware routing.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -17,18 +21,80 @@ import (
 	"stpq/internal/ingest"
 )
 
-// SegmentSource fetches sealed WAL segments; *Client implements it. Tests
+// SegmentReply is one fetched sealed WAL segment: its first sequence
+// number and its raw bytes. A zero FirstSeq means the leader holds no
+// sealed segment with the records asked for yet.
+type SegmentReply struct {
+	FirstSeq uint64
+	Data     []byte
+}
+
+// SegmentSource fetches sealed WAL segments; *Leader implements it. Tests
 // substitute fault-injecting sources (torn segments, flaky transport).
 type SegmentSource interface {
 	Segment(from uint64) (SegmentReply, error)
 }
+
+// maxSegment caps a fetched segment body. Segments seal at
+// Config.WALSegmentBytes (default 4 MiB), so 64 MiB leaves ample headroom
+// while refusing a runaway body before all of it is in memory.
+const maxSegment = 64 << 20
+
+// Leader fetches sealed WAL segments from a leader's HTTP listener.
+type Leader struct {
+	base   string
+	client *http.Client
+}
+
+// NewLeader returns the segment source for the leader at addr ("host:port",
+// its stpqd -addr). timeout bounds each fetch; 0 uses DefaultTimeout.
+func NewLeader(addr string, timeout time.Duration) *Leader {
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	return &Leader{base: "http://" + addr, client: &http.Client{Timeout: timeout}}
+}
+
+// Segment fetches the oldest sealed segment holding records at or after
+// from: GET /wal/segments?from=N, answered 200 with the segment and its
+// X-First-Seq, or 204 when there is none yet.
+func (l *Leader) Segment(from uint64) (SegmentReply, error) {
+	resp, err := l.client.Get(l.base + "/wal/segments?from=" + strconv.FormatUint(from, 10))
+	if err != nil {
+		return SegmentReply{}, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSegment+1))
+	switch {
+	case err != nil:
+		return SegmentReply{}, err
+	case resp.StatusCode == http.StatusNoContent:
+		return SegmentReply{}, nil
+	case resp.StatusCode != http.StatusOK:
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		return SegmentReply{}, fmt.Errorf("leader %s answered HTTP %d: %s", l.base, resp.StatusCode, bytes.TrimSpace(data))
+	case len(data) > maxSegment:
+		return SegmentReply{}, fmt.Errorf("leader %s sent a segment over %d bytes", l.base, maxSegment)
+	}
+	first, err := strconv.ParseUint(resp.Header.Get("X-First-Seq"), 10, 64)
+	if err != nil || first == 0 {
+		return SegmentReply{}, fmt.Errorf("leader %s sent a segment without a first sequence number (X-First-Seq %q)",
+			l.base, resp.Header.Get("X-First-Seq"))
+	}
+	return SegmentReply{FirstSeq: first, Data: data}, nil
+}
+
+// Close drops the idle connection to the leader.
+func (l *Leader) Close() { l.client.CloseIdleConnections() }
 
 // ReplicaConfig configures a log-shipping follower.
 type ReplicaConfig struct {
 	// DB is the follower's database (built from the same dataset as the
 	// leader's, no WAL of its own — the leader's log is the log of record).
 	DB *stpq.DB
-	// Source serves sealed segments (normally a *Client on the leader).
+	// Source serves sealed segments (normally a *Leader).
 	Source SegmentSource
 	// Interval is the poll period when the leader has nothing new
 	// (default 250ms).

@@ -52,8 +52,8 @@ type QueryEvent struct {
 	FeaturesPulled int           `json:"features_pulled"`
 	ObjectsScored  int           `json:"objects_scored"`
 	// ShardFanout and ShardPruned count the shard parts the query descended
-	// into / never read — on the coordinator, the cluster nodes queried /
-	// skipped (zero on unsharded engines).
+	// into / never read (zero on unsharded engines and in a cluster
+	// coordinator's events).
 	ShardFanout int `json:"shard_fanout,omitempty"`
 	ShardPruned int `json:"shard_pruned,omitempty"`
 	// CacheHit marks events recorded for serve-layer result-cache hits,

@@ -4,6 +4,7 @@ package serve
 //
 //	POST /query    JSON query in, JSON results + per-query stats out
 //	POST /ingest   JSON mutation batch in, applied through the WAL (ingest.go)
+//	GET  /wal/segments  a sealed WAL segment for a follower (ingest.go)
 //	GET  /healthz  liveness (503 once Close has begun)
 //	GET  /readyz   alias of /healthz (cmd/stpqd answers both with 503
 //	               itself while the index is still building)
@@ -13,13 +14,15 @@ package serve
 //	GET  /debug/slow     slow-query log with complete span trees
 //	GET  /debug/shapes   per-shape cost statistics backing EXPLAIN
 //
-// Error mapping: invalid query → 400, queue full → 429, deadline → 504,
-// shutting down → 503.
+// Error mapping: invalid query → 400, body over MaxQueryBytes → 413,
+// queue full → 429, deadline → 504, shutting down → 503.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -137,6 +140,7 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/ingest", s.handleIngest)
+	mux.HandleFunc("/wal/segments", s.handleWALSegments)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -147,35 +151,49 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// MaxQueryBytes caps a POST /query body. A query is a few hundred bytes;
+// a larger body is refused with 413 before it is decoded.
+const MaxQueryBytes = 1 << 20
+
 // DecodeQuery is the one POST /query request decoder, shared by the
-// single-process service and the cluster coordinator: method check, strict
-// JSON decode, enumeration lowering, and the request identity — an inbound
-// X-Request-Id (proxies, retries) is honored, one is generated otherwise,
-// and it is echoed so the caller can join the response to /debug/queries
-// and the span tree. On failure it has written the error response and
-// reports ok false.
-func DecodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, q stpq.Query, ok bool) {
+// single-process service and the cluster coordinator: method check, a body
+// read once through a MaxQueryBytes cap, strict JSON decode, enumeration
+// lowering, and the request identity — an inbound X-Request-Id (proxies,
+// retries, a coordinator) is honored, one is generated otherwise, and it
+// is echoed so the caller can join the response to /debug/queries and the
+// span tree. It returns the body as read, so the coordinator can forward
+// the very bytes it parsed. On failure it has written the error response
+// and reports ok false.
+func DecodeQuery(w http.ResponseWriter, r *http.Request) (body []byte, req QueryRequest, q stpq.Query, ok bool) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
-		return req, q, false
+		return nil, req, q, false
 	}
-	dec := json.NewDecoder(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxQueryBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		HTTPError(w, status, "malformed request: "+err.Error())
+		return nil, req, q, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return req, q, false
+		return nil, req, q, false
 	}
-	q, err := req.Query()
-	if err != nil {
+	if q, err = req.Query(); err != nil {
 		HTTPError(w, http.StatusBadRequest, err.Error())
-		return req, q, false
+		return nil, req, q, false
 	}
 	q.RequestID = r.Header.Get("X-Request-Id")
 	if q.RequestID == "" {
 		q.RequestID = NewRequestID()
 	}
 	w.Header().Set("X-Request-Id", q.RequestID)
-	return req, q, true
+	return body, req, q, true
 }
 
 // NewQueryResponse renders results and their cost breakdown as the POST
@@ -205,7 +223,7 @@ func NewQueryResponse(results []stpq.Result, st stpq.Stats) QueryResponse {
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := DecodeQuery(w, r)
+	_, req, q, ok := DecodeQuery(w, r)
 	if !ok {
 		return
 	}
@@ -334,8 +352,9 @@ var buildRevision = sync.OnceValue(func() string {
 })
 
 // InfoSnapshot assembles the dataset-shape description served at GET
-// /info. Cluster nodes also answer the info RPC with it, so a coordinator
-// can describe the whole cluster to load generators.
+// /info. A cluster coordinator probes a replica's health with it (its
+// ingest.walSeq is the replication watermark) and relays one replica's to
+// describe the whole cluster to load generators.
 func (s *Service) InfoSnapshot() (Info, error) {
 	snap, err := s.db.Snapshot()
 	if err != nil {

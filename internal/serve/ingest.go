@@ -6,17 +6,20 @@ package serve
 // response reports the new generation so clients can correlate with
 // /query responses (results carry the generation they were computed at).
 //
+// GET /wal/segments?from=N is the other end of the log: a follower fetches
+// the leader's oldest sealed segment holding records at or after N.
+//
 // Error mapping: malformed/invalid batch → 400, no WAL attached or
 // unsupported configuration → 501, shutting down → 503.
 
 import (
-	"net/http"
-	"sort"
-
-	"stpq"
-
 	"encoding/json"
 	"errors"
+	"net/http"
+	"sort"
+	"strconv"
+
+	"stpq"
 )
 
 // ObjectJSON is one data object in an IngestRequest.
@@ -140,6 +143,34 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WALSeq:     s.db.WALSeq(),
 		Flushed:    req.Flush,
 	})
+}
+
+// handleWALSegments answers a follower's fetch: 200 with the segment's raw
+// bytes and its first sequence number in X-First-Seq, 204 while no sealed
+// segment holds records at or after ?from= (the follower has caught up
+// with the active segment), 501 on a DB without a WAL.
+func (s *Service) handleWALSegments(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "from: "+err.Error())
+		return
+	}
+	first, data, err := s.db.WALSealedSegment(from)
+	if err != nil {
+		HTTPError(w, ingestStatusOf(err), err.Error())
+		return
+	}
+	if first == 0 {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-First-Seq", strconv.FormatUint(first, 10))
+	_, _ = w.Write(data)
 }
 
 // ingestStatusOf maps write-path errors onto HTTP status codes.

@@ -143,3 +143,46 @@ func mustGen(t *testing.T, svc *Service) uint64 {
 	}
 	return snap.Generation()
 }
+
+// TestHTTPWALSegments: GET /wal/segments answers 204 while nothing is
+// sealed, then the sealed segment's raw bytes with its first sequence
+// number in X-First-Seq; a DB without a WAL answers 501.
+func TestHTTPWALSegments(t *testing.T) {
+	svc, srv := ingestServer(t)
+	get := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(url + "/wal/segments?from=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf strings.Builder
+		if _, err := jsonCopy(&buf, resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp, []byte(buf.String())
+	}
+	if resp, _ := get(srv.URL); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("nothing sealed: status %d, want 204", resp.StatusCode)
+	}
+	if resp, data := postIngest(t, srv.URL, `{"objects":[{"id":9001,"x":0.5,"y":0.5}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", resp.StatusCode, data)
+	}
+	if err := svc.DB().WALRotate(); err != nil {
+		t.Fatal(err)
+	}
+	first, want, err := svc.DB().WALSealedSegment(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := get(srv.URL)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-First-Seq") != "1" || first != 1 || string(data) != string(want) {
+		t.Fatalf("sealed segment: status %d, X-First-Seq %q, %d bytes (want %d from seq %d)",
+			resp.StatusCode, resp.Header.Get("X-First-Seq"), len(data), len(want), first)
+	}
+
+	_, plain := testServer(t)
+	if resp, _ := get(plain.URL); resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("no WAL: status %d, want 501", resp.StatusCode)
+	}
+}

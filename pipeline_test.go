@@ -82,7 +82,7 @@ func TestShapeKeyCountsNormalizedKeywordLists(t *testing.T) {
 // TestOneEventPerQuery: a logical query leaves exactly one event record,
 // carrying its request ID and the shape Prepare derived, whether it arrives
 // by DB.TopK, by Snapshot.TopK, over four shards or over a pending delta.
-// (The serving layer and the cluster node are covered where they live:
+// (The serving layer and a cluster replica are covered where they live:
 // internal/cluster's TestOneEventPerServedQuery.)
 func TestOneEventPerQuery(t *testing.T) {
 	run := func(name string, db *DB, topK func(Query) ([]Result, Stats, error)) {

@@ -6,7 +6,9 @@ package stpq
 // the shipped records through ApplyReplicated, which routes them through
 // the same validate/apply path crash recovery uses, so a follower's state
 // after applying seq s is byte-identical to the leader's state at s.
-// internal/cluster drives both ends over the cluster RPC.
+// Over the network the leader's stpqd serves WALSealedSegment on GET
+// /wal/segments (internal/serve), and internal/cluster's follower loop
+// fetches from it and applies.
 
 import (
 	"encoding/json"
