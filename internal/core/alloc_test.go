@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"stpq/internal/index"
@@ -80,6 +81,34 @@ func TestAllocsSteadyStateSTPSInfluence(t *testing.T) {
 // polygon allocated per clip.
 func TestAllocsSteadyStateSTPSNearestNeighbor(t *testing.T) {
 	steadyStateSTPS(t, NearestNeighborScore, stpsAllocBudget)
+}
+
+// An influence query sizes nothing by its K, which has no upper bound:
+// the object search's K-best leaf heap grows only as leaves are pushed,
+// and the accumulator only as objects are offered. With K = 10⁶ on a
+// world of 120 objects the accumulator never fills, so every combination
+// is searched and the heap holds every leaf each search pushes; the one
+// query, scratch built on the way, still allocates less than one buffer of
+// K float64s would.
+func TestAllocsInfluenceHugeK(t *testing.T) {
+	w := buildWorld(t, 905, 120, 60, 2, 16, index.SRT, Options{})
+	q := w.randQuery(rand.New(rand.NewSource(906)), 2, InfluenceScore)
+	q.K = 1_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, _, err := w.engine.STPS(q)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 120 {
+		t.Fatalf("%d results, want all 120 objects", len(res))
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("influence STPS at K = %d: %d bytes allocated", q.K, bytes)
+	if bytes >= 8*uint64(q.K) {
+		t.Fatalf("influence STPS at K = %d allocates %d bytes, a buffer of K float64s' worth", q.K, bytes)
+	}
 }
 
 func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {

@@ -23,8 +23,8 @@ import (
 //     and batchRangeScores re-init it per object (or batch) and feature
 //     set, and are done with it before the next init, which discards
 //     the queued candidates;
-//   - bound is used by one topKInfluence search over the object trees at
-//     a time;
+//   - bound and prune are used by one topKInfluence search over the
+//     object trees at a time;
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
 //     object and feature set, over before the next begins;
 //   - cell belongs to the NN variant of STPS: voronoiCell is done with the
@@ -45,6 +45,7 @@ type queryScratch struct {
 
 	stds  featureStream
 	bound boundHeap
+	prune influencePrune
 	// dist is groupAscendDistance's heap (on −MINDIST), distRests its side
 	// slice — the score and keyword set of each leaf queued in it — and
 	// distArena those sets' words, copied out of their pages.
@@ -144,7 +145,8 @@ func (e *Engine) countShards(stats *Stats) {
 // retrieved feature prefixes, the combination refs buffer, the pair grids
 // and the index vector arena, the keyword arenas of the feature streams and
 // the distance heap (uint64s copied out of the page images), batch
-// objects — is plain values without pointers.
+// objects, the influence search's members and K best prices — is plain
+// values without pointers.
 func (sc *queryScratch) release() {
 	sc.distRests = resetHeap(sc.distRests)
 	sc.cs.heap.reset()
@@ -158,6 +160,15 @@ func (e *Engine) scratchBoundHeap() *boundHeap {
 		return &sc.bound
 	}
 	return &boundHeap{}
+}
+
+// scratchInfluencePrune returns the reusable pre-test state of the
+// influence object search.
+func (e *Engine) scratchInfluencePrune() *influencePrune {
+	if sc := e.scratch; sc != nil {
+		return &sc.prune
+	}
+	return &influencePrune{}
 }
 
 // scratchDistHeap returns the reusable distance-ascent heap, its side

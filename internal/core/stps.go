@@ -314,9 +314,10 @@ func influenceBound(refs []featureRef, r float64) float64 {
 type decayTerm struct{ score, x float64 }
 
 // decayTerms prices en against the concrete members of refs, in refs
-// order, into ts: x is the distance to the object of a leaf, or the
-// MINDIST to the MBR of a node, over r. Each distance is computed once and
-// serves both influenceCeil and influenceAt.
+// order, into ts: x is the distance to the object of a leaf (math.Hypot),
+// or the MINDIST to the MBR of a node, over r. influenceAt sums the terms
+// into the exact price; the pre-tests before it read their own squared
+// distances (influencePrune).
 func decayTerms(refs []featureRef, r float64, rect *geo.Rect, leaf bool, ts []decayTerm) []decayTerm {
 	ts = ts[:0]
 	for i := range refs {
@@ -346,17 +347,6 @@ func influenceAt(ts []decayTerm) float64 {
 	return sum
 }
 
-// influenceCeil is influenceAt with every 2^(−x) read from decayCeil: the
-// terms are summed in the same order and rounding is monotone, so it is
-// never below influenceAt(ts), and no exponential is computed.
-func influenceCeil(ts []decayTerm) float64 {
-	sum := 0.0
-	for _, t := range ts {
-		sum += t.score * decayCeil(t.x)
-	}
-	return sum
-}
-
 // The decay table samples 2^(−x) at decaySteps points per unit of x over
 // [0, decaySpan). Its last entry, about 6e-20, is the ceiling for every x
 // beyond: far below any limit the search compares it with.
@@ -377,13 +367,181 @@ var decayTable = func() (t [decaySteps * decaySpan]float64) {
 // decayCeil returns a ceiling on math.Exp2(−x) for every x ≥ 0: the table
 // entry at i = ⌊x·decaySteps⌋, whose power −i/decaySteps is at least −x
 // (the product by a power of two is exact). Beyond the table, +Inf and NaN
-// read the last entry, still above 2^(−x).
+// read the last entry, still above 2^(−x). It never increases with x.
 func decayCeil(x float64) float64 {
 	if !(x < decaySpan) {
 		return decayTable[len(decayTable)-1]
 	}
 	return decayTable[int(x*decaySteps)]
 }
+
+const (
+	// reachMargin is the relative share of the limit the reaches keep in
+	// hand for rounding.
+	reachMargin = 1e-9
+	// reachMinLimit is the smallest limit the reach test runs under. Below
+	// it a member's share of the limit could be subnormal, where rounding
+	// is absolute and could eat the margin.
+	reachMinLimit = 0x1p-900
+	// minDist2 is the smallest squared distance whose root the pre-tests
+	// trust: below it Dist2 and MinDist2 may have lost precision to
+	// underflow. A smaller squared reach is raised to it (a longer reach
+	// rejects less), and a leaf's ceiling reads x = 0 there.
+	minDist2 = 0x1p-1000
+	// leafShrink keeps a leaf's tabled exponent, taken from √Dist2, at or
+	// below the exponent math.Hypot gives: the two distances differ by a
+	// few ulps.
+	leafShrink = 1 - 1e-12
+)
+
+// influencePrune holds what topKInfluence tests a child against before it
+// pays the child's exact price, for one combination of n concrete members
+// and a push limit L. The tests run in this order, and each only rejects
+// children whose exact price is strictly below L:
+//
+//   - Reaches. With L′ = L·(1−reachMargin), an entry farther than
+//     r·log2(n·s_j/L′) from every member j has every term
+//     s_j·2^(−d_j/r) below L′/n, so its price is below L′; the margin
+//     covers the rounding of the distances, exponentials and sum. A member
+//     with n·s_j < L′ reaches nothing, as 2^(−x) ≤ 1. The test compares
+//     squared distances — Dist2 for a leaf, MinDist2 for a node — with
+//     squared reaches, which are derived anew only when L moves, and is
+//     off while L < reachMinLimit (−∞ and L ≤ 0 included).
+//   - The ceiling: Σ s_j·decayCeil(x_j) over the same squared distances,
+//     in refs order. For a node x_j = √MinDist2/r is the exact price's own
+//     exponent. For a leaf x_j = √Dist2/r·leafShrink is at or below the
+//     exponent the exact price takes from math.Hypot, and decayCeil never
+//     increases, so the ceiling still dominates: only a leaf that clears
+//     it pays math.Hypot and math.Exp2.
+//   - The floor. L is the search's limit, raised to P_K, the smallest of
+//     the K best leaf prices pushed, once K leaves are: a child priced
+//     strictly below P_K is not pushed. Those K leaves pop before it, and
+//     once all K are emitted the k-th score the search emitted is at least
+//     P_K, so popping the child could only have ended the search.
+type influencePrune struct {
+	r       float64
+	k       int
+	members []reachMember
+	reachAt float64 // the push limit the reaches were derived for
+	on      bool    // whether the reach test runs under reachAt
+	// best is a min-heap of the k best leaf prices pushed. It grows only as
+	// leaves are pushed: k has no upper bound.
+	best []float64
+}
+
+// reachMember is one concrete member of the combination under search.
+type reachMember struct {
+	loc    geo.Point
+	score  float64
+	reach2 float64 // squared reach under the limit; −1 when it reaches nothing
+	d2     float64 // squared distance to the entry outOfReach last measured
+}
+
+// reset prepares p for a search of the concrete members of refs at
+// radius r for k objects, with no limit yet.
+func (p *influencePrune) reset(refs []featureRef, r float64, k int) {
+	p.r, p.k, p.reachAt, p.on = r, k, negInf, false
+	p.members = p.members[:0]
+	for i := range refs {
+		if ref := &refs[i]; !ref.virtual {
+			p.members = append(p.members, reachMember{loc: ref.loc, score: ref.score})
+		}
+	}
+	p.best = p.best[:0]
+}
+
+// floor returns the push limit for the search's limit: raised to P_K once
+// k leaves are pushed. The reaches follow it.
+func (p *influencePrune) floor(limit float64) float64 {
+	if len(p.best) == p.k && p.best[0] > limit {
+		limit = p.best[0]
+	}
+	if limit != p.reachAt {
+		p.deriveReaches(limit)
+	}
+	return limit
+}
+
+// deriveReaches derives every member's squared reach for the push limit L.
+func (p *influencePrune) deriveReaches(L float64) {
+	p.reachAt = L
+	p.on = L >= reachMinLimit && L <= math.MaxFloat64
+	if !p.on {
+		return
+	}
+	share := L * (1 - reachMargin) / float64(len(p.members))
+	for j := range p.members {
+		m := &p.members[j]
+		if m.score < share {
+			m.reach2 = -1
+			continue
+		}
+		d := p.r * math.Log2(m.score/share)
+		m.reach2 = max(d*d, minDist2)
+	}
+}
+
+// outOfReach measures the squared distance of every member to the entry
+// with rectangle rect and reports whether all of them are beyond their
+// members' reaches: then the entry's price is below the limit. Always
+// false while the test is off.
+func (p *influencePrune) outOfReach(rect *geo.Rect, leaf bool) bool {
+	out := p.on
+	ms := p.members
+	if leaf { // one loop per kind: this runs for every child the search sees
+		pt := rect.Min
+		for j := range ms {
+			m := &ms[j]
+			m.d2 = pt.Dist2(m.loc)
+			if !(m.d2 > m.reach2) {
+				out = false
+			}
+		}
+		return out
+	}
+	for j := range ms {
+		m := &ms[j]
+		m.d2 = rect.MinDist2(m.loc)
+		if !(m.d2 > m.reach2) {
+			out = false
+		}
+	}
+	return out
+}
+
+// ceil is the tabled ceiling on the price of the entry outOfReach last
+// measured. A leaf whose squared distance lies outside [minDist2,
+// math.MaxFloat64] reads x = 0, the largest ceiling: there its root may be
+// off by more than leafShrink covers.
+func (p *influencePrune) ceil(leaf bool) float64 {
+	sum := 0.0
+	for j := range p.members {
+		m := &p.members[j]
+		var x float64
+		switch {
+		case !leaf:
+			x = math.Sqrt(m.d2) / p.r
+		case m.d2 >= minDist2 && m.d2 <= math.MaxFloat64:
+			x = math.Sqrt(m.d2) / p.r * leafShrink
+		}
+		sum += m.score * decayCeil(x)
+	}
+	return sum
+}
+
+// pushed records the price of a leaf the search queued among the k best.
+func (p *influencePrune) pushed(prio float64) {
+	switch {
+	case len(p.best) < p.k:
+		heapPush(&p.best, prio, priceBelow)
+	case prio > p.best[0]:
+		p.best[0] = prio
+		heapFixTop(&p.best, priceBelow)
+	}
+}
+
+// priceBelow orders best as a min-heap.
+func priceBelow(a, b *float64) bool { return *a < *b }
 
 // topKInfluence runs a best-first top-k search on the object R-trees — one
 // heap seeded with every part's root — where an object's priority is its
@@ -397,14 +555,17 @@ func decayCeil(x float64) float64 {
 // known, so nothing below can enter the top-k even via the id tie-break.
 // An entry already below that limit when its node is expanded is not
 // queued: the limit only rises, so popping it could only end the search.
-// Its tabled ceiling (influenceCeil) is tested first, and only an entry
-// that clears it pays its exact price's exponentials. The ceiling
-// dominates the price, so it rejects only entries the price would, and a
+// Nor is an entry below the K-th best leaf price queued so far. The
+// pre-tests of influencePrune — the reaches, then the tabled ceiling —
+// run first, and only an entry that clears them pays its exact price's
+// exponentials. Each rejects only entries the exact price would, and a
 // queued entry carries its exact price: the pops, page reads and answers
 // are those of the exact test alone.
 func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, stats *Stats) error {
 	var buf [8]decayTerm // c ≤ 8 members price without allocating
 	ts := buf[:0]
+	pr := e.scratchInfluencePrune()
+	pr.reset(comb.refs, q.Radius, q.K)
 	pq := e.scratchBoundHeap()
 	for pi, part := range e.objects {
 		root, err := part.Tree().RootEntry()
@@ -441,6 +602,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 			return err
 		}
 		leaf := v.Leaf()
+		floor := pr.floor(limit)
 		for i := 0; i < v.Len(); i++ {
 			if !v.Visible(i) {
 				continue
@@ -451,12 +613,16 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 			} else {
 				rect = v.Rect(i)
 			}
-			ts = decayTerms(comb.refs, q.Radius, &rect, leaf, ts)
-			if influenceCeil(ts) < limit {
+			if pr.outOfReach(&rect, leaf) || pr.ceil(leaf) < floor {
 				continue
 			}
-			if prio := influenceAt(ts); prio >= limit {
+			ts = decayTerms(comb.refs, q.Radius, &rect, leaf, ts)
+			if prio := influenceAt(ts); prio >= floor {
 				pq.push(slotCandidate(&v, i, &rect, int(it.part), prio))
+				if leaf {
+					pr.pushed(prio)
+					floor = pr.floor(limit)
+				}
 			}
 		}
 	}

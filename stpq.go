@@ -179,8 +179,8 @@ type Config struct {
 	// directory carries it in its manifest, so Open re-attaches the log the
 	// DB was checkpointed from; a DB built or opened without one attaches
 	// later with AttachWAL or follows a leader through ApplyReplicated — the
-	// write path needs nothing but the indexes. Requires an unsharded,
-	// exact-keyword configuration.
+	// write path needs nothing but the indexes. Requires an unsharded
+	// configuration.
 	WALDir string
 	// WALGroupCommit batches WAL fsyncs: an Apply is acknowledged when
 	// its record hits disk, but the sync may be shared with neighbours
