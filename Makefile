@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke admission-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke check
 
 build:
 	$(GO) build ./...
@@ -139,15 +139,18 @@ fuzz-smoke:
 pool-soak:
 	$(GO) test -race -count 20 -run 'Recycling|ViewSurvivesEviction' ./internal/storage ./internal/rtree
 
-# End-to-end daemon smoke test: start stpqd on a small synthetic dataset,
+# End-to-end daemon smoke test: start stpqd on a small synthetic dataset
+# with a 1 ns slow-query threshold (every query collects a span tree),
 # wait for /healthz, check that a query naming no algorithm and the same
-# query naming "stps" share one result-cache entry, fire a short stpqload
-# run, then shut down gracefully.
+# query naming "stps" share one result-cache entry, that the cache hit
+# carries no span tree (a tree comes only from the execution that returned
+# it) and that /debug/slow holds the slow queries' trees, fire a short
+# stpqload run, then shut down gracefully.
 SMOKE_ADDR ?= 127.0.0.1:18321
 serve-smoke:
 	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
 	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
-	/tmp/stpqd-smoke -synthetic -objects 2000 -features 2000 -addr $(SMOKE_ADDR) & \
+	/tmp/stpqd-smoke -synthetic -objects 2000 -features 2000 -slow-query 1ns -addr $(SMOKE_ADDR) & \
 	pid=$$!; \
 	trap 'kill -INT $$pid 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
@@ -157,8 +160,13 @@ serve-smoke:
 	curl -fsS http://$(SMOKE_ADDR)/healthz && \
 	curl -fsS http://$(SMOKE_ADDR)/query -d '{"k":4,"radius":0.05,"keywords":{"set1":["kw5"],"set2":["kw6"]}}' >/dev/null && \
 	curl -fsS http://$(SMOKE_ADDR)/query -d '{"k":4,"radius":0.05,"keywords":{"set1":["kw5"],"set2":["kw6"]},"algorithm":"stps"}' \
-		| grep -q '"cached":true' && \
+		> /tmp/stpq-smoke-hit.json && \
+	grep -q '"cached":true' /tmp/stpq-smoke-hit.json && \
 	echo "serve-smoke: an omitted algorithm is stps (one result-cache slot)" && \
+	! grep -q '"trace"' /tmp/stpq-smoke-hit.json && \
+	echo "serve-smoke: the cache hit carries no span tree" && \
+	curl -fsS http://$(SMOKE_ADDR)/debug/slow | grep -q '"trace"' && \
+	echo "serve-smoke: -slow-query 1ns fills /debug/slow" && \
 	/tmp/stpqload-smoke -addr http://$(SMOKE_ADDR) -c 2 -n 50 -k 5 && \
 	curl -fsS http://$(SMOKE_ADDR)/metrics | grep -q stpq_serve_queries_total && \
 	kill -INT $$pid && wait $$pid
@@ -320,30 +328,5 @@ cluster-smoke:
 	curl -fsS http://127.0.0.1:18348/metrics | grep -q stpq_shard_fanout_total && \
 	echo "$$CLUSTER_SMOKE_PY" | python3 - replication && \
 	kill -INT $$p0 $$p1 $$p2 $$pc $$ps $$p4 && wait
-
-# Cost-aware admission smoke test: a daemon with a deliberately tiny
-# -max-inflight-cost (result cache off, so shapes warm) is warmed
-# single-file (no overlap, nothing shed), then hammered by a concurrent
-# closed loop; the predicted-cost shed must show up both in the daemon's
-# /metrics (rejected + per-shape counters) and in stpqload's non-2xx
-# breakdown as "HTTP 429 (shed-expensive-cost)".
-ADMISSION_ADDR ?= 127.0.0.1:18353
-admission-smoke:
-	$(GO) build -o /tmp/stpqd-smoke ./cmd/stpqd
-	$(GO) build -o /tmp/stpqload-smoke ./cmd/stpqload
-	/tmp/stpqd-smoke -synthetic -objects 2000 -features 2000 -cache -1 -max-inflight-cost 1ns -addr $(ADMISSION_ADDR) & ps=$$!; \
-	trap 'kill -INT $$ps 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		if curl -fsS http://$(ADMISSION_ADDR)/healthz >/dev/null 2>&1; then break; fi; \
-		sleep 0.2; \
-	done; \
-	/tmp/stpqload-smoke -addr http://$(ADMISSION_ADDR) -c 1 -n 10 -k 5 >/dev/null && \
-	/tmp/stpqload-smoke -addr http://$(ADMISSION_ADDR) -c 8 -n 400 -k 5 \
-		| tee /tmp/stpq-admission-shed.txt && \
-	grep -q 'HTTP 429 (shed-expensive-cost)' /tmp/stpq-admission-shed.txt && \
-	curl -fsS http://$(ADMISSION_ADDR)/metrics | grep -E 'stpq_serve_rejected_total\{reason="expensive"\} [1-9]' && \
-	curl -fsS http://$(ADMISSION_ADDR)/metrics | grep -q 'stpq_serve_shed_total{shape=' && \
-	echo "admission-smoke: cost-based shed visible in /metrics and the stpqload breakdown" && \
-	kill -INT $$ps && wait $$ps
 
 check: build vet fmt-check test race bench-check

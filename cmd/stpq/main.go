@@ -137,7 +137,7 @@ func main() {
 		log.Fatalf("unknown -sim %q", *sim)
 	}
 
-	db.SetTracing(*trace)
+	q.Trace = *trace
 	if *explain {
 		ex, err := db.Explain(q)
 		if err != nil {

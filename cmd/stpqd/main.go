@@ -1,6 +1,6 @@
 // Command stpqd serves top-k spatio-textual preference queries over HTTP:
-// a built stpq.DB behind the internal/serve worker pool, with admission
-// control and a result cache.
+// a built stpq.DB behind the internal/serve worker pool, with a bounded
+// admission queue and a result cache.
 //
 // Usage:
 //
@@ -126,7 +126,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
 	fs.Float64Var(&cfg.traceRate, "trace-sample", 0, "fraction of queries (0..1) served with a full span tree in their event record")
 	fs.DurationVar(&cfg.slowQuery, "slow-query", 0, "queries at least this slow land in /debug/slow with a complete trace (0 = off)")
-	fs.DurationVar(&cfg.serve.MaxInflightCost, "max-inflight-cost", 0, "shed queries whose predicted cost would push the summed in-flight predicted cost over this budget (0 = off)")
 
 	fs.BoolVar(&cfg.bgCompact, "background-compaction", false, "-synthetic: seal full deltas into runs and merge them on a background goroutine instead of stalling Apply")
 	fs.IntVar(&cfg.compactRuns, "compact-runs", 0, "-synthetic: sealed-run watermark that wakes the background compactor (0 = default)")
@@ -143,7 +142,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	cfg.serve.TraceSample = cfg.traceRate
 	cfg.replicas = splitEndpoints(*replicas)
 	coordinator := false
 	fs.Visit(func(f *flag.Flag) { coordinator = coordinator || f.Name == "replicas" })
@@ -249,8 +247,7 @@ func run(cfg daemonConfig) error {
 		r.stopRoles()
 		r.svc.Close() // stop admission, drain queue and in-flight queries
 		// Persist the per-shape cost statistics next to an opened DB so
-		// admission and EXPLAIN restart warm instead of re-learning every
-		// shape.
+		// EXPLAIN restarts warm instead of re-learning every shape.
 		if cfg.open != "" {
 			if err := r.db.SaveShapes(cfg.open); err != nil {
 				log.Printf("warning: saving shape statistics: %v", err)
@@ -340,7 +337,8 @@ func buildingHandler() http.Handler {
 	})
 }
 
-// loadDB opens a persisted DB or builds a synthetic one.
+// loadDB opens a persisted DB or builds a synthetic one, with the trace
+// policy of -trace-sample and -slow-query.
 func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 	switch {
 	case cfg.open != "":
@@ -350,6 +348,9 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		log.Printf("opening %s", cfg.open)
 		db, err := stpq.Open(cfg.open)
 		if err != nil {
+			return nil, err
+		}
+		if err := setTraceSampling(db, cfg); err != nil {
 			return nil, err
 		}
 		// Open auto-attaches the WAL recorded in the manifest; -wal-dir
@@ -396,10 +397,12 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 			IndexKind: kind, PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
 			ShardCount: cfg.shards, ShardStrategy: strat,
 			WALDir: cfg.walDir, WALRetainSegments: retain,
-			TraceSampleRate: cfg.traceRate, SlowQueryThreshold: cfg.slowQuery,
 			BackgroundCompaction: cfg.bgCompact,
 			CompactRuns:          cfg.compactRuns, AutoFlushOps: cfg.flushOps,
 		})
+		if err := setTraceSampling(db, cfg); err != nil {
+			return nil, err
+		}
 		objs, sets := syntheticData(cfg)
 		db.AddObjects(objs)
 		for _, s := range sets {
@@ -417,6 +420,15 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 	default:
 		return nil, errors.New("need a dataset: pass -open <dir> or -synthetic")
 	}
+}
+
+// setTraceSampling applies -trace-sample and -slow-query, naming the flags
+// when the library rejects their values.
+func setTraceSampling(db *stpq.DB, cfg daemonConfig) error {
+	if err := db.SetTraceSampling(cfg.traceRate, cfg.slowQuery); err != nil {
+		return fmt.Errorf("-trace-sample %v / -slow-query %v: %w", cfg.traceRate, cfg.slowQuery, err)
+	}
+	return nil
 }
 
 // featureSet is one named synthetic feature set, in deterministic order.

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"stpq"
+	"stpq/internal/serve"
 )
 
 // TestParseFlags pins which role a command line selects — daemon, cluster
@@ -43,11 +47,12 @@ func TestParseFlags(t *testing.T) {
 				t.Errorf("coordinator knobs: hedge %v retry %d", cfg.hedgeAfter, cfg.retryMax)
 			}
 		}},
-		{name: "trace sample reaches the service", args: []string{"-synthetic", "-trace-sample", "0.5"}, check: func(t *testing.T, cfg daemonConfig) {
-			if cfg.traceRate != 0.5 || cfg.serve.TraceSample != 0.5 {
-				t.Errorf("trace rate %v, service %v", cfg.traceRate, cfg.serve.TraceSample)
+		{name: "trace sample reaches the service", args: []string{"-synthetic", "-trace-sample", "0.5", "-slow-query", "2ms"}, check: func(t *testing.T, cfg daemonConfig) {
+			if cfg.traceRate != 0.5 || cfg.slowQuery != 2*time.Millisecond {
+				t.Errorf("trace rate %v, slow query %v", cfg.traceRate, cfg.slowQuery)
 			}
 		}},
+		{name: "cost shedding is gone", args: []string{"-synthetic", "-max-inflight-cost", "1ns"}, wantErr: "not defined"},
 		{name: "follower owns no log", args: []string{"-synthetic", "-follow", "h:1", "-wal-dir", "wal"}, wantErr: "-follow and -wal-dir"},
 		{name: "opened DB keeps its shards", args: []string{"-open", "db", "-shards", "4"}, wantErr: "-shards applies to -synthetic only"},
 		{name: "replicas without an endpoint", args: []string{"-replicas", " , "}, wantErr: "at least one host:port"},
@@ -71,5 +76,107 @@ func TestParseFlags(t *testing.T) {
 			}
 			c.check(t, cfg)
 		})
+	}
+}
+
+// daemonDB builds the DB a command line would serve.
+func daemonDB(t *testing.T, args ...string) *stpq.DB {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := loadDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// daemonQuery is a query every synthetic DB answers.
+func daemonQuery() stpq.Query {
+	return stpq.Query{K: 3, Radius: 0.05, Lambda: 0.5, Keywords: map[string][]string{"set1": {"kw1"}, "set2": {"kw3"}}}
+}
+
+// TestTraceSampleRate: -trace-sample is the share of queries the daemon
+// traces, whatever layer draws the decision. 4,000 draws at 0.25 have a
+// standard deviation of 0.0068, so ±0.03 is ±4.4σ.
+func TestTraceSampleRate(t *testing.T) {
+	const n = 4000
+	cfg, err := parseFlags([]string{"-synthetic", "-objects", "300", "-features", "300", "-cache", "-1", "-trace-sample", "0.25"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := loadDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := serve.New(db, cfg.serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	traced := 0
+	for i := 0; i < n; i++ {
+		resp, err := svc.Do(context.Background(), daemonQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats.Trace != nil {
+			traced++
+		}
+	}
+	if share := float64(traced) / n; share < 0.22 || share > 0.28 {
+		t.Errorf("traced %d of %d queries (%.3f), want 0.25 ± 0.03", traced, n, share)
+	}
+}
+
+// TestOpenHonoursTraceFlags: a DB served with -open takes its trace policy
+// from the command line, not from the directory it was saved to.
+func TestOpenHonoursTraceFlags(t *testing.T) {
+	dir := t.TempDir()
+	if err := daemonDB(t, "-synthetic", "-objects", "300", "-features", "300").Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("slow-query", func(t *testing.T) {
+		db := daemonDB(t, "-open", dir, "-slow-query", "1ns")
+		if _, _, err := db.TopK(daemonQuery()); err != nil {
+			t.Fatal(err)
+		}
+		if len(db.SlowQueries(0)) == 0 {
+			t.Error("-slow-query 1ns recorded no slow query")
+		}
+	})
+	t.Run("trace-sample", func(t *testing.T) {
+		db := daemonDB(t, "-open", dir, "-trace-sample", "1")
+		_, st, err := db.TopK(daemonQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Trace == nil || !db.RecentQueries(1)[0].Sampled {
+			t.Error("-trace-sample 1 left the query untraced")
+		}
+	})
+}
+
+// TestBadTraceFlagsRefused: loadDB fails on a trace policy the library
+// rejects, on both dataset paths.
+func TestBadTraceFlagsRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := daemonDB(t, "-synthetic", "-objects", "100", "-features", "100").Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-synthetic", "-objects", "100", "-features", "100", "-trace-sample", "1.5"},
+		{"-synthetic", "-objects", "100", "-features", "100", "-trace-sample", "NaN"},
+		{"-open", dir, "-slow-query", "-1ms"},
+	} {
+		cfg, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadDB(cfg); err == nil || !strings.Contains(err.Error(), "-trace-sample") {
+			t.Errorf("%q: err %v, want the trace flags refused", args, err)
+		}
 	}
 }

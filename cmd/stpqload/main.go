@@ -85,8 +85,9 @@ type sample struct {
 	cached    int
 	// errs counts failures by class: "HTTP <status> (<reason>)" using the
 	// server's machine-readable rejection reason when present — so the
-	// report tells queue-full 429s apart from cost-shed 429s — plain
-	// "HTTP <status>" otherwise, and "transport" for connection errors.
+	// report tells a queue-full 429 from, say, a deadline 504 without
+	// parsing error prose — plain "HTTP <status>" otherwise, and
+	// "transport" for connection errors.
 	errs map[string]int
 }
 

@@ -267,7 +267,7 @@ func sortedValues[V any](m map[int64]V) []V {
 // and the remainder — plus the active delta — is re-published over the new
 // base. Callers hold ingestMu and db.mu.
 func (db *DB) swapMergedLocked(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *ingest.Net, compactedRuns int) error {
-	eng, err := core.NewEngine(oidx, fidxs, db.cfg.coreOptions())
+	eng, err := core.NewEngine(oidx, fidxs, coreOptions)
 	if err != nil {
 		return err
 	}

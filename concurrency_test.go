@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // concDB builds a clustered random dataset through the public API.
@@ -155,6 +156,64 @@ func TestConcurrentStatsAttribution(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSetTraceSamplingWhileQuerying: the trace policy changes while
+// queries run. Each query reads the policy once, so a tree it returns is
+// whole — its root accounts for the query's reads — and answers and reads
+// do not depend on whether it was traced.
+func TestSetTraceSamplingWhileQuerying(t *testing.T) {
+	db := concDB(t, Config{}, 300, 300)
+	q := Query{
+		K: 5, Radius: 0.1, Lambda: 0.5,
+		Keywords: map[string][]string{"restaurants": {"kw1", "kw2"}},
+	}
+	want, alone, err := db.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, queries = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				res, st, err := db.TopK(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, want) || st.LogicalReads != alone.LogicalReads {
+					t.Errorf("traced answer or reads moved: %d reads, want %d", st.LogicalReads, alone.LogicalReads)
+					return
+				}
+				if st.Trace != nil && st.Trace.LogicalReads != st.LogicalReads {
+					t.Errorf("trace root reads %d != query reads %d", st.Trace.LogicalReads, st.LogicalReads)
+					return
+				}
+			}
+		}()
+	}
+	stop, toggled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rate, slow := float64(i%2), time.Duration(i%3)*time.Nanosecond
+			if err := db.SetTraceSampling(rate, slow); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-toggled
 }
 
 func TestValidateQuery(t *testing.T) {

@@ -12,9 +12,13 @@ import (
 )
 
 func main() {
-	// Tracing records a span tree per query (phase timings and page-read
-	// deltas); it is off by default and costs one nil check when off.
-	db := stpq.New(stpq.Config{Tracing: true})
+	db := stpq.New(stpq.Config{})
+	// Sampling rate 1 records a span tree for every query (phase timings
+	// and page-read deltas); tracing is off by default and costs one nil
+	// check when off.
+	if err := db.SetTraceSampling(1, 0); err != nil {
+		log.Fatal(err)
+	}
 
 	// Data objects: the entities we rank (coordinates in [0,1]²).
 	db.AddObjects([]stpq.Object{

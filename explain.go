@@ -85,14 +85,7 @@ func (p *Prepared) Explain() (*Explain, error) {
 	if s.db.cfg.IndexKind == IR2 {
 		ex.Index = "ir2"
 	}
-	shapes := s.db.tel.Shapes
-	if pred := shapes.Predict(p.key); pred != nil {
-		ex.Predicted = pred
-		ex.Samples = pred.Samples
-	} else {
-		// Below the sample floor: still report how many we have.
-		_, ex.Samples = shapes.Cost(p.key)
-	}
+	ex.Predicted, ex.Samples = s.db.tel.Shapes.Predict(p.key)
 	if s.shards != nil {
 		sp, err := s.shards.Plan(p.cq)
 		if err != nil {

@@ -596,7 +596,7 @@ func (db *DB) pendingEngineLocked(net *ingest.Net) (*core.Engine, error) {
 			return nil, err
 		}
 	}
-	return core.NewEngineOverParts(objects, 0, groups, db.cfg.coreOptions())
+	return core.NewEngineOverParts(objects, 0, groups, coreOptions)
 }
 
 // hiddenIn counts the tombstones that hide an id the base holds (loc is

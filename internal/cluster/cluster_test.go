@@ -142,7 +142,7 @@ func requestBody(t *testing.T, q stpq.Query) []byte {
 		Variant:    [...]string{"range", "influence", "nn"}[q.Variant],
 		Algorithm:  [...]string{"stps", "stds"}[q.Algorithm],
 		Similarity: [...]string{"jaccard", "dice", "cosine", "overlap"}[q.Similarity],
-		Trace:      q.Trace == stpq.TraceOn,
+		Trace:      q.Trace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	resp := tc.query(t, stpq.Query{
 		K: 8, Radius: 0.06, Lambda: 0.5,
 		Keywords:  map[string][]string{"food": {words[0], words[1]}},
-		Trace:     stpq.TraceOn,
+		Trace:     true,
 		RequestID: id,
 	})
 	if resp.RequestID != id {

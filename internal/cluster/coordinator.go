@@ -58,9 +58,6 @@ type CoordinatorConfig struct {
 	// HealthInterval is the background health-probe period feeding
 	// lag-aware replica ordering (default 2s; negative disables).
 	HealthInterval time.Duration
-	// EventLogEntries sizes the coordinator's query event ring
-	// (0 = obs default, negative disables).
-	EventLogEntries int
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
@@ -130,7 +127,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		},
 		started:    time.Now(),
 		metrics:    reg,
-		tel:        obs.NewTelemetry(cfg.EventLogEntries, -1, 0, 0),
+		tel:        obs.NewTelemetry(),
 		queries:    reg.Counter("stpq_cluster_queries_total"),
 		errors:     reg.Counter("stpq_cluster_query_errors_total"),
 		retries:    reg.Counter("stpq_cluster_retries_total"),

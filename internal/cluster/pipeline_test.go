@@ -36,7 +36,7 @@ func fullQuery() stpq.Query {
 		Algorithm:  stpq.STDS,
 		Similarity: stpq.CosineSim,
 		RequestID:  "req-tripwire",
-		Trace:      stpq.TraceOn,
+		Trace:      true,
 	}
 }
 
@@ -45,6 +45,8 @@ func perturbed(t *testing.T, q stpq.Query, field string) stpq.Query {
 	t.Helper()
 	f := reflect.ValueOf(&q).Elem().FieldByName(field)
 	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
 	case reflect.Int:
 		f.SetInt(f.Int() + 1)
 	case reflect.Float64:

@@ -70,8 +70,8 @@ type Query struct {
 	// stamped onto the span tree and the event record, never onto results.
 	RequestID string
 	// Trace collects a phase-level span tree into Stats.Trace. The caller
-	// has already taken the tracing decision (explicit mode, engine toggle,
-	// sampler, slow-query threshold); the disabled path costs one nil check
+	// has already taken the tracing decision (per-query opt-in, sampling
+	// rate, slow-query threshold); the disabled path costs one nil check
 	// per instrumentation point.
 	Trace bool
 }

@@ -4,8 +4,8 @@ package obs
 // every finished query leaves one fixed-size structured record in a ring
 // buffer (cheap fields always, the full span tree only when sampled,
 // explicitly requested, or slower than the slow-query threshold), and
-// feeds a per-shape aggregate — the cost table EXPLAIN predictions,
-// cost-aware admission and the cluster coordinator's wave width read from.
+// feeds a per-shape aggregate — the cost table EXPLAIN's predictions read
+// from.
 //
 // The unsampled hot path is allocation-free in steady state: events are
 // value types copied into a preallocated ring, and shape aggregation is an
@@ -282,42 +282,24 @@ func (a *shapeAgg) prediction() ShapePrediction {
 	return p
 }
 
-// Predict returns the recorded cost profile of the shape, or nil while the
-// shape has fewer than MinPredictSamples recorded executions. Nil-safe.
-func (s *ShapeStats) Predict(k ShapeKey) *ShapePrediction {
+// Predict returns the recorded cost profile of the shape — nil while the
+// shape has fewer than MinPredictSamples recorded executions — and its
+// sample count either way. Nil-safe.
+func (s *ShapeStats) Predict(k ShapeKey) (pred *ShapePrediction, samples int64) {
 	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	a := s.m[k]
-	s.mu.RUnlock()
-	if a == nil || a.count.Load() < MinPredictSamples {
-		return nil
-	}
-	p := a.prediction()
-	return &p
-}
-
-// Cost returns the recorded mean total cost of the shape — wall time plus
-// modeled I/O time, the paper's cost metric — and its sample count, both
-// zero for an unobserved shape. It is allocation-free, so admission can
-// consult it on the query hot path. Callers apply their own sample floor
-// (MinPredictSamples) to decide whether the mean is trustworthy. Nil-safe.
-func (s *ShapeStats) Cost(k ShapeKey) (mean time.Duration, samples int64) {
-	if s == nil {
-		return 0, 0
+		return nil, 0
 	}
 	s.mu.RLock()
 	a := s.m[k]
 	s.mu.RUnlock()
 	if a == nil {
-		return 0, 0
+		return nil, 0
 	}
-	n := a.count.Load()
-	if n == 0 {
-		return 0, 0
+	p := a.prediction()
+	if p.Samples < MinPredictSamples {
+		return nil, p.Samples
 	}
-	return time.Duration((a.duration.Load() + a.ioTime.Load()) / n), n
+	return &p, p.Samples
 }
 
 // ShapeRecord is the serialized form of one shape's raw totals — what
@@ -451,7 +433,7 @@ func (s *ShapeStats) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Default ring capacities when a Telemetry is built with zero sizes.
+// Ring capacities of a Telemetry.
 const (
 	DefaultEventLogSize = 1024
 	DefaultSlowLogSize  = 128
@@ -462,47 +444,57 @@ const (
 // policy. A nil *Telemetry disables everything (all methods are nil-safe).
 type Telemetry struct {
 	// Events is the recent-query ring; Slow the slow-query ring (complete
-	// traces for every query over SlowThreshold). Either may be nil.
+	// traces for every query over the slow threshold).
 	Events *EventLog
 	Slow   *EventLog
-	// Shapes is the per-shape statistics table (nil disables it).
-	Shapes *ShapeStats
-	// SampleRate is the probability that a query without an explicit
-	// tracing decision collects — and its event record keeps — a full span
-	// tree. 0 disables sampling, 1 traces everything.
-	SampleRate float64
-	// SlowThreshold, when positive, forces span collection on every query
-	// so that any query slower than the threshold lands in Slow with a
-	// complete trace. The trace is dropped from the record (and from the
-	// query's Stats) unless the query was sampled or actually slow.
-	SlowThreshold time.Duration
+	// Shapes is the per-shape statistics table.
+	Shapes   *ShapeStats
+	sampling atomic.Pointer[Sampling]
 }
 
-// NewTelemetry builds a bundle: ring capacities ≤ 0 keep that ring nil
-// (disabled), 0 picks the default size; the shape table is always on.
-func NewTelemetry(eventCap, slowCap int, sampleRate float64, slowThreshold time.Duration) *Telemetry {
-	t := &Telemetry{Shapes: NewShapeStats(), SampleRate: sampleRate, SlowThreshold: slowThreshold}
-	if eventCap == 0 {
-		eventCap = DefaultEventLogSize
+// Sampling is the trace policy of a Telemetry.
+type Sampling struct {
+	// Rate is the probability that a query without an explicit tracing
+	// decision collects — and its event record keeps — a full span tree.
+	// 0 disables sampling, 1 traces everything.
+	Rate float64
+	// Slow, when positive, forces span collection on every query so that
+	// any query slower than it lands in the slow ring with a complete
+	// trace. The trace is dropped from the record (and from the query's
+	// Stats) unless the query was sampled or actually slow.
+	Slow time.Duration
+}
+
+// Sample draws one trace-sampling decision.
+func (s Sampling) Sample() bool {
+	return s.Rate >= 1 || (s.Rate > 0 && rand.Float64() < s.Rate)
+}
+
+// NewTelemetry builds a bundle with both rings at their default sizes and
+// sampling off.
+func NewTelemetry() *Telemetry {
+	t := &Telemetry{
+		Events: NewEventLog(DefaultEventLogSize),
+		Slow:   NewEventLog(DefaultSlowLogSize),
+		Shapes: NewShapeStats(),
 	}
-	if slowCap == 0 {
-		slowCap = DefaultSlowLogSize
-	}
-	if eventCap > 0 {
-		t.Events = NewEventLog(eventCap)
-	}
-	if slowCap > 0 {
-		t.Slow = NewEventLog(slowCap)
-	}
+	t.sampling.Store(&Sampling{})
 	return t
 }
 
-// Sample draws the trace-sampling decision. Nil-safe.
-func (t *Telemetry) Sample() bool {
-	if t == nil || t.SampleRate <= 0 {
-		return false
+// Sampling returns the current trace policy; the zero policy on a nil
+// Telemetry.
+func (t *Telemetry) Sampling() Sampling {
+	if t == nil {
+		return Sampling{}
 	}
-	return t.SampleRate >= 1 || rand.Float64() < t.SampleRate
+	return *t.sampling.Load()
+}
+
+// SetSampling replaces the trace policy. Safe while queries run: each one
+// reads the policy once, whole.
+func (t *Telemetry) SetSampling(s Sampling) {
+	t.sampling.Store(&s)
 }
 
 // Record files one query event: it resolves the shape label (counting the
@@ -518,7 +510,8 @@ func (t *Telemetry) Record(ev QueryEvent, key ShapeKey, observeShape bool) {
 	} else {
 		ev.Shape = t.Shapes.Name(key)
 	}
-	ev.Slow = t.SlowThreshold > 0 && ev.Duration >= t.SlowThreshold
+	slow := t.Sampling().Slow
+	ev.Slow = slow > 0 && ev.Duration >= slow
 	if ev.Trace != nil {
 		ev.Sampled = ev.Trace.Kept()
 		if !ev.Sampled && !ev.Slow {

@@ -86,14 +86,14 @@ func TestShapeStatsObserveAndPredict(t *testing.T) {
 		t.Errorf("labels not interned: %q vs %q", name, again)
 	}
 
-	// Two samples: below the floor, no prediction yet.
-	if p := s.Predict(key); p != nil {
-		t.Errorf("Predict with 2 samples = %+v, want nil (floor %d)", p, MinPredictSamples)
+	// Two samples: below the floor, no prediction yet, but counted.
+	if p, n := s.Predict(key); p != nil || n != 2 {
+		t.Errorf("Predict with 2 samples = %+v, %d; want nil, 2 (floor %d)", p, n, MinPredictSamples)
 	}
 	s.Observe(key, 30*time.Millisecond, 6*time.Millisecond, 300, 30, 9)
-	p := s.Predict(key)
-	if p == nil {
-		t.Fatalf("Predict with %d samples = nil", MinPredictSamples)
+	p, n := s.Predict(key)
+	if p == nil || n != 3 {
+		t.Fatalf("Predict with %d samples = %v, %d", MinPredictSamples, p, n)
 	}
 	if p.Samples != 3 || p.MeanDuration != 20*time.Millisecond ||
 		p.MeanLogicalReads != 200 || p.MeanPhysicalReads != 20 || p.MeanCombinations != 7 {
@@ -125,7 +125,8 @@ func TestShapeStatsRowsOrder(t *testing.T) {
 }
 
 func TestTelemetryRecordPolicy(t *testing.T) {
-	tel := NewTelemetry(8, 8, 0, 50*time.Millisecond)
+	tel := NewTelemetry()
+	tel.SetSampling(Sampling{Slow: 50 * time.Millisecond})
 	key := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.1), Sets: 2}
 
 	// Provisional trace (collected only for slow capture) on a fast query:
@@ -178,22 +179,24 @@ func TestTelemetryRecordPolicy(t *testing.T) {
 	// Nil telemetry swallows everything.
 	var nt *Telemetry
 	nt.Record(QueryEvent{}, key, true)
-	if nt.Sample() {
+	if nt.Sampling().Sample() {
 		t.Error("nil telemetry must not sample")
 	}
 }
 
 func TestTelemetrySampleRate(t *testing.T) {
-	if (&Telemetry{SampleRate: 0}).Sample() {
-		t.Error("rate 0 sampled")
+	tel := NewTelemetry()
+	if tel.Sampling().Sample() {
+		t.Error("a new telemetry sampled")
 	}
-	if !(&Telemetry{SampleRate: 1}).Sample() {
+	tel.SetSampling(Sampling{Rate: 1})
+	if !tel.Sampling().Sample() {
 		t.Error("rate 1 did not sample")
 	}
 	hits := 0
-	tel := &Telemetry{SampleRate: 0.5}
+	tel.SetSampling(Sampling{Rate: 0.5})
 	for i := 0; i < 1000; i++ {
-		if tel.Sample() {
+		if tel.Sampling().Sample() {
 			hits++
 		}
 	}
@@ -203,21 +206,22 @@ func TestTelemetrySampleRate(t *testing.T) {
 }
 
 func TestNewTelemetryCapacities(t *testing.T) {
-	tel := NewTelemetry(0, 0, 0, 0)
+	tel := NewTelemetry()
 	if tel.Events == nil || tel.Slow == nil || tel.Shapes == nil {
-		t.Fatal("defaults must enable both rings and the shape table")
+		t.Fatal("a telemetry must have both rings and the shape table")
 	}
 	if n := len(tel.Events.ring); n != DefaultEventLogSize {
-		t.Errorf("default event ring = %d", n)
+		t.Errorf("event ring = %d", n)
 	}
-	off := NewTelemetry(-1, -1, 0, 0)
-	if off.Events != nil || off.Slow != nil {
-		t.Error("negative capacities must disable the rings")
+	if n := len(tel.Slow.ring); n != DefaultSlowLogSize {
+		t.Errorf("slow ring = %d", n)
 	}
-	// Disabled rings still record shapes without panicking.
-	off.Record(QueryEvent{Duration: time.Millisecond}, ShapeKey{Alg: "stps"}, true)
-	if len(off.Shapes.Rows()) != 1 {
-		t.Error("shape table should work with rings disabled")
+	if s := tel.Sampling(); s != (Sampling{}) {
+		t.Errorf("initial sampling = %+v, want off", s)
+	}
+	tel.Record(QueryEvent{Duration: time.Millisecond}, ShapeKey{Alg: "stps"}, true)
+	if len(tel.Shapes.Rows()) != 1 || tel.Events.Len() != 1 || tel.Slow.Len() != 0 {
+		t.Error("an unsampled query must reach the event ring and the shape table only")
 	}
 }
 
@@ -226,7 +230,7 @@ func TestNewTelemetryCapacities(t *testing.T) {
 // cost at most one allocation (in practice zero — a value copy into the
 // ring plus atomic adds on the shape aggregate).
 func TestAllocsEventRecord(t *testing.T) {
-	tel := NewTelemetry(0, 0, 0, 0)
+	tel := NewTelemetry()
 	key := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.1), Sets: 2}
 	ev := QueryEvent{
 		Algorithm: "stps", Variant: "range", K: 10, Radius: 0.1,

@@ -1,18 +1,19 @@
 package obs
 
-// shapekey_fuzz_test.go pins the two properties the planner, the admission
-// controller and the persisted statistics all lean on:
+// shapekey_fuzz_test.go pins the two properties EXPLAIN's predictions and
+// the persisted statistics lean on:
 //
 //   - ShapeKey.String is injective over real keys (distinct keys never
 //     collide on one label) and stable (equal keys always intern to the
 //     same label), across the full RBucket range including the exp2
 //     over/underflow fallback and the NN no-radius sentinel.
-//   - Export/Import round-trips the statistics exactly, so a planner
-//     reloaded from shapes.json predicts what the saved process predicted.
+//   - Export/Import round-trips the statistics exactly, so a DB reloaded
+//     from shapes.json predicts what the saved process predicted.
 
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -92,14 +93,12 @@ func TestShapeStatsExportImportRoundTrip(t *testing.T) {
 
 	dst := NewShapeStats()
 	dst.Import(recs)
-	for _, k := range []ShapeKey{k1, k2} {
-		wantCost, wantN := src.Cost(k)
-		gotCost, gotN := dst.Cost(k)
-		if wantCost != gotCost || wantN != gotN {
-			t.Fatalf("%v: round trip cost %v/%d, want %v/%d", k, gotCost, gotN, wantCost, wantN)
-		}
+	// Every shape's profile, above the sample floor (k1) or below it (k2).
+	if want, got := src.Rows(), dst.Rows(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("round trip rows %+v, want %+v", got, want)
 	}
-	wantP, gotP := src.Predict(k1), dst.Predict(k1)
+	wantP, _ := src.Predict(k1)
+	gotP, _ := dst.Predict(k1)
 	if wantP == nil || gotP == nil {
 		t.Fatalf("predictions nil after round trip: %v %v", wantP, gotP)
 	}
@@ -109,7 +108,7 @@ func TestShapeStatsExportImportRoundTrip(t *testing.T) {
 
 	// Import into a warm table merges rather than replaces.
 	dst.Import(recs)
-	if _, n := dst.Cost(k1); n != 8 {
+	if _, n := dst.Predict(k1); n != 8 {
 		t.Fatalf("double import: %d samples, want 8", n)
 	}
 
@@ -117,7 +116,7 @@ func TestShapeStatsExportImportRoundTrip(t *testing.T) {
 	// shapes.json must not poison the means with divide-by-zero garbage.
 	dst2 := NewShapeStats()
 	dst2.Import([]ShapeRecord{{Key: k1, Samples: 0, DurationNanos: 999}})
-	if _, n := dst2.Cost(k1); n != 0 {
+	if _, n := dst2.Predict(k1); n != 0 {
 		t.Fatalf("zero-sample record imported: %d samples", n)
 	}
 }
@@ -143,7 +142,7 @@ func TestShapeKeyModeDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Import([]ShapeRecord{old})
-	if _, n := st.Cost(exact); n != 4 {
+	if _, n := st.Predict(exact); n != 4 {
 		t.Fatalf("saved record did not merge into the live key: %d samples", n)
 	}
 }

@@ -134,15 +134,15 @@ type Span struct {
 	startLog, startPhy int64
 }
 
-// Kept reports whether the trace was explicitly requested (engine toggle,
-// per-query opt-in, or a sampling hit). Traces collected only so a
-// slow-query capture would be complete report false and are dropped from
-// event records unless the query actually crossed the slow threshold.
+// Kept reports whether the trace was explicitly requested (per-query
+// opt-in or a sampling hit). Traces collected only so a slow-query capture
+// would be complete report false and are dropped from event records unless
+// the query actually crossed the slow threshold.
 func (s *Span) Kept() bool { return s != nil && s.keep }
 
-// MarkKeep flags a root span as explicitly requested (engine toggle,
-// per-query TraceOn, or a sampling hit) rather than merely collected in
-// case the query turns out slow. Nil-safe.
+// MarkKeep flags a root span as explicitly requested (Query.Trace or a
+// sampling hit) rather than merely collected in case the query turns out
+// slow. Nil-safe.
 func (s *Span) MarkKeep() {
 	if s != nil {
 		s.keep = true

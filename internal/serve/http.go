@@ -86,9 +86,7 @@ func (r QueryRequest) Query() (stpq.Query, error) {
 	default:
 		return q, fmt.Errorf("%w: unknown similarity %q", stpq.ErrInvalidQuery, r.Similarity)
 	}
-	if r.Trace {
-		q.Trace = stpq.TraceOn
-	}
+	q.Trace = r.Trace
 	return q, nil
 }
 
@@ -130,8 +128,8 @@ type QueryResponse struct {
 type errorResponse struct {
 	Error string `json:"error"`
 	// Reason is the machine-readable rejection class ("queue-full",
-	// "shed-expensive-cost", "deadline"), so load generators can break
-	// down non-2xx responses without parsing error prose.
+	// "deadline"), so load generators can break down non-2xx responses
+	// without parsing error prose.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -258,7 +256,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, stpq.ErrInvalidQuery):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrShedExpensive), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDeadline):
 		return http.StatusGatewayTimeout
@@ -270,12 +268,8 @@ func statusOf(err error) int {
 }
 
 // reasonOf classifies rejection errors for the errorResponse Reason field.
-// Both overload rejections are 429s; the reason is how clients tell the
-// queue-depth limit apart from the cost-based shed.
 func reasonOf(err error) string {
 	switch {
-	case errors.Is(err, ErrShedExpensive):
-		return "shed-expensive-cost"
 	case errors.Is(err, ErrOverloaded):
 		return "queue-full"
 	case errors.Is(err, ErrDeadline):

@@ -185,21 +185,27 @@ func TestHTTPOmittedAlgorithmIsSTPS(t *testing.T) {
 	}
 }
 
+// TestHTTPStatusMapping pins each service error's status code and the
+// machine-readable reason its error body carries.
 func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct {
-		err  error
-		want int
+		err    error
+		want   int
+		reason string
 	}{
-		{stpq.ErrInvalidQuery, http.StatusBadRequest},
-		{stpq.ErrUnknownFeatureSet, http.StatusBadRequest},
-		{ErrOverloaded, http.StatusTooManyRequests},
-		{ErrDeadline, http.StatusGatewayTimeout},
-		{ErrClosed, http.StatusServiceUnavailable},
-		{stpq.ErrNotBuilt, http.StatusServiceUnavailable},
+		{stpq.ErrInvalidQuery, http.StatusBadRequest, ""},
+		{stpq.ErrUnknownFeatureSet, http.StatusBadRequest, ""},
+		{ErrOverloaded, http.StatusTooManyRequests, "queue-full"},
+		{ErrDeadline, http.StatusGatewayTimeout, "deadline"},
+		{ErrClosed, http.StatusServiceUnavailable, ""},
+		{stpq.ErrNotBuilt, http.StatusServiceUnavailable, ""},
 	}
 	for _, c := range cases {
 		if got := statusOf(c.err); got != c.want {
 			t.Errorf("statusOf(%v) = %d, want %d", c.err, got, c.want)
+		}
+		if got := reasonOf(c.err); got != c.reason {
+			t.Errorf("reasonOf(%v) = %q, want %q", c.err, got, c.reason)
 		}
 	}
 }

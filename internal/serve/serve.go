@@ -1,8 +1,9 @@
 // Package serve turns a built stpq.DB into a concurrent query service: a
-// bounded worker-pool executor with admission control (queue cap and
-// per-query deadlines), an LRU result cache keyed by a canonical query
-// fingerprint and invalidated by index rebuilds, and an HTTP front end
-// (POST /query, GET /metrics, GET /healthz) used by cmd/stpqd.
+// bounded worker-pool executor whose admission is its queue (a full queue
+// rejects) with per-query deadlines, an LRU result cache keyed by a
+// canonical query fingerprint and invalidated by index rebuilds, and an
+// HTTP front end (POST /query, GET /metrics, GET /healthz) used by
+// cmd/stpqd.
 //
 // The paper measures per-query cost in isolation; this package is the
 // systems wrapper that lets many such queries run at once while keeping
@@ -16,7 +17,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stpq"
@@ -29,12 +29,6 @@ import (
 var (
 	// ErrOverloaded is returned when the admission queue is full.
 	ErrOverloaded = errors.New("serve: overloaded, query queue full")
-	// ErrShedExpensive is returned by cost-aware admission
-	// (Config.MaxInflightCost): the query's predicted cost does not fit
-	// the in-flight cost budget, so the expensive tail is shed instead of
-	// rejecting uniformly at random when the queue fills. Cheap queries
-	// keep flowing.
-	ErrShedExpensive = errors.New("serve: overloaded, predicted query cost over budget")
 	// ErrDeadline is returned when a query's deadline expires before a
 	// worker finishes it (including time spent waiting in the queue).
 	ErrDeadline = errors.New("serve: query deadline exceeded")
@@ -57,20 +51,6 @@ type Config struct {
 	// CacheEntries is the result-cache capacity; 0 means the default
 	// (256), negative disables caching.
 	CacheEntries int
-	// TraceSample is the probability (0..1) that a query without an
-	// explicit tracing decision is served with TraceOn, collecting a full
-	// span tree into its response and event record. Sampled queries bypass
-	// the result cache so the trace reflects a real execution.
-	TraceSample float64
-	// MaxInflightCost, when positive, caps the summed predicted
-	// cost of admitted-but-unfinished queries: a query whose shape is warm
-	// (≥ MinPredictSamples executions) and whose predicted cost would push
-	// the in-flight sum over the cap is shed with ErrShedExpensive — the
-	// expensive tail yields instead of random queue-full 429s. Queries
-	// with cold shapes (and all queries when the budget is idle) fall back
-	// to queue-only admission, so a cold process behaves exactly as
-	// before. 0 disables cost-aware admission.
-	MaxInflightCost time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -114,29 +94,21 @@ type Service struct {
 	sendMu sync.RWMutex // guards closed + sends on tasks vs. Close
 	closed bool
 
-	// inflightCost is the summed predicted cost (nanoseconds) of admitted
-	// tasks that have not finished — the cost-aware admission budget.
-	inflightCost atomic.Int64
-
 	metrics  *obs.Registry
 	hits     *obs.Counter // stpq_serve_cache_hits_total
 	misses   *obs.Counter // stpq_serve_cache_misses_total
 	queries  *obs.Counter
 	ingests  *obs.Counter // stpq_serve_ingested_total (mutations via /ingest)
 	overload *obs.Counter
-	shed     *obs.Counter // stpq_serve_rejected_total{reason="expensive"}
 	deadline *obs.Counter
 	latency  *obs.Histogram
 }
 
 type task struct {
 	ctx context.Context
-	// p is the prepared query: the cache key, the cost reservation, the
-	// cache-hit event and the worker's execution all read it.
-	p *stpq.Prepared
-	// cost is the predicted cost reserved against the in-flight budget at
-	// admission; the worker releases it when the task leaves the system.
-	cost time.Duration
+	// p is the prepared query: the cache key, the cache-hit event and the
+	// worker's execution all read it.
+	p    *stpq.Prepared
 	done chan taskResult
 }
 
@@ -175,7 +147,6 @@ func newUnstarted(db *stpq.DB, cfg Config) (*Service, error) {
 		queries:  reg.Counter("stpq_serve_queries_total"),
 		ingests:  reg.Counter("stpq_serve_ingested_total"),
 		overload: reg.Counter("stpq_serve_rejected_total{reason=\"overload\"}"),
-		shed:     reg.Counter("stpq_serve_rejected_total{reason=\"expensive\"}"),
 		deadline: reg.Counter("stpq_serve_rejected_total{reason=\"deadline\"}"),
 		latency:  reg.Histogram("stpq_serve_latency_seconds", obs.LatencyBuckets),
 	}
@@ -241,22 +212,18 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 		return Response{}, err
 	}
 	// Request-scoped identity: honor the caller's ID, generate one
-	// otherwise, and draw the service-level trace sampling decision. The
-	// ID and decision ride the query through core execution, stamping the
-	// span tree and the event record.
+	// otherwise. The ID rides the query through core execution, stamping
+	// the span tree and the event record.
 	if q.RequestID == "" {
 		q.RequestID = NewRequestID()
-	}
-	if q.Trace == stpq.TraceDefault && sampleTrace(s.cfg.TraceSample) {
-		q.Trace = stpq.TraceOn
 	}
 	p, err := snap.Prepare(q)
 	if err != nil {
 		return Response{}, err
 	}
-	// Explicitly traced queries bypass the cache: their span tree must
-	// come from a real execution, not a cached neighbour's.
-	if s.cache != nil && q.Trace != stpq.TraceOn {
+	// A query Prepare chose to trace bypasses the cache: its span tree must
+	// come from the execution that answers it, not a cached neighbour's.
+	if s.cache != nil && !p.Traced() {
 		if resp, ok := s.cache.get(p.Fingerprint(), p.Generation()); ok {
 			s.hits.Inc()
 			elapsed := time.Since(start)
@@ -268,11 +235,7 @@ func (s *Service) Do(ctx context.Context, q stpq.Query) (Response, error) {
 		s.misses.Inc()
 	}
 	t := &task{ctx: ctx, p: p, done: make(chan taskResult, 1)}
-	if err := s.admitCost(t); err != nil {
-		return Response{}, err
-	}
 	if err := s.enqueue(t); err != nil {
-		s.releaseCost(t)
 		return Response{}, err
 	}
 	var r taskResult
@@ -300,37 +263,6 @@ func (s *Service) deadlineError(ctx context.Context) error {
 	return ErrDeadline
 }
 
-// admitCost applies cost-aware admission: the recorded mean cost of the
-// query's shape is checked against — and, when admitted, reserved from
-// — the in-flight cost budget. Queries whose shape is cold predict no cost
-// and always pass (deterministic fallback to queue-only admission), and a
-// warm query is never shed against an idle budget, so an over-cap query
-// still makes progress one at a time instead of starving.
-func (s *Service) admitCost(t *task) error {
-	if s.cfg.MaxInflightCost <= 0 {
-		return nil
-	}
-	cost, known := t.p.Cost()
-	if !known {
-		return nil // cold shapes pass
-	}
-	if in := s.inflightCost.Load(); in > 0 && in+int64(cost) > int64(s.cfg.MaxInflightCost) {
-		s.shed.Inc()
-		s.metrics.Counter(fmt.Sprintf("stpq_serve_shed_total{shape=%q}", t.p.Shape())).Inc()
-		return ErrShedExpensive
-	}
-	t.cost = cost
-	s.inflightCost.Add(int64(cost))
-	return nil
-}
-
-// releaseCost returns a task's reserved cost to the budget.
-func (s *Service) releaseCost(t *task) {
-	if t.cost > 0 {
-		s.inflightCost.Add(-int64(t.cost))
-	}
-}
-
 // enqueue admits a task without blocking; a full queue is an overload.
 func (s *Service) enqueue(t *task) error {
 	s.sendMu.RLock()
@@ -353,24 +285,24 @@ func (s *Service) worker() {
 	for t := range s.tasks {
 		// A task whose waiter already gave up (deadline hit while
 		// queued) is skipped; the engine itself is not interruptible,
-		// so a query that starts executing runs to completion. Either
-		// way the task's reserved cost returns to the budget here —
-		// including during the Close drain.
+		// so a query that starts executing runs to completion.
 		if t.ctx.Err() != nil {
-			s.releaseCost(t)
 			t.done <- taskResult{err: s.deadlineError(t.ctx)}
 			continue
 		}
 		res, st, err := t.p.Run()
-		s.releaseCost(t)
 		if err != nil {
 			t.done <- taskResult{err: err}
 			continue
 		}
 		q := t.p.Query()
 		resp := Response{Results: res, Stats: st, Generation: t.p.Generation(), RequestID: q.RequestID}
-		if s.cache != nil && q.Trace != stpq.TraceOn {
-			s.cache.put(t.p.Fingerprint(), t.p.Generation(), resp)
+		if s.cache != nil {
+			// Cached without its span tree: a hit answers with the results
+			// and costs of this execution, never with its trace.
+			cached := resp
+			cached.Stats.Trace = nil
+			s.cache.put(t.p.Fingerprint(), t.p.Generation(), cached)
 		}
 		t.done <- taskResult{resp: resp}
 	}
@@ -410,12 +342,4 @@ func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
 // uniformly in every event log.
 func NewRequestID() string {
 	return fmt.Sprintf("req-%016x", rand.Uint64())
-}
-
-// sampleTrace draws the service-level trace sampling decision.
-func sampleTrace(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	return rate >= 1 || rand.Float64() < rate
 }

@@ -130,7 +130,10 @@ func TestHTTPExplain(t *testing.T) {
 }
 
 func TestHTTPDebugEndpoints(t *testing.T) {
-	db := testDB(t, stpq.Config{SlowQueryThreshold: time.Nanosecond}, 200, 200)
+	db := testDB(t, stpq.Config{}, 200, 200)
+	if err := db.SetTraceSampling(0, time.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
 	svc, err := New(db, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -256,12 +259,17 @@ func TestCacheHitRecordsEvent(t *testing.T) {
 
 func TestServiceTraceSampling(t *testing.T) {
 	db := testDB(t, stpq.Config{}, 200, 200)
-	// Rate 1: every query is traced, so none touch the cache.
-	svc, err := New(db, Config{Workers: 2, TraceSample: 1})
+	// Rate 1: every query is traced, so none touch the cache, and each
+	// carries the tree of its own execution.
+	if err := db.SetTraceSampling(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(db, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
+	var trees []*stpq.Span
 	for i := 0; i < 2; i++ {
 		resp, err := svc.Do(t.Context(), testQuery(5))
 		if err != nil {
@@ -276,10 +284,44 @@ func TestServiceTraceSampling(t *testing.T) {
 		if resp.RequestID == "" {
 			t.Errorf("query %d has no request id", i)
 		}
+		trees = append(trees, resp.Stats.Trace)
+	}
+	if trees[0] == trees[1] {
+		t.Error("two sampled queries share one span tree")
 	}
 	ev := db.RecentQueries(1)[0]
 	if !ev.Sampled || ev.Trace == nil {
 		t.Errorf("sampled event = %+v", ev)
+	}
+}
+
+// TestCacheHitCarriesNoTrace: a query traced only because it was slow is
+// cached without its span tree, so the hit answering its twin carries
+// none instead of the first execution's.
+func TestCacheHitCarriesNoTrace(t *testing.T) {
+	db := testDB(t, stpq.Config{}, 200, 200)
+	if err := db.SetTraceSampling(0, time.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(db, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	var resps [2]Response
+	for i := range resps {
+		if resps[i], err = svc.Do(t.Context(), testQuery(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resps[0].Cached || resps[0].Stats.Trace == nil {
+		t.Fatalf("first query: cached %v, trace %v", resps[0].Cached, resps[0].Stats.Trace)
+	}
+	if !resps[1].Cached {
+		t.Fatal("second query missed the cache")
+	}
+	if resps[1].Stats.Trace != nil {
+		t.Errorf("cache hit carries a span tree (the first execution's: %v)", resps[1].Stats.Trace == resps[0].Stats.Trace)
 	}
 }
 

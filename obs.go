@@ -1,11 +1,14 @@
 package stpq
 
 // obs.go is the public observability surface of a DB: per-query span
-// traces (Config.Tracing / Stats.Trace) and the aggregate metrics registry
-// (DB.Metrics / DB.WriteMetricsPrometheus).
+// traces (Query.Trace, DB.SetTraceSampling / Stats.Trace) and the aggregate
+// metrics registry (DB.Metrics / DB.WriteMetricsPrometheus).
 
 import (
+	"fmt"
 	"io"
+	"math"
+	"time"
 
 	"stpq/internal/obs"
 )
@@ -13,9 +16,9 @@ import (
 // Span is one node of a query trace: a named phase with its accumulated
 // wall time, the page reads observed while it was open (including its
 // children's), optional counters and child phases. Traces are collected
-// when Config.Tracing is on (or after DB.SetTracing) and returned in
-// Stats.Trace; the root span covers the whole query, so its read deltas
-// equal Stats.LogicalReads/PhysicalReads. Walk visits the tree depth-first
+// for a query with Query.Trace set, a sampling hit or a slow query (see
+// DB.SetTraceSampling) and returned in Stats.Trace; the root span covers
+// the whole query, so its read deltas equal Stats.LogicalReads/PhysicalReads. Walk visits the tree depth-first
 // and String renders it one line per span.
 type Span = obs.Span
 
@@ -46,12 +49,20 @@ func (db *DB) WriteMetricsPrometheus(w io.Writer) error {
 	return db.tel.Shapes.WritePrometheus(w)
 }
 
-// SetTracing toggles per-query trace collection (Config.Tracing sets the
-// initial state; Open restores the saved one). Queries that already started
-// keep their tracing decision.
-func (db *DB) SetTracing(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.tracing.Store(on)
-	db.cfg.Tracing = on // persisted by Save
+// SetTraceSampling sets the engine-wide trace policy: each query without
+// Query.Trace collects a span tree with probability rate, and — when slow
+// is positive — every query collects one provisionally and keeps it if its
+// CPU time reaches slow, landing in SlowQueries. Safe while queries run;
+// a query that already started keeps its decision. The policy belongs to
+// the process, not the data: Save does not persist it. It rejects a rate
+// outside [0, 1] (NaN included) and a negative threshold.
+func (db *DB) SetTraceSampling(rate float64, slow time.Duration) error {
+	if math.IsNaN(rate) || rate < 0 || rate > 1 {
+		return fmt.Errorf("stpq: trace sample rate %v outside [0, 1]", rate)
+	}
+	if slow < 0 {
+		return fmt.Errorf("stpq: negative slow-query threshold %v", slow)
+	}
+	db.tel.SetSampling(obs.Sampling{Rate: rate, Slow: slow})
+	return nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // randomObsDB builds a moderately sized random DB with a small buffer pool,
@@ -72,11 +74,13 @@ func obsQuery(alg Algorithm, v Variant) Query {
 // exceeding the root.
 func TestReadInvariantsAndTraceAttribution(t *testing.T) {
 	for _, kind := range []IndexKind{SRT, IR2} {
-		db := randomObsDB(t, Config{IndexKind: kind, BufferPages: 8, Tracing: true})
+		db := randomObsDB(t, Config{IndexKind: kind, BufferPages: 8})
 		for _, alg := range []Algorithm{STPS, STDS} {
 			for _, v := range []Variant{Range, Influence, NearestNeighbor} {
 				name := fmt.Sprintf("kind=%v/alg=%d/variant=%d", kind, alg, v)
-				_, stats, err := db.TopK(obsQuery(alg, v))
+				q := obsQuery(alg, v)
+				q.Trace = true
+				_, stats, err := db.TopK(q)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -117,8 +121,9 @@ func TestReadInvariantsAndTraceAttribution(t *testing.T) {
 	}
 }
 
-// Tracing off (the default) must leave Stats.Trace nil; SetTracing flips it
-// both ways on a built DB.
+// Tracing off (the default) must leave Stats.Trace nil; SetTraceSampling
+// flips it both ways on a built DB, and refuses a rate or threshold out of
+// range without changing the policy.
 func TestSetTracingToggles(t *testing.T) {
 	db := paperDB(t, Config{})
 	_, stats, err := db.TopK(paperQuery(3, STPS))
@@ -128,7 +133,9 @@ func TestSetTracingToggles(t *testing.T) {
 	if stats.Trace != nil {
 		t.Fatal("tracing off but Stats.Trace set")
 	}
-	db.SetTracing(true)
+	if err := db.SetTraceSampling(1, 0); err != nil {
+		t.Fatal(err)
+	}
 	_, stats, err = db.TopK(paperQuery(3, STPS))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +149,17 @@ func TestSetTracingToggles(t *testing.T) {
 	if s := stats.Trace.String(); !strings.Contains(s, "stps.range") {
 		t.Fatalf("trace rendering missing root: %q", s)
 	}
-	db.SetTracing(false)
+	if err := db.SetTraceSampling(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		rate float64
+		slow time.Duration
+	}{{math.NaN(), 0}, {-0.1, 0}, {1.5, 0}, {math.Inf(1), 0}, {0.5, -time.Nanosecond}} {
+		if err := db.SetTraceSampling(bad.rate, bad.slow); err == nil {
+			t.Errorf("SetTraceSampling(%v, %v) accepted", bad.rate, bad.slow)
+		}
+	}
 	_, stats, err = db.TopK(paperQuery(3, STPS))
 	if err != nil {
 		t.Fatal(err)

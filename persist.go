@@ -38,9 +38,8 @@ type dbManifest struct {
 const manifestName = "stpq.json"
 
 // shapesName is the serialized per-shape cost statistics alongside a saved
-// DB: admission's and EXPLAIN's memory, reloaded on Open so predictions
-// are warm from boot instead of cold for the first MinPredictSamples
-// queries of every shape.
+// DB: EXPLAIN's memory, reloaded on Open so predictions are warm from boot
+// instead of cold for the first MinPredictSamples queries of every shape.
 const shapesName = "shapes.json"
 
 // SaveShapes writes the DB's per-shape cost statistics to dir (created if
@@ -259,7 +258,7 @@ func Open(dir string) (*DB, error) {
 				PageSize:    man.Config.PageSize,
 				BufferPages: buffer,
 			},
-			Core: man.Config.coreOptions(),
+			Core: coreOptions,
 		})
 		if err != nil {
 			return nil, err
@@ -281,7 +280,7 @@ func Open(dir string) (*DB, error) {
 				return nil, err
 			}
 		}
-		if eng, err = core.NewEngine(oidx, fidxs, man.Config.coreOptions()); err != nil {
+		if eng, err = core.NewEngine(oidx, fidxs, coreOptions); err != nil {
 			return nil, err
 		}
 	}

@@ -63,9 +63,10 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 	}
 }
 
-// TestAutoPlannerPredictCost pins the serve-admission input, per forced
-// algorithm: a shape's cost is unknown below the sample floor and known
-// after it, and one algorithm's executions never warm the other's shape.
+// TestAutoPlannerPredictCost pins EXPLAIN's prediction gate, per forced
+// algorithm: a shape predicts nothing below the sample floor but counts its
+// samples, predicts a positive cost after it, and one algorithm's
+// executions never warm the other's shape.
 func TestAutoPlannerPredictCost(t *testing.T) {
 	objs, food, cafes, words := shardTestData(13)
 	db := buildShardTestDB(t, Config{PageSize: 1024}, objs, food, cafes)
@@ -73,37 +74,41 @@ func TestAutoPlannerPredictCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	explain := func(q Query) *Explain {
+		t.Helper()
+		p, err := snap.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := p.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
 	for _, alg := range []Algorithm{STPS, STDS} {
 		q := Query{
 			K: 5, Radius: 0.05, Lambda: 0.5,
 			Keywords:  map[string][]string{"food": {words[0]}, "cafes": {words[1]}},
 			Algorithm: alg,
 		}
-		p, err := snap.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost, known := p.Cost(); known || cost != 0 {
-			t.Fatalf("%v cold predict: shape %q cost %v known %v", alg, p.Shape(), cost, known)
+		if ex := explain(q); ex.Predicted != nil || ex.Samples != 0 {
+			t.Fatalf("%v cold predict: shape %q predicted %+v samples %d", alg, ex.Shape, ex.Predicted, ex.Samples)
 		}
 		for i := 0; i < MinPredictSamples; i++ {
 			if i == MinPredictSamples-1 {
-				if p, err = snap.Prepare(q); err != nil {
-					t.Fatal(err)
-				}
-				if _, known := p.Cost(); known {
-					t.Fatalf("%v predicts after %d of %d samples", alg, i, MinPredictSamples)
+				if ex := explain(q); ex.Predicted != nil || ex.Samples != int64(i) {
+					t.Fatalf("%v after %d of %d samples: predicted %+v samples %d", alg, i, MinPredictSamples, ex.Predicted, ex.Samples)
 				}
 			}
 			if _, _, err := db.TopK(q); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if p, err = snap.Prepare(q); err != nil {
-			t.Fatal(err)
-		}
-		if cost, known := p.Cost(); !known || cost <= 0 || p.Shape() == "" {
-			t.Fatalf("%v warm predict: shape %q cost %v known %v", alg, p.Shape(), cost, known)
+		ex := explain(q)
+		if ex.Predicted == nil || ex.Samples != MinPredictSamples || ex.Shape == "" ||
+			ex.Predicted.MeanDuration+ex.Predicted.MeanIOTime <= 0 {
+			t.Fatalf("%v warm predict: shape %q predicted %+v samples %d", alg, ex.Shape, ex.Predicted, ex.Samples)
 		}
 	}
 }

@@ -119,25 +119,25 @@ func Fingerprint(q Query) string {
 // Prepared is a query that has been validated and lowered against one
 // snapshot's vocabulary. It is good for one execution (Run) or one of the
 // read-only probes (Score, Explain); the serving
-// layer carries it from admission to the worker so the cache key, the cost
-// reservation, the cache-hit event and the execution all read one value.
+// layer carries it from admission to the worker so the cache key, the
+// cache-hit event and the execution all read one value.
 // One goroutine uses it at a time.
 type Prepared struct {
 	snap *Snapshot
 	q    Query
 	cq   core.Query
 	key  ShapeKey
-	// keep reports that the span tree was asked for (Query.Trace, the engine
-	// toggle or a sampling hit); a tree collected only so a slow query would
-	// have one is dropped again unless the query turns out slow.
+	// keep reports that the span tree was asked for (Query.Trace or a
+	// sampling hit); a tree collected only so a slow query would have one is
+	// dropped again unless the query turns out slow.
 	keep bool
 	fp   string
 }
 
 // Prepare validates q against the snapshot's feature sets, lowers it to the
-// engine's form, takes the trace decision — the query's explicit mode, then
-// the engine toggle, then the sampler, then the slow-query threshold.
-// Errors wrap ErrInvalidQuery.
+// engine's form, takes the trace decision — Query.Trace, then the sampling
+// rate, then the slow-query threshold (DB.SetTraceSampling). Errors wrap
+// ErrInvalidQuery.
 func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 	if err := ValidateQuery(q, s.names); err != nil {
 		return nil, err
@@ -157,16 +157,19 @@ func (s *Snapshot) Prepare(q Query) (*Prepared, error) {
 		RequestID:  q.RequestID,
 	}
 
-	tel := s.db.tel
-	switch {
-	case q.Trace == TraceOff:
-	case q.Trace == TraceOn, s.db.tracing.Load(), tel.Sample():
+	switch pol := s.db.tel.Sampling(); {
+	case q.Trace, pol.Sample():
 		p.cq.Trace, p.keep = true, true
-	case tel.SlowThreshold > 0:
+	case pol.Slow > 0:
 		p.cq.Trace = true
 	}
 	return p, nil
 }
+
+// Traced reports that Prepare chose to collect and keep the query's span
+// tree (Query.Trace or a sampling hit). A result cache must not answer such
+// a query: its tree has to come from the execution that returns it.
+func (p *Prepared) Traced() bool { return p.keep }
 
 // Query returns the query as prepared.
 func (p *Prepared) Query() Query { return p.q }
@@ -187,18 +190,6 @@ func (p *Prepared) Fingerprint() string {
 // Shape returns the query's canonical shape label — the key its cost
 // statistics are recorded under.
 func (p *Prepared) Shape() string { return p.snap.db.tel.Shapes.Name(p.key) }
-
-// Cost returns the recorded mean total cost of the query's shape. known is
-// false — and cost zero — while the shape has fewer than MinPredictSamples
-// recorded executions; cost-aware admission then falls back to queue-only
-// admission.
-func (p *Prepared) Cost() (cost time.Duration, known bool) {
-	mean, n := p.snap.db.tel.Shapes.Cost(p.key)
-	if n < obs.MinPredictSamples {
-		return 0, false
-	}
-	return mean, true
-}
 
 // Run executes the query and records it: per-algorithm metrics on success,
 // and exactly one event record either way.
@@ -223,7 +214,7 @@ func (p *Prepared) Run() ([]Result, Stats, error) {
 	}
 	// A trace collected only provisionally is not part of the answer unless
 	// the query actually crossed the threshold.
-	if tel := p.snap.db.tel; !p.keep && st.CPUTime < tel.SlowThreshold {
+	if !p.keep && st.CPUTime < p.snap.db.tel.Sampling().Slow {
 		st.Trace = nil
 	}
 	out := make([]Result, len(res))

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stpq/internal/core"
@@ -140,29 +139,6 @@ type Config struct {
 	// what a read counts as a hit or a miss. It does not bound memory; the
 	// pages live in memory either way, and a frame holds the disk's image.
 	BufferPages int
-	// IOCostPerPage converts physical page reads into modeled I/O time
-	// for Stats (default 100µs).
-	IOCostPerPage time.Duration
-	// Tracing collects a span tree (Stats.Trace) for every query: named
-	// phases with wall time and page-read deltas. Off by default; the
-	// disabled path costs one nil check per instrumentation point. Can be
-	// toggled later with DB.SetTracing.
-	Tracing bool
-	// TraceSampleRate is the probability (0..1) that a query without an
-	// explicit tracing decision collects a full span tree into its event
-	// record. 0 disables sampling; queries can always opt in per-request
-	// (Query.Trace) or engine-wide (Tracing / SetTracing).
-	TraceSampleRate float64
-	// SlowQueryThreshold, when positive, makes every query whose CPU time
-	// reaches it land in the slow-query log with a complete span tree,
-	// regardless of sampling.
-	SlowQueryThreshold time.Duration
-	// EventLogEntries sizes the in-memory ring of recent query event
-	// records (0 = default 1024, negative disables the event log).
-	EventLogEntries int
-	// SlowLogEntries sizes the slow-query ring (0 = default 128, negative
-	// disables the slow log).
-	SlowLogEntries int
 	// ShardCount > 1 lays the data out in that many spatial cells, each an
 	// index part of its own (page files, buffer pool, metrics) under the one
 	// query engine. It is a data layout, not a parallelism feature: a query
@@ -238,9 +214,10 @@ type Query struct {
 	// request is attributable across the serving, shard and core layers. It
 	// does not affect caching or results.
 	RequestID string
-	// Trace is the query's explicit tracing decision, overriding the
-	// engine toggle and the sampler (default TraceDefault).
-	Trace TraceMode
+	// Trace collects the query's span tree into Stats.Trace. Without it
+	// the engine-wide sampling rate and slow-query threshold decide (see
+	// DB.SetTraceSampling).
+	Trace bool
 }
 
 // Result is one ranked data object.
@@ -252,8 +229,8 @@ type Result struct {
 
 // Stats reports the cost of one query, following the paper's metric:
 // measured CPU time plus I/O time modeled from physical page reads. Trace is
-// the query's phase breakdown when tracing is enabled (Config.Tracing,
-// DB.SetTracing, Query.Trace, or a sampling hit), nil otherwise.
+// the query's phase breakdown when tracing is enabled (Query.Trace, a
+// sampling hit, or a slow query), nil otherwise.
 type Stats = core.Stats
 
 // DB is a queryable collection of data objects and named feature sets.
@@ -280,7 +257,6 @@ type DB struct {
 	metrics  *obs.Registry
 	tel      *obs.Telemetry
 	qmetrics queryMetricsTable
-	tracing  atomic.Bool // Config.Tracing / SetTracing, read by Prepare
 	kwTables map[string]*keywordTable
 	built    bool
 	gen      uint64 // build generation: 1 after Build, +1 per Rebuild
@@ -340,10 +316,8 @@ func New(cfg Config) *DB {
 		vocab:   kwset.NewVocabulary(),
 		sets:    make(map[string][]Feature),
 		metrics: obs.NewRegistry(),
-		tel: obs.NewTelemetry(cfg.EventLogEntries, cfg.SlowLogEntries,
-			cfg.TraceSampleRate, cfg.SlowQueryThreshold),
+		tel:     obs.NewTelemetry(),
 	}
-	db.tracing.Store(cfg.Tracing)
 	return db
 }
 
@@ -520,7 +494,7 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 			Shards:   db.cfg.ShardCount,
 			Strategy: shard.Strategy(db.cfg.ShardStrategy),
 			Index:    opts,
-			Core:     db.cfg.coreOptions(),
+			Core:     coreOptions,
 		})
 		if err != nil {
 			return fmt.Errorf("stpq: building sharded engine: %w", err)
@@ -536,7 +510,7 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 				return fmt.Errorf("stpq: building feature index %q: %w", name, errs[1+i])
 			}
 		}
-		if eng, err = core.NewEngine(oidx, fidxs, db.cfg.coreOptions()); err != nil {
+		if eng, err = core.NewEngine(oidx, fidxs, coreOptions); err != nil {
 			return err
 		}
 	}
@@ -624,14 +598,9 @@ func readBack(eng *core.Engine) ([]index.Object, [][]index.Feature, error) {
 // engine, which holds exactly one object part.
 func soleObjects(eng *core.Engine) *index.ObjectIndex { return eng.ObjectParts()[0] }
 
-// coreOptions lowers the public config into engine options.
-func (cfg Config) coreOptions() core.Options {
-	opts := core.Options{BatchSTDS: true}
-	if cfg.IOCostPerPage > 0 {
-		opts.CostModel = storage.CostModel{PerPage: cfg.IOCostPerPage}
-	}
-	return opts
-}
+// coreOptions are the engine options every DB runs with: batched STDS and
+// the storage layer's default I/O cost model.
+var coreOptions = core.Options{BatchSTDS: true, CostModel: storage.DefaultCostModel()}
 
 // poolLabel sanitizes a feature-set name into a Prometheus label value.
 func poolLabel(name string) string {

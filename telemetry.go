@@ -7,20 +7,6 @@ package stpq
 
 import "stpq/internal/obs"
 
-// TraceMode is a query's explicit tracing decision.
-type TraceMode int
-
-const (
-	// TraceDefault defers to the engine toggle (Config.Tracing /
-	// DB.SetTracing) and, failing that, the probabilistic sampler
-	// (Config.TraceSampleRate).
-	TraceDefault TraceMode = iota
-	// TraceOn forces span collection for this query.
-	TraceOn
-	// TraceOff suppresses span collection for this query.
-	TraceOff
-)
-
 // QueryEvent is one query's structured record in the event log: identity,
 // canonical shape (the join key into QueryShapes), cost counters and
 // outcome, plus the full span tree for sampled, explicitly traced, or slow
@@ -29,17 +15,17 @@ type QueryEvent = obs.QueryEvent
 
 // RecentQueries returns up to n of the most recent query event records,
 // newest first (n ≤ 0 returns all held). The log is a fixed-size ring
-// (Config.EventLogEntries) recording every query — successes, failures and
-// cache hits — with negligible overhead; full span trees are attached only
-// for sampled, explicitly traced, or slow queries.
+// (obs.DefaultEventLogSize entries) recording every query — successes,
+// failures and cache hits — with negligible overhead; full span trees are
+// attached only for sampled, explicitly traced, or slow queries.
 func (db *DB) RecentQueries(n int) []QueryEvent {
 	return db.tel.Events.Recent(n)
 }
 
 // SlowQueries returns up to n of the most recent queries whose CPU time
-// reached Config.SlowQueryThreshold, newest first, each with a complete
-// span tree regardless of the sampling rate. Empty when no threshold is
-// configured.
+// reached the slow-query threshold (DB.SetTraceSampling), newest first,
+// each with a complete span tree regardless of the sampling rate. Empty
+// when no threshold is set.
 func (db *DB) SlowQueries(n int) []QueryEvent {
 	return db.tel.Slow.Recent(n)
 }

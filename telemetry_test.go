@@ -63,7 +63,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	db := paperDB(t, Config{})
 	q := paperQuery(3, STPS)
 	q.RequestID = "req-e2e-unsharded"
-	q.Trace = TraceOn
+	q.Trace = true
 	_, st, err := db.TopK(q)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRequestIDPropagationSharded(t *testing.T) {
 	db := paperDB(t, Config{ShardCount: 2})
 	q := paperQuery(3, STPS)
 	q.RequestID = "req-e2e-sharded"
-	q.Trace = TraceOn
+	q.Trace = true
 	_, st, err := db.TopK(q)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestRequestIDPropagationThroughOverlay(t *testing.T) {
 	}
 	q := paperQuery(3, STPS)
 	q.RequestID = "req-e2e-overlay"
-	q.Trace = TraceOn
+	q.Trace = true
 	_, st, err := db.TopK(q)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,10 @@ func TestRequestIDPropagationThroughOverlay(t *testing.T) {
 func TestSlowQueryCapture(t *testing.T) {
 	// A 1ns threshold forces every query over the line: each must land in
 	// the slow log with a complete span tree despite sampling being off.
-	db := paperDB(t, Config{SlowQueryThreshold: time.Nanosecond})
+	db := paperDB(t, Config{})
+	if err := db.SetTraceSampling(0, time.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := db.TopK(paperQuery(3, STPS)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,10 @@ func TestSlowThresholdKeepsFastQueriesLean(t *testing.T) {
 	// With a threshold no real query crosses, traces are collected
 	// provisionally but must be trimmed from both the event record and the
 	// query's public Stats.
-	db := paperDB(t, Config{SlowQueryThreshold: time.Hour})
+	db := paperDB(t, Config{})
+	if err := db.SetTraceSampling(0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
 	_, st, err := db.TopK(paperQuery(3, STPS))
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +186,10 @@ func TestSlowThresholdKeepsFastQueriesLean(t *testing.T) {
 }
 
 func TestTraceSampling(t *testing.T) {
-	db := paperDB(t, Config{TraceSampleRate: 1})
+	db := paperDB(t, Config{})
+	if err := db.SetTraceSampling(1, 0); err != nil {
+		t.Fatal(err)
+	}
 	_, st, err := db.TopK(paperQuery(3, STPS))
 	if err != nil {
 		t.Fatal(err)
@@ -192,15 +201,16 @@ func TestTraceSampling(t *testing.T) {
 	if !ev.Sampled || ev.Trace == nil {
 		t.Errorf("rate-1 sampling left the event unsampled: %+v", ev)
 	}
-	// TraceOff wins over the sampler.
-	q := paperQuery(3, STPS)
-	q.Trace = TraceOff
-	_, st, err = db.TopK(q)
+	// Rate 0 turns the sampler off again for the next query.
+	if err := db.SetTraceSampling(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err = db.TopK(paperQuery(3, STPS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Trace != nil || db.RecentQueries(1)[0].Trace != nil {
-		t.Error("TraceOff query still collected a trace")
+		t.Error("rate-0 query still collected a trace")
 	}
 }
 
