@@ -72,18 +72,20 @@ bench-check:
 # and the polygon search on their own. BenchmarkBuild runs DB.Build once per
 # index kind: the interning pass and the concurrent bulk loads.
 # BenchmarkEncode2D/4D run the bulk loaders' Hilbert keys (the automaton
-# walk) on their own.
+# walk) on their own, and BenchmarkPageScan the feature stream's page
+# kernel (the counted keyword scan and the price of each slot it meets).
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 1x .
-	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D' -benchtime 1x ./internal/hilbert/
+	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan' -benchtime 1x ./internal/hilbert/ ./internal/rtree/
 
 # Before/after benchmark comparison for perf work: Figure 7's range sweep,
 # its 10 K point behind 32-page pools (the miss path), Figure 10's 10 K
 # influence point — the candidate heap runs under all three — the
 # warm-store NN query, DB.Build of Figure 7's default data point (the
-# set-up every workload pays before its first query) and the 2-D and 4-D
-# Hilbert keys it sorts by (at the default benchtime: one key takes
-# nanoseconds). Run once on the base
+# set-up every workload pays before its first query), the 2-D and 4-D
+# Hilbert keys it sorts by and the feature stream's page kernel,
+# BenchmarkPageScan, in ns per slot (those three at the default benchtime:
+# a key or a slot takes nanoseconds). Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -92,7 +94,7 @@ BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
 	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
-	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D' -benchmem -count 5 ./internal/hilbert/ | tee -a $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan' -benchmem -count 5 ./internal/hilbert/ ./internal/rtree/ | tee -a $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \

@@ -40,9 +40,6 @@ type featureStream struct {
 	lens      lens
 	heap      boundHeap
 	exhausted bool
-	// arena holds the keyword words of the entry being scored, copied out
-	// of its page.
-	arena []uint64
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -72,24 +69,25 @@ type lens struct {
 	batch []*batchObj
 }
 
-// admit is consulted where an entry is pushed: whether anything below e can
-// pass the lens, and the weight of e's bound. A leaf of the range lens is
-// held to the exact distance here too, so it is queued final.
-func (l *lens) admit(e *rtree.Entry) (weight float64, ok bool) {
+// admit is consulted where an entry is pushed: whether anything below an
+// entry with this rectangle can pass the lens, and the weight of the
+// entry's bound. A leaf of the range lens is held to the exact distance
+// here too, so it is queued final.
+func (l *lens) admit(rect *geo.Rect, leaf bool) (weight float64, ok bool) {
 	switch l.kind {
 	case lensRange:
-		ok = e.Rect.MinDist(l.p) <= l.r
-		if ok && e.Leaf {
-			ok = e.Rect.Min.Dist(l.p) <= l.r
+		ok = rect.MinDist(l.p) <= l.r
+		if ok && leaf {
+			ok = rect.Min.Dist(l.p) <= l.r
 		}
 		return 1, ok
 	case lensInfluence:
-		if e.Leaf {
-			return l.decay(e.Rect.Min), true
+		if leaf {
+			return l.decay(rect.Min), true
 		}
-		return math.Exp2(-e.Rect.MinDist(l.p) / l.r), true
+		return math.Exp2(-rect.MinDist(l.p) / l.r), true
 	default: // lensBatch
-		return 1, l.nearUnresolved(&e.Rect)
+		return 1, l.nearUnresolved(rect)
 	}
 }
 
@@ -136,7 +134,7 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 		w := 1.0
 		if s.lens.kind != lensNone {
 			var ok bool
-			if w, ok = s.lens.admit(&root); !ok {
+			if w, ok = s.lens.admit(&root.Rect, root.Leaf); !ok {
 				continue
 			}
 		}
@@ -161,25 +159,25 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			}
 			return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
 		}
-		// Filter, then pick: most slots of a node are rejected on their
-		// keyword words where the page lies; the rest are decoded into c.
+		// Filter, then price: most slots of a node are rejected on their
+		// keyword words where the page lies; the scan counts the rest's,
+		// and each is priced from its counts and its score in place.
 		page, err := s.g.Part(int(it.part)).Tree().View(it.child())
 		if err != nil {
 			return featureRef{}, false, err
 		}
-		words := s.q.Set.WordsBits()
-		var c rtree.Entry
-		for i := page.NextIntersecting(0, words); i < page.Len(); i = page.NextIntersecting(i+1, words) {
-			s.arena = s.arena[:0]
-			if !page.Entry(i, &c, &s.arena) {
+		words, wc, leaf := s.q.Set.WordsBits(), s.q.Set.Count(), page.Leaf()
+		for i, inter, count := page.NextCounted(0, words); i < page.Len(); i, inter, count = page.NextCounted(i+1, words) {
+			if !page.Visible(i) {
 				continue // tombstoned
 			}
 			w, ok := 1.0, true
 			if s.lens.kind != lensNone {
-				w, ok = s.lens.admit(&c)
+				rect := page.Rect(i)
+				w, ok = s.lens.admit(&rect, leaf)
 			}
 			if ok {
-				s.heap.push(candidateOf(&c, int(it.part), s.q.Bound(&c)*w, nil))
+				s.heap.push(slotCandidate(&page, i, int(it.part), s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)*w))
 			}
 		}
 	}
@@ -236,14 +234,14 @@ func candidateOf(e *rtree.Entry, part int, prio float64, rests *[]leafRest) cand
 	return c
 }
 
-// slotCandidate is candidateOf for slot i of v, whose rectangle is rect: an
+// slotCandidate is candidateOf for slot i of v, read where it lies: an
 // internal slot keeps its child page, a leaf its item id and location,
 // final.
-func slotCandidate(v *rtree.PageView, i int, rect *geo.Rect, part int, prio float64) candidate {
+func slotCandidate(v *rtree.PageView, i int, part int, prio float64) candidate {
 	if !v.Leaf() {
 		return candidate{prio: prio, ref: int64(v.Child(i)), part: int32(part), slot: slotNode}
 	}
-	return candidate{prio: prio, loc: rect.Min, ref: v.ItemID(i), part: int32(part), slot: slotFinal}
+	return candidate{prio: prio, loc: v.Point(i), ref: v.ItemID(i), part: int32(part), slot: slotFinal}
 }
 
 // isLeaf reports whether the candidate is a leaf entry.

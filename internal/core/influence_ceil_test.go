@@ -281,7 +281,7 @@ func (e *Engine) topKInfluenceExact(comb combination, q *Query, acc *influenceTo
 			}
 			rect := v.Rect(i)
 			if prio := exactPrice(comb.refs, q.Radius, rect, v.Leaf()); prio >= limit {
-				pq.push(slotCandidate(&v, i, &rect, int(it.part), prio))
+				pq.push(slotCandidate(&v, i, int(it.part), prio))
 			}
 		}
 	}

@@ -143,8 +143,8 @@ func (e *Engine) countShards(stats *Stats) {
 // an idle scratch pins nothing of the query it served. The candidates
 // themselves hold no pointer, and everything else the scratch keeps —
 // retrieved feature prefixes, the combination refs buffer, the pair grids
-// and the index vector arena, the keyword arenas of the feature streams and
-// the distance heap (uint64s copied out of the page images), batch
+// and the index vector arena, the distance heap's keyword arena (uint64s
+// copied out of the page images), batch
 // objects, the influence search's members and K best prices — is plain
 // values without pointers.
 func (sc *queryScratch) release() {

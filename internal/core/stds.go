@@ -257,7 +257,7 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		for i := 0; i < v.Len(); i++ {
 			if !v.Leaf() {
 				rect := v.Rect(i)
-				h.push(slotCandidate(&v, i, &rect, int(it.part), -rect.MinDist(center)))
+				h.push(slotCandidate(&v, i, int(it.part), -rect.MinDist(center)))
 			} else if v.Entry(i, &c, arena) {
 				// A queued leaf keeps its words on the arena until the walk
 				// ends.

@@ -618,7 +618,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, s
 			}
 			ts = decayTerms(comb.refs, q.Radius, &rect, leaf, ts)
 			if prio := influenceAt(ts); prio >= floor {
-				pq.push(slotCandidate(&v, i, &rect, int(it.part), prio))
+				pq.push(slotCandidate(&v, i, int(it.part), prio))
 				if leaf {
 					pr.pushed(prio)
 					floor = pr.floor(limit)

@@ -260,24 +260,34 @@ type QueryKeywords struct {
 func Score(e rtree.Entry, q QueryKeywords) float64 { return q.Score(&e) }
 
 // Bound returns the upper bound ŝ(e) of Section 4.2 for an entry: the
-// exact score for leaf entries, and (1−λ)·e.s + λ·NodeBound(e.W, W) for
-// internal entries (|e.W∩W|/|W| under Jaccard). For every feature t under
-// e, Bound(e) ≥ s(t).
+// exact score for leaf entries, and (1−λ)·e.s + λ·NodeBoundCounts(|e.W∩W|,
+// |W|) for internal entries (|e.W∩W|/|W| under Jaccard). For every feature
+// t under e, Bound(e) ≥ s(t).
 func Bound(e rtree.Entry, q QueryKeywords) float64 { return q.Bound(&e) }
 
-// Score is the package-level Score read in place: the query algorithms
-// call Score, Bound and Relevant once per decoded slot of a visited node.
+// Score is the package-level Score read in place.
 func (q *QueryKeywords) Score(e *rtree.Entry) float64 {
-	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.Sim(e.Keywords, q.Set)
+	return q.BoundCounts(e.Score, true, e.Keywords.IntersectCount(q.Set), e.Keywords.Count(), q.Set.Count())
 }
 
 // Bound is the package-level Bound read in place. For a leaf it is Score,
 // bit for bit.
 func (q *QueryKeywords) Bound(e *rtree.Entry) float64 {
-	if e.Leaf {
-		return q.Score(e)
+	return q.BoundCounts(e.Score, e.Leaf, e.Keywords.IntersectCount(q.Set), e.Keywords.Count(), q.Set.Count())
+}
+
+// BoundCounts is Bound from counts, the one formula Score and Bound share:
+// the bound of an entry whose score is s, whose keywords number count and
+// share inter with W, and |W| = wc. The feature stream prices a page slot
+// with it straight from the slot's image (rtree.PageView.NextCounted).
+func (q *QueryKeywords) BoundCounts(s float64, leaf bool, inter, count, wc int) float64 {
+	var sim float64
+	if leaf {
+		sim = q.Sim.SimCounts(inter, count, wc)
+	} else {
+		sim = q.Sim.NodeBoundCounts(inter, wc)
 	}
-	return (1-q.Lambda)*e.Score + q.Lambda*q.Sim.NodeBound(e.Keywords, q.Set)
+	return (1-q.Lambda)*s + q.Lambda*sim
 }
 
 // Relevant reports whether the entry can contain a feature with positive

@@ -137,6 +137,76 @@ func checkBound(t *testing.T, idx *FeatureIndex, pid storage.PageID, q QueryKeyw
 	return nil
 }
 
+// The feature stream prices a page slot from the counts its keyword scan
+// takes and its score in place (BoundCounts); the readers that decode price
+// the Entry (Score, Bound). For every measure, on leaf and internal slots,
+// at keyword widths within, at and across word boundaries and with query
+// sets narrower and wider than the tree — bits beyond its width included —
+// the two agree to the bit, and a leaf's Jaccard price is the one
+// kwset.Set.Jaccard gives.
+func TestBoundCountsMatchesEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, width := range []int{64, 100, 128, 200} {
+		idx, err := BuildFeatureIndex(randomFeatures(rng, 800, width), Options{VocabWidth: width, PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pages []rtree.PageView
+		var walk func(storage.PageID)
+		walk = func(id storage.PageID) {
+			v, err := idx.Tree().View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages, v)
+			for i := 0; !v.Leaf() && i < v.Len(); i++ {
+				walk(v.Child(i))
+			}
+		}
+		walk(idx.Tree().Root())
+		var priced [2]int // internal, leaf
+		var arena []uint64
+		for _, qWidth := range []int{width / 3, width, width + 70} {
+			for trial := 0; trial < 8; trial++ {
+				set := kwset.NewSet(qWidth)
+				for j := 0; j < 1+rng.Intn(6); j++ {
+					set.Add(rng.Intn(qWidth))
+				}
+				words, wc := set.WordsBits(), set.Count()
+				for _, sim := range []Similarity{Jaccard, Dice, Cosine, Overlap} {
+					q := QueryKeywords{Set: set, Lambda: rng.Float64(), Sim: sim}
+					for k := range pages {
+						v := &pages[k]
+						for i, inter, count := v.NextCounted(0, words); i < v.Len(); i, inter, count = v.NextCounted(i+1, words) {
+							var e rtree.Entry
+							arena = arena[:0]
+							v.Entry(i, &e, &arena)
+							got, want := q.BoundCounts(v.Score(i), v.Leaf(), inter, count, wc), q.Bound(&e)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("width %d, %v, query %v, slot %+v: counted %v, Bound %v", width, sim, set, e, got, want)
+							}
+							if e.Leaf && math.Float64bits(q.Score(&e)) != math.Float64bits(want) {
+								t.Fatalf("width %d, %v: leaf Score %v, Bound %v", width, sim, q.Score(&e), want)
+							}
+							if e.Leaf && sim == Jaccard && math.Float64bits(want) != math.Float64bits((1-q.Lambda)*e.Score+q.Lambda*e.Keywords.Jaccard(set)) {
+								t.Fatalf("width %d: leaf Jaccard price %v, kwset.Jaccard says otherwise", width, want)
+							}
+							if e.Leaf {
+								priced[1]++
+							} else {
+								priced[0]++
+							}
+						}
+					}
+				}
+			}
+		}
+		if priced[0] == 0 || priced[1] == 0 {
+			t.Fatalf("width %d: priced %d internal and %d leaf slots", width, priced[0], priced[1])
+		}
+	}
+}
+
 // SRT clustering must yield tighter average bounds than IR² for a textual
 // query — the paper's core index claim (Section 4.2). We compare the mean
 // root-child bound gap over random queries; SRT should not be worse.

@@ -3,8 +3,6 @@ package index
 import (
 	"fmt"
 	"math"
-
-	"stpq/internal/kwset"
 )
 
 // Similarity selects the textual similarity function sim(t, W) of
@@ -44,56 +42,43 @@ func (s Similarity) String() string {
 	}
 }
 
-// Sim computes the similarity between a feature's keywords and the query
-// keywords. Empty inputs yield 0.
-func (s Similarity) Sim(t, w kwset.Set) float64 {
-	switch s {
-	case Dice, Cosine, Overlap:
-		inter := t.IntersectCount(w)
-		if inter == 0 {
-			return 0
-		}
-		switch s {
-		case Dice:
-			return 2 * float64(inter) / float64(t.Count()+w.Count())
-		case Cosine:
-			return float64(inter) / math.Sqrt(float64(t.Count())*float64(w.Count()))
-		default: // Overlap
-			m := t.Count()
-			if wc := w.Count(); wc < m {
-				m = wc
-			}
-			return float64(inter) / float64(m)
-		}
-	default: // Jaccard: one fused popcount pass over the bit words
-		inter, union := t.IntersectUnionCount(w)
-		if inter == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
-	}
-}
-
-// NodeBound returns an upper bound on Sim(t, w) over every feature t
-// whose keywords are contained in the node summary eW. Derivations (with
-// i = |eW ∩ w| ≥ |t.W ∩ w| and |t.W| ≥ 1):
-//
-//	Jaccard: |t∩w|/|t∪w| ≤ i/|w|
-//	Dice:    2|t∩w|/(|t|+|w|) ≤ 2i/(1+|w|), capped at 1
-//	Cosine:  |t∩w|/√(|t||w|) ≤ √(|t∩w|/|w|) ≤ √(i/|w|), capped at 1
-//	Overlap: ≤ 1 whenever i ≥ 1
-func (s Similarity) NodeBound(eW, w kwset.Set) float64 {
-	wc := w.Count()
-	if wc == 0 {
-		return 0
-	}
-	inter := eW.IntersectCount(w)
+// SimCounts computes sim(t, w) from counts: inter = |t ∩ w|, tc = |t| and
+// wc = |w|. It is the one expression: the feature stream prices a page slot
+// from the counts its keyword scan takes, and a decoded Entry is priced
+// from its set's counts. Sets that share no keyword score 0.
+func (s Similarity) SimCounts(inter, tc, wc int) float64 {
 	if inter == 0 {
 		return 0
 	}
 	switch s {
 	case Dice:
-		return math.Min(1, 2*float64(inter)/float64(1+wc))
+		return 2 * float64(inter) / float64(tc+wc)
+	case Cosine:
+		return float64(inter) / math.Sqrt(float64(tc)*float64(wc))
+	case Overlap:
+		return float64(inter) / float64(min(tc, wc))
+	default: // Jaccard: |t ∪ w| = |t| + |w| − |t ∩ w|
+		return float64(inter) / float64(tc+wc-inter)
+	}
+}
+
+// NodeBoundCounts returns an upper bound on sim(t, w) over every feature
+// t whose keywords are contained in the node summary eW, from inter =
+// |eW ∩ w| and wc = |w|. Derivations (with i = |eW ∩ w| ≥ j = |t.W ∩ w|
+// and |t.W| ≥ j):
+//
+//	Jaccard: |t∩w|/|t∪w| ≤ j/|w| ≤ i/|w|
+//	Dice:    2j/(|t|+|w|) ≤ 2j/(j+|w|) ≤ 2i/(i+|w|), which increases in
+//	         j and is ≤ 1 since i ≤ |w|; a feature with t.W = eW ∩ w meets it
+//	Cosine:  |t∩w|/√(|t||w|) ≤ √(|t∩w|/|w|) ≤ √(i/|w|), capped at 1
+//	Overlap: ≤ 1 whenever i ≥ 1
+func (s Similarity) NodeBoundCounts(inter, wc int) float64 {
+	if inter == 0 {
+		return 0
+	}
+	switch s {
+	case Dice:
+		return s.SimCounts(inter, inter, wc)
 	case Cosine:
 		return math.Min(1, math.Sqrt(float64(inter)/float64(wc)))
 	case Overlap:

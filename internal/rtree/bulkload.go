@@ -34,8 +34,8 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	}
 	order = radixSort(order, make([]keyed, len(order)))
 
-	leafFill := fill(t.leafCap, t.cfg.FillFactor)
-	innerFill := fill(t.innerCap, t.cfg.FillFactor)
+	leafFill := fill(t.layout(true).capacity, t.cfg.FillFactor)
+	innerFill := fill(t.layout(false).capacity, t.cfg.FillFactor)
 
 	// Level 0: pack leaf nodes straight from items through one entry
 	// buffer; writeNode copies what it keeps into the page image.

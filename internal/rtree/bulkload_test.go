@@ -38,8 +38,8 @@ func (t *Tree) referenceBulkLoad(items []Item, key SortKey) error {
 		sorted[i] = items[j]
 	}
 
-	leafFill := fill(t.leafCap, t.cfg.FillFactor)
-	innerFill := fill(t.innerCap, t.cfg.FillFactor)
+	leafFill := fill(t.layout(true).capacity, t.cfg.FillFactor)
+	innerFill := fill(t.layout(false).capacity, t.cfg.FillFactor)
 
 	level := make([]Entry, 0, (len(sorted)+leafFill-1)/leafFill)
 	var lastPage = t.root

@@ -83,11 +83,7 @@ func (t *Tree) absorb(prev, inserted Entry) Entry {
 // the no-split path the refreshed aggregate is prev absorbing inserted
 // (the paper's online node-update rule) rather than a full re-fold.
 func (t *Tree) finishInsert(pid storagePage, n *Node, prev, inserted Entry) (*Entry, *Entry, error) {
-	capacity := t.innerCap
-	if n.Leaf {
-		capacity = t.leafCap
-	}
-	if len(n.Entries) <= capacity {
+	if len(n.Entries) <= t.layout(n.Leaf).capacity {
 		if err := t.updateNode(pid, n); err != nil {
 			return nil, nil, err
 		}

@@ -14,12 +14,9 @@ const nodeHeaderSize = 4
 // bytes used, valid until the next encodeNode: a Disk copies what WritePage
 // is given, so a bulk load writes every page through one buffer.
 func (t *Tree) encodeNode(n *Node) ([]byte, error) {
-	capacity := t.innerCap
-	if n.Leaf {
-		capacity = t.leafCap
-	}
-	if len(n.Entries) > capacity {
-		return nil, fmt.Errorf("rtree: node overflow: %d entries, capacity %d", len(n.Entries), capacity)
+	lay := t.layout(n.Leaf)
+	if len(n.Entries) > lay.capacity {
+		return nil, fmt.Errorf("rtree: node overflow: %d entries, capacity %d", len(n.Entries), lay.capacity)
 	}
 	if t.encBuf == nil {
 		t.encBuf = make([]byte, t.cfg.PageSize)
@@ -31,7 +28,6 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.Entries)))
 	off := nodeHeaderSize
-	words := kwWords(t.cfg.KeywordWidth)
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		if n.Leaf {
@@ -50,9 +46,9 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 		if t.cfg.WithScore {
 			off = putFloat(buf, off, e.Score)
 		}
-		if words > 0 {
+		if lay.words > 0 {
 			raw := e.Keywords.WordsBits()
-			for w := 0; w < words; w++ {
+			for w := 0; w < lay.words; w++ {
 				var v uint64
 				if w < len(raw) {
 					v = raw[w]

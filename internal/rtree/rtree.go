@@ -92,14 +92,15 @@ type Node struct {
 
 // Tree is a paged R-tree. It is not safe for concurrent mutation.
 type Tree struct {
-	cfg      Config
-	pool     *storage.BufferPool
-	root     storage.PageID
-	height   int // 1 = root is a leaf
-	size     int // number of items
-	leafCap  int
-	innerCap int
-	minFill  int
+	cfg    Config
+	pool   *storage.BufferPool
+	root   storage.PageID
+	height int // 1 = root is a leaf
+	size   int // number of items
+	// layouts are the inner and the leaf pages' slot layouts (layout),
+	// computed once from cfg.
+	layouts [2]pageLayout
+	minFill int
 	// splits counts overflow splits performed by Insert since the tree
 	// was built or opened — the degradation signal incremental merges use
 	// to decide when the tree has drifted far enough from its bulk-loaded
@@ -120,28 +121,12 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = storage.DefaultPageSize
 	}
-	if cfg.BufferPages <= 0 {
-		cfg.BufferPages = DefaultBufferPages
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		cfg.FillFactor = 1
-	}
 	if cfg.Disk == nil {
 		cfg.Disk = storage.NewMemDisk(cfg.PageSize)
 	}
-	t := &Tree{
-		cfg:  cfg,
-		pool: storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
-	}
-	t.leafCap = nodeCapacity(cfg, true)
-	t.innerCap = nodeCapacity(cfg, false)
-	if t.leafCap < 2 || t.innerCap < 2 {
-		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
-			cfg.PageSize, cfg.KeywordWidth)
-	}
-	t.minFill = t.innerCap * 2 / 5 // 40% minimum fill on splits
-	if t.minFill < 1 {
-		t.minFill = 1
+	t, err := newTree(cfg)
+	if err != nil {
+		return nil, err
 	}
 	root, err := t.writeNode(&Node{Leaf: true})
 	if err != nil {
@@ -152,23 +137,64 @@ func New(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// nodeCapacity computes how many entries of the given kind fit in a page.
-func nodeCapacity(cfg Config, leaf bool) int {
-	_, stride := slotLayout(cfg, leaf)
-	return (cfg.PageSize - nodeHeaderSize) / stride
+// newTree is what New and Open share: a tree without root over cfg, whose
+// PageSize and Disk are set, with its buffer pool and its page layouts.
+func newTree(cfg Config) (*Tree, error) {
+	if cfg.BufferPages <= 0 {
+		cfg.BufferPages = DefaultBufferPages
+	}
+	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
+		cfg.FillFactor = 1
+	}
+	t := &Tree{
+		cfg:     cfg,
+		pool:    storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
+		layouts: [2]pageLayout{layoutOf(cfg, false), layoutOf(cfg, true)},
+	}
+	if t.layouts[0].capacity < 2 || t.layouts[1].capacity < 2 {
+		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
+			cfg.PageSize, cfg.KeywordWidth)
+	}
+	t.minFill = max(1, t.layouts[0].capacity*2/5) // 40% minimum fill on splits
+	return t, nil
 }
 
-// slotLayout returns where a slot's keyword words start — after the id or
-// child, the point or rectangle and the score — and the slot's width.
-func slotLayout(cfg Config, leaf bool) (kwOff, stride int) {
-	kwOff = 4 + 32 // child + rect
+// pageLayout is where the slots of one kind of page keep their fields. A
+// slot is stride bytes wide; its keyword words, words of them, start at
+// kwOff — after the id or child, the point or rectangle and, WithScore,
+// the score — and lastMask clears the bits beyond the keyword width in the
+// last of them, as decodeNode does. capacity is how many slots fit in a
+// page.
+type pageLayout struct {
+	kwOff, stride, words, capacity int
+	lastMask                       uint64
+}
+
+// layoutOf computes the layout of the leaf or inner pages of a tree
+// configured by cfg.
+func layoutOf(cfg Config, leaf bool) pageLayout {
+	l := pageLayout{words: kwWords(cfg.KeywordWidth), lastMask: math.MaxUint64}
+	l.kwOff = 4 + 32 // child + rect
 	if leaf {
-		kwOff = 8 + 16 // itemID + point
+		l.kwOff = 8 + 16 // itemID + point
 	}
 	if cfg.WithScore {
-		kwOff += 8
+		l.kwOff += 8
 	}
-	return kwOff, kwOff + 8*kwWords(cfg.KeywordWidth)
+	l.stride = l.kwOff + 8*l.words
+	l.capacity = (cfg.PageSize - nodeHeaderSize) / l.stride
+	if r := cfg.KeywordWidth % 64; r != 0 {
+		l.lastMask = 1<<uint(r) - 1
+	}
+	return l
+}
+
+// layout returns the layout of the tree's leaf or inner pages.
+func (t *Tree) layout(leaf bool) *pageLayout {
+	if leaf {
+		return &t.layouts[1]
+	}
+	return &t.layouts[0]
 }
 
 // kwWords returns the number of 64-bit words needed for a keyword width.
@@ -417,25 +443,9 @@ func Open(cfg Config, meta Meta) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: config page size %d != disk page size %d",
 			cfg.PageSize, cfg.Disk.PageSize())
 	}
-	if cfg.BufferPages <= 0 {
-		cfg.BufferPages = DefaultBufferPages
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		cfg.FillFactor = 1
-	}
-	t := &Tree{
-		cfg:  cfg,
-		pool: storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
-	}
-	t.leafCap = nodeCapacity(cfg, true)
-	t.innerCap = nodeCapacity(cfg, false)
-	if t.leafCap < 2 || t.innerCap < 2 {
-		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
-			cfg.PageSize, cfg.KeywordWidth)
-	}
-	t.minFill = t.innerCap * 2 / 5
-	if t.minFill < 1 {
-		t.minFill = 1
+	t, err := newTree(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if int(meta.Root) >= cfg.Disk.NumPages() {
 		return nil, fmt.Errorf("rtree: meta root %d beyond disk (%d pages)",

@@ -49,14 +49,14 @@ func newTestTree(t *testing.T, cfg Config) *Tree {
 
 func TestNewCapacities(t *testing.T) {
 	tr := newTestTree(t, Config{PageSize: 4096, KeywordWidth: 128, WithScore: true})
-	if tr.leafCap < 10 || tr.innerCap < 10 {
-		t.Errorf("capacities too small: leaf=%d inner=%d", tr.leafCap, tr.innerCap)
+	if tr.layout(true).capacity < 10 || tr.layout(false).capacity < 10 {
+		t.Errorf("capacities too small: leaf=%d inner=%d", tr.layout(true).capacity, tr.layout(false).capacity)
 	}
 	// A larger vocabulary must reduce fan-out (paper Fig. 7(d) reasoning).
 	tr2 := newTestTree(t, Config{PageSize: 4096, KeywordWidth: 256, WithScore: true})
-	if tr2.leafCap >= tr.leafCap {
+	if tr2.layout(true).capacity >= tr.layout(true).capacity {
 		t.Errorf("capacity should drop with keyword width: %d vs %d",
-			tr2.leafCap, tr.leafCap)
+			tr2.layout(true).capacity, tr.layout(true).capacity)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 func TestEncodeNodeOverflow(t *testing.T) {
 	tr := newTestTree(t, Config{PageSize: 256})
 	n := &Node{Leaf: true}
-	for i := 0; i <= tr.leafCap; i++ {
+	for i := 0; i <= tr.layout(true).capacity; i++ {
 		n.Entries = append(n.Entries, Entry{Leaf: true})
 	}
 	if _, err := tr.encodeNode(n); err == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"stpq/internal/geo"
 	"stpq/internal/kwset"
@@ -15,11 +16,12 @@ import (
 // slot array, so every loop reads the slots it needs at the slot stride.
 // A loop that only walks the geometry reads a slot's rectangle or
 // location, child page, item id and visibility (Rect, Point, Child,
-// ItemID, Visible); a loop that filters by keywords and then picks — the
+// ItemID, Visible); a loop that filters by keywords and then prices — the
 // feature stream, which rejects most slots of a node on their keyword
-// words alone — scans the words in the image (NextIntersecting); and a
-// loop that needs a score or keyword set decodes the slot (Entry).
-// decodeNode, the mutators' private copy, is Entry over every slot.
+// words alone — scans the words in the image and counts the survivors'
+// (NextIntersecting, NextCounted) and reads their scores (Score); and a
+// loop that needs a keyword set decodes the slot (Entry). decodeNode, the
+// mutators' private copy, is Entry over every slot.
 //
 // A view is a value holding the page's image (storage.BufferPool.Get) and
 // no lock, so it reads the bytes it fetched however often the page is
@@ -32,13 +34,10 @@ type PageView struct {
 	t    *Tree
 	// hidden is the tree's WithExclude set on a leaf that may hold
 	// tombstoned items, nil otherwise.
-	hidden        map[int64]struct{}
-	kwOff, stride int // see slotLayout
-	count, words  int
-	// lastMask clears the bits beyond the keyword width in a slot's last
-	// word, as decodeNode does.
-	lastMask uint64
-	leaf     bool
+	hidden map[int64]struct{}
+	pageLayout
+	count int
+	leaf  bool
 }
 
 // View returns the node at page id as a view of its image: one logical
@@ -54,25 +53,21 @@ func (t *Tree) View(id storage.PageID) (PageView, error) {
 }
 
 // viewOf validates a page image once — header, count against the capacity
-// and against the bytes present — so the accessors index unchecked.
+// and against the bytes present — so the accessors index unchecked. The
+// slot layout is the tree's, computed when the tree was made.
 func (t *Tree) viewOf(data []byte) (PageView, error) {
 	if len(data) < nodeHeaderSize {
 		return PageView{}, fmt.Errorf("rtree: short page: %d bytes", len(data))
 	}
+	leaf := data[0]&1 == 1
 	v := PageView{
-		t:        t,
-		leaf:     data[0]&1 == 1,
-		count:    int(binary.LittleEndian.Uint16(data[1:3])),
-		words:    kwWords(t.cfg.KeywordWidth),
-		lastMask: math.MaxUint64,
+		t:          t,
+		leaf:       leaf,
+		count:      int(binary.LittleEndian.Uint16(data[1:3])),
+		pageLayout: *t.layout(leaf),
 	}
-	v.kwOff, v.stride = slotLayout(t.cfg, v.leaf)
-	capacity := t.innerCap
-	if v.leaf {
-		capacity = t.leafCap
-	}
-	if v.count > capacity {
-		return PageView{}, fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d", v.count, capacity)
+	if v.count > v.capacity {
+		return PageView{}, fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d", v.count, v.capacity)
 	}
 	end := nodeHeaderSize + v.count*v.stride
 	if end > len(data) {
@@ -81,9 +76,6 @@ func (t *Tree) viewOf(data []byte) (PageView, error) {
 	v.data = data[:end]
 	if v.leaf && len(t.exclude) > 0 {
 		v.hidden = t.exclude
-	}
-	if r := t.cfg.KeywordWidth % 64; r != 0 {
-		v.lastMask = 1<<uint(r) - 1
 	}
 	return v, nil
 }
@@ -108,35 +100,60 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 	if n == v.words {
 		last &= v.lastMask
 	}
-	off := nodeHeaderSize + i*v.stride + v.kwOff
-	switch n {
-	case 1:
-		for ; i < v.count; i, off = i+1, off+v.stride {
-			if binary.LittleEndian.Uint64(v.data[off:])&last != 0 {
-				return i
-			}
+	for off := nodeHeaderSize + i*v.stride + v.kwOff; i < v.count; i, off = i+1, off+v.stride {
+		w := v.data[off : off+8*n]
+		hit := binary.LittleEndian.Uint64(w[8*(n-1):]) & last
+		for j := 0; j < n-1; j++ {
+			hit |= binary.LittleEndian.Uint64(w[8*j:]) & q[j]
 		}
-	case 2:
-		q0 := q[0]
-		for ; i < v.count; i, off = i+1, off+v.stride {
-			w := v.data[off : off+16]
-			if binary.LittleEndian.Uint64(w)&q0|binary.LittleEndian.Uint64(w[8:])&last != 0 {
-				return i
-			}
-		}
-	default:
-		for ; i < v.count; i, off = i+1, off+v.stride {
-			w := v.data[off : off+8*n]
-			hit := binary.LittleEndian.Uint64(w[8*(n-1):]) & last
-			for j := 0; j < n-1; j++ {
-				hit |= binary.LittleEndian.Uint64(w[8*j:]) & q[j]
-			}
-			if hit != 0 {
-				return i
-			}
+		if hit != 0 {
+			return i
 		}
 	}
 	return v.count
+}
+
+// NextCounted is NextIntersecting that counts: it returns the first slot
+// at or after i whose keyword words share a bit with q, or Len(), with
+// inter = |words ∩ q| and count = |words| — what Set.IntersectCount(q) and
+// Count give on the slot's decoded Entry, whose words are masked to the
+// tree's keyword width — so the slot is priced without being decoded.
+// A tree of two keyword words — the width the benchmark's 128-keyword
+// trees have — scans unrolled with the counts fused in; any other width,
+// or a query narrower than the tree, takes NextIntersecting and counts the
+// slot it meets.
+func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
+	// The query's last word is masked once, a slot's only to be counted.
+	data, end, stride, mask := v.data, v.count, v.stride, v.lastMask
+	n := min(v.words, len(q))
+	if n == 2 && v.words == 2 {
+		off := nodeHeaderSize + i*stride + v.kwOff
+		q0, q1 := q[0], q[1]&mask
+		for ; i < end; i, off = i+1, off+stride {
+			w := data[off : off+16]
+			x0, x1 := binary.LittleEndian.Uint64(w), binary.LittleEndian.Uint64(w[8:])
+			if x0&q0|x1&q1 != 0 {
+				return i, bits.OnesCount64(x0&q0) + bits.OnesCount64(x1&q1), bits.OnesCount64(x0) + bits.OnesCount64(x1&mask)
+			}
+		}
+		return end, 0, 0
+	}
+	if i = v.NextIntersecting(i, q); i == end {
+		return i, 0, 0
+	}
+	last := v.words - 1
+	w := v.slot(i)[v.kwOff:v.stride]
+	for j := 0; j <= last; j++ {
+		x := binary.LittleEndian.Uint64(w[8*j:])
+		if j == last {
+			x &= mask
+		}
+		count += bits.OnesCount64(x)
+		if j < n {
+			inter += bits.OnesCount64(x & q[j])
+		}
+	}
+	return i, inter, count
 }
 
 // slot returns the node's bytes from the start of slot i on; viewOf made
@@ -179,6 +196,15 @@ func (v *PageView) Child(i int) storage.PageID {
 
 // ItemID returns the item id of leaf slot i.
 func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
+
+// Score returns slot i's score — an item's t.s, a subtree's maximum e.s —
+// where it lies: Entry's Score, 0 on a tree without scores.
+func (v *PageView) Score(i int) float64 {
+	if !v.t.cfg.WithScore {
+		return 0
+	}
+	return floatAt(v.slot(i), v.kwOff-8)
+}
 
 // Visible reports whether slot i is seen through the tree: false only for
 // a leaf slot whose item WithExclude tombstoned.

@@ -22,7 +22,7 @@ import (
 func viewConfigs() []Config {
 	var out []Config
 	for _, page := range []int{1024, 4096} {
-		for _, width := range []int{0, 16, 64, 128, 200} {
+		for _, width := range []int{0, 16, 64, 100, 128, 200} {
 			for _, score := range []bool{false, true} {
 				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: score})
 			}
@@ -177,8 +177,9 @@ func querySets(rng *rand.Rand, width int) []kwset.Set {
 	return out
 }
 
-// checkScan compares NextIntersecting from every starting slot with a scan
-// of the decoded node by Set.Intersects.
+// checkScan compares NextIntersecting and NextCounted from every starting
+// slot with a scan of the decoded node by Set.Intersects, and NextCounted's
+// counts with Set.IntersectCount and Count.
 func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 	t.Helper()
 	next := len(n.Entries) // first intersecting slot at or after i, filled backwards
@@ -188,6 +189,10 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 		}
 		if got := v.NextIntersecting(i, q.WordsBits()); got != next {
 			t.Fatalf("NextIntersecting(%d, %v) = %d, Set.Intersects says %d", i, q, got, next)
+		}
+		got, inter, count := v.NextCounted(i, q.WordsBits())
+		if got != next || got < len(n.Entries) && (inter != n.Entries[got].Keywords.IntersectCount(q) || count != n.Entries[got].Keywords.Count()) {
+			t.Fatalf("NextCounted(%d, %v) = %d, %d, %d; decoded slot %d", i, q, got, inter, count, next)
 		}
 	}
 }
@@ -218,13 +223,18 @@ func samePoint(a, b geo.Point) bool {
 
 // Arbitrary bytes are a page the view rejects or reads within bounds: a
 // count above the capacity and a page cut short are errors, never panics;
-// and every accessor agrees with Entry on every slot, on a tree that hides
-// the even item ids too.
+// every accessor agrees with Entry on every slot, on a tree that hides the
+// even item ids too; and the counted scan meets the slots NextIntersecting
+// meets, with the counts and the score Entry's decode gives, for queries of
+// 1, 2 and 4 words on trees of 1, 2 and 4 keyword words (the unrolled
+// case and the general one) — all-ones queries among them, whose bits
+// beyond the tree's width the scan must not count.
 func FuzzPageView(f *testing.F) {
 	cfgs := []Config{
 		{PageSize: 1024},
 		{PageSize: 1024, KeywordWidth: 64, WithScore: true},
 		{PageSize: 1024, KeywordWidth: 200, WithScore: true},
+		{PageSize: 1024, KeywordWidth: 100, WithScore: true},
 	}
 	trees := make([]*Tree, len(cfgs))
 	for i, cfg := range cfgs {
@@ -273,19 +283,35 @@ func FuzzPageView(f *testing.F) {
 		if err != nil {
 			return
 		}
-		capacity := tr.innerCap
-		if v.Leaf() {
-			capacity = tr.leafCap
-		}
-		if v.Len() > capacity {
+		if capacity := tr.layout(v.Leaf()).capacity; v.Len() > capacity {
 			t.Fatalf("view accepted %d slots, capacity %d", v.Len(), capacity)
 		}
-		q := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		ones := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		queries := [][]uint64{{1<<3 | 1<<40}, {1 << 9, 1<<2 | 1<<35}, {0, 1 << 50, 1 << 7, 1<<1 | 1<<63}}
+		for n := 0; n <= len(ones); n++ {
+			queries = append(queries, ones[:n])
+		}
 		var arena []uint64
 		var e Entry
-		for n := 0; n <= len(q); n++ {
-			for i := v.NextIntersecting(0, q[:n]); i < v.Len(); i = v.NextIntersecting(i+1, q[:n]) {
-				v.Entry(i, &e, &arena)
+		for _, q := range queries {
+			qs := kwset.FromBits(64*len(q), q)
+			i, inter, count := v.NextCounted(0, q)
+			for j := v.NextIntersecting(0, q); ; j = v.NextIntersecting(j+1, q) {
+				if i != j {
+					t.Fatalf("query %x: NextCounted meets slot %d, NextIntersecting %d", q, i, j)
+				}
+				if j == v.Len() {
+					break
+				}
+				if v.Entry(j, &e, &arena) {
+					if inter != e.Keywords.IntersectCount(qs) || count != e.Keywords.Count() {
+						t.Fatalf("query %x slot %d: counted %d of %d words, Entry %d of %d", q, j, inter, count, e.Keywords.IntersectCount(qs), e.Keywords.Count())
+					}
+					if math.Float64bits(v.Score(j)) != math.Float64bits(e.Score) {
+						t.Fatalf("slot %d: Score %v, Entry %v", j, v.Score(j), e.Score)
+					}
+				}
+				i, inter, count = v.NextCounted(j+1, q)
 			}
 		}
 		for i := 0; i < v.Len(); i++ {
