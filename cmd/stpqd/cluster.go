@@ -4,8 +4,8 @@ package main
 // daemon over the whole DB, and every role speaks its HTTP API on -addr:
 //
 //	stpqd -synthetic -wal-dir wal -addr 127.0.0.1:8081
-//	    a leader: takes writes on /ingest and seals its WAL every
-//	    -wal-rotate, so followers can fetch the segments from its
+//	    a leader: takes writes on /ingest and seals its WAL every second
+//	    (walRotateEvery), so followers can fetch the segments from its
 //	    GET /wal/segments.
 //
 //	stpqd -synthetic -follow 127.0.0.1:8081 -addr 127.0.0.1:8082
@@ -20,10 +20,7 @@ import (
 	"context"
 	"errors"
 	"log"
-	"net/http"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"stpq"
@@ -46,8 +43,8 @@ func splitEndpoints(s string) []string {
 // the follower's replication loop. Rotation ends with ctx; the returned
 // stop ends the replication loop.
 func startClusterRoles(ctx context.Context, cfg daemonConfig, db *stpq.DB) (func(), error) {
-	if cfg.walRotate > 0 && db.IngestStatus().WALAttached {
-		go rotateWAL(ctx, db, cfg.walRotate)
+	if db.IngestStatus().WALAttached {
+		go rotateWAL(ctx, db)
 	}
 	if cfg.follow == "" {
 		return func() {}, nil
@@ -62,10 +59,11 @@ func startClusterRoles(ctx context.Context, cfg daemonConfig, db *stpq.DB) (func
 	return func() { rep.Close(); src.Close() }, nil
 }
 
-// rotateWAL seals the active WAL segment every period so followers always
-// have recent history to fetch. A DB without a log has nothing to seal.
-func rotateWAL(ctx context.Context, db *stpq.DB, period time.Duration) {
-	ticker := time.NewTicker(period)
+// rotateWAL seals the active WAL segment every walRotateEvery so followers
+// always have recent history to fetch. A DB without a log has nothing to
+// seal.
+func rotateWAL(ctx context.Context, db *stpq.DB) {
+	ticker := time.NewTicker(walRotateEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -79,15 +77,12 @@ func rotateWAL(ctx context.Context, db *stpq.DB, period time.Duration) {
 	}
 }
 
-// runCoordinator routes queries to the -replicas endpoints.
+// runCoordinator routes queries to the -replicas endpoints. Each attempt
+// on a replica is bounded by cluster.DefaultTimeout, and a query retries
+// on another replica at most twice (the coordinator's defaults).
 func runCoordinator(cfg daemonConfig) error {
-	if cfg.pprofAddr != "" {
-		startPprof(cfg.pprofAddr)
-	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Replicas:   cfg.replicas,
-		Timeout:    cfg.serve.Timeout,
-		RetryMax:   cfg.retryMax,
 		HedgeAfter: cfg.hedgeAfter,
 	})
 	if err != nil {
@@ -95,28 +90,5 @@ func runCoordinator(cfg daemonConfig) error {
 	}
 	defer coord.Close()
 	log.Printf("coordinator over %d replicas", len(cfg.replicas))
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{Addr: cfg.addr, Handler: coord.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("HTTP on %s", cfg.addr)
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down coordinator")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Printf("bye")
-	return nil
+	return serveUntilSignal(cfg, coord.Handler(), func(context.Context) error { return nil }, func() {})
 }

@@ -7,7 +7,7 @@
 //	stpqd -synthetic -objects 20000 -features 20000 -addr :8080
 //	stpqd -synthetic -shards 4            # data laid out in 4 spatial shards
 //	stpqd -synthetic -wal-dir data/wal    # live ingest + crash recovery
-//	stpqd -open data/db -workers 8 -queue 128 -timeout 2s
+//	stpqd -open data/db -cache 1024 -trace-sample 0.01
 //	stpqd -synthetic -follow leader:8080       # a cluster follower (cluster.go)
 //
 // Endpoints:
@@ -70,57 +70,61 @@ func main() {
 
 // daemonConfig carries the parsed flags.
 type daemonConfig struct {
-	addr, open          string
-	synthetic           bool
-	objects, features   int
-	sets, vocab         int
-	seed                int64
-	indexKind, strategy string
-	pageSize, bufPages  int
-	shards              int
-	pprofAddr           string
-	walDir              string
-	traceRate           float64
-	slowQuery           time.Duration
-	bgCompact           bool
-	compactRuns         int
-	flushOps            int
-	ckptOps, ckptBytes  int64
-	ckptDir             string
-	serve               serve.Config
+	addr, open        string
+	synthetic         bool
+	objects, features int
+	vocab             int
+	seed              int64
+	bufPages          int
+	shards            int
+	pprofAddr         string
+	walDir            string
+	traceRate         float64
+	slowQuery         time.Duration
+	bgCompact         bool
+	compactRuns       int
+	flushOps          int
+	ckptOps           int64
+	ckptDir           string
+	serve             serve.Config
 
 	// Cluster roles: a daemon with walDir is a leader that seals a WAL
-	// segment every walRotate, one with follow replays that leader's WAL,
-	// and a non-empty replicas list makes the process the coordinator
+	// segment every walRotateEvery, one with follow replays that leader's
+	// WAL, and a non-empty replicas list makes the process the coordinator
 	// instead of a daemon.
 	follow     string
-	walRotate  time.Duration
 	replicas   []string
 	hedgeAfter time.Duration
-	retryMax   int
 }
 
-// parseFlags parses the command line on its own FlagSet and rejects the
-// flag combinations no mode accepts.
-func parseFlags(args []string) (daemonConfig, error) {
-	var cfg daemonConfig
+const (
+	// syntheticSets is the number of feature sets -synthetic generates.
+	syntheticSets = 2
+	// walRotateEvery is how often a daemon with a WAL seals its active
+	// segment, so followers can fetch it from /wal/segments: a follower's
+	// reads lag its leader's by up to this long.
+	walRotateEvery = time.Second
+)
+
+// syntheticOnly lists the flags that shape a -synthetic build. An opened
+// DB's data and layout come from its directory, so -open refuses them.
+var syntheticOnly = []string{
+	"objects", "features", "vocab", "seed", "buffer-pages", "shards",
+	"background-compaction", "compact-runs", "auto-flush-ops",
+}
+
+// newFlagSet defines every stpqd flag on a fresh FlagSet, writing into cfg.
+func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("stpqd", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.open, "open", "", "directory of a DB written by stpq save")
 	fs.BoolVar(&cfg.synthetic, "synthetic", false, "serve a generated synthetic dataset")
-	fs.IntVar(&cfg.objects, "objects", 20_000, "synthetic data objects")
-	fs.IntVar(&cfg.features, "features", 20_000, "synthetic feature objects per set")
-	fs.IntVar(&cfg.sets, "sets", 2, "synthetic feature sets")
-	fs.IntVar(&cfg.vocab, "vocab", 256, "synthetic vocabulary size")
-	fs.Int64Var(&cfg.seed, "seed", 1, "synthetic random seed")
-	fs.StringVar(&cfg.indexKind, "index", "srt", "feature index for -synthetic: srt | ir2")
-	fs.IntVar(&cfg.pageSize, "page-size", 0, "-synthetic: index page size in bytes (0 = library default)")
+	fs.IntVar(&cfg.objects, "objects", 20_000, "-synthetic: data objects")
+	fs.IntVar(&cfg.features, "features", 20_000, "-synthetic: feature objects per set")
+	fs.IntVar(&cfg.vocab, "vocab", 256, "-synthetic: vocabulary size")
+	fs.Int64Var(&cfg.seed, "seed", 1, "-synthetic: random seed")
 	fs.IntVar(&cfg.bufPages, "buffer-pages", 0, "-synthetic: buffer pool pages per index (0 = library default)")
-	fs.IntVar(&cfg.shards, "shards", 0, "lay -synthetic data out in N spatial shards under the one engine (0 or 1 = unsharded)")
-	fs.StringVar(&cfg.strategy, "shard-strategy", "hilbert", "shard partitioner: hilbert | grid")
-	fs.IntVar(&cfg.serve.Workers, "workers", 0, "concurrent query executors (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.serve.QueueDepth, "queue", 64, "admission queue depth")
-	fs.DurationVar(&cfg.serve.Timeout, "timeout", 0, "per-query deadline (0 = none)")
+	fs.IntVar(&cfg.shards, "shards", 0, "-synthetic: lay the data out in N spatial shards under the one engine (0 or 1 = unsharded)")
 	fs.IntVar(&cfg.serve.CacheEntries, "cache", 256, "result cache entries (negative disables)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory: enables POST /ingest and replays existing records on startup")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); enables low-rate mutex and block profiling")
@@ -131,28 +135,40 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.IntVar(&cfg.compactRuns, "compact-runs", 0, "-synthetic: sealed-run watermark that wakes the background compactor (0 = default)")
 	fs.IntVar(&cfg.flushOps, "auto-flush-ops", 0, "-synthetic: delta size that triggers a merge or run seal (0 = default, negative = never)")
 	fs.Int64Var(&cfg.ckptOps, "checkpoint-every-ops", 0, "checkpoint automatically after this many applied mutations (0 = off; needs a WAL)")
-	fs.Int64Var(&cfg.ckptBytes, "checkpoint-every-bytes", 0, "checkpoint automatically after this many appended WAL bytes (0 = off; needs a WAL)")
 	fs.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "directory auto-checkpoints are written to (default: the -open directory)")
 
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica replaying the WAL segments the leader at this host:port (its -addr) serves on GET /wal/segments")
-	fs.DurationVar(&cfg.walRotate, "wal-rotate", time.Second, "with a WAL: seal the active segment this often so followers can fetch it from /wal/segments (0 = never)")
-	replicas := fs.String("replicas", "", "run the coordinator over these comma-separated replica host:port addresses (each replica's -addr) instead of serving a DB")
+	fs.Func("replicas", "run the coordinator over these comma-separated replica host:port addresses (each replica's -addr) instead of serving a DB", func(s string) error {
+		cfg.replicas = splitEndpoints(s)
+		return nil
+	})
 	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 0, "coordinator: duplicate a replica call on the next replica after this delay (0 = off)")
-	fs.IntVar(&cfg.retryMax, "retry-max", 2, "coordinator: extra attempts per query after a retryable failure")
+	return fs
+}
+
+// parseFlags parses the command line on its own FlagSet and rejects the
+// flag combinations no mode accepts.
+func parseFlags(args []string) (daemonConfig, error) {
+	var cfg daemonConfig
+	fs := newFlagSet(&cfg)
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	cfg.replicas = splitEndpoints(*replicas)
-	coordinator := false
-	fs.Visit(func(f *flag.Flag) { coordinator = coordinator || f.Name == "replicas" })
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if cfg.open != "" {
+		for _, name := range syntheticOnly {
+			if set[name] {
+				return cfg, fmt.Errorf("-%s applies to -synthetic only (an opened DB's data and layout come from its directory)", name)
+			}
+		}
+	}
 	switch {
 	case cfg.open != "" && cfg.synthetic:
 		return cfg, errors.New("use either -open or -synthetic, not both")
-	case cfg.open != "" && cfg.shards > 1:
-		return cfg, errors.New("-shards applies to -synthetic only (opened DBs take their shard count from the manifest)")
 	case cfg.follow != "" && cfg.walDir != "":
 		return cfg, errors.New("-follow and -wal-dir are mutually exclusive: a follower replays the leader's log, it does not own one")
-	case coordinator && len(cfg.replicas) == 0:
+	case set["replicas"] && len(cfg.replicas) == 0:
 		return cfg, errors.New("-replicas needs at least one host:port endpoint")
 	}
 	return cfg, nil
@@ -168,12 +184,8 @@ func (cfg daemonConfig) checkpointDir() string {
 }
 
 func run(cfg daemonConfig) error {
-	if cfg.pprofAddr != "" {
-		startPprof(cfg.pprofAddr)
-	}
-	autoCkpt := cfg.ckptOps > 0 || cfg.ckptBytes > 0
-	if autoCkpt && cfg.checkpointDir() == "" {
-		return errors.New("-checkpoint-every-ops/-checkpoint-every-bytes need -checkpoint-dir (or -open)")
+	if cfg.ckptOps > 0 && cfg.checkpointDir() == "" {
+		return errors.New("-checkpoint-every-ops needs -checkpoint-dir (or -open)")
 	}
 	// The listener comes up before the index: a swappable handler answers
 	// 503 (ErrNotBuilt) until the build completes, then the real service
@@ -181,82 +193,98 @@ func run(cfg daemonConfig) error {
 	var handler atomic.Pointer[http.Handler]
 	building := buildingHandler()
 	handler.Store(&building)
-	srv := &http.Server{
-		Addr: cfg.addr,
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			(*handler.Load()).ServeHTTP(w, r)
-		}),
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("listening on %s (healthz 503 until the index is built)", cfg.addr)
+	front := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*handler.Load()).ServeHTTP(w, r)
+	})
 
 	type running struct {
 		svc       *serve.Service
 		db        *stpq.DB
 		stopRoles func()
 	}
-	buildErrc := make(chan error, 1)
 	svcc := make(chan running, 1)
-	go func() {
+	build := func(ctx context.Context) error {
+		log.Printf("healthz 503 until the index is built")
 		db, err := loadDB(cfg)
 		if err != nil {
-			buildErrc <- err
-			return
+			return err
 		}
 		svc, err := serve.New(db, cfg.serve)
 		if err != nil {
-			buildErrc <- err
-			return
+			return err
 		}
 		// The background compactor yields while admitted queries are
 		// waiting for a worker: foreground reads outrank merge work.
 		db.SetCompactionGate(svc.Saturated)
-		if autoCkpt {
-			go autoCheckpoint(ctx, db, cfg.checkpointDir(), cfg.ckptOps, cfg.ckptBytes)
+		if cfg.ckptOps > 0 {
+			go autoCheckpoint(ctx, db, cfg.checkpointDir(), cfg.ckptOps)
 		}
 		stopRoles, err := startClusterRoles(ctx, cfg, db)
 		if err != nil {
 			svc.Close()
-			buildErrc <- err
-			return
+			return err
 		}
 		ready := svc.Handler()
 		handler.Store(&ready)
 		log.Printf("index ready: serving queries")
 		svcc <- running{svc, db, stopRoles}
-	}()
+		return nil
+	}
+	drain := func() {
+		select {
+		case r := <-svcc:
+			log.Printf("result cache hit fraction: %.1f%%", 100*r.svc.CacheHitFraction())
+			r.stopRoles()
+			r.svc.Close() // stop admission, drain queue and in-flight queries
+			// Persist the per-shape cost statistics next to an opened DB so
+			// EXPLAIN restarts warm instead of re-learning every shape.
+			if cfg.open != "" {
+				if err := r.db.SaveShapes(cfg.open); err != nil {
+					log.Printf("warning: saving shape statistics: %v", err)
+				} else {
+					log.Printf("shape statistics saved to %s", cfg.open)
+				}
+			}
+		default: // interrupted before the build finished
+		}
+	}
+	return serveUntilSignal(cfg, front, build, drain)
+}
 
+// serveUntilSignal is every role's server lifecycle. It serves h on
+// cfg.addr (and pprof on cfg.pprofAddr) and runs start on its own
+// goroutine with a context that ends at SIGINT/SIGTERM; an error from
+// start closes the listener at once and is returned. At the signal, drain
+// runs, then the listener shuts down gracefully within 10 s.
+func serveUntilSignal(cfg daemonConfig, h http.Handler, start func(context.Context) error, drain func()) error {
+	if cfg.pprofAddr != "" {
+		startPprof(cfg.pprofAddr)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	srv := &http.Server{Addr: cfg.addr, Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	log.Printf("listening on %s", cfg.addr)
+
+	startErrc := make(chan error, 1)
+	go func() {
+		if err := start(ctx); err != nil {
+			startErrc <- err
+		}
+	}()
 	select {
 	case err := <-errc:
 		return err
-	case err := <-buildErrc:
+	case err := <-startErrc:
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx)
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("shutting down: draining queries")
-	select {
-	case r := <-svcc:
-		log.Printf("result cache hit fraction: %.1f%%", 100*r.svc.CacheHitFraction())
-		r.stopRoles()
-		r.svc.Close() // stop admission, drain queue and in-flight queries
-		// Persist the per-shape cost statistics next to an opened DB so
-		// EXPLAIN restarts warm instead of re-learning every shape.
-		if cfg.open != "" {
-			if err := r.db.SaveShapes(cfg.open); err != nil {
-				log.Printf("warning: saving shape statistics: %v", err)
-			} else {
-				log.Printf("shape statistics saved to %s", cfg.open)
-			}
-		}
-	default: // interrupted before the build finished
-	}
+	log.Printf("shutting down: draining")
+	drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -269,18 +297,15 @@ func run(cfg daemonConfig) error {
 	return nil
 }
 
-// autoCheckpoint polls the ingest counters and checkpoints the DB whenever
-// the applied-mutation or appended-WAL-byte delta since the last checkpoint
-// crosses its threshold, so long-running daemons trim the log instead of
-// growing it unboundedly. The disk phase of Checkpoint runs against a
-// pinned generation without blocking Apply, so polling once a second is
-// cheap and a checkpoint in progress never stalls writes.
-func autoCheckpoint(ctx context.Context, db *stpq.DB, dir string, everyOps, everyBytes int64) {
-	readCounters := func() (ops, bytes int64) {
-		c := db.Metrics().Counters
-		return c["stpq_ingest_applied_total"], c["stpq_wal_bytes_total"]
-	}
-	baseOps, baseBytes := readCounters()
+// autoCheckpoint polls the applied-mutation counter and checkpoints the DB
+// whenever it has grown by everyOps since the last checkpoint, so
+// long-running daemons trim the log instead of growing it unboundedly. The
+// disk phase of Checkpoint runs against a pinned generation without
+// blocking Apply, so polling once a second is cheap and a checkpoint in
+// progress never stalls writes.
+func autoCheckpoint(ctx context.Context, db *stpq.DB, dir string, everyOps int64) {
+	applied := func() int64 { return db.Metrics().Counters["stpq_ingest_applied_total"] }
+	base := applied()
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
@@ -289,22 +314,20 @@ func autoCheckpoint(ctx context.Context, db *stpq.DB, dir string, everyOps, ever
 			return
 		case <-t.C:
 		}
-		ops, bytes := readCounters()
-		if !(everyOps > 0 && ops-baseOps >= everyOps) &&
-			!(everyBytes > 0 && bytes-baseBytes >= everyBytes) {
+		ops := applied()
+		if ops-base < everyOps {
 			continue
 		}
 		start := time.Now()
-		err := db.Checkpoint(dir)
-		if err != nil {
+		if err := db.Checkpoint(dir); err != nil {
 			// Advance the baseline even on failure: retrying every second
 			// against a persistent error (disk full, say) would melt the log.
 			log.Printf("auto-checkpoint failed: %v", err)
 		} else {
-			log.Printf("auto-checkpoint: +%d ops, +%d WAL bytes -> %s in %v (through seq %d)",
-				ops-baseOps, bytes-baseBytes, dir, time.Since(start).Round(time.Millisecond), db.WALSeq())
+			log.Printf("auto-checkpoint: +%d ops -> %s in %v (through seq %d)",
+				ops-base, dir, time.Since(start).Round(time.Millisecond), db.WALSeq())
 		}
-		baseOps, baseBytes = ops, bytes
+		base = ops
 	}
 }
 
@@ -342,9 +365,6 @@ func buildingHandler() http.Handler {
 func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 	switch {
 	case cfg.open != "":
-		if cfg.bgCompact || cfg.compactRuns > 0 {
-			log.Printf("warning: -background-compaction/-compact-runs apply to -synthetic only; opened DBs take them from the manifest")
-		}
 		log.Printf("opening %s", cfg.open)
 		db, err := stpq.Open(cfg.open)
 		if err != nil {
@@ -368,35 +388,10 @@ func loadDB(cfg daemonConfig) (*stpq.DB, error) {
 		}
 		return db, nil
 	case cfg.synthetic:
-		kind := stpq.SRT
-		switch cfg.indexKind {
-		case "srt":
-		case "ir2":
-			kind = stpq.IR2
-		default:
-			return nil, fmt.Errorf("unknown -index %q", cfg.indexKind)
-		}
-		var strat stpq.ShardStrategy
-		switch cfg.strategy {
-		case "", "hilbert":
-			strat = stpq.ShardHilbert
-		case "grid":
-			strat = stpq.ShardGrid
-		default:
-			return nil, fmt.Errorf("unknown -shard-strategy %q", cfg.strategy)
-		}
-		// A leader keeps its newest sealed WAL segments across a
-		// checkpoint, so a lagging follower can still fetch them.
-		retain := 0
-		if cfg.walDir != "" {
-			retain = 4
-		}
 		log.Printf("building synthetic dataset: %d objects, %d×%d features, vocab %d, shards %d",
-			cfg.objects, cfg.sets, cfg.features, cfg.vocab, cfg.shards)
+			cfg.objects, syntheticSets, cfg.features, cfg.vocab, cfg.shards)
 		db := stpq.New(stpq.Config{
-			IndexKind: kind, PageSize: cfg.pageSize, BufferPages: cfg.bufPages,
-			ShardCount: cfg.shards, ShardStrategy: strat,
-			WALDir: cfg.walDir, WALRetainSegments: retain,
+			BufferPages: cfg.bufPages, ShardCount: cfg.shards, WALDir: cfg.walDir,
 			BackgroundCompaction: cfg.bgCompact,
 			CompactRuns:          cfg.compactRuns, AutoFlushOps: cfg.flushOps,
 		})
@@ -442,7 +437,7 @@ type featureSet struct {
 // what lets a follower start from its leader's base and replay its log.
 func syntheticData(cfg daemonConfig) ([]stpq.Object, []featureSet) {
 	ds := datagen.Synthetic(datagen.SyntheticConfig{
-		Objects: cfg.objects, FeaturesPerSet: cfg.features, FeatureSets: cfg.sets,
+		Objects: cfg.objects, FeaturesPerSet: cfg.features, FeatureSets: syntheticSets,
 		Vocab: cfg.vocab, Seed: cfg.seed,
 	})
 	objs := make([]stpq.Object, len(ds.Objects))

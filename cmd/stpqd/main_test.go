@@ -2,7 +2,12 @@ package main
 
 import (
 	"context"
+	"flag"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,12 +30,34 @@ func TestParseFlags(t *testing.T) {
 			if cfg.walDir != "" || cfg.follow != "" || cfg.replicas != nil {
 				t.Errorf("plain daemon has cluster roles: wal %q follow %q replicas %v", cfg.walDir, cfg.follow, cfg.replicas)
 			}
-			if cfg.addr != ":8080" || cfg.objects != 20_000 || cfg.serve.QueueDepth != 64 || cfg.serve.CacheEntries != 256 {
+			if cfg.addr != ":8080" || cfg.objects != 20_000 || cfg.vocab != 256 {
 				t.Errorf("defaults: %+v", cfg)
+			}
+			// Workers, queue depth and deadline are the service's defaults
+			// (GOMAXPROCS, 64, none; TestConfigDefaults in internal/serve).
+			if want := (serve.Config{CacheEntries: 256}); cfg.serve != want {
+				t.Errorf("service config %+v, want %+v", cfg.serve, want)
+			}
+			if walRotateEvery != time.Second {
+				t.Errorf("WAL rotation every %v, want 1s (make cluster-smoke's followers rely on it)", walRotateEvery)
+			}
+			// The resolved dataset: two feature sets behind SRT indexes.
+			small := cfg
+			small.objects, small.features = 200, 200
+			db, err := loadDB(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := db.Explain(daemonQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.FeatureSets != 2 || ex.Index != "srt" {
+				t.Errorf("synthetic DB has %d feature sets behind %q indexes, want 2 behind srt", ex.FeatureSets, ex.Index)
 			}
 		}},
 		{name: "leader", args: []string{"-synthetic", "-wal-dir", "wal"}, check: func(t *testing.T, cfg daemonConfig) {
-			if cfg.walDir != "wal" || cfg.walRotate != time.Second || cfg.follow != "" || cfg.replicas != nil {
+			if cfg.walDir != "wal" || cfg.follow != "" || cfg.replicas != nil {
 				t.Errorf("leader: %+v", cfg)
 			}
 		}},
@@ -43,8 +70,8 @@ func TestParseFlags(t *testing.T) {
 			if want := []string{"a:1", "b:2", "c:3"}; !reflect.DeepEqual(cfg.replicas, want) {
 				t.Errorf("replicas %q, want %q", cfg.replicas, want)
 			}
-			if cfg.hedgeAfter.String() != "20ms" || cfg.retryMax != 2 {
-				t.Errorf("coordinator knobs: hedge %v retry %d", cfg.hedgeAfter, cfg.retryMax)
+			if cfg.hedgeAfter.String() != "20ms" {
+				t.Errorf("coordinator hedge %v, want 20ms", cfg.hedgeAfter)
 			}
 		}},
 		{name: "trace sample reaches the service", args: []string{"-synthetic", "-trace-sample", "0.5", "-slow-query", "2ms"}, check: func(t *testing.T, cfg daemonConfig) {
@@ -55,12 +82,32 @@ func TestParseFlags(t *testing.T) {
 		{name: "cost shedding is gone", args: []string{"-synthetic", "-max-inflight-cost", "1ns"}, wantErr: "not defined"},
 		{name: "follower owns no log", args: []string{"-synthetic", "-follow", "h:1", "-wal-dir", "wal"}, wantErr: "-follow and -wal-dir"},
 		{name: "opened DB keeps its shards", args: []string{"-open", "db", "-shards", "4"}, wantErr: "-shards applies to -synthetic only"},
+		{name: "opened DB keeps its data", args: []string{"-open", "db", "-objects", "500"}, wantErr: "-objects applies to -synthetic only"},
+		{name: "opened DB keeps its pool size", args: []string{"-open", "db", "-buffer-pages", "32"}, wantErr: "-buffer-pages applies to -synthetic only"},
+		{name: "opened DB keeps its merge mode", args: []string{"-open", "db", "-background-compaction"}, wantErr: "-background-compaction applies to -synthetic only"},
+		{name: "opened DB keeps its run watermark", args: []string{"-open", "db", "-compact-runs", "2"}, wantErr: "-compact-runs applies to -synthetic only"},
+		{name: "opened DB takes writes and checkpoints", args: []string{"-open", "db", "-wal-dir", "wal", "-checkpoint-every-ops", "10", "-checkpoint-dir", "ck", "-cache", "-1"}, check: func(t *testing.T, cfg daemonConfig) {
+			if cfg.walDir != "wal" || cfg.ckptOps != 10 || cfg.checkpointDir() != "ck" || cfg.serve.CacheEntries != -1 {
+				t.Errorf("opened daemon: %+v", cfg)
+			}
+		}},
 		{name: "replicas without an endpoint", args: []string{"-replicas", " , "}, wantErr: "at least one host:port"},
 		{name: "empty replicas", args: []string{"-replicas", ""}, wantErr: "at least one host:port"},
 		{name: "one dataset", args: []string{"-open", "db", "-synthetic"}, wantErr: "either -open or -synthetic"},
 		{name: "retired flag", args: []string{"-cluster-node"}, wantErr: "not defined"},
 		{name: "signature files are gone", args: []string{"-synthetic", "-signature-bits", "8"}, wantErr: "not defined"},
 		{name: "cluster RPC folds into -addr", args: []string{"-synthetic", "-rpc", ":9090"}, wantErr: "not defined"},
+		// Knobs nothing set, now the values they defaulted to.
+		{name: "two synthetic sets", args: []string{"-synthetic", "-sets", "3"}, wantErr: "not defined"},
+		{name: "SRT only", args: []string{"-synthetic", "-index", "ir2"}, wantErr: "not defined"},
+		{name: "library page size", args: []string{"-synthetic", "-page-size", "1024"}, wantErr: "not defined"},
+		{name: "Hilbert shards", args: []string{"-synthetic", "-shard-strategy", "grid"}, wantErr: "not defined"},
+		{name: "GOMAXPROCS workers", args: []string{"-synthetic", "-workers", "8"}, wantErr: "not defined"},
+		{name: "queue of 64", args: []string{"-synthetic", "-queue", "128"}, wantErr: "not defined"},
+		{name: "no service deadline", args: []string{"-synthetic", "-timeout", "2s"}, wantErr: "not defined"},
+		{name: "checkpoints count ops", args: []string{"-synthetic", "-checkpoint-every-bytes", "1024"}, wantErr: "not defined"},
+		{name: "rotation every second", args: []string{"-synthetic", "-wal-rotate", "5s"}, wantErr: "not defined"},
+		{name: "two retries", args: []string{"-replicas", "a:1", "-retry-max", "3"}, wantErr: "not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,6 +124,62 @@ func TestParseFlags(t *testing.T) {
 			c.check(t, cfg)
 		})
 	}
+}
+
+// TestFlagTable keeps DESIGN.md §16 true of stpqd: its flag table names
+// every flag newFlagSet defines and no other, and its heading states
+// their count.
+func TestFlagTable(t *testing.T) {
+	count, names := designTable(t, "../../DESIGN.md", "**`stpqd` flags**")
+	var flags []string
+	newFlagSet(&daemonConfig{}).VisitAll(func(f *flag.Flag) { flags = append(flags, "-"+f.Name) })
+	slices.Sort(flags)
+	if !slices.Equal(names, flags) {
+		t.Errorf("DESIGN.md §16 flag table names %q, stpqd defines %q", names, flags)
+	}
+	if count != len(flags) {
+		t.Errorf("DESIGN.md §16 says stpqd has %d flags, it has %d", count, len(flags))
+	}
+}
+
+// designTable reads the DESIGN.md table under the paragraph that starts
+// with heading: the count the heading states in parentheses, and the
+// sorted code spans of the table's first column.
+func designTable(t *testing.T, path, heading string) (int, []string) {
+	t.Helper()
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	at := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, heading) })
+	if at < 0 {
+		t.Fatalf("%s has no paragraph starting %s", path, heading)
+	}
+	m := regexp.MustCompile(`\((\d+)`).FindStringSubmatch(lines[at])
+	if m == nil {
+		t.Fatalf("%s: %q states no count", path, lines[at])
+	}
+	count, _ := strconv.Atoi(m[1])
+	code := regexp.MustCompile("`([^`]+)`")
+	var names []string
+	rows := 0
+	for _, l := range lines[at+1:] {
+		if !strings.HasPrefix(l, "|") {
+			if rows > 0 {
+				break
+			}
+			continue
+		}
+		if rows++; rows <= 2 { // the header and the separator
+			continue
+		}
+		for _, c := range code.FindAllStringSubmatch(strings.Split(l, "|")[1], -1) {
+			names = append(names, c[1])
+		}
+	}
+	slices.Sort(names)
+	return count, names
 }
 
 // daemonDB builds the DB a command line would serve.

@@ -236,6 +236,13 @@ func (db *DB) Checkpoint(dir string) error {
 	return wal.DropThrough(seq)
 }
 
+// walRetainSegments is how many sealed WAL segments a checkpoint leaves in
+// place after making them redundant, so a follower lagging behind the
+// checkpoint can still fetch them instead of failing with
+// ErrReplicationGap. A segment seals at ingest.DefaultSegmentBytes (4 MiB)
+// or at a WALRotate.
+const walRetainSegments = 4
+
 // AttachWAL opens (or creates) the write-ahead log in dir and replays
 // every record after the DB's durable watermark — the manifest position
 // for opened DBs, the beginning of the log otherwise. It returns the
@@ -264,9 +271,9 @@ func (db *DB) attachWALLocked(dir string) (int, error) {
 	appends := db.metrics.Counter("stpq_wal_appends_total")
 	walBytes := db.metrics.Counter("stpq_wal_bytes_total")
 	w, err := ingest.OpenWAL(dir, ingest.WALOptions{
-		SegmentBytes:   db.cfg.WALSegmentBytes,
+		SegmentBytes:   ingest.DefaultSegmentBytes,
 		GroupCommit:    db.cfg.WALGroupCommit,
-		RetainSegments: db.cfg.WALRetainSegments,
+		RetainSegments: walRetainSegments,
 		FsyncObserver:  fsync.Observe,
 		AppendObserver: func(n int) {
 			appends.Inc()

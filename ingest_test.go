@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -364,7 +366,8 @@ func TestWALReplayAfterCrash(t *testing.T) {
 }
 
 // TestCheckpointTrimsAndRecovers: Checkpoint persists the merged state and
-// drops sealed WAL segments; Open auto-attaches, replays only the records
+// drops the sealed WAL segments it made redundant, all but the newest 4
+// (walRetainSegments); Open auto-attaches, replays only the records
 // after the checkpoint, and further Applies work on the opened DB (whose
 // index pages are all the data it needs).
 func TestCheckpointTrimsAndRecovers(t *testing.T) {
@@ -372,7 +375,7 @@ func TestCheckpointTrimsAndRecovers(t *testing.T) {
 	objs, sets := ingestSeedData(rng, 150, 80)
 	walDir := t.TempDir()
 	saveDir := t.TempDir()
-	cfg := Config{PageSize: 1024, WALDir: walDir, WALSegmentBytes: 512, AutoFlushOps: -1}
+	cfg := Config{PageSize: 1024, WALDir: walDir, AutoFlushOps: -1}
 	db1 := buildIngestDB(t, cfg, objs, sets)
 	shadow := newIngestShadow(objs, sets)
 	step := func(n int) {
@@ -384,12 +387,35 @@ func TestCheckpointTrimsAndRecovers(t *testing.T) {
 			shadow.apply(m)
 		}
 	}
-	step(12)
+	segments := func() []string {
+		names, err := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(names) // zero-padded first seqs: oldest first, active last
+		return names
+	}
+	// Six batches, each sealed into a segment of its own.
+	const batches = 6
+	for i := 0; i < batches; i++ {
+		step(2)
+		if err := db1.WALRotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := segments()
+	if len(before) < batches+1 {
+		t.Fatalf("%d WAL segment files after %d rotations, want ≥ %d sealed plus the active one", len(before), batches, batches)
+	}
 	if err := db1.Checkpoint(saveDir); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if db1.PendingOps() != 0 {
 		t.Fatalf("PendingOps after Checkpoint = %d", db1.PendingOps())
+	}
+	// The newest 4 sealed segments survive for followers, with the active one.
+	if got, want := segments(), before[len(before)-5:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Checkpoint the WAL holds %q, want the newest 4 sealed segments and the active one, %q", got, want)
 	}
 	step(8) // post-checkpoint tail, not in the snapshot
 	preSeq := db1.WALSeq()

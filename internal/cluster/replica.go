@@ -36,7 +36,7 @@ type SegmentSource interface {
 }
 
 // maxSegment caps a fetched segment body. Segments seal at
-// Config.WALSegmentBytes (default 4 MiB), so 64 MiB leaves ample headroom
+// ingest.DefaultSegmentBytes (4 MiB), so 64 MiB leaves ample headroom
 // while refusing a runaway body before all of it is in memory.
 const maxSegment = 64 << 20
 

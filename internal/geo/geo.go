@@ -44,9 +44,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Scale returns p scaled by f.
 func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product p×q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -393,5 +394,21 @@ func TestCacheHitFraction(t *testing.T) {
 	// One miss, one hit.
 	if got := svc.CacheHitFraction(); got != 0.5 {
 		t.Fatalf("after one hit CacheHitFraction = %v, want 0.5", got)
+	}
+}
+
+// TestConfigDefaults pins what a zero Config resolves to. stpqd sets only
+// CacheEntries, so these are the daemon's workers, queue and deadline.
+func TestConfigDefaults(t *testing.T) {
+	svc, err := newUnstarted(testDB(t, stpq.Config{}, 20, 20), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.cfg.Workers != runtime.GOMAXPROCS(0) || cap(svc.tasks) != 64 || svc.cfg.Timeout != 0 {
+		t.Errorf("workers %d, queue %d, timeout %v; want GOMAXPROCS (%d), 64, none",
+			svc.cfg.Workers, cap(svc.tasks), svc.cfg.Timeout, runtime.GOMAXPROCS(0))
+	}
+	if svc.cache == nil || svc.cache.cap != 256 {
+		t.Errorf("result cache %+v, want 256 entries", svc.cache)
 	}
 }

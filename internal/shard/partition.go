@@ -78,10 +78,9 @@ func (p partitioning) assign(pt geo.Point) int {
 }
 
 // PartitionMeta is the serializable form of a partitioning — pure data
-// (curve boundaries or grid geometry), identical in JSON shape to the
-// "partition" section of the shards.json manifest. A cluster partition map
-// embeds it so every process (coordinator, nodes, loaders) assigns any
-// point to the same cell as the engine that computed it.
+// (curve boundaries or grid geometry), the "partition" section of the
+// shards.json manifest, so a reopened engine assigns every point to the
+// cell the saved one did.
 type PartitionMeta struct {
 	Strategy int      `json:"strategy"`
 	Cells    int      `json:"cells"`
@@ -113,26 +112,6 @@ func (m PartitionMeta) runtime() partitioning {
 		gx:       m.Gx,
 		gy:       m.Gy,
 	}
-}
-
-// Assign maps a point to its cell under the serialized partitioning.
-func (m PartitionMeta) Assign(pt geo.Point) int { return m.runtime().assign(pt) }
-
-// BuildPartition derives a serializable cell function over `cells` cells
-// from the data-object distribution — the exported entry point cluster
-// tooling uses to slice a dataset into shard-per-node subsets. The same
-// points, cell count and strategy always produce the identical partition,
-// so independent processes agree without exchanging state.
-func BuildPartition(points []geo.Point, cells int, strategy Strategy) (PartitionMeta, error) {
-	objs := make([]index.Object, len(points))
-	for i, p := range points {
-		objs[i] = index.Object{Location: p}
-	}
-	part, err := buildPartitioning(objs, cells, strategy)
-	if err != nil {
-		return PartitionMeta{}, err
-	}
-	return part.meta(), nil
 }
 
 // buildPartitioning derives the cell function from the object distribution.

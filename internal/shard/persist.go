@@ -32,8 +32,7 @@ type shardMeta struct {
 }
 
 // manifest is the on-disk description of a sharded engine. The partition
-// section is the exported PartitionMeta (partition.go), shared with the
-// cluster partition map so both speak the same JSON.
+// section is PartitionMeta (partition.go).
 type manifest struct {
 	Version   int           `json:"version"`
 	Total     int           `json:"total"`

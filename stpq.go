@@ -162,14 +162,6 @@ type Config struct {
 	// its record hits disk, but the sync may be shared with neighbours
 	// arriving within this window. 0 syncs every Apply individually.
 	WALGroupCommit time.Duration
-	// WALSegmentBytes caps WAL segment file size before rotation
-	// (default 4 MiB).
-	WALSegmentBytes int64
-	// WALRetainSegments keeps the newest N sealed WAL segments alive across
-	// Checkpoint even when the checkpoint has made their records redundant,
-	// so log-shipping followers can still fetch recent history. 0 deletes
-	// every checkpointed segment immediately.
-	WALRetainSegments int
 	// AutoFlushOps bounds the in-memory delta: when this many mutations
 	// accumulate, Apply merges them into a new base generation (or, under
 	// BackgroundCompaction, seals them into a run). 0 means
