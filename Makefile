@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare experiments alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke check
 
 build:
 	$(GO) build ./...
@@ -74,9 +74,12 @@ bench-check:
 # BenchmarkEncode2D/4D run the bulk loaders' Hilbert keys (the automaton
 # walk) on their own, and BenchmarkPageScan the feature stream's page
 # kernel (the counted keyword scan and the price of each slot it meets).
+# BenchmarkCoordinator/nodes=1 routes one query through a one-replica
+# cluster's HTTP front, so the cluster benchmark cannot rot either.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 1x .
 	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan' -benchtime 1x ./internal/hilbert/ ./internal/rtree/
+	$(GO) test -run NONE -bench 'BenchmarkCoordinator/nodes=1$$' -benchtime 1x ./internal/cluster/
 
 # Before/after benchmark comparison for perf work: Figure 7's range sweep,
 # its 10 K point behind 32-page pools (the miss path), Figure 10's 10 K
@@ -104,6 +107,16 @@ bench-compare:
 	else \
 		echo "bench-compare: benchstat not installed, wrote raw output to $(BENCH_OUT)"; \
 	fi
+
+# The paper's evaluation (Section 8: Table 3, Figures 7-14) at paper scale:
+# TestExperiments runs every experiment row of the sweep table
+# (sweep_test.go) and writes EXPERIMENTS.md's raw tables, stamped with the
+# commit, the host and each table's scale and query count, to
+# experiments_output.txt. About ten minutes on a 2-vCPU Xeon;
+# EXPERIMENTS=fig7,fig8 runs some figures only (into the same file).
+EXPERIMENTS ?= all
+experiments:
+	$(GO) test -v -run '^TestExperiments$$' -timeout 0 . -experiments $(EXPERIMENTS)
 
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard, the
 # buffer-pool hit path and a miss on a full pool must stay allocation-free,

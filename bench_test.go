@@ -1,15 +1,17 @@
 // Benchmarks: one testing.B benchmark per table/figure of the paper's
-// evaluation (Section 8), at a reduced default scale so `go test -bench=.`
-// completes in minutes. The cmd/stpqbench harness runs the same sweeps at
-// full paper scale and prints the paper-style rows; these benchmarks give
-// allocation counts and per-query latency for regression tracking.
+// evaluation (Section 8), driven by the benchmark rows of sweep_test.go's
+// sweep table, at a reduced scale so `go test -bench=.` completes in
+// minutes; they give allocation counts and per-query latency for
+// regression tracking. The same table's experiment rows are the paper-scale
+// sweeps `make experiments` prints (TestExperiments, paper_test.go). The
+// fixtures below serve both.
 //
 // Sub-benchmark names follow the paper's panels, e.g.
 // BenchmarkFig7/a_features=20000/SRT.
 package stpq
 
 import (
-	"fmt"
+	"cmp"
 	"sync"
 	"testing"
 
@@ -18,20 +20,18 @@ import (
 	"stpq/internal/index"
 )
 
-// benchScale shrinks the paper's 100K default to keep bench runs short.
-const (
-	benchObjects  = 20_000
-	benchFeatures = 20_000
-	benchVocab    = 128
-	benchClusters = 2_000
-	benchQueries  = 64 // pre-generated workload, cycled by b.N
-)
+// benchQueries is the pre-generated workload a benchmark cycles through b.N.
+const benchQueries = 64
 
-// fixtureKey identifies a cached dataset+engine combination.
+// kinds are the index kinds every figure point runs on, in column order.
+var kinds = []index.Kind{index.SRT, index.IR2}
+
+// fixtureKey identifies a cached dataset+engine combination. A real
+// surrogate's objects and features are its hotels and restaurants.
 type fixtureKey struct {
-	objects, features, sets, vocab int
-	kind                           index.Kind
-	real                           bool
+	objects, features, sets, vocab, clusters int
+	kind                                     index.Kind
+	real                                     bool
 	// bufferPages is the capacity of each index's pool; 0 means the 256
 	// pages every benchmark but the cold ones runs behind.
 	bufferPages int
@@ -45,8 +45,8 @@ var (
 )
 
 // benchDataset returns a cached dataset for the key (kind ignored).
-func benchDataset(b *testing.B, key fixtureKey) *datagen.Dataset {
-	b.Helper()
+func benchDataset(tb testing.TB, key fixtureKey) *datagen.Dataset {
+	tb.Helper()
 	datasetMu.Lock()
 	defer datasetMu.Unlock()
 	dk := key
@@ -62,7 +62,7 @@ func benchDataset(b *testing.B, key fixtureKey) *datagen.Dataset {
 	} else {
 		ds = datagen.Synthetic(datagen.SyntheticConfig{
 			Objects: key.objects, FeaturesPerSet: key.features, FeatureSets: key.sets,
-			Vocab: key.vocab, Clusters: benchClusters, Seed: 1,
+			Vocab: key.vocab, Clusters: key.clusters, Seed: 1,
 		})
 	}
 	datasets[dk] = ds
@@ -70,55 +70,66 @@ func benchDataset(b *testing.B, key fixtureKey) *datagen.Dataset {
 }
 
 // benchEngine returns a cached engine for the key.
-func benchEngine(b *testing.B, key fixtureKey) *core.Engine {
-	b.Helper()
+func benchEngine(tb testing.TB, key fixtureKey) *core.Engine {
+	tb.Helper()
 	fixtureMu.Lock()
 	defer fixtureMu.Unlock()
 	if e, ok := fixtures[key]; ok {
 		return e
 	}
-	ds := benchDataset(b, key)
-	opts := index.Options{Kind: key.kind, VocabWidth: ds.VocabWidth, BufferPages: 256}
-	if key.bufferPages > 0 {
-		opts.BufferPages = key.bufferPages
-	}
-	oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-	for i, fs := range ds.FeatureSets {
-		if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	e, err := core.NewEngine(oidx, fidxs, core.Options{BatchSTDS: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := newEngine(tb, benchDataset(tb, key), key.kind, cmp.Or(key.bufferPages, 256), core.Options{BatchSTDS: true})
 	fixtures[key] = e
 	return e
 }
 
-// synKey builds a synthetic fixture key with defaults.
-func synKey(kind index.Kind) fixtureKey {
-	return fixtureKey{objects: benchObjects, features: benchFeatures, sets: 2, vocab: benchVocab, kind: kind}
+// newEngine indexes ds with the given index kind, pool pages per index and
+// engine options.
+func newEngine(tb testing.TB, ds *datagen.Dataset, kind index.Kind, pages int, eopts core.Options) *core.Engine {
+	tb.Helper()
+	opts := index.Options{Kind: kind, VocabWidth: ds.VocabWidth, BufferPages: pages}
+	oidx, err := index.BuildObjectIndex(ds.Objects, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
+	for i, fs := range ds.FeatureSets {
+		if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	e, err := core.NewEngine(oidx, fidxs, eopts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
 }
 
-// realKey builds the real-surrogate fixture key (quarter of paper scale).
-func realKey(kind index.Kind) fixtureKey {
-	return fixtureKey{objects: 6_250, features: 19_750, sets: 1, kind: kind, real: true}
+// dropFixtures forgets every cached dataset and engine, so that a sweep
+// over paper-scale worlds holds one world at a time.
+func dropFixtures() {
+	fixtureMu.Lock()
+	datasetMu.Lock()
+	clear(fixtures)
+	clear(datasets)
+	datasetMu.Unlock()
+	fixtureMu.Unlock()
+}
+
+// synKey is the benchmark rows' synthetic fixture: Table 2's defaults at a
+// fifth of the paper's cardinalities.
+func synKey(kind index.Kind) fixtureKey {
+	return sweepRow{scale: 0.2}.key(kind)
 }
 
 // runQueries cycles a pre-generated workload for b.N iterations.
-func runQueries(b *testing.B, e *core.Engine, alg string, qs []core.Query) {
+func runQueries(b *testing.B, e *core.Engine, alg Algorithm, qs []core.Query) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
 		var err error
-		if alg == "stds" {
+		if alg == STDS {
 			_, _, err = e.STDS(q)
 		} else {
 			_, _, err = e.STPS(q)
@@ -129,120 +140,84 @@ func runQueries(b *testing.B, e *core.Engine, alg string, qs []core.Query) {
 	}
 }
 
-// runFresh is runQueries for STPS with a fresh core.Engine over e's indexes
-// for every query. NewEngineOverParts only wraps the indexes — the buffer
-// pools live in them — so what differs from one engine across queries is
-// that each query builds the Voronoi cells it needs, as the paper's NN STPS
-// does, and finds none an earlier query built: the case where no query
-// repeats another's features.
+// runFresh is runQueries for STPS with a fresh engine (freshEngine) for
+// every query.
 func runFresh(b *testing.B, e *core.Engine, qs []core.Query) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fresh, err := core.NewEngineOverParts(e.ObjectParts(), 0, e.FeatureGroups(), core.Options{})
-		if err != nil {
+		if _, _, err := freshEngine(b, e).STPS(qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := fresh.STPS(qs[i%len(qs)]); err != nil {
-			b.Fatal(err)
+	}
+}
+
+// freshEngine is a new core.Engine over e's indexes. NewEngineOverParts
+// only wraps the indexes — the buffer pools live in them — so what differs
+// from one engine across queries is that each query builds the Voronoi
+// cells it needs, as the paper's NN STPS does, and finds none an earlier
+// query built: the case where no query repeats another's features.
+func freshEngine(tb testing.TB, e *core.Engine) *core.Engine {
+	fresh, err := core.NewEngineOverParts(e.ObjectParts(), 0, e.FeatureGroups(), core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fresh
+}
+
+// benchFigure runs fig's benchmark rows: one sub-benchmark per row (none
+// at a default point) and index kind. NN rows run a fresh engine per query.
+func benchFigure(b *testing.B, fig string) {
+	for _, r := range sweepTable {
+		if !r.bench || r.fig != fig {
+			continue
+		}
+		run := func(b *testing.B) {
+			forKinds(b, func(b *testing.B, kind index.Kind) {
+				key := r.key(kind)
+				e := benchEngine(b, key)
+				qs := benchDataset(b, key).GenQueries(r.queries, r.queryConfig())
+				if r.variant == NearestNeighbor {
+					runFresh(b, e, qs)
+				} else {
+					runQueries(b, e, r.alg, qs)
+				}
+			})
+		}
+		if r.param == atDefault {
+			run(b)
+		} else {
+			b.Run(r.name(), run)
 		}
 	}
 }
 
 // qc builds a query config with the default bench parameters.
 func qc(variant core.Variant) datagen.QueryConfig {
-	return datagen.QueryConfig{K: 10, Radius: 0.01, Lambda: 0.5, NumKeywords: 3, Variant: variant, Seed: 2}
+	return sweepRow{variant: Variant(variant), bench: true}.queryConfig()
 }
 
 // forKinds runs the body once per index kind.
 func forKinds(b *testing.B, fn func(b *testing.B, kind index.Kind)) {
-	for _, kind := range []index.Kind{index.SRT, index.IR2} {
-		kind := kind
+	for _, kind := range kinds {
 		b.Run(kind.String(), func(b *testing.B) { fn(b, kind) })
 	}
 }
 
 // BenchmarkTable3 measures STDS (the baseline scan) at the default data
 // point of Table 3 on both indexes.
-func BenchmarkTable3(b *testing.B) {
-	forKinds(b, func(b *testing.B, kind index.Kind) {
-		key := synKey(kind)
-		e := benchEngine(b, key)
-		qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-		runQueries(b, e, "stds", qs)
-	})
-}
+func BenchmarkTable3(b *testing.B) { benchFigure(b, "Table3") }
 
 // BenchmarkFig7 sweeps the dataset parameters of Figure 7 with STPS
 // (range score, synthetic).
-func BenchmarkFig7(b *testing.B) {
-	for _, f := range []int{10_000, 20_000, 40_000} {
-		f := f
-		b.Run(fmt.Sprintf("a_features=%d", f), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.features = f
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, o := range []int{10_000, 20_000, 40_000} {
-		o := o
-		b.Run(fmt.Sprintf("b_objects=%d", o), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.objects = o
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, c := range []int{2, 3, 4} {
-		c := c
-		b.Run(fmt.Sprintf("c_sets=%d", c), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.sets = c
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, w := range []int{64, 128, 256} {
-		w := w
-		b.Run(fmt.Sprintf("d_vocab=%d", w), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.vocab = w
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+func BenchmarkFig7(b *testing.B) { benchFigure(b, "Fig7") }
 
 // BenchmarkFig7Cold is Figure 7's smallest world behind 32-page pools — a
 // few percent of each index — so nearly every page read is a miss and an
 // eviction: the path BENCHMARK.json's range-cold workload measures, which
 // the 256-page fixtures of the other benchmarks hardly touch.
-func BenchmarkFig7Cold(b *testing.B) {
-	b.Run("a_features=10000", func(b *testing.B) {
-		forKinds(b, func(b *testing.B, kind index.Kind) {
-			key := synKey(kind)
-			key.features = 10_000
-			key.bufferPages = 32
-			e := benchEngine(b, key)
-			qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, "stps", qs)
-		})
-	})
-}
+func BenchmarkFig7Cold(b *testing.B) { benchFigure(b, "Fig7Cold") }
 
 // BenchmarkBuild is DB.Build of Figure 7's default data point: the
 // interning pass, then the object tree and both feature trees bulk-loaded
@@ -264,221 +239,30 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkFig8 sweeps the query parameters of Figure 8 on the real
 // surrogate (range score).
-func BenchmarkFig8(b *testing.B) {
-	for _, r := range []float64{0.005, 0.01, 0.04} {
-		r := r
-		b.Run(fmt.Sprintf("a_radius=%v", r), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.RangeScore)
-				cfg.Radius = r
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, k := range []int{5, 10, 40} {
-		k := k
-		b.Run(fmt.Sprintf("b_k=%d", k), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.RangeScore)
-				cfg.K = k
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, l := range []float64{0.1, 0.5, 0.9} {
-		l := l
-		b.Run(fmt.Sprintf("c_lambda=%v", l), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.RangeScore)
-				cfg.Lambda = l
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, n := range []int{1, 3, 9} {
-		n := n
-		b.Run(fmt.Sprintf("d_qkw=%d", n), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.RangeScore)
-				cfg.NumKeywords = n
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "Fig8") }
 
 // BenchmarkFig9 sweeps the query parameters of Figure 9 on synthetic data
 // (range score).
-func BenchmarkFig9(b *testing.B) {
-	sweeps := []struct {
-		name string
-		cfg  datagen.QueryConfig
-	}{
-		{"a_radius=0.005", withRadius(qc(core.RangeScore), 0.005)},
-		{"a_radius=0.04", withRadius(qc(core.RangeScore), 0.04)},
-		{"b_k=5", withK(qc(core.RangeScore), 5)},
-		{"b_k=40", withK(qc(core.RangeScore), 40)},
-		{"c_lambda=0.1", withLambda(qc(core.RangeScore), 0.1)},
-		{"c_lambda=0.9", withLambda(qc(core.RangeScore), 0.9)},
-		{"d_qkw=1", withQKw(qc(core.RangeScore), 1)},
-		{"d_qkw=9", withQKw(qc(core.RangeScore), 9)},
-	}
-	for _, sw := range sweeps {
-		sw := sw
-		b.Run(sw.name, func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, sw.cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+func BenchmarkFig9(b *testing.B) { benchFigure(b, "Fig9") }
 
-// BenchmarkFig10 is the influence-score scalability of Figure 10 at the
-// default data point.
-func BenchmarkFig10(b *testing.B) {
-	for _, f := range []int{10_000, 40_000} {
-		f := f
-		b.Run(fmt.Sprintf("a_features=%d", f), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.features = f
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.InfluenceScore))
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+// BenchmarkFig10 is the influence-score scalability of Figure 10.
+func BenchmarkFig10(b *testing.B) { benchFigure(b, "Fig10") }
 
-// BenchmarkFig11 is the influence variant on the real surrogate (k sweep).
-func BenchmarkFig11(b *testing.B) {
-	for _, k := range []int{5, 10, 40} {
-		k := k
-		b.Run(fmt.Sprintf("a_k=%d", k), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.InfluenceScore)
-				cfg.K = k
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-	for _, n := range []int{1, 9} {
-		n := n
-		b.Run(fmt.Sprintf("b_qkw=%d", n), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.InfluenceScore)
-				cfg.NumKeywords = n
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+// BenchmarkFig11 is the influence variant on the real surrogate.
+func BenchmarkFig11(b *testing.B) { benchFigure(b, "Fig11") }
 
 // BenchmarkFig12 is the influence variant on synthetic data (query
 // parameters).
-func BenchmarkFig12(b *testing.B) {
-	sweeps := []struct {
-		name string
-		cfg  datagen.QueryConfig
-	}{
-		{"b_k=5", withK(qc(core.InfluenceScore), 5)},
-		{"b_k=40", withK(qc(core.InfluenceScore), 40)},
-		{"c_lambda=0.1", withLambda(qc(core.InfluenceScore), 0.1)},
-		{"c_lambda=0.9", withLambda(qc(core.InfluenceScore), 0.9)},
-		{"d_qkw=1", withQKw(qc(core.InfluenceScore), 1)},
-		{"d_qkw=9", withQKw(qc(core.InfluenceScore), 9)},
-	}
-	for _, sw := range sweeps {
-		sw := sw
-		b.Run(sw.name, func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, sw.cfg)
-				runQueries(b, e, "stps", qs)
-			})
-		})
-	}
-}
+func BenchmarkFig12(b *testing.B) { benchFigure(b, "Fig12") }
 
 // BenchmarkFig13 is the nearest-neighbor variant's scalability (Voronoi
 // costs included in the measured time: every query runs on a fresh engine,
 // see runFresh).
-func BenchmarkFig13(b *testing.B) {
-	for _, f := range []int{10_000, 40_000} {
-		f := f
-		b.Run(fmt.Sprintf("a_features=%d", f), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.features = f
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.NearestNeighborScore))
-				runFresh(b, e, qs)
-			})
-		})
-	}
-	for _, o := range []int{10_000, 40_000} {
-		o := o
-		b.Run(fmt.Sprintf("b_objects=%d", o), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				key.objects = o
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, qc(core.NearestNeighborScore))
-				runFresh(b, e, qs)
-			})
-		})
-	}
-}
+func BenchmarkFig13(b *testing.B) { benchFigure(b, "Fig13") }
 
 // BenchmarkFig14 is the nearest-neighbor variant while varying k, a fresh
 // engine per query as in BenchmarkFig13.
-func BenchmarkFig14(b *testing.B) {
-	for _, k := range []int{5, 10, 40} {
-		k := k
-		b.Run(fmt.Sprintf("a_real_k=%d", k), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := realKey(kind)
-				cfg := qc(core.NearestNeighborScore)
-				cfg.K = k
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runFresh(b, e, qs)
-			})
-		})
-		b.Run(fmt.Sprintf("b_synthetic_k=%d", k), func(b *testing.B) {
-			forKinds(b, func(b *testing.B, kind index.Kind) {
-				key := synKey(kind)
-				cfg := qc(core.NearestNeighborScore)
-				cfg.K = k
-				e := benchEngine(b, key)
-				qs := benchDataset(b, key).GenQueries(benchQueries, cfg)
-				runFresh(b, e, qs)
-			})
-		})
-	}
-}
+func BenchmarkFig14(b *testing.B) { benchFigure(b, "Fig14") }
 
 // Ablation benchmarks for the design choices called out in DESIGN.md.
 
@@ -495,23 +279,9 @@ func BenchmarkAblationBatchSTDS(b *testing.B) {
 			name = "single"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := index.Options{Kind: index.SRT, VocabWidth: ds.VocabWidth, BufferPages: 256}
-			oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-			for i, fs := range ds.FeatureSets {
-				if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := core.NewEngine(oidx, fidxs, core.Options{BatchSTDS: batch})
-			if err != nil {
-				b.Fatal(err)
-			}
+			e := newEngine(b, ds, index.SRT, 256, core.Options{BatchSTDS: batch})
 			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, "stds", qs)
+			runQueries(b, e, STDS, qs)
 		})
 	}
 }
@@ -525,23 +295,9 @@ func BenchmarkAblationPulling(b *testing.B) {
 	for _, pull := range []core.PullStrategy{core.PullPrioritized, core.PullRoundRobin} {
 		pull := pull
 		b.Run(pull.String(), func(b *testing.B) {
-			opts := index.Options{Kind: index.SRT, VocabWidth: ds.VocabWidth, BufferPages: 256}
-			oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-			for i, fs := range ds.FeatureSets {
-				if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := core.NewEngine(oidx, fidxs, core.Options{Pull: pull})
-			if err != nil {
-				b.Fatal(err)
-			}
+			e := newEngine(b, ds, index.SRT, 256, core.Options{Pull: pull})
 			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, "stps", qs)
+			runQueries(b, e, STPS, qs)
 		})
 	}
 }
@@ -558,47 +314,11 @@ func BenchmarkAblationCombinations(b *testing.B) {
 	for _, mode := range []core.CombinationMode{core.CombinationsLazy, core.CombinationsEager} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			opts := index.Options{Kind: index.SRT, VocabWidth: ds.VocabWidth, BufferPages: 256}
-			oidx, err := index.BuildObjectIndex(ds.Objects, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fidxs := make([]*index.FeatureIndex, len(ds.FeatureSets))
-			for i, fs := range ds.FeatureSets {
-				if fidxs[i], err = index.BuildFeatureIndex(fs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := core.NewEngine(oidx, fidxs, core.Options{Combinations: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
+			e := newEngine(b, ds, index.SRT, 256, core.Options{Combinations: mode})
 			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, "stps", qs)
+			runQueries(b, e, STPS, qs)
 		})
 	}
-}
-
-// query-config helpers.
-
-func withRadius(c datagen.QueryConfig, r float64) datagen.QueryConfig {
-	c.Radius = r
-	return c
-}
-
-func withK(c datagen.QueryConfig, k int) datagen.QueryConfig {
-	c.K = k
-	return c
-}
-
-func withLambda(c datagen.QueryConfig, l float64) datagen.QueryConfig {
-	c.Lambda = l
-	return c
-}
-
-func withQKw(c datagen.QueryConfig, n int) datagen.QueryConfig {
-	c.NumKeywords = n
-	return c
 }
 
 // BenchmarkAblationVoronoiCache measures the NN variant with a fresh engine
@@ -624,7 +344,7 @@ func BenchmarkAblationVoronoiCache(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		runQueries(b, e, "stps", qs)
+		runQueries(b, e, STPS, qs)
 	})
 }
 
@@ -635,9 +355,8 @@ func BenchmarkAblationVoronoiCache(b *testing.B) {
 // the scaling of the concurrent read path.
 func BenchmarkConcurrentTopK(b *testing.B) {
 	forKinds(b, func(b *testing.B, kind index.Kind) {
-		for _, alg := range []string{"stps", "stds"} {
-			alg := alg
-			b.Run(alg, func(b *testing.B) {
+		for _, alg := range []Algorithm{STPS, STDS} {
+			b.Run([...]string{"stps", "stds"}[alg], func(b *testing.B) {
 				e := benchEngine(b, synKey(kind))
 				qs := benchDataset(b, synKey(kind)).GenQueries(benchQueries, qc(core.RangeScore))
 				b.ReportAllocs()
@@ -648,7 +367,7 @@ func BenchmarkConcurrentTopK(b *testing.B) {
 						q := qs[i%len(qs)]
 						i++
 						var err error
-						if alg == "stds" {
+						if alg == STDS {
 							_, _, err = e.STDS(q)
 						} else {
 							_, _, err = e.STPS(q)

@@ -40,9 +40,10 @@ func syntheticWorld(cfg datagen.SyntheticConfig) ([]Object, [][]Feature) {
 // fig7World is the default data point of Figure 7 at the root benchmarks'
 // scale (BenchmarkFig7's fixtures).
 func fig7World() ([]Object, [][]Feature) {
+	key := synKey(0)
 	return syntheticWorld(datagen.SyntheticConfig{
-		Objects: benchObjects, FeaturesPerSet: benchFeatures, FeatureSets: 2,
-		Vocab: benchVocab, Clusters: benchClusters, Seed: 1,
+		Objects: key.objects, FeaturesPerSet: key.features, FeatureSets: key.sets,
+		Vocab: key.vocab, Clusters: key.clusters, Seed: 1,
 	})
 }
 

@@ -46,7 +46,7 @@ func testData(seed int64) ([]stpq.Object, []stpq.Feature, []stpq.Feature, []stri
 }
 
 // buildDB builds one DB over the objects and both feature sets.
-func buildDB(t *testing.T, cfg stpq.Config, objs []stpq.Object, food, cafes []stpq.Feature) *stpq.DB {
+func buildDB(t testing.TB, cfg stpq.Config, objs []stpq.Object, food, cafes []stpq.Feature) *stpq.DB {
 	t.Helper()
 	db := stpq.New(cfg)
 	db.AddObjects(objs)
@@ -74,7 +74,7 @@ func (r replica) served() int64 {
 
 // startReplica builds a service around db and serves its handler on a
 // loopback port; wrap, when non-nil, wraps that handler (fault injection).
-func startReplica(t *testing.T, db *stpq.DB, wrap func(http.Handler) http.Handler) replica {
+func startReplica(t testing.TB, db *stpq.DB, wrap func(http.Handler) http.Handler) replica {
 	t.Helper()
 	svc, err := serve.New(db, serve.Config{Workers: 2})
 	if err != nil {
@@ -109,7 +109,7 @@ type testCluster struct {
 
 // startCluster starts n replicas over cfg and a coordinator over them;
 // wraps[i], when given and non-nil, wraps replica i's handler.
-func startCluster(t *testing.T, cfg stpq.Config, n int, coordCfg CoordinatorConfig,
+func startCluster(t testing.TB, cfg stpq.Config, n int, coordCfg CoordinatorConfig,
 	wraps ...func(http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	objs, food, cafes, _ := testData(7)
@@ -135,7 +135,7 @@ func startCluster(t *testing.T, cfg stpq.Config, n int, coordCfg CoordinatorConf
 }
 
 // requestBody spells q as a POST /query body.
-func requestBody(t *testing.T, q stpq.Query) []byte {
+func requestBody(t testing.TB, q stpq.Query) []byte {
 	t.Helper()
 	body, err := json.Marshal(serve.QueryRequest{
 		K: q.K, Radius: q.Radius, Lambda: q.Lambda, Keywords: q.Keywords,

@@ -114,7 +114,8 @@ type Result struct {
 type Stats struct {
 	// CPUTime is the measured wall time of query processing.
 	CPUTime time.Duration
-	// IOTime is the modeled disk time: PhysicalReads × CostModel.PerPage.
+	// IOTime is the modeled disk time: PhysicalReads × the storage
+	// layer's default CostModel.PerPage (100 µs).
 	IOTime time.Duration
 	// LogicalReads and PhysicalReads count page requests across all
 	// indexes touched by the query.
@@ -247,17 +248,10 @@ type Options struct {
 	BatchSTDS bool
 	// Combinations selects how STPS enumerates feature combinations.
 	Combinations CombinationMode
-	// CostModel converts physical reads to modeled I/O time.
-	CostModel storage.CostModel
 }
 
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
-	if o.CostModel.PerPage == 0 {
-		o.CostModel = storage.DefaultCostModel()
-	}
-	return o
-}
+// ioCost converts a query's physical reads into its modeled I/O time.
+var ioCost = storage.DefaultCostModel()
 
 // Engine binds the data objects and the feature sets and executes prepared
 // queries with either algorithm, returning their Stats; metrics and event
@@ -356,7 +350,7 @@ func NewEngineOverParts(objects []*index.ObjectIndex, shards int, features []*in
 			return nil, fmt.Errorf("core: object index %d is nil", i)
 		}
 	}
-	e := &Engine{objects: objects, shards: shards, features: features, opts: opts.withDefaults()}
+	e := &Engine{objects: objects, shards: shards, features: features, opts: opts}
 	if len(objects) > 1 {
 		e.rects = make([]geo.Rect, len(objects))
 		for i, part := range objects {
@@ -412,7 +406,7 @@ func (e *Engine) finishStats(st *Stats, before storage.Stats, start time.Time) {
 	diff := e.snapshotReads().Sub(before)
 	st.LogicalReads = diff.LogicalReads
 	st.PhysicalReads = diff.PhysicalReads
-	st.IOTime = e.opts.CostModel.IOTime(diff.PhysicalReads)
+	st.IOTime = ioCost.IOTime(diff.PhysicalReads)
 	st.CPUTime = time.Since(start)
 }
 

@@ -165,7 +165,7 @@ type CostModel struct {
 	PerPage time.Duration
 }
 
-// DefaultCostModel returns the cost model used by the experiment harness.
+// DefaultCostModel returns the cost model every engine reports Stats.IOTime with.
 func DefaultCostModel() CostModel { return CostModel{PerPage: 100 * time.Microsecond} }
 
 // IOTime returns the modeled time for n physical page reads.

@@ -43,7 +43,6 @@ import (
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
 	"stpq/internal/shard"
-	"stpq/internal/storage"
 )
 
 // Object is a data object p ∈ O: the entities being ranked.
@@ -590,9 +589,8 @@ func readBack(eng *core.Engine) ([]index.Object, [][]index.Feature, error) {
 // engine, which holds exactly one object part.
 func soleObjects(eng *core.Engine) *index.ObjectIndex { return eng.ObjectParts()[0] }
 
-// coreOptions are the engine options every DB runs with: batched STDS and
-// the storage layer's default I/O cost model.
-var coreOptions = core.Options{BatchSTDS: true, CostModel: storage.DefaultCostModel()}
+// coreOptions are the engine options every DB runs with: batched STDS.
+var coreOptions = core.Options{BatchSTDS: true}
 
 // poolLabel sanitizes a feature-set name into a Prometheus label value.
 func poolLabel(name string) string {
