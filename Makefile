@@ -72,13 +72,15 @@ bench-check:
 # and the polygon search on their own. BenchmarkBuild runs DB.Build once per
 # index kind: the interning pass and the concurrent bulk loads.
 # BenchmarkEncode2D/4D run the bulk loaders' Hilbert keys (the automaton
-# walk) on their own, and BenchmarkPageScan the feature stream's page
-# kernel (the counted keyword scan and the price of each slot it meets).
+# walk) on their own, BenchmarkPageScan the feature stream's page
+# kernel (the counted keyword scan and the price of each slot it meets),
+# and BenchmarkSearchPolygon the NN variant's object retrieval over
+# cell-sized regions (the containment box, then Contains).
 # BenchmarkCoordinator/nodes=1 routes one query through a one-replica
 # cluster's HTTP front, so the cluster benchmark cannot rot either.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig(7|7Cold|10|13)/a_features=10000|BenchmarkTable3|BenchmarkAblationBatchSTDS|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 1x .
-	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan' -benchtime 1x ./internal/hilbert/ ./internal/rtree/
+	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan|BenchmarkSearchPolygon' -benchtime 1x ./internal/hilbert/ ./internal/rtree/
 	$(GO) test -run NONE -bench 'BenchmarkCoordinator/nodes=1$$' -benchtime 1x ./internal/cluster/
 
 # Before/after benchmark comparison for perf work: Figure 7's range sweep,
@@ -86,9 +88,10 @@ bench-smoke:
 # influence point — the candidate heap runs under all three — the
 # warm-store NN query, DB.Build of Figure 7's default data point (the
 # set-up every workload pays before its first query), the 2-D and 4-D
-# Hilbert keys it sorts by and the feature stream's page kernel,
-# BenchmarkPageScan, in ns per slot (those three at the default benchtime:
-# a key or a slot takes nanoseconds). Run once on the base
+# Hilbert keys it sorts by, the feature stream's page kernel,
+# BenchmarkPageScan, in ns per slot, and the NN variant's polygon search,
+# BenchmarkSearchPolygon, in ns per search (those four at the default
+# benchtime: a key, a slot or a search takes nanoseconds to microseconds). Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -97,7 +100,7 @@ BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
 	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
-	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan' -benchmem -count 5 ./internal/hilbert/ ./internal/rtree/ | tee -a $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan|BenchmarkSearchPolygon' -benchmem -count 5 ./internal/hilbert/ ./internal/rtree/ | tee -a $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \

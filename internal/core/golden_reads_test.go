@@ -55,19 +55,40 @@ import (
 // reaches that score the stream stops pulling, where it used to pull on to
 // the combination that ended the loop. Every component is at or below its
 // old value, and the stds and stps/influence rows did not move.
+//
+// Every row was re-recorded when the three best-first searches that seeded
+// their heaps with a RootEntry — the feature stream, topKInfluence and
+// groupAscendDistance — began to seed each non-empty part's root page at a
+// bound that needs no read (+Inf, the combination's score, 0 on −MINDIST),
+// as voronoiCell already did: a RootEntry read the root to aggregate it and
+// the pop read it again, a hit. Only L moved, and only down; P and E are
+// the same in every row. Before → after, L only:
+//
+//	SRT/stds/range             1816 1647 2195 → 1720 1572 2101
+//	SRT/stds/influence         50196 39766 64272 → 46365 37203 60272
+//	SRT/stds/nearest-neighbor  33907 27541 30094 → 30788 24998 27325
+//	SRT/stps/range             71 84 98 → 69 82 96
+//	SRT/stps/influence         246 154 238 → 222 146 217
+//	SRT/stps/nearest-neighbor  5278 3638 5348 → 5276 3636 5346
+//	IR2/stds/range             1764 1157 1545 → 1668 1082 1451
+//	IR2/stds/influence         40264 28918 48720 → 36433 26355 44720
+//	IR2/stds/nearest-neighbor  15663 12778 13872 → 12544 10235 11103
+//	IR2/stps/range             136 138 124 → 134 136 122
+//	IR2/stps/influence         278 164 240 → 254 156 219
+//	IR2/stps/nearest-neighbor  2667 1874 2695 → 2665 1872 2693
 var goldenReads = map[string]string{
-	"SRT/stds/range":            "1816/358/262 1647/309/309 2195/511/511",
-	"SRT/stds/influence":        "50196/359/263 39766/384/384 64272/944/944",
-	"SRT/stds/nearest-neighbor": "33907/236/140 27541/211/211 30094/212/212",
-	"SRT/stps/range":            "71/69/3 84/39/30 98/66/59",
-	"SRT/stps/influence":        "246/115/30 154/107/103 238/136/133",
-	"SRT/stps/nearest-neighbor": "5278/2429/2333 3638/1651/1651 5348/2434/2434",
-	"IR2/stds/range":            "1764/247/151 1157/179/179 1545/206/206",
-	"IR2/stds/influence":        "40264/222/126 28918/218/218 48720/270/270",
-	"IR2/stds/nearest-neighbor": "15663/204/108 12778/182/182 13872/183/183",
-	"IR2/stps/range":            "136/134/60 138/128/122 124/113/111",
-	"IR2/stps/influence":        "278/147/61 164/127/124 240/136/133",
-	"IR2/stps/nearest-neighbor": "2667/989/893 1874/647/647 2695/954/954",
+	"SRT/stds/range":            "1720/358/262 1572/309/309 2101/511/511",
+	"SRT/stds/influence":        "46365/359/263 37203/384/384 60272/944/944",
+	"SRT/stds/nearest-neighbor": "30788/236/140 24998/211/211 27325/212/212",
+	"SRT/stps/range":            "69/69/3 82/39/30 96/66/59",
+	"SRT/stps/influence":        "222/115/30 146/107/103 217/136/133",
+	"SRT/stps/nearest-neighbor": "5276/2429/2333 3636/1651/1651 5346/2434/2434",
+	"IR2/stds/range":            "1668/247/151 1082/179/179 1451/206/206",
+	"IR2/stds/influence":        "36433/222/126 26355/218/218 44720/270/270",
+	"IR2/stds/nearest-neighbor": "12544/204/108 10235/182/182 11103/183/183",
+	"IR2/stps/range":            "134/134/60 136/128/122 122/113/111",
+	"IR2/stps/influence":        "254/147/61 156/127/124 219/136/133",
+	"IR2/stps/nearest-neighbor": "2665/989/893 1872/647/647 2693/954/954",
 }
 
 func TestReadCountsGolden(t *testing.T) {

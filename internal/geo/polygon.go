@@ -212,6 +212,200 @@ func (pg Polygon) IntersectsRect(r Rect) bool {
 	return false
 }
 
+// unitRound is the unit roundoff of float64 arithmetic, 2^−53: a rounded
+// operation's relative error is at most this.
+const unitRound = 0x1p-53
+
+// boxShift is how far outside an edge a→b, in the units of
+// (b−a)×(p−a), the containment box places the edge's line: Contains
+// accepts p on the edge when the rounded cross product is ≥ −hpEps, so
+// the exact one is ≥ −hpEps − γ₃·|b−a|·|p−a| (γ₃ = 3u/(1−3u), u =
+// unitRound; a fused multiply-add only rounds less). The γ₃ term divides
+// into hpEps/(1−γ₃), which this bounds, and a turn of the line by at most
+// γ₃/(1−γ₃) radians about its shifted point, which ContainBox's corner
+// slack covers.
+const boxShift = hpEps * (1 + 16*unitRound)
+
+// boxShortEdge and boxSinMin choose the edges a containment box is cut
+// from. An edge shorter than boxShortEdge × the longest edge is left out
+// (a near-duplicate vertex's edge points anywhere, and its line's shift
+// hpEps/|b−a| is large); of two consecutive edges whose turn has a sine
+// below boxSinMin the second is left out when they point the same way,
+// and the box is the whole plane when they do not. Leaving an edge out
+// only enlarges the box: Contains tests every edge.
+const (
+	boxShortEdge = 0x1p-16
+	boxSinMin    = 0x1p-20
+)
+
+// boxEdge is one edge a→a+e of a polygon, with l = |e.X| + |e.Y|: at
+// least its length and at most √2 times it, so a sine estimated with it
+// is at most the turn's own, and a slack that divides by it is the
+// larger.
+type boxEdge struct {
+	a, e Point
+	l    float64
+}
+
+// wholePlane returns the rectangle that holds every point.
+func wholePlane() Rect {
+	return Rect{Min: Point{math.Inf(-1), math.Inf(-1)}, Max: Point{math.Inf(1), math.Inf(1)}}
+}
+
+// ContainBox returns two rectangles that bound what the polygon's tests
+// accept, tolerances included: pts holds every finite point Contains
+// accepts, and rects meets every rectangle IntersectsRect accepts. Each
+// can only reject: a point outside pts fails Contains, a rectangle
+// missing rects fails IntersectsRect, so four compares may stand in front
+// of either test. An empty polygon gets two empty rectangles; a polygon
+// whose edges cannot bound a box — a non-finite coordinate, edges whose
+// lengths leave float64's comfortable range, fewer than three edges left
+// by the selection above, two consecutive edges nearly opposite — gets
+// the whole plane for both.
+//
+// The construction (DESIGN.md §4): each kept edge's line is shifted
+// outward to (b−a)×(p−a) = −boxShift. Consecutive kept edges turn left by
+// less than π, so every direction d lies between the outward normals of
+// some consecutive pair, and the wedge those two shifted lines bound has
+// its largest d·p at their intersection: every point all the lines accept
+// lies in the bounding box of those intersections. Each intersection is
+// grown by a slack that covers its own rounding and the lines' turn; the
+// rectangle bound adds the vertices' bounding box, grown by onSegment's
+// hpEps and the rounding of its coordinate compares.
+func (pg Polygon) ContainBox() (pts, rects Rect) {
+	n := len(pg.Vertices)
+	if n < 3 {
+		return EmptyRect(), EmptyRect()
+	}
+	var buf [16]boxEdge
+	edges := buf[:0]
+	// The vertices' bounding box, the longest edge and the largest
+	// coordinate magnitude, by plain compares; a NaN makes longest or mag
+	// NaN, which the range test refuses.
+	bounds := EmptyRect()
+	longest, mag := 0.0, 0.0
+	a := pg.Vertices[n-1]
+	for _, b := range pg.Vertices {
+		e := b.Sub(a) // Contains's own edge vector
+		l := math.Abs(e.X) + math.Abs(e.Y)
+		edges = append(edges, boxEdge{a: a, e: e, l: l})
+		if !(l <= longest) {
+			longest = l
+		}
+		if m := math.Abs(b.X) + math.Abs(b.Y); !(m <= mag) {
+			mag = m
+		}
+		bounds.Min.X, bounds.Max.X = min(bounds.Min.X, b.X), max(bounds.Max.X, b.X)
+		bounds.Min.Y, bounds.Max.Y = min(bounds.Min.Y, b.Y), max(bounds.Max.Y, b.Y)
+		a = b
+	}
+	// The range keeps every product below finite and normal: kept edges
+	// are at least 2^−16 of the longest.
+	if !(longest >= 1e-100 && longest <= 1e100 && mag <= 1e100) {
+		return wholePlane(), wholePlane()
+	}
+	kept := edges[:0]
+	for _, ed := range edges {
+		if ed.l < longest*boxShortEdge {
+			continue
+		}
+		if len(kept) > 0 {
+			switch boxTurn(&kept[len(kept)-1], &ed) {
+			case turnDrop:
+				continue
+			case turnFail:
+				return wholePlane(), wholePlane()
+			}
+		}
+		kept = append(kept, ed)
+	}
+	for len(kept) >= 3 {
+		t := boxTurn(&kept[len(kept)-1], &kept[0])
+		if t == turnKeep {
+			break
+		}
+		if t == turnFail {
+			return wholePlane(), wholePlane()
+		}
+		kept = kept[:len(kept)-1]
+	}
+	if len(kept) < 3 {
+		return wholePlane(), wholePlane()
+	}
+	pts = EmptyRect()
+	prev := &kept[len(kept)-1]
+	for i := range kept {
+		cur := &kept[i]
+		w, slack := boxCorner(prev, cur)
+		if lo := w.X - slack; lo < pts.Min.X {
+			pts.Min.X = lo
+		}
+		if lo := w.Y - slack; lo < pts.Min.Y {
+			pts.Min.Y = lo
+		}
+		if hi := w.X + slack; hi > pts.Max.X {
+			pts.Max.X = hi
+		}
+		if hi := w.Y + slack; hi > pts.Max.Y {
+			pts.Max.Y = hi
+		}
+		prev = cur
+	}
+	if math.IsNaN(pts.Min.X + pts.Min.Y + pts.Max.X + pts.Max.Y) {
+		return wholePlane(), wholePlane()
+	}
+	grow := hpEps + 64*unitRound*(mag+hpEps)
+	rects = Rect{
+		Min: Point{min(pts.Min.X, bounds.Min.X) - grow, min(pts.Min.Y, bounds.Min.Y) - grow},
+		Max: Point{max(pts.Max.X, bounds.Max.X) + grow, max(pts.Max.Y, bounds.Max.Y) + grow},
+	}
+	return pts, rects
+}
+
+// How boxTurn judges two consecutive edges: keep the second, leave it out
+// (the two point the same way), or give up on the box.
+const (
+	turnKeep = iota
+	turnDrop
+	turnFail
+)
+
+// boxTurn judges the turn from edge p to edge q by its sine,
+// e_p×e_q / (|e_p|·|e_q|), estimated low with the edges' l.
+func boxTurn(p, q *boxEdge) int {
+	d, lim := p.e.Cross(q.e), boxSinMin*p.l*q.l
+	switch {
+	case d >= lim:
+		return turnKeep
+	case d > -lim && p.e.X*q.e.X+p.e.Y*q.e.Y > 0:
+		return turnDrop
+	}
+	return turnFail
+}
+
+// boxCorner returns where the shifted lines of the consecutive kept edges
+// p and q meet, and the slack that point is grown by. With Δ = q.a − p.a,
+// g = e_p×Δ and D = e_p×e_q > 0, the point q.a + x with
+// x = (k·e_p − (k+g)·e_q)/D has e_q×x = −k and e_p×(x+Δ) = −k, k =
+// boxShift. Its rounding — of g, D, the quotient and the sum — and the
+// lines' turn of at most γ₃/(1−γ₃) about points within 2(|x|+|Δ|) of it
+// move it by less than 24u·(|x|+|Δ|)/S + u·(|q.a|+|x|), S =
+// D/(|e_p|·|e_q|) the turn's sine (the quotient is taken as a product
+// with 1/D, one rounding more); the slack is 64u times the larger
+// expression, in 1-norms.
+func boxCorner(p, q *boxEdge) (w Point, slack float64) {
+	d := q.a.Sub(p.a)
+	g := p.e.Cross(d)
+	inv := 1 / p.e.Cross(q.e)
+	x := Point{
+		X: (boxShift*p.e.X - (boxShift+g)*q.e.X) * inv,
+		Y: (boxShift*p.e.Y - (boxShift+g)*q.e.Y) * inv,
+	}
+	nx, nd := math.Abs(x.X)+math.Abs(x.Y), math.Abs(d.X)+math.Abs(d.Y)
+	slack = 64 * unitRound * ((nx+nd)*(p.l*q.l*inv) + math.Abs(q.a.X) + math.Abs(q.a.Y) + nx)
+	return q.a.Add(x), slack
+}
+
 // EdgeHalfPlane returns the half-plane to the left of the directed edge
 // a→b. For a convex polygon with counter-clockwise vertices, the interior
 // is the intersection of the half-planes of its edges.
