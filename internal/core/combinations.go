@@ -135,7 +135,7 @@ func ruleOf(v Variant, c int) comboRule {
 // combination heap, the pair grids and the index-vector arena) are recycled
 // from the query scratch, so steady-state STPS queries rebuild the stream,
 // and both ways of generating combinations run, without allocating.
-func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*combinationStream, error) {
+func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *combinationStream {
 	c := len(e.features)
 	cs := &combinationStream{}
 	if sc := e.scratch; sc != nil {
@@ -160,13 +160,11 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) (*co
 		cs.grids = cs.gridStore
 	}
 	for i := 0; i < c; i++ {
-		if err := cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{}); err != nil {
-			return nil, err
-		}
+		cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{})
 		cs.mins[i] = 1 // upper bound on any unseen feature score
 		cs.maxs[i] = 1
 	}
-	return cs, nil
+	return cs
 }
 
 // reinit resets the stream's per-query state in place, keeping every

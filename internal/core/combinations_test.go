@@ -28,10 +28,7 @@ func drainCombinations(t *testing.T, w *testWorld, q Query, limit int) []combina
 func drainCombos(t *testing.T, w *testWorld, q Query, limit int, scan bool) []combination {
 	t.Helper()
 	var stats Stats
-	cs, err := newCombinationStream(w.engine, &q, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := newCombinationStream(w.engine, &q, &stats, nil)
 	if scan {
 		cs.grids = nil
 	}
@@ -346,10 +343,7 @@ func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		q := w.randQuery(rng, 2, InfluenceScore)
 		var stats Stats
-		cs, err := newCombinationStream(w.engine, &q, &stats, nil)
-		if err != nil {
-			return false
-		}
+		cs := newCombinationStream(w.engine, &q, &stats, nil)
 		seen := make(map[string]bool)
 		prev := math.Inf(1)
 		for {
@@ -482,10 +476,7 @@ func floorDrive(t *testing.T, root *Engine, q Query, told bool) ([]Result, int, 
 	e := root.session()
 	defer root.releaseSession(e)
 	var stats Stats
-	cs, err := newCombinationStream(e, &q, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := newCombinationStream(e, &q, &stats, nil)
 	seen := map[int64]bool{}
 	acc := newTopkAccumulator(q.K)
 	for {
@@ -558,10 +549,7 @@ func TestCombinationModeDispatch(t *testing.T) {
 		t.Helper()
 		w := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, opts)
 		q := w.randQuery(rand.New(rand.NewSource(321)), 2, variant)
-		cs, err := newCombinationStream(w.engine, &q, new(Stats), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := newCombinationStream(w.engine, &q, new(Stats), nil)
 		return cs
 	}
 	if cs := stream(Options{}, RangeScore); !cs.eager || cs.grids == nil || cs.rule != rulePairs {
@@ -741,10 +729,7 @@ func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
 					rng := rand.New(rand.NewSource(341))
 					q := w.randQuery(rng, c, variant)
 					q.Radius = 0.15
-					cs, err := newCombinationStream(w.engine, &q, new(Stats), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					cs := newCombinationStream(w.engine, &q, new(Stats), nil)
 					// Replace what each per-set stream would retrieve by the
 					// table's features, queued as leaves already resolved.
 					sets := make([][]featureRef, c)

@@ -13,12 +13,10 @@ import (
 )
 
 // newFeatureStream returns an unlensed stream over the group.
-func newFeatureStream(g *index.FeatureGroup, q index.QueryKeywords) (*featureStream, error) {
+func newFeatureStream(g *index.FeatureGroup, q index.QueryKeywords) *featureStream {
 	s := &featureStream{}
-	if err := s.init(g, q, lens{}); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.init(g, q, lens{})
+	return s
 }
 
 // drainStream pulls every feature from a per-set stream.
@@ -45,10 +43,7 @@ func TestFeatureStreamOrderAndCoverage(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		q := w.randQuery(rng, 1, RangeScore)
 		qk := index.QueryKeywords{Set: q.Keywords[0], Lambda: q.Lambda}
-		s, err := newFeatureStream(w.engine.features[0], qk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newFeatureStream(w.engine.features[0], qk)
 		refs := drainStream(t, s)
 		if len(refs) == 0 {
 			t.Fatal("stream yielded nothing")
@@ -110,10 +105,7 @@ func TestFeatureStreamOrderAndCoverage(t *testing.T) {
 // yield only ∅.
 func TestFeatureStreamEmptyQuery(t *testing.T) {
 	w := buildWorld(t, 501, 10, 100, 1, 16, index.SRT, Options{})
-	s, err := newFeatureStream(w.engine.features[0], index.QueryKeywords{Set: kwset.NewSet(16), Lambda: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newFeatureStream(w.engine.features[0], index.QueryKeywords{Set: kwset.NewSet(16), Lambda: 0.5})
 	refs := drainStream(t, s)
 	if len(refs) != 1 || !refs[0].virtual {
 		t.Fatalf("got %d refs, want just ∅", len(refs))
@@ -130,10 +122,7 @@ func TestFeatureStreamMatchesInvertedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	q := w.randQuery(rng, 1, RangeScore)
 	qk := index.QueryKeywords{Set: q.Keywords[0], Lambda: q.Lambda}
-	s, err := newFeatureStream(w.engine.features[0], qk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newFeatureStream(w.engine.features[0], qk)
 	refs := drainStream(t, s)
 	got := make(map[int64]bool)
 	for _, r := range refs {
@@ -312,10 +301,7 @@ func TestExcludeHiddenFromEveryReader(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				q := w.randQuery(rng, 1, RangeScore)
 				qk := index.QueryKeywords{Set: q.Keywords[0], Lambda: q.Lambda}
-				s, err := newFeatureStream(g, qk)
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := newFeatureStream(g, qk)
 				got := map[int64]bool{}
 				for _, r := range drainStream(t, s) {
 					if !r.virtual {

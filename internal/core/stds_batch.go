@@ -87,9 +87,7 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		o.resolved = false
 	}
 	s := &e.scratch.stds
-	if err := s.init(e.features[set], q.keywordsFor(set), lens{kind: lensBatch, r: q.Radius, batch: batch}); err != nil {
-		return err
-	}
+	s.init(e.features[set], q.keywordsFor(set), lens{kind: lensBatch, r: q.Radius, batch: batch})
 	for unresolved := len(batch); unresolved > 0; {
 		ref, _, err := s.next()
 		if err != nil || ref.virtual {
