@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare experiments alloc-regression fuzz-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke check
+.PHONY: build test race vet fmt-check lint cover loc bench-check bench-smoke bench-compare experiments alloc-regression fuzz-smoke examples-smoke pool-soak serve-smoke ingest-smoke compaction-smoke cluster-smoke check
 
 build:
 	$(GO) build ./...
@@ -148,6 +148,15 @@ fuzz-smoke:
 			echo "fuzz-smoke: $$name in $$pkg"; \
 			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
+	done
+
+# Every examples/ main run to the end: each builds a small DB, queries it
+# and must exit 0, so an example cannot compile yet fail when run. A few
+# seconds in all.
+examples-smoke:
+	@set -e; for dir in examples/*/; do \
+		echo "examples-smoke: $${dir%/}"; \
+		$(GO) run ./$${dir%/}; \
 	done
 
 # The buffer pool's concurrent readers under the race detector, twenty

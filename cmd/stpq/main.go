@@ -52,7 +52,7 @@ func main() {
 		saveDir     = flag.String("save", "", "after building, save the indexes to this directory")
 		openDir     = flag.String("open", "", "open a saved database instead of loading CSVs")
 		trace       = flag.Bool("trace", false, "collect and print the query's span tree (phase timings and page reads)")
-		explain     = flag.Bool("explain", false, "print the query plan (algorithm, shard order, predicted cost) before executing")
+		explain     = flag.Bool("explain", false, "print the query plan (algorithm, shape, shard bounds) before executing")
 	)
 	flag.Var(&featFiles, "features", "feature set CSV (repeatable)")
 	flag.Var(&kwArgs, "kw", "query keywords for the matching -features flag, ';' separated (repeatable)")

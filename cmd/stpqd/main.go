@@ -199,7 +199,6 @@ func run(cfg daemonConfig) error {
 
 	type running struct {
 		svc       *serve.Service
-		db        *stpq.DB
 		stopRoles func()
 	}
 	svcc := make(chan running, 1)
@@ -227,7 +226,7 @@ func run(cfg daemonConfig) error {
 		ready := svc.Handler()
 		handler.Store(&ready)
 		log.Printf("index ready: serving queries")
-		svcc <- running{svc, db, stopRoles}
+		svcc <- running{svc, stopRoles}
 		return nil
 	}
 	drain := func() {
@@ -236,15 +235,6 @@ func run(cfg daemonConfig) error {
 			log.Printf("result cache hit fraction: %.1f%%", 100*r.svc.CacheHitFraction())
 			r.stopRoles()
 			r.svc.Close() // stop admission, drain queue and in-flight queries
-			// Persist the per-shape cost statistics next to an opened DB so
-			// EXPLAIN restarts warm instead of re-learning every shape.
-			if cfg.open != "" {
-				if err := r.db.SaveShapes(cfg.open); err != nil {
-					log.Printf("warning: saving shape statistics: %v", err)
-				} else {
-					log.Printf("shape statistics saved to %s", cfg.open)
-				}
-			}
 		default: // interrupted before the build finished
 		}
 	}

@@ -126,7 +126,7 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// TestFlagTable keeps DESIGN.md §16 true of stpqd: its flag table names
+// TestFlagTable keeps DESIGN.md §15 true of stpqd: its flag table names
 // every flag newFlagSet defines and no other, and its heading states
 // their count.
 func TestFlagTable(t *testing.T) {
@@ -135,10 +135,10 @@ func TestFlagTable(t *testing.T) {
 	newFlagSet(&daemonConfig{}).VisitAll(func(f *flag.Flag) { flags = append(flags, "-"+f.Name) })
 	slices.Sort(flags)
 	if !slices.Equal(names, flags) {
-		t.Errorf("DESIGN.md §16 flag table names %q, stpqd defines %q", names, flags)
+		t.Errorf("DESIGN.md §15 flag table names %q, stpqd defines %q", names, flags)
 	}
 	if count != len(flags) {
-		t.Errorf("DESIGN.md §16 says stpqd has %d flags, it has %d", count, len(flags))
+		t.Errorf("DESIGN.md §15 says stpqd has %d flags, it has %d", count, len(flags))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// TestConfigTable keeps DESIGN.md §16 true of Config: its table names
+// TestConfigTable keeps DESIGN.md §15 true of Config: its table names
 // every field and no other, and its heading states their count.
 func TestConfigTable(t *testing.T) {
 	count, names := designTable(t, "DESIGN.md", "**`stpq.Config`**")
@@ -20,10 +20,10 @@ func TestConfigTable(t *testing.T) {
 	}
 	slices.Sort(fields)
 	if !slices.Equal(names, fields) {
-		t.Errorf("DESIGN.md §16 Config table names %q, Config has %q", names, fields)
+		t.Errorf("DESIGN.md §15 Config table names %q, Config has %q", names, fields)
 	}
 	if count != len(fields) {
-		t.Errorf("DESIGN.md §16 says Config has %d fields, it has %d", count, len(fields))
+		t.Errorf("DESIGN.md §15 says Config has %d fields, it has %d", count, len(fields))
 	}
 }
 

@@ -1,18 +1,14 @@
 package stpq
 
 // explain.go is the EXPLAIN surface: DB.Explain describes how a query
-// would execute — algorithm, index, shard layout with per-shard upper
-// bounds — and predicts its cost from the recorded per-shape
-// statistics (DB.QueryShapes), without running the query. Exposed as
-// `stpq -explain` on the CLI and `"explain": true` on the HTTP query
-// endpoint.
+// would execute — algorithm, index, the shape it is counted under in
+// DB.QueryShapes, shard layout with per-shard upper bounds — without
+// running the query. Exposed as `stpq -explain` on the CLI and
+// `"explain": true` on the HTTP query endpoint.
 
 import (
 	"fmt"
 	"strings"
-	"time"
-
-	"stpq/internal/obs"
 )
 
 // ExplainShard is one shard's entry in the plan of a sharded DB: how many
@@ -24,9 +20,7 @@ type ExplainShard struct {
 	Objects int     `json:"objects"`
 }
 
-// Explain describes how a query would execute and what it is expected to
-// cost. Predicted is nil until the query's shape has been executed at
-// least MinPredictSamples times.
+// Explain describes how a query would execute.
 type Explain struct {
 	// Algorithm is "stds" or "stps"; Variant the score variant name.
 	Algorithm string `json:"algorithm"`
@@ -40,26 +34,16 @@ type Explain struct {
 	// feature sets.
 	KeywordSets int `json:"keyword_sets"`
 	FeatureSets int `json:"feature_sets"`
-	// Shape is the canonical shape label the prediction is keyed by.
+	// Shape is the canonical shape label the query's executions are
+	// counted under in DB.QueryShapes.
 	Shape string `json:"shape"`
 	// Shards lists the cells of a sharded DB (nil when unsharded).
 	Shards []ExplainShard `json:"shards,omitempty"`
-	// Predicted is the recorded mean cost of the shape, nil while fewer
-	// than MinPredictSamples executions have been recorded; Samples is the
-	// number of recorded executions either way.
-	Predicted *ShapeStat `json:"predicted,omitempty"`
-	Samples   int64      `json:"samples"`
 }
 
-// MinPredictSamples is how many recorded executions a query shape needs
-// before Explain reports predicted costs.
-const MinPredictSamples = obs.MinPredictSamples
-
 // Explain describes how the query would execute against the current
-// indexes without running it: the algorithm and index, the shards
-// with their upper bounds (sharded DBs), and the
-// predicted cost from recorded per-shape statistics once the shape has
-// enough samples.
+// indexes without running it: the algorithm and index, the query's shape,
+// and the shards with their upper bounds (sharded DBs).
 func (db *DB) Explain(q Query) (*Explain, error) {
 	snap, err := db.Snapshot()
 	if err != nil {
@@ -85,7 +69,6 @@ func (p *Prepared) Explain() (*Explain, error) {
 	if s.db.cfg.IndexKind == IR2 {
 		ex.Index = "ir2"
 	}
-	ex.Predicted, ex.Samples = s.db.tel.Shapes.Predict(p.key)
 	if s.shards != nil {
 		sp, err := s.shards.Plan(p.cq)
 		if err != nil {
@@ -120,13 +103,6 @@ func (e *Explain) String() string {
 		}
 	} else {
 		fmt.Fprintf(&b, "  plan: single engine\n")
-	}
-	if p := e.Predicted; p != nil {
-		fmt.Fprintf(&b, "  predicted (from %d samples): %s CPU + %s IO, %.0f logical / %.0f physical reads, %.0f combinations\n",
-			p.Samples, p.MeanDuration.Round(time.Microsecond), p.MeanIOTime.Round(time.Microsecond),
-			p.MeanLogicalReads, p.MeanPhysicalReads, p.MeanCombinations)
-	} else {
-		fmt.Fprintf(&b, "  predicted: insufficient samples (%d recorded, need %d)\n", e.Samples, MinPredictSamples)
 	}
 	return b.String()
 }

@@ -230,9 +230,6 @@ func (db *DB) Checkpoint(dir string) error {
 		db.mu.Unlock()
 		return err
 	}
-	if err := db.SaveShapes(dir); err != nil {
-		return err
-	}
 	return wal.DropThrough(seq)
 }
 

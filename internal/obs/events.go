@@ -4,8 +4,8 @@ package obs
 // every finished query leaves one fixed-size structured record in a ring
 // buffer (cheap fields always, the full span tree only when sampled,
 // explicitly requested, or slower than the slow-query threshold), and
-// feeds a per-shape aggregate — the cost table EXPLAIN's predictions read
-// from.
+// feeds a per-shape aggregate: how many times each query shape ran and
+// what it cost.
 //
 // The unsampled hot path is allocation-free in steady state: events are
 // value types copied into a preallocated ring, and shape aggregation is an
@@ -138,7 +138,7 @@ func (l *EventLog) Recent(n int) []QueryEvent {
 // ShapeKey identifies a query shape: the coordinates that determine a
 // query's cost profile, with the radius quantized so nearly identical radii
 // share statistics. Two queries with the same key are expected to cost
-// about the same, which is what makes the per-shape means predictive.
+// about the same, which is what makes the per-shape means worth reading.
 type ShapeKey struct {
 	// Alg is "stds" or "stps"; Variant and Sim are the enum names.
 	Alg     string
@@ -251,13 +251,9 @@ func (s *ShapeStats) Name(k ShapeKey) string {
 	return k.String()
 }
 
-// MinPredictSamples is how many recorded executions a shape needs before
-// Predict reports means — fewer and the "prediction" would just echo noise.
-const MinPredictSamples = 3
-
-// ShapePrediction is the aggregate cost profile of one query shape: the
-// recorded means EXPLAIN reports as predicted cost.
-type ShapePrediction struct {
+// ShapeRow is one query shape's row of the table: how many times the
+// shape ran and its mean cost per execution.
+type ShapeRow struct {
 	Shape             string        `json:"shape"`
 	Samples           int64         `json:"samples"`
 	MeanDuration      time.Duration `json:"mean_duration_ns"`
@@ -267,10 +263,10 @@ type ShapePrediction struct {
 	MeanCombinations  float64       `json:"mean_combinations"`
 }
 
-// prediction snapshots one aggregate.
-func (a *shapeAgg) prediction() ShapePrediction {
+// row snapshots one aggregate.
+func (a *shapeAgg) row() ShapeRow {
 	n := a.count.Load()
-	p := ShapePrediction{Shape: a.name, Samples: n}
+	p := ShapeRow{Shape: a.name, Samples: n}
 	if n == 0 {
 		return p
 	}
@@ -282,101 +278,16 @@ func (a *shapeAgg) prediction() ShapePrediction {
 	return p
 }
 
-// Predict returns the recorded cost profile of the shape — nil while the
-// shape has fewer than MinPredictSamples recorded executions — and its
-// sample count either way. Nil-safe.
-func (s *ShapeStats) Predict(k ShapeKey) (pred *ShapePrediction, samples int64) {
-	if s == nil {
-		return nil, 0
-	}
-	s.mu.RLock()
-	a := s.m[k]
-	s.mu.RUnlock()
-	if a == nil {
-		return nil, 0
-	}
-	p := a.prediction()
-	if p.Samples < MinPredictSamples {
-		return nil, p.Samples
-	}
-	return &p, p.Samples
-}
-
-// ShapeRecord is the serialized form of one shape's raw totals — what
-// Export writes and Import reads, so per-shape statistics survive process
-// restarts and predictions are warm from boot.
-type ShapeRecord struct {
-	Key           ShapeKey `json:"key"`
-	Samples       int64    `json:"samples"`
-	DurationNanos int64    `json:"duration_ns"`
-	IONanos       int64    `json:"io_ns"`
-	LogicalReads  int64    `json:"logical_reads"`
-	PhysicalReads int64    `json:"physical_reads"`
-	Combinations  int64    `json:"combinations"`
-}
-
-// Export snapshots every shape's raw totals, sorted by shape label for a
-// deterministic serialization. Nil-safe.
-func (s *ShapeStats) Export() []ShapeRecord {
+// Rows returns every observed shape's row, most-queried first (ties by
+// shape label).
+func (s *ShapeStats) Rows() []ShapeRow {
 	if s == nil {
 		return nil
 	}
 	s.mu.RLock()
-	out := make([]ShapeRecord, 0, len(s.m))
-	for k, a := range s.m {
-		out = append(out, ShapeRecord{
-			Key:           k,
-			Samples:       a.count.Load(),
-			DurationNanos: a.duration.Load(),
-			IONanos:       a.ioTime.Load(),
-			LogicalReads:  a.logical.Load(),
-			PhysicalReads: a.physical.Load(),
-			Combinations:  a.combos.Load(),
-		})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
-}
-
-// Import merges exported records into the table, adding their totals onto
-// whatever the table already holds (so replaying a snapshot over live
-// statistics never loses either side). Records with no samples are
-// skipped. Nil-safe.
-func (s *ShapeStats) Import(recs []ShapeRecord) {
-	if s == nil {
-		return
-	}
-	for _, r := range recs {
-		if r.Samples <= 0 {
-			continue
-		}
-		s.mu.Lock()
-		a := s.m[r.Key]
-		if a == nil {
-			a = &shapeAgg{name: r.Key.String()}
-			s.m[r.Key] = a
-		}
-		s.mu.Unlock()
-		a.count.Add(r.Samples)
-		a.duration.Add(r.DurationNanos)
-		a.ioTime.Add(r.IONanos)
-		a.logical.Add(r.LogicalReads)
-		a.physical.Add(r.PhysicalReads)
-		a.combos.Add(r.Combinations)
-	}
-}
-
-// Rows returns every observed shape's profile, most-queried first (ties by
-// shape label), regardless of sample count.
-func (s *ShapeStats) Rows() []ShapePrediction {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	out := make([]ShapePrediction, 0, len(s.m))
+	out := make([]ShapeRow, 0, len(s.m))
 	for _, a := range s.m {
-		out = append(out, a.prediction())
+		out = append(out, a.row())
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -389,43 +300,44 @@ func (s *ShapeStats) Rows() []ShapePrediction {
 }
 
 // WritePrometheus writes the table as counter families labeled by shape
-// (Prometheus text exposition v0.0.4). Shape labels are built from enum
-// names and numbers only, so no escaping is needed.
+// (Prometheus text exposition v0.0.4). Each sample is an aggregate's
+// integer total, not a mean times a count, so a counter is exact and never
+// goes backwards. Shape labels are built from enum names and numbers only,
+// so no escaping is needed.
 func (s *ShapeStats) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	rows := s.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Shape < rows[j].Shape })
+	s.mu.RLock()
+	aggs := make([]*shapeAgg, 0, len(s.m))
+	for _, a := range s.m {
+		aggs = append(aggs, a)
+	}
+	s.mu.RUnlock()
+	sort.Slice(aggs, func(i, j int) bool { return aggs[i].name < aggs[j].name })
 	families := []struct {
-		name  string
-		value func(ShapePrediction) string
+		name    string
+		total   func(*shapeAgg) int64
+		seconds bool // the total is nanoseconds, printed as seconds
 	}{
-		{"stpq_shape_queries_total", func(p ShapePrediction) string {
-			return strconv.FormatInt(p.Samples, 10)
-		}},
-		{"stpq_shape_seconds_total", func(p ShapePrediction) string {
-			return formatFloat(p.MeanDuration.Seconds() * float64(p.Samples))
-		}},
-		{"stpq_shape_io_seconds_total", func(p ShapePrediction) string {
-			return formatFloat(p.MeanIOTime.Seconds() * float64(p.Samples))
-		}},
-		{"stpq_shape_logical_reads_total", func(p ShapePrediction) string {
-			return formatFloat(p.MeanLogicalReads * float64(p.Samples))
-		}},
-		{"stpq_shape_physical_reads_total", func(p ShapePrediction) string {
-			return formatFloat(p.MeanPhysicalReads * float64(p.Samples))
-		}},
-		{"stpq_shape_combinations_total", func(p ShapePrediction) string {
-			return formatFloat(p.MeanCombinations * float64(p.Samples))
-		}},
+		{"stpq_shape_queries_total", func(a *shapeAgg) int64 { return a.count.Load() }, false},
+		{"stpq_shape_seconds_total", func(a *shapeAgg) int64 { return a.duration.Load() }, true},
+		{"stpq_shape_io_seconds_total", func(a *shapeAgg) int64 { return a.ioTime.Load() }, true},
+		{"stpq_shape_logical_reads_total", func(a *shapeAgg) int64 { return a.logical.Load() }, false},
+		{"stpq_shape_physical_reads_total", func(a *shapeAgg) int64 { return a.physical.Load() }, false},
+		{"stpq_shape_combinations_total", func(a *shapeAgg) int64 { return a.combos.Load() }, false},
 	}
 	for _, f := range families {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", f.name); err != nil {
 			return err
 		}
-		for _, p := range rows {
-			if _, err := fmt.Fprintf(w, "%s{shape=%q} %s\n", f.name, p.Shape, f.value(p)); err != nil {
+		for _, a := range aggs {
+			t := f.total(a)
+			v := strconv.FormatInt(t, 10)
+			if f.seconds {
+				v = formatFloat(float64(t) / 1e9)
+			}
+			if _, err := fmt.Fprintf(w, "%s{shape=%q} %s\n", f.name, a.name, v); err != nil {
 				return err
 			}
 		}

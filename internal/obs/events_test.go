@@ -86,18 +86,12 @@ func TestShapeStatsObserveAndPredict(t *testing.T) {
 		t.Errorf("labels not interned: %q vs %q", name, again)
 	}
 
-	// Two samples: below the floor, no prediction yet, but counted.
-	if p, n := s.Predict(key); p != nil || n != 2 {
-		t.Errorf("Predict with 2 samples = %+v, %d; want nil, 2 (floor %d)", p, n, MinPredictSamples)
-	}
 	s.Observe(key, 30*time.Millisecond, 6*time.Millisecond, 300, 30, 9)
-	p, n := s.Predict(key)
-	if p == nil || n != 3 {
-		t.Fatalf("Predict with %d samples = %v, %d", MinPredictSamples, p, n)
-	}
-	if p.Samples != 3 || p.MeanDuration != 20*time.Millisecond ||
-		p.MeanLogicalReads != 200 || p.MeanPhysicalReads != 20 || p.MeanCombinations != 7 {
-		t.Errorf("prediction = %+v", p)
+	rows := s.Rows()
+	want := ShapeRow{Shape: key.String(), Samples: 3, MeanDuration: 20 * time.Millisecond, MeanIOTime: 4 * time.Millisecond,
+		MeanLogicalReads: 200, MeanPhysicalReads: 20, MeanCombinations: 7}
+	if len(rows) != 1 || rows[0] != want {
+		t.Errorf("rows after three observations = %+v, want [%+v]", rows, want)
 	}
 
 	// Name of an unobserved shape renders without registering it.

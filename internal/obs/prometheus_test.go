@@ -264,3 +264,53 @@ func TestPrometheusConcurrentSnapshot(t *testing.T) {
 		t.Errorf("bucket sum %d != count %d", sum, h.Count)
 	}
 }
+
+// TestShapeCountersExact: every stpq_shape_*_total prints its aggregate's
+// integer total. A counter rebuilt as mean × count would print 49 reads
+// over 11 queries as 48.99999999999999, and its seconds, from a mean in
+// whole nanoseconds, would fall from 100 ns to 99 ns when a 1 ns query
+// follows two of 50 ns.
+func TestShapeCountersExact(t *testing.T) {
+	key := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.1), Sets: 2}
+	sample := func(shapes *ShapeStats, family string) string {
+		t.Helper()
+		prefix := family + "{shape=" + strconv.Quote(key.String()) + "} "
+		for _, line := range strings.Split(exposition(t, NewRegistry(), shapes), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s sample for %q", family, key.String())
+		return ""
+	}
+
+	reads := NewShapeStats()
+	for i := 0; i < 11; i++ {
+		n := int64(4)
+		if i == 0 {
+			n = 9
+		}
+		reads.Observe(key, time.Microsecond, 0, n, n, int(n))
+	}
+	for _, family := range []string{"stpq_shape_logical_reads_total", "stpq_shape_physical_reads_total", "stpq_shape_combinations_total"} {
+		if got := sample(reads, family); got != "49" {
+			t.Errorf("%s = %s after 49 over 11 queries, want 49", family, got)
+		}
+	}
+
+	seconds := NewShapeStats()
+	total := time.Duration(0)
+	for _, d := range []time.Duration{50, 50, 1} {
+		seconds.Observe(key, d, d, 0, 0, 0)
+		total += d
+		for _, family := range []string{"stpq_shape_seconds_total", "stpq_shape_io_seconds_total"} {
+			got, err := strconv.ParseFloat(sample(seconds, family), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(total) / 1e9; got != want {
+				t.Errorf("%s = %g after %v in all, want %g", family, got, total, want)
+			}
+		}
+	}
+}

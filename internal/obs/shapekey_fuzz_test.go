@@ -1,21 +1,15 @@
 package obs
 
-// shapekey_fuzz_test.go pins the two properties EXPLAIN's predictions and
-// the persisted statistics lean on:
-//
-//   - ShapeKey.String is injective over real keys (distinct keys never
-//     collide on one label) and stable (equal keys always intern to the
-//     same label), across the full RBucket range including the exp2
-//     over/underflow fallback and the NN no-radius sentinel.
-//   - Export/Import round-trips the statistics exactly, so a DB reloaded
-//     from shapes.json predicts what the saved process predicted.
+// shapekey_fuzz_test.go pins the property the per-shape statistics lean
+// on: ShapeKey.String is injective over real keys (distinct keys never
+// collide on one label, so no row of the table merges two shapes) and
+// stable (equal keys always intern to the same label), across the full
+// RBucket range including the exp2 over/underflow fallback and the NN
+// no-radius sentinel.
 
 import (
-	"encoding/json"
 	"math"
-	"reflect"
 	"testing"
-	"time"
 )
 
 // fuzz enum vocabularies: the only values real keys ever carry.
@@ -75,74 +69,4 @@ func FuzzShapeKeyString(f *testing.F) {
 			t.Fatalf("interning unstable: %q then %q (String %q)", n1, n2, sa)
 		}
 	})
-}
-
-func TestShapeStatsExportImportRoundTrip(t *testing.T) {
-	src := NewShapeStats()
-	k1 := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.01), Sets: 2}
-	k2 := ShapeKey{Alg: "stds", Variant: "nn", Sim: "dice", K: 5, RBucket: RadiusBucket(0), Sets: 1}
-	for i := 0; i < 4; i++ {
-		src.Observe(k1, time.Millisecond, 100*time.Microsecond, 10, 2, 7)
-	}
-	src.Observe(k2, 3*time.Millisecond, 0, 5, 1, 3)
-
-	recs := src.Export()
-	if len(recs) != 2 {
-		t.Fatalf("exported %d records, want 2", len(recs))
-	}
-
-	dst := NewShapeStats()
-	dst.Import(recs)
-	// Every shape's profile, above the sample floor (k1) or below it (k2).
-	if want, got := src.Rows(), dst.Rows(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("round trip rows %+v, want %+v", got, want)
-	}
-	wantP, _ := src.Predict(k1)
-	gotP, _ := dst.Predict(k1)
-	if wantP == nil || gotP == nil {
-		t.Fatalf("predictions nil after round trip: %v %v", wantP, gotP)
-	}
-	if *wantP != *gotP {
-		t.Fatalf("prediction round trip: %+v, want %+v", *gotP, *wantP)
-	}
-
-	// Import into a warm table merges rather than replaces.
-	dst.Import(recs)
-	if _, n := dst.Predict(k1); n != 8 {
-		t.Fatalf("double import: %d samples, want 8", n)
-	}
-
-	// Records with no samples are ignored — a hand-edited or truncated
-	// shapes.json must not poison the means with divide-by-zero garbage.
-	dst2 := NewShapeStats()
-	dst2.Import([]ShapeRecord{{Key: k1, Samples: 0, DurationNanos: 999}})
-	if _, n := dst2.Predict(k1); n != 0 {
-		t.Fatalf("zero-sample record imported: %d samples", n)
-	}
-}
-
-// TestShapeKeyModeDimension pins that the shape key has no execution-mode
-// dimension: its JSON is byte-identical to the format every shapes.json
-// has been written in, and a saved record lands on the live key's
-// statistics instead of forking them.
-func TestShapeKeyModeDimension(t *testing.T) {
-	exact := ShapeKey{Alg: "stps", Variant: "range", Sim: "jaccard", K: 10, RBucket: RadiusBucket(0.01), Sets: 2}
-	data, err := json.Marshal(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != `{"Alg":"stps","Variant":"range","Sim":"jaccard","K":10,"RBucket":-13,"Sets":2}` {
-		t.Fatalf("key JSON changed shape: %s", data)
-	}
-
-	st := NewShapeStats()
-	st.Observe(exact, time.Millisecond, 0, 10, 2, 5)
-	var old ShapeRecord
-	if err := json.Unmarshal([]byte(`{"Key":`+string(data)+`,"Samples":3,"DurationNanos":3000000}`), &old); err != nil {
-		t.Fatal(err)
-	}
-	st.Import([]ShapeRecord{old})
-	if _, n := st.Predict(exact); n != 4 {
-		t.Fatalf("saved record did not merge into the live key: %d samples", n)
-	}
 }

@@ -12,7 +12,7 @@ package serve
 //	GET  /info     dataset shape + build/uptime, for load generators
 //	GET  /debug/queries  recent query event log (?n= limits; newest first)
 //	GET  /debug/slow     slow-query log with complete span trees
-//	GET  /debug/shapes   per-shape cost statistics backing EXPLAIN
+//	GET  /debug/shapes   per-shape query counts and mean costs
 //
 // Error mapping: invalid query → 400, body over MaxQueryBytes → 413,
 // queue full → 429, deadline → 504, shutting down → 503.
@@ -47,8 +47,8 @@ type QueryRequest struct {
 	// Trace forces full span collection for this query (bypassing the
 	// result cache); the span tree comes back in stats.trace.
 	Trace bool `json:"trace,omitempty"`
-	// Explain skips execution and returns the query plan with predicted
-	// costs instead of results.
+	// Explain skips execution and returns the query plan and shape instead
+	// of results.
 	Explain bool `json:"explain,omitempty"`
 }
 
@@ -416,7 +416,8 @@ func (s *Service) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	}{s.db.SlowQueries(debugN(r))})
 }
 
-// handleDebugShapes serves the per-shape cost statistics backing EXPLAIN.
+// handleDebugShapes serves the per-shape statistics: how many times each
+// query shape ran and its mean costs.
 func (s *Service) handleDebugShapes(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, struct {
 		Shapes []stpq.ShapeStat `json:"shapes"`

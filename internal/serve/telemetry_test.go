@@ -84,9 +84,9 @@ func TestHTTPRequestIDGenerated(t *testing.T) {
 	}
 }
 
+// TestHTTPExplain: "explain":true returns the plan and the query's shape,
+// and executes nothing — with the cache off, only the real query counts.
 func TestHTTPExplain(t *testing.T) {
-	// Cache disabled so repeated identical queries count as executions and
-	// feed the shape statistics the prediction is gated on.
 	db := testDB(t, stpq.Config{}, 200, 200)
 	svc, err := New(db, Config{Workers: 2, CacheEntries: -1})
 	if err != nil {
@@ -96,36 +96,32 @@ func TestHTTPExplain(t *testing.T) {
 	t.Cleanup(func() { srv.Close(); svc.Close() })
 
 	explainBody := strings.TrimSuffix(telemetryQueryBody, "}") + `,"explain":true}`
-	type explainOut struct {
-		RequestID string        `json:"request_id"`
-		Explain   *stpq.Explain `json:"explain"`
-	}
 	resp, data := postQuery(t, srv.URL, explainBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out explainOut
+	var out struct {
+		Explain *stpq.Explain `json:"explain"`
+	}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Explain == nil || out.Explain.Algorithm != "stps" || out.Explain.Shape == "" {
-		t.Fatalf("cold explain = %+v", out.Explain)
+	if out.Explain == nil || out.Explain.Algorithm != "stps" || out.Explain.Variant != "range" || out.Explain.Shape == "" {
+		t.Fatalf("explain = %s", data)
 	}
-	if out.Explain.Predicted != nil {
-		t.Errorf("cold explain predicted %+v", out.Explain.Predicted)
+	if shapes := db.QueryShapes(); len(shapes) != 0 {
+		t.Fatalf("explain executed the query: %+v", shapes)
 	}
 
-	// Explain never executes; run the shape to the prediction floor.
-	for i := 0; i < stpq.MinPredictSamples; i++ {
-		if resp, data := postQuery(t, srv.URL, telemetryQueryBody); resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: status %d: %s", i, resp.StatusCode, data)
-		}
+	if resp, data := postQuery(t, srv.URL, telemetryQueryBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d: %s", resp.StatusCode, data)
 	}
 	if _, data = postQuery(t, srv.URL, explainBody); json.Unmarshal(data, &out) != nil {
-		t.Fatalf("bad warm explain: %s", data)
+		t.Fatalf("bad explain: %s", data)
 	}
-	if out.Explain.Predicted == nil || out.Explain.Predicted.Samples != int64(stpq.MinPredictSamples) {
-		t.Errorf("warm explain = %+v", out.Explain)
+	shapes := db.QueryShapes()
+	if len(shapes) != 1 || shapes[0].Shape != out.Explain.Shape || shapes[0].Samples != 1 {
+		t.Errorf("one query then an explain of shape %q: %+v", out.Explain.Shape, shapes)
 	}
 }
 

@@ -40,8 +40,8 @@ func (db *DB) Metrics() MetricsSnapshot {
 
 // WriteMetricsPrometheus writes the current metrics in Prometheus text
 // exposition format, suitable for a /metrics scrape handler. The exposition
-// includes the per-shape query statistics (stpq_shape_*_total) backing
-// DB.Explain's predictions.
+// includes the per-shape query statistics (stpq_shape_*_total), the
+// counters behind DB.QueryShapes.
 func (db *DB) WriteMetricsPrometheus(w io.Writer) error {
 	if err := db.metrics.Snapshot().WritePrometheus(w); err != nil {
 		return err

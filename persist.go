@@ -11,7 +11,6 @@ import (
 
 	"stpq/internal/core"
 	"stpq/internal/index"
-	"stpq/internal/obs"
 	"stpq/internal/shard"
 )
 
@@ -37,55 +36,6 @@ type dbManifest struct {
 
 const manifestName = "stpq.json"
 
-// shapesName is the serialized per-shape cost statistics alongside a saved
-// DB: EXPLAIN's memory, reloaded on Open so predictions are warm from boot
-// instead of cold for the first MinPredictSamples queries of every shape.
-const shapesName = "shapes.json"
-
-// SaveShapes writes the DB's per-shape cost statistics to dir (created if
-// needed). Save and Checkpoint call it automatically; cmd/stpqd also calls
-// it on graceful shutdown so a restart keeps predictions warm. Safe to
-// call concurrently with queries — the statistics table is lock-protected
-// and never replaced after New.
-func (db *DB) SaveShapes(dir string) error {
-	recs := db.tel.Shapes.Export()
-	if len(recs) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stpq: save shapes: %w", err)
-	}
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return fmt.Errorf("stpq: save shapes: %w", err)
-	}
-	// Atomically: loadShapes rejects a torn file, so a crash mid-write must
-	// leave the previous one.
-	if err := index.WriteFileAtomic(filepath.Join(dir, shapesName), data); err != nil {
-		return fmt.Errorf("stpq: save shapes: %w", err)
-	}
-	return nil
-}
-
-// loadShapes merges a saved shape-statistics file into the DB's table. A
-// missing file is not an error (older snapshots have none); a corrupt one
-// is — silently dropping the recorded costs would be invisible.
-func (db *DB) loadShapes(dir string) error {
-	data, err := os.ReadFile(filepath.Join(dir, shapesName))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("stpq: load shapes: %w", err)
-	}
-	var recs []obs.ShapeRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("stpq: load shapes: %w", err)
-	}
-	db.tel.Shapes.Import(recs)
-	return nil
-}
-
 // Save writes the built DB to a directory: one page dump per index part
 // plus a JSON manifest; a sharded DB adds its partitioning in a shard
 // manifest. The directory is created if needed. The order makes a failed
@@ -106,10 +56,7 @@ func (db *DB) Save(dir string) error {
 		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
 	}
 	// File generation 0: the unstamped page-dump names.
-	if err := db.pinLocked(0).save(dir); err != nil {
-		return err
-	}
-	return db.SaveShapes(dir)
+	return db.pinLocked(0).save(dir)
 }
 
 // pageFile returns the page-dump file name for an index under a file
@@ -291,9 +238,6 @@ func Open(dir string) (*DB, error) {
 	db.publishLocked(eng)
 	db.walSeq = man.AppliedSeq
 	db.appliedSeq = man.AppliedSeq
-	if err := db.loadShapes(dir); err != nil {
-		return nil, err
-	}
 	if man.Config.WALDir != "" {
 		if _, err := db.AttachWAL(man.Config.WALDir); err != nil {
 			return nil, err

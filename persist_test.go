@@ -1,6 +1,7 @@
 package stpq
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -113,72 +114,46 @@ func TestOpenedDBIsQueryOnly(t *testing.T) {
 	}
 }
 
-// TestShapeStatsSurviveRestart pins the planner's persistent memory: a DB
-// that has recorded per-shape statistics saves them alongside the indexes,
-// and the reopened DB predicts — and plans — from them immediately instead
-// of re-learning every shape from scratch.
-func TestShapeStatsSurviveRestart(t *testing.T) {
+// TestOpenIgnoresShapesFile: per-shape statistics live only as long as
+// the process. Save writes no shapes.json; a directory that holds one —
+// an older Save wrote it, or it is corrupt — opens with empty statistics
+// and the saved answers; and Save and Checkpoint leave the file as it is.
+func TestOpenIgnoresShapesFile(t *testing.T) {
 	dir := t.TempDir()
 	db := paperDB(t, Config{})
-	q := paperQuery(4, STPS)
-	for i := 0; i < MinPredictSamples; i++ {
-		if _, _, err := db.TopK(q); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := db.TopK(paperQuery(4, STPS)); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shapes.json")); err != nil {
-		t.Fatalf("shapes.json not saved: %v", err)
+	shapes := filepath.Join(dir, "shapes.json")
+	if _, err := os.Stat(shapes); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Save wrote shape statistics (stat error %v)", err)
+	}
+	corrupt := []byte("{not json")
+	if err := os.WriteFile(shapes, corrupt, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	reopened, err := Open(dir)
 	if err != nil {
+		t.Fatalf("Open refused a corrupt shapes.json: %v", err)
+	}
+	if rows := reopened.QueryShapes(); len(rows) != 0 {
+		t.Fatalf("reopened DB reports shapes it never ran: %+v", rows)
+	}
+	sameAnswers(t, "beside a corrupt shapes.json", reopened, db)
+	if err := reopened.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := reopened.Explain(q)
-	if err != nil {
+	if _, err := reopened.AttachWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
 		t.Fatal(err)
 	}
-	if ex.Predicted == nil || ex.Samples < int64(MinPredictSamples) {
-		t.Fatalf("reopened DB is cold: predicted %v, %d samples", ex.Predicted, ex.Samples)
-	}
-	// The statistics must match what the original process recorded.
-	origEx, err := db.Explain(q)
-	if err != nil {
+	if err := reopened.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if *ex.Predicted != *origEx.Predicted {
-		t.Fatalf("prediction drifted across restart:\nreopened %+v\noriginal %+v", *ex.Predicted, *origEx.Predicted)
-	}
-}
-
-// TestShapeStatsCorruptFileRejected: a corrupt shapes.json must fail Open
-// loudly — silently dropping the planner's memory would be invisible.
-func TestShapeStatsCorruptFileRejected(t *testing.T) {
-	dir := t.TempDir()
-	db := paperDB(t, Config{})
-	q := paperQuery(4, STPS)
-	for i := 0; i < MinPredictSamples; i++ {
-		if _, _, err := db.TopK(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "shapes.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted a corrupt shapes.json")
-	}
-	// A missing file is fine (older snapshots have none).
-	if err := os.Remove(filepath.Join(dir, "shapes.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err != nil {
-		t.Fatalf("Open rejected a snapshot without shapes.json: %v", err)
+	if got, err := os.ReadFile(shapes); err != nil || string(got) != string(corrupt) {
+		t.Fatalf("Save and Checkpoint touched shapes.json: %q, %v", got, err)
 	}
 }
 
@@ -241,6 +216,9 @@ func TestOpenParentShardedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rows := db.QueryShapes(); len(rows) != 0 {
+		t.Errorf("the parent's shapes.json was imported: %+v", rows)
+	}
 	if n := mustSnapshot(t, db).NumShards(); n != 3 {
 		t.Fatalf("%d shards, want 3", n)
 	}
@@ -256,9 +234,6 @@ func TestOpenParentShardedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAnswers(t, "re-saved", again, db)
-	if ex, err := db.Explain(paperQuery(3, STPS)); err != nil || ex.Predicted == nil {
-		t.Errorf("the parent's shape statistics were not imported: %+v, %v", ex, err)
-	}
 }
 
 func mustSnapshot(t *testing.T, db *DB) *Snapshot {

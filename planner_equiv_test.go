@@ -1,10 +1,9 @@
 package stpq
 
-// planner_equiv_test.go pins the two facts the per-shape cost statistics
-// rest on: both forced algorithms return byte-identical results (ids,
-// scores, order) on every index kind, layout and variant, and each records
-// its cost under its own shape, so a prediction is unknown until that
-// algorithm's shape has MinPredictSamples executions. Run under -race in
+// planner_equiv_test.go pins the two facts that let a query name either
+// algorithm: both forced algorithms return byte-identical results (ids,
+// scores, order) on every index kind, layout and variant, and each counts
+// its executions under its own shape in DB.QueryShapes. Run under -race in
 // CI.
 
 import (
@@ -63,52 +62,42 @@ func TestAutoPlannerMatchesForced(t *testing.T) {
 	}
 }
 
-// TestAutoPlannerPredictCost pins EXPLAIN's prediction gate, per forced
-// algorithm: a shape predicts nothing below the sample floor but counts its
-// samples, predicts a positive cost after it, and one algorithm's
-// executions never warm the other's shape.
+// TestAutoPlannerPredictCost pins the per-algorithm shape: STPS runs three
+// times and STDS once, and QueryShapes holds one row per algorithm, under
+// the shape Explain names, with exactly that algorithm's executions — one
+// algorithm's runs never count toward the other's row.
 func TestAutoPlannerPredictCost(t *testing.T) {
 	objs, food, cafes, words := shardTestData(13)
 	db := buildShardTestDB(t, Config{PageSize: 1024}, objs, food, cafes)
-	snap, err := db.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	explain := func(q Query) *Explain {
-		t.Helper()
-		p, err := snap.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := p.Explain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex
-	}
-	for _, alg := range []Algorithm{STPS, STDS} {
+	want := make(map[string]int64)
+	for _, run := range []struct {
+		alg  Algorithm
+		runs int64
+	}{{STPS, 3}, {STDS, 1}} {
 		q := Query{
 			K: 5, Radius: 0.05, Lambda: 0.5,
 			Keywords:  map[string][]string{"food": {words[0]}, "cafes": {words[1]}},
-			Algorithm: alg,
+			Algorithm: run.alg,
 		}
-		if ex := explain(q); ex.Predicted != nil || ex.Samples != 0 {
-			t.Fatalf("%v cold predict: shape %q predicted %+v samples %d", alg, ex.Shape, ex.Predicted, ex.Samples)
+		ex, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < MinPredictSamples; i++ {
-			if i == MinPredictSamples-1 {
-				if ex := explain(q); ex.Predicted != nil || ex.Samples != int64(i) {
-					t.Fatalf("%v after %d of %d samples: predicted %+v samples %d", alg, i, MinPredictSamples, ex.Predicted, ex.Samples)
-				}
-			}
+		if _, ok := want[ex.Shape]; ok || ex.Shape == "" {
+			t.Fatalf("%v: shape %q is empty or another algorithm's", run.alg, ex.Shape)
+		}
+		for i := int64(0); i < run.runs; i++ {
 			if _, _, err := db.TopK(q); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ex := explain(q)
-		if ex.Predicted == nil || ex.Samples != MinPredictSamples || ex.Shape == "" ||
-			ex.Predicted.MeanDuration+ex.Predicted.MeanIOTime <= 0 {
-			t.Fatalf("%v warm predict: shape %q predicted %+v samples %d", alg, ex.Shape, ex.Predicted, ex.Samples)
+		want[ex.Shape] = run.runs
+		got := make(map[string]int64)
+		for _, row := range db.QueryShapes() {
+			got[row.Shape] = row.Samples
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d %v runs: shape samples %v, want %v", run.runs, run.alg, got, want)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package stpq
 
 // telemetry.go is the public query-telemetry surface: the per-query event
 // log (RecentQueries), the slow-query log (SlowQueries), and the per-shape
-// cost statistics (QueryShapes) that back EXPLAIN's predictions. All three
+// counters of what each query shape ran and cost (QueryShapes). All three
 // are always on with bounded memory; see DESIGN.md "Life of a query".
 
 import "stpq/internal/obs"
@@ -30,10 +30,9 @@ func (db *DB) SlowQueries(n int) []QueryEvent {
 	return db.tel.Slow.Recent(n)
 }
 
-// ShapeStat is the aggregate cost profile of one canonical query shape:
-// how many times the shape ran and its mean costs. These means are what
-// DB.Explain reports as predicted cost.
-type ShapeStat = obs.ShapePrediction
+// ShapeStat is one canonical query shape's row of the statistics: how many
+// times the shape ran in this process and its mean cost per execution.
+type ShapeStat = obs.ShapeRow
 
 // QueryShapes returns the recorded cost profile of every query shape seen
 // so far, most-queried first. The same data is exported in Prometheus form

@@ -3,11 +3,12 @@ package stpq
 // telemetry_test.go is the end-to-end check of the observability tentpole:
 // request IDs propagating from the public Query through core execution —
 // over one part, over shards, over base + delta — into event records and
-// span trees; the slow-query log; EXPLAIN's prediction gating; and the
+// span trees; the slow-query log; EXPLAIN, which executes nothing; and the
 // WAL/ingest metrics.
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -214,7 +215,9 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-func TestExplainPredictionGating(t *testing.T) {
+// TestExplainRunsNothing: Explain describes the plan and the query's shape
+// and executes nothing — no QueryShapes row appears or moves.
+func TestExplainRunsNothing(t *testing.T) {
 	db := paperDB(t, Config{})
 	q := paperQuery(3, STPS)
 
@@ -228,45 +231,29 @@ func TestExplainPredictionGating(t *testing.T) {
 	if ex.KeywordSets != 2 || ex.FeatureSets != 2 {
 		t.Errorf("keyword sets = %d/%d", ex.KeywordSets, ex.FeatureSets)
 	}
-	if ex.Predicted != nil || ex.Samples != 0 {
-		t.Errorf("cold explain predicted %+v from %d samples", ex.Predicted, ex.Samples)
+	const want = "EXPLAIN stps range (srt index, jaccard similarity)\n" +
+		"  k=3 radius=0.35 keyword sets: 2/2 non-empty\n" +
+		"  shape: stps|range|jaccard|k=3|r~0.354|sets=2\n" +
+		"  plan: single engine\n"
+	if got := ex.String(); got != want {
+		t.Errorf("render:\n%s\nwant:\n%s", got, want)
 	}
-	if s := ex.String(); !strings.Contains(s, "insufficient samples (0 recorded") {
-		t.Errorf("cold render:\n%s", s)
-	}
-
-	// One short of the floor: still gated, but the samples are counted.
-	for i := 0; i < MinPredictSamples-1; i++ {
-		if _, _, err := db.TopK(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ex, err = db.Explain(q); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Predicted != nil || ex.Samples != int64(MinPredictSamples-1) {
-		t.Errorf("below floor: predicted %+v from %d samples", ex.Predicted, ex.Samples)
+	if rows := db.QueryShapes(); len(rows) != 0 {
+		t.Fatalf("Explain counted as an execution: %+v", rows)
 	}
 
-	// At the floor the prediction appears, fed by the recorded executions.
 	if _, _, err := db.TopK(q); err != nil {
 		t.Fatal(err)
 	}
-	if ex, err = db.Explain(q); err != nil {
+	before := db.QueryShapes()
+	if len(before) != 1 || before[0].Shape != ex.Shape || before[0].Samples != 1 {
+		t.Fatalf("one execution of shape %q: rows %+v", ex.Shape, before)
+	}
+	if _, err := db.Explain(q); err != nil {
 		t.Fatal(err)
 	}
-	if ex.Predicted == nil || ex.Predicted.Samples != int64(MinPredictSamples) {
-		t.Fatalf("at floor: predicted %+v", ex.Predicted)
-	}
-	if ex.Predicted.MeanDuration <= 0 || ex.Predicted.MeanLogicalReads <= 0 {
-		t.Errorf("prediction means = %+v", ex.Predicted)
-	}
-	if s := ex.String(); !strings.Contains(s, "predicted (from 3 samples)") {
-		t.Errorf("warm render:\n%s", s)
-	}
-	// Explain itself must not run the query or count as a sample.
-	if ex2, _ := db.Explain(q); ex2.Samples != ex.Samples {
-		t.Errorf("Explain consumed samples: %d -> %d", ex.Samples, ex2.Samples)
+	if after := db.QueryShapes(); !reflect.DeepEqual(after, before) {
+		t.Errorf("Explain moved the shape statistics: %+v -> %+v", before, after)
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -287,44 +285,4 @@ func TestWritePathCompositions(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSaveShapesKeepsPreviousFile: shapes.json is replaced atomically. A
-// SaveShapes that cannot finish — a directory squats on the temp file it
-// writes first — reports the error and leaves the previous shapes.json as
-// it was, so the directory still opens (loadShapes rejects a torn file).
-func TestSaveShapesKeepsPreviousFile(t *testing.T) {
-	dir := t.TempDir()
-	db := paperDB(t, Config{})
-	for i := 0; i < 3; i++ {
-		if _, _, err := db.TopK(paperQuery(3, STPS)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	shapes := filepath.Join(dir, shapesName)
-	before, err := os.ReadFile(shapes)
-	if err != nil {
-		t.Fatalf("Save wrote no shape statistics: %v", err)
-	}
-	if err := os.Mkdir(shapes+".tmp", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.TopK(paperQuery(3, STDS)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveShapes(dir); err == nil {
-		t.Fatal("SaveShapes wrote over a directory")
-	}
-	after, err := os.ReadFile(shapes)
-	if err != nil || string(after) != string(before) {
-		t.Fatalf("the failed SaveShapes touched shapes.json (read error %v)", err)
-	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatalf("the failed SaveShapes broke the saved DB: %v", err)
-	}
-	sameAnswers(t, "after a failed SaveShapes", reopened, db)
 }
