@@ -286,41 +286,6 @@ func BenchmarkAblationBatchSTDS(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPulling compares the prioritized pulling strategy of
-// Definition 5 against round-robin.
-func BenchmarkAblationPulling(b *testing.B) {
-	key := synKey(index.SRT)
-	key.sets = 3
-	ds := benchDataset(b, key)
-	for _, pull := range []core.PullStrategy{core.PullPrioritized, core.PullRoundRobin} {
-		pull := pull
-		b.Run(pull.String(), func(b *testing.B) {
-			e := newEngine(b, ds, index.SRT, 256, core.Options{Pull: pull})
-			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, STPS, qs)
-		})
-	}
-}
-
-// BenchmarkAblationCombinations compares the lazy combination lattice with
-// the paper's eager materialization (at a reduced scale: for the range
-// variant the lazy lattice must wade through invalid combinations that
-// eager generation filters out, so it is orders of magnitude slower here).
-func BenchmarkAblationCombinations(b *testing.B) {
-	key := synKey(index.SRT)
-	key.sets = 3
-	key.objects, key.features = 2_000, 2_000
-	ds := benchDataset(b, key)
-	for _, mode := range []core.CombinationMode{core.CombinationsLazy, core.CombinationsEager} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			e := newEngine(b, ds, index.SRT, 256, core.Options{Combinations: mode})
-			qs := ds.GenQueries(benchQueries, qc(core.RangeScore))
-			runQueries(b, e, STPS, qs)
-		})
-	}
-}
-
 // BenchmarkAblationVoronoiCache measures the NN variant with a fresh engine
 // per query — every query builds the cells it needs, as the paper's figures
 // do — against one engine across queries, whose cell store keeps every cell

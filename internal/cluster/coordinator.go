@@ -94,7 +94,7 @@ type Coordinator struct {
 	started time.Time
 
 	metrics    *obs.Registry
-	tel        *obs.Telemetry
+	events     *obs.EventLog
 	queries    *obs.Counter
 	errors     *obs.Counter
 	retries    *obs.Counter
@@ -127,7 +127,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		},
 		started:    time.Now(),
 		metrics:    reg,
-		tel:        obs.NewTelemetry(),
+		events:     obs.NewEventLog(obs.DefaultEventLogSize),
 		queries:    reg.Counter("stpq_cluster_queries_total"),
 		errors:     reg.Counter("stpq_cluster_query_errors_total"),
 		retries:    reg.Counter("stpq_cluster_retries_total"),
@@ -167,7 +167,7 @@ func (c *Coordinator) Uptime() time.Duration { return time.Since(c.started) }
 
 // RecentQueries returns the coordinator's query event log, newest first.
 func (c *Coordinator) RecentQueries(n int) []obs.QueryEvent {
-	return c.tel.Events.Recent(n)
+	return c.events.Recent(n)
 }
 
 // healthLoop refreshes every replica's watermark and liveness.

@@ -81,15 +81,16 @@ func relay(w http.ResponseWriter, rep reply) {
 	_, _ = w.Write(rep.body)
 }
 
-// recordEvent files the query into the coordinator's event log and shape
-// table, keyed by the same canonical shape as the replicas' events so
-// /debug/queries on the coordinator lines up with theirs. Duration is the
-// coordinator's wall clock, forwarding included; the engine's counters are
-// in the answering replica's event under the same request ID.
+// recordEvent files the query into the coordinator's event log, labelled
+// with the same canonical shape as the replicas' events so /debug/queries
+// on the coordinator lines up with theirs. Duration is the coordinator's
+// wall clock, forwarding included; the engine's counters are in the
+// answering replica's event under the same request ID.
 func (c *Coordinator) recordEvent(q stpq.Query, start time.Time, elapsed time.Duration, err error) {
 	key := stpq.QueryShape(q)
 	ev := stpq.NewQueryEvent(q, key, &stpq.Stats{CPUTime: elapsed}, start, err)
-	c.tel.Record(ev, key, err == nil)
+	ev.Shape = key.String()
+	c.events.Record(ev)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {

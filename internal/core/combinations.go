@@ -17,22 +17,18 @@ type combination struct {
 }
 
 // combinationStream implements Algorithm 4 (nextCombination): it pulls
-// feature objects from the per-set streams under a pulling strategy,
+// feature objects from the per-set streams in the order of Definition 5,
 // forms combinations ordered by score, and emits a combination only when
 // the thresholding scheme guarantees no unseen combination can score
 // higher:
 //
 //	τ = max over non-exhausted j of (max_1 + … + min_j + … + max_c).
 //
-// Combinations are enumerated over the retrieved prefixes D_i, in one of
-// two ways (Options.Combinations). Eager generation is the paper's
-// Algorithm 4 line 9 and every variant's default: a pulled feature queues
-// its combinations at once, except those the variant's rule discards —
+// Combinations are enumerated over the retrieved prefixes D_i as the
+// paper's Algorithm 4 line 9 does: a pulled feature queues its
+// combinations at once, except those the variant's rule discards —
 // Definition 4's 2r filter for range, the cells rule for NN, the floor rule
-// of extendBounded for influence. The lazy lattice walk (a rank-join style
-// frontier: pop the best index vector, push its c successors) emits the
-// same sequence, applying the pairwise rules as it pops; it is the
-// reference eager is tested against.
+// of extendBounded for influence.
 type combinationStream struct {
 	q       *Query
 	e       *Engine // the session the query runs in: the cells rule reads its store
@@ -41,10 +37,8 @@ type combinationStream struct {
 	tr      *obs.Trace // nil when tracing is off
 
 	// rule is the pairwise validity rule of the variant.
-	rule  comboRule
-	pull  PullStrategy
-	eager bool
-	// bounded marks the influence variant's stream, the one whose eager
+	rule comboRule
+	// bounded marks the influence variant's stream, the one whose
 	// generation applies the floor rule of extendBounded.
 	bounded bool
 	// floor is the score the consumer passed to the running next() call: no
@@ -52,7 +46,7 @@ type combinationStream struct {
 	// say).
 	floor float64
 
-	// grids accelerate eager generation under a pairwise rule: one spatial
+	// grids accelerate generation under a pairwise rule: one spatial
 	// hash per feature set over the retrieved (concrete) features, so valid
 	// partners of a new feature are found without scanning D_j. Under the
 	// 2r rule the cells are 2r; under the cells rule a set's cells are
@@ -72,22 +66,18 @@ type combinationStream struct {
 	maxs      []float64 // score of the first retrieved feature (1 before first access)
 	started   []bool
 	exhausted []bool // stream fully consumed (∅ already appended to d)
-	rr        int    // round-robin cursor
 
-	heap    comboHeap
-	pending [][]vecEntry // lazy successors waiting for d[i] to grow
-	seeded  bool
+	heap comboHeap
 
 	// refsBuf backs the refs slice of emitted combinations; each next()
 	// call overwrites it, so callers must consume a combination before
 	// requesting the next one (all STPS drivers do).
 	refsBuf []featureRef
 
-	// Generation's working state, kept between queries so that neither a
-	// pulled feature nor a lattice step costs an allocation: the index
-	// vector being built and the arena the queued ones are cut from (both
-	// ways of generating), the dimensions assigned so far and, under the
-	// floor rule, the members assigned to them (eager only).
+	// Generation's working state, kept between queries so that a pulled
+	// feature costs no allocation: the index vector being built and the
+	// arena the queued ones are cut from, the dimensions assigned so far
+	// and, under the floor rule, the members assigned to them.
 	vec     []int
 	chosen  []int
 	partial []featureRef
@@ -134,7 +124,7 @@ func ruleOf(v Variant, c int) comboRule {
 // state (per-set streams and their heaps, retrieved prefixes, the
 // combination heap, the pair grids and the index-vector arena) are recycled
 // from the query scratch, so steady-state STPS queries rebuild the stream,
-// and both ways of generating combinations run, without allocating.
+// and generate combinations, without allocating.
 func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *combinationStream {
 	c := len(e.features)
 	cs := &combinationStream{}
@@ -143,12 +133,12 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *com
 	}
 	cs.reinit(c)
 	cs.q, cs.e, cs.stats, cs.tr = q, e, stats, tr
-	cs.rule, cs.pull, cs.eager = ruleOf(q.Variant, c), e.opts.Pull, e.opts.Combinations != CombinationsLazy
+	cs.rule = ruleOf(q.Variant, c)
 	cs.bounded = q.Variant == InfluenceScore
 	cs.grids = nil
-	if cs.eager && cs.rule != ruleNone {
+	if cs.rule != ruleNone {
 		// The cells rule re-sizes a set's grid at its first site
-		// (generateEager).
+		// (generate).
 		cs.gridStore = reuseLen(cs.gridStore, c)
 		for i, g := range cs.gridStore {
 			if g == nil {
@@ -168,8 +158,8 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *com
 }
 
 // reinit resets the stream's per-query state in place, keeping every
-// backing allocation (stream structs with their heaps, inner d/pending
-// slices, the heap array) for reuse.
+// backing allocation (stream structs with their heaps, inner d slices,
+// the heap array) for reuse.
 func (cs *combinationStream) reinit(c int) {
 	cs.streams = reuseLen(cs.streams, c)
 	for i := range cs.streams {
@@ -181,7 +171,6 @@ func (cs *combinationStream) reinit(c int) {
 	cs.reach = reuseNested(cs.reach, c)
 	cs.maxReach = reuseLen(cs.maxReach, c)
 	clear(cs.maxReach)
-	cs.pending = reuseNested(cs.pending, c)
 	cs.mins = reuseLen(cs.mins, c)
 	cs.maxs = reuseLen(cs.maxs, c)
 	cs.started = reuseLen(cs.started, c)
@@ -194,8 +183,6 @@ func (cs *combinationStream) reinit(c int) {
 	cs.vec = reuseLen(cs.vec, c)
 	cs.chosen = cs.chosen[:0]
 	cs.arena = cs.arena[:0]
-	cs.rr = 0
-	cs.seeded = false
 }
 
 // reuseLen returns buf resized to n, reusing its backing array when large
@@ -339,16 +326,8 @@ func (cs *combinationStream) next(floor float64) (combination, bool, error) {
 		if cs.heap.Len() > 0 {
 			top := cs.heap[0]
 			if cs.allExhausted() || top.score >= cs.threshold()-1e-12 {
-				ve := cs.heap.pop()
-				if !cs.eager {
-					cs.pushSuccessors(ve.vec)
-				}
-				comb, valid := cs.materialize(ve)
-				if valid {
-					cs.stats.Combinations++
-					return comb, true, nil
-				}
-				continue
+				cs.stats.Combinations++
+				return cs.materialize(cs.heap.pop()), true, nil
 			}
 		}
 		if cs.allExhausted() {
@@ -396,22 +375,10 @@ func (cs *combinationStream) threshold() float64 {
 	return tau
 }
 
-// nextFeatureSet applies the pulling strategy (Definition 5 or round
-// robin), never returning an exhausted set.
+// nextFeatureSet applies Definition 5, never returning an exhausted set:
+// before every set has been accessed once, fill the gaps; afterwards pick
+// the set responsible for the threshold.
 func (cs *combinationStream) nextFeatureSet() int {
-	if cs.pull == PullRoundRobin {
-		c := len(cs.streams)
-		for t := 0; t < c; t++ {
-			i := cs.rr % c
-			cs.rr++
-			if !cs.exhausted[i] {
-				return i
-			}
-		}
-		return -1
-	}
-	// Prioritized: before every set has been accessed once, fill the
-	// gaps; afterwards pick the set responsible for the threshold.
 	for i := range cs.d {
 		if !cs.started[i] && !cs.exhausted[i] {
 			return i
@@ -433,13 +400,18 @@ func (cs *combinationStream) nextFeatureSet() int {
 	return best
 }
 
-// pullNext retrieves one feature (or ∅) from the chosen set, updates the
-// bookkeeping and feeds the combination heap.
+// pullNext retrieves one feature (or ∅) from the set Definition 5 chooses.
 func (cs *combinationStream) pullNext() error {
 	i := cs.nextFeatureSet()
 	if i < 0 {
 		return nil
 	}
+	return cs.pull(i)
+}
+
+// pull retrieves one feature (or ∅) from set i, updates the bookkeeping and
+// feeds the combination heap.
+func (cs *combinationStream) pull(i int) error {
 	sp := cs.tr.StartPhase("features.pull")
 	ref, done, err := cs.streams[i].next()
 	sp.End()
@@ -475,64 +447,13 @@ func (cs *combinationStream) pullNext() error {
 		cs.exhausted[i] = true
 		cs.mins[i] = virtualScore
 	}
-	if cs.eager {
-		cs.generateEager(i)
-	} else {
-		cs.seedOrFlush(i)
-	}
+	cs.generate(i)
 	return nil
 }
 
-// seedOrFlush handles lazy-lattice bookkeeping after d[i] grew: seed the
-// origin vector once every set has an element, and materialize successors
-// that were waiting for this growth.
-func (cs *combinationStream) seedOrFlush(i int) {
-	if !cs.seeded {
-		for _, di := range cs.d {
-			if len(di) == 0 {
-				return
-			}
-		}
-		cs.seeded = true
-		clear(cs.vec)
-		cs.pushVec(cs.keepVec())
-		return
-	}
-	waiting := cs.pending[i]
-	cs.pending[i] = cs.pending[i][:0] // keep the backing for reuse
-	for _, ve := range waiting {
-		cs.pushVec(ve.vec)
-	}
-}
-
-// pushSuccessors pushes the successors of vec it is the canonical parent
-// of, deferring those that point past the retrieved prefix. A vector's
-// canonical parent decrements its lowest non-zero coordinate, so vec
-// advances dimension i only up to its own lowest non-zero index: every
-// vector is generated exactly once, with no record of the ones seen, and by
-// a parent that scores no less — all the frontier needs, since the first
-// unemitted vector on the canonical path from the origin to any unemitted
-// vector is then queued (or pending, and the vector with it).
-func (cs *combinationStream) pushSuccessors(vec []int) {
-	for i := range vec {
-		if vec[i]+1 < len(cs.d[i]) || !cs.exhausted[i] {
-			copy(cs.vec, vec)
-			cs.vec[i]++
-			if succ := cs.keepVec(); succ[i] < len(cs.d[i]) {
-				cs.pushVec(succ)
-			} else {
-				cs.pending[i] = append(cs.pending[i], vecEntry{vec: succ})
-			}
-		}
-		if vec[i] != 0 {
-			break
-		}
-	}
-}
-
 // pushVec scores and pushes an index vector. The score sums the members in
-// set order, as BruteForce sums an object's τ_i, so both ways of generating
-// and the oracle agree to the bit however many sets there are.
+// set order, as BruteForce sums an object's τ_i, so the stream and the
+// oracle agree to the bit however many sets there are.
 func (cs *combinationStream) pushVec(vec []int) {
 	score := 0.0
 	for i, a := range vec {
@@ -541,7 +462,7 @@ func (cs *combinationStream) pushVec(vec []int) {
 	cs.heap.push(vecEntry{vec: vec, score: score})
 }
 
-// generateEager materializes, as the paper's Algorithm 4 line 9 does, all
+// generate materializes, as the paper's Algorithm 4 line 9 does, all
 // combinations that include the newest feature of set i, discarding
 // invalid ones immediately. Once a concrete feature is part of the
 // partial combination, candidates for the remaining sets come from the
@@ -549,7 +470,7 @@ func (cs *combinationStream) pushVec(vec []int) {
 // 2r of every other, or under the cells rule within the two reaches — so
 // generation cost tracks the number of valid combinations rather than
 // |D_1|×…×|D_c|.
-func (cs *combinationStream) generateEager(i int) {
+func (cs *combinationStream) generate(i int) {
 	newIdx := len(cs.d[i]) - 1
 	newRef := &cs.d[i][newIdx]
 	if cs.grids != nil && !newRef.virtual {
@@ -773,27 +694,15 @@ func (cs *combinationStream) validAgainstChosen(dim, a int) bool {
 	return true
 }
 
-// materialize converts an index vector into a combination, applying the
-// pairwise rule in lazy mode (eager mode applied it at generation). The
-// lattice step is over by then, so the check may use the generator's
-// vec and chosen.
-func (cs *combinationStream) materialize(ve vecEntry) (combination, bool) {
-	if !cs.eager && cs.rule != ruleNone {
-		copy(cs.vec, ve.vec)
-		cs.chosen = cs.chosen[:0]
-		for i, a := range ve.vec {
-			if !cs.validAgainstChosen(i, a) {
-				return combination{}, false
-			}
-			cs.chosen = append(cs.chosen, i)
-		}
-	}
+// materialize converts a queued index vector into a combination; the
+// variant's rule was applied when the vector was generated.
+func (cs *combinationStream) materialize(ve vecEntry) combination {
 	refs := cs.refsBuf[:0]
 	for i, a := range ve.vec {
 		refs = append(refs, cs.d[i][a])
 	}
 	cs.refsBuf = refs
-	return combination{refs: refs, score: ve.score}, true
+	return combination{refs: refs, score: ve.score}
 }
 
 // comboHeap is a max-heap of index vectors by combination score.

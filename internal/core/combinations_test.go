@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,12 +19,14 @@ import (
 // never telling it a floor.
 func drainCombinations(t *testing.T, w *testWorld, q Query, limit int) []combination {
 	t.Helper()
-	return drainCombos(t, w, q, limit, false)
+	out, _ := drainCombos(t, w, q, limit, false)
+	return out
 }
 
 // drainCombos is drainCombinations, on a stream without its partner grids
-// if scan: eager generation then scans every D_j linearly for partners.
-func drainCombos(t *testing.T, w *testWorld, q Query, limit int, scan bool) []combination {
+// if scan: generation then scans every D_j linearly for partners. It
+// returns the stream too, for what it pulled.
+func drainCombos(t *testing.T, w *testWorld, q Query, limit int, scan bool) ([]combination, *combinationStream) {
 	t.Helper()
 	var stats Stats
 	cs := newCombinationStream(w.engine, &q, &stats, nil)
@@ -46,7 +47,7 @@ func drainCombos(t *testing.T, w *testWorld, q Query, limit int, scan bool) []co
 		comb.refs = append([]featureRef(nil), comb.refs...)
 		out = append(out, comb)
 	}
-	return out
+	return out, cs
 }
 
 // Combinations must be emitted in non-increasing score order — the
@@ -175,32 +176,38 @@ func bruteBestComboScore(t *testing.T, w *testWorld, q Query) float64 {
 	return best
 }
 
-// Lazy and eager modes must emit the same score sequence (the lazy lattice
-// is an implementation detail, not a semantic change). Under the cells rule
-// eager generation finds partners through the reach grid, which must queue
-// what the linear scan of D_j queues, in the scan's order: over both index
-// kinds at c = 2 and 3 the two emit the same index vectors with the same
-// scores, ties included — every other query scores by Jaccard alone
-// (λ = 1), where combinations tie and the heap pops them in the order they
-// were queued. The sets differ in size, so their reaches differ too.
-func TestLazyEagerSameSequence(t *testing.T) {
-	sameScores := func(label string, a, b []combination) {
+// The stream emits the top of the sorted cross product of what it pulled,
+// score for score (sortedCrossProduct; a drained stream emits all of it) up
+// to the 1e-12 its emission test allows τ, which may let a combination out
+// an ulp ahead of one that beats it.
+// Under the cells rule generation finds partners through the reach grid,
+// which must queue what the linear scan of D_j queues, in the scan's order:
+// over both index kinds at c = 2 and 3 the two emit the same index vectors
+// with the same scores, ties included — every other query scores by
+// Jaccard alone (λ = 1), where combinations tie and the heap pops them in
+// the order they were queued. The sets differ in size, so their reaches
+// differ too.
+func TestStreamSequenceMatchesCrossProduct(t *testing.T) {
+	topOfCrossProduct := func(label string, got []combination, cs *combinationStream, limit int) {
 		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: lazy emitted %d, eager %d", label, len(a), len(b))
+		want := sortedCrossProduct(t, cs)
+		// A stream that stopped short of the limit ran out: it owes every
+		// combination.
+		if len(got) > len(want) || len(got) < limit && len(got) != len(want) {
+			t.Fatalf("%s: emitted %d combinations, the cross product has %d", label, len(got), len(want))
 		}
-		for i := range a {
-			if math.Abs(a[i].score-b[i].score) > 1e-9 {
-				t.Fatalf("%s: position %d: lazy %v eager %v", label, i, a[i].score, b[i].score)
+		for i := range got {
+			if math.Abs(got[i].score-want[i]) > 1e-9 {
+				t.Fatalf("%s: position %d: emitted %v, sorted cross product %v", label, i, got[i].score, want[i])
 			}
 		}
 	}
-	wL := buildWorld(t, 308, 50, 100, 2, 16, index.SRT, Options{Combinations: CombinationsLazy})
-	wE := buildWorld(t, 308, 50, 100, 2, 16, index.SRT, Options{Combinations: CombinationsEager})
+	w := buildWorld(t, 308, 50, 100, 2, 16, index.SRT, Options{})
 	rng := rand.New(rand.NewSource(309))
 	for trial := 0; trial < 4; trial++ {
-		q := wL.randQuery(rng, 2, RangeScore)
-		sameScores("range", drainCombinations(t, wL, q, 150), drainCombinations(t, wE, q, 150))
+		q := w.randQuery(rng, 2, RangeScore)
+		got, cs := drainCombos(t, w, q, 150, false)
+		topOfCrossProduct(fmt.Sprintf("range trial %d", trial), got, cs, 150)
 	}
 	vectors := func(cs []combination) [][]int64 {
 		out := make([][]int64, len(cs))
@@ -217,18 +224,17 @@ func TestLazyEagerSameSequence(t *testing.T) {
 	}
 	for _, kind := range []index.Kind{index.SRT, index.IR2} {
 		for c := 2; c <= 3; c++ {
-			wL := buildUnevenWorld(t, 316+int64(c), c, kind, Options{Combinations: CombinationsLazy})
-			wE := buildUnevenWorld(t, 316+int64(c), c, kind, Options{Combinations: CombinationsEager})
+			w := buildUnevenWorld(t, 316+int64(c), c, kind, Options{})
 			rng := rand.New(rand.NewSource(326 + int64(c)))
 			for trial := 0; trial < 8; trial++ {
-				q := wE.randQuery(rng, c, NearestNeighborScore)
+				q := w.randQuery(rng, c, NearestNeighborScore)
 				if trial%2 == 1 {
 					q.Lambda = 1
 				}
 				label := fmt.Sprintf("NN %v c=%d trial %d", kind, c, trial)
-				grid := drainCombinations(t, wE, q, 300)
-				sameScores(label, drainCombinations(t, wL, q, 300), grid)
-				scan := drainCombos(t, wE, q, 300, true)
+				grid, cs := drainCombos(t, w, q, 300, false)
+				topOfCrossProduct(label, grid, cs, 300)
+				scan, _ := drainCombos(t, w, q, 300, true)
 				if !slices.EqualFunc(grid, scan, func(a, b combination) bool { return a.score == b.score }) ||
 					!slices.EqualFunc(vectors(grid), vectors(scan), slices.Equal) {
 					t.Fatalf("%s: the reach grid emitted\n%v,\nthe linear scan\n%v", label, vectors(grid), vectors(scan))
@@ -273,32 +279,30 @@ func buildUnevenWorld(t *testing.T, seed int64, c int, kind index.Kind, opts Opt
 }
 
 // Without a pairwise rule — the influence variant's stream while it is told
-// no floor, generated eagerly or by the lazy lattice — the stream must
-// cover the full cross product (plus virtual slots) before exhausting.
+// no floor — the stream must cover the full cross product (plus virtual
+// slots) before exhausting.
 func TestUnfilteredStreamCountsCrossProduct(t *testing.T) {
-	for _, mode := range []CombinationMode{CombinationsEager, CombinationsLazy} {
-		w := buildWorld(t, 310, 20, 30, 2, 8, index.SRT, Options{Combinations: mode})
-		rng := rand.New(rand.NewSource(311))
-		q := w.randQuery(rng, 2, InfluenceScore)
-		// Count relevant features per set.
-		relevant := func(set int) int {
-			all, err := w.engine.features[set].Part(0).Tree().All()
-			if err != nil {
-				t.Fatal(err)
-			}
-			qk := q.keywordsFor(set)
-			n := 0
-			for _, e := range all {
-				if e.Keywords.Intersects(qk.Set) {
-					n++
-				}
-			}
-			return n
+	w := buildWorld(t, 310, 20, 30, 2, 8, index.SRT, Options{})
+	rng := rand.New(rand.NewSource(311))
+	q := w.randQuery(rng, 2, InfluenceScore)
+	// Count relevant features per set.
+	relevant := func(set int) int {
+		all, err := w.engine.features[set].Part(0).Tree().All()
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := (relevant(0) + 1) * (relevant(1) + 1) // +1 for ∅
-		if combos := drainCombinations(t, w, q, 1<<20); len(combos) != want {
-			t.Fatalf("%v: emitted %d combinations, want %d", mode, len(combos), want)
+		qk := q.keywordsFor(set)
+		n := 0
+		for _, e := range all {
+			if e.Keywords.Intersects(qk.Set) {
+				n++
+			}
 		}
+		return n
+	}
+	want := (relevant(0) + 1) * (relevant(1) + 1) // +1 for ∅
+	if combos := drainCombinations(t, w, q, 1<<20); len(combos) != want {
+		t.Fatalf("emitted %d combinations, want %d", len(combos), want)
 	}
 }
 
@@ -337,9 +341,7 @@ func TestVirtualFeatureEmitted(t *testing.T) {
 // unfiltered combination exactly once in non-increasing order.
 func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		// Eager generation on even seeds, the lazy lattice on odd.
-		mode := []CombinationMode{CombinationsEager, CombinationsLazy}[seed&1]
-		w := buildWorld(t, seed, 10, 15, 2, 8, index.SRT, Options{Combinations: mode})
+		w := buildWorld(t, seed, 10, 15, 2, 8, index.SRT, Options{})
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		q := w.randQuery(rng, 2, InfluenceScore)
 		var stats Stats
@@ -375,31 +377,6 @@ func TestCombinationStreamExhaustiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The prioritized pulling strategy should pull no more features than
-// round-robin on average (Definition 5's motivation).
-func TestPrioritizedPullsNoMoreThanRoundRobin(t *testing.T) {
-	wP := buildWorld(t, 314, 200, 400, 3, 16, index.SRT, Options{Pull: PullPrioritized})
-	wR := buildWorld(t, 314, 200, 400, 3, 16, index.SRT, Options{Pull: PullRoundRobin})
-	rng := rand.New(rand.NewSource(315))
-	var pulledP, pulledR int
-	for trial := 0; trial < 10; trial++ {
-		q := wP.randQuery(rng, 3, RangeScore)
-		_, sp, err := wP.engine.STPS(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sr, err := wR.engine.STPS(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pulledP += sp.FeaturesPulled
-		pulledR += sr.FeaturesPulled
-	}
-	if float64(pulledP) > float64(pulledR)*1.25 {
-		t.Errorf("prioritized pulled %d features, round-robin %d", pulledP, pulledR)
 	}
 }
 
@@ -540,37 +517,30 @@ func cellReach(t *testing.T, e *Engine, set int, ref featureRef) float64 {
 	return c.reach
 }
 
-// Every variant defaults to eager generation under its own rule — range
-// over its pair grids, influence (the stream that can be told a floor)
-// without a pairwise rule, NN under the cells rule; one set makes no
-// pairs and has no rule; and only the lazy reference is chosen by option.
+// Every variant generates under its own rule — range over its pair grids,
+// influence (the stream that can be told a floor) without a pairwise rule
+// or grids, NN under the cells rule over its reach grids — and one set
+// makes no pairs and has no rule.
 func TestCombinationModeDispatch(t *testing.T) {
-	stream := func(opts Options, variant Variant) *combinationStream {
+	stream := func(variant Variant) *combinationStream {
 		t.Helper()
-		w := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, opts)
+		w := buildWorld(t, 320, 30, 40, 2, 8, index.SRT, Options{})
 		q := w.randQuery(rand.New(rand.NewSource(321)), 2, variant)
-		cs := newCombinationStream(w.engine, &q, new(Stats), nil)
-		return cs
+		return newCombinationStream(w.engine, &q, new(Stats), nil)
 	}
-	if cs := stream(Options{}, RangeScore); !cs.eager || cs.grids == nil || cs.rule != rulePairs {
-		t.Error("range variant should default to grid-accelerated eager under the 2r rule")
+	if cs := stream(RangeScore); cs.grids == nil || cs.rule != rulePairs {
+		t.Error("the range variant should generate over grids under the 2r rule")
 	}
-	if cs := stream(Options{}, InfluenceScore); !cs.eager || cs.grids != nil || cs.rule != ruleNone {
-		t.Error("influence variant should default to eager without grids or a pairwise rule")
+	if cs := stream(InfluenceScore); cs.grids != nil || cs.rule != ruleNone || !cs.bounded {
+		t.Error("the influence variant should generate without grids or a pairwise rule, under the floor rule")
 	}
-	if cs := stream(Options{}, NearestNeighborScore); !cs.eager || cs.grids == nil || cs.rule != ruleCells {
-		t.Error("NN variant should default to grid-accelerated eager under the cells rule")
+	if cs := stream(NearestNeighborScore); cs.grids == nil || cs.rule != ruleCells {
+		t.Error("the NN variant should generate over grids under the cells rule")
 	}
 	for _, variant := range []Variant{RangeScore, InfluenceScore, NearestNeighborScore} {
-		if cs := stream(Options{Combinations: CombinationsLazy}, variant); cs.eager || cs.rule != ruleOf(variant, 2) {
-			t.Errorf("explicit lazy must override the %v default and keep its rule", variant)
-		}
 		if ruleOf(variant, 1) != ruleNone {
 			t.Errorf("%v over one feature set has a pairwise rule", variant)
 		}
-	}
-	if CombinationsEager.String() != "eager" || CombinationsLazy.String() != "lazy" {
-		t.Error("mode strings")
 	}
 }
 
@@ -682,137 +652,4 @@ func FuzzPairGrid(f *testing.F) {
 			}
 		}
 	})
-}
-
-// latticeSet is one synthetic feature set of the lattice test: the scores
-// its stream yields (in any order here; the stream's heap sorts them) and
-// whether it ends in ∅ as a real stream does, or just runs dry.
-type latticeSet struct {
-	scores  []float64
-	virtual bool
-}
-
-// The lazy lattice generates every index vector from its canonical parent
-// alone, with no record of what it has seen: over sets of unequal length,
-// with and without a final ∅, and with scores that tie, it must still emit
-// each vector exactly once, in non-increasing score — the very sequence of
-// scores the sorted cross product gives, hence the same multiset down to
-// any stopping score — under either pulling strategy, and forced lazy on
-// the range and NN variants only the combinations their pairwise rule (2r,
-// cells that can meet) lets through.
-func TestLazyLatticeEmitsEachVectorOnce(t *testing.T) {
-	eighths := func(n ...int) []float64 {
-		out := make([]float64, len(n))
-		for i, v := range n {
-			out[i] = float64(v) / 8
-		}
-		return out
-	}
-	cases := []struct {
-		name string
-		sets []latticeSet
-	}{
-		{"c=2 unequal", []latticeSet{{eighths(8, 7, 5, 3, 2), true}, {eighths(6, 1), true}}},
-		{"c=2 tied", []latticeSet{{eighths(4, 4, 4, 2, 2), true}, {eighths(4, 4, 2), true}}},
-		{"c=2 no ∅", []latticeSet{{eighths(7, 3, 3), false}, {eighths(8, 5, 5, 1), false}}},
-		{"c=3 one runs dry", []latticeSet{{eighths(8, 6, 6, 2), true}, {eighths(5, 5), false}, {eighths(7, 4, 1), true}}},
-		{"c=3 only ∅", []latticeSet{{eighths(3, 2, 1), true}, {nil, true}, {eighths(8, 8), true}}},
-		{"c=4 mixed", []latticeSet{{eighths(8, 4, 4), true}, {eighths(6, 2), false}, {eighths(5), true}, {eighths(7, 7, 3), true}}},
-		{"c=4 all tied", []latticeSet{{eighths(4, 4), true}, {eighths(4, 4), true}, {eighths(4, 4), false}, {eighths(4, 4), true}}},
-	}
-	for _, tc := range cases {
-		for _, pull := range []PullStrategy{PullPrioritized, PullRoundRobin} {
-			for _, variant := range []Variant{NearestNeighborScore, RangeScore} {
-				t.Run(fmt.Sprintf("%s/%v/%v", tc.name, pull, variant), func(t *testing.T) {
-					c := len(tc.sets)
-					w := buildWorld(t, 340, 5, 5, c, 8, index.SRT, Options{Pull: pull, Combinations: CombinationsLazy})
-					rng := rand.New(rand.NewSource(341))
-					q := w.randQuery(rng, c, variant)
-					q.Radius = 0.15
-					cs := newCombinationStream(w.engine, &q, new(Stats), nil)
-					// Replace what each per-set stream would retrieve by the
-					// table's features, queued as leaves already resolved.
-					sets := make([][]featureRef, c)
-					for i, set := range tc.sets {
-						st := cs.streams[i]
-						st.heap = st.heap[:0]
-						for j, s := range set.scores {
-							ref := featureRef{id: int64(j), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, score: s}
-							sets[i] = append(sets[i], ref)
-							st.heap.push(candidate{prio: s, ref: ref.id, loc: ref.loc, slot: slotFinal})
-						}
-						st.exhausted = !set.virtual
-						if set.virtual {
-							sets[i] = append(sets[i], featureRef{id: -1, virtual: true})
-						}
-					}
-					// Under the cells rule a feature's cell reach decides its
-					// partners; the stream finds the same cells in the store.
-					reach := func(set int, ref featureRef) float64 {
-						c, err := w.engine.cellOf(set, &ref, new(Stats), nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return c.reach
-					}
-					var want []float64
-					var cross func(i int, members []featureRef, score float64)
-					cross = func(i int, members []featureRef, score float64) {
-						if i == c {
-							want = append(want, score)
-							return
-						}
-						for _, ref := range sets[i] {
-							valid := true
-							for j, m := range members {
-								if ref.virtual || m.virtual {
-									continue
-								}
-								switch variant {
-								case RangeScore:
-									valid = valid && ref.loc.Dist(m.loc) <= 2*q.Radius
-								case NearestNeighborScore:
-									r := reach(i, ref) + reach(j, m)
-									valid = valid && ref.loc.Dist2(m.loc) <= r*r
-								}
-							}
-							if valid {
-								cross(i+1, append(members, ref), score+ref.score)
-							}
-						}
-					}
-					cross(0, nil, 0)
-					slices.SortFunc(want, func(a, b float64) int { return cmp.Compare(b, a) })
-
-					seen := map[string]bool{}
-					var got []float64
-					for {
-						comb, ok, err := cs.next(negInf)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !ok {
-							break
-						}
-						key := ""
-						for _, ref := range comb.refs {
-							id := ref.id
-							if ref.virtual {
-								id = -1
-							}
-							key += fmt.Sprint(id, "|")
-						}
-						if seen[key] {
-							t.Fatalf("vector %s emitted twice", key)
-						}
-						seen[key] = true
-						got = append(got, comb.score)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("emitted scores %v,\nsorted cross product %v", got, want)
-					}
-				})
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -255,64 +256,23 @@ func TestSTDSNearestNeighborMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Lazy and eager combination generation must produce identical top-k
-// answers — for range over three sets, and for NN over two and three, where
-// eager generation applies the cells rule — and eager must pull the same
-// features as the lazy reference and emit no more combinations.
-func TestLazyEagerCombinationsAgree(t *testing.T) {
+// STPS under each pairwise rule answers as the oracle does: range over
+// three sets, and NN over two and three, where generation applies the
+// cells rule.
+func TestCombinationRulesMatchBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		variant Variant
 		c       int
 	}{{RangeScore, 3}, {NearestNeighborScore, 2}, {NearestNeighborScore, 3}} {
-		wLazy := buildWorld(t, 108, 300, 200, tc.c, 16, index.SRT, Options{Combinations: CombinationsLazy})
-		wEager := buildWorld(t, 108, 300, 200, tc.c, 16, index.SRT, Options{Combinations: CombinationsEager})
+		w := buildWorld(t, 108, 300, 200, tc.c, 16, index.SRT, Options{})
 		rng := rand.New(rand.NewSource(208))
 		for trial := 0; trial < 6; trial++ {
-			q := wLazy.randQuery(rng, tc.c, tc.variant)
-			a, sa, err := wLazy.engine.STPS(q)
+			q := w.randQuery(rng, tc.c, tc.variant)
+			got, _, err := w.engine.STPS(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, sb, err := wEager.engine.STPS(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("%v c=%d: lazy %d vs eager %d", tc.variant, tc.c, len(a), len(b))
-			}
-			for i := range a {
-				if math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-					t.Fatalf("%v c=%d rank %d: lazy %v eager %v", tc.variant, tc.c, i, a[i].Score, b[i].Score)
-				}
-			}
-			if sb.FeaturesPulled != sa.FeaturesPulled || sb.Combinations > sa.Combinations {
-				t.Fatalf("%v c=%d trial %d: eager pulled %d features and emitted %d combinations, lazy %d and %d",
-					tc.variant, tc.c, trial, sb.FeaturesPulled, sb.Combinations, sa.FeaturesPulled, sa.Combinations)
-			}
-			assertMatchesBruteForce(t, wEager, q, b, "STPS/eager")
-		}
-	}
-}
-
-// Round-robin pulling must return the same answers as prioritized pulling.
-func TestPullStrategiesAgree(t *testing.T) {
-	wPrio := buildWorld(t, 109, 300, 200, 2, 16, index.SRT, Options{Pull: PullPrioritized})
-	wRR := buildWorld(t, 109, 300, 200, 2, 16, index.SRT, Options{Pull: PullRoundRobin})
-	rng := rand.New(rand.NewSource(209))
-	for trial := 0; trial < 6; trial++ {
-		q := wPrio.randQuery(rng, 2, RangeScore)
-		a, _, err := wPrio.engine.STPS(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := wRR.engine.STPS(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-				t.Fatalf("rank %d: prio %v rr %v", i, a[i].Score, b[i].Score)
-			}
+			assertMatchesBruteForce(t, w, q, got, fmt.Sprintf("STPS/%v c=%d", tc.variant, tc.c))
 		}
 	}
 }
@@ -489,16 +449,13 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 }
 
-func TestVariantAndStrategyStrings(t *testing.T) {
+func TestVariantStrings(t *testing.T) {
 	if RangeScore.String() != "range" || InfluenceScore.String() != "influence" ||
 		NearestNeighborScore.String() != "nearest-neighbor" {
 		t.Error("variant strings")
 	}
 	if Variant(9).String() == "" {
 		t.Error("unknown variant string")
-	}
-	if PullPrioritized.String() != "prioritized" || PullRoundRobin.String() != "round-robin" {
-		t.Error("pull strategy strings")
 	}
 }
 

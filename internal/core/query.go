@@ -185,69 +185,15 @@ func (s Stats) Scale(n int) Stats {
 	}
 }
 
-// PullStrategy selects how STPS chooses the next feature set to access
-// (paper Section 6.3).
-type PullStrategy int
-
-const (
-	// PullPrioritized is Definition 5: access the feature set responsible
-	// for the current threshold value.
-	PullPrioritized PullStrategy = iota
-	// PullRoundRobin cycles through the feature sets (the paper's
-	// "simple alternative", kept for ablation).
-	PullRoundRobin
-)
-
-// String implements fmt.Stringer.
-func (p PullStrategy) String() string {
-	if p == PullRoundRobin {
-		return "round-robin"
-	}
-	return "prioritized"
-}
-
-// CombinationMode selects how STPS enumerates feature combinations.
-// Both modes emit the same valid combinations in the same score order;
-// they differ in when a combination is materialized, and so in what can be
-// discarded before it is.
-type CombinationMode int
-
-const (
-	// CombinationsEager (default) is the paper's literal Algorithm 4 line
-	// 9: every pulled feature immediately materializes the combinations its
-	// variant's rule lets through — Definition 4's 2r filter for range
-	// (partners found through a spatial grid over the retrieved features),
-	// the geometric influence bound against the running k-th score, and for
-	// NN that the Voronoi cells of two members can meet.
-	CombinationsEager CombinationMode = iota
-	// CombinationsLazy walks the combination lattice rank-join style:
-	// pop the best index vector, push its successors. Memory stays
-	// proportional to the emitted frontier, and every combination above
-	// the stopping score is popped: the rules apply only afterwards. It is
-	// the reference the tests and the ablation compare eager against.
-	CombinationsLazy
-)
-
-// String implements fmt.Stringer.
-func (m CombinationMode) String() string {
-	if m == CombinationsLazy {
-		return "lazy"
-	}
-	return "eager"
-}
-
 // Options tunes algorithm behaviour without affecting results.
 type Options struct {
-	// Pull selects the STPS pulling strategy.
-	Pull PullStrategy
 	// BatchSTDS enables the batched score computation of Section 5
 	// ("Performance improvements"): objects are processed one object-tree
 	// leaf at a time, sharing feature-index traversals. Applies to the
 	// range variant. The zero value is off — the single-object form the
-	// ablation measures; every constructor outside tests passes true.
+	// ablation measures. Every DB runs with it on; the field remains
+	// because the benchmark module (bench/) constructs engines with it.
 	BatchSTDS bool
-	// Combinations selects how STPS enumerates feature combinations.
-	Combinations CombinationMode
 }
 
 // ioCost converts a query's physical reads into its modeled I/O time.

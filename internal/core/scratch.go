@@ -64,7 +64,7 @@ type queryScratch struct {
 
 	// Combination stream (one per STPS query): the struct keeps all its
 	// growable state — per-set streams and their heaps, retrieved
-	// prefixes, the combination heap, the eager generator's pair grids,
+	// prefixes, the combination heap, the generator's pair grids,
 	// the index-vector arena — and reinit() recycles it in place.
 	cs combinationStream
 
