@@ -150,7 +150,7 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *com
 		cs.grids = cs.gridStore
 	}
 	for i := 0; i < c; i++ {
-		cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{})
+		cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{}, stats)
 		cs.mins[i] = 1 // upper bound on any unseen feature score
 		cs.maxs[i] = 1
 	}

@@ -40,6 +40,8 @@ type featureStream struct {
 	lens      lens
 	heap      boundHeap
 	exhausted bool
+	// stats receives the pages the stream expands, leaf and internal.
+	stats *Stats
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -112,10 +114,12 @@ func (l *lens) nearUnresolved(rect *geo.Rect) bool {
 // each root is read once; the shared bound heap merges the part trees into
 // one globally non-increasing score stream. A query with no keywords for
 // this set makes every feature irrelevant, so the stream yields only ∅.
-func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l lens) {
+// Every page the stream expands is counted in stats.
+func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l lens, stats *Stats) {
 	s.g = g
 	s.q = q
 	s.lens = l
+	s.stats = stats
 	s.heap = s.heap[:0] // candidates hold no pointers: nothing to zero
 	s.exhausted = false
 	if g.Len() == 0 || q.Set.IsEmpty() {
@@ -152,6 +156,11 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			return featureRef{}, false, err
 		}
 		words, wc, leaf := s.q.Set.WordsBits(), s.q.Set.Count(), page.Leaf()
+		if leaf {
+			s.stats.LeafExpansions++
+		} else {
+			s.stats.InternalExpansions++
+		}
 		for i, inter, count := page.NextCounted(0, words); i < page.Len(); i, inter, count = page.NextCounted(i+1, words) {
 			if !page.Visible(i) {
 				continue // tombstoned

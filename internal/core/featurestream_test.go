@@ -15,7 +15,7 @@ import (
 // newFeatureStream returns an unlensed stream over the group.
 func newFeatureStream(g *index.FeatureGroup, q index.QueryKeywords) *featureStream {
 	s := &featureStream{}
-	s.init(g, q, lens{})
+	s.init(g, q, lens{}, &Stats{})
 	return s
 }
 
@@ -168,7 +168,7 @@ func TestLensedStreamIsComputeScore(t *testing.T) {
 					for _, q.Variant = range []Variant{RangeScore, InfluenceScore} {
 						for i := 0; i < 25; i++ {
 							p := randPoint(rng)
-							got, err := e.computeScore(0, &q, p)
+							got, err := e.computeScore(0, &q, p, &Stats{})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -183,13 +183,13 @@ func TestLensedStreamIsComputeScore(t *testing.T) {
 						for i := range batch {
 							batch[i].id, batch[i].loc = leaf.ItemID(i), leaf.Point(i)
 						}
-						if err := e.batchRangeScores(0, &q, batch); err != nil {
+						if err := e.batchRangeScores(0, &q, batch, &Stats{}); err != nil {
 							t.Fatal(err)
 						}
 						for _, o := range batch {
 							// The batch's pulls are over before the scratch
 							// stream is re-initialized for one object.
-							alone, err := e.computeScore(0, &q, o.loc)
+							alone, err := e.computeScore(0, &q, o.loc, &Stats{})
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -141,8 +141,17 @@ func b2i(b bool) int {
 	return 0
 }
 
-// voronoiCell's node heap: min-heap on squared MINDIST.
-func nodeBefore(a, b *nodeRef) bool { return a.dist2 < b.dist2 }
+// voronoiCell's heap: min-heap on squared distance, nodes before features
+// at a tie, features by x, then y.
+func sweepBefore(a, b *sweepRef) bool {
+	if a.dist2 != b.dist2 {
+		return a.dist2 < b.dist2
+	}
+	if a.point != b.point {
+		return b.point
+	}
+	return a.p.X < b.p.X || a.p.X == b.p.X && a.p.Y < b.p.Y
+}
 
 // resetHeap empties a generic heap or a side slice, keeping its backing
 // array but zeroing the items a descent left in it. heapPop zeroes every

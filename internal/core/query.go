@@ -130,6 +130,12 @@ type Stats struct {
 	// FeaturesPulled counts feature objects retrieved from feature
 	// indexes.
 	FeaturesPulled int
+	// LeafExpansions and InternalExpansions count the feature-index pages
+	// the feature streams expanded — every page an STPS stream or an STDS
+	// score computation reads — by the page's level. Their sum is at most
+	// LogicalReads, which also counts object and Voronoi pages.
+	LeafExpansions     int
+	InternalExpansions int
 	// ObjectsScored counts data objects whose score was computed (STDS)
 	// or retrieved (STPS).
 	ObjectsScored int
@@ -159,6 +165,8 @@ func (s *Stats) Add(other Stats) {
 	s.VoronoiReads += other.VoronoiReads
 	s.Combinations += other.Combinations
 	s.FeaturesPulled += other.FeaturesPulled
+	s.LeafExpansions += other.LeafExpansions
+	s.InternalExpansions += other.InternalExpansions
 	s.ObjectsScored += other.ObjectsScored
 	s.ShardFanout += other.ShardFanout
 	s.ShardPruned += other.ShardPruned
@@ -171,17 +179,19 @@ func (s Stats) Scale(n int) Stats {
 	}
 	d := time.Duration(n)
 	return Stats{
-		CPUTime:        s.CPUTime / d,
-		IOTime:         s.IOTime / d,
-		LogicalReads:   s.LogicalReads / int64(n),
-		PhysicalReads:  s.PhysicalReads / int64(n),
-		VoronoiCPUTime: s.VoronoiCPUTime / d,
-		VoronoiReads:   s.VoronoiReads / int64(n),
-		Combinations:   s.Combinations / n,
-		FeaturesPulled: s.FeaturesPulled / n,
-		ObjectsScored:  s.ObjectsScored / n,
-		ShardFanout:    s.ShardFanout / n,
-		ShardPruned:    s.ShardPruned / n,
+		CPUTime:            s.CPUTime / d,
+		IOTime:             s.IOTime / d,
+		LogicalReads:       s.LogicalReads / int64(n),
+		PhysicalReads:      s.PhysicalReads / int64(n),
+		VoronoiCPUTime:     s.VoronoiCPUTime / d,
+		VoronoiReads:       s.VoronoiReads / int64(n),
+		Combinations:       s.Combinations / n,
+		FeaturesPulled:     s.FeaturesPulled / n,
+		LeafExpansions:     s.LeafExpansions / n,
+		InternalExpansions: s.InternalExpansions / n,
+		ObjectsScored:      s.ObjectsScored / n,
+		ShardFanout:        s.ShardFanout / n,
+		ShardPruned:        s.ShardPruned / n,
 	}
 }
 

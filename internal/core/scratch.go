@@ -3,6 +3,7 @@ package core
 import (
 	"stpq/internal/geo"
 	"stpq/internal/index"
+	"stpq/internal/rtree"
 	"stpq/internal/storage"
 	"stpq/internal/voronoi"
 )
@@ -28,7 +29,7 @@ import (
 //   - dist is computeNNScore's alone: one groupAscendDistance walk per
 //     object and feature set, over before the next begins;
 //   - cell belongs to the NN variant of STPS: voronoiCell is done with the
-//     builder and the node heap when it returns the cell's copy for the
+//     builder and the sweep heap when it returns the cell's copy for the
 //     store, which happens when a feature is pulled, never inside
 //     comboRegion, whose region buffers are consumed before the next
 //     combination;
@@ -74,11 +75,15 @@ type queryScratch struct {
 }
 
 // cellWork is the working state of the NN variant of STPS: the builder and
-// node heap of the cell under construction (voronoiCell), and the two
+// sweep heap of the cell under construction (voronoiCell), and the two
 // buffers a combination's region is cut between (comboRegion).
 type cellWork struct {
-	builder       voronoi.CellBuilder
-	nodes         []nodeRef
+	builder voronoi.CellBuilder
+	sweep   []sweepRef
+	// layers[set][i] is part i's location layer as the session sees it,
+	// nil for an empty part: looked up at the set's first cell walk and
+	// kept, since a session's parts never change.
+	layers        [][]*rtree.Tree
 	region, spare []geo.Point
 }
 

@@ -139,7 +139,7 @@ func (e *Engine) stdsSingle(q *Query, stats *Stats, tr *obs.Trace) ([]Result, er
 				break
 			}
 			sp := tr.StartPhase("index.descend")
-			ti, err := e.computeScore(i, q, obj.Point())
+			ti, err := e.computeScore(i, q, obj.Point(), stats)
 			sp.End()
 			if err != nil {
 				return nil, err
@@ -181,7 +181,7 @@ func (e *Engine) allObjects() ([]rtree.Entry, error) {
 // for a node, so the first emission still dominates all bounds left in the
 // heap. ∅ scores 0: no relevant feature is in reach. NN orders by distance,
 // not score, and has its own walk.
-func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
+func (e *Engine) computeScore(set int, q *Query, p pointArg, stats *Stats) (float64, error) {
 	l := lens{kind: lensRange, p: p, r: q.Radius}
 	switch q.Variant {
 	case InfluenceScore:
@@ -190,7 +190,7 @@ func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
 		return e.computeNNScore(set, q, p)
 	}
 	s := &e.scratch.stds
-	s.init(e.features[set], q.keywordsFor(set), l)
+	s.init(e.features[set], q.keywordsFor(set), l, stats)
 	ref, _, err := s.next()
 	return ref.score, err
 }

@@ -30,7 +30,7 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 		}
 		for set := 0; set < c && len(active) > 0; set++ {
 			sp := tr.StartPhase("index.descend")
-			err := e.batchRangeScores(set, q, active)
+			err := e.batchRangeScores(set, q, active, stats)
 			sp.End()
 			if err != nil {
 				walkErr = err
@@ -82,12 +82,12 @@ type batchObj struct {
 // adding each object's τ_i(p) to its running sum: the feature stream under
 // the batch lens emits, best first, the features in range of an object
 // still unresolved, and each one resolves every such object it reaches.
-func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
+func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj, stats *Stats) error {
 	for _, o := range batch {
 		o.resolved = false
 	}
 	s := &e.scratch.stds
-	s.init(e.features[set], q.keywordsFor(set), lens{kind: lensBatch, r: q.Radius, batch: batch})
+	s.init(e.features[set], q.keywordsFor(set), lens{kind: lensBatch, r: q.Radius, batch: batch}, stats)
 	for unresolved := len(batch); unresolved > 0; {
 		ref, _, err := s.next()
 		if err != nil || ref.virtual {

@@ -771,56 +771,93 @@ func (e *Engine) comboRegion(comb combination, stats *Stats, tr *obs.Trace) (geo
 	return geo.Polygon{Vertices: w.region}, nil
 }
 
-// nodeRef is a queued node of a feature group's trees: its page, its part
-// and the squared MINDIST of its MBR from the site.
-type nodeRef struct {
+// sweepRef is what voronoiCell's heap queues: a node of a part's location
+// layer — its page and part, at the squared MINDIST of its MBR from the
+// site — or a feature's location at its squared distance.
+type sweepRef struct {
 	dist2 float64
+	p     geo.Point // a feature's location
 	page  storage.PageID
 	part  int32
+	point bool
 }
 
 // voronoiCell computes the exact Voronoi cell of a feature within its
-// feature set. Only nodes are queued, nearest first by MINDIST and across
-// all parts of the group — so a cell computed on a sharded engine is the
-// cell within the full (global) feature set — and a popped leaf's features
-// are clipped where they lie, in stored order: the builder passes over each
-// one too far to cut the cell (the 2·maxdist rule, which holds per neighbor
-// because the cell only shrinks). A child at or beyond the reach is not
-// queued, and the walk ends once the nearest queued node is: every feature
-// has then been clipped or proven unable to cut. The pages read are among
-// those a sweep over features in increasing distance reads: nodes pop in
-// the same order, and by the time one is considered every feature the sweep
-// would have clipped by then lies in a node already popped or ruled out, so
-// the reach here is never the larger.
+// feature set by §7.2's construction: the set's features stream in
+// increasing distance from the site and clip the cell until the next is at
+// least twice as far as the cell's farthest vertex. The stream walks each
+// part's location layer (index.FeatureIndex.Locations), not its feature
+// tree: a cell depends on locations alone, and the layer packs them by
+// place only, about twice as many to a page. One heap holds nodes and
+// features, nearest first, across all parts of the group — so a cell
+// computed on a sharded engine is the cell within the full (global) feature
+// set — and nothing at or beyond the reach is queued. Equal distances pop
+// nodes first, then features by x and y, so the features clip in one order
+// whatever the layers look like, and the cell is the same bit for bit over
+// any split into parts and any tombstones: a vertex's last bits depend on
+// the clip order.
 func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon, error) {
-	g := e.features[set]
 	w := e.scratchCellWork()
-	b, h := &w.builder, &w.nodes
+	b, h := &w.builder, &w.sweep
 	b.Reset(site, geo.UnitSquare())
 	*h = (*h)[:0]
-	for pi, part := range g.Parts() {
-		if part.Len() > 0 {
-			heapPush(h, nodeRef{page: part.Tree().Root(), part: int32(pi)}, nodeBefore)
+	layers, err := e.locationLayers(set, w)
+	if err != nil {
+		return geo.Polygon{}, err
+	}
+	for pi, t := range layers {
+		if t != nil {
+			heapPush(h, sweepRef{page: t.Root(), part: int32(pi)}, sweepBefore)
 		}
 	}
 	for len(*h) > 0 {
-		it := heapPop(h, nodeBefore)
+		it := heapPop(h, sweepBefore)
 		if it.dist2 >= b.Reach2() {
 			break
 		}
-		v, err := g.Part(int(it.part)).Tree().View(it.page)
+		if it.point {
+			b.Clip(it.p)
+			continue
+		}
+		v, err := layers[it.part].View(it.page)
 		if err != nil {
 			return geo.Polygon{}, err
 		}
 		for i := 0; i < v.Len(); i++ {
-			if v.Leaf() {
-				if v.Visible(i) && v.ItemID(i) != siteID {
-					b.Clip(v.Point(i))
+			if !v.Leaf() {
+				if d2 := v.Rect(i).MinDist2(site); d2 < b.Reach2() {
+					heapPush(h, sweepRef{dist2: d2, page: v.Child(i), part: it.part}, sweepBefore)
 				}
-			} else if d2 := v.Rect(i).MinDist2(site); d2 < b.Reach2() {
-				heapPush(h, nodeRef{dist2: d2, page: v.Child(i), part: it.part}, nodeBefore)
+			} else if v.Visible(i) && v.ItemID(i) != siteID {
+				p := v.Point(i)
+				if d2 := p.Dist2(site); d2 < b.Reach2() {
+					heapPush(h, sweepRef{dist2: d2, p: p, point: true}, sweepBefore)
+				}
 			}
 		}
 	}
 	return b.Cell(), nil
+}
+
+// locationLayers returns the location layers of set's parts as this
+// engine sees them (nil for an empty part), from w once looked up.
+func (e *Engine) locationLayers(set int, w *cellWork) ([]*rtree.Tree, error) {
+	if w.layers == nil {
+		w.layers = make([][]*rtree.Tree, len(e.features))
+	}
+	if l := w.layers[set]; l != nil {
+		return l, nil
+	}
+	parts := e.features[set].Parts()
+	l := make([]*rtree.Tree, len(parts))
+	for pi, part := range parts {
+		if part.Len() > 0 {
+			var err error
+			if l[pi], err = part.Locations(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	w.layers[set] = l
+	return l, nil
 }

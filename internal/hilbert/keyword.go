@@ -95,35 +95,36 @@ func EncodeKeywords(set kwset.Set, width int) Value {
 	return grayToBinary(g)
 }
 
-// KeywordCoord returns the top `bits` bits (1 to 32) of EncodeKeywords(set,
-// width), low bits 0 if width < bits: the SRT bulk loader's keyword
-// coordinate, so similar keyword sets map to nearby grid cells. Bit j of the
-// rank is has(0) XOR the parity of the ids in [j+1, width), so one window of
-// the bitmap holds the answer and no Value is built.
-func KeywordCoord(set kwset.Set, width int, bits uint) uint32 {
-	if bits == 0 || bits > 32 {
-		panic("hilbert: KeywordCoord bits must be in [1,32]")
+// KeywordMinHash returns the SRT bulk loader's keyword coordinate: the top
+// nbits bits (1 to 32) of the least splitmix64 image of the set's ids, all
+// ones for the empty set. It is a MinHash: two sets share it with
+// probability about their Jaccard similarity, so similar keyword sets sort
+// together, and every id can move it. It replaces the top bits of H(t.W)
+// for the sort only (DESIGN.md §4): bit j of that rank depends on id 0 and
+// the ids above j alone, so at 128 keywords 16 ids decided it and most
+// features shared one value. Because it is a minimum,
+// KeywordMinHash(A ∪ B) = min(KeywordMinHash(A), KeywordMinHash(B)).
+func KeywordMinHash(set kwset.Set, nbits uint) uint32 {
+	if nbits == 0 || nbits > 32 {
+		panic("hilbert: KeywordMinHash bits must be in [1,32]")
 	}
-	base := max(width-int(bits), 0)
-	span := uint(width - base)
-	words, i, off := set.WordsBits(), base/64, uint(base%64)
-	var x uint64 // bit p: id base+p
-	if i < len(words) {
-		x = words[i] >> off
+	least := ^uint64(0)
+	for i, word := range set.WordsBits() {
+		for ; word != 0; word &= word - 1 {
+			least = min(least, splitmix64(uint64(i*64+bits.TrailingZeros64(word))))
+		}
 	}
-	if i+1 < len(words) {
-		x |= words[i+1] << (64 - off)
-	}
-	// Suffix parity: bit p of s is the parity of x's bits p..span−1.
-	s := x & (1<<span - 1)
-	for sh := uint(1); sh < 32; sh <<= 1 {
-		s ^= s >> sh
-	}
-	r := s >> 1 // bit p: the parity of ids in [base+p+1, width)
-	if set.Has(0) {
-		r = ^r
-	}
-	return uint32((r & (1<<span - 1)) << (bits - span))
+	return uint32(least >> (64 - nbits))
+}
+
+// splitmix64 is the finalizer of Steele, Lea and Flood's SplitMix64
+// generator (its state step included): a fixed bijection on 64-bit words
+// whose outputs for consecutive inputs look independent.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // DecodeKeywords is the inverse of EncodeKeywords: it recovers the keyword

@@ -190,83 +190,62 @@ func TestValueCmp(t *testing.T) {
 	}
 }
 
-// The scaled keyword coordinate must preserve order: if H(a) < H(b) then
-// KeywordCoord(a) ≤ KeywordCoord(b).
-func TestScaledMonotone(t *testing.T) {
+// MinHash's exact identity: the coordinate of a union is the lesser of the
+// coordinates, the empty set's all ones being the identity — at every
+// width the sort uses and below it.
+func TestKeywordMinHashUnionIsMin(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const w = 128
-		a, b := randSet(rng, w), randSet(rng, w)
-		if EncodeKeywords(a, w).Cmp(EncodeKeywords(b, w)) > 0 {
-			a, b = b, a
+		for _, w := range []int{24, 128, 256} {
+			a, b := randSet(rng, w), randSet(rng, w)
+			for _, nbits := range []uint{1, 16, 32} {
+				if KeywordMinHash(a.Union(b), nbits) != min(KeywordMinHash(a, nbits), KeywordMinHash(b, nbits)) {
+					return false
+				}
+			}
 		}
-		return KeywordCoord(a, w, 16) <= KeywordCoord(b, w, 16)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-}
-
-// scaled is the keyword coordinate as the SRT key once computed it: the top
-// outBits bits of the Value, read bit by bit (missing bits read 0). It is
-// the reference KeywordCoord is held to.
-func scaled(v Value, outBits uint) uint32 {
-	var out uint32
-	for k := 0; k < int(outBits); k++ {
-		out <<= 1
-		if v.Bit(v.w - 1 - k) {
-			out |= 1
-		}
+	if got := KeywordMinHash(kwset.NewSet(128), 16); got != 0xffff {
+		t.Errorf("coordinate of ∅ = %#x, want 0xffff", got)
 	}
-	return out
 }
 
-// TestKeywordCoordMatchesScaled: the SRT key's keyword coordinate, read
-// straight from the set, is the top bits of EncodeKeywords(set, w) at every
-// width from 1 to 300 — below bits, across word boundaries, not multiples
-// of 64 — for empty, full, sparse and dense sets, and for sets wider than w
-// (ids ≥ w are ignored).
-func TestKeywordCoordMatchesScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for w := 1; w <= 300; w++ {
-		sets := []kwset.Set{{}, kwset.NewSet(w)}
-		full := kwset.NewSet(w)
+// Every id moves the coordinate: a singleton's differs from the empty
+// set's. The top 16 bits of H(t.W) did not — at 128 keywords only ids 0 and
+// 113–127 reached them. Distinct singletons also sort apart, bar the few
+// 16-bit collisions the birthday bound allows at 256 ids.
+func TestKeywordMinHashEveryIDMoves(t *testing.T) {
+	for _, w := range []int{24, 128, 256} {
+		empty := KeywordMinHash(kwset.NewSet(w), 16)
+		seen := make(map[uint32]int)
 		for id := 0; id < w; id++ {
-			full.Add(id)
+			c := KeywordMinHash(kwset.SetFromWords(w, id), 16)
+			if c == empty {
+				t.Errorf("w = %d: id %d leaves the coordinate at the empty set's %#x", w, id, c)
+			}
+			seen[c]++
 		}
-		sets = append(sets, full)
-		for trial := 0; trial < 20; trial++ {
-			width := w
-			if trial%5 == 4 {
-				width = w + 1 + rng.Intn(70)
-			}
-			s := kwset.NewSet(width)
-			density := rng.Float64()
-			for id := 0; id < width; id++ {
-				if rng.Float64() < density {
-					s.Add(id)
-				}
-			}
-			sets = append(sets, s)
-		}
-		for _, s := range sets {
-			for _, bits := range []uint{1, 8, 16, 32} {
-				want := scaled(EncodeKeywords(s, w), bits)
-				if got := KeywordCoord(s, w, bits); got != want {
-					t.Fatalf("w = %d, bits = %d, set %v: KeywordCoord %#x, Scaled %#x", w, bits, s, got, want)
-				}
-			}
+		if collided := w - len(seen); collided > w/128 {
+			t.Errorf("w = %d: %d singletons share a coordinate", w, collided)
 		}
 	}
 }
 
-func TestScaledPanicsOnBadBits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bits=0")
-		}
-	}()
-	KeywordCoord(kwset.NewSet(8), 8, 0)
+func TestKeywordMinHashPanicsOnBadBits(t *testing.T) {
+	for _, nbits := range []uint{0, 33} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected a panic for %d bits", nbits)
+				}
+			}()
+			KeywordMinHash(kwset.NewSet(8), nbits)
+		}()
+	}
 }
 
 func TestValueBitOutOfRange(t *testing.T) {

@@ -103,8 +103,19 @@ type FeatureIndex struct {
 	tree *rtree.Tree
 	kind Kind
 	opts Options
-	// hidden is how many indexed features a WithExclude view hides.
+	// hidden is how many indexed features a WithExclude view hides, and
+	// dead which ones.
 	hidden int
+	dead   map[int64]struct{}
+	// acct is the read accumulator of a Session view, nil otherwise.
+	acct *storage.Stats
+	// loc is the part's location layer, shared by every view of it.
+	loc *locLayer
+}
+
+// newFeatureIndex wraps a canonical tree, with an unbuilt location layer.
+func newFeatureIndex(tree *rtree.Tree, kind Kind, opts Options) *FeatureIndex {
+	return &FeatureIndex{tree: tree, kind: kind, opts: opts, loc: newLocLayer(tree, opts.CurveBits)}
 }
 
 // BuildFeatureIndex bulk-loads the features into a fresh index of the
@@ -124,7 +135,7 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	idx := &FeatureIndex{tree: tree, kind: opts.Kind, opts: opts}
+	idx := newFeatureIndex(tree, opts.Kind, opts)
 	items := make([]rtree.Item, len(features))
 	for i, f := range features {
 		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords}
@@ -140,37 +151,46 @@ func (x *FeatureIndex) sortKey() rtree.SortKey {
 	bits := x.opts.CurveBits
 	switch x.kind {
 	case SRT:
-		w := x.opts.VocabWidth
 		return func(it rtree.Item) uint64 {
 			return hilbert.Encode4D(
 				geo.Quantize(it.Location.X, bits),
 				geo.Quantize(it.Location.Y, bits),
 				geo.Quantize(it.Score, bits),
-				hilbert.KeywordCoord(it.Keywords, w, bits),
+				hilbert.KeywordMinHash(it.Keywords, bits),
 				bits,
 			)
 		}
 	default: // IR2
-		return func(it rtree.Item) uint64 {
-			return hilbert.Encode2D(
-				geo.Quantize(it.Location.X, bits),
-				geo.Quantize(it.Location.Y, bits),
-				bits,
-			)
-		}
+		return spatialKey(bits)
+	}
+}
+
+// spatialKey is the 2-D Hilbert order of the item locations: the IR²-tree's,
+// the object tree's and the location layer's bulk-load key.
+func spatialKey(bits uint) rtree.SortKey {
+	return func(it rtree.Item) uint64 {
+		return hilbert.Encode2D(geo.Quantize(it.Location.X, bits), geo.Quantize(it.Location.Y, bits), bits)
 	}
 }
 
 // Insert adds one feature incrementally. Node summaries along the
 // insertion path absorb the feature's score and keywords (the node-update
-// rule of Section 4.2).
+// rule of Section 4.2). It refuses a part whose location layer exists
+// (ErrLocationsBuilt).
 func (x *FeatureIndex) Insert(f Feature) error {
+	if err := x.loc.mutable(); err != nil {
+		return err
+	}
 	return x.tree.Insert(rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords})
 }
 
 // Delete removes the feature with the given id at the given location,
-// reporting whether it was found.
+// reporting whether it was found. Like Insert, it refuses a part whose
+// location layer exists.
 func (x *FeatureIndex) Delete(id int64, loc geo.Point) (bool, error) {
+	if err := x.loc.mutable(); err != nil {
+		return false, err
+	}
 	return x.tree.Delete(id, loc)
 }
 
@@ -179,8 +199,9 @@ func (x *FeatureIndex) Delete(id int64, loc geo.Point) (bool, error) {
 // storage.CowDisk, so Insert/Delete on it rewrite only the touched
 // subtree pages in a private overlay while the original index — and any
 // snapshot pinned to it — keeps reading the original bytes. The clone is
-// a fully independent index once returned; publishing it and dropping
-// the original completes the merge.
+// a fully independent index once returned, with no location layer (the
+// original's would not follow the clone's writes); publishing it and
+// dropping the original completes the merge.
 func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
 	cfg := x.tree.Config()
 	cfg.Disk = storage.NewCowDisk(cfg.Disk)
@@ -188,10 +209,11 @@ func (x *FeatureIndex) BeginMerge() (*FeatureIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := *x
-	c.tree = tree
-	c.opts.Disk = cfg.Disk
-	return &c, nil
+	opts := x.opts
+	opts.Disk = cfg.Disk
+	c := newFeatureIndex(tree, x.kind, opts)
+	c.hidden = x.hidden
+	return c, nil
 }
 
 // WithExclude returns a read view of the index that hides the listed
@@ -206,7 +228,7 @@ func (x *FeatureIndex) WithExclude(dead map[int64]struct{}, hidden int) *Feature
 	}
 	c := *x
 	c.tree = x.tree.WithExclude(dead)
-	c.hidden = hidden
+	c.hidden, c.dead = hidden, dead
 	return &c
 }
 
@@ -231,19 +253,36 @@ func (x *FeatureIndex) Len() int { return x.tree.Len() - x.hidden }
 func (x *FeatureIndex) Session(acct *storage.Stats) *FeatureIndex {
 	c := *x
 	c.tree = x.tree.WithPool(x.tree.Pool().Session(acct))
+	c.acct = acct
 	return &c
 }
 
-// Stats returns the accumulated I/O counters of the index's buffer pool.
-func (x *FeatureIndex) Stats() storage.Stats { return x.tree.Pool().Stats() }
+// Stats returns the accumulated I/O counters of the index's buffer pool
+// and, once built, its location layer's.
+func (x *FeatureIndex) Stats() storage.Stats {
+	s := x.tree.Pool().Stats()
+	s.Add(x.loc.stats())
+	return s
+}
 
-// ResetStats zeroes the I/O counters.
-func (x *FeatureIndex) ResetStats() { x.tree.Pool().ResetStats() }
+// ResetStats zeroes the I/O counters, the location layer's included.
+func (x *FeatureIndex) ResetStats() {
+	x.tree.Pool().ResetStats()
+	if t := x.loc.tree.Load(); t != nil {
+		t.Pool().ResetStats()
+	}
+}
 
-// AttachMetrics aggregates the index's buffer-pool counters into the
-// registry under the given pool name.
+// AttachMetrics aggregates the index's buffer-pool counters, and its
+// location layer's once built, into the registry under the given pool
+// name.
 func (x *FeatureIndex) AttachMetrics(r *obs.Registry, pool string) {
-	x.tree.Pool().SetMetrics(storage.NewPoolMetrics(r, pool))
+	m := storage.NewPoolMetrics(r, pool)
+	x.tree.Pool().SetMetrics(m)
+	x.loc.metrics.Store(m)
+	if t := x.loc.tree.Load(); t != nil {
+		t.Pool().SetMetrics(m)
+	}
 }
 
 // QueryKeywords is the per-feature-set textual part of a query: the
@@ -318,11 +357,7 @@ func BuildObjectIndex(objects []Object, opts Options) (*ObjectIndex, error) {
 	for i, o := range objects {
 		items[i] = rtree.Item{ID: o.ID, Location: o.Location}
 	}
-	bits := opts.CurveBits
-	err = tree.BulkLoad(items, func(it rtree.Item) uint64 {
-		return hilbert.Encode2D(geo.Quantize(it.Location.X, bits), geo.Quantize(it.Location.Y, bits), bits)
-	})
-	if err != nil {
+	if err := tree.BulkLoad(items, spatialKey(opts.CurveBits)); err != nil {
 		return nil, err
 	}
 	return &ObjectIndex{tree: tree}, nil

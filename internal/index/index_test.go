@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -436,5 +437,84 @@ func TestAllRecoversKeywords(t *testing.T) {
 		if !e.Keywords.Equal(want[e.ItemID]) {
 			t.Fatalf("feature %d keywords corrupted", e.ItemID)
 		}
+	}
+}
+
+// A part whose location layer exists refuses Insert and Delete: the layer
+// would go stale. A BeginMerge clone of it starts without one and takes
+// both.
+func TestMutatingABuiltLayerFails(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	feats := randomFeatures(rng, 300, 16)
+	for _, kind := range []Kind{SRT, IR2} {
+		x, err := BuildFeatureIndex(feats, Options{Kind: kind, VocabWidth: 16, PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Insert(feats[0]); err != nil {
+			t.Fatalf("%v: insert before the layer: %v", kind, err)
+		}
+		if _, err := x.Session(&storage.Stats{}).Locations(); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Insert(feats[1]); !errors.Is(err, ErrLocationsBuilt) {
+			t.Errorf("%v: insert after the layer: %v, want ErrLocationsBuilt", kind, err)
+		}
+		if _, err := x.Delete(feats[2].ID, feats[2].Location); !errors.Is(err, ErrLocationsBuilt) {
+			t.Errorf("%v: delete after the layer: %v, want ErrLocationsBuilt", kind, err)
+		}
+		clone, err := x.BeginMerge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found, err := clone.Delete(feats[2].ID, feats[2].Location); err != nil || !found {
+			t.Errorf("%v: delete on the clone: found %v, %v", kind, found, err)
+		}
+		if n := x.LocationBuilds(); n != 1 {
+			t.Errorf("%v: %d layer builds through a session view, want 1", kind, n)
+		}
+	}
+}
+
+// The location layer holds every feature of the part, tombstoned or not,
+// and a view's exclusion and session apply when it is read: a session
+// charges the layer's pages to its accumulator, and the part's Stats count
+// the layer's pool.
+func TestLocationLayerViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	feats := randomFeatures(rng, 500, 16)
+	x, err := BuildFeatureIndex(feats, Options{Kind: SRT, VocabWidth: 16, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := map[int64]struct{}{feats[0].ID: {}, feats[7].ID: {}}
+	var acct storage.Stats
+	loc, err := x.WithExclude(dead, len(dead)).Session(&acct).Locations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := x.Stats()
+	seen := 0
+	err = loc.Leaves(func(v *rtree.PageView) bool {
+		for i := 0; i < v.Len(); i++ {
+			if v.Visible(i) {
+				seen++
+			} else if _, ok := dead[v.ItemID(i)]; !ok {
+				t.Errorf("item %d hidden", v.ItemID(i))
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(feats)-len(dead) {
+		t.Errorf("%d visible locations, want %d", seen, len(feats)-len(dead))
+	}
+	if loc.Len() != len(feats) {
+		t.Errorf("layer holds %d items, want %d", loc.Len(), len(feats))
+	}
+	if d := x.Stats().Sub(before); acct.LogicalReads == 0 || d.LogicalReads != acct.LogicalReads {
+		t.Errorf("session charged %d reads, the part's pools counted %d", acct.LogicalReads, d.LogicalReads)
 	}
 }

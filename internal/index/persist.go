@@ -53,11 +53,8 @@ func OpenFeatureIndex(r io.Reader, meta Meta, bufferPages int) (*FeatureIndex, e
 	if err != nil {
 		return nil, fmt.Errorf("index: open feature index: %w", err)
 	}
-	return &FeatureIndex{
-		tree: tree,
-		kind: meta.Kind,
-		opts: Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages},
-	}, nil
+	opts := Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages}
+	return newFeatureIndex(tree, meta.Kind, opts.withDefaults()), nil
 }
 
 // Save writes the object index's pages to w and returns its Meta.

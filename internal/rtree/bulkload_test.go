@@ -88,11 +88,11 @@ func (t *Tree) referenceBulkLoad(items []Item, key SortKey) error {
 }
 
 // srtKey is the SRT-index's bulk-load key (index.FeatureIndex.sortKey):
-// the 4-D Hilbert index of {x, y, score, Ĥ(keywords)} at order 16.
-func srtKey(width int) SortKey {
+// the 4-D Hilbert index of {x, y, score, MinHash(keywords)} at order 16.
+func srtKey() SortKey {
 	return func(it Item) uint64 {
 		return hilbert.Encode4D(geo.Quantize(it.Location.X, 16), geo.Quantize(it.Location.Y, 16),
-			geo.Quantize(it.Score, 16), hilbert.KeywordCoord(it.Keywords, width, 16), 16)
+			geo.Quantize(it.Score, 16), hilbert.KeywordMinHash(it.Keywords, 16), 16)
 	}
 }
 
@@ -131,10 +131,10 @@ func TestBulkLoadPagesMatchReference(t *testing.T) {
 		cfg  Config
 		key  SortKey
 	}{
-		{"srt", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, srtKey(w)},
+		{"srt", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, srtKey()},
 		{"ir2", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, hilbert2DKey},
 		{"objects", Config{PageSize: 1024}, hilbert2DKey},
-		{"srt-fill", Config{PageSize: 1024, KeywordWidth: w, WithScore: true, FillFactor: 0.7}, srtKey(w)},
+		{"srt-fill", Config{PageSize: 1024, KeywordWidth: w, WithScore: true, FillFactor: 0.7}, srtKey()},
 		{"equal-keys", Config{PageSize: 1024}, func(Item) uint64 { return 0x0123456789abcdef }},
 		{"top-byte", Config{PageSize: 1024}, func(it Item) uint64 { return uint64(it.ID*2654435761%5)<<56 | 0xabcdef }},
 	}
