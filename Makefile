@@ -90,10 +90,12 @@ bench-smoke:
 # set-up every workload pays before its first query), the 2-D and 4-D
 # Hilbert keys it sorts by, the feature stream's page kernel,
 # BenchmarkPageScan, in ns per slot, and the NN variant's polygon search,
-# BenchmarkSearchPolygon, in ns per search, and one Voronoi cell built from
+# BenchmarkSearchPolygon, in ns per search, one Voronoi cell built from
 # the location layer with an empty cell store, BenchmarkVoronoiCellCold, in
-# ns and reads per cell (those five at the default benchtime: a key, a slot,
-# a search or a cell takes nanoseconds to microseconds). Run once on the base
+# ns and reads per cell, and 5,000 inserts into a bulk-loaded 20 K-item
+# tree, BenchmarkInsert, with their bytes and allocations (those six at the
+# default benchtime: a key, a slot, a search or a cell takes nanoseconds to
+# microseconds, the inserts a quarter second). Run once on the base
 # commit (`make bench-compare BENCH_OUT=old.txt`), once on the change
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
@@ -102,7 +104,7 @@ BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
 	$(GO) test -run NONE -bench 'BenchmarkFig7$$|BenchmarkFig7Cold/a_features=10000|BenchmarkFig10/a_features=10000|BenchmarkAblationVoronoiCache/one-engine|BenchmarkBuild' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
-	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan|BenchmarkSearchPolygon|BenchmarkVoronoiCellCold' -benchmem -count 5 ./internal/hilbert/ ./internal/rtree/ ./internal/core/ | tee -a $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkEncode(2|4)D|BenchmarkPageScan|BenchmarkSearchPolygon|BenchmarkVoronoiCellCold|BenchmarkInsert' -benchmem -count 5 ./internal/hilbert/ ./internal/rtree/ ./internal/core/ | tee -a $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \
@@ -126,7 +128,9 @@ experiments:
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard, the
 # buffer-pool hit path and a miss on a full pool must stay allocation-free,
 # a warm R-tree search over page views must not allocate per node
-# (internal/rtree), a cold range query must not allocate per miss,
+# (internal/rtree), an Insert into a bulk-loaded 20 K-item tree must stay
+# within 20 allocations (internal/rtree, TestAllocsInsert), a cold range
+# query must not allocate per miss,
 # steady-state top-k queries must stay under their documented budgets
 # (internal/core), the unsampled event-log record
 # path must stay within one allocation per query (internal/obs), the

@@ -196,8 +196,10 @@ func (db *DB) partialMergeLocked(net *ingest.Net) error {
 // ascending id order for determinism. Deletes need the base location of
 // each id (rtree.Delete is location-keyed); ids absent from the location
 // maps were never in the base and have nothing to delete. Every feature
-// insert runs the Section 4.2 decode→OR→encode node-update rule along its
-// insertion path. The pacer, when non-nil, throttles background work.
+// insert refolds the nodes along its insertion path, so their summaries
+// take in the feature: Section 4.2's decode→OR→encode of H(e.W) is
+// e.W ∪= t.W on the bitmaps our nodes store. The pacer, when non-nil,
+// throttles background work.
 func applyNetOps(oidx *index.ObjectIndex, fidxs []*index.FeatureIndex, net *ingest.Net,
 	objLoc map[int64]geo.Point, featLoc []map[int64]geo.Point, p *ingest.Pacer) error {
 	for _, id := range sortedIDs(net.DeadObj) {

@@ -1,20 +1,16 @@
-// Package hilbert implements the two Hilbert-curve constructions used by
-// the stpq library.
+// Package hilbert implements the Hilbert-curve sort keys of the stpq
+// library's bulk loaders.
 //
-// The first is a general n-dimensional Hilbert curve (Skilling's
-// transformation) over quantized integer coordinates. The SRT-index bulk
-// loader sorts feature objects by the Hilbert index of their mapped 4-D
-// point {x, y, t.s, Ĥ(t.W)} (paper Section 4.2 with Hilbert bulk insertion
-// [Kamel & Faloutsos]); the plain R-tree and IR²-tree bulk loaders use the
-// 2-D specialization.
-//
-// The second is the keyword mapping H(t.W) of Section 4.2: the order-1
-// Hilbert curve through the vertices of the w-dimensional unit hypercube,
-// which linearizes keyword bitvectors so that consecutive values differ in
-// exactly one keyword (a Gray-code walk). Encode/Decode work directly on
-// bitsets, so vocabularies of hundreds of keywords need no big-integer
-// arithmetic. For w=3 the ordering reproduces the paper's Figure 5
-// (000, 010, 011, 001, 101, 111, 110, 100) exactly.
+// The construction is the n-dimensional Hilbert curve (Skilling's
+// transformation) over quantized integer coordinates. Encode and Decode run
+// it for any dimension and stay as the reference the fast paths are tested
+// against: Encode2D and Encode4D walk the same transform as a Mealy
+// automaton, one bit column per level. The plain R-tree and IR²-tree bulk
+// loaders sort by the 2-D key; the SRT-index bulk loader sorts feature
+// objects by the 4-D key of {x, y, t.s, KeywordMinHash(t.W)} (paper
+// Section 4.2 with Hilbert bulk insertion [Kamel & Faloutsos]), where
+// KeywordMinHash is the keyword coordinate that stands in for the paper's
+// keyword Hilbert value H(t.W) (DESIGN.md §4).
 package hilbert
 
 // Encode returns the Hilbert index of the point with the given coordinates
@@ -119,7 +115,7 @@ func Encode2D(x, y uint32, bits uint) uint64 {
 }
 
 // Encode4D returns the Hilbert index of a point of the mapped 4-D space
-// {x, y, score, keywordHilbert} used by the SRT-index bulk loader, on the
+// {x, y, score, keyword coordinate} used by the SRT-index bulk loader, on the
 // curve of order `bits` (at most 16).
 func Encode4D(x, y, s, kw uint32, bits uint) uint64 {
 	return walk(automaton4, spread4(x)<<3|spread4(y)<<2|spread4(s)<<1|spread4(kw), 4, bits)

@@ -10,9 +10,15 @@
 //
 //	ŝ(e) = (1−λ)·e.s + λ·|e.W ∩ W| / |W|  ≥  s(t) for every t below e.
 //
+// The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
+// on insert by decode → OR → encode; our nodes store the bitmap e.W, so
+// the rule is e.W ∪= t.W, applied by refolding every node a build, an
+// Insert or a Delete writes.
+//
 // They differ only in how leaf entries are clustered at build time:
 //
-//   - SRT packs features in 4-D Hilbert order of {x, y, t.s, H(t.W)}, so
+//   - SRT packs features in 4-D Hilbert order of {x, y, t.s, k}, where
+//     k = hilbert.KeywordMinHash(t.W) stands in for the paper's H(t.W), so
 //     nodes group features that are close in space, in quality AND in
 //     textual description — which tightens ŝ(e).
 //   - IR² packs features in 2-D Hilbert order of {x, y} only (the
@@ -173,10 +179,11 @@ func spatialKey(bits uint) rtree.SortKey {
 	}
 }
 
-// Insert adds one feature incrementally. Node summaries along the
-// insertion path absorb the feature's score and keywords (the node-update
-// rule of Section 4.2). It refuses a part whose location layer exists
-// (ErrLocationsBuilt).
+// Insert adds one feature incrementally. Every node along the insertion
+// path is refolded from its entries, so its score bound and keyword
+// summary take in the feature's: Section 4.2's decode → OR → encode of
+// H(e.W) is e.W ∪= t.W on the bitmaps our nodes store. It refuses a part
+// whose location layer exists (ErrLocationsBuilt).
 func (x *FeatureIndex) Insert(f Feature) error {
 	if err := x.loc.mutable(); err != nil {
 		return err

@@ -411,17 +411,6 @@ func (s Set) Jaccard(t Set) float64 {
 	return float64(inter) / float64(union)
 }
 
-// ContainmentBound returns |s ∩ q| / |q|, the upper bound ŝ textual factor
-// from Section 4.2: for any feature set f ⊆ s, Jaccard(f, q) ≤ |s∩q|/|q|.
-// It returns 0 when q is empty.
-func (s Set) ContainmentBound(q Set) float64 {
-	qc := q.Count()
-	if qc == 0 {
-		return 0
-	}
-	return float64(s.IntersectCount(q)) / float64(qc)
-}
-
 // ForEach calls fn for each keyword id in ascending order.
 func (s Set) ForEach(fn func(id int)) {
 	for i, word := range s.bits {

@@ -164,34 +164,6 @@ func TestJaccardPaperExample(t *testing.T) {
 	}
 }
 
-// ContainmentBound must upper-bound the Jaccard similarity of any subset —
-// the ŝ(e) ≥ s(t) contract of Section 4.1/4.2.
-func TestContainmentBoundProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const w = 96
-		q := randomSet(rng, w, 5)
-		node := NewSet(w)
-		// node summary = union of a few member sets
-		members := make([]Set, 0, 4)
-		for i := 0; i < 4; i++ {
-			m := randomSet(rng, w, 6)
-			members = append(members, m)
-			node.UnionInPlace(m)
-		}
-		bound := node.ContainmentBound(q)
-		for _, m := range members {
-			if m.Jaccard(q) > bound+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Jaccard is symmetric and bounded in [0,1].
 func TestJaccardProperties(t *testing.T) {
 	f := func(seed int64) bool {
@@ -262,13 +234,6 @@ func TestSetString(t *testing.T) {
 	s := SetFromWords(16, 3, 1)
 	if got := s.String(); got != "kwset[1 3]" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestContainmentBoundEmptyQuery(t *testing.T) {
-	s := SetFromWords(16, 1, 2)
-	if got := s.ContainmentBound(NewSet(16)); got != 0 {
-		t.Errorf("empty query bound = %v, want 0", got)
 	}
 }
 

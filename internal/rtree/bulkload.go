@@ -9,15 +9,14 @@ import (
 var ErrNotEmpty = errors.New("rtree: bulk load requires an empty tree")
 
 // SortKey orders items during bulk loading. The SRT-index supplies a 4-D
-// Hilbert key over {x, y, score, H(keywords)}; the IR²-tree and the plain
-// object R-tree supply a 2-D spatial Hilbert key. Equal keys keep input
-// order (stable sort).
+// Hilbert key over {x, y, score, KeywordMinHash(keywords)}; the IR²-tree
+// and the plain object R-tree supply a 2-D spatial Hilbert key. Equal keys
+// keep input order (stable sort).
 type SortKey func(Item) uint64
 
 // BulkLoad builds the tree bottom-up from items sorted by key, packing
-// nodes to the configured fill factor — the Hilbert-packing bulk insertion
-// of Kamel & Faloutsos the paper uses (Section 4.2). The tree must be
-// empty.
+// every node full — the Hilbert-packing bulk insertion of Kamel & Faloutsos
+// the paper uses (Section 4.2). The tree must be empty.
 func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	if t.size != 0 {
 		return ErrNotEmpty
@@ -34,8 +33,7 @@ func (t *Tree) BulkLoad(items []Item, key SortKey) error {
 	}
 	order = radixSort(order, make([]keyed, len(order)))
 
-	leafFill := fill(t.layout(true).capacity, t.cfg.FillFactor)
-	innerFill := fill(t.layout(false).capacity, t.cfg.FillFactor)
+	leafFill, innerFill := t.layout(true).capacity, t.layout(false).capacity
 
 	// Level 0: pack leaf nodes straight from items through one entry
 	// buffer; writeNode copies what it keeps into the page image.
@@ -119,16 +117,4 @@ func radixSort(a, buf []keyed) []keyed {
 		a, buf = buf, a
 	}
 	return a
-}
-
-// fill converts a capacity and fill factor into a per-node packing count.
-func fill(capacity int, factor float64) int {
-	n := int(float64(capacity) * factor)
-	if n < 2 {
-		n = 2
-	}
-	if n > capacity {
-		n = capacity
-	}
-	return n
 }

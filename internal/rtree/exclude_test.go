@@ -89,49 +89,6 @@ func TestWithExcludeHidesItems(t *testing.T) {
 	}
 }
 
-// The no-split insert path maintains parent aggregates by absorbing the
-// inserted entry (decode→OR→encode for keywords); the result must be
-// indistinguishable from a full per-node re-fold — CheckInvariants verifies
-// containment, and a reference fold verifies tightness at the root.
-func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: 64, WithScore: true})
-	items := randomItems(rng, 600, 64)
-	for i, it := range items {
-		if err := tr.Insert(it); err != nil {
-			t.Fatal(err)
-		}
-		if i%97 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Root summary must be exactly the fold of all items, not merely a
-	// superset: absorb keeps aggregates tight.
-	root, err := tr.RootEntry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKW := items[0].Keywords.Clone()
-	wantScore := items[0].Score
-	for _, it := range items[1:] {
-		wantKW.UnionInPlace(it.Keywords)
-		if it.Score > wantScore {
-			wantScore = it.Score
-		}
-	}
-	if !root.Keywords.Equal(wantKW) {
-		t.Error("root keyword summary is not the exact union of item keywords")
-	}
-	if root.Score != wantScore {
-		t.Errorf("root score = %v, want %v", root.Score, wantScore)
-	}
-}
-
 // A dead id is surfaced by no reader of a WithExclude view — the page
 // view's accessors and Entry, the private decode of Tree.Node, and every
 // traversal built on them — and hiding it writes nothing: every page image

@@ -3,16 +3,18 @@ package rtree
 import (
 	"fmt"
 
-	"stpq/internal/hilbert"
 	"stpq/internal/storage"
 )
 
 // Insert adds one item to the tree using the classic Guttman insertion
 // with quadratic node splitting. Bulk loading is preferred for building
 // indexes (and is what the paper's experiments use); Insert supports
-// incremental maintenance and exercises the aggregate-update rule of
-// Section 4.2 — a node's score bound and keyword summary absorb every new
-// descendant.
+// incremental maintenance. Every node it writes back is refolded from its
+// entries (entryAggregate), as Delete and the bulk load do, so each
+// ancestor's MBR, score bound and keyword summary cover the new item. The
+// paper's SRT (Section 4.2) stores the Hilbert value H(e.W) in a node and
+// updates it by decode → OR → encode; our nodes store the bitmap e.W, so
+// the rule is e.W ∪= t.W.
 func (t *Tree) Insert(it Item) error {
 	split, rootEntry, err := t.insertAt(t.root, 1, t.entryOf(it))
 	if err != nil {
@@ -40,13 +42,10 @@ func (t *Tree) insertAt(pid storagePage, d int, e Entry) (split *Entry, self *En
 	if err != nil {
 		return nil, nil, err
 	}
-	// The pre-insert aggregate: when the node does not split, its new
-	// summary is this entry absorbing e via the Section 4.2 update rule.
-	prev := t.entryAggregate(pid, n)
 	if d == t.height {
 		// Leaf level: place the entry here.
 		n.Entries = append(n.Entries, e)
-		return t.finishInsert(pid, n, prev, e)
+		return t.finishInsert(pid, n)
 	}
 	child := t.chooseSubtree(n, e)
 	childSplit, childSelf, err := t.insertAt(n.Entries[child].Child, d+1, e)
@@ -57,38 +56,18 @@ func (t *Tree) insertAt(pid storagePage, d int, e Entry) (split *Entry, self *En
 	if childSplit != nil {
 		n.Entries = append(n.Entries, *childSplit)
 	}
-	return t.finishInsert(pid, n, prev, e)
-}
-
-// absorb folds the newly inserted entry into a node's previous aggregate
-// without re-scanning the node: rect union, score max, and — for the
-// keyword summary — the paper's decode→OR→encode node-update rule of
-// Section 4.2, routed through the Hilbert value domain exactly as the SRT
-// maintains e.W online.
-func (t *Tree) absorb(prev, inserted Entry) Entry {
-	out := prev
-	out.Rect = prev.Rect.Union(inserted.Rect)
-	if inserted.Score > out.Score {
-		out.Score = inserted.Score
-	}
-	if t.cfg.KeywordWidth > 0 {
-		out.Keywords = hilbert.NodeUpdateKeywords(prev.Keywords, inserted.Keywords, t.cfg.KeywordWidth)
-	}
-	return out
+	return t.finishInsert(pid, n)
 }
 
 // finishInsert writes n back (splitting on overflow) and returns the new
-// sibling entry (if any) and the aggregate entry for pid. prev is the
-// node's pre-insert aggregate and inserted the new descendant entry; on
-// the no-split path the refreshed aggregate is prev absorbing inserted
-// (the paper's online node-update rule) rather than a full re-fold.
-func (t *Tree) finishInsert(pid storagePage, n *Node, prev, inserted Entry) (*Entry, *Entry, error) {
+// sibling entry (if any) and the aggregate entry for pid, each the fold of
+// its node's entries (entryAggregate), as after a Delete or a bulk load.
+func (t *Tree) finishInsert(pid storagePage, n *Node) (*Entry, *Entry, error) {
 	if len(n.Entries) <= t.layout(n.Leaf).capacity {
 		if err := t.updateNode(pid, n); err != nil {
 			return nil, nil, err
 		}
-		agg := t.absorb(prev, inserted)
-		agg.Child = pid
+		agg := t.entryAggregate(pid, n)
 		return nil, &agg, nil
 	}
 	t.splits++

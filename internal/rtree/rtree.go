@@ -43,10 +43,6 @@ type Config struct {
 	// Disk optionally supplies the backing store; by default an in-memory
 	// disk is created.
 	Disk storage.Disk
-	// FillFactor is the fraction of node capacity used during bulk
-	// loading, in (0,1]. Defaults to 1 (fully packed nodes, as in Hilbert
-	// bulk loading).
-	FillFactor float64
 }
 
 // DefaultBufferPages is the default buffer-pool capacity (4 MiB of 4 KiB
@@ -142,9 +138,6 @@ func New(cfg Config) (*Tree, error) {
 func newTree(cfg Config) (*Tree, error) {
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = DefaultBufferPages
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		cfg.FillFactor = 1
 	}
 	t := &Tree{
 		cfg:     cfg,

@@ -137,6 +137,10 @@ type Config struct {
 	// (default 1024): how many pages the I/O model treats as resident, so
 	// what a read counts as a hit or a miss. It does not bound memory; the
 	// pages live in memory either way, and a frame holds the disk's image.
+	// A part's location layer, built at its first NN query, is an index
+	// too and gets a pool of this size beside the part's own, so an NN
+	// query can hold up to twice the pages a range query does; Voronoi
+	// I/O reflects that, logical reads do not.
 	BufferPages int
 	// ShardCount > 1 lays the data out in that many spatial cells, each an
 	// index part of its own (page files, buffer pool, metrics) under the one
