@@ -42,6 +42,9 @@ type featureStream struct {
 	exhausted bool
 	// stats receives the pages the stream expands, leaf and internal.
 	stats *Stats
+	// pairs are the query's keyword pairs, which cap an inner slot's
+	// keyword count against its pair signature (rtree.PageView.PairCap).
+	pairs []rtree.Pair
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -125,6 +128,7 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return
 	}
+	s.pairs = rtree.AppendPairs(s.pairs[:0], q.Set.WordsBits())
 	for pi, part := range g.Parts() {
 		if part.Len() > 0 {
 			s.heap.push(rootCandidate(part.Tree(), pi, math.Inf(1)))
@@ -171,6 +175,11 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 				w, ok = s.lens.admit(&rect, leaf)
 			}
 			if ok {
+				if !leaf && inter >= 2 {
+					// No feature below holds more query keywords than
+					// its pairs in the slot's signature allow.
+					inter = page.PairCap(i, s.pairs, inter)
+				}
 				s.heap.push(slotCandidate(&page, i, int(it.part), s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)*w))
 			}
 		}

@@ -98,19 +98,45 @@ import (
 // feature's score and keywords), and a tree that clusters by keyword keeps
 // less of a neighbourhood in one leaf. The third stds/range and
 // stds/influence queries rise for the same reason. Every STPS row falls.
+//
+// Every row was re-recorded when every inner slot of a feature tree began
+// to carry a 512-bit signature of the keyword pairs that occur together in
+// one feature below it, and the feature stream to cap a slot's count of
+// query keywords by it (rtree.PageView.PairCap). The signature grows an
+// inner slot of these 24-keyword trees from 52 to 116 bytes, so a 1 KiB
+// inner page holds 8 slots instead of 19 and every walk that does not
+// prune on keywords reads more: both stds/nearest-neighbor rows, whose
+// computeNNScore walks the feature tree nearest first, rise by 1.4–4.4 %.
+// The cap prunes what the narrower pages cost elsewhere, most on the third
+// queries (SRT/stds/range 2184 → 1985, IR2/stps/range 122 → 72); the first
+// stds/range queries and some stps/influence ones rise. Before → after,
+// L/P/E:
+//
+//	SRT/stds/range             1365/129/36 1302/168/165 2184/644/644 → 1428/134/38 1364/238/238 1985/494/494
+//	SRT/stds/influence         38615/206/113 32345/191/188 68096/1819/1819 → 39733/220/124 33336/267/267 59791/1004/1004
+//	SRT/stds/nearest-neighbor  38898/250/154 31608/221/221 34455/220/220 → 40609/289/193 33072/254/254 35990/258/258
+//	SRT/stps/range             55/55/0 67/36/19 83/49/39 → 58/58/0 67/33/17 55/23/15
+//	SRT/stps/influence         199/92/23 118/77/57 212/127/124 → 199/92/20 124/76/59 218/135/132
+//	SRT/stps/nearest-neighbor  2354/425/268 1614/266/263 2334/394/394 → 2362/433/273 1622/282/282 2342/404/404
+//	IR2/stds/range             1668/247/151 1082/179/179 1451/206/206 → 1748/285/189 1154/197/197 1516/235/235
+//	IR2/stds/influence         36433/222/126 26355/218/218 44720/270/270 → 36055/237/141 25574/228/228 34835/246/246
+//	IR2/stds/nearest-neighbor  12544/204/108 10235/182/182 11103/183/183 → 12753/217/121 10379/193/193 11368/196/196
+//	IR2/stps/range             134/134/60 136/128/122 122/113/111 → 132/132/58 135/128/122 72/65/63
+//	IR2/stps/influence         254/147/61 156/127/124 219/136/133 → 262/155/69 164/137/134 227/145/142
+//	IR2/stps/nearest-neighbor  2381/452/292 1645/301/301 2337/398/398 → 2389/460/300 1653/311/311 2345/407/407
 var goldenReads = map[string]string{
-	"SRT/stds/range":            "1365/129/36 1302/168/165 2184/644/644",
-	"SRT/stds/influence":        "38615/206/113 32345/191/188 68096/1819/1819",
-	"SRT/stds/nearest-neighbor": "38898/250/154 31608/221/221 34455/220/220",
-	"SRT/stps/range":            "55/55/0 67/36/19 83/49/39",
-	"SRT/stps/influence":        "199/92/23 118/77/57 212/127/124",
-	"SRT/stps/nearest-neighbor": "2354/425/268 1614/266/263 2334/394/394",
-	"IR2/stds/range":            "1668/247/151 1082/179/179 1451/206/206",
-	"IR2/stds/influence":        "36433/222/126 26355/218/218 44720/270/270",
-	"IR2/stds/nearest-neighbor": "12544/204/108 10235/182/182 11103/183/183",
-	"IR2/stps/range":            "134/134/60 136/128/122 122/113/111",
-	"IR2/stps/influence":        "254/147/61 156/127/124 219/136/133",
-	"IR2/stps/nearest-neighbor": "2381/452/292 1645/301/301 2337/398/398",
+	"SRT/stds/range":            "1428/134/38 1364/238/238 1985/494/494",
+	"SRT/stds/influence":        "39733/220/124 33336/267/267 59791/1004/1004",
+	"SRT/stds/nearest-neighbor": "40609/289/193 33072/254/254 35990/258/258",
+	"SRT/stps/range":            "58/58/0 67/33/17 55/23/15",
+	"SRT/stps/influence":        "199/92/20 124/76/59 218/135/132",
+	"SRT/stps/nearest-neighbor": "2362/433/273 1622/282/282 2342/404/404",
+	"IR2/stds/range":            "1748/285/189 1154/197/197 1516/235/235",
+	"IR2/stds/influence":        "36055/237/141 25574/228/228 34835/246/246",
+	"IR2/stds/nearest-neighbor": "12753/217/121 10379/193/193 11368/196/196",
+	"IR2/stps/range":            "132/132/58 135/128/122 72/65/63",
+	"IR2/stps/influence":        "262/155/69 164/137/134 227/145/142",
+	"IR2/stps/nearest-neighbor": "2389/460/300 1653/311/311 2345/407/407",
 }
 
 func TestReadCountsGolden(t *testing.T) {

@@ -22,18 +22,8 @@ func KeywordMinHash(set kwset.Set, nbits uint) uint32 {
 	least := ^uint64(0)
 	for i, word := range set.WordsBits() {
 		for ; word != 0; word &= word - 1 {
-			least = min(least, splitmix64(uint64(i*64+bits.TrailingZeros64(word))))
+			least = min(least, kwset.Splitmix64(uint64(i*64+bits.TrailingZeros64(word))))
 		}
 	}
 	return uint32(least >> (64 - nbits))
-}
-
-// splitmix64 is the finalizer of Steele, Lea and Flood's SplitMix64
-// generator (its state step included): a fixed bijection on 64-bit words
-// whose outputs for consecutive inputs look independent.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -10,6 +10,12 @@
 //
 //	ŝ(e) = (1−λ)·e.s + λ·|e.W ∩ W| / |W|  ≥  s(t) for every t below e.
 //
+// Every internal entry of a feature tree also carries a signature of the
+// keyword pairs that occur together in one feature below it
+// (rtree.PairSig), and the feature stream prices |e.W ∩ W| capped at the
+// most query keywords those pairs allow one feature to hold
+// (rtree.PageView.PairCap) — a deviation that only tightens the bound.
+//
 // The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
 // on insert by decode → OR → encode; our nodes store the bitmap e.W, so
 // the rule is e.W ∪= t.W, applied by refolding every node a build, an
@@ -135,6 +141,7 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 		PageSize:     opts.PageSize,
 		KeywordWidth: opts.VocabWidth,
 		WithScore:    true,
+		PairBits:     rtree.PairSigBits,
 		BufferPages:  opts.BufferPages,
 		Disk:         opts.Disk,
 	})

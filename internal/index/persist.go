@@ -13,13 +13,18 @@ import (
 // Persistence: a built index is saved as its page dump plus a small Meta
 // record.
 
-// Meta is the out-of-page state of a feature or object index.
+// Meta is the out-of-page state of a feature or object index. PairBits is
+// the width of the keyword-pair signature on the feature tree's inner
+// slots (rtree.Config.PairBits): a dump written before the signature
+// existed has none, so it reopens with the layout it was written in, and
+// its queries price nodes with the bound they had then.
 type Meta struct {
 	Tree       rtree.Meta `json:"tree"`
 	Kind       Kind       `json:"kind"`
 	VocabWidth int        `json:"vocabWidth"`
 	PageSize   int        `json:"pageSize"`
 	WithScore  bool       `json:"withScore"`
+	PairBits   int        `json:"pairBits,omitempty"`
 }
 
 // Save writes the index's pages to w and returns its Meta.
@@ -33,6 +38,7 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 		VocabWidth: x.opts.VocabWidth,
 		PageSize:   x.tree.Config().PageSize,
 		WithScore:  true,
+		PairBits:   x.tree.Config().PairBits,
 	}, nil
 }
 
@@ -47,6 +53,7 @@ func OpenFeatureIndex(r io.Reader, meta Meta, bufferPages int) (*FeatureIndex, e
 		PageSize:     meta.PageSize,
 		KeywordWidth: meta.VocabWidth,
 		WithScore:    true,
+		PairBits:     meta.PairBits,
 		BufferPages:  bufferPages,
 		Disk:         disk,
 	}, meta.Tree)

@@ -23,7 +23,7 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Kind != SRT || meta.VocabWidth != 32 || meta.PageSize != 512 {
+	if meta.Kind != SRT || meta.VocabWidth != 32 || meta.PageSize != 512 || meta.PairBits != rtree.PairSigBits {
 		t.Fatalf("meta = %+v", meta)
 	}
 	reopened, err := OpenFeatureIndex(&buf, meta, 64)

@@ -1,12 +1,16 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"stpq/internal/geo"
 	"stpq/internal/kwset"
+	"stpq/internal/rtree"
+	"stpq/internal/storage"
 )
 
 // simOf and nodeBoundOf price sets through the count functions, as an
@@ -109,6 +113,94 @@ func TestNodeBoundDominatesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The pair cap keeps the node bound sound: on random SRT and IR² trees,
+// at every internal slot and under every measure, the slot priced with its
+// query-keyword count capped by rtree.PageView.PairCap is at least the
+// best score of any feature below it. Small vocabularies and features of
+// up to five keywords make queries meet many pairs, and λ = 1 among the
+// weights leaves the keyword term alone to carry the bound. The test fails
+// if the cap tightened no slot, for then it would show nothing.
+func TestPairCapBoundDominatesProperty(t *testing.T) {
+	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
+	slots, capped := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := 8 + rng.Intn(24)
+		features := make([]Feature, 300+rng.Intn(300))
+		for i := range features {
+			kw := kwset.NewSet(w)
+			for j := 0; j < 1+rng.Intn(5); j++ {
+				kw.Add(rng.Intn(w))
+			}
+			features[i] = Feature{ID: int64(i), Location: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Score: rng.Float64(), Keywords: kw}
+		}
+		kind := []Kind{SRT, IR2}[rng.Intn(2)]
+		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: w, PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 8; trial++ {
+			q := kwset.NewSet(w)
+			for j := 0; j < 2+rng.Intn(4); j++ {
+				q.Add(rng.Intn(w))
+			}
+			pairs := rtree.AppendPairs(nil, q.WordsBits())
+			lambda := []float64{1, 0.5, rng.Float64()}[rng.Intn(3)]
+			for _, sim := range measures {
+				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
+				if _, err := capWalk(idx.Tree(), idx.Tree().Root(), &qk, pairs, &slots, &capped); err != nil {
+					t.Logf("seed %d, %v, %v, λ = %v: %v", seed, kind, sim, lambda, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("the cap tightened %d of %d internal slots", capped, slots)
+	if capped == 0 {
+		t.Fatal("the cap tightened no slot: the test shows nothing")
+	}
+}
+
+// capWalk returns the best score of any feature below page pid, or an
+// error at the first internal slot whose capped price is below the best
+// score below it. It counts the internal slots it prices and those the
+// cap tightened.
+func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, pairs []rtree.Pair, slots, capped *int) (float64, error) {
+	v, err := tr.View(pid)
+	if err != nil {
+		return 0, err
+	}
+	best := 0.0
+	var arena []uint64
+	for i := 0; i < v.Len(); i++ {
+		var e rtree.Entry
+		arena = arena[:0]
+		v.Entry(i, &e, &arena)
+		if e.Leaf {
+			best = math.Max(best, q.Score(&e))
+			continue
+		}
+		below, err := capWalk(tr, e.Child, q, pairs, slots, capped)
+		if err != nil {
+			return 0, err
+		}
+		inter := e.Keywords.IntersectCount(q.Set)
+		c := v.PairCap(i, pairs, inter)
+		if *slots++; c < inter {
+			*capped++
+		}
+		if price := q.BoundCounts(e.Score, false, c, e.Keywords.Count(), q.Set.Count()); price < below-1e-12 {
+			return 0, fmt.Errorf("page %d slot %d: priced %v at %d of %d query keywords, a feature below scores %v", pid, i, price, c, inter, below)
+		}
+		best = math.Max(best, below)
+	}
+	return best, nil
 }
 
 // All measures are bounded in [0,1] and positive exactly when the sets

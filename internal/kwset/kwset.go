@@ -476,3 +476,16 @@ func (s Set) String() string {
 	sort.Ints(ids)
 	return fmt.Sprintf("kwset%v", ids)
 }
+
+// Splitmix64 is the finalizer of Steele, Lea and Flood's SplitMix64
+// generator (its state step included): a fixed bijection on 64-bit words
+// whose outputs for consecutive inputs look independent. It is the one
+// hash of keyword ids: the SRT's MinHash sort coordinate
+// (hilbert.KeywordMinHash) and the keyword-pair signatures of the R-tree's
+// internal slots both draw on it, so page images reproduce.
+func Splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}

@@ -11,9 +11,12 @@ import (
 )
 
 // assertFolded fails unless every internal entry of tr is the exact fold of
-// its child node — the MBR of the child's entries, their greatest score and
-// the union of their keywords — and not merely a cover of them. The fold is
-// computed here, apart from entryAggregate, so a fault in that rule shows.
+// its child node — the MBR of the child's entries, their greatest score,
+// the union of their keywords and, on a tree with signatures, the union of
+// the child's pair signatures or, over a leaf, the bits of every pair of
+// keywords one of its items holds — and not merely a cover of them. The
+// fold is computed here, apart from entryAggregate, so a fault in that rule
+// shows.
 func assertFolded(t *testing.T, tr *Tree) {
 	t.Helper()
 	for _, id := range pageIDs(t, tr) {
@@ -31,27 +34,61 @@ func assertFolded(t *testing.T, tr *Tree) {
 				t.Fatal(err)
 			}
 			rect, score, kw := geo.EmptyRect(), 0.0, kwset.NewSet(tr.cfg.KeywordWidth)
+			var pairs PairSig
 			for _, c := range child.Entries {
 				rect = rect.Union(c.Rect)
 				score = math.Max(score, c.Score)
 				kw.UnionInPlace(c.Keywords)
+				pairs = orSig(pairs, refPairs(&c))
 			}
 			if e.Rect != rect || e.Score != score || !e.Keywords.Equal(kw) {
 				t.Fatalf("node %d entry %d: (%v, %v, %v), the fold of child %d is (%v, %v, %v)",
 					id, i, e.Rect, e.Score, e.Keywords, e.Child, rect, score, kw)
 			}
+			if (e.Pairs != nil) != (tr.cfg.PairBits > 0) || e.Pairs != nil && *e.Pairs != pairs {
+				t.Fatalf("node %d entry %d: pair signature %x, the fold of child %d is %x", id, i, e.Pairs, e.Child, pairs)
+			}
 		}
 	}
+}
+
+// refPairs is what a decoded entry folds into its parent's pair signature,
+// computed apart from PairSig.addSet: the bits of every pair a < b of a
+// leaf's keywords, an internal entry's signature.
+func refPairs(e *Entry) PairSig {
+	var s PairSig
+	if !e.Leaf {
+		if e.Pairs != nil {
+			s = *e.Pairs
+		}
+		return s
+	}
+	ids := e.Keywords.IDs()
+	for x, a := range ids {
+		for _, b := range ids[x+1:] {
+			bit := pairBit(a, b)
+			s[bit/64] |= 1 << (bit % 64)
+		}
+	}
+	return s
+}
+
+// orSig returns a ∪ b.
+func orSig(a, b PairSig) PairSig {
+	for i := range a {
+		a[i] |= b[i]
+	}
+	return a
 }
 
 // Insert refolds every node it writes back, as Delete does: after 600
 // inserts into an empty tree, and again after a third of the items are
 // deleted, CheckInvariants holds and every internal entry is the exact fold
-// of its child (assertFolded), the root's keyword summary and score
-// included.
+// of its child (assertFolded), the root's keyword summary, pair signature
+// and score included.
 func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: 64, WithScore: true})
+	tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: 64, WithScore: true, PairBits: PairSigBits})
 	items := randomItems(rng, 600, 64)
 	check := func(stage string, live []Item) {
 		t.Helper()
@@ -64,12 +101,17 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantKW, wantScore := kwset.NewSet(64), 0.0
+		var wantPairs PairSig
 		for _, it := range live {
 			wantKW.UnionInPlace(it.Keywords)
 			wantScore = math.Max(wantScore, it.Score)
+			wantPairs = orSig(wantPairs, refPairs(&Entry{Leaf: true, Keywords: it.Keywords}))
 		}
 		if !root.Keywords.Equal(wantKW) {
 			t.Errorf("%s: root keyword summary is not the exact union of item keywords", stage)
+		}
+		if *root.Pairs != wantPairs {
+			t.Errorf("%s: root pair signature is not the exact fold of the items' keyword pairs", stage)
 		}
 		if root.Score != wantScore {
 			t.Errorf("%s: root score = %v, want %v", stage, root.Score, wantScore)
@@ -103,11 +145,11 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 }
 
 // FuzzInsertDelete decodes the fuzz bytes, four to an operation, into up
-// to 200 inserts and deletes on a bulk-loaded tree of 64 keywords and
-// 512-byte pages. An insert's location is a point of a 16×16 grid, so
+// to 200 inserts and deletes on a bulk-loaded tree of 64 keywords, pair
+// signatures and 512-byte pages. An insert's location is a point of a 16×16 grid, so
 // items share locations; a delete removes a live item. After every
 // operation CheckInvariants must pass and every internal entry must be the
-// exact fold of its child (assertFolded).
+// exact fold of its child (assertFolded), its pair signature included.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33, 0x01, 0x00, 0x05, 0x00})
@@ -116,7 +158,7 @@ func FuzzInsertDelete(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00, 0x3c, 0xff, 0x3f, 0x03, 0x12, 0x34, 0x00}, 100))         // alternate
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const w, maxOps = 64, 200
-		tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: w, WithScore: true})
+		tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: w, WithScore: true, PairBits: PairSigBits})
 		live := randomItems(rand.New(rand.NewSource(1)), 150, w)
 		if err := tr.BulkLoad(live, hilbert2DKey); err != nil {
 			t.Fatal(err)
@@ -164,10 +206,11 @@ func insertItems(n int) []Item {
 }
 
 // insertTree bulk-loads the first insertBase of items by the SRT key into
-// a tree of 128 keywords, scores and 4 KiB pages.
+// a tree of 128 keywords, scores, pair signatures and 4 KiB pages, as an
+// SRT index is.
 func insertTree(tb testing.TB, items []Item) *Tree {
 	tb.Helper()
-	tr, err := New(Config{KeywordWidth: 128, WithScore: true})
+	tr, err := New(Config{KeywordWidth: 128, WithScore: true, PairBits: PairSigBits})
 	if err != nil {
 		tb.Fatal(err)
 	}

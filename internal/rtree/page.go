@@ -57,6 +57,16 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 				off += 8
 			}
 		}
+		if lay.sigOff > 0 {
+			if e.Pairs != nil {
+				for _, v := range e.Pairs {
+					binary.LittleEndian.PutUint64(buf[off:], v)
+					off += 8
+				}
+			} else {
+				off += 8 * sigWords
+			}
+		}
 	}
 	return buf[:off], nil
 }
@@ -73,7 +83,7 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{Leaf: v.leaf, Entries: make([]Entry, v.count)}
-	arena := make([]uint64, 0, v.words*v.count)
+	arena := make([]uint64, 0, v.slotWords()*v.count)
 	kept := 0
 	for i := range n.Entries {
 		if v.Entry(i, &n.Entries[kept], &arena) {

@@ -10,7 +10,10 @@
 // it needs; only the mutators (Insert, Delete) decode a private copy of a
 // whole node (Tree.Node). Entries optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
-// (e.s) and a keyword summary of all feature objects below (e.W). The SRT
+// (e.s) and a keyword summary of all feature objects below (e.W), and an
+// internal entry of a tree built with Config.PairBits a signature of the
+// keyword pairs that occur together in one feature below (PairSig), which
+// tightens the keyword term of the bound. The SRT
 // and IR² indexes share this node format — they differ only in how leaf
 // entries are clustered at build time, which isolates the paper's index
 // contribution (Section 4.2) from incidental implementation detail.
@@ -37,6 +40,10 @@ type Config struct {
 	// WithScore selects whether entries carry the non-spatial score
 	// augmentation e.s.
 	WithScore bool
+	// PairBits is the width of the keyword-pair signature every internal
+	// slot carries: PairSigBits, or 0 for none — the layout of a tree
+	// written before the signature existed. It needs KeywordWidth > 0.
+	PairBits int
 	// BufferPages is the LRU buffer-pool capacity in pages. Defaults to
 	// DefaultBufferPages.
 	BufferPages int
@@ -55,7 +62,7 @@ const DefaultBufferPages = 1024
 // node and carry the aggregated MBR, maximum score and keyword summary of
 // the whole subtree.
 //
-// The field order packs Leaf beside Child: an Entry is 88 bytes.
+// The field order packs Leaf beside Child: an Entry is 96 bytes.
 type Entry struct {
 	// Rect is the MBR of the subtree; for leaf entries it is the
 	// degenerate rectangle at the item's location.
@@ -75,6 +82,9 @@ type Entry struct {
 	// Keywords is the item's keyword set t.W, or for internal entries the
 	// union summary e.W. Valid when KeywordWidth > 0.
 	Keywords kwset.Set
+	// Pairs is an internal entry's keyword-pair signature on a tree with
+	// Config.PairBits, nil otherwise and on every leaf entry.
+	Pairs *PairSig
 }
 
 // Point returns the location of a leaf entry.
@@ -144,6 +154,10 @@ func newTree(cfg Config) (*Tree, error) {
 		pool:    storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
 		layouts: [2]pageLayout{layoutOf(cfg, false), layoutOf(cfg, true)},
 	}
+	if cfg.PairBits != 0 && (cfg.PairBits != PairSigBits || cfg.KeywordWidth == 0) {
+		return nil, fmt.Errorf("rtree: pair signature of %d bits over keyword width %d: want %d bits over a positive width",
+			cfg.PairBits, cfg.KeywordWidth, PairSigBits)
+	}
 	if t.layouts[0].capacity < 2 || t.layouts[1].capacity < 2 {
 		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
 			cfg.PageSize, cfg.KeywordWidth)
@@ -156,11 +170,12 @@ func newTree(cfg Config) (*Tree, error) {
 // slot is stride bytes wide; its keyword words, words of them, start at
 // kwOff — after the id or child, the point or rectangle and, WithScore,
 // the score — and lastMask clears the bits beyond the keyword width in the
-// last of them, as decodeNode does. capacity is how many slots fit in a
-// page.
+// last of them, as decodeNode does. An inner slot of a tree with pair
+// signatures ends in its PairSig, at sigOff; sigOff is 0 on every other
+// page. capacity is how many slots fit in a page.
 type pageLayout struct {
-	kwOff, stride, words, capacity int
-	lastMask                       uint64
+	kwOff, sigOff, stride, words, capacity int
+	lastMask                               uint64
 }
 
 // layoutOf computes the layout of the leaf or inner pages of a tree
@@ -175,6 +190,10 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 		l.kwOff += 8
 	}
 	l.stride = l.kwOff + 8*l.words
+	if !leaf && cfg.PairBits > 0 {
+		l.sigOff = l.stride
+		l.stride += 8 * sigWords
+	}
 	l.capacity = (cfg.PageSize - nodeHeaderSize) / l.stride
 	if r := cfg.KeywordWidth % 64; r != 0 {
 		l.lastMask = 1<<uint(r) - 1
@@ -260,18 +279,15 @@ func (t *Tree) RootEntry() (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	// One allocation: the summary's words, then room for one slot's.
-	buf := make([]uint64, 2*v.words)
-	e := Entry{
-		Rect:     geo.EmptyRect(),
-		Child:    t.root,
-		Keywords: kwset.FromBitsOwned(t.cfg.KeywordWidth, buf[:v.words:v.words]),
-	}
+	// One allocation: the aggregate's words, then room for one slot's.
+	n := t.layout(false).slotWords()
+	buf := make([]uint64, 2*n)
+	e := t.emptyAggregate(t.root, buf[:n:n])
 	var c Entry
 	for i := 0; i < v.Len(); i++ {
-		slot := buf[v.words:v.words]
+		slot := buf[n:n]
 		if v.Entry(i, &c, &slot) {
-			e.absorb(&c)
+			e.absorb(&c, t.cfg.KeywordWidth)
 		}
 	}
 	return e, nil
@@ -298,29 +314,55 @@ func (t *Tree) updateNode(id storage.PageID, n *Node) error {
 // entryAggregate folds a node's entries into the parent entry that should
 // describe it.
 func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
-	e := Entry{
-		Rect:     geo.EmptyRect(),
-		Child:    child,
-		Keywords: kwset.NewSet(t.cfg.KeywordWidth),
+	e := t.emptyAggregate(child, make([]uint64, t.layout(false).slotWords()))
+	for i := range n.Entries {
+		e.absorb(&n.Entries[i], t.cfg.KeywordWidth)
 	}
-	e.absorbAll(n)
 	return e
 }
 
-// absorbAll widens e to cover every entry of n.
-func (e *Entry) absorbAll(n *Node) {
-	for i := range n.Entries {
-		e.absorb(&n.Entries[i])
+// emptyAggregate returns the internal entry for child that covers nothing:
+// an empty keyword summary and, on a tree with signatures, an empty pair
+// signature after it, both in buf (zeroed, slotWords of the inner layout
+// long), which the entry owns.
+func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
+	w := kwWords(t.cfg.KeywordWidth)
+	e := Entry{
+		Rect:     geo.EmptyRect(),
+		Child:    child,
+		Keywords: kwset.FromBitsOwned(t.cfg.KeywordWidth, buf[:w:w]),
 	}
+	if len(buf) > w {
+		e.Pairs = (*PairSig)(buf[w:])
+	}
+	return e
 }
 
-// absorb widens e to cover c: MBR union, maximum score and keyword union.
-func (e *Entry) absorb(c *Entry) {
+// slotWords is how many 64-bit words a slot's keyword summary and pair
+// signature take together.
+func (l *pageLayout) slotWords() int {
+	if l.sigOff > 0 {
+		return l.words + sigWords
+	}
+	return l.words
+}
+
+// absorb widens e to cover c: MBR union, maximum score and keyword union,
+// and on an entry with a pair signature the pairs of a leaf c's keywords
+// below width — those its page slot holds — or an internal c's signature.
+func (e *Entry) absorb(c *Entry, width int) {
 	e.Rect = e.Rect.Union(c.Rect)
 	if c.Score > e.Score {
 		e.Score = c.Score
 	}
 	e.Keywords.UnionInPlace(c.Keywords)
+	switch {
+	case e.Pairs == nil:
+	case c.Leaf:
+		e.Pairs.addSet(c.Keywords.WordsBits(), width)
+	case c.Pairs != nil:
+		e.Pairs.or(c.Pairs)
+	}
 }
 
 // Item is the caller-facing description of an indexed object, used for
@@ -349,8 +391,9 @@ func (t *Tree) entryOf(it Item) Entry {
 }
 
 // CheckInvariants walks the whole tree verifying structural invariants:
-// every child entry's MBR, max score and keyword summary are covered by
-// the parent entry, leaves are all at the same depth, and the item count
+// every child entry's MBR, max score, keyword summary and keyword pairs
+// (a leaf's, or an inner entry's signature) are covered by the parent
+// entry, leaves are all at the same depth, and the item count
 // matches Len. It is used by tests and returns a descriptive error on the
 // first violation.
 func (t *Tree) CheckInvariants() error {
@@ -393,6 +436,9 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 				if e.Keywords.UnionCount(parent.Keywords) != parent.Keywords.Count() {
 					return 0, fmt.Errorf("rtree: node %d keywords not contained in parent summary", id)
 				}
+			}
+			if parent.Pairs != nil && !parent.Pairs.covers(&e, t.cfg.KeywordWidth) {
+				return 0, fmt.Errorf("rtree: node %d pair signature not contained in parent signature", id)
 			}
 		}
 		if e.Leaf {

@@ -10,11 +10,15 @@ import (
 	"stpq/internal/rtree"
 )
 
-// BenchmarkPageScan times the feature stream's per-page kernel on its own:
-// the counted keyword scan over every leaf of a 50 K-feature SRT tree of
-// 128 keywords, and the price of each slot it returns, for a 3-keyword
-// query. The views are taken before the timer starts, so no page read is
-// timed; it reports nanoseconds per slot scanned.
+// BenchmarkPageScan times the feature stream's per-page kernel on its own,
+// over a 50 K-feature SRT tree of 128 keywords with pair signatures, for a
+// 3-keyword query: /leaf is the counted keyword scan over every leaf and
+// the price of each slot it returns; /inner is the same over every inner
+// page, where a slot that meets two query keywords or more has its count
+// capped by its pair signature (PairCap) before it is priced, so the
+// probe's cost per slot shows. The views are taken before the timer
+// starts, so no page read is timed; each reports nanoseconds per slot
+// scanned.
 func BenchmarkPageScan(b *testing.B) {
 	const width = 128
 	rng := rand.New(rand.NewSource(1))
@@ -30,21 +34,35 @@ func BenchmarkPageScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	leaves, slots := leafViews(b, idx.Tree()), 0
-	for i := range leaves {
-		slots += leaves[i].Len()
-	}
+	leaves, inner := pageViews(b, idx.Tree())
 	q := index.QueryKeywords{Set: kwset.SetFromWords(width, 3, 40, 97), Lambda: 0.5}
+	b.Run("leaf", func(b *testing.B) { scanPages(b, leaves, &q) })
+	b.Run("inner", func(b *testing.B) { scanPages(b, inner, &q) })
+}
+
+// scanPages scans and prices every slot of views as the feature stream
+// does, b.N times, and reports nanoseconds per slot.
+func scanPages(b *testing.B, views []rtree.PageView, q *index.QueryKeywords) {
 	words, wc := q.Set.WordsBits(), q.Set.Count()
+	pairs := rtree.AppendPairs(nil, words)
+	slots := 0
+	for i := range views {
+		slots += views[i].Len()
+	}
 	var sink float64
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for k := range leaves {
-			v := &leaves[k]
+		for k := range views {
+			v := &views[k]
+			leaf := v.Leaf()
 			for i, inter, count := v.NextCounted(0, words); i < v.Len(); i, inter, count = v.NextCounted(i+1, words) {
-				if v.Visible(i) {
-					sink += q.BoundCounts(v.Score(i), true, inter, count, wc)
+				if !v.Visible(i) {
+					continue
 				}
+				if !leaf && inter >= 2 {
+					inter = v.PairCap(i, pairs, inter)
+				}
+				sink += q.BoundCounts(v.Score(i), leaf, inter, count, wc)
 			}
 		}
 	}
@@ -54,13 +72,13 @@ func BenchmarkPageScan(b *testing.B) {
 	}
 }
 
-// leafViews returns a view of every leaf page of tr.
-func leafViews(b *testing.B, tr *rtree.Tree) []rtree.PageView {
+// pageViews returns a view of every leaf page of tr, and of every inner
+// page.
+func pageViews(b *testing.B, tr *rtree.Tree) (leaves, inner []rtree.PageView) {
 	root, err := tr.View(tr.Root())
 	if err != nil {
 		b.Fatal(err)
 	}
-	var leaves []rtree.PageView
 	for level := []rtree.PageView{root}; len(level) > 0; {
 		var next []rtree.PageView
 		for k := range level {
@@ -69,6 +87,7 @@ func leafViews(b *testing.B, tr *rtree.Tree) []rtree.PageView {
 				leaves = append(leaves, *v)
 				continue
 			}
+			inner = append(inner, *v)
 			for i := 0; i < v.Len(); i++ {
 				c, err := tr.View(v.Child(i))
 				if err != nil {
@@ -79,5 +98,5 @@ func leafViews(b *testing.B, tr *rtree.Tree) []rtree.PageView {
 		}
 		level = next
 	}
-	return leaves
+	return leaves, inner
 }

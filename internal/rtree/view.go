@@ -218,11 +218,11 @@ func (v *PageView) Visible(i int) bool {
 
 // Entry decodes slot i into e and reports whether the slot is visible: a
 // leaf slot tombstoned by WithExclude returns false and decodes nothing.
-// The keyword words are copied onto the end of *arena and e.Keywords
-// aliases that copy, so e stays valid for as long as that part of the
-// arena is not written again: a caller that hands e out to be kept leaves
-// the arena alone, one that does not cuts it back to its length before the
-// call.
+// The keyword words, and an inner slot's pair signature, are copied onto
+// the end of *arena and e.Keywords and e.Pairs alias that copy, so e stays
+// valid for as long as that part of the arena is not written again: a
+// caller that hands e out to be kept leaves the arena alone, one that does
+// not cuts it back to its length before the call.
 func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 	if !v.Visible(i) {
 		return false
@@ -240,11 +240,16 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 		e.Score = floatAt(p, v.kwOff-8)
 	}
 	if v.words > 0 {
+		// The keyword words, then an inner slot's signature, if any.
 		at := len(*arena)
 		for w := v.kwOff; w < v.stride; w += 8 {
 			*arena = append(*arena, binary.LittleEndian.Uint64(p[w:]))
 		}
-		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:len(*arena):len(*arena)])
+		kw := at + v.words
+		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:kw:kw])
+		if v.sigOff > 0 {
+			e.Pairs = (*PairSig)((*arena)[kw:])
+		}
 	}
 	return true
 }

@@ -18,13 +18,17 @@ import (
 // viewConfigs spans the page layouts the indexes use: the object tree (no
 // augmentation), exact keyword widths below, at and across word boundaries
 // (SRT and IR² over a vocabulary), each with and without the score slot
-// and on both page sizes.
+// and on both page sizes, and every keyword width with the score slot and
+// pair signatures, as the feature indexes build them.
 func viewConfigs() []Config {
 	var out []Config
 	for _, page := range []int{1024, 4096} {
 		for _, width := range []int{0, 16, 64, 100, 128, 200} {
 			for _, score := range []bool{false, true} {
 				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: score})
+			}
+			if width > 0 {
+				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: true, PairBits: PairSigBits})
 			}
 		}
 	}
@@ -98,6 +102,13 @@ func refDecode(tr *Tree, data []byte) *Node {
 			}
 			e.Keywords = kwset.FromBitsOwned(tr.cfg.KeywordWidth, raw)
 		}
+		if !n.Leaf && tr.cfg.PairBits > 0 {
+			e.Pairs = new(PairSig)
+			for w := range e.Pairs {
+				e.Pairs[w] = binary.LittleEndian.Uint64(data[off:])
+				off += 8
+			}
+		}
 		n.Entries = append(n.Entries, e)
 	}
 	return n
@@ -116,6 +127,9 @@ func TestPageViewMatchesDecodedNode(t *testing.T) {
 	for _, cfg := range viewConfigs() {
 		for _, bulk := range []bool{true, false} {
 			name := fmt.Sprintf("page=%d/width=%d/score=%v/bulk=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore, bulk)
+			if cfg.PairBits > 0 {
+				name = fmt.Sprintf("page=%d/width=%d/score=%v/pairs=%d/bulk=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore, cfg.PairBits, bulk)
+			}
 			t.Run(name, func(t *testing.T) {
 				tr := grownTree(t, cfg, 700, bulk)
 				if tr.Height() < 2 {
@@ -178,8 +192,9 @@ func querySets(rng *rand.Rand, width int) []kwset.Set {
 }
 
 // checkScan compares NextIntersecting and NextCounted from every starting
-// slot with a scan of the decoded node by Set.Intersects, and NextCounted's
-// counts with Set.IntersectCount and Count.
+// slot with a scan of the decoded node by Set.Intersects, NextCounted's
+// counts with Set.IntersectCount and Count, and PairCap with refPairCap on
+// the decoded slot.
 func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 	t.Helper()
 	next := len(n.Entries) // first intersecting slot at or after i, filled backwards
@@ -194,7 +209,34 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 		if got != next || got < len(n.Entries) && (inter != n.Entries[got].Keywords.IntersectCount(q) || count != n.Entries[got].Keywords.Count()) {
 			t.Fatalf("NextCounted(%d, %v) = %d, %d, %d; decoded slot %d", i, q, got, inter, count, next)
 		}
+		if got < len(n.Entries) {
+			pairs := AppendPairs(nil, q.WordsBits())
+			if c, want := v.PairCap(got, pairs, inter), refPairCap(&n.Entries[got], pairs, inter); c != want {
+				t.Fatalf("PairCap(%d, %v, %d) = %d, decoded slot %d", got, q, inter, c, want)
+			}
+		}
 	}
+}
+
+// refPairCap is PairCap read from a decoded entry, apart from the view: of
+// the query pairs whose keywords e.W holds, hits set their bit in e.Pairs,
+// and inter is capped at the largest c with c(c−1)/2 ≤ hits. A leaf, an
+// entry without a signature and inter < 2 keep inter.
+func refPairCap(e *Entry, pairs []Pair, inter int) int {
+	if e.Pairs == nil || inter < 2 {
+		return inter
+	}
+	hits := 0
+	for _, p := range pairs {
+		if e.Keywords.Has(int(p.A)) && e.Keywords.Has(int(p.B)) && e.Pairs[p.Bit/64]>>(p.Bit%64)&1 == 1 {
+			hits++
+		}
+	}
+	c := inter
+	for c*(c-1)/2 > hits {
+		c--
+	}
+	return c
 }
 
 // checkAccessors compares the slot accessors of slot i with e, what Entry
@@ -225,8 +267,9 @@ func samePoint(a, b geo.Point) bool {
 // count above the capacity and a page cut short are errors, never panics;
 // every accessor agrees with Entry on every slot, on a tree that hides the
 // even item ids too; and the counted scan meets the slots NextIntersecting
-// meets, with the counts and the score Entry's decode gives, for queries of
-// 1, 2 and 4 words on trees of 1, 2 and 4 keyword words (the unrolled
+// meets, with the counts, the score and the pair cap (on a tree with
+// signatures) Entry's decode gives, for queries of 1, 2 and 4 words on
+// trees of 1, 2 and 4 keyword words (the unrolled
 // case and the general one) — all-ones queries among them, whose bits
 // beyond the tree's width the scan must not count.
 func FuzzPageView(f *testing.F) {
@@ -235,6 +278,7 @@ func FuzzPageView(f *testing.F) {
 		{PageSize: 1024, KeywordWidth: 64, WithScore: true},
 		{PageSize: 1024, KeywordWidth: 200, WithScore: true},
 		{PageSize: 1024, KeywordWidth: 100, WithScore: true},
+		{PageSize: 1024, KeywordWidth: 128, WithScore: true, PairBits: PairSigBits},
 	}
 	trees := make([]*Tree, len(cfgs))
 	for i, cfg := range cfgs {
@@ -309,6 +353,10 @@ func FuzzPageView(f *testing.F) {
 					}
 					if math.Float64bits(v.Score(j)) != math.Float64bits(e.Score) {
 						t.Fatalf("slot %d: Score %v, Entry %v", j, v.Score(j), e.Score)
+					}
+					pairs := AppendPairs(nil, q)
+					if c, want := v.PairCap(j, pairs, inter), refPairCap(&e, pairs, inter); c != want {
+						t.Fatalf("query %x slot %d: PairCap %d, Entry %d", q, j, c, want)
 					}
 				}
 				i, inter, count = v.NextCounted(j+1, q)
