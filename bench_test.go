@@ -124,33 +124,66 @@ func synKey(kind index.Kind) fixtureKey {
 // runQueries cycles a pre-generated workload for b.N iterations.
 func runQueries(b *testing.B, e *core.Engine, alg Algorithm, qs []core.Query) {
 	b.Helper()
+	var sum queryCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		var err error
+		var (
+			st  core.Stats
+			err error
+		)
 		if alg == STDS {
-			_, _, err = e.STDS(q)
+			_, st, err = e.STDS(q)
 		} else {
-			_, _, err = e.STPS(q)
+			_, st, err = e.STPS(q)
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum.add(&st)
 	}
+	sum.report(b)
 }
 
 // runFresh is runQueries for STPS with a fresh engine (freshEngine) for
 // every query.
 func runFresh(b *testing.B, e *core.Engine, qs []core.Query) {
 	b.Helper()
+	var sum queryCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := freshEngine(b, e).STPS(qs[i%len(qs)]); err != nil {
+		_, st, err := freshEngine(b, e).STPS(qs[i%len(qs)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		sum.add(&st)
 	}
+	sum.report(b)
+}
+
+// queryCounts sums the deterministic costs of a benchmark's queries, from
+// the core.Stats each returns, so that `make bench-compare` prints them
+// beside ns/op.
+type queryCounts struct {
+	reads, leafExp, pulled, combos float64
+}
+
+func (c *queryCounts) add(st *core.Stats) {
+	c.reads += float64(st.LogicalReads)
+	c.leafExp += float64(st.LeafExpansions)
+	c.pulled += float64(st.FeaturesPulled)
+	c.combos += float64(st.Combinations)
+}
+
+// report reports each count per query.
+func (c *queryCounts) report(b *testing.B) {
+	n := float64(b.N)
+	b.ReportMetric(c.reads/n, "reads/op")
+	b.ReportMetric(c.leafExp/n, "leafexp/op")
+	b.ReportMetric(c.pulled/n, "pulled/op")
+	b.ReportMetric(c.combos/n, "combos/op")
 }
 
 // freshEngine is a new core.Engine over e's indexes. NewEngineOverParts

@@ -17,12 +17,22 @@ type combination struct {
 }
 
 // combinationStream implements Algorithm 4 (nextCombination): it pulls
-// feature objects from the per-set streams in the order of Definition 5,
-// forms combinations ordered by score, and emits a combination only when
-// the thresholding scheme guarantees no unseen combination can score
-// higher:
+// feature objects from the per-set streams, forms combinations ordered by
+// score, and emits a combination only when the thresholding scheme
+// guarantees no unseen combination can score higher. τ is the largest bound
+// any set j puts on the combinations it can still complete: an unseen
+// feature of j below a queued entry e, with each other set o's best member
+// e can pair with — unseen, at most U_o, or pulled —
 //
-//	τ = max over non-exhausted j of (max_1 + … + min_j + … + max_c).
+//	κ(e) = ŝ(e) + Σ_{o≠j} max(U_o, N_o(e)),
+//
+// or, while j's ∅ is pending, 0 plus each other set's best, pulled or
+// unseen. Under the variants without a pairwise distance rule every pulled
+// feature is a partner (N_o(e) is set o's best), the streams run in score
+// order, and τ is the paper's max over non-exhausted j of
+// (max_1 + … + min_j + … + max_c), pulled by Definition 5. Under the range
+// rule N_o(e) is the best o-feature within 2r of e's MBR, and each pull
+// takes the set and the entry that attain τ (partner order, partnerQueue).
 //
 // Combinations are enumerated over the retrieved prefixes D_i as the
 // paper's Algorithm 4 line 9 does: a pulled feature queues its
@@ -56,16 +66,21 @@ type combinationStream struct {
 	grids     []*pairGrid
 	gridStore []*pairGrid
 
-	d [][]featureRef // retrieved features per set, scores non-increasing
+	d [][]featureRef // retrieved features per set, in pull order
 	// reach[i][a] is the reach of the Voronoi cell of d[i][a] (0 for ∅),
 	// and maxReach[i] the largest of reach[i]; both filled under the cells
 	// rule only.
-	reach     [][]float64
-	maxReach  []float64
-	mins      []float64 // score of the last retrieved feature (1 before first access)
-	maxs      []float64 // score of the first retrieved feature (1 before first access)
+	reach    [][]float64
+	maxReach []float64
+	// pc holds each set's U; partnered says the streams are in partner
+	// order.
+	pc        partnerCtx
+	partnered bool
+	best      []float64   // best score pulled from each set (0 before the first)
+	voidAt    []int       // index of ∅ in d[i], −1 until it is pulled
+	pending   [][]partner // pulled, not yet above their set's U: not partners yet
 	started   []bool
-	exhausted []bool // stream fully consumed (∅ already appended to d)
+	exhausted []bool // stream fully consumed, ∅ included
 
 	heap comboHeap
 
@@ -121,7 +136,7 @@ func ruleOf(v Variant, c int) comboRule {
 
 // newCombinationStream builds the stream for a query against the engine's
 // feature indexes. On a pooled session the stream and all its growable
-// state (per-set streams and their heaps, retrieved prefixes, the
+// state (per-set streams and their queues, retrieved prefixes, the
 // combination heap, the pair grids and the index-vector arena) are recycled
 // from the query scratch, so steady-state STPS queries rebuild the stream,
 // and generate combinations, without allocating.
@@ -135,6 +150,7 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *com
 	cs.q, cs.e, cs.stats, cs.tr = q, e, stats, tr
 	cs.rule = ruleOf(q.Variant, c)
 	cs.bounded = q.Variant == InfluenceScore
+	cs.partnered = cs.rule == rulePairs
 	cs.grids = nil
 	if cs.rule != ruleNone {
 		// The cells rule re-sizes a set's grid at its first site
@@ -149,10 +165,14 @@ func newCombinationStream(e *Engine, q *Query, stats *Stats, tr *obs.Trace) *com
 		}
 		cs.grids = cs.gridStore
 	}
+	cs.pc.reach = 2 * q.Radius * (1 + 1e-8)
+	cs.pc.reach2 = cs.pc.reach * cs.pc.reach
 	for i := 0; i < c; i++ {
 		cs.streams[i].init(e.features[i], q.keywordsFor(i), lens{}, stats)
-		cs.mins[i] = 1 // upper bound on any unseen feature score
-		cs.maxs[i] = 1
+		if cs.partnered {
+			cs.streams[i].partner(&cs.pc, i)
+		}
+		cs.pc.u[i] = 1 // upper bound on any unseen feature score
 	}
 	return cs
 }
@@ -171,14 +191,20 @@ func (cs *combinationStream) reinit(c int) {
 	cs.reach = reuseNested(cs.reach, c)
 	cs.maxReach = reuseLen(cs.maxReach, c)
 	clear(cs.maxReach)
-	cs.mins = reuseLen(cs.mins, c)
-	cs.maxs = reuseLen(cs.maxs, c)
+	cs.pc.u = reuseLen(cs.pc.u, c)
+	cs.pc.partners = reuseNested(cs.pc.partners, c)
+	cs.pending = reuseNested(cs.pending, c)
+	cs.best = reuseLen(cs.best, c)
+	clear(cs.best)
+	cs.voidAt = reuseLen(cs.voidAt, c)
 	cs.started = reuseLen(cs.started, c)
 	cs.exhausted = reuseLen(cs.exhausted, c)
 	for i := 0; i < c; i++ {
+		cs.voidAt[i] = -1
 		cs.started[i] = false
 		cs.exhausted[i] = false
 	}
+	cs.floor = negInf
 	cs.heap = cs.heap[:0]
 	cs.vec = reuseLen(cs.vec, c)
 	cs.chosen = cs.chosen[:0]
@@ -310,6 +336,10 @@ func (g *pairGrid) add(p geo.Point) {
 	}
 }
 
+// skip takes the next index without placing it in a cell: the position of
+// ∅, which partner order can pull before concrete features of its set.
+func (g *pairGrid) skip() { g.next = append(g.next, -1) }
+
 // first returns the first index of cell k, or -1 for an empty cell; next
 // continues the chain.
 func (g *pairGrid) first(k [2]int32) int32 {
@@ -323,22 +353,24 @@ func (g *pairGrid) first(k [2]int32) int32 {
 func (cs *combinationStream) next(floor float64) (combination, bool, error) {
 	cs.floor = floor
 	for {
-		if cs.heap.Len() > 0 {
-			top := cs.heap[0]
-			if cs.allExhausted() || top.score >= cs.threshold()-1e-12 {
-				cs.stats.Combinations++
-				return cs.materialize(cs.heap.pop()), true, nil
-			}
-		}
 		if cs.allExhausted() {
-			return combination{}, false, nil
+			if cs.heap.Len() == 0 {
+				return combination{}, false, nil
+			}
+			cs.stats.Combinations++
+			return cs.materialize(cs.heap.pop()), true, nil
+		}
+		tau, i, from := cs.attain()
+		if cs.heap.Len() > 0 && cs.heap[0].score >= tau-1e-12 {
+			cs.stats.Combinations++
+			return cs.materialize(cs.heap.pop()), true, nil
 		}
 		// τ is rounded as the emission test above allows for: an unseen
 		// combination may tie the floor while τ comes out just below it.
-		if floor > negInf && cs.threshold() < floor-1e-12 && (cs.heap.Len() == 0 || cs.heap[0].score < floor) {
+		if floor > negInf && tau < floor-1e-12 && (cs.heap.Len() == 0 || cs.heap[0].score < floor) {
 			return combination{}, false, nil
 		}
-		if err := cs.pullNext(); err != nil {
+		if err := cs.pullFrom(i, from); err != nil {
 			return combination{}, false, err
 		}
 	}
@@ -354,66 +386,93 @@ func (cs *combinationStream) allExhausted() bool {
 	return true
 }
 
-// threshold computes τ, the best score any unseen combination can reach: a
-// combination not yet enumerable must use a not-yet-retrieved feature from
-// some non-exhausted set j, whose score is at most min_j, combined with at
-// best the top feature of every other set.
-func (cs *combinationStream) threshold() float64 {
-	var sumMax float64
-	for i := range cs.maxs {
-		sumMax += cs.maxs[i]
-	}
-	tau := negInf
-	for j := range cs.mins {
+// attain returns τ, the largest τ_j over the sets not exhausted, with the
+// set the next pull takes — by Definition 5 — and the order it takes its
+// entry from. Before every set has been accessed once Definition 5 fills
+// the gaps, which also reads every part's root before partner order first
+// compares two sets: a set's roots are queued at +∞, so its first yield
+// comes after all of them. Afterwards the pull goes to the set attaining τ.
+// Under partner order every set's bound order prices its top at the same
+// Σ_o U_o: of the sets tying there, the one whose top bounds the most goes
+// first.
+func (cs *combinationStream) attain() (tau float64, set int, from pullFrom) {
+	sumP, sumA := cs.sums()
+	tau, set, gap := negInf, -1, -1
+	for j := range cs.streams {
 		if cs.exhausted[j] {
 			continue
 		}
-		if t := sumMax - cs.maxs[j] + cs.mins[j]; t > tau {
+		t, f := cs.setBound(j, sumP, sumA)
+		if gap < 0 && !cs.started[j] {
+			gap, set, from = j, j, f
+		}
+		if t > tau || t == tau && cs.partnered && gap < 0 && set >= 0 && cs.pc.u[j] > cs.pc.u[set] {
 			tau = t
+			if gap < 0 {
+				set, from = j, f
+			}
 		}
 	}
-	return tau
+	return tau, set, from
 }
 
-// nextFeatureSet applies Definition 5, never returning an exhausted set:
-// before every set has been accessed once, fill the gaps; afterwards pick
-// the set responsible for the threshold.
-func (cs *combinationStream) nextFeatureSet() int {
-	for i := range cs.d {
-		if !cs.started[i] && !cs.exhausted[i] {
-			return i
+// sums returns Σ_o of what an entry with no near partner can pair with in
+// each set o (max(U_o, best_o) where every pulled feature is a partner,
+// U_o under partner order), and Σ_o max(U_o, best_o): the best each set
+// can put into a combination, pulled or unseen.
+func (cs *combinationStream) sums() (sumP, sumA float64) {
+	for o, u := range cs.pc.u {
+		a := max(u, cs.best[o])
+		sumA += a
+		if cs.partnered {
+			sumP += u
+		} else {
+			sumP += a
 		}
 	}
-	var sumMax float64
-	for i := range cs.maxs {
-		sumMax += cs.maxs[i]
-	}
-	best, bestVal := -1, negInf
-	for j := range cs.mins {
-		if cs.exhausted[j] {
-			continue
-		}
-		if v := sumMax - cs.maxs[j] + cs.mins[j]; v > bestVal {
-			best, bestVal = j, v
-		}
-	}
-	return best
+	return sumP, sumA
 }
 
-// pullNext retrieves one feature (or ∅) from the set Definition 5 chooses.
-func (cs *combinationStream) pullNext() error {
-	i := cs.nextFeatureSet()
-	if i < 0 {
-		return nil
+// setBound returns τ_j, the best score of a combination completed by what
+// set j has not yielded, and the order the entry attaining it is in. The
+// bound order's top pairs with the best of each other set, U_j in place of
+// its own; partner order adds the near order's top, and ∅ while it is
+// pending, which partner order yields as soon as it attains τ_j (in score
+// order it never outscores the bound order's top, and comes last).
+func (cs *combinationStream) setBound(j int, sumP, sumA float64) (float64, pullFrom) {
+	u, s := cs.pc.u[j], cs.streams[j]
+	if !cs.partnered {
+		return sumP - max(u, cs.best[j]) + u, fromBound
 	}
-	return cs.pull(i)
+	t, from := sumP, fromBound
+	if k := s.pq.nearTop(); k > t {
+		t, from = k, fromNear
+	}
+	if !s.exhausted {
+		if v := sumA - max(u, cs.best[j]); v > t {
+			t, from = v, fromVoid
+		}
+	}
+	return t, from
 }
 
-// pull retrieves one feature (or ∅) from set i, updates the bookkeeping and
-// feeds the combination heap.
-func (cs *combinationStream) pull(i int) error {
+// pullFrom takes one step of set i's stream from the order named — under
+// partner order it may expand a page and pull nothing; in score order it
+// runs to the next yield, as no step before it moves τ — updates the
+// bookkeeping and feeds the combination heap.
+func (cs *combinationStream) pullFrom(i int, from pullFrom) error {
 	sp := cs.tr.StartPhase("features.pull")
-	ref, done, err := cs.streams[i].next()
+	var (
+		ref       featureRef
+		got, done bool
+		err       error
+	)
+	if cs.partnered {
+		ref, got, done, err = cs.streams[i].step(from)
+	} else {
+		ref, done, err = cs.streams[i].next()
+		got = !done
+	}
 	sp.End()
 	if err != nil {
 		return err
@@ -422,6 +481,20 @@ func (cs *combinationStream) pull(i int) error {
 		cs.exhausted[i] = true
 		return nil
 	}
+	if got {
+		if err := cs.add(i, ref); err != nil {
+			return err
+		}
+	}
+	if cs.partnered {
+		cs.settle(i)
+	}
+	return nil
+}
+
+// add files a feature (or ∅) pulled from set i and queues its
+// combinations.
+func (cs *combinationStream) add(i int, ref featureRef) error {
 	cs.stats.FeaturesPulled++
 	cs.d[i] = append(cs.d[i], ref)
 	if cs.rule == ruleCells {
@@ -438,17 +511,47 @@ func (cs *combinationStream) pull(i int) error {
 		cs.reach[i] = append(cs.reach[i], reach)
 		cs.maxReach[i] = max(cs.maxReach[i], reach)
 	}
-	if !cs.started[i] {
-		cs.started[i] = true
-		cs.maxs[i] = ref.score
-	}
-	cs.mins[i] = ref.score
+	cs.started[i] = true
+	cs.best[i] = max(cs.best[i], ref.score)
 	if ref.virtual {
-		cs.exhausted[i] = true
-		cs.mins[i] = virtualScore
+		cs.voidAt[i] = len(cs.d[i]) - 1
+	} else if cs.partnered {
+		cs.pending[i] = append(cs.pending[i], partner{loc: ref.loc, score: ref.score, set: i})
 	}
+	if !cs.partnered {
+		// A stream in score order yields nothing above its last yield.
+		cs.pc.u[i] = ref.score
+	}
+	cs.exhausted[i] = cs.streams[i].spent()
 	cs.generate(i)
 	return nil
+}
+
+// settle lowers U_i to what set i's stream still holds after a step and
+// joins every pulled feature of i that now outscores it to the partners,
+// raising N_i of each entry within 2r of it in the other sets. Both happen
+// before τ is next computed: a lower U_i with a feature that outscores it
+// not yet joined would understate the κ of every entry near it. A set with
+// nothing left queued has U_i = 0.
+func (cs *combinationStream) settle(i int) {
+	s := cs.streams[i]
+	u := min(cs.pc.u[i], s.bound())
+	cs.pc.u[i] = u
+	pend := cs.pending[i][:0]
+	for _, p := range cs.pending[i] {
+		if p.score <= u {
+			pend = append(pend, p)
+			continue
+		}
+		cs.pc.partners[i] = append(cs.pc.partners[i], p)
+		for o, t := range cs.streams {
+			if o != i {
+				t.pq.raise(&p)
+			}
+		}
+	}
+	cs.pending[i] = pend
+	cs.exhausted[i] = s.spent()
 }
 
 // pushVec scores and pushes an index vector. The score sums the members in
@@ -480,6 +583,8 @@ func (cs *combinationStream) generate(i int) {
 			cs.grids[i].reset(2 * cs.reach[i][0])
 		}
 		cs.grids[i].add(newRef.loc)
+	} else if cs.grids != nil {
+		cs.grids[i].skip()
 	}
 	cs.vec[i] = newIdx
 	cs.chosen = append(cs.chosen[:0], i)
@@ -516,10 +621,9 @@ func (cs *combinationStream) extend(fixed, dim int, score float64, anchor geo.Po
 				}
 			}
 		}
-		// The virtual feature (always the last element, if present)
-		// pairs with anything.
-		if n := len(cs.d[dim]); n > 0 && cs.d[dim][n-1].virtual {
-			cs.try(fixed, dim, n-1, score, anchor, anchored)
+		// The virtual feature, if pulled, pairs with anything.
+		if v := cs.voidAt[dim]; v >= 0 {
+			cs.try(fixed, dim, v, score, anchor, anchored)
 		}
 		return
 	}
@@ -574,8 +678,8 @@ func (cs *combinationStream) extendNear(fixed, dim int, score float64, anchor ge
 		cs.try(fixed, dim, int(cs.near[k]), score, anchor, true)
 	}
 	cs.near = cs.near[:base]
-	if n > 0 && cs.d[dim][n-1].virtual {
-		cs.try(fixed, dim, n-1, score, anchor, true)
+	if v := cs.voidAt[dim]; v >= 0 {
+		cs.try(fixed, dim, v, score, anchor, true)
 	}
 	return true
 }
@@ -593,11 +697,11 @@ func (cs *combinationStream) extendBounded(fixed, dim int, score float64) {
 	rest := 0.0
 	for j := dim + 1; j < len(cs.d); j++ {
 		if j != fixed {
-			rest += cs.maxs[j]
+			rest += cs.best[j]
 		}
 	}
 	u := &cs.partial[0]
-	reach := pairReach(u, cs.maxs[dim], cs.floor-(score-u.score+rest), cs.q.Radius)
+	reach := pairReach(u, cs.best[dim], cs.floor-(score-u.score+rest), cs.q.Radius)
 	sofar := influenceBound(cs.partial, cs.q.Radius)
 	for a := range cs.d[dim] {
 		ref := &cs.d[dim][a]

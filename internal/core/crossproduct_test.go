@@ -77,6 +77,19 @@ func sortedCrossProduct(t testing.TB, cs *combinationStream) []float64 {
 	return out
 }
 
+// threshold is τ, the best score any unseen combination can reach.
+func (cs *combinationStream) threshold() float64 {
+	tau, _, _ := cs.attain()
+	return tau
+}
+
+// pull takes one step of set i's stream, from the order setBound names.
+func (cs *combinationStream) pull(i int) error {
+	sumP, sumA := cs.sums()
+	_, from := cs.setBound(i, sumP, sumA)
+	return cs.pullFrom(i, from)
+}
+
 // pullOrder says who picks the set each feature is pulled from: the stream,
 // by Definition 5, or the test, taking the sets in turn.
 type pullOrder int
@@ -186,9 +199,16 @@ func tableStream(t testing.TB, sets []tableSet, variant Variant, seed int64) *co
 	for i, set := range sets {
 		st := cs.streams[i]
 		st.heap = st.heap[:0]
+		if st.pq != nil {
+			st.pq.reset()
+		}
 		for j, s := range set.scores {
-			loc := geo.Point{X: rng.Float64(), Y: rng.Float64()}
-			st.heap.push(candidate{prio: s, ref: int64(j), loc: loc, slot: slotFinal})
+			c := candidate{prio: s, ref: int64(j), loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, slot: slotFinal}
+			if st.pq != nil {
+				st.queue(&c, geo.RectOf(c.loc))
+			} else {
+				st.heap.push(c)
+			}
 		}
 		st.exhausted = !set.virtual
 	}

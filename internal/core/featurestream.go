@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"stpq/internal/geo"
 	"stpq/internal/index"
@@ -31,20 +33,32 @@ type featureRef struct {
 // same walk is Algorithm 2: the first emission is τ_i(p), and ∅ scores the
 // 0 of an object no relevant feature reaches.
 //
+// Under the range rule a combination stream puts the stream in partner
+// order instead (partner, partnerQueue): which entry it takes next, and
+// when it yields ∅, is the combination stream's choice.
+//
 // A leaf's bound is its exact score, so every leaf is queued with its
 // exact, lensed score and popped as it is; only the batch lens tests a
 // popped leaf again, against its live batch.
 type featureStream struct {
-	g         *index.FeatureGroup
-	q         index.QueryKeywords
-	lens      lens
-	heap      boundHeap
+	g    *index.FeatureGroup
+	q    index.QueryKeywords
+	lens lens
+	// heap is the bound order: every queued entry by ŝ(e). Under partner
+	// order it holds each entry's bound and index in pq.ents, and entries
+	// the near order took stay in it until they reach its top.
+	heap boundHeap
+	// exhausted records that ∅ has been yielded (or, in a test's table
+	// stream, that the set has none).
 	exhausted bool
 	// stats receives the pages the stream expands, leaf and internal.
 	stats *Stats
 	// pairs are the query's keyword pairs, which cap an inner slot's
 	// keyword count against its pair signature (rtree.PageView.PairCap).
 	pairs []rtree.Pair
+	// pq is the partner order's state, nil on every stream not in it;
+	// spare keeps its buffers between the queries of one scratch.
+	pq, spare *partnerQueue
 }
 
 // lensKind names the spatial predicate or weight a lens applies.
@@ -125,6 +139,10 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 	s.stats = stats
 	s.heap = s.heap[:0] // candidates hold no pointers: nothing to zero
 	s.exhausted = false
+	if s.pq != nil {
+		s.pq.ctx = nil
+		s.spare, s.pq = s.pq, nil
+	}
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return
 	}
@@ -142,53 +160,443 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 func (s *featureStream) next() (ref featureRef, done bool, err error) {
 	for s.heap.Len() > 0 {
 		it := s.heap.pop()
-		if it.isLeaf() {
-			if s.lens.kind == lensBatch {
-				// The batch resolves objects between pulls: a leaf admitted
-				// when it was queued may be in range of none now.
-				if rect := geo.RectOf(it.loc); !s.lens.nearUnresolved(&rect) {
-					continue
-				}
+		if !it.isLeaf() {
+			if err := s.expand(&it, -1); err != nil {
+				return featureRef{}, false, err
 			}
-			return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
+			continue
 		}
-		// Filter, then price: most slots of a node are rejected on their
-		// keyword words where the page lies; the scan counts the rest's,
-		// and each is priced from its counts and its score in place.
-		page, err := s.g.Part(int(it.part)).Tree().View(it.child())
-		if err != nil {
-			return featureRef{}, false, err
-		}
-		words, wc, leaf := s.q.Set.WordsBits(), s.q.Set.Count(), page.Leaf()
-		if leaf {
-			s.stats.LeafExpansions++
-		} else {
-			s.stats.InternalExpansions++
-		}
-		for i, inter, count := page.NextCounted(0, words); i < page.Len(); i, inter, count = page.NextCounted(i+1, words) {
-			if !page.Visible(i) {
-				continue // tombstoned
-			}
-			w, ok := 1.0, true
-			if s.lens.kind != lensNone {
-				rect := page.Rect(i)
-				w, ok = s.lens.admit(&rect, leaf)
-			}
-			if ok {
-				if !leaf && inter >= 2 {
-					// No feature below holds more query keywords than
-					// its pairs in the slot's signature allow.
-					inter = page.PairCap(i, s.pairs, inter)
-				}
-				s.heap.push(slotCandidate(&page, i, int(it.part), s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)*w))
+		if s.lens.kind == lensBatch {
+			// The batch resolves objects between pulls: a leaf admitted
+			// when it was queued may be in range of none now.
+			if rect := geo.RectOf(it.loc); !s.lens.nearUnresolved(&rect) {
+				continue
 			}
 		}
+		return featureRef{id: it.ref, loc: it.loc, score: it.prio}, false, nil
 	}
 	if !s.exhausted {
 		s.exhausted = true
 		return featureRef{virtual: true, score: virtualScore}, false, nil
 	}
 	return featureRef{}, true, nil
+}
+
+// pullFrom says where a partner-ordered stream's next step takes its entry
+// from.
+type pullFrom uint8
+
+const (
+	fromBound pullFrom = iota // the bound order's top; ∅ once nothing is queued
+	fromNear                  // the near order's top
+	fromVoid                  // ∅ now, ahead of what is queued
+)
+
+// step takes one entry off a partner-ordered stream from the order named:
+// a page it expands (got=false), a leaf it yields as a feature, or ∅.
+// After ∅ and every entry it reports done.
+func (s *featureStream) step(from pullFrom) (ref featureRef, got, done bool, err error) {
+	var e int32
+	switch {
+	case from == fromNear:
+		e = s.pq.takeNear()
+	case from == fromBound && s.topBound():
+		e = s.heap.pop().slot
+		s.pq.take(e)
+	case from == fromVoid || !s.exhausted:
+		s.exhausted = true
+		return featureRef{virtual: true, score: virtualScore}, true, false, nil
+	default:
+		return featureRef{}, false, true, nil
+	}
+	it := s.pq.candidate(e)
+	if it.isLeaf() {
+		return featureRef{id: it.ref, loc: it.loc, score: it.prio}, true, false, nil
+	}
+	return featureRef{}, false, false, s.expand(&it, e)
+}
+
+// expand reads the page of the internal candidate it and queues its
+// admitted slots; parent is its index in pq.ents under partner order (−1
+// in score order).
+// Filter, then price: most slots of a node are rejected on their keyword
+// words where the page lies; the scan counts the rest's, and each is
+// priced from its counts and its score in place.
+func (s *featureStream) expand(it *candidate, parent int32) error {
+	page, err := s.g.Part(int(it.part)).Tree().View(it.child())
+	if err != nil {
+		return err
+	}
+	words, wc, leaf := s.q.Set.WordsBits(), s.q.Set.Count(), page.Leaf()
+	if leaf {
+		s.stats.LeafExpansions++
+	} else {
+		s.stats.InternalExpansions++
+	}
+	if s.pq != nil {
+		s.pq.open(parent)
+	}
+	for i, inter, count := page.NextCounted(0, words); i < page.Len(); i, inter, count = page.NextCounted(i+1, words) {
+		if !page.Visible(i) {
+			continue // tombstoned
+		}
+		w, ok := 1.0, true
+		if s.lens.kind != lensNone {
+			rect := page.Rect(i)
+			w, ok = s.lens.admit(&rect, leaf)
+		}
+		if !ok {
+			continue
+		}
+		if !leaf && inter >= 2 {
+			// No feature below holds more query keywords than its pairs
+			// in the slot's signature allow.
+			inter = page.PairCap(i, s.pairs, inter)
+		}
+		c := slotCandidate(&page, i, int(it.part), s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)*w)
+		if s.pq == nil {
+			s.heap.push(c)
+		} else if leaf {
+			s.queue(&c, geo.RectOf(c.loc))
+		} else {
+			s.queue(&c, page.Rect(i))
+		}
+	}
+	return nil
+}
+
+// partnerCtx is what the partner-ordered streams of one range STPS query
+// share; the combination stream owns it and keeps it current.
+type partnerCtx struct {
+	// u[o] is U_o, a bound on every feature set o has not yielded yet: the
+	// bound order's top under partner order (0 once nothing is queued), the
+	// score of the set's last yield in score order (1 before the first).
+	// It only falls.
+	u []float64
+	// partners[o] are set o's joined features: pulled, and scoring above
+	// U_o since.
+	partners [][]partner
+	// reach is 2r widened by a relative 1e-8, so that no rounding of a
+	// MINDIST leaves out a partner Definition 4's 2r test keeps; reach2 is
+	// its square.
+	reach, reach2 float64
+}
+
+// partner is a joined feature of set set.
+type partner struct {
+	loc   geo.Point
+	score float64
+	set   int
+}
+
+// partnerQueue is a stream's state under partner order: the range rule's
+// κ(e) = ŝ(e) + Σ_{o≠j} max(U_o, N_o(e)) for a queued entry e of set j,
+// where N_o(e) is the best joined o-feature within 2r of e's MBR. Every
+// queued entry sits in the bound order (featureStream.heap, each candidate
+// carrying the entry's index in slot) by ŝ(e), which gives U_j; one with a
+// near partner (some N_o(e) > 0) sits in the near order too, by κ(e) as
+// last computed. A joined feature outscores U_o, so for c = 2 a near key
+// is exact; for c > 2 the U_o of a set without a near partner can fall
+// under it, and a key only overstates until it is recomputed at the near
+// order's top. An entry without a near partner has κ(e) ≤ U_j + Σ_{o≠j}
+// U_o, so the larger of that and the near order's top is the set's largest
+// κ with no entry re-keyed when a U falls.
+type partnerQueue struct {
+	ctx *partnerCtx
+	set int // j, the stream's set
+	// ents holds every entry the stream queued this query, at the index the
+	// bound and near orders carry.
+	ents []queuedEntry
+	near keyHeap
+	// nearN holds a row of c scores for each entry with a near partner:
+	// N_o(e) at column o, 0 without an o-partner within 2r.
+	nearN []float64
+	// leaves is a grid of 2r cells over the queued leaves, by index in
+	// ents, and nodes lists the internal entries not taken: what a joining
+	// feature looks through for the entries within 2r of it.
+	leaves pairGrid
+	nodes  []nodeRef
+	// cands are the other sets' partners within 2r of the page being
+	// expanded: the only ones its slots can have.
+	cands []partner
+	live  int // queued entries not yet taken
+}
+
+// queuedEntry is one entry a partner-ordered stream queued: what its
+// candidate holds, its MBR, its row in nearN (−1 while it has no near
+// partner) and, for an internal entry, its place in nodes.
+type queuedEntry struct {
+	rect  geo.Rect
+	prio  float64
+	ref   int64 // item id of a leaf, child page of an internal entry
+	part  int32
+	near  int32
+	node  int32
+	leaf  bool
+	taken bool
+}
+
+// nodeRef is an internal entry of ents with its MBR grown by ctx.reach on
+// every side: a point within 2r of the MBR lies inside.
+type nodeRef struct {
+	reach geo.Rect
+	e     int32
+}
+
+// keyed is an entry of the near order at the κ it was last priced at.
+type keyed struct {
+	key float64
+	ent int32
+}
+
+// keyHeap is the near order (heapops.go).
+type keyHeap []keyed
+
+// everywhere is the MBR of what lies below the roots: every point is within
+// 0 of it.
+var everywhere = geo.Rect{Min: geo.Point{X: math.Inf(-1), Y: math.Inf(-1)}, Max: geo.Point{X: math.Inf(1), Y: math.Inf(1)}}
+
+// partnerQueues keeps partner queues between queries. Their buffers hold
+// no pointer and grow to the size of a query's queue; handed back when a
+// scratch is released rather than kept in it, they outlive the engine,
+// which every write replaces, and the first query on a new engine does not
+// grow them anew.
+var partnerQueues = sync.Pool{New: func() any { return new(partnerQueue) }}
+
+// partner puts a freshly initialized stream of set set into partner order
+// under ctx, moving the roots init seeded into its queue.
+func (s *featureStream) partner(ctx *partnerCtx, set int) {
+	s.pq, s.spare = s.spare, nil
+	if s.pq == nil {
+		s.pq = partnerQueues.Get().(*partnerQueue)
+	}
+	s.pq.ctx, s.pq.set = ctx, set
+	s.pq.reset()
+	for i := range s.heap { // roots, all at +Inf: rewriting them in place keeps the heap
+		c := s.heap[i]
+		s.heap[i] = candidate{prio: c.prio, slot: s.pq.register(&c, &everywhere)}
+	}
+}
+
+// release hands the stream's partner queue back to partnerQueues.
+func (s *featureStream) release() {
+	for _, q := range [...]*partnerQueue{s.pq, s.spare} {
+		if q != nil {
+			q.ctx = nil
+			partnerQueues.Put(q)
+		}
+	}
+	s.pq, s.spare = nil, nil
+}
+
+// queue queues the candidate c, whose MBR is rect, under partner order.
+func (s *featureStream) queue(c *candidate, rect geo.Rect) {
+	s.heap.push(candidate{prio: c.prio, slot: s.pq.register(c, &rect)})
+}
+
+// topBound drops the entries the near order took off the bound order's top
+// and reports whether a queued one is left there.
+func (s *featureStream) topBound() bool {
+	for s.heap.Len() > 0 && s.pq.ents[s.heap[0].slot].taken {
+		s.heap.pop()
+	}
+	return s.heap.Len() > 0
+}
+
+// bound is the bound order's top under partner order, 0 once nothing is
+// queued: no feature the stream has not yielded scores more.
+func (s *featureStream) bound() float64 {
+	if s.topBound() {
+		return s.heap[0].prio
+	}
+	return 0
+}
+
+// spent reports whether the stream has nothing left to yield, ∅ included.
+func (s *featureStream) spent() bool {
+	if s.pq != nil {
+		return s.exhausted && s.pq.live == 0
+	}
+	return s.exhausted && s.heap.Len() == 0
+}
+
+// reset empties the queue for the roots a query queues first.
+func (q *partnerQueue) reset() {
+	q.ents, q.near, q.nearN, q.nodes = q.ents[:0], q.near[:0], q.nearN[:0], q.nodes[:0]
+	if q.leaves.slots == nil {
+		q.leaves.resize(minGridSlots)
+	}
+	q.leaves.reset(q.ctx.reach)
+	q.live = 0
+	q.open(-1)
+}
+
+// open gathers the candidate partners of the entries the expansion of entry
+// parent queues (−1: the roots): an o-partner within 2r of a slot is within
+// 2r of its page's MBR, so a parent without one passes none on.
+func (q *partnerQueue) open(parent int32) {
+	rect := &everywhere
+	if parent >= 0 {
+		rect = &q.ents[parent].rect
+	}
+	q.cands = q.cands[:0]
+	if parent >= 0 && q.ents[parent].near < 0 {
+		return
+	}
+	for o, ps := range q.ctx.partners {
+		if o == q.set || parent >= 0 && q.row(parent)[o] == 0 {
+			continue
+		}
+		for _, p := range ps {
+			if rect.MinDist2(p.loc) <= q.ctx.reach2 {
+				q.cands = append(q.cands, p)
+			}
+		}
+	}
+}
+
+// register files candidate c with MBR rect, prices its near partners
+// among the candidates open gathered, queues it in the near order if it has
+// one, and returns its index.
+func (q *partnerQueue) register(c *candidate, rect *geo.Rect) int32 {
+	e := int32(len(q.ents))
+	q.ents = append(q.ents, queuedEntry{rect: *rect, prio: c.prio, ref: c.ref, part: c.part, near: -1, leaf: c.isLeaf()})
+	q.live++
+	if c.isLeaf() {
+		q.leaves.add(rect.Min)
+	} else {
+		q.leaves.skip()
+		d := q.ctx.reach
+		q.ents[e].node = int32(len(q.nodes))
+		q.nodes = append(q.nodes, nodeRef{e: e, reach: geo.Rect{
+			Min: geo.Point{X: rect.Min.X - d, Y: rect.Min.Y - d},
+			Max: geo.Point{X: rect.Max.X + d, Y: rect.Max.Y + d},
+		}})
+	}
+	found := false
+	for i := range q.cands {
+		p := &q.cands[i]
+		if rect.MinDist2(p.loc) <= q.ctx.reach2 {
+			if n := &q.row(e)[p.set]; p.score > *n {
+				*n, found = p.score, true
+			}
+		}
+	}
+	if found {
+		q.near.push(keyed{key: q.kappa(e), ent: e})
+	}
+	return e
+}
+
+// row returns entry e's row of nearN, giving it one if it has none.
+func (q *partnerQueue) row(e int32) []float64 {
+	c := len(q.ctx.u)
+	en := &q.ents[e]
+	if en.near < 0 {
+		en.near = int32(len(q.nearN) / c)
+		q.nearN = slices.Grow(q.nearN, c)
+		clear(q.nearN[len(q.nearN) : len(q.nearN)+c])
+		q.nearN = q.nearN[:len(q.nearN)+c]
+	}
+	at := int(en.near) * c
+	return q.nearN[at : at+c]
+}
+
+// candidate rebuilds the candidate entry e was queued as.
+func (q *partnerQueue) candidate(e int32) candidate {
+	en := &q.ents[e]
+	if en.leaf {
+		return candidate{prio: en.prio, loc: en.rect.Min, ref: en.ref, part: en.part, slot: slotFinal}
+	}
+	return candidate{prio: en.prio, ref: en.ref, part: en.part, slot: slotNode}
+}
+
+// kappa is κ(e) under the U of now, for an entry with a near partner.
+func (q *partnerQueue) kappa(e int32) float64 {
+	k, near := q.ents[e].prio, q.row(e)
+	for o, u := range q.ctx.u {
+		if o != q.set {
+			k += max(u, near[o])
+		}
+	}
+	return k
+}
+
+// nearTop returns the near order's top key (−∞ when it is empty), first
+// dropping taken entries and re-keying stale ones there.
+func (q *partnerQueue) nearTop() float64 {
+	for len(q.near) > 0 {
+		top := &q.near[0]
+		if q.ents[top.ent].taken {
+			q.near.pop()
+			continue
+		}
+		if k := q.kappa(top.ent); k < top.key {
+			top.key = k
+			q.near.fixTop()
+			continue
+		}
+		return top.key
+	}
+	return negInf
+}
+
+// take marks entry e taken off the queue; an internal entry leaves nodes,
+// the last one taking its place.
+func (q *partnerQueue) take(e int32) {
+	en := &q.ents[e]
+	en.taken = true
+	q.live--
+	if !en.leaf {
+		last := q.nodes[len(q.nodes)-1]
+		q.nodes[en.node] = last
+		q.ents[last.e].node = en.node
+		q.nodes = q.nodes[:len(q.nodes)-1]
+	}
+}
+
+// takeNear takes the near order's top entry and returns its index.
+func (q *partnerQueue) takeNear() int32 {
+	q.nearTop()
+	e := q.near.pop().ent
+	q.take(e)
+	return e
+}
+
+// raise makes the joining feature p a near partner of every queued entry
+// within 2r of it that had no better one from p's set: the leaves in the
+// 3×3 cells around it, and the internal entries whose grown MBR holds it.
+func (q *partnerQueue) raise(p *partner) {
+	at := p.loc
+	for i := range q.nodes {
+		// Most MBRs miss p: the four tests are combined without a branch.
+		n := &q.nodes[i]
+		if b2i(at.X >= n.reach.Min.X)&b2i(at.X <= n.reach.Max.X)&b2i(at.Y >= n.reach.Min.Y)&b2i(at.Y <= n.reach.Max.Y) != 0 {
+			if q.ents[n.e].rect.MinDist2(at) <= q.ctx.reach2 {
+				q.offer(n.e, p)
+			}
+		}
+	}
+	g := &q.leaves
+	k := g.key(p.loc)
+	for dx := int32(-1); dx <= 1; dx++ {
+		for dy := int32(-1); dy <= 1; dy++ {
+			for e := g.first([2]int32{k[0] + dx, k[1] + dy}); e >= 0; e = g.next[e] {
+				if en := &q.ents[e]; !en.taken && en.rect.Min.Dist2(p.loc) <= q.ctx.reach2 {
+					q.offer(e, p)
+				}
+			}
+		}
+	}
+}
+
+// offer makes p entry e's near partner from p's set if it beats the one e
+// has, and queues e in the near order at its raised κ.
+func (q *partnerQueue) offer(e int32, p *partner) {
+	if n := &q.row(e)[p.set]; p.score > *n {
+		*n = p.score
+		q.near.push(keyed{key: q.kappa(e), ent: e})
+	}
 }
 
 // candidate is what a best-first heap keeps of an index entry. A queued
@@ -207,7 +615,9 @@ type candidate struct {
 	// ref is the item id of a leaf, the child page of an internal entry.
 	ref  int64
 	part int32 // feature-group part the entry came from
-	// slot is slotNode, slotFinal, or the leaf's index in the side slice.
+	// slot is slotNode, slotFinal, or an index in a side slice the heap's
+	// user owns: a non-final leaf's in groupAscendDistance, an entry's in
+	// pq.ents in a partner-ordered stream's bound order.
 	slot int32
 }
 

@@ -171,6 +171,13 @@ func (h *comboHeap) push(it vecEntry) { heapPush((*[]vecEntry)(h), it, comboBefo
 func (h *comboHeap) pop() vecEntry    { return heapPop((*[]vecEntry)(h), comboBefore) }
 func (h *comboHeap) reset()           { *h = resetHeap(*h) }
 
+// A partner queue's near order: max-heap on κ.
+func keyedBefore(a, b *keyed) bool { return a.key > b.key }
+
+func (h *keyHeap) push(it keyed) { heapPush((*[]keyed)(h), it, keyedBefore) }
+func (h *keyHeap) pop() keyed    { return heapPop((*[]keyed)(h), keyedBefore) }
+func (h *keyHeap) fixTop()       { heapFixTop((*[]keyed)(h), keyedBefore) }
+
 // resultMinHeap: the worst kept result sits at the root.
 func resultBefore(a, b *Result) bool { return betterResult(*b, *a) }
 

@@ -155,6 +155,9 @@ func (e *Engine) countShards(stats *Stats) {
 func (sc *queryScratch) release() {
 	sc.distRests = resetHeap(sc.distRests)
 	sc.cs.heap.reset()
+	for _, s := range sc.cs.streams {
+		s.release()
+	}
 }
 
 // scratchBoundHeap returns the reusable best-first candidate heap, empty.

@@ -263,3 +263,52 @@ func TestExactScoreMatchesEngine(t *testing.T) {
 		}
 	}
 }
+
+// Partner order reads every part's root before it first compares two
+// sets, so a range query over four shards pulls and reads about what it
+// does over one part: here at most a quarter more of either. And over either
+// layout it pulls less than a tenth of the relevant features: a pull order
+// that drains a set, as one that lets a set with unread roots price every
+// entry of the other at +∞ does, fails on both layouts alike.
+func TestPartnerOrderPullsAlikeOverShards(t *testing.T) {
+	ds := datagen.Synthetic(datagen.SyntheticConfig{
+		Objects: 2000, FeaturesPerSet: 3000, FeatureSets: 2, Vocab: 64, Clusters: 60, Seed: 46,
+	})
+	qs := ds.GenQueries(24, datagen.QueryConfig{
+		K: 10, Radius: 0.01, Lambda: 0.5, NumKeywords: 2, Variant: core.RangeScore, Seed: 47,
+	})
+	relevant := 0
+	for _, q := range qs {
+		for i, fs := range ds.FeatureSets {
+			for _, f := range fs {
+				if f.Keywords.Intersects(q.Keywords[i]) {
+					relevant++
+				}
+			}
+		}
+	}
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		single := buildUnsharded(t, ds, kind)
+		sharded := buildSharded(t, ds, kind, Options{Shards: 4})
+		var pulled, reads [2]int
+		for _, q := range qs {
+			for i, e := range []*core.Engine{single, sharded.Core()} {
+				_, st, err := e.STPS(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pulled[i] += st.FeaturesPulled
+				reads[i] += int(st.LogicalReads)
+			}
+		}
+		t.Logf("%v: pulled %d over one part, %d over four, of %d relevant; reads %d and %d",
+			kind, pulled[0], pulled[1], relevant, reads[0], reads[1])
+		if 4*pulled[1] > 5*pulled[0] || 4*reads[1] > 5*reads[0] {
+			t.Errorf("%v: four shards pull %d features and read %d pages, one part %d and %d: more than a quarter more",
+				kind, pulled[1], reads[1], pulled[0], reads[0])
+		}
+		if 10*max(pulled[0], pulled[1]) > relevant {
+			t.Errorf("%v: %d and %d features pulled of %d relevant", kind, pulled[0], pulled[1], relevant)
+		}
+	}
+}

@@ -154,15 +154,25 @@ func TestPaperShapes(t *testing.T) {
 		}
 	})
 	t.Run("Fig7b/objects-barely-matter", func(t *testing.T) {
+		// Pinned deviation: reads fall as |O| grows, by more than the 10 %
+		// the paper's "barely" allowed until the range stream took its
+		// partner order (SRT 149.9 → 136.5 and IR² 250.2 → 244.3 before,
+		// 129.1 → 109.2 and 249.4 → 223.3 now). More objects put the k
+		// answers at higher combination scores, and partner order pulls
+		// only the features a partner within 2r lifts to the k-th score:
+		// 43.8 features a query at 5K objects, 22.0 at 100K. They never
+		// rise, and fall by less than a quarter.
 		ps := run(t, "Fig7", "b")
 		logPanel(t, "Fig7b", ps)
 		for i, kind := range kinds {
-			lo, hi := ps[0].reads[i], ps[0].reads[i]
-			for _, p := range ps {
-				lo, hi = min(lo, p.reads[i]), max(hi, p.reads[i])
+			for j := 1; j < len(ps); j++ {
+				if ps[j].reads[i] > ps[j-1].reads[i] {
+					t.Errorf("%v: reads rise from %.1f at %s to %.1f at %s", kind,
+						ps[j-1].reads[i], ps[j-1].row.label(), ps[j].reads[i], ps[j].row.label())
+				}
 			}
-			if hi > 1.1*lo {
-				t.Errorf("%v: reads range %.1f–%.1f over |O|, want within 10%%", kind, lo, hi)
+			if first, last := ps[0].reads[i], ps[len(ps)-1].reads[i]; first > 1.25*last {
+				t.Errorf("%v: reads fall from %.1f to %.1f over |O|, more than a quarter", kind, first, last)
 			}
 		}
 	})
@@ -184,8 +194,12 @@ func TestPaperShapes(t *testing.T) {
 	t.Run("Fig7d/keywords-deviation", func(t *testing.T) {
 		// The paper: more indexed keywords cost slightly more. IR² does,
 		// and SRT reads more at 256 keywords than at 64, but not at every
-		// step: it rises to 128, dips at 192 and rises again at 256
-		// (131.0, 148.7, 144.1, 147.4).
+		// step: it rises to 128, then falls a little at 192 and again at
+		// 256 (101.3, 126.4, 122.1, 120.5). Until the range stream took its
+		// partner order it rose again at 256 (131.0, 148.7, 144.1, 147.4);
+		// now its reads follow the features it pulls, which fall from 128
+		// keywords on (40.2, 38.3, 35.4), as the old stream's did too
+		// (203.7, 144.9, 130.2) while its reads did not.
 		ps := run(t, "Fig7", "d")
 		logPanel(t, "Fig7d", ps)
 		first, last := ps[0], ps[len(ps)-1]
@@ -194,7 +208,7 @@ func TestPaperShapes(t *testing.T) {
 				t.Errorf("%v reads %.1f at %s, not above %.1f at %s", kind, last.reads[i], last.row.label(), first.reads[i], first.row.label())
 			}
 		}
-		for j, rises := range []bool{true, false, true} {
+		for j, rises := range []bool{true, false, false} {
 			a, b := ps[j], ps[j+1]
 			if (b.reads[0] > a.reads[0]) != rises {
 				t.Errorf("SRT reads %.1f at %s after %.1f at %s: want a rise %v, the deviation moved",
