@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -138,7 +139,7 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // (3 objects per miss while frames were never recycled). What is left does
 // not scale with the misses: the query's fixed allocations and the root
 // aggregates, some of them decoded again when a root was evicted. The
-// budget is 0.5 objects per miss, fixed part included (measured: 12 at 33.2
+// budget is 0.5 objects per miss, fixed part included (measured: 12 at 38.0
 // misses). The pools held 32 pages until the pair signatures of the inner
 // slots cut the pages a query reads, and with them the misses to 27.9,
 // under the floor of 30 (14 allocations at 44.5 misses there, 20 while the
@@ -147,9 +148,14 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // the range stream took its partner order, which reads fewer pages still:
 // 18.0 misses a query behind 28-page pools (12 allocations), 33.2 behind
 // 10. The object tree keeps every page resident, so all the misses are the
-// feature stream's.
+// feature stream's. When the inner slots took score tables the misses fell
+// to 19.6 (12 allocations), and the pools could not shrink much further:
+// at 8 pages a query missed 34.2 before them. So the world grew instead,
+// from 1,600 features a set to 3,200, each query reading more leaves:
+// 38.0 misses, 12 allocations. A cycle of 32 queries over the old world
+// missed only 22.6: every query shares the upper levels with the others.
 func TestAllocsColdFeaturePull(t *testing.T) {
-	w := buildWorldBehind(t, 907, 2000, 1600, 2, 24, index.SRT, Options{}, 10)
+	w := buildWorldBehind(t, 907, 2000, 3200, 2, 24, index.SRT, Options{}, 10)
 	eng, rng := w.engine, rand.New(rand.NewSource(908))
 	// A cycle of queries whose pages together overflow the pools, so that
 	// each finds most of what it reads evicted by the others.
@@ -188,5 +194,49 @@ func TestAllocsColdFeaturePull(t *testing.T) {
 	}
 	if allocs > misses/2 {
 		t.Fatalf("cold range STPS allocates %.1f objects for %.1f feature-page misses, budget 0.5 per miss", allocs, misses)
+	}
+}
+
+// Every write publishes a new engine over the parts, and the first query
+// on it takes its buffers — heaps, grids, arenas, the seen map, the
+// combination stream and its partner queues — from queryBuffersPool, grown
+// by the queries before it, not anew: what it allocates is its session
+// view and what any warm query allocates. Measured here: 3.1 KB on a fresh
+// engine, 1.4 KB warm; 99 KB on a fresh engine while only the partner
+// queues outlived the engine.
+func TestAllocsFreshEngineFirstQuery(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	w := buildWorld(t, 909, 2000, 10000, 2, 24, index.SRT, Options{})
+	q := w.randQuery(rand.New(rand.NewSource(910)), 2, RangeScore)
+	q.K = 10
+	run := func(e *Engine) {
+		if _, _, err := e.STPS(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for i := 0; i < 3; i++ {
+		run(w.engine)
+	}
+	warm := allocated(func() { run(w.engine) })
+	fresh := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ { // the least of five: a GC between two queries empties the pool
+		e, err := NewEngineOverParts(w.engine.objects, w.engine.shards, w.engine.features, w.engine.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = min(fresh, allocated(func() { run(e) }))
+	}
+	t.Logf("range STPS: %d bytes on a fresh engine, %d warm", fresh, warm)
+	if fresh > warm+16<<10 {
+		t.Fatalf("the first query on a fresh engine allocates %d bytes, %d more than a warm one: budget 16 KiB more", fresh, fresh-warm)
 	}
 }

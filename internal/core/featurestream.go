@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"stpq/internal/geo"
 	"stpq/internal/index"
@@ -54,10 +53,13 @@ type featureStream struct {
 	// stats receives the pages the stream expands, leaf and internal.
 	stats *Stats
 	// pairs are the query's keyword pairs, which cap an inner slot's
-	// keyword count against its pair signature (rtree.PageView.PairCap).
-	pairs []rtree.Pair
+	// keyword count against its pair signature (rtree.PageView.PairCap);
+	// levels prices an inner slot with a score table by the levels of the
+	// query's keywords and their pairs (rtree.PageView.NextLevels).
+	pairs  []rtree.Pair
+	levels rtree.LevelQuery
 	// pq is the partner order's state, nil on every stream not in it;
-	// spare keeps its buffers between the queries of one scratch.
+	// spare keeps its buffers between queries.
 	pq, spare *partnerQueue
 }
 
@@ -147,6 +149,7 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 		return
 	}
 	s.pairs = rtree.AppendPairs(s.pairs[:0], q.Set.WordsBits())
+	s.levels.Reset(q.Set.WordsBits())
 	for pi, part := range g.Parts() {
 		if part.Len() > 0 {
 			s.heap.push(rootCandidate(part.Tree(), pi, math.Inf(1)))
@@ -220,8 +223,9 @@ func (s *featureStream) step(from pullFrom) (ref featureRef, got, done bool, err
 // admitted slots; parent is its index in pq.ents under partner order (−1
 // in score order).
 // Filter, then price: most slots of a node are rejected on their keyword
-// words where the page lies; the scan counts the rest's, and each is
-// priced from its counts and its score in place.
+// words, or on an inner page with score tables on the query keywords'
+// levels, where the page lies; the scan counts the rest's, or takes their
+// price points, and each is priced from them in place.
 func (s *featureStream) expand(it *candidate, parent int32) error {
 	page, err := s.g.Part(int(it.part)).Tree().View(it.child())
 	if err != nil {
@@ -236,7 +240,19 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 	if s.pq != nil {
 		s.pq.open(parent)
 	}
-	for i, inter, count := page.NextCounted(0, words); i < page.Len(); i, inter, count = page.NextCounted(i+1, words) {
+	// One loop over either scan: a page with score tables is met by the
+	// query keywords' levels, any other by its keyword words.
+	levelled, n := page.Levelled(), page.Len()
+	var inter, count int
+	for i := 0; ; i++ {
+		if levelled {
+			i = page.NextLevels(i, &s.levels)
+		} else {
+			i, inter, count = page.NextCounted(i, words)
+		}
+		if i == n {
+			return nil
+		}
 		if !page.Visible(i) {
 			continue // tombstoned
 		}
@@ -248,12 +264,18 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 		if !ok {
 			continue
 		}
-		if !leaf && inter >= 2 {
+		var prio float64
+		switch {
+		case levelled:
+			prio = s.q.BoundLevels(s.levels.Front(), wc)
+		case !leaf && inter >= 2:
 			// No feature below holds more query keywords than its pairs
 			// in the slot's signature allow.
-			inter = page.PairCap(i, s.pairs, inter)
+			prio = s.q.BoundCounts(page.Score(i), false, page.PairCap(i, s.pairs, inter), count, wc)
+		default:
+			prio = s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)
 		}
-		c := slotCandidate(&page, i, int(it.part), s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)*w)
+		c := slotCandidate(&page, i, int(it.part), prio*w)
 		if s.pq == nil {
 			s.heap.push(c)
 		} else if leaf {
@@ -262,7 +284,6 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 			s.queue(&c, page.Rect(i))
 		}
 	}
-	return nil
 }
 
 // partnerCtx is what the partner-ordered streams of one range STPS query
@@ -356,19 +377,12 @@ type keyHeap []keyed
 // 0 of it.
 var everywhere = geo.Rect{Min: geo.Point{X: math.Inf(-1), Y: math.Inf(-1)}, Max: geo.Point{X: math.Inf(1), Y: math.Inf(1)}}
 
-// partnerQueues keeps partner queues between queries. Their buffers hold
-// no pointer and grow to the size of a query's queue; handed back when a
-// scratch is released rather than kept in it, they outlive the engine,
-// which every write replaces, and the first query on a new engine does not
-// grow them anew.
-var partnerQueues = sync.Pool{New: func() any { return new(partnerQueue) }}
-
 // partner puts a freshly initialized stream of set set into partner order
 // under ctx, moving the roots init seeded into its queue.
 func (s *featureStream) partner(ctx *partnerCtx, set int) {
 	s.pq, s.spare = s.spare, nil
 	if s.pq == nil {
-		s.pq = partnerQueues.Get().(*partnerQueue)
+		s.pq = new(partnerQueue)
 	}
 	s.pq.ctx, s.pq.set = ctx, set
 	s.pq.reset()
@@ -378,15 +392,16 @@ func (s *featureStream) partner(ctx *partnerCtx, set int) {
 	}
 }
 
-// release hands the stream's partner queue back to partnerQueues.
+// release keeps the stream's partner queue as its spare and drops what
+// the stream points at of the query and the engine it served.
 func (s *featureStream) release() {
-	for _, q := range [...]*partnerQueue{s.pq, s.spare} {
-		if q != nil {
-			q.ctx = nil
-			partnerQueues.Put(q)
-		}
+	if s.pq != nil {
+		s.spare, s.pq = s.pq, nil
 	}
-	s.pq, s.spare = nil, nil
+	if s.spare != nil {
+		s.spare.ctx = nil
+	}
+	s.g, s.stats, s.lens.batch = nil, nil, nil
 }
 
 // queue queues the candidate c, whose MBR is rect, under partner order.

@@ -134,19 +134,44 @@ import (
 //
 //	SRT/stps/range             58/58/0 67/33/17 55/23/15 → 57/57/0 49/18/2 32/8/1
 //	IR2/stps/range             132/132/58 135/128/122 72/65/63 → 114/114/40 102/91/85 35/25/23
+//
+// Ten rows were re-recorded when every inner slot of a feature tree took,
+// in place of e.s and e.W, the best score of a feature below holding each
+// keyword as a 4-bit level, and the feature stream began to price a slot
+// by the levels of the query keywords it holds and the counts their pairs
+// allow (rtree.PageView.NextLevels). At these 24-keyword trees the table
+// takes the 16 bytes the score and the keyword word took, so no page
+// changed its fan-out and the walks that do not price by keyword — both
+// stds/nearest-neighbor rows — did not move. A slot whose best score and
+// whose most query keywords came from different features is priced
+// lower, so most components fall; two rise, where the partner order,
+// seeing different prices, steps through other pages: the third
+// SRT/stps/range query's P (8 → 12) and the third IR2/stps/range query's L
+// (35 → 41). Before → after, L/P/E:
+//
+//	SRT/stds/range             1428/134/38 1364/238/238 1985/494/494 → 1243/120/24 1273/193/193 1792/340/340
+//	SRT/stds/influence         39733/220/124 33336/267/267 59791/1004/1004 → 36166/179/83 31822/231/231 55149/619/619
+//	SRT/stps/range             57/57/0 49/18/2 32/8/1 → 42/42/0 40/18/0 31/12/0
+//	SRT/stps/influence         199/92/20 124/76/59 218/135/132 → 190/83/13 108/61/42 199/108/105
+//	SRT/stps/nearest-neighbor  2362/433/273 1622/282/282 2342/404/404 → 2362/433/273 1622/277/277 2339/396/396
+//	IR2/stds/range             1748/285/189 1154/197/197 1516/235/235 → 1385/223/127 1010/183/183 1370/211/211
+//	IR2/stds/influence         36055/237/141 25574/228/228 34835/246/246 → 28498/225/129 21294/214/214 31079/227/227
+//	IR2/stps/range             114/114/40 102/91/85 35/25/23 → 63/63/0 58/34/17 41/18/16
+//	IR2/stps/influence         262/155/69 164/137/134 227/145/142 → 240/133/47 144/107/104 217/127/124
+//	IR2/stps/nearest-neighbor  2389/460/300 1653/311/311 2345/407/407 → 2389/460/300 1653/302/302 2342/400/400
 var goldenReads = map[string]string{
-	"SRT/stds/range":            "1428/134/38 1364/238/238 1985/494/494",
-	"SRT/stds/influence":        "39733/220/124 33336/267/267 59791/1004/1004",
+	"SRT/stds/range":            "1243/120/24 1273/193/193 1792/340/340",
+	"SRT/stds/influence":        "36166/179/83 31822/231/231 55149/619/619",
 	"SRT/stds/nearest-neighbor": "40609/289/193 33072/254/254 35990/258/258",
-	"SRT/stps/range":            "57/57/0 49/18/2 32/8/1",
-	"SRT/stps/influence":        "199/92/20 124/76/59 218/135/132",
-	"SRT/stps/nearest-neighbor": "2362/433/273 1622/282/282 2342/404/404",
-	"IR2/stds/range":            "1748/285/189 1154/197/197 1516/235/235",
-	"IR2/stds/influence":        "36055/237/141 25574/228/228 34835/246/246",
+	"SRT/stps/range":            "42/42/0 40/18/0 31/12/0",
+	"SRT/stps/influence":        "190/83/13 108/61/42 199/108/105",
+	"SRT/stps/nearest-neighbor": "2362/433/273 1622/277/277 2339/396/396",
+	"IR2/stds/range":            "1385/223/127 1010/183/183 1370/211/211",
+	"IR2/stds/influence":        "28498/225/129 21294/214/214 31079/227/227",
 	"IR2/stds/nearest-neighbor": "12753/217/121 10379/193/193 11368/196/196",
-	"IR2/stps/range":            "114/114/40 102/91/85 35/25/23",
-	"IR2/stps/influence":        "262/155/69 164/137/134 227/145/142",
-	"IR2/stps/nearest-neighbor": "2389/460/300 1653/311/311 2345/407/407",
+	"IR2/stps/range":            "63/63/0 58/34/17 41/18/16",
+	"IR2/stps/influence":        "240/133/47 144/107/104 217/127/124",
+	"IR2/stps/nearest-neighbor": "2389/460/300 1653/302/302 2342/400/400",
 }
 
 func TestReadCountsGolden(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"stpq/internal/geo"
 	"stpq/internal/index"
 	"stpq/internal/rtree"
@@ -9,14 +11,18 @@ import (
 )
 
 // queryScratch is the per-query reusable state of one engine session:
-// the private read accumulator, the prebuilt session view bound to it, and
+// the private read accumulator, the prebuilt session view bound to it and
+// what depends on the engine's parts, and, while a query holds the session,
 // every transient buffer the STDS/STPS kernels need — candidate heaps,
-// top-k backing, combination-stream state, dedup maps. Scratches are
-// recycled through the root engine's sync.Pool so a steady stream of
-// queries reaches steady-state zero heap growth: after warm-up, repeated
-// queries allocate only what genuinely varies per query (results slices,
-// and the copy of each Voronoi cell an NN query adds to the engine's
-// store — none once the store holds the cells its queries touch).
+// top-k backing, combination-stream state, dedup maps (queryBuffers).
+// Scratches are recycled through the root engine's sync.Pool, and the
+// buffers through a package pool (queryBuffersPool) that outlives engines:
+// every write publishes a new engine, and the first queries on it find
+// buffers already grown. So a steady stream of queries reaches steady-state
+// zero heap growth: after warm-up, repeated queries allocate only what
+// genuinely varies per query (results slices, and the copy of each Voronoi
+// cell an NN query adds to the engine's store — none once the store holds
+// the cells its queries touch).
 //
 // Single-user invariants (all hold because a query runs on one goroutine
 // and the kernels never nest):
@@ -43,7 +49,21 @@ type queryScratch struct {
 	// between queries, so it is built once per scratch and reused; only
 	// acct is re-zeroed.
 	sess *Engine
+	// probed[i] records that the query descended into object part i.
+	probed []bool
+	// layers[set][i] is part i's location layer as the session sees it,
+	// nil for an empty part: looked up at the set's first cell walk and
+	// kept, since a session's parts never change.
+	layers [][]*rtree.Tree
 
+	// The buffers of the query holding the session, nil between queries.
+	*queryBuffers
+}
+
+// queryBuffers are the working buffers of one query, whatever engine it
+// runs on: they hold no page and, between queries, nothing of the engine
+// that used them last (release).
+type queryBuffers struct {
 	stds  featureStream
 	bound boundHeap
 	prune influencePrune
@@ -56,8 +76,6 @@ type queryScratch struct {
 	topk      topkAccumulator
 	inf       influenceTopK
 	seen      map[int64]bool
-	// probed[i] records that the query descended into object part i.
-	probed []bool
 
 	// Batched STDS: one batchObj per object-tree leaf entry.
 	batch    []batchObj
@@ -78,23 +96,20 @@ type queryScratch struct {
 // sweep heap of the cell under construction (voronoiCell), and the two
 // buffers a combination's region is cut between (comboRegion).
 type cellWork struct {
-	builder voronoi.CellBuilder
-	sweep   []sweepRef
-	// layers[set][i] is part i's location layer as the session sees it,
-	// nil for an empty part: looked up at the set's first cell walk and
-	// kept, since a session's parts never change.
-	layers        [][]*rtree.Tree
+	builder       voronoi.CellBuilder
+	sweep         []sweepRef
 	region, spare []geo.Point
 }
+
+// queryBuffersPool keeps the query buffers between queries, across
+// engines.
+var queryBuffersPool = sync.Pool{New: func() any { return &queryBuffers{seen: make(map[int64]bool)} }}
 
 // newQueryScratch builds a scratch (and its session view) for the root
 // engine. Called by the pool on a cache miss; steady state reuses existing
 // scratches.
 func newQueryScratch(root *Engine) *queryScratch {
-	sc := &queryScratch{
-		seen:   make(map[int64]bool),
-		probed: make([]bool, len(root.objects)),
-	}
+	sc := &queryScratch{probed: make([]bool, len(root.objects))}
 	s := *root
 	s.reads = &sc.acct
 	s.scratches = nil // sessions never pool themselves
@@ -112,12 +127,14 @@ func newQueryScratch(root *Engine) *queryScratch {
 	return sc
 }
 
-// reset prepares the scratch for a new query. Buffers are truncated (not
-// freed) at their acquisition points; only the read accumulator and the
-// part marks must be zeroed before the session is handed out.
+// reset prepares the scratch for a new query and gives it buffers.
+// Buffers are truncated (not freed) at their acquisition points; only the
+// read accumulator and the part marks must be zeroed before the session is
+// handed out.
 func (sc *queryScratch) reset() {
 	sc.acct = storage.Stats{}
 	clear(sc.probed)
+	sc.queryBuffers = queryBuffersPool.Get().(*queryBuffers)
 }
 
 // markProbed records that the running query descends into object part pi.
@@ -141,21 +158,31 @@ func (e *Engine) countShards(stats *Stats) {
 	}
 }
 
-// release empties the distance heap's side slice and the combination heap
-// before the scratch goes back to the pool. A descent usually stops with
-// candidates still queued, and each leaf queued in groupAscendDistance's
-// heap holds, in its side slot, a keyword set; zeroing the slots here means
-// an idle scratch pins nothing of the query it served. The candidates
-// themselves hold no pointer, and everything else the scratch keeps —
-// retrieved feature prefixes, the combination refs buffer, the pair grids
-// and the index vector arena, the distance heap's keyword arena (uint64s
-// copied out of the page images), batch
-// objects, the influence search's members and K best prices — is plain
-// values without pointers.
+// release hands the scratch's buffers back to queryBuffersPool before the
+// scratch goes back to its engine's pool.
 func (sc *queryScratch) release() {
-	sc.distRests = resetHeap(sc.distRests)
-	sc.cs.heap.reset()
-	for _, s := range sc.cs.streams {
+	sc.queryBuffers.release()
+	queryBuffersPool.Put(sc.queryBuffers)
+	sc.queryBuffers = nil
+}
+
+// release empties the distance heap's side slice and the combination heap,
+// and drops what the streams point at of the engine that used them. A
+// descent usually stops with candidates still queued, and each leaf queued
+// in groupAscendDistance's heap holds, in its side slot, a keyword set;
+// zeroing the slots here means idle buffers pin nothing of the query they
+// served. The candidates themselves hold no pointer, and everything else
+// the buffers keep — retrieved feature prefixes, the combination refs
+// buffer, the pair grids and the index vector arena, the partner queues,
+// the distance heap's keyword arena (uint64s copied out of the page
+// images), batch objects, the influence search's members and K best
+// prices — is plain values without pointers.
+func (b *queryBuffers) release() {
+	b.distRests = resetHeap(b.distRests)
+	b.cs.heap.reset()
+	b.cs.q, b.cs.e, b.cs.stats, b.cs.tr = nil, nil, nil, nil
+	b.stds.release()
+	for _, s := range b.cs.streams {
 		s.release()
 	}
 }

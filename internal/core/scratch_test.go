@@ -13,7 +13,9 @@ import (
 // groupAscendDistance's heap keeps, in its side slot, the keyword set of a
 // node that may be evicted before the scratch is used again. The
 // candidates themselves hold no pointer; the side slice must come back
-// zeroed to its capacity.
+// zeroed to its capacity. The buffers leave the scratch for a package pool
+// that outlives the engine, so they must point at neither the engine nor
+// the query either.
 func TestReleasedScratchPinsNothing(t *testing.T) {
 	if p := pointerPath(reflect.TypeOf(candidate{})); p != "" {
 		t.Fatalf("candidate holds a pointer at %s: a queued one can pin what it points to", p)
@@ -43,16 +45,28 @@ func TestReleasedScratchPinsNothing(t *testing.T) {
 		if queued == 0 {
 			t.Fatalf("%v: no candidate left queued; the test shows nothing", variant)
 		}
-		// The slice taken here shares its array with the scratch's.
-		dist := sc.distRests
+		// The slice taken here shares its array with the scratch's; the
+		// buffers leave the scratch at its release.
+		dist, buf := sc.distRests, sc.queryBuffers
 		used = used || len(dist) > 0
 		w.engine.releaseSession(sess)
+		if sc.queryBuffers != nil {
+			t.Fatalf("%v: a released scratch keeps its buffers", variant)
+		}
+		if buf.cs.e != nil || buf.cs.q != nil || buf.stds.g != nil {
+			t.Fatalf("%v: released buffers still point at the engine or the query they served", variant)
+		}
+		for _, st := range buf.cs.streams {
+			if st.g != nil || st.pq != nil || st.spare != nil && st.spare.ctx != nil {
+				t.Fatalf("%v: a released stream still points at its group or its query", variant)
+			}
+		}
 		for i, lr := range dist[:cap(dist)] {
 			if !reflect.ValueOf(lr).IsZero() {
 				t.Fatalf("%v: dist side slot %d of a released scratch still holds %+v", variant, i, lr)
 			}
 		}
-		for i, ve := range sc.cs.heap[:cap(sc.cs.heap)] {
+		for i, ve := range buf.cs.heap[:cap(buf.cs.heap)] {
 			if ve.vec != nil {
 				t.Fatalf("%v: combination heap slot %d of a released scratch still holds a vector", variant, i)
 			}

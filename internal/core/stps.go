@@ -801,7 +801,7 @@ func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon
 	b, h := &w.builder, &w.sweep
 	b.Reset(site, geo.UnitSquare())
 	*h = (*h)[:0]
-	layers, err := e.locationLayers(set, w)
+	layers, err := e.locationLayers(set)
 	if err != nil {
 		return geo.Polygon{}, err
 	}
@@ -840,13 +840,15 @@ func (e *Engine) voronoiCell(set int, siteID int64, site geo.Point) (geo.Polygon
 }
 
 // locationLayers returns the location layers of set's parts as this
-// engine sees them (nil for an empty part), from w once looked up.
-func (e *Engine) locationLayers(set int, w *cellWork) ([]*rtree.Tree, error) {
-	if w.layers == nil {
-		w.layers = make([][]*rtree.Tree, len(e.features))
+// engine sees them (nil for an empty part), from the session's scratch once
+// looked up.
+func (e *Engine) locationLayers(set int) ([]*rtree.Tree, error) {
+	sc := e.scratch
+	if sc != nil && sc.layers == nil {
+		sc.layers = make([][]*rtree.Tree, len(e.features))
 	}
-	if l := w.layers[set]; l != nil {
-		return l, nil
+	if sc != nil && sc.layers[set] != nil {
+		return sc.layers[set], nil
 	}
 	parts := e.features[set].Parts()
 	l := make([]*rtree.Tree, len(parts))
@@ -858,6 +860,8 @@ func (e *Engine) locationLayers(set int, w *cellWork) ([]*rtree.Tree, error) {
 			}
 		}
 	}
-	w.layers[set] = l
+	if sc != nil {
+		sc.layers[set] = l
+	}
 	return l, nil
 }

@@ -16,6 +16,14 @@
 // most query keywords those pairs allow one feature to hold
 // (rtree.PageView.PairCap) — a deviation that only tightens the bound.
 //
+// At vocabulary widths up to 256 an internal entry keeps, in place of e.s
+// and e.W, the best score of a feature below that holds each keyword,
+// rounded up to a 4-bit level (rtree.Config.LevelBits). The stream prices
+// the slot as the best (1−λ)·m + λ·sim-bound over the query keywords'
+// levels m and the counts the pairs allow at each (BoundLevels): a feature
+// holding c query keywords scores at most the least of their levels —
+// another deviation that only tightens the bound.
+//
 // The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
 // on insert by decode → OR → encode; our nodes store the bitmap e.W, so
 // the rule is e.W ∪= t.W, applied by refolding every node a build, an
@@ -130,6 +138,11 @@ func newFeatureIndex(tree *rtree.Tree, kind Kind, opts Options) *FeatureIndex {
 	return &FeatureIndex{tree: tree, kind: kind, opts: opts, loc: newLocLayer(tree, opts.CurveBits)}
 }
 
+// MaxLevelWidth is the widest vocabulary whose feature trees keep score
+// tables on their internal slots: a table is half a byte a keyword, 128
+// bytes at 256 keywords, and a wider one would leave a page few slots.
+const MaxLevelWidth = 256
+
 // BuildFeatureIndex bulk-loads the features into a fresh index of the
 // given kind.
 func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) {
@@ -137,14 +150,18 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if opts.VocabWidth <= 0 {
 		return nil, fmt.Errorf("index: VocabWidth must be positive")
 	}
-	tree, err := rtree.New(rtree.Config{
+	cfg := rtree.Config{
 		PageSize:     opts.PageSize,
 		KeywordWidth: opts.VocabWidth,
 		WithScore:    true,
 		PairBits:     rtree.PairSigBits,
 		BufferPages:  opts.BufferPages,
 		Disk:         opts.Disk,
-	})
+	}
+	if opts.VocabWidth <= MaxLevelWidth {
+		cfg.LevelBits = rtree.ScoreLevelBits
+	}
+	tree, err := rtree.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -327,6 +344,20 @@ func (q *QueryKeywords) Score(e *rtree.Entry) float64 {
 // bit for bit.
 func (q *QueryKeywords) Bound(e *rtree.Entry) float64 {
 	return q.BoundCounts(e.Score, e.Leaf, e.Keywords.IntersectCount(q.Set), e.Keywords.Count(), q.Set.Count())
+}
+
+// BoundLevels is the price of an internal slot with a score table from
+// its price points (rtree.PageView.NextLevels): the best of
+// (1−λ)·LevelScore(m) + λ·NodeBoundCounts(c, |W|) over its points (m, c),
+// |W| = wc. A feature below holding c query keywords, all at levels m or
+// more, scores at most that: its score is at most the least of their
+// levels, and its similarity at most the node bound at c.
+func (q *QueryKeywords) BoundLevels(front []rtree.LevelCount, wc int) float64 {
+	b := 0.0
+	for _, p := range front {
+		b = max(b, (1-q.Lambda)*rtree.LevelScore(p.Level)+q.Lambda*q.Sim.NodeBoundCounts(p.Count, wc))
+	}
+	return b
 }
 
 // BoundCounts is Bound from counts, the one formula Score and Bound share:

@@ -15,9 +15,10 @@ import (
 
 // Meta is the out-of-page state of a feature or object index. PairBits is
 // the width of the keyword-pair signature on the feature tree's inner
-// slots (rtree.Config.PairBits): a dump written before the signature
-// existed has none, so it reopens with the layout it was written in, and
-// its queries price nodes with the bound they had then.
+// slots (rtree.Config.PairBits), and LevelBits the width of a keyword's
+// level in their score tables (rtree.Config.LevelBits): a dump written
+// before either existed has none, so it reopens with the layout it was
+// written in, and its queries price nodes with the bound they had then.
 type Meta struct {
 	Tree       rtree.Meta `json:"tree"`
 	Kind       Kind       `json:"kind"`
@@ -25,6 +26,7 @@ type Meta struct {
 	PageSize   int        `json:"pageSize"`
 	WithScore  bool       `json:"withScore"`
 	PairBits   int        `json:"pairBits,omitempty"`
+	LevelBits  int        `json:"levelBits,omitempty"`
 }
 
 // Save writes the index's pages to w and returns its Meta.
@@ -39,6 +41,7 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 		PageSize:   x.tree.Config().PageSize,
 		WithScore:  true,
 		PairBits:   x.tree.Config().PairBits,
+		LevelBits:  x.tree.Config().LevelBits,
 	}, nil
 }
 
@@ -54,6 +57,7 @@ func OpenFeatureIndex(r io.Reader, meta Meta, bufferPages int) (*FeatureIndex, e
 		KeywordWidth: meta.VocabWidth,
 		WithScore:    true,
 		PairBits:     meta.PairBits,
+		LevelBits:    meta.LevelBits,
 		BufferPages:  bufferPages,
 		Disk:         disk,
 	}, meta.Tree)

@@ -2,13 +2,16 @@ package index
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stpq/internal/geo"
 	"stpq/internal/kwset"
 	"stpq/internal/rtree"
+	"stpq/internal/storage"
 )
 
 func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
@@ -23,7 +26,7 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Kind != SRT || meta.VocabWidth != 32 || meta.PageSize != 512 || meta.PairBits != rtree.PairSigBits {
+	if meta.Kind != SRT || meta.VocabWidth != 32 || meta.PageSize != 512 || meta.PairBits != rtree.PairSigBits || meta.LevelBits != rtree.ScoreLevelBits {
 		t.Fatalf("meta = %+v", meta)
 	}
 	reopened, err := OpenFeatureIndex(&buf, meta, 64)
@@ -35,6 +38,9 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	}
 	if err := reopened.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if cfg := reopened.Tree().Config(); cfg.LevelBits != rtree.ScoreLevelBits || cfg.PairBits != rtree.PairSigBits {
+		t.Fatalf("reopened with levels %d and pairs %d", cfg.LevelBits, cfg.PairBits)
 	}
 	// Same bounds and scores on a probe query.
 	q := QueryKeywords{Set: kwset.SetFromWords(32, 3, 7), Lambda: 0.5}
@@ -66,6 +72,59 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 		if s := (1-q.Lambda)*f.Score + q.Lambda*f.Keywords.Jaccard(q.Set); math.Abs(q.Score(&e)-s) > 1e-12 {
 			t.Fatal("score mismatch after reopen")
 		}
+	}
+}
+
+// A dump written before the score tables — inner slots with e.s, e.W and a
+// pair signature, a Meta without levelBits — reopens with that layout:
+// every inner slot decodes to what was written, the invariants hold, and no
+// inner page is read as a table.
+func TestOpenFeatureIndexWithoutLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	features := randomFeatures(rng, 800, 32)
+	items := make([]rtree.Item, len(features))
+	for i, f := range features {
+		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords}
+	}
+	old, err := rtree.New(rtree.Config{PageSize: 512, KeywordWidth: 32, WithScore: true, PairBits: rtree.PairSigBits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.BulkLoad(items, (&FeatureIndex{kind: SRT, opts: Options{CurveBits: 16}}).sortKey()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := storage.DumpDisk(old.Config().Disk, &buf); err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{Tree: old.Meta(), Kind: SRT, VocabWidth: 32, PageSize: 512, WithScore: true, PairBits: rtree.PairSigBits}
+	if js, err := json.Marshal(meta); err != nil || bytes.Contains(js, []byte("levelBits")) {
+		t.Fatalf("a Meta without score tables marshals to %s, %v", js, err)
+	}
+	reopened, err := OpenFeatureIndex(&buf, meta, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := reopened.Tree().Config(); cfg.LevelBits != 0 || cfg.PairBits != rtree.PairSigBits {
+		t.Fatalf("reopened with levels %d and pairs %d", cfg.LevelBits, cfg.PairBits)
+	}
+	if err := reopened.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	root := reopened.Tree().Root()
+	v, err := reopened.Tree().View(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Leaf() || v.Levelled() {
+		t.Fatalf("root leaf=%v, read as a table %v", v.Leaf(), v.Levelled())
+	}
+	want, err := old.Node(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopened.Tree().Node(root); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("root decodes to %+v, %v; was written as %+v", got, err, want)
 	}
 }
 

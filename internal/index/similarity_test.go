@@ -203,6 +203,110 @@ func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, pairs []rtree
 	return best, nil
 }
 
+// The contract of Section 4.1 for the score tables: on random SRT and IR²
+// trees, under all four measures and with λ = 1 among the weights, every
+// internal slot the level scan meets (rtree.PageView.NextLevels) is priced
+// (BoundLevels) at least at the best score of a relevant feature below it
+// — one that holds a query keyword — and the scan meets every slot with
+// one. Features of up to five keywords over small vocabularies make queries
+// meet many pairs and levels. The test fails if the table priced no slot
+// below the bound of e.s, e.W and the pair cap, for then it would show
+// nothing.
+func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
+	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
+	slots, tighter := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := 8 + rng.Intn(24)
+		features := make([]Feature, 300+rng.Intn(300))
+		for i := range features {
+			kw := kwset.NewSet(w)
+			for j := 0; j < 1+rng.Intn(5); j++ {
+				kw.Add(rng.Intn(w))
+			}
+			features[i] = Feature{ID: int64(i), Location: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Score: rng.Float64(), Keywords: kw}
+		}
+		kind := []Kind{SRT, IR2}[rng.Intn(2)]
+		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: w, PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Tree().Config().LevelBits == 0 || idx.Tree().Height() < 2 {
+			t.Fatalf("seed %d: a tree without score tables or without inner slots", seed)
+		}
+		for trial := 0; trial < 8; trial++ {
+			q := kwset.NewSet(w)
+			for j := 0; j < 1+rng.Intn(5); j++ {
+				q.Add(rng.Intn(w))
+			}
+			lambda := []float64{1, 0.5, rng.Float64()}[rng.Intn(3)]
+			for _, sim := range measures {
+				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
+				var lq rtree.LevelQuery
+				lq.Reset(q.WordsBits())
+				if _, err := levelWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, &slots, &tighter); err != nil {
+					t.Logf("seed %d, %v, %v, λ = %v, query %v: %v", seed, kind, sim, lambda, q, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("the table priced %d of %d internal slots below e.s, e.W and the pair cap", tighter, slots)
+	if tighter == 0 {
+		t.Fatal("the table tightened no slot: the test shows nothing")
+	}
+}
+
+// levelWalk returns the best score of a relevant feature below page pid,
+// −1 when there is none, or an error at the first internal slot the level
+// scan skips though a relevant feature lies below it, or prices below that
+// feature's score. It counts the internal slots it prices and those priced
+// below the bound of the slot's e.s, e.W and pair cap.
+func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, slots, tighter *int) (float64, error) {
+	v, err := tr.View(pid)
+	if err != nil {
+		return 0, err
+	}
+	best := -1.0
+	var arena []uint64
+	pairs := rtree.AppendPairs(nil, q.Set.WordsBits())
+	for i := 0; i < v.Len(); i++ {
+		var e rtree.Entry
+		arena = arena[:0]
+		v.Entry(i, &e, &arena)
+		if e.Leaf {
+			if e.Keywords.Intersects(q.Set) {
+				best = math.Max(best, q.Score(&e))
+			}
+			continue
+		}
+		below, err := levelWalk(tr, e.Child, q, lq, slots, tighter)
+		if err != nil {
+			return 0, err
+		}
+		best = math.Max(best, below)
+		if v.NextLevels(i, lq) != i {
+			if below >= 0 {
+				return 0, fmt.Errorf("page %d slot %d: skipped, a relevant feature below scores %v", pid, i, below)
+			}
+			continue
+		}
+		price := q.BoundLevels(lq.Front(), q.Set.Count())
+		if price < below-1e-12 {
+			return 0, fmt.Errorf("page %d slot %d: priced %v at %v, a feature below scores %v", pid, i, price, lq.Front(), below)
+		}
+		inter := e.Keywords.IntersectCount(q.Set)
+		if *slots++; price < q.BoundCounts(e.Score, false, v.PairCap(i, pairs, inter), e.Keywords.Count(), q.Set.Count()) {
+			*tighter++
+		}
+	}
+	return best, nil
+}
+
 // All measures are bounded in [0,1] and positive exactly when the sets
 // intersect.
 func TestSimilarityRangeProperty(t *testing.T) {

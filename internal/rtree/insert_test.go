@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,11 +13,13 @@ import (
 
 // assertFolded fails unless every internal entry of tr is the exact fold of
 // its child node — the MBR of the child's entries, their greatest score,
-// the union of their keywords and, on a tree with signatures, the union of
-// the child's pair signatures or, over a leaf, the bits of every pair of
-// keywords one of its items holds — and not merely a cover of them. The
-// fold is computed here, apart from entryAggregate, so a fault in that rule
-// shows.
+// the union of their keywords, on a tree with score tables the table whose
+// every level is the greatest of the child's at that keyword (an item's
+// own level at each of its keywords) with e.s its top level over 15, and on
+// a tree with signatures the union of the child's pair signatures or, over
+// a leaf, the bits of every pair of keywords one of its items holds — and
+// not merely a cover of them. The fold is computed here, apart from
+// entryAggregate, so a fault in that rule shows.
 func assertFolded(t *testing.T, tr *Tree) {
 	t.Helper()
 	for _, id := range pageIDs(t, tr) {
@@ -35,11 +38,22 @@ func assertFolded(t *testing.T, tr *Tree) {
 			}
 			rect, score, kw := geo.EmptyRect(), 0.0, kwset.NewSet(tr.cfg.KeywordWidth)
 			var pairs PairSig
+			levels := make([]int, tr.cfg.KeywordWidth)
 			for _, c := range child.Entries {
 				rect = rect.Union(c.Rect)
 				score = math.Max(score, c.Score)
 				kw.UnionInPlace(c.Keywords)
 				pairs = orSig(pairs, refPairs(&c))
+				foldLevels(levels, &c)
+			}
+			if tr.cfg.LevelBits > 0 {
+				score = 0
+				for k, l := range levels {
+					score = math.Max(score, float64(l)/15)
+					if got := int(e.Levels[k/16]>>(4*(k%16))) & 15; got != l {
+						t.Fatalf("node %d entry %d: keyword %d at level %d, the fold of child %d has %d", id, i, k, got, e.Child, l)
+					}
+				}
 			}
 			if e.Rect != rect || e.Score != score || !e.Keywords.Equal(kw) {
 				t.Fatalf("node %d entry %d: (%v, %v, %v), the fold of child %d is (%v, %v, %v)",
@@ -50,6 +64,34 @@ func assertFolded(t *testing.T, tr *Tree) {
 			}
 		}
 	}
+}
+
+// foldLevels raises levels[k] to what the decoded entry c folds into its
+// parent's table at keyword k: a leaf's own level, refLevel(t.s), at each
+// of its keywords below the width, an internal entry's level.
+func foldLevels(levels []int, c *Entry) {
+	for k := range levels {
+		l := 0
+		switch {
+		case c.Leaf && c.Keywords.Has(k):
+			l = refLevel(c.Score)
+		case !c.Leaf && c.Levels != nil:
+			l = int(c.Levels[k/16]>>(4*(k%16))) & 15
+		}
+		levels[k] = max(levels[k], l)
+	}
+}
+
+// refLevel is the least level l ≥ 1 whose score l/15 is not below s, 15
+// when there is none, found by trying each: Level apart from its rounding
+// arithmetic.
+func refLevel(s float64) int {
+	for l := 1; l < 15; l++ {
+		if float64(l)/15 >= s {
+			return l
+		}
+	}
+	return 15
 }
 
 // refPairs is what a decoded entry folds into its parent's pair signature,
@@ -85,10 +127,20 @@ func orSig(a, b PairSig) PairSig {
 // inserts into an empty tree, and again after a third of the items are
 // deleted, CheckInvariants holds and every internal entry is the exact fold
 // of its child (assertFolded), the root's keyword summary, pair signature
-// and score included.
+// and score included — on a tree with signatures, and on one with score
+// tables and signatures, whose root score is the top level of an item that
+// has a keyword.
 func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
+	for _, levels := range []int{0, ScoreLevelBits} {
+		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
+			insertAbsorbMatchesFullRecompute(t, Config{PageSize: 512, KeywordWidth: 64, WithScore: true, PairBits: PairSigBits, LevelBits: levels})
+		})
+	}
+}
+
+func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
 	rng := rand.New(rand.NewSource(11))
-	tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: 64, WithScore: true, PairBits: PairSigBits})
+	tr := newTestTree(t, cfg)
 	items := randomItems(rng, 600, 64)
 	check := func(stage string, live []Item) {
 		t.Helper()
@@ -104,7 +156,11 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 		var wantPairs PairSig
 		for _, it := range live {
 			wantKW.UnionInPlace(it.Keywords)
-			wantScore = math.Max(wantScore, it.Score)
+			if cfg.LevelBits == 0 {
+				wantScore = math.Max(wantScore, it.Score)
+			} else if !it.Keywords.IsEmpty() {
+				wantScore = math.Max(wantScore, float64(refLevel(it.Score))/15)
+			}
 			wantPairs = orSig(wantPairs, refPairs(&Entry{Leaf: true, Keywords: it.Keywords}))
 		}
 		if !root.Keywords.Equal(wantKW) {
@@ -146,10 +202,12 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 
 // FuzzInsertDelete decodes the fuzz bytes, four to an operation, into up
 // to 200 inserts and deletes on a bulk-loaded tree of 64 keywords, pair
-// signatures and 512-byte pages. An insert's location is a point of a 16×16 grid, so
+// signatures and 512-byte pages, with score tables when the first byte is
+// odd. An insert's location is a point of a 16×16 grid, so
 // items share locations; a delete removes a live item. After every
 // operation CheckInvariants must pass and every internal entry must be the
-// exact fold of its child (assertFolded), its pair signature included.
+// exact fold of its child (assertFolded), its pair signature and score
+// table included.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33, 0x01, 0x00, 0x05, 0x00})
@@ -158,7 +216,11 @@ func FuzzInsertDelete(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00, 0x3c, 0xff, 0x3f, 0x03, 0x12, 0x34, 0x00}, 100))         // alternate
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const w, maxOps = 64, 200
-		tr := newTestTree(t, Config{PageSize: 512, KeywordWidth: w, WithScore: true, PairBits: PairSigBits})
+		cfg := Config{PageSize: 512, KeywordWidth: w, WithScore: true, PairBits: PairSigBits}
+		if len(ops) > 0 && ops[0]&1 == 1 {
+			cfg.LevelBits = ScoreLevelBits
+		}
+		tr := newTestTree(t, cfg)
 		live := randomItems(rand.New(rand.NewSource(1)), 150, w)
 		if err := tr.BulkLoad(live, hilbert2DKey); err != nil {
 			t.Fatal(err)
@@ -206,11 +268,11 @@ func insertItems(n int) []Item {
 }
 
 // insertTree bulk-loads the first insertBase of items by the SRT key into
-// a tree of 128 keywords, scores, pair signatures and 4 KiB pages, as an
-// SRT index is.
+// a tree of 128 keywords, scores, score tables, pair signatures and 4 KiB
+// pages, as an SRT index is.
 func insertTree(tb testing.TB, items []Item) *Tree {
 	tb.Helper()
-	tr, err := New(Config{KeywordWidth: 128, WithScore: true, PairBits: PairSigBits})
+	tr, err := New(Config{KeywordWidth: 128, WithScore: true, PairBits: PairSigBits, LevelBits: ScoreLevelBits})
 	if err != nil {
 		tb.Fatal(err)
 	}

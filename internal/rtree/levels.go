@@ -1,0 +1,278 @@
+package rtree
+
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// ScoreLevelBits is the width of one keyword's score level in the table
+// every internal slot of a tree built with Config.LevelBits carries in
+// place of its keyword bitmap e.W and its score e.s. At 128 keywords the
+// table is 64 bytes, and with the pair signature an inner slot is 164
+// bytes: a 4 KiB page holds 24 of them.
+const ScoreLevelBits = 4
+
+// MaxLevel is the highest score level. Level l stands for the score
+// LevelScore(l) = l/15; level 0 in a table means that no feature below
+// holds the keyword.
+const MaxLevel = 1<<ScoreLevelBits - 1
+
+// levelScores[l] is l/15, the score level l stands for.
+var levelScores = func() (s [MaxLevel + 1]float64) {
+	for l := range s {
+		s[l] = float64(l) / MaxLevel
+	}
+	return s
+}()
+
+// LevelScore returns the score level l stands for, l/15.
+func LevelScore(l uint8) float64 { return levelScores[l&MaxLevel] }
+
+// Level is the score level of a feature scoring s: the least l ≥ 1 with
+// LevelScore(l) ≥ s — max(1, ⌈15·s⌉), corrected for the rounding of l/15
+// — so a level never prices a feature below its score. Scores are in
+// [0, 1]; anything above 1, and NaN, takes the top level.
+func Level(s float64) uint8 {
+	if !(s < 1) {
+		return MaxLevel
+	}
+	l := max(1, int(math.Ceil(s*MaxLevel)))
+	for l > 1 && levelScores[l-1] >= s {
+		l--
+	}
+	for l < MaxLevel && levelScores[l] < s {
+		l++
+	}
+	return uint8(l)
+}
+
+// levelWords returns the number of 64-bit words a table of the given
+// keyword width takes, 16 levels to a word.
+func levelWords(width int) int { return (width*ScoreLevelBits + 63) / 64 }
+
+// The table of an internal entry is folded exactly, as e.W is: a leaf
+// raises the level of each of its keywords below the width to its own
+// (addLeaf), an internal entry the levels of its table (maxLevels).
+
+// addLeaf raises to level l the level of every keyword id below width
+// set in words, and reports whether there was one.
+func addLeaf(tbl, words []uint64, width int, l uint8) (held bool) {
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			k := i*64 + bits.TrailingZeros64(w)
+			if k >= width {
+				return held
+			}
+			sh := uint(k%16) * ScoreLevelBits
+			if x := &tbl[k/16]; uint8(*x>>sh&MaxLevel) < l {
+				*x = *x&^(MaxLevel<<sh) | uint64(l)<<sh
+			}
+			held = true
+		}
+	}
+	return held
+}
+
+// maxLevels raises every level of dst to the one src holds.
+func maxLevels(dst, src []uint64) {
+	const lo = 0x0f0f0f0f0f0f0f0f
+	for i, a := range dst {
+		b := src[i]
+		dst[i] = maxBytes(a&lo, b&lo) | maxBytes(a>>4&lo, b>>4&lo)<<4
+	}
+}
+
+// maxBytes returns the bytewise maximum of a and b, whose bytes are all
+// below 16: a byte of (a|16) − b keeps bit 4 exactly when a ≥ b, and no
+// byte borrows from the next.
+func maxBytes(a, b uint64) uint64 {
+	const h = 0x1010101010101010
+	m := ((a | h) - b) & h >> 4 * MaxLevel // 0x0f in every byte where a ≥ b
+	return a&m | b&^m
+}
+
+// coversLevels reports whether no level c folds into its parent — a
+// leaf's at each of its keywords below width, an internal entry's table —
+// is above the one tbl holds.
+func coversLevels(tbl []uint64, c *Entry, width int) bool {
+	own := make([]uint64, len(tbl))
+	switch {
+	case c.Leaf:
+		addLeaf(own, c.Keywords.WordsBits(), width, Level(c.Score))
+	case c.Levels != nil:
+		copy(own, c.Levels)
+	}
+	maxLevels(own, tbl)
+	return slices.Equal(own, tbl)
+}
+
+// topLevel returns the highest level, and levelled how many levels are not
+// 0, among the keywords below width in the table bytes tbl: what e.s and
+// |e.W| are read off.
+func topLevel(tbl []byte, width int) (top uint8, levelled int) {
+	for k := uint32(0); k < uint32(width); k++ {
+		l := tableLevel(tbl, k)
+		top = max(top, l)
+		levelled += int(min(l, 1))
+	}
+	return top, levelled
+}
+
+// presence sets in kw, zeroed, the bit of every keyword whose level in tbl
+// is not 0: e.W read off the table.
+func presence(kw, tbl []uint64) {
+	for i, x := range tbl {
+		for j := 0; x != 0; j, x = j+1, x>>ScoreLevelBits {
+			if x&MaxLevel != 0 {
+				k := i*16 + j
+				kw[k/64] |= 1 << (k % 64)
+			}
+		}
+	}
+}
+
+// LevelCount is one point of an internal slot's price: some feature below
+// may hold Count of the query keywords and have a score up to
+// LevelScore(Level), and none holding more of them scores above it.
+type LevelCount struct {
+	Level uint8
+	Count int
+}
+
+// LevelQuery is a query keyword set prepared for pricing the internal
+// slots of a tree with score tables (PageView.NextLevels): its ids, the
+// signature bit of each pair of them, and the buffers a slot is priced in.
+// A stream keeps one and Resets it per query.
+type LevelQuery struct {
+	ids []uint32
+	// bits[a*len(ids)+b] is the signature bit of the pair ids[a] < ids[b].
+	bits []uint16
+	// held is the current slot's query keywords with a level, by
+	// decreasing level.
+	held  []heldLevel
+	front []LevelCount
+}
+
+// heldLevel is a query keyword a slot holds: its position in ids and its
+// level there.
+type heldLevel struct {
+	pos   int32
+	level uint8
+}
+
+// Reset prepares q for the keyword ids set in words.
+func (q *LevelQuery) Reset(words []uint64) {
+	q.ids = q.ids[:0]
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			q.ids = append(q.ids, uint32(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	n := len(q.ids)
+	q.bits = slices.Grow(q.bits[:0], n*n)[:n*n]
+	for a, x := range q.ids {
+		for b, y := range q.ids[a+1:] {
+			q.bits[a*n+a+1+b] = uint16(pairBit(int(x), int(y)))
+		}
+	}
+}
+
+// Front returns the price points of the slot NextLevels last met: by
+// decreasing level, each with the most query keywords one feature at or
+// above that level can hold, kept only where that count grows. Valid until
+// the next NextLevels.
+func (q *LevelQuery) Front() []LevelCount { return q.front }
+
+// Levelled reports whether the view's slots carry score tables: an
+// internal page of a tree built with Config.LevelBits.
+func (v *PageView) Levelled() bool { return v.lvOff > 0 }
+
+// NextLevels returns the first slot at or after i where a keyword of q has
+// a level, or Len() when there is none, and leaves its price points in
+// q.Front(). It reads only the query's levels and, where two of them are
+// present, the bits of their pairs in the slot's signature. A feature
+// below that holds the set S of query keywords has a score level at most
+// the least level in S, and all pairs of S set their bits; so at the
+// threshold of S's least level it is counted among the keywords at or
+// above it, and its C(|S|, 2) pairs among the hits there, and the front
+// point at or above that level prices it soundly.
+func (v *PageView) NextLevels(i int, q *LevelQuery) int {
+	width := uint32(v.t.cfg.KeywordWidth)
+	n, _ := slices.BinarySearch(q.ids, width) // the ids the table holds
+	ids, held := q.ids[:n], q.held
+	tblBytes := 8 * v.lvWords
+	for off := nodeHeaderSize + i*v.stride; i < v.count; i, off = i+1, off+v.stride {
+		tbl := v.data[off+v.lvOff : off+v.lvOff+tblBytes]
+		held = held[:0]
+		for j, k := range ids {
+			l := tableLevel(tbl, k)
+			if l == 0 {
+				continue
+			}
+			held = append(held, heldLevel{pos: int32(j), level: l})
+			for x := len(held) - 1; x > 0 && held[x-1].level < l; x-- {
+				held[x-1], held[x] = held[x], held[x-1]
+			}
+		}
+		if len(held) == 0 {
+			continue
+		}
+		q.held = held
+		if len(held) == 1 { // one keyword, one point
+			q.front = append(q.front[:0], LevelCount{Level: held[0].level, Count: 1})
+		} else {
+			q.front = v.levelFront(v.slot(i), q)
+		}
+		return i
+	}
+	q.held = held
+	return v.count
+}
+
+// levelFront computes the price points of slot p from q.held: down the
+// levels held, at the last keyword of each level, the keywords so far and
+// the pairs among them whose bit the signature has.
+func (v *PageView) levelFront(p []byte, q *LevelQuery) []LevelCount {
+	front, held, n := q.front[:0], q.held, len(q.ids)
+	var sig []byte
+	if v.sigOff > 0 {
+		sig = p[v.sigOff:v.stride]
+	}
+	hits, last := 0, 0
+	for x, a := range held {
+		if sig != nil {
+			for _, b := range held[:x] {
+				lo, hi := min(a.pos, b.pos), max(a.pos, b.pos)
+				if bitAt(sig, uint32(q.bits[int(lo)*n+int(hi)])) {
+					hits++
+				}
+			}
+		}
+		if x+1 < len(held) && held[x+1].level == a.level {
+			continue // the level goes on
+		}
+		c := x + 1
+		if sig != nil {
+			c = min(c, pairCount(hits))
+		}
+		if c > last {
+			front = append(front, LevelCount{Level: a.level, Count: c})
+			last = c
+		}
+	}
+	return front
+}
+
+// pairCount is the most keywords one feature can hold when hits of their
+// pairs are set: the largest c with C(c, 2) ≤ hits.
+func pairCount(hits int) int {
+	c := 1
+	for c*(c+1)/2 <= hits { // C(c+1, 2) ≤ hits
+		c++
+	}
+	return c
+}
+
+// tableLevel reads keyword k's level off the table bytes tbl.
+func tableLevel(tbl []byte, k uint32) uint8 { return tbl[k/2] >> (k % 2 * ScoreLevelBits) & MaxLevel }

@@ -43,19 +43,13 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 			off = putFloat(buf, off, e.Rect.Max.X)
 			off = putFloat(buf, off, e.Rect.Max.Y)
 		}
-		if t.cfg.WithScore {
-			off = putFloat(buf, off, e.Score)
-		}
-		if lay.words > 0 {
-			raw := e.Keywords.WordsBits()
-			for w := 0; w < lay.words; w++ {
-				var v uint64
-				if w < len(raw) {
-					v = raw[w]
-				}
-				binary.LittleEndian.PutUint64(buf[off:], v)
-				off += 8
+		if lay.lvOff > 0 { // the table stands for e.s and e.W
+			off = putWords(buf, off, e.Levels, lay.lvWords)
+		} else {
+			if t.cfg.WithScore {
+				off = putFloat(buf, off, e.Score)
 			}
+			off = putWords(buf, off, e.Keywords.WordsBits(), lay.words)
 		}
 		if lay.sigOff > 0 {
 			if e.Pairs != nil {
@@ -92,6 +86,20 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	}
 	n.Entries = n.Entries[:kept]
 	return n, nil
+}
+
+// putWords writes n words, those of raw and zeros after them, at off and
+// returns the next offset.
+func putWords(buf []byte, off int, raw []uint64, n int) int {
+	for w := 0; w < n; w++ {
+		var v uint64
+		if w < len(raw) {
+			v = raw[w]
+		}
+		binary.LittleEndian.PutUint64(buf[off:], v)
+		off += 8
+	}
+	return off
 }
 
 // putFloat writes a float64 at off and returns the next offset.

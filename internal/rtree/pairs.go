@@ -9,7 +9,7 @@ import (
 // PairSigBits is the width of the keyword-pair signature an internal slot
 // of a tree with signatures carries (Config.PairBits). It is a constant:
 // at 512 bits a 128-keyword slot grows from 60 to 124 bytes, and a 4 KiB
-// inner page still holds 33 slots.
+// inner page still holds 33 slots (24 beside a score table, levels.go).
 const PairSigBits = 512
 
 // sigWords is the signature's length in 64-bit words.
@@ -120,21 +120,26 @@ func (v *PageView) PairCap(i int, pairs []Pair, inter int) int {
 		return inter
 	}
 	p := v.slot(i)
-	kw, sig := p[v.kwOff:v.sigOff], p[v.sigOff:v.stride]
+	sig := p[v.sigOff:v.stride]
 	width := uint32(v.t.cfg.KeywordWidth)
 	need, hits := inter*(inter-1)/2, 0
 	for _, q := range pairs {
-		if q.B < width && bitAt(sig, q.Bit) && bitAt(kw, q.A) && bitAt(kw, q.B) {
+		if q.B < width && bitAt(sig, q.Bit) && v.holds(p, q.A) && v.holds(p, q.B) {
 			if hits++; hits >= need {
 				return inter
 			}
 		}
 	}
-	c := 1
-	for c*(c+1)/2 <= hits { // C(c+1, 2) ≤ hits
-		c++
+	return pairCount(hits)
+}
+
+// holds reports whether the summary of inner slot p holds keyword k,
+// below the tree's width: its bit, or on a slot with a table its level.
+func (v *PageView) holds(p []byte, k uint32) bool {
+	if v.lvOff > 0 {
+		return tableLevel(p[v.lvOff:], k) != 0
 	}
-	return c
+	return bitAt(p[v.kwOff:], k)
 }
 
 // bitAt reads bit i of little-endian words stored in p.

@@ -13,7 +13,10 @@
 // (e.s) and a keyword summary of all feature objects below (e.W), and an
 // internal entry of a tree built with Config.PairBits a signature of the
 // keyword pairs that occur together in one feature below (PairSig), which
-// tightens the keyword term of the bound. The SRT
+// tightens the keyword term of the bound. On a tree built with
+// Config.LevelBits an internal slot keeps, instead of e.W and e.s, the
+// best score of a feature below holding each keyword, as a 4-bit level
+// (levels.go): e.W is the keywords with a level, e.s the top level. The SRT
 // and IR² indexes share this node format — they differ only in how leaf
 // entries are clustered at build time, which isolates the paper's index
 // contribution (Section 4.2) from incidental implementation detail.
@@ -44,6 +47,11 @@ type Config struct {
 	// slot carries: PairSigBits, or 0 for none — the layout of a tree
 	// written before the signature existed. It needs KeywordWidth > 0.
 	PairBits int
+	// LevelBits is the width of the per-keyword score level that replaces
+	// an internal slot's keyword bitmap and score: ScoreLevelBits, or 0
+	// for none — the layout of a tree written before the levels existed.
+	// It needs KeywordWidth > 0 and WithScore, and item scores in [0, 1].
+	LevelBits int
 	// BufferPages is the LRU buffer-pool capacity in pages. Defaults to
 	// DefaultBufferPages.
 	BufferPages int
@@ -62,7 +70,7 @@ const DefaultBufferPages = 1024
 // node and carry the aggregated MBR, maximum score and keyword summary of
 // the whole subtree.
 //
-// The field order packs Leaf beside Child: an Entry is 96 bytes.
+// The field order packs Leaf beside Child: an Entry is 120 bytes.
 type Entry struct {
 	// Rect is the MBR of the subtree; for leaf entries it is the
 	// degenerate rectangle at the item's location.
@@ -85,6 +93,10 @@ type Entry struct {
 	// Pairs is an internal entry's keyword-pair signature on a tree with
 	// Config.PairBits, nil otherwise and on every leaf entry.
 	Pairs *PairSig
+	// Levels is an internal entry's score table on a tree with
+	// Config.LevelBits, 16 levels to a word, nil otherwise and on every
+	// leaf entry. Its Keywords and Score are read off it.
+	Levels []uint64
 }
 
 // Point returns the location of a leaf entry.
@@ -158,6 +170,10 @@ func newTree(cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: pair signature of %d bits over keyword width %d: want %d bits over a positive width",
 			cfg.PairBits, cfg.KeywordWidth, PairSigBits)
 	}
+	if cfg.LevelBits != 0 && (cfg.LevelBits != ScoreLevelBits || cfg.KeywordWidth == 0 || !cfg.WithScore) {
+		return nil, fmt.Errorf("rtree: score levels of %d bits over keyword width %d: want %d bits over a positive width, with scores",
+			cfg.LevelBits, cfg.KeywordWidth, ScoreLevelBits)
+	}
 	if t.layouts[0].capacity < 2 || t.layouts[1].capacity < 2 {
 		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
 			cfg.PageSize, cfg.KeywordWidth)
@@ -170,12 +186,15 @@ func newTree(cfg Config) (*Tree, error) {
 // slot is stride bytes wide; its keyword words, words of them, start at
 // kwOff — after the id or child, the point or rectangle and, WithScore,
 // the score — and lastMask clears the bits beyond the keyword width in the
-// last of them, as decodeNode does. An inner slot of a tree with pair
-// signatures ends in its PairSig, at sigOff; sigOff is 0 on every other
-// page. capacity is how many slots fit in a page.
+// last of them, as decodeNode does. An inner slot of a tree with score
+// levels has neither score nor keyword words: its table, lvWords words,
+// starts at lvOff, after the rectangle; lvOff is 0 on every other page.
+// An inner slot of a tree with pair signatures ends in its PairSig, at
+// sigOff; sigOff is 0 on every other page. capacity is how many slots fit
+// in a page.
 type pageLayout struct {
-	kwOff, sigOff, stride, words, capacity int
-	lastMask                               uint64
+	kwOff, lvOff, sigOff, stride, words, lvWords, capacity int
+	lastMask                                               uint64
 }
 
 // layoutOf computes the layout of the leaf or inner pages of a tree
@@ -190,6 +209,10 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 		l.kwOff += 8
 	}
 	l.stride = l.kwOff + 8*l.words
+	if !leaf && cfg.LevelBits > 0 {
+		l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
+		l.stride = l.lvOff + 8*l.lvWords
+	}
 	if !leaf && cfg.PairBits > 0 {
 		l.sigOff = l.stride
 		l.stride += 8 * sigWords
@@ -322,15 +345,20 @@ func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
 }
 
 // emptyAggregate returns the internal entry for child that covers nothing:
-// an empty keyword summary and, on a tree with signatures, an empty pair
-// signature after it, both in buf (zeroed, slotWords of the inner layout
-// long), which the entry owns.
+// an empty keyword summary and, on a tree with score levels, an empty
+// table, then on a tree with signatures an empty pair signature, all in buf
+// (zeroed, slotWords of the inner layout long), which the entry owns.
 func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
-	w := kwWords(t.cfg.KeywordWidth)
+	l := t.layout(false)
+	w := l.words
 	e := Entry{
 		Rect:     geo.EmptyRect(),
 		Child:    child,
 		Keywords: kwset.FromBitsOwned(t.cfg.KeywordWidth, buf[:w:w]),
+	}
+	if l.lvOff > 0 {
+		e.Levels = buf[w : w+l.lvWords : w+l.lvWords]
+		w += l.lvWords
 	}
 	if len(buf) > w {
 		e.Pairs = (*PairSig)(buf[w:])
@@ -338,22 +366,36 @@ func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 	return e
 }
 
-// slotWords is how many 64-bit words a slot's keyword summary and pair
-// signature take together.
+// slotWords is how many 64-bit words a slot's keyword summary, score table
+// and pair signature take together.
 func (l *pageLayout) slotWords() int {
 	if l.sigOff > 0 {
-		return l.words + sigWords
+		return l.words + l.lvWords + sigWords
 	}
-	return l.words
+	return l.words + l.lvWords
 }
 
 // absorb widens e to cover c: MBR union, maximum score and keyword union,
-// and on an entry with a pair signature the pairs of a leaf c's keywords
-// below width — those its page slot holds — or an internal c's signature.
+// on an entry with a score table the levels of a leaf c's keywords below
+// width or an internal c's table, with e.s the top level, and on an entry
+// with a pair signature the pairs of a leaf c's keywords below width —
+// those its page slot holds — or an internal c's signature.
 func (e *Entry) absorb(c *Entry, width int) {
 	e.Rect = e.Rect.Union(c.Rect)
-	if c.Score > e.Score {
-		e.Score = c.Score
+	switch {
+	case e.Levels == nil:
+		if c.Score > e.Score {
+			e.Score = c.Score
+		}
+	case c.Leaf:
+		if l := Level(c.Score); addLeaf(e.Levels, c.Keywords.WordsBits(), width, l) && LevelScore(l) > e.Score {
+			e.Score = LevelScore(l)
+		}
+	case c.Levels != nil:
+		maxLevels(e.Levels, c.Levels)
+		if c.Score > e.Score {
+			e.Score = c.Score
+		}
 	}
 	e.Keywords.UnionInPlace(c.Keywords)
 	switch {
@@ -391,11 +433,12 @@ func (t *Tree) entryOf(it Item) Entry {
 }
 
 // CheckInvariants walks the whole tree verifying structural invariants:
-// every child entry's MBR, max score, keyword summary and keyword pairs
-// (a leaf's, or an inner entry's signature) are covered by the parent
-// entry, leaves are all at the same depth, and the item count
-// matches Len. It is used by tests and returns a descriptive error on the
-// first violation.
+// every child entry's MBR, max score (on a tree with score levels, its
+// levels: a leaf's for each of its keywords, an inner entry's table),
+// keyword summary and keyword pairs (a leaf's, or an inner entry's
+// signature) are covered by the parent entry, leaves are all at the same
+// depth, and the item count matches Len. It is used by tests and returns a
+// descriptive error on the first violation.
 func (t *Tree) CheckInvariants() error {
 	count, err := t.checkNode(t.root, 1, nil)
 	if err != nil {
@@ -429,13 +472,16 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 			if !parent.Rect.ContainsRect(e.Rect) {
 				return 0, fmt.Errorf("rtree: node %d entry MBR %v outside parent %v", id, e.Rect, parent.Rect)
 			}
-			if t.cfg.WithScore && e.Score > parent.Score+1e-12 {
+			if t.cfg.WithScore && parent.Levels == nil && e.Score > parent.Score+1e-12 {
 				return 0, fmt.Errorf("rtree: node %d score %v exceeds parent %v", id, e.Score, parent.Score)
 			}
 			if t.cfg.KeywordWidth > 0 {
 				if e.Keywords.UnionCount(parent.Keywords) != parent.Keywords.Count() {
 					return 0, fmt.Errorf("rtree: node %d keywords not contained in parent summary", id)
 				}
+			}
+			if parent.Levels != nil && !coversLevels(parent.Levels, &e, t.cfg.KeywordWidth) {
+				return 0, fmt.Errorf("rtree: node %d score levels exceed the parent's", id)
 			}
 			if parent.Pairs != nil && !parent.Pairs.covers(&e, t.cfg.KeywordWidth) {
 				return 0, fmt.Errorf("rtree: node %d pair signature not contained in parent signature", id)

@@ -11,14 +11,14 @@ import (
 )
 
 // BenchmarkPageScan times the feature stream's per-page kernel on its own,
-// over a 50 K-feature SRT tree of 128 keywords with pair signatures, for a
-// 3-keyword query: /leaf is the counted keyword scan over every leaf and
-// the price of each slot it returns; /inner is the same over every inner
-// page, where a slot that meets two query keywords or more has its count
-// capped by its pair signature (PairCap) before it is priced, so the
-// probe's cost per slot shows. The views are taken before the timer
-// starts, so no page read is timed; each reports nanoseconds per slot
-// scanned.
+// over a 50 K-feature SRT tree of 128 keywords with score tables and pair
+// signatures, for a 3-keyword query: /leaf is the counted keyword scan over
+// every leaf and the price of each slot it returns; /inner is the scan of
+// every inner page by the query keywords' levels (NextLevels), each slot
+// it meets priced from its price points (BoundLevels), so the cost of
+// reading the levels and probing the pairs per slot shows. The views are
+// taken before the timer starts, so no page read is timed; each reports
+// nanoseconds per slot scanned.
 func BenchmarkPageScan(b *testing.B) {
 	const width = 128
 	rng := rand.New(rand.NewSource(1))
@@ -45,6 +45,8 @@ func BenchmarkPageScan(b *testing.B) {
 func scanPages(b *testing.B, views []rtree.PageView, q *index.QueryKeywords) {
 	words, wc := q.Set.WordsBits(), q.Set.Count()
 	pairs := rtree.AppendPairs(nil, words)
+	var levels rtree.LevelQuery
+	levels.Reset(words)
 	slots := 0
 	for i := range views {
 		slots += views[i].Len()
@@ -55,6 +57,12 @@ func scanPages(b *testing.B, views []rtree.PageView, q *index.QueryKeywords) {
 		for k := range views {
 			v := &views[k]
 			leaf := v.Leaf()
+			if v.Levelled() {
+				for i := v.NextLevels(0, &levels); i < v.Len(); i = v.NextLevels(i+1, &levels) {
+					sink += q.BoundLevels(levels.Front(), wc)
+				}
+				continue
+			}
 			for i, inter, count := v.NextCounted(0, words); i < v.Len(); i, inter, count = v.NextCounted(i+1, words) {
 				if !v.Visible(i) {
 					continue

@@ -91,6 +91,11 @@ func (v *PageView) Leaf() bool { return v.leaf }
 // with Set.Intersects on the decoded entry: words are compared up to the
 // narrower of the two sets, so an empty q meets nothing.
 func (v *PageView) NextIntersecting(i int, q []uint64) int {
+	if v.lvOff > 0 {
+		for ; i < v.count && v.levelInter(v.slot(i), q) == 0; i++ {
+		}
+		return i
+	}
 	n := min(v.words, len(q))
 	if n == 0 {
 		return v.count
@@ -121,8 +126,18 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 // A tree of two keyword words — the width the benchmark's 128-keyword
 // trees have — scans unrolled with the counts fused in; any other width,
 // or a query narrower than the tree, takes NextIntersecting and counts the
-// slot it meets.
+// slot it meets. On an inner page with score tables the counts are those
+// of the keywords with a level (the feature stream prices such a page
+// with NextLevels instead).
 func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
+	if v.lvOff > 0 {
+		if i = v.NextIntersecting(i, q); i == v.count {
+			return i, 0, 0
+		}
+		p := v.slot(i)
+		_, count = topLevel(p[v.lvOff:], v.t.cfg.KeywordWidth)
+		return i, v.levelInter(p, q), count
+	}
 	// The query's last word is masked once, a slot's only to be counted.
 	data, end, stride, mask := v.data, v.count, v.stride, v.lastMask
 	n := min(v.words, len(q))
@@ -154,6 +169,22 @@ func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
 		}
 	}
 	return i, inter, count
+}
+
+// levelInter counts the keyword ids set in q, below the tree's width, that
+// have a level in the table of the inner slot p.
+func (v *PageView) levelInter(p []byte, q []uint64) (n int) {
+	tbl, width := p[v.lvOff:], v.t.cfg.KeywordWidth
+	for j, w := range q {
+		for ; w != 0; w &= w - 1 {
+			k := j*64 + bits.TrailingZeros64(w)
+			if k >= width {
+				return n
+			}
+			n += int(min(tableLevel(tbl, uint32(k)), 1))
+		}
+	}
+	return n
 }
 
 // slot returns the node's bytes from the start of slot i on; viewOf made
@@ -197,10 +228,15 @@ func (v *PageView) Child(i int) storage.PageID {
 // ItemID returns the item id of leaf slot i.
 func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
 
-// Score returns slot i's score — an item's t.s, a subtree's maximum e.s —
-// where it lies: Entry's Score, 0 on a tree without scores.
+// Score returns slot i's score — an item's t.s, a subtree's maximum e.s,
+// the top level of an inner slot's score table — where it lies: Entry's
+// Score, 0 on a tree without scores.
 func (v *PageView) Score(i int) float64 {
-	if !v.t.cfg.WithScore {
+	switch {
+	case v.lvOff > 0:
+		top, _ := topLevel(v.slot(i)[v.lvOff:], v.t.cfg.KeywordWidth)
+		return LevelScore(top)
+	case !v.t.cfg.WithScore:
 		return 0
 	}
 	return floatAt(v.slot(i), v.kwOff-8)
@@ -218,11 +254,13 @@ func (v *PageView) Visible(i int) bool {
 
 // Entry decodes slot i into e and reports whether the slot is visible: a
 // leaf slot tombstoned by WithExclude returns false and decodes nothing.
-// The keyword words, and an inner slot's pair signature, are copied onto
-// the end of *arena and e.Keywords and e.Pairs alias that copy, so e stays
-// valid for as long as that part of the arena is not written again: a
-// caller that hands e out to be kept leaves the arena alone, one that does
-// not cuts it back to its length before the call.
+// The keyword words, and an inner slot's score table and pair signature,
+// are copied onto the end of *arena and e.Keywords, e.Levels and e.Pairs
+// alias that copy — the keyword words of a slot with a table are read off
+// it, as its score is — so e stays valid for as long as that part of the
+// arena is not written again: a caller that hands e out to be kept leaves
+// the arena alone, one that does not cuts it back to its length before
+// the call.
 func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 	if !v.Visible(i) {
 		return false
@@ -236,19 +274,36 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 		e.Child = storage.PageID(binary.LittleEndian.Uint32(p))
 		e.Rect = mbrOf(p)
 	}
-	if v.t.cfg.WithScore {
+	if v.lvOff > 0 {
+		top, _ := topLevel(p[v.lvOff:], v.t.cfg.KeywordWidth)
+		e.Score = LevelScore(top)
+	} else if v.t.cfg.WithScore {
 		e.Score = floatAt(p, v.kwOff-8)
 	}
 	if v.words > 0 {
-		// The keyword words, then an inner slot's signature, if any.
-		at := len(*arena)
-		for w := v.kwOff; w < v.stride; w += 8 {
+		// The keyword words, or zeros for a table's keywords and the
+		// table; then an inner slot's signature, if any.
+		at, from := len(*arena), v.kwOff
+		if v.lvOff > 0 {
+			for range v.words {
+				*arena = append(*arena, 0)
+			}
+			from = v.lvOff
+		}
+		for w := from; w < v.stride; w += 8 {
 			*arena = append(*arena, binary.LittleEndian.Uint64(p[w:]))
 		}
-		kw := at + v.words
+		kw, lv := at+v.words, at+v.words+v.lvWords
+		if v.lvOff > 0 {
+			e.Levels = (*arena)[kw:lv:lv]
+			if r := v.t.cfg.KeywordWidth % 16; r != 0 { // no level beyond the width
+				e.Levels[len(e.Levels)-1] &= 1<<(ScoreLevelBits*r) - 1
+			}
+			presence((*arena)[at:kw], e.Levels)
+		}
 		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:kw:kw])
 		if v.sigOff > 0 {
-			e.Pairs = (*PairSig)((*arena)[kw:])
+			e.Pairs = (*PairSig)((*arena)[lv:])
 		}
 	}
 	return true

@@ -19,7 +19,9 @@ import (
 // augmentation), exact keyword widths below, at and across word boundaries
 // (SRT and IR² over a vocabulary), each with and without the score slot
 // and on both page sizes, and every keyword width with the score slot and
-// pair signatures, as the feature indexes build them.
+// pair signatures, as the feature indexes built them before score tables,
+// with score tables and pair signatures, as they build them now, and with
+// score tables alone.
 func viewConfigs() []Config {
 	var out []Config
 	for _, page := range []int{1024, 4096} {
@@ -28,7 +30,10 @@ func viewConfigs() []Config {
 				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: score})
 			}
 			if width > 0 {
-				out = append(out, Config{PageSize: page, KeywordWidth: width, WithScore: true, PairBits: PairSigBits})
+				out = append(out,
+					Config{PageSize: page, KeywordWidth: width, WithScore: true, PairBits: PairSigBits},
+					Config{PageSize: page, KeywordWidth: width, WithScore: true, PairBits: PairSigBits, LevelBits: ScoreLevelBits},
+					Config{PageSize: page, KeywordWidth: width, WithScore: true, LevelBits: ScoreLevelBits})
 			}
 		}
 	}
@@ -91,10 +96,28 @@ func refDecode(tr *Tree, data []byte) *Node {
 			}
 			e.Rect = geo.Rect{Min: geo.Point{X: c[0], Y: c[1]}, Max: geo.Point{X: c[2], Y: c[3]}}
 		}
-		if tr.cfg.WithScore {
+		if !n.Leaf && tr.cfg.LevelBits > 0 {
+			// A table of 4-bit levels, low nibble first; e.W is the
+			// keywords with a level, e.s the top level over 15.
+			width := tr.cfg.KeywordWidth
+			e.Levels = make([]uint64, (width+15)/16)
+			kw := make([]uint64, kwWords(width))
+			top := 0
+			for k := 0; k < 16*len(e.Levels); k++ {
+				l := int(data[off+k/2]>>(4*(k%2))) & 15
+				e.Levels[k/16] |= uint64(l) << (4 * (k % 16))
+				if l > 0 {
+					kw[k/64] |= 1 << (k % 64)
+				}
+				top = max(top, l)
+			}
+			off += 8 * len(e.Levels)
+			e.Score = float64(top) / 15
+			e.Keywords = kwset.FromBitsOwned(width, kw)
+		} else if tr.cfg.WithScore {
 			e.Score, off = getFloat(data, off)
 		}
-		if words := kwWords(tr.cfg.KeywordWidth); words > 0 {
+		if words := kwWords(tr.cfg.KeywordWidth); words > 0 && e.Levels == nil {
 			raw := make([]uint64, words)
 			for w := range raw {
 				raw[w] = binary.LittleEndian.Uint64(data[off:])
@@ -126,10 +149,14 @@ func getFloat(buf []byte, off int) (float64, int) {
 func TestPageViewMatchesDecodedNode(t *testing.T) {
 	for _, cfg := range viewConfigs() {
 		for _, bulk := range []bool{true, false} {
-			name := fmt.Sprintf("page=%d/width=%d/score=%v/bulk=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore, bulk)
+			name := fmt.Sprintf("page=%d/width=%d/score=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore)
 			if cfg.PairBits > 0 {
-				name = fmt.Sprintf("page=%d/width=%d/score=%v/pairs=%d/bulk=%v", cfg.PageSize, cfg.KeywordWidth, cfg.WithScore, cfg.PairBits, bulk)
+				name += fmt.Sprintf("/pairs=%d", cfg.PairBits)
 			}
+			if cfg.LevelBits > 0 {
+				name += fmt.Sprintf("/levels=%d", cfg.LevelBits)
+			}
+			name += fmt.Sprintf("/bulk=%v", bulk)
 			t.Run(name, func(t *testing.T) {
 				tr := grownTree(t, cfg, 700, bulk)
 				if tr.Height() < 2 {
@@ -197,6 +224,10 @@ func querySets(rng *rand.Rand, width int) []kwset.Set {
 // the decoded slot.
 func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 	t.Helper()
+	var lq LevelQuery
+	if v.Levelled() {
+		lq.Reset(q.WordsBits())
+	}
 	next := len(n.Entries) // first intersecting slot at or after i, filled backwards
 	for i := len(n.Entries); i >= 0; i-- {
 		if i < len(n.Entries) && n.Entries[i].Keywords.Intersects(q) {
@@ -215,7 +246,66 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 				t.Fatalf("PairCap(%d, %v, %d) = %d, decoded slot %d", got, q, inter, c, want)
 			}
 		}
+		if v.Levelled() {
+			if got := v.NextLevels(i, &lq); got != next {
+				t.Fatalf("NextLevels(%d, %v) = %d, Set.Intersects says %d", i, q, got, next)
+			}
+			if next < len(n.Entries) {
+				if front, want := lq.Front(), refFront(&n.Entries[next], q); !reflect.DeepEqual(front, want) {
+					t.Fatalf("slot %d, query %v: price points %v, decoded slot %v", next, q, front, want)
+				}
+			}
+		}
 	}
+}
+
+// refFront is NextLevels' price points read from a decoded entry, apart
+// from the view: for each level m a query keyword in e.Levels has, highest
+// first, the keywords at m or above number n and hits of their pairs have
+// their bit in e.Pairs; a point (m, c) is kept, c = n capped at the largest
+// c with c(c−1)/2 ≤ hits (on an entry with a signature), where c exceeds
+// every higher level's.
+func refFront(e *Entry, q kwset.Set) []LevelCount {
+	level := func(k int) int {
+		if k >= 16*len(e.Levels) {
+			return 0
+		}
+		return int(e.Levels[k/16]>>(4*(k%16))) & 15
+	}
+	// kwAt[m] counts the query keywords at level m, hitAt[m] the pairs
+	// whose lower level is m and whose bit e.Pairs has.
+	var kwAt, hitAt [16]int
+	var held []int
+	for _, a := range q.IDs() {
+		if l := level(a); l > 0 {
+			kwAt[l]++
+			held = append(held, a)
+		}
+	}
+	for x, a := range held {
+		for _, b := range held[x+1:] {
+			if bit := pairBit(a, b); e.Pairs != nil && e.Pairs[bit/64]>>(bit%64)&1 == 1 {
+				hitAt[min(level(a), level(b))]++
+			}
+		}
+	}
+	var out []LevelCount
+	last, n, hits := 0, 0, 0
+	for m := 15; m >= 1; m-- {
+		n, hits = n+kwAt[m], hits+hitAt[m]
+		if kwAt[m] == 0 {
+			continue
+		}
+		c := n
+		for e.Pairs != nil && c*(c-1)/2 > hits {
+			c--
+		}
+		if c > last {
+			out = append(out, LevelCount{Level: uint8(m), Count: c})
+			last = c
+		}
+	}
+	return out
 }
 
 // refPairCap is PairCap read from a decoded entry, apart from the view: of
@@ -279,6 +369,8 @@ func FuzzPageView(f *testing.F) {
 		{PageSize: 1024, KeywordWidth: 200, WithScore: true},
 		{PageSize: 1024, KeywordWidth: 100, WithScore: true},
 		{PageSize: 1024, KeywordWidth: 128, WithScore: true, PairBits: PairSigBits},
+		{PageSize: 1024, KeywordWidth: 128, WithScore: true, PairBits: PairSigBits, LevelBits: ScoreLevelBits},
+		{PageSize: 1024, KeywordWidth: 100, WithScore: true, LevelBits: ScoreLevelBits},
 	}
 	trees := make([]*Tree, len(cfgs))
 	for i, cfg := range cfgs {
@@ -337,8 +429,12 @@ func FuzzPageView(f *testing.F) {
 		}
 		var arena []uint64
 		var e Entry
+		var lq LevelQuery
 		for _, q := range queries {
 			qs := kwset.FromBits(64*len(q), q)
+			if v.Levelled() {
+				lq.Reset(q)
+			}
 			i, inter, count := v.NextCounted(0, q)
 			for j := v.NextIntersecting(0, q); ; j = v.NextIntersecting(j+1, q) {
 				if i != j {
@@ -357,6 +453,14 @@ func FuzzPageView(f *testing.F) {
 					pairs := AppendPairs(nil, q)
 					if c, want := v.PairCap(j, pairs, inter), refPairCap(&e, pairs, inter); c != want {
 						t.Fatalf("query %x slot %d: PairCap %d, Entry %d", q, j, c, want)
+					}
+					if v.Levelled() {
+						if got := v.NextLevels(j, &lq); got != j {
+							t.Fatalf("query %x: NextLevels meets slot %d, NextIntersecting %d", q, got, j)
+						}
+						if front, want := lq.Front(), refFront(&e, qs); !reflect.DeepEqual(front, want) {
+							t.Fatalf("query %x slot %d: price points %v, Entry %v", q, j, front, want)
+						}
 					}
 				}
 				i, inter, count = v.NextCounted(j+1, q)

@@ -157,18 +157,23 @@ func TestPaperShapes(t *testing.T) {
 		// Pinned deviation: reads fall as |O| grows, by more than the 10 %
 		// the paper's "barely" allowed until the range stream took its
 		// partner order (SRT 149.9 → 136.5 and IR² 250.2 → 244.3 before,
-		// 129.1 → 109.2 and 249.4 → 223.3 now). More objects put the k
+		// 129.1 → 109.2 and 249.4 → 223.3 after). More objects put the k
 		// answers at higher combination scores, and partner order pulls
 		// only the features a partner within 2r lifts to the k-th score:
-		// 43.8 features a query at 5K objects, 22.0 at 100K. They never
-		// rise, and fall by less than a quarter.
+		// 43.8 features a query at 5K objects, 22.0 at 100K. They fall by
+		// less than a quarter, and at every step but SRT's last: since the
+		// inner slots keep each keyword's best score (107.1 → 90.4 and
+		// 143.9 → 116.9 now) SRT's feature pages fall 83.6 → 82.7 a query
+		// from 50K to 100K objects, less than its object pages rise, 5.8 →
+		// 7.8, so its reads rise 89.4 → 90.4 there.
 		ps := run(t, "Fig7", "b")
 		logPanel(t, "Fig7b", ps)
 		for i, kind := range kinds {
 			for j := 1; j < len(ps); j++ {
-				if ps[j].reads[i] > ps[j-1].reads[i] {
-					t.Errorf("%v: reads rise from %.1f at %s to %.1f at %s", kind,
-						ps[j-1].reads[i], ps[j-1].row.label(), ps[j].reads[i], ps[j].row.label())
+				rises := kind == index.SRT && j == len(ps)-1
+				if (ps[j].reads[i] > ps[j-1].reads[i]) != rises {
+					t.Errorf("%v: reads %.1f at %s after %.1f at %s: want a rise %v, the deviation moved", kind,
+						ps[j].reads[i], ps[j].row.label(), ps[j-1].reads[i], ps[j-1].row.label(), rises)
 				}
 			}
 			if first, last := ps[0].reads[i], ps[len(ps)-1].reads[i]; first > 1.25*last {
@@ -192,43 +197,55 @@ func TestPaperShapes(t *testing.T) {
 		}
 	})
 	t.Run("Fig7d/keywords-deviation", func(t *testing.T) {
-		// The paper: more indexed keywords cost slightly more. IR² does,
-		// and SRT reads more at 256 keywords than at 64, but not at every
-		// step: it rises to 128, then falls a little at 192 and again at
-		// 256 (101.3, 126.4, 122.1, 120.5). Until the range stream took its
-		// partner order it rose again at 256 (131.0, 148.7, 144.1, 147.4);
-		// now its reads follow the features it pulls, which fall from 128
-		// keywords on (40.2, 38.3, 35.4), as the old stream's did too
-		// (203.7, 144.9, 130.2) while its reads did not.
+		// The paper: more indexed keywords cost slightly more. SRT does,
+		// at every step (87.4, 100.5, 101.3, 101.8): its inner pages hold
+		// fewer slots as the score tables widen (9.4 inner reads a query
+		// at 64 keywords, 20.5 at 256), and its leaf reads stay near 75.
+		// IR² deviates: it rises to 128 keywords, then falls at 192 and
+		// again at 256, below its reads at 64 (131.3, 136.4, 122.4, 114.9).
+		// Its leaves are clustered by place alone, and over a wider
+		// vocabulary fewer of a leaf's features hold any one query keyword,
+		// so the leaf's levels price it lower: 116.1 leaf reads a query at
+		// 64 keywords, 87.1 at 256. Before the score tables SRT deviated
+		// instead (101.3, 126.4, 122.1, 120.5) and IR² rose at every step
+		// (177.7, 247.3, 264.2, 264.8).
 		ps := run(t, "Fig7", "d")
 		logPanel(t, "Fig7d", ps)
 		first, last := ps[0], ps[len(ps)-1]
-		for i, kind := range kinds {
-			if last.reads[i] <= first.reads[i] {
-				t.Errorf("%v reads %.1f at %s, not above %.1f at %s", kind, last.reads[i], last.row.label(), first.reads[i], first.row.label())
-			}
+		if last.reads[0] <= first.reads[0] {
+			t.Errorf("SRT reads %.1f at %s, not above %.1f at %s", last.reads[0], last.row.label(), first.reads[0], first.row.label())
 		}
-		for j, rises := range []bool{true, false, false} {
-			a, b := ps[j], ps[j+1]
-			if (b.reads[0] > a.reads[0]) != rises {
-				t.Errorf("SRT reads %.1f at %s after %.1f at %s: want a rise %v, the deviation moved",
-					b.reads[0], b.row.label(), a.reads[0], a.row.label(), rises)
+		if last.reads[1] >= first.reads[1] {
+			t.Errorf("IR2 reads %.1f at %s, not below %.1f at %s: the deviation moved", last.reads[1], last.row.label(), first.reads[1], first.row.label())
+		}
+		for i, kind := range kinds {
+			for j, rises := range [][]bool{{true, true, true}, {true, false, false}}[i] {
+				a, b := ps[j], ps[j+1]
+				if (b.reads[i] > a.reads[i]) != rises {
+					t.Errorf("%v reads %.1f at %s after %.1f at %s: want a rise %v, the deviation moved",
+						kind, b.reads[i], b.row.label(), a.reads[i], a.row.label(), rises)
+				}
 			}
 		}
 	})
 	t.Run("Fig7-9/srt-beats-ir2", func(t *testing.T) {
+		// At every point but one (irBeatsSRT).
 		for _, fig := range []string{"Fig7", "Fig8", "Fig9"} {
 			for _, panel := range []string{"a", "b", "c", "d"} {
 				for _, p := range run(t, fig, panel) {
-					if p.reads[0] >= p.reads[1] {
-						t.Errorf("%s(%s) %s: SRT reads %.1f, IR2 %.1f", fig, panel, p.row.label(), p.reads[0], p.reads[1])
-					}
+					checkSRTBeatsIR2(t, fig+"("+panel+")", p)
 				}
 			}
 		}
 	})
 	t.Run("Fig8-9a/radius", func(t *testing.T) {
-		// Smaller r costs more, and SRT's gain over IR² shrinks.
+		// Smaller r costs more, and SRT's gain over IR² shrinks on the
+		// real data (Fig. 8). On the synthetic data (Fig. 9) it grows, a
+		// pinned deviation since the inner slots keep each keyword's best
+		// score: IR²'s leaf reads fell most where a query reads few leaves
+		// (142.1 → 48.7 a query at r = 0.08, 231.3 → 137.4 at r = 0.005),
+		// and the gain went from 1.78× at r = 0.005 and 2.12× at 0.08 to
+		// 1.35× and 1.21×.
 		for _, fig := range []string{"Fig8", "Fig9"} {
 			ps := run(t, fig, "a")
 			logPanel(t, fig+"a", ps)
@@ -240,8 +257,8 @@ func TestPaperShapes(t *testing.T) {
 				}
 			}
 			first, last := ps[0], ps[len(ps)-1]
-			if g0, g1 := first.reads[1]/first.reads[0], last.reads[1]/last.reads[0]; g0 >= g1 {
-				t.Errorf("%s: SRT's gain %.2fx at %s, not below %.2fx at %s", fig, g0, first.row.label(), g1, last.row.label())
+			if g0, g1 := first.reads[1]/first.reads[0], last.reads[1]/last.reads[0]; (g0 < g1) != (fig == "Fig8") {
+				t.Errorf("%s: SRT's gain %.2fx at %s against %.2fx at %s: the shape moved", fig, g0, first.row.label(), g1, last.row.label())
 			}
 		}
 	})
@@ -263,25 +280,27 @@ func TestPaperShapes(t *testing.T) {
 			ps := run(t, fig, "c")
 			logPanel(t, fig+"c", ps)
 			for _, p := range ps {
-				if p.reads[0] >= p.reads[1] {
-					t.Errorf("%s %s: SRT reads %.1f, IR2 %.1f", fig, p.row.label(), p.reads[0], p.reads[1])
-				}
+				checkSRTBeatsIR2(t, fig+"(c)", p)
 			}
 		}
 	})
 	t.Run("Fig9d/one-keyword-is-cheap", func(t *testing.T) {
-		// The paper: one queried keyword is the cheap case. IR² holds it.
-		// SRT does not (a pinned deviation): one keyword has no pair for
-		// the inner slots' pair signatures to prune on, so it is SRT's
-		// dearest point (152.6 reads; 148.7 at 3 keywords, 125.9 at 9).
+		// The paper: one queried keyword is the cheap case. Neither index
+		// holds it (a pinned deviation): one keyword has no pair for the
+		// inner slots' pair signatures to prune on, and no second keyword
+		// whose best score a slot's table could price apart from the
+		// first's, so it is the dearest point on both (SRT 126.8 reads,
+		// 100.5 at 3 keywords, 91.4 at 9; IR² 144.6, 136.4 and 137.6).
+		// IR² held the claim until the inner slots kept each keyword's
+		// best score, which cut its reads at 3 keywords 247.3 → 136.4 and
+		// at one 193.8 → 144.6.
 		ps := run(t, "Fig9", "d")
 		logPanel(t, "Fig9d", ps)
 		for _, p := range ps[1:] {
-			if ps[0].reads[1] >= p.reads[1] {
-				t.Errorf("IR2: %s reads %.1f, not below %s's %.1f", ps[0].row.label(), ps[0].reads[1], p.row.label(), p.reads[1])
-			}
-			if ps[0].reads[0] <= p.reads[0] {
-				t.Errorf("SRT: %s reads %.1f, not above %s's %.1f: the deviation moved", ps[0].row.label(), ps[0].reads[0], p.row.label(), p.reads[0])
+			for i, kind := range kinds {
+				if ps[0].reads[i] <= p.reads[i] {
+					t.Errorf("%v: %s reads %.1f, not above %s's %.1f: the deviation moved", kind, ps[0].row.label(), ps[0].reads[i], p.row.label(), p.reads[i])
+				}
 			}
 		}
 	})
@@ -403,6 +422,24 @@ func runShape(t *testing.T, r sweepRow) shape {
 		s.reads[i], s.pulled[i], s.voronoi[i] = s.reads[i]/n, s.pulled[i]/n, s.voronoi[i]/n
 	}
 	return s
+}
+
+// irBeatsSRT are the range points of Figures 7–9 where IR² reads fewer
+// pages than SRT, a pinned deviation from the paper's claim that SRT reads
+// fewer everywhere. At λ = 0.9 on the synthetic data (IR² 98.2 reads a
+// query, SRT 110.2) nine tenths of a bound is the keyword term, which the
+// pair signatures cap alike on both trees; since the inner slots keep
+// each keyword's best score IR² reads fewer leaves there (82.1 a query
+// against 94.1). Before, SRT read 113.9 and IR² 118.2.
+var irBeatsSRT = map[string]bool{"Fig9(c) lambda = 0.9": true}
+
+// checkSRTBeatsIR2 fails unless SRT reads fewer pages than IR² at the
+// point p of figure panel fig, or, at the points of irBeatsSRT, more.
+func checkSRTBeatsIR2(t *testing.T, fig string, p shape) {
+	t.Helper()
+	if deviation := irBeatsSRT[fig+" "+p.row.label()]; (p.reads[0] >= p.reads[1]) != deviation {
+		t.Errorf("%s %s: SRT reads %.1f, IR2 %.1f: want IR2 fewer %v", fig, p.row.label(), p.reads[0], p.reads[1], deviation)
+	}
 }
 
 // voronoiReads sums the logical reads of the outermost voronoi.* spans.
