@@ -139,7 +139,7 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // (3 objects per miss while frames were never recycled). What is left does
 // not scale with the misses: the query's fixed allocations and the root
 // aggregates, some of them decoded again when a root was evicted. The
-// budget is 0.5 objects per miss, fixed part included (measured: 12 at 38.0
+// budget is 0.5 objects per miss, fixed part included (measured: 12 at 37.1
 // misses). The pools held 32 pages until the pair signatures of the inner
 // slots cut the pages a query reads, and with them the misses to 27.9,
 // under the floor of 30 (14 allocations at 44.5 misses there, 20 while the
@@ -154,8 +154,13 @@ func steadyStateSTPS(t *testing.T, variant Variant, budget float64) {
 // from 1,600 features a set to 3,200, each query reading more leaves:
 // 38.0 misses, 12 allocations. A cycle of 32 queries over the old world
 // missed only 22.6: every query shares the upper levels with the others.
+// When the signatures took three bits a key and singleton tokens the misses
+// fell to 27.5 behind 10-page pools, and no pool reached 30 (29.5 at 4
+// pages, 28.8 at 8, 24.6 at 12; a cycle of 16 queries 31.9, 29.9 and 27.6
+// there). So the world grew again, to 4,800 features a set: 37.1 misses
+// behind 10 pages, 12 allocations.
 func TestAllocsColdFeaturePull(t *testing.T) {
-	w := buildWorldBehind(t, 907, 2000, 3200, 2, 24, index.SRT, Options{}, 10)
+	w := buildWorldBehind(t, 907, 2000, 4800, 2, 24, index.SRT, Options{}, 10)
 	eng, rng := w.engine, rand.New(rand.NewSource(908))
 	// A cycle of queries whose pages together overflow the pools, so that
 	// each finds most of what it reads evicted by the others.

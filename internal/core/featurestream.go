@@ -52,11 +52,9 @@ type featureStream struct {
 	exhausted bool
 	// stats receives the pages the stream expands, leaf and internal.
 	stats *Stats
-	// pairs are the query's keyword pairs, which cap an inner slot's
-	// keyword count against its pair signature (rtree.PageView.PairCap);
 	// levels prices an inner slot with a score table by the levels of the
-	// query's keywords and their pairs (rtree.PageView.NextLevels).
-	pairs  []rtree.Pair
+	// query's keywords and their signature keys (rtree.PageView.NextLevels),
+	// and any other inner slot by its pair cap (rtree.PageView.PairCap).
 	levels rtree.LevelQuery
 	// pq is the partner order's state, nil on every stream not in it;
 	// spare keeps its buffers between queries.
@@ -148,7 +146,6 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords, l len
 	if g.Len() == 0 || q.Set.IsEmpty() {
 		return
 	}
-	s.pairs = rtree.AppendPairs(s.pairs[:0], q.Set.WordsBits())
 	s.levels.Reset(q.Set.WordsBits())
 	for pi, part := range g.Parts() {
 		if part.Len() > 0 {
@@ -268,10 +265,12 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 		switch {
 		case levelled:
 			prio = s.q.BoundLevels(s.levels.Front(), wc)
-		case !leaf && inter >= 2:
+		case !leaf:
 			// No feature below holds more query keywords than its pairs
-			// in the slot's signature allow.
-			prio = s.q.BoundCounts(page.Score(i), false, page.PairCap(i, s.pairs, inter), count, wc)
+			// in the slot's signature allow, nor fewer keywords than its
+			// tokens do.
+			c, least := page.PairCap(i, &s.levels, inter)
+			prio = s.q.BoundNode(page.Score(i), c, least, wc)
 		default:
 			prio = s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)
 		}
@@ -326,17 +325,17 @@ type partnerQueue struct {
 	ctx *partnerCtx
 	set int // j, the stream's set
 	// ents holds every entry the stream queued this query, at the index the
-	// bound and near orders carry.
-	ents []queuedEntry
-	near keyHeap
+	// bound and near orders carry: the roots first, ents[:roots], then the
+	// child run of each expanded entry, in the order of expansion.
+	ents  []queuedEntry
+	roots int32
+	// parent is the entry whose expansion is queuing its run, −1 for the
+	// roots.
+	parent int32
+	near   keyHeap
 	// nearN holds a row of c scores for each entry with a near partner:
 	// N_o(e) at column o, 0 without an o-partner within 2r.
 	nearN []float64
-	// leaves is a grid of 2r cells over the queued leaves, by index in
-	// ents, and nodes lists the internal entries not taken: what a joining
-	// feature looks through for the entries within 2r of it.
-	leaves pairGrid
-	nodes  []nodeRef
 	// cands are the other sets' partners within 2r of the page being
 	// expanded: the only ones its slots can have.
 	cands []partner
@@ -345,23 +344,17 @@ type partnerQueue struct {
 
 // queuedEntry is one entry a partner-ordered stream queued: what its
 // candidate holds, its MBR, its row in nearN (−1 while it has no near
-// partner) and, for an internal entry, its place in nodes.
+// partner) and, for an internal entry taken and expanded, its child run:
+// the entries its expansion queued, ents[kids:end].
 type queuedEntry struct {
-	rect  geo.Rect
-	prio  float64
-	ref   int64 // item id of a leaf, child page of an internal entry
-	part  int32
-	near  int32
-	node  int32
-	leaf  bool
-	taken bool
-}
-
-// nodeRef is an internal entry of ents with its MBR grown by ctx.reach on
-// every side: a point within 2r of the MBR lies inside.
-type nodeRef struct {
-	reach geo.Rect
-	e     int32
+	rect      geo.Rect
+	prio      float64
+	ref       int64 // item id of a leaf, child page of an internal entry
+	part      int32
+	near      int32
+	kids, end int32
+	leaf      bool
+	taken     bool
 }
 
 // keyed is an entry of the near order at the κ it was last priced at.
@@ -437,22 +430,21 @@ func (s *featureStream) spent() bool {
 
 // reset empties the queue for the roots a query queues first.
 func (q *partnerQueue) reset() {
-	q.ents, q.near, q.nearN, q.nodes = q.ents[:0], q.near[:0], q.nearN[:0], q.nodes[:0]
-	if q.leaves.slots == nil {
-		q.leaves.resize(minGridSlots)
-	}
-	q.leaves.reset(q.ctx.reach)
+	q.ents, q.near, q.nearN, q.roots = q.ents[:0], q.near[:0], q.nearN[:0], 0
 	q.live = 0
 	q.open(-1)
 }
 
-// open gathers the candidate partners of the entries the expansion of entry
-// parent queues (−1: the roots): an o-partner within 2r of a slot is within
-// 2r of its page's MBR, so a parent without one passes none on.
+// open starts the child run of entry parent (−1: the roots) and gathers
+// the candidate partners of the entries its expansion queues: an o-partner
+// within 2r of a slot is within 2r of its page's MBR, so a parent without
+// one passes none on.
 func (q *partnerQueue) open(parent int32) {
+	q.parent = parent
 	rect := &everywhere
 	if parent >= 0 {
-		rect = &q.ents[parent].rect
+		en := &q.ents[parent]
+		rect, en.kids, en.end = &en.rect, int32(len(q.ents)), int32(len(q.ents))
 	}
 	q.cands = q.cands[:0]
 	if parent >= 0 && q.ents[parent].near < 0 {
@@ -470,23 +462,17 @@ func (q *partnerQueue) open(parent int32) {
 	}
 }
 
-// register files candidate c with MBR rect, prices its near partners
-// among the candidates open gathered, queues it in the near order if it has
-// one, and returns its index.
+// register files candidate c with MBR rect at the end of the open run,
+// prices its near partners among the candidates open gathered, queues it in
+// the near order if it has one, and returns its index.
 func (q *partnerQueue) register(c *candidate, rect *geo.Rect) int32 {
 	e := int32(len(q.ents))
 	q.ents = append(q.ents, queuedEntry{rect: *rect, prio: c.prio, ref: c.ref, part: c.part, near: -1, leaf: c.isLeaf()})
 	q.live++
-	if c.isLeaf() {
-		q.leaves.add(rect.Min)
+	if q.parent < 0 {
+		q.roots = e + 1
 	} else {
-		q.leaves.skip()
-		d := q.ctx.reach
-		q.ents[e].node = int32(len(q.nodes))
-		q.nodes = append(q.nodes, nodeRef{e: e, reach: geo.Rect{
-			Min: geo.Point{X: rect.Min.X - d, Y: rect.Min.Y - d},
-			Max: geo.Point{X: rect.Max.X + d, Y: rect.Max.Y + d},
-		}})
+		q.ents[q.parent].end = e + 1
 	}
 	found := false
 	for i := range q.cands {
@@ -556,18 +542,10 @@ func (q *partnerQueue) nearTop() float64 {
 	return negInf
 }
 
-// take marks entry e taken off the queue; an internal entry leaves nodes,
-// the last one taking its place.
+// take marks entry e taken off the queue.
 func (q *partnerQueue) take(e int32) {
-	en := &q.ents[e]
-	en.taken = true
+	q.ents[e].taken = true
 	q.live--
-	if !en.leaf {
-		last := q.nodes[len(q.nodes)-1]
-		q.nodes[en.node] = last
-		q.ents[last.e].node = en.node
-		q.nodes = q.nodes[:len(q.nodes)-1]
-	}
 }
 
 // takeNear takes the near order's top entry and returns its index.
@@ -579,28 +557,23 @@ func (q *partnerQueue) takeNear() int32 {
 }
 
 // raise makes the joining feature p a near partner of every queued entry
-// within 2r of it that had no better one from p's set: the leaves in the
-// 3×3 cells around it, and the internal entries whose grown MBR holds it.
-func (q *partnerQueue) raise(p *partner) {
-	at := p.loc
-	for i := range q.nodes {
-		// Most MBRs miss p: the four tests are combined without a branch.
-		n := &q.nodes[i]
-		if b2i(at.X >= n.reach.Min.X)&b2i(at.X <= n.reach.Max.X)&b2i(at.Y >= n.reach.Min.Y)&b2i(at.Y <= n.reach.Max.Y) != 0 {
-			if q.ents[n.e].rect.MinDist2(at) <= q.ctx.reach2 {
-				q.offer(n.e, p)
-			}
-		}
-	}
-	g := &q.leaves
-	k := g.key(p.loc)
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			for e := g.first([2]int32{k[0] + dx, k[1] + dy}); e >= 0; e = g.next[e] {
-				if en := &q.ents[e]; !en.taken && en.rect.Min.Dist2(p.loc) <= q.ctx.reach2 {
-					q.offer(e, p)
-				}
-			}
+// within 2r of it that had no better one from p's set. It walks the
+// expanded frontier from the roots: every queued entry is a root or in the
+// child run of a taken entry, and a child's MBR lies in its parent's, so
+// nothing within 2r of p lies below a taken entry farther from it.
+func (q *partnerQueue) raise(p *partner) { q.raiseRun(0, q.roots, p) }
+
+// raiseRun is raise over the entries ents[from:to] and what lies below
+// them.
+func (q *partnerQueue) raiseRun(from, to int32, p *partner) {
+	for e := from; e < to; e++ {
+		en := &q.ents[e]
+		switch {
+		case en.rect.MinDist2(p.loc) > q.ctx.reach2:
+		case !en.taken:
+			q.offer(e, p)
+		case !en.leaf:
+			q.raiseRun(en.kids, en.end, p)
 		}
 	}
 }

@@ -72,9 +72,22 @@ func (s Similarity) SimCounts(inter, tc, wc int) float64 {
 //	         j and is ≤ 1 since i ≤ |w|; a feature with t.W = eW ∩ w meets it
 //	Cosine:  |t∩w|/√(|t||w|) ≤ √(|t∩w|/|w|) ≤ √(i/|w|), capped at 1
 //	Overlap: ≤ 1 whenever i ≥ 1
-func (s Similarity) NodeBoundCounts(inter, wc int) float64 {
-	if inter == 0 {
+func (s Similarity) NodeBoundCounts(inter, wc int) float64 { return s.NodeBound(inter, inter, wc) }
+
+// NodeBound is NodeBoundCounts for a node that also knows the fewest
+// keywords, least, a feature below holding inter of w's holds: sim(t, w)
+// over every such t. With least ≤ inter it is NodeBoundCounts(inter, wc);
+// above, it is SimCounts(inter, least, wc), the similarity of a feature of
+// least keywords, inter of them w's. Every measure rises with the shared
+// count and falls as |t| grows, so a feature sharing j ≤ inter keywords
+// with w and holding n ≥ least scores at most that. It is one function
+// with NodeBoundCounts, so that pricing a slot makes one call.
+func (s Similarity) NodeBound(inter, least, wc int) float64 {
+	switch {
+	case inter == 0:
 		return 0
+	case least > inter:
+		return s.SimCounts(inter, least, wc)
 	}
 	switch s {
 	case Dice:

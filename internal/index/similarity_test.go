@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,43 +116,92 @@ func TestNodeBoundDominatesProperty(t *testing.T) {
 	}
 }
 
+// NodeBound is met to the bit, but for Cosine's node bound, by a feature
+// that shares inter keywords with w and holds max(inter, least) keywords —
+// no bound is looser than it must be, and none uses the least count where
+// it needs the shared one — and dominates every feature sharing j ≤ inter
+// keywords with w and holding n ≥ least.
+func TestNodeBoundLeastIsMet(t *testing.T) {
+	for _, sim := range []Similarity{Jaccard, Dice, Cosine, Overlap} {
+		for wc := 1; wc <= 6; wc++ {
+			for inter := 1; inter <= wc; inter++ {
+				for least := 0; least <= inter+3; least++ {
+					bound := sim.NodeBound(inter, least, wc)
+					met := sim.SimCounts(inter, max(inter, least), wc)
+					if (sim != Cosine || least > inter) && math.Float64bits(bound) != math.Float64bits(met) {
+						t.Fatalf("%v: NodeBound(%d, %d, %d) = %v, a feature of %d keywords, %d shared, scores %v",
+							sim, inter, least, wc, bound, max(inter, least), inter, met)
+					}
+					for j := 1; j <= inter; j++ {
+						for n := max(j, least); n <= j+6; n++ {
+							if got := sim.SimCounts(j, n, wc); got > bound+1e-15 {
+								t.Fatalf("%v: a feature of %d keywords, %d shared, scores %v above NodeBound(%d, %d, %d) = %v",
+									sim, n, j, got, inter, least, wc, bound)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tokenWorld returns n random features over w keywords, of one to five
+// keywords each, in which the keywords below w/3 never stand alone: a
+// feature drawn with one of them only gets a second keyword. Queries on
+// those keywords meet inner slots whose features all hold another
+// keyword, where the signature's tokens price the slot.
+func tokenWorld(rng *rand.Rand, n, w int) []Feature {
+	features := make([]Feature, n)
+	for i := range features {
+		kw := kwset.NewSet(w)
+		for j := 0; j < 1+rng.Intn(5); j++ {
+			kw.Add(rng.Intn(w))
+		}
+		if ids := kw.IDs(); len(ids) == 1 && ids[0] < w/3 {
+			kw.Add(w/3 + rng.Intn(w-w/3))
+		}
+		features[i] = Feature{ID: int64(i), Location: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Score: rng.Float64(), Keywords: kw}
+	}
+	return features
+}
+
 // The pair cap keeps the node bound sound: on random SRT and IR² trees,
-// at every internal slot and under every measure, the slot priced with its
-// query-keyword count capped by rtree.PageView.PairCap is at least the
-// best score of any feature below it. Small vocabularies and features of
-// up to five keywords make queries meet many pairs, and λ = 1 among the
+// with score tables and over a vocabulary too wide for them, at every
+// internal slot and under every measure, the slot priced with its
+// query-keyword count capped by rtree.PageView.PairCap and the least
+// keyword count its tokens allow is at least the best score of any
+// feature below it. Small vocabularies and features of up to five
+// keywords make queries meet many pairs, keywords that never stand alone
+// leave slots without their tokens (tokenWorld), and λ = 1 among the
 // weights leaves the keyword term alone to carry the bound. The test fails
-// if the cap tightened no slot, for then it would show nothing.
+// if the cap tightened no slot, or the tokens none, for then it would show
+// nothing.
 func TestPairCapBoundDominatesProperty(t *testing.T) {
 	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
-	slots, capped := 0, 0
+	var st capStats
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := 8 + rng.Intn(24)
-		features := make([]Feature, 300+rng.Intn(300))
-		for i := range features {
-			kw := kwset.NewSet(w)
-			for j := 0; j < 1+rng.Intn(5); j++ {
-				kw.Add(rng.Intn(w))
-			}
-			features[i] = Feature{ID: int64(i), Location: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Score: rng.Float64(), Keywords: kw}
-		}
+		features := tokenWorld(rng, 300+rng.Intn(300), w)
 		kind := []Kind{SRT, IR2}[rng.Intn(2)]
-		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: w, PageSize: 1024})
+		vocab := []int{w, MaxLevelWidth + 1}[rng.Intn(2)]
+		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: vocab, PageSize: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 8; trial++ {
 			q := kwset.NewSet(w)
-			for j := 0; j < 2+rng.Intn(4); j++ {
+			for j := 0; j < 1+rng.Intn(4); j++ {
 				q.Add(rng.Intn(w))
 			}
-			pairs := rtree.AppendPairs(nil, q.WordsBits())
+			var lq rtree.LevelQuery
+			lq.Reset(q.WordsBits())
 			lambda := []float64{1, 0.5, rng.Float64()}[rng.Intn(3)]
 			for _, sim := range measures {
 				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
-				if _, err := capWalk(idx.Tree(), idx.Tree().Root(), &qk, pairs, &slots, &capped); err != nil {
-					t.Logf("seed %d, %v, %v, λ = %v: %v", seed, kind, sim, lambda, err)
+				if _, err := capWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, &st); err != nil {
+					t.Logf("seed %d, %v over %d keywords, %v, λ = %v: %v", seed, kind, vocab, sim, lambda, err)
 					return false
 				}
 			}
@@ -161,17 +211,20 @@ func TestPairCapBoundDominatesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("the cap tightened %d of %d internal slots", capped, slots)
-	if capped == 0 {
-		t.Fatal("the cap tightened no slot: the test shows nothing")
+	t.Logf("the cap tightened %d of %d internal slots, the tokens %d", st.capped, st.slots, st.tokened)
+	if st.capped == 0 || st.tokened == 0 {
+		t.Fatal("the cap or the tokens tightened no slot: the test shows nothing")
 	}
 }
 
+// capStats counts the internal slots capWalk prices, those the pair cap
+// tightened and those priced at a least keyword count above the cap.
+type capStats struct{ slots, capped, tokened int }
+
 // capWalk returns the best score of any feature below page pid, or an
 // error at the first internal slot whose capped price is below the best
-// score below it. It counts the internal slots it prices and those the
-// cap tightened.
-func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, pairs []rtree.Pair, slots, capped *int) (float64, error) {
+// score below it.
+func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, st *capStats) (float64, error) {
 	v, err := tr.View(pid)
 	if err != nil {
 		return 0, err
@@ -186,17 +239,21 @@ func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, pairs []rtree
 			best = math.Max(best, q.Score(&e))
 			continue
 		}
-		below, err := capWalk(tr, e.Child, q, pairs, slots, capped)
+		below, err := capWalk(tr, e.Child, q, lq, st)
 		if err != nil {
 			return 0, err
 		}
 		inter := e.Keywords.IntersectCount(q.Set)
-		c := v.PairCap(i, pairs, inter)
-		if *slots++; c < inter {
-			*capped++
+		c, least := v.PairCap(i, lq, inter)
+		st.slots++
+		if c < inter {
+			st.capped++
 		}
-		if price := q.BoundCounts(e.Score, false, c, e.Keywords.Count(), q.Set.Count()); price < below-1e-12 {
-			return 0, fmt.Errorf("page %d slot %d: priced %v at %d of %d query keywords, a feature below scores %v", pid, i, price, c, inter, below)
+		if least > c {
+			st.tokened++
+		}
+		if price := q.BoundNode(e.Score, c, least, q.Set.Count()); price < below-1e-12 {
+			return 0, fmt.Errorf("page %d slot %d: priced %v at %d of %d query keywords and %d keywords, a feature below scores %v", pid, i, price, c, inter, least, below)
 		}
 		best = math.Max(best, below)
 	}
@@ -209,23 +266,18 @@ func capWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, pairs []rtree
 // (BoundLevels) at least at the best score of a relevant feature below it
 // — one that holds a query keyword — and the scan meets every slot with
 // one. Features of up to five keywords over small vocabularies make queries
-// meet many pairs and levels. The test fails if the table priced no slot
-// below the bound of e.s, e.W and the pair cap, for then it would show
-// nothing.
+// meet many pairs and levels, and keywords that never stand alone
+// (tokenWorld) slots whose price points need a second keyword. The test
+// fails if the table priced no slot below the bound of e.s, e.W and the
+// pair cap, or no price point asked for a second keyword, for then it
+// would show nothing.
 func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
 	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
-	slots, tighter := 0, 0
+	var st capStats
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := 8 + rng.Intn(24)
-		features := make([]Feature, 300+rng.Intn(300))
-		for i := range features {
-			kw := kwset.NewSet(w)
-			for j := 0; j < 1+rng.Intn(5); j++ {
-				kw.Add(rng.Intn(w))
-			}
-			features[i] = Feature{ID: int64(i), Location: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Score: rng.Float64(), Keywords: kw}
-		}
+		features := tokenWorld(rng, 300+rng.Intn(300), w)
 		kind := []Kind{SRT, IR2}[rng.Intn(2)]
 		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: w, PageSize: 1024})
 		if err != nil {
@@ -244,7 +296,7 @@ func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
 				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
 				var lq rtree.LevelQuery
 				lq.Reset(q.WordsBits())
-				if _, err := levelWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, &slots, &tighter); err != nil {
+				if _, err := levelWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, &st); err != nil {
 					t.Logf("seed %d, %v, %v, λ = %v, query %v: %v", seed, kind, sim, lambda, q, err)
 					return false
 				}
@@ -255,25 +307,26 @@ func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("the table priced %d of %d internal slots below e.s, e.W and the pair cap", tighter, slots)
-	if tighter == 0 {
-		t.Fatal("the table tightened no slot: the test shows nothing")
+	t.Logf("the table priced %d of %d internal slots below e.s, e.W and the pair cap; %d with a point of two keywords", st.capped, st.slots, st.tokened)
+	if st.capped == 0 || st.tokened == 0 {
+		t.Fatal("the table tightened no slot, or no point needed a second keyword: the test shows nothing")
 	}
 }
 
 // levelWalk returns the best score of a relevant feature below page pid,
 // −1 when there is none, or an error at the first internal slot the level
 // scan skips though a relevant feature lies below it, or prices below that
-// feature's score. It counts the internal slots it prices and those priced
-// below the bound of the slot's e.s, e.W and pair cap.
-func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, slots, tighter *int) (float64, error) {
+// feature's score. It counts in st the internal slots it prices, those
+// priced below the bound of the slot's e.s, e.W and pair cap (capped), and
+// those with a price point of one query keyword and two keywords
+// (tokened).
+func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, st *capStats) (float64, error) {
 	v, err := tr.View(pid)
 	if err != nil {
 		return 0, err
 	}
 	best := -1.0
 	var arena []uint64
-	pairs := rtree.AppendPairs(nil, q.Set.WordsBits())
 	for i := 0; i < v.Len(); i++ {
 		var e rtree.Entry
 		arena = arena[:0]
@@ -284,7 +337,7 @@ func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.L
 			}
 			continue
 		}
-		below, err := levelWalk(tr, e.Child, q, lq, slots, tighter)
+		below, err := levelWalk(tr, e.Child, q, lq, st)
 		if err != nil {
 			return 0, err
 		}
@@ -295,13 +348,20 @@ func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.L
 			}
 			continue
 		}
-		price := q.BoundLevels(lq.Front(), q.Set.Count())
+		front := slices.Clone(lq.Front())
+		price := q.BoundLevels(front, q.Set.Count())
 		if price < below-1e-12 {
-			return 0, fmt.Errorf("page %d slot %d: priced %v at %v, a feature below scores %v", pid, i, price, lq.Front(), below)
+			return 0, fmt.Errorf("page %d slot %d: priced %v at %v, a feature below scores %v", pid, i, price, front, below)
 		}
-		inter := e.Keywords.IntersectCount(q.Set)
-		if *slots++; price < q.BoundCounts(e.Score, false, v.PairCap(i, pairs, inter), e.Keywords.Count(), q.Set.Count()) {
-			*tighter++
+		for _, p := range front {
+			if p.Least > p.Count {
+				st.tokened++
+				break
+			}
+		}
+		c, least := v.PairCap(i, lq, e.Keywords.IntersectCount(q.Set))
+		if st.slots++; price < q.BoundNode(e.Score, c, least, q.Set.Count()) {
+			st.capped++
 		}
 	}
 	return best, nil

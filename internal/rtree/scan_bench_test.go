@@ -12,11 +12,11 @@ import (
 
 // BenchmarkPageScan times the feature stream's per-page kernel on its own,
 // over a 50 K-feature SRT tree of 128 keywords with score tables and pair
-// signatures, for a 3-keyword query: /leaf is the counted keyword scan over
+// signatures with tokens, for a 3-keyword query: /leaf is the counted keyword scan over
 // every leaf and the price of each slot it returns; /inner is the scan of
 // every inner page by the query keywords' levels (NextLevels), each slot
 // it meets priced from its price points (BoundLevels), so the cost of
-// reading the levels and probing the pairs per slot shows. The views are
+// reading the levels and probing the pairs and tokens per slot shows. The views are
 // taken before the timer starts, so no page read is timed; each reports
 // nanoseconds per slot scanned.
 func BenchmarkPageScan(b *testing.B) {
@@ -44,7 +44,6 @@ func BenchmarkPageScan(b *testing.B) {
 // does, b.N times, and reports nanoseconds per slot.
 func scanPages(b *testing.B, views []rtree.PageView, q *index.QueryKeywords) {
 	words, wc := q.Set.WordsBits(), q.Set.Count()
-	pairs := rtree.AppendPairs(nil, words)
 	var levels rtree.LevelQuery
 	levels.Reset(words)
 	slots := 0
@@ -67,8 +66,10 @@ func scanPages(b *testing.B, views []rtree.PageView, q *index.QueryKeywords) {
 				if !v.Visible(i) {
 					continue
 				}
-				if !leaf && inter >= 2 {
-					inter = v.PairCap(i, pairs, inter)
+				if !leaf {
+					c, least := v.PairCap(i, &levels, inter)
+					sink += q.BoundNode(v.Score(i), c, least, wc)
+					continue
 				}
 				sink += q.BoundCounts(v.Score(i), leaf, inter, count, wc)
 			}
