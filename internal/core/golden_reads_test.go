@@ -162,7 +162,7 @@ import (
 //
 // Ten rows were re-recorded when the pair signature took three bits a key
 // and a singleton token for each keyword that is some feature's only one
-// (rtree.Config.PairTokens), and a price point of one query keyword whose
+// (rtree.PairSig), and a price point of one query keyword whose
 // token no slot keyword has began to price a feature of two keywords
 // (index.Similarity.NodeBound). Neither changed a page's fan-out, so both
 // stds/nearest-neighbor rows, which do not price by keyword, did not move;
@@ -182,6 +182,10 @@ import (
 //	IR2/stps/range             63/63/0 58/34/17 41/18/16 → 44/44/0 37/17/0 34/13/1
 //	IR2/stps/influence         240/133/47 144/107/104 217/127/124 → 230/123/38 117/72/68 214/119/116
 //	IR2/stps/nearest-neighbor  2389/460/300 1653/302/302 2342/400/400 → 2388/459/299 1653/304/304 2339/396/396
+//
+// No row moved when the inner-slot layout stopped being chosen by
+// rtree.Config switches and became the one rtree derives from the keyword
+// width: these trees were already built in it.
 var goldenReads = map[string]string{
 	"SRT/stds/range":            "1190/119/23 1087/155/155 1610/283/283",
 	"SRT/stds/influence":        "34660/172/76 28455/191/191 51548/414/414",

@@ -19,13 +19,15 @@
 // (rtree.PageView.PairCap, BoundNode) — a deviation that only tightens the
 // bound.
 //
-// At vocabulary widths up to 256 an internal entry keeps, in place of e.s
-// and e.W, the best score of a feature below that holds each keyword,
-// rounded up to a 4-bit level (rtree.Config.LevelBits). The stream prices
-// the slot as the best (1−λ)·m + λ·sim-bound over the query keywords'
-// levels m and the counts the pairs and tokens allow at each
-// (BoundLevels): a feature holding c query keywords scores at most the
-// least of their levels — another deviation that only tightens the bound.
+// At vocabulary widths up to rtree.MaxLevelWidth an internal entry keeps,
+// in place of e.s and e.W, the best score of a feature below that holds
+// each keyword, rounded up to a 4-bit level. The stream prices the slot
+// as the best (1−λ)·m + λ·sim-bound over the query keywords' levels m and
+// the counts the pairs and tokens allow at each (BoundLevels): a feature
+// holding c query keywords scores at most the least of their levels —
+// another deviation that only tightens the bound. rtree derives either
+// layout from the width; a dump in an older one is rebuilt when it is
+// opened (OpenFeatureIndex).
 //
 // The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
 // on insert by decode → OR → encode; our nodes store the bitmap e.W, so
@@ -141,11 +143,6 @@ func newFeatureIndex(tree *rtree.Tree, kind Kind, opts Options) *FeatureIndex {
 	return &FeatureIndex{tree: tree, kind: kind, opts: opts, loc: newLocLayer(tree, opts.CurveBits)}
 }
 
-// MaxLevelWidth is the widest vocabulary whose feature trees keep score
-// tables on their internal slots: a table is half a byte a keyword, 128
-// bytes at 256 keywords, and a wider one would leave a page few slots.
-const MaxLevelWidth = 256
-
 // BuildFeatureIndex bulk-loads the features into a fresh index of the
 // given kind.
 func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) {
@@ -153,19 +150,13 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 	if opts.VocabWidth <= 0 {
 		return nil, fmt.Errorf("index: VocabWidth must be positive")
 	}
-	cfg := rtree.Config{
+	tree, err := rtree.New(rtree.Config{
 		PageSize:     opts.PageSize,
 		KeywordWidth: opts.VocabWidth,
 		WithScore:    true,
-		PairBits:     rtree.PairSigBits,
-		PairTokens:   true,
 		BufferPages:  opts.BufferPages,
 		Disk:         opts.Disk,
-	}
-	if opts.VocabWidth <= MaxLevelWidth {
-		cfg.LevelBits = rtree.ScoreLevelBits
-	}
-	tree, err := rtree.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -13,17 +13,15 @@ import (
 // Persistence: a built index is saved as its page dump plus a small Meta
 // record.
 
-// Meta is the out-of-page state of a feature or object index. PairBits is
-// the width of the keyword-pair signature on the feature tree's inner
-// slots (rtree.Config.PairBits), PairTokens whether it holds singleton
-// tokens, and three bits a key (rtree.Config.PairTokens), and
-// LevelBits the width of a keyword's level in their score tables
-// (rtree.Config.LevelBits): a dump written before any of them existed has
-// none, so it reopens with the layout and the signature scheme it was
-// written in, and its queries price nodes with the bound they had then. A
-// dump without PairTokens must be probed with one bit a pair and no
-// tokens: read as holding tokens, its signatures would prove absent a
-// token no feature was asked to set, and prices would fall below scores.
+// Meta is the out-of-page state of a feature or object index. PairBits,
+// LevelBits and PairTokens record a feature tree's inner-slot layout as
+// older versions wrote it, so that an older dump is known as one. Save
+// writes the layout rtree derives from the keyword width: PairBits
+// rtree.PairSigBits, PairTokens set, and LevelBits rtree.ScoreLevelBits
+// where the inner slots keep score tables (rtree.Config.Levelled). A Meta
+// without PairTokens was written before the signatures held tokens: its
+// dump is read for its items, which OpenFeatureIndex bulk-loads afresh in
+// the current layout.
 type Meta struct {
 	Tree       rtree.Meta `json:"tree"`
 	Kind       Kind       `json:"kind"`
@@ -40,39 +38,71 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 	if err := storage.DumpDisk(x.tree.Config().Disk, w); err != nil {
 		return Meta{}, err
 	}
-	return Meta{
+	meta := Meta{
 		Tree:       x.tree.Meta(),
 		Kind:       x.kind,
 		VocabWidth: x.opts.VocabWidth,
 		PageSize:   x.tree.Config().PageSize,
 		WithScore:  true,
-		PairBits:   x.tree.Config().PairBits,
-		LevelBits:  x.tree.Config().LevelBits,
-		PairTokens: x.tree.Config().PairTokens,
-	}, nil
+		PairBits:   rtree.PairSigBits,
+		PairTokens: true,
+	}
+	if x.tree.Config().Levelled() {
+		meta.LevelBits = rtree.ScoreLevelBits
+	}
+	return meta, nil
+}
+
+// oldLayout reports whether m records an inner-slot layout older than the
+// current one, and if so whether its slots held a pair signature and a
+// score table. A layout no version wrote is an error.
+func (m Meta) oldLayout() (old, pairs, levels bool, err error) {
+	pairs, levels = m.PairBits == rtree.PairSigBits, m.LevelBits == rtree.ScoreLevelBits
+	tables := rtree.Config{KeywordWidth: m.VocabWidth, WithScore: true}.Levelled()
+	if m.PairBits != 0 && !pairs || m.LevelBits != 0 && !levels || levels && (!pairs || !tables) ||
+		m.PairTokens && (!pairs || levels != tables) || !m.WithScore || m.VocabWidth <= 0 {
+		return false, false, false, fmt.Errorf("index: no version wrote a feature tree of %d keywords with scores %t, pairBits %d, levelBits %d and pairTokens %t",
+			m.VocabWidth, m.WithScore, m.PairBits, m.LevelBits, m.PairTokens)
+	}
+	return !m.PairTokens, pairs, levels, nil
 }
 
 // OpenFeatureIndex reconstructs a feature index from a page dump and its
-// Meta.
+// Meta. A dump in an older layout is rebuilt: its items are read off its
+// leaves (rtree.OldItems) and bulk-loaded as BuildFeatureIndex does, so the
+// index opens in the current layout and Saves in it.
 func OpenFeatureIndex(r io.Reader, meta Meta, bufferPages int) (*FeatureIndex, error) {
+	old, pairs, levels, err := meta.oldLayout()
+	if err != nil {
+		return nil, err
+	}
 	disk, err := storage.LoadMemDisk(r)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := rtree.Open(rtree.Config{
+	cfg := rtree.Config{
 		PageSize:     meta.PageSize,
 		KeywordWidth: meta.VocabWidth,
 		WithScore:    true,
-		PairBits:     meta.PairBits,
-		LevelBits:    meta.LevelBits,
-		PairTokens:   meta.PairTokens,
 		BufferPages:  bufferPages,
 		Disk:         disk,
-	}, meta.Tree)
+	}
+	opts := Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages}
+	if old {
+		items, err := rtree.OldItems(cfg, meta.Tree, pairs, levels)
+		if err != nil {
+			return nil, fmt.Errorf("index: open feature index: %w", err)
+		}
+		features := make([]Feature, len(items))
+		for i, it := range items {
+			features[i] = Feature{ID: it.ID, Location: it.Location, Score: it.Score, Keywords: it.Keywords}
+		}
+		return BuildFeatureIndex(features, opts)
+	}
+	tree, err := rtree.Open(cfg, meta.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("index: open feature index: %w", err)
 	}
-	opts := Options{Kind: meta.Kind, VocabWidth: meta.VocabWidth, PageSize: meta.PageSize, BufferPages: bufferPages}
 	return newFeatureIndex(tree, meta.Kind, opts.withDefaults()), nil
 }
 

@@ -2,16 +2,20 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"stpq/internal/geo"
 	"stpq/internal/kwset"
 	"stpq/internal/rtree"
-	"stpq/internal/storage"
 )
 
 func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
@@ -39,8 +43,8 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if err := reopened.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg := reopened.Tree().Config(); cfg.LevelBits != rtree.ScoreLevelBits || cfg.PairBits != rtree.PairSigBits || !cfg.PairTokens {
-		t.Fatalf("reopened with levels %d, pairs %d and tokens %t", cfg.LevelBits, cfg.PairBits, cfg.PairTokens)
+	if root, err := reopened.Tree().View(reopened.Tree().Root()); err != nil || !root.Levelled() {
+		t.Fatalf("reopened root without score tables: %v", err)
 	}
 	// Same bounds and scores on a probe query.
 	q := QueryKeywords{Set: kwset.SetFromWords(32, 3, 7), Lambda: 0.5}
@@ -75,145 +79,136 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// A dump written before the score tables — inner slots with e.s, e.W and a
-// pair signature, a Meta without levelBits — reopens with that layout:
-// every inner slot decodes to what was written, the invariants hold, and no
-// inner page is read as a table.
-func TestOpenFeatureIndexWithoutLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	features := randomFeatures(rng, 800, 32)
-	items := make([]rtree.Item, len(features))
-	for i, f := range features {
-		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords}
-	}
-	old, err := rtree.New(rtree.Config{PageSize: 512, KeywordWidth: 32, WithScore: true, PairBits: rtree.PairSigBits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.BulkLoad(items, (&FeatureIndex{kind: SRT, opts: Options{CurveBits: 16}}).sortKey()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := storage.DumpDisk(old.Config().Disk, &buf); err != nil {
-		t.Fatal(err)
-	}
-	meta := Meta{Tree: old.Meta(), Kind: SRT, VocabWidth: 32, PageSize: 512, WithScore: true, PairBits: rtree.PairSigBits}
-	if js, err := json.Marshal(meta); err != nil || bytes.Contains(js, []byte("levelBits")) {
-		t.Fatalf("a Meta without score tables marshals to %s, %v", js, err)
-	}
-	reopened, err := OpenFeatureIndex(&buf, meta, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := reopened.Tree().Config(); cfg.LevelBits != 0 || cfg.PairBits != rtree.PairSigBits || cfg.PairTokens {
-		t.Fatalf("reopened with levels %d, pairs %d and tokens %t", cfg.LevelBits, cfg.PairBits, cfg.PairTokens)
-	}
-	if err := reopened.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	root := reopened.Tree().Root()
-	v, err := reopened.Tree().View(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Leaf() || v.Levelled() {
-		t.Fatalf("root leaf=%v, read as a table %v", v.Leaf(), v.Levelled())
-	}
-	want, err := old.Node(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := reopened.Tree().Node(root); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("root decodes to %+v, %v; was written as %+v", got, err, want)
-	}
-}
-
-// A dump written before the tokens — score tables and one-hash pair
-// signatures, a Meta without pairTokens — reopens with that scheme and is
-// probed the old way: the invariants hold under it, and every internal
-// slot of the reopened tree is priced as the tree that wrote it prices it,
-// with no price point asking for a second keyword. Probed as a tree with
-// tokens, the same pages would make some point ask for one, though no
-// feature below lacks its token — there are none in the dump — which is
-// what would make that probe unsound.
-func TestOpenFeatureIndexWithoutTokens(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	features := randomFeatures(rng, 800, 32)
-	items := make([]rtree.Item, len(features))
-	for i, f := range features {
-		items[i] = rtree.Item{ID: f.ID, Location: f.Location, Score: f.Score, Keywords: f.Keywords}
-	}
-	cfg := rtree.Config{PageSize: 512, KeywordWidth: 32, WithScore: true, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits}
-	old, err := rtree.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.BulkLoad(items, (&FeatureIndex{kind: SRT, opts: Options{CurveBits: 16}}).sortKey()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := storage.DumpDisk(old.Config().Disk, &buf); err != nil {
-		t.Fatal(err)
-	}
-	dump := buf.Bytes()
-	meta := Meta{Tree: old.Meta(), Kind: SRT, VocabWidth: 32, PageSize: 512, WithScore: true, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits}
-	if js, err := json.Marshal(meta); err != nil || bytes.Contains(js, []byte("pairTokens")) {
-		t.Fatalf("a Meta without tokens marshals to %s, %v", js, err)
-	}
-	reopened, err := OpenFeatureIndex(bytes.NewReader(dump), meta, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := reopened.Tree().Config(); c.PairTokens || c.LevelBits != rtree.ScoreLevelBits {
-		t.Fatalf("reopened with tokens %t and levels %d", c.PairTokens, c.LevelBits)
-	}
-	if err := reopened.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	withTokens := meta
-	withTokens.PairTokens = true
-	misread, err := OpenFeatureIndex(bytes.NewReader(dump), withTokens, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asked := 0
-	for k := 0; k < 32; k++ {
-		q := kwset.SetFromWords(32, k)
-		want, _ := fronts(t, old, q)
-		got, _ := fronts(t, reopened.Tree(), q)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("keyword %d: the reopened tree prices %v, the tree that wrote it %v", k, got, want)
-		}
-		_, n := fronts(t, misread.Tree(), q)
-		asked += n
-		if _, n := fronts(t, reopened.Tree(), q); n != 0 {
-			t.Fatalf("keyword %d: %d price points ask for a second keyword on a tree without tokens", k, n)
-		}
-	}
-	if asked == 0 {
-		t.Fatal("read as a tree with tokens, no point asks for a second keyword: the test shows nothing")
-	}
-}
-
-// fronts returns the price points of every inner slot of tr's root for the
-// query q, and how many ask for more keywords than query keywords.
-func fronts(t *testing.T, tr *rtree.Tree, q kwset.Set) (out [][]rtree.LevelCount, more int) {
-	t.Helper()
-	v, err := tr.View(tr.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lq rtree.LevelQuery
-	lq.Reset(q.WordsBits())
-	for i := v.NextLevels(0, &lq); i < v.Len(); i = v.NextLevels(i+1, &lq) {
-		out = append(out, append([]rtree.LevelCount(nil), lq.Front()...))
-		for _, p := range lq.Front() {
-			if p.Least > p.Count {
-				more++
+// A dump an older version wrote opens rebuilt in the current layout. The
+// dumps under testdata were written with the inner slots of those versions
+// — e.s and e.W; e.s, e.W and a signature of one bit a key without tokens;
+// a score table and such a signature — over the features randomFeatures
+// draws from seed 60. Each opens with score tables and a signature with
+// tokens on its inner slots, holds the same items, gives a fresh build's
+// answers, and Saves a Meta of the current layout.
+func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
+	features := randomFeatures(rand.New(rand.NewSource(60)), 400, 32)
+	for _, name := range []string{"bitmap", "sig1", "sig1-levels"} {
+		t.Run(name, func(t *testing.T) {
+			js, err := os.ReadFile("testdata/legacy-" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
 			}
+			var meta Meta
+			if err := json.Unmarshal(js, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if meta.PairTokens {
+				t.Fatalf("%s records the current layout", js)
+			}
+			idx, err := OpenFile("testdata/legacy-"+name+".pages", meta, 64, OpenFeatureIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Tree().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			root, err := idx.Tree().View(idx.Tree().Root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.Leaf() || !root.Levelled() {
+				t.Fatalf("root leaf=%v, with score tables %v", root.Leaf(), root.Levelled())
+			}
+			all, err := idx.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != len(features) || idx.Len() != len(features) || idx.Kind() != meta.Kind {
+				t.Fatalf("%d items, Len %d, kind %v; want %d of kind %v", len(all), idx.Len(), idx.Kind(), len(features), meta.Kind)
+			}
+			for _, e := range all {
+				f := features[e.ItemID]
+				if e.Point() != f.Location || e.Score != f.Score || !e.Keywords.Equal(f.Keywords) {
+					t.Fatalf("item %d: (%v, %v, %v), written as (%v, %v, %v)", e.ItemID, e.Point(), e.Score, e.Keywords, f.Location, f.Score, f.Keywords)
+				}
+			}
+			fresh, err := BuildFeatureIndex(features, Options{Kind: meta.Kind, VocabWidth: 32, PageSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(61))
+			for trial := 0; trial < 20; trial++ {
+				q := QueryKeywords{Set: kwset.SetFromWords(32, rng.Intn(32), rng.Intn(32)), Lambda: rng.Float64()}
+				if got, want := topFeatures(t, idx, q, 10), topFeatures(t, fresh, q, 10); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %v: %v, a fresh build %v", q.Set, got, want)
+				}
+			}
+			saved, err := idx.Save(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved.PairBits != rtree.PairSigBits || saved.LevelBits != rtree.ScoreLevelBits || !saved.PairTokens {
+				t.Fatalf("re-saved as %+v", saved)
+			}
+		})
+	}
+}
+
+// topFeatures returns the ids of the k best features of idx for q, best
+// first and by id among equals, by a best-first search on Bound.
+func topFeatures(t *testing.T, idx *FeatureIndex, q QueryKeywords, k int) []int64 {
+	t.Helper()
+	type item struct {
+		bound float64
+		e     rtree.Entry
+	}
+	tr := idx.Tree()
+	root, err := tr.RootEntry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := []item{{Bound(root, q), root}}
+	var out []int64
+	for len(queue) > 0 && len(out) < k {
+		slices.SortFunc(queue, func(a, b item) int {
+			if c := cmp.Compare(b.bound, a.bound); c != 0 || !a.e.Leaf || !b.e.Leaf {
+				return c
+			}
+			return cmp.Compare(a.e.ItemID, b.e.ItemID)
+		})
+		top := queue[0]
+		queue = queue[1:]
+		if top.e.Leaf {
+			out = append(out, top.e.ItemID)
+			continue
+		}
+		v, err := tr.View(top.e.Child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < v.Len(); i++ {
+			var e rtree.Entry
+			var arena []uint64
+			v.Entry(i, &e, &arena)
+			queue = append(queue, item{Bound(e, q), e})
 		}
 	}
-	return out, more
+	return out
+}
+
+// A Meta that records an inner-slot layout no version wrote is refused.
+func TestOpenFeatureIndexRejectsUnwrittenLayouts(t *testing.T) {
+	for _, m := range []Meta{
+		{VocabWidth: 32, WithScore: true, PairBits: 256},
+		{VocabWidth: 32, WithScore: true, LevelBits: 8, PairBits: rtree.PairSigBits},
+		{VocabWidth: 32, WithScore: true, LevelBits: rtree.ScoreLevelBits},
+		{VocabWidth: 300, WithScore: true, LevelBits: rtree.ScoreLevelBits, PairBits: rtree.PairSigBits},
+		{VocabWidth: 32, WithScore: true, PairBits: rtree.PairSigBits, PairTokens: true},
+		{VocabWidth: 300, WithScore: true, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
+		{VocabWidth: 32, WithScore: true, PairTokens: true},
+		{VocabWidth: 32, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
+	} {
+		m.PageSize = 512
+		if _, err := OpenFeatureIndex(bytes.NewReader(nil), m, 4); err == nil || !strings.Contains(err.Error(), "no version wrote") {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
 }
 
 func TestObjectIndexSaveOpenRoundTrip(t *testing.T) {

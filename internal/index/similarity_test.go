@@ -166,9 +166,10 @@ func tokenWorld(rng *rand.Rand, n, w int) []Feature {
 	return features
 }
 
-// The pair cap keeps the node bound sound: on random SRT and IR² trees,
-// with score tables and over a vocabulary too wide for them, at every
-// internal slot and under every measure, the slot priced with its
+// The pair cap keeps the node bound sound: on random SRT and IR² trees
+// over a vocabulary too wide for score tables — whose inner slots the
+// feature stream prices by e.s, e.W and the cap — at every internal slot
+// and under every measure, the slot priced with its
 // query-keyword count capped by rtree.PageView.PairCap and the least
 // keyword count its tokens allow is at least the best score of any
 // feature below it. Small vocabularies and features of up to five
@@ -185,7 +186,7 @@ func TestPairCapBoundDominatesProperty(t *testing.T) {
 		w := 8 + rng.Intn(24)
 		features := tokenWorld(rng, 300+rng.Intn(300), w)
 		kind := []Kind{SRT, IR2}[rng.Intn(2)]
-		vocab := []int{w, MaxLevelWidth + 1}[rng.Intn(2)]
+		vocab := rtree.MaxLevelWidth + 1
 		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: vocab, PageSize: 1024})
 		if err != nil {
 			t.Fatal(err)
@@ -283,8 +284,8 @@ func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx.Tree().Config().LevelBits == 0 || idx.Tree().Height() < 2 {
-			t.Fatalf("seed %d: a tree without score tables or without inner slots", seed)
+		if root, err := idx.Tree().View(idx.Tree().Root()); err != nil || !root.Levelled() {
+			t.Fatalf("seed %d: a root without score tables: %v", seed, err)
 		}
 		for trial := 0; trial < 8; trial++ {
 			q := kwset.NewSet(w)
@@ -359,8 +360,10 @@ func levelWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.L
 				break
 			}
 		}
-		c, least := v.PairCap(i, lq, e.Keywords.IntersectCount(q.Set))
-		if st.slots++; price < q.BoundNode(e.Score, c, least, q.Set.Count()) {
+		// The front's last point, at the least level held, has the count
+		// and the least keyword count the pair cap gives e.W.
+		last := front[len(front)-1]
+		if st.slots++; price < q.BoundNode(e.Score, last.Count, last.Least, q.Set.Count()) {
 			st.capped++
 		}
 	}

@@ -144,9 +144,10 @@ func TestDeleteAllThenReuse(t *testing.T) {
 }
 
 // Deleting the max-score item must shrink ancestor score bounds so that
-// the ŝ(e) bound stays tight (recomputed, not merely kept).
+// the ŝ(e) bound stays tight (recomputed, not merely kept): on a tree whose
+// inner slots keep e.s itself, above MaxLevelWidth.
 func TestDeleteShrinksAggregates(t *testing.T) {
-	tr := newTestTree(t, Config{PageSize: 512, WithScore: true, KeywordWidth: 8})
+	tr := newTestTree(t, Config{PageSize: 512, WithScore: true, KeywordWidth: wideWidth})
 	items := randomItems(rand.New(rand.NewSource(4)), 100, 8)
 	for i := range items {
 		items[i].Score = float64(i) / 100

@@ -9,11 +9,17 @@ import (
 )
 
 // ScoreLevelBits is the width of one keyword's score level in the table
-// every internal slot of a tree built with Config.LevelBits carries in
-// place of its keyword bitmap e.W and its score e.s. At 128 keywords the
-// table is 64 bytes, and with the pair signature an inner slot is 164
-// bytes: a 4 KiB page holds 24 of them.
+// every internal slot of a tree with scores and keywords up to
+// MaxLevelWidth carries in place of its keyword bitmap e.W and its score
+// e.s. At 128 keywords the table is 64 bytes, and with the pair signature
+// an inner slot is 164 bytes: a 4 KiB page holds 24 of them.
 const ScoreLevelBits = 4
+
+// MaxLevelWidth is the widest vocabulary whose trees keep score tables on
+// their internal slots: a table is half a byte a keyword, 128 bytes at 256
+// keywords, and a wider one would leave a page few slots — from about
+// 3,900 keywords on, not two in 4 KiB.
+const MaxLevelWidth = 256
 
 // MaxLevel is the highest score level. Level l stands for the score
 // LevelScore(l) = l/15; level 0 in a table means that no feature below
@@ -109,16 +115,13 @@ func coversLevels(tbl []uint64, c *Entry, width int) bool {
 	return slices.Equal(own, tbl)
 }
 
-// topLevel returns the highest level, and levelled how many levels are not
-// 0, among the keywords below width in the table bytes tbl: what e.s and
-// |e.W| are read off.
-func topLevel(tbl []byte, width int) (top uint8, levelled int) {
+// topLevel returns the highest level among the keywords below width in the
+// table bytes tbl: what e.s is read off.
+func topLevel(tbl []byte, width int) (top uint8) {
 	for k := uint32(0); k < uint32(width); k++ {
-		l := tableLevel(tbl, k)
-		top = max(top, l)
-		levelled += int(min(l, 1))
+		top = max(top, tableLevel(tbl, k))
 	}
-	return top, levelled
+	return top
 }
 
 // presence sets in kw, zeroed, the bit of every keyword whose level in tbl
@@ -139,8 +142,7 @@ func presence(kw, tbl []uint64) {
 // LevelScore(Level), and none holding more of them scores above it. Least
 // is the fewest keywords — below the tree's width, as a leaf slot counts
 // them — a feature priced at the point holds: Count, or 2 where Count is 1
-// on a tree with singleton tokens (Config.PairTokens) and no query keyword
-// at Level or above has its token.
+// and no query keyword at Level or above has its singleton token (PairSig).
 type LevelCount struct {
 	Level uint8
 	Count int
@@ -195,7 +197,7 @@ func (q *LevelQuery) pairHash(a, b heldLevel) uint64 {
 func (q *LevelQuery) Front() []LevelCount { return q.front }
 
 // Levelled reports whether the view's slots carry score tables: an
-// internal page of a tree built with Config.LevelBits.
+// internal page of a tree with scores and keywords up to MaxLevelWidth.
 func (v *PageView) Levelled() bool { return v.lvOff > 0 }
 
 // NextLevels returns the first slot at or after i where a keyword of q has
@@ -232,7 +234,7 @@ func (v *PageView) NextLevels(i int, q *LevelQuery) int {
 		q.held = held
 		if len(held) == 1 { // one keyword, one point
 			least := 1
-			if v.tokens && sigHas((*sigBytes)(v.data[off+v.sigOff:off+v.stride]), q.tokens[held[0].pos], true) == 0 {
+			if sigHas((*sigBytes)(v.data[off+v.sigOff:off+v.stride]), q.tokens[held[0].pos]) == 0 {
 				least = 2
 			}
 			q.front = append(q.front[:0], LevelCount{Level: held[0].level, Count: 1, Least: least})
@@ -251,30 +253,21 @@ func (v *PageView) NextLevels(i int, q *LevelQuery) int {
 // can hold but one of them, whether one has its token.
 func (v *PageView) levelFront(p []byte, q *LevelQuery) []LevelCount {
 	front, held := q.front[:0], q.held
-	var sig *sigBytes
-	if v.sigOff > 0 {
-		sig = (*sigBytes)(p[v.sigOff:v.stride])
-	}
-	tokens := v.tokens
+	sig := (*sigBytes)(p[v.sigOff:v.stride])
 	hits, seen, token := 0, 0, false
 	var last LevelCount
 	for x, a := range held {
-		if sig != nil {
-			for _, b := range held[:x] {
-				hits += sigHas(sig, q.pairHash(a, b), tokens)
-			}
+		for _, b := range held[:x] {
+			hits += sigHas(sig, q.pairHash(a, b))
 		}
 		if x+1 < len(held) && held[x+1].level == a.level {
 			continue // the level goes on
 		}
-		c := x + 1
-		if sig != nil {
-			c = min(c, pairCount(hits))
-		}
+		c := min(x+1, pairCount(hits))
 		least := c
-		if c == 1 && tokens {
+		if c == 1 {
 			for ; !token && seen <= x; seen++ {
-				token = sigHas(sig, q.tokens[held[seen].pos], true) != 0
+				token = sigHas(sig, q.tokens[held[seen].pos]) != 0
 			}
 			if !token {
 				least = 2

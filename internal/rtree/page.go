@@ -52,14 +52,7 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 			off = putWords(buf, off, e.Keywords.WordsBits(), lay.words)
 		}
 		if lay.sigOff > 0 {
-			if e.Pairs != nil {
-				for _, v := range e.Pairs {
-					binary.LittleEndian.PutUint64(buf[off:], v)
-					off += 8
-				}
-			} else {
-				off += 8 * sigWords
-			}
+			off = putWords(buf, off, e.Pairs[:], sigWords)
 		}
 	}
 	return buf[:off], nil

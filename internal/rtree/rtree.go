@@ -10,21 +10,26 @@
 // it needs; only the mutators (Insert, Delete) decode a private copy of a
 // whole node (Tree.Node). Entries optionally carry the augmentation
 // required by Section 4.1: the maximum non-spatial score of the subtree
-// (e.s) and a keyword summary of all feature objects below (e.W), and an
-// internal entry of a tree built with Config.PairBits a signature of the
-// keyword pairs that occur together in one feature below (PairSig) — on a
-// tree built with Config.PairTokens three bits a pair, and a singleton
-// token for each keyword that is the only one of some feature below —
-// which tightens the keyword term of the bound. On a tree built with
-// Config.LevelBits an internal slot keeps, instead of e.W and e.s, the
-// best score of a feature below holding each keyword, as a 4-bit level
-// (levels.go): e.W is the keywords with a level, e.s the top level. The SRT
-// and IR² indexes share this node format — they differ only in how leaf
-// entries are clustered at build time, which isolates the paper's index
-// contribution (Section 4.2) from incidental implementation detail.
+// (e.s) and a keyword summary of all feature objects below (e.W).
+//
+// The page layout follows from the configuration alone. A leaf slot holds
+// the item's id, location, score (WithScore) and keyword bitmap. An
+// internal slot of a tree with keywords has one of two layouts, by its
+// keyword width. Up to MaxLevelWidth, and WithScore, it keeps in place of
+// e.s and e.W the best score of a feature below holding each keyword, as
+// a 4-bit level (levels.go): e.W is the keywords with a level, e.s the
+// top level. Above MaxLevelWidth, or without scores, it keeps e.s and the
+// bitmap e.W. Either way it ends in a signature of the keyword pairs that
+// occur together in one feature below, and of the keywords that are some
+// feature's only one (PairSig), which tightens the keyword term of the
+// bound. The SRT and IR² indexes share this node format — they differ
+// only in how leaf entries are clustered at build time, which isolates the
+// paper's index contribution (Section 4.2) from incidental implementation
+// detail.
 package rtree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -41,24 +46,13 @@ type Config struct {
 	PageSize int
 	// KeywordWidth is the vocabulary width w of keyword summaries carried
 	// by every entry; 0 stores no textual augmentation (plain R-tree).
+	// Above 0 every internal slot carries a pair signature, and with
+	// WithScore up to MaxLevelWidth a score table (the package doc).
 	KeywordWidth int
 	// WithScore selects whether entries carry the non-spatial score
-	// augmentation e.s.
+	// augmentation e.s. Item scores are in [0, 1] on a tree whose inner
+	// slots keep score tables.
 	WithScore bool
-	// PairBits is the width of the keyword-pair signature every internal
-	// slot carries: PairSigBits, or 0 for none — the layout of a tree
-	// written before the signature existed. It needs KeywordWidth > 0.
-	PairBits int
-	// PairTokens selects the pair signature's scheme: PairSigHashes bits
-	// a key and a singleton token beside the pairs (PairSig), or, unset,
-	// one bit a key and no tokens — the scheme of a tree written before
-	// tokens existed. It needs PairBits.
-	PairTokens bool
-	// LevelBits is the width of the per-keyword score level that replaces
-	// an internal slot's keyword bitmap and score: ScoreLevelBits, or 0
-	// for none — the layout of a tree written before the levels existed.
-	// It needs KeywordWidth > 0 and WithScore, and item scores in [0, 1].
-	LevelBits int
 	// BufferPages is the LRU buffer-pool capacity in pages. Defaults to
 	// DefaultBufferPages.
 	BufferPages int
@@ -98,11 +92,11 @@ type Entry struct {
 	// union summary e.W. Valid when KeywordWidth > 0.
 	Keywords kwset.Set
 	// Pairs is an internal entry's keyword-pair signature on a tree with
-	// Config.PairBits, nil otherwise and on every leaf entry.
+	// keywords, nil otherwise and on every leaf entry.
 	Pairs *PairSig
-	// Levels is an internal entry's score table on a tree with
-	// Config.LevelBits, 16 levels to a word, nil otherwise and on every
-	// leaf entry. Its Keywords and Score are read off it.
+	// Levels is an internal entry's score table on a tree with scores and
+	// keywords up to MaxLevelWidth, 16 levels to a word, nil otherwise and
+	// on every leaf entry. Its Keywords and Score are read off it.
 	Levels []uint64
 }
 
@@ -173,17 +167,6 @@ func newTree(cfg Config) (*Tree, error) {
 		pool:    storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
 		layouts: [2]pageLayout{layoutOf(cfg, false), layoutOf(cfg, true)},
 	}
-	if cfg.PairBits != 0 && (cfg.PairBits != PairSigBits || cfg.KeywordWidth == 0) {
-		return nil, fmt.Errorf("rtree: pair signature of %d bits over keyword width %d: want %d bits over a positive width",
-			cfg.PairBits, cfg.KeywordWidth, PairSigBits)
-	}
-	if cfg.PairTokens && cfg.PairBits == 0 {
-		return nil, fmt.Errorf("rtree: singleton tokens without a pair signature")
-	}
-	if cfg.LevelBits != 0 && (cfg.LevelBits != ScoreLevelBits || cfg.KeywordWidth == 0 || !cfg.WithScore) {
-		return nil, fmt.Errorf("rtree: score levels of %d bits over keyword width %d: want %d bits over a positive width, with scores",
-			cfg.LevelBits, cfg.KeywordWidth, ScoreLevelBits)
-	}
 	if t.layouts[0].capacity < 2 || t.layouts[1].capacity < 2 {
 		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
 			cfg.PageSize, cfg.KeywordWidth)
@@ -196,17 +179,14 @@ func newTree(cfg Config) (*Tree, error) {
 // slot is stride bytes wide; its keyword words, words of them, start at
 // kwOff — after the id or child, the point or rectangle and, WithScore,
 // the score — and lastMask clears the bits beyond the keyword width in the
-// last of them, as decodeNode does. An inner slot of a tree with score
-// levels has neither score nor keyword words: its table, lvWords words,
-// starts at lvOff, after the rectangle; lvOff is 0 on every other page.
-// An inner slot of a tree with pair signatures ends in its PairSig, at
-// sigOff, which holds singleton tokens, and PairSigHashes bits a key, if
-// tokens is set; sigOff is 0 on every other page. capacity is how many
-// slots fit in a page.
+// last of them, as decodeNode does. An inner slot with a score table has
+// neither score nor keyword words: its table, lvWords words, starts at
+// lvOff, after the rectangle; lvOff is 0 on every other page. An inner
+// slot of a tree with keywords ends in its PairSig at sigOff; sigOff is 0
+// on every other page. capacity is how many slots fit in a page.
 type pageLayout struct {
 	kwOff, lvOff, sigOff, stride, words, lvWords, capacity int
 	lastMask                                               uint64
-	tokens                                                 bool
 }
 
 // layoutOf computes the layout of the leaf or inner pages of a tree
@@ -221,12 +201,12 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 		l.kwOff += 8
 	}
 	l.stride = l.kwOff + 8*l.words
-	if !leaf && cfg.LevelBits > 0 {
-		l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
-		l.stride = l.lvOff + 8*l.lvWords
-	}
-	if !leaf && cfg.PairBits > 0 {
-		l.sigOff, l.tokens = l.stride, cfg.PairTokens
+	if !leaf && cfg.KeywordWidth > 0 {
+		if cfg.Levelled() {
+			l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
+			l.stride = l.lvOff + 8*l.lvWords
+		}
+		l.sigOff = l.stride
 		l.stride += 8 * sigWords
 	}
 	l.capacity = (cfg.PageSize - nodeHeaderSize) / l.stride
@@ -234,6 +214,12 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 		l.lastMask = 1<<uint(r) - 1
 	}
 	return l
+}
+
+// Levelled reports whether the inner slots of a tree configured by c keep
+// score tables: with scores, and keywords up to MaxLevelWidth.
+func (c Config) Levelled() bool {
+	return c.WithScore && c.KeywordWidth > 0 && c.KeywordWidth <= MaxLevelWidth
 }
 
 // layout returns the layout of the tree's leaf or inner pages.
@@ -322,7 +308,7 @@ func (t *Tree) RootEntry() (Entry, error) {
 	for i := 0; i < v.Len(); i++ {
 		slot := buf[n:n]
 		if v.Entry(i, &c, &slot) {
-			e.absorb(&c, &t.cfg)
+			e.absorb(&c, t.cfg.KeywordWidth)
 		}
 	}
 	return e, nil
@@ -351,14 +337,14 @@ func (t *Tree) updateNode(id storage.PageID, n *Node) error {
 func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
 	e := t.emptyAggregate(child, make([]uint64, t.layout(false).slotWords()))
 	for i := range n.Entries {
-		e.absorb(&n.Entries[i], &t.cfg)
+		e.absorb(&n.Entries[i], t.cfg.KeywordWidth)
 	}
 	return e
 }
 
 // emptyAggregate returns the internal entry for child that covers nothing:
-// an empty keyword summary and, on a tree with score levels, an empty
-// table, then on a tree with signatures an empty pair signature, all in buf
+// an empty keyword summary, an empty table on a tree whose inner slots keep
+// them, and on a tree with keywords an empty pair signature, all in buf
 // (zeroed, slotWords of the inner layout long), which the entry owns.
 func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 	l := t.layout(false)
@@ -372,7 +358,7 @@ func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 		e.Levels = buf[w : w+l.lvWords : w+l.lvWords]
 		w += l.lvWords
 	}
-	if len(buf) > w {
+	if l.sigOff > 0 {
 		e.Pairs = (*PairSig)(buf[w:])
 	}
 	return e
@@ -390,11 +376,9 @@ func (l *pageLayout) slotWords() int {
 // absorb widens e to cover c: MBR union, maximum score and keyword union,
 // on an entry with a score table the levels of a leaf c's keywords below
 // width or an internal c's table, with e.s the top level, and on an entry
-// with a pair signature the keys of a leaf c's keywords below the width —
-// those its page slot holds — or an internal c's signature, on a tree
-// configured by cfg.
-func (e *Entry) absorb(c *Entry, cfg *Config) {
-	width := cfg.KeywordWidth
+// with a pair signature the keys of a leaf c's keywords below width —
+// those its page slot holds — or an internal c's signature.
+func (e *Entry) absorb(c *Entry, width int) {
 	e.Rect = e.Rect.Union(c.Rect)
 	switch {
 	case e.Levels == nil:
@@ -415,7 +399,7 @@ func (e *Entry) absorb(c *Entry, cfg *Config) {
 	switch {
 	case e.Pairs == nil:
 	case c.Leaf:
-		e.Pairs.addSet(c.Keywords.WordsBits(), cfg)
+		e.Pairs.addSet(c.Keywords.WordsBits(), width)
 	case c.Pairs != nil:
 		e.Pairs.or(c.Pairs)
 	}
@@ -449,8 +433,8 @@ func (t *Tree) entryOf(it Item) Entry {
 // CheckInvariants walks the whole tree verifying structural invariants:
 // every child entry's MBR, max score (on a tree with score levels, its
 // levels: a leaf's for each of its keywords, an inner entry's table),
-// keyword summary and signature keys (a leaf's pairs and, on a tree with
-// tokens, its token, or an inner entry's signature) are covered by the
+// keyword summary and signature keys (a leaf's pairs and its token, or an
+// inner entry's signature) are covered by the
 // parent entry, leaves are all at the same depth, and the item count
 // matches Len. It is used by tests and returns a descriptive error on the
 // first violation.
@@ -498,7 +482,7 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 			if parent.Levels != nil && !coversLevels(parent.Levels, &e, t.cfg.KeywordWidth) {
 				return 0, fmt.Errorf("rtree: node %d score levels exceed the parent's", id)
 			}
-			if parent.Pairs != nil && !parent.Pairs.covers(&e, &t.cfg) {
+			if parent.Pairs != nil && !parent.Pairs.covers(&e, t.cfg.KeywordWidth) {
 				return 0, fmt.Errorf("rtree: node %d pair signature not contained in parent signature", id)
 			}
 		}
@@ -556,4 +540,69 @@ func Open(cfg Config, meta Meta) (*Tree, error) {
 	}
 	t.root, t.height, t.size = meta.Root, meta.Height, meta.Size
 	return t, nil
+}
+
+// OldItems returns the items of a tree with keywords and scores that an
+// older version wrote at meta on cfg.Disk, so that it can be rebuilt in the
+// current layout. Leaf slots were laid out then as they are now and are
+// read through PageView. Of an inner page only each slot's child page is
+// read, at the stride of the older inner layout: e.s and e.W, or a score
+// table in their place where levels is set, then a signature where pairs
+// is set.
+func OldItems(cfg Config, meta Meta, pairs, levels bool) ([]Item, error) {
+	t, err := Open(cfg, meta)
+	if err != nil {
+		return nil, err
+	}
+	stride := 4 + 32 + 8 + 8*kwWords(cfg.KeywordWidth)
+	if levels {
+		stride = 4 + 32 + 8*levelWords(cfg.KeywordWidth)
+	}
+	if pairs {
+		stride += 8 * sigWords
+	}
+	items := make([]Item, 0, meta.Size)
+	var arena []uint64
+	var walk func(id storage.PageID, d int) error
+	walk = func(id storage.PageID, d int) error {
+		data, err := t.pool.Get(id)
+		if err != nil {
+			return err
+		}
+		if len(data) < nodeHeaderSize || (data[0]&1 == 1) != (d == t.height) {
+			return fmt.Errorf("rtree: page %d at depth %d of a tree of height %d is not of its level", id, d, t.height)
+		}
+		if d == t.height {
+			v, err := t.viewOf(data)
+			if err != nil {
+				return err
+			}
+			var e Entry
+			for i := 0; i < v.Len(); i++ {
+				v.Entry(i, &e, &arena)
+				items = append(items, Item{ID: e.ItemID, Location: e.Point(), Score: e.Score, Keywords: e.Keywords})
+			}
+			if len(items) > meta.Size {
+				return fmt.Errorf("rtree: more than the %d items meta records", meta.Size)
+			}
+			return nil
+		}
+		count := int(binary.LittleEndian.Uint16(data[1:3]))
+		if nodeHeaderSize+count*stride > len(data) {
+			return fmt.Errorf("rtree: short page %d: %d slots of %d bytes", id, count, stride)
+		}
+		for i := 0; i < count; i++ {
+			if err := walk(storage.PageID(binary.LittleEndian.Uint32(data[nodeHeaderSize+i*stride:])), d+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, 1); err != nil {
+		return nil, err
+	}
+	if len(items) != meta.Size {
+		return nil, fmt.Errorf("rtree: %d items below the root, meta records %d", len(items), meta.Size)
+	}
+	return items, nil
 }

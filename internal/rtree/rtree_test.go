@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,13 +108,10 @@ func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 		}
 	}
 
-	inner := &Node{Leaf: false, Entries: []Entry{{
-		Rect:     geo.Rect{Min: geo.Point{X: 0.1, Y: 0.2}, Max: geo.Point{X: 0.5, Y: 0.9}},
-		Child:    7,
-		Score:    0.75,
-		Keywords: kwset.SetFromWords(70, 3, 69),
-	}}}
-	buf, err = tr.encodeNode(inner)
+	// An inner slot: the fold of the leaf, which at this width keeps a
+	// score table and a pair signature.
+	agg := tr.entryAggregate(7, leaf)
+	buf, err = tr.encodeNode(&Node{Entries: []Entry{agg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +121,10 @@ func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Leaf || got.Entries[0].Child != 7 || got.Entries[0].Rect != inner.Entries[0].Rect {
-		t.Errorf("internal round trip failed: %+v", got.Entries[0])
+	g := got.Entries[0]
+	if got.Leaf || g.Child != 7 || g.Rect != agg.Rect || g.Score != agg.Score || !g.Keywords.Equal(agg.Keywords) ||
+		!slices.Equal(g.Levels, agg.Levels) || *g.Pairs != *agg.Pairs {
+		t.Errorf("internal round trip failed: %+v, want %+v", g, agg)
 	}
 }
 
@@ -451,12 +451,11 @@ func TestRootEntryAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// At this width the root's e.s is the top level of its score table.
 	wantScore := 0.0
 	wantKw := kwset.NewSet(48)
 	for _, it := range items {
-		if it.Score > wantScore {
-			wantScore = it.Score
-		}
+		wantScore = max(wantScore, LevelScore(Level(it.Score)))
 		wantKw.UnionInPlace(it.Keywords)
 		if !root.Rect.Contains(it.Location) {
 			t.Fatal("root MBR does not contain item")

@@ -19,7 +19,9 @@ import (
 // ItemID, Visible); a loop that filters by keywords and then prices — the
 // feature stream, which rejects most slots of a node on their keyword
 // words alone — scans the words in the image and counts the survivors'
-// (NextIntersecting, NextCounted) and reads their scores (Score); and a
+// (NextIntersecting, NextCounted) and reads their scores (Score) and pair
+// caps (PairCap), or on a page with score tables scans the query
+// keywords' levels and prices each slot from them (NextLevels); and a
 // loop that needs a keyword set decodes the slot (Entry). decodeNode, the
 // mutators' private copy, is Entry over every slot.
 //
@@ -89,13 +91,10 @@ func (v *PageView) Leaf() bool { return v.leaf }
 // NextIntersecting returns the first slot at or after i whose keyword words
 // share a bit with q, or Len() when there is none. It agrees slot by slot
 // with Set.Intersects on the decoded entry: words are compared up to the
-// narrower of the two sets, so an empty q meets nothing.
+// narrower of the two sets, so an empty q meets nothing. The page has no
+// score tables (!Levelled): a leaf, or an inner page of a tree whose slots
+// keep e.W.
 func (v *PageView) NextIntersecting(i int, q []uint64) int {
-	if v.lvOff > 0 {
-		for ; i < v.count && v.levelInter(v.slot(i), q) == 0; i++ {
-		}
-		return i
-	}
 	n := min(v.words, len(q))
 	if n == 0 {
 		return v.count
@@ -126,18 +125,9 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 // A tree of two keyword words — the width the benchmark's 128-keyword
 // trees have — scans unrolled with the counts fused in; any other width,
 // or a query narrower than the tree, takes NextIntersecting and counts the
-// slot it meets. On an inner page with score tables the counts are those
-// of the keywords with a level (the feature stream prices such a page
-// with NextLevels instead).
+// slot it meets. Like NextIntersecting it reads a page without score
+// tables; the feature stream meets a page with them by NextLevels.
 func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
-	if v.lvOff > 0 {
-		if i = v.NextIntersecting(i, q); i == v.count {
-			return i, 0, 0
-		}
-		p := v.slot(i)
-		_, count = topLevel(p[v.lvOff:], v.t.cfg.KeywordWidth)
-		return i, v.levelInter(p, q), count
-	}
 	// The query's last word is masked once, a slot's only to be counted.
 	data, end, stride, mask := v.data, v.count, v.stride, v.lastMask
 	n := min(v.words, len(q))
@@ -169,22 +159,6 @@ func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
 		}
 	}
 	return i, inter, count
-}
-
-// levelInter counts the keyword ids set in q, below the tree's width, that
-// have a level in the table of the inner slot p.
-func (v *PageView) levelInter(p []byte, q []uint64) (n int) {
-	tbl, width := p[v.lvOff:], v.t.cfg.KeywordWidth
-	for j, w := range q {
-		for ; w != 0; w &= w - 1 {
-			k := j*64 + bits.TrailingZeros64(w)
-			if k >= width {
-				return n
-			}
-			n += int(min(tableLevel(tbl, uint32(k)), 1))
-		}
-	}
-	return n
 }
 
 // slot returns the node's bytes from the start of slot i on; viewOf made
@@ -228,15 +202,11 @@ func (v *PageView) Child(i int) storage.PageID {
 // ItemID returns the item id of leaf slot i.
 func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
 
-// Score returns slot i's score — an item's t.s, a subtree's maximum e.s,
-// the top level of an inner slot's score table — where it lies: Entry's
-// Score, 0 on a tree without scores.
+// Score returns slot i's score — an item's t.s, a subtree's maximum e.s —
+// where it lies: Entry's Score, 0 on a tree without scores. The page has
+// no score tables (!Levelled).
 func (v *PageView) Score(i int) float64 {
-	switch {
-	case v.lvOff > 0:
-		top, _ := topLevel(v.slot(i)[v.lvOff:], v.t.cfg.KeywordWidth)
-		return LevelScore(top)
-	case !v.t.cfg.WithScore:
+	if !v.t.cfg.WithScore {
 		return 0
 	}
 	return floatAt(v.slot(i), v.kwOff-8)
@@ -275,8 +245,7 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 		e.Rect = mbrOf(p)
 	}
 	if v.lvOff > 0 {
-		top, _ := topLevel(p[v.lvOff:], v.t.cfg.KeywordWidth)
-		e.Score = LevelScore(top)
+		e.Score = LevelScore(topLevel(p[v.lvOff:], v.t.cfg.KeywordWidth))
 	} else if v.t.cfg.WithScore {
 		e.Score = floatAt(p, v.kwOff-8)
 	}

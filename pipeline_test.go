@@ -7,10 +7,13 @@ package stpq
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"stpq/internal/rtree"
 )
 
 // TestAllocsTopKPipeline: DB.TopK (snapshot, Prepare, engine, metrics,
@@ -175,5 +178,30 @@ func TestOpenParentManifest(t *testing.T) {
 		if got := db.cfg.BufferPages; got != 64 {
 			t.Errorf("%s: surviving Config field BufferPages = %d, want 64", dir, got)
 		}
+		// Its feature trees, written before the pair signatures, were
+		// rebuilt at Open: saved again, they are in the current layout, and
+		// the DB reopened from that answers the same.
+		resaved := t.TempDir()
+		if err := db.Save(resaved); err != nil {
+			t.Fatal(err)
+		}
+		js, err := os.ReadFile(filepath.Join(resaved, "stpq.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man dbManifest
+		if err := json.Unmarshal(js, &man); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range man.Features {
+			if m.PairBits != rtree.PairSigBits || m.LevelBits != rtree.ScoreLevelBits || !m.PairTokens {
+				t.Errorf("%s: re-saved feature set %d as %+v", dir, i, m)
+			}
+		}
+		again, err := Open(resaved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, dir+" re-saved", again, db)
 	}
 }
