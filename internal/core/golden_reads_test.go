@@ -238,8 +238,15 @@ func TestFeatureExpansionsWithinReads(t *testing.T) {
 // pools, and returns it with the generator the queries are drawn from and
 // the sum of its pools' counters.
 func goldenWorld(tb testing.TB, kind index.Kind) (*testWorld, *rand.Rand, func() storage.Stats) {
-	tb.Helper()
 	const vocabW = 24
+	return pooledWorld(tb, kind, vocabW, func(rng *rand.Rand) int { return rng.Intn(vocabW) })
+}
+
+// pooledWorld builds a world of 2,000 objects and two sets of 1,600
+// features, each with one to three keywords drawn by draw, over
+// vocabW keywords, whose indexes sit behind 32-page pools of 1 KiB pages.
+func pooledWorld(tb testing.TB, kind index.Kind, vocabW int, draw func(*rand.Rand) int) (*testWorld, *rand.Rand, func() storage.Stats) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(4242))
 	opts := index.Options{Kind: kind, VocabWidth: vocabW, PageSize: 1024, BufferPages: 32}
 	objs := make([]index.Object, 2000)
@@ -256,7 +263,7 @@ func goldenWorld(tb testing.TB, kind index.Kind) (*testWorld, *rand.Rand, func()
 		for i := range feats {
 			kw := kwset.NewSet(vocabW)
 			for j := 0; j < 1+rng.Intn(3); j++ {
-				kw.Add(rng.Intn(vocabW))
+				kw.Add(draw(rng))
 			}
 			feats[i] = index.Feature{ID: int64(i), Location: randPoint(rng), Score: rng.Float64(), Keywords: kw}
 		}
@@ -283,17 +290,29 @@ func goldenWorld(tb testing.TB, kind index.Kind) (*testWorld, *rand.Rand, func()
 func readCounts(t *testing.T, kind index.Kind, alg string, variant Variant) (string, []Stats) {
 	t.Helper()
 	w, rng, pools := goldenWorld(t, kind)
+	qs := make([]Query, 3)
+	for i := range qs {
+		qs[i] = w.randQuery(rng, 2, variant)
+	}
+	out, stats, _ := runCounted(t, w, pools, alg, qs)
+	return out, stats
+}
+
+// runCounted runs the queries in order on w and renders each one's page
+// counts, L/P/E, from the pools; it also returns each query's Stats and
+// answer.
+func runCounted(t *testing.T, w *testWorld, pools func() storage.Stats, alg string, qs []Query) (string, []Stats, [][]Result) {
+	t.Helper()
 	eng := w.engine
-	out, stats := "", make([]Stats, 3)
-	for i := range stats {
-		q := w.randQuery(rng, 2, variant)
+	out, stats, answers := "", make([]Stats, len(qs)), make([][]Result, len(qs))
+	for i, q := range qs {
 		before := pools()
 		var st Stats
 		var err error
 		if alg == "stds" {
-			_, st, err = eng.STDS(q)
+			answers[i], st, err = eng.STDS(q)
 		} else {
-			_, st, err = eng.STPS(q)
+			answers[i], st, err = eng.STPS(q)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +328,80 @@ func readCounts(t *testing.T, kind index.Kind, alg string, variant Variant) (str
 		}
 		out += fmt.Sprintf("%d/%d/%d", d.LogicalReads, d.PhysicalReads, d.Evictions)
 	}
-	return out, stats
+	return out, stats, answers
+}
+
+// wideReads pins the reads and answers of STPS on a world of 300 keywords,
+// wider than rtree.MaxLevelWidth, so that every inner slot of its feature
+// trees keeps e.s and e.W beside its pair signature and the feature stream
+// prices it by e.s and the count its pairs and tokens allow; the golden
+// world's 24-keyword trees keep score tables instead. Each row is the
+// three queries' L/P/E, then each one's answer ids in rank order.
+var wideReads = map[string]string{
+	"SRT/stps/range":     "49/49/0 31/19/8 45/26/13 | 606 1655 1785 | 1336 | 897 996",
+	"SRT/stps/influence": "274/175/80 161/121/120 329/175/175 | 1827 498 1276 | 182 | 1343 972",
+	"IR2/stps/range":     "83/83/16 41/32/29 80/56/53 | 606 1655 1785 | 1336 | 897 996",
+	"IR2/stps/influence": "363/264/169 221/181/180 353/213/213 | 1827 498 1276 | 182 | 1343 972",
+}
+
+func TestWideReadCountsGolden(t *testing.T) {
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for _, variant := range []Variant{RangeScore, InfluenceScore} {
+			name := kind.String() + "/stps/" + variant.String()
+			t.Run(name, func(t *testing.T) {
+				w, rng, pools := pooledWorld(t, kind, wideVocab, wideKeyword)
+				qs := make([]Query, 3)
+				for i := range qs {
+					qs[i] = wideQuery(rng, variant)
+				}
+				got, _, answers := runCounted(t, w, pools, "stps", qs)
+				for _, ans := range answers {
+					got += " |"
+					for _, r := range ans {
+						got += fmt.Sprintf(" %d", r.ID)
+					}
+				}
+				if want := wideReads[name]; got != want {
+					t.Errorf("per-query L/P/E and answers = %q, want %q", got, want)
+				}
+				for i, q := range qs {
+					assertMatchesBruteForce(t, w, q, answers[i], name)
+				}
+			})
+		}
+	}
+}
+
+// wideVocab is the wide world's keyword width.
+const wideVocab = 300
+
+// wideKeyword draws a keyword of the wide world: one of the 16 first ids
+// two times in three, so that features share keywords and hold them in
+// pairs, and any id otherwise.
+func wideKeyword(rng *rand.Rand) int {
+	if rng.Intn(3) == 0 {
+		return rng.Intn(wideVocab)
+	}
+	return rng.Intn(16)
+}
+
+// wideQuery draws a two-set query of the wide world, its keywords as
+// wideKeyword draws a feature's.
+func wideQuery(rng *rand.Rand, variant Variant) Query {
+	kws := make([]kwset.Set, 2)
+	for i := range kws {
+		kws[i] = kwset.NewSet(wideVocab)
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			kws[i].Add(wideKeyword(rng))
+		}
+	}
+	return Query{
+		K:        1 + rng.Intn(12),
+		Radius:   0.05 + rng.Float64()*0.15,
+		Lambda:   rng.Float64(),
+		Keywords: kws,
+		Variant:  variant,
+	}
 }
 
 // BenchmarkVoronoiCellCold builds one Voronoi cell at a time, as cellOf does
