@@ -52,9 +52,8 @@ type featureStream struct {
 	exhausted bool
 	// stats receives the pages the stream expands, leaf and internal.
 	stats *Stats
-	// levels prices an inner slot with a score table by the levels of the
-	// query's keywords and their signature keys (rtree.PageView.NextLevels),
-	// and any other inner slot by its pair cap (rtree.PageView.PairCap).
+	// levels prices an inner slot by its price points
+	// (rtree.PageView.NextInner).
 	levels rtree.LevelQuery
 	// pq is the partner order's state, nil on every stream not in it;
 	// spare keeps its buffers between queries.
@@ -219,10 +218,10 @@ func (s *featureStream) step(from pullFrom) (ref featureRef, got, done bool, err
 // expand reads the page of the internal candidate it and queues its
 // admitted slots; parent is its index in pq.ents under partner order (−1
 // in score order).
-// Filter, then price: most slots of a node are rejected on their keyword
-// words, or on an inner page with score tables on the query keywords'
-// levels, where the page lies; the scan counts the rest's, or takes their
-// price points, and each is priced from them in place.
+// Filter, then price: most slots of a node are rejected where the page
+// lies, a leaf's on its keyword words and an inner page's on the query
+// keywords it holds; the scan counts the rest's, on an inner page takes
+// their price points, and each is priced from them in place.
 func (s *featureStream) expand(it *candidate, parent int32) error {
 	page, err := s.g.Part(int(it.part)).Tree().View(it.child())
 	if err != nil {
@@ -237,15 +236,15 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 	if s.pq != nil {
 		s.pq.open(parent)
 	}
-	// One loop over either scan: a page with score tables is met by the
-	// query keywords' levels, any other by its keyword words.
-	levelled, n := page.Levelled(), page.Len()
+	// One loop over either scan: a leaf is met by its keyword words, an
+	// inner page by its price points.
+	n := page.Len()
 	var inter, count int
 	for i := 0; ; i++ {
-		if levelled {
-			i = page.NextLevels(i, &s.levels)
-		} else {
+		if leaf {
 			i, inter, count = page.NextCounted(i, words)
+		} else {
+			i = page.NextInner(i, &s.levels)
 		}
 		if i == n {
 			return nil
@@ -262,17 +261,10 @@ func (s *featureStream) expand(it *candidate, parent int32) error {
 			continue
 		}
 		var prio float64
-		switch {
-		case levelled:
+		if leaf {
+			prio = s.q.BoundCounts(page.Score(i), true, inter, count, wc)
+		} else {
 			prio = s.q.BoundLevels(s.levels.Front(), wc)
-		case !leaf:
-			// No feature below holds more query keywords than its pairs
-			// in the slot's signature allow, nor fewer keywords than its
-			// tokens do.
-			c, least := page.PairCap(i, &s.levels, inter)
-			prio = s.q.BoundNode(page.Score(i), c, least, wc)
-		default:
-			prio = s.q.BoundCounts(page.Score(i), leaf, inter, count, wc)
 		}
 		c := slotCandidate(&page, i, int(it.part), prio*w)
 		if s.pq == nil {

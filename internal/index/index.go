@@ -10,24 +10,22 @@
 //
 //	ŝ(e) = (1−λ)·e.s + λ·|e.W ∩ W| / |W|  ≥  s(t) for every t below e.
 //
-// Every internal entry of a feature tree also carries a signature of the
+// The feature stream prices an internal slot by its price points
+// (rtree.PageView.NextInner, BoundLevels): the best (1−λ)·m + λ·sim-bound
+// over points (m, c, n), where no feature below holding more than c query
+// keywords scores above m and a feature holding c of them holds at least
+// n keywords. Two deviations make the points tighter than ŝ(e), and both
+// only tighten the bound. Every internal entry carries a signature of the
 // keyword pairs that occur together in one feature below it, and of the
-// keywords that are some feature's only one (rtree.PairSig), and the
-// feature stream prices |e.W ∩ W| capped at the most query keywords those
-// pairs allow one feature to hold, and a feature holding one of them at
-// two keywords where none of them stands alone below
-// (rtree.PageView.PairCap, BoundNode) — a deviation that only tightens the
-// bound.
-//
-// At vocabulary widths up to rtree.MaxLevelWidth an internal entry keeps,
-// in place of e.s and e.W, the best score of a feature below that holds
-// each keyword, rounded up to a 4-bit level. The stream prices the slot
-// as the best (1−λ)·m + λ·sim-bound over the query keywords' levels m and
-// the counts the pairs and tokens allow at each (BoundLevels): a feature
-// holding c query keywords scores at most the least of their levels —
-// another deviation that only tightens the bound. rtree derives either
-// layout from the width; a dump in an older one is rebuilt when it is
-// opened (OpenFeatureIndex).
+// keywords that are some feature's only one (rtree.PairSig), which caps c
+// at the most query keywords those pairs allow one feature to hold and
+// raises n to two where none of them stands alone below. And at vocabulary
+// widths up to rtree.MaxLevelWidth an entry keeps, in place of e.s and
+// e.W, the best score of a feature below that holds each keyword, rounded
+// up to a 4-bit level, so that a feature holding c query keywords is priced
+// at the least of their levels; above that width a slot's one point is
+// e.s. rtree derives the layout from the width and prices either; a dump
+// in an older layout is rebuilt when it is opened (OpenFeatureIndex).
 //
 // The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
 // on insert by decode → OR → encode; our nodes store the bitmap e.W, so
@@ -47,6 +45,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 
 	"stpq/internal/geo"
 	"stpq/internal/hilbert"
@@ -103,9 +102,6 @@ type Options struct {
 	PageSize int
 	// BufferPages is the LRU buffer-pool capacity in pages.
 	BufferPages int
-	// CurveBits is the per-dimension resolution of the bulk-load Hilbert
-	// sort (default 16).
-	CurveBits uint
 	// Disk optionally supplies a backing store (default in-memory).
 	Disk storage.Disk
 }
@@ -115,11 +111,11 @@ func (o Options) withDefaults() Options {
 	if o.PageSize <= 0 {
 		o.PageSize = storage.DefaultPageSize
 	}
-	if o.CurveBits == 0 || o.CurveBits > 16 {
-		o.CurveBits = 16
-	}
 	return o
 }
+
+// curveBits is the per-dimension resolution of the bulk-load Hilbert sort.
+const curveBits = 16
 
 // FeatureIndex is a spatio-textual index over one feature set F_i. The
 // query algorithms traverse it through Tree and score, bound and prune its
@@ -140,7 +136,7 @@ type FeatureIndex struct {
 
 // newFeatureIndex wraps a canonical tree, with an unbuilt location layer.
 func newFeatureIndex(tree *rtree.Tree, kind Kind, opts Options) *FeatureIndex {
-	return &FeatureIndex{tree: tree, kind: kind, opts: opts, loc: newLocLayer(tree, opts.CurveBits)}
+	return &FeatureIndex{tree: tree, kind: kind, opts: opts, loc: newLocLayer(tree)}
 }
 
 // BuildFeatureIndex bulk-loads the features into a fresh index of the
@@ -173,29 +169,26 @@ func BuildFeatureIndex(features []Feature, opts Options) (*FeatureIndex, error) 
 
 // sortKey returns the bulk-load ordering for the index kind.
 func (x *FeatureIndex) sortKey() rtree.SortKey {
-	bits := x.opts.CurveBits
 	switch x.kind {
 	case SRT:
 		return func(it rtree.Item) uint64 {
 			return hilbert.Encode4D(
-				geo.Quantize(it.Location.X, bits),
-				geo.Quantize(it.Location.Y, bits),
-				geo.Quantize(it.Score, bits),
-				hilbert.KeywordMinHash(it.Keywords, bits),
-				bits,
+				geo.Quantize(it.Location.X, curveBits),
+				geo.Quantize(it.Location.Y, curveBits),
+				geo.Quantize(it.Score, curveBits),
+				hilbert.KeywordMinHash(it.Keywords, curveBits),
+				curveBits,
 			)
 		}
 	default: // IR2
-		return spatialKey(bits)
+		return spatialKey
 	}
 }
 
 // spatialKey is the 2-D Hilbert order of the item locations: the IR²-tree's,
 // the object tree's and the location layer's bulk-load key.
-func spatialKey(bits uint) rtree.SortKey {
-	return func(it rtree.Item) uint64 {
-		return hilbert.Encode2D(geo.Quantize(it.Location.X, bits), geo.Quantize(it.Location.Y, bits), bits)
-	}
+func spatialKey(it rtree.Item) uint64 {
+	return hilbert.Encode2D(geo.Quantize(it.Location.X, curveBits), geo.Quantize(it.Location.Y, curveBits), curveBits)
 }
 
 // Insert adds one feature incrementally. Every node along the insertion
@@ -341,27 +334,17 @@ func (q *QueryKeywords) Bound(e *rtree.Entry) float64 {
 	return q.BoundCounts(e.Score, e.Leaf, e.Keywords.IntersectCount(q.Set), e.Keywords.Count(), q.Set.Count())
 }
 
-// BoundLevels is the price of an internal slot with a score table from
-// its price points (rtree.PageView.NextLevels): the best of
-// BoundNode(LevelScore(m), c, n, wc) over its points (m, c, n), |W| = wc.
-// A feature below holding c query keywords, all at levels m or more, and n
-// keywords or more scores at most that: its score is at most the least of
-// their levels, and its similarity at most the node bound at c and n.
+// BoundLevels is the price of an internal slot from its price points
+// (rtree.PageView.NextInner): the best of (1−λ)·m + λ·Sim.NodeBound(c, n,
+// wc) over its points (m, c, n), |W| = wc. A feature below holding c query
+// keywords and n keywords or more, and scoring at most m, scores at most
+// that: its similarity is at most the node bound at c and n.
 func (q *QueryKeywords) BoundLevels(front []rtree.LevelCount, wc int) float64 {
-	b := 0.0
+	b := math.Inf(-1)
 	for _, p := range front {
-		b = max(b, q.BoundNode(rtree.LevelScore(p.Level), p.Count, p.Least, wc))
+		b = max(b, (1-q.Lambda)*p.Score+q.Lambda*q.Sim.NodeBound(p.Count, p.Least, wc))
 	}
 	return b
-}
-
-// BoundNode is the price of an internal slot whose features score at most
-// s, hold at most count of W's keywords and at least least keywords:
-// (1−λ)·s + λ·Sim.NodeBound(count, least, wc), |W| = wc. The feature
-// stream prices an inner slot without a score table with it, from its
-// score and its pair cap (rtree.PageView.PairCap).
-func (q *QueryKeywords) BoundNode(s float64, count, least, wc int) float64 {
-	return (1-q.Lambda)*s + q.Lambda*q.Sim.NodeBound(count, least, wc)
 }
 
 // BoundCounts is Bound from counts, the one formula Score and Bound share:
@@ -406,7 +389,7 @@ func BuildObjectIndex(objects []Object, opts Options) (*ObjectIndex, error) {
 	for i, o := range objects {
 		items[i] = rtree.Item{ID: o.ID, Location: o.Location}
 	}
-	if err := tree.BulkLoad(items, spatialKey(opts.CurveBits)); err != nil {
+	if err := tree.BulkLoad(items, spatialKey); err != nil {
 		return nil, err
 	}
 	return &ObjectIndex{tree: tree}, nil

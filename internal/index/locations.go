@@ -28,8 +28,7 @@ type locLayer struct {
 	// src is the part's canonical tree (no session, no exclusion): the
 	// layer holds every feature it indexes, and a view's exclusion applies
 	// when the layer is read.
-	src  *rtree.Tree
-	bits uint
+	src *rtree.Tree
 
 	once sync.Once
 	tree atomic.Pointer[rtree.Tree]
@@ -39,9 +38,7 @@ type locLayer struct {
 	metrics atomic.Pointer[storage.PoolMetrics]
 }
 
-func newLocLayer(src *rtree.Tree, bits uint) *locLayer {
-	return &locLayer{src: src, bits: bits}
-}
+func newLocLayer(src *rtree.Tree) *locLayer { return &locLayer{src: src} }
 
 // get returns the layer's canonical tree, building it on the first call.
 func (l *locLayer) get() (*rtree.Tree, error) {
@@ -80,7 +77,7 @@ func (l *locLayer) build() (*rtree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.BulkLoad(items, spatialKey(l.bits)); err != nil {
+	if err := t.BulkLoad(items, spatialKey); err != nil {
 		return nil, err
 	}
 	return t, nil

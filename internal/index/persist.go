@@ -18,7 +18,7 @@ import (
 // older versions wrote it, so that an older dump is known as one. Save
 // writes the layout rtree derives from the keyword width: PairBits
 // rtree.PairSigBits, PairTokens set, and LevelBits rtree.ScoreLevelBits
-// where the inner slots keep score tables (rtree.Config.Levelled). A Meta
+// where the inner slots keep score tables, up to rtree.MaxLevelWidth. A Meta
 // without PairTokens was written before the signatures held tokens: its
 // dump is read for its items, which OpenFeatureIndex bulk-loads afresh in
 // the current layout.
@@ -47,7 +47,7 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 		PairBits:   rtree.PairSigBits,
 		PairTokens: true,
 	}
-	if x.tree.Config().Levelled() {
+	if x.tree.Config().KeywordWidth <= rtree.MaxLevelWidth {
 		meta.LevelBits = rtree.ScoreLevelBits
 	}
 	return meta, nil
@@ -58,7 +58,7 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 // score table. A layout no version wrote is an error.
 func (m Meta) oldLayout() (old, pairs, levels bool, err error) {
 	pairs, levels = m.PairBits == rtree.PairSigBits, m.LevelBits == rtree.ScoreLevelBits
-	tables := rtree.Config{KeywordWidth: m.VocabWidth, WithScore: true}.Levelled()
+	tables := m.VocabWidth <= rtree.MaxLevelWidth
 	if m.PairBits != 0 && !pairs || m.LevelBits != 0 && !levels || levels && (!pairs || !tables) ||
 		m.PairTokens && (!pairs || levels != tables) || !m.WithScore || m.VocabWidth <= 0 {
 		return false, false, false, fmt.Errorf("index: no version wrote a feature tree of %d keywords with scores %t, pairBits %d, levelBits %d and pairTokens %t",

@@ -33,6 +33,7 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if meta.Kind != SRT || meta.VocabWidth != 32 || meta.PageSize != 512 || meta.PairBits != rtree.PairSigBits || meta.LevelBits != rtree.ScoreLevelBits || !meta.PairTokens {
 		t.Fatalf("meta = %+v", meta)
 	}
+	written := slices.Clone(buf.Bytes())
 	reopened, err := OpenFeatureIndex(&buf, meta, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +44,9 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 	if err := reopened.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if root, err := reopened.Tree().View(reopened.Tree().Root()); err != nil || !root.Levelled() {
-		t.Fatalf("reopened root without score tables: %v", err)
+	var again bytes.Buffer
+	if _, err := reopened.Save(&again); err != nil || !bytes.Equal(again.Bytes(), written) {
+		t.Fatalf("the reopened index saves other pages than it was opened from: %v", err)
 	}
 	// Same bounds and scores on a probe query.
 	q := QueryKeywords{Set: kwset.SetFromWords(32, 3, 7), Lambda: 0.5}
@@ -112,8 +114,8 @@ func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if root.Leaf() || !root.Levelled() {
-				t.Fatalf("root leaf=%v, with score tables %v", root.Leaf(), root.Levelled())
+			if root.Leaf() {
+				t.Fatal("the rebuilt root is a leaf")
 			}
 			all, err := idx.All()
 			if err != nil {
@@ -131,6 +133,17 @@ func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
 			fresh, err := BuildFeatureIndex(features, Options{Kind: meta.Kind, VocabWidth: 32, PageSize: 512})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Score tables and a signature with tokens: a fresh build's pages.
+			var rebuilt, built bytes.Buffer
+			if _, err := idx.Save(&rebuilt); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Save(&built); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rebuilt.Bytes(), built.Bytes()) {
+				t.Fatal("the rebuilt index's pages are not a fresh build's")
 			}
 			rng := rand.New(rand.NewSource(61))
 			for trial := 0; trial < 20; trial++ {

@@ -46,11 +46,11 @@ func assertFolded(t *testing.T, tr *Tree) {
 				pairs = orSig(pairs, refPairs(&c, tr.cfg.KeywordWidth))
 				foldLevels(levels, &c)
 			}
-			if tr.cfg.Levelled() {
+			if tr.cfg.levelled() {
 				score = 0
 				for k, l := range levels {
 					score = math.Max(score, float64(l)/15)
-					if got := int(e.Levels[k/16]>>(4*(k%16))) & 15; got != l {
+					if got := int(e.levels[k/16]>>(4*(k%16))) & 15; got != l {
 						t.Fatalf("node %d entry %d: keyword %d at level %d, the fold of child %d has %d", id, i, k, got, e.Child, l)
 					}
 				}
@@ -59,8 +59,8 @@ func assertFolded(t *testing.T, tr *Tree) {
 				t.Fatalf("node %d entry %d: (%v, %v, %v), the fold of child %d is (%v, %v, %v)",
 					id, i, e.Rect, e.Score, e.Keywords, e.Child, rect, score, kw)
 			}
-			if e.Pairs == nil || *e.Pairs != pairs {
-				t.Fatalf("node %d entry %d: pair signature %x, the fold of child %d is %x", id, i, e.Pairs, e.Child, pairs)
+			if e.pairs == nil || *e.pairs != pairs {
+				t.Fatalf("node %d entry %d: pair signature %x, the fold of child %d is %x", id, i, e.pairs, e.Child, pairs)
 			}
 		}
 	}
@@ -75,8 +75,8 @@ func foldLevels(levels []int, c *Entry) {
 		switch {
 		case c.Leaf && c.Keywords.Has(k):
 			l = refLevel(c.Score)
-		case !c.Leaf && c.Levels != nil:
-			l = int(c.Levels[k/16]>>(4*(k%16))) & 15
+		case !c.Leaf && c.levels != nil:
+			l = int(c.levels[k/16]>>(4*(k%16))) & 15
 		}
 		levels[k] = max(levels[k], l)
 	}
@@ -104,8 +104,8 @@ func refLevel(s float64) int {
 func refPairs(e *Entry, width int) PairSig {
 	var s PairSig
 	if !e.Leaf {
-		if e.Pairs != nil {
-			s = *e.Pairs
+		if e.pairs != nil {
+			s = *e.pairs
 		}
 		return s
 	}
@@ -178,7 +178,7 @@ func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
 		var wantPairs PairSig
 		for _, it := range live {
 			wantKW.UnionInPlace(it.Keywords)
-			if !cfg.Levelled() {
+			if !cfg.levelled() {
 				wantScore = math.Max(wantScore, it.Score)
 			} else if !it.Keywords.IsEmpty() {
 				wantScore = math.Max(wantScore, float64(refLevel(it.Score))/15)
@@ -188,7 +188,7 @@ func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
 		if !root.Keywords.Equal(wantKW) {
 			t.Errorf("%s: root keyword summary is not the exact union of item keywords", stage)
 		}
-		if *root.Pairs != wantPairs {
+		if *root.pairs != wantPairs {
 			t.Errorf("%s: root pair signature is not the exact fold of the items' keyword pairs", stage)
 		}
 		if root.Score != wantScore {

@@ -108,8 +108,8 @@ func coversLevels(tbl []uint64, c *Entry, width int) bool {
 	switch {
 	case c.Leaf:
 		addLeaf(own, c.Keywords.WordsBits(), width, Level(c.Score))
-	case c.Levels != nil:
-		copy(own, c.Levels)
+	case c.levels != nil:
+		copy(own, c.levels)
 	}
 	maxLevels(own, tbl)
 	return slices.Equal(own, tbl)
@@ -137,35 +137,34 @@ func presence(kw, tbl []uint64) {
 	}
 }
 
-// LevelCount is one point of an internal slot's price: some feature below
-// may hold Count of the query keywords and have a score up to
-// LevelScore(Level), and none holding more of them scores above it. Least
-// is the fewest keywords — below the tree's width, as a leaf slot counts
-// them — a feature priced at the point holds: Count, or 2 where Count is 1
-// and no query keyword at Level or above has its singleton token (PairSig).
+// LevelCount is one price point of an internal slot: some feature below
+// may hold Count of the query keywords and have a score up to Score, and
+// none holding more of them scores above it. Least is the fewest keywords
+// — below the tree's width, as a leaf slot counts them — a feature priced
+// at the point holds: Count, or 2 where Count is 1 and no query keyword
+// the point counts has its singleton token (PairSig). Score is a level's,
+// LevelScore(l), on a slot with a score table, and e.s on any other.
 type LevelCount struct {
-	Level uint8
+	Score float64
 	Count int
 	Least int
 }
 
 // LevelQuery is a query keyword set prepared for pricing the internal
-// slots of a tree: by their score tables (PageView.NextLevels), or by their
-// pair signatures alone (PageView.PairCap). It holds the query's ids and
-// the Splitmix64 image of each one's token key; a pair's key is hashed
-// where a slot holds both its keywords. And it holds the buffers a slot is
-// priced in. A stream keeps one and Resets it per query.
+// slots of a tree (PageView.NextInner). It holds the query's ids and the
+// Splitmix64 image of each one's token key; a pair's key is hashed where a
+// slot holds both its keywords. And it holds the buffers a slot is priced
+// in. A stream keeps one and Resets it per query.
 type LevelQuery struct {
 	ids    []uint32
 	tokens []uint64
-	// held is the current slot's query keywords: with a level, by
-	// decreasing level (NextLevels); in e.W, by id (PairCap).
+	// held is the current slot's query keywords, by decreasing level.
 	held  []heldLevel
 	front []LevelCount
 }
 
 // heldLevel is a query keyword a slot holds: its position in ids and its
-// level there.
+// level there, 0 on a slot without a score table.
 type heldLevel struct {
 	pos   int32
 	level uint8
@@ -189,57 +188,62 @@ func (q *LevelQuery) pairHash(a, b heldLevel) uint64 {
 	return kwset.Splitmix64(pairKey(min(x, y), max(x, y)))
 }
 
-// Front returns the price points of the slot NextLevels last met: by
-// decreasing level, each with the most query keywords one feature at or
-// above that level can hold and the fewest keywords it holds, kept only
+// Front returns the price points of the slot NextInner last met: by
+// decreasing score, each with the most query keywords one feature at or
+// above that score can hold and the fewest keywords it holds, kept only
 // where that count grows or that least falls. Valid until the next
-// NextLevels.
+// NextInner.
 func (q *LevelQuery) Front() []LevelCount { return q.front }
 
-// Levelled reports whether the view's slots carry score tables: an
-// internal page of a tree with scores and keywords up to MaxLevelWidth.
-func (v *PageView) Levelled() bool { return v.lvOff > 0 }
-
-// NextLevels returns the first slot at or after i where a keyword of q has
-// a level, or Len() when there is none, and leaves its price points in
-// q.Front(). It reads only the query's levels and, in the slot's
+// NextInner returns the first slot at or after i of an internal page that
+// holds a keyword of q, or Len() when there is none, and leaves its price
+// points in q.Front(). It reads only the query's keywords in the slot —
+// their levels in a score table, or their bits in e.W — and, in the slot's
 // signature, the keys of pairs of them and their tokens. A feature below
 // that holds the set S of query keywords has a score level at most the
 // least level in S, and all pairs of S set their keys; so at the
 // threshold of S's least level it is counted among the keywords at or
 // above it, and its C(|S|, 2) pairs among the hits there, and if S is its
 // only keyword, S's token is among the tokens there: the front point at
-// or above that level prices it soundly.
-func (v *PageView) NextLevels(i int, q *LevelQuery) int {
-	width := uint32(v.t.cfg.KeywordWidth)
-	n, _ := slices.BinarySearch(q.ids, width) // the ids the table holds
+// or above that level prices it soundly. A slot with e.s and e.W holds
+// every query keyword of e.W at one level, e.s: its front is one point.
+func (v *PageView) NextInner(i int, q *LevelQuery) int {
+	n, _ := slices.BinarySearch(q.ids, uint32(v.t.cfg.KeywordWidth)) // the ids a slot holds
 	ids, held := q.ids[:n], q.held
-	tblBytes := 8 * v.lvWords
 	for off := nodeHeaderSize + i*v.stride; i < v.count; i, off = i+1, off+v.stride {
-		tbl := v.data[off+v.lvOff : off+v.lvOff+tblBytes]
 		held = held[:0]
-		for j, k := range ids {
-			l := tableLevel(tbl, k)
-			if l == 0 {
-				continue
+		if v.lvOff == 0 { // e.W: each keyword held, at one level
+			kw := v.data[off+v.kwOff : off+v.kwOff+8*v.words]
+			for j, k := range ids {
+				if kw[k/8]>>(k%8)&1 != 0 {
+					held = append(held, heldLevel{pos: int32(j)})
+				}
 			}
-			held = append(held, heldLevel{pos: int32(j), level: l})
-			for x := len(held) - 1; x > 0 && held[x-1].level < l; x-- {
-				held[x-1], held[x] = held[x], held[x-1]
+		} else {
+			tbl := v.data[off+v.lvOff : off+v.lvOff+8*v.lvWords]
+			for j, k := range ids {
+				l := tableLevel(tbl, k)
+				if l == 0 {
+					continue
+				}
+				held = append(held, heldLevel{pos: int32(j), level: l})
+				for x := len(held) - 1; x > 0 && held[x-1].level < l; x-- {
+					held[x-1], held[x] = held[x], held[x-1]
+				}
 			}
 		}
 		if len(held) == 0 {
 			continue
 		}
 		q.held = held
-		if len(held) == 1 { // one keyword, one point
+		if p := v.data[off:]; len(held) == 1 { // one keyword, one point
 			least := 1
-			if sigHas((*sigBytes)(v.data[off+v.sigOff:off+v.stride]), q.tokens[held[0].pos]) == 0 {
+			if sigHas((*sigBytes)(p[v.sigOff:v.stride]), q.tokens[held[0].pos]) == 0 {
 				least = 2
 			}
-			q.front = append(q.front[:0], LevelCount{Level: held[0].level, Count: 1, Least: least})
+			q.front = append(q.front[:0], LevelCount{Score: v.pointScore(p, held[0].level), Count: 1, Least: least})
 		} else {
-			q.front = v.levelFront(v.slot(i), q)
+			q.front = v.levelFront(p, q)
 		}
 		return i
 	}
@@ -274,11 +278,20 @@ func (v *PageView) levelFront(p []byte, q *LevelQuery) []LevelCount {
 			}
 		}
 		if c > last.Count || least < last.Least {
-			last = LevelCount{Level: a.level, Count: c, Least: least}
+			last = LevelCount{Score: v.pointScore(p, a.level), Count: c, Least: least}
 			front = append(front, last)
 		}
 	}
 	return front
+}
+
+// pointScore is the score of a price point at level l of slot p: the
+// level's on a slot with a score table, e.s on any other.
+func (v *PageView) pointScore(p []byte, l uint8) float64 {
+	if v.lvOff > 0 {
+		return LevelScore(l)
+	}
+	return floatAt(p, v.kwOff-8)
 }
 
 // pairCount is the most keywords one feature can hold when hits of their

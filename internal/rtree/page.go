@@ -44,7 +44,7 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 			off = putFloat(buf, off, e.Rect.Max.Y)
 		}
 		if lay.lvOff > 0 { // the table stands for e.s and e.W
-			off = putWords(buf, off, e.Levels, lay.lvWords)
+			off = putWords(buf, off, e.levels, lay.lvWords)
 		} else {
 			if t.cfg.WithScore {
 				off = putFloat(buf, off, e.Score)
@@ -52,7 +52,7 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 			off = putWords(buf, off, e.Keywords.WordsBits(), lay.words)
 		}
 		if lay.sigOff > 0 {
-			off = putWords(buf, off, e.Pairs[:], sigWords)
+			off = putWords(buf, off, e.pairs[:], sigWords)
 		}
 	}
 	return buf[:off], nil

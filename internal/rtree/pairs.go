@@ -114,8 +114,8 @@ func (s *PairSig) covers(c *Entry, width int) bool {
 	switch {
 	case c.Leaf:
 		own.addSet(c.Keywords.WordsBits(), width)
-	case c.Pairs != nil:
-		own = *c.Pairs
+	case c.pairs != nil:
+		own = *c.pairs
 	}
 	for i := range s {
 		if own[i]&^s[i] != 0 {
@@ -124,69 +124,3 @@ func (s *PairSig) covers(c *Entry, width int) bool {
 	}
 	return true
 }
-
-// PairCap prices internal slot i of a page without score tables
-// (!Levelled) — the slots a feature stream prices by e.s and e.W — by what
-// one feature below can hold of the query keywords in q, when inter of
-// them are in the slot's summary e.W. count is inter capped by the pairs:
-// a feature holding c query keywords sets the bits of all C(c, 2) of their
-// pairs, so c is at most the largest c with C(c, 2) ≤ hits, the number of
-// pairs of keywords in e.W whose key the signature holds; a bit another
-// key set only makes hits larger. least is the fewest keywords such a
-// feature holds: count, or 2 where count is 1 and no query keyword in e.W
-// has its token. A pair is hashed only where e.W holds both its keywords,
-// and only until hits reach C(inter, 2). For inter 0 it returns 0, 0.
-func (v *PageView) PairCap(i int, q *LevelQuery, inter int) (count, least int) {
-	if inter == 0 {
-		return 0, 0
-	}
-	p := v.slot(i)
-	sig := (*sigBytes)(p[v.sigOff:v.stride])
-	width := uint32(v.t.cfg.KeywordWidth)
-	held := q.held[:0]
-	for j, k := range q.ids {
-		if k >= width {
-			break
-		}
-		if bitAt(p[v.kwOff:], k) {
-			held = append(held, heldLevel{pos: int32(j)})
-		}
-	}
-	q.held = held
-	count = inter
-	if need := inter * (inter - 1) / 2; need > 0 {
-		count = pairCount(q.pairHits(sig, held, need))
-	}
-	if count == 1 && !q.hasToken(sig, held) {
-		return 1, 2
-	}
-	return count, count
-}
-
-// pairHits counts the pairs of the keywords in held whose key the
-// signature bytes sig hold, stopping at need.
-func (q *LevelQuery) pairHits(sig *sigBytes, held []heldLevel, need int) int {
-	hits := 0
-	for x, a := range held {
-		for _, b := range held[:x] {
-			if hits += sigHas(sig, q.pairHash(a, b)); hits >= need {
-				return hits
-			}
-		}
-	}
-	return hits
-}
-
-// hasToken reports whether the signature bytes sig hold the token of a
-// keyword in held.
-func (q *LevelQuery) hasToken(sig *sigBytes, held []heldLevel) bool {
-	for _, a := range held {
-		if sigHas(sig, q.tokens[a.pos]) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// bitAt reads bit i of little-endian words stored in p.
-func bitAt(p []byte, i uint32) bool { return p[i/8]>>(i%8)&1 != 0 }

@@ -13,19 +13,22 @@
 // (e.s) and a keyword summary of all feature objects below (e.W).
 //
 // The page layout follows from the configuration alone. A leaf slot holds
-// the item's id, location, score (WithScore) and keyword bitmap. An
-// internal slot of a tree with keywords has one of two layouts, by its
-// keyword width. Up to MaxLevelWidth, and WithScore, it keeps in place of
-// e.s and e.W the best score of a feature below holding each keyword, as
-// a 4-bit level (levels.go): e.W is the keywords with a level, e.s the
-// top level. Above MaxLevelWidth, or without scores, it keeps e.s and the
-// bitmap e.W. Either way it ends in a signature of the keyword pairs that
-// occur together in one feature below, and of the keywords that are some
-// feature's only one (PairSig), which tightens the keyword term of the
-// bound. The SRT and IR² indexes share this node format — they differ
-// only in how leaf entries are clustered at build time, which isolates the
-// paper's index contribution (Section 4.2) from incidental implementation
-// detail.
+// the item's id, location, score (WithScore) and keyword bitmap; a tree
+// with keywords has scores. An internal slot of a tree with keywords has
+// one of two layouts, by its keyword width, which only this package
+// knows. Up to MaxLevelWidth it keeps in place of e.s and e.W the best
+// score of a feature below holding each keyword, as a 4-bit level
+// (levels.go): e.W is the keywords with a level, e.s the top level. Above
+// MaxLevelWidth it keeps e.s and the bitmap e.W. Either way it ends in a
+// signature of the keyword pairs that occur together in one feature below,
+// and of the keywords that are some feature's only one (PairSig), which
+// tightens the keyword term of the bound. A reader prices an internal slot
+// of either layout by one scan (PageView.NextInner), which leaves the
+// slot's price points — scores, and the query keyword counts the pairs
+// and tokens allow at each — in a LevelQuery. The SRT and IR² indexes
+// share this node format — they differ only in how leaf entries are
+// clustered at build time, which isolates the paper's index contribution
+// (Section 4.2) from incidental implementation detail.
 package rtree
 
 import (
@@ -46,8 +49,9 @@ type Config struct {
 	PageSize int
 	// KeywordWidth is the vocabulary width w of keyword summaries carried
 	// by every entry; 0 stores no textual augmentation (plain R-tree).
-	// Above 0 every internal slot carries a pair signature, and with
-	// WithScore up to MaxLevelWidth a score table (the package doc).
+	// Above 0 the tree needs WithScore, and every internal slot carries a
+	// pair signature and, up to MaxLevelWidth, a score table (the package
+	// doc).
 	KeywordWidth int
 	// WithScore selects whether entries carry the non-spatial score
 	// augmentation e.s. Item scores are in [0, 1] on a tree whose inner
@@ -91,13 +95,13 @@ type Entry struct {
 	// Keywords is the item's keyword set t.W, or for internal entries the
 	// union summary e.W. Valid when KeywordWidth > 0.
 	Keywords kwset.Set
-	// Pairs is an internal entry's keyword-pair signature on a tree with
+	// pairs is an internal entry's keyword-pair signature on a tree with
 	// keywords, nil otherwise and on every leaf entry.
-	Pairs *PairSig
-	// Levels is an internal entry's score table on a tree with scores and
-	// keywords up to MaxLevelWidth, 16 levels to a word, nil otherwise and
-	// on every leaf entry. Its Keywords and Score are read off it.
-	Levels []uint64
+	pairs *PairSig
+	// levels is an internal entry's score table on a tree with keywords up
+	// to MaxLevelWidth, 16 levels to a word, nil otherwise and on every
+	// leaf entry. Its Keywords and Score are read off it.
+	levels []uint64
 }
 
 // Point returns the location of a leaf entry.
@@ -159,6 +163,9 @@ func New(cfg Config) (*Tree, error) {
 // newTree is what New and Open share: a tree without root over cfg, whose
 // PageSize and Disk are set, with its buffer pool and its page layouts.
 func newTree(cfg Config) (*Tree, error) {
+	if cfg.KeywordWidth > 0 && !cfg.WithScore {
+		return nil, fmt.Errorf("rtree: a tree of keyword width %d needs WithScore", cfg.KeywordWidth)
+	}
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = DefaultBufferPages
 	}
@@ -202,7 +209,7 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 	}
 	l.stride = l.kwOff + 8*l.words
 	if !leaf && cfg.KeywordWidth > 0 {
-		if cfg.Levelled() {
+		if cfg.levelled() {
 			l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
 			l.stride = l.lvOff + 8*l.lvWords
 		}
@@ -216,11 +223,9 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 	return l
 }
 
-// Levelled reports whether the inner slots of a tree configured by c keep
-// score tables: with scores, and keywords up to MaxLevelWidth.
-func (c Config) Levelled() bool {
-	return c.WithScore && c.KeywordWidth > 0 && c.KeywordWidth <= MaxLevelWidth
-}
+// levelled reports whether the inner slots of a tree configured by c keep
+// score tables: with keywords up to MaxLevelWidth.
+func (c Config) levelled() bool { return c.KeywordWidth > 0 && c.KeywordWidth <= MaxLevelWidth }
 
 // layout returns the layout of the tree's leaf or inner pages.
 func (t *Tree) layout(leaf bool) *pageLayout {
@@ -355,11 +360,11 @@ func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 		Keywords: kwset.FromBitsOwned(t.cfg.KeywordWidth, buf[:w:w]),
 	}
 	if l.lvOff > 0 {
-		e.Levels = buf[w : w+l.lvWords : w+l.lvWords]
+		e.levels = buf[w : w+l.lvWords : w+l.lvWords]
 		w += l.lvWords
 	}
 	if l.sigOff > 0 {
-		e.Pairs = (*PairSig)(buf[w:])
+		e.pairs = (*PairSig)(buf[w:])
 	}
 	return e
 }
@@ -381,27 +386,27 @@ func (l *pageLayout) slotWords() int {
 func (e *Entry) absorb(c *Entry, width int) {
 	e.Rect = e.Rect.Union(c.Rect)
 	switch {
-	case e.Levels == nil:
+	case e.levels == nil:
 		if c.Score > e.Score {
 			e.Score = c.Score
 		}
 	case c.Leaf:
-		if l := Level(c.Score); addLeaf(e.Levels, c.Keywords.WordsBits(), width, l) && LevelScore(l) > e.Score {
+		if l := Level(c.Score); addLeaf(e.levels, c.Keywords.WordsBits(), width, l) && LevelScore(l) > e.Score {
 			e.Score = LevelScore(l)
 		}
-	case c.Levels != nil:
-		maxLevels(e.Levels, c.Levels)
+	case c.levels != nil:
+		maxLevels(e.levels, c.levels)
 		if c.Score > e.Score {
 			e.Score = c.Score
 		}
 	}
 	e.Keywords.UnionInPlace(c.Keywords)
 	switch {
-	case e.Pairs == nil:
+	case e.pairs == nil:
 	case c.Leaf:
-		e.Pairs.addSet(c.Keywords.WordsBits(), width)
-	case c.Pairs != nil:
-		e.Pairs.or(c.Pairs)
+		e.pairs.addSet(c.Keywords.WordsBits(), width)
+	case c.pairs != nil:
+		e.pairs.or(c.pairs)
 	}
 }
 
@@ -471,7 +476,7 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 			if !parent.Rect.ContainsRect(e.Rect) {
 				return 0, fmt.Errorf("rtree: node %d entry MBR %v outside parent %v", id, e.Rect, parent.Rect)
 			}
-			if t.cfg.WithScore && parent.Levels == nil && e.Score > parent.Score+1e-12 {
+			if t.cfg.WithScore && parent.levels == nil && e.Score > parent.Score+1e-12 {
 				return 0, fmt.Errorf("rtree: node %d score %v exceeds parent %v", id, e.Score, parent.Score)
 			}
 			if t.cfg.KeywordWidth > 0 {
@@ -479,10 +484,10 @@ func (t *Tree) checkNode(id storage.PageID, d int, parent *Entry) (int, error) {
 					return 0, fmt.Errorf("rtree: node %d keywords not contained in parent summary", id)
 				}
 			}
-			if parent.Levels != nil && !coversLevels(parent.Levels, &e, t.cfg.KeywordWidth) {
+			if parent.levels != nil && !coversLevels(parent.levels, &e, t.cfg.KeywordWidth) {
 				return 0, fmt.Errorf("rtree: node %d score levels exceed the parent's", id)
 			}
-			if parent.Pairs != nil && !parent.Pairs.covers(&e, t.cfg.KeywordWidth) {
+			if parent.pairs != nil && !parent.pairs.covers(&e, t.cfg.KeywordWidth) {
 				return 0, fmt.Errorf("rtree: node %d pair signature not contained in parent signature", id)
 			}
 		}

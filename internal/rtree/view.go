@@ -18,12 +18,13 @@ import (
 // location, child page, item id and visibility (Rect, Point, Child,
 // ItemID, Visible); a loop that filters by keywords and then prices — the
 // feature stream, which rejects most slots of a node on their keyword
-// words alone — scans the words in the image and counts the survivors'
-// (NextIntersecting, NextCounted) and reads their scores (Score) and pair
-// caps (PairCap), or on a page with score tables scans the query
-// keywords' levels and prices each slot from them (NextLevels); and a
-// loop that needs a keyword set decodes the slot (Entry). decodeNode, the
-// mutators' private copy, is Entry over every slot.
+// words alone — scans a leaf's words in the image and counts the
+// survivors' (NextIntersecting, NextCounted) and reads their scores
+// (Score), and scans an internal page's query keywords, in its score
+// tables or its bitmaps e.W, leaving each survivor's price points
+// (NextInner); and a loop that needs a keyword set decodes the slot
+// (Entry). decodeNode, the mutators' private copy, is Entry over every
+// slot.
 //
 // A view is a value holding the page's image (storage.BufferPool.Get) and
 // no lock, so it reads the bytes it fetched however often the page is
@@ -92,8 +93,7 @@ func (v *PageView) Leaf() bool { return v.leaf }
 // share a bit with q, or Len() when there is none. It agrees slot by slot
 // with Set.Intersects on the decoded entry: words are compared up to the
 // narrower of the two sets, so an empty q meets nothing. The page has no
-// score tables (!Levelled): a leaf, or an inner page of a tree whose slots
-// keep e.W.
+// score tables: a leaf, or an inner page of a tree whose slots keep e.W.
 func (v *PageView) NextIntersecting(i int, q []uint64) int {
 	n := min(v.words, len(q))
 	if n == 0 {
@@ -126,7 +126,7 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 // trees have — scans unrolled with the counts fused in; any other width,
 // or a query narrower than the tree, takes NextIntersecting and counts the
 // slot it meets. Like NextIntersecting it reads a page without score
-// tables; the feature stream meets a page with them by NextLevels.
+// tables; the feature stream meets every internal page by NextInner.
 func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
 	// The query's last word is masked once, a slot's only to be counted.
 	data, end, stride, mask := v.data, v.count, v.stride, v.lastMask
@@ -203,14 +203,9 @@ func (v *PageView) Child(i int) storage.PageID {
 func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
 
 // Score returns slot i's score — an item's t.s, a subtree's maximum e.s —
-// where it lies: Entry's Score, 0 on a tree without scores. The page has
-// no score tables (!Levelled).
-func (v *PageView) Score(i int) float64 {
-	if !v.t.cfg.WithScore {
-		return 0
-	}
-	return floatAt(v.slot(i), v.kwOff-8)
-}
+// where it lies: Entry's Score. The tree has scores, and the page no score
+// tables.
+func (v *PageView) Score(i int) float64 { return floatAt(v.slot(i), v.kwOff-8) }
 
 // Visible reports whether slot i is seen through the tree: false only for
 // a leaf slot whose item WithExclude tombstoned.
@@ -225,7 +220,7 @@ func (v *PageView) Visible(i int) bool {
 // Entry decodes slot i into e and reports whether the slot is visible: a
 // leaf slot tombstoned by WithExclude returns false and decodes nothing.
 // The keyword words, and an inner slot's score table and pair signature,
-// are copied onto the end of *arena and e.Keywords, e.Levels and e.Pairs
+// are copied onto the end of *arena and e.Keywords, e.levels and e.pairs
 // alias that copy — the keyword words of a slot with a table are read off
 // it, as its score is — so e stays valid for as long as that part of the
 // arena is not written again: a caller that hands e out to be kept leaves
@@ -264,15 +259,15 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 		}
 		kw, lv := at+v.words, at+v.words+v.lvWords
 		if v.lvOff > 0 {
-			e.Levels = (*arena)[kw:lv:lv]
+			e.levels = (*arena)[kw:lv:lv]
 			if r := v.t.cfg.KeywordWidth % 16; r != 0 { // no level beyond the width
-				e.Levels[len(e.Levels)-1] &= 1<<(ScoreLevelBits*r) - 1
+				e.levels[len(e.levels)-1] &= 1<<(ScoreLevelBits*r) - 1
 			}
-			presence((*arena)[at:kw], e.Levels)
+			presence((*arena)[at:kw], e.levels)
 		}
 		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:kw:kw])
 		if v.sigOff > 0 {
-			e.Pairs = (*PairSig)((*arena)[lv:])
+			e.pairs = (*PairSig)((*arena)[lv:])
 		}
 	}
 	return true
