@@ -12,9 +12,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"stpq/internal/datagen"
+	"stpq/internal/rtree"
 )
 
 // syntheticWorld is a datagen dataset in the public API's form: sets
@@ -139,6 +141,55 @@ func TestBuildRefusesWALWithoutWritePath(t *testing.T) {
 		if name := fmt.Sprintf("set%d", i+1); len(db.sets[name]) != len(feats) {
 			t.Errorf("%s holds %d features, want %d", name, len(db.sets[name]), len(feats))
 		}
+	}
+}
+
+// TestBuildRefusesTooWideVocabulary: at 512-byte and 4 KiB pages, a
+// vocabulary of one keyword more than rtree.MaxKeywordWidth fails Build
+// with ErrVocabularyTooWide before any tree is built, naming the smallest
+// page that fits — a leaf of two slots, each an id, a point, a score and
+// the keyword bitmap, behind the page header — and leaves the vocabulary
+// and the staged data as they were, so a second Build fails the same way.
+// A vocabulary at the limit builds and answers.
+func TestBuildRefusesTooWideVocabulary(t *testing.T) {
+	for _, page := range []int{512, 4096} {
+		t.Run(fmt.Sprintf("page=%d", page), func(t *testing.T) {
+			limit := rtree.MaxKeywordWidth(page)
+			for _, width := range []int{limit, limit + 1} {
+				const n = 40
+				feats := make([]Feature, n)
+				for i := range feats {
+					feats[i] = Feature{ID: int64(i), X: float64(i) / n, Y: 0.5, Score: 0.5}
+				}
+				for k := 0; k < width; k++ {
+					feats[k%n].Keywords = append(feats[k%n].Keywords, fmt.Sprintf("kw%d", k))
+				}
+				db := New(Config{PageSize: page})
+				db.AddObjects([]Object{{ID: 1, X: 0.5, Y: 0.5}})
+				db.AddFeatureSet("food", feats)
+				if width == limit {
+					if err := db.Build(); err != nil {
+						t.Fatalf("Build of %d keywords: %v", width, err)
+					}
+					res, _, err := db.TopK(Query{K: 1, Radius: 1, Lambda: 0.5, Keywords: map[string][]string{"food": {fmt.Sprintf("kw%d", width-1)}}})
+					if err != nil || len(res) != 1 || res[0].Score == 0 {
+						t.Fatalf("TopK over %d keywords: %v, %v", width, res, err)
+					}
+					continue
+				}
+				fits := 4 + 2*(8+16+8+8*((width+63)/64))
+				for attempt := 1; attempt <= 2; attempt++ {
+					err := db.Build()
+					if !errors.Is(err, ErrVocabularyTooWide) || !strings.Contains(err.Error(), fmt.Sprintf("is %d bytes", fits)) {
+						t.Fatalf("Build #%d of %d keywords: %v, want ErrVocabularyTooWide naming %d-byte pages", attempt, width, err, fits)
+					}
+				}
+				if db.built || db.vocab.Size() != 0 || len(db.objects) != 1 || len(db.sets["food"]) != n {
+					t.Fatalf("built %v, %d keywords interned, %d objects and %d features staged after the refusal",
+						db.built, db.vocab.Size(), len(db.objects), len(db.sets["food"]))
+				}
+			}
+		})
 	}
 }
 

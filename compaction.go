@@ -86,7 +86,8 @@ func (db *DB) mergeLocked(forceFull bool, words ...string) error {
 // pending, else the view over base + layers, assembled here and never
 // published (so the generation is bumped once). The oracle suites hold that
 // view byte-identical to a from-scratch build after every batch, which is
-// what makes it a sound copy to rebuild from. words are interned first.
+// what makes it a sound copy to rebuild from. words are interned first
+// (buildLocked).
 func (db *DB) fullMergeLocked(net *ingest.Net, words []string) error {
 	view := db.engine
 	if db.pendingLocked() {
@@ -99,13 +100,7 @@ func (db *DB) fullMergeLocked(net *ingest.Net, words []string) error {
 	if err != nil {
 		return err
 	}
-	// Intern into a clone so snapshots of the previous generation keep a
-	// stable vocabulary.
-	db.vocab = db.vocab.Clone()
-	for _, w := range words {
-		db.vocab.Intern(w)
-	}
-	return db.buildLocked(objs, featSets)
+	return db.buildLocked(objs, featSets, words...)
 }
 
 // mergeDriftRatio is the degradation threshold: a full rebuild replaces the

@@ -79,7 +79,9 @@ var (
 // threshold Apply additionally merges delta into base (see Flush); when a
 // mutation introduces a keyword outside the indexed vocabulary it first
 // rebuilds the base at the wider vocabulary, pending mutations folded in,
-// and the batch then enters the delta like any other.
+// and the batch then enters the delta like any other. A batch that would
+// widen the vocabulary past what the pages fit fails with
+// ErrVocabularyTooWide before it is logged.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -358,7 +360,9 @@ func (c Config) ingestable() error {
 	return nil
 }
 
-// validateMutationsLocked checks a batch against the current schema.
+// validateMutationsLocked checks a batch against the current schema, and
+// that the keywords it adds leave a vocabulary the pages fit: Apply checks
+// before the batch is logged, so a batch refused leaves no record behind.
 func (db *DB) validateMutationsLocked(muts []Mutation) error {
 	if !db.built {
 		return fmt.Errorf("%w: Apply before Build", ErrNotBuilt)
@@ -393,6 +397,11 @@ func (db *DB) validateMutationsLocked(muts []Mutation) error {
 			}
 		default:
 			return fmt.Errorf("%w: mutation %d: unknown op %q", ErrInvalidMutation, i, m.Op)
+		}
+	}
+	if words := db.unseenWordsLocked(muts); len(words) > 0 {
+		if err := checkVocabulary(db.vocab.Size()+len(words), db.cfg.PageSize); err != nil {
+			return fmt.Errorf("%w: %d new keywords: %w", ErrInvalidMutation, len(words), err)
 		}
 	}
 	return nil
@@ -520,10 +529,11 @@ func (db *DB) autoFlushThreshold() int {
 	return db.cfg.AutoFlushOps
 }
 
-// unseenWordsLocked returns the keywords of the batch's upserted features
-// that lie outside the indexed vocabulary.
+// unseenWordsLocked returns the distinct keywords, normalized, of the
+// batch's upserted features that lie outside the indexed vocabulary.
 func (db *DB) unseenWordsLocked(muts []Mutation) []string {
 	var words []string
+	var seen map[string]bool
 	for _, m := range muts {
 		if m.Op != OpUpsertFeature || m.Feature == nil {
 			continue
@@ -531,9 +541,14 @@ func (db *DB) unseenWordsLocked(muts []Mutation) []string {
 		for _, w := range m.Feature.Keywords {
 			// A word that normalizes to nothing is never indexable; Build
 			// drops it too.
-			if kwset.Normalize(w) != "" && db.vocab.Lookup(w) < 0 {
-				words = append(words, w)
+			if w = kwset.Normalize(w); w == "" || seen[w] || db.vocab.Lookup(w) >= 0 {
+				continue
 			}
+			if seen == nil {
+				seen = make(map[string]bool)
+			}
+			seen[w] = true
+			words = append(words, w)
 		}
 	}
 	return words

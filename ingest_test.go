@@ -16,6 +16,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"stpq/internal/rtree"
 )
 
 // ingestWords is the closed keyword pool of the equivalence tests. The
@@ -332,6 +334,47 @@ func TestApplyNewKeywordForcesMerge(t *testing.T) {
 	if len(res) == 0 || res[0].Score == 0 {
 		t.Fatalf("new keyword not queryable: %v", res)
 	}
+}
+
+// TestApplyTooWideVocabularyLeavesNoRecord: a batch whose new keywords
+// would widen the vocabulary one past what 512-byte pages fit
+// (rtree.MaxKeywordWidth) fails with ErrVocabularyTooWide, which wraps
+// ErrInvalidMutation, before it is logged: no WAL record, no keyword
+// interned, so the next Apply of known words succeeds, and a DB built
+// afresh on the same log replays that one record and answers as the live
+// DB does.
+func TestApplyTooWideVocabularyLeavesNoRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	objs, sets := ingestSeedData(rng, 100, 60)
+	cfg := Config{PageSize: 512, WALDir: t.TempDir(), AutoFlushOps: -1}
+	db := buildIngestDB(t, cfg, objs, sets)
+	width := db.vocab.Size()
+	wide := make([]string, rtree.MaxKeywordWidth(cfg.PageSize)-width+1)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("new%d", i)
+	}
+	f := Feature{ID: 9001, X: 0.5, Y: 0.5, Score: 0.9, Keywords: append(wide, wide[0], "NEW0")}
+	for attempt := 1; attempt <= 2; attempt++ {
+		err := db.Apply([]Mutation{{Op: OpUpsertFeature, Set: "food", Feature: &f}})
+		if !errors.Is(err, ErrVocabularyTooWide) || !errors.Is(err, ErrInvalidMutation) {
+			t.Fatalf("Apply #%d of %d new keywords: %v, want ErrVocabularyTooWide and ErrInvalidMutation", attempt, len(wide), err)
+		}
+	}
+	if db.WALSeq() != 0 || db.vocab.Size() != width || db.PendingOps() != 0 {
+		t.Fatalf("after the refusals: WAL seq %d, %d keywords (was %d), %d mutations pending", db.WALSeq(), db.vocab.Size(), width, db.PendingOps())
+	}
+	g := Feature{ID: 9002, X: 0.4, Y: 0.6, Score: 0.8, Keywords: []string{ingestWords[0], ingestWords[1]}}
+	if err := db.Apply([]Mutation{{Op: OpUpsertFeature, Set: "food", Feature: &g}}); err != nil {
+		t.Fatalf("Apply of known keywords: %v", err)
+	}
+	if db.WALSeq() != 1 {
+		t.Fatalf("WAL seq %d after one accepted batch, want 1", db.WALSeq())
+	}
+	db2 := buildIngestDB(t, cfg, objs, sets)
+	if got := db2.Metrics().Counters["stpq_ingest_replayed_total"]; got != 1 {
+		t.Fatalf("replayed %d mutations, want 1", got)
+	}
+	assertSameTopK(t, "after replay", db2, db, rand.New(rand.NewSource(6)))
 }
 
 // TestWALReplayAfterCrash simulates a crash (the DB is abandoned without

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"stpq/internal/index"
 	"stpq/internal/kwset"
@@ -239,16 +242,17 @@ func TestFeatureExpansionsWithinReads(t *testing.T) {
 // the sum of its pools' counters.
 func goldenWorld(tb testing.TB, kind index.Kind) (*testWorld, *rand.Rand, func() storage.Stats) {
 	const vocabW = 24
-	return pooledWorld(tb, kind, vocabW, func(rng *rand.Rand) int { return rng.Intn(vocabW) })
+	return pooledWorld(tb, kind, 1024, vocabW, func(rng *rand.Rand) int { return rng.Intn(vocabW) })
 }
 
 // pooledWorld builds a world of 2,000 objects and two sets of 1,600
 // features, each with one to three keywords drawn by draw, over
-// vocabW keywords, whose indexes sit behind 32-page pools of 1 KiB pages.
-func pooledWorld(tb testing.TB, kind index.Kind, vocabW int, draw func(*rand.Rand) int) (*testWorld, *rand.Rand, func() storage.Stats) {
+// vocabW keywords, whose indexes sit behind 32-page pools of pages of
+// pageSize bytes.
+func pooledWorld(tb testing.TB, kind index.Kind, pageSize, vocabW int, draw func(*rand.Rand) int) (*testWorld, *rand.Rand, func() storage.Stats) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(4242))
-	opts := index.Options{Kind: kind, VocabWidth: vocabW, PageSize: 1024, BufferPages: 32}
+	opts := index.Options{Kind: kind, VocabWidth: vocabW, PageSize: pageSize, BufferPages: 32}
 	objs := make([]index.Object, 2000)
 	for i := range objs {
 		objs[i] = index.Object{ID: int64(i), Location: randPoint(rng)}
@@ -332,16 +336,17 @@ func runCounted(t *testing.T, w *testWorld, pools func() storage.Stats, alg stri
 }
 
 // wideReads pins the reads and answers of STPS on a world of 300 keywords,
-// wider than rtree.MaxLevelWidth, so that every inner slot of its feature
-// trees keeps e.s and e.W beside its pair signature and the feature stream
-// prices it by e.s and the count its pairs and tokens allow; the golden
-// world's 24-keyword trees keep score tables instead. Each row is the
-// three queries' L/P/E, then each one's answer ids in rank order.
+// wider than rtree.MaxLevelWidth, so that the score table of every inner
+// slot of its feature trees keeps a level a bucket, which keyword k shares
+// with k ± MaxLevelWidth, and the feature stream prices a slot at its
+// buckets' levels and the count its pairs and tokens allow; the golden
+// world's 24-keyword trees keep a level a keyword. Each row is the three
+// queries' L/P/E, then each one's answer ids in rank order.
 var wideReads = map[string]string{
-	"SRT/stps/range":     "49/49/0 31/19/8 45/26/13 | 606 1655 1785 | 1336 | 897 996",
-	"SRT/stps/influence": "274/175/80 161/121/120 329/175/175 | 1827 498 1276 | 182 | 1343 972",
-	"IR2/stps/range":     "83/83/16 41/32/29 80/56/53 | 606 1655 1785 | 1336 | 897 996",
-	"IR2/stps/influence": "363/264/169 221/181/180 353/213/213 | 1827 498 1276 | 182 | 1343 972",
+	"SRT/stps/range":     "56/56/0 39/24/12 44/25/20 | 606 1655 1785 | 1336 | 897 996",
+	"SRT/stps/influence": "296/197/102 182/139/138 341/200/200 | 1827 498 1276 | 182 | 1343 972",
+	"IR2/stps/range":     "67/67/6 46/29/20 63/31/28 | 606 1655 1785 | 1336 | 897 996",
+	"IR2/stps/influence": "353/254/159 233/193/192 358/219/219 | 1827 498 1276 | 182 | 1343 972",
 }
 
 func TestWideReadCountsGolden(t *testing.T) {
@@ -349,10 +354,10 @@ func TestWideReadCountsGolden(t *testing.T) {
 		for _, variant := range []Variant{RangeScore, InfluenceScore} {
 			name := kind.String() + "/stps/" + variant.String()
 			t.Run(name, func(t *testing.T) {
-				w, rng, pools := pooledWorld(t, kind, wideVocab, wideKeyword)
+				w, rng, pools := pooledWorld(t, kind, 1024, wideVocab, wideKeyword)
 				qs := make([]Query, 3)
 				for i := range qs {
-					qs[i] = wideQuery(rng, variant)
+					qs[i] = drawnQuery(rng, variant, wideVocab, wideKeyword)
 				}
 				got, _, answers := runCounted(t, w, pools, "stps", qs)
 				for _, ans := range answers {
@@ -385,14 +390,14 @@ func wideKeyword(rng *rand.Rand) int {
 	return rng.Intn(16)
 }
 
-// wideQuery draws a two-set query of the wide world, its keywords as
-// wideKeyword draws a feature's.
-func wideQuery(rng *rand.Rand, variant Variant) Query {
+// drawnQuery draws a two-set query over vocabW keywords, its keywords as
+// draw draws a feature's.
+func drawnQuery(rng *rand.Rand, variant Variant, vocabW int, draw func(*rand.Rand) int) Query {
 	kws := make([]kwset.Set, 2)
 	for i := range kws {
-		kws[i] = kwset.NewSet(wideVocab)
+		kws[i] = kwset.NewSet(vocabW)
 		for j := 0; j < 1+rng.Intn(3); j++ {
-			kws[i].Add(wideKeyword(rng))
+			kws[i].Add(draw(rng))
 		}
 	}
 	return Query{
@@ -402,6 +407,61 @@ func wideQuery(rng *rand.Rand, variant Variant) Query {
 		Keywords: kws,
 		Variant:  variant,
 	}
+}
+
+// A world of 2,000 keywords on 4 KiB pages, drawn with datagen.RealLike's
+// Zipf skew (s = 1.1) over the wider vocabulary (zipfKeyword), so that
+// eight keywords share each table bucket and the popular ones share theirs
+// with rare ones: twelve STPS range and twelve influence queries on SRT
+// and IR² answer as brute force does. It logs the build time and the
+// logical reads of the queries, which are not pinned. Skipped under
+// -short.
+func TestZipfWideWorldMatchesBruteForce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four 2,000-keyword worlds")
+	}
+	for _, kind := range []index.Kind{index.SRT, index.IR2} {
+		for _, variant := range []Variant{RangeScore, InfluenceScore} {
+			name := kind.String() + "/stps/" + variant.String()
+			t.Run(name, func(t *testing.T) {
+				start := time.Now()
+				w, rng, _ := pooledWorld(t, kind, 4096, zipfVocab, zipfKeyword)
+				built := time.Since(start)
+				reads := int64(0)
+				for range 12 {
+					q := drawnQuery(rng, variant, zipfVocab, zipfKeyword)
+					got, st, err := w.engine.STPS(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reads += st.LogicalReads
+					assertMatchesBruteForce(t, w, q, got, name)
+				}
+				t.Logf("%s: built in %v; 12 queries read %d pages, %.1f a query", name, built.Round(time.Millisecond), reads, float64(reads)/12)
+			})
+		}
+	}
+}
+
+// zipfVocab is the Zipf world's keyword width.
+const zipfVocab = 2000
+
+// zipfCDF is the cumulative weight (1+k)^−1.1 of keywords 0 to k, the
+// popularity rand.NewZipf(rng, 1.1, 1, zipfVocab−1) draws RealLike's
+// cuisines by.
+var zipfCDF = func() []float64 {
+	cdf := make([]float64, zipfVocab)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(1+k), -1.1)
+		cdf[k] = sum
+	}
+	return cdf
+}()
+
+// zipfKeyword draws a keyword of the Zipf world by inverting zipfCDF.
+func zipfKeyword(rng *rand.Rand) int {
+	return min(sort.SearchFloat64s(zipfCDF, rng.Float64()*zipfCDF[zipfVocab-1]), zipfVocab-1)
 }
 
 // BenchmarkVoronoiCellCold builds one Voronoi cell at a time, as cellOf does

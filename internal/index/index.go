@@ -19,17 +19,20 @@
 // keyword pairs that occur together in one feature below it, and of the
 // keywords that are some feature's only one (rtree.PairSig), which caps c
 // at the most query keywords those pairs allow one feature to hold and
-// raises n to two where none of them stands alone below. And at vocabulary
-// widths up to rtree.MaxLevelWidth an entry keeps, in place of e.s and
-// e.W, the best score of a feature below that holds each keyword, rounded
-// up to a 4-bit level, so that a feature holding c query keywords is priced
-// at the least of their levels; above that width a slot's one point is
-// e.s. rtree derives the layout from the width and prices either; a dump
-// in an older layout is rebuilt when it is opened (OpenFeatureIndex).
+// raises n to two where none of them stands alone below. And an entry
+// keeps, in place of e.s and e.W, the best score of a feature below that
+// holds each keyword, rounded up to a 4-bit level, so that a feature
+// holding c query keywords is priced at the least of their levels. Above
+// rtree.MaxLevelWidth keywords, keyword k shares the level of bucket
+// k mod rtree.MaxLevelWidth with the other keywords of its bucket, which
+// can only raise its price. rtree derives the layout from the width; a
+// dump in an older layout is rebuilt when it is opened
+// (OpenFeatureIndex).
 //
 // The paper's SRT stores the Hilbert value H(e.W) in a node and updates it
-// on insert by decode → OR → encode; our nodes store the bitmap e.W, so
-// the rule is e.W ∪= t.W, applied by refolding every node a build, an
+// on insert by decode → OR → encode; our nodes keep e.W as the keywords of
+// their score table, so the rule is e.W ∪= t.W, each of t's keywords
+// raised to t's level, applied by refolding every node a build, an
 // Insert or a Delete writes.
 //
 // They differ only in how leaf entries are clustered at build time:

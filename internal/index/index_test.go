@@ -138,15 +138,15 @@ func checkBound(t *testing.T, idx *FeatureIndex, pid storage.PageID, q QueryKeyw
 	return nil
 }
 
-// The feature stream prices a slot of a page without score tables from the
-// counts its keyword scan takes and its score in place (BoundCounts); the
-// readers that decode price the Entry (Score, Bound). For every measure,
-// on leaf slots and, above rtree.MaxLevelWidth, internal ones, at keyword
-// widths within, at and across word boundaries and with query sets
-// narrower and wider than the tree — bits beyond its width included — the
-// two agree to the bit, and a leaf's Jaccard price is the one
-// kwset.Set.Jaccard gives. (A page with score tables is priced from its
-// price points instead, which rtree's tests hold to the decoded slot.)
+// The feature stream prices a leaf slot from the counts its keyword scan
+// takes and its score in place (BoundCounts); the readers that decode
+// price the Entry (Score, Bound). For every measure, at keyword widths
+// within, at and across word boundaries and above rtree.MaxLevelWidth, and
+// with query sets narrower and wider than the tree — bits beyond its width
+// included — the two agree to the bit, and the Jaccard price is the one
+// kwset.Set.Jaccard gives. (An inner page keeps score tables and is priced
+// from its price points instead, which rtree's tests hold to the decoded
+// slot.)
 func TestBoundCountsMatchesEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, width := range []int{64, 100, 128, 200, rtree.MaxLevelWidth + 44} {
@@ -161,7 +161,7 @@ func TestBoundCountsMatchesEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v.Leaf() || width > rtree.MaxLevelWidth { // no score tables
+			if v.Leaf() {
 				pages = append(pages, v)
 			}
 			for i := 0; !v.Leaf() && i < v.Len(); i++ {
@@ -169,7 +169,7 @@ func TestBoundCountsMatchesEntry(t *testing.T) {
 			}
 		}
 		walk(idx.Tree().Root())
-		var priced [2]int // internal, leaf
+		priced := 0
 		var arena []uint64
 		for _, qWidth := range []int{width / 3, width, width + 70} {
 			for trial := 0; trial < 8; trial++ {
@@ -186,28 +186,24 @@ func TestBoundCountsMatchesEntry(t *testing.T) {
 							var e rtree.Entry
 							arena = arena[:0]
 							v.Entry(i, &e, &arena)
-							got, want := q.BoundCounts(v.Score(i), v.Leaf(), inter, count, wc), q.Bound(&e)
+							got, want := q.BoundCounts(v.Score(i), true, inter, count, wc), q.Bound(&e)
 							if math.Float64bits(got) != math.Float64bits(want) {
 								t.Fatalf("width %d, %v, query %v, slot %+v: counted %v, Bound %v", width, sim, set, e, got, want)
 							}
-							if e.Leaf && math.Float64bits(q.Score(&e)) != math.Float64bits(want) {
+							if math.Float64bits(q.Score(&e)) != math.Float64bits(want) {
 								t.Fatalf("width %d, %v: leaf Score %v, Bound %v", width, sim, q.Score(&e), want)
 							}
-							if e.Leaf && sim == Jaccard && math.Float64bits(want) != math.Float64bits((1-q.Lambda)*e.Score+q.Lambda*e.Keywords.Jaccard(set)) {
+							if sim == Jaccard && math.Float64bits(want) != math.Float64bits((1-q.Lambda)*e.Score+q.Lambda*e.Keywords.Jaccard(set)) {
 								t.Fatalf("width %d: leaf Jaccard price %v, kwset.Jaccard says otherwise", width, want)
 							}
-							if e.Leaf {
-								priced[1]++
-							} else {
-								priced[0]++
-							}
+							priced++
 						}
 					}
 				}
 			}
 		}
-		if priced[0] == 0 && width > rtree.MaxLevelWidth || priced[1] == 0 {
-			t.Fatalf("width %d: priced %d internal and %d leaf slots", width, priced[0], priced[1])
+		if priced == 0 {
+			t.Fatalf("width %d: priced no leaf slot", width)
 		}
 	}
 }

@@ -16,10 +16,11 @@ import (
 // Meta is the out-of-page state of a feature or object index. PairBits,
 // LevelBits and PairTokens record a feature tree's inner-slot layout as
 // older versions wrote it, so that an older dump is known as one. Save
-// writes the layout rtree derives from the keyword width: PairBits
-// rtree.PairSigBits, PairTokens set, and LevelBits rtree.ScoreLevelBits
-// where the inner slots keep score tables, up to rtree.MaxLevelWidth. A Meta
-// without PairTokens was written before the signatures held tokens: its
+// writes the one layout rtree keeps at every keyword width: LevelBits
+// rtree.ScoreLevelBits, PairBits rtree.PairSigBits and PairTokens set. A
+// Meta without PairTokens was written before the signatures held tokens,
+// and one without LevelBits above rtree.MaxLevelWidth keywords, where
+// slots kept e.s and e.W, before every slot kept a score table: such a
 // dump is read for its items, which OpenFeatureIndex bulk-loads afresh in
 // the current layout.
 type Meta struct {
@@ -45,26 +46,24 @@ func (x *FeatureIndex) Save(w io.Writer) (Meta, error) {
 		PageSize:   x.tree.Config().PageSize,
 		WithScore:  true,
 		PairBits:   rtree.PairSigBits,
+		LevelBits:  rtree.ScoreLevelBits,
 		PairTokens: true,
-	}
-	if x.tree.Config().KeywordWidth <= rtree.MaxLevelWidth {
-		meta.LevelBits = rtree.ScoreLevelBits
 	}
 	return meta, nil
 }
 
 // oldLayout reports whether m records an inner-slot layout older than the
-// current one, and if so whether its slots held a pair signature and a
-// score table. A layout no version wrote is an error.
+// current one — without tokens or without score tables — and if so whether
+// its slots held a pair signature and a score table. A layout no version
+// wrote is an error.
 func (m Meta) oldLayout() (old, pairs, levels bool, err error) {
 	pairs, levels = m.PairBits == rtree.PairSigBits, m.LevelBits == rtree.ScoreLevelBits
-	tables := m.VocabWidth <= rtree.MaxLevelWidth
-	if m.PairBits != 0 && !pairs || m.LevelBits != 0 && !levels || levels && (!pairs || !tables) ||
-		m.PairTokens && (!pairs || levels != tables) || !m.WithScore || m.VocabWidth <= 0 {
+	if m.PairBits != 0 && !pairs || m.LevelBits != 0 && !levels || (levels || m.PairTokens) && !pairs ||
+		!m.WithScore || m.VocabWidth <= 0 {
 		return false, false, false, fmt.Errorf("index: no version wrote a feature tree of %d keywords with scores %t, pairBits %d, levelBits %d and pairTokens %t",
 			m.VocabWidth, m.WithScore, m.PairBits, m.LevelBits, m.PairTokens)
 	}
-	return !m.PairTokens, pairs, levels, nil
+	return !m.PairTokens || !levels, pairs, levels, nil
 }
 
 // OpenFeatureIndex reconstructs a feature index from a page dump and its

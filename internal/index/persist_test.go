@@ -84,13 +84,20 @@ func TestFeatureIndexSaveOpenRoundTrip(t *testing.T) {
 // A dump an older version wrote opens rebuilt in the current layout. The
 // dumps under testdata were written with the inner slots of those versions
 // — e.s and e.W; e.s, e.W and a signature of one bit a key without tokens;
-// a score table and such a signature — over the features randomFeatures
-// draws from seed 60. Each opens with score tables and a signature with
-// tokens on its inner slots, holds the same items, gives a fresh build's
-// answers, and Saves a Meta of the current layout.
+// a score table and such a signature — over the 32-keyword features
+// randomFeatures draws from seed 60, and — e.s, e.W and a signature with
+// tokens, as slots above rtree.MaxLevelWidth keywords were kept before
+// every slot kept a score table — over the 300-keyword ones it draws from
+// that seed (legacy-wide). Each opens with score tables and a signature
+// with tokens on its inner slots, holds the same items, gives a fresh
+// build's answers, and Saves a Meta of the current layout.
 func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
-	features := randomFeatures(rand.New(rand.NewSource(60)), 400, 32)
-	for _, name := range []string{"bitmap", "sig1", "sig1-levels"} {
+	for _, c := range []struct {
+		name  string
+		width int
+	}{{"bitmap", 32}, {"sig1", 32}, {"sig1-levels", 32}, {"wide", 300}} {
+		name, width := c.name, c.width
+		features := randomFeatures(rand.New(rand.NewSource(60)), 400, width)
 		t.Run(name, func(t *testing.T) {
 			js, err := os.ReadFile("testdata/legacy-" + name + ".json")
 			if err != nil {
@@ -100,7 +107,7 @@ func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
 			if err := json.Unmarshal(js, &meta); err != nil {
 				t.Fatal(err)
 			}
-			if meta.PairTokens {
+			if meta.PairTokens && meta.LevelBits != 0 {
 				t.Fatalf("%s records the current layout", js)
 			}
 			idx, err := OpenFile("testdata/legacy-"+name+".pages", meta, 64, OpenFeatureIndex)
@@ -130,7 +137,7 @@ func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
 					t.Fatalf("item %d: (%v, %v, %v), written as (%v, %v, %v)", e.ItemID, e.Point(), e.Score, e.Keywords, f.Location, f.Score, f.Keywords)
 				}
 			}
-			fresh, err := BuildFeatureIndex(features, Options{Kind: meta.Kind, VocabWidth: 32, PageSize: 512})
+			fresh, err := BuildFeatureIndex(features, Options{Kind: meta.Kind, VocabWidth: width, PageSize: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +154,7 @@ func TestOpenFeatureIndexRebuildsOlderLayouts(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(61))
 			for trial := 0; trial < 20; trial++ {
-				q := QueryKeywords{Set: kwset.SetFromWords(32, rng.Intn(32), rng.Intn(32)), Lambda: rng.Float64()}
+				q := QueryKeywords{Set: kwset.SetFromWords(width, rng.Intn(width), rng.Intn(width)), Lambda: rng.Float64()}
 				if got, want := topFeatures(t, idx, q, 10), topFeatures(t, fresh, q, 10); !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %v: %v, a fresh build %v", q.Set, got, want)
 				}
@@ -205,17 +212,21 @@ func topFeatures(t *testing.T, idx *FeatureIndex, q QueryKeywords, k int) []int6
 	return out
 }
 
-// A Meta that records an inner-slot layout no version wrote is refused.
+// A Meta that records an inner-slot layout no version wrote is refused:
+// a signature or a table of another width, a table or tokens without a
+// signature, a tree without scores or keywords. The rule does not depend
+// on the keyword width, so each holds at 32 and at 300 keywords.
 func TestOpenFeatureIndexRejectsUnwrittenLayouts(t *testing.T) {
 	for _, m := range []Meta{
 		{VocabWidth: 32, WithScore: true, PairBits: 256},
 		{VocabWidth: 32, WithScore: true, LevelBits: 8, PairBits: rtree.PairSigBits},
 		{VocabWidth: 32, WithScore: true, LevelBits: rtree.ScoreLevelBits},
-		{VocabWidth: 300, WithScore: true, LevelBits: rtree.ScoreLevelBits, PairBits: rtree.PairSigBits},
-		{VocabWidth: 32, WithScore: true, PairBits: rtree.PairSigBits, PairTokens: true},
-		{VocabWidth: 300, WithScore: true, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
+		{VocabWidth: 300, WithScore: true, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
 		{VocabWidth: 32, WithScore: true, PairTokens: true},
+		{VocabWidth: 300, WithScore: true, PairTokens: true},
 		{VocabWidth: 32, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
+		{VocabWidth: 300, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
+		{WithScore: true, PairBits: rtree.PairSigBits, LevelBits: rtree.ScoreLevelBits, PairTokens: true},
 	} {
 		m.PageSize = 512
 		if _, err := OpenFeatureIndex(bytes.NewReader(nil), m, 4); err == nil || !strings.Contains(err.Error(), "no version wrote") {

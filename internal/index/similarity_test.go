@@ -166,47 +166,86 @@ func tokenWorld(rng *rand.Rand, n, w int) []Feature {
 	return features
 }
 
-// The pair cap keeps the node bound sound: on random SRT and IR² trees of
-// both inner layouts, at every internal slot and under every measure, the
-// price of the slot's points (rtree.PageView.NextInner), whose
-// query-keyword counts the pairs cap and whose least keyword counts the
-// tokens raise, is at least the best score of a relevant feature below it
-// (frontWalk). Over a vocabulary too wide for score tables, whose inner
-// slots keep e.s and e.W and have one point at e.s, it is at least the
-// best score of any feature below, relevant or not. Small vocabularies and features of up to
-// five keywords make queries meet many pairs, keywords that never stand
-// alone leave slots without their tokens (tokenWorld), and λ = 1 among the
-// weights leaves the keyword term alone to carry the bound. The counts are
-// kept per layout, and the test fails if on either the cap tightened no
-// slot, or the tokens none, for then it would show nothing there.
-func TestPairCapBoundDominatesProperty(t *testing.T) {
+// wideWorld returns features over rtree.MaxLevelWidth + w keywords: each
+// keyword k < w of each of features becomes k + rtree.MaxLevelWidth with
+// even odds, so that k and k + rtree.MaxLevelWidth, which share a table
+// bucket, are both held below many slots. A keyword that never stands
+// alone in features (tokenWorld) never does here either.
+func wideWorld(rng *rand.Rand, features []Feature, w int) []Feature {
+	out := slices.Clone(features)
+	for i := range out {
+		kw := kwset.NewSet(rtree.MaxLevelWidth + w)
+		for _, k := range out[i].Keywords.IDs() {
+			kw.Add(k + rtree.MaxLevelWidth*rng.Intn(2))
+		}
+		out[i].Keywords = kw
+	}
+	return out
+}
+
+// wideQuery returns q over rtree.MaxLevelWidth + w keywords, each keyword k
+// of q as k, as k + rtree.MaxLevelWidth, or as both: the query keywords of
+// a slot of wideWorld's share buckets with each other and with the other
+// keywords below.
+func wideQuery(rng *rand.Rand, q kwset.Set, w int) kwset.Set {
+	out := kwset.NewSet(rtree.MaxLevelWidth + w)
+	for _, k := range q.IDs() {
+		switch rng.Intn(3) {
+		case 0:
+			out.Add(k)
+		case 1:
+			out.Add(k + rtree.MaxLevelWidth)
+		default:
+			out.Add(k)
+			out.Add(k + rtree.MaxLevelWidth)
+		}
+	}
+	return out
+}
+
+// walkLayouts runs frontWalk over 40 random worlds of features of up to
+// five keywords (tokenWorld) over small vocabularies, on SRT and IR² trees
+// of both kinds of score table: over the world's w keywords, a level a
+// keyword, and over wideWorld's, whose keywords k and k + MaxLevelWidth
+// share a bucket, each with eight random queries of one to maxQuery
+// keywords (wideQuery's on the wide tree), under all four measures and
+// with λ = 1 among the weights. It returns frontWalk's counts per table
+// kind, and fails the test at the first slot frontWalk faults or where a
+// table of a level a keyword holds a query keyword no feature below holds.
+func walkLayouts(t *testing.T, maxQuery int) (st [2]frontStats) {
+	t.Helper()
 	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
-	var st [2]frontStats // per layout, as idxs
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := 8 + rng.Intn(24)
 		features := tokenWorld(rng, 300+rng.Intn(300), w)
 		kind := []Kind{SRT, IR2}[rng.Intn(2)]
-		var idxs [2]*FeatureIndex // with score tables, and with e.s and e.W
-		for i, vocab := range []int{w, rtree.MaxLevelWidth + 1} {
+		var idxs [2]*FeatureIndex // a level a keyword, and shared buckets
+		for i, fs := range [][]Feature{features, wideWorld(rng, features, w)} {
 			var err error
-			if idxs[i], err = BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: vocab, PageSize: 1024}); err != nil {
+			if idxs[i], err = BuildFeatureIndex(fs, Options{Kind: kind, VocabWidth: fs[0].Keywords.Width(), PageSize: 1024}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for trial := 0; trial < 8; trial++ {
 			q := kwset.NewSet(w)
-			for j := 0; j < 1+rng.Intn(4); j++ {
+			for j := 0; j < 1+rng.Intn(maxQuery); j++ {
 				q.Add(rng.Intn(w))
 			}
-			var lq rtree.LevelQuery
-			lq.Reset(q.WordsBits())
+			qs := [2]kwset.Set{q, wideQuery(rng, q, w)}
 			lambda := []float64{1, 0.5, rng.Float64()}[rng.Intn(3)]
 			for _, sim := range measures {
-				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
 				for i, idx := range idxs {
-					if _, _, err := frontWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, i == 1, &st[i]); err != nil {
-						t.Logf("seed %d, %v over %d keywords, %v, λ = %v: %v", seed, kind, idx.Tree().Config().KeywordWidth, sim, lambda, err)
+					qk := QueryKeywords{Set: qs[i], Lambda: lambda, Sim: sim}
+					var lq rtree.LevelQuery
+					lq.Reset(qs[i].WordsBits())
+					collided := st[i].collided
+					if _, _, err := frontWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, &st[i]); err != nil {
+						t.Logf("seed %d, %v over %d keywords, %v, λ = %v, query %v: %v", seed, kind, idx.Tree().Config().KeywordWidth, sim, lambda, qs[i], err)
+						return false
+					}
+					if i == 0 && st[i].collided > collided {
+						t.Logf("seed %d: a table of %d keywords holds a query keyword no feature below holds", seed, w)
 						return false
 					}
 				}
@@ -217,83 +256,79 @@ func TestPairCapBoundDominatesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-	for i, layout := range []string{"score tables", "e.s and e.W"} {
-		t.Logf("%s: the cap tightened %d of %d internal slots, the tokens %d", layout, st[i].capped, st[i].slots, st[i].tokened)
+	return st
+}
+
+// The pair cap keeps the node bound sound: on random SRT and IR² trees of
+// both kinds of score table (walkLayouts), at every internal slot and
+// under every measure, the price of the slot's points
+// (rtree.PageView.NextInner), whose query-keyword counts the pairs cap and
+// whose least keyword counts the tokens raise, is at least the best score
+// of a relevant feature below it (frontWalk). Small vocabularies and
+// features of up to five keywords make queries meet many pairs, keywords
+// that never stand alone leave slots without their tokens (tokenWorld),
+// and λ = 1 among the weights leaves the keyword term alone to carry the
+// bound. The counts are kept per table kind, and the test fails if on
+// either the cap tightened no slot, or the tokens none, or on the tables
+// of shared buckets no bucket held a query keyword that no feature below
+// holds, for then it would show nothing there.
+func TestPairCapBoundDominatesProperty(t *testing.T) {
+	st := walkLayouts(t, 4)
+	for i, layout := range []string{"a level a keyword", "shared buckets"} {
+		t.Logf("%s: the cap tightened %d of %d internal slots, the tokens %d; buckets collided at %d", layout, st[i].capped, st[i].slots, st[i].tokened, st[i].collided)
 		if st[i].capped == 0 || st[i].tokened == 0 {
 			t.Fatalf("%s: the cap or the tokens tightened no slot: the test shows nothing", layout)
 		}
 	}
+	if st[1].collided == 0 {
+		t.Fatal("shared buckets: no bucket collided: the test shows nothing")
+	}
 }
 
 // The contract of Section 4.1 for the score tables: on random SRT and IR²
-// trees, under all four measures and with λ = 1 among the weights, every
-// internal slot the scan meets (rtree.PageView.NextInner) is priced
-// (BoundLevels) at least at the best score of a relevant feature below it
-// — one that holds a query keyword — and the scan meets every slot with
-// one. Features of up to five keywords over small vocabularies make queries
-// meet many pairs and levels, and keywords that never stand alone
-// (tokenWorld) slots whose price points need a second keyword. The test
-// fails if the table priced no slot below the bound of e.s, e.W and the
-// pair cap, or no price point asked for a second keyword, for then it
-// would show nothing.
+// trees of both kinds of score table (walkLayouts), under all four
+// measures and with λ = 1 among the weights, every internal slot the scan
+// meets (rtree.PageView.NextInner) is priced (BoundLevels) at least at the
+// best score of a relevant feature below it — one that holds a query
+// keyword — and the scan meets every slot with one. Features of up to five
+// keywords over small vocabularies make queries meet many pairs and
+// levels, and keywords that never stand alone (tokenWorld) slots whose
+// price points need a second keyword. The test fails if on either kind
+// the table priced no slot below the bound of e.s, e.W and the pair cap,
+// or no price point asked for a second keyword, or on the tables of shared
+// buckets no bucket collided, for then it would show nothing.
 func TestKeywordScoreBoundDominatesProperty(t *testing.T) {
-	measures := []Similarity{Jaccard, Dice, Cosine, Overlap}
-	var st frontStats
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w := 8 + rng.Intn(24)
-		features := tokenWorld(rng, 300+rng.Intn(300), w)
-		kind := []Kind{SRT, IR2}[rng.Intn(2)]
-		idx, err := BuildFeatureIndex(features, Options{Kind: kind, VocabWidth: w, PageSize: 1024})
-		if err != nil {
-			t.Fatal(err)
+	st := walkLayouts(t, 5)
+	for i, layout := range []string{"a level a keyword", "shared buckets"} {
+		t.Logf("%s: the table priced %d of %d internal slots below e.s, e.W and the pair cap; %d with a point of two keywords; buckets collided at %d", layout, st[i].tabled, st[i].slots, st[i].tokened, st[i].collided)
+		if st[i].tabled == 0 || st[i].tokened == 0 {
+			t.Fatalf("%s: the table tightened no slot, or no point needed a second keyword: the test shows nothing", layout)
 		}
-		for trial := 0; trial < 8; trial++ {
-			q := kwset.NewSet(w)
-			for j := 0; j < 1+rng.Intn(5); j++ {
-				q.Add(rng.Intn(w))
-			}
-			lambda := []float64{1, 0.5, rng.Float64()}[rng.Intn(3)]
-			for _, sim := range measures {
-				qk := QueryKeywords{Set: q, Lambda: lambda, Sim: sim}
-				var lq rtree.LevelQuery
-				lq.Reset(q.WordsBits())
-				if _, _, err := frontWalk(idx.Tree(), idx.Tree().Root(), &qk, &lq, false, &st); err != nil {
-					t.Logf("seed %d, %v, %v, λ = %v, query %v: %v", seed, kind, sim, lambda, q, err)
-					return false
-				}
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-	t.Logf("the table priced %d of %d internal slots below e.s, e.W and the pair cap; %d with a point of two keywords", st.tabled, st.slots, st.tokened)
-	if st.tabled == 0 || st.tokened == 0 {
-		t.Fatal("the table tightened no slot, or no point needed a second keyword: the test shows nothing")
+	if st[1].collided == 0 {
+		t.Fatal("shared buckets: no bucket collided: the test shows nothing")
 	}
 }
 
 // frontStats counts the internal slots frontWalk prices, those whose
 // query-keyword count the pairs capped below |e.W ∩ W| (capped), those
 // priced below the bound of the slot's e.s at the count and least of its
-// last price point (tabled), and those with a price point of one query
-// keyword and two keywords (tokened).
-type frontStats struct{ slots, capped, tabled, tokened int }
+// last price point (tabled), those with a price point of one query
+// keyword and two keywords (tokened), and those whose table holds a query
+// keyword, through its bucket, that no feature below holds (collided).
+type frontStats struct{ slots, capped, tabled, tokened, collided int }
 
 // frontWalk returns the best score of a relevant feature below page pid,
-// −1 when there is none, and the best score of any feature below it, or an
+// −1 when there is none, and the keywords of the features below it, or an
 // error at the first internal slot the scan (rtree.PageView.NextInner)
 // skips though a relevant feature lies below it, or whose price
-// (BoundLevels) is below that feature's score — or, where all is set,
-// below any feature's.
-func frontWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, all bool, st *frontStats) (relevant, best float64, err error) {
+// (BoundLevels) is below that feature's score.
+func frontWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.LevelQuery, st *frontStats) (relevant float64, held kwset.Set, err error) {
 	v, err := tr.View(pid)
 	if err != nil {
-		return 0, 0, err
+		return 0, held, err
 	}
-	relevant, best = -1, 0
+	relevant, held = -1, kwset.NewSet(tr.Config().KeywordWidth)
 	var arena []uint64
 	for i := 0; i < v.Len(); i++ {
 		var e rtree.Entry
@@ -303,27 +338,25 @@ func frontWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.L
 			if e.Keywords.Intersects(q.Set) {
 				relevant = math.Max(relevant, q.Score(&e))
 			}
-			best = math.Max(best, q.Score(&e))
+			held.UnionInPlace(e.Keywords)
 			continue
 		}
-		below, belowAny, err := frontWalk(tr, e.Child, q, lq, all, st)
+		below, kw, err := frontWalk(tr, e.Child, q, lq, st)
 		if err != nil {
-			return 0, 0, err
+			return 0, held, err
 		}
-		relevant, best = math.Max(relevant, below), math.Max(best, belowAny)
+		relevant = math.Max(relevant, below)
+		held.UnionInPlace(kw)
 		if v.NextInner(i, lq) != i {
 			if below >= 0 {
-				return 0, 0, fmt.Errorf("page %d slot %d: skipped, a relevant feature below scores %v", pid, i, below)
+				return 0, held, fmt.Errorf("page %d slot %d: skipped, a relevant feature below scores %v", pid, i, below)
 			}
 			continue
 		}
 		front := slices.Clone(lq.Front())
 		price := q.BoundLevels(front, q.Set.Count())
-		if all {
-			below = belowAny
-		}
 		if price < below-1e-12 {
-			return 0, 0, fmt.Errorf("page %d slot %d: priced %v at %v, a feature below scores %v", pid, i, price, front, below)
+			return 0, held, fmt.Errorf("page %d slot %d: priced %v at %v, a feature below scores %v", pid, i, price, front, below)
 		}
 		for _, p := range front {
 			if p.Least > p.Count {
@@ -341,8 +374,11 @@ func frontWalk(tr *rtree.Tree, pid storage.PageID, q *QueryKeywords, lq *rtree.L
 		if price < (1-q.Lambda)*e.Score+q.Lambda*q.Sim.NodeBound(last.Count, last.Least, q.Set.Count()) {
 			st.tabled++
 		}
+		if e.Keywords.IntersectCount(q.Set) > kw.IntersectCount(q.Set) {
+			st.collided++
+		}
 	}
-	return relevant, best, nil
+	return relevant, held, nil
 }
 
 // All measures are bounded in [0,1] and positive exactly when the sets

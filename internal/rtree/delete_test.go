@@ -145,14 +145,15 @@ func TestDeleteAllThenReuse(t *testing.T) {
 
 // Deleting the max-score item must shrink ancestor score bounds so that
 // the ŝ(e) bound stays tight (recomputed, not merely kept): on a tree whose
-// inner slots keep e.s itself, above MaxLevelWidth.
+// keywords share table buckets, e.s, the top level, falls from the
+// maximum's level to the next best item's.
 func TestDeleteShrinksAggregates(t *testing.T) {
 	tr := newTestTree(t, Config{PageSize: 512, WithScore: true, KeywordWidth: wideWidth})
 	items := randomItems(rand.New(rand.NewSource(4)), 100, 8)
 	for i := range items {
-		items[i].Score = float64(i) / 100
+		items[i].Score = float64(i) / 200 // up to 0.495, level 8
 	}
-	items[99].Score = 0.999 // unique maximum
+	items[99].Score = 0.999 // unique maximum, level 15
 	if err := tr.BulkLoad(items, hilbert2DKey); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDeleteShrinksAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Score != 0.999 {
+	if root.Score != LevelScore(Level(0.999)) {
 		t.Fatalf("root score %v", root.Score)
 	}
 	if ok, err := tr.Delete(items[99].ID, items[99].Location); err != nil || !ok {
@@ -170,8 +171,8 @@ func TestDeleteShrinksAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Score >= 0.999 {
-		t.Fatalf("root score %v not shrunk after deleting the maximum", root.Score)
+	if root.Score != LevelScore(Level(items[98].Score)) {
+		t.Fatalf("root score %v not shrunk to %v after deleting the maximum", root.Score, LevelScore(Level(items[98].Score)))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

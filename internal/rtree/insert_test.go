@@ -12,11 +12,12 @@ import (
 )
 
 // assertFolded fails unless every internal entry of tr is the exact fold of
-// its child node — the MBR of the child's entries, their greatest score,
-// the union of their keywords, on a tree with score tables the table whose
-// every level is the greatest of the child's at that keyword (an item's
-// own level at each of its keywords) with e.s its top level over 15, and
-// the union of the child's pair signatures or, over a leaf, the bits of
+// its child node — the MBR of the child's entries, the table whose every
+// level is the greatest of the child's at that bucket (an item's own level
+// at the bucket of each of its keywords) with e.s its top level over 15,
+// the union of their keywords with every keyword sharing a bucket with one
+// of them (bucketed), and the union of the child's pair signatures or,
+// over a leaf, the bits of
 // every pair of keywords one of its items holds and the token of each
 // keyword an item holds alone — and not merely a cover of them. The fold is computed here, apart from
 // entryAggregate, so a fault in that rule shows.
@@ -36,25 +37,23 @@ func assertFolded(t *testing.T, tr *Tree) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rect, score, kw := geo.EmptyRect(), 0.0, kwset.NewSet(tr.cfg.KeywordWidth)
+			width := tr.cfg.KeywordWidth
+			rect, score, kw := geo.EmptyRect(), 0.0, kwset.NewSet(width)
 			var pairs PairSig
-			levels := make([]int, tr.cfg.KeywordWidth)
+			levels := make([]int, min(width, 256))
 			for _, c := range child.Entries {
 				rect = rect.Union(c.Rect)
-				score = math.Max(score, c.Score)
 				kw.UnionInPlace(c.Keywords)
-				pairs = orSig(pairs, refPairs(&c, tr.cfg.KeywordWidth))
-				foldLevels(levels, &c)
+				pairs = orSig(pairs, refPairs(&c, width))
+				foldLevels(levels, &c, width)
 			}
-			if tr.cfg.levelled() {
-				score = 0
-				for k, l := range levels {
-					score = math.Max(score, float64(l)/15)
-					if got := int(e.levels[k/16]>>(4*(k%16))) & 15; got != l {
-						t.Fatalf("node %d entry %d: keyword %d at level %d, the fold of child %d has %d", id, i, k, got, e.Child, l)
-					}
+			for b, l := range levels {
+				score = math.Max(score, float64(l)/15)
+				if got := int(e.levels[b/16]>>(4*(b%16))) & 15; got != l {
+					t.Fatalf("node %d entry %d: bucket %d at level %d, the fold of child %d has %d", id, i, b, got, e.Child, l)
 				}
 			}
+			kw = bucketed(kw)
 			if e.Rect != rect || e.Score != score || !e.Keywords.Equal(kw) {
 				t.Fatalf("node %d entry %d: (%v, %v, %v), the fold of child %d is (%v, %v, %v)",
 					id, i, e.Rect, e.Score, e.Keywords, e.Child, rect, score, kw)
@@ -66,20 +65,35 @@ func assertFolded(t *testing.T, tr *Tree) {
 	}
 }
 
-// foldLevels raises levels[k] to what the decoded entry c folds into its
-// parent's table at keyword k: a leaf's own level, refLevel(t.s), at each
-// of its keywords below the width, an internal entry's level.
-func foldLevels(levels []int, c *Entry) {
-	for k := range levels {
-		l := 0
-		switch {
-		case c.Leaf && c.Keywords.Has(k):
-			l = refLevel(c.Score)
-		case !c.Leaf && c.levels != nil:
-			l = int(c.levels[k/16]>>(4*(k%16))) & 15
+// foldLevels raises levels[b] to what the decoded entry c folds into its
+// parent's table at bucket b on a tree of the given keyword width: a
+// leaf's own level, refLevel(t.s), at the bucket k mod 256 of each of its
+// keywords k below the width, an internal entry's level.
+func foldLevels(levels []int, c *Entry, width int) {
+	if c.Leaf {
+		for _, k := range c.Keywords.IDs() {
+			if k < width {
+				levels[k%256] = max(levels[k%256], refLevel(c.Score))
+			}
 		}
-		levels[k] = max(levels[k], l)
+		return
 	}
+	for b := range levels {
+		levels[b] = max(levels[b], int(c.levels[b/16]>>(4*(b%16)))&15)
+	}
+}
+
+// bucketed returns kw with every keyword that shares its bucket, k mod
+// 256, with a keyword of kw: e.W as a score table shows it, exact up to
+// 256 keywords.
+func bucketed(kw kwset.Set) kwset.Set {
+	out := kwset.NewSet(kw.Width())
+	for _, k := range kw.IDs() {
+		for j := k % 256; j < kw.Width(); j += 256 {
+			out.Add(j)
+		}
+	}
+	return out
 }
 
 // refLevel is the least level l ≥ 1 whose score l/15 is not below s, 15
@@ -146,8 +160,9 @@ func orSig(a, b PairSig) PairSig {
 // deleted, CheckInvariants holds and every internal entry is the exact fold
 // of its child (assertFolded), the root's keyword summary, pair signature
 // and score included — on trees of 16, 64 and MaxLevelWidth keywords,
-// with score tables, whose root score is the top level of an item that has
-// a keyword, and on ones of MaxLevelWidth+1 and wideWidth, with e.s and e.W.
+// whose tables keep a level a keyword, and on ones of MaxLevelWidth+1 and
+// wideWidth, whose keywords share buckets; the root score is the top level
+// of an item that has a keyword.
 func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 	for _, width := range []int{16, 64, MaxLevelWidth, MaxLevelWidth + 1, wideWidth} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
@@ -157,7 +172,7 @@ func TestInsertAbsorbMatchesFullRecompute(t *testing.T) {
 }
 
 // wideWidth is a keyword width above MaxLevelWidth, whose last keyword word
-// is partly used: the tests' tree with e.s and e.W on its inner slots.
+// is partly used: the tests' tree whose keywords share table buckets.
 const wideWidth = MaxLevelWidth + 44
 
 func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
@@ -178,14 +193,12 @@ func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
 		var wantPairs PairSig
 		for _, it := range live {
 			wantKW.UnionInPlace(it.Keywords)
-			if !cfg.levelled() {
-				wantScore = math.Max(wantScore, it.Score)
-			} else if !it.Keywords.IsEmpty() {
+			if !it.Keywords.IsEmpty() {
 				wantScore = math.Max(wantScore, float64(refLevel(it.Score))/15)
 			}
 			wantPairs = orSig(wantPairs, refPairs(&Entry{Leaf: true, Keywords: it.Keywords}, cfg.KeywordWidth))
 		}
-		if !root.Keywords.Equal(wantKW) {
+		if wantKW = bucketed(wantKW); !root.Keywords.Equal(wantKW) {
 			t.Errorf("%s: root keyword summary is not the exact union of item keywords", stage)
 		}
 		if *root.pairs != wantPairs {
@@ -225,8 +238,8 @@ func insertAbsorbMatchesFullRecompute(t *testing.T, cfg Config) {
 // FuzzInsertDelete decodes the fuzz bytes, four to an operation, into up
 // to 200 inserts and deletes on a bulk-loaded tree of scores and 512-byte
 // pages: of 64 keywords, whose inner slots keep score tables, when the
-// first byte is even, and of wideWidth keywords, whose inner slots keep
-// e.s and e.W, when it is odd. An insert's location is a point of a 16×16 grid, so
+// first byte is even, and of wideWidth keywords, whose keywords share
+// table buckets, when it is odd. An insert's location is a point of a 16×16 grid, so
 // items share locations; a delete removes a live item. After every
 // operation CheckInvariants must pass and every internal entry must be the
 // exact fold of its child (assertFolded), its pair signature and score

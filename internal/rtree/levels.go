@@ -8,17 +8,19 @@ import (
 	"stpq/internal/kwset"
 )
 
-// ScoreLevelBits is the width of one keyword's score level in the table
-// every internal slot of a tree with scores and keywords up to
-// MaxLevelWidth carries in place of its keyword bitmap e.W and its score
-// e.s. At 128 keywords the table is 64 bytes, and with the pair signature
-// an inner slot is 164 bytes: a 4 KiB page holds 24 of them.
+// ScoreLevelBits is the width of one score level in the table every
+// internal slot of a tree with keywords carries in place of its keyword
+// bitmap e.W and its score e.s. At 128 keywords the table is 64 bytes, and
+// with the pair signature an inner slot is 164 bytes: a 4 KiB page holds 24
+// of them.
 const ScoreLevelBits = 4
 
-// MaxLevelWidth is the widest vocabulary whose trees keep score tables on
-// their internal slots: a table is half a byte a keyword, 128 bytes at 256
-// keywords, and a wider one would leave a page few slots — from about
-// 3,900 keywords on, not two in 4 KiB.
+// MaxLevelWidth is the most levels a score table keeps: one for each
+// keyword up to this width, 128 bytes at 256 keywords. Above it keyword k
+// shares the level of bucket k mod MaxLevelWidth with every keyword of its
+// bucket, the best of their levels, so that a table, and the slot, stay
+// the size they are at MaxLevelWidth however wide the vocabulary grows; a
+// keyword is never priced below its own level.
 const MaxLevelWidth = 256
 
 // MaxLevel is the highest score level. Level l stands for the score
@@ -55,16 +57,21 @@ func Level(s float64) uint8 {
 	return uint8(l)
 }
 
-// levelWords returns the number of 64-bit words a table of the given
-// keyword width takes, 16 levels to a word.
-func levelWords(width int) int { return (width*ScoreLevelBits + 63) / 64 }
+// levelWords returns the number of 64-bit words the table of a tree of the
+// given keyword width takes, 16 levels to a word.
+func levelWords(width int) int { return (buckets(width)*ScoreLevelBits + 63) / 64 }
+
+// buckets returns how many levels the table of a tree of the given keyword
+// width keeps: a level a keyword up to MaxLevelWidth, MaxLevelWidth above.
+func buckets(width int) int { return min(width, MaxLevelWidth) }
 
 // The table of an internal entry is folded exactly, as e.W is: a leaf
-// raises the level of each of its keywords below the width to its own
-// (addLeaf), an internal entry the levels of its table (maxLevels).
+// raises the level of the bucket of each of its keywords below the width
+// to its own (addLeaf), an internal entry the levels of its table
+// (maxLevels).
 
-// addLeaf raises to level l the level of every keyword id below width
-// set in words, and reports whether there was one.
+// addLeaf raises to level l the level of the bucket of every keyword id
+// below width set in words, and reports whether there was one.
 func addLeaf(tbl, words []uint64, width int, l uint8) (held bool) {
 	for i, w := range words {
 		for ; w != 0; w &= w - 1 {
@@ -72,8 +79,9 @@ func addLeaf(tbl, words []uint64, width int, l uint8) (held bool) {
 			if k >= width {
 				return held
 			}
-			sh := uint(k%16) * ScoreLevelBits
-			if x := &tbl[k/16]; uint8(*x>>sh&MaxLevel) < l {
+			b := k % MaxLevelWidth
+			sh := uint(b%16) * ScoreLevelBits
+			if x := &tbl[b/16]; uint8(*x>>sh&MaxLevel) < l {
 				*x = *x&^(MaxLevel<<sh) | uint64(l)<<sh
 			}
 			held = true
@@ -115,25 +123,34 @@ func coversLevels(tbl []uint64, c *Entry, width int) bool {
 	return slices.Equal(own, tbl)
 }
 
-// topLevel returns the highest level among the keywords below width in the
-// table bytes tbl: what e.s is read off.
+// topLevel returns the highest level of the table bytes tbl of a tree of
+// the given keyword width: what e.s is read off.
 func topLevel(tbl []byte, width int) (top uint8) {
-	for k := uint32(0); k < uint32(width); k++ {
-		top = max(top, tableLevel(tbl, k))
+	for b, n := uint32(0), uint32(buckets(width)); b < n; b++ {
+		top = max(top, tableLevel(tbl, b))
 	}
 	return top
 }
 
-// presence sets in kw, zeroed, the bit of every keyword whose level in tbl
-// is not 0: e.W read off the table.
-func presence(kw, tbl []uint64) {
+// presence sets in kw, zeroed, the bit of every keyword below width whose
+// bucket's level in tbl is not 0: e.W read off the table, exact up to
+// MaxLevelWidth keywords and above it every keyword of each bucket held.
+func presence(kw, tbl []uint64, width int) {
 	for i, x := range tbl {
-		for j := 0; x != 0; j, x = j+1, x>>ScoreLevelBits {
-			if x&MaxLevel != 0 {
-				k := i*16 + j
-				kw[k/64] |= 1 << (k % 64)
-			}
-		}
+		m := (x | x>>1 | x>>2 | x>>3) & 0x1111111111111111 // bit 4j: level j is not 0, gathered below
+		m = (m | m>>3) & 0x0303030303030303
+		m = (m | m>>6) & 0x000f000f000f000f
+		m = (m | m>>12) & 0x000000ff000000ff
+		m = (m | m>>24) & 0xffff
+		kw[i/4] |= m << (16 * (i % 4))
+	}
+	// Keyword k's bit is bucket k mod MaxLevelWidth's, a word at a time.
+	const bucketWords = MaxLevelWidth / 64
+	for i := bucketWords; i < len(kw); i++ {
+		kw[i] = kw[i-bucketWords]
+	}
+	if r := width % 64; r != 0 && len(kw) > bucketWords {
+		kw[len(kw)-1] &= 1<<r - 1
 	}
 }
 
@@ -143,7 +160,7 @@ func presence(kw, tbl []uint64) {
 // — below the tree's width, as a leaf slot counts them — a feature priced
 // at the point holds: Count, or 2 where Count is 1 and no query keyword
 // the point counts has its singleton token (PairSig). Score is a level's,
-// LevelScore(l), on a slot with a score table, and e.s on any other.
+// LevelScore(l).
 type LevelCount struct {
 	Score float64
 	Count int
@@ -164,7 +181,7 @@ type LevelQuery struct {
 }
 
 // heldLevel is a query keyword a slot holds: its position in ids and its
-// level there, 0 on a slot without a score table.
+// bucket's level there.
 type heldLevel struct {
 	pos   int32
 	level uint8
@@ -197,53 +214,44 @@ func (q *LevelQuery) Front() []LevelCount { return q.front }
 
 // NextInner returns the first slot at or after i of an internal page that
 // holds a keyword of q, or Len() when there is none, and leaves its price
-// points in q.Front(). It reads only the query's keywords in the slot —
-// their levels in a score table, or their bits in e.W — and, in the slot's
-// signature, the keys of pairs of them and their tokens. A feature below
-// that holds the set S of query keywords has a score level at most the
-// least level in S, and all pairs of S set their keys; so at the
-// threshold of S's least level it is counted among the keywords at or
-// above it, and its C(|S|, 2) pairs among the hits there, and if S is its
-// only keyword, S's token is among the tokens there: the front point at
-// or above that level prices it soundly. A slot with e.s and e.W holds
-// every query keyword of e.W at one level, e.s: its front is one point.
+// points in q.Front(). It reads only the levels of the query keywords'
+// buckets in the slot's score table and, in its signature, the keys of
+// pairs of them and their tokens. A feature below that holds the set S of
+// query keywords has a score level at most the least level in S, and all
+// pairs of S set their keys; so at the threshold of S's least level it is
+// counted among the keywords at or above it, and its C(|S|, 2) pairs among
+// the hits there, and if S is its only keyword, S's token is among the
+// tokens there: the front point at or above that level prices it soundly.
+// A keyword sharing its bucket is held at the bucket's level, which is at
+// least its own.
 func (v *PageView) NextInner(i int, q *LevelQuery) int {
 	n, _ := slices.BinarySearch(q.ids, uint32(v.t.cfg.KeywordWidth)) // the ids a slot holds
 	ids, held := q.ids[:n], q.held
 	for off := nodeHeaderSize + i*v.stride; i < v.count; i, off = i+1, off+v.stride {
 		held = held[:0]
-		if v.lvOff == 0 { // e.W: each keyword held, at one level
-			kw := v.data[off+v.kwOff : off+v.kwOff+8*v.words]
-			for j, k := range ids {
-				if kw[k/8]>>(k%8)&1 != 0 {
-					held = append(held, heldLevel{pos: int32(j)})
-				}
+		tbl := v.data[off+v.lvOff : off+v.lvOff+8*v.lvWords]
+		for j, k := range ids {
+			l := tableLevel(tbl, k%MaxLevelWidth)
+			if l == 0 {
+				continue
 			}
-		} else {
-			tbl := v.data[off+v.lvOff : off+v.lvOff+8*v.lvWords]
-			for j, k := range ids {
-				l := tableLevel(tbl, k)
-				if l == 0 {
-					continue
-				}
-				held = append(held, heldLevel{pos: int32(j), level: l})
-				for x := len(held) - 1; x > 0 && held[x-1].level < l; x-- {
-					held[x-1], held[x] = held[x], held[x-1]
-				}
+			held = append(held, heldLevel{pos: int32(j), level: l})
+			for x := len(held) - 1; x > 0 && held[x-1].level < l; x-- {
+				held[x-1], held[x] = held[x], held[x-1]
 			}
 		}
 		if len(held) == 0 {
 			continue
 		}
 		q.held = held
-		if p := v.data[off:]; len(held) == 1 { // one keyword, one point
+		if sig := (*sigBytes)(v.data[off+v.sigOff : off+v.stride]); len(held) == 1 { // one keyword, one point
 			least := 1
-			if sigHas((*sigBytes)(p[v.sigOff:v.stride]), q.tokens[held[0].pos]) == 0 {
+			if sigHas(sig, q.tokens[held[0].pos]) == 0 {
 				least = 2
 			}
-			q.front = append(q.front[:0], LevelCount{Score: v.pointScore(p, held[0].level), Count: 1, Least: least})
+			q.front = append(q.front[:0], LevelCount{Score: LevelScore(held[0].level), Count: 1, Least: least})
 		} else {
-			q.front = v.levelFront(p, q)
+			q.front = levelFront(sig, q)
 		}
 		return i
 	}
@@ -251,13 +259,12 @@ func (v *PageView) NextInner(i int, q *LevelQuery) int {
 	return v.count
 }
 
-// levelFront computes the price points of slot p from q.held: down the
-// levels held, at the last keyword of each level, the keywords so far, the
-// pairs among them whose key the signature holds and, while one feature
-// can hold but one of them, whether one has its token.
-func (v *PageView) levelFront(p []byte, q *LevelQuery) []LevelCount {
+// levelFront computes the price points of a slot whose signature is sig
+// from q.held: down the levels held, at the last keyword of each level, the
+// keywords so far, the pairs among them whose key the signature holds and,
+// while one feature can hold but one of them, whether one has its token.
+func levelFront(sig *sigBytes, q *LevelQuery) []LevelCount {
 	front, held := q.front[:0], q.held
-	sig := (*sigBytes)(p[v.sigOff:v.stride])
 	hits, seen, token := 0, 0, false
 	var last LevelCount
 	for x, a := range held {
@@ -278,20 +285,11 @@ func (v *PageView) levelFront(p []byte, q *LevelQuery) []LevelCount {
 			}
 		}
 		if c > last.Count || least < last.Least {
-			last = LevelCount{Score: v.pointScore(p, a.level), Count: c, Least: least}
+			last = LevelCount{Score: LevelScore(a.level), Count: c, Least: least}
 			front = append(front, last)
 		}
 	}
 	return front
-}
-
-// pointScore is the score of a price point at level l of slot p: the
-// level's on a slot with a score table, e.s on any other.
-func (v *PageView) pointScore(p []byte, l uint8) float64 {
-	if v.lvOff > 0 {
-		return LevelScore(l)
-	}
-	return floatAt(p, v.kwOff-8)
 }
 
 // pairCount is the most keywords one feature can hold when hits of their
@@ -304,5 +302,5 @@ func pairCount(hits int) int {
 	return c
 }
 
-// tableLevel reads keyword k's level off the table bytes tbl.
-func tableLevel(tbl []byte, k uint32) uint8 { return tbl[k/2] >> (k % 2 * ScoreLevelBits) & MaxLevel }
+// tableLevel reads bucket b's level off the table bytes tbl.
+func tableLevel(tbl []byte, b uint32) uint8 { return tbl[b/2] >> (b % 2 * ScoreLevelBits) & MaxLevel }

@@ -14,18 +14,19 @@
 //
 // The page layout follows from the configuration alone. A leaf slot holds
 // the item's id, location, score (WithScore) and keyword bitmap; a tree
-// with keywords has scores. An internal slot of a tree with keywords has
-// one of two layouts, by its keyword width, which only this package
-// knows. Up to MaxLevelWidth it keeps in place of e.s and e.W the best
-// score of a feature below holding each keyword, as a 4-bit level
-// (levels.go): e.W is the keywords with a level, e.s the top level. Above
-// MaxLevelWidth it keeps e.s and the bitmap e.W. Either way it ends in a
-// signature of the keyword pairs that occur together in one feature below,
-// and of the keywords that are some feature's only one (PairSig), which
-// tightens the keyword term of the bound. A reader prices an internal slot
-// of either layout by one scan (PageView.NextInner), which leaves the
-// slot's price points — scores, and the query keyword counts the pairs
-// and tokens allow at each — in a LevelQuery. The SRT and IR² indexes
+// with keywords has scores. An internal slot of a tree with keywords keeps
+// in place of e.s and e.W a score table (levels.go): for each keyword, up
+// to MaxLevelWidth of them, the best score of a feature below holding it,
+// as a 4-bit level; above MaxLevelWidth keyword k shares the level of
+// bucket k mod MaxLevelWidth, the best of its keywords'. e.W is the
+// keywords with a level, e.s the top level. The slot ends in a signature
+// of the keyword pairs that occur together in one feature below, and of
+// the keywords that are some feature's only one (PairSig), which tightens
+// the keyword term of the bound. A reader prices an internal slot by one
+// scan (PageView.NextInner), which leaves the slot's price points —
+// scores, and the query keyword counts the pairs and tokens allow at each
+// — in a LevelQuery. The widest vocabulary a page fits is bounded by the
+// leaf bitmaps alone (MaxKeywordWidth). The SRT and IR² indexes
 // share this node format — they differ only in how leaf entries are
 // clustered at build time, which isolates the paper's index contribution
 // (Section 4.2) from incidental implementation detail.
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"stpq/internal/geo"
 	"stpq/internal/kwset"
@@ -50,12 +52,12 @@ type Config struct {
 	// KeywordWidth is the vocabulary width w of keyword summaries carried
 	// by every entry; 0 stores no textual augmentation (plain R-tree).
 	// Above 0 the tree needs WithScore, and every internal slot carries a
-	// pair signature and, up to MaxLevelWidth, a score table (the package
-	// doc).
+	// score table of min(w, MaxLevelWidth) levels and a pair signature (the
+	// package doc). It is at most MaxKeywordWidth(PageSize).
 	KeywordWidth int
 	// WithScore selects whether entries carry the non-spatial score
-	// augmentation e.s. Item scores are in [0, 1] on a tree whose inner
-	// slots keep score tables.
+	// augmentation e.s. Item scores are in [0, 1] on a tree with keywords,
+	// whose inner slots keep score tables.
 	WithScore bool
 	// BufferPages is the LRU buffer-pool capacity in pages. Defaults to
 	// DefaultBufferPages.
@@ -98,9 +100,9 @@ type Entry struct {
 	// pairs is an internal entry's keyword-pair signature on a tree with
 	// keywords, nil otherwise and on every leaf entry.
 	pairs *PairSig
-	// levels is an internal entry's score table on a tree with keywords up
-	// to MaxLevelWidth, 16 levels to a word, nil otherwise and on every
-	// leaf entry. Its Keywords and Score are read off it.
+	// levels is an internal entry's score table on a tree with keywords,
+	// 16 levels to a word, nil otherwise and on every leaf entry. Its
+	// Keywords and Score are read off it.
 	levels []uint64
 }
 
@@ -166,6 +168,10 @@ func newTree(cfg Config) (*Tree, error) {
 	if cfg.KeywordWidth > 0 && !cfg.WithScore {
 		return nil, fmt.Errorf("rtree: a tree of keyword width %d needs WithScore", cfg.KeywordWidth)
 	}
+	if widest := MaxKeywordWidth(cfg.PageSize); cfg.KeywordWidth > widest {
+		return nil, fmt.Errorf("rtree: keyword width %d exceeds %d, the widest a page of %d bytes fits",
+			cfg.KeywordWidth, widest, cfg.PageSize)
+	}
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = DefaultBufferPages
 	}
@@ -173,10 +179,6 @@ func newTree(cfg Config) (*Tree, error) {
 		cfg:     cfg,
 		pool:    storage.NewBufferPool(cfg.Disk, cfg.BufferPages),
 		layouts: [2]pageLayout{layoutOf(cfg, false), layoutOf(cfg, true)},
-	}
-	if t.layouts[0].capacity < 2 || t.layouts[1].capacity < 2 {
-		return nil, fmt.Errorf("rtree: page size %d too small for keyword width %d",
-			cfg.PageSize, cfg.KeywordWidth)
 	}
 	t.minFill = max(1, t.layouts[0].capacity*2/5) // 40% minimum fill on splits
 	return t, nil
@@ -186,11 +188,11 @@ func newTree(cfg Config) (*Tree, error) {
 // slot is stride bytes wide; its keyword words, words of them, start at
 // kwOff — after the id or child, the point or rectangle and, WithScore,
 // the score — and lastMask clears the bits beyond the keyword width in the
-// last of them, as decodeNode does. An inner slot with a score table has
-// neither score nor keyword words: its table, lvWords words, starts at
-// lvOff, after the rectangle; lvOff is 0 on every other page. An inner
-// slot of a tree with keywords ends in its PairSig at sigOff; sigOff is 0
-// on every other page. capacity is how many slots fit in a page.
+// last of them, as decodeNode does. An inner slot of a tree with keywords
+// has neither score nor keyword words: its score table, lvWords words,
+// starts at lvOff, after the rectangle, and its PairSig at sigOff, after
+// the table; lvOff and sigOff are 0 on every other page. capacity is how
+// many slots fit in a page.
 type pageLayout struct {
 	kwOff, lvOff, sigOff, stride, words, lvWords, capacity int
 	lastMask                                               uint64
@@ -208,13 +210,10 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 		l.kwOff += 8
 	}
 	l.stride = l.kwOff + 8*l.words
-	if !leaf && cfg.KeywordWidth > 0 {
-		if cfg.levelled() {
-			l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
-			l.stride = l.lvOff + 8*l.lvWords
-		}
-		l.sigOff = l.stride
-		l.stride += 8 * sigWords
+	if !leaf && cfg.KeywordWidth > 0 { // the table stands for e.s and e.W
+		l.kwOff, l.lvOff, l.lvWords = 0, 4+32, levelWords(cfg.KeywordWidth)
+		l.sigOff = l.lvOff + 8*l.lvWords
+		l.stride = l.sigOff + 8*sigWords
 	}
 	l.capacity = (cfg.PageSize - nodeHeaderSize) / l.stride
 	if r := cfg.KeywordWidth % 64; r != 0 {
@@ -223,9 +222,17 @@ func layoutOf(cfg Config, leaf bool) pageLayout {
 	return l
 }
 
-// levelled reports whether the inner slots of a tree configured by c keep
-// score tables: with keywords up to MaxLevelWidth.
-func (c Config) levelled() bool { return c.KeywordWidth > 0 && c.KeywordWidth <= MaxLevelWidth }
+// MaxKeywordWidth returns the widest vocabulary a tree of keywords and
+// scores fits in pages of pageSize bytes, two slots to a leaf and two to an
+// inner page (no wider than 8·pageSize bits), or −1 where none fits. An
+// inner slot is as wide at MaxLevelWidth keywords as at more, so from a
+// page of 460 bytes on the leaf bitmaps alone bound it.
+func MaxKeywordWidth(pageSize int) int {
+	return sort.Search(8*max(pageSize, 0)+1, func(w int) bool {
+		cfg := Config{PageSize: pageSize, KeywordWidth: w, WithScore: true}
+		return layoutOf(cfg, false).capacity < 2 || layoutOf(cfg, true).capacity < 2
+	}) - 1
+}
 
 // layout returns the layout of the tree's leaf or inner pages.
 func (t *Tree) layout(leaf bool) *pageLayout {
@@ -348,9 +355,9 @@ func (t *Tree) entryAggregate(child storage.PageID, n *Node) Entry {
 }
 
 // emptyAggregate returns the internal entry for child that covers nothing:
-// an empty keyword summary, an empty table on a tree whose inner slots keep
-// them, and on a tree with keywords an empty pair signature, all in buf
-// (zeroed, slotWords of the inner layout long), which the entry owns.
+// an empty keyword summary and, on a tree with keywords, an empty table and
+// pair signature, all in buf (zeroed, slotWords of the inner layout long),
+// which the entry owns.
 func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 	l := t.layout(false)
 	w := l.words
@@ -361,10 +368,7 @@ func (t *Tree) emptyAggregate(child storage.PageID, buf []uint64) Entry {
 	}
 	if l.lvOff > 0 {
 		e.levels = buf[w : w+l.lvWords : w+l.lvWords]
-		w += l.lvWords
-	}
-	if l.sigOff > 0 {
-		e.pairs = (*PairSig)(buf[w:])
+		e.pairs = (*PairSig)(buf[w+l.lvWords:])
 	}
 	return e
 }
@@ -379,34 +383,27 @@ func (l *pageLayout) slotWords() int {
 }
 
 // absorb widens e to cover c: MBR union, maximum score and keyword union,
-// on an entry with a score table the levels of a leaf c's keywords below
-// width or an internal c's table, with e.s the top level, and on an entry
-// with a pair signature the keys of a leaf c's keywords below width —
-// those its page slot holds — or an internal c's signature.
+// and on an entry with a score table and a pair signature the levels and
+// the keys of a leaf c's keywords below width — those its page slot holds
+// — or an internal c's table and signature, with e.s the top level.
 func (e *Entry) absorb(c *Entry, width int) {
 	e.Rect = e.Rect.Union(c.Rect)
+	e.Keywords.UnionInPlace(c.Keywords)
+	s := c.Score
 	switch {
 	case e.levels == nil:
-		if c.Score > e.Score {
-			e.Score = c.Score
-		}
 	case c.Leaf:
-		if l := Level(c.Score); addLeaf(e.levels, c.Keywords.WordsBits(), width, l) && LevelScore(l) > e.Score {
-			e.Score = LevelScore(l)
+		s = 0
+		if l := Level(c.Score); addLeaf(e.levels, c.Keywords.WordsBits(), width, l) {
+			s = LevelScore(l)
 		}
+		e.pairs.addSet(c.Keywords.WordsBits(), width)
 	case c.levels != nil:
 		maxLevels(e.levels, c.levels)
-		if c.Score > e.Score {
-			e.Score = c.Score
-		}
-	}
-	e.Keywords.UnionInPlace(c.Keywords)
-	switch {
-	case e.pairs == nil:
-	case c.Leaf:
-		e.pairs.addSet(c.Keywords.WordsBits(), width)
-	case c.pairs != nil:
 		e.pairs.or(c.pairs)
+	}
+	if s > e.Score { // not NaN
+		e.Score = s
 	}
 }
 
@@ -553,7 +550,8 @@ func Open(cfg Config, meta Meta) (*Tree, error) {
 // read through PageView. Of an inner page only each slot's child page is
 // read, at the stride of the older inner layout: e.s and e.W, or a score
 // table in their place where levels is set, then a signature where pairs
-// is set.
+// is set. Older versions wrote tables only up to MaxLevelWidth keywords,
+// where a table is as wide as it is now.
 func OldItems(cfg Config, meta Meta, pairs, levels bool) ([]Item, error) {
 	t, err := Open(cfg, meta)
 	if err != nil {

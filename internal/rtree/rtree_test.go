@@ -581,3 +581,25 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("zero height must fail")
 	}
 }
+
+// MaxKeywordWidth is the widest vocabulary New accepts on a page size: the
+// leaf bitmaps bound it, 2 slots a page, from a page of 460 bytes on, where
+// two inner slots of MaxLevelWidth levels fit; below, an inner page of two
+// table slots does (96 levels at 300 bytes). Where not even a tree without
+// keywords fits, it is −1.
+func TestMaxKeywordWidth(t *testing.T) {
+	for _, c := range []struct{ page, want int }{{4096, 16064}, {512, 1728}, {460, 1536}, {300, 96}, {60, -1}} {
+		if got := MaxKeywordWidth(c.page); got != c.want {
+			t.Errorf("MaxKeywordWidth(%d) = %d, want %d", c.page, got, c.want)
+		}
+		if c.want < 1 {
+			continue
+		}
+		if _, err := New(Config{PageSize: c.page, KeywordWidth: c.want, WithScore: true}); err != nil {
+			t.Errorf("%d keywords on %d-byte pages: %v", c.want, c.page, err)
+		}
+		if _, err := New(Config{PageSize: c.page, KeywordWidth: c.want + 1, WithScore: true}); err == nil {
+			t.Errorf("%d keywords on %d-byte pages: accepted", c.want+1, c.page)
+		}
+	}
+}

@@ -18,8 +18,8 @@ import (
 // it meets priced from its price points (BoundLevels), so the cost of
 // reading the levels and probing the pairs and tokens per slot shows.
 // /inner-wide scans the inner pages of a tree of 300 keywords, wider than
-// MaxLevelWidth, whose slots keep e.s and e.W, the same way: each slot it
-// meets has one price point, at e.s. The views are taken before the timer
+// MaxLevelWidth, whose keywords share table buckets, the same way. The
+// views are taken before the timer
 // starts, so no page read is timed; each reports nanoseconds per slot
 // scanned.
 func BenchmarkPageScan(b *testing.B) {

@@ -20,11 +20,10 @@ import (
 // feature stream, which rejects most slots of a node on their keyword
 // words alone — scans a leaf's words in the image and counts the
 // survivors' (NextIntersecting, NextCounted) and reads their scores
-// (Score), and scans an internal page's query keywords, in its score
-// tables or its bitmaps e.W, leaving each survivor's price points
-// (NextInner); and a loop that needs a keyword set decodes the slot
-// (Entry). decodeNode, the mutators' private copy, is Entry over every
-// slot.
+// (Score), and scans an internal page's score tables at the query
+// keywords, leaving each survivor's price points (NextInner); and a loop
+// that needs a keyword set decodes the slot (Entry). decodeNode, the
+// mutators' private copy, is Entry over every slot.
 //
 // A view is a value holding the page's image (storage.BufferPool.Get) and
 // no lock, so it reads the bytes it fetched however often the page is
@@ -92,8 +91,9 @@ func (v *PageView) Leaf() bool { return v.leaf }
 // NextIntersecting returns the first slot at or after i whose keyword words
 // share a bit with q, or Len() when there is none. It agrees slot by slot
 // with Set.Intersects on the decoded entry: words are compared up to the
-// narrower of the two sets, so an empty q meets nothing. The page has no
-// score tables: a leaf, or an inner page of a tree whose slots keep e.W.
+// narrower of the two sets, so an empty q meets nothing. The page is a
+// leaf: an inner page of a tree with keywords keeps score tables, which
+// NextInner reads.
 func (v *PageView) NextIntersecting(i int, q []uint64) int {
 	n := min(v.words, len(q))
 	if n == 0 {
@@ -125,8 +125,8 @@ func (v *PageView) NextIntersecting(i int, q []uint64) int {
 // A tree of two keyword words — the width the benchmark's 128-keyword
 // trees have — scans unrolled with the counts fused in; any other width,
 // or a query narrower than the tree, takes NextIntersecting and counts the
-// slot it meets. Like NextIntersecting it reads a page without score
-// tables; the feature stream meets every internal page by NextInner.
+// slot it meets. Like NextIntersecting it reads a leaf; the feature stream
+// meets every internal page by NextInner.
 func (v *PageView) NextCounted(i int, q []uint64) (slot, inter, count int) {
 	// The query's last word is masked once, a slot's only to be counted.
 	data, end, stride, mask := v.data, v.count, v.stride, v.lastMask
@@ -202,9 +202,9 @@ func (v *PageView) Child(i int) storage.PageID {
 // ItemID returns the item id of leaf slot i.
 func (v *PageView) ItemID(i int) int64 { return int64(binary.LittleEndian.Uint64(v.slot(i))) }
 
-// Score returns slot i's score — an item's t.s, a subtree's maximum e.s —
-// where it lies: Entry's Score. The tree has scores, and the page no score
-// tables.
+// Score returns leaf slot i's score t.s where it lies: Entry's Score. The
+// tree has scores; an internal slot's e.s is its table's top level, which
+// Entry reads.
 func (v *PageView) Score(i int) float64 { return floatAt(v.slot(i), v.kwOff-8) }
 
 // Visible reports whether slot i is seen through the tree: false only for
@@ -222,7 +222,8 @@ func (v *PageView) Visible(i int) bool {
 // The keyword words, and an inner slot's score table and pair signature,
 // are copied onto the end of *arena and e.Keywords, e.levels and e.pairs
 // alias that copy — the keyword words of a slot with a table are read off
-// it, as its score is — so e stays valid for as long as that part of the
+// it, as its score is: every keyword of a bucket with a level — so e stays
+// valid for as long as that part of the
 // arena is not written again: a caller that hands e out to be kept leaves
 // the arena alone, one that does not cuts it back to its length before
 // the call.
@@ -259,16 +260,13 @@ func (v *PageView) Entry(i int, e *Entry, arena *[]uint64) bool {
 		}
 		kw, lv := at+v.words, at+v.words+v.lvWords
 		if v.lvOff > 0 {
-			e.levels = (*arena)[kw:lv:lv]
-			if r := v.t.cfg.KeywordWidth % 16; r != 0 { // no level beyond the width
+			e.levels, e.pairs = (*arena)[kw:lv:lv], (*PairSig)((*arena)[lv:])
+			if r := buckets(v.t.cfg.KeywordWidth) % 16; r != 0 { // no level beyond the width
 				e.levels[len(e.levels)-1] &= 1<<(ScoreLevelBits*r) - 1
 			}
-			presence((*arena)[at:kw], e.levels)
+			presence((*arena)[at:kw], e.levels, v.t.cfg.KeywordWidth)
 		}
 		e.Keywords = kwset.FromBitsOwned(v.t.cfg.KeywordWidth, (*arena)[at:kw:kw])
-		if v.sigOff > 0 {
-			e.pairs = (*PairSig)((*arena)[lv:])
-		}
 	}
 	return true
 }

@@ -18,10 +18,11 @@ import (
 // viewConfigs spans the page layouts the trees derive: the object tree (no
 // augmentation), with and without the score slot, and exact keyword widths
 // below, at and across word boundaries, on every page size from 512 bytes
-// (two table slots a page at MaxLevelWidth) to 4 KiB — with scores up to
-// MaxLevelWidth the feature indexes' inner slots with score tables, above
-// it (MaxLevelWidth+1 and wideWidth) their inner slots with e.s and e.W,
-// each with a pair signature. A width of 1 holds no pairs, only tokens.
+// (two inner slots a page from MaxLevelWidth on) to 4 KiB — with scores
+// the feature indexes' inner slots, a score table and a pair signature,
+// whose keywords have a level each up to MaxLevelWidth and share buckets
+// above it (MaxLevelWidth+1 and wideWidth). A width of 1 holds no pairs,
+// only tokens.
 // Each keyword width comes without scores too: a configuration New and
 // Open refuse (refused), since a tree with keywords has scores.
 func viewConfigs() []Config {
@@ -109,17 +110,19 @@ func refDecode(tr *Tree, data []byte) *Node {
 			}
 			e.Rect = geo.Rect{Min: geo.Point{X: c[0], Y: c[1]}, Max: geo.Point{X: c[2], Y: c[3]}}
 		}
-		if !n.Leaf && tr.cfg.levelled() {
-			// A table of 4-bit levels, low nibble first; e.W is the
-			// keywords with a level, e.s the top level over 15.
+		if !n.Leaf && tr.cfg.KeywordWidth > 0 {
+			// A table of 4-bit levels, low nibble first, one a bucket, up
+			// to 256 of them: keyword k's is bucket k mod 256's. e.W is
+			// the keywords whose bucket has a level, e.s the top level
+			// over 15.
 			width := tr.cfg.KeywordWidth
-			e.levels = make([]uint64, (width+15)/16)
+			e.levels = make([]uint64, (min(width, 256)+15)/16)
 			kw := make([]uint64, kwWords(width))
 			top := 0
-			for k := 0; k < 16*len(e.levels); k++ {
-				l := int(data[off+k/2]>>(4*(k%2))) & 15
-				e.levels[k/16] |= uint64(l) << (4 * (k % 16))
-				if l > 0 {
+			for b := 0; b < 16*len(e.levels); b++ {
+				l := int(data[off+b/2]>>(4*(b%2))) & 15
+				e.levels[b/16] |= uint64(l) << (4 * (b % 16))
+				for k := b; l > 0 && k < width; k += 256 {
 					kw[k/64] |= 1 << (k % 64)
 				}
 				top = max(top, l)
@@ -231,9 +234,10 @@ func querySets(rng *rand.Rand, width int) []kwset.Set {
 
 // checkScan compares, on an inner page, NextInner from every starting slot
 // with a scan of the decoded node by Set.Intersects and its price points
-// with refFront on the decoded slot; and on a page without score tables,
-// NextIntersecting and NextCounted from every starting slot with that scan,
-// and NextCounted's counts with Set.IntersectCount and Count.
+// with refFront on the decoded slot; and on a leaf, or any page of a tree
+// without keywords, NextIntersecting and NextCounted from every starting
+// slot with that scan, and NextCounted's counts with Set.IntersectCount
+// and Count.
 func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 	t.Helper()
 	var lq LevelQuery
@@ -267,9 +271,9 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 }
 
 // refFront is NextInner's price points read from a decoded inner entry,
-// apart from the view. A slot without a score table is one whose table
-// holds every keyword of e.W at one level, which stands for e.s. For each
-// level m a query keyword in e.levels has, highest first, the keywords at
+// apart from the view. A query keyword below the width has its bucket's
+// level in e.levels: its own up to 256 keywords, that of k mod 256 above.
+// For each level m a query keyword has, highest first, the keywords at
 // m or above number n, hits of their pairs have their key in e.pairs
 // (refHas) and tokened of them their token; a point (m/15, c, least) is
 // kept, c = n capped at the largest c with c(c−1)/2 ≤ hits and least = c,
@@ -277,22 +281,11 @@ func checkScan(t *testing.T, v PageView, n *Node, q kwset.Set) {
 // or least is below every higher level's.
 func refFront(e *Entry, q kwset.Set) []LevelCount {
 	level := func(k int) int {
-		if e.levels == nil {
-			if e.Keywords.Has(k) {
-				return 1
-			}
+		if k >= e.Keywords.Width() {
 			return 0
 		}
-		if k >= 16*len(e.levels) {
-			return 0
-		}
-		return int(e.levels[k/16]>>(4*(k%16))) & 15
-	}
-	score := func(m int) float64 {
-		if e.levels == nil {
-			return e.Score
-		}
-		return float64(m) / 15
+		b := k % 256
+		return int(e.levels[b/16]>>(4*(b%16))) & 15
 	}
 	// kwAt[m] counts the query keywords at level m, hitAt[m] the pairs
 	// whose lower level is m and whose key e.pairs holds, tokAt[m] the
@@ -331,7 +324,7 @@ func refFront(e *Entry, q kwset.Set) []LevelCount {
 			least = 2
 		}
 		if c > last.Count || least < last.Least {
-			last = LevelCount{Score: score(m), Count: c, Least: least}
+			last = LevelCount{Score: float64(m) / 15, Count: c, Least: least}
 			out = append(out, last)
 		}
 	}
@@ -380,15 +373,16 @@ func samePoint(a, b geo.Point) bool {
 // count above the capacity and a page cut short are errors, never panics;
 // every accessor agrees with Entry on every slot, on trees that hide the
 // even item ids too; on an inner page NextInner meets the slots whose
-// decoded e.W meets the query, with refFront's price points; and on a page
-// without score tables the counted scan meets the slots NextIntersecting
-// meets, with the counts and the score Entry's decode gives. The trees are of 1, 2, 4 and 5 keyword words (the unrolled
-// case and the general one), of both live inner layouts — score tables up
-// to MaxLevelWidth, e.s and e.W above it, each at the boundary too — and
-// the queries of 1 to 5 words, all-ones ones among them, whose bits beyond
-// the tree's width the scans must not count. Trees 7, 8 and 9 are trees 1,
-// 2 and 3 with the even ids hidden. The corpus's seeds pick tree 0, and as
-// 7 and 8 a tree with tables and one with e.s and e.W; keep those in place.
+// decoded e.W meets the query, with refFront's price points; and on a leaf
+// the counted scan meets the slots NextIntersecting meets, with the counts
+// and the score Entry's decode gives. The trees are of 1, 2, 4 and 5
+// keyword words (the unrolled case and the general one), with score tables
+// of a level a keyword up to MaxLevelWidth and of shared buckets above it,
+// each at the boundary too, and the queries of 1 to 5 words, all-ones ones
+// among them, whose bits beyond the tree's width the scans must not count.
+// Trees 7, 8 and 9 are trees 1, 2 and 3 with the even ids hidden. The
+// corpus's seeds pick tree 0, and as 7 and 8 a tree of 32 keywords and one
+// of wideWidth; keep those in place.
 func FuzzPageView(f *testing.F) {
 	cfgs := []Config{
 		{PageSize: 1024},

@@ -50,7 +50,7 @@ func LoadMemDisk(r io.Reader) (*MemDisk, error) {
 	}
 	pageSize := int(binary.LittleEndian.Uint64(hdr[0:8]))
 	numPages := int(binary.LittleEndian.Uint64(hdr[8:16]))
-	if pageSize <= 0 || pageSize > 1<<26 {
+	if pageSize <= 0 || pageSize > MaxPageSize {
 		return nil, fmt.Errorf("storage: implausible page size %d", pageSize)
 	}
 	if numPages < 0 {

@@ -23,6 +23,9 @@ import (
 // classic 4 KiB disk page.
 const DefaultPageSize = 4096
 
+// MaxPageSize is the largest page a page dump may hold (LoadMemDisk).
+const MaxPageSize = 1 << 26
+
 // PageID identifies a page within a Disk. The zero PageID is valid; use
 // InvalidPage as the sentinel for "no page".
 type PageID uint32

@@ -382,9 +382,13 @@ func (db *DB) Build() error {
 // buildLocked bulk-loads a base generation and installs it. The dataset is
 // what the caller read back from the engine being replaced (nothing on the
 // first Build) plus whatever AddObjects/AddFeatureSet staged since, which is
-// validated, interned into db.vocab, consumed and released. Callers hold
-// db.mu.
-func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error {
+// validated, interned, consumed and released. words, and then the staged
+// keywords, are interned into a clone of db.vocab, which replaces it only
+// once the vocabulary is known to fit the pages: a too wide one fails with
+// ErrVocabularyTooWide before any tree is built, and leaves db.vocab and
+// the staged data as they were — as snapshots of the previous generation
+// keep their vocabulary. Callers hold db.mu.
+func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature, words ...string) error {
 	if len(objs)+len(db.objects) == 0 {
 		return errors.New("stpq: no data objects added")
 	}
@@ -394,6 +398,10 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 	// Pass 1, serial: validate, and intern every keyword — interning assigns
 	// the ids, so the vocabulary must be final before any tree is built. The
 	// ids are kept, one per keyword (−1 for an empty one), for the goroutines.
+	vocab := db.vocab.Clone()
+	for _, w := range words {
+		vocab.Intern(w)
+	}
 	for _, o := range db.objects {
 		if err := checkItem(o.X, o.Y, 0); err != nil {
 			return fmt.Errorf("stpq: object %d: %w", o.ID, err)
@@ -411,14 +419,18 @@ func (db *DB) buildLocked(objs []index.Object, featSets [][]index.Feature) error
 				return fmt.Errorf("stpq: feature %d of %q: %w", f.ID, name, err)
 			}
 			for _, w := range f.Keywords {
-				kwIDs[i] = append(kwIDs[i], int32(db.vocab.Intern(w)))
+				kwIDs[i] = append(kwIDs[i], int32(vocab.Intern(w)))
 			}
 		}
 	}
-	width := db.vocab.Size()
+	width := vocab.Size()
 	if width == 0 {
 		return errors.New("stpq: feature sets contain no keywords")
 	}
+	if err := checkVocabulary(width, db.cfg.PageSize); err != nil {
+		return err
+	}
+	db.vocab = vocab
 	opts := index.Options{
 		Kind:        index.Kind(db.cfg.IndexKind),
 		VocabWidth:  width,

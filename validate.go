@@ -3,13 +3,17 @@ package stpq
 // validate.go centralizes query validation: one function, shared by the
 // library entry points (DB.TopK, DB.Score) and the HTTP query handler of
 // internal/serve, returning errors that wrap ErrInvalidQuery so callers
-// can map every rejection to a 400 with errors.Is. checkItem is its
-// counterpart for the data Build and Apply index.
+// can map every rejection to a 400 with errors.Is. checkItem and
+// checkVocabulary are its counterparts for the data Build and Apply index.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+
+	"stpq/internal/rtree"
+	"stpq/internal/storage"
 )
 
 // ErrInvalidQuery is the sentinel wrapped by every query-validation error.
@@ -22,6 +26,14 @@ var ErrUnknownFeatureSet = fmt.Errorf("%w: unknown feature set", ErrInvalidQuery
 
 // ErrNotBuilt is returned by queries and snapshots taken before Build.
 var ErrNotBuilt = errors.New("stpq: not built")
+
+// ErrVocabularyTooWide is returned by Build, Rebuild and Apply when the
+// distinct keywords would number more than a page fits: a leaf page holds
+// each feature's keyword bitmap, two features at least. It is returned
+// before anything is built or logged, and its message names the smallest
+// page size (Config.PageSize) that fits the vocabulary. Apply's error
+// wraps ErrInvalidMutation too.
+var ErrVocabularyTooWide = errors.New("stpq: vocabulary too wide for the page size")
 
 // ValidateQuery checks q against the registered feature-set names,
 // rejecting non-positive K, negative Radius (or zero Radius for the range
@@ -92,4 +104,20 @@ func checkItem(x, y, score float64) error {
 		return fmt.Errorf("score %v outside [0,1]", score)
 	}
 	return nil
+}
+
+// checkVocabulary returns ErrVocabularyTooWide unless width keywords fit
+// pages of pageSize bytes (0 for the default), as rtree.MaxKeywordWidth
+// says.
+func checkVocabulary(width, pageSize int) error {
+	if pageSize <= 0 {
+		pageSize = storage.DefaultPageSize
+	}
+	widest := rtree.MaxKeywordWidth(pageSize)
+	if width <= widest {
+		return nil
+	}
+	fits := sort.Search(storage.MaxPageSize, func(p int) bool { return rtree.MaxKeywordWidth(p) >= width })
+	return fmt.Errorf("%w: %d keywords; pages of %d bytes fit %d, and the smallest page that fits %d is %d bytes",
+		ErrVocabularyTooWide, width, pageSize, widest, width, fits)
 }
